@@ -8,6 +8,12 @@ direct ``open(..., "w")`` or ``np.save`` into a snapshot path anywhere
 else bypasses all of that and can leave a half-written file that a
 restart will then trust (the serve-layer races pattern, applied to
 persistence).
+
+The atomic-write *mechanism* lives there too, once
+(``repro.store.durable``): ``os.replace``, ``os.fsync`` and
+``tempfile.mkstemp`` calls outside ``repro/store/`` are findings
+whatever path they touch, so a second hand-rolled atomic writer cannot
+come back.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ _PATH_FIRST_WRITERS = frozenset(
 _FILE_SECOND_WRITERS = frozenset({"pickle.dump", "json.dump"})
 #: ``Path`` methods that write in place.
 _PATH_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
+#: Building blocks of a hand-rolled atomic write; ``repro.store`` only.
+_ATOMIC_WRITE_CALLS = frozenset({"os.replace", "os.fsync", "tempfile.mkstemp"})
 
 _STRING_TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
@@ -96,7 +104,8 @@ class SnapshotIoRule(LintRule):
         "bytes land in a snapshot directory only via the repro.store "
         "writers (tmp-dir staging, digest manifest, os.replace promote) "
         "— a direct open()/np.save write can survive a crash half-done "
-        "and be trusted on restart"
+        "and be trusted on restart; os.replace / os.fsync / mkstemp are "
+        "called only there, so the atomic file write exists once"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -111,10 +120,10 @@ class SnapshotIoRule(LintRule):
                 yield ctx.finding(
                     node,
                     self.id,
-                    f"{what} writes into a snapshot path outside "
-                    "repro.store; route it through write_snapshot / "
-                    "ChunkedColumnStore so a mid-write crash cannot "
-                    "leave a half-written file a restart will trust",
+                    f"{what} outside repro.store; route it through "
+                    "write_snapshot / ChunkedColumnStore so a mid-write "
+                    "crash cannot leave a half-written file a restart "
+                    "will trust",
                 )
 
     @staticmethod
@@ -127,27 +136,29 @@ class SnapshotIoRule(LintRule):
                 and _write_mode(_mode_argument(node, 1))
                 and _is_snapshot_path(node.args[0])
             ):
-                return "open() in a write mode"
+                return "open() for writing into a snapshot path"
             return None
         resolved = resolved_call_name(func, imports)
+        if resolved in _ATOMIC_WRITE_CALLS:
+            return f"{resolved}() (a hand-rolled atomic write)"
         if resolved in _PATH_FIRST_WRITERS and node.args:
             if _is_snapshot_path(node.args[0]):
-                return f"{resolved}()"
+                return f"{resolved}() into a snapshot path"
             return None
         if resolved in _FILE_SECOND_WRITERS and len(node.args) >= 2:
             if _is_snapshot_path(node.args[1]):
-                return f"{resolved}()"
+                return f"{resolved}() into a snapshot path"
             return None
         if isinstance(func, ast.Attribute):
             # snap_path.write_text(...) / snap_path.open("w")
             if func.attr in _PATH_WRITE_METHODS and _is_snapshot_path(
                 func.value
             ):
-                return f".{func.attr}()"
+                return f".{func.attr}() on a snapshot path"
             if (
                 func.attr == "open"
                 and _write_mode(_mode_argument(node, 0))
                 and _is_snapshot_path(func.value)
             ):
-                return ".open() in a write mode"
+                return ".open() for writing on a snapshot path"
         return None

@@ -15,8 +15,8 @@ the file fail fast, naming the offending key.
 
 ``--executor process --workers 4`` shards the scoring stage across four
 worker processes (identical links/scores, see :mod:`repro.exec`);
-``--score-cache scores.bin`` persists pair scores so repeated runs over
-the same data warm-start instead of re-scoring.
+``--score-cache scores`` persists pair scores (a small snapshot directory)
+so repeated runs over the same data warm-start instead of re-scoring.
 
 Input CSVs need columns ``entity,lat,lng,timestamp`` (POSIX seconds or
 ISO 8601).  The output lists one link per line with its similarity score
@@ -56,6 +56,7 @@ from .core.score_cache import ScoreCache
 from .data.io import load_csv
 from .lsh.index import LshConfig
 from .pipeline import LinkageConfig, LinkagePipeline
+from .store.snapshot import SnapshotError, SnapshotMissing
 
 __all__ = ["main", "build_parser", "config_from_args"]
 
@@ -160,8 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--score-cache",
-        help="persist pair scores to this file and warm-start from it on "
-        "repeated runs (created when missing; see ScoreCache.save)",
+        help="persist pair scores under this path (a snapshot directory) "
+        "and warm-start from it on repeated runs (created when missing; an "
+        "untrustworthy one is named in a warning and replaced; see "
+        "ScoreCache.save)",
     )
     parser.add_argument(
         "--retention",
@@ -397,6 +400,80 @@ def config_from_args(
     )
 
 
+def _load_config(args: argparse.Namespace, explicit) -> Optional[LinkageConfig]:
+    """The run's config, or ``None`` after printing why it is invalid."""
+    try:
+        return config_from_args(args, explicit)
+    except (ValueError, KeyError, json.JSONDecodeError) as error:
+        message = error.args[0] if error.args else error
+        print(f"error: invalid configuration: {message}", file=sys.stderr)
+    except OSError as error:
+        print(f"error: cannot read config: {error}", file=sys.stderr)
+    return None
+
+
+def _inputs_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why the positional CSVs and ``--scenario`` do not add up, if so."""
+    if args.scenario and (args.left or args.right):
+        return "--scenario replaces the left/right CSV arguments"
+    if not args.scenario and not (args.left and args.right):
+        return (
+            "need two CSV paths, or --scenario NAME "
+            "(--list-scenarios shows the zoo)"
+        )
+    return None
+
+
+def _load_inputs(args: argparse.Namespace):
+    """``(left, right, truth)``, or ``None`` after printing the error."""
+    if not args.scenario:
+        return load_csv(args.left), load_csv(args.right), None
+    from .scenarios import scenario_pair
+
+    try:
+        pair = scenario_pair(
+            args.scenario, seed=args.scenario_seed, scale=args.scenario_scale
+        )
+    except (KeyError, ValueError) as error:
+        message = error.args[0] if error.args else error
+        print(f"error: {message}", file=sys.stderr)
+        return None
+    return pair.left, pair.right, pair.ground_truth
+
+
+def _link_rows(link_scores) -> List[str]:
+    """One ``left,right,score,1`` row per link, sorted by pair."""
+    return [
+        f"{left_id},{right_id},{score:.6f},1"
+        for (left_id, right_id), score in sorted(link_scores.items())
+    ]
+
+
+def _write_rows(args: argparse.Namespace, rows: List[str]) -> None:
+    """The links CSV, to ``--output`` or stdout."""
+    body = "\n".join(["left,right,score,linked", *rows])
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(body + "\n")
+    else:
+        print(body)
+
+
+def _print_quality(args: argparse.Namespace, links, ground_truth) -> None:
+    """``--scenario`` runs: score the links against the held-out truth."""
+    if ground_truth is None:
+        return
+    from .eval.metrics import precision_recall_f1
+
+    quality = precision_recall_f1(links, ground_truth)
+    print(
+        f"# scenario {args.scenario}: precision {quality.precision:.4f} "
+        f"recall {quality.recall:.4f} f1 {quality.f1:.4f} "
+        f"({len(ground_truth)} true links)",
+        file=sys.stderr,
+    )
+
+
 def _serve_parser() -> argparse.ArgumentParser:
     """The ``slim-link serve`` parser: every batch flag plus the replay
     knobs (the ``--serve-*`` flags already live on the shared parser)."""
@@ -436,23 +513,13 @@ def _serve_main(argv: List[str]) -> int:
     import asyncio
 
     from .eval.reporting import serving_table
-    from .scenarios import scenario_pair
     from .serve import replay_pair
 
     args = _serve_parser().parse_args(argv)
     explicit = _explicit_flags(argv)
-    if args.scenario and (args.left or args.right):
-        print(
-            "error: --scenario replaces the left/right CSV arguments",
-            file=sys.stderr,
-        )
-        return 2
-    if not args.scenario and not (args.left and args.right):
-        print(
-            "error: need two CSV paths, or --scenario NAME "
-            "(--list-scenarios shows the zoo)",
-            file=sys.stderr,
-        )
+    problem = _inputs_problem(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     if args.rounds < 1:
         print(
@@ -460,32 +527,14 @@ def _serve_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        config = config_from_args(args, explicit)
-    except (ValueError, KeyError, json.JSONDecodeError) as error:
-        message = error.args[0] if error.args else error
-        print(f"error: invalid configuration: {message}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: cannot read config: {error}", file=sys.stderr)
+    config = _load_config(args, explicit)
+    if config is None:
         return 2
 
-    ground_truth: Optional[Dict[str, str]] = None
-    if args.scenario:
-        try:
-            pair = scenario_pair(
-                args.scenario,
-                seed=args.scenario_seed,
-                scale=args.scenario_scale,
-            )
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else error
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-        left, right, ground_truth = pair.left, pair.right, pair.ground_truth
-    else:
-        left = load_csv(args.left)
-        right = load_csv(args.right)
+    inputs = _load_inputs(args)
+    if inputs is None:
+        return 2
+    left, right, ground_truth = inputs
 
     service_kwargs: Dict[str, object] = {}
     if args.serve_state_dir:
@@ -502,15 +551,7 @@ def _serve_main(argv: List[str]) -> int:
     )
     snapshot = result.snapshot
 
-    lines = ["left,right,score,linked"]
-    for (left_id, right_id), score in sorted(snapshot.link_scores.items()):
-        lines.append(f"{left_id},{right_id},{score:.6f},1")
-    body = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(body + "\n")
-    else:
-        print(body)
+    _write_rows(args, _link_rows(snapshot.link_scores))
 
     print(
         serving_table(
@@ -527,16 +568,7 @@ def _serve_main(argv: List[str]) -> int:
         f"({snapshot.threshold_method})",
         file=sys.stderr,
     )
-    if ground_truth is not None:
-        from .eval.metrics import precision_recall_f1
-
-        quality = precision_recall_f1(dict(snapshot.links), ground_truth)
-        print(
-            f"# scenario {args.scenario}: precision {quality.precision:.4f} "
-            f"recall {quality.recall:.4f} f1 {quality.f1:.4f} "
-            f"({len(ground_truth)} true links)",
-            file=sys.stderr,
-        )
+    _print_quality(args, dict(snapshot.links), ground_truth)
     return 0
 
 
@@ -573,15 +605,7 @@ def _snapshot_main(
     report = linker.relink()
     linker.save(snapshot_dir)
 
-    lines = ["left,right,score,linked"]
-    for (left_id, right_id), score in sorted(report.link_scores.items()):
-        lines.append(f"{left_id},{right_id},{score:.6f},1")
-    body = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(body + "\n")
-    else:
-        print(body)
+    _write_rows(args, _link_rows(report.link_scores))
     print(
         f"# {len(report.links)} links; "
         f"stop threshold {report.threshold.threshold:.4f} "
@@ -590,16 +614,7 @@ def _snapshot_main(
         f"snapshot dir {snapshot_dir}; watermark {linker.watermark:.1f}",
         file=sys.stderr,
     )
-    if ground_truth is not None:
-        from .eval.metrics import precision_recall_f1
-
-        quality = precision_recall_f1(dict(report.links), ground_truth)
-        print(
-            f"# scenario {args.scenario}: precision {quality.precision:.4f} "
-            f"recall {quality.recall:.4f} f1 {quality.f1:.4f} "
-            f"({len(ground_truth)} true links)",
-            file=sys.stderr,
-        )
+    _print_quality(args, dict(report.links), ground_truth)
     return 0
 
 
@@ -616,81 +631,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in scenario_names():
             print(f"{name}: {get_scenario(name).description}")
         return 0
-    if args.scenario and (args.left or args.right):
-        print(
-            "error: --scenario replaces the left/right CSV arguments",
-            file=sys.stderr,
-        )
+    problem = _inputs_problem(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
-    if not args.scenario and not (args.left and args.right):
-        print(
-            "error: need two CSV paths, or --scenario NAME "
-            "(--list-scenarios shows the zoo)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        config = config_from_args(args, explicit)
-    except (ValueError, KeyError, json.JSONDecodeError) as error:
-        message = error.args[0] if error.args else error
-        print(f"error: invalid configuration: {message}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: cannot read config: {error}", file=sys.stderr)
+    config = _load_config(args, explicit)
+    if config is None:
         return 2
 
     score_cache: Optional[ScoreCache] = None
     if args.score_cache:
-        cache_path = Path(args.score_cache)
-        if cache_path.exists():
-            try:
-                score_cache = ScoreCache.load(cache_path)
-            except ValueError as error:
-                print(
-                    f"warning: ignoring score cache {cache_path}: {error}",
-                    file=sys.stderr,
-                )
-        if score_cache is None:
+        try:
+            score_cache = ScoreCache.load(args.score_cache)
+        except SnapshotMissing:
+            score_cache = ScoreCache()
+        except SnapshotError as error:
+            print(
+                f"warning: ignoring score cache {args.score_cache} "
+                f"({type(error).__name__}: {error}); scoring cold",
+                file=sys.stderr,
+            )
             score_cache = ScoreCache()
     # Counters persist in the file; report this run's deltas, not totals.
     hits_before = score_cache.hits if score_cache is not None else 0
     misses_before = score_cache.misses if score_cache is not None else 0
 
-    ground_truth: Optional[Dict[str, str]] = None
-    if args.scenario:
-        from .scenarios import scenario_pair
-
-        try:
-            pair = scenario_pair(
-                args.scenario,
-                seed=args.scenario_seed,
-                scale=args.scenario_scale,
-            )
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else error
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-        left, right, ground_truth = pair.left, pair.right, pair.ground_truth
-    else:
-        left = load_csv(args.left)
-        right = load_csv(args.right)
+    inputs = _load_inputs(args)
+    if inputs is None:
+        return 2
+    left, right, ground_truth = inputs
     if args.snapshot_dir:
         return _snapshot_main(args, config, left, right, ground_truth)
     result = LinkagePipeline(config).run(left, right, score_cache=score_cache)
 
-    lines = ["left,right,score,linked"]
+    rows = []
     for edge in result.matched_edges:
         linked = edge.weight >= result.threshold.threshold
-        if not linked and not args.all_matches:
-            continue
-        lines.append(f"{edge.left},{edge.right},{edge.weight:.6f},{int(linked)}")
-
-    body = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(body + "\n")
-    else:
-        print(body)
+        if linked or args.all_matches:
+            rows.append(
+                f"{edge.left},{edge.right},{edge.weight:.6f},{int(linked)}"
+            )
+    _write_rows(args, rows)
     print(
         f"# {len(result.links)} links / {len(result.matched_edges)} matched pairs; "
         f"stop threshold {result.threshold.threshold:.4f} "
@@ -699,16 +680,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.stats.bin_comparisons} bin comparisons",
         file=sys.stderr,
     )
-    if ground_truth is not None:
-        from .eval.metrics import precision_recall_f1
-
-        quality = precision_recall_f1(result.links, ground_truth)
-        print(
-            f"# scenario {args.scenario}: precision {quality.precision:.4f} "
-            f"recall {quality.recall:.4f} f1 {quality.f1:.4f} "
-            f"({len(ground_truth)} true links)",
-            file=sys.stderr,
-        )
+    _print_quality(args, result.links, ground_truth)
     if score_cache is not None:
         score_cache.save(args.score_cache)
         print(

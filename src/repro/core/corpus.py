@@ -353,35 +353,6 @@ class HistoryCorpus:
         self._store = None  # Optional[repro.store.ChunkedColumnStore]
         self._chunk_cache = None  # Optional[repro.store.ChunkLRU]
 
-    @classmethod
-    def from_checkpoint(
-        cls,
-        histories: Dict[str, MobilityHistory],
-        level: int,
-        state: Dict[str, object],
-        cache_token: Optional[Hashable] = None,
-    ) -> "HistoryCorpus":
-        """Rebuild a corpus from a :meth:`checkpoint` snapshot without
-        re-ingesting ``histories`` (the snapshot-restore path of
-        :meth:`repro.core.streaming.StreamingLinker.restore`).
-
-        ``histories`` must be the mapping the snapshot was taken over —
-        the corpus only keeps the reference; all statistics come from
-        ``state``.  A restored default token is reserved so later
-        corpora in this process cannot collide with it.
-        """
-        corpus = cls.__new__(cls)
-        corpus._histories = histories
-        corpus._level = level
-        corpus.cache_token = (
-            ("corpus", _fresh_token()) if cache_token is None else cache_token
-        )
-        reserve_cache_token(corpus.cache_token)
-        corpus._store = None
-        corpus._chunk_cache = None
-        corpus.restore(state)
-        return corpus
-
     # ------------------------------------------------------------------
     # df bookkeeping
     # ------------------------------------------------------------------
@@ -535,12 +506,6 @@ class HistoryCorpus:
         """``"memory"`` (flat views on the heap) or ``"disk"`` (flat
         views memmapped over a chunked column store — see :meth:`spill`)."""
         return "memory" if self._store is None else "disk"
-
-    @property
-    def chunk_cache(self):
-        """The disk backend's chunk LRU (``None`` in memory mode) — its
-        ``resident_bytes`` is the out-of-core memory ledger."""
-        return self._chunk_cache
 
     @property
     def size(self) -> int:
@@ -793,16 +758,14 @@ class HistoryCorpus:
                 np.maximum(counts[self._flat_keys], 1.0)
             )
             return
-        writer = self._store.rewriter("idf", np.float64)
-        try:
-            for _start, keys in self._chunk_cache.iter_chunks("keys"):
-                writer.append(
-                    self._log_size - np.log(np.maximum(counts[keys], 1.0))
-                )
-        except BaseException:
-            writer.abort()
-            raise
-        writer.commit()
+        self._store.rewrite(
+            "idf",
+            np.float64,
+            (
+                self._log_size - np.log(np.maximum(counts[keys], 1.0))
+                for _start, keys in self._chunk_cache.iter_chunks("keys")
+            ),
+        )
         self._remap_flats()
 
     # ------------------------------------------------------------------
@@ -1002,14 +965,14 @@ class HistoryCorpus:
                 ("keys", self._flat_keys),
                 ("idf", self._flat_idf),
             ):
-                writer = self._store.rewriter(name, source.dtype)
-                try:
-                    for start in range(0, len(order), chunk_rows):
-                        writer.append(source[order[start : start + chunk_rows]])
-                except BaseException:
-                    writer.abort()
-                    raise
-                writer.commit()
+                self._store.rewrite(
+                    name,
+                    source.dtype,
+                    (
+                        source[order[start : start + chunk_rows]]
+                        for start in range(0, len(order), chunk_rows)
+                    ),
+                )
             self._flat_live = len(order)
             self._remap_flats()
             return
@@ -1052,104 +1015,73 @@ class HistoryCorpus:
         if self._flat_keys is None:
             return
         if self._store is not None:
-            writer = self._store.rewriter("keys", np.int64)
-            try:
-                for _start, keys in self._chunk_cache.iter_chunks("keys"):
-                    writer.append(remap[keys])
-            except BaseException:
-                writer.abort()
-                raise
-            writer.commit()
+            self._store.rewrite(
+                "keys",
+                np.int64,
+                (
+                    remap[keys]
+                    for _start, keys in self._chunk_cache.iter_chunks("keys")
+                ),
+            )
             self._remap_flats()
         else:
             self._flat_keys = remap[self._flat_keys]
 
     # ------------------------------------------------------------------
-    # transactional snapshot
+    # state: one capture for rollback and snapshots
     # ------------------------------------------------------------------
+    #: The state of a corpus, by attribute (minus the underscore): the one
+    #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
+    #: Containers :meth:`refresh` mutates in place are shallow-copied out
+    #: *and* in; the rest — arrays and frozen value objects (``WindowIndex``,
+    #: ``CellTable``…) — is replaced, never mutated, so travels by
+    #: reference.  ``_histories`` is the caller's mapping, not state.
+    _COPIED_STATE = (
+        "df_slot", "df_counts", "entity_bins", "entity_versions",
+        "bins_with_idf", "relative_size", "window_index",
+    )
+    _SHARED_STATE = (
+        "level", "total_bins", "size", "avg_bins", "log_size", "cell_table",
+        "arrays", "flat_cells", "flat_slots", "flat_keys", "flat_idf", "flat_live",
+    )
+
     def checkpoint(self) -> Dict[str, object]:
-        """Opaque snapshot for :meth:`restore` (the transactional-relink
-        hook — see :meth:`repro.core.streaming.StreamingLinker.relink`).
+        """The corpus' whole state as a plain dict, for :meth:`restore`.
 
-        Cheap by construction: every numpy array and every frozen value
-        object (``BinsSnapshot``, ``WindowIndex``, ``CellTable``,
-        ``CorpusArrays``) is *replaced*, never mutated in place, by
-        :meth:`refresh` / ``_compact`` — so saving references plus shallow
-        container copies is a complete snapshot.
+        A relink rollback keeps it in memory (cheap — references plus
+        shallow container copies); a durable snapshot pickles the very
+        same dict (pickle writes a disk-mode ``np.memmap`` flat by
+        value).  In disk mode the store manifest rides along; cutting it
+        also prunes generation files no rollback can reach any more.
         """
-        return {
-            "df_slot": dict(self._df_slot),
-            "df_counts": list(self._df_counts),
-            "total_bins": self._total_bins,
-            "entity_bins": dict(self._entity_bins),
-            "entity_versions": dict(self._entity_versions),
-            "size": self._size,
-            "avg_bins": self._avg_bins,
-            "log_size": self._log_size,
-            "bins_with_idf": dict(self._bins_with_idf),
-            "relative_size": dict(self._relative_size),
-            "cell_table": self._cell_table,
-            "arrays": self._arrays,
-            "window_index": dict(self._window_index),
-            # Disk mode: the store manifest stands in for the flats (the
-            # memmaps are re-derived after a rewind); cutting the
-            # checkpoint also prunes generation files no rollback can
-            # reach any more.
-            "store": None if self._store is None else self._store.checkpoint(),
-            "flat_cells": None if self._store is not None else self._flat_cells,
-            "flat_slots": None if self._store is not None else self._flat_slots,
-            "flat_keys": None if self._store is not None else self._flat_keys,
-            "flat_idf": None if self._store is not None else self._flat_idf,
-            "flat_live": self._flat_live,
-        }
-
-    def materialized_checkpoint(self) -> Dict[str, object]:
-        """A :meth:`checkpoint` safe to pickle into a durable snapshot.
-
-        Disk-backed flats are copied into plain arrays and the store
-        reference dropped — a corpus rebuilt from this state
-        (:meth:`from_checkpoint`) starts in memory mode and can
-        :meth:`spill` again.  In memory mode this is exactly
-        :meth:`checkpoint`.
-        """
-        state = self.checkpoint()
-        if self._store is not None:
-            state["store"] = None
-            state["arrays"] = None
-            state["flat_cells"] = np.array(self._flat_cells)
-            state["flat_slots"] = np.array(self._flat_slots)
-            state["flat_keys"] = np.array(self._flat_keys)
-            state["flat_idf"] = np.array(self._flat_idf)
+        state = {name: getattr(self, "_" + name) for name in self._SHARED_STATE}
+        for name in self._COPIED_STATE:
+            state[name] = getattr(self, "_" + name).copy()
+        state["cache_token"] = self.cache_token
+        state["store"] = None if self._store is None else self._store.checkpoint()
         return state
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Rewind to a :meth:`checkpoint` snapshot, discarding every
-        refresh/compact since (``_histories`` itself is the caller's
-        mapping — the caller restores *its* content).  Containers are
-        re-copied, so one snapshot supports any number of restores."""
-        self._df_slot = dict(state["df_slot"])
-        self._df_counts = list(state["df_counts"])
-        self._total_bins = state["total_bins"]
-        self._entity_bins = dict(state["entity_bins"])
-        self._entity_versions = dict(state["entity_versions"])
-        self._size = state["size"]
-        self._avg_bins = state["avg_bins"]
-        self._log_size = state["log_size"]
-        self._bins_with_idf = dict(state["bins_with_idf"])
-        self._relative_size = dict(state["relative_size"])
-        self._cell_table = state["cell_table"]
-        self._arrays = state["arrays"]
-        self._window_index = dict(state["window_index"])
-        store_state = state.get("store")
-        if store_state is not None and self._store is not None:
-            self._store.restore(store_state)
+        """Become the corpus a :meth:`checkpoint` captured, discarding
+        every refresh/compact since — this corpus rewound (rollback), or
+        a fresh one built over the captured histories (restart; the
+        caller restores the histories mapping itself).  The capture is
+        only read, so it supports any number of restores.
+
+        A disk-backed corpus rewinds its column store and re-derives the
+        memmaps; an in-memory one keeps the captured flats (and may
+        :meth:`spill` afterwards — storage is not state).  The captured
+        cache token is adopted, and reserved if it is a default one.
+        """
+        for name in self._SHARED_STATE:
+            setattr(self, "_" + name, state[name])
+        for name in self._COPIED_STATE:
+            setattr(self, "_" + name, state[name].copy())
+        self.cache_token = state["cache_token"]
+        reserve_cache_token(self.cache_token)
+        if self._store is not None and state["store"] is not None:
+            self._store.restore(state["store"])
             self._remap_flats()
-        else:
-            self._flat_cells = state["flat_cells"]
-            self._flat_slots = state["flat_slots"]
-            self._flat_keys = state["flat_keys"]
-            self._flat_idf = state["flat_idf"]
-        self._flat_live = state["flat_live"]
 
     # ------------------------------------------------------------------
     # introspection

@@ -76,11 +76,6 @@ Batch lookups vectorize the same semantics over version *arrays*:
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,19 +83,12 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from ..store.snapshot import load_state, write_snapshot
+
 __all__ = ["PairScore", "ScoreCache", "CacheBatch"]
 
 #: Initial row capacity of the columnar store.
 _MIN_CAPACITY = 256
-
-#: Magic + format version prefix of the persisted cache file (see
-#: :meth:`ScoreCache.save`).  Bump the trailing format byte when the
-#: columnar layout changes; old files then fail validation instead of
-#: mis-deserialising.  Kept as a raw prefix (not inside the pickle) so
-#: :meth:`ScoreCache.load` validates magic and checksum *before* any
-#: deserialisation happens.
-_PERSIST_MAGIC = b"REPRO-SCORE-CACHE\x01"
-_PERSIST_DIGEST_BYTES = 32  # sha256
 
 
 @dataclass(frozen=True)
@@ -170,6 +158,16 @@ class ScoreCache:
     # ------------------------------------------------------------------
     # columnar plumbing
     # ------------------------------------------------------------------
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self._u_version,
+            self._v_version,
+            self._raw,
+            self._bin_comparisons,
+            self._common_windows,
+            self._alibi_bin_pairs,
+        )
+
     def _grow(self, capacity: int) -> None:
         def extend(array: np.ndarray) -> np.ndarray:
             grown = np.empty(capacity, dtype=array.dtype)
@@ -293,12 +291,9 @@ class ScoreCache:
         bin_comparisons = np.zeros(n, dtype=np.int64)
         common_windows = np.zeros(n, dtype=np.int64)
         alibi_bin_pairs = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return CacheBatch(
-                hit, raw, bin_comparisons, common_windows, alibi_bin_pairs
-            )
-        if not self._rows:
-            # Nothing cached (the columnar arrays may not exist yet).
+        if n == 0 or not self._rows:
+            # Nothing asked, or nothing cached (the columnar arrays may
+            # not exist yet).
             self.misses += n
             return CacheBatch(
                 hit, raw, bin_comparisons, common_windows, alibi_bin_pairs
@@ -430,77 +425,54 @@ class ScoreCache:
         self._high = 0
 
     # ------------------------------------------------------------------
-    # transactional snapshot
+    # state: one capture for rollback, snapshots and the cache file
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
-        """Opaque snapshot for :meth:`restore` (the transactional-relink
-        hook).  Unlike the corpus, :meth:`store` scatters *in place* into
-        the column arrays, so the allocated prefix (up to the high-water
-        mark) is copied; the row directory copy also preserves exact LRU
-        order, and the hit/miss counters ride along so a rolled-back
-        relink leaves no trace at all.
-        """
-        high = self._high
+        """The cache's whole state as a plain dict, for :meth:`restore`:
+        the live pairs in exact LRU order, their column values gathered
+        in that order (row numbering is allocation detail, not state),
+        the cap and the hit/miss counters — a rolled-back relink leaves
+        no trace, and the same dict pickled is the persisted cache.
+        :meth:`store` scatters *in place*, so the gather is also the
+        copy a rollback needs."""
+        rows = np.fromiter(self._rows.values(), np.int64, count=len(self._rows))
         return {
-            "rows": OrderedDict(self._rows),
-            "free": list(self._free),
-            "high": high,
-            "columns": tuple(
-                column[:high].copy()
-                for column in (
-                    self._u_version,
-                    self._v_version,
-                    self._raw,
-                    self._bin_comparisons,
-                    self._common_windows,
-                    self._alibi_bin_pairs,
-                )
-            ),
+            "cap": self._cap,
+            "keys": list(self._rows),
+            "columns": tuple(column[rows] for column in self._columns()),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Rewind to a :meth:`checkpoint` snapshot: rows stored since are
-        gone, rows evicted since are back, counters rewound.  Containers
-        are re-copied, so one snapshot supports any number of restores."""
-        self._rows = OrderedDict(state["rows"])
-        self._free = list(state["free"])
-        self._high = state["high"]
-        high = state["high"]
-        saved = state["columns"]
-        for column, values in zip(
-            (
-                self._u_version,
-                self._v_version,
-                self._raw,
-                self._bin_comparisons,
-                self._common_windows,
-                self._alibi_bin_pairs,
-            ),
-            saved,
-        ):
-            # Arrays only ever grow; the live prefix is what matters
-            # (rows past the rewound high-water mark are unreferenced).
-            column[:high] = values
+        """Become the cache a :meth:`checkpoint` captured — this one
+        rewound (rows stored since gone, rows evicted since back) or a
+        fresh one after a restart.  The capture is only read, so it
+        supports any number of restores."""
+        keys = state["keys"]
+        count = len(keys)
+        if count > len(self._raw):
+            self._grow(max(_MIN_CAPACITY, count))
+        for column, values in zip(self._columns(), state["columns"]):
+            column[:count] = values
+        self._rows = OrderedDict(zip(keys, range(count)))
+        self._free = []
+        self._high = count
+        self._cap = state["cap"]
         self.hits = state["hits"]
         self.misses = state["misses"]
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
-        """Persist the cache to ``path`` (compacted: live rows only).
+        """Persist the cache under ``path``: a snapshot root
+        (:mod:`repro.store.snapshot`) whose one payload is
+        :meth:`checkpoint`.  Returns ``path``.
 
-        The file layout is ``magic+format prefix || SHA-256(payload) ||
-        payload``; :meth:`load` validates the prefix and the fingerprint
-        *before deserialising anything*, so a truncated download, a
-        foreign file or an incompatible layout fails loudly instead of
-        poisoning a run with garbage scores.  The payload itself is a
-        pickle (scoring spaces are arbitrary hashables, which no
-        data-only format can carry), so the fingerprint detects
-        *corruption*, not *malice* — only load cache files you produced
-        or trust, as with any pickle.
+        The snapshot layer makes it durable and checkable — a truncated,
+        foreign or incompatible cache fails :meth:`load` by name, before
+        anything is unpickled; a crash mid-save leaves the previous
+        snapshot intact.  The payload is a pickle (scoring spaces are
+        arbitrary hashables), so the digest detects *corruption*, not
+        *malice* — only load caches you produced or trust.
 
         Cross-process reuse additionally needs *stable scoring spaces*:
         the pipeline keys its corpora by
@@ -508,89 +480,22 @@ class ScoreCache:
         attached, so a later process linking the same data lands in the
         same space and hits.
 
-        The write is **atomic**: the bytes go to a temporary file in the
-        *same directory* (rename across filesystems is not atomic), are
-        fsynced, and only then renamed over ``path`` with
-        :func:`os.replace`.  A crash at any point mid-save leaves either
-        the old file intact or the new one complete — never a truncated
-        hybrid (pinned by ``tests/core/test_score_cache_persist.py``).
+        A plain file at ``path`` (a pre-snapshot cache) is replaced.
         """
-        keys = list(self._rows)
-        rows = np.fromiter(
-            (self._rows[key] for key in keys), np.int64, count=len(keys)
-        )
-        state = {
-            "cap": self._cap,
-            "hits": self.hits,
-            "misses": self.misses,
-            "keys": keys,
-            "u_version": self._u_version[rows],
-            "v_version": self._v_version[rows],
-            "raw": self._raw[rows],
-            "bin_comparisons": self._bin_comparisons[rows],
-            "common_windows": self._common_windows[rows],
-            "alibi_bin_pairs": self._alibi_bin_pairs[rows],
-        }
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        path = Path(path)
-        blob = _PERSIST_MAGIC + hashlib.sha256(payload).digest() + payload
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return path
+        root = Path(path)
+        if root.is_file():
+            root.unlink()
+        write_snapshot(root, {"score_cache": self.checkpoint()})
+        return root
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScoreCache":
-        """Rebuild a cache persisted by :meth:`save`.
-
-        Raises :class:`ValueError` when the file is not a score cache,
-        was written by an incompatible format version, or fails its
-        SHA-256 fingerprint check — all verified before any
-        deserialisation (see :meth:`save` for the trust model).
-        """
-        raw_bytes = Path(path).read_bytes()
-        magic, version = _PERSIST_MAGIC[:-1], _PERSIST_MAGIC[-1:]
-        if not raw_bytes.startswith(magic):
-            raise ValueError("not a score cache file (bad magic)")
-        header_end = len(_PERSIST_MAGIC)
-        found = raw_bytes[len(magic) : header_end]
-        if found != version:
-            raise ValueError(
-                f"unsupported score cache format {found!r} "
-                f"(this build reads format {version[0]})"
-            )
-        digest = raw_bytes[header_end : header_end + _PERSIST_DIGEST_BYTES]
-        payload = raw_bytes[header_end + _PERSIST_DIGEST_BYTES :]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError(
-                "score cache fingerprint mismatch (corrupt or truncated file)"
-            )
-        state = pickle.loads(payload)
-        cache = cls(cap=state["cap"])
-        cache.hits = state["hits"]
-        cache.misses = state["misses"]
-        keys = state["keys"]
-        count = len(keys)
-        if count:
-            cache._grow(max(_MIN_CAPACITY, count))
-            cache._u_version[:count] = state["u_version"]
-            cache._v_version[:count] = state["v_version"]
-            cache._raw[:count] = state["raw"]
-            cache._bin_comparisons[:count] = state["bin_comparisons"]
-            cache._common_windows[:count] = state["common_windows"]
-            cache._alibi_bin_pairs[:count] = state["alibi_bin_pairs"]
-            cache._rows = OrderedDict(
-                (key, row) for row, key in enumerate(keys)
-            )
-            cache._high = count
+        """Rebuild a cache persisted by :meth:`save` (or carried inside
+        a whole-linker snapshot); raises the
+        :class:`~repro.store.snapshot.SnapshotError` subclass naming
+        what is wrong — missing, truncated, digest mismatch, format skew
+        (single-file caches included) — before anything is unpickled."""
+        (state,) = load_state(Path(path), ("score_cache",))
+        cache = cls()
+        cache.restore(state)
         return cache

@@ -67,7 +67,9 @@ from __future__ import annotations
 
 # repro-lint: timing-module -- relink reports include wall-clock stage timings
 import time
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
@@ -86,6 +88,12 @@ from ..pipeline.stages import (
     ThresholdStage,
     candidate_stages,
 )
+from ..store.snapshot import (
+    SnapshotError,
+    SnapshotMissing,
+    load_state,
+    write_snapshot,
+)
 from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus
 from .history import MobilityHistory
@@ -95,6 +103,11 @@ from .similarity import score_cache_space
 from .slim import _as_linkage_config
 
 __all__ = ["StreamingLinker", "RelinkStats"]
+
+
+def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
+    """Two-level shallow copy of a ``{side: {...}}`` mapping."""
+    return {side: dict(inner) for side, inner in by_side.items()}
 
 
 @dataclass(frozen=True)
@@ -369,83 +382,111 @@ class StreamingLinker:
                 len(members) for members in self._lsh_members.values()
             ),
         }
-        for side in ("left", "right"):
-            corpus = self._corpora[side]
-            corpus_stats = (
-                corpus.memory_stats()
-                if corpus is not None
-                else {"flat_entries": 0, "flat_live": 0, "df_slots": 0,
-                      "total_bins": 0, "flat_resident_bytes": 0}
-            )
+        for side, corpus in self._corpora.items():
+            corpus_stats = {} if corpus is None else corpus.memory_stats()
             stats[f"{side}_entities"] = len(self._sides[side])
             for key in ("total_bins", "df_slots", "flat_entries", "flat_live",
                         "flat_resident_bytes"):
-                stats[f"{side}_{key}"] = corpus_stats[key]
+                stats[f"{side}_{key}"] = corpus_stats.get(key, 0)
         return stats
 
     # ------------------------------------------------------------------
-    # durable snapshots
+    # state: one capture for rollback, snapshots and restart
     # ------------------------------------------------------------------
-    def save(self, directory: object) -> object:
-        """Write one atomic whole-linker snapshot under ``directory``.
+    def checkpoint(self) -> Dict[str, object]:
+        """Everything this linker is, as one plain dict of containers,
+        arrays and scalars — the only place its mutable fields are
+        enumerated for capture (:meth:`_restore`: the only place they
+        are loaded).  :meth:`relink` keeps the dict in memory and rolls
+        back to it on failure; :meth:`save` pickles the same dict.
 
-        Everything a restart needs rides along: both sides' histories,
-        the corpus statistics and flat views, LSH placements, the score
-        cache (its own SHA-256-fingerprinted blob format), the retention
-        policy and the event-time watermark.  The write follows the
-        tmp-dir + ``os.replace`` protocol of
-        :mod:`repro.store.snapshot` — a crash mid-save leaves the
-        previous snapshot intact.  Returns the promoted snapshot
-        directory.
+        Cheap by reference: histories and corpus arrays are shared, not
+        copied; only the score cache (live rows) and the LSH index
+        (membership lists) copy, because they mutate in place.  A
+        component that does not exist yet is captured as ``None``.
         """
-        from pathlib import Path
-
-        from ..store.snapshot import write_snapshot
-
-        return write_snapshot(
-            Path(directory),
-            self._snapshot_state(),
-            {"score_cache.bin": self._score_cache.save},
-        )
-
-    def _snapshot_state(self) -> Dict[str, object]:
-        """The picklable state :meth:`save` persists (score cache aside,
-        which writes its own blob)."""
-        corpora: Dict[str, Optional[Dict[str, object]]] = {}
-        for side, corpus in self._corpora.items():
-            if corpus is None:
-                corpora[side] = None
-            else:
-                corpora[side] = {
-                    "level": corpus.level,
-                    "cache_token": corpus.cache_token,
-                    "checkpoint": corpus.materialized_checkpoint(),
-                }
+        corpora = {
+            side: None if corpus is None else corpus.checkpoint()
+            for side, corpus in self._corpora.items()
+        }
+        index = self._lsh_index
         return {
             "origin": self.windowing.origin,
             "config": self.config,
             "idf_tolerance": self.idf_tolerance,
             "retention": self._retention,
             "latest": self._latest,
-            "histories": {
-                side: dict(histories)
-                for side, histories in self._sides.items()
-            },
+            "sides": _copy_sides(self._sides),
             "corpora": corpora,
-            "lsh_index": (
-                None if self._lsh_index is None else self._lsh_index.checkpoint()
-            ),
-            "lsh_members": {
-                side: dict(members)
-                for side, members in self._lsh_members.items()
-            },
-            "pending_drift": {
-                side: dict(drift)
-                for side, drift in self._pending_drift.items()
-            },
+            "score_cache": self._score_cache.checkpoint(),
+            "lsh_index": None if index is None else index.checkpoint(),
+            "lsh_members": _copy_sides(self._lsh_members),
+            "pending_drift": _copy_sides(self._pending_drift),
             "pending_global": dict(self._pending_global),
             "last_relink": self._last_relink,
         }
+
+    def _restore(self, state: Dict[str, object]) -> None:
+        """Become the linker a :meth:`checkpoint` captured — this one
+        rewound after a failed relink, or an empty one after a restart
+        (:meth:`restore` constructs it from the capture's origin,
+        config, tolerance and retention).
+
+        The sides dicts are refilled *in place* (corpora reference them
+        as their histories mapping).  A component absent from the
+        capture becomes ``None`` (one first built during the failed
+        relink rolls back to nothing); a present one is rewound, after
+        being created over the refilled histories (and spilled, on a
+        ``storage="disk"`` linker) if need be.
+        """
+        self._latest = state["latest"]
+        for side, saved in state["sides"].items():
+            histories = self._sides[side]
+            histories.clear()
+            histories.update(saved)
+        for side, saved in state["corpora"].items():
+            corpus = self._corpora[side]
+            if saved is None:
+                corpus = None
+            elif corpus is not None:
+                corpus.restore(saved)
+            else:
+                corpus = HistoryCorpus(self._sides[side], saved["level"])
+                corpus.restore(saved)
+                if self.storage == "disk":
+                    self._spill(side, corpus)
+            self._corpora[side] = corpus
+        self._score_cache.restore(state["score_cache"])
+        saved, index = state["lsh_index"], self._lsh_index
+        if saved is None:
+            index = None
+        else:
+            if index is None:
+                index = LshIndex(self.pipeline_config.lsh, saved["spec"])
+            index.restore(saved)
+        self._lsh_index = index
+        self._lsh_members = _copy_sides(state["lsh_members"])
+        self._pending_drift = _copy_sides(state["pending_drift"])
+        self._pending_global = dict(state["pending_global"])
+        self._last_relink = state["last_relink"]
+
+    def save(self, directory: object) -> object:
+        """Write one atomic whole-linker snapshot under ``directory``.
+
+        The snapshot *is* :meth:`checkpoint` — histories, corpus
+        statistics and flat views, LSH placements, score cache,
+        retention policy, watermark — pickled as two payloads (linker
+        state, score cache) under the tmp-dir + ``os.replace`` protocol
+        of :mod:`repro.store.snapshot`: a crash mid-save leaves the
+        previous snapshot intact.  Returns the promoted directory.
+        """
+        state = self.checkpoint()
+        cache = state.pop("score_cache")
+        return write_snapshot(
+            Path(directory),
+            {"state": state, "score_cache": cache},
+            watermark=self._latest,
+        )
 
     @classmethod
     def restore(
@@ -463,7 +504,8 @@ class StreamingLinker:
         The restored linker relinks **bit-identically** to the linker
         that wrote the snapshot — same links, scores, and
         :class:`RelinkStats` counters, under every executor backend
-        (pinned by ``tests/store/test_snapshot_restore.py``).
+        (pinned by ``tests/store/test_snapshot_restore.py``): it is an
+        empty linker put through the :meth:`_restore` a rollback uses.
 
         Returns ``None`` — a cold start — when no snapshot exists (no
         warning) or when the newest snapshot cannot be trusted: a
@@ -476,13 +518,8 @@ class StreamingLinker:
         ``storage="disk"`` (with ``store_dir``) re-spills the restored
         corpora out of core; snapshots themselves are storage-agnostic.
         """
-        import warnings
-        from pathlib import Path
-
-        from ..store.snapshot import SnapshotError, SnapshotMissing, load_state
-
         try:
-            state, cache_path = load_state(Path(directory))
+            state, cache = load_state(Path(directory), ("state", "score_cache"))
         except SnapshotMissing:
             return None
         except SnapshotError as exc:
@@ -496,54 +533,17 @@ class StreamingLinker:
                 stacklevel=2,
             )
             return None
-        cache = None if cache_path is None else ScoreCache.load(cache_path)
         linker = cls(
             state["origin"],
             config=state["config"],
             idf_tolerance=state["idf_tolerance"],
             retention=state["retention"],
-            score_cache=cache,
             storage=storage,
             store_dir=store_dir,
             store_chunk_rows=store_chunk_rows,
             store_cache_chunks=store_cache_chunks,
         )
-        linker._sides = {
-            side: dict(histories)
-            for side, histories in state["histories"].items()
-        }
-        linker._latest = state["latest"]
-        for side, saved in state["corpora"].items():
-            if saved is None:
-                continue
-            corpus = HistoryCorpus.from_checkpoint(
-                linker._sides[side],
-                saved["level"],
-                saved["checkpoint"],
-                cache_token=saved["cache_token"],
-            )
-            if storage == "disk":
-                corpus.spill(
-                    Path(store_dir) / side,
-                    chunk_rows=store_chunk_rows,
-                    cache_chunks=store_cache_chunks,
-                )
-            linker._corpora[side] = corpus
-        lsh_state = state["lsh_index"]
-        if lsh_state is not None:
-            index = LshIndex(linker.pipeline_config.lsh, lsh_state["spec"])
-            index.restore(lsh_state)
-            linker._lsh_index = index
-        linker._lsh_members = {
-            side: dict(members)
-            for side, members in state["lsh_members"].items()
-        }
-        linker._pending_drift = {
-            side: dict(drift)
-            for side, drift in state["pending_drift"].items()
-        }
-        linker._pending_global = dict(state["pending_global"])
-        linker._last_relink = state["last_relink"]
+        linker._restore({**state, "score_cache": cache})
         return linker
 
     # ------------------------------------------------------------------
@@ -602,16 +602,18 @@ class StreamingLinker:
                 self._sides[side], self.pipeline_config.similarity.spatial_level
             )
             if self.storage == "disk":
-                from pathlib import Path
-
-                corpus.spill(
-                    Path(self._store_dir) / side,
-                    chunk_rows=self._store_chunk_rows,
-                    cache_chunks=self._store_cache_chunks,
-                )
+                self._spill(side, corpus)
             self._corpora[side] = corpus
             return None
         return corpus.refresh()
+
+    def _spill(self, side: str, corpus: HistoryCorpus) -> None:
+        """``storage="disk"``: spill one side's flats under ``store_dir``."""
+        corpus.spill(
+            Path(self._store_dir) / side,
+            chunk_rows=self._store_chunk_rows,
+            cache_chunks=self._store_cache_chunks,
+        )
 
     def _idf_affected(
         self, side: str, delta: Optional[CorpusDelta]
@@ -726,78 +728,12 @@ class StreamingLinker:
         """
         if not self._sides["left"] or not self._sides["right"]:
             raise ValueError("both sides need at least one entity before relinking")
-        snapshot = self._checkpoint()
+        state = self.checkpoint()
         try:
             return self._relink_once()
         except BaseException:
-            self._rollback(snapshot)
+            self._restore(state)
             raise
-
-    def _checkpoint(self) -> Dict[str, object]:
-        """Stage every structure :meth:`_relink_once` mutates.
-
-        Cheap: corpus snapshots are shallow (its arrays are
-        replaced-not-mutated), the score cache copies only its allocated
-        columnar prefix, and the LSH snapshot copies membership lists.
-        """
-        return {
-            "sides": {
-                side: dict(histories)
-                for side, histories in self._sides.items()
-            },
-            "corpora": {
-                side: None if corpus is None else corpus.checkpoint()
-                for side, corpus in self._corpora.items()
-            },
-            "corpus_refs": dict(self._corpora),
-            "cache": self._score_cache.checkpoint(),
-            "lsh_index": self._lsh_index,
-            "lsh_state": (
-                None if self._lsh_index is None else self._lsh_index.checkpoint()
-            ),
-            "lsh_members": {
-                side: dict(members)
-                for side, members in self._lsh_members.items()
-            },
-            "pending_drift": {
-                side: dict(drift)
-                for side, drift in self._pending_drift.items()
-            },
-            "pending_global": dict(self._pending_global),
-            "last_relink": self._last_relink,
-        }
-
-    def _rollback(self, state: Dict[str, object]) -> None:
-        """Rewind every structure to its :meth:`_checkpoint` snapshot.
-
-        The sides dicts are restored *in place* (corpora reference them as
-        their histories mapping); a corpus or LSH index first built during
-        the failed relink rolls back to ``None``.
-        """
-        for side, saved in state["sides"].items():
-            histories = self._sides[side]
-            histories.clear()
-            histories.update(saved)
-        for side, corpus in state["corpus_refs"].items():
-            corpus_state = state["corpora"][side]
-            if corpus is not None:
-                corpus.restore(corpus_state)
-            self._corpora[side] = corpus
-        self._score_cache.restore(state["cache"])
-        index = state["lsh_index"]
-        if index is not None:
-            index.restore(state["lsh_state"])
-        self._lsh_index = index
-        self._lsh_members = {
-            side: dict(members)
-            for side, members in state["lsh_members"].items()
-        }
-        self._pending_drift = {
-            side: dict(drift)
-            for side, drift in state["pending_drift"].items()
-        }
-        self._pending_global = dict(state["pending_global"])
-        self._last_relink = state["last_relink"]
 
     def _relink_once(self) -> LinkageReport:
         """One relink attempt over live state (see :meth:`relink`, which

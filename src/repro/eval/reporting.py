@@ -284,6 +284,7 @@ _SERVING_COLUMNS = (
     "queue_peak",
     "relinks",
     "relink_failures",
+    "checkpoint_failures",
     "relink_p50_s",
     "relink_p99_s",
     "snapshot_version",

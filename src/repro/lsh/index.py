@@ -89,6 +89,13 @@ class LshStats:
     candidate_pairs: int = 0
 
 
+def _copy_buckets(buckets: Dict[int, tuple]) -> Dict[int, tuple]:
+    return {
+        bucket: (list(lefts), list(rights))
+        for bucket, (lefts, rights) in buckets.items()
+    }
+
+
 class LshIndex:
     """Banded bucket index over dominating-cell signatures."""
 
@@ -196,38 +203,31 @@ class LshIndex:
         self.spec = spec
 
     # ------------------------------------------------------------------
-    # transactional snapshot
+    # state: one capture for rollback and snapshots
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
-        """Opaque snapshot for :meth:`restore` (the transactional-relink
-        hook).  ``add`` / ``remove`` append to and pop from the per-bucket
-        membership lists and per-entity placement lists *in place*, so
-        both levels are copied; the mutable :class:`LshStats` counters and
-        the current spec ride along."""
+        """The index's whole state as a plain dict, for :meth:`restore`
+        (relink rollback in memory, linker snapshots pickled).  ``add`` /
+        ``remove`` mutate the membership and placement lists *in place*,
+        so both levels are copied — here and again on restore, so one
+        capture supports any number of them."""
         return {
             "spec": self.spec,
-            "buckets": {
-                bucket: (list(lefts), list(rights))
-                for bucket, (lefts, rights) in self._buckets.items()
-            },
-            "placements": {
-                key: list(rows) for key, rows in self._placements.items()
-            },
+            "buckets": _copy_buckets(self._buckets),
+            "placements": {k: list(v) for k, v in self._placements.items()},
             "stats": replace(self.stats),
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Rewind to a :meth:`checkpoint` snapshot, discarding every
-        placement change since.  Containers are re-copied, so one
-        snapshot supports any number of restores."""
+        """Become the index a :meth:`checkpoint` captured, discarding
+        every placement (and layout) change since — this index rewound,
+        or a fresh one of the same config after a restart."""
         self.spec = state["spec"]
-        self._buckets = {
-            bucket: (list(lefts), list(rights))
-            for bucket, (lefts, rights) in state["buckets"].items()
-        }
-        self._placements = {
-            key: list(rows) for key, rows in state["placements"].items()
-        }
+        self.num_bands = bands_for_threshold(
+            self.spec.length, self.config.threshold
+        )
+        self._buckets = _copy_buckets(state["buckets"])
+        self._placements = {k: list(v) for k, v in state["placements"].items()}
         self.stats = replace(state["stats"])
 
     def add_histories(

@@ -112,6 +112,7 @@ class _Counters:
     queue_peak: int = 0
     relinks: int = 0
     relink_failures: int = 0
+    checkpoint_failures: int = 0
     queries: int = 0
     relink_seconds: List[float] = field(default_factory=list)
     query_seconds: Deque[float] = field(
@@ -150,8 +151,9 @@ class LinkageService:
         snapshot there (cold start if none is readable — corrupt
         snapshots warn by name); after every published relink it
         checkpoints the linker back, so a killed service resumes from
-        its last published state.  Ignored when an explicit ``linker``
-        is passed.
+        its last published state (a failed checkpoint is counted and
+        retried after the next publish, never fatal).  Ignored when an
+        explicit ``linker`` is passed.
 
     The service must be started before use — ``async with service:`` or
     an explicit :meth:`start` / :meth:`stop` pair.  :meth:`stop` drains
@@ -491,10 +493,16 @@ class LinkageService:
             if self._state_dir is not None:
                 # Same single worker thread as the batch apply, so the
                 # checkpoint serializes with the next batch and reads a
-                # quiescent linker; the event loop keeps ingesting.
-                await loop.run_in_executor(
-                    self._pool, self.linker.save, self._state_dir
-                )
+                # quiescent linker; the event loop keeps ingesting.  A
+                # failed save (disk full) is not fatal: the published
+                # snapshot keeps serving, the next publish retries.
+                try:
+                    await loop.run_in_executor(
+                        self._pool, self.linker.save, self._state_dir
+                    )
+                except Exception as error:
+                    self.counters.checkpoint_failures += 1
+                    self.last_error = error
         for future in flush_futures:
             if not future.done():
                 future.set_result(self._snapshot)
@@ -614,6 +622,7 @@ class LinkageService:
             "queue_peak": counters.queue_peak,
             "relinks": counters.relinks,
             "relink_failures": counters.relink_failures,
+            "checkpoint_failures": counters.checkpoint_failures,
             "relink_p50_s": _percentile(counters.relink_seconds, 0.50),
             "relink_p99_s": _percentile(counters.relink_seconds, 0.99),
             "snapshot_version": snapshot.version,

@@ -8,16 +8,18 @@ Two building blocks behind the streaming linker's persistence story:
   (:meth:`~repro.core.corpus.HistoryCorpus.spill`), read back through
   ``np.memmap`` with a small in-RAM chunk LRU, so a corpus can exceed
   the RAM budget;
-* :mod:`repro.store.snapshot` — atomic whole-linker snapshot
-  directories (:meth:`~repro.core.streaming.StreamingLinker.save` /
-  ``restore``): tmp-dir + ``os.replace`` promotion, a manifest with
-  per-file SHA-256 digests, named failure classes for every way a
-  snapshot can be untrustworthy.
+* :mod:`repro.store.snapshot` — atomic snapshot directories of pickled
+  ``checkpoint()`` captures (``StreamingLinker.save`` / ``restore``,
+  ``ScoreCache.save`` / ``load``): tmp-dir + ``os.replace`` promotion,
+  a manifest with per-file SHA-256 digests, named failure classes for
+  every way a snapshot can be untrustworthy;
+* :mod:`repro.store.durable` — the one atomic file write both use.
 
 This package owns *every* write into store and snapshot directories —
 the ``snapshot-io`` repro-lint rule rejects direct ``open()``/
-``np.save`` writes to snapshot paths anywhere else in the tree, the
-same single-writer discipline the serve layer applies to published
+``np.save`` writes to snapshot paths (and any ``os.replace`` /
+``os.fsync`` / ``mkstemp`` call) anywhere else in the tree, the same
+single-writer discipline the serve layer applies to published
 snapshots.
 """
 
@@ -30,7 +32,6 @@ from .snapshot import (
     SnapshotMissing,
     SnapshotTruncated,
     SnapshotVersionSkew,
-    load_state,
     read_snapshot,
     write_snapshot,
 )
@@ -49,5 +50,4 @@ __all__ = [
     "SnapshotVersionSkew",
     "write_snapshot",
     "read_snapshot",
-    "load_state",
 ]

@@ -23,9 +23,9 @@ Durability protocol (shared with :mod:`repro.store.snapshot`):
 * column data lands in ``<name>.g<generation>.col`` files; a rewrite
   bumps the generation and leaves the old file on disk;
 * the manifest (``store.json``) naming each column's dtype, row count
-  and generation is replaced atomically (tmp file + ``os.replace``), so
-  a crash mid-write leaves the previous manifest — and the files it
-  points at — intact;
+  and generation is replaced atomically
+  (:func:`~repro.store.durable.replace_file`), so a crash mid-write
+  leaves the previous manifest — and the files it points at — intact;
 * :meth:`ChunkedColumnStore.checkpoint` / ``restore`` give the
   transactional-relink machinery the same rewind guarantee the in-RAM
   corpus has: restore repoints the manifest and truncates appended rows,
@@ -37,25 +37,18 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
+
+from .durable import replace_file, write_file
 
 __all__ = ["ChunkedColumnStore", "ChunkLRU", "DEFAULT_CHUNK_ROWS"]
 
 #: Rows per logical chunk — the I/O and cache-accounting granule.
 DEFAULT_CHUNK_ROWS = 16384
-
-
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class _ColumnRewriter:
@@ -129,9 +122,6 @@ class ChunkedColumnStore:
         directory.mkdir(parents=True, exist_ok=True)
         for stale in directory.glob("*.col"):
             stale.unlink()
-        manifest = directory / cls.MANIFEST
-        if manifest.exists():
-            manifest.unlink()
         store = cls(directory, chunk_rows)
         store._write_manifest()
         return store
@@ -162,29 +152,31 @@ class ChunkedColumnStore:
             indent=2,
             sort_keys=True,
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=self.MANIFEST, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.directory / self.MANIFEST)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        replace_file(self.directory / self.MANIFEST, payload.encode())
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
     def put(self, name: str, array: np.ndarray) -> None:
         """Write a whole column (a fresh generation)."""
-        writer = self.rewriter(name, array.dtype)
+        self.rewrite(
+            name,
+            array.dtype,
+            (
+                array[start : start + self.chunk_rows]
+                for start in range(0, len(array), self.chunk_rows)
+            ),
+        )
+
+    def rewrite(
+        self, name: str, dtype: np.dtype, chunks: Iterable[np.ndarray]
+    ) -> None:
+        """Stream ``chunks`` into the column's next generation and commit;
+        an error mid-stream aborts, leaving the previous one current."""
+        writer = self.rewriter(name, dtype)
         try:
-            for start in range(0, len(array), self.chunk_rows):
-                writer.append(array[start : start + self.chunk_rows])
+            for rows in chunks:
+                writer.append(rows)
         except BaseException:
             writer.abort()
             raise
@@ -223,9 +215,7 @@ class ChunkedColumnStore:
         with open(path, "r+b") as handle:
             handle.truncate(start * dtype.itemsize)
             handle.seek(start * dtype.itemsize)
-            handle.write(data.tobytes())
-            handle.flush()
-            os.fsync(handle.fileno())
+            write_file(handle, data.tobytes())
         meta["rows"] = start + len(data)
         # Same-generation mutation: bump the epoch so chunk copies taken
         # before this extend (the partial tail chunk in particular) are

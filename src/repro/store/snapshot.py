@@ -6,8 +6,12 @@ Layout under a snapshot root::
       CURRENT               # "snap-000042" — pointer to the live snapshot
       snap-000042/
         manifest.json       # format, snapshot ordinal, watermark, digests
-        state.pkl           # pickled StreamingLinker state
-        score_cache.bin     # ScoreCache.save blob (own magic + SHA-256)
+        state.pkl           # pickled StreamingLinker.checkpoint()
+        score_cache.pkl     # pickled ScoreCache.checkpoint() (a bare
+                            # ScoreCache.save root holds only this one)
+
+Payloads are ``checkpoint()`` captures pickled as-is — the dicts a
+rollback ``restore()``-s in memory; all framing lives here.
 
 Write protocol — a crash at *any* point leaves the previous snapshot
 fully readable:
@@ -18,8 +22,8 @@ fully readable:
 3. ``manifest.json`` — format version, snapshot ordinal, event-time
    watermark and a SHA-256 digest per payload file — is written last;
 4. the tmp dir is promoted with one ``os.replace`` to ``snap-<n>``;
-5. ``CURRENT`` is swapped (tmp file + ``os.replace``) and older
-   snapshots are pruned.
+5. ``CURRENT`` is swapped (:func:`~repro.store.durable.replace_file`)
+   and older snapshots are pruned.
 
 Readers ignore ``CURRENT`` except as a hint: they pick the
 highest-numbered ``snap-*`` directory (a crash between steps 4 and 5
@@ -44,12 +48,12 @@ import os
 import pickle
 import re
 import shutil
-import tempfile
 import warnings
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec.faults import kill_switch
+from .durable import TMP_GLOB, fsync_path, replace_file, write_file
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -65,7 +69,9 @@ __all__ = [
 
 #: Bump on any incompatible change to the state layout; readers refuse
 #: snapshots from other formats (version skew) instead of guessing.
-SNAPSHOT_FORMAT = 1
+#: Format 2: every payload is a ``checkpoint()`` capture (format 1
+#: carried a hand-framed ``score_cache.bin`` and another ``state.pkl``).
+SNAPSHOT_FORMAT = 2
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")
@@ -102,14 +108,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _snap_dirs(root: Path) -> Dict[int, Path]:
     found: Dict[int, Path] = {}
     for child in root.iterdir():
@@ -120,7 +118,7 @@ def _snap_dirs(root: Path) -> Dict[int, Path]:
 
 
 def _clean_litter(root: Path) -> None:
-    for litter in root.glob("*.tmp-*"):
+    for litter in root.glob(TMP_GLOB):
         if litter.is_dir():
             shutil.rmtree(litter)
         else:
@@ -129,68 +127,54 @@ def _clean_litter(root: Path) -> None:
 
 def write_snapshot(
     root: Path,
-    state: Dict[str, object],
-    extra_writers: Optional[Dict[str, object]] = None,
+    payloads: Dict[str, object],
+    watermark: Optional[float] = None,
 ) -> Path:
     """Atomically publish one snapshot; returns the promoted directory.
 
-    ``extra_writers`` maps payload file names to ``callable(path)``
-    writers (e.g. ``score_cache.bin`` → :meth:`ScoreCache.save`) that
-    must themselves write durably; their digests join the manifest.
+    Each of ``payloads`` (name → picklable ``checkpoint()`` capture)
+    lands in its own ``<name>.pkl``, digest in the manifest;
+    ``watermark`` is manifest metadata for operators.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     _clean_litter(root)
     existing = _snap_dirs(root)
     ordinal = max(existing, default=0) + 1
-    tmp = root / f"snap-{ordinal:06d}.tmp-{os.getpid()}"
+    final = root / f"snap-{ordinal:06d}"
+    tmp = root / f"{final.name}.tmp-{os.getpid()}"
     tmp.mkdir()
     try:
         digests: Dict[str, str] = {}
-        state_path = tmp / "state.pkl"
-        with open(state_path, "wb") as handle:
-            handle.write(pickle.dumps(state, protocol=4))
-            handle.flush()
-            os.fsync(handle.fileno())
-        digests["state.pkl"] = _sha256(state_path)
-        kill_switch(EVENT_FILE)
-        for name, writer in (extra_writers or {}).items():
-            payload = tmp / name
-            writer(payload)
-            digests[name] = _sha256(payload)
+
+        def stage(name: str, data: bytes) -> None:
+            with open(tmp / name, "wb") as handle:
+                write_file(handle, data)
             kill_switch(EVENT_FILE)
+
+        for name, payload in payloads.items():
+            name = f"{name}.pkl"
+            stage(name, pickle.dumps(payload, protocol=4))
+            digests[name] = _sha256(tmp / name)
         manifest = {
             "format": SNAPSHOT_FORMAT,
             "snapshot": ordinal,
-            "watermark": state.get("latest"),
+            "watermark": watermark,
             "files": digests,
         }
-        manifest_path = tmp / "manifest.json"
-        with open(manifest_path, "w") as handle:
-            handle.write(json.dumps(manifest, indent=2, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        kill_switch(EVENT_FILE)
-        _fsync_path(tmp)
+        stage("manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
+        fsync_path(tmp)
+        os.replace(tmp, final)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    final = root / f"snap-{ordinal:06d}"
-    os.replace(tmp, final)
-    _fsync_path(root)
+    fsync_path(root)
     kill_switch(EVENT_PROMOTE)
     # Swap the pointer, then prune superseded snapshots; a crash anywhere
     # here costs only disk space, never the promoted snapshot.
-    fd, pointer_tmp = tempfile.mkstemp(dir=root, prefix=CURRENT, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        handle.write(final.name)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(pointer_tmp, root / CURRENT)
-    _fsync_path(root)
-    for old_ordinal, old_dir in existing.items():
-        if old_ordinal < ordinal:
-            shutil.rmtree(old_dir, ignore_errors=True)
+    replace_file(root / CURRENT, final.name.encode())
+    for old_dir in existing.values():
+        shutil.rmtree(old_dir, ignore_errors=True)
     return final
 
 
@@ -198,13 +182,18 @@ def read_snapshot(root: Path) -> Tuple[Dict[str, object], Path]:
     """Locate and verify the newest snapshot; ``(manifest, directory)``.
 
     Raises a named :class:`SnapshotError` subclass on anything
-    untrustworthy; warns (but proceeds) about tmp-dir litter from
-    crashed writers.
+    untrustworthy; warns (but proceeds) about tmp litter from crashed
+    writers.
     """
     root = Path(root)
+    if root.is_file():
+        raise SnapshotVersionSkew(
+            f"{root} is a single file, not a snapshot root (as score "
+            f"caches were before snapshot format {SNAPSHOT_FORMAT})"
+        )
     if not root.is_dir():
         raise SnapshotMissing(f"no snapshot root at {root}")
-    litter = sorted(p.name for p in root.glob("*.tmp-*"))
+    litter = sorted(p.name for p in root.glob(TMP_GLOB))
     if litter:
         warnings.warn(
             f"snapshot root {root} holds partial tmp litter from a crashed "
@@ -246,11 +235,14 @@ def read_snapshot(root: Path) -> Tuple[Dict[str, object], Path]:
     return manifest, directory
 
 
-def load_state(root: Path) -> Tuple[Dict[str, object], Optional[Path]]:
-    """Verified linker state plus the score-cache blob path (if present)."""
+def load_state(root: Path, names: Sequence[str]) -> List[Dict[str, object]]:
+    """The named payloads of the newest snapshot, verified then
+    unpickled, in ``names`` order (one absent — a bare score-cache root
+    asked for linker state — is :class:`SnapshotTruncated`)."""
     manifest, directory = read_snapshot(root)
-    state = pickle.loads((directory / "state.pkl").read_bytes())
-    cache_path = directory / "score_cache.bin"
-    if "score_cache.bin" not in manifest["files"]:
-        cache_path = None
-    return state, cache_path
+    absent = [name for name in names if f"{name}.pkl" not in manifest["files"]]
+    if absent:
+        raise SnapshotTruncated(f"{directory} holds no {absent} payload")
+    return [
+        pickle.loads((directory / f"{name}.pkl").read_bytes()) for name in names
+    ]

@@ -1,12 +1,13 @@
-"""ScoreCache persistence: save/load round-trip, fingerprint validation,
-and cross-process warm-starts through the pipeline's content-keyed
-corpora."""
+"""ScoreCache persistence: save/load round-trip and cross-process
+warm-starts through the pipeline's content-keyed corpora.
 
-import os
-import pickle
+The persisted form is a snapshot root holding ``ScoreCache.checkpoint()``;
+every way it can be untrustworthy (truncated, foreign, digest flip,
+version skew) and the all-or-nothing save are pinned, for this root and
+the whole-linker one alike, by ``tests/store/test_snapshot_failures.py``.
+"""
 
 import numpy as np
-import pytest
 
 from repro.core.corpus import content_fingerprint
 from repro.core.history import MobilityHistory
@@ -29,7 +30,7 @@ def _populated_cache(cap=None):
 class TestRoundTrip:
     def test_entries_survive(self, tmp_path):
         cache = _populated_cache()
-        path = cache.save(tmp_path / "scores.bin")
+        path = cache.save(tmp_path / "scores")
         loaded = ScoreCache.load(path)
         assert len(loaded) == len(cache)
         entry = loaded.lookup("space-a", "u", "v", 1, 2)
@@ -40,20 +41,20 @@ class TestRoundTrip:
         assert loaded.lookup(("content", "abc"), "u", "x", 3, 1).raw == 0.75
 
     def test_version_keys_still_enforced(self, tmp_path):
-        path = _populated_cache().save(tmp_path / "scores.bin")
+        path = _populated_cache().save(tmp_path / "scores")
         loaded = ScoreCache.load(path)
         assert loaded.lookup("space-a", "u", "v", 9, 2) is None
 
     def test_cap_and_counters_survive(self, tmp_path):
         cache = _populated_cache(cap=16)
         hits, misses = cache.hits, cache.misses
-        loaded = ScoreCache.load(cache.save(tmp_path / "scores.bin"))
+        loaded = ScoreCache.load(cache.save(tmp_path / "scores"))
         assert loaded._cap == 16
         assert (loaded.hits, loaded.misses) == (hits, misses)
 
     def test_batch_lookup_after_load(self, tmp_path):
         loaded = ScoreCache.load(
-            _populated_cache().save(tmp_path / "scores.bin")
+            _populated_cache().save(tmp_path / "scores")
         )
         batch = loaded.lookup_batch(
             "space-a",
@@ -63,119 +64,6 @@ class TestRoundTrip:
         )
         assert batch.hit.tolist() == [True, True, False]
         assert batch.raw[:2].tolist() == [1.5, -0.25]
-
-
-class TestValidation:
-    def test_truncated_file_rejected(self, tmp_path):
-        path = _populated_cache().save(tmp_path / "scores.bin")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ValueError, match="score cache"):
-            ScoreCache.load(path)
-
-    def test_foreign_pickle_rejected_without_unpickling(self, tmp_path):
-        path = tmp_path / "other.bin"
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ValueError, match="bad magic"):
-            ScoreCache.load(path)
-
-    def test_corrupted_payload_rejected(self, tmp_path):
-        from repro.core.score_cache import _PERSIST_MAGIC
-
-        path = _populated_cache().save(tmp_path / "scores.bin")
-        data = bytearray(path.read_bytes())
-        data[len(_PERSIST_MAGIC) + 32 + 5] ^= 0xFF  # flip a payload byte
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="fingerprint mismatch"):
-            ScoreCache.load(path)
-
-    def test_wrong_format_version_rejected(self, tmp_path):
-        from repro.core.score_cache import _PERSIST_MAGIC
-
-        path = _populated_cache().save(tmp_path / "scores.bin")
-        data = bytearray(path.read_bytes())
-        data[len(_PERSIST_MAGIC) - 1] = 99  # bump the format byte
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="format"):
-            ScoreCache.load(path)
-
-    def test_header_only_file_rejected(self, tmp_path):
-        from repro.core.score_cache import _PERSIST_MAGIC
-
-        path = tmp_path / "stub.bin"
-        path.write_bytes(_PERSIST_MAGIC[:-1])  # magic, no format byte
-        with pytest.raises(ValueError, match="format"):
-            ScoreCache.load(path)
-
-
-class TestAtomicSave:
-    """save() is all-or-nothing: a crash mid-write must never leave a
-    truncated or half-written file where a good one used to be."""
-
-    def _crash(self, *args, **kwargs):
-        raise OSError("injected mid-save crash")
-
-    def test_killed_before_replace_keeps_old_file(self, tmp_path, monkeypatch):
-        """Die between writing the temp file and renaming it over the
-        target: the previously saved cache must still load, byte-exact."""
-        path = tmp_path / "scores.bin"
-        _populated_cache().save(path)
-        good = path.read_bytes()
-
-        bigger = _populated_cache()
-        bigger.store("space-b", "y", "z", 0, 0, raw=0.5,
-                     bin_comparisons=2, common_windows=1, alibi_bin_pairs=0)
-        monkeypatch.setattr(os, "replace", self._crash)
-        with pytest.raises(OSError, match="injected"):
-            bigger.save(path)
-        monkeypatch.undo()
-
-        assert path.read_bytes() == good
-        loaded = ScoreCache.load(path)
-        assert len(loaded) == len(_populated_cache())
-
-    def test_killed_during_fsync_keeps_old_file(self, tmp_path, monkeypatch):
-        """Die while flushing the temp file (before the rename was even
-        attempted): same guarantee."""
-        path = tmp_path / "scores.bin"
-        _populated_cache().save(path)
-        good = path.read_bytes()
-
-        monkeypatch.setattr(os, "fsync", self._crash)
-        with pytest.raises(OSError, match="injected"):
-            _populated_cache().save(path)
-        monkeypatch.undo()
-
-        assert path.read_bytes() == good
-        ScoreCache.load(path)
-
-    def test_failed_save_leaves_no_temp_litter(self, tmp_path, monkeypatch):
-        """The orphaned temp file is cleaned up on failure — repeated
-        crashes must not accumulate ``*.tmp`` debris next to the target."""
-        path = tmp_path / "scores.bin"
-        monkeypatch.setattr(os, "replace", self._crash)
-        for _ in range(3):
-            with pytest.raises(OSError, match="injected"):
-                _populated_cache().save(path)
-        monkeypatch.undo()
-
-        assert list(tmp_path.iterdir()) == []
-
-        # And a clean retry after the fault clears succeeds normally.
-        saved = _populated_cache().save(path)
-        assert ScoreCache.load(saved).lookup("space-a", "u", "v", 1, 2).raw == 1.5
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.bin"]
-
-    def test_first_save_failure_leaves_no_file(self, tmp_path, monkeypatch):
-        """With no previous save, a crashed save leaves nothing behind —
-        not a partial file that a later load would half-trust."""
-        path = tmp_path / "scores.bin"
-        monkeypatch.setattr(os, "fsync", self._crash)
-        with pytest.raises(OSError, match="injected"):
-            _populated_cache().save(path)
-        monkeypatch.undo()
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestContentFingerprint:
@@ -208,7 +96,7 @@ class TestPipelineWarmStart:
     def test_second_run_served_from_loaded_cache(self, cab_pair, tmp_path):
         """Simulates two CLI invocations: run, save, load, run again —
         the second run's scoring is all cache hits, links identical."""
-        path = tmp_path / "scores.bin"
+        path = tmp_path / "scores"
         pipeline = LinkagePipeline(LinkageConfig())
 
         cold_cache = ScoreCache()
