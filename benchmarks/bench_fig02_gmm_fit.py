@@ -9,7 +9,7 @@ ground truth — confirming the threshold falls between the clusters.
 
 import numpy as np
 
-from repro.core.slim import SlimConfig, SlimLinker
+from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.eval import format_table, write_report
 
 
@@ -32,10 +32,10 @@ def _histogram_rows(weights, truth_flags, model, threshold, bins=12):
 
 
 def test_fig02_gmm_fit(benchmark, cab_pair, results_dir):
-    linker = SlimLinker(SlimConfig())
+    linker = LinkagePipeline(LinkageConfig())
 
     result = benchmark.pedantic(
-        lambda: linker.link(cab_pair.left, cab_pair.right), rounds=1, iterations=1
+        lambda: linker.run(cab_pair.left, cab_pair.right), rounds=1, iterations=1
     )
 
     weights = [edge.weight for edge in result.matched_edges]

@@ -10,7 +10,7 @@ the paper's side note that Otsu and 2-means behave like the GMM approach.
 import numpy as np
 
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig, SlimLinker
+from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.core.threshold import otsu_threshold, two_means_threshold
 from repro.data import sample_linkage_pair
 from repro.eval import format_table, write_report
@@ -40,12 +40,12 @@ def test_fig06_histograms(benchmark, cab_world, results_dir):
     def sweep():
         rows = []
         for level in LEVELS:
-            config = SlimConfig(
+            config = LinkageConfig(
                 similarity=SimilarityConfig(
                     window_width_minutes=WINDOW_MINUTES, spatial_level=level
                 )
             )
-            result = SlimLinker(config).link(pair.left, pair.right)
+            result = LinkagePipeline(config).run(pair.left, pair.right)
             weights = [edge.weight for edge in result.matched_edges]
             truth_flags = [
                 pair.ground_truth.get(edge.left) == edge.right

@@ -12,9 +12,9 @@ Paper shape (Sec. 5.2.2):
 
 from bench_util import average_records
 
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, run_slim, write_report
+from repro.eval import format_table, run_pipeline, write_report
 
 INCLUSIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 RATIOS = (0.3, 0.5, 0.7, 0.9)
@@ -32,7 +32,7 @@ def _sweep(world, rng_base, jitter=0.0, min_records=5):
                 min_records=min_records,
                 timestamp_jitter_seconds=jitter,
             )
-            measures = run_slim(pair, SlimConfig())
+            measures = run_pipeline(pair, LinkageConfig())
             rows.append(
                 {
                     "ratio": ratio,

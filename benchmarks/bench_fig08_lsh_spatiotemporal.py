@@ -13,9 +13,9 @@ similarity configuration (which stays at the defaults).  Paper shape
   than Cab at the same settings.
 """
 
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, relative_f1, run_slim, speedup, write_report
+from repro.eval import format_table, relative_f1, run_pipeline, speedup, write_report
 from repro.lsh import LshConfig
 
 LEVELS = (8, 12, 14, 16)
@@ -28,7 +28,7 @@ def _sweep(pair, brute):
     rows = []
     for level in LEVELS:
         for step in STEPS:
-            config = SlimConfig(
+            config = LinkageConfig(
                 lsh=LshConfig(
                     threshold=THRESHOLD,
                     step_windows=step,
@@ -36,7 +36,7 @@ def _sweep(pair, brute):
                     num_buckets=BUCKETS,
                 )
             )
-            measures = run_slim(pair, config)
+            measures = run_pipeline(pair, config)
             rows.append(
                 {
                     "sig_level": level,
@@ -67,7 +67,7 @@ def test_fig08ab_cab(benchmark, cab_world, results_dir):
     pair = sample_linkage_pair(
         cab_world.subset(cab_world.entities[:30]), 0.5, 0.5, rng=7
     )
-    brute = run_slim(pair, SlimConfig())
+    brute = run_pipeline(pair, LinkageConfig())
 
     rows = benchmark.pedantic(lambda: _sweep(pair, brute), rounds=1, iterations=1)
     _report(
@@ -94,7 +94,7 @@ def test_fig08cd_sm(benchmark, sm_world, results_dir):
     pair = sample_linkage_pair(
         sm_world, 0.5, 0.5, rng=11, timestamp_jitter_seconds=240.0
     )
-    brute = run_slim(pair, SlimConfig())
+    brute = run_pipeline(pair, LinkageConfig())
 
     rows = benchmark.pedantic(lambda: _sweep(pair, brute), rounds=1, iterations=1)
     _report(

@@ -8,9 +8,9 @@ Paper shape (Sec. 5.3.2):
 * the SM world reaches far larger factors than Cab (more entities).
 """
 
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, relative_f1, run_slim, speedup, write_report
+from repro.eval import format_table, relative_f1, run_pipeline, speedup, write_report
 from repro.lsh import LshConfig
 
 BUCKETS = (2**8, 2**10, 2**12, 2**14, 2**18)
@@ -23,7 +23,7 @@ def _sweep(pair, brute):
     rows = []
     for threshold in THRESHOLDS:
         for buckets in BUCKETS:
-            config = SlimConfig(
+            config = LinkageConfig(
                 lsh=LshConfig(
                     threshold=threshold,
                     step_windows=STEP,
@@ -31,7 +31,7 @@ def _sweep(pair, brute):
                     num_buckets=buckets,
                 )
             )
-            measures = run_slim(pair, config)
+            measures = run_pipeline(pair, config)
             rows.append(
                 {
                     "threshold": threshold,
@@ -60,7 +60,7 @@ def test_fig09a_cab(benchmark, cab_world, results_dir):
     pair = sample_linkage_pair(
         cab_world.subset(cab_world.entities[:30]), 0.5, 0.5, rng=7
     )
-    brute = run_slim(pair, SlimConfig())
+    brute = run_pipeline(pair, LinkageConfig())
     rows = benchmark.pedantic(lambda: _sweep(pair, brute), rounds=1, iterations=1)
     write_report(
         format_table(rows, precision=3, title="Figure 9a: Cab - speed-up vs bucket count"),
@@ -73,7 +73,7 @@ def test_fig09b_sm(benchmark, sm_world, results_dir):
     pair = sample_linkage_pair(
         sm_world, 0.5, 0.5, rng=11, timestamp_jitter_seconds=240.0
     )
-    brute = run_slim(pair, SlimConfig())
+    brute = run_pipeline(pair, LinkageConfig())
     rows = benchmark.pedantic(lambda: _sweep(pair, brute), rounds=1, iterations=1)
     write_report(
         format_table(rows, precision=3, title="Figure 9b: SM - speed-up vs bucket count"),

@@ -21,9 +21,9 @@ Paper shape (Sec. 5.4):
 import numpy as np
 
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig, SlimLinker
+from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, run_slim, write_report
+from repro.eval import format_table, run_pipeline, write_report
 
 VARIANTS = {
     "original": {},
@@ -38,12 +38,12 @@ WIDTHS = (15, 60, 180, 360, 720)
 
 
 def _run(pair, variant_kwargs, level, width):
-    config = SlimConfig(
+    config = LinkageConfig(
         similarity=SimilarityConfig(
             spatial_level=level, window_width_minutes=width, **variant_kwargs
         )
     )
-    return run_slim(pair, config)
+    return run_pipeline(pair, config)
 
 
 def test_fig10a_spatial_level(benchmark, cab_world, results_dir):
@@ -114,12 +114,12 @@ def test_fig10_mfn_lowers_false_positive_scores(benchmark, cab_world, results_di
     def measure():
         means = {}
         for name, kwargs in (("with_mfn", {}), ("without_mfn", {"use_mfn": False})):
-            config = SlimConfig(
+            config = LinkageConfig(
                 similarity=SimilarityConfig(
                     spatial_level=12, window_width_minutes=5, **kwargs
                 )
             )
-            result = SlimLinker(config).link(pair.left, pair.right)
+            result = LinkagePipeline(config).run(pair.left, pair.right)
             false_weights = [
                 edge.weight
                 for edge in result.matched_edges

@@ -11,14 +11,14 @@ subset for the same reason).
 """
 
 from repro.baselines import GmLinker, StLinkLinker
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_cab_world
 from repro.eval import (
     format_table,
     hit_precision_at_k,
     precision_recall_f1,
-    run_slim,
+    run_pipeline,
     score_all_pairs,
     write_report,
 )
@@ -43,13 +43,13 @@ def _sweep(world):
             world, 0.5, inclusion, rng=17, min_records=5
         )
 
-        slim = run_slim(pair, SlimConfig())
+        slim = run_pipeline(pair, LinkageConfig())
         scores, _ = score_all_pairs(pair)
         slim_hit = hit_precision_at_k(scores, pair.ground_truth, 40)
 
-        lsh = run_slim(
+        lsh = run_pipeline(
             pair,
-            SlimConfig(
+            LinkageConfig(
                 lsh=LshConfig(threshold=0.3, step_windows=16, spatial_level=14)
             ),
         )

@@ -13,9 +13,9 @@ cost model) — see EXPERIMENTS.md.
 """
 
 from repro.baselines import StLinkLinker
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, precision_recall_f1, run_slim, write_report
+from repro.eval import format_table, precision_recall_f1, run_pipeline, write_report
 from repro.lsh import LshConfig
 
 INCLUSIONS = (0.25, 0.5, 0.8)
@@ -27,9 +27,9 @@ def _sweep(world):
     for ratio in RATIOS:
         for inclusion in INCLUSIONS:
             pair = sample_linkage_pair(world, ratio, inclusion, rng=7)
-            slim = run_slim(
+            slim = run_pipeline(
                 pair,
-                SlimConfig(
+                LinkageConfig(
                     lsh=LshConfig(threshold=0.3, step_windows=24, spatial_level=14)
                 ),
             )

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
 from bench_util import write_bench_json
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.core.streaming import StreamingLinker
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_sm_world
@@ -72,18 +72,18 @@ def _workload(num_users: int = 300, seed: int = 11):
     return start, initial, delta
 
 
-def _config() -> SlimConfig:
+def _config() -> LinkageConfig:
     """The paper's scalability mode: LSH-filtered candidates."""
-    return SlimConfig(
+    return LinkageConfig(
         lsh=LshConfig(threshold=0.3, step_windows=48, spatial_level=14)
     )
 
 
-def _brute_config() -> SlimConfig:
+def _brute_config() -> LinkageConfig:
     """Brute-force candidates: every cross pair is scored, so the relink
     cost is dominated by the score-cache hit path (the workload the
     vectorized ``lookup_batch`` exists for)."""
-    return SlimConfig()
+    return LinkageConfig()
 
 
 def _observe_all(linker: StreamingLinker, batches: Dict[str, List]) -> None:
@@ -106,7 +106,7 @@ def run_streaming_relink_bench(
     origin, initial, delta = _workload()
     config = _config()
 
-    def make_rounds(round_config: SlimConfig):
+    def make_rounds(round_config: LinkageConfig):
         def incremental_round() -> StreamingLinker:
             linker = StreamingLinker(origin=origin, config=round_config)
             _observe_all(linker, initial)

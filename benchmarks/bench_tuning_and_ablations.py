@@ -18,10 +18,10 @@ Three studies beyond the numbered figures:
 
 from repro.baselines import PoisLinker
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.core.tuning import auto_spatial_level
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, precision_recall_f1, run_slim, write_report
+from repro.eval import format_table, precision_recall_f1, run_pipeline, write_report
 
 LEVELS = (4, 6, 8, 10, 12, 14, 16, 18, 20)
 
@@ -36,8 +36,8 @@ def test_auto_tuning_finds_efficient_level(benchmark, cab_world, results_dir):
         )
         sweep = []
         for level in LEVELS:
-            measures = run_slim(
-                pair, SlimConfig(similarity=SimilarityConfig(spatial_level=level))
+            measures = run_pipeline(
+                pair, LinkageConfig(similarity=SimilarityConfig(spatial_level=level))
             )
             sweep.append(
                 {
@@ -76,7 +76,7 @@ def test_threshold_method_ablation(benchmark, cab_world, results_dir):
     def study():
         rows = []
         for method in ("gmm", "otsu", "two_means", "none"):
-            measures = run_slim(pair, SlimConfig(threshold_method=method))
+            measures = run_pipeline(pair, LinkageConfig(threshold=method))
             rows.append(
                 {
                     "method": method,
@@ -111,7 +111,7 @@ def test_pois_comparison(benchmark, cab_world, results_dir):
     )
 
     def study():
-        slim = run_slim(pair, SlimConfig())
+        slim = run_pipeline(pair, LinkageConfig())
         pois = PoisLinker().link(pair.left, pair.right)
         pois_quality = precision_recall_f1(pois.links, pair.ground_truth)
         return [

@@ -19,9 +19,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.data.sampling import LinkagePair
-from repro.eval import run_slim
+from repro.eval import run_pipeline
 
 __all__ = [
     "spatiotemporal_grid",
@@ -91,12 +91,12 @@ def spatiotemporal_grid(
     rows: List[Dict[str, float]] = []
     for width in widths_minutes:
         for level in levels:
-            config = SlimConfig(
+            config = LinkageConfig(
                 similarity=base.without(
                     spatial_level=level, window_width_minutes=width
                 )
             )
-            measures = run_slim(pair, config)
+            measures = run_pipeline(pair, config)
             rows.append(
                 {
                     "window_min": width,

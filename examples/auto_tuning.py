@@ -9,7 +9,7 @@ and what the choice means for accuracy vs cost.
 Run:  python examples/auto_tuning.py
 """
 
-from repro import SlimConfig, SlimLinker
+from repro import LinkageConfig, LinkagePipeline
 from repro.core.similarity import SimilarityConfig
 from repro.core.tuning import auto_spatial_level, auto_spatial_level_for_pair
 from repro.data import sample_linkage_pair
@@ -42,9 +42,9 @@ def main() -> None:
     print("\nLinkage quality and cost at selected levels:\n")
     sweep = []
     for level in (4, tuned_level, 20):
-        result = SlimLinker(
-            SlimConfig(similarity=SimilarityConfig(spatial_level=level))
-        ).link(pair.left, pair.right)
+        result = LinkagePipeline(
+            LinkageConfig(similarity=SimilarityConfig(spatial_level=level))
+        ).run(pair.left, pair.right)
         quality = precision_recall_f1(result.links, pair.ground_truth)
         sweep.append(
             {

@@ -12,7 +12,7 @@ F1 climbs steeply once users have >= ~15 records).
 Run:  python examples/checkin_linkage.py
 """
 
-from repro import SlimConfig, SlimLinker
+from repro import LinkageConfig, LinkagePipeline
 from repro.data.synth import default_sm_world
 from repro.eval import format_table, precision_recall_f1
 
@@ -29,7 +29,7 @@ def main() -> None:
             min_records=5,
             seed=11,
         )
-        result = SlimLinker(SlimConfig()).link(pair.left, pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(pair.left, pair.right)
         quality = precision_recall_f1(result.links, pair.ground_truth)
         avg_records = (
             pair.left.num_records / pair.left.num_entities

@@ -17,7 +17,7 @@ Run:  python examples/taxi_linkage.py
 
 import time
 
-from repro import LshConfig, SlimConfig, SlimLinker
+from repro import LinkageConfig, LinkagePipeline, LshConfig
 from repro.baselines import GmLinker, StLinkLinker
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_cab_world
@@ -35,7 +35,7 @@ def main() -> None:
 
     # --- SLIM, brute force -------------------------------------------------
     start = time.perf_counter()
-    brute = SlimLinker(SlimConfig()).link(pair.left, pair.right)
+    brute = LinkagePipeline(LinkageConfig()).run(pair.left, pair.right)
     brute_seconds = time.perf_counter() - start
     brute_quality = precision_recall_f1(brute.links, pair.ground_truth)
     rows.append(
@@ -57,7 +57,7 @@ def main() -> None:
         threshold=0.3, step_windows=24, spatial_level=14, num_buckets=4096
     )
     start = time.perf_counter()
-    lsh = SlimLinker(SlimConfig(lsh=lsh_config)).link(pair.left, pair.right)
+    lsh = LinkagePipeline(LinkageConfig(lsh=lsh_config)).run(pair.left, pair.right)
     lsh_seconds = time.perf_counter() - start
     lsh_quality = precision_recall_f1(lsh.links, pair.ground_truth)
     rows.append(

@@ -27,21 +27,15 @@ Package map — see DESIGN.md for the full inventory:
 * :mod:`repro.pipeline` — the composable stage pipeline (Alg. 1): stage
   protocol, plugin registries, :class:`LinkageConfig`,
   :class:`LinkageReport`, the runner;
+* :mod:`repro.knobs` — one declaration per configuration knob; the
+  configs' validation, ``from_dict`` and the CLI flags are derived from it;
 * :mod:`repro.lsh` — dominating-cell signatures and banded bucketing;
 * :mod:`repro.baselines` — ST-Link, GM and POIS comparators (ported onto
   the same stage pipeline);
 * :mod:`repro.eval` — metrics and the experiment harness.
-
-``SlimLinker``/``SlimConfig`` remain as deprecated shims over the
-pipeline package.
 """
 
-from .core import (
-    LinkageResult,
-    SimilarityConfig,
-    SlimConfig,
-    SlimLinker,
-)
+from .core import SimilarityConfig
 from .lsh import LshConfig
 from .pipeline import (
     LinkageConfig,
@@ -55,10 +49,7 @@ __all__ = [
     "LinkagePipeline",
     "LinkageConfig",
     "LinkageReport",
-    "SlimLinker",
-    "SlimConfig",
     "SimilarityConfig",
     "LshConfig",
-    "LinkageResult",
     "__version__",
 ]

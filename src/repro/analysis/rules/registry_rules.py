@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import Finding, LintRule, ModuleContext, register_rule
@@ -19,7 +20,6 @@ from ..visitors import terminal_name
 
 __all__ = [
     "REGISTER_HELPERS",
-    "REGISTRY_CONFIG_FIELDS",
     "RegistryConfigKnobRule",
     "RegistryDuplicateRule",
     "RegistryExportRule",
@@ -29,16 +29,11 @@ __all__ = [
 #: helper's name to the registry variable it feeds.
 REGISTER_HELPERS: Dict[str, str] = {"register_scenario": "scenarios"}
 
-#: Registry variable -> the LinkageConfig field that selects from it.
-REGISTRY_CONFIG_FIELDS: Dict[str, str] = {
-    "candidate_stages": "candidates",
-    "matchers": "matching",
-    "threshold_methods": "threshold",
-    "executors": "executor",
-    "retention_policies": "retention",
-}
-
 _CONFIG_CLASS = "LinkageConfig"
+
+#: Where ``LinkageConfig`` is declared — parsed (never imported) when the
+#: lint pass does not itself cover it, e.g. over ``tools`` alone.
+_CONFIG_SOURCE = Path(__file__).resolve().parents[2] / "pipeline" / "config.py"
 
 
 @dataclass
@@ -289,81 +284,50 @@ class RegistryExportRule(LintRule):
         return None
 
 
+def _registry_config_fields(tree: ast.Module) -> Optional[Dict[str, str]]:
+    """Registry variable -> the ``LinkageConfig`` field that selects from
+    it, read off the ``registry=<variable>`` keyword of the class's field
+    declarations (see :mod:`repro.knobs`); ``None`` when ``tree`` does not
+    declare the class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == _CONFIG_CLASS:
+            return {
+                keyword.value.id: item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and isinstance(item.value, ast.Call)
+                for keyword in item.value.keywords
+                if keyword.arg == "registry" and isinstance(keyword.value, ast.Name)
+            }
+    return None
+
+
 @register_rule
 class RegistryConfigKnobRule(LintRule):
     """Every registry is reachable from configuration (or declared not)."""
 
     id = "registry-config-knob"
     invariant = (
-        "each Registry(...) instance maps to a validated LinkageConfig "
-        "field (REGISTRY_CONFIG_FIELDS) or carries a scoped disable "
-        "naming its non-config selection mechanism"
+        "each Registry(...) instance is the registry= of a LinkageConfig "
+        "field declaration (which validates the knob against it) or "
+        "carries a scoped disable naming its non-config selection mechanism"
     )
 
     def finalize(self, contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        config_ctx = self._config_context(contexts)
-        config_fields = (
-            self._config_fields(config_ctx) if config_ctx is not None else None
-        )
-        config_names = (
-            {
-                node.id
-                for node in ast.walk(config_ctx.tree)
-                if isinstance(node, ast.Name)
-            }
-            if config_ctx is not None
-            else None
-        )
+        declared = (_registry_config_fields(ctx.tree) for ctx in contexts)
+        fields = next((found for found in declared if found is not None), None)
+        if fields is None:
+            installed = ast.parse(_CONFIG_SOURCE.read_text())
+            fields = _registry_config_fields(installed) or {}
         for ctx in contexts:
             for var, node in _registry_instantiations(ctx):
-                field = REGISTRY_CONFIG_FIELDS.get(var)
-                if field is None:
+                if var not in fields:
                     yield ctx.finding(
                         node,
                         self.id,
-                        f"registry {var!r} has no LinkageConfig field mapping "
-                        "in REGISTRY_CONFIG_FIELDS; add one (with config "
-                        "validation) or disable this rule here naming the "
+                        f"registry {var!r} is the registry= of no "
+                        f"{_CONFIG_CLASS} field declaration; declare a knob "
+                        "for it or disable this rule here naming the "
                         "mechanism that selects from it",
                     )
-                    continue
-                if config_fields is None or config_names is None:
-                    continue  # config module not part of this lint pass
-                if field not in config_fields:
-                    yield ctx.finding(
-                        node,
-                        self.id,
-                        f"registry {var!r} maps to LinkageConfig field "
-                        f"{field!r}, but {_CONFIG_CLASS} declares no such "
-                        "field",
-                    )
-                elif var not in config_names:
-                    yield ctx.finding(
-                        node,
-                        self.id,
-                        f"registry {var!r} is never referenced by the "
-                        f"{_CONFIG_CLASS} module's validation; wire the "
-                        f"{field!r} knob through __post_init__",
-                    )
-
-    @staticmethod
-    def _config_context(
-        contexts: Sequence[ModuleContext],
-    ) -> Optional[ModuleContext]:
-        for ctx in contexts:
-            for node in ctx.tree.body:
-                if isinstance(node, ast.ClassDef) and node.name == _CONFIG_CLASS:
-                    return ctx
-        return None
-
-    @staticmethod
-    def _config_fields(ctx: ModuleContext) -> Set[str]:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == _CONFIG_CLASS:
-                return {
-                    item.target.id
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)
-                }
-        return set()

@@ -48,13 +48,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from .core.score_cache import ScoreCache
 from .data.io import load_csv
-from .lsh.index import LshConfig
+from .knobs import add_flags, apply_flags
 from .pipeline import LinkageConfig, LinkagePipeline
 from .store.snapshot import SnapshotError, SnapshotMissing
 
@@ -101,160 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file holding a serialized LinkageConfig "
         "(explicit flags override its values)",
     )
-    parser.add_argument(
-        "--window-minutes",
-        type=float,
-        default=15.0,
-        help="temporal window width in minutes (default: 15)",
-    )
-    parser.add_argument(
-        "--spatial-level",
-        type=int,
-        default=12,
-        help="grid level for time-location bins (default: 12)",
-    )
-    parser.add_argument(
-        "--max-speed-kmh",
-        type=float,
-        default=120.0,
-        help="maximum entity speed for alibi detection (default: 120 km/h)",
-    )
-    parser.add_argument(
-        "--b",
-        type=float,
-        default=0.5,
-        help="history-length normalisation strength in [0, 1] (default: 0.5)",
-    )
-    parser.add_argument(
-        "--matching",
-        choices=("greedy", "hungarian", "networkx"),
-        default="greedy",
-        help="bipartite matcher (default: greedy, as in the paper)",
-    )
-    parser.add_argument(
-        "--threshold-method",
-        choices=("gmm", "otsu", "two_means", "none"),
-        default="gmm",
-        help="stop-threshold method (default: gmm)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "python"),
-        default="numpy",
-        help="similarity scoring backend: the vectorized batch kernel or "
-        "the scalar oracle loop (default: numpy)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend for the scoring stage's shard fan-out "
-        "(default: auto = the REPRO_EXECUTOR environment override, "
-        "else serial); results are identical under every backend",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker count for parallel executors "
-        "(default: 0 = REPRO_WORKERS, else the CPU count)",
-    )
+    # One flag per LinkageConfig / SimilarityConfig / LshConfig field that
+    # declares one (repro.knobs): spelling, type, help and default come
+    # from the field, choices from the live registries.
+    add_flags(parser, LinkageConfig)
     parser.add_argument(
         "--score-cache",
         help="persist pair scores under this path (a snapshot directory) "
         "and warm-start from it on repeated runs (created when missing; an "
         "untrustworthy one is named in a warning and replaced; see "
         "ScoreCache.save)",
-    )
-    parser.add_argument(
-        "--retention",
-        choices=("none", "sliding_window", "max_entities"),
-        default="none",
-        help="entity-retirement policy carried on the config (applied by "
-        "streaming relinks; default: none = keep every entity forever)",
-    )
-    parser.add_argument(
-        "--retention-window",
-        type=int,
-        default=0,
-        help="retention parameter: max activity age in leaf windows "
-        "(sliding_window) or max entities per side (max_entities)",
-    )
-    parser.add_argument(
-        "--score-block-size",
-        type=int,
-        default=0,
-        help="candidate pairs per scoring-kernel dispatch (default: 0 = "
-        "workload-aware: dense corpora 512, sparse 4096; results are "
-        "identical at any size)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=0.0,
-        help="per-block timeout in seconds for scoring dispatches; a block "
-        "exceeding it is retried and, past the retry budget, reported as "
-        "failed (default: 0 = unbounded)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="retry budget per scoring block before a failure is final "
-        "(default: 2); failed workers are respawned between attempts",
-    )
-    parser.add_argument(
-        "--serve-queue-depth",
-        type=int,
-        default=1024,
-        help="serving: bound of the ingest event queue before backpressure "
-        "engages (default: 1024)",
-    )
-    parser.add_argument(
-        "--serve-batch",
-        type=int,
-        default=256,
-        help="serving: relink once this many records are pending "
-        "(default: 256)",
-    )
-    parser.add_argument(
-        "--serve-staleness",
-        type=float,
-        default=2.0,
-        help="serving: relink pending deltas at most this many seconds "
-        "after the oldest arrived (default: 2.0)",
-    )
-    parser.add_argument(
-        "--serve-backpressure",
-        default="block",
-        help="serving: what a full ingest queue does to a submit — "
-        "'block' (await capacity) or 'reject' (fail immediately); "
-        "default: block",
-    )
-    parser.add_argument("--lsh", action="store_true", help="enable LSH filtering")
-    parser.add_argument(
-        "--lsh-threshold",
-        type=float,
-        default=0.6,
-        help="LSH signature similarity threshold (default: 0.6)",
-    )
-    parser.add_argument(
-        "--lsh-step-windows",
-        type=int,
-        default=16,
-        help="LSH query step in leaf windows (default: 16)",
-    )
-    parser.add_argument(
-        "--lsh-spatial-level",
-        type=int,
-        default=16,
-        help="LSH dominating-cell level (default: 16)",
-    )
-    parser.add_argument(
-        "--lsh-buckets",
-        type=int,
-        default=4096,
-        help="LSH bucket-table size (default: 4096)",
     )
     parser.add_argument(
         "--snapshot-dir",
@@ -276,134 +131,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_flags(argv: List[str]) -> Dict[str, object]:
-    """The options the user actually typed (no parser defaults).
-
-    A twin parser with every default suppressed: whatever survives into
-    the namespace was explicitly provided — the set of flags that may
-    override a ``--config`` file.
-    """
-    parser = build_parser()
-    for action in parser._actions:
-        action.default = argparse.SUPPRESS
-    namespace, _ = parser.parse_known_args(argv)
-    return vars(namespace)
-
-
-def config_from_args(
-    args: argparse.Namespace, explicit: Dict[str, object]
-) -> LinkageConfig:
-    """Resolve the effective :class:`LinkageConfig`.
-
-    Without ``--config``, flags (and their defaults) fully determine the
-    configuration — the historical CLI behaviour.  With ``--config``, the
-    file is the base and only *explicitly typed* flags override it.
-    """
+def config_from_args(args: argparse.Namespace) -> LinkageConfig:
+    """Resolve the effective :class:`LinkageConfig`: the ``--config`` file
+    (else the defaults) is the base, and every config flag present in the
+    namespace — the parser suppresses defaults, so present means typed —
+    overrides it."""
     if args.config:
-        data = json.loads(Path(args.config).read_text())
-        base = LinkageConfig.from_dict(data)
-        explicit_only = True
+        base = LinkageConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         base = LinkageConfig()
-        explicit_only = False
-
-    def overridden(dest: str) -> bool:
-        return (dest in explicit) or not explicit_only
-
-    similarity_changes: Dict[str, object] = {}
-    if overridden("window_minutes"):
-        similarity_changes["window_width_minutes"] = args.window_minutes
-    if overridden("spatial_level"):
-        similarity_changes["spatial_level"] = args.spatial_level
-    if overridden("max_speed_kmh"):
-        similarity_changes["max_speed_mps"] = args.max_speed_kmh / 3.6
-    if overridden("b"):
-        similarity_changes["b"] = args.b
-    if overridden("backend"):
-        similarity_changes["backend"] = args.backend
-    similarity = (
-        base.similarity.without(**similarity_changes)
-        if similarity_changes
-        else base.similarity
-    )
-
-    lsh = base.lsh
-    if not explicit_only:
-        lsh = (
-            LshConfig(
-                threshold=args.lsh_threshold,
-                step_windows=args.lsh_step_windows,
-                spatial_level=args.lsh_spatial_level,
-                num_buckets=args.lsh_buckets,
-            )
-            if args.lsh
-            else None
-        )
-    else:
-        if "lsh" in explicit and args.lsh and lsh is None:
-            lsh = LshConfig()
-        if lsh is not None:
-            lsh_changes: Dict[str, object] = {}
-            if "lsh_threshold" in explicit:
-                lsh_changes["threshold"] = args.lsh_threshold
-            if "lsh_step_windows" in explicit:
-                lsh_changes["step_windows"] = args.lsh_step_windows
-            if "lsh_spatial_level" in explicit:
-                lsh_changes["spatial_level"] = args.lsh_spatial_level
-            if "lsh_buckets" in explicit:
-                lsh_changes["num_buckets"] = args.lsh_buckets
-            if lsh_changes:
-                lsh = replace(lsh, **lsh_changes)
-
-    return base.without(
-        similarity=similarity,
-        lsh=lsh,
-        matching=args.matching if overridden("matching") else base.matching,
-        threshold=(
-            args.threshold_method
-            if overridden("threshold_method")
-            else base.threshold
-        ),
-        executor=args.executor if overridden("executor") else base.executor,
-        workers=args.workers if overridden("workers") else base.workers,
-        retention=args.retention if overridden("retention") else base.retention,
-        retention_window=(
-            args.retention_window
-            if overridden("retention_window")
-            else base.retention_window
-        ),
-        score_block_size=(
-            args.score_block_size
-            if overridden("score_block_size")
-            else base.score_block_size
-        ),
-        timeout=args.timeout if overridden("timeout") else base.timeout,
-        retries=args.retries if overridden("retries") else base.retries,
-        serve_queue_depth=(
-            args.serve_queue_depth
-            if overridden("serve_queue_depth")
-            else base.serve_queue_depth
-        ),
-        serve_batch=(
-            args.serve_batch if overridden("serve_batch") else base.serve_batch
-        ),
-        serve_staleness=(
-            args.serve_staleness
-            if overridden("serve_staleness")
-            else base.serve_staleness
-        ),
-        serve_backpressure=(
-            args.serve_backpressure
-            if overridden("serve_backpressure")
-            else base.serve_backpressure
-        ),
-    )
+    return apply_flags(base, args)
 
 
-def _load_config(args: argparse.Namespace, explicit) -> Optional[LinkageConfig]:
+def _load_config(args: argparse.Namespace) -> Optional[LinkageConfig]:
     """The run's config, or ``None`` after printing why it is invalid."""
     try:
-        return config_from_args(args, explicit)
+        return config_from_args(args)
     except (ValueError, KeyError, json.JSONDecodeError) as error:
         message = error.args[0] if error.args else error
         print(f"error: invalid configuration: {message}", file=sys.stderr)
@@ -516,7 +259,6 @@ def _serve_main(argv: List[str]) -> int:
     from .serve import replay_pair
 
     args = _serve_parser().parse_args(argv)
-    explicit = _explicit_flags(argv)
     problem = _inputs_problem(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
@@ -527,7 +269,7 @@ def _serve_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    config = _load_config(args, explicit)
+    config = _load_config(args)
     if config is None:
         return 2
 
@@ -623,8 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv_list = list(argv) if argv is not None else sys.argv[1:]
     if argv_list[:1] == ["serve"]:
         return _serve_main(argv_list[1:])
-    args = build_parser().parse_args(argv)
-    explicit = _explicit_flags(argv_list)
+    args = build_parser().parse_args(argv_list)
     if args.list_scenarios:
         from .scenarios import get_scenario, scenario_names
 
@@ -635,7 +376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    config = _load_config(args, explicit)
+    config = _load_config(args)
     if config is None:
         return 2
 

@@ -18,7 +18,6 @@ from .retention import (
 )
 from .score_cache import PairScore, ScoreCache
 from .similarity import SimilarityConfig, SimilarityEngine, SimilarityStats
-from .slim import LinkageResult, SlimConfig, SlimLinker
 from .streaming import RelinkStats, StreamingLinker
 from .threshold import (
     ThresholdDecision,
@@ -60,9 +59,6 @@ __all__ = [
     "SpatialLevelChoice",
     "auto_spatial_level",
     "auto_spatial_level_for_pair",
-    "SlimConfig",
-    "SlimLinker",
-    "LinkageResult",
     "StreamingLinker",
     "RetentionPolicy",
     "NoRetention",

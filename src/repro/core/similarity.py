@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..geo.cell import CellId
+from ..knobs import knob, validate
 from .corpus import HistoryCorpus
 from .pairing import cartesian_index_pairs, greedy_index_pairs
 from .proximity import (
@@ -125,33 +126,38 @@ class SimilarityConfig:
         distance LRU retains (least-recently-used eviction beyond it).
     """
 
-    window_width_minutes: float = 15.0
-    spatial_level: int = 12
-    max_speed_mps: float = DEFAULT_MAX_SPEED_MPS
-    b: float = 0.5
-    pairing: str = "mnn"
+    window_width_minutes: float = knob(
+        15.0, "temporal window width in minutes", flag="--window-minutes", gt=0
+    )
+    spatial_level: int = knob(
+        12, "grid level for time-location bins", flag="--spatial-level", ge=0, le=30
+    )
+    max_speed_mps: float = knob(
+        DEFAULT_MAX_SPEED_MPS,
+        "maximum entity speed for alibi detection, in km/h",
+        flag="--max-speed-kmh",
+        flag_scale=3.6,
+        gt=0,
+    )
+    b: float = knob(
+        0.5, "history-length normalisation strength in [0, 1]", flag="--b", ge=0, le=1
+    )
+    pairing: str = knob("mnn", choices=PAIRINGS)
     use_mfn: bool = True
     use_idf: bool = True
     use_normalization: bool = True
     alibi_eps: float = DEFAULT_ALIBI_EPS
-    backend: str = "numpy"
-    distance_cache_cap: int = DEFAULT_DISTANCE_CACHE_CAP
+    backend: str = knob(
+        "numpy",
+        "similarity scoring backend: the vectorized batch kernel (numpy) or "
+        "the scalar oracle loop (python)",
+        flag="--backend",
+        choices=BACKENDS,
+    )
+    distance_cache_cap: int = knob(DEFAULT_DISTANCE_CACHE_CAP, ge=1)
 
     def __post_init__(self) -> None:
-        if self.window_width_minutes <= 0:
-            raise ValueError("window width must be positive")
-        if not 0 <= self.spatial_level <= 30:
-            raise ValueError("spatial level must be in 0..30")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(f"pairing must be one of {PAIRINGS}, got {self.pairing}")
-        if self.max_speed_mps <= 0:
-            raise ValueError("max speed must be positive")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend}")
-        if self.distance_cache_cap < 1:
-            raise ValueError("distance cache cap must be positive")
+        validate(self)
 
     @property
     def window_width_seconds(self) -> float:
@@ -208,7 +214,7 @@ class SimilarityEngine:
     under ``backend="numpy"`` scoring dispatches to the batch kernel of
     :mod:`repro.core.kernels` — per-pair via :meth:`score`, or in whole
     candidate blocks via :meth:`score_batch` (the fast path
-    :class:`~repro.core.slim.SlimLinker` uses).
+    :class:`~repro.pipeline.stages.ScoringStage` uses).
     """
 
     def __init__(

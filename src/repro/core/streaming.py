@@ -77,6 +77,7 @@ import numpy as np
 from ..data.records import Record
 from ..lsh.index import LshIndex
 from ..lsh.signature import build_signature
+from ..pipeline.config import LinkageConfig
 from ..pipeline.context import LinkageContext
 from ..pipeline.report import LinkageReport
 from ..pipeline.runner import LinkagePipeline
@@ -100,7 +101,6 @@ from .history import MobilityHistory
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache
 from .similarity import score_cache_space
-from .slim import _as_linkage_config
 
 __all__ = ["StreamingLinker", "RelinkStats"]
 
@@ -190,7 +190,7 @@ class StreamingLinker:
     def __init__(
         self,
         origin: float,
-        config: Optional[object] = None,
+        config: Optional[LinkageConfig] = None,
         idf_tolerance: float = 0.0,
         score_cache_cap: Optional[int] = None,
         retention: Optional[RetentionPolicy] = None,
@@ -217,17 +217,10 @@ class StreamingLinker:
         self._store_dir = store_dir
         self._store_chunk_rows = store_chunk_rows
         self._store_cache_chunks = store_cache_chunks
-        #: The config as passed (legacy ``SlimConfig`` callers keep seeing
-        #: their own type, mirroring :class:`~repro.core.slim.SlimLinker`);
-        #: ``pipeline_config`` is the normalised
-        #: :class:`~repro.pipeline.config.LinkageConfig` the stages run on.
-        self.config = config if config is not None else _as_linkage_config(None)
-        self.pipeline_config = _as_linkage_config(config)
+        self.config = config if config is not None else LinkageConfig()
         self.idf_tolerance = idf_tolerance
-        self.windowing = Windowing(
-            origin, self.pipeline_config.similarity.window_width_seconds
-        )
-        self._storage_level = self.pipeline_config.resolved_storage_level()
+        self.windowing = Windowing(origin, self.config.similarity.window_width_seconds)
+        self._storage_level = self.config.resolved_storage_level()
         self._sides: Dict[str, Dict[str, MobilityHistory]] = {
             "left": {},
             "right": {},
@@ -242,8 +235,8 @@ class StreamingLinker:
             retention
             if retention is not None
             else build_retention(
-                self.pipeline_config.retention,
-                self.pipeline_config.retention_window,
+                self.config.retention,
+                self.config.retention_window,
             )
         )
         self._corpora: Dict[str, Optional[HistoryCorpus]] = {
@@ -462,7 +455,7 @@ class StreamingLinker:
             index = None
         else:
             if index is None:
-                index = LshIndex(self.pipeline_config.lsh, saved["spec"])
+                index = LshIndex(self.config.lsh, saved["spec"])
             index.restore(saved)
         self._lsh_index = index
         self._lsh_members = _copy_sides(state["lsh_members"])
@@ -599,7 +592,7 @@ class StreamingLinker:
         corpus = self._corpora[side]
         if corpus is None:
             corpus = HistoryCorpus(
-                self._sides[side], self.pipeline_config.similarity.spatial_level
+                self._sides[side], self.config.similarity.spatial_level
             )
             if self.storage == "disk":
                 self._spill(side, corpus)
@@ -661,7 +654,7 @@ class StreamingLinker:
         signature *length* (and with it the banding) is the index rebuilt
         wholesale.  Returns ``(candidates, rebuilt)``.
         """
-        lsh = self.pipeline_config.lsh
+        lsh = self.config.lsh
         if lsh is None:
             # Same contract as the batch LshCandidates stage: naming the
             # missing field beats an AttributeError three frames deeper.
@@ -768,11 +761,11 @@ class StreamingLinker:
                 affected_left,
                 affected_right,
                 space=score_cache_space(
-                    left_corpus, right_corpus, self.pipeline_config.similarity
+                    left_corpus, right_corpus, self.config.similarity
                 ),
             )
 
-        context = LinkageContext(config=self.pipeline_config)
+        context = LinkageContext(config=self.config)
         context.windowing = self.windowing
         context.total_windows = self.total_windows()
         context.left_histories = left_histories
@@ -786,12 +779,12 @@ class StreamingLinker:
         hits_before = self._score_cache.hits
         misses_before = self._score_cache.misses
         pipeline = LinkagePipeline(
-            self.pipeline_config,
+            self.config,
             stages=[
                 _StreamingCandidates(self),
-                ScoringStage(self.pipeline_config),
-                MatchingStage(self.pipeline_config),
-                ThresholdStage(self.pipeline_config),
+                ScoringStage(self.config),
+                MatchingStage(self.config),
+                ThresholdStage(self.config),
             ],
         )
         report = pipeline.execute(context)
@@ -834,12 +827,12 @@ class _StreamingCandidates:
 
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
-        resolved = linker.pipeline_config.resolved_candidates()
+        resolved = linker.config.resolved_candidates()
         if resolved == "lsh":
             candidates, rebuilt = linker._lsh_candidates()
             context.candidates = candidates
             context.extras["lsh_rebuilt"] = rebuilt
         else:
-            stage = candidate_stages.get(resolved)(linker.pipeline_config)
+            stage = candidate_stages.get(resolved)(linker.config)
             context.candidates = stage.generate(context)
             context.extras["lsh_rebuilt"] = False

@@ -44,7 +44,7 @@ ConfigLike = Optional[object]
 
 def _similarity_config(config: ConfigLike) -> Optional[SimilarityConfig]:
     """Normalise ``None`` / ``SimilarityConfig`` / anything carrying a
-    ``.similarity`` (``LinkageConfig``, legacy ``SlimConfig``)."""
+    ``.similarity`` (``LinkageConfig``)."""
     if config is None or isinstance(config, SimilarityConfig):
         return config
     similarity = getattr(config, "similarity", None)

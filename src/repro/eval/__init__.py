@@ -7,7 +7,6 @@ from .harness import (
     run_grid,
     run_pipeline,
     run_scenarios,
-    run_slim,
     score_all_pairs,
 )
 from .metrics import (
@@ -35,7 +34,6 @@ __all__ = [
     "speedup",
     "RunMeasures",
     "ScenarioCell",
-    "run_slim",
     "run_pipeline",
     "run_grid",
     "run_scenarios",

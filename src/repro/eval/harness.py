@@ -24,17 +24,16 @@ from typing import (
 from ..core.corpus import HistoryCorpus
 from ..core.history import build_histories
 from ..core.similarity import SimilarityConfig, SimilarityEngine
-from ..core.slim import LinkageResult, SlimConfig, SlimLinker
 from ..data.sampling import LinkagePair
 from ..exec import Executor, as_executor, raise_on_task_errors
-from ..pipeline import LinkageConfig, LinkagePipeline
+from ..pipeline import LinkageConfig, LinkagePipeline, LinkageReport
+from ..pipeline.stages import SCORE_BLOCK_SIZE
 from ..temporal import common_windowing
 from .metrics import LinkageQuality, precision_recall_f1
 
 __all__ = [
     "RunMeasures",
     "ScenarioCell",
-    "run_slim",
     "run_pipeline",
     "run_grid",
     "run_scenarios",
@@ -48,7 +47,7 @@ class RunMeasures:
     """Everything one SLIM run contributes to a figure."""
 
     quality: LinkageQuality
-    result: LinkageResult
+    result: LinkageReport
     runtime_seconds: float
 
     @property
@@ -82,27 +81,11 @@ class RunMeasures:
         }
 
 
-def run_slim(pair: LinkagePair, config: Optional[SlimConfig] = None) -> RunMeasures:
-    """Run SLIM on a sampled pair and score it against ground truth.
-
-    ``config`` may be a legacy :class:`~repro.core.slim.SlimConfig` or a
-    :class:`~repro.pipeline.config.LinkageConfig` — both run through the
-    same stage pipeline.
-    """
-    linker = SlimLinker(config)
-    start = time.perf_counter()
-    result = linker.link(pair.left, pair.right)
-    elapsed = time.perf_counter() - start
-    quality = precision_recall_f1(result.links, pair.ground_truth)
-    return RunMeasures(quality=quality, result=result, runtime_seconds=elapsed)
-
-
 def run_pipeline(
     pair: LinkagePair, config: Optional[LinkageConfig] = None
 ) -> RunMeasures:
-    """Run an arbitrary stage-pipeline configuration on a sampled pair
-    and score it against ground truth (the :class:`LinkageConfig`-native
-    sibling of :func:`run_slim`)."""
+    """Run a stage-pipeline configuration on a sampled pair and score it
+    against ground truth."""
     pipeline = LinkagePipeline(config)
     start = time.perf_counter()
     result = pipeline.run(pair.left, pair.right)
@@ -274,10 +257,10 @@ def score_all_pairs(
         for left_entity in left_histories
         for right_entity in right_histories
     ]
-    # Chunked like SlimLinker.score_candidates: one unbounded dispatch over
-    # the full cross product would materialise every (pair, window)
-    # interaction at once.
-    block = SlimLinker.SCORE_BLOCK_SIZE
+    # Chunked like the scoring stage: one unbounded dispatch over the full
+    # cross product would materialise every (pair, window) interaction at
+    # once.
+    block = SCORE_BLOCK_SIZE
     scores: Dict[Tuple[str, str], float] = {}
     for start in range(0, len(pairs), block):
         chunk = pairs[start : start + block]

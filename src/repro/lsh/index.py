@@ -19,11 +19,12 @@ entities in identical buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.history import MobilityHistory
+from ..knobs import knob, validate
 from .banding import band_bucket_ids, bands_for_threshold
 from .signature import SignatureSpec, build_signature, signatures_to_array
 
@@ -48,20 +49,19 @@ class LshConfig:
         Size of the bucket table (paper default 4096).
     """
 
-    threshold: float = 0.6
-    step_windows: int = 16
-    spatial_level: int = 16
-    num_buckets: int = 4096
+    threshold: float = knob(
+        0.6, "LSH signature similarity threshold", flag="--lsh-threshold", gt=0, lt=1
+    )
+    step_windows: int = knob(
+        16, "LSH query step in leaf windows", flag="--lsh-step-windows", ge=1
+    )
+    spatial_level: int = knob(
+        16, "LSH dominating-cell level", flag="--lsh-spatial-level", ge=0, le=30
+    )
+    num_buckets: int = knob(4096, "LSH bucket-table size", flag="--lsh-buckets", ge=1)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
-        if self.step_windows < 1:
-            raise ValueError("step must be at least one window")
-        if self.num_buckets < 1:
-            raise ValueError("need at least one bucket")
-        if not 0 <= self.spatial_level <= 30:
-            raise ValueError("spatial level must be in 0..30")
+        validate(self)
 
     def signature_spec(self, total_windows: int) -> SignatureSpec:
         """The signature layout for a run spanning ``total_windows`` leaf
@@ -264,13 +264,3 @@ class LshIndex:
         self.stats.buckets_used = len(self._buckets)
         self.stats.candidate_pairs = len(candidates)
         return candidates
-
-    @staticmethod
-    def all_pairs(
-        left: Iterable[str], right: Iterable[str]
-    ) -> Set[Tuple[str, str]]:
-        """The brute-force candidate set (no LSH), for speed-up baselines."""
-        rights = list(right)
-        return {
-            (left_id, right_id) for left_id in left for right_id in rights
-        }

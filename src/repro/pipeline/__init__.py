@@ -34,13 +34,12 @@ Quickstart::
     report = LinkagePipeline(LinkageConfig(threshold="otsu")).run(left, right)
     print(report.links, report.timings)
 
-``SlimLinker``/``SlimConfig`` (and the baselines' ``link_report``) are
-thin shims over this package.
+The baselines' ``link_report`` runs on this package too.
 """
 
+from ..registry import Registry
 from .config import LinkageConfig
 from .context import LinkageContext
-from .registry import Registry
 from .report import LinkageReport
 from .runner import LinkagePipeline
 from .stages import (

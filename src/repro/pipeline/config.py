@@ -21,14 +21,14 @@ construction time, so a custom strategy must be registered (see
 :mod:`repro.pipeline.stages`) *before* a config naming it is built —
 which is the natural order anyway.
 
-The pre-PR-3 :class:`~repro.core.slim.SlimConfig` remains as a thin
-deprecated shim whose :meth:`~repro.core.slim.SlimConfig.to_linkage_config`
-produces the equivalent ``LinkageConfig``.
+Every knob is declared once, on its field (see :mod:`repro.knobs`): type
+and range validation, ``from_dict`` and the ``slim-link`` flags are all
+derived from that declaration, here and in the nested configs.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.retention import retention_policies
@@ -39,6 +39,7 @@ from ..exec import (
     resolve_executor_name,
     resolve_worker_count,
 )
+from ..knobs import from_dict, knob, validate
 from ..lsh.index import LshConfig
 from .stages import candidate_stages, matchers, threshold_methods
 
@@ -53,17 +54,6 @@ AUTO_CANDIDATES = "auto"
 #: :class:`repro.serve.BackpressureError`.  Defined here (not in
 #: :mod:`repro.serve`) so the config layer stays import-cycle-free.
 SERVE_BACKPRESSURE_POLICIES = ("block", "reject")
-
-
-def _build_sub(cls, kind: str, data: Mapping[str, Any]):
-    """Build a nested config dataclass, rejecting unknown keys by name."""
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ValueError(
-                f"unknown {kind} field {key!r}; known fields: {sorted(known)}"
-            )
-    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -153,111 +143,119 @@ class LinkageConfig:
     """
 
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
-    lsh: Optional[LshConfig] = None
-    candidates: str = AUTO_CANDIDATES
-    matching: str = "greedy"
-    threshold: str = "gmm"
+    lsh: Optional[LshConfig] = knob(None, "enable LSH filtering", flag="--lsh")
+    candidates: str = knob(
+        AUTO_CANDIDATES, registry=candidate_stages, also=(AUTO_CANDIDATES,)
+    )
+    matching: str = knob(
+        "greedy",
+        "bipartite matcher (greedy is the paper's)",
+        flag="--matching",
+        registry=matchers,
+    )
+    threshold: str = knob(
+        "gmm",
+        "stop-threshold method",
+        flag="--threshold-method",
+        registry=threshold_methods,
+    )
     storage_level: Optional[int] = None
-    executor: str = AUTO_EXECUTOR
-    workers: int = 0
-    retention: str = "none"
-    retention_window: int = 0
-    score_block_size: int = 0
-    timeout: float = 0.0
-    retries: int = 2
-    serve_queue_depth: int = 1024
-    serve_batch: int = 256
-    serve_staleness: float = 2.0
-    serve_backpressure: str = "block"
+    executor: str = knob(
+        AUTO_EXECUTOR,
+        "execution backend for the scoring stage's shard fan-out (auto = the "
+        "REPRO_EXECUTOR environment override, else serial); results are "
+        "identical under every backend",
+        flag="--executor",
+        registry=executors,
+        also=(AUTO_EXECUTOR,),
+    )
+    workers: int = knob(
+        0,
+        "worker count for parallel executors (0 = REPRO_WORKERS, else the "
+        "CPU count)",
+        flag="--workers",
+        ge=0,
+    )
+    retention: str = knob(
+        "none",
+        "entity-retirement policy carried on the config (applied by "
+        "streaming relinks; none = keep every entity forever)",
+        flag="--retention",
+        registry=retention_policies,
+    )
+    retention_window: int = knob(
+        0,
+        "retention parameter: max activity age in leaf windows "
+        "(sliding_window) or max entities per side (max_entities)",
+        flag="--retention-window",
+        ge=0,
+    )
+    score_block_size: int = knob(
+        0,
+        "candidate pairs per scoring-kernel dispatch (0 = workload-aware: "
+        "dense corpora 512, sparse 4096; results are identical at any size)",
+        flag="--score-block-size",
+        ge=0,
+    )
+    timeout: float = knob(
+        0.0,
+        "per-block timeout in seconds for scoring dispatches; a block "
+        "exceeding it is retried and, past the retry budget, reported as "
+        "failed (0 = unbounded)",
+        flag="--timeout",
+        ge=0,
+    )
+    retries: int = knob(
+        2,
+        "retry budget per scoring block before a failure is final; failed "
+        "workers are respawned between attempts",
+        flag="--retries",
+        ge=0,
+    )
+    serve_queue_depth: int = knob(
+        1024,
+        "serving: bound of the ingest event queue before backpressure engages",
+        flag="--serve-queue-depth",
+        ge=1,
+    )
+    serve_batch: int = knob(
+        256,
+        "serving: relink once this many records are pending",
+        flag="--serve-batch",
+        ge=1,
+    )
+    serve_staleness: float = knob(
+        2.0,
+        "serving: relink pending deltas at most this many seconds after the "
+        "oldest arrived",
+        flag="--serve-staleness",
+        gt=0,
+    )
+    serve_backpressure: str = knob(
+        "block",
+        "serving: what a full ingest queue does to a submit — block (await "
+        "capacity) or reject (fail immediately)",
+        flag="--serve-backpressure",
+        choices=SERVE_BACKPRESSURE_POLICIES,
+    )
 
     def __post_init__(self) -> None:
-        if self.candidates != AUTO_CANDIDATES:
-            candidate_stages.get(self.candidates)  # raises with known names
+        validate(self)
+        # The cross-field rules the per-field declarations cannot state.
         resolved_executor = resolve_executor_name(self.executor)
         if resolved_executor not in executors:
-            # Covers an explicit bad name and a REPRO_EXECUTOR typo behind
-            # "auto" alike: fail at construction, not mid-pipeline.
-            source = (
-                f"REPRO_EXECUTOR={resolved_executor!r} (via 'auto')"
-                if self.executor == AUTO_EXECUTOR
-                else repr(self.executor)
-            )
+            # Only reachable through "auto": fail on a REPRO_EXECUTOR typo
+            # at construction, not mid-pipeline.
             raise ValueError(
-                f"unknown executor {source}; "
-                f"registered executors: {executors.names()} (or 'auto')"
-            )
-        if not isinstance(self.workers, int) or self.workers < 0:
-            raise ValueError(
-                f"workers must be a non-negative integer (0 = auto), "
-                f"got {self.workers!r}"
-            )
-        if self.matching not in matchers:
-            raise ValueError(
-                f"unknown matcher {self.matching!r}; "
-                f"registered matchers: {matchers.names()}"
-            )
-        if self.threshold not in threshold_methods:
-            raise ValueError(
-                f"unknown threshold method {self.threshold!r}; "
-                f"registered threshold methods: {threshold_methods.names()}"
-            )
-        if self.retention not in retention_policies:
-            raise ValueError(
-                f"unknown retention policy {self.retention!r}; "
-                f"registered retention policies: {retention_policies.names()}"
-            )
-        if not isinstance(self.retention_window, int) or self.retention_window < 0:
-            raise ValueError(
-                "retention_window must be a non-negative integer, "
-                f"got {self.retention_window!r}"
+                f"unknown executor REPRO_EXECUTOR={resolved_executor!r} "
+                f"(via 'auto'); registered executors: {executors.names()} "
+                "(or 'auto')"
             )
         if self.retention != "none" and self.retention_window < 1:
             raise ValueError(
                 f"retention={self.retention!r} needs retention_window >= 1 "
                 "(max window age for sliding_window, max entities for "
                 "max_entities)"
-            )
-        if not isinstance(self.score_block_size, int) or self.score_block_size < 0:
-            raise ValueError(
-                "score_block_size must be a non-negative integer "
-                f"(0 = workload-aware), got {self.score_block_size!r}"
-            )
-        if (
-            isinstance(self.timeout, bool)
-            or not isinstance(self.timeout, (int, float))
-            or self.timeout < 0
-        ):
-            raise ValueError(
-                "timeout must be a non-negative number of seconds "
-                f"(0 = unbounded), got {self.timeout!r}"
-            )
-        if (
-            isinstance(self.retries, bool)
-            or not isinstance(self.retries, int)
-            or self.retries < 0
-        ):
-            raise ValueError(
-                f"retries must be a non-negative integer, got {self.retries!r}"
-            )
-        for name in ("serve_queue_depth", "serve_batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        if (
-            isinstance(self.serve_staleness, bool)
-            or not isinstance(self.serve_staleness, (int, float))
-            or self.serve_staleness <= 0
-        ):
-            raise ValueError(
-                "serve_staleness must be a positive number of seconds, "
-                f"got {self.serve_staleness!r}"
-            )
-        if self.serve_backpressure not in SERVE_BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown serve_backpressure {self.serve_backpressure!r}; "
-                f"valid policies: {list(SERVE_BACKPRESSURE_POLICIES)}"
             )
 
     # ------------------------------------------------------------------
@@ -298,108 +296,12 @@ class LinkageConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A plain-dict form (JSON-ready) that :meth:`from_dict` inverts."""
-        return {
-            "similarity": asdict(self.similarity),
-            "lsh": None if self.lsh is None else asdict(self.lsh),
-            "candidates": self.candidates,
-            "matching": self.matching,
-            "threshold": self.threshold,
-            "storage_level": self.storage_level,
-            "executor": self.executor,
-            "workers": self.workers,
-            "retention": self.retention,
-            "retention_window": self.retention_window,
-            "score_block_size": self.score_block_size,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "serve_queue_depth": self.serve_queue_depth,
-            "serve_batch": self.serve_batch,
-            "serve_staleness": self.serve_staleness,
-            "serve_backpressure": self.serve_backpressure,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LinkageConfig":
         """Rebuild a config from :meth:`to_dict` output (or a hand-written
-        dict).  Unknown fields — at the top level or inside ``similarity``
-        / ``lsh`` — raise :class:`ValueError` naming the offending key."""
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(
-                    f"unknown LinkageConfig field {key!r}; "
-                    f"known fields: {sorted(known)}"
-                )
-        kwargs: Dict[str, Any] = dict(data)
-        similarity = kwargs.get("similarity")
-        if isinstance(similarity, Mapping):
-            kwargs["similarity"] = _build_sub(
-                SimilarityConfig, "similarity", similarity
-            )
-        elif similarity is not None and not isinstance(
-            similarity, SimilarityConfig
-        ):
-            raise ValueError(
-                "field 'similarity' must be a mapping of SimilarityConfig "
-                f"fields, got {type(similarity).__name__}"
-            )
-        lsh = kwargs.get("lsh")
-        if isinstance(lsh, Mapping):
-            kwargs["lsh"] = _build_sub(LshConfig, "lsh", lsh)
-        elif lsh is not None and not isinstance(lsh, LshConfig):
-            raise ValueError(
-                "field 'lsh' must be null or a mapping of LshConfig "
-                f"fields, got {type(lsh).__name__}"
-            )
-        for name in (
-            "candidates",
-            "matching",
-            "threshold",
-            "executor",
-            "retention",
-            "serve_backpressure",
-        ):
-            if name in kwargs and not isinstance(kwargs[name], str):
-                raise ValueError(
-                    f"field {name!r} must be a strategy name (string), "
-                    f"got {type(kwargs[name]).__name__}"
-                )
-        storage_level = kwargs.get("storage_level")
-        if storage_level is not None and not isinstance(storage_level, int):
-            raise ValueError(
-                "field 'storage_level' must be null or an integer, "
-                f"got {type(storage_level).__name__}"
-            )
-        for name in (
-            "workers",
-            "retention_window",
-            "score_block_size",
-            "retries",
-            "serve_queue_depth",
-            "serve_batch",
-        ):
-            value = kwargs.get(name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ValueError(
-                    f"field {name!r} must be an integer (0 = auto), "
-                    f"got {type(value).__name__}"
-                )
-        timeout = kwargs.get("timeout")
-        if timeout is not None and (
-            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-        ):
-            raise ValueError(
-                "field 'timeout' must be a number of seconds (0 = unbounded), "
-                f"got {type(timeout).__name__}"
-            )
-        staleness = kwargs.get("serve_staleness")
-        if staleness is not None and (
-            isinstance(staleness, bool) or not isinstance(staleness, (int, float))
-        ):
-            raise ValueError(
-                "field 'serve_staleness' must be a number of seconds, "
-                f"got {type(staleness).__name__}"
-            )
-        return cls(**kwargs)
+        dict).  Unknown fields and wrong-typed values — at the top level or
+        inside ``similarity`` / ``lsh`` — raise :class:`ValueError` naming
+        the offending key."""
+        return from_dict(cls, data)

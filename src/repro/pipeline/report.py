@@ -3,13 +3,10 @@
 :class:`LinkageReport` is produced by the stage runner
 (:class:`~repro.pipeline.runner.LinkagePipeline`) and carries both the
 linkage itself and everything the evaluation section reports — whether it
-came from the batch pipeline (``SlimLinker``), a streaming delta relink
+came from the batch pipeline (``LinkagePipeline``), a streaming delta relink
 (``StreamingLinker.relink``), or one of the ported baselines.  Stage
 timings use the canonical stage names (:data:`~repro.pipeline.stages.STAGE_NAMES`)
 for every producer, so timing tables line up across linkers.
-
-The pre-PR-3 name ``LinkageResult`` remains available as a deprecated
-alias (``repro.core.slim.LinkageResult``).
 """
 
 from __future__ import annotations

@@ -54,9 +54,9 @@ from ..core.threshold import (
 )
 from ..exec import Executor, create_executor, raise_on_task_errors
 from ..lsh.index import LshIndex
+from ..registry import Registry
 from ..temporal import common_windowing
 from .context import LinkageContext
-from .registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import LinkageConfig

@@ -174,39 +174,22 @@ class LinkageService:
         linker: Optional[StreamingLinker] = None,
         state_dir: Optional[object] = None,
     ) -> None:
-        self.config = config if config is not None else LinkageConfig()
-        self.queue_depth = (
-            self.config.serve_queue_depth if queue_depth is None else queue_depth
+        # The overrides are config fields: folding them into the config
+        # validates them by the fields' own declarations (errors name the
+        # field), whichever way a value arrived.
+        overrides = {
+            "serve_queue_depth": queue_depth,
+            "serve_batch": batch_records,
+            "serve_staleness": max_staleness,
+            "serve_backpressure": backpressure,
+        }
+        self.config = (config if config is not None else LinkageConfig()).without(
+            **{name: value for name, value in overrides.items() if value is not None}
         )
-        self.batch_records = (
-            self.config.serve_batch if batch_records is None else batch_records
-        )
-        self.max_staleness = (
-            self.config.serve_staleness if max_staleness is None else max_staleness
-        )
-        self.backpressure = (
-            self.config.serve_backpressure if backpressure is None else backpressure
-        )
-        if self.backpressure not in SERVE_BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown serve_backpressure {self.backpressure!r}; "
-                f"valid policies: {list(SERVE_BACKPRESSURE_POLICIES)}"
-            )
-        if self.queue_depth < 1:
-            raise ValueError(
-                f"serve_queue_depth must be a positive integer, "
-                f"got {self.queue_depth!r}"
-            )
-        if self.batch_records < 1:
-            raise ValueError(
-                f"serve_batch must be a positive integer, "
-                f"got {self.batch_records!r}"
-            )
-        if not self.max_staleness > 0:
-            raise ValueError(
-                f"serve_staleness must be a positive number of seconds, "
-                f"got {self.max_staleness!r}"
-            )
+        self.queue_depth = self.config.serve_queue_depth
+        self.batch_records = self.config.serve_batch
+        self.max_staleness = self.config.serve_staleness
+        self.backpressure = self.config.serve_backpressure
         if max_pending_per_source < 0:
             raise ValueError(
                 "max_pending_per_source must be >= 0 (0 = unbounded), "

@@ -33,12 +33,12 @@ class TestLinkage:
         """POIS (like the other prior work) links a full matching; without
         SLIM's stop threshold, non-overlapping entities become false links
         at intersection ratio 0.5."""
-        from repro.core.slim import SlimConfig
-        from repro.eval import run_slim
+        from repro.pipeline import LinkageConfig
+        from repro.eval import run_pipeline
 
         pois = PoisLinker().link(cab_pair.left, cab_pair.right)
         pois_quality = precision_recall_f1(pois.links, cab_pair.ground_truth)
-        slim = run_slim(cab_pair, SlimConfig())
+        slim = run_pipeline(cab_pair, LinkageConfig())
         assert slim.quality.precision >= pois_quality.precision
 
     def test_rarity_weighting_ranks_true_pairs(self, cab_pair):

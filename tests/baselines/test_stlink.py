@@ -78,14 +78,14 @@ class TestLinkage:
         """The paper's Fig. 11b: at low record counts ST-Link cannot beat
         SLIM — its k-co-occurrence requirement starves before SLIM's
         aggregated similarity does."""
-        from repro.core.slim import SlimConfig
+        from repro.pipeline import LinkageConfig
         from repro.data import sample_linkage_pair
-        from repro.eval import run_slim
+        from repro.eval import run_pipeline
 
         sparse = sample_linkage_pair(
             sm_world, 0.5, 0.25, rng=31, min_records=3
         )
         stlink = StLinkLinker().link(sparse.left, sparse.right)
         stlink_f1 = precision_recall_f1(stlink.links, sparse.ground_truth).f1
-        slim_f1 = run_slim(sparse, SlimConfig()).f1
+        slim_f1 = run_pipeline(sparse, LinkageConfig()).f1
         assert stlink_f1 <= slim_f1 + 0.1

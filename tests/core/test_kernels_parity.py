@@ -17,7 +17,7 @@ from repro.core.history import MobilityHistory
 from repro.core.kernels import greedy_select_batch, score_pairs_batch
 from repro.core.pairing import greedy_index_pairs
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
-from repro.core.slim import SlimConfig, SlimLinker
+from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.data.records import LocationDataset, Record
 from repro.temporal import Windowing
 
@@ -300,11 +300,11 @@ class TestLinkageParity:
         right = self._dataset("b", rng, 12)
         results = {}
         for backend in ("python", "numpy"):
-            config = SlimConfig(
+            config = LinkageConfig(
                 similarity=SimilarityConfig(backend=backend),
-                threshold_method="two_means",
+                threshold="two_means",
             )
-            results[backend] = SlimLinker(config).link(left, right)
+            results[backend] = LinkagePipeline(config).run(left, right)
         assert results["python"].links == results["numpy"].links
         assert (
             results["python"].candidate_pairs == results["numpy"].candidate_pairs

@@ -2,65 +2,78 @@
 
 import pytest
 
-from repro.core.slim import SlimConfig, SlimLinker
 from repro.eval import precision_recall_f1
 from repro.lsh import LshConfig
+from repro.pipeline import (
+    BruteForceCandidates,
+    LinkageConfig,
+    LinkageContext,
+    LinkagePipeline,
+    LshCandidates,
+    PrepareStage,
+)
+
+
+def _prepared(pair, config, *more_stages):
+    """The context after ``prepare`` (plus any further stages) only —
+    the stage classes run piecemeal."""
+    context = LinkageContext(config=config, left=pair.left, right=pair.right)
+    for stage in (PrepareStage(config), *more_stages):
+        stage.run(context)
+    return context
 
 
 class TestConfig:
     def test_default_storage_level_is_similarity_level(self):
-        config = SlimConfig()
+        config = LinkageConfig()
         assert config.resolved_storage_level() == 12
 
     def test_storage_level_covers_lsh(self):
-        config = SlimConfig(lsh=LshConfig(spatial_level=16))
+        config = LinkageConfig(lsh=LshConfig(spatial_level=16))
         assert config.resolved_storage_level() == 16
 
     def test_explicit_storage_level_wins(self):
-        config = SlimConfig(storage_level=20)
+        config = LinkageConfig(storage_level=20)
         assert config.resolved_storage_level() == 20
 
     def test_invalid_threshold_method(self):
         with pytest.raises(ValueError):
-            SlimConfig(threshold_method="coin_flip")
+            LinkageConfig(threshold="coin_flip")
 
 
 class TestPipelineStages:
     def test_windowing_covers_both_datasets(self, cab_pair):
-        linker = SlimLinker()
-        windowing, total = linker.build_windowing(cab_pair.left, cab_pair.right)
+        context = _prepared(cab_pair, LinkageConfig())
         for dataset in (cab_pair.left, cab_pair.right):
             start, end = dataset.time_range()
-            assert windowing.index_of(start) >= 0
-            assert windowing.index_of(end) < total
+            assert context.windowing.index_of(start) >= 0
+            assert context.windowing.index_of(end) < context.total_windows
 
     def test_brute_force_candidates_are_all_pairs(self, cab_pair):
-        linker = SlimLinker(SlimConfig())
-        windowing, total = linker.build_windowing(cab_pair.left, cab_pair.right)
-        _, _, lh, rh = linker.build_corpora(cab_pair.left, cab_pair.right, windowing)
-        candidates = linker.select_candidates(lh, rh, total)
-        assert len(candidates) == len(lh) * len(rh)
+        config = LinkageConfig()
+        context = _prepared(cab_pair, config, BruteForceCandidates(config))
+        assert len(context.candidates) == len(context.left_histories) * len(
+            context.right_histories
+        )
 
     def test_lsh_candidates_are_subset(self, cab_pair):
-        config = SlimConfig(lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14))
-        linker = SlimLinker(config)
-        windowing, total = linker.build_windowing(cab_pair.left, cab_pair.right)
-        _, _, lh, rh = linker.build_corpora(cab_pair.left, cab_pair.right, windowing)
-        candidates = linker.select_candidates(lh, rh, total)
-        assert len(candidates) <= len(lh) * len(rh)
-        for left, right in candidates:
-            assert left in lh and right in rh
+        config = LinkageConfig(
+            lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14)
+        )
+        lsh = _prepared(cab_pair, config, LshCandidates(config)).candidates
+        brute = _prepared(cab_pair, config, BruteForceCandidates(config)).candidates
+        assert set(lsh) <= set(brute)
 
 
 class TestEndToEnd:
     def test_brute_force_high_accuracy(self, cab_pair):
-        result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         quality = precision_recall_f1(result.links, cab_pair.ground_truth)
         assert quality.precision >= 0.8
         assert quality.recall >= 0.8
 
     def test_result_invariants(self, cab_pair):
-        result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         # one-to-one
         assert len(set(result.links.values())) == len(result.links)
         # links are a subset of matched edges at/above the threshold
@@ -74,38 +87,39 @@ class TestEndToEnd:
         assert all(e.weight > 0 for e in result.edges)
 
     def test_link_scores_accessor(self, cab_pair):
-        result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         scores = result.link_scores
         assert set(scores) == set(result.links.items())
         assert all(v >= result.threshold.threshold for v in scores.values())
 
     def test_timings_use_canonical_stage_names(self, cab_pair):
-        result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         for stage in ("prepare", "candidates", "scoring", "matching", "threshold"):
             assert stage in result.timings
         assert result.runtime_seconds > 0
 
     def test_lsh_preserves_most_f1(self, cab_pair):
-        brute = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
-        lsh = SlimLinker(
-            SlimConfig(lsh=LshConfig(threshold=0.4, step_windows=8, spatial_level=14))
-        ).link(cab_pair.left, cab_pair.right)
+        brute = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
+        lsh_config = LshConfig(threshold=0.4, step_windows=8, spatial_level=14)
+        lsh = LinkagePipeline(LinkageConfig(lsh=lsh_config)).run(
+            cab_pair.left, cab_pair.right
+        )
         f1_brute = precision_recall_f1(brute.links, cab_pair.ground_truth).f1
         f1_lsh = precision_recall_f1(lsh.links, cab_pair.ground_truth).f1
         assert lsh.stats.bin_comparisons <= brute.stats.bin_comparisons
         assert f1_lsh >= 0.5 * f1_brute
 
     def test_threshold_none_links_every_match(self, cab_pair):
-        result = SlimLinker(SlimConfig(threshold_method="none")).link(
+        result = LinkagePipeline(LinkageConfig(threshold="none")).run(
             cab_pair.left, cab_pair.right
         )
         assert len(result.links) == len(result.matched_edges)
 
     def test_matching_methods_comparable(self, cab_pair):
-        greedy = SlimLinker(SlimConfig(matching="greedy")).link(
+        greedy = LinkagePipeline(LinkageConfig(matching="greedy")).run(
             cab_pair.left, cab_pair.right
         )
-        exact = SlimLinker(SlimConfig(matching="hungarian")).link(
+        exact = LinkagePipeline(LinkageConfig(matching="hungarian")).run(
             cab_pair.left, cab_pair.right
         )
         f1_greedy = precision_recall_f1(greedy.links, cab_pair.ground_truth).f1
@@ -113,14 +127,14 @@ class TestEndToEnd:
         assert abs(f1_greedy - f1_exact) < 0.25
 
     def test_sparse_world_still_links(self, sm_pair):
-        result = SlimLinker(SlimConfig()).link(sm_pair.left, sm_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(sm_pair.left, sm_pair.right)
         quality = precision_recall_f1(result.links, sm_pair.ground_truth)
         # Sparse evidence: expect moderate but clearly non-random quality.
         assert quality.precision > 0.5
         assert quality.recall > 0.3
 
     def test_otsu_threshold_method(self, cab_pair):
-        result = SlimLinker(SlimConfig(threshold_method="otsu")).link(
+        result = LinkagePipeline(LinkageConfig(threshold="otsu")).run(
             cab_pair.left, cab_pair.right
         )
         assert result.threshold.method in ("otsu", "otsu-degenerate")

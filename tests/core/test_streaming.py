@@ -136,15 +136,17 @@ class TestStreamingLinker:
             linker.relink()
 
     def test_relink_matches_batch_pipeline(self, cab_pair):
-        from repro.core.slim import SlimConfig, SlimLinker
+        from repro.pipeline import LinkageConfig, LinkagePipeline
 
         origin = min(cab_pair.left.time_range()[0], cab_pair.right.time_range()[0])
-        streaming = StreamingLinker(origin=origin, config=SlimConfig())
+        streaming = StreamingLinker(origin=origin, config=LinkageConfig())
         streaming.observe("left", cab_pair.left.records())
         streaming.observe("right", cab_pair.right.records())
         stream_result = streaming.relink()
 
-        batch_result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        batch_result = LinkagePipeline(LinkageConfig()).run(
+            cab_pair.left, cab_pair.right
+        )
         assert stream_result.links == batch_result.links
 
     def test_incremental_ingestion_improves_linkage(self, cab_pair):
@@ -181,13 +183,13 @@ class TestStreamingLinker:
         assert linker.total_windows() == 12
 
     def test_lsh_streaming(self, cab_pair):
-        from repro.core.slim import SlimConfig
+        from repro.pipeline import LinkageConfig
         from repro.lsh import LshConfig
 
         origin = min(cab_pair.left.time_range()[0], cab_pair.right.time_range()[0])
         linker = StreamingLinker(
             origin=origin,
-            config=SlimConfig(
+            config=LinkageConfig(
                 lsh=LshConfig(threshold=0.4, step_windows=8, spatial_level=14)
             ),
         )

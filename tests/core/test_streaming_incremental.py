@@ -13,7 +13,7 @@ from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig
+from repro.pipeline import LinkageConfig
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh import LshConfig
@@ -75,7 +75,7 @@ class TestIncrementalColdParity:
     def test_delta_relink_equals_cold_relink(self, cab_pair, backend):
         """The acceptance contract: incremental == cold, bit for bit on
         links, 1e-9 on scores, counter for counter on stats."""
-        config = SlimConfig(similarity=SimilarityConfig(backend=backend))
+        config = LinkageConfig(similarity=SimilarityConfig(backend=backend))
         moved = set(cab_pair.left.entities[:3]) | set(cab_pair.right.entities[:2])
         origin, initial, delta = _split_records(cab_pair, moved_entities=moved)
 
@@ -92,7 +92,7 @@ class TestIncrementalColdParity:
         the relink must serve them from the cache (dense corpora couple
         more pairs through shared-bin IDF drift, and legitimately rescore
         more)."""
-        config = SlimConfig()
+        config = LinkageConfig()
         moved = set(sm_pair.left.entities[:5])
         origin, initial, delta = _split_records(sm_pair, moved_entities=moved)
 
@@ -107,7 +107,7 @@ class TestIncrementalColdParity:
         _assert_results_match(incremental, _cold_result(origin, initial, delta, config))
 
     def test_delta_relink_with_lsh(self, cab_pair):
-        config = SlimConfig(
+        config = LinkageConfig(
             lsh=LshConfig(threshold=0.4, step_windows=8, spatial_level=14)
         )
         moved = set(cab_pair.left.entities[:3])
@@ -125,7 +125,7 @@ class TestIncrementalColdParity:
         """Adding an entity changes |U_E| and so *every* IDF; the global
         drift must invalidate the whole side rather than serve stale
         totals."""
-        config = SlimConfig()
+        config = LinkageConfig()
         newcomer = cab_pair.left.entities[0]
         origin, initial, delta = _split_records(cab_pair, moved_entities=())
         held_back = [r for r in initial["left"] if r.entity_id == newcomer]
@@ -183,7 +183,7 @@ class TestIncrementalColdParity:
         rescored = {}
         for tolerance in (0.0, 10.0):
             linker = _warm_linker(
-                origin, initial, SlimConfig(), idf_tolerance=tolerance
+                origin, initial, LinkageConfig(), idf_tolerance=tolerance
             )
             linker.relink()
             linker.observe("left", delta["left"])
@@ -201,7 +201,7 @@ class TestStreamingEdgeCases:
 
     def test_zero_delta_relink_is_cache_noop(self, cab_pair):
         origin, initial, _ = _split_records(cab_pair)
-        linker = _warm_linker(origin, initial, SlimConfig())
+        linker = _warm_linker(origin, initial, LinkageConfig())
         first = linker.relink()
         again = linker.relink()
         stats = linker.last_relink

@@ -1,25 +1,25 @@
 """Unit tests for the experiment harness."""
 
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig
-from repro.eval import grid, hit_precision_at_k, run_slim, score_all_pairs
+from repro.pipeline import LinkageConfig
+from repro.eval import grid, hit_precision_at_k, run_pipeline, score_all_pairs
 
 
-class TestRunSlim:
+class TestRunPipeline:
     def test_returns_quality_and_result(self, cab_pair):
-        measures = run_slim(cab_pair, SlimConfig())
+        measures = run_pipeline(cab_pair, LinkageConfig())
         assert 0.0 <= measures.f1 <= 1.0
         assert measures.bin_comparisons > 0
         assert measures.runtime_seconds > 0
 
     def test_row_is_flat(self, cab_pair):
-        measures = run_slim(cab_pair, SlimConfig())
+        measures = run_pipeline(cab_pair, LinkageConfig())
         row = measures.row()
         for key in ("precision", "recall", "f1", "bin_comparisons", "runtime_s"):
             assert key in row
 
     def test_default_config(self, cab_pair):
-        assert run_slim(cab_pair).f1 >= 0.0
+        assert run_pipeline(cab_pair).f1 >= 0.0
 
 
 class TestScoreAllPairs:

@@ -6,13 +6,13 @@ import pytest
 
 from repro.baselines import StLinkLinker
 from repro.core.similarity import SimilarityConfig
-from repro.core.slim import SlimConfig, SlimLinker
+from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.data import sample_linkage_pair
 from repro.eval import (
     hit_precision_at_k,
     precision_recall_f1,
     relative_f1,
-    run_slim,
+    run_pipeline,
     score_all_pairs,
     speedup,
 )
@@ -21,17 +21,19 @@ from repro.lsh import LshConfig
 
 class TestCabScenario:
     def test_slim_beats_stlink_on_f1(self, cab_pair):
-        slim = run_slim(cab_pair, SlimConfig())
+        slim = run_pipeline(cab_pair, LinkageConfig())
         stlink = StLinkLinker().link(cab_pair.left, cab_pair.right)
         stlink_f1 = precision_recall_f1(stlink.links, cab_pair.ground_truth).f1
         # Sec. 5.5: SLIM outperforms ST-Link (allow ties at this scale).
         assert slim.f1 >= stlink_f1 - 0.05
 
     def test_lsh_speedup_with_modest_f1_loss(self, cab_pair):
-        brute = run_slim(cab_pair, SlimConfig())
-        lsh = run_slim(
+        brute = run_pipeline(cab_pair, LinkageConfig())
+        lsh = run_pipeline(
             cab_pair,
-            SlimConfig(lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14)),
+            LinkageConfig(
+                lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14)
+            ),
         )
         gain = speedup(brute.bin_comparisons, lsh.bin_comparisons)
         preserved = relative_f1(lsh.f1, brute.f1)
@@ -39,7 +41,7 @@ class TestCabScenario:
         assert preserved > 0.6
 
     def test_no_false_links_at_high_threshold_quality(self, cab_pair):
-        result = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+        result = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         quality = precision_recall_f1(result.links, cab_pair.ground_truth)
         assert quality.precision >= 0.8
 
@@ -54,28 +56,30 @@ class TestIntersectionRatioBehaviour:
         """The stop threshold exists precisely because entity sets only
         partially overlap; precision must hold up even at low ratios."""
         pair = sample_linkage_pair(cab_world, ratio, 0.5, rng=17)
-        measures = run_slim(pair, SlimConfig())
+        measures = run_pipeline(pair, LinkageConfig())
         assert measures.quality.precision >= 0.7
 
     def test_lower_inclusion_probability_reduces_evidence(self, cab_world):
         dense_pair = sample_linkage_pair(cab_world, 0.5, 0.9, rng=19)
         sparse_pair = sample_linkage_pair(cab_world, 0.5, 0.1, rng=19)
-        dense = run_slim(dense_pair, SlimConfig())
-        sparse = run_slim(sparse_pair, SlimConfig())
+        dense = run_pipeline(dense_pair, LinkageConfig())
+        sparse = run_pipeline(sparse_pair, LinkageConfig())
         assert sparse.bin_comparisons < dense.bin_comparisons
 
 
 class TestSmScenario:
     def test_slim_links_sparse_checkins(self, sm_pair):
-        measures = run_slim(sm_pair, SlimConfig())
+        measures = run_pipeline(sm_pair, LinkageConfig())
         assert measures.quality.precision > 0.5
         assert measures.quality.recall > 0.3
 
     def test_lsh_on_sparse_world(self, sm_pair):
-        brute = run_slim(sm_pair, SlimConfig())
-        lsh = run_slim(
+        brute = run_pipeline(sm_pair, LinkageConfig())
+        lsh = run_pipeline(
             sm_pair,
-            SlimConfig(lsh=LshConfig(threshold=0.4, step_windows=24, spatial_level=14)),
+            LinkageConfig(
+                lsh=LshConfig(threshold=0.4, step_windows=24, spatial_level=14)
+            ),
         )
         assert lsh.bin_comparisons <= brute.bin_comparisons
 
@@ -84,17 +88,19 @@ class TestReproducibility:
     def test_same_seed_same_linkage(self, cab_world):
         pair_a = sample_linkage_pair(cab_world, 0.5, 0.5, rng=23)
         pair_b = sample_linkage_pair(cab_world, 0.5, 0.5, rng=23)
-        result_a = SlimLinker(SlimConfig()).link(pair_a.left, pair_a.right)
-        result_b = SlimLinker(SlimConfig()).link(pair_b.left, pair_b.right)
+        result_a = LinkagePipeline(LinkageConfig()).run(pair_a.left, pair_a.right)
+        result_b = LinkagePipeline(LinkageConfig()).run(pair_b.left, pair_b.right)
         assert result_a.links == result_b.links
         assert result_a.threshold.threshold == pytest.approx(
             result_b.threshold.threshold
         )
 
     def test_lsh_candidates_reproducible(self, cab_pair):
-        config = SlimConfig(lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14))
-        first = SlimLinker(config).link(cab_pair.left, cab_pair.right)
-        second = SlimLinker(config).link(cab_pair.left, cab_pair.right)
+        config = LinkageConfig(
+            lsh=LshConfig(threshold=0.5, step_windows=8, spatial_level=14)
+        )
+        first = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
+        second = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
         assert first.candidate_pairs == second.candidate_pairs
         assert first.links == second.links
 
@@ -103,19 +109,21 @@ class TestWindowWidthBehaviour:
     def test_wider_windows_blur_entities(self, cab_pair):
         """Fig. 4: very wide windows aggregate too much and hurt accuracy
         relative to the 15-minute default (precision-side degradation)."""
-        narrow = run_slim(
-            cab_pair, SlimConfig(similarity=SimilarityConfig(window_width_minutes=15))
+        narrow = run_pipeline(
+            cab_pair,
+            LinkageConfig(similarity=SimilarityConfig(window_width_minutes=15)),
         )
-        wide = run_slim(
-            cab_pair, SlimConfig(similarity=SimilarityConfig(window_width_minutes=360))
+        wide = run_pipeline(
+            cab_pair,
+            LinkageConfig(similarity=SimilarityConfig(window_width_minutes=360)),
         )
         assert narrow.f1 >= wide.f1 - 0.05
 
     def test_coarse_spatial_level_blurs_entities(self, cab_pair):
-        coarse = run_slim(
-            cab_pair, SlimConfig(similarity=SimilarityConfig(spatial_level=4))
+        coarse = run_pipeline(
+            cab_pair, LinkageConfig(similarity=SimilarityConfig(spatial_level=4))
         )
-        fine = run_slim(
-            cab_pair, SlimConfig(similarity=SimilarityConfig(spatial_level=14))
+        fine = run_pipeline(
+            cab_pair, LinkageConfig(similarity=SimilarityConfig(spatial_level=14))
         )
         assert fine.f1 >= coarse.f1 - 0.05

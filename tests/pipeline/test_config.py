@@ -33,7 +33,7 @@ class TestValidation:
             LinkageConfig(threshold="coin_flip")
 
     def test_unknown_candidate_stage_rejected(self):
-        with pytest.raises(KeyError, match="unknown candidate stage"):
+        with pytest.raises(ValueError, match="unknown candidate stage"):
             LinkageConfig(candidates="psychic")
 
     def test_storage_level_covers_lsh(self):

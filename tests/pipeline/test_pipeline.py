@@ -4,7 +4,7 @@ stage timings."""
 
 import pytest
 
-from repro import LinkageConfig, LinkagePipeline, LinkageReport, SlimConfig, SlimLinker
+from repro import LinkageConfig, LinkagePipeline, LinkageReport
 from repro.baselines import GmLinker, PoisLinker, StLinkLinker
 from repro.core.streaming import StreamingLinker
 from repro.eval.reporting import stage_timings_table
@@ -18,8 +18,8 @@ CANONICAL = set(STAGE_NAMES)
 
 
 class TestUnifiedReport:
-    def test_slim_linker_returns_report(self, cab_pair):
-        report = SlimLinker(SlimConfig()).link(cab_pair.left, cab_pair.right)
+    def test_pipeline_returns_report(self, cab_pair):
+        report = LinkagePipeline(LinkageConfig()).run(cab_pair.left, cab_pair.right)
         assert isinstance(report, LinkageReport)
         assert set(report.timings) == CANONICAL
         assert report.stages == STAGE_NAMES
@@ -61,7 +61,7 @@ class TestUnifiedReport:
         assert report.extras["l"] == legacy.l
 
     def test_timing_keys_line_up_across_linkers(self, cab_pair):
-        slim = SlimLinker().link(cab_pair.left, cab_pair.right)
+        slim = LinkagePipeline().run(cab_pair.left, cab_pair.right)
         stlink = StLinkLinker().link_report(cab_pair.left, cab_pair.right)
         origin = min(
             cab_pair.left.time_range()[0], cab_pair.right.time_range()[0]
@@ -79,35 +79,10 @@ class TestUnifiedReport:
         assert header[1 : 1 + len(STAGE_NAMES)] == list(STAGE_NAMES)
 
 
-class TestPipelineEquivalence:
-    def test_pipeline_matches_slim_shim(self, cab_pair):
-        config = LinkageConfig(threshold="otsu")
-        direct = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
-        shim = SlimLinker(config).link(cab_pair.left, cab_pair.right)
-        assert direct.links == shim.links
-
-    def test_slim_config_conversion(self):
-        slim = SlimConfig(matching="hungarian", threshold_method="none")
-        converted = slim.to_linkage_config()
-        assert converted.matching == "hungarian"
-        assert converted.threshold == "none"
-
-    def test_slim_linker_accepts_linkage_config(self, cab_pair):
-        report = SlimLinker(LinkageConfig()).link(cab_pair.left, cab_pair.right)
-        assert isinstance(report, LinkageReport)
-
+class TestStreamingConfig:
     def test_streaming_accepts_linkage_config(self):
         linker = StreamingLinker(origin=0.0, config=LinkageConfig())
         assert isinstance(linker.config, LinkageConfig)
-
-    def test_streaming_preserves_legacy_config_attribute(self):
-        """SlimConfig callers keep seeing their own config object on
-        .config (the normalised form lives on .pipeline_config)."""
-        legacy = SlimConfig(threshold_method="otsu")
-        linker = StreamingLinker(origin=0.0, config=legacy)
-        assert linker.config is legacy
-        assert linker.config.threshold_method == "otsu"
-        assert linker.pipeline_config.threshold == "otsu"
 
 
 class TestCustomStage:
@@ -167,5 +142,5 @@ class TestCustomStage:
             threshold_methods.unregister("test-median")
 
     def test_config_naming_unregistered_stage_fails_loud(self):
-        with pytest.raises(KeyError, match="registered candidate stage"):
+        with pytest.raises(ValueError, match="registered candidate stage"):
             LinkageConfig(candidates="never-registered")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.data import save_csv, sample_linkage_pair
 
 
@@ -15,26 +15,6 @@ def csv_pair(tmp_path_factory, cab_world):
     save_csv(pair.left, left_path)
     save_csv(pair.right, right_path)
     return left_path, right_path, pair
-
-
-class TestParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["l.csv", "r.csv"])
-        assert args.window_minutes == 15.0
-        assert args.spatial_level == 12
-        assert not args.lsh
-
-    def test_lsh_flags(self):
-        args = build_parser().parse_args(
-            ["l.csv", "r.csv", "--lsh", "--lsh-threshold", "0.4", "--lsh-buckets", "256"]
-        )
-        assert args.lsh
-        assert args.lsh_threshold == 0.4
-        assert args.lsh_buckets == 256
-
-    def test_bad_matching_choice(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["l.csv", "r.csv", "--matching", "magic"])
 
 
 class TestMain:

@@ -1,10 +1,11 @@
-"""CLI --config: serialized LinkageConfig files, flag overrides, errors."""
+"""CLI --config: serialized LinkageConfig files end to end, and errors
+(flag-over-file resolution is table-driven in ``test_cli_flags.py``)."""
 
 import json
 
 import pytest
 
-from repro.cli import build_parser, config_from_args, main
+from repro.cli import main
 from repro.data import sample_linkage_pair, save_csv
 from repro.pipeline import LinkageConfig
 
@@ -21,56 +22,7 @@ def config_csv_pair(tmp_path_factory, cab_world):
     return str(left), str(right), tmp_path
 
 
-def _resolve(argv):
-    from repro.cli import _explicit_flags
-
-    args = build_parser().parse_args(argv)
-    return config_from_args(args, _explicit_flags(argv))
-
-
 class TestConfigFile:
-    def test_file_values_applied(self, config_csv_pair):
-        left, right, tmp = config_csv_pair
-        path = tmp / "run.json"
-        config = LinkageConfig(threshold="otsu", matching="hungarian")
-        path.write_text(json.dumps(config.to_dict()))
-        resolved = _resolve([left, right, "--config", str(path)])
-        assert resolved.threshold == "otsu"
-        assert resolved.matching == "hungarian"
-
-    def test_explicit_flags_override_file(self, config_csv_pair):
-        left, right, tmp = config_csv_pair
-        path = tmp / "run.json"
-        config = LinkageConfig(threshold="otsu", matching="hungarian")
-        path.write_text(json.dumps(config.to_dict()))
-        resolved = _resolve(
-            [left, right, "--config", str(path), "--threshold-method", "none"]
-        )
-        assert resolved.threshold == "none"  # flag wins
-        assert resolved.matching == "hungarian"  # file survives
-
-    def test_file_defaults_not_clobbered_by_flag_defaults(self, config_csv_pair):
-        left, right, tmp = config_csv_pair
-        path = tmp / "run.json"
-        config = LinkageConfig.from_dict(
-            {"similarity": {"window_width_minutes": 30.0}}
-        )
-        path.write_text(json.dumps(config.to_dict()))
-        resolved = _resolve([left, right, "--config", str(path)])
-        # 15.0 is the parser default; it must not override the file.
-        assert resolved.similarity.window_width_minutes == 30.0
-
-    def test_lsh_flag_enables_over_file_without_lsh(self, config_csv_pair):
-        left, right, tmp = config_csv_pair
-        path = tmp / "run.json"
-        path.write_text(json.dumps(LinkageConfig().to_dict()))
-        resolved = _resolve(
-            [left, right, "--config", str(path), "--lsh",
-             "--lsh-threshold", "0.4"]
-        )
-        assert resolved.lsh is not None
-        assert resolved.lsh.threshold == 0.4
-
     def test_main_runs_with_config_file(self, config_csv_pair, capsys):
         left, right, tmp = config_csv_pair
         path = tmp / "run.json"

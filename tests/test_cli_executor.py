@@ -1,10 +1,8 @@
 """CLI executor and score-cache flags."""
 
-import json
-
 import pytest
 
-from repro.cli import build_parser, config_from_args, main
+from repro.cli import main
 from repro.data import sample_linkage_pair, save_csv
 
 
@@ -20,44 +18,12 @@ def csv_pair(tmp_path_factory, cab_world):
     return str(left), str(right)
 
 
-def _config(argv):
-    parser = build_parser()
-    return config_from_args(parser.parse_args(argv), dict.fromkeys(argv))
-
-
 class TestExecutorFlags:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_all_backends_run(self, csv_pair, backend, capsys):
         left, right = csv_pair
         assert main([left, right, "--executor", backend, "--workers", "2"]) == 0
         assert capsys.readouterr().out.startswith("left,right,score,linked")
-
-    def test_flags_reach_config(self, csv_pair):
-        left, right = csv_pair
-        parser = build_parser()
-        args = parser.parse_args(
-            [left, right, "--executor", "process", "--workers", "4"]
-        )
-        config = config_from_args(args, {"executor": "process", "workers": 4})
-        assert config.executor == "process"
-        assert config.workers == 4
-
-    def test_flags_override_config_file(self, csv_pair, tmp_path):
-        from repro.pipeline import LinkageConfig
-
-        left, right = csv_pair
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(LinkageConfig(executor="thread").to_dict()))
-        parser = build_parser()
-        args = parser.parse_args(
-            [left, right, "--config", str(path), "--executor", "serial"]
-        )
-        config = config_from_args(args, {"config": str(path), "executor": "serial"})
-        assert config.executor == "serial"
-        # Without the explicit flag, the file's value survives.
-        args = parser.parse_args([left, right, "--config", str(path)])
-        config = config_from_args(args, {"config": str(path)})
-        assert config.executor == "thread"
 
 
 class TestScoreCacheFlag:

@@ -54,18 +54,6 @@ class TestSimilarityKnobs:
 
 
 class TestRetentionAndBlockSizeFlags:
-    def test_retention_flags_reach_the_config(self, small_csv_pair):
-        from repro.cli import _explicit_flags, build_parser, config_from_args
-
-        left, right = small_csv_pair
-        argv = [left, right, "--retention", "sliding_window",
-                "--retention-window", "96", "--score-block-size", "512"]
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args, _explicit_flags(argv))
-        assert config.retention == "sliding_window"
-        assert config.retention_window == 96
-        assert config.score_block_size == 512
-
     def test_retention_without_window_is_a_config_error(
         self, small_csv_pair, capsys
     ):
@@ -82,30 +70,6 @@ class TestRetentionAndBlockSizeFlags:
 
 
 class TestResilienceFlags:
-    def test_timeout_and_retries_reach_the_config(self, small_csv_pair):
-        from repro.cli import _explicit_flags, build_parser, config_from_args
-
-        left, right = small_csv_pair
-        argv = [left, right, "--timeout", "1.5", "--retries", "4"]
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args, _explicit_flags(argv))
-        assert config.timeout == 1.5
-        assert config.retries == 4
-
-    def test_config_file_values_survive_unset_flags(
-        self, small_csv_pair, tmp_path
-    ):
-        from repro.cli import _explicit_flags, build_parser, config_from_args
-
-        left, right = small_csv_pair
-        config_path = tmp_path / "resilient.json"
-        config_path.write_text('{"timeout": 2.0, "retries": 7}')
-        argv = [left, right, "--config", str(config_path)]
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args, _explicit_flags(argv))
-        assert config.timeout == 2.0
-        assert config.retries == 7
-
     def test_run_with_resilience_flags_links(self, small_csv_pair, capsys):
         left, right = small_csv_pair
         assert main(

@@ -114,22 +114,25 @@ class TestServeValidation:
         assert code == 2
         assert "--rounds" in captured.err
 
-    def test_bad_backpressure_names_the_field(self, csv_pair, capsys):
+    def test_bad_backpressure_is_a_usage_error(self, csv_pair, capsys):
+        """The policy set is the flag's ``choices`` (read off the config
+        field), so argparse rejects an unknown one before any config is
+        built."""
         left_path, right_path, _ = csv_pair
-        code = main(
-            [
-                "serve",
-                str(left_path),
-                str(right_path),
-                "--serve-backpressure",
-                "bogus",
-            ]
-        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve",
+                    str(left_path),
+                    str(right_path),
+                    "--serve-backpressure",
+                    "bogus",
+                ]
+            )
         captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid configuration" in captured.err
-        assert "serve_backpressure" in captured.err
-        assert "'block', 'reject'" in captured.err.replace('"', "'")
+        assert excinfo.value.code == 2
+        assert "--serve-backpressure" in captured.err
+        assert "'block', 'reject'" in captured.err
 
     def test_bad_queue_depth_names_the_field(self, csv_pair, capsys):
         left_path, right_path, _ = csv_pair
@@ -207,26 +210,3 @@ class TestServeConfigFile:
         captured = capsys.readouterr()
         assert code == 2
         assert "serve_batchs" in captured.err
-
-    def test_explicit_flag_overrides_config_file(self, tmp_path):
-        """An explicit --serve-* flag beats the config file; an absent
-        flag's parser default does not."""
-        from repro.cli import _explicit_flags, build_parser, config_from_args
-
-        config_path = tmp_path / "config.json"
-        config_path.write_text(
-            json.dumps({"serve_batch": 64, "serve_backpressure": "reject"})
-        )
-        argv = [
-            "l.csv",
-            "r.csv",
-            "--config",
-            str(config_path),
-            "--serve-batch",
-            "32",
-        ]
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args, _explicit_flags(argv))
-        assert config.serve_batch == 32  # explicit flag wins
-        assert config.serve_backpressure == "reject"  # file value survives
-        assert config.serve_queue_depth == 1024  # untouched default
