@@ -110,6 +110,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from ..geo.cell import CellId
+from ..store.columns import DiskColumns, FlatColumns, MemoryColumns
+from ..store.hilbert import hilbert_key
 from .history import MobilityHistory
 
 __all__ = [
@@ -339,19 +341,13 @@ class HistoryCorpus:
         self._bins_with_idf: Dict[str, BinsWithIdf] = {}
         self._relative_size: Dict[str, float] = {}
         self._cell_table: Optional[CellTable] = None
-        self._arrays: Optional[CorpusArrays] = None
         self._window_index: Dict[str, WindowIndex] = {}
-        # Flat backing stores of the array view (built lazily).  In
-        # ``storage="disk"`` mode (after :meth:`spill`) these are
-        # read-only memmaps over a ChunkedColumnStore; everywhere that
-        # replaces them re-derives the maps from the store instead.
-        self._flat_cells: Optional[np.ndarray] = None
-        self._flat_slots: Optional[np.ndarray] = None
-        self._flat_keys: Optional[np.ndarray] = None
-        self._flat_idf: Optional[np.ndarray] = None
+        # The flat columns of the array view (built lazily): a
+        # :mod:`repro.store.columns` backend — on the heap until
+        # :meth:`spill` hands them to the disk one.  The corpus decides
+        # what changes; the backend decides where it lives.
+        self._flats: Optional[FlatColumns] = None
         self._flat_live = 0
-        self._store = None  # Optional[repro.store.ChunkedColumnStore]
-        self._chunk_cache = None  # Optional[repro.store.ChunkLRU]
 
     # ------------------------------------------------------------------
     # df bookkeeping
@@ -505,7 +501,7 @@ class HistoryCorpus:
     def storage(self) -> str:
         """``"memory"`` (flat views on the heap) or ``"disk"`` (flat
         views memmapped over a chunked column store — see :meth:`spill`)."""
-        return "memory" if self._store is None else "disk"
+        return "memory" if self._flats is None else self._flats.storage
 
     @property
     def size(self) -> int:
@@ -693,16 +689,13 @@ class HistoryCorpus:
         )
 
     def arrays(self) -> CorpusArrays:
-        """The corpus-wide flat bin arrays (cached; see :meth:`window_index`)."""
-        if self._flat_cells is None:
+        """The corpus-wide flat bin arrays (see :meth:`window_index`)."""
+        if self._flats is None:
             self._build_arrays()
-        if self._arrays is None:
-            self._arrays = CorpusArrays(
-                cells=self._flat_cells,
-                slots=self._flat_slots,
-                idf=self._flat_idf,
-            )
-        return self._arrays
+        column = self._flats.column
+        return CorpusArrays(
+            cells=column("cells"), slots=column("slots"), idf=column("idf")
+        )
 
     def window_index(self, entity_id: str) -> WindowIndex:
         """One entity's window directory into :meth:`arrays` (cached).
@@ -711,7 +704,7 @@ class HistoryCorpus:
         order (ascending id = Morton order), same IDF values — but laid
         out for the batch kernel's vectorized gathers.
         """
-        if self._flat_cells is None:
+        if self._flats is None:
             self._build_arrays()
         return self._window_index[entity_id]
 
@@ -745,31 +738,17 @@ class HistoryCorpus:
     def _refresh_idf_flat(self) -> None:
         """Re-derive the flat IDF column from the current document
         frequencies (garbage entries may reference retired bins; clamping
-        keeps them finite — they are never gathered).
-
-        Memory mode is one vectorized pass.  Disk mode never materialises
-        the key column: it streams chunk by chunk through the chunk LRU
-        and writes the derived IDFs into a fresh generation of the
-        ``idf`` column, keeping resident memory at the cache bound.
-        """
+        keeps them finite — they are never gathered)."""
         counts = np.asarray(self._df_counts, dtype=np.float64)
-        if self._store is None:
-            self._flat_idf = self._log_size - np.log(
-                np.maximum(counts[self._flat_keys], 1.0)
-            )
-            return
-        self._store.rewrite(
+        log_size = self._log_size
+        self._flats.derive(
             "idf",
-            np.float64,
-            (
-                self._log_size - np.log(np.maximum(counts[keys], 1.0))
-                for _start, keys in self._chunk_cache.iter_chunks("keys")
-            ),
+            "keys",
+            lambda keys: log_size - np.log(np.maximum(counts[keys], 1.0)),
         )
-        self._remap_flats()
 
     # ------------------------------------------------------------------
-    # disk backend (out-of-core flats)
+    # out-of-core flats
     # ------------------------------------------------------------------
     def spill(
         self,
@@ -790,16 +769,17 @@ class HistoryCorpus:
         oracle are unchanged, and maintenance passes stream through a
         ``cache_chunks``-bounded chunk LRU instead of materialising
         columns.
-        """
-        from ..store.chunks import DEFAULT_CHUNK_ROWS, ChunkLRU, ChunkedColumnStore
-        from ..store.hilbert import hilbert_key
 
-        if self._store is not None:
+        The disk backend is built in full before it replaces the heap
+        one, so a spill that fails leaves a working in-memory corpus.
+        """
+        if self.storage == "disk":
             raise RuntimeError("corpus flats are already disk-backed")
-        if self._flat_cells is None:
+        if self._flats is None:
             self._build_arrays()
-        self._compact()  # drop garbage before ordering by the live layout
-        cells = self._flat_cells
+        # Directories point at live rows, garbage or not: order first,
+        # then one compaction both drops the garbage and re-packs.
+        cells = self._flats.column("cells")
 
         def _entity_key(item: Tuple[str, WindowIndex]) -> Tuple[int, str]:
             entity_id, index = item
@@ -810,67 +790,28 @@ class HistoryCorpus:
         self._window_index = dict(
             sorted(self._window_index.items(), key=_entity_key)
         )
-        self._compact()  # re-pack the flats in the Hilbert entity order
-        store = ChunkedColumnStore.create(
+        self._compact()
+        self._flats = DiskColumns(
             directory,
-            chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
+            self._flats,
+            chunk_rows=chunk_rows,
+            cache_chunks=cache_chunks,
         )
-        store.put("cells", self._flat_cells)
-        store.put("slots", self._flat_slots)
-        store.put("keys", self._flat_keys)
-        store.put("idf", self._flat_idf)
-        self._store = store
-        self._chunk_cache = ChunkLRU(store, cache_chunks)
-        self._remap_flats()
-
-    def _remap_flats(self) -> None:
-        """Repoint the flat views at the store's current columns."""
-        store = self._store
-        self._flat_cells = store.column("cells")
-        self._flat_slots = store.column("slots")
-        self._flat_keys = store.column("keys")
-        self._flat_idf = store.column("idf")
-        self._arrays = None
 
     def _build_arrays(self) -> None:
         """Materialise the flat layout for every entity in one pass."""
-        cells_flat: List[int] = []
-        slots_flat: List[int] = []
-        keys_flat: List[int] = []
-        for entity_id in self._histories:
-            self._window_index[entity_id] = self._entity_layout(
-                entity_id, 0, cells_flat, slots_flat, keys_flat
-            )
-        self._flat_cells = np.asarray(cells_flat, dtype=np.uint64)
-        self._flat_slots = np.asarray(slots_flat, dtype=np.int64)
-        self._flat_keys = np.asarray(keys_flat, dtype=np.int64)
-        self._flat_live = len(cells_flat)
-        self._refresh_idf_flat()
-        self._arrays = None
+        self._flats = MemoryColumns()
+        self._append_layouts(self._histories)
 
-    def _extend_views(
-        self, dirty: List[str], evicted: Sequence[str] = ()
-    ) -> None:
-        """Append dirty entities' new layouts to the flats and repoint
-        their window directories (the superseded slices become garbage);
-        drop evicted entities' directories outright."""
-        self._extend_cell_table(
-            cell
-            for entity_id in dirty
-            for cells in self._entity_bins[entity_id].values()
-            for cell in cells
-        )
-        if self._flat_cells is None:
-            return  # array views never built; nothing to extend
-        for entity_id in evicted:
-            old_index = self._window_index.pop(entity_id, None)
-            if old_index is not None:
-                self._flat_live -= int(old_index.counts.sum())
-        base = len(self._flat_cells)
+    def _append_layouts(self, entity_ids: Iterable[str]) -> None:
+        """Append the entities' current layouts to the flats and repoint
+        their window directories (superseded slices become garbage), then
+        re-derive the IDF column."""
+        base = len(self._flats.column("cells"))
         cells_new: List[int] = []
         slots_new: List[int] = []
         keys_new: List[int] = []
-        for entity_id in dirty:
+        for entity_id in entity_ids:
             old_index = self._window_index.get(entity_id)
             if old_index is not None:
                 self._flat_live -= int(old_index.counts.sum())
@@ -880,42 +821,38 @@ class HistoryCorpus:
             self._window_index[entity_id] = index
             self._flat_live += int(index.counts.sum())
         if cells_new:
-            if self._store is not None:
-                # Disk mode: chunks are written once — new layouts append
-                # to the column files at the recorded base offset and the
-                # memmap views are re-derived.
-                self._store.extend(
-                    "cells", np.asarray(cells_new, dtype=np.uint64), base
-                )
-                self._store.extend(
-                    "slots", np.asarray(slots_new, dtype=np.int64), base
-                )
-                self._store.extend(
-                    "keys", np.asarray(keys_new, dtype=np.int64), base
-                )
-                self._store.extend(
-                    "idf", np.zeros(len(cells_new), dtype=np.float64), base
-                )
-                self._remap_flats()
-            else:
-                self._flat_cells = np.concatenate(
-                    [self._flat_cells, np.asarray(cells_new, dtype=np.uint64)]
-                )
-                self._flat_slots = np.concatenate(
-                    [self._flat_slots, np.asarray(slots_new, dtype=np.int64)]
-                )
-                self._flat_keys = np.concatenate(
-                    [self._flat_keys, np.asarray(keys_new, dtype=np.int64)]
-                )
+            self._flats.append(
+                {"cells": cells_new, "slots": slots_new, "keys": keys_new}
+            )
         self._refresh_idf_flat()
-        self._arrays = None
+
+    def _extend_views(
+        self, dirty: List[str], evicted: Sequence[str] = ()
+    ) -> None:
+        """Fold a delta into the array views: append dirty entities' new
+        layouts, drop evicted entities' directories outright, compact
+        when garbage warrants it."""
+        self._extend_cell_table(
+            cell
+            for entity_id in dirty
+            for cells in self._entity_bins[entity_id].values()
+            for cell in cells
+        )
+        if self._flats is None:
+            return  # array views never built; nothing to extend
+        for entity_id in evicted:
+            old_index = self._window_index.pop(entity_id, None)
+            if old_index is not None:
+                self._flat_live -= int(old_index.counts.sum())
+        self._append_layouts(dirty)
+        entries = len(self._flats.column("cells"))
         if evicted:
             # Eviction exists to bound memory: reclaim the retired slices
             # now rather than waiting for garbage to outweigh live data,
             # so steady-state flats track the live entities exactly.
-            if self._flat_live < len(self._flat_cells):
+            if self._flat_live < entries:
                 self._compact()
-        elif self._flat_live < _COMPACT_LIVE_FRACTION * len(self._flat_cells):
+        elif self._flat_live < _COMPACT_LIVE_FRACTION * entries:
             self._compact()
 
     def _compact(self) -> None:
@@ -954,34 +891,8 @@ class HistoryCorpus:
             if gathers
             else np.empty(0, dtype=np.int64)
         )
-        if self._store is not None:
-            # Disk mode: stream the gather — each output chunk fancy-
-            # indexes the source memmap (touching only the pages it
-            # needs) into a fresh generation of every column.
-            chunk_rows = self._store.chunk_rows
-            for name, source in (
-                ("cells", self._flat_cells),
-                ("slots", self._flat_slots),
-                ("keys", self._flat_keys),
-                ("idf", self._flat_idf),
-            ):
-                self._store.rewrite(
-                    name,
-                    source.dtype,
-                    (
-                        source[order[start : start + chunk_rows]]
-                        for start in range(0, len(order), chunk_rows)
-                    ),
-                )
-            self._flat_live = len(order)
-            self._remap_flats()
-            return
-        self._flat_cells = self._flat_cells[order]
-        self._flat_slots = self._flat_slots[order]
-        self._flat_keys = self._flat_keys[order]
-        self._flat_idf = self._flat_idf[order]
+        self._flats.gather(order)
         self._flat_live = len(order)
-        self._arrays = None
 
     def _compact_df_slots(self) -> None:
         """Recycle df slots whose count fell to zero (no holder left).
@@ -1012,20 +923,8 @@ class HistoryCorpus:
             new_counts.append(counts[slot])
         self._df_slot = new_slot
         self._df_counts = new_counts
-        if self._flat_keys is None:
-            return
-        if self._store is not None:
-            self._store.rewrite(
-                "keys",
-                np.int64,
-                (
-                    remap[keys]
-                    for _start, keys in self._chunk_cache.iter_chunks("keys")
-                ),
-            )
-            self._remap_flats()
-        else:
-            self._flat_keys = remap[self._flat_keys]
+        if self._flats is not None:
+            self._flats.derive("keys", "keys", lambda keys: remap[keys])
 
     # ------------------------------------------------------------------
     # state: one capture for rollback and snapshots
@@ -1033,16 +932,17 @@ class HistoryCorpus:
     #: The state of a corpus, by attribute (minus the underscore): the one
     #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
     #: Containers :meth:`refresh` mutates in place are shallow-copied out
-    #: *and* in; the rest — arrays and frozen value objects (``WindowIndex``,
-    #: ``CellTable``…) — is replaced, never mutated, so travels by
-    #: reference.  ``_histories`` is the caller's mapping, not state.
+    #: *and* in; the rest — scalars and the frozen ``CellTable`` — is
+    #: replaced, never mutated, so travels by reference.  The flat columns
+    #: are the backend's to capture; ``_histories`` is the caller's
+    #: mapping, not state.
     _COPIED_STATE = (
         "df_slot", "df_counts", "entity_bins", "entity_versions",
         "bins_with_idf", "relative_size", "window_index",
     )
     _SHARED_STATE = (
         "level", "total_bins", "size", "avg_bins", "log_size", "cell_table",
-        "arrays", "flat_cells", "flat_slots", "flat_keys", "flat_idf", "flat_live",
+        "flat_live",
     )
 
     def checkpoint(self) -> Dict[str, object]:
@@ -1050,15 +950,14 @@ class HistoryCorpus:
 
         A relink rollback keeps it in memory (cheap — references plus
         shallow container copies); a durable snapshot pickles the very
-        same dict (pickle writes a disk-mode ``np.memmap`` flat by
-        value).  In disk mode the store manifest rides along; cutting it
-        also prunes generation files no rollback can reach any more.
+        same dict.  The flat columns ride along as their backend's own
+        capture (``None`` while the array views are unbuilt).
         """
         state = {name: getattr(self, "_" + name) for name in self._SHARED_STATE}
         for name in self._COPIED_STATE:
             state[name] = getattr(self, "_" + name).copy()
         state["cache_token"] = self.cache_token
-        state["store"] = None if self._store is None else self._store.checkpoint()
+        state["flats"] = None if self._flats is None else self._flats.checkpoint()
         return state
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -1068,8 +967,8 @@ class HistoryCorpus:
         caller restores the histories mapping itself).  The capture is
         only read, so it supports any number of restores.
 
-        A disk-backed corpus rewinds its column store and re-derives the
-        memmaps; an in-memory one keeps the captured flats (and may
+        The flats backend rewinds itself; a corpus whose array views are
+        unbuilt adopts the captured columns on the heap (and may
         :meth:`spill` afterwards — storage is not state).  The captured
         cache token is adopted, and reserved if it is a default one.
         """
@@ -1079,9 +978,12 @@ class HistoryCorpus:
             setattr(self, "_" + name, state[name].copy())
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)
-        if self._store is not None and state["store"] is not None:
-            self._store.restore(state["store"])
-            self._remap_flats()
+        if state["flats"] is None:
+            self._flats = None
+        else:
+            if self._flats is None:
+                self._flats = MemoryColumns()
+            self._flats.restore(state["flats"])
 
     # ------------------------------------------------------------------
     # introspection
@@ -1101,28 +1003,14 @@ class HistoryCorpus:
         page cache, not the heap) — the ledger
         ``benchmarks/bench_out_of_core.py`` compares across backends.
         """
-        if self._store is not None:
-            resident = self._chunk_cache.resident_bytes
-        else:
-            resident = sum(
-                flat.nbytes
-                for flat in (
-                    self._flat_cells,
-                    self._flat_slots,
-                    self._flat_keys,
-                    self._flat_idf,
-                )
-                if flat is not None
-            )
+        flats = self._flats
         return {
-            "flat_resident_bytes": int(resident),
+            "flat_resident_bytes": 0 if flats is None else int(flats.resident_bytes),
             "entities": self._size,
             "total_bins": int(self._total_bins),
             "df_slots": len(self._df_counts),
-            "flat_entries": (
-                0 if self._flat_cells is None else len(self._flat_cells)
-            ),
-            "flat_live": 0 if self._flat_cells is None else self._flat_live,
+            "flat_entries": 0 if flats is None else len(flats.column("cells")),
+            "flat_live": self._flat_live,
             "cell_rows": (
                 0 if self._cell_table is None else len(self._cell_table.cell_ids)
             ),

@@ -208,6 +208,12 @@ class StreamingLinker:
             )
         if storage == "disk" and store_dir is None:
             raise ValueError("storage='disk' needs a store_dir")
+        for name, value in (
+            ("store_chunk_rows", store_chunk_rows),
+            ("store_cache_chunks", store_cache_chunks),
+        ):
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         #: ``"memory"`` keeps corpus flat views on the heap; ``"disk"``
         #: spills them into a chunked column store under ``store_dir``
         #: (one subdirectory per side) the first time each side's corpus
@@ -444,10 +450,7 @@ class StreamingLinker:
             elif corpus is not None:
                 corpus.restore(saved)
             else:
-                corpus = HistoryCorpus(self._sides[side], saved["level"])
-                corpus.restore(saved)
-                if self.storage == "disk":
-                    self._spill(side, corpus)
+                corpus = self._new_corpus(side, saved)
             self._corpora[side] = corpus
         self._score_cache.restore(state["score_cache"])
         saved, index = state["lsh_index"], self._lsh_index
@@ -591,22 +594,28 @@ class StreamingLinker:
         """
         corpus = self._corpora[side]
         if corpus is None:
-            corpus = HistoryCorpus(
-                self._sides[side], self.config.similarity.spatial_level
-            )
-            if self.storage == "disk":
-                self._spill(side, corpus)
-            self._corpora[side] = corpus
+            self._corpora[side] = self._new_corpus(side)
             return None
         return corpus.refresh()
 
-    def _spill(self, side: str, corpus: HistoryCorpus) -> None:
-        """``storage="disk"``: spill one side's flats under ``store_dir``."""
-        corpus.spill(
-            Path(self._store_dir) / side,
-            chunk_rows=self._store_chunk_rows,
-            cache_chunks=self._store_cache_chunks,
+    def _new_corpus(
+        self, side: str, saved: Optional[Dict[str, object]] = None
+    ) -> HistoryCorpus:
+        """The one place a side's corpus is made: over the side's
+        histories — cold, or as the ``saved`` capture — and, on a
+        ``storage="disk"`` linker, spilled under ``store_dir``."""
+        corpus = HistoryCorpus(
+            self._sides[side], self.config.similarity.spatial_level
         )
+        if saved is not None:
+            corpus.restore(saved)
+        if self.storage == "disk":
+            corpus.spill(
+                Path(self._store_dir) / side,
+                chunk_rows=self._store_chunk_rows,
+                cache_chunks=self._store_cache_chunks,
+            )
+        return corpus
 
     def _idf_affected(
         self, side: str, delta: Optional[CorpusDelta]

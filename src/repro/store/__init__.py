@@ -1,6 +1,6 @@
 """Out-of-core persistence: chunked column store + linker snapshots.
 
-Two building blocks behind the streaming linker's persistence story:
+The building blocks behind the streaming linker's persistence story:
 
 * :mod:`repro.store.chunks` — a chunked, Hilbert-ordered
   (:mod:`repro.store.hilbert`) on-disk column store the corpus flat
@@ -8,6 +8,9 @@ Two building blocks behind the streaming linker's persistence story:
   (:meth:`~repro.core.corpus.HistoryCorpus.spill`), read back through
   ``np.memmap`` with a small in-RAM chunk LRU, so a corpus can exceed
   the RAM budget;
+* :mod:`repro.store.columns` — the corpus flat columns, declared once,
+  and the two backends a :class:`~repro.core.corpus.HistoryCorpus`
+  holds them in: heap arrays, or the column store above (internal);
 * :mod:`repro.store.snapshot` — atomic snapshot directories of pickled
   ``checkpoint()`` captures (``StreamingLinker.save`` / ``restore``,
   ``ScoreCache.save`` / ``load``): tmp-dir + ``os.replace`` promotion,

@@ -108,7 +108,7 @@ class ChunkedColumnStore:
         self.chunk_rows = int(chunk_rows)
         #: name -> {"dtype": str, "rows": int, "generation": int}
         self._columns: Dict[str, Dict[str, object]] = columns or {}
-        self._maps: Dict[Tuple[str, int, int], np.ndarray] = {}
+        self._maps: Dict[str, Tuple[Tuple[int, int], np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -118,11 +118,10 @@ class ChunkedColumnStore:
         cls, directory: Path, *, chunk_rows: int = DEFAULT_CHUNK_ROWS
     ) -> "ChunkedColumnStore":
         """Start an empty store, clearing any previous store files."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for stale in directory.glob("*.col"):
+        store = cls(directory, chunk_rows)  # validates before touching disk
+        store.directory.mkdir(parents=True, exist_ok=True)
+        for stale in store.directory.glob("*.col"):
             stale.unlink()
-        store = cls(directory, chunk_rows)
         store._write_manifest()
         return store
 
@@ -256,18 +255,16 @@ class ChunkedColumnStore:
         dtype = np.dtype(meta["dtype"])
         if rows == 0:
             return np.empty(0, dtype=dtype)
-        key = (name, generation, rows)
-        cached = self._maps.get(key)
-        if cached is None:
-            cached = np.memmap(
-                self.column_path(name, generation),
-                dtype=dtype,
-                mode="r",
-                shape=(rows,),
+        # One live map per column, re-derived only when *its* file or
+        # length moved: rewriting one column never re-maps the others.
+        version = (generation, rows)
+        cached = self._maps.get(name)
+        if cached is None or cached[0] != version:
+            view = np.memmap(
+                self.column_path(name, generation), dtype=dtype, mode="r", shape=(rows,)
             )
-            self._maps.clear()
-            self._maps[key] = cached
-        return cached
+            cached = self._maps[name] = (version, view)
+        return cached[1]
 
     # ------------------------------------------------------------------
     # transactional rewind

@@ -71,7 +71,9 @@ __all__ = [
 #: snapshots from other formats (version skew) instead of guessing.
 #: Format 2: every payload is a ``checkpoint()`` capture (format 1
 #: carried a hand-framed ``score_cache.bin`` and another ``state.pkl``).
-SNAPSHOT_FORMAT = 2
+#: Format 3: a corpus capture carries its flat columns as the backend's
+#: capture (``"flats"``) instead of five ``flat_*`` entries.
+SNAPSHOT_FORMAT = 3
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")
@@ -189,7 +191,7 @@ def read_snapshot(root: Path) -> Tuple[Dict[str, object], Path]:
     if root.is_file():
         raise SnapshotVersionSkew(
             f"{root} is a single file, not a snapshot root (as score "
-            f"caches were before snapshot format {SNAPSHOT_FORMAT})"
+            "caches were before snapshot format 2)"
         )
     if not root.is_dir():
         raise SnapshotMissing(f"no snapshot root at {root}")

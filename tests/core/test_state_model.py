@@ -37,7 +37,7 @@ from repro.lsh.index import LshConfig, LshIndex
 from repro.lsh.signature import build_signature
 from repro.pipeline import LinkageConfig
 from repro.pipeline.stages import MatchingStage
-from repro.store import ChunkedColumnStore
+from repro.store import ChunkedColumnStore, hilbert_key
 from repro.temporal import Windowing
 
 LEVEL = 12
@@ -509,6 +509,57 @@ def test_save_restore_across_storage_continues_bit_identically(
     assert case.proceed(restored, reader == "memory") == expected
 
 
+def test_spill_orders_then_compacts_once(tmp_path):
+    """``spill()`` sorts the entity directories along the Hilbert curve
+    *first* (they point at live rows, garbage or not) and compacts once.
+    The spilled columns are bytewise what compact → sort → compact
+    produced: each entity's slices, garbage-free, concatenated in
+    (Hilbert key of its first cell, entity id) order."""
+    corpus = _CorpusCase().build(tmp_path)  # in memory
+    for entity in ("e2", "e5"):  # growth: the old slices become garbage
+        corpus.histories()[entity].extend(*_history(entity, [6]))
+    corpus.refresh()
+    stats = corpus.memory_stats()
+    assert stats["flat_live"] < stats["flat_entries"]
+    arrays = corpus.arrays()
+    spans = {}
+    for entity in corpus.entities:
+        index = corpus.window_index(entity)
+        spans[entity] = np.concatenate(
+            [np.arange(o, o + c) for o, c in zip(index.offsets, index.counts)]
+        )
+    order = np.concatenate(
+        [
+            spans[entity]
+            for entity in sorted(
+                spans,
+                key=lambda e: (int(hilbert_key(int(arrays.cells[spans[e][0]]))), e),
+            )
+        ]
+    )
+    expected = {
+        name: getattr(arrays, name)[order].tobytes()
+        for name in ("cells", "slots", "idf")
+    }
+    corpus.spill(tmp_path / "spilled", chunk_rows=8, cache_chunks=2)
+    spilled = corpus.arrays()
+    assert {
+        name: np.asarray(getattr(spilled, name)).tobytes() for name in expected
+    } == expected
+    stats = corpus.memory_stats()
+    assert stats["flat_live"] == stats["flat_entries"] == len(order)
+    # The directories were rebased onto the packed layout.
+    cursor = 0
+    for entity in sorted(
+        spans, key=lambda e: int(corpus.window_index(e).offsets[0])
+    ):
+        index = corpus.window_index(entity)
+        assert index.offsets.tolist() == (
+            cursor + np.concatenate(([0], np.cumsum(index.counts)[:-1]))
+        ).tolist()
+        cursor += int(index.counts.sum())
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("injected mid-relink failure")
 
@@ -525,9 +576,10 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
     monkeypatch.undo()
     for side, corpus in linker._corpora.items():
         captured, arrays = state["corpora"][side], corpus.arrays()
-        assert captured["flat_cells"] is arrays.cells
-        assert captured["flat_slots"] is arrays.slots
-        assert captured["flat_idf"] is arrays.idf
+        columns = captured["flats"]["columns"]
+        assert columns["cells"] is arrays.cells
+        assert columns["slots"] is arrays.slots
+        assert columns["idf"] is arrays.idf
         assert captured["cell_table"] is corpus.cell_table()
         for entity, history in linker._sides[side].items():
             assert state["sides"][side][entity] is history

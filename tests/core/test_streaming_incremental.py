@@ -356,7 +356,8 @@ class TestCorpusRefresh:
             )
             corpus.refresh()
             # Live entries never fall below half the flat length.
-            assert corpus._flat_live * 2 >= len(corpus._flat_cells)
+            stats = corpus.memory_stats()
+            assert stats["flat_live"] * 2 >= stats["flat_entries"]
         self._assert_corpus_equivalent(corpus, HistoryCorpus(histories, 12))
 
     def test_cell_table_extends_for_new_cells(self):
