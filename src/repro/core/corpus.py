@@ -332,6 +332,9 @@ class HistoryCorpus:
         self._total_bins = 0
         self._entity_bins: Dict[str, BinsSnapshot] = {}
         self._entity_versions: Dict[str, int] = {}
+        # |H_u| per entity, kept where its bins enter and leave
+        # _total_bins (derived from _entity_bins: restore() recounts it).
+        self._bin_counts: Dict[str, int] = {}
         for entity_id, history in histories.items():
             self._ingest_entity(entity_id, history, touched=None)
         self._size = len(histories)
@@ -339,7 +342,6 @@ class HistoryCorpus:
         self._log_size = math.log(self._size) if self._size else 0.0
 
         self._bins_with_idf: Dict[str, BinsWithIdf] = {}
-        self._relative_size: Dict[str, float] = {}
         self._cell_table: Optional[CellTable] = None
         self._window_index: Dict[str, WindowIndex] = {}
         # The flat columns of the array view (built lazily): a
@@ -363,6 +365,7 @@ class HistoryCorpus:
         bins = history.bins(self._level)
         df_slot = self._df_slot
         counts = self._df_counts
+        before = self._total_bins
         for window, cells in bins.items():
             self._total_bins += len(cells)
             for cell in cells:
@@ -379,6 +382,7 @@ class HistoryCorpus:
                     counts[slot] += 1.0
         self._entity_bins[entity_id] = bins
         self._entity_versions[entity_id] = history.version
+        self._bin_counts[entity_id] = self._total_bins - before
         return bins
 
     def _retract_bins(
@@ -432,6 +436,7 @@ class HistoryCorpus:
         for entity_id in evicted:
             self._retract_bins(self._entity_bins.pop(entity_id), touched)
             del self._entity_versions[entity_id]
+            del self._bin_counts[entity_id]
         for entity_id, history in self._histories.items():
             if self._entity_versions.get(entity_id) == history.version:
                 continue
@@ -447,10 +452,9 @@ class HistoryCorpus:
         self._avg_bins = self._total_bins / self._size if self._size else 0.0
         self._log_size = math.log(self._size) if self._size else 0.0
 
-        # The dict-view caches embed IDFs / the corpus average; both are
-        # lazily rebuilt, so wholesale invalidation is cheap and safe.
+        # The dict-view cache embeds IDFs; it is lazily rebuilt, so
+        # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
-        self._relative_size.clear()
 
         global_drift = abs(self._log_size - old_log_size)
         drift: Dict[Tuple[int, int], float] = {}
@@ -559,17 +563,10 @@ class HistoryCorpus:
 
     def relative_size(self, entity_id: str) -> float:
         """``|H_u| / avg(|H_u'|)`` — the BM25-style relative history size
-        (cached; recomputing ``|H_u|`` per score call showed up in the
-        batch kernel's normalisation profile)."""
-        cached = self._relative_size.get(entity_id)
-        if cached is not None:
-            return cached
+        (``|H_u|`` is maintained per entity, never recounted here)."""
         if self._avg_bins <= 0:
-            value = 1.0
-        else:
-            value = self._histories[entity_id].num_bins(self._level) / self._avg_bins
-        self._relative_size[entity_id] = value
-        return value
+            return 1.0
+        return self._bin_counts[entity_id] / self._avg_bins
 
     def length_norm(self, entity_id: str, b: float) -> float:
         """``L(u, E) = (1 - b) + b * relative_size`` from Eq. 2."""
@@ -577,15 +574,28 @@ class HistoryCorpus:
             raise ValueError(f"b must be in [0, 1], got {b}")
         return (1.0 - b) + b * self.relative_size(entity_id)
 
+    def history_sizes(self, entity_ids: Iterable[str]) -> np.ndarray:
+        """``|H_u|`` of each entity as one float64 array (the maintained
+        bin counts — no history is recounted)."""
+        counts = self._bin_counts
+        return np.fromiter(
+            (counts[entity_id] for entity_id in entity_ids), np.float64
+        )
+
+    def size_norms(self, sizes: np.ndarray, b: float) -> np.ndarray:
+        """``L(u, E)`` for an array of history sizes: the same two IEEE
+        operations per element as :meth:`length_norm`, so the values are
+        bit-identical to the scalar form."""
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"b must be in [0, 1], got {b}")
+        if self._avg_bins <= 0:
+            return np.ones(len(sizes))
+        return (1.0 - b) + b * (sizes / self._avg_bins)
+
     def length_norms(self, entity_ids: Iterable[str], b: float) -> np.ndarray:
         """Vectorized :meth:`length_norm` over many entities (one array
         for the batch scoring path's normalisation)."""
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {b}")
-        relative = self.relative_size
-        return (1.0 - b) + b * np.fromiter(
-            (relative(entity_id) for entity_id in entity_ids), np.float64
-        )
+        return self.size_norms(self.history_sizes(entity_ids), b)
 
     def history_versions(self, entity_ids: Iterable[str]) -> np.ndarray:
         """The backing histories' current version counters as one int64
@@ -938,7 +948,7 @@ class HistoryCorpus:
     #: mapping, not state.
     _COPIED_STATE = (
         "df_slot", "df_counts", "entity_bins", "entity_versions",
-        "bins_with_idf", "relative_size", "window_index",
+        "bins_with_idf", "window_index",
     )
     _SHARED_STATE = (
         "level", "total_bins", "size", "avg_bins", "log_size", "cell_table",
@@ -976,6 +986,10 @@ class HistoryCorpus:
             setattr(self, "_" + name, state[name])
         for name in self._COPIED_STATE:
             setattr(self, "_" + name, state[name].copy())
+        self._bin_counts = {
+            entity_id: sum(map(len, bins.values()))
+            for entity_id, bins in self._entity_bins.items()
+        }
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)
         if state["flats"] is None:

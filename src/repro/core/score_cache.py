@@ -28,6 +28,18 @@ as :meth:`lookup_batch`: one directory pass builds the row vector, and
 every version comparison, freshness mask and value gather is a single
 vectorized operation instead of a per-pair Python loop.
 
+Two more structures ride on the directory.  A **per-entity key index**
+makes :meth:`ScoreCache.invalidate_pairs` cost O(rows of the named
+entities) instead of a directory scan.  And a **write journal**
+(:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives the
+streaming relink its rollback at O(writes): inside a transaction no row
+is overwritten or recycled — a dropped row is quarantined, a re-stored
+key moves to a fresh row — so the journal only has to remember which row
+each touched key held, and a per-row sequence stamp lets the rollback
+rebuild the exact LRU order it cannot splice back.  The O(cache)
+:meth:`ScoreCache.checkpoint` remains the one *full* capture, for
+snapshots and the cache file.
+
 What version keys cannot see is *IDF drift*: a bin's document frequency —
 and hence the idf weight inside some *other*, unchanged pair — can move
 because a third entity changed.  The cache owner is responsible for that
@@ -90,6 +102,9 @@ __all__ = ["PairScore", "ScoreCache", "CacheBatch"]
 #: Initial row capacity of the columnar store.
 _MIN_CAPACITY = 256
 
+#: A directory key: ``(scoring space, left entity, right entity)``.
+Key = Tuple[Hashable, str, str]
+
 
 @dataclass(frozen=True)
 class PairScore:
@@ -121,6 +136,33 @@ class CacheBatch:
     alibi_bin_pairs: np.ndarray  # (N,) int64
 
 
+class _CacheJournal:
+    """What one transaction overwrote in a :class:`ScoreCache`.
+
+    ``prior`` maps every key the transaction inserted or dropped to the
+    row it held before (``None`` = absent), recorded on first touch.
+    Dropped rows are quarantined in ``dropped`` instead of being
+    recycled, so their values and LRU stamps survive untouched until the
+    transaction ends; ``stamps`` holds the overwritten stamps of rows
+    re-ranked in place, ``from_free`` the recycled rows handed out."""
+
+    __slots__ = (
+        "prior", "dropped", "from_free", "stamps",
+        "high", "clock", "hits", "misses", "mutations",
+    )
+
+    def __init__(self, cache: "ScoreCache") -> None:
+        self.prior: Dict[Key, Optional[int]] = {}
+        self.dropped: List[int] = []
+        self.from_free: List[int] = []
+        self.stamps: List[Tuple[object, object]] = []
+        self.high = cache._high
+        self.clock = cache._clock
+        self.hits = cache.hits
+        self.misses = cache.misses
+        self.mutations = cache._mutations
+
+
 class ScoreCache:
     """Bounded LRU of cached pair scores over a columnar store.
 
@@ -128,7 +170,24 @@ class ScoreCache:
     :class:`~repro.core.streaming.StreamingLinker`, whose working set is
     the candidate-pair set; pass a cap when sharing a cache across large
     auto-tuning sweeps.
+
+    A *resident reader* — one that remembers the rows it has seen instead
+    of looking them up again, like the streaming linker's pair table —
+    watches ``_mutations``: it counts the changes such a reader cannot
+    predict from its own calls.  Rows dropped by :meth:`invalidate_pairs`
+    (one per row, so the caller can mirror its own), by the cap or by
+    :meth:`clear`; a wholesale :meth:`restore`; and, under a cap, every
+    LRU re-rank — hits and stores move positions there, so a skipped
+    lookup would leave a different cache behind.  Stale-version drops and
+    plain stores do not count: a reader knows its own, and anyone else's
+    can only replace a row by what the reader would have computed.
     """
+
+    #: The value columns, by attribute: what :meth:`checkpoint` gathers.
+    _VALUE_COLUMNS = (
+        "_u_version", "_v_version", "_raw",
+        "_bin_comparisons", "_common_windows", "_alibi_bin_pairs",
+    )
 
     def __init__(self, cap: Optional[int] = None) -> None:
         if cap is not None and cap < 1:
@@ -136,9 +195,13 @@ class ScoreCache:
         self._cap = cap
         # pair -> row in the columnar arrays; OrderedDict order is the
         # LRU order (oldest first).
-        self._rows: "OrderedDict[Tuple[Hashable, str, str], int]" = (
+        self._rows: "OrderedDict[Key, int]" = (
             OrderedDict()
         )
+        # Keys by left / right entity: invalidate_pairs sweeps the rows
+        # of the named entities, not the directory.
+        self._by_left: Dict[str, Set[Key]] = {}
+        self._by_right: Dict[str, Set[Key]] = {}
         self._free: List[int] = []
         self._high = 0  # rows ever allocated (high-water mark)
         self._u_version = np.empty(0, dtype=np.int64)
@@ -147,6 +210,12 @@ class ScoreCache:
         self._bin_comparisons = np.empty(0, dtype=np.int64)
         self._common_windows = np.empty(0, dtype=np.int64)
         self._alibi_bin_pairs = np.empty(0, dtype=np.int64)
+        # Per-row sequence stamp: directory order is ascending stamp, so
+        # a rollback can rebuild the LRU order it cannot splice.
+        self._stamp = np.empty(0, dtype=np.int64)
+        self._clock = 0
+        self._mutations = 0
+        self._journal: Optional[_CacheJournal] = None
         #: Number of lookups answered from the cache / recomputed.  A
         #: zero-delta relink shows up as misses staying flat.
         self.hits = 0
@@ -159,36 +228,78 @@ class ScoreCache:
     # columnar plumbing
     # ------------------------------------------------------------------
     def _columns(self) -> Tuple[np.ndarray, ...]:
-        return (
-            self._u_version,
-            self._v_version,
-            self._raw,
-            self._bin_comparisons,
-            self._common_windows,
-            self._alibi_bin_pairs,
-        )
+        return tuple(getattr(self, name) for name in self._VALUE_COLUMNS)
 
     def _grow(self, capacity: int) -> None:
-        def extend(array: np.ndarray) -> np.ndarray:
+        for name in self._VALUE_COLUMNS + ("_stamp",):
+            array = getattr(self, name)
             grown = np.empty(capacity, dtype=array.dtype)
             grown[: len(array)] = array
-            return grown
+            setattr(self, name, grown)
 
-        self._u_version = extend(self._u_version)
-        self._v_version = extend(self._v_version)
-        self._raw = extend(self._raw)
-        self._bin_comparisons = extend(self._bin_comparisons)
-        self._common_windows = extend(self._common_windows)
-        self._alibi_bin_pairs = extend(self._alibi_bin_pairs)
+    def _link(self, key: Key, row: int) -> None:
+        self._rows[key] = row
+        self._by_left.setdefault(key[1], set()).add(key)
+        self._by_right.setdefault(key[2], set()).add(key)
 
-    def _alloc_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        row = self._high
-        if row >= len(self._raw):
-            self._grow(max(_MIN_CAPACITY, 2 * len(self._raw)))
-        self._high += 1
+    def _unlink(self, key: Key) -> int:
+        row = self._rows.pop(key)
+        for by_entity, entity in ((self._by_left, key[1]), (self._by_right, key[2])):
+            keys = by_entity[entity]
+            keys.discard(key)
+            if not keys:
+                del by_entity[entity]
         return row
+
+    def _drop(self, key: Key) -> None:
+        """Remove a key; its row is recycled — after the transaction, if
+        one is open, so the journal can still point at it."""
+        row = self._unlink(key)
+        journal = self._journal
+        if journal is None:
+            self._free.append(row)
+        else:
+            journal.prior.setdefault(key, row)
+            journal.dropped.append(row)
+
+    def _place(self, key: Key) -> int:
+        """The row to write ``key``'s values into, ranked most recent
+        (the caller stamps and fills it).  Inside a transaction an
+        existing row is never overwritten: the key moves to a fresh one."""
+        row = self._rows.get(key)
+        journal = self._journal
+        if row is not None:
+            if journal is None:
+                self._rows.move_to_end(key)
+                return row
+            self._drop(key)
+        if self._free:
+            row = self._free.pop()
+            if journal is not None:
+                journal.from_free.append(row)
+        else:
+            row = self._high
+            if row >= len(self._raw):
+                self._grow(max(_MIN_CAPACITY, 2 * len(self._raw)))
+            self._high += 1
+        if journal is not None:
+            journal.prior.setdefault(key, None)
+        self._link(key, row)
+        return row
+
+    def _rerank(
+        self, rows: np.ndarray, keys: Iterable[Key]
+    ) -> None:
+        """Batch hits move their keys to the LRU tail, in order (``rows``
+        are the rows of ``keys``)."""
+        if self._journal is not None:
+            self._journal.stamps.append((rows, self._stamp[rows]))
+        move = self._rows.move_to_end
+        for key in keys:
+            move(key)
+        self._stamp[rows] = np.arange(self._clock, self._clock + len(rows))
+        self._clock += len(rows)
+        self._mutations += len(rows)
 
     def _entry(self, row: int) -> PairScore:
         return PairScore(
@@ -201,9 +312,12 @@ class ScoreCache:
         )
 
     def _evict_lru(self) -> None:
-        while self._cap is not None and len(self._rows) > self._cap:
-            _, row = self._rows.popitem(last=False)
-            self._free.append(row)
+        if self._cap is None:
+            return
+        self._mutations += 1  # the store that got us here re-ranked a key
+        while len(self._rows) > self._cap:
+            self._drop(next(iter(self._rows)))
+            self._mutations += 1
 
     # ------------------------------------------------------------------
     # lookup / store (per pair)
@@ -230,12 +344,17 @@ class ScoreCache:
             self._u_version[row] != u_version
             or self._v_version[row] != v_version
         ):
-            del self._rows[key]
-            self._free.append(row)
+            self._drop(key)
             self.misses += 1
             return None
         self.hits += 1
+        if self._journal is not None:
+            self._journal.stamps.append((row, self._stamp[row]))
         self._rows.move_to_end(key)
+        self._stamp[row] = self._clock
+        self._clock += 1
+        if self._cap is not None:
+            self._mutations += 1
         return self._entry(row)
 
     def store(
@@ -251,12 +370,9 @@ class ScoreCache:
         alibi_bin_pairs: int,
     ) -> PairScore:
         """Memoise one freshly scored pair (evicting LRU beyond the cap)."""
-        key = (space, left_entity, right_entity)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._alloc_row()
-            self._rows[key] = row
-        self._rows.move_to_end(key)
+        row = self._place((space, left_entity, right_entity))
+        self._stamp[row] = self._clock
+        self._clock += 1
         self._u_version[row] = u_version
         self._v_version[row] = v_version
         self._raw[row] = raw
@@ -313,23 +429,25 @@ class ScoreCache:
         )
         for position in np.nonzero(found & ~fresh)[0]:
             left, right = pairs[position]
-            # pop defensively: a pair duplicated within the batch is
-            # evicted by its first stale occurrence.
-            row = self._rows.pop((space, left, right), None)
-            if row is not None:
-                self._free.append(row)
+            # A pair duplicated within the batch is evicted by its first
+            # stale occurrence.
+            if (space, left, right) in self._rows:
+                self._drop((space, left, right))
         hit_count = int(np.count_nonzero(fresh))
         self.hits += hit_count
         self.misses += n - hit_count
+        fresh_rows = rows[fresh]
         if self._cap is not None and hit_count:
             # LRU order only matters under a cap; the uncapped streaming
             # default skips the per-hit reorder entirely.
-            move = self._rows.move_to_end
-            for position in np.nonzero(fresh)[0]:
-                left, right = pairs[position]
-                move((space, left, right))
+            self._rerank(
+                fresh_rows,
+                (
+                    (space, *pairs[position])
+                    for position in np.nonzero(fresh)[0]
+                ),
+            )
         hit[:] = fresh
-        fresh_rows = rows[fresh]
         raw[fresh] = self._raw[fresh_rows]
         bin_comparisons[fresh] = self._bin_comparisons[fresh_rows]
         common_windows[fresh] = self._common_windows[fresh_rows]
@@ -357,17 +475,14 @@ class ScoreCache:
         n = len(pairs)
         if n == 0:
             return 0
-        rows = np.empty(n, dtype=np.int64)
-        directory = self._rows
-        for position, (left, right) in enumerate(pairs):
-            key = (space, left, right)
-            row = directory.get(key)
-            if row is None:
-                row = self._alloc_row()
-                directory[key] = row
-            else:
-                directory.move_to_end(key)
-            rows[position] = row
+        place = self._place
+        rows = np.fromiter(
+            (place((space, left, right)) for left, right in pairs),
+            np.int64,
+            count=n,
+        )
+        self._stamp[rows] = np.arange(self._clock, self._clock + n)
+        self._clock += n
         self._u_version[rows] = u_versions
         self._v_version[rows] = v_versions
         self._raw[rows] = raw
@@ -403,38 +518,48 @@ class ScoreCache:
         restarts at history version 0, so a stale row under matching
         versions anywhere — including entries reloaded via
         :meth:`save`/:meth:`load` — would be served as a hit.
+
+        Costs O(rows of the named entities): the sweep reads the
+        per-entity key index, never the whole directory.
         """
-        lefts: Set[str] = set(left_entities)
-        rights: Set[str] = set(right_entities)
-        if not lefts and not rights:
-            return 0
-        doomed = [
-            key
-            for key in self._rows
-            if (space is None or key[0] == space)
-            and (key[1] in lefts or key[2] in rights)
-        ]
+        doomed: Set[Key] = set()
+        for by_entity, entities in (
+            (self._by_left, left_entities),
+            (self._by_right, right_entities),
+        ):
+            for entity in entities:
+                doomed.update(by_entity.get(entity, ()))
+        if space is not None:
+            doomed = {key for key in doomed if key[0] == space}
         for key in doomed:
-            self._free.append(self._rows.pop(key))
+            self._drop(key)
+        self._mutations += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
+        self._mutations += 1
+        if self._journal is not None:
+            for key in list(self._rows):
+                self._drop(key)
+            return
         self._rows.clear()
+        self._by_left.clear()
+        self._by_right.clear()
         self._free.clear()
         self._high = 0
 
     # ------------------------------------------------------------------
-    # state: one capture for rollback, snapshots and the cache file
+    # state: a full capture for snapshots and the cache file, a journal
+    # for transactions
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """The cache's whole state as a plain dict, for :meth:`restore`:
         the live pairs in exact LRU order, their column values gathered
         in that order (row numbering is allocation detail, not state),
-        the cap and the hit/miss counters — a rolled-back relink leaves
-        no trace, and the same dict pickled is the persisted cache.
-        :meth:`store` scatters *in place*, so the gather is also the
-        copy a rollback needs."""
+        the cap and the hit/miss counters — the same dict pickled is the
+        persisted cache and the cache payload of a linker snapshot.
+        O(cache); a relink transaction uses :meth:`_begin` instead."""
         rows = np.fromiter(self._rows.values(), np.int64, count=len(self._rows))
         return {
             "cap": self._cap,
@@ -444,23 +569,77 @@ class ScoreCache:
             "misses": self.misses,
         }
 
-    def restore(self, state: Dict[str, object]) -> None:
+    def _begin(self) -> _CacheJournal:
+        """Open a transaction: from here until :meth:`_commit`, every
+        key inserted, dropped or re-ranked is journaled on first touch
+        and no row is overwritten or recycled — O(writes), where
+        :meth:`checkpoint` is O(cache).  :meth:`restore` on the returned
+        journal undoes them."""
+        self._journal = _CacheJournal(self)
+        return self._journal
+
+    def _commit(self) -> None:
+        """Close the transaction, keeping its writes: the rows it
+        dropped become recyclable."""
+        if self._journal is not None:
+            self._free.extend(self._journal.dropped)
+            self._journal = None
+
+    def restore(self, state: Union[Dict[str, object], _CacheJournal]) -> None:
         """Become the cache a :meth:`checkpoint` captured — this one
         rewound (rows stored since gone, rows evicted since back) or a
-        fresh one after a restart.  The capture is only read, so it
-        supports any number of restores."""
+        fresh one after a restart; the capture is only read, so it
+        supports any number of restores.  Handed the journal of the open
+        transaction instead, undo exactly that transaction's writes."""
+        self._journal = None
+        if isinstance(state, _CacheJournal):
+            self._rollback(state)
+            return
         keys = state["keys"]
         count = len(keys)
         if count > len(self._raw):
             self._grow(max(_MIN_CAPACITY, count))
         for column, values in zip(self._columns(), state["columns"]):
             column[:count] = values
-        self._rows = OrderedDict(zip(keys, range(count)))
+        self._stamp[:count] = np.arange(count)
+        self._clock = count
+        self._rows = OrderedDict()
+        self._by_left, self._by_right = {}, {}
+        for row, key in enumerate(keys):
+            self._link(key, row)
         self._free = []
         self._high = count
         self._cap = state["cap"]
         self.hits = state["hits"]
         self.misses = state["misses"]
+        self._mutations += 1
+
+    def _rollback(self, journal: _CacheJournal) -> None:
+        """Undo a transaction.  Quarantine kept every pre-transaction
+        row's values and stamp in place, so re-pointing the journaled
+        keys restores content; a key put back lands at the directory's
+        tail, so the LRU order is rebuilt from the stamps (O(cache log
+        cache) — paid by the failure, never by the capture)."""
+        reorder = bool(journal.stamps)
+        for key, row in journal.prior.items():
+            if key in self._rows:
+                self._unlink(key)
+            if row is not None:
+                self._link(key, row)
+                reorder = True
+        for rows, stamps in reversed(journal.stamps):
+            self._stamp[rows] = stamps
+        if reorder:
+            keys = list(self._rows)
+            rows = np.fromiter(self._rows.values(), np.int64, count=len(keys))
+            order = np.argsort(self._stamp[rows])
+            self._rows = OrderedDict(
+                zip(map(keys.__getitem__, order.tolist()), rows[order].tolist())
+            )
+        self._free.extend(reversed(journal.from_free))
+        self._high, self._clock = journal.high, journal.clock
+        self.hits, self.misses = journal.hits, journal.misses
+        self._mutations = journal.mutations
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the cache under ``path``: a snapshot root

@@ -31,6 +31,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geo.cell import CellId
 from ..knobs import knob, validate
 from .corpus import HistoryCorpus
@@ -41,7 +43,7 @@ from .proximity import (
     proximity,
     runaway_distance,
 )
-from .score_cache import ScoreCache
+from .score_cache import CacheBatch, ScoreCache
 
 __all__ = [
     "SimilarityConfig",
@@ -305,15 +307,9 @@ class SimilarityEngine:
         """
         if self.config.backend != "numpy":
             return [self.score(left, right) for left, right in pairs]
-        from .kernels import score_pairs_batch
-
-        if dispatch is None:
-            def dispatch(block, config):
-                return score_pairs_batch(self.left, self.right, block, config)
-
         cache = self._score_cache
         if cache is None:
-            result = dispatch(pairs, self.config)
+            result = (dispatch or self._kernel)(pairs, self.config)
             batch = SimilarityStats(
                 pairs_scored=len(pairs),
                 bin_comparisons=int(result.bin_comparisons.sum()),
@@ -325,11 +321,78 @@ class SimilarityEngine:
             return result.scores.tolist()
 
         pairs = list(pairs)
-        count = len(pairs)
-        if count == 0:
+        if not pairs:
             return []
-        import numpy as np
+        batch, (left_entities, left_codes, right_entities, right_codes) = (
+            self._raw_batch(pairs, dispatch)
+        )
+        scores = batch.raw
+        if self.config.use_normalization:
+            b = self.config.b
+            norms = (
+                self.left.length_norms(left_entities, b)[left_codes]
+                * self.right.length_norms(right_entities, b)[right_codes]
+            )
+            positive = norms > 0
+            scores = batch.raw.copy()
+            scores[positive] = batch.raw[positive] / norms[positive]
+        self.stats.merge(
+            SimilarityStats(
+                pairs_scored=len(pairs),
+                bin_comparisons=int(batch.bin_comparisons.sum()),
+                alibi_bin_pairs=int(batch.alibi_bin_pairs.sum()),
+                alibi_entity_pairs=int(np.count_nonzero(batch.alibi_bin_pairs)),
+                common_windows=int(batch.common_windows.sum()),
+            )
+        )
+        return scores.tolist()
 
+    def raw_batch(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        dispatch=None,
+    ) -> CacheBatch:
+        """The block's **raw** (un-normalised) Eq. 2 totals and per-pair
+        counters — what the attached
+        :class:`~repro.core.score_cache.ScoreCache` memoises — served from
+        the cache where still valid, computed (and stored back) where
+        not; ``hit`` says which.  Neither normalised nor merged into
+        :attr:`stats`: that is the caller's whole-column job (the
+        streaming linker keeps these columns resident across relinks and
+        asks only about the pairs a delta touched).  ``dispatch`` as in
+        :meth:`score_batch`.
+        """
+        pairs = list(pairs)
+        if self.config.backend == "numpy":
+            return self._raw_batch(pairs, dispatch)[0]
+        hit = np.zeros(len(pairs), dtype=bool)
+        raw = np.zeros(len(pairs), dtype=np.float64)
+        counters = np.zeros((3, len(pairs)), dtype=np.int64)
+        for position, (left_entity, right_entity) in enumerate(pairs):
+            hit[position], raw[position], local = self._raw_with_stats(
+                left_entity, right_entity
+            )
+            counters[:, position] = (
+                local.bin_comparisons,
+                local.common_windows,
+                local.alibi_bin_pairs,
+            )
+        return CacheBatch(hit, raw, *counters)
+
+    def _kernel(self, block: Sequence[Tuple[str, str]], config: SimilarityConfig):
+        """The default ``dispatch``: the batch kernel, in process (looked
+        up on its module per call, so a proxy installed there is seen)."""
+        from .kernels import score_pairs_batch
+
+        return score_pairs_batch(self.left, self.right, block, config)
+
+    def _raw_batch(self, pairs: List[Tuple[str, str]], dispatch):
+        """The numpy backend's cached block path: one
+        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch`, one
+        kernel dispatch over the misses, one ``store_batch``.  Returns
+        the filled :class:`~repro.core.score_cache.CacheBatch` plus the
+        block's entity encoding (for the caller's normalisation)."""
+        count = len(pairs)
         # Encode each side's entities as dense integer codes in one pass:
         # versions and length norms are then computed once per *unique*
         # entity and fanned out to pairs by vectorized gathers.
@@ -352,24 +415,24 @@ class SimilarityEngine:
                 right_code_of[right_entity] = code
                 right_entities.append(right_entity)
             right_codes[position] = code
+        encoding = (left_entities, left_codes, right_entities, right_codes)
 
+        cache = self._score_cache
+        if cache is None:
+            raise ValueError("raw totals are served through a score cache")
         u_versions = self.left.history_versions(left_entities)[left_codes]
         v_versions = self.right.history_versions(right_entities)[right_codes]
-        looked_up = cache.lookup_batch(
+        batch = cache.lookup_batch(
             self._cache_space, pairs, u_versions, v_versions
         )
-        raw = looked_up.raw
-        bin_comparisons = looked_up.bin_comparisons
-        common_windows = looked_up.common_windows
-        alibi_bin_pairs = looked_up.alibi_bin_pairs
-        miss_positions = np.nonzero(~looked_up.hit)[0]
+        miss_positions = np.nonzero(~batch.hit)[0]
         if miss_positions.size:
             misses = [pairs[position] for position in miss_positions.tolist()]
-            result = dispatch(misses, self._raw_config)
-            raw[miss_positions] = result.scores
-            bin_comparisons[miss_positions] = result.bin_comparisons
-            common_windows[miss_positions] = result.common_windows
-            alibi_bin_pairs[miss_positions] = result.alibi_bin_pairs
+            result = (dispatch or self._kernel)(misses, self._raw_config)
+            batch.raw[miss_positions] = result.scores
+            batch.bin_comparisons[miss_positions] = result.bin_comparisons
+            batch.common_windows[miss_positions] = result.common_windows
+            batch.alibi_bin_pairs[miss_positions] = result.alibi_bin_pairs
             cache.store_batch(
                 self._cache_space,
                 misses,
@@ -380,26 +443,7 @@ class SimilarityEngine:
                 common_windows=result.common_windows,
                 alibi_bin_pairs=result.alibi_bin_pairs,
             )
-        scores = raw
-        if self.config.use_normalization:
-            b = self.config.b
-            norms = (
-                self.left.length_norms(left_entities, b)[left_codes]
-                * self.right.length_norms(right_entities, b)[right_codes]
-            )
-            positive = norms > 0
-            scores = raw.copy()
-            scores[positive] = raw[positive] / norms[positive]
-        self.stats.merge(
-            SimilarityStats(
-                pairs_scored=count,
-                bin_comparisons=int(bin_comparisons.sum()),
-                alibi_bin_pairs=int(alibi_bin_pairs.sum()),
-                alibi_entity_pairs=int(np.count_nonzero(alibi_bin_pairs)),
-                common_windows=int(common_windows.sum()),
-            )
-        )
-        return scores.tolist()
+        return batch, encoding
 
     def score_with_stats(
         self, left_entity: str, right_entity: str
@@ -407,6 +451,15 @@ class SimilarityEngine:
         """Score a pair and return per-pair counters (also accumulated
         on :attr:`stats`).  Raw totals are served from / stored into the
         attached :class:`~repro.core.score_cache.ScoreCache`, if any."""
+        _, raw, local = self._raw_with_stats(left_entity, right_entity)
+        self.stats.merge(local)
+        return self._normalize(left_entity, right_entity, raw), local
+
+    def _raw_with_stats(
+        self, left_entity: str, right_entity: str
+    ) -> Tuple[bool, float, SimilarityStats]:
+        """One pair's raw total and counters — from the cache (first
+        item True) or computed and stored back."""
         cache = self._score_cache
         if cache is not None:
             entry = cache.lookup(
@@ -417,17 +470,12 @@ class SimilarityEngine:
                 self.right.history(right_entity).version,
             )
             if entry is not None:
-                local = SimilarityStats(
+                return True, entry.raw, SimilarityStats(
                     pairs_scored=1,
                     bin_comparisons=entry.bin_comparisons,
                     common_windows=entry.common_windows,
                     alibi_bin_pairs=entry.alibi_bin_pairs,
                     alibi_entity_pairs=1 if entry.alibi_bin_pairs else 0,
-                )
-                self.stats.merge(local)
-                return (
-                    self._normalize(left_entity, right_entity, entry.raw),
-                    local,
                 )
         if self.config.backend == "numpy":
             raw, local = self._raw_numpy(left_entity, right_entity)
@@ -445,8 +493,7 @@ class SimilarityEngine:
                 common_windows=local.common_windows,
                 alibi_bin_pairs=local.alibi_bin_pairs,
             )
-        self.stats.merge(local)
-        return self._normalize(left_entity, right_entity, raw), local
+        return False, raw, local
 
     def _normalize(self, left_entity: str, right_entity: str, raw: float) -> float:
         """Apply the Eq. 2 length normalisation ``L(u,E) * L(v,I)`` to a

@@ -6,9 +6,9 @@ of location datasets" (Sec. 1): real feeds grow continuously.
 
 * records are ingested incrementally — per-entity mobility histories are
   *extended in place* (no rebuild of the temporal binning);
-* ``relink()`` is a **delta relink**: it re-runs candidate selection,
-  scoring, matching and thresholding on the current state, but reuses
-  everything a small delta cannot have changed.
+* ``relink()`` is a **delta relink**: candidate selection and scoring
+  cost O(delta) — they visit what a small delta touched, not the
+  candidate set — and matching and thresholding run on the result.
 
 The reuse machinery, stage by stage:
 
@@ -18,19 +18,29 @@ The reuse machinery, stage by stage:
   into the document frequencies and extends the batch kernel's array
   views in place (O(changed bins), not O(corpus)).
 * **Candidates** — under LSH, the bucket index is persistent: only
-  new/changed histories are re-signatured (``remove`` + ``add``), and the
-  index is rebuilt from scratch only when the growing window span changes
-  the signature layout itself.
+  new/changed histories are re-signatured (``remove`` + ``add``), the
+  index keeps its candidate-pair set current while it does so and
+  reports which pairs *appeared and disappeared*
+  (:meth:`~repro.lsh.index.LshIndex.candidate_delta`); it is rebuilt
+  from scratch only when the growing window span changes the signature
+  layout itself.  Other generators hand over their full set, which is
+  diffed against the previous round's.
 * **Scores** — a :class:`~repro.core.score_cache.ScoreCache` memoises
-  every pair's raw Eq. 2 total keyed on the pair's history versions.  A
-  relink re-scores only pairs that involve a changed history *or* whose
-  cached total was invalidated by IDF drift: a third entity's new bins
-  can move the document frequency — hence the idf weight — inside an
-  otherwise untouched pair.  With the default ``idf_tolerance=0.0`` any
-  drift on a shared bin invalidates its holders, which makes an
-  incremental relink produce **exactly** the links and scores of a cold
-  full relink; a positive tolerance trades small controlled staleness for
-  more reuse.
+  every pair's raw Eq. 2 total keyed on the pair's history versions, and
+  a resident **pair table** (:class:`_PairTable`) keeps those totals as
+  columns aligned to the candidate set.  A relink re-asks the cache (and,
+  on a miss, the kernel) only about the *touched* pairs: new in the
+  candidate set ∪ a changed history at either end ∪ invalidated by IDF
+  drift — a third entity's new bins can move the document frequency,
+  hence the idf weight, inside an otherwise untouched pair.  Every other
+  pair is the cache hit it would have been, and is counted as one.  With
+  the default ``idf_tolerance=0.0`` any drift on a shared bin invalidates
+  its holders, which makes an incremental relink produce **exactly** the
+  links and scores of a cold full relink; a positive tolerance trades
+  small controlled staleness for more reuse.  The table is derived state:
+  when the cache changed behind its back (a cap evicting, ``clear()``,
+  :meth:`StreamingLinker.retire`, a restore) it is started over, and the
+  "full pass" is nothing but that — every candidate new again.
 * **Matching / threshold** — recomputed in full each relink (they are
   global decisions over the edge set, and cheap next to scoring).
 * **Retention** — a :class:`~repro.core.retention.RetentionPolicy`
@@ -39,6 +49,11 @@ The reuse machinery, stage by stage:
   cascading the removal through every layer above — so a long-running
   linker is *bounded-memory* instead of growing with everything it ever
   saw.  A relink after retirement equals a cold run over the survivors.
+* **Transaction** — a relink is all-or-nothing, and what that costs is
+  O(writes) too: the components that mutate in place (score cache, LSH
+  index, pair table) journal the prior value of what they overwrite, and
+  a failure replays the journals.  The O(state) ``checkpoint()`` capture
+  is for snapshots only.
 
 :attr:`StreamingLinker.last_relink` reports what the delta machinery did
 (pairs re-scored vs served from cache, dirty entities, IDF invalidations,
@@ -70,7 +85,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -89,6 +104,7 @@ from ..pipeline.stages import (
     ThresholdStage,
     candidate_stages,
 )
+from .matching import Edge
 from ..store.snapshot import (
     SnapshotError,
     SnapshotMissing,
@@ -100,7 +116,7 @@ from .corpus import CorpusDelta, HistoryCorpus
 from .history import MobilityHistory
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache
-from .similarity import score_cache_space
+from .similarity import SimilarityEngine, SimilarityStats, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
 
@@ -108,6 +124,183 @@ __all__ = ["StreamingLinker", "RelinkStats"]
 def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
     """Two-level shallow copy of a ``{side: {...}}`` mapping."""
     return {side: dict(inner) for side, inner in by_side.items()}
+
+
+Pair = Tuple[str, str]
+
+#: Rows of :attr:`_PairTable.columns`: what the score cache memoises per
+#: pair, plus both endpoints' history sizes (for the normalisation).
+_RAW, _BIN_COMPARISONS, _COMMON_WINDOWS, _ALIBI_BIN_PAIRS, _LEFT_SIZE, _RIGHT_SIZE = range(6)
+
+
+class _TableJournal:
+    """What one transaction changed in a :class:`_PairTable`: rows
+    linked and unlinked, the prior values of every block of rows it
+    overwrote, and the scalars."""
+
+    __slots__ = (
+        "table", "events", "written", "from_free", "high", "epoch", "source",
+    )
+
+    def __init__(self, table: "_PairTable") -> None:
+        self.table = table
+        #: ``(linked, row, pair)`` in order: True = linked, False = unlinked.
+        self.events: List[Tuple[bool, int, Pair]] = []
+        self.written: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.from_free: List[int] = []
+        self.high = table.high
+        self.epoch = table.epoch
+        self.source = table.source
+
+
+class _PairTable:
+    """The candidate set as resident columns: one row per candidate
+    pair holding what the score cache holds for it (raw total, the three
+    counters) and both endpoints' history sizes — kept aligned to the
+    candidate set across relinks, so a relink re-asks the cache (and the
+    kernel) only about the rows a delta *touched* and finishes with
+    whole-column numpy passes.
+
+    **Derived state**: a function of the score cache and the candidate
+    generator, never captured — a full :meth:`StreamingLinker._restore`
+    starts an empty table, and an empty table is simply one whose every
+    candidate is new (the "full pass" is this table being rebuilt).  It
+    mirrors ``cache`` up to ``epoch`` — the cache's ``_mutations`` count
+    it has accounted for; when the two differ, rows left the cache
+    behind its back and the linker starts a new table.  ``source`` is
+    the candidate-delta source it is aligned to (the LSH index whose
+    ``candidate_delta()`` it has consumed; ``None`` = feed it by set
+    difference).
+
+    Rows outside the table (never used, or freed) are all-zero, so
+    column sums and ``score > 0`` need no mask.
+    """
+
+    def __init__(self, cache: ScoreCache) -> None:
+        self.cache = cache
+        self.epoch = cache._mutations
+        self.source: object = None
+        self.row_of: Dict[Pair, int] = {}
+        self.pair_at: List[Optional[Pair]] = []
+        #: Per side, entity -> its rows: how dirty / IDF-affected
+        #: entities find the rows they touch.
+        self.rows_by: Tuple[Dict[str, Set[int]], Dict[str, Set[int]]] = ({}, {})
+        self.free: List[int] = []
+        self.high = 0
+        self.columns = np.zeros((6, 0))
+        #: Rows linked since the last scoring pass (new pairs).
+        self.fresh: List[int] = []
+        self._journal: Optional[_TableJournal] = None
+
+    def __len__(self) -> int:
+        return len(self.row_of)
+
+    @property
+    def resident(self) -> bool:
+        """True while the cache has not changed behind the table."""
+        return self.epoch == self.cache._mutations
+
+    def content(self) -> Dict[Pair, Tuple[float, ...]]:
+        """The table by value (row numbering is allocation detail)."""
+        return {
+            pair: tuple(self.columns[:, row].tolist())
+            for pair, row in self.row_of.items()
+        }
+
+    # -- rows -----------------------------------------------------------
+    def _link(self, pair: Pair, row: int) -> None:
+        self.row_of[pair] = row
+        self.pair_at[row] = pair
+        for rows_by, entity in zip(self.rows_by, pair):
+            rows_by.setdefault(entity, set()).add(row)
+
+    def _unlink(self, pair: Pair) -> int:
+        row = self.row_of.pop(pair)
+        self.pair_at[row] = None
+        for rows_by, entity in zip(self.rows_by, pair):
+            rows = rows_by[entity]
+            rows.discard(row)
+            if not rows:
+                del rows_by[entity]
+        return row
+
+    def apply(self, appeared: Iterable[Pair], disappeared: Iterable[Pair]) -> None:
+        """Follow the candidate set: unlink (and zero) the rows of the
+        pairs that left, link a fresh row for each that arrived."""
+        journal = self._journal
+        gone = []
+        for pair in disappeared:
+            row = self._unlink(pair)
+            gone.append(row)
+            if journal is not None:
+                journal.events.append((False, row, pair))
+        if gone:
+            self.write(np.asarray(gone, dtype=np.intp), 0.0)
+            # Recycled only after the transaction: a row linked anew
+            # must not overwrite one the journal may have to put back.
+            if journal is None:
+                self.free.extend(gone)
+        for pair in appeared:
+            if self.free:
+                row = self.free.pop()
+                if journal is not None:
+                    journal.from_free.append(row)
+            else:
+                row = self.high
+                if row >= self.columns.shape[1]:
+                    grown = np.zeros((6, max(256, 2 * row)))
+                    grown[:, :row] = self.columns
+                    self.columns = grown
+                self.pair_at.append(None)
+                self.high += 1
+            self._link(pair, row)
+            self.fresh.append(row)
+            if journal is not None:
+                journal.events.append((True, row, pair))
+
+    def write(self, rows: np.ndarray, values) -> None:
+        """Overwrite a block of rows (all six columns)."""
+        if self._journal is not None:
+            self._journal.written.append((rows, self.columns[:, rows]))
+        self.columns[:, rows] = values
+
+    def touched(self, lefts: Iterable[str], rights: Iterable[str]) -> List[int]:
+        """The rows a delta touched: the new ones plus every row of the
+        named (dirty or IDF-affected) entities — consumed once."""
+        rows = set(self.fresh)
+        self.fresh = []
+        for rows_by, entities in zip(self.rows_by, (lefts, rights)):
+            for entity in entities:
+                rows.update(rows_by.get(entity, ()))
+        return list(rows)
+
+    # -- transaction ----------------------------------------------------
+    def _begin(self) -> _TableJournal:
+        self._journal = _TableJournal(self)
+        return self._journal
+
+    def _commit(self) -> None:
+        if self._journal is not None:
+            self.free.extend(
+                row for linked, row, _ in self._journal.events if not linked
+            )
+            self._journal = None
+
+    def restore(self, journal: _TableJournal) -> None:
+        """Undo the open transaction's writes."""
+        self._journal = None
+        for linked, row, pair in reversed(journal.events):
+            if linked:
+                self._unlink(pair)
+            else:
+                self._link(pair, row)
+        for rows, prior in reversed(journal.written):
+            self.columns[:, rows] = prior
+        self.free.extend(reversed(journal.from_free))
+        del self.pair_at[journal.high:]
+        self.high = journal.high
+        self.epoch, self.source = journal.epoch, journal.source
+        self.fresh = []
 
 
 @dataclass(frozen=True)
@@ -251,6 +444,7 @@ class StreamingLinker:
         }
         self._lsh_index: Optional[LshIndex] = None
         self._lsh_members: Dict[str, Dict[str, int]] = {"left": {}, "right": {}}
+        self._pair_table = _PairTable(self._score_cache)
         self._last_relink: Optional[RelinkStats] = None
         # Accumulated IDF drift per bin (and per side globally) since the
         # affected cache entries were last invalidated.  Tolerance is
@@ -394,22 +588,37 @@ class StreamingLinker:
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """Everything this linker is, as one plain dict of containers,
-        arrays and scalars — the only place its mutable fields are
-        enumerated for capture (:meth:`_restore`: the only place they
-        are loaded).  :meth:`relink` keeps the dict in memory and rolls
-        back to it on failure; :meth:`save` pickles the same dict.
+        arrays and scalars — the full capture :meth:`save` pickles and
+        :meth:`_restore` loads.
 
-        Cheap by reference: histories and corpus arrays are shared, not
-        copied; only the score cache (live rows) and the LSH index
-        (membership lists) copy, because they mutate in place.  A
-        component that does not exist yet is captured as ``None``.
+        Cheap by reference where it can be: histories and corpus arrays
+        are shared, not copied.  The score cache (live rows) and the LSH
+        index (membership lists) mutate in place, so their captures
+        copy — O(cache) and O(index), which is why :meth:`relink` does
+        not take this capture but a journal (:meth:`_capture`).  A
+        component that does not exist yet is captured as ``None``; the
+        pair table is derived state and is not captured at all.
+        """
+        return self._capture(journal=False)
+
+    def _capture(self, journal: bool) -> Dict[str, object]:
+        """The only place this linker's mutable fields are enumerated
+        for capture (:meth:`_restore`: the only place they are loaded).
+
+        ``journal=False`` is :meth:`checkpoint`.  ``journal=True`` opens
+        the relink transaction instead: the in-place-mutating components
+        — score cache, LSH index, pair table — start journaling what
+        they overwrite (their entry is that journal, O(1) to take and
+        O(writes) to fill) and everything else is captured by reference
+        exactly as above; :meth:`_restore` replays the journals,
+        :meth:`_commit` drops them.
         """
         corpora = {
             side: None if corpus is None else corpus.checkpoint()
             for side, corpus in self._corpora.items()
         }
         index = self._lsh_index
-        return {
+        state = {
             "origin": self.windowing.origin,
             "config": self.config,
             "idf_tolerance": self.idf_tolerance,
@@ -417,26 +626,48 @@ class StreamingLinker:
             "latest": self._latest,
             "sides": _copy_sides(self._sides),
             "corpora": corpora,
-            "score_cache": self._score_cache.checkpoint(),
-            "lsh_index": None if index is None else index.checkpoint(),
+            "score_cache": (
+                self._score_cache._begin()
+                if journal
+                else self._score_cache.checkpoint()
+            ),
+            "lsh_index": (
+                None
+                if index is None
+                else index._begin() if journal else index.checkpoint()
+            ),
             "lsh_members": _copy_sides(self._lsh_members),
             "pending_drift": _copy_sides(self._pending_drift),
             "pending_global": dict(self._pending_global),
             "last_relink": self._last_relink,
         }
+        if journal:
+            state["pair_table"] = self._pair_table._begin()
+        return state
+
+    def _commit(self) -> None:
+        """End the relink transaction, keeping its writes."""
+        self._score_cache._commit()
+        if self._lsh_index is not None:
+            self._lsh_index._commit()
+        self._pair_table._commit()
 
     def _restore(self, state: Dict[str, object]) -> None:
-        """Become the linker a :meth:`checkpoint` captured — this one
-        rewound after a failed relink, or an empty one after a restart
-        (:meth:`restore` constructs it from the capture's origin,
-        config, tolerance and retention).
+        """Become the linker a capture holds — this one rewound after a
+        failed relink (the transaction's journals replayed), or an empty
+        one after a restart (:meth:`restore` constructs it from a full
+        capture's origin, config, tolerance and retention).
 
         The sides dicts are refilled *in place* (corpora reference them
         as their histories mapping).  A component absent from the
         capture becomes ``None`` (one first built during the failed
         relink rolls back to nothing); a present one is rewound, after
         being created over the refilled histories (and spilled, on a
-        ``storage="disk"`` linker) if need be.
+        ``storage="disk"`` linker) if need be.  A journal rewinds the
+        object it was opened on, which the failed relink may have
+        replaced (an LSH layout rebuild, a new pair table); a full
+        capture carries no pair table, so the linker starts an empty one
+        and the next relink rebuilds it.
         """
         self._latest = state["latest"]
         for side, saved in state["sides"].items():
@@ -457,10 +688,18 @@ class StreamingLinker:
         if saved is None:
             index = None
         else:
-            if index is None:
+            if not isinstance(saved, dict):
+                index = saved.index
+            elif index is None:
                 index = LshIndex(self.config.lsh, saved["spec"])
             index.restore(saved)
         self._lsh_index = index
+        saved = state.get("pair_table")
+        if saved is None:
+            self._pair_table = _PairTable(self._score_cache)
+        else:
+            self._pair_table = saved.table
+            saved.table.restore(saved)
         self._lsh_members = _copy_sides(state["lsh_members"])
         self._pending_drift = _copy_sides(state["pending_drift"])
         self._pending_global = dict(state["pending_global"])
@@ -556,7 +795,7 @@ class StreamingLinker:
         policy that names an entity the side does not hold, or that would
         empty the side entirely (breaking the :meth:`relink`
         precondition), raises a :class:`ValueError` naming the policy —
-        inside the relink transaction, so the checkpoint rollback leaves
+        inside the relink transaction, so the rollback leaves
         the linker untouched and the fault is a clean retry-able error
         instead of a half-applied eviction.
         """
@@ -655,13 +894,15 @@ class StreamingLinker:
             del pending[key]
         return corpus.entities_with_bins(drifted) - dirty
 
-    def _lsh_candidates(self) -> Tuple[Set[Tuple[str, str]], bool]:
-        """Candidate pairs from the persistent LSH index.
+    def _lsh_update(self) -> Tuple[LshIndex, bool]:
+        """Bring the persistent LSH index up to date with the histories.
 
         The index survives across relinks; each relink re-signatures only
-        changed histories.  Only when the growing window span changes the
-        signature *length* (and with it the banding) is the index rebuilt
-        wholesale.  Returns ``(candidates, rebuilt)``.
+        changed histories (and withdraws retired ones), which is also all
+        the index's maintained candidate-pair set has to follow.  Only
+        when the growing window span changes the signature *length* (and
+        with it the banding) is the index rebuilt wholesale.  Returns
+        ``(index, rebuilt)``.
         """
         lsh = self.config.lsh
         if lsh is None:
@@ -683,7 +924,7 @@ class StreamingLinker:
                 }
                 for side in ("left", "right")
             }
-            return index.candidate_pairs(), True
+            return index, True
         if index.spec != spec:
             index.update_spec(spec)
         for side in ("left", "right"):
@@ -700,7 +941,7 @@ class StreamingLinker:
                 index.remove(entity_id, side)
                 index.add(entity_id, build_signature(history, spec), side)
                 members[entity_id] = history.version
-        return index.candidate_pairs(), False
+        return index, False
 
     # ------------------------------------------------------------------
     # relink
@@ -711,39 +952,60 @@ class StreamingLinker:
         total the deltas since the previous relink left intact.
 
         The tail of the run is the *same stage pipeline* every linker
-        uses (:mod:`repro.pipeline`): a streaming-aware candidate stage
-        (persistent LSH index) followed by the shared scoring, matching
-        and threshold stages, with the delta refresh recorded under the
-        canonical ``prepare`` timing key.
+        uses (:mod:`repro.pipeline`): streaming-aware candidate and
+        scoring stages (persistent LSH index, resident pair table — only
+        what the delta touched is re-asked) followed by the shared
+        matching and threshold stages, with the delta refresh recorded
+        under the canonical ``prepare`` timing key.
 
         The result is exactly what a cold relink over the same data would
         produce (see the module docstring for the invalidation rules that
         guarantee it at ``idf_tolerance=0.0``).
 
         The relink is **all-or-nothing**: retirement evictions, corpus
-        refreshes, LSH placements and score-cache writes are rolled back
-        if anything raises mid-relink (a worker fault past its retry
-        budget, an injected chaos fault, a bug), leaving the linker
+        refreshes, LSH placements, score-cache and pair-table writes are
+        rolled back (:meth:`_capture` — by reference and by journal, never
+        by copying the cache or the index) if anything raises mid-relink
+        (a worker fault past its retry budget, an injected chaos fault, a
+        bug), leaving the linker
         answering from the previous consistent snapshot — bit-identical
         to never having called :meth:`relink` — and the failed call can
         simply be retried.  Pinned by ``tests/chaos/test_relink_rollback``.
         """
         if not self._sides["left"] or not self._sides["right"]:
             raise ValueError("both sides need at least one entity before relinking")
-        state = self.checkpoint()
+        state = self._capture(journal=True)
         try:
-            return self._relink_once()
+            report = self._relink_once()
         except BaseException:
             self._restore(state)
             raise
+        self._commit()
+        return report
+
+    def _invalidate(
+        self, lefts: Iterable[str], rights: Iterable[str], space: object
+    ) -> int:
+        """This linker's own cache sweep: the pair table follows it (the
+        swept rows' pairs are re-asked because their endpoints are
+        retired or IDF-affected), so its epoch moves with the cache's
+        count instead of falling behind it."""
+        dropped = self._score_cache.invalidate_pairs(lefts, rights, space=space)
+        self._pair_table.epoch += dropped
+        return dropped
 
     def _relink_once(self) -> LinkageReport:
         """One relink attempt over live state (see :meth:`relink`, which
-        wraps this in the checkpoint/rollback transaction)."""
+        wraps this in the journal/rollback transaction)."""
         left_histories = self._sides["left"]
         right_histories = self._sides["right"]
 
         clock = time.perf_counter()
+        if not self._pair_table.resident:
+            # Rows left the cache behind the table's back (a cap, a
+            # clear(), another owner, an explicit retire()): what it
+            # remembers proves nothing, so every candidate is new again.
+            self._pair_table = _PairTable(self._score_cache)
         retired = {side: self._retire(side) for side in ("left", "right")}
         if retired["left"] or retired["right"]:
             # Drop retired entities' rows in *every* cache space, not just
@@ -752,9 +1014,7 @@ class StreamingLinker:
             # would otherwise be served as a hit.  Sweeping foreign spaces
             # (e.g. entries loaded from a persisted cache) can only cost
             # misses, never correctness.
-            self._score_cache.invalidate_pairs(
-                set(retired["left"]), set(retired["right"]), space=None
-            )
+            self._invalidate(retired["left"], retired["right"], None)
         deltas = {side: self._refresh_corpus(side) for side in ("left", "right")}
         left_corpus = self._corpora["left"]
         right_corpus = self._corpora["right"]
@@ -766,10 +1026,10 @@ class StreamingLinker:
         if affected_left or affected_right:
             # Scoped to this linker's space: in a shared cache, other
             # owners' corpora are untouched by our IDF drift.
-            invalidated = self._score_cache.invalidate_pairs(
+            invalidated = self._invalidate(
                 affected_left,
                 affected_right,
-                space=score_cache_space(
+                score_cache_space(
                     left_corpus, right_corpus, self.config.similarity
                 ),
             )
@@ -785,30 +1045,36 @@ class StreamingLinker:
         context.timings[STAGE_PREPARE] = time.perf_counter() - clock
         context.stage_names.append(STAGE_PREPARE)
 
+        def _dirty(delta: Optional[CorpusDelta], side: str) -> Tuple[str, ...]:
+            if delta is None:
+                return tuple(self._sides[side])
+            return delta.dirty_entities
+
+        dirty_left = _dirty(deltas["left"], "left")
+        dirty_right = _dirty(deltas["right"], "right")
         hits_before = self._score_cache.hits
         misses_before = self._score_cache.misses
         pipeline = LinkagePipeline(
             self.config,
             stages=[
                 _StreamingCandidates(self),
-                ScoringStage(self.config),
+                _StreamingScoring(
+                    self,
+                    affected_left.union(dirty_left),
+                    affected_right.union(dirty_right),
+                ),
                 MatchingStage(self.config),
                 ThresholdStage(self.config),
             ],
         )
         report = pipeline.execute(context)
 
-        def _dirty(delta: Optional[CorpusDelta], side: str) -> int:
-            if delta is None:
-                return len(self._sides[side])
-            return len(delta.dirty_entities)
-
         self._last_relink = RelinkStats(
-            candidate_pairs=len(context.candidates),
+            candidate_pairs=len(self._pair_table),
             pairs_rescored=self._score_cache.misses - misses_before,
             cache_hits=self._score_cache.hits - hits_before,
-            dirty_left=_dirty(deltas["left"], "left"),
-            dirty_right=_dirty(deltas["right"], "right"),
+            dirty_left=len(dirty_left),
+            dirty_right=len(dirty_right),
             idf_invalidated=invalidated,
             lsh_rebuilt=bool(context.extras.get("lsh_rebuilt", False)),
             evicted_left=len(retired["left"]),
@@ -819,15 +1085,20 @@ class StreamingLinker:
 
 
 class _StreamingCandidates:
-    """Streaming-aware candidate stage.
+    """Streaming-aware candidate stage: brings the linker's pair table
+    in line with this round's candidate set.
 
     ``"lsh"`` resolves to the linker's *persistent* index (dirty entities
     re-signatured in place, full rebuild only when the growing span
-    changes the signature layout); every other name — ``"brute"``,
-    ``"temporal"``, custom registrations — dispatches through the
-    :data:`~repro.pipeline.stages.candidate_stages` registry exactly as
-    the batch pipeline would, so streaming runs honour the config's
-    ``candidates`` choice."""
+    changes the signature layout), which reports the pairs that appeared
+    and disappeared since the table last asked — O(delta).  Every other
+    name — ``"brute"``, ``"temporal"``, custom registrations — dispatches
+    through the :data:`~repro.pipeline.stages.candidate_stages` registry
+    exactly as the batch pipeline would, so streaming runs honour the
+    config's ``candidates`` choice; its full candidate set (like a
+    rebuilt index's, or any source the table is not yet aligned to)
+    feeds the table through a set difference against the previous
+    round's."""
 
     name = STAGE_CANDIDATES
 
@@ -836,12 +1107,110 @@ class _StreamingCandidates:
 
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
+        table = linker._pair_table
         resolved = linker.config.resolved_candidates()
+        rebuilt, source, full = False, None, None
         if resolved == "lsh":
-            candidates, rebuilt = linker._lsh_candidates()
-            context.candidates = candidates
-            context.extras["lsh_rebuilt"] = rebuilt
+            source, rebuilt = linker._lsh_update()
+            if table.source is source:
+                table.apply(*source.candidate_delta())
+            else:
+                full = source.candidate_pairs()
         else:
             stage = candidate_stages.get(resolved)(linker.config)
-            context.candidates = stage.generate(context)
-            context.extras["lsh_rebuilt"] = False
+            full = set(stage.generate(context))
+        if full is not None:
+            known = table.row_of.keys()
+            table.apply(full - known, known - full)
+            table.source = source
+        context.candidates = table.row_of.keys()
+        context.extras["lsh_rebuilt"] = rebuilt
+
+
+class _StreamingScoring(ScoringStage):
+    """The streaming scoring stage: scores through the linker's resident
+    pair table instead of asking about every candidate.
+
+    Only the *touched* rows — new pairs, pairs with a dirty endpoint,
+    pairs whose endpoint was IDF-invalidated — go to
+    :meth:`~repro.core.similarity.SimilarityEngine.raw_batch` (cache
+    lookup, kernel for the misses, store back), sorted and sharded
+    through the executor exactly as :class:`ScoringStage` shards a whole
+    candidate set.  Every other row is the cache hit it would have been:
+    it is counted as one and keeps its columns.  Length normalisation,
+    the counter sums and the positive-edge filter are whole-column numpy
+    expressions; ``Edge`` objects are built (and sorted, for the
+    matcher's determinism) for the positive rows only.
+    """
+
+    def __init__(
+        self, linker: StreamingLinker, lefts: Set[str], rights: Set[str]
+    ) -> None:
+        super().__init__(linker.config)
+        self.linker = linker
+        self.touched = (lefts, rights)
+
+    def run(self, context: LinkageContext) -> None:
+        linker = self.linker
+        table = linker._pair_table
+        cache = linker._score_cache
+        similarity = self.config.similarity
+        left_corpus, right_corpus = context.left_corpus, context.right_corpus
+        engine = SimilarityEngine(
+            left_corpus, right_corpus, similarity, score_cache=cache
+        )
+        context.engine = engine
+
+        pair_at = table.pair_at
+        rows = table.touched(*self.touched)
+        rows.sort(key=pair_at.__getitem__)
+        pairs = [pair_at[row] for row in rows]
+        batches = self._score_blocks(context, engine.raw_batch, pairs)
+        if pairs:
+            values = np.empty((6, len(pairs)))
+            values[:_LEFT_SIZE] = np.hstack(
+                [
+                    (
+                        batch.raw,
+                        batch.bin_comparisons,
+                        batch.common_windows,
+                        batch.alibi_bin_pairs,
+                    )
+                    for batch in batches
+                ]
+            )
+            values[_LEFT_SIZE] = left_corpus.history_sizes(
+                left for left, _ in pairs
+            )
+            values[_RIGHT_SIZE] = right_corpus.history_sizes(
+                right for _, right in pairs
+            )
+            table.write(np.asarray(rows, dtype=np.intp), values)
+        # An untouched row is in the cache under its current versions
+        # (nothing dropped it behind the table's back, nothing grew):
+        # the lookup it is spared would have been a hit.
+        cache.hits += len(table) - len(pairs)
+
+        columns = table.columns[:, : table.high]
+        scores = columns[_RAW]
+        if similarity.use_normalization:
+            norms = left_corpus.size_norms(
+                columns[_LEFT_SIZE], similarity.b
+            ) * right_corpus.size_norms(columns[_RIGHT_SIZE], similarity.b)
+            scores = np.divide(scores, norms, out=scores.copy(), where=norms > 0)
+        positive = np.nonzero(scores > 0.0)[0]
+        context.edges = sorted(
+            Edge(*pair_at[row], score)
+            for row, score in zip(positive.tolist(), scores[positive].tolist())
+        )
+        alibi = columns[_ALIBI_BIN_PAIRS]
+        engine.stats.merge(
+            SimilarityStats(
+                pairs_scored=len(table),
+                bin_comparisons=int(columns[_BIN_COMPARISONS].sum()),
+                alibi_bin_pairs=int(alibi.sum()),
+                alibi_entity_pairs=int(np.count_nonzero(alibi)),
+                common_windows=int(columns[_COMMON_WINDOWS].sum()),
+            )
+        )
+        context.stats = engine.stats

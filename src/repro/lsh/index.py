@@ -14,6 +14,15 @@ and every band of every signature is FNV-1a-hashed in a single numpy pass
 (:func:`repro.lsh.banding.band_bucket_ids`); single-signature inserts go
 through the same code path, so incremental and batch population place
 entities in identical buckets.
+
+Candidate pairs are **delta-maintained**: the first
+:meth:`LshIndex.candidate_pairs` call enumerates every bucket (a batch
+run pays exactly that and nothing else); from then on ``add`` /
+``remove`` keep the cross-side pair set and the ``buckets_used`` /
+``candidate_pairs`` stats current by visiting only the buckets of the
+entity being placed or withdrawn, and :meth:`LshIndex.candidate_delta`
+reports which pairs appeared and disappeared since it was last asked —
+what lets a streaming relink cost O(delta) instead of O(candidate set).
 """
 
 from __future__ import annotations
@@ -96,6 +105,30 @@ def _copy_buckets(buckets: Dict[int, tuple]) -> Dict[int, tuple]:
     }
 
 
+class _IndexJournal:
+    """What one transaction overwrote in an :class:`LshIndex`: the prior
+    value of every bucket, placement and pair it touched (recorded on
+    first touch; ``None`` / ``False`` = was absent) plus the scalars,
+    so :meth:`LshIndex.restore` can put exactly those back."""
+
+    __slots__ = (
+        "index", "spec", "num_bands", "stats", "buckets", "placements",
+        "pairs", "tracking", "appeared", "disappeared",
+    )
+
+    def __init__(self, index: "LshIndex") -> None:
+        self.index = index
+        self.spec = index.spec
+        self.num_bands = index.num_bands
+        self.stats = replace(index.stats)
+        self.buckets: Dict[int, Optional[Tuple[List[str], List[str]]]] = {}
+        self.placements: Dict[Tuple[str, str], Optional[List[int]]] = {}
+        self.pairs: Dict[Tuple[str, str], bool] = {}
+        self.tracking = index._pairs is not None
+        self.appeared = set(index._appeared)
+        self.disappeared = set(index._disappeared)
+
+
 class LshIndex:
     """Banded bucket index over dominating-cell signatures."""
 
@@ -112,10 +145,65 @@ class LshIndex:
         self.stats = LshStats(
             signature_length=spec.length, num_bands=self.num_bands
         )
+        # Derived, never captured: the maintained cross-side pair set
+        # (None until candidate_pairs() first enumerates the buckets) and
+        # its net change since the caller last asked.
+        self._pairs: Optional[Set[Tuple[str, str]]] = None
+        self._appeared: Set[Tuple[str, str]] = set()
+        self._disappeared: Set[Tuple[str, str]] = set()
+        self._journal: Optional[_IndexJournal] = None
 
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
+    def _touch_bucket(self, journal: _IndexJournal, bucket_id: int) -> None:
+        """Journal a bucket's membership lists before their first
+        in-place change inside a transaction."""
+        if bucket_id not in journal.buckets:
+            bucket = self._buckets.get(bucket_id)
+            journal.buckets[bucket_id] = (
+                None if bucket is None else (list(bucket[0]), list(bucket[1]))
+            )
+
+    def _partners(self, placed: List[int], column: int) -> Set[str]:
+        """Opposite-side entities sharing any of the ``placed`` buckets."""
+        partners: Set[str] = set()
+        buckets = self._buckets
+        for bucket_id in placed:
+            partners.update(buckets[bucket_id][1 - column])
+        return partners
+
+    def _shift_pairs(
+        self, entity_id: str, column: int, partners: Set[str], present: bool
+    ) -> None:
+        """The entity's cross pairs with ``partners`` enter (``present``)
+        or leave the maintained pair set; the pending delta nets out a
+        pair that left and came back."""
+        pairs = self._pairs
+        assert pairs is not None
+        journal = self._journal
+        gained, lost = (
+            (self._appeared, self._disappeared)
+            if present
+            else (self._disappeared, self._appeared)
+        )
+        for partner in partners:
+            pair = (entity_id, partner) if column == 0 else (partner, entity_id)
+            if (pair in pairs) == present:
+                continue
+            if journal is not None:
+                journal.pairs.setdefault(pair, not present)
+            if present:
+                pairs.add(pair)
+            else:
+                pairs.discard(pair)
+            if pair in lost:
+                lost.discard(pair)
+            else:
+                gained.add(pair)
+        self.stats.buckets_used = len(self._buckets)
+        self.stats.candidate_pairs = len(pairs)
+
     def _insert_bucket_rows(self, entity_ids: List[str], rows: np.ndarray, side: str) -> None:
         """Place entities into the buckets of their hashed bands.
 
@@ -125,19 +213,31 @@ class LshIndex:
         column = 0 if side == "left" else 1
         buckets = self._buckets
         placements = self._placements
+        journal = self._journal
         hashed = 0
         for entity_id, row in zip(entity_ids, rows.tolist()):
-            placed = placements.setdefault((side, entity_id), [])
+            key = (side, entity_id)
+            placed = placements.get(key)
+            if journal is not None and key not in journal.placements:
+                journal.placements[key] = None if placed is None else list(placed)
+            if placed is None:
+                placed = placements[key] = []
             for bucket_id in row:
                 if bucket_id < 0:
                     continue
                 hashed += 1
+                if journal is not None:
+                    self._touch_bucket(journal, bucket_id)
                 bucket = buckets.get(bucket_id)
                 if bucket is None:
                     bucket = ([], [])
                     buckets[bucket_id] = bucket
                 bucket[column].append(entity_id)
                 placed.append(bucket_id)
+            if self._pairs is not None:
+                self._shift_pairs(
+                    entity_id, column, self._partners(placed, column), True
+                )
         if side == "left":
             self.stats.hashed_bands_left += hashed
         else:
@@ -167,12 +267,22 @@ class LshIndex:
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be left or right, got {side!r}")
-        placed = self._placements.pop((side, entity_id), None)
-        if not placed:
+        key = (side, entity_id)
+        if key not in self._placements:
             return 0
+        placed = self._placements.pop(key)
+        journal = self._journal
+        if journal is not None:
+            # By reference: a popped list is never mutated again.
+            journal.placements.setdefault(key, placed)
         column = 0 if side == "left" else 1
+        partners = (
+            self._partners(placed, column) if self._pairs is not None else None
+        )
         buckets = self._buckets
         for bucket_id in placed:
+            if journal is not None:
+                self._touch_bucket(journal, bucket_id)
             bucket = buckets[bucket_id]
             bucket[column].remove(entity_id)
             if not bucket[0] and not bucket[1]:
@@ -181,6 +291,8 @@ class LshIndex:
             self.stats.hashed_bands_left -= len(placed)
         else:
             self.stats.hashed_bands_right -= len(placed)
+        if partners is not None:
+            self._shift_pairs(entity_id, column, partners, False)
         return len(placed)
 
     def update_spec(self, spec: SignatureSpec) -> None:
@@ -203,14 +315,15 @@ class LshIndex:
         self.spec = spec
 
     # ------------------------------------------------------------------
-    # state: one capture for rollback and snapshots
+    # state: a full capture for snapshots, a journal for transactions
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """The index's whole state as a plain dict, for :meth:`restore`
-        (relink rollback in memory, linker snapshots pickled).  ``add`` /
-        ``remove`` mutate the membership and placement lists *in place*,
-        so both levels are copied — here and again on restore, so one
-        capture supports any number of them."""
+        (the capture linker snapshots pickle).  ``add`` / ``remove``
+        mutate the membership and placement lists *in place*, so both
+        levels are copied — here and again on restore, so one capture
+        supports any number of them.  The maintained pair set is derived
+        (re-enumerated on demand), never captured."""
         return {
             "spec": self.spec,
             "buckets": _copy_buckets(self._buckets),
@@ -218,10 +331,27 @@ class LshIndex:
             "stats": replace(self.stats),
         }
 
-    def restore(self, state: Dict[str, object]) -> None:
+    def _begin(self) -> _IndexJournal:
+        """Open a transaction: from here until :meth:`_commit`, every
+        bucket list, placement, pair and counter is journaled on first
+        touch — O(writes), where :meth:`checkpoint` is O(index).
+        :meth:`restore` on the returned journal undoes them."""
+        self._journal = _IndexJournal(self)
+        return self._journal
+
+    def _commit(self) -> None:
+        """Close the transaction, keeping its writes."""
+        self._journal = None
+
+    def restore(self, state: object) -> None:
         """Become the index a :meth:`checkpoint` captured, discarding
         every placement (and layout) change since — this index rewound,
-        or a fresh one of the same config after a restart."""
+        or a fresh one of the same config after a restart; or, handed the
+        journal of the open transaction, undo exactly its writes."""
+        self._journal = None
+        if isinstance(state, _IndexJournal):
+            self._rollback(state)
+            return
         self.spec = state["spec"]
         self.num_bands = bands_for_threshold(
             self.spec.length, self.config.threshold
@@ -229,6 +359,33 @@ class LshIndex:
         self._buckets = _copy_buckets(state["buckets"])
         self._placements = {k: list(v) for k, v in state["placements"].items()}
         self.stats = replace(state["stats"])
+        self._pairs = None
+        self._appeared, self._disappeared = set(), set()
+
+    def _rollback(self, journal: _IndexJournal) -> None:
+        for bucket_id, prior in journal.buckets.items():
+            if prior is None:
+                self._buckets.pop(bucket_id, None)
+            else:
+                self._buckets[bucket_id] = prior
+        for key, placed in journal.placements.items():
+            if placed is None:
+                self._placements.pop(key, None)
+            else:
+                self._placements[key] = placed
+        if not journal.tracking:
+            self._pairs = None  # first enumerated inside the transaction
+        else:
+            pairs = self._pairs
+            assert pairs is not None
+            for pair, present in journal.pairs.items():
+                if present:
+                    pairs.add(pair)
+                else:
+                    pairs.discard(pair)
+        self._appeared, self._disappeared = journal.appeared, journal.disappeared
+        self.spec, self.num_bands = journal.spec, journal.num_bands
+        self.stats = journal.stats
 
     def add_histories(
         self,
@@ -254,13 +411,37 @@ class LshIndex:
     # candidates
     # ------------------------------------------------------------------
     def candidate_pairs(self) -> Set[Tuple[str, str]]:
-        """All cross-dataset pairs sharing at least one bucket."""
-        candidates: Set[Tuple[str, str]] = set()
-        for lefts, rights in self._buckets.values():
-            if lefts and rights:
-                for left_entity in set(lefts):
-                    for right_entity in set(rights):
-                        candidates.add((left_entity, right_entity))
-        self.stats.buckets_used = len(self._buckets)
-        self.stats.candidate_pairs = len(candidates)
-        return candidates
+        """All cross-dataset pairs sharing at least one bucket.
+
+        The first call enumerates every bucket; from then on the set is
+        maintained by ``add`` / ``remove`` and a call costs one copy.
+        Either way the pending :meth:`candidate_delta` starts over.
+        """
+        if self._pairs is None:
+            candidates: Set[Tuple[str, str]] = set()
+            for lefts, rights in self._buckets.values():
+                if lefts and rights:
+                    for left_entity in set(lefts):
+                        for right_entity in set(rights):
+                            candidates.add((left_entity, right_entity))
+            self._pairs = candidates
+            self.stats.buckets_used = len(self._buckets)
+            self.stats.candidate_pairs = len(candidates)
+        self._appeared, self._disappeared = set(), set()
+        return set(self._pairs)
+
+    def candidate_delta(
+        self,
+    ) -> Tuple[Set[Tuple[str, str]], Set[Tuple[str, str]]]:
+        """``(appeared, disappeared)``: how the candidate-pair set
+        changed since this or :meth:`candidate_pairs` was last called —
+        net of pairs that left and came back (a re-signatured entity
+        whose buckets did not move reports nothing)."""
+        if self._pairs is None:
+            raise RuntimeError(
+                "candidate_delta() needs candidate_pairs() to have "
+                "enumerated the buckets first"
+            )
+        delta = (self._appeared, self._disappeared)
+        self._appeared, self._disappeared = set(), set()
+        return delta

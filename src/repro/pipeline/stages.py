@@ -37,6 +37,7 @@ True
 from __future__ import annotations
 
 import os
+from itertools import chain
 # repro-lint: timing-module -- stages time their own execution for the report
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple, runtime_checkable
@@ -443,6 +444,28 @@ class ScoringStage:
             if isinstance(candidates, list)
             else sorted(candidates)
         )
+        scores = self._score_blocks(context, engine.score_batch, ordered)
+        context.edges = [
+            Edge(left_entity, right_entity, score)
+            for (left_entity, right_entity), score in zip(
+                ordered, chain.from_iterable(scores)
+            )
+            if score > 0.0
+        ]
+        context.stats = engine.stats
+
+    def _score_blocks(
+        self,
+        context: LinkageContext,
+        score: Callable[..., object],
+        ordered: Sequence[Tuple[str, str]],
+    ) -> List[object]:
+        """Run ``score`` — an engine's block scorer, called as
+        ``score(pairs)`` or ``score(pairs, dispatch=...)`` — over
+        ``ordered`` in shards of the resolved block size through the
+        configured executor; returns its results in order.  Records the
+        stage's shard timings and its ``executor`` / ``faults`` extras.
+        """
         block = resolve_score_block_size(
             self.config, context.left_corpus, context.right_corpus
         )
@@ -456,22 +479,16 @@ class ScoringStage:
         shard_seconds: List[float] = []
         try:
             if executor is not None:
-                scores = self._score_parallel(
-                    engine, ordered, executor, shard_seconds, block
+                results = self._score_parallel(
+                    context, score, ordered, executor, shard_seconds, block
                 )
             else:
-                scores = self._score_serial(
-                    engine, ordered, shard_seconds, block
+                results = self._score_serial(
+                    score, ordered, shard_seconds, block
                 )
         finally:
             if owned:
                 executor.shutdown()
-        context.edges = [
-            Edge(left_entity, right_entity, score)
-            for (left_entity, right_entity), score in zip(ordered, scores)
-            if score > 0.0
-        ]
-        context.stats = engine.stats
         context.shard_timings[self.name] = tuple(shard_seconds)
         context.extras["executor"] = {
             "name": executor.name if executor is not None else "serial",
@@ -490,6 +507,7 @@ class ScoringStage:
                 context.extras["faults"] = faults
             if faults["degraded"]:
                 context.extras["degraded"] = True
+        return results
 
     # ------------------------------------------------------------------
     # execution strategies
@@ -528,33 +546,34 @@ class ScoringStage:
 
     def _score_serial(
         self,
-        engine: SimilarityEngine,
+        score: Callable[..., object],
         ordered: Sequence[Tuple[str, str]],
         shard_seconds: List[float],
         block: int,
-    ) -> List[float]:
+    ) -> List[object]:
         """The in-process path (exactly the pre-executor behaviour)."""
-        scores: List[float] = []
+        results: List[object] = []
         for start in range(0, len(ordered), block):
             chunk = ordered[start : start + block]
             clock = time.perf_counter()
-            scores.extend(engine.score_batch(chunk))
+            results.append(score(chunk))
             shard_seconds.append(time.perf_counter() - clock)
-        return scores
+        return results
 
     def _score_parallel(
         self,
-        engine: SimilarityEngine,
+        context: LinkageContext,
+        score: Callable[..., object],
         ordered: Sequence[Tuple[str, str]],
         executor: Executor,
         shard_seconds: List[float],
         block: int,
-    ) -> List[float]:
-        """One cache-aware ``score_batch`` whose kernel dispatches shard
+    ) -> List[object]:
+        """One cache-aware ``score`` call whose kernel dispatches shard
         out through the executor."""
         from ..core.kernels import concat_results
 
-        left_corpus, right_corpus = engine.left, engine.right
+        left_corpus, right_corpus = context.left_corpus, context.right_corpus
         # Materialise the array views up front: thread workers must not
         # race the lazy build, and process workers should inherit the
         # arrays through fork rather than each rebuilding them.
@@ -579,7 +598,7 @@ class ScoringStage:
             shard_seconds.extend(outcome.seconds for outcome in outcomes)
             return concat_results([outcome.value for outcome in outcomes])
 
-        return engine.score_batch(ordered, dispatch=dispatch)
+        return [score(ordered, dispatch=dispatch)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ all tests treat these datasets as read-only.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,65 @@ def tiny_dataset() -> LocationDataset:
                 Record(entity, lat + 0.001 * (k % 3), lng - 0.001 * (k % 2), base + 600 * k)
             )
     return LocationDataset.from_records(records, "tiny")
+
+
+class RelinkFailures:
+    """Named points at which a ``StreamingLinker.relink()`` can be made to
+    raise :attr:`Boom`, in pipeline order — shared by the rollback, chaos
+    and model-based suites.  ``failures(point)`` is a context manager;
+    not every relink reaches every point (no misses: nothing is stored;
+    an LSH layout rebuild: no single ``add``)."""
+
+    class Boom(RuntimeError):
+        """The injected mid-relink failure."""
+
+    points = ("after-retention", "mid-lsh", "after-store", "matching", "threshold")
+
+    def __call__(self, point):
+        from repro.core.corpus import HistoryCorpus
+        from repro.core.score_cache import ScoreCache
+        from repro.lsh.index import LshIndex
+        from repro.pipeline.stages import MatchingStage, ThresholdStage
+
+        def boom(*args, **kwargs):
+            raise self.Boom(f"injected at {point}")
+
+        def after(original):
+            # The call goes through, then the failure: its writes are
+            # what has to be undone.
+            def wrapper(*args, **kwargs):
+                original(*args, **kwargs)
+                boom()
+
+            return wrapper
+
+        def second_call(original):
+            # Between one entity's remove + add and the next one's: the
+            # index is half-updated.
+            calls = []
+
+            def wrapper(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 2:
+                    boom()
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        target, name, replacement = {
+            "after-retention": (HistoryCorpus, "refresh", boom),
+            "mid-lsh": (LshIndex, "add", second_call(LshIndex.add)),
+            "after-store": (
+                ScoreCache, "store_batch", after(ScoreCache.store_batch)
+            ),
+            "matching": (MatchingStage, "run", boom),
+            "threshold": (ThresholdStage, "run", boom),
+        }[point]
+        return mock.patch.object(target, name, replacement)
+
+
+@pytest.fixture()
+def relink_failures() -> RelinkFailures:
+    """Failure injection for the relink transaction (see
+    :class:`RelinkFailures`)."""
+    return RelinkFailures()

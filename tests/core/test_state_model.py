@@ -31,12 +31,11 @@ import pytest
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
-from repro.core.streaming import StreamingLinker
+from repro.core.streaming import StreamingLinker, _PairTable
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
 from repro.lsh.signature import build_signature
 from repro.pipeline import LinkageConfig
-from repro.pipeline.stages import MatchingStage
 from repro.store import ChunkedColumnStore, hilbert_key
 from repro.temporal import Windowing
 
@@ -186,10 +185,15 @@ class _ScoreCacheCase:
         pass
 
     def disturb(self, cache):
+        cache.lookup(("b", 1), "u6", "v2", 0, 0)  # hit: re-ranked in place
         for k in range(20, 31):
             self._store(cache, "c", k)
         cache.invalidate_pairs({"u5", "u8"}, set())
         cache.lookup("a", "u5", "v1", 0, 0)
+        self._store(cache, "c", 30, version=1)  # over an existing key
+        cache.lookup_batch(  # a hit re-ranked, a stale row dropped
+            "c", [("u29", "v1"), ("u28", "v0")], np.array([0, 3]), np.array([0, 0])
+        )
 
     def proceed(self, cache):
         self._store(cache, "a", 13)
@@ -368,6 +372,7 @@ class _LinkerCase:
     pending, exactly where ``relink()`` takes it."""
 
     storage = "memory"
+    cap = 150
     config = LinkageConfig(
         lsh=LshConfig(threshold=0.3, step_windows=48, spatial_level=14),
         threshold="none",
@@ -390,7 +395,7 @@ class _LinkerCase:
             0.0,
             self.config,
             idf_tolerance=1.0,
-            score_cache_cap=150,
+            score_cache_cap=self.cap,
             **self._options(tmp / "store"),
         )
         for round_index in range(3):
@@ -431,6 +436,13 @@ class _DiskLinkerCase(_LinkerCase):
     storage = "disk"
 
 
+class _UncappedLinkerCase(_LinkerCase):
+    """No cap: hits have no side effect on the cache, so the pair table
+    stays resident and relinks take the delta path."""
+
+    cap = None
+
+
 CASES = {
     "corpus-memory": _CorpusCase,
     "corpus-disk": _DiskCorpusCase,
@@ -439,6 +451,7 @@ CASES = {
     "chunk-store": _ChunkStoreCase,
     "linker-memory": _LinkerCase,
     "linker-disk": _DiskLinkerCase,
+    "linker-uncapped": _UncappedLinkerCase,
 }
 
 
@@ -480,6 +493,49 @@ def test_restart_from_the_pickled_capture_continues_bit_identically(
     case.restore(restarted, state)
     case.after_restart(restarted)
     assert case.proceed(restarted) == expected
+
+
+def _cache_invariants(cache):
+    """What the capture drops must still be sound: every allocated row
+    is live or free exactly once, the per-entity key index matches the
+    directory, and the directory is in stamp (LRU) order."""
+    rows = list(cache._rows.values())
+    assert sorted(rows + cache._free) == list(range(cache._high))
+    for by_entity, position in ((cache._by_left, 1), (cache._by_right, 2)):
+        expected = {}
+        for key in cache._rows:
+            expected.setdefault(key[position], set()).add(key)
+        assert by_entity == expected
+    stamps = cache._stamp[rows].tolist()
+    assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
+
+
+@pytest.mark.parametrize("name", ["score-cache", "lsh-index"])
+@pytest.mark.parametrize("outcome", ["rolled-back", "committed"])
+def test_a_transaction_is_all_or_nothing(name, outcome, tmp_path):
+    """The journal flavour of the same protocol (what ``relink()`` opens
+    instead of a full capture): undone, the component continues like a
+    twin that was never disturbed; committed, like a twin disturbed
+    outside any transaction — the journal itself leaves no trace."""
+    case = CASES[name]()
+    twin = case.build(tmp_path / "twin")
+    if outcome == "committed":
+        case.disturb(twin)
+    expected = case.proceed(twin)
+
+    subject = case.build(tmp_path / "subject")
+    journal = subject._begin()
+    case.disturb(subject)
+    if outcome == "committed":
+        subject._commit()
+    else:
+        subject.restore(journal)
+    assert subject._journal is None
+    if name == "score-cache":
+        _cache_invariants(subject)
+    assert case.proceed(subject) == expected
+    if name == "score-cache":
+        _cache_invariants(subject)
 
 
 @pytest.mark.parametrize("writer", ["memory", "disk"])
@@ -592,10 +648,14 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 def _fingerprint(value):
     """Deep, order-insensitive-for-dicts structural fingerprint of
-    ``vars()``, by value.  Histories and the score cache are read through
-    their logical content: histories memoise derived bins/trees on
-    demand, and the cache's row numbering is allocation detail its
-    capture deliberately drops."""
+    ``vars()``, by value.  Histories, the score cache, the LSH index and
+    the pair table are read through their logical content: histories
+    memoise derived bins/trees on demand, the cache's row numbering (and
+    its per-entity key index) is allocation detail its capture
+    deliberately drops, the index's maintained pair set is re-derived
+    from its buckets, and a pair table says something only while it is
+    resident — one the cache has moved past is as good as empty, which
+    is exactly what a restored linker starts with."""
     if isinstance(value, MobilityHistory):
         return (
             "history",
@@ -608,6 +668,13 @@ def _fingerprint(value):
         state = value.checkpoint()
         state["columns"] = [column.tolist() for column in state["columns"]]
         return ("score-cache", _fingerprint(state))
+    if isinstance(value, LshIndex):
+        return ("lsh-index", _fingerprint(value.checkpoint()))
+    if isinstance(value, _PairTable):
+        return (
+            "pair-table",
+            _fingerprint(value.content() if value.resident else {}),
+        )
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, dict):
@@ -624,27 +691,45 @@ def _fingerprint(value):
     return value
 
 
-def test_every_attribute_a_relink_mutates_is_captured(tmp_path, monkeypatch):
-    case = _LinkerCase()
+@pytest.mark.parametrize("case_type", [_LinkerCase, _UncappedLinkerCase])
+def test_every_attribute_a_relink_mutates_is_captured(
+    case_type, tmp_path, relink_failures
+):
+    case = case_type()
     linker = case.build(tmp_path)
     before = _fingerprint(vars(linker))
+    assert linker._pair_table.resident == (case.cap is None)
 
-    # After a failed relink + rollback: nothing moved.  The failure is in
-    # the matching stage, after retention, refresh, LSH and scoring have
-    # already mutated every layer.
-    monkeypatch.setattr(MatchingStage, "run", _boom)
-    with pytest.raises(RuntimeError, match="injected"):
-        linker.relink()
-    monkeypatch.undo()
-    assert _fingerprint(vars(linker)) == before
+    # After a failed relink + rollback: nothing moved — wherever the
+    # failure lands: with retention applied, with the LSH index
+    # half-updated, with the re-scored rows stored, or in the last stages
+    # after every layer has mutated.
+    for point in relink_failures.points:
+        with relink_failures(point), pytest.raises(relink_failures.Boom):
+            linker.relink()
+        assert _fingerprint(vars(linker)) == before, point
+        assert linker._score_cache._journal is None
+        assert linker._lsh_index._journal is None
+        assert linker._pair_table._journal is None
 
-    # After save + restore: a different process's linker, same state.
+    # After save + restore: a different process's linker, same state —
+    # but for the derived pair table, which a restored linker starts
+    # empty (the fingerprint of one the cache has moved past, which is
+    # what the capped linker's always is).
+    derived = set() if case.cap is not None else {"_pair_table"}
+
+    def captured(subject):
+        return _fingerprint(
+            {k: v for k, v in vars(subject).items() if k not in derived}
+        )
+
+    before_captured = captured(linker)
     linker.save(tmp_path / "snaps")
     restored = StreamingLinker.restore(tmp_path / "snaps", strict=True)
-    assert _fingerprint(vars(restored)) == before
+    assert captured(restored) == before_captured
 
     # The check has teeth: a relink that commits moves the fingerprint,
-    # and everything it moved is a captured field.
+    # and everything it moved is a captured field (or the derived table).
     after_commit = linker.checkpoint()
     linker.relink()
     moved = {
@@ -653,5 +738,6 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, monkeypatch):
         if _fingerprint(value) != dict(before[1])[repr(name)]
     }
     assert moved >= {"_corpora", "_score_cache", "_lsh_index", "_last_relink"}
+    assert ("_pair_table" in moved) == (case.cap is None)
     linker._restore(after_commit)
-    assert _fingerprint(vars(linker)) == before
+    assert captured(linker) == before_captured
