@@ -34,6 +34,7 @@ or through pytest:
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from pathlib import Path
@@ -174,6 +175,11 @@ def run_out_of_core_bench(
         snap_dir = scratch_dir / "snaps"
         in_core.save(snap_dir)
 
+        # Each arm starts with the collector's debt paid: a full
+        # collection over the host process's heap (tens of ms under
+        # pytest) otherwise lands on whichever arm allocates past the
+        # threshold first — as large as the smoke-scale arms themselves.
+        gc.collect()
         start = time.perf_counter()
         cold = StreamingLinker(0.0, config=_config())
         records = _all_records(rounds, per_side)
@@ -182,6 +188,7 @@ def run_out_of_core_bench(
         cold.relink()
         cold_seconds = time.perf_counter() - start
 
+        gc.collect()
         start = time.perf_counter()
         restored = StreamingLinker.restore(snap_dir)
         restore_seconds = time.perf_counter() - start

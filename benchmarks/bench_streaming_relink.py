@@ -11,9 +11,11 @@ also *right*.
 Results land machine-readably in
 ``benchmarks/results/BENCH_streaming_relink.json`` (see
 :func:`bench_util.write_bench_json`), with the headline ``speedup`` entry
-the acceptance gate tracks (>= 3x; the LSH workload typically measures an
-order of magnitude, because the persistent bucket index re-signatures only
-the dirty histories).
+the acceptance gate tracks (>= 3x; the LSH workload measures ~6x, because
+the persistent bucket index re-signatures only the dirty histories — it
+was ~20x while a cold build still grew one count tree per history, so
+the ratio fell when its *denominator* did: cold 100 -> 19 ms, incremental
+4.9 -> 2.9 ms).
 
 Run stand-alone (the CI docs job does):
 
@@ -40,7 +42,7 @@ from repro.data.synth import default_sm_world
 from repro.lsh import LshConfig
 
 #: Relative wall-clock floor the incremental relink must clear against a
-#: cold relink; relaxed below the observed ~10-20x so shared-runner noise
+#: cold relink; relaxed below the observed ~5-8x so shared-runner noise
 #: cannot fail a build (the measured value is what the JSON records).
 DEFAULT_SPEEDUP_FLOOR = 3.0
 

@@ -112,7 +112,7 @@ import numpy as np
 from ..geo.cell import CellId
 from ..store.columns import DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
-from .history import MobilityHistory
+from .history import STALE_VERSION, MobilityHistory
 
 __all__ = [
     "HistoryCorpus",
@@ -473,6 +473,18 @@ class HistoryCorpus:
         if evicted:
             self._compact_df_slots()
         return CorpusDelta(tuple(dirty), drift, global_drift, tuple(evicted))
+
+    def mark_stale(self, entity_ids: Iterable[str]) -> None:
+        """Have the next :meth:`refresh` re-read these entities whatever
+        version it finds them at.  For ids whose history was deleted from
+        the backing mapping and may be re-created before that refresh: the
+        newcomer restarts at version 0, which the version comparison alone
+        cannot tell from the history it replaced.  Ids the corpus does not
+        hold are ignored."""
+        versions = self._entity_versions
+        for entity_id in entity_ids:
+            if entity_id in versions:
+                versions[entity_id] = STALE_VERSION
 
     def entities_with_bins(
         self, keys: Iterable[Tuple[int, int]]

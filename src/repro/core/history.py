@@ -1,10 +1,16 @@
 """Mobility histories (Sec. 2.3, Fig. 1).
 
 A mobility history aggregates one entity's records into *time-location
-bins*: the leaves of a temporal tree hold, per leaf window, the grid cells
-visited (with counts); internal nodes aggregate those counts so range
-queries — notably the dominating-cell queries of the LSH layer — are
-logarithmic.
+bins*: per leaf window, the grid cells visited (with counts).  The paper
+organises those leaves under a temporal tree whose internal nodes
+aggregate the counts, so that range queries — notably the dominating-cell
+queries of the LSH layer — are logarithmic (:meth:`MobilityHistory.tree`,
+:class:`~repro.temporal.TemporalCountTree`).  A linkage run does not build
+that tree: the signature queries of one run partition the window axis, so
+:func:`repro.lsh.signature.signature_matrix` answers all of them for a
+whole dataset in one array pass over the leaves
+(:func:`leaf_columns`).  The tree stays as the reference structure of
+Fig. 1 and the oracle the array pass is tested against.
 
 The temporal hierarchy is deliberate: the paper partitions hierarchically in
 *time*, not space, because alibi detection needs fast retrieval of all cells
@@ -14,12 +20,19 @@ Histories are stored at a fine ``storage_level`` and re-binned on demand to
 any coarser level via integer parent mapping, so one history build serves
 both the similarity computation (e.g. level 12) and LSH signatures at an
 independently chosen level (Sec. 5.3 varies them separately).
+
+Ingest is one array pass too: :func:`ingest_columns` converts the
+concatenated records of any number of entities to cells and window
+indices with a single numpy dispatch chain and only then splits them per
+entity; :func:`build_histories`, :meth:`MobilityHistory.from_columns`,
+:meth:`MobilityHistory.extend` and
+:meth:`~repro.core.streaming.StreamingLinker.observe` are spellings of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,28 +43,34 @@ from ..temporal import TemporalCountTree, Windowing
 
 __all__ = ["MobilityHistory", "build_histories"]
 
+#: A version no history ever has (they count up from 0).  Whoever
+#: remembers the version it last read an entity at writes this over it to
+#: make the next comparison say "changed" — needed when an id's history is
+#: dropped and re-created, because the newcomer restarts at 0.
+STALE_VERSION = -1
+
 
 def _accumulate(
     leaves: Dict[int, Counter],
-    indices: np.ndarray,
-    cells: np.ndarray,
-    lats: np.ndarray,
-    lngs: np.ndarray,
+    indices: List[int],
+    cells: List[int],
+    region: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     storage_level: int,
-    radii: Optional[np.ndarray],
 ) -> None:
     """Distribute records over (window, cell) leaf counters.
 
-    Point records add weight 1 to their cell; region records (``radii``)
-    spread weight ``1/n`` over the ``n`` cells of their cap cover — the
-    Sec. 2.1 region extension.
+    Point records add weight 1 to their cell; region records (``region``:
+    the same rows' ``(lats, lngs, radii)``) spread weight ``1/n`` over the
+    ``n`` cells of their cap cover — the Sec. 2.1 region extension.
     """
-    for row, (index, cell) in enumerate(zip(indices.tolist(), cells.tolist())):
+    if region is not None:
+        lats, lngs, radii = region
+    for row, (index, cell) in enumerate(zip(indices, cells)):
         counter = leaves.get(index)
         if counter is None:
             counter = Counter()
             leaves[index] = counter
-        if radii is None:
+        if region is None:
             counter[cell] += 1
             continue
         radius = float(radii[row])
@@ -135,24 +154,12 @@ class MobilityHistory:
         region's cap cover at ``storage_level``.  Records with a radius
         smaller than the cell remain single-cell with weight 1.
         """
-        cells = cell_ids_from_degrees(lats, lngs, storage_level)
-        indices = np.floor(
-            (np.asarray(timestamps, dtype=np.float64) - windowing.origin)
-            / windowing.width_seconds
-        ).astype(np.int64)
-        if indices.size and indices.min() < 0:
-            raise ValueError(
-                f"records before windowing origin for entity {entity_id!r}; "
-                "use common_windowing over all datasets in the run"
-            )
-        if radii is not None:
-            radii = np.asarray(radii, dtype=np.float64)
-            if radii.shape != indices.shape:
-                raise ValueError("radii must have one entry per record")
-
-        leaves: Dict[int, Counter] = {}
-        _accumulate(leaves, indices, cells, lats, lngs, storage_level, radii)
-        return cls(entity_id, windowing, storage_level, leaves, int(indices.size))
+        histories: Dict[str, MobilityHistory] = {}
+        ingest_columns(
+            histories, [entity_id], [len(timestamps)], timestamps, lats, lngs,
+            windowing, storage_level, radii,
+        )
+        return histories[entity_id]
 
     def extend(
         self,
@@ -167,27 +174,10 @@ class MobilityHistory:
         Used by :class:`~repro.core.streaming.StreamingLinker` for the
         dynamic-datasets case the paper's introduction motivates.
         """
-        cells = cell_ids_from_degrees(lats, lngs, self.storage_level)
-        indices = np.floor(
-            (np.asarray(timestamps, dtype=np.float64) - self.windowing.origin)
-            / self.windowing.width_seconds
-        ).astype(np.int64)
-        if indices.size and indices.min() < 0:
-            raise ValueError(
-                f"records before windowing origin for entity {self.entity_id!r}"
-            )
-        if radii is not None:
-            radii = np.asarray(radii, dtype=np.float64)
-            if radii.shape != indices.shape:
-                raise ValueError("radii must have one entry per record")
-        _accumulate(
-            self._leaves, indices, cells, lats, lngs, self.storage_level, radii
+        ingest_columns(
+            {self.entity_id: self}, [self.entity_id], [len(timestamps)],
+            timestamps, lats, lngs, self.windowing, self.storage_level, radii,
         )
-        self.num_records += int(indices.size)
-        self.version += 1
-        self._tree = None
-        self._level_trees.clear()
-        self._bins_cache.clear()
 
     # ------------------------------------------------------------------
     # bins
@@ -249,13 +239,16 @@ class MobilityHistory:
         return rebinned
 
     # ------------------------------------------------------------------
-    # tree queries (LSH support)
+    # tree queries (the paper's formulation; the LSH oracle)
     # ------------------------------------------------------------------
     def tree(self, level: Optional[int] = None) -> TemporalCountTree:
         """The hierarchical count tree at ``level`` (default storage level).
 
-        Trees are built lazily and cached per level; the LSH layer queries
-        them for dominating cells over multi-window steps.
+        Trees are built lazily and cached per level.  Nothing on a
+        linkage path asks for one (signatures come from
+        :func:`repro.lsh.signature.signature_matrix`); this is the Fig. 1
+        structure for user code and for the signature oracle
+        :func:`repro.lsh.signature.build_signature`.
         """
         if level is None or level == self.storage_level:
             if self._tree is None:
@@ -290,22 +283,122 @@ class MobilityHistory:
         )
 
 
+def ingest_columns(
+    histories: Dict[str, MobilityHistory],
+    entity_ids: Sequence[str],
+    lengths: Sequence[int],
+    timestamps: np.ndarray,
+    lats: np.ndarray,
+    lngs: np.ndarray,
+    windowing: Windowing,
+    storage_level: int,
+    radii: Optional[np.ndarray] = None,
+) -> None:
+    """Fold the concatenated records of several entities into
+    ``histories``: entity ``k`` owns the next ``lengths[k]`` rows of the
+    columns; an id the mapping lacks gets a new history (version 0), a
+    known one grows in place (version bumped, cached bins and trees
+    dropped).
+
+    Cells and window indices are computed for all rows at once — one
+    :func:`~repro.geo.cell_ids_from_degrees` call however many entities
+    there are — and checked before anything is touched: a record before
+    the windowing origin raises naming the first entity that has one.
+    ``radii`` as in :meth:`MobilityHistory.from_columns`.
+    """
+    indices = np.floor(
+        (np.asarray(timestamps, dtype=np.float64) - windowing.origin)
+        / windowing.width_seconds
+    ).astype(np.int64)
+    if indices.size != sum(lengths):
+        raise ValueError("lengths must add up to one entry per record")
+    early = np.flatnonzero(indices < 0)
+    if early.size:
+        owner = np.searchsorted(np.cumsum(lengths), early[0], side="right")
+        raise ValueError(
+            f"records before windowing origin for entity "
+            f"{entity_ids[int(owner)]!r}; use common_windowing over all "
+            "datasets in the run"
+        )
+    if radii is not None:
+        radii = np.asarray(radii, dtype=np.float64)
+        if radii.shape != indices.shape:
+            raise ValueError("radii must have one entry per record")
+    windows = indices.tolist()
+    cells = cell_ids_from_degrees(lats, lngs, storage_level).tolist()
+    lo = 0
+    for entity_id, length in zip(entity_ids, lengths):
+        hi = lo + length
+        history = histories.get(entity_id)
+        if history is None:
+            history = MobilityHistory(entity_id, windowing, storage_level, {}, 0)
+            histories[entity_id] = history
+        else:
+            history.version += 1
+            history._tree = None
+            history._level_trees.clear()
+            history._bins_cache.clear()
+        _accumulate(
+            history._leaves,
+            windows[lo:hi],
+            cells[lo:hi],
+            None if radii is None else (lats[lo:hi], lngs[lo:hi], radii[lo:hi]),
+            storage_level,
+        )
+        history.num_records += length
+        lo = hi
+
+
+def leaf_columns(
+    histories: Iterable[MobilityHistory],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The leaf counters of ``histories`` flattened to four parallel
+    columns ``(row, window, cell, count)`` — ``row`` is the history's
+    position in the iterable, cells are at each history's storage level.
+    What whole-dataset array passes read instead of walking histories."""
+    sizes: List[int] = []
+    rows: List[int] = []
+    windows: List[int] = []
+    cells: List[int] = []
+    counts: List[float] = []
+    for row, history in enumerate(histories):
+        for window, counter in history._leaves.items():
+            rows.append(row)
+            windows.append(window)
+            sizes.append(len(counter))
+            cells.extend(counter)
+            counts.extend(counter.values())
+    return (
+        np.repeat(np.asarray(rows, dtype=np.int64), sizes),
+        np.repeat(np.asarray(windows, dtype=np.int64), sizes),
+        np.asarray(cells, dtype=np.uint64),
+        np.asarray(counts, dtype=np.float64),
+    )
+
+
 def build_histories(
     dataset: LocationDataset,
     windowing: Windowing,
     storage_level: int,
     entities: Optional[Iterable[str]] = None,
 ) -> Dict[str, MobilityHistory]:
-    """Build histories for every entity of a dataset.
+    """Build histories for every entity of a dataset (or the ``entities``
+    named, in that order).
 
     This is the ``CreateHistories`` step of Alg. 1.  ``storage_level``
     should be at least as fine as both the similarity spatial level and any
-    LSH signature level the run will use.
+    LSH signature level the run will use.  The dataset's columns are
+    concatenated and binned in one :func:`ingest_columns` pass.
     """
+    entity_ids = list(
+        dict.fromkeys(entities if entities is not None else dataset.entities)
+    )
     histories: Dict[str, MobilityHistory] = {}
-    for entity_id in entities if entities is not None else dataset.entities:
-        timestamps, lats, lngs = dataset.columns(entity_id)
-        histories[entity_id] = MobilityHistory.from_columns(
-            entity_id, timestamps, lats, lngs, windowing, storage_level
+    if entity_ids:
+        columns = [dataset.columns(entity_id) for entity_id in entity_ids]
+        timestamps, lats, lngs = (np.concatenate(column) for column in zip(*columns))
+        ingest_columns(
+            histories, entity_ids, [len(column[0]) for column in columns],
+            timestamps, lats, lngs, windowing, storage_level,
         )
     return histories

@@ -91,7 +91,7 @@ import numpy as np
 
 from ..data.records import Record
 from ..lsh.index import LshIndex
-from ..lsh.signature import build_signature
+from ..lsh.signature import signature_matrix
 from ..pipeline.config import LinkageConfig
 from ..pipeline.context import LinkageContext
 from ..pipeline.report import LinkageReport
@@ -113,7 +113,7 @@ from ..store.snapshot import (
 )
 from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus
-from .history import MobilityHistory
+from .history import STALE_VERSION, MobilityHistory, ingest_columns
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache
 from .similarity import SimilarityEngine, SimilarityStats, score_cache_space
@@ -472,27 +472,29 @@ class StreamingLinker:
         """
         if side not in self._sides:
             raise ValueError(f"side must be left or right, got {side!r}")
-        grouped: Dict[str, list] = {}
+        grouped: Dict[str, List[Record]] = {}
         for record in records:
             grouped.setdefault(record.entity_id, []).append(record)
-        histories = self._sides[side]
-        total = 0
-        for entity_id, rows in grouped.items():
-            timestamps = np.array([r.timestamp for r in rows])
-            lats = np.array([r.lat for r in rows])
-            lngs = np.array([r.lng for r in rows])
-            history = histories.get(entity_id)
-            if history is None:
-                history = MobilityHistory.from_columns(
-                    entity_id, timestamps, lats, lngs,
-                    self.windowing, self._storage_level,
-                )
-                histories[entity_id] = history
-            else:
-                history.extend(timestamps, lats, lngs)
-            total += len(rows)
-            self._latest = max(self._latest, float(timestamps.max()))
-        return total
+        if not grouped:
+            return 0
+        # Entity after entity, so the whole batch is converted at once.
+        timestamps, lats, lngs = np.array(
+            [
+                (record.timestamp, record.lat, record.lng)
+                for rows in grouped.values()
+                for record in rows
+            ],
+            dtype=np.float64,
+        ).T
+        ingest_columns(
+            self._sides[side],
+            list(grouped),
+            [len(rows) for rows in grouped.values()],
+            timestamps, lats, lngs,
+            self.windowing, self._storage_level,
+        )
+        self._latest = max(self._latest, float(timestamps.max()))
+        return len(timestamps)
 
     def retire(self, side: str, entity_ids: Iterable[str]) -> int:
         """Explicitly retire entities on ``side`` (event-driven deletes).
@@ -503,7 +505,11 @@ class StreamingLinker:
         id observed again later restarts at history version 0, exactly
         like a policy-driven retirement).  Corpus statistics and LSH band
         placements are retracted by the next :meth:`relink`, which is
-        bit-identical to a cold run over the survivors.
+        bit-identical to a cold run over the survivors — including an id
+        observed again *before* that relink: the versions the corpus and
+        the LSH member scan remember for a retired id are marked stale
+        here, so its new history is read as changed, never as the one it
+        replaced.
 
         Unknown ids raise :class:`KeyError` naming them — a retire event
         for an entity that was never observed (or already retired) is an
@@ -519,8 +525,14 @@ class StreamingLinker:
             raise KeyError(
                 f"cannot retire unknown {side} entities: {unknown}"
             )
+        members = self._lsh_members[side]
         for entity_id in doomed:
             del histories[entity_id]
+            if entity_id in members:
+                members[entity_id] = STALE_VERSION
+        corpus = self._corpora[side]
+        if corpus is not None:
+            corpus.mark_stale(doomed)
         if doomed:
             self._score_cache.invalidate_pairs(
                 doomed if side == "left" else set(),
@@ -935,12 +947,19 @@ class StreamingLinker:
             for entity_id in [eid for eid in members if eid not in histories]:
                 index.remove(entity_id, side)
                 del members[entity_id]
-            for entity_id, history in self._sides[side].items():
-                if members.get(entity_id) == history.version:
-                    continue
-                index.remove(entity_id, side)
-                index.add(entity_id, build_signature(history, spec), side)
-                members[entity_id] = history.version
+            dirty = {
+                entity_id: history
+                for entity_id, history in histories.items()
+                if members.get(entity_id) != history.version
+            }
+            if dirty:
+                # One signature matrix and one band-hashing pass for the
+                # side's changed histories; each is re-placed in turn.
+                index.add_signatures(
+                    list(dirty), signature_matrix(dirty, spec), side
+                )
+                for entity_id, history in dirty.items():
+                    members[entity_id] = history.version
         return index, False
 
     # ------------------------------------------------------------------

@@ -48,6 +48,15 @@ def _uv_to_st_np(u: np.ndarray) -> np.ndarray:
     return st
 
 
+def parent_ids(cell_ids: np.ndarray, level: int) -> np.ndarray:
+    """Vectorised :func:`repro.geo.cell.parent_id`: the ``level``
+    ancestors of a uint64 array of cell ids at ``level`` or finer (a cell
+    already at ``level`` is its own ancestor)."""
+    lsb = np.uint64(1 << (2 * (MAX_LEVEL - level)))
+    mask = ~np.uint64((int(lsb) << 1) - 1)
+    return (cell_ids & mask) | lsb
+
+
 def cell_ids_from_degrees(
     lat_degrees: np.ndarray, lng_degrees: np.ndarray, level: int = MAX_LEVEL
 ) -> np.ndarray:
@@ -102,8 +111,4 @@ def cell_ids_from_degrees(
     leaf = (np.asarray(face, dtype=np.uint64) << np.uint64(61)) | (
         morton << np.uint64(1)
     ) | np.uint64(1)
-    if level == MAX_LEVEL:
-        return leaf
-    lsb = np.uint64(1 << (2 * (MAX_LEVEL - level)))
-    mask = ~np.uint64((int(lsb) << 1) - 1)
-    return (leaf & mask) | lsb
+    return leaf if level == MAX_LEVEL else parent_ids(leaf, level)

@@ -15,7 +15,12 @@ from .banding import (
     split_bands,
 )
 from .index import LshConfig, LshIndex, LshStats
-from .signature import SignatureSpec, build_signature, signature_similarity
+from .signature import (
+    SignatureSpec,
+    build_signature,
+    signature_matrix,
+    signature_similarity,
+)
 
 __all__ = [
     "LshConfig",
@@ -23,6 +28,7 @@ __all__ = [
     "LshStats",
     "SignatureSpec",
     "build_signature",
+    "signature_matrix",
     "signature_similarity",
     "bands_for_threshold",
     "implied_threshold",

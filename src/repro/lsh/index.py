@@ -9,11 +9,15 @@ collisions, more candidates, less speed-up — the index therefore hashes
 ``(band index, band content)`` *modulo* ``num_buckets`` rather than using
 Python dict semantics directly.
 
-Band hashing is vectorized: signatures are packed into one uint64 matrix
-and every band of every signature is FNV-1a-hashed in a single numpy pass
-(:func:`repro.lsh.banding.band_bucket_ids`); single-signature inserts go
-through the same code path, so incremental and batch population place
-entities in identical buckets.
+Population is array-shaped end to end: one side's signatures are one
+uint64 matrix (:func:`repro.lsh.signature.signature_matrix` — a single
+pass over the side's histories, no per-entity structure built) and every
+band of every row is FNV-1a-hashed in a single numpy pass
+(:func:`repro.lsh.banding.band_bucket_ids`).  Everything that places an
+entity — :meth:`LshIndex.add_histories`, a single :meth:`LshIndex.add`,
+the streaming linker's re-signaturing of dirty histories — goes through
+:meth:`LshIndex.add_signatures`, so incremental and batch population
+place entities in identical buckets.
 
 Candidate pairs are **delta-maintained**: the first
 :meth:`LshIndex.candidate_pairs` call enumerates every bucket (a batch
@@ -28,14 +32,14 @@ what lets a streaming relink cost O(delta) instead of O(candidate set).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.history import MobilityHistory
 from ..knobs import knob, validate
 from .banding import band_bucket_ids, bands_for_threshold
-from .signature import SignatureSpec, build_signature, signatures_to_array
+from .signature import SignatureSpec, signature_matrix, signatures_to_array
 
 __all__ = ["LshConfig", "LshIndex", "LshStats"]
 
@@ -204,24 +208,43 @@ class LshIndex:
         self.stats.buckets_used = len(self._buckets)
         self.stats.candidate_pairs = len(pairs)
 
-    def _insert_bucket_rows(self, entity_ids: List[str], rows: np.ndarray, side: str) -> None:
-        """Place entities into the buckets of their hashed bands.
+    def add_signatures(
+        self, entity_ids: Sequence[str], signatures: np.ndarray, side: str
+    ) -> None:
+        """Place ``entity_ids`` on ``side`` (``"left"`` or ``"right"``)
+        under the rows of ``signatures`` — an ``(N, spec.length)`` uint64
+        matrix, 0 = placeholder, as :func:`~repro.lsh.signature.signature_matrix`
+        returns it.  The one way into the buckets.
 
-        ``rows`` is the ``(N, num_bands)`` output of
-        :func:`~repro.lsh.banding.band_bucket_ids` for ``entity_ids``.
+        All bands of all rows are hashed in one
+        :func:`~repro.lsh.banding.band_bucket_ids` call; entities are
+        then placed one after the other, each first withdrawn from
+        wherever an earlier signature had put it (:meth:`remove`) — so
+        re-signaturing a changed history is the same call as inserting a
+        new one, and leaves every bucket with the members inserting the
+        final signatures into an empty index would give it.
         """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be left or right, got {side!r}")
+        if signatures.ndim != 2 or signatures.shape[0] != len(entity_ids):
+            raise ValueError("need one signature row per entity")
+        if signatures.shape[1] != self.spec.length:
+            raise ValueError(
+                f"signature length {signatures.shape[1]} differs from the "
+                f"index's spec length {self.spec.length}"
+            )
+        rows = band_bucket_ids(signatures, self.num_bands, self.config.num_buckets)
         column = 0 if side == "left" else 1
         buckets = self._buckets
         placements = self._placements
         journal = self._journal
         hashed = 0
         for entity_id, row in zip(entity_ids, rows.tolist()):
+            self.remove(entity_id, side)
             key = (side, entity_id)
-            placed = placements.get(key)
-            if journal is not None and key not in journal.placements:
-                journal.placements[key] = None if placed is None else list(placed)
-            if placed is None:
-                placed = placements[key] = []
+            if journal is not None:
+                journal.placements.setdefault(key, None)
+            placed = placements[key] = []
             for bucket_id in row:
                 if bucket_id < 0:
                     continue
@@ -244,17 +267,11 @@ class LshIndex:
             self.stats.hashed_bands_right += hashed
 
     def add(self, entity_id: str, signature: Tuple[Optional[int], ...], side: str) -> None:
-        """Insert one signature on ``side`` (``"left"`` or ``"right"``).
-
-        Runs the same vectorized hash as batch population (on a one-row
-        matrix), so incremental inserts land in identical buckets.
+        """Insert one signature on ``side`` (``"left"`` or ``"right"``):
+        :meth:`add_signatures` on a one-row matrix, so incremental
+        inserts land in identical buckets.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be left or right, got {side!r}")
-        rows = band_bucket_ids(
-            signatures_to_array([signature]), self.num_bands, self.config.num_buckets
-        )
-        self._insert_bucket_rows([entity_id], rows, side)
+        self.add_signatures([entity_id], signatures_to_array([signature]), side)
 
     def remove(self, entity_id: str, side: str) -> int:
         """Withdraw one entity's band placements (streaming update).
@@ -389,23 +406,17 @@ class LshIndex:
 
     def add_histories(
         self,
-        left: Dict[str, MobilityHistory],
-        right: Dict[str, MobilityHistory],
+        left: Mapping[str, MobilityHistory],
+        right: Mapping[str, MobilityHistory],
     ) -> None:
-        """Signature and insert every history of both datasets.
-
-        All signatures of one side are packed into a single uint64 matrix
-        and every band of every signature is hashed in one numpy pass.
+        """Signature and insert every history of both datasets: one
+        :func:`~repro.lsh.signature.signature_matrix` and one
+        :meth:`add_signatures` per side.
         """
         for histories, side in ((left, "left"), (right, "right")):
-            if not histories:
-                continue
-            entity_ids = list(histories)
-            packed = signatures_to_array(
-                build_signature(history, self.spec) for history in histories.values()
+            self.add_signatures(
+                list(histories), signature_matrix(histories, self.spec), side
             )
-            rows = band_bucket_ids(packed, self.num_bands, self.config.num_buckets)
-            self._insert_bucket_rows(entity_ids, rows, side)
 
     # ------------------------------------------------------------------
     # candidates

@@ -11,21 +11,31 @@ Signatures must be *structurally aligned* across all histories in a run:
 the k-th slot of every signature answers the same query.  Empty query
 windows produce a ``None`` placeholder that keeps alignment but is skipped
 when hashing.
+
+Two implementations, one answer.  :func:`signature_matrix` is what a run
+uses: the query windows of a :class:`SignatureSpec` *partition* the window
+axis, so every leaf feeds exactly one slot and all signatures of a dataset
+fall out of one sort-and-reduce over its flattened leaves — no per-entity
+structure is built.  :func:`build_signature` is the paper's formulation
+(one range query per slot against the history's hierarchical count tree,
+Fig. 1) and the scalar oracle the matrix is tested against, row for row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.history import MobilityHistory
+from ..core.history import MobilityHistory, leaf_columns
+from ..geo.batch import parent_ids
 
 __all__ = [
     "SignatureSpec",
     "build_signature",
+    "signature_matrix",
     "signature_similarity",
     "signatures_to_array",
 ]
@@ -78,7 +88,8 @@ def build_signature(
     ``None`` when the entity has no records there.  Queries run against the
     history's hierarchical count tree, so each costs ``O(log windows)``
     node visits (the "appropriate level of the mobility history tree" remark
-    in Sec. 4).
+    in Sec. 4).  The paper-faithful reference: linkage runs take
+    :func:`signature_matrix`, which must equal this row for row.
     """
     slots = []
     for k in range(spec.length):
@@ -86,6 +97,63 @@ def build_signature(
         hi = min(lo + spec.step_windows, spec.start_window + spec.total_windows)
         slots.append(history.dominating_cell(lo, hi, spec.spatial_level))
     return tuple(slots)
+
+
+def signature_matrix(
+    histories: Mapping[str, MobilityHistory], spec: SignatureSpec
+) -> np.ndarray:
+    """The signatures of all ``histories`` as one ``(N, spec.length)``
+    uint64 matrix (0 = placeholder), rows in the mapping's order — what
+    :func:`~repro.lsh.banding.band_bucket_ids` consumes, and row for row
+    ``signatures_to_array([build_signature(h, spec)])``.
+
+    One array pass: the leaf counters are flattened to ``(entity, window,
+    cell, count)`` columns, windows outside the spec's span dropped, cells
+    re-parented to ``spec.spatial_level``, counts summed per ``(entity,
+    slot, cell)`` and each ``(entity, slot)`` keeps its largest sum, ties
+    to the smallest cell id (the rule
+    :meth:`~repro.temporal.TemporalCountTree.dominating` documents).
+
+    Counts are summed in sorted-cell order, the tree's in merge order.
+    Record counts — all that :func:`~repro.core.history.build_histories`
+    and ``observe()`` produce — are integers and sum exactly either way;
+    the fractional weights of region records (``radii=``) do too when
+    dyadic, but for other fractions a near-tie within the last ulp may
+    resolve differently from the tree.
+
+    Raises :class:`ValueError` when ``spec.spatial_level`` is finer than
+    a history's storage level (its cells cannot be re-parented *down*).
+    """
+    for history in histories.values():
+        if spec.spatial_level > history.storage_level:
+            raise ValueError(
+                f"signature level {spec.spatial_level} is finer than the "
+                f"storage level {history.storage_level} of history "
+                f"{history.entity_id!r}"
+            )
+    matrix = np.zeros((len(histories), spec.length), dtype=np.uint64)
+    rows, windows, cells, counts = leaf_columns(histories.values())
+    windows -= spec.start_window
+    inside = (windows >= 0) & (windows < spec.total_windows)
+    if not inside.any():
+        return matrix
+    # One key per (entity, slot): the slot a leaf window falls into is
+    # its offset from the span start divided by the step.
+    groups = rows[inside] * spec.length + windows[inside] // spec.step_windows
+    cells = parent_ids(cells[inside], spec.spatial_level)
+    order = np.lexsort((cells, groups))
+    groups, cells, counts = groups[order], cells[order], counts[inside][order]
+    first = np.flatnonzero(
+        np.r_[True, (groups[1:] != groups[:-1]) | (cells[1:] != cells[:-1])]
+    )
+    sums = np.add.reduceat(counts, first)
+    groups, cells = groups[first], cells[first]
+    # Per (entity, slot): the largest sum first, ties by ascending cell id.
+    rank = np.lexsort((cells, -sums, groups))
+    groups, cells = groups[rank], cells[rank]
+    winners = np.r_[True, groups[1:] != groups[:-1]]
+    matrix.reshape(-1)[groups[winners]] = cells[winners]
+    return matrix
 
 
 def signatures_to_array(

@@ -73,7 +73,7 @@ class RelinkFailures:
     raise :attr:`Boom`, in pipeline order — shared by the rollback, chaos
     and model-based suites.  ``failures(point)`` is a context manager;
     not every relink reaches every point (no misses: nothing is stored;
-    an LSH layout rebuild: no single ``add``)."""
+    fewer than two histories to (re-)place: no second withdrawal)."""
 
     class Boom(RuntimeError):
         """The injected mid-relink failure."""
@@ -99,8 +99,8 @@ class RelinkFailures:
             return wrapper
 
         def second_call(original):
-            # Between one entity's remove + add and the next one's: the
-            # index is half-updated.
+            # Between one entity's withdrawal + placement and the next
+            # one's: the index is half-updated.
             calls = []
 
             def wrapper(*args, **kwargs):
@@ -113,7 +113,7 @@ class RelinkFailures:
 
         target, name, replacement = {
             "after-retention": (HistoryCorpus, "refresh", boom),
-            "mid-lsh": (LshIndex, "add", second_call(LshIndex.add)),
+            "mid-lsh": (LshIndex, "remove", second_call(LshIndex.remove)),
             "after-store": (
                 ScoreCache, "store_batch", after(ScoreCache.store_batch)
             ),

@@ -3,7 +3,8 @@ linker): after *any* sequence of updates, the maintained answer equals
 from-scratch evaluation.
 
 Seeded random op sequences — grow an entity, add one (either side, the
-same id on both), explicit ``retire()``, retention eviction, a clock jump
+same id on both), explicit ``retire()`` (half the time re-observed
+elsewhere before the next relink), retention eviction, a clock jump
 that forces an LSH layout rebuild, ``relink()``, a relink that fails at a
 random stage and is retried, ``save()`` → ``restore()``, an attached
 cache ``clear()``-ed mid-sequence — run against three linkers:
@@ -19,11 +20,6 @@ Subject and twin must agree with ``==`` on links, scores,
 ``RelinkStats``, ``score_cache.hits`` / ``misses`` and ``len(score_cache)``
 after every step; subject and cold on links and scores.  A failure
 prints the seed and the shortest failing prefix of the op sequence.
-
-The generator never re-observes an explicitly retired id before the next
-relink: a history that comes back at the version it left with is
-indistinguishable, to the corpus, from one that never left (a limit that
-predates the delta relink).
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ def _generate(seed, steps, points, *, clearable):
     rng = random.Random(seed)
     ops = []
     held = {side: set() for side in SIDES}
-    cooling = set()  # explicitly retired, not yet relinked past
     clock = 10.0
     for entity in range(6):  # a resident population with true matches
         for side in SIDES:
@@ -84,7 +79,7 @@ def _generate(seed, steps, points, *, clearable):
             ops.append(("observe", side, entity, place, clock, rng.randint(1, 3)))
         elif roll < 0.42:
             other = "right" if side == "left" else "left"
-            missing = sorted(held[other] - held[side] - cooling)
+            missing = sorted(held[other] - held[side])
             if missing and rng.random() < 0.5:
                 entity = rng.choice(missing)  # the same id, now on both sides
             else:
@@ -95,7 +90,11 @@ def _generate(seed, steps, points, *, clearable):
             entity = rng.choice(sorted(held[side]))
             ops.append(("retire", side, entity))
             held[side].discard(entity)
-            cooling.add(entity)
+            if rng.random() < 0.5:
+                # ... and straight back, somewhere else, before any relink:
+                # the new history restarts at the version the old one had.
+                ops.append(("observe", side, entity, int(entity[1:]) + 7, clock, 2))
+                held[side].add(entity)
         elif roll < 0.58:
             # Span growth: the signature gains slots, the layout rebuilds
             # (and a sliding window leaves the idle entities behind).
@@ -105,14 +104,12 @@ def _generate(seed, steps, points, *, clearable):
                 ops.append(("observe", target, entity, int(entity[1:]), clock, 1))
         elif roll < 0.66:
             ops.append(("fail", rng.choice(points)))
-            cooling.clear()
         elif roll < 0.72:
             ops.append(("save-restore",))
         elif roll < 0.76 and clearable:
             ops.append(("clear",))
         else:
             ops.append(("relink",))
-            cooling.clear()
     ops.append(("relink",))
     return ops
 
@@ -145,7 +142,7 @@ class _Trio:
                 linker._restore(linker.checkpoint())
             if failure is not None:
                 # Not every failure point is reached by every relink (no
-                # misses: no store; a layout rebuild: no add) — then this
+                # misses: no store; one dirty history: no second placement) — then this
                 # is one more committed relink, on both linkers alike.
                 with self.failures(failure), contextlib.suppress(self.failures.Boom):
                     linker.relink()

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.history import build_histories
 from repro.lsh.index import LshConfig, LshIndex
-from repro.lsh.signature import SignatureSpec, build_signature, signature_similarity
+from repro.lsh.signature import (
+    SignatureSpec,
+    build_signature,
+    signature_matrix,
+    signature_similarity,
+)
 from repro.temporal import common_windowing
 
 
@@ -193,6 +198,20 @@ class TestVectorizedHashing:
             batched.stats.hashed_bands_right
             == incremental.stats.hashed_bands_right
         )
+        # The streaming dirty path: every entity first placed under some
+        # other signature, then all of them re-placed from one matrix.
+        replaced = LshIndex(config, spec)
+        for histories, side in ((left, "left"), (right, "right")):
+            for entity in histories:
+                replaced.add(entity, (7,) * spec.length, side)
+            replaced.add_signatures(
+                list(histories), signature_matrix(histories, spec), side
+            )
+        replaced.candidate_pairs()
+        for index in (incremental, replaced):
+            assert index._buckets == batched._buckets
+            assert index._placements == batched._placements
+            assert index.stats == batched.stats
 
     def test_bucket_ids_cover_small_tables(self, cab_pair):
         """Power-of-two bucket tables must see high-bit entropy (cell ids

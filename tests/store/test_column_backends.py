@@ -312,6 +312,30 @@ def test_core_never_names_the_disk_machinery():
     assert "memmap" in _names("import numpy as np\nx = np.memmap('f')\n")
 
 
+def test_linkage_paths_never_name_the_signature_oracle():
+    """One production signature path: the pipeline, the streaming linker
+    and the LSH index go through ``signature_matrix``; the per-history
+    ``build_signature`` / ``MobilityHistory.tree()`` / ``dominating_cell()``
+    (a ``TemporalCountTree`` per entity) are the oracle tests compare
+    against, reachable from user code and selected by nothing."""
+    oracle = {"build_signature", "tree", "dominating_cell", "TemporalCountTree"}
+    modules = sorted((SRC / "pipeline").glob("*.py")) + [
+        SRC / "core" / "streaming.py",
+        SRC / "lsh" / "index.py",
+    ]
+    offenders = {
+        path.relative_to(SRC).as_posix(): sorted(_names(path.read_text()) & oracle)
+        for path in modules
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+    assert "signature_matrix" in _names((SRC / "lsh" / "index.py").read_text())
+    # The check has teeth: the oracle's own module, and each spelling.
+    assert "dominating_cell" in _names((SRC / "lsh" / "signature.py").read_text())
+    assert {"build_signature", "tree"} <= _names(
+        "from repro.lsh import build_signature\nhistory.tree(14)\n"
+    )
+
+
 def _lists_every_column(source):
     """True when some dict/list/tuple/set literal names all the columns."""
     return any(
