@@ -34,7 +34,6 @@ from typing import Dict, List, Tuple
 
 from bench_util import write_bench_json
 
-import repro.pipeline.stages as stages
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_cab_world
 from repro.exec import FaultPlan, inject
@@ -86,17 +85,6 @@ def run_fault_recovery_bench(
     results_dir: Path, num_taxis: int = 60, rounds: int = 2
 ) -> Tuple[float, Dict]:
     """Measure recovery overhead; returns (headline ratio, JSON payload)."""
-    original_block = stages.SCORE_BLOCK_SIZE
-    stages.SCORE_BLOCK_SIZE = SHARD_SIZE
-    try:
-        return _run_measurements(results_dir, num_taxis, rounds)
-    finally:
-        stages.SCORE_BLOCK_SIZE = original_block
-
-
-def _run_measurements(
-    results_dir: Path, num_taxis: int, rounds: int
-) -> Tuple[float, Dict]:
     pair = _workload(num_taxis)
     plan = FaultPlan.from_spec(FAULT_SPEC)
     clean_plan = FaultPlan()
@@ -105,7 +93,9 @@ def _run_measurements(
     links_identical = True
     all_recovered = True
     for backend in BACKENDS:
-        config = LinkageConfig(executor=backend, workers=2)
+        config = LinkageConfig(
+            executor=backend, workers=2, score_block_size=SHARD_SIZE
+        )
         clean_s, clean = _best_run(rounds, pair, config, clean_plan)
         faulted_s, faulted = _best_run(rounds, pair, config, plan)
         shards = faulted.extras["executor"]["shards"]

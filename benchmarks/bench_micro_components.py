@@ -2,7 +2,7 @@
 
 Times each pipeline stage in isolation — history construction, the
 similarity kernel (both scoring backends), LSH signature construction and
-bucketing, the three bipartite matchers, and the GMM threshold fit — so
+bucketing, the two bipartite matchers, and the GMM threshold fit — so
 performance regressions can be localised, and the greedy-vs-exact matcher
 ablation (a design choice DESIGN.md calls out) has numbers attached.
 
@@ -20,7 +20,7 @@ import pytest
 from bench_util import time_callable, write_bench_json
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import build_histories
-from repro.core.matching import Edge, greedy_max_matching, hungarian_matching, networkx_matching
+from repro.core.matching import Edge, greedy_max_matching, hungarian_matching
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
 from repro.core.threshold import gmm_stop_threshold
 from repro.eval import format_table, write_report
@@ -55,7 +55,7 @@ def test_micro_similarity_kernel(benchmark, cab_pair, backend):
     windowing, left, right = _setup(cab_pair)
     engine = _engine(left, right, backend)
     pairs = [(a, b) for a in list(left)[:5] for b in list(right)[:5]]
-    # Warm the caches (scalar distance LRU / kernel array views) once so
+    # Warm the caches (scalar distance memo / kernel array views) once so
     # the benchmark measures steady state.
     engine.score_batch(pairs)
     benchmark(lambda: engine.score_batch(pairs))
@@ -70,7 +70,7 @@ def test_micro_pairwise_scoring_speedup(cab_pair, results_dir):
 
     scalar = _engine(left, right, "python")
     vectorized = _engine(left, right, "numpy")
-    scalar_scores = scalar.score_batch(pairs)  # also warms the LRU
+    scalar_scores = scalar.score_batch(pairs)  # also warms the memo
     vector_scores = vectorized.score_batch(pairs)
     worst = max(
         abs(a - b) for a, b in zip(scalar_scores, vector_scores)
@@ -155,14 +155,9 @@ def test_micro_matching_hungarian(benchmark):
     benchmark(lambda: hungarian_matching(edges))
 
 
-def test_micro_matching_networkx(benchmark):
-    edges = _random_edges()
-    benchmark(lambda: networkx_matching(edges))
-
-
 def test_micro_matching_quality_ablation(benchmark, results_dir):
     """Design-choice ablation: how much matching weight does the paper's
-    greedy heuristic give up against the exact matchers?"""
+    greedy heuristic give up against the exact matcher?"""
     edges = _random_edges()
 
     def compare():

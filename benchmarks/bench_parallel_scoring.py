@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from bench_util import write_bench_json
 
-import repro.pipeline.stages as stages
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_cab_world
 from repro.exec import Executor, create_executor
@@ -125,18 +124,7 @@ def run_parallel_scoring_bench(
     results_dir: Path, num_taxis: int = 160, rounds: int = 3
 ) -> Tuple[float, Dict]:
     """Measure the curve; returns (headline speedup, JSON payload)."""
-    original_block = stages.SCORE_BLOCK_SIZE
-    stages.SCORE_BLOCK_SIZE = SHARD_SIZE
-    try:
-        return _run_measurements(results_dir, num_taxis, rounds)
-    finally:
-        stages.SCORE_BLOCK_SIZE = original_block
-
-
-def _run_measurements(
-    results_dir: Path, num_taxis: int, rounds: int
-) -> Tuple[float, Dict]:
-    config = LinkageConfig(executor="serial")
+    config = LinkageConfig(executor="serial", score_block_size=SHARD_SIZE)
     pair = _workload(num_taxis)
     prepared = _prepare(pair, config)
     candidate_count = len(prepared.candidates)

@@ -5,7 +5,7 @@ from .corpus import CorpusDelta, HistoryCorpus
 from .elbow import kneedle_index, kneedle_x
 from .gmm import GaussianMixture1D
 from .history import MobilityHistory, build_histories
-from .matching import Edge, greedy_max_matching, hungarian_matching, match, networkx_matching
+from .matching import Edge, greedy_max_matching, hungarian_matching, match
 from .pairing import all_pairs, mfn_pairs, mnn_pairs
 from .proximity import DEFAULT_MAX_SPEED_MPS, proximity, runaway_distance
 from .retention import (
@@ -48,7 +48,6 @@ __all__ = [
     "match",
     "greedy_max_matching",
     "hungarian_matching",
-    "networkx_matching",
     "GaussianMixture1D",
     "ThresholdDecision",
     "gmm_stop_threshold",

@@ -534,7 +534,7 @@ class HistoryCorpus:
         *density* signal the scoring stage's workload-aware block-size
         heuristic reads (dense corpora produce matrix-shaped interactions
         whose padded power-of-two buckets grow superlinearly with block
-        size; see :func:`~repro.pipeline.stages.resolve_score_block_size`).
+        size; see :func:`~repro.core.kernels.workload_block_size`).
         """
         populated = sum(len(bins) for bins in self._entity_bins.values())
         return self._total_bins / populated if populated else 0.0
@@ -603,11 +603,6 @@ class HistoryCorpus:
         if self._avg_bins <= 0:
             return np.ones(len(sizes))
         return (1.0 - b) + b * (sizes / self._avg_bins)
-
-    def length_norms(self, entity_ids: Iterable[str], b: float) -> np.ndarray:
-        """Vectorized :meth:`length_norm` over many entities (one array
-        for the batch scoring path's normalisation)."""
-        return self.size_norms(self.history_sizes(entity_ids), b)
 
     def history_versions(self, entity_ids: Iterable[str]) -> np.ndarray:
         """The backing histories' current version counters as one int64

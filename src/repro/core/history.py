@@ -302,23 +302,34 @@ def ingest_columns(
 
     Cells and window indices are computed for all rows at once — one
     :func:`~repro.geo.cell_ids_from_degrees` call however many entities
-    there are — and checked before anything is touched: a record before
-    the windowing origin raises naming the first entity that has one.
+    there are — and checked before anything is touched: a non-finite
+    timestamp or coordinate, or a record before the windowing origin,
+    raises naming the first entity that has one.
     ``radii`` as in :meth:`MobilityHistory.from_columns`.
     """
-    indices = np.floor(
-        (np.asarray(timestamps, dtype=np.float64) - windowing.origin)
-        / windowing.width_seconds
-    ).astype(np.int64)
-    if indices.size != sum(lengths):
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if timestamps.size != sum(lengths):
         raise ValueError("lengths must add up to one entry per record")
+
+    def owner(rows: np.ndarray) -> str:
+        position = np.searchsorted(np.cumsum(lengths), rows[0], side="right")
+        return entity_ids[int(position)]
+
+    bad = np.flatnonzero(
+        ~(np.isfinite(timestamps) & np.isfinite(lats) & np.isfinite(lngs))
+    )
+    if bad.size:
+        raise ValueError(
+            f"non-finite timestamp or coordinate for entity {owner(bad)!r}"
+        )
+    indices = np.floor(
+        (timestamps - windowing.origin) / windowing.width_seconds
+    ).astype(np.int64)
     early = np.flatnonzero(indices < 0)
     if early.size:
-        owner = np.searchsorted(np.cumsum(lengths), early[0], side="right")
         raise ValueError(
-            f"records before windowing origin for entity "
-            f"{entity_ids[int(owner)]!r}; use common_windowing over all "
-            "datasets in the run"
+            f"records before windowing origin for entity {owner(early)!r}; "
+            "use common_windowing over all datasets in the run"
         )
     if radii is not None:
         radii = np.asarray(radii, dtype=np.float64)

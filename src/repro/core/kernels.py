@@ -35,8 +35,10 @@ arithmetic over blocks of candidate pairs:
 5.  **Aggregation** — proximity (Eq. 1), min-IDF weights, the MFN
     negative-only alibi contributions, and all the instrumentation counters
     (bin comparisons, common windows, alibi bin/entity pairs) are reduced
-    per pair with ``np.add.at`` and normalised by the BM25-style length
-    norms.
+    per pair with ``np.add.at``.  The result is the **raw** Eq. 2 total:
+    the BM25-style length normalisation is the engine's epilogue
+    (:meth:`repro.core.similarity.SimilarityEngine.normalize`), not the
+    kernel's.
 
 The scalar path stays available as the verification oracle; the parity
 suite (``tests/core/test_kernels_parity.py``) asserts both backends agree
@@ -52,11 +54,10 @@ Two properties of this kernel matter to the streaming layer
   batch, so scoring a pair alone reproduces its in-block result bit for
   bit.  That is what lets a delta relink re-score only cache misses and
   still match a cold run exactly;
-* **normalisation is a separable epilogue** — with
-  ``use_normalization=False`` the kernel returns the raw Eq. 2 totals the
-  :class:`~repro.core.score_cache.ScoreCache` memoises; the engine applies
-  the live length norms afterwards (the identical ``raw / norm``
-  operation this kernel would have performed).
+* **normalisation is a separable epilogue** — the kernel always returns
+  the raw Eq. 2 totals the :class:`~repro.core.score_cache.ScoreCache`
+  memoises; the engine divides by the *live* length norms afterwards, so
+  a cached total and a fresh one are normalised by the same code.
 
 Doctest — batched greedy pairing, the heart of step 4:
 
@@ -73,7 +74,7 @@ array([[False,  True],
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -87,66 +88,59 @@ __all__ = [
     "BatchScoreResult",
     "concat_results",
     "score_pairs_batch",
+    "score_pair_block",
     "greedy_select_batch",
+    "SCORE_BLOCK_SIZE",
+    "DENSE_SCORE_BLOCK_SIZE",
+    "workload_block_size",
 ]
 
 #: Histories at or below this many populated windows intersect through
 #: their window dicts; larger ones use one sorted numpy intersection.
 _DICT_INTERSECT_MAX_WINDOWS = 64
 
+#: Candidate pairs scored per batch-kernel dispatch.  Bounds the peak size
+#: of the kernel's per-shape tensors while still amortising the vectorized
+#: work over thousands of (pair, window) interactions.  This is the
+#: *sparse-workload* size; see :func:`workload_block_size`.
+SCORE_BLOCK_SIZE = 4096
 
-class BatchScoreResult:
+#: Block size for *dense* corpora (multiple cells per active window on
+#: both sides).  Dense windows produce matrix-shaped interactions that the
+#: kernel pads into square power-of-two buckets; the padded tensor volume
+#: grows superlinearly with the number of pairs in a block, so smaller
+#: blocks are ~3-4x faster there (measured on the cab workload, PR 4).
+DENSE_SCORE_BLOCK_SIZE = 512
+
+#: A pair of corpora counts as dense when the product of their mean
+#: distinct-cells-per-active-window exceeds this (e.g. both sides
+#: averaging >= 2 cells per window): most common windows then form
+#: matrices rather than vectors.
+_DENSE_CELLS_PRODUCT = 4.0
+
+
+class BatchScoreResult(NamedTuple):
     """Per-pair outputs of one batch kernel dispatch (parallel arrays)."""
 
-    __slots__ = (
-        "scores",
-        "bin_comparisons",
-        "common_windows",
-        "alibi_bin_pairs",
-    )
-
-    def __init__(
-        self,
-        scores: np.ndarray,
-        bin_comparisons: np.ndarray,
-        common_windows: np.ndarray,
-        alibi_bin_pairs: np.ndarray,
-    ) -> None:
-        self.scores = scores
-        self.bin_comparisons = bin_comparisons
-        self.common_windows = common_windows
-        self.alibi_bin_pairs = alibi_bin_pairs
-
-    @classmethod
-    def empty(cls) -> "BatchScoreResult":
-        """A zero-pair result (the identity of :func:`concat_results`)."""
-        return cls(
-            scores=np.empty(0, dtype=np.float64),
-            bin_comparisons=np.zeros(0, dtype=np.int64),
-            common_windows=np.zeros(0, dtype=np.int64),
-            alibi_bin_pairs=np.zeros(0, dtype=np.int64),
-        )
+    scores: np.ndarray
+    bin_comparisons: np.ndarray
+    common_windows: np.ndarray
+    alibi_bin_pairs: np.ndarray
 
 
 def concat_results(results: Sequence[BatchScoreResult]) -> BatchScoreResult:
-    """Concatenate per-shard kernel results back into pair order.
+    """Concatenate the per-block kernel results of one dispatch (at
+    least one) back into pair order.
 
-    The executor-backed scoring path shards a candidate block across
-    workers and stitches the per-shard :class:`BatchScoreResult`\\ s back
-    together with this; dispatch determinism (see the module docstring)
-    is what makes the stitched result bit-identical to one unsharded
-    dispatch.
+    The scoring route cuts a candidate set into blocks, runs each as an
+    executor task and stitches the per-block :class:`BatchScoreResult`\\ s
+    back together with this; dispatch determinism (see the module
+    docstring) is what makes the stitched result bit-identical to one
+    unsharded dispatch.
     """
-    if not results:
-        return BatchScoreResult.empty()
     if len(results) == 1:
         return results[0]
-    return BatchScoreResult(
-        scores=np.concatenate([r.scores for r in results]),
-        bin_comparisons=np.concatenate([r.bin_comparisons for r in results]),
-        common_windows=np.concatenate([r.common_windows for r in results]),
-        alibi_bin_pairs=np.concatenate([r.alibi_bin_pairs for r in results]),
-    )
+    return BatchScoreResult(*(np.concatenate(column) for column in zip(*results)))
 
 
 def greedy_select_batch(
@@ -481,11 +475,12 @@ def score_pairs_batch(
     pairs: Sequence[Tuple[str, str]],
     config: "SimilarityConfig",
 ) -> BatchScoreResult:
-    """Score a block of candidate pairs through the vectorized kernel.
+    """Raw Eq. 2 totals of a block of candidate pairs through the
+    vectorized kernel.
 
-    Semantically identical to running the scalar
-    :meth:`repro.core.similarity.SimilarityEngine.score_with_stats` over
-    ``pairs``; all the per-pair counters of
+    ``scores`` is what the scalar oracle's ``_raw_python`` returns per
+    pair — the sum *before* the length normalisation, which is the
+    engine's job.  All the per-pair counters of
     :class:`~repro.core.similarity.SimilarityStats` are reproduced so the
     instrumented figures (bin comparisons, alibi pairs) are backend
     independent.
@@ -637,17 +632,38 @@ def score_pairs_batch(
                 alibi_bins,
             )
 
-    if config.use_normalization:
-        for index, (left_entity, right_entity) in enumerate(pairs):
-            norm = left.length_norm(left_entity, config.b) * right.length_norm(
-                right_entity, config.b
-            )
-            if norm > 0:
-                totals[index] /= norm
-
     return BatchScoreResult(
         scores=totals,
         bin_comparisons=bin_comparisons,
         common_windows=common_windows,
         alibi_bin_pairs=alibi_bins,
     )
+
+
+def workload_block_size(left: HistoryCorpus, right: HistoryCorpus) -> int:
+    """The score-block size these corpora call for when none is set:
+    :data:`DENSE_SCORE_BLOCK_SIZE` when their mean cells per active
+    window multiply beyond :data:`_DENSE_CELLS_PRODUCT`, else
+    :data:`SCORE_BLOCK_SIZE`.  The choice never affects results (dispatch
+    determinism — pinned by ``tests/pipeline/test_block_size.py``), only
+    tensor footprints and wall-clock."""
+    density = left.avg_cells_per_window() * right.avg_cells_per_window()
+    if density >= _DENSE_CELLS_PRODUCT:
+        return DENSE_SCORE_BLOCK_SIZE
+    return SCORE_BLOCK_SIZE
+
+
+def score_pair_block(payload, block):
+    """Executor task: one block of candidate pairs through
+    :func:`score_pairs_batch`.
+
+    Module-level so the ``"process"`` backend can pickle it by reference;
+    ``payload`` is ``(left corpus, right corpus, config)``, shipped once
+    per worker (by fork inheritance on Linux), ``block`` the pairs.  A
+    worker: it reads its payload and returns new arrays, nothing else —
+    the score cache in particular is the dispatching parent's business.
+    The kernel is a module-global lookup per call, so a proxy installed
+    on this module sees every in-process dispatch.
+    """
+    left, right, config = payload
+    return score_pairs_batch(left, right, block, config)

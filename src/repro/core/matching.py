@@ -4,21 +4,18 @@ The positive-score entity pairs form a weighted bipartite graph; a matching
 selects at most one partner per entity.  The paper "adapts a simple greedy
 heuristic, which links the pair with the highest similarity at each step" —
 :func:`greedy_max_matching`, the default.  For ablations and verification
-two exact maximum-weight matchers are provided: the Hungarian algorithm
-(scipy) and networkx's blossom-based matcher.  On well-separated score
-distributions all three produce near-identical linkages, which the micro
-benchmarks demonstrate.
+one exact matcher is provided: the Hungarian algorithm (scipy).  On well-separated score distributions both produce
+near-identical linkages, which the micro benchmarks demonstrate.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["Edge", "greedy_max_matching", "hungarian_matching", "networkx_matching", "match"]
+__all__ = ["Edge", "greedy_max_matching", "hungarian_matching", "match"]
 
 
 class Edge(NamedTuple):
@@ -49,10 +46,14 @@ def greedy_max_matching(edges: Sequence[Edge]) -> List[Edge]:
 
 
 def hungarian_matching(edges: Sequence[Edge]) -> List[Edge]:
-    """Exact maximum-weight matching via the Hungarian algorithm.
+    """Exact matching via the Hungarian algorithm: the maximum-weight
+    matching *among those with the most links*.
 
-    Missing pairs are filled with a large negative weight and dropped from
-    the assignment afterwards, so only genuine candidate edges can link.
+    Missing pairs are filled with a weight more negative than all real
+    edges together and dropped from the assignment afterwards, so only
+    genuine candidate edges can link — and one more genuine link always
+    beats any amount of weight.  On a complete bipartite graph that is
+    the plain maximum-weight matching.
     """
     if not edges:
         return []
@@ -82,44 +83,15 @@ def hungarian_matching(edges: Sequence[Edge]) -> List[Edge]:
     return result
 
 
-def networkx_matching(edges: Sequence[Edge]) -> List[Edge]:
-    """Exact maximum-weight matching via networkx (blossom algorithm).
-
-    Left and right vertex namespaces are disambiguated with prefixes so an
-    id appearing in both datasets cannot collapse into one vertex.
-    """
-    if not edges:
-        return []
-    graph = nx.Graph()
-    weights: Dict[tuple, float] = {}
-    for edge in edges:
-        key = (f"L\x00{edge.left}", f"R\x00{edge.right}")
-        if key not in weights or edge.weight > weights[key]:
-            weights[key] = edge.weight
-    for (left, right), weight in weights.items():
-        graph.add_edge(left, right, weight=weight)
-    mate = nx.algorithms.matching.max_weight_matching(graph)
-    result: List[Edge] = []
-    for a, b in mate:
-        left, right = (a, b) if a.startswith("L\x00") else (b, a)
-        result.append(
-            Edge(left.split("\x00", 1)[1], right.split("\x00", 1)[1], weights[(left, right)])
-        )
-    result.sort(key=lambda e: (-e.weight, e.left, e.right))
-    return result
-
-
 #: Matcher registry used by the SLIM pipeline configuration.
 MATCHERS = {
     "greedy": greedy_max_matching,
     "hungarian": hungarian_matching,
-    "networkx": networkx_matching,
 }
 
 
 def match(edges: Sequence[Edge], method: str = "greedy") -> List[Edge]:
-    """Dispatch to a matcher by name (``greedy`` | ``hungarian`` |
-    ``networkx``)."""
+    """Dispatch to a matcher by name (``greedy`` | ``hungarian``)."""
     try:
         matcher = MATCHERS[method]
     except KeyError:

@@ -11,31 +11,47 @@ An optional mutually-furthest-neighbour pass adds *negative* contributions
 for alibi pairs MNN pairing hides (Alg. 1's inner loop).
 
 :class:`SimilarityEngine` precomputes everything shareable across pairs
-(per-window bin/IDF tuples via :class:`~repro.core.corpus.HistoryCorpus`, a
-bounded cross-pair cell distance cache) and instruments the counters the
-paper's evaluation reports: pairwise bin comparisons (Fig. 4d/5d), alibi
-pairs (Fig. 4c/5c).
+(per-window bin/IDF tuples via :class:`~repro.core.corpus.HistoryCorpus`)
+and instruments the counters the paper's evaluation reports: pairwise bin
+comparisons (Fig. 4d/5d), alibi pairs (Fig. 4c/5c).
 
 Two scoring backends implement identical semantics:
 
-* ``backend="python"`` — the readable per-pair scalar loop below, kept as
-  the verification oracle;
-* ``backend="numpy"`` (default) — the vectorized batch kernel of
-  :mod:`repro.core.kernels`, which scores whole blocks of candidate pairs
-  at once over the corpus' array views.
+* ``backend="python"`` — the readable per-pair scalar loop below
+  (``_raw_python``, scalar cache lookup / store, scalar ``_normalize``),
+  kept as the verification oracle and sharing no code with the other;
+* ``backend="numpy"`` (default) — **one route**, whoever calls it::
+
+      pairs -> cache? -> blocks -> Executor -> kernel (raw) -> normalize -> S > 0
+
+  :meth:`SimilarityEngine.raw_batch` asks the optional
+  :class:`~repro.core.score_cache.ScoreCache`, cuts the misses into blocks
+  and runs every block as one :meth:`~repro.exec.Executor.map_blocks` task
+  through the batch kernel of :mod:`repro.core.kernels` (which returns raw
+  totals); :meth:`SimilarityEngine.normalize` is Eq. 2's length
+  normalisation, written once; :meth:`SimilarityEngine.fold` is the
+  counter columns -> :class:`SimilarityStats` reduction, written once.
+  The batch scoring stage, the streaming linker, :meth:`score_batch` and
+  a single :meth:`score` (a batch of one) are all callers of these three.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..exec import Executor, as_executor, raise_on_task_errors
 from ..geo.cell import CellId
 from ..knobs import knob, validate
 from .corpus import HistoryCorpus
+from .kernels import (
+    BatchScoreResult,
+    concat_results,
+    score_pair_block,
+    workload_block_size,
+)
 from .pairing import cartesian_index_pairs, greedy_index_pairs
 from .proximity import (
     DEFAULT_ALIBI_EPS,
@@ -84,10 +100,6 @@ PAIRINGS = ("mnn", "all_pairs")
 #: Scoring backend names accepted by :class:`SimilarityConfig`.
 BACKENDS = ("numpy", "python")
 
-#: Default bound on the engine's cell-distance LRU cache (distinct cell
-#: pairs).  At ~100 bytes per dict entry this caps the cache near 25 MB.
-DEFAULT_DISTANCE_CACHE_CAP = 1 << 18
-
 
 @dataclass(frozen=True)
 class SimilarityConfig:
@@ -123,9 +135,6 @@ class SimilarityConfig:
         (:mod:`repro.core.kernels`); ``"python"`` uses the scalar per-pair
         loop — slower, but the arithmetic oracle the parity suite checks
         the kernel against.
-    distance_cache_cap:
-        Maximum number of distinct cell pairs the scalar backend's
-        distance LRU retains (least-recently-used eviction beyond it).
     """
 
     window_width_minutes: float = knob(
@@ -156,7 +165,6 @@ class SimilarityConfig:
         flag="--backend",
         choices=BACKENDS,
     )
-    distance_cache_cap: int = knob(DEFAULT_DISTANCE_CACHE_CAP, ge=1)
 
     def __post_init__(self) -> None:
         validate(self)
@@ -183,10 +191,6 @@ class SimilarityStats:
     ``bin_comparisons`` counts cell-distance evaluations (the pairwise
     record-comparison cost metric of Fig. 4d/5d/11d); ``alibi_bin_pairs``
     and ``alibi_entity_pairs`` feed Fig. 4c/5c.
-    ``distance_cache_hits`` / ``distance_cache_misses`` instrument the
-    scalar backend's bounded distance LRU (the numpy backend never touches
-    it — distances are recomputed vectorized, which is cheaper than a dict
-    round-trip per lookup).
     """
 
     pairs_scored: int = 0
@@ -194,8 +198,6 @@ class SimilarityStats:
     alibi_bin_pairs: int = 0
     alibi_entity_pairs: int = 0
     common_windows: int = 0
-    distance_cache_hits: int = 0
-    distance_cache_misses: int = 0
 
     def merge(self, other: "SimilarityStats") -> None:
         """Accumulate another stats object into this one."""
@@ -204,19 +206,17 @@ class SimilarityStats:
         self.alibi_bin_pairs += other.alibi_bin_pairs
         self.alibi_entity_pairs += other.alibi_entity_pairs
         self.common_windows += other.common_windows
-        self.distance_cache_hits += other.distance_cache_hits
-        self.distance_cache_misses += other.distance_cache_misses
 
 
 class SimilarityEngine:
     """Scores entity pairs across two history corpora.
 
-    The engine is cheap to construct.  Under ``backend="python"`` a
-    bounded cross-pair distance LRU is shared across all ``score`` calls;
-    under ``backend="numpy"`` scoring dispatches to the batch kernel of
-    :mod:`repro.core.kernels` — per-pair via :meth:`score`, or in whole
-    candidate blocks via :meth:`score_batch` (the fast path
-    :class:`~repro.pipeline.stages.ScoringStage` uses).
+    The engine is cheap to construct.  Under ``backend="python"`` every
+    call is the scalar oracle, one pair at a time, with a per-engine memo
+    of cell distances.  Under ``backend="numpy"`` every call — a whole
+    candidate set (:meth:`score_batch`, :meth:`raw_batch`) or one pair
+    (:meth:`score`, a batch of one) — takes the one route of the module
+    docstring.
     """
 
     def __init__(
@@ -236,33 +236,22 @@ class SimilarityEngine:
         self.config = config
         self.stats = SimilarityStats()
         self._runaway = config.runaway_meters
-        self._distance_cache: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
-        self._distance_cache_cap = config.distance_cache_cap
+        self._distances: Dict[Tuple[int, int], float] = {}
         # Cross-relink memoisation of raw pair totals (see
         # repro.core.score_cache and score_cache_space above).
         self._score_cache = score_cache
         self._cache_space = score_cache_space(left, right, config)
-        self._raw_config = config.without(use_normalization=False)
 
-    # ------------------------------------------------------------------
-    # distance with cache
-    # ------------------------------------------------------------------
     def distance(self, cell_a: int, cell_b: int) -> float:
-        """LRU-cached minimum distance between two cells (metres)."""
+        """Minimum distance between two cells in metres (the oracle's;
+        memoised per engine)."""
         if cell_a == cell_b:
             return 0.0
         key = (cell_a, cell_b) if cell_a < cell_b else (cell_b, cell_a)
-        cache = self._distance_cache
-        cached = cache.get(key)
+        cached = self._distances.get(key)
         if cached is None:
-            self.stats.distance_cache_misses += 1
             cached = CellId(key[0]).distance_meters(CellId(key[1]))
-            cache[key] = cached
-            if len(cache) > self._distance_cache_cap:
-                cache.popitem(last=False)
-        else:
-            self.stats.distance_cache_hits += 1
-            cache.move_to_end(key)
+            self._distances[key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -273,188 +262,226 @@ class SimilarityEngine:
         score, _ = self.score_with_stats(left_entity, right_entity)
         return score
 
-    def score_batch(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        dispatch=None,
-    ) -> List[float]:
-        """Score a block of pairs, accumulating :attr:`stats` as usual.
-
-        Under ``backend="numpy"`` the whole block goes through one
-        vectorized kernel dispatch — windows from every pair are grouped
-        by distance-matrix shape, so the batch amortises far better than
-        per-pair calls.  Under ``backend="python"`` this is a plain loop
-        over :meth:`score`.
-
-        ``dispatch`` overrides *how* the kernel work runs without touching
-        what is computed: a callable ``(pairs, config) ->
-        BatchScoreResult`` that must return exactly what
-        :func:`~repro.core.kernels.score_pairs_batch` would for the same
-        arguments.  The parallel scoring stage passes a sharding dispatch
-        that fans sub-blocks out through an executor
-        (:mod:`repro.exec`); cache lookups, stores and normalisation all
-        stay in this engine, so cached and parallel scoring compose.
-
-        With a :class:`~repro.core.score_cache.ScoreCache` attached, pairs
-        whose cached raw totals are still valid skip the kernel entirely;
-        only the cache misses are dispatched (and stored back), and every
-        pair's normalisation is applied from the corpora's *current*
-        statistics — so cached and freshly computed scores are
-        indistinguishable.  The hit path is fully vectorized: one
-        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
-        the block's history-version arrays, one array normalisation —
-        no per-pair Python loop.
-        """
-        if self.config.backend != "numpy":
-            return [self.score(left, right) for left, right in pairs]
-        cache = self._score_cache
-        if cache is None:
-            result = (dispatch or self._kernel)(pairs, self.config)
-            batch = SimilarityStats(
-                pairs_scored=len(pairs),
-                bin_comparisons=int(result.bin_comparisons.sum()),
-                alibi_bin_pairs=int(result.alibi_bin_pairs.sum()),
-                alibi_entity_pairs=int((result.alibi_bin_pairs > 0).sum()),
-                common_windows=int(result.common_windows.sum()),
-            )
-            self.stats.merge(batch)
-            return result.scores.tolist()
-
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        batch, (left_entities, left_codes, right_entities, right_codes) = (
-            self._raw_batch(pairs, dispatch)
-        )
-        scores = batch.raw
-        if self.config.use_normalization:
-            b = self.config.b
-            norms = (
-                self.left.length_norms(left_entities, b)[left_codes]
-                * self.right.length_norms(right_entities, b)[right_codes]
-            )
-            positive = norms > 0
-            scores = batch.raw.copy()
-            scores[positive] = batch.raw[positive] / norms[positive]
-        self.stats.merge(
-            SimilarityStats(
-                pairs_scored=len(pairs),
-                bin_comparisons=int(batch.bin_comparisons.sum()),
-                alibi_bin_pairs=int(batch.alibi_bin_pairs.sum()),
-                alibi_entity_pairs=int(np.count_nonzero(batch.alibi_bin_pairs)),
-                common_windows=int(batch.common_windows.sum()),
-            )
-        )
-        return scores.tolist()
-
-    def raw_batch(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        dispatch=None,
-    ) -> CacheBatch:
-        """The block's **raw** (un-normalised) Eq. 2 totals and per-pair
-        counters — what the attached
-        :class:`~repro.core.score_cache.ScoreCache` memoises — served from
-        the cache where still valid, computed (and stored back) where
-        not; ``hit`` says which.  Neither normalised nor merged into
-        :attr:`stats`: that is the caller's whole-column job (the
-        streaming linker keeps these columns resident across relinks and
-        asks only about the pairs a delta touched).  ``dispatch`` as in
-        :meth:`score_batch`.
-        """
-        pairs = list(pairs)
-        if self.config.backend == "numpy":
-            return self._raw_batch(pairs, dispatch)[0]
-        hit = np.zeros(len(pairs), dtype=bool)
-        raw = np.zeros(len(pairs), dtype=np.float64)
-        counters = np.zeros((3, len(pairs)), dtype=np.int64)
-        for position, (left_entity, right_entity) in enumerate(pairs):
-            hit[position], raw[position], local = self._raw_with_stats(
-                left_entity, right_entity
-            )
-            counters[:, position] = (
-                local.bin_comparisons,
-                local.common_windows,
-                local.alibi_bin_pairs,
-            )
-        return CacheBatch(hit, raw, *counters)
-
-    def _kernel(self, block: Sequence[Tuple[str, str]], config: SimilarityConfig):
-        """The default ``dispatch``: the batch kernel, in process (looked
-        up on its module per call, so a proxy installed there is seen)."""
-        from .kernels import score_pairs_batch
-
-        return score_pairs_batch(self.left, self.right, block, config)
-
-    def _raw_batch(self, pairs: List[Tuple[str, str]], dispatch):
-        """The numpy backend's cached block path: one
-        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch`, one
-        kernel dispatch over the misses, one ``store_batch``.  Returns
-        the filled :class:`~repro.core.score_cache.CacheBatch` plus the
-        block's entity encoding (for the caller's normalisation)."""
-        count = len(pairs)
-        # Encode each side's entities as dense integer codes in one pass:
-        # versions and length norms are then computed once per *unique*
-        # entity and fanned out to pairs by vectorized gathers.
-        left_codes = np.empty(count, dtype=np.intp)
-        right_codes = np.empty(count, dtype=np.intp)
-        left_code_of: dict = {}
-        right_code_of: dict = {}
-        left_entities: List[str] = []
-        right_entities: List[str] = []
-        for position, (left_entity, right_entity) in enumerate(pairs):
-            code = left_code_of.get(left_entity)
-            if code is None:
-                code = len(left_entities)
-                left_code_of[left_entity] = code
-                left_entities.append(left_entity)
-            left_codes[position] = code
-            code = right_code_of.get(right_entity)
-            if code is None:
-                code = len(right_entities)
-                right_code_of[right_entity] = code
-                right_entities.append(right_entity)
-            right_codes[position] = code
-        encoding = (left_entities, left_codes, right_entities, right_codes)
-
-        cache = self._score_cache
-        if cache is None:
-            raise ValueError("raw totals are served through a score cache")
-        u_versions = self.left.history_versions(left_entities)[left_codes]
-        v_versions = self.right.history_versions(right_entities)[right_codes]
-        batch = cache.lookup_batch(
-            self._cache_space, pairs, u_versions, v_versions
-        )
-        miss_positions = np.nonzero(~batch.hit)[0]
-        if miss_positions.size:
-            misses = [pairs[position] for position in miss_positions.tolist()]
-            result = (dispatch or self._kernel)(misses, self._raw_config)
-            batch.raw[miss_positions] = result.scores
-            batch.bin_comparisons[miss_positions] = result.bin_comparisons
-            batch.common_windows[miss_positions] = result.common_windows
-            batch.alibi_bin_pairs[miss_positions] = result.alibi_bin_pairs
-            cache.store_batch(
-                self._cache_space,
-                misses,
-                u_versions[miss_positions],
-                v_versions[miss_positions],
-                raw=result.scores,
-                bin_comparisons=result.bin_comparisons,
-                common_windows=result.common_windows,
-                alibi_bin_pairs=result.alibi_bin_pairs,
-            )
-        return batch, encoding
-
     def score_with_stats(
         self, left_entity: str, right_entity: str
     ) -> Tuple[float, SimilarityStats]:
         """Score a pair and return per-pair counters (also accumulated
         on :attr:`stats`).  Raw totals are served from / stored into the
-        attached :class:`~repro.core.score_cache.ScoreCache`, if any."""
+        attached :class:`~repro.core.score_cache.ScoreCache`, if any.
+        Under ``backend="numpy"`` this is a batch of one."""
+        if self.config.backend == "numpy":
+            scores, local = self._scored(
+                [(left_entity, right_entity)], "serial", block_size=1
+            )
+            return float(scores[0]), local
         _, raw, local = self._raw_with_stats(left_entity, right_entity)
         self.stats.merge(local)
         return self._normalize(left_entity, right_entity, raw), local
 
+    def score_batch(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        executor: Union[Executor, str] = "serial",
+        block_size: int = 0,
+    ) -> List[float]:
+        """Score a set of pairs, accumulating :attr:`stats` as usual.
+
+        Under ``backend="numpy"``: :meth:`raw_batch` (``executor`` and
+        ``block_size`` as there), :meth:`normalize`, :meth:`fold`.  Every
+        pair's normalisation is applied from the corpora's *current*
+        statistics, so cached and freshly computed scores are
+        indistinguishable.  Under ``backend="python"`` this is a plain
+        loop over :meth:`score` — the oracle never shards.
+        """
+        if self.config.backend != "numpy":
+            return [self.score(left, right) for left, right in pairs]
+        return self._scored(pairs, executor, block_size)[0].tolist()
+
+    def _scored(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        executor: Union[Executor, str],
+        block_size: int,
+    ) -> Tuple[np.ndarray, SimilarityStats]:
+        """The numpy route end to end: the pairs' normalised scores and
+        their counters (merged into :attr:`stats`)."""
+        batch = self.raw_batch(pairs, executor, block_size)
+        scores = self.normalize(
+            batch.raw,
+            self.left.history_sizes(left for left, _ in pairs),
+            self.right.history_sizes(right for _, right in pairs),
+        )
+        return scores, self.fold(
+            len(pairs),
+            batch.bin_comparisons,
+            batch.common_windows,
+            batch.alibi_bin_pairs,
+        )
+
+    def raw_batch(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        executor: Union[Executor, str] = "serial",
+        block_size: int = 0,
+    ) -> CacheBatch:
+        """The pairs' **raw** (un-normalised) Eq. 2 totals and per-pair
+        counters — what a :class:`~repro.core.score_cache.ScoreCache`
+        memoises.  With a cache attached they are served from it where
+        still valid (one vectorized
+        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
+        the pairs' history versions) and computed, then stored back,
+        where not; ``hit`` says which.  Without one every pair is a miss.
+
+        The misses are cut into blocks of ``block_size`` pairs (``0`` =
+        :func:`~repro.core.kernels.workload_block_size`) and every block
+        is one ``map_blocks`` task of ``executor`` — an
+        :class:`~repro.exec.Executor` (borrowed) or a backend name
+        (created and shut down here; ``"serial"`` is the registry's
+        :class:`~repro.exec.SerialExecutor`).  Block boundaries are the
+        same under every backend and the kernel is dispatch-deterministic,
+        so the result is bit-identical whatever runs it.
+
+        An unknown entity id is a ``KeyError`` before anything is
+        dispatched.  An exception raised *inside* a block task is the
+        executor's to handle, under ``"serial"`` as under any backend: the
+        block is retried within the retry budget and, past it, the call
+        fails with a :class:`~repro.exec.TaskError` whose message names
+        the block and the original exception's type and text.
+
+        Neither normalised nor merged into :attr:`stats`: see
+        :meth:`normalize` and :meth:`fold` (the streaming linker keeps
+        these columns resident across relinks, asks only about the pairs
+        a delta touched, and normalises and folds the whole table).
+        """
+        pairs = list(pairs)
+        count = len(pairs)
+        if self.config.backend != "numpy":
+            hit = np.zeros(count, dtype=bool)
+            raw = np.zeros(count, dtype=np.float64)
+            counters = np.zeros((3, count), dtype=np.int64)
+            for position, (left_entity, right_entity) in enumerate(pairs):
+                hit[position], raw[position], local = self._raw_with_stats(
+                    left_entity, right_entity
+                )
+                counters[:, position] = (
+                    local.bin_comparisons,
+                    local.common_windows,
+                    local.alibi_bin_pairs,
+                )
+            return CacheBatch(hit, raw, *counters)
+
+        # Read with or without a cache to key: an unknown entity id
+        # fails here, as a KeyError, rather than inside a block task.
+        u_versions = self.left.history_versions(left for left, _ in pairs)
+        v_versions = self.right.history_versions(right for _, right in pairs)
+        cache = self._score_cache
+        if cache is None:
+            batch = CacheBatch(
+                np.zeros(count, dtype=bool),
+                np.zeros(count, dtype=np.float64),
+                *np.zeros((3, count), dtype=np.int64),
+            )
+        else:
+            batch = cache.lookup_batch(
+                self._cache_space, pairs, u_versions, v_versions
+            )
+        missed = np.flatnonzero(~batch.hit)
+        if missed.size:
+            misses = (
+                pairs
+                if missed.size == count
+                else [pairs[position] for position in missed.tolist()]
+            )
+            result = self._score_blocks(misses, executor, block_size)
+            batch.raw[missed] = result.scores
+            batch.bin_comparisons[missed] = result.bin_comparisons
+            batch.common_windows[missed] = result.common_windows
+            batch.alibi_bin_pairs[missed] = result.alibi_bin_pairs
+            if cache is not None:
+                cache.store_batch(
+                    self._cache_space,
+                    misses,
+                    u_versions[missed],
+                    v_versions[missed],
+                    raw=result.scores,
+                    bin_comparisons=result.bin_comparisons,
+                    common_windows=result.common_windows,
+                    alibi_bin_pairs=result.alibi_bin_pairs,
+                )
+        return batch
+
+    def _score_blocks(
+        self,
+        pairs: List[Tuple[str, str]],
+        executor: Union[Executor, str],
+        block_size: int,
+    ) -> BatchScoreResult:
+        """Every kernel dispatch of the numpy route: ``pairs`` cut into
+        score blocks, each block one ``map_blocks`` task."""
+        block = block_size or workload_block_size(self.left, self.right)
+        # Materialise the array views up front: thread workers must not
+        # race the lazy build, and process workers should inherit the
+        # arrays through fork rather than each rebuilding them.
+        self.left.arrays()
+        self.right.arrays()
+        resolved, owned = as_executor(executor)
+        try:
+            outcomes = resolved.map_blocks(
+                score_pair_block,
+                [
+                    pairs[start : start + block]
+                    for start in range(0, len(pairs), block)
+                ],
+                payload=(self.left, self.right, self.config),
+            )
+        finally:
+            if owned:
+                resolved.shutdown()
+        # The dispatch itself always completes (pools released, good
+        # blocks kept); only a block that failed past its retry budget
+        # *and* the inline fallback aborts the scoring — as a clean,
+        # descriptive error instead of a poisoned result.
+        raise_on_task_errors(outcomes, "scoring")
+        return concat_results([outcome.value for outcome in outcomes])
+
+    def normalize(
+        self, raw: np.ndarray, left_sizes: np.ndarray, right_sizes: np.ndarray
+    ) -> np.ndarray:
+        """Eq. 2's length normalisation over columns: ``raw[i]`` divided
+        by ``L(u,E) * L(v,I)`` for history sizes ``left_sizes[i]`` /
+        ``right_sizes[i]`` (identity when disabled or degenerate).  The
+        same IEEE operations per element as the oracle's scalar
+        ``_normalize``, so the values are bit-identical to it."""
+        if not self.config.use_normalization:
+            return raw
+        b = self.config.b
+        norms = self.left.size_norms(left_sizes, b) * self.right.size_norms(
+            right_sizes, b
+        )
+        return np.divide(raw, norms, out=raw.copy(), where=norms > 0)
+
+    def fold(
+        self,
+        pairs_scored: int,
+        bin_comparisons: np.ndarray,
+        common_windows: np.ndarray,
+        alibi_bin_pairs: np.ndarray,
+    ) -> SimilarityStats:
+        """Reduce per-pair counter columns to one
+        :class:`SimilarityStats`, merged into :attr:`stats` and returned."""
+        folded = SimilarityStats(
+            pairs_scored=pairs_scored,
+            bin_comparisons=int(bin_comparisons.sum()),
+            alibi_bin_pairs=int(alibi_bin_pairs.sum()),
+            alibi_entity_pairs=int(np.count_nonzero(alibi_bin_pairs)),
+            common_windows=int(common_windows.sum()),
+        )
+        self.stats.merge(folded)
+        return folded
+
+    # ------------------------------------------------------------------
+    # the scalar oracle
+    # ------------------------------------------------------------------
     def _raw_with_stats(
         self, left_entity: str, right_entity: str
     ) -> Tuple[bool, float, SimilarityStats]:
@@ -477,10 +504,7 @@ class SimilarityEngine:
                     alibi_bin_pairs=entry.alibi_bin_pairs,
                     alibi_entity_pairs=1 if entry.alibi_bin_pairs else 0,
                 )
-        if self.config.backend == "numpy":
-            raw, local = self._raw_numpy(left_entity, right_entity)
-        else:
-            raw, local = self._raw_python(left_entity, right_entity)
+        raw, local = self._raw_python(left_entity, right_entity)
         if cache is not None:
             cache.store(
                 self._cache_space,
@@ -504,24 +528,6 @@ class SimilarityEngine:
             left_entity, self.config.b
         ) * self.right.length_norm(right_entity, self.config.b)
         return raw / norm if norm > 0 else raw
-
-    def _raw_numpy(
-        self, left_entity: str, right_entity: str
-    ) -> Tuple[float, SimilarityStats]:
-        """Single-pair raw total through the batch kernel."""
-        from .kernels import score_pairs_batch
-
-        result = score_pairs_batch(
-            self.left, self.right, [(left_entity, right_entity)], self._raw_config
-        )
-        local = SimilarityStats(
-            pairs_scored=1,
-            bin_comparisons=int(result.bin_comparisons[0]),
-            alibi_bin_pairs=int(result.alibi_bin_pairs[0]),
-            alibi_entity_pairs=1 if result.alibi_bin_pairs[0] else 0,
-            common_windows=int(result.common_windows[0]),
-        )
-        return float(result.scores[0]), local
 
     def _raw_python(
         self, left_entity: str, right_entity: str
@@ -601,8 +607,3 @@ class SimilarityEngine:
         finished = self.stats
         self.stats = SimilarityStats()
         return finished
-
-    @property
-    def distance_cache_size(self) -> int:
-        """Number of distinct cell pairs whose distance has been computed."""
-        return len(self._distance_cache)

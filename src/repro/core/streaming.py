@@ -116,7 +116,7 @@ from .corpus import CorpusDelta, HistoryCorpus
 from .history import STALE_VERSION, MobilityHistory, ingest_columns
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache
-from .similarity import SimilarityEngine, SimilarityStats, score_cache_space
+from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
 
@@ -1153,13 +1153,14 @@ class _StreamingScoring(ScoringStage):
     Only the *touched* rows — new pairs, pairs with a dirty endpoint,
     pairs whose endpoint was IDF-invalidated — go to
     :meth:`~repro.core.similarity.SimilarityEngine.raw_batch` (cache
-    lookup, kernel for the misses, store back), sorted and sharded
-    through the executor exactly as :class:`ScoringStage` shards a whole
-    candidate set.  Every other row is the cache hit it would have been:
-    it is counted as one and keeps its columns.  Length normalisation,
-    the counter sums and the positive-edge filter are whole-column numpy
-    expressions; ``Edge`` objects are built (and sorted, for the
-    matcher's determinism) for the positive rows only.
+    lookup, kernel for the misses, store back), sorted and run through
+    the executor exactly as :class:`ScoringStage` runs a whole candidate
+    set.  Every other row is the cache hit it would have been: it is
+    counted as one and keeps its columns.  Then the same
+    :meth:`~repro.core.similarity.SimilarityEngine.normalize` and
+    :meth:`~repro.core.similarity.SimilarityEngine.fold` the batch route
+    ends in, over the whole table; ``Edge`` objects are built (and
+    sorted, for the matcher's determinism) for the positive rows only.
     """
 
     def __init__(
@@ -1173,10 +1174,9 @@ class _StreamingScoring(ScoringStage):
         linker = self.linker
         table = linker._pair_table
         cache = linker._score_cache
-        similarity = self.config.similarity
         left_corpus, right_corpus = context.left_corpus, context.right_corpus
         engine = SimilarityEngine(
-            left_corpus, right_corpus, similarity, score_cache=cache
+            left_corpus, right_corpus, self.config.similarity, score_cache=cache
         )
         context.engine = engine
 
@@ -1184,19 +1184,14 @@ class _StreamingScoring(ScoringStage):
         rows = table.touched(*self.touched)
         rows.sort(key=pair_at.__getitem__)
         pairs = [pair_at[row] for row in rows]
-        batches = self._score_blocks(context, engine.raw_batch, pairs)
+        batch = self._dispatch(context, engine.raw_batch, pairs)
         if pairs:
             values = np.empty((6, len(pairs)))
-            values[:_LEFT_SIZE] = np.hstack(
-                [
-                    (
-                        batch.raw,
-                        batch.bin_comparisons,
-                        batch.common_windows,
-                        batch.alibi_bin_pairs,
-                    )
-                    for batch in batches
-                ]
+            values[:_LEFT_SIZE] = (
+                batch.raw,
+                batch.bin_comparisons,
+                batch.common_windows,
+                batch.alibi_bin_pairs,
             )
             values[_LEFT_SIZE] = left_corpus.history_sizes(
                 left for left, _ in pairs
@@ -1211,25 +1206,18 @@ class _StreamingScoring(ScoringStage):
         cache.hits += len(table) - len(pairs)
 
         columns = table.columns[:, : table.high]
-        scores = columns[_RAW]
-        if similarity.use_normalization:
-            norms = left_corpus.size_norms(
-                columns[_LEFT_SIZE], similarity.b
-            ) * right_corpus.size_norms(columns[_RIGHT_SIZE], similarity.b)
-            scores = np.divide(scores, norms, out=scores.copy(), where=norms > 0)
+        scores = engine.normalize(
+            columns[_RAW], columns[_LEFT_SIZE], columns[_RIGHT_SIZE]
+        )
         positive = np.nonzero(scores > 0.0)[0]
         context.edges = sorted(
             Edge(*pair_at[row], score)
             for row, score in zip(positive.tolist(), scores[positive].tolist())
         )
-        alibi = columns[_ALIBI_BIN_PAIRS]
-        engine.stats.merge(
-            SimilarityStats(
-                pairs_scored=len(table),
-                bin_comparisons=int(columns[_BIN_COMPARISONS].sum()),
-                alibi_bin_pairs=int(alibi.sum()),
-                alibi_entity_pairs=int(np.count_nonzero(alibi)),
-                common_windows=int(columns[_COMMON_WINDOWS].sum()),
-            )
+        engine.fold(
+            len(table),
+            columns[_BIN_COMPARISONS],
+            columns[_COMMON_WINDOWS],
+            columns[_ALIBI_BIN_PAIRS],
         )
         context.stats = engine.stats

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -103,12 +104,18 @@ def _coord_problem(lat: float, lng: float) -> Optional[str]:
 
 
 def _parse_timestamp(raw: str) -> float:
-    """Parse a timestamp that is either POSIX seconds or ISO 8601."""
+    """Parse a timestamp that is either POSIX seconds or ISO 8601.  A
+    value that parses but is not finite (``nan``, ``inf``, ``1e400``) is
+    as malformed as one that does not parse."""
     raw = raw.strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"timestamp not finite: {raw!r}")
+        return value
     text = raw.replace("Z", "+00:00")
     parsed = _dt.datetime.fromisoformat(text)
     if parsed.tzinfo is None:

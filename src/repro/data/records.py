@@ -14,6 +14,7 @@ samplers operate vectorised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -99,6 +100,10 @@ class LocationDataset:
         grouped: Dict[str, List[Tuple[float, float, float]]] = {}
         for record in records:
             cls._validate_coords(record.lat, record.lng)
+            if not math.isfinite(record.timestamp):
+                raise ValueError(
+                    f"timestamp not finite for entity {record.entity_id!r}"
+                )
             grouped.setdefault(record.entity_id, []).append(
                 (record.timestamp, record.lat, record.lng)
             )
@@ -128,6 +133,8 @@ class LocationDataset:
             lngs = np.asarray(lngs, dtype=np.float64)
             if not (timestamps.shape == lats.shape == lngs.shape):
                 raise ValueError(f"column shapes differ for entity {entity_id!r}")
+            if not np.isfinite(timestamps).all():
+                raise ValueError(f"timestamp not finite for entity {entity_id!r}")
             if lats.size:
                 cls._validate_coords(float(lats.min()), float(lngs.min()))
                 cls._validate_coords(float(lats.max()), float(lngs.max()))

@@ -27,7 +27,6 @@ from ..core.similarity import SimilarityConfig, SimilarityEngine
 from ..data.sampling import LinkagePair
 from ..exec import Executor, as_executor, raise_on_task_errors
 from ..pipeline import LinkageConfig, LinkagePipeline, LinkageReport
-from ..pipeline.stages import SCORE_BLOCK_SIZE
 from ..temporal import common_windowing
 from .metrics import LinkageQuality, precision_recall_f1
 
@@ -257,15 +256,7 @@ def score_all_pairs(
         for left_entity in left_histories
         for right_entity in right_histories
     ]
-    # Chunked like the scoring stage: one unbounded dispatch over the full
-    # cross product would materialise every (pair, window) interaction at
-    # once.
-    block = SCORE_BLOCK_SIZE
-    scores: Dict[Tuple[str, str], float] = {}
-    for start in range(0, len(pairs), block):
-        chunk = pairs[start : start + block]
-        scores.update(zip(chunk, engine.score_batch(chunk)))
-    return scores, engine
+    return dict(zip(pairs, engine.score_batch(pairs))), engine
 
 
 @dataclass

@@ -106,10 +106,9 @@ class LinkageConfig:
         ``0`` (default) picks a workload-aware size — dense corpora get
         smaller blocks because the kernel's power-of-two matrix buckets
         grow superlinearly with block size (see
-        :func:`~repro.pipeline.stages.resolve_score_block_size`); the
-        ``REPRO_SCORE_BLOCK_SIZE`` environment variable overrides the
-        auto choice.  Results are bit-identical at every block size
-        (kernel dispatch determinism).
+        :func:`~repro.pipeline.stages.resolve_score_block_size`).
+        Results are bit-identical at every block size (kernel dispatch
+        determinism).
     timeout:
         Per-block timeout in seconds for parallel executor dispatch; a
         block that exceeds it is treated as hung, its worker is killed

@@ -12,8 +12,8 @@ composition of implementations of these stages.
 Swappable strategies live in string-keyed registries:
 
 * :data:`candidate_stages` — ``"brute"``, ``"lsh"``, ``"temporal"``, yours;
-* :data:`matchers` — ``"greedy"``, ``"hungarian"``, ``"networkx"``
-  (plus ``"stlink"`` once :mod:`repro.baselines.stlink` is imported);
+* :data:`matchers` — ``"greedy"``, ``"hungarian"`` (plus ``"stlink"``
+  once :mod:`repro.baselines.stlink` is imported);
 * :data:`threshold_methods` — ``"gmm"``, ``"otsu"``, ``"two_means"``,
   ``"none"``.
 
@@ -36,16 +36,17 @@ True
 
 from __future__ import annotations
 
-import os
-from itertools import chain
-# repro-lint: timing-module -- stages time their own execution for the report
-import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple, runtime_checkable
 
 from ..core.corpus import HistoryCorpus, content_fingerprint
 from ..core.history import build_histories
 from ..core.matching import Edge
 from ..core.matching import MATCHERS as _CORE_MATCHERS
+from ..core.kernels import (
+    DENSE_SCORE_BLOCK_SIZE,
+    SCORE_BLOCK_SIZE,
+    workload_block_size,
+)
 from ..core.similarity import SimilarityEngine
 from ..core.threshold import (
     ThresholdDecision,
@@ -85,7 +86,6 @@ __all__ = [
     "MatchingStage",
     "ThresholdStage",
     "no_threshold",
-    "score_pair_block",
 ]
 
 #: Canonical stage names — the timing keys every linkage front door emits.
@@ -102,70 +102,23 @@ STAGE_NAMES: Tuple[str, ...] = (
     STAGE_THRESHOLD,
 )
 
-#: Candidate pairs scored per batch-kernel dispatch.  Bounds the peak size
-#: of the kernel's per-shape tensors while still amortising the vectorized
-#: work over thousands of (pair, window) interactions.  This is the
-#: *sparse-workload* default; see :func:`resolve_score_block_size` for the
-#: workload-aware choice the scoring stage actually makes.
-SCORE_BLOCK_SIZE = 4096
-
-#: Block size for *dense* corpora (multiple cells per active window on
-#: both sides).  Dense windows produce matrix-shaped interactions that the
-#: kernel pads into square power-of-two buckets; the padded tensor volume
-#: grows superlinearly with the number of pairs in a block, so smaller
-#: blocks are ~3-4x faster there (measured on the cab workload, PR 4).
-DENSE_SCORE_BLOCK_SIZE = 512
-
-#: A pair of corpora counts as dense when the product of their mean
-#: distinct-cells-per-active-window exceeds this (e.g. both sides
-#: averaging >= 2 cells per window): most common windows then form
-#: matrices rather than vectors.
-_DENSE_CELLS_PRODUCT = 4.0
-
 
 def resolve_score_block_size(
     config: Optional["LinkageConfig"],
     left_corpus: Optional[HistoryCorpus],
     right_corpus: Optional[HistoryCorpus],
 ) -> int:
-    """The candidate-block size the scoring stage should dispatch in.
-
-    Resolution order: an explicit ``config.score_block_size`` wins; then
-    the ``REPRO_SCORE_BLOCK_SIZE`` environment override; otherwise a
-    workload-aware heuristic — dense corpora (mean cells per active
-    window multiply beyond :data:`_DENSE_CELLS_PRODUCT`) get
-    :data:`DENSE_SCORE_BLOCK_SIZE`, sparse ones the classic
-    :data:`SCORE_BLOCK_SIZE`.  The choice never affects results (kernel
-    dispatch determinism — pinned by
-    ``tests/pipeline/test_block_size.py``), only tensor footprints and
-    wall-clock.
-    """
+    """The candidate-block size the scoring stage should dispatch in: an
+    explicit ``config.score_block_size`` wins; otherwise the
+    workload-aware choice between :data:`DENSE_SCORE_BLOCK_SIZE` and
+    :data:`SCORE_BLOCK_SIZE`
+    (:func:`~repro.core.kernels.workload_block_size`; the sparse size
+    without corpora to measure)."""
     if config is not None and config.score_block_size > 0:
         return config.score_block_size
-    env = os.environ.get("REPRO_SCORE_BLOCK_SIZE")
-    if env:
-        try:
-            size = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SCORE_BLOCK_SIZE must be an integer, got {env!r}"
-            ) from None
-        if size < 1:
-            raise ValueError(
-                f"REPRO_SCORE_BLOCK_SIZE must be positive, got {env!r}"
-            )
-        return size
     if left_corpus is None or right_corpus is None:
         return SCORE_BLOCK_SIZE
-    density = (
-        left_corpus.avg_cells_per_window()
-        * right_corpus.avg_cells_per_window()
-    )
-    if density >= _DENSE_CELLS_PRODUCT:
-        # min() keeps an explicitly lowered module default (tests and
-        # benches monkeypatch SCORE_BLOCK_SIZE to force sharding) binding.
-        return min(DENSE_SCORE_BLOCK_SIZE, SCORE_BLOCK_SIZE)
-    return SCORE_BLOCK_SIZE
+    return workload_block_size(left_corpus, right_corpus)
 
 
 @runtime_checkable
@@ -376,47 +329,57 @@ class TemporalCandidates(CandidateStage):
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
-def score_pair_block(payload, item):
-    """Executor task: one block of candidate pairs through the batch
-    kernel.
+class _ShardClock:
+    """The scoring stage's executor as the engine sees it: ``map_blocks``
+    passed straight through, each task's worker-side seconds kept for the
+    stage's report."""
 
-    Module-level so the ``"process"`` backend can pickle it by reference;
-    ``payload`` is the ``(left corpus, right corpus)`` pair shipped once
-    per worker (by fork inheritance on Linux), ``item`` the
-    ``(pairs, config)`` block.
-    """
-    from ..core.kernels import score_pairs_batch
+    def __init__(self, executor: Executor) -> None:
+        self.executor = executor
+        self.seconds: List[float] = []
 
-    left_corpus, right_corpus = payload
-    pairs, config = item
-    return score_pairs_batch(left_corpus, right_corpus, pairs, config)
+    def map_blocks(self, fn, items, payload=None, **knobs):
+        outcomes = self.executor.map_blocks(fn, items, payload, **knobs)
+        self.seconds.extend(outcome.seconds for outcome in outcomes)
+        return outcomes
+
+
+def _score_whole(score: Callable[..., object], pairs) -> object:
+    """Executor task: the scalar oracle's whole call (serial, in-process)."""
+    return score(pairs)
 
 
 class ScoringStage:
     """Eq. 2 (with the MFN alibi pass) over the candidate set; keeps the
     positive-score edges (Alg. 1's ``if S > 0``).
 
-    Candidates are sorted (determinism) and scored in shards of the
-    resolved block size (:func:`resolve_score_block_size` — explicit
-    config, environment override, or the workload-aware density
-    heuristic) through
-    :meth:`~repro.core.similarity.SimilarityEngine.score_batch`.  When the
-    context carries a :class:`~repro.core.score_cache.ScoreCache` (the
-    streaming linker attaches its own), the engine serves cache hits
-    without touching the kernel.
+    Candidates are sorted (determinism) and scored by
+    :meth:`~repro.core.similarity.SimilarityEngine.score_batch`, which —
+    on the numpy backend — asks the context's
+    :class:`~repro.core.score_cache.ScoreCache` first (the streaming
+    linker attaches its own), cuts what missed into blocks of the
+    resolved size (:func:`resolve_score_block_size`) and runs **every
+    block as one** :meth:`~repro.exec.Executor.map_blocks` **task**.
 
-    *How* the shards run is the config's ``executor`` choice
-    (:mod:`repro.exec`): under ``"serial"`` they run in-process, one after
-    the other — the parity oracle; under ``"thread"`` / ``"process"``
-    kernel dispatches fan out through the backend, with cache lookups,
-    stores and normalisation staying in this process.  Shard boundaries
-    are identical under every backend and the kernel is
-    dispatch-deterministic (see :mod:`repro.core.kernels`), so links,
-    scores and counters are **bit-identical** regardless of executor —
-    pinned by ``tests/pipeline/test_executors.py``.  The scalar
-    ``backend="python"`` oracle always runs serially.  Per-shard
-    wall-clock seconds land in ``context.shard_timings["scoring"]`` and an
-    ``executor`` summary in ``context.extras``.
+    *Which* executor is the config's ``executor`` choice
+    (:mod:`repro.exec`), ``"serial"`` included: it is the registry's
+    :class:`~repro.exec.SerialExecutor`, so ``retries`` and an injected
+    fault plan apply to it exactly as to ``"thread"`` / ``"process"``.
+    A candidate set of at most one block *selects* the serial executor —
+    it does not select another code path.  Block boundaries are identical
+    under every backend and the kernel is dispatch-deterministic (see
+    :mod:`repro.core.kernels`), so links, scores and counters are
+    **bit-identical** regardless of executor — pinned by
+    ``tests/pipeline/test_executors.py``.
+
+    The scalar ``backend="python"`` oracle has no blocks: it is a plain
+    loop over the pairs that mutates the engine as it goes, so it can
+    only run in this process.  The stage runs that whole loop as *one*
+    task of the serial executor, whatever executor was named.
+
+    Either way the tasks' worker-side seconds land in
+    ``context.shard_timings["scoring"]`` and an ``executor`` summary in
+    ``context.extras``.
     """
 
     name = STAGE_SCORING
@@ -444,161 +407,91 @@ class ScoringStage:
             if isinstance(candidates, list)
             else sorted(candidates)
         )
-        scores = self._score_blocks(context, engine.score_batch, ordered)
+        scores = self._dispatch(context, engine.score_batch, ordered)
         context.edges = [
             Edge(left_entity, right_entity, score)
-            for (left_entity, right_entity), score in zip(
-                ordered, chain.from_iterable(scores)
-            )
+            for (left_entity, right_entity), score in zip(ordered, scores)
             if score > 0.0
         ]
         context.stats = engine.stats
 
-    def _score_blocks(
+    def _dispatch(
         self,
         context: LinkageContext,
         score: Callable[..., object],
-        ordered: Sequence[Tuple[str, str]],
-    ) -> List[object]:
-        """Run ``score`` — an engine's block scorer, called as
-        ``score(pairs)`` or ``score(pairs, dispatch=...)`` — over
-        ``ordered`` in shards of the resolved block size through the
-        configured executor; returns its results in order.  Records the
-        stage's shard timings and its ``executor`` / ``faults`` extras.
-        """
+        pairs: Sequence[Tuple[str, str]],
+    ) -> object:
+        """``score(pairs, executor, block_size)`` — one of the engine's
+        batch scorers — with this run's executor and resolved block size.
+        Records the stage's shard timings and its ``executor`` /
+        ``faults`` extras."""
+        numpy = self.config.similarity.backend == "numpy"
         block = resolve_score_block_size(
             self.config, context.left_corpus, context.right_corpus
         )
-        executor, owned = self._resolve_executor(context, len(ordered), block)
+        executor, owned = self._resolve_executor(
+            context, numpy and len(pairs) > block
+        )
         if owned:
             # Safety net: the pipeline runner releases everything left in
             # here even if this stage's own finally never runs (shutdown
             # is idempotent, so double release is harmless).
             context.owned_executors.append(executor)
-        before = executor.stats.fault_summary() if executor is not None else None
-        shard_seconds: List[float] = []
+        before = executor.stats.fault_summary()
+        clock = _ShardClock(executor)
         try:
-            if executor is not None:
-                results = self._score_parallel(
-                    context, score, ordered, executor, shard_seconds, block
-                )
+            if numpy:
+                result = score(pairs, clock, block)
             else:
-                results = self._score_serial(
-                    score, ordered, shard_seconds, block
+                (outcome,) = raise_on_task_errors(
+                    clock.map_blocks(_score_whole, [pairs], payload=score),
+                    "scoring",
                 )
+                result = outcome.value
         finally:
             if owned:
                 executor.shutdown()
-        context.shard_timings[self.name] = tuple(shard_seconds)
+        context.shard_timings[self.name] = tuple(clock.seconds)
         context.extras["executor"] = {
-            "name": executor.name if executor is not None else "serial",
-            "workers": executor.workers if executor is not None else 1,
-            "shards": len(shard_seconds),
+            "name": executor.name,
+            "workers": executor.workers,
+            "shards": len(clock.seconds),
         }
-        if executor is not None:
-            after = executor.stats.fault_summary()
-            # Delta against the pre-stage snapshot: a borrowed executor
-            # may carry fault history from earlier runs.
-            faults = {
-                key: (value if key == "degraded" else value - before[key])
-                for key, value in after.items()
-            }
-            if faults["faults"] or faults["task_errors"] or faults["degraded"]:
-                context.extras["faults"] = faults
-            if faults["degraded"]:
-                context.extras["degraded"] = True
-        return results
+        # Delta against the pre-stage snapshot: a borrowed executor may
+        # carry fault history from earlier runs.
+        faults = {
+            key: (value if key == "degraded" else value - before[key])
+            for key, value in executor.stats.fault_summary().items()
+        }
+        if faults["faults"] or faults["task_errors"] or faults["degraded"]:
+            context.extras["faults"] = faults
+        if faults["degraded"]:
+            context.extras["degraded"] = True
+        return result
 
-    # ------------------------------------------------------------------
-    # execution strategies
-    # ------------------------------------------------------------------
     def _resolve_executor(
-        self, context: LinkageContext, candidate_count: int, block: int
-    ) -> Tuple[Optional[Executor], bool]:
-        """The executor to shard through, or ``None`` for the serial
-        in-process path, plus whether this stage owns its shutdown.
+        self, context: LinkageContext, fan_out: bool
+    ) -> Tuple[Executor, bool]:
+        """The executor every scoring task runs through, plus whether
+        this stage owns its shutdown.
 
-        Parallel dispatch needs the numpy backend (the scalar oracle is
-        serial by definition) and more than one shard's worth of
-        candidates; ``context.executor`` (caller-provided, borrowed) wins
-        over the config (stage-created, owned).
+        ``context.executor`` (caller-provided, borrowed) wins over the
+        config (stage-created, owned).  Only work that fans out — more
+        than one block's worth of candidates on the numpy backend — gets
+        the named backend; anything less selects ``"serial"``.
         """
-        if (
-            self.config.similarity.backend != "numpy"
-            or candidate_count <= block
-        ):
-            return None, False
         provided = context.executor
-        if provided is not None:
-            return (provided, False) if provided.name != "serial" else (None, False)
-        name = self.config.resolved_executor()
-        if name == "serial":
-            return None, False
+        if provided is not None and (fan_out or provided.name == "serial"):
+            return provided, False
         return (
             create_executor(
-                name,
+                self.config.resolved_executor() if fan_out else "serial",
                 self.config.resolved_workers(),
                 timeout=self.config.timeout or None,
                 retries=self.config.retries,
             ),
             True,
         )
-
-    def _score_serial(
-        self,
-        score: Callable[..., object],
-        ordered: Sequence[Tuple[str, str]],
-        shard_seconds: List[float],
-        block: int,
-    ) -> List[object]:
-        """The in-process path (exactly the pre-executor behaviour)."""
-        results: List[object] = []
-        for start in range(0, len(ordered), block):
-            chunk = ordered[start : start + block]
-            clock = time.perf_counter()
-            results.append(score(chunk))
-            shard_seconds.append(time.perf_counter() - clock)
-        return results
-
-    def _score_parallel(
-        self,
-        context: LinkageContext,
-        score: Callable[..., object],
-        ordered: Sequence[Tuple[str, str]],
-        executor: Executor,
-        shard_seconds: List[float],
-        block: int,
-    ) -> List[object]:
-        """One cache-aware ``score`` call whose kernel dispatches shard
-        out through the executor."""
-        from ..core.kernels import concat_results
-
-        left_corpus, right_corpus = context.left_corpus, context.right_corpus
-        # Materialise the array views up front: thread workers must not
-        # race the lazy build, and process workers should inherit the
-        # arrays through fork rather than each rebuilding them.
-        left_corpus.arrays()
-        right_corpus.arrays()
-
-        def dispatch(pairs, config):
-            blocks = [
-                pairs[start : start + block]
-                for start in range(0, len(pairs), block)
-            ]
-            outcomes = executor.map_blocks(
-                score_pair_block,
-                [(block, config) for block in blocks],
-                payload=(left_corpus, right_corpus),
-            )
-            # The dispatch itself always completes (pools released, good
-            # shards kept); only a block that failed past its retry
-            # budget *and* the inline fallback aborts the stage — as a
-            # clean, descriptive error instead of a poisoned result.
-            raise_on_task_errors(outcomes, "scoring")
-            shard_seconds.extend(outcome.seconds for outcome in outcomes)
-            return concat_results([outcome.value for outcome in outcomes])
-
-        return [score(ordered, dispatch=dispatch)]
 
 
 # ---------------------------------------------------------------------------

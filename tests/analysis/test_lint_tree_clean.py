@@ -47,12 +47,22 @@ def test_unseeding_city_rng_fails_with_rule_and_location(tmp_path):
 
 
 def test_worker_side_cache_store_fails_with_rule_and_location(tmp_path):
-    """Inject a ``ScoreCache.store_batch`` call into the scoring worker."""
-    source = (REPO / "src/repro/pipeline/stages.py").read_text()
-    anchor = "    pairs, config = item\n"
+    """Inject a ``ScoreCache.store_batch`` call into the scoring worker —
+    the function the engine hands to ``map_blocks`` — and lint the file
+    under its real path below ``src/``: the rule exempts the in-parent
+    scoring modules by path, so a worker living in one of them would
+    make the in-tree guard vacuous (and fail here)."""
+    import inspect
+
+    from repro.core import similarity
+
+    worker_file = Path(inspect.getsourcefile(similarity.score_pair_block))
+    source = worker_file.read_text()
+    anchor = "    left, right, config = payload\n"
     assert anchor in source
-    injected = anchor + "    cache.store_batch(pairs, [0.0] * len(pairs), (0, 0))\n"
-    mutated = tmp_path / "stages.py"
+    injected = anchor + "    cache.store_batch(block, [0.0] * len(block), (0, 0))\n"
+    mutated = tmp_path / worker_file.relative_to(REPO)
+    mutated.parent.mkdir(parents=True)
     mutated.write_text(source.replace(anchor, injected, 1))
     line = next(
         number

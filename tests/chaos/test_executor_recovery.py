@@ -144,7 +144,7 @@ class TestPipelineRecovery:
         with inject(FaultPlan()):
             return LinkagePipeline(config).run(pair.left, pair.right)
 
-    @pytest.mark.parametrize("name", ("thread", "process"))
+    @pytest.mark.parametrize("name", ("serial", "thread", "process"))
     def test_faulted_run_matches_clean_run(self, sm_pair, name):
         config = LinkageConfig(executor=name, workers=2)
         clean = self._clean_report(sm_pair, config)
@@ -197,14 +197,3 @@ class TestPipelineRecovery:
         assert report.extras["faults"]["timeouts"] >= 1
         assert report.links == clean.links
         assert report.stats == clean.stats
-
-    def test_serial_pipeline_untouched_by_plans(self, sm_pair):
-        """The serial scoring path never enters an executor fan-out, so a
-        fault plan cannot perturb it — same links, no fault extras."""
-        config = LinkageConfig(executor="serial")
-        clean = self._clean_report(sm_pair, config)
-        with inject(FaultPlan.from_spec("transient@0;crash@1")):
-            report = LinkagePipeline(config).run(sm_pair.left, sm_pair.right)
-        assert report.links == clean.links
-        assert report.stats == clean.stats
-        assert "faults" not in report.extras

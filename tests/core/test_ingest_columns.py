@@ -133,14 +133,23 @@ def test_observe_of_a_mixed_batch_equals_one_observe_per_entity(rng, conversions
     assert batched.watermark == single.watermark
 
 
-def test_observe_rejects_a_bad_batch_whole():
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Record("b", 37.0, -122.0, 50.0), "before windowing origin for entity 'b'"),
+        (Record("b", 37.0, -122.0, float("nan")), "non-finite .* for entity 'b'"),
+        (Record("b", 37.0, -122.0, float("inf")), "non-finite .* for entity 'b'"),
+        (Record("b", float("nan"), -122.0, 400.0), "non-finite .* for entity 'b'"),
+        (Record("b", 37.0, float("-inf"), 400.0), "non-finite .* for entity 'b'"),
+    ],
+    ids=["pre-origin", "nan-timestamp", "inf-timestamp", "nan-lat", "inf-lng"],
+)
+def test_observe_rejects_a_bad_batch_whole(bad, message, recwarn):
     linker = StreamingLinker(100.0)
     linker.observe("left", [Record("a", 37.0, -122.0, 150.0)])
-    with pytest.raises(ValueError, match="entity 'b'"):
-        linker.observe(
-            "left",
-            [Record("a", 37.0, -122.0, 400.0), Record("b", 37.0, -122.0, 50.0)],
-        )
+    with pytest.raises(ValueError, match=message):
+        linker.observe("left", [Record("a", 37.0, -122.0, 400.0), bad])
+    assert not recwarn.list  # named before numpy meets it in a cast
     # Checked before anything is touched: "a" did not grow.
     assert linker._sides["left"]["a"].num_records == 1
     assert linker._sides["left"]["a"].version == 0

@@ -1,5 +1,6 @@
 """Unit tests for bipartite matching."""
 
+import numpy as np
 import pytest
 
 from repro.core.matching import (
@@ -7,10 +8,9 @@ from repro.core.matching import (
     greedy_max_matching,
     hungarian_matching,
     match,
-    networkx_matching,
 )
 
-ALL_MATCHERS = [greedy_max_matching, hungarian_matching, networkx_matching]
+ALL_MATCHERS = [greedy_max_matching, hungarian_matching]
 
 
 def _is_valid_matching(edges):
@@ -58,23 +58,21 @@ class TestGreedy:
         assert greedy_max_matching(edges) == greedy_max_matching(list(reversed(edges)))
 
 
-class TestExactMatchers:
-    @pytest.mark.parametrize("matcher", [hungarian_matching, networkx_matching])
-    def test_finds_optimal_assignment(self, matcher):
+class TestExactMatcher:
+    def test_finds_optimal_assignment(self):
         edges = [
             Edge("a", "x", 10.0),
             Edge("a", "y", 9.0),
             Edge("b", "x", 9.0),
             Edge("b", "y", 1.0),
         ]
-        result = matcher(edges)
+        result = hungarian_matching(edges)
         assert _is_valid_matching(result)
         assert sum(e.weight for e in result) == 18.0
 
-    @pytest.mark.parametrize("matcher", [hungarian_matching, networkx_matching])
-    def test_only_existing_edges_linked(self, matcher):
+    def test_only_existing_edges_linked(self):
         edges = [Edge("a", "x", 5.0), Edge("b", "x", 3.0)]
-        result = matcher(edges)
+        result = hungarian_matching(edges)
         # Only one right vertex exists; at most one link possible.
         assert len(result) == 1
         assert result[0] == Edge("a", "x", 5.0)
@@ -87,24 +85,53 @@ class TestExactMatchers:
     def test_single_edge(self, matcher):
         assert matcher([Edge("a", "x", 1.0)]) == [Edge("a", "x", 1.0)]
 
-    @pytest.mark.parametrize("matcher", [hungarian_matching, networkx_matching])
-    def test_duplicate_edges_keep_best(self, matcher):
+    def test_duplicate_edges_keep_best(self):
         edges = [Edge("a", "x", 1.0), Edge("a", "x", 7.0)]
-        result = matcher(edges)
-        assert result == [Edge("a", "x", 7.0)]
+        assert hungarian_matching(edges) == [Edge("a", "x", 7.0)]
 
     def test_same_id_both_sides_is_fine(self):
         # Anonymised datasets may reuse raw ids; sides must not collapse.
         edges = [Edge("e1", "e1", 2.0), Edge("e1", "e2", 1.0)]
-        result = networkx_matching(edges)
+        result = hungarian_matching(edges)
         assert _is_valid_matching(result)
         assert len(result) == 1
+
+    def test_more_links_beat_more_weight(self):
+        """The objective, exactly: as many links as possible first, then
+        the heaviest such set — not the heaviest set outright ({a-x})."""
+        edges = [Edge("a", "x", 10.0), Edge("a", "y", 1.0), Edge("b", "x", 1.0)]
+        result = hungarian_matching(edges)
+        assert sorted(result) == [Edge("a", "y", 1.0), Edge("b", "x", 1.0)]
+
+    def test_optimum_agrees_with_an_independent_exact_matcher(self):
+        """networkx's blossom matcher is not a dependency any more; where
+        it happens to be installed it still cross-checks the optimum
+        (``maxcardinality=True`` is the objective above)."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            edges = [
+                Edge(f"l{left}", f"r{right}", float(rng.uniform(0.1, 10.0)))
+                for left in range(6)
+                for right in range(7)
+                if rng.random() < 0.5
+            ]
+            graph = nx.Graph()
+            for edge in edges:
+                graph.add_edge(("L", edge.left), ("R", edge.right), weight=edge.weight)
+            reference = nx.max_weight_matching(graph, maxcardinality=True)
+            result = hungarian_matching(edges)
+            assert _is_valid_matching(result)
+            assert len(result) == len(reference)
+            assert sum(e.weight for e in result) == pytest.approx(
+                sum(graph[a][b]["weight"] for a, b in reference)
+            )
 
 
 class TestDispatch:
     def test_match_by_name(self):
         edges = [Edge("a", "x", 1.0)]
-        for name in ("greedy", "hungarian", "networkx"):
+        for name in ("greedy", "hungarian"):
             assert match(edges, name) == [Edge("a", "x", 1.0)]
 
     def test_unknown_method_raises(self):
@@ -112,7 +139,7 @@ class TestDispatch:
             match([], "magic")
 
     def test_all_matchers_agree_on_separable(self):
-        """When true pairs dominate, all three matchers select them."""
+        """When true pairs dominate, both matchers select them."""
         edges = []
         for k in range(6):
             edges.append(Edge(f"l{k}", f"r{k}", 100.0 + k))

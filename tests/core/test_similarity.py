@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
+from repro.core.score_cache import ScoreCache
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
+from repro.exec import TaskError, create_executor
+from repro.geo.cell import CellId
 from repro.temporal import Windowing
 
 WINDOWING = Windowing(0.0, 900.0)
@@ -228,13 +232,18 @@ class TestStats:
         assert old.pairs_scored == 1
         assert engine.stats.pairs_scored == 0
 
-    def test_distance_cache_grows(self):
+    def test_oracle_distance_memo_is_symmetric(self):
         engine = _engine(
-            [(0.0, *SF_A)], [(10.0, *SF_B)],
+            [(0.0, *SF_A)], [(10.0, *SF_MID)],
             config=SimilarityConfig(backend="python"),
         )
-        engine.score("u", "v")
-        assert engine.distance_cache_size >= 1
+        cell_u = engine.left.history("u").bins(LEVEL)[0][0]
+        cell_v = engine.right.history("v").bins(LEVEL)[0][0]
+        expected = CellId(cell_u).distance_meters(CellId(cell_v))
+        assert expected > 0.0
+        for _ in range(2):  # computed, then served from the memo
+            assert engine.distance(cell_u, cell_v) == expected
+            assert engine.distance(cell_v, cell_u) == expected
 
     def test_distance_same_cell_zero_without_cache(self):
         engine = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
@@ -242,46 +251,42 @@ class TestStats:
         assert engine.distance(cell, cell) == 0.0
 
 
-class TestDistanceCacheLru:
-    """The scalar backend's distance cache is a bounded LRU with counters."""
-
-    def test_hit_and_miss_counters(self):
-        engine = _engine(
-            [(0.0, *SF_A)], [(10.0, *SF_B)],
-            config=SimilarityConfig(backend="python"),
+class TestErrors:
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_unknown_entity_is_a_key_error(self, backend, cached):
+        """Whatever the backend, with or without a score cache — and on
+        the numpy route *before* a block is dispatched: a block task that
+        raises is the executor's to retry, and would surface as a
+        ``TaskError`` after the backoff sleeps instead."""
+        built = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
+        engine = SimilarityEngine(
+            built.left,
+            built.right,
+            SimilarityConfig(backend=backend),
+            score_cache=ScoreCache() if cached else None,
         )
-        engine.score("u", "v")
-        assert engine.stats.distance_cache_misses >= 1
-        assert engine.stats.distance_cache_hits == 0
-        engine.score("u", "v")  # same pair again: all lookups now hit
-        assert engine.stats.distance_cache_hits >= 1
+        executor = create_executor("serial")
+        with pytest.raises(KeyError, match="nobody"):
+            engine.score("u", "nobody")
+        with pytest.raises(KeyError, match="nobody"):
+            engine.score_batch([("u", "v"), ("nobody", "v")], executor)
+        assert executor.stats.dispatches == 0
+        if backend == "numpy":  # the oracle's loop scored ("u", "v") first
+            assert engine.stats.pairs_scored == 0
 
-    def test_cap_evicts_least_recently_used(self):
-        engine = _engine(
-            [(0.0, *SF_A)], [(10.0, *SF_B)],
-            config=SimilarityConfig(backend="python", distance_cache_cap=2),
-        )
-        cells = [
-            MobilityHistory.from_columns(
-                "c", np.array([0.0]), np.array([lat]), np.array([-122.0]),
-                WINDOWING, LEVEL,
-            ).bins(LEVEL)[0][0]
-            for lat in (37.0, 37.5, 38.0, 38.5)
-        ]
-        engine.distance(cells[0], cells[1])
-        engine.distance(cells[0], cells[2])
-        engine.distance(cells[0], cells[3])  # evicts the (0, 1) entry
-        assert engine.distance_cache_size == 2
-        misses = engine.stats.distance_cache_misses
-        engine.distance(cells[0], cells[1])  # must recompute
-        assert engine.stats.distance_cache_misses == misses + 1
+    def test_a_failing_block_task_is_a_task_error(self, monkeypatch):
+        """``"serial"`` is an executor like the others: an exception
+        inside a block task is retried within the budget, then raised as
+        a ``TaskError`` naming the original type and message."""
 
-    def test_numpy_backend_never_touches_cache(self):
-        engine = _engine([(0.0, *SF_A)], [(10.0, *SF_B)])
-        engine.score("u", "v")
-        assert engine.distance_cache_size == 0
-        assert engine.stats.distance_cache_misses == 0
+        def broken(left, right, pairs, config):
+            raise ValueError("kernel bug")
 
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(distance_cache_cap=0)
+        monkeypatch.setattr(kernels, "score_pairs_batch", broken)
+        engine = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
+        executor = create_executor("serial", retries=1, backoff=0.0)
+        with pytest.raises(TaskError, match="ValueError: kernel bug"):
+            engine.score_batch([("u", "v")], executor)
+        assert (executor.stats.faults, executor.stats.retries) == (2, 1)
+        assert engine.stats.pairs_scored == 0

@@ -10,7 +10,7 @@ downstream linkage run cannot be perturbed by garbage rows.
 
 import pytest
 
-from repro.data import save_csv
+from repro.data import LocationDataset, Record, save_csv
 from repro.data.io import (
     QuarantineReport,
     load_csv,
@@ -20,6 +20,8 @@ from repro.data.io import (
 from repro.pipeline import LinkagePipeline
 from repro.pipeline.config import LinkageConfig
 from repro.scenarios import scenario_pair
+
+NAN = float("nan")
 
 CLEAN_CSV_ROWS = [
     "a,37.77,-122.42,1500000000",
@@ -38,6 +40,9 @@ ADVERSARIAL_CSV_ROWS = [
     "evil,not_a_float,-122.42,1500000360",  # unparsable latitude
     "evil,37.77,-122.42,12:00:00T2010-01-01",  # reversed/garbled timestamp
     "evil,37.77,-122.42,never o'clock",     # unparsable timestamp
+    "evil,37.77,-122.42,nan",               # parses, but is no instant
+    "evil,37.77,-122.42,-inf",              # ditto
+    "evil,37.77,-122.42,1e400",             # overflows to inf
 ]
 
 
@@ -75,7 +80,11 @@ class TestCsvQuarantine:
         )
         # NaN coords fail the range comparison, so they land there too.
         assert out_of_range == 6
-        assert malformed == 3
+        assert malformed == 6
+        assert sum(
+            count for reason, count in reasons.items()
+            if "timestamp not finite" in reason
+        ) == 3
 
     def test_rows_carry_forensics(self, loaded):
         _, report = loaded
@@ -113,6 +122,31 @@ class TestCsvQuarantine:
         with pytest.raises(ValueError, match="out of range"):
             load_csv(path)
 
+    def test_raise_mode_names_a_non_finite_timestamp(self, tmp_path):
+        path = write_csv(
+            tmp_path / "dirty.csv", CLEAN_CSV_ROWS[:1] + ADVERSARIAL_CSV_ROWS[-3:]
+        )
+        with pytest.raises(ValueError, match=r"dirty.csv:3: .*timestamp not finite"):
+            load_csv(path)
+
+
+class TestDatasetConstructors:
+    """The same gate for datasets that never were a file."""
+
+    def test_from_records_names_the_entity(self):
+        records = [Record("a", 37.0, -122.0, 10.0), Record("b", 37.0, -122.0, NAN)]
+        with pytest.raises(ValueError, match="timestamp not finite for entity 'b'"):
+            LocationDataset.from_records(records)
+
+    @pytest.mark.parametrize("bad", [NAN, float("inf")])
+    def test_from_arrays_names_the_entity(self, bad):
+        columns = {
+            "a": ([10.0, 20.0], [37.0, 37.0], [-122.0, -122.0]),
+            "b": ([10.0, bad], [37.0, 37.0], [-122.0, -122.0]),
+        }
+        with pytest.raises(ValueError, match="timestamp not finite for entity 'b'"):
+            LocationDataset.from_arrays(["a", "b"], columns)
+
 
 class TestGowallaQuarantine:
     CLEAN = [
@@ -124,6 +158,7 @@ class TestGowallaQuarantine:
         "u9\t2010-10-19T23:55:27Z\tnan\t-97.79\t1",       # NaN latitude
         "u9\t2010-10-19T23:55:27Z\t30.23\t999.0\t2",      # lng out of range
         "u9\t23:55:27T2010-10-19\t30.23\t-97.79\t3",      # garbled timestamp
+        "u9\tnan\t30.23\t-97.79\t4",                       # non-finite timestamp
         "u9\t2010-10-19T23:55:27Z",                        # truncated line
     ]
 

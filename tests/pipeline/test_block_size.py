@@ -7,13 +7,15 @@ what makes the density heuristic safe to apply silently.
 
 import pytest
 
+from repro.core import kernels
+from repro.data.sampling import LinkagePair
+from repro.eval.harness import score_all_pairs
 from repro.pipeline import (
     DENSE_SCORE_BLOCK_SIZE,
     SCORE_BLOCK_SIZE,
     LinkageConfig,
     LinkagePipeline,
     resolve_score_block_size,
-    stages,
 )
 
 
@@ -21,20 +23,6 @@ class TestResolution:
     def test_explicit_config_wins(self, cab_pair):
         config = LinkageConfig(score_block_size=777)
         assert resolve_score_block_size(config, None, None) == 777
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCORE_BLOCK_SIZE", "123")
-        assert resolve_score_block_size(LinkageConfig(), None, None) == 123
-
-    def test_env_override_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCORE_BLOCK_SIZE", "0")
-        with pytest.raises(ValueError, match="REPRO_SCORE_BLOCK_SIZE"):
-            resolve_score_block_size(LinkageConfig(), None, None)
-
-    def test_env_override_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCORE_BLOCK_SIZE", "2k")
-        with pytest.raises(ValueError, match="REPRO_SCORE_BLOCK_SIZE"):
-            resolve_score_block_size(LinkageConfig(), None, None)
 
     def test_missing_corpora_fall_back_to_default(self):
         assert (
@@ -67,6 +55,10 @@ class TestResolution:
             resolve_score_block_size(LinkageConfig(), left, right)
             == DENSE_SCORE_BLOCK_SIZE
         )
+        # ... which an explicit size (how tests and benches force
+        # sharding) still overrides.
+        explicit = LinkageConfig(score_block_size=48)
+        assert resolve_score_block_size(explicit, left, right) == 48
         assert report.links  # the run itself stayed sane
 
     def test_sparse_corpus_keeps_large_blocks(self, sm_pair):
@@ -86,20 +78,24 @@ class TestResolution:
             == SCORE_BLOCK_SIZE
         )
 
-    def test_lowered_module_default_stays_binding(self, monkeypatch, cab_pair):
-        """Tests and benches monkeypatch stages.SCORE_BLOCK_SIZE to force
-        sharding; the dense choice must not silently raise it back."""
-        from repro.core.corpus import HistoryCorpus
-        from repro.core.history import build_histories
-        from repro.temporal import common_windowing
+    def test_score_all_pairs_takes_the_dense_choice(self, cab_world, monkeypatch):
+        """Every caller of the engine gets the workload-aware size, not
+        only the scoring stage: the full 24 x 24 taxi cross product (576
+        pairs — the sampled ``cab_pair``'s 144 would fit one block of
+        either size) reaches the kernel as one dense block and the rest.
+        """
+        blocks = []
+        kernel = kernels.score_pairs_batch
 
-        windowing = common_windowing(
-            (cab_pair.left.time_range(), cab_pair.right.time_range()), 900.0
-        )
-        left = HistoryCorpus(build_histories(cab_pair.left, windowing, 12), 12)
-        right = HistoryCorpus(build_histories(cab_pair.right, windowing, 12), 12)
-        monkeypatch.setattr(stages, "SCORE_BLOCK_SIZE", 48)
-        assert stages.resolve_score_block_size(LinkageConfig(), left, right) == 48
+        def recording(left, right, pairs, config):
+            blocks.append(len(pairs))
+            return kernel(left, right, pairs, config)
+
+        monkeypatch.setattr(kernels, "score_pairs_batch", recording)
+        pair = LinkagePair(cab_world, cab_world.renamed("right"), {})
+        scores, _ = score_all_pairs(pair)
+        assert len(scores) == 576
+        assert blocks == [DENSE_SCORE_BLOCK_SIZE, 576 - DENSE_SCORE_BLOCK_SIZE]
 
 
 class TestBlockSizeParity:

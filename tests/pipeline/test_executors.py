@@ -9,17 +9,16 @@ check-in and taxi synthetic workloads.
 
 import pytest
 
-import repro.pipeline.stages as stages
-from repro.exec import create_executor
+from repro.exec import FaultPlan, TaskError, create_executor, inject
 from repro.pipeline import LinkageConfig, LinkagePipeline
 
 BACKENDS = ("serial", "thread", "process")
 
 
-def _run_all_backends(pair, workers=2):
+def _run_all_backends(pair, workers=2, **knobs):
     reports = {}
     for name in BACKENDS:
-        config = LinkageConfig(executor=name, workers=workers)
+        config = LinkageConfig(executor=name, workers=workers, **knobs)
         reports[name] = LinkagePipeline(config).run(pair.left, pair.right)
     return reports
 
@@ -40,41 +39,56 @@ def _assert_identical(reports):
 class TestBitIdenticalBackends:
     def test_checkin_workload(self, sm_pair):
         """The sparse check-in world: ~10k brute-force pairs, several
-        SCORE_BLOCK_SIZE shards — the parallel path actually engages."""
+        SCORE_BLOCK_SIZE shards — under every backend, serial included,
+        every shard is a task of the named executor."""
         reports = _run_all_backends(sm_pair)
         _assert_identical(reports)
-        for name in ("thread", "process"):
+        for name in BACKENDS:
             info = reports[name].extras["executor"]
             assert info["name"] == name
             assert info["shards"] >= 2
             assert len(reports[name].shard_timings["scoring"]) == info["shards"]
+        assert len({r.extras["executor"]["shards"] for r in reports.values()}) == 1
 
-    def test_taxi_workload(self, cab_pair, monkeypatch):
+    def test_taxi_workload(self, cab_pair):
         """The dense taxi world is small; shrink the shard size so its
         candidate set spans several shards and the dense-matrix kernel
         path is exercised under every backend."""
-        monkeypatch.setattr(stages, "SCORE_BLOCK_SIZE", 48)
-        reports = _run_all_backends(cab_pair)
+        reports = _run_all_backends(cab_pair, score_block_size=48)
         _assert_identical(reports)
-        assert reports["process"].extras["executor"]["shards"] >= 2
+        for name in BACKENDS:
+            assert reports[name].extras["executor"]["shards"] == 3
 
     def test_python_backend_stays_serial(self, cab_pair):
-        """The scalar oracle never shards: its distance-cache counters
-        depend on one shared engine, so parallel dispatch is refused."""
-        config = LinkageConfig(executor="process", workers=2)
+        """The scalar oracle never shards: it is one pair at a time by
+        definition, so whatever executor is named its whole loop is one
+        task of the serial executor — timed, retried and fault-injected
+        like any other task."""
+        config = LinkageConfig(executor="process", workers=2, score_block_size=48)
         config = config.without(
             similarity=config.similarity.without(backend="python")
         )
-        report = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
-        assert report.extras["executor"]["name"] == "serial"
+        with inject(FaultPlan()):
+            clean = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
+        (seconds,) = clean.shard_timings["scoring"]
+        assert 0.0 < seconds <= clean.timings["scoring"]
+        assert clean.extras["executor"] == {
+            "name": "serial",
+            "workers": 1,
+            "shards": 1,
+        }
+        with inject(FaultPlan.from_spec("transient@0")):
+            report = LinkagePipeline(config).run(cab_pair.left, cab_pair.right)
+        assert report.extras["faults"]["retries"] == 1
+        assert report.edges == clean.edges
+        assert report.stats == clean.stats
 
-    def test_borrowed_context_executor_survives(self, sm_pair, monkeypatch):
+    def test_borrowed_context_executor_survives(self, sm_pair):
         """An executor lent through LinkagePipeline.run is used but not
         shut down — repeated runs share one pool."""
-        monkeypatch.setattr(stages, "SCORE_BLOCK_SIZE", 512)
         executor = create_executor("thread", workers=2)
         try:
-            pipeline = LinkagePipeline(LinkageConfig())
+            pipeline = LinkagePipeline(LinkageConfig(score_block_size=512))
             first = pipeline.run(sm_pair.left, sm_pair.right, executor=executor)
             second = pipeline.run(sm_pair.left, sm_pair.right, executor=executor)
             assert first.extras["executor"]["name"] == "thread"
@@ -84,7 +98,11 @@ class TestBitIdenticalBackends:
             executor.shutdown()
 
 
-class TestSerialDetail:
+class TestSerialIsAnExecutor:
+    """``executor="serial"`` is the registry's ``SerialExecutor``, not a
+    loop beside it: the retry budget and an injected fault plan reach its
+    score blocks exactly as they reach ``thread`` / ``process`` ones."""
+
     def test_serial_reports_per_shard_timings_too(self, sm_pair):
         report = LinkagePipeline(LinkageConfig(executor="serial")).run(
             sm_pair.left, sm_pair.right
@@ -96,6 +114,27 @@ class TestSerialDetail:
             "workers": 1,
             "shards": len(shards),
         }
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_transient_faults_are_retried(self, sm_pair, name):
+        config = LinkageConfig(executor=name, workers=2)
+        with inject(FaultPlan()):  # masks any REPRO_FAULTS of the environment
+            clean = LinkagePipeline(config).run(sm_pair.left, sm_pair.right)
+        with inject(FaultPlan.from_spec("transient@0;transient@1")):
+            report = LinkagePipeline(config).run(sm_pair.left, sm_pair.right)
+        assert "faults" not in clean.extras
+        faults = report.extras["faults"]
+        assert (faults["faults"], faults["retries"]) == (2, 2)
+        assert faults["task_errors"] == 0 and not faults["degraded"]
+        assert report.links == clean.links
+        assert report.edges == clean.edges
+        assert report.stats == clean.stats
+
+    def test_no_retry_budget_surfaces_the_fault(self, sm_pair):
+        config = LinkageConfig(executor="serial", retries=0)
+        with inject(FaultPlan.from_spec("transient@0")):
+            with pytest.raises(TaskError, match="1 scoring task"):
+                LinkagePipeline(config).run(sm_pair.left, sm_pair.right)
 
 
 class TestConfigSurface:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.pipeline import Registry, candidate_stages, matchers, threshold_methods
+from repro.pipeline import (
+    LinkageConfig,
+    Registry,
+    candidate_stages,
+    matchers,
+    threshold_methods,
+)
 
 
 class TestRegistry:
@@ -62,8 +68,13 @@ class TestBuiltinRegistries:
         assert "lsh" in candidate_stages
 
     def test_builtin_matchers(self):
-        for name in ("greedy", "hungarian", "networkx"):
+        for name in ("greedy", "hungarian"):
             assert name in matchers
+
+    def test_deleted_networkx_matcher_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="registered matchers") as excinfo:
+            LinkageConfig(matching="networkx")
+        assert "hungarian" in str(excinfo.value)
 
     def test_stlink_matcher_registers_on_import(self):
         import repro.baselines.stlink  # noqa: F401

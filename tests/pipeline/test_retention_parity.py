@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
-from repro.pipeline import LinkageConfig, stages
+from repro.pipeline import LinkageConfig
 
 WIDTH = 900.0
 
@@ -49,11 +49,11 @@ def _run(config):
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_eviction_parity_across_executors(executor, monkeypatch):
+def test_eviction_parity_across_executors(executor):
     """Retired-then-relinked must equal a *serial* cold run over the
     survivors, bit for bit, whichever backend sharded the scoring."""
-    monkeypatch.setattr(stages, "SCORE_BLOCK_SIZE", 32)  # force sharding
     config = LinkageConfig(
+        score_block_size=32,  # force sharding
         retention="sliding_window",
         retention_window=12,
         threshold="none",

@@ -73,6 +73,28 @@ def test_restored_linker_carries_the_score_cache(tmp_path):
     assert continued.link_scores == resumed.link_scores
 
 
+def test_snapshot_whose_config_carries_a_deleted_knob_still_restores(tmp_path):
+    """Format-3 snapshots written before ``distance_cache_cap`` was
+    deleted pickle a ``SimilarityConfig`` that still carries it; the
+    attribute must ride along harmlessly — same config, same relinks."""
+    linker = StreamingLinker(0.0)
+    _replay(linker, range(3))
+    legacy = vars(linker.config.similarity)
+    legacy["distance_cache_cap"] = 1 << 18
+    try:
+        linker.save(tmp_path / "snaps")
+    finally:
+        del legacy["distance_cache_cap"]
+    restored = StreamingLinker.restore(tmp_path / "snaps", strict=True)
+    assert vars(restored.config.similarity)["distance_cache_cap"] == 1 << 18
+    assert restored.config == linker.config
+    assert restored.config.to_dict() == linker.config.to_dict()
+    continued = _replay(linker, [3])
+    resumed = _replay(restored, [3])
+    assert linker.last_relink == restored.last_relink
+    assert continued.link_scores == resumed.link_scores
+
+
 def test_restore_into_disk_storage(tmp_path):
     """A snapshot from an in-core linker restores into ``storage="disk"``
     (and vice versa) with identical links — storage is not part of the

@@ -72,7 +72,7 @@ FILE_CONFIG = LinkageConfig(
     ),
     lsh=LshConfig(threshold=0.3, step_windows=4, spatial_level=13, num_buckets=512),
     candidates="temporal",
-    matching="networkx",
+    matching="greedy",
     threshold="two_means",
     executor="thread",
     workers=3,
@@ -183,7 +183,7 @@ PARENT_DEFAULT_JSON = (
     '{"similarity": {"window_width_minutes": 15.0, "spatial_level": 12, '
     '"max_speed_mps": 33.333333333333336, "b": 0.5, "pairing": "mnn", '
     '"use_mfn": true, "use_idf": true, "use_normalization": true, '
-    '"alibi_eps": 1e-06, "backend": "numpy", "distance_cache_cap": 262144}, '
+    '"alibi_eps": 1e-06, "backend": "numpy"}, '
     '"lsh": null, "candidates": "auto", "matching": "greedy", '
     '"threshold": "gmm", "storage_level": null, "executor": "auto", '
     '"workers": 0, "retention": "none", "retention_window": 0, '
@@ -227,7 +227,6 @@ PARENT_CASES = [
     (["--threshold-method", "none"], None, {"threshold": "none"}),
     (["--matching", "greedy"], None, {}),
     (["--matching", "hungarian"], None, {"matching": "hungarian"}),
-    (["--matching", "networkx"], None, {"matching": "networkx"}),
     (["--window-minutes", "30", "--spatial-level", "10"], None,
      {"similarity.window_width_minutes": 30.0, "similarity.spatial_level": 10}),
     (["--max-speed-kmh", "60", "--b", "0.8"], None,
@@ -314,7 +313,6 @@ SIMILARITY = st.builds(
     use_normalization=st.booleans(),
     alibi_eps=_finite(min_value=1e-9, max_value=0.5),
     backend=st.sampled_from(BACKENDS),
-    distance_cache_cap=st.integers(1, 1 << 20),
 )
 LSH = st.builds(
     LshConfig,
@@ -328,7 +326,7 @@ LINKAGE = st.builds(
     similarity=SIMILARITY,
     lsh=st.none() | LSH,
     candidates=st.sampled_from(["auto", "brute", "lsh", "temporal"]),
-    matching=st.sampled_from(["greedy", "hungarian", "networkx"]),
+    matching=st.sampled_from(["greedy", "hungarian"]),
     threshold=st.sampled_from(["gmm", "otsu", "two_means", "none"]),
     storage_level=st.none() | st.integers(0, 30),
     executor=st.sampled_from(["auto", "serial", "thread", "process"]),

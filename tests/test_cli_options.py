@@ -28,7 +28,7 @@ class TestThresholdMethods:
 
 
 class TestMatchers:
-    @pytest.mark.parametrize("matcher", ["greedy", "hungarian", "networkx"])
+    @pytest.mark.parametrize("matcher", ["greedy", "hungarian"])
     def test_all_matchers_run(self, small_csv_pair, matcher, capsys):
         left, right = small_csv_pair
         assert main([left, right, "--matching", matcher]) == 0
