@@ -533,8 +533,8 @@ class HistoryCorpus:
         """Mean distinct cells per populated (entity, window) pair — the
         *density* signal the scoring stage's workload-aware block-size
         heuristic reads (dense corpora produce matrix-shaped interactions
-        whose padded power-of-two buckets grow superlinearly with block
-        size; see :func:`~repro.core.kernels.workload_block_size`).
+        whose padded power-of-two buckets cost memory in proportion to
+        the block; see :func:`~repro.core.kernels.workload_block_size`).
         """
         populated = sum(len(bins) for bins in self._entity_bins.values())
         return self._total_bins / populated if populated else 0.0

@@ -13,30 +13,47 @@ arithmetic over blocks of candidate pairs:
     ``(pair, window)`` *interaction* is then a slice of the corpus-wide
     flat arrays (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell
     ids, geometry-table slots, IDFs; Morton-sorted for locality).
-2.  **Shape grouping** — interactions whose distance matrix is a *vector*
+2.  **Distance and proximity** — both are functions of the two cells
+    alone: haversine centre angle from the precomputed lat/lng/cos(lat) of
+    the corpora's :class:`~repro.core.corpus.CellTable` rows minus both
+    circumradii, clamped at zero, identical cells exactly ``0.0`` — the
+    same lower-bound formula as
+    :meth:`repro.geo.cell.CellId.distance_meters` on the same per-cell
+    constants — and Eq. 1 on top of it.  *Tabulation rule:* when the
+    ``(left cells, right cells)`` table has no more entries than the
+    dispatch has live bin comparisons, it is computed once and every
+    interaction gathers ``table[slots_u, slots_v]`` (one dense city: a
+    few thousand distinct cell pairs meet millions of times); otherwise
+    (sparse worlds, small streaming deltas) every comparison is computed
+    where it stands.  The rule reads only the input, and both arms run
+    the same elementwise formula, so which one a dispatch takes cannot
+    change a bit.  The table is derived state and a *local* of the
+    dispatch (:func:`_proximity_lookup` returns a closure over it): the
+    ``thread`` executor's workers share modules and corpora, so anything
+    kept on either would be a cross-dispatch cache to invalidate and to
+    synchronise.
+3.  **Shape grouping** — interactions whose distance matrix is a *vector*
     (one cell on either side, the overwhelming majority in real
     workloads) are processed ragged in a single flat dispatch with
     segment reductions (``np.minimum.reduceat`` et al.); true matrices
-    (``m, n >= 2``) are padded into square power-of-two buckets
-    (``pow2ceil(max(m, n))``), so a whole block needs only a handful of
-    dense ``(B, s, s)`` tensor dispatches.
-3.  **Distance** — the pairwise cell distances of a whole group are
-    computed in one shot: haversine centre angle from precomputed
-    lat/lng/cos(lat) minus both circumradii, clamped at zero, with
-    identical cells forced to exactly ``0.0`` — the same lower-bound
-    formula as :meth:`repro.geo.cell.CellId.distance_meters`, evaluated on
-    the same per-cell constants.
+    (``m, n >= 2``) are padded into *rectangular* power-of-two buckets
+    ``(pow2ceil(m), pow2ceil(n))`` — under 2x padding per side, ``2 x 2``
+    always unpadded — so a whole block needs only a handful of dense
+    ``(B, rows, cols)`` tensor dispatches.
 4.  **Pairing** — greedy mutually-nearest (MNN) and mutually-furthest
-    (MFN) selections are run for all matrices of a group simultaneously:
-    one stable ``argsort`` over the flattened matrices, then ``m*n``
-    vectorized accept/reject steps with used-row/used-column masks.  Stable
-    ordering reproduces the scalar ``greedy_index_pairs`` tie-break
-    (row-major on equal distances) exactly.
-5.  **Aggregation** — proximity (Eq. 1), min-IDF weights, the MFN
-    negative-only alibi contributions, and all the instrumentation counters
-    (bin comparisons, common windows, alibi bin/entity pairs) are reduced
-    per pair with ``np.add.at``.  The result is the **raw** Eq. 2 total:
-    the BM25-style length normalisation is the engine's epilogue
+    (MFN) selections run for all matrices of a bucket at once, as the
+    sequential greedy itself: ``min(rows, cols)`` rounds, each one
+    first-occurrence ``argmin`` over the flattened matrices (padding and
+    used rows / columns hold ``inf``) followed by overwriting the picked
+    row and column.  First occurrence is the scalar
+    ``greedy_index_pairs`` tie-break (row-major on equal distances).
+5.  **Aggregation** — proximity times min-IDF weight over the selected
+    entries, plus the MFN negative-only alibi contributions, gives one
+    total and one alibi count per *interaction*, written into two
+    interaction-length arrays whichever path or bucket produced them; one
+    ``np.bincount`` per counter then folds them per pair, in interaction
+    order.  The result is the **raw** Eq. 2 total: the BM25-style length
+    normalisation is the engine's epilogue
     (:meth:`repro.core.similarity.SimilarityEngine.normalize`), not the
     kernel's.
 
@@ -48,18 +65,21 @@ MFN / IDF / normalisation combination.
 Two properties of this kernel matter to the streaming layer
 (:mod:`repro.core.streaming`):
 
-* **dispatch determinism** — a pair's per-window contributions are
-  accumulated in the same order (windows ascending; vector interactions,
-  then matrix buckets by size) regardless of which other pairs share the
+* **dispatch determinism** — an interaction's total depends on its own
+  cells only (its bucket shape is a function of its own ``(m, n)``), and
+  a pair's interactions are folded in their own order, windows
+  ascending, regardless of which other pairs, paths or buckets share the
   batch, so scoring a pair alone reproduces its in-block result bit for
   bit.  That is what lets a delta relink re-score only cache misses and
-  still match a cold run exactly;
+  still match a cold run exactly.  A change that can move a raw total in
+  any bit bumps :data:`ARITHMETIC_REVISION`, so totals cached before it
+  miss instead of mixing;
 * **normalisation is a separable epilogue** — the kernel always returns
   the raw Eq. 2 totals the :class:`~repro.core.score_cache.ScoreCache`
   memoises; the engine divides by the *live* length norms afterwards, so
   a cached total and a fresh one are normalised by the same code.
 
-Doctest — batched greedy pairing, the heart of step 4:
+Doctest — batched greedy pairing, step 4:
 
 >>> import numpy as np
 >>> distances = np.array([[[0.0, 5.0],
@@ -74,7 +94,7 @@ array([[False,  True],
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +115,13 @@ __all__ = [
     "workload_block_size",
 ]
 
+#: Revision of the kernel's arithmetic, one term of
+#: :func:`~repro.core.similarity.score_cache_space`.  Bump when a raw
+#: total can change in any bit (summation order, bucketing, formula), so
+#: a score cache or snapshot written before the change is a clean miss
+#: rather than a mix of old and new totals.
+ARITHMETIC_REVISION = 2
+
 #: Histories at or below this many populated windows intersect through
 #: their window dicts; larger ones use one sorted numpy intersection.
 _DICT_INTERSECT_MAX_WINDOWS = 64
@@ -106,10 +133,11 @@ _DICT_INTERSECT_MAX_WINDOWS = 64
 SCORE_BLOCK_SIZE = 4096
 
 #: Block size for *dense* corpora (multiple cells per active window on
-#: both sides).  Dense windows produce matrix-shaped interactions that the
-#: kernel pads into square power-of-two buckets; the padded tensor volume
-#: grows superlinearly with the number of pairs in a block, so smaller
-#: blocks are ~3-4x faster there (measured on the cab workload, PR 4).
+#: both sides), whose matrix-shaped interactions become padded
+#: ``(B, rows, cols)`` tensors.  It bounds memory only: on the cab
+#: workload (70 taxis, 1,225 brute pairs, PR 21) scoring takes 0.24 /
+#: 0.26 / 0.22 s at 128 / 512 / 2048 pairs per block — flat — while the
+#: run's peak RSS is 72 / 79 / 110 MB.
 DENSE_SCORE_BLOCK_SIZE = 512
 
 #: A pair of corpora counts as dense when the product of their mean
@@ -152,87 +180,44 @@ def greedy_select_batch(
     every matrix of the batch, repeatedly take the smallest (``reverse`` =
     False) or largest (True) remaining entry whose row and column are both
     unused, until ``min(m, n)`` entries are selected.  ``valid`` (optional
-    boolean mask, same shape) excludes padded entries from selection.
+    boolean mask, same shape) excludes padded entries from selection; a
+    matrix with no valid entry selects nothing, whatever its shape.
     Returns a boolean selection mask of the same shape.
 
-    Vector shapes (one row or one column) reduce to a single
-    ``argmin``/``argmax``.  General matrices use the locally-dominant
-    formulation of sequential greedy: rank all entries by one stable sort,
-    then accept, in rounds, every entry that is the best-ranked survivor
-    of both its row and its column — such entries never conflict, and the
-    fixpoint equals the one-at-a-time greedy result.  Rounds are bounded
-    by ``min(m, n)`` and are O(1) numpy passes each, so the whole batch
-    costs a handful of vector operations instead of a Python loop per
-    candidate.
-
-    Ties break exactly like the scalar code: stable ordering (and
-    first-occurrence ``argmin``/``argmax``) resolves equal distances
-    row-major.
+    Sequential greedy, all matrices at once, in ``min(m, n)`` rounds: one
+    ``argmin`` over the flattened matrices (of ``-distances`` when
+    ``reverse``, ``inf`` where ``valid`` is false) picks every matrix's
+    next entry, whose row and column are then overwritten with ``inf``.
+    A matrix whose winner is ``inf`` has nothing left and sits the round
+    out.  ``argmin`` returns the first occurrence, which is the scalar
+    tie-break: equal distances resolve row-major.
     """
     batch, rows, cols = distances.shape
-    size = rows * cols
-    if rows == 1 and cols == 1:
-        return np.ones((batch, 1, 1), dtype=bool)
-    flat = distances.reshape(batch, size)
-    batch_index = np.arange(batch)
-    if rows == 1 or cols == 1:
-        # (The kernel's own vector dispatch never pads, but honour the
-        # documented `valid` contract for external callers: masked entries
-        # must not win the argmin/argmax.)
-        if valid is not None:
-            flat = np.where(
-                valid.reshape(batch, size), flat, -np.inf if reverse else np.inf
-            )
-        best = np.argmax(flat, axis=1) if reverse else np.argmin(flat, axis=1)
-        selected = np.zeros((batch, size), dtype=bool)
-        selected[batch_index, best] = True
-        return selected.reshape(batch, rows, cols)
+    keys = distances.astype(np.float64)  # a copy: the rounds consume it
+    if reverse:
+        np.negative(keys, out=keys)
+    if valid is not None:
+        np.putmask(keys, ~valid, np.inf)
+    flat = keys.reshape(batch, rows * cols)
+    selected = np.zeros((batch, rows * cols), dtype=bool)
+    every = np.arange(batch)
     if rows == 2 and cols == 2 and valid is None:
         # Closed form: greedy takes the extreme entry, which forces the
-        # diagonally opposite entry as the only remaining valid pair.
-        best = np.argmax(flat, axis=1) if reverse else np.argmin(flat, axis=1)
-        selected = np.zeros((batch, size), dtype=bool)
-        selected[batch_index, best] = True
-        selected[batch_index, 3 - best] = True
+        # diagonally opposite entry as the only remaining pair.
+        best = flat.argmin(axis=1)
+        selected[every, best] = True
+        selected[every, 3 - best] = True
         return selected.reshape(batch, rows, cols)
-
-    order = np.argsort(-flat if reverse else flat, axis=1, kind="stable")
-    ranks = np.empty((batch, size), dtype=np.int64)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(size), (batch, size)), axis=1
-    )
-    ranks = ranks.reshape(batch, rows, cols)
-
-    alive = (
-        np.ones((batch, rows, cols), dtype=bool) if valid is None else valid.copy()
-    )
-    selected = np.zeros((batch, rows, cols), dtype=bool)
-    # Rows of the batch finish at different rounds; once most are done it
-    # is cheaper to compact the survivors than to keep scanning everyone.
-    live_map: "np.ndarray | None" = None
-    while True:
-        masked = np.where(alive, ranks, size)
-        accept = (
-            (masked == masked.min(axis=2, keepdims=True))
-            & (masked == masked.min(axis=1, keepdims=True))
-            & alive
-        )
-        if live_map is None:
-            selected |= accept
-        else:
-            selected[live_map] |= accept
-        alive &= ~(
-            accept.any(axis=2, keepdims=True) | accept.any(axis=1, keepdims=True)
-        )
-        live = alive.any(axis=(1, 2))
-        survivors = int(live.sum())
-        if not survivors:
-            return selected
-        if survivors * 2 < live.shape[0]:
-            keep = np.nonzero(live)[0]
-            live_map = keep if live_map is None else live_map[keep]
-            alive = alive[keep]
-            ranks = ranks[keep]
+    for _ in range(min(rows, cols)):
+        best = flat.argmin(axis=1)
+        live = flat[every, best] < np.inf
+        if not live.any():
+            break
+        index, best = every[live], best[live]
+        selected[index, best] = True
+        keys[index, best // cols, :] = np.inf
+        keys[index, :, best % cols] = np.inf
+    return selected.reshape(batch, rows, cols)
 
 
 def _pow2ceil(values: np.ndarray) -> np.ndarray:
@@ -274,29 +259,60 @@ def _cell_distances(
     return distances
 
 
-def _pairwise_distances(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
-    u_slots: np.ndarray,
-    v_slots: np.ndarray,
-    u_cells: np.ndarray,
-    v_cells: np.ndarray,
-) -> np.ndarray:
-    """``(B, m, n)`` pairwise cell distances for one matrix bucket."""
+#: ``(slots_u, slots_v) -> (distances, proximities)`` over broadcastable
+#: arrays of left / right :class:`~repro.core.corpus.CellTable` rows.
+_Lookup = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def _proximity_lookup(
+    left: HistoryCorpus, right: HistoryCorpus, config: "SimilarityConfig", live: int
+) -> _Lookup:
+    """How one dispatch of ``live`` bin comparisons turns cell-table rows
+    into distances and Eq. 1 proximities.
+
+    Both are functions of the two cells alone, so when the whole
+    ``(left cells, right cells)`` table has no more entries than the
+    dispatch has comparisons it is computed once and every interaction
+    gathers from it (a dense city: the same few thousand cell pairs meet
+    millions of times); otherwise — sparse worlds, small streaming deltas
+    — each comparison is computed where it stands.  Either way it is the
+    same elementwise formula on the same per-cell constants, so which arm
+    a dispatch takes cannot change a bit.  The table lives in the returned
+    closure and dies with the dispatch: it is derived state, and executor
+    threads share modules and corpora.
+    """
     geo_u = left.cell_table()
     geo_v = right.cell_table()
-    return _cell_distances(
-        geo_u.lat[u_slots][:, :, None],
-        geo_u.lng[u_slots][:, :, None],
-        geo_u.cos_lat[u_slots][:, :, None],
-        geo_u.radius[u_slots][:, :, None],
-        u_cells[:, :, None],
-        geo_v.lat[v_slots][:, None, :],
-        geo_v.lng[v_slots][:, None, :],
-        geo_v.cos_lat[v_slots][:, None, :],
-        geo_v.radius[v_slots][:, None, :],
-        v_cells[:, None, :],
-    )
+    runaway = config.runaway_meters
+    cap = 2.0 - config.alibi_eps
+
+    def compute(slots_u: np.ndarray, slots_v: np.ndarray):
+        distances = _cell_distances(
+            geo_u.lat[slots_u],
+            geo_u.lng[slots_u],
+            geo_u.cos_lat[slots_u],
+            geo_u.radius[slots_u],
+            geo_u.cell_ids[slots_u],
+            geo_v.lat[slots_v],
+            geo_v.lng[slots_v],
+            geo_v.cos_lat[slots_v],
+            geo_v.radius[slots_v],
+            geo_v.cell_ids[slots_v],
+        )
+        return distances, np.log2(2.0 - np.minimum(distances / runaway, cap))
+
+    cells_u = len(geo_u.lat)
+    cells_v = len(geo_v.lat)
+    if cells_u * cells_v > live:
+        return compute
+    distances, prox = compute(np.arange(cells_u)[:, None], np.arange(cells_v)[None, :])
+    distances, prox = distances.ravel(), prox.ravel()
+
+    def gather(slots_u: np.ndarray, slots_v: np.ndarray):
+        entry = slots_u * cells_v + slots_v
+        return distances.take(entry), prox.take(entry)
+
+    return gather
 
 
 def _segment_first_extreme(
@@ -324,17 +340,14 @@ def _score_vector_interactions(
     left: HistoryCorpus,
     right: HistoryCorpus,
     config: "SimilarityConfig",
-    runaway: float,
-    pair_of: np.ndarray,
+    lookup: _Lookup,
     off_u: np.ndarray,
     count_u: np.ndarray,
     off_v: np.ndarray,
     count_v: np.ndarray,
-    totals: np.ndarray,
-    alibi_bins: np.ndarray,
-) -> None:
-    """Score every interaction whose distance matrix is a vector
-    (``min(m, n) == 1``) in one ragged flat dispatch.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Totals and alibi counts of every interaction whose distance matrix
+    is a vector (``min(m, n) == 1``), in one ragged flat dispatch.
 
     MNN degenerates to the first per-segment minimum, MFN to the first
     per-segment maximum (skipped when it coincides with the MNN pick —
@@ -352,83 +365,51 @@ def _score_vector_interactions(
 
     flats_u = left.arrays()
     flats_v = right.arrays()
-    geo_u = left.cell_table()
-    geo_v = right.cell_table()
-    slots_u = flats_u.slots[u_idx]
-    slots_v = flats_v.slots[v_idx]
-    distances = _cell_distances(
-        geo_u.lat[slots_u],
-        geo_u.lng[slots_u],
-        geo_u.cos_lat[slots_u],
-        geo_u.radius[slots_u],
-        flats_u.cells[u_idx],
-        geo_v.lat[slots_v],
-        geo_v.lng[slots_v],
-        geo_v.cos_lat[slots_v],
-        geo_v.radius[slots_v],
-        flats_v.cells[v_idx],
-    )
-    ratio = np.minimum(distances / runaway, 2.0 - config.alibi_eps)
-    prox = np.log2(2.0 - ratio)
+    distances, prox = lookup(flats_u.slots[u_idx], flats_v.slots[v_idx])
     if config.use_idf:
         contribution = prox * np.minimum(flats_u.idf[u_idx], flats_v.idf[v_idx])
     else:
         contribution = prox
 
-    if config.pairing == "mnn":
-        nearest = _segment_first_extreme(distances, seg_start, lengths, largest=False)
-        seg_totals = contribution[nearest]
-        seg_alibi = (prox[nearest] < 0.0).astype(np.int64)
-        if config.use_mfn and bool((distances > runaway).any()):
-            furthest = _segment_first_extreme(
-                distances, seg_start, lengths, largest=True
-            )
-            delta = contribution[furthest]
-            negative = (furthest != nearest) & (delta < 0.0)
-            seg_totals = seg_totals + np.where(negative, delta, 0.0)
-            seg_alibi += negative
-    else:
-        seg_totals = np.add.reduceat(contribution, seg_start)
-        seg_alibi = np.add.reduceat((prox < 0.0).astype(np.int64), seg_start)
-
-    np.add.at(totals, pair_of, seg_totals)
-    np.add.at(alibi_bins, pair_of, seg_alibi)
+    if config.pairing != "mnn":
+        return (
+            np.add.reduceat(contribution, seg_start),
+            np.add.reduceat((prox < 0.0).astype(np.int64), seg_start),
+        )
+    nearest = _segment_first_extreme(distances, seg_start, lengths, largest=False)
+    seg_totals = contribution[nearest]
+    seg_alibi = (prox[nearest] < 0.0).astype(np.int64)
+    if config.use_mfn and bool((distances > config.runaway_meters).any()):
+        furthest = _segment_first_extreme(distances, seg_start, lengths, largest=True)
+        delta = contribution[furthest]
+        negative = (furthest != nearest) & (delta < 0.0)
+        seg_totals = seg_totals + np.where(negative, delta, 0.0)
+        seg_alibi += negative
+    return seg_totals, seg_alibi
 
 
-def _score_shape_group(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
+def _score_matrix_bucket(
     config: "SimilarityConfig",
-    runaway: float,
-    pair_index: np.ndarray,
+    lookup: _Lookup,
     u_slots: np.ndarray,
     v_slots: np.ndarray,
-    u_cells: np.ndarray,
-    v_cells: np.ndarray,
     u_idf: np.ndarray,
     v_idf: np.ndarray,
     valid: "np.ndarray | None",
-    totals: np.ndarray,
-    alibi_bins: np.ndarray,
-) -> None:
-    """Score every interaction of one padded shape bucket in place.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Totals and alibi counts of every interaction of one padded
+    ``(B, rows, cols)`` shape bucket.
 
     ``valid`` masks real (non-padded) matrix entries; ``None`` means the
     whole bucket is unpadded.  Padded rows/columns duplicate the last real
     cell of their side, so the distance math never sees garbage — they are
     simply excluded from selection and aggregation.
     """
-    rows = u_slots.shape[1]
-    cols = v_slots.shape[1]
+    batch = len(u_slots)
     mnn = config.pairing == "mnn"
-    use_mfn = config.use_mfn and mnn and (rows > 1 or cols > 1)
-
-    distances = _pairwise_distances(left, right, u_slots, v_slots, u_cells, v_cells)
-    ratio = np.minimum(distances / runaway, 2.0 - config.alibi_eps)
-    prox = np.log2(2.0 - ratio)
+    distances, prox = lookup(u_slots[:, :, None], v_slots[:, None, :])
     if config.use_idf:
-        weight = np.minimum(u_idf[:, :, None], v_idf[:, None, :])
-        contribution = prox * weight
+        contribution = prox * np.minimum(u_idf[:, :, None], v_idf[:, None, :])
     else:
         contribution = prox
 
@@ -438,35 +419,33 @@ def _score_shape_group(
         selected = np.ones_like(contribution, dtype=bool)
     else:
         selected = valid
+    totals = np.where(selected, contribution, 0.0).reshape(batch, -1).sum(axis=1)
+    alibi = np.zeros(batch, dtype=np.int64)
 
-    group_totals = np.where(selected, contribution, 0.0).sum(axis=(1, 2))
-    group_alibi = (selected & (prox < 0.0)).sum(axis=(1, 2))
-
-    if use_mfn:
-        # The MFN pass can only contribute negative (alibi) terms, and
-        # those need a distance beyond the runaway — matrices without one
-        # are skipped wholesale, which on friendly workloads prunes almost
-        # the entire furthest-pairing cost.
-        alibi_possible = distances > runaway
-        if valid is not None:
-            alibi_possible &= valid
-        needs_mfn = np.nonzero(alibi_possible.any(axis=(1, 2)))[0]
-        if needs_mfn.size:
+    # A negative proximity needs a distance beyond the runaway, and so
+    # does anything the MFN pass can contribute (it only ever adds alibi
+    # terms) — matrices without one skip both, which on friendly workloads
+    # prunes the entire furthest-pairing cost.
+    beyond = distances > config.runaway_meters
+    if valid is not None:
+        beyond &= valid
+    far = np.nonzero(beyond.reshape(batch, -1).any(axis=1))[0]
+    if far.size:
+        selected = selected[far]
+        contribution = contribution[far]
+        alibi[far] = (selected & (prox[far] < 0.0)).reshape(far.size, -1).sum(axis=1)
+        if mnn and config.use_mfn:
             furthest = greedy_select_batch(
-                distances[needs_mfn],
+                distances[far],
                 reverse=True,
-                valid=None if valid is None else valid[needs_mfn],
+                valid=None if valid is None else valid[far],
             )
-            negative = (
-                furthest & ~selected[needs_mfn] & (contribution[needs_mfn] < 0.0)
+            negative = furthest & ~selected & (contribution < 0.0)
+            totals[far] += (
+                np.where(negative, contribution, 0.0).reshape(far.size, -1).sum(axis=1)
             )
-            group_totals[needs_mfn] += np.where(
-                negative, contribution[needs_mfn], 0.0
-            ).sum(axis=(1, 2))
-            group_alibi[needs_mfn] += negative.sum(axis=(1, 2))
-
-    np.add.at(totals, pair_index, group_totals)
-    np.add.at(alibi_bins, pair_index, group_alibi)
+            alibi[far] += negative.reshape(far.size, -1).sum(axis=1)
+    return totals, alibi
 
 
 def score_pairs_batch(
@@ -486,11 +465,6 @@ def score_pairs_batch(
     independent.
     """
     num_pairs = len(pairs)
-    totals = np.zeros(num_pairs, dtype=np.float64)
-    bin_comparisons = np.zeros(num_pairs, dtype=np.int64)
-    common_windows = np.zeros(num_pairs, dtype=np.int64)
-    alibi_bins = np.zeros(num_pairs, dtype=np.int64)
-    runaway = config.runaway_meters
     flats_u = left.arrays()
     flats_v = right.arrays()
 
@@ -563,80 +537,84 @@ def score_pairs_batch(
             )
         )
     if not pair_chunks:
+        zeros = np.zeros(num_pairs, dtype=np.int64)
         return BatchScoreResult(
-            scores=totals,
-            bin_comparisons=bin_comparisons,
-            common_windows=common_windows,
-            alibi_bin_pairs=alibi_bins,
+            scores=zeros.astype(np.float64),
+            bin_comparisons=zeros,
+            common_windows=zeros.copy(),
+            alibi_bin_pairs=zeros.copy(),
         )
 
     pair_of = np.concatenate(pair_chunks)
     off_u, count_u, off_v, count_v = np.hstack(field_chunks)
-    common_windows += np.bincount(pair_of, minlength=num_pairs).astype(np.int64)
-    bin_comparisons += np.bincount(
-        pair_of, weights=(count_u * count_v).astype(np.float64), minlength=num_pairs
-    ).astype(np.int64)
+    comparisons = count_u * count_v
+    lookup = _proximity_lookup(left, right, config, int(comparisons.sum()))
+    # Every interaction's total and alibi count, in interaction order —
+    # a pair's windows ascending, whichever path or bucket scored them.
+    totals = np.zeros(len(pair_of), dtype=np.float64)
+    alibi = np.zeros(len(pair_of), dtype=np.int64)
 
     # Vector-shaped interactions (one cell on either side) take the flat
     # ragged path: one dispatch, no padding, no greedy loop.
     vector = (count_u == 1) | (count_v == 1)
-    if vector.any():
-        members = np.nonzero(vector)[0]
-        _score_vector_interactions(
+    members = np.nonzero(vector)[0]
+    if members.size:
+        totals[members], alibi[members] = _score_vector_interactions(
             left,
             right,
             config,
-            runaway,
-            pair_of[members],
+            lookup,
             off_u[members],
             count_u[members],
             off_v[members],
             count_v[members],
-            totals,
-            alibi_bins,
         )
 
-    # True matrices go into square power-of-two buckets: a (m, n) matrix
-    # lands in bucket s = pow2ceil(max(m, n)), padded by repeating each
-    # side's last cell (masked out of selection/aggregation).  Bounded
-    # padding waste buys an O(log) bucket count instead of one dispatch
-    # per distinct shape.
+    # True matrices go into rectangular power-of-two buckets: a (m, n)
+    # matrix lands in bucket (pow2ceil(m), pow2ceil(n)), padded by
+    # repeating each side's last cell (masked out of selection and
+    # aggregation).  Less than 2x padding per side buys an O(log^2)
+    # bucket count instead of one dispatch per distinct shape.
     matrix = np.nonzero(~vector)[0]
     if matrix.size:
-        sizes = _pow2ceil(np.maximum(count_u[matrix], count_v[matrix]))
-        for side in np.unique(sizes).tolist():
-            members = matrix[sizes == side]
+        bucket_rows = _pow2ceil(count_u[matrix])
+        bucket_cols = _pow2ceil(count_v[matrix])
+        stride = int(bucket_cols.max()) + 1
+        bucket_of = bucket_rows * stride + bucket_cols
+        for bucket in np.unique(bucket_of).tolist():
+            rows, cols = divmod(bucket, stride)
+            members = matrix[bucket_of == bucket]
             m_real = count_u[members, None]
             n_real = count_v[members, None]
-            span = np.arange(side)
-            idx_u = off_u[members, None] + np.minimum(span, m_real - 1)
-            idx_v = off_v[members, None] + np.minimum(span, n_real - 1)
-            if (m_real < side).any() or (n_real < side).any():
-                valid = (span < m_real)[:, :, None] & (span < n_real)[:, None, :]
+            span_u = np.arange(rows)
+            span_v = np.arange(cols)
+            idx_u = off_u[members, None] + np.minimum(span_u, m_real - 1)
+            idx_v = off_v[members, None] + np.minimum(span_v, n_real - 1)
+            if (m_real < rows).any() or (n_real < cols).any():
+                valid = (span_u < m_real)[:, :, None] & (span_v < n_real)[:, None, :]
             else:
                 valid = None
-            _score_shape_group(
-                left,
-                right,
+            totals[members], alibi[members] = _score_matrix_bucket(
                 config,
-                runaway,
-                pair_of[members],
+                lookup,
                 flats_u.slots[idx_u],
                 flats_v.slots[idx_v],
-                flats_u.cells[idx_u],
-                flats_v.cells[idx_v],
                 flats_u.idf[idx_u],
                 flats_v.idf[idx_v],
                 valid,
-                totals,
-                alibi_bins,
             )
 
+    # One fold per pair, in interaction order (``bincount`` accumulates
+    # sequentially), so a pair's total never depends on which other
+    # pairs, paths or buckets shared the dispatch.
+    def per_pair(values: "np.ndarray | None" = None) -> np.ndarray:
+        return np.bincount(pair_of, weights=values, minlength=num_pairs)
+
     return BatchScoreResult(
-        scores=totals,
-        bin_comparisons=bin_comparisons,
-        common_windows=common_windows,
-        alibi_bin_pairs=alibi_bins,
+        scores=per_pair(totals),
+        bin_comparisons=per_pair(comparisons).astype(np.int64),
+        common_windows=per_pair().astype(np.int64),
+        alibi_bin_pairs=per_pair(alibi).astype(np.int64),
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Edge", "greedy_max_matching", "hungarian_matching", "match"]
 
@@ -73,6 +72,10 @@ def hungarian_matching(edges: Sequence[Edge]) -> List[Edge]:
     matrix = np.full((len(lefts), len(rights)), missing, dtype=np.float64)
     for (row, column), weight in weights.items():
         matrix[row, column] = weight
+
+    # Imported here, not at module top: the default greedy matcher never
+    # needs scipy.optimize, and every ``import repro`` would pay for it.
+    from scipy.optimize import linear_sum_assignment
 
     rows, columns = linear_sum_assignment(matrix, maximize=True)
     result: List[Edge] = []

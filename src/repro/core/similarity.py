@@ -47,6 +47,7 @@ from ..geo.cell import CellId
 from ..knobs import knob, validate
 from .corpus import HistoryCorpus
 from .kernels import (
+    ARITHMETIC_REVISION,
     BatchScoreResult,
     concat_results,
     score_pair_block,
@@ -78,7 +79,9 @@ def score_cache_space(
     Fingerprints the corpora (via their cache tokens) and every config
     knob the *raw* Eq. 2 total depends on; ``b`` and
     ``use_normalization`` are excluded on purpose — normalisation is
-    re-applied from live corpus statistics on every cache hit.  Exposed
+    re-applied from live corpus statistics on every cache hit — plus the
+    kernel's arithmetic revision, so totals cached by an older kernel miss
+    instead of mixing with this one's.  Exposed
     so cache owners (e.g. :class:`~repro.core.streaming.StreamingLinker`)
     can scope invalidation to their own space in a shared cache.
     """
@@ -92,6 +95,7 @@ def score_cache_space(
         config.use_mfn,
         config.use_idf,
         config.alibi_eps,
+        ARITHMETIC_REVISION,
     )
 
 #: Pairing strategy names accepted by :class:`SimilarityConfig`.

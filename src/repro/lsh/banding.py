@@ -8,8 +8,8 @@ whose steepest rise sits near ``t ~ (1/b)^(1/r)``.  Solving
 
 ``b = exp(W(-s * ln t))``
 
-with ``W`` the Lambert W function (scipy supplies it; a Newton fallback is
-included for degenerate branches).
+with ``W`` the Lambert W function — the root of ``b ln b = -s ln t``,
+which :func:`bands_for_threshold` finds by Newton's method.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import lambertw
 
 __all__ = [
     "bands_for_threshold",
@@ -60,18 +59,29 @@ def _avalanche(digest: np.ndarray) -> np.ndarray:
 def bands_for_threshold(signature_length: int, threshold: float) -> int:
     """Number of bands targeting candidate threshold ``t``.
 
-    Derived from ``t = (1/b)^(b/s)`` via Lambert W; clamped to
-    ``[1, signature_length]`` and rounded to the nearest integer.
+    The root of ``b ln b = -s ln t`` (``t = (1/b)^(b/s)`` rearranged; in
+    closed form ``exp(W(-s ln t))``, ``W`` the Lambert W function),
+    clamped to ``[1, signature_length]`` and rounded to the nearest
+    integer.  Newton's method, not ``scipy.special.lambertw``: importing
+    scipy.special for this one scalar costs every LSH run ~0.3 s and
+    ~28 MB, and the two agree to 1.3e-15 relative (same band count on
+    1.2 M ``(s, t)`` combinations, PR 21).
     """
     if signature_length < 1:
         raise ValueError("signature length must be positive")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    argument = -signature_length * math.log(threshold)
-    # -s ln t > 0 here, so the principal branch is real.
-    bands = math.exp(float(lambertw(argument).real))
-    if not math.isfinite(bands):  # pragma: no cover - defensive
-        bands = 1.0
+    target = -signature_length * math.log(threshold)
+    # b ln b is convex and increasing on b >= 1, and target + 1 lies to
+    # the right of the root, so the iterates descend onto it
+    # monotonically (5 steps to full precision; the cap is a formality).
+    bands = target + 1.0
+    for _ in range(64):
+        log_bands = math.log(bands)
+        step = (bands * log_bands - target) / (log_bands + 1.0)
+        bands -= step
+        if abs(step) <= 1e-14 * bands:
+            break
     return max(1, min(signature_length, int(round(bands))))
 
 

@@ -11,15 +11,18 @@ shapes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.corpus import HistoryCorpus
-from repro.core.history import MobilityHistory
+from repro.core.history import MobilityHistory, build_histories
 from repro.core.kernels import greedy_select_batch, score_pairs_batch
 from repro.core.pairing import greedy_index_pairs
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
 from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.data.records import LocationDataset, Record
-from repro.temporal import Windowing
+from repro.temporal import Windowing, common_windowing
 
 WINDOWING = Windowing(0.0, 900.0)
 LEVEL = 12
@@ -346,3 +349,155 @@ class TestKernelDirect:
                 assert [cell for cell, _ in annotated[window]] == cells
                 for (_, expected), got in zip(annotated[window], idf):
                     assert got == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# PR 21: distance table, rectangular buckets, pairing by rounds, one fold
+# ---------------------------------------------------------------------------
+@st.composite
+def _padded_buckets(draw):
+    """A ``(B, rows, cols)`` bucket the way the kernel pads one: every
+    matrix has its own live ``m x n`` corner (``0 x 0`` = fully masked),
+    the padding repeats the last live row / column, values tie heavily."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5).filter(lambda c: c != rows))
+    batch = draw(st.integers(1, 6))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    distances = np.zeros((batch, rows, cols))
+    valid = np.zeros((batch, rows, cols), dtype=bool)
+    live = []
+    for index in range(batch):
+        m = draw(st.integers(0, rows))
+        n = draw(st.integers(1, cols)) if m else 0
+        live.append((m, n))
+        if not m:
+            continue
+        corner = np.array(
+            draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+        )
+        padded = np.pad(corner, ((0, rows - m), (0, cols - n)), mode="edge")
+        distances[index] = padded
+        valid[index, :m, :n] = True
+    return distances, valid, live
+
+
+class TestPairingByRounds:
+    @given(bucket=_padded_buckets(), reverse=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rectangular_padded_buckets_match_the_scalar_greedy(
+        self, bucket, reverse
+    ):
+        distances, valid, live = bucket
+        before = distances.copy()
+        masks = greedy_select_batch(distances, reverse, valid)
+        assert (distances == before).all()  # the caller's tensor is not consumed
+        for mask, matrix, (m, n) in zip(masks, distances, live):
+            scalar = {
+                (iu, iv)
+                for iu, iv, _ in greedy_index_pairs(
+                    matrix[:m, :n].tolist(), reverse
+                )
+            }
+            assert {(i, j) for i, j in zip(*np.nonzero(mask))} == scalar
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 4)], ids=str
+    )
+    def test_a_matrix_with_no_valid_entry_selects_nothing(self, shape, reverse):
+        """At the parent a masked ``1 x 1`` selected its entry and a
+        fully-masked vector selected entry 0."""
+        distances = np.arange(2.0 * shape[0] * shape[1]).reshape(2, *shape)
+        valid = np.zeros(distances.shape, dtype=bool)
+        valid[1] = True
+        masks = greedy_select_batch(distances, reverse, valid)
+        assert not masks[0].any()
+        assert masks[1].sum() == min(shape)
+
+
+def _cab_corpora(cab_pair):
+    windowing = common_windowing(
+        (cab_pair.left.time_range(), cab_pair.right.time_range()), 900.0
+    )
+    return (
+        HistoryCorpus(build_histories(cab_pair.left, windowing, LEVEL), LEVEL),
+        HistoryCorpus(build_histories(cab_pair.right, windowing, LEVEL), LEVEL),
+    )
+
+
+def _assert_results_equal(got, expected):
+    for column, reference in zip(got, expected):
+        assert column.tolist() == reference.tolist()
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize(
+        "config", [SimilarityConfig(), SimilarityConfig(pairing="all_pairs")],
+        ids=["mnn", "all_pairs"],
+    )
+    def test_table_arm_equals_direct_arm(self, cab_pair, monkeypatch, config):
+        """One city block of pairs tabulates (one distance call, over the
+        whole cell-by-cell table); each of its pairs alone does not (the
+        table would cost more than the pair's comparisons) — and scores
+        and counters agree bit for bit."""
+        left, right = _cab_corpora(cab_pair)
+        table_shape = (len(left.cell_table().lat), len(right.cell_table().lat))
+        shapes = []
+        cell_distances = kernels._cell_distances
+
+        def recording(*columns):
+            distances = cell_distances(*columns)
+            shapes.append(distances.shape)
+            return distances
+
+        monkeypatch.setattr(kernels, "_cell_distances", recording)
+        pairs = [(u, v) for u in left.entities for v in right.entities]
+        block = score_pairs_batch(left, right, pairs, config)
+        assert shapes == [table_shape]
+        assert int(block.bin_comparisons.sum()) >= table_shape[0] * table_shape[1]
+
+        shapes.clear()
+        alone = kernels.concat_results(
+            [score_pairs_batch(left, right, [pair], config) for pair in pairs]
+        )
+        assert shapes and table_shape not in shapes
+        assert {len(shape) for shape in shapes} == {1, 3}  # vector path, buckets
+        assert int(block.bin_comparisons.max()) < table_shape[0] * table_shape[1]
+        _assert_results_equal(alone, block)
+
+    def test_the_table_is_not_kept(self, cab_pair):
+        """Derived per dispatch, never captured: nothing distance-shaped
+        survives on the module or the corpora."""
+        left, right = _cab_corpora(cab_pair)
+        pairs = [(u, v) for u in left.entities for v in right.entities]
+        before = (set(vars(kernels)), set(vars(left)), set(vars(right)))
+        score_pairs_batch(left, right, pairs, SimilarityConfig())
+        assert (set(vars(kernels)), set(vars(left)), set(vars(right))) == before
+
+
+class TestAccumulationOrder:
+    @pytest.mark.parametrize("world", ["random", "cab"])
+    def test_a_pairs_total_ignores_its_companions(self, world, cab_pair):
+        """Whether a pair's interactions share paths and buckets with
+        other pairs' or not — whole block, reversed block, every other
+        pair, alone — its total and counters are the same bits."""
+        if world == "cab":
+            left, right = _cab_corpora(cab_pair)
+        else:
+            rng = np.random.default_rng(505)
+            left = HistoryCorpus(_random_histories("l", 8, rng), LEVEL)
+            right = HistoryCorpus(_random_histories("r", 8, rng), LEVEL)
+        config = SimilarityConfig()
+        pairs = [(u, v) for u in left.entities for v in right.entities]
+        block = score_pairs_batch(left, right, pairs, config)
+        assert (block.bin_comparisons > block.common_windows).any()  # matrices
+        backwards = score_pairs_batch(left, right, pairs[::-1], config)
+        _assert_results_equal([column[::-1] for column in backwards], block)
+        sparse = score_pairs_batch(left, right, pairs[::2], config)
+        _assert_results_equal(sparse, [column[::2] for column in block])
+        for index in range(0, len(pairs), 7):
+            alone = score_pairs_batch(left, right, [pairs[index]], config)
+            _assert_results_equal(
+                alone, [column[index : index + 1] for column in block]
+            )

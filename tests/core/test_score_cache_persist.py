@@ -115,3 +115,89 @@ class TestPipelineWarmStart:
         assert warm_cache.hits >= cold.candidate_pairs
         assert warm.links == cold.links
         assert warm.edges == cold.edges
+
+
+class TestArithmeticRevision:
+    """Totals cached by an older kernel must miss, not mix: the kernel's
+    ``ARITHMETIC_REVISION`` is one term of the scoring space."""
+
+    def test_cache_filled_under_an_older_revision_is_a_clean_miss(
+        self, cab_pair, tmp_path, monkeypatch
+    ):
+        from repro.core import similarity
+
+        pipeline = LinkagePipeline(LinkageConfig())
+        cold = pipeline.run(cab_pair.left, cab_pair.right)
+
+        with monkeypatch.context() as older:
+            older.setattr(
+                similarity,
+                "ARITHMETIC_REVISION",
+                similarity.ARITHMETIC_REVISION - 1,
+            )
+            old_cache = ScoreCache()
+            pipeline.run(cab_pair.left, cab_pair.right, score_cache=old_cache)
+            assert len(old_cache) == cold.candidate_pairs
+            old_cache.save(tmp_path / "scores")
+
+        cache = ScoreCache.load(tmp_path / "scores")
+        hits = cache.hits
+        report = pipeline.run(cab_pair.left, cab_pair.right, score_cache=cache)
+        assert cache.hits == hits  # not one old total served
+        assert cache.misses - old_cache.misses == cold.candidate_pairs
+        assert report.links == cold.links
+        assert report.edges == cold.edges
+
+    def test_snapshot_written_before_the_revision_term_relinks_like_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """A parent-shaped format-3 snapshot (scoring spaces one term
+        shorter) still restores; its cached totals are never hit, so the
+        restored linker's relink equals a cold linker's."""
+        from repro.core import similarity, streaming
+        from repro.core.streaming import StreamingLinker
+        from repro.data import Record
+        from repro.store import SNAPSHOT_FORMAT
+
+        assert SNAPSHOT_FORMAT == 3
+
+        def observe(linker, rounds, entities=range(12)):
+            for round_index in rounds:
+                for side, jitter in (("left", 0.0), ("right", 1.1e-4)):
+                    linker.observe(side, [
+                        Record(
+                            f"e{i}",
+                            37.6 + (i % 4) * 0.01 + jitter,
+                            -122.4 + (i // 4) * 0.01 + jitter,
+                            round_index * 3600.0 + (i * 7) % 3500 + 10.0,
+                        )
+                        for i in entities
+                    ])
+
+        space = similarity.score_cache_space
+        with monkeypatch.context() as parent:
+            for module in (similarity, streaming):
+                parent.setattr(
+                    module, "score_cache_space", lambda *args: space(*args)[:-1]
+                )
+            linker = StreamingLinker(0.0)
+            observe(linker, range(3))
+            linker.relink()
+            assert len(linker._score_cache) > 0
+            linker.save(tmp_path / "snaps")
+
+        restored = StreamingLinker.restore(tmp_path / "snaps", strict=True)
+        assert len(restored._score_cache) == len(linker._score_cache)
+        hits = restored._score_cache.hits
+        # Three entities move on; every other pair's history versions are
+        # the snapshot's, and would hit if the spaces still matched.
+        observe(restored, [3], entities=range(3))
+        resumed = restored.relink()
+        assert restored._score_cache.hits == hits
+
+        cold = StreamingLinker(0.0)
+        observe(cold, range(3))
+        observe(cold, [3], entities=range(3))
+        expected = cold.relink()
+        assert dict(resumed.links) == dict(expected.links)
+        assert resumed.link_scores == expected.link_scores

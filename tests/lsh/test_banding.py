@@ -20,6 +20,20 @@ class TestBandsForThreshold:
             realised = (1.0 / b) ** (b / s)
             assert realised == pytest.approx(t, abs=0.12)
 
+    def test_newton_root_equals_the_lambert_w_closed_form(self):
+        """The band count is the one ``exp(W(-s ln t))`` gives with scipy's
+        Lambert W (what this function called before it solved the
+        equation itself), over every length and a fine threshold grid."""
+        from scipy.special import lambertw
+
+        for s in list(range(1, 130)) + [512, 4096]:
+            for k in range(1, 200):
+                t = k / 200.0
+                closed = math.exp(float(lambertw(-s * math.log(t)).real))
+                assert bands_for_threshold(s, t) == max(
+                    1, min(s, int(round(closed)))
+                ), (s, t)
+
     def test_lower_threshold_needs_more_bands(self):
         assert bands_for_threshold(48, 0.4) > bands_for_threshold(48, 0.8)
 
