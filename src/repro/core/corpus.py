@@ -8,23 +8,35 @@ The similarity score of Eq. 2 needs two dataset-level quantities:
 * **average history size**: the denominator of the BM25-style length
   normalisation ``L(u, E)``.
 
-:class:`HistoryCorpus` precomputes both at a fixed similarity spatial level
+:class:`HistoryCorpus` maintains both at a fixed similarity spatial level
 and exposes per-entity bins annotated with their IDF so the inner similarity
 loop does no dictionary lookups beyond one per window.
 
-Two views of the same data are maintained:
+One store, derived views
+------------------------
 
-* the **dict view** (:meth:`HistoryCorpus.bins_with_idf`) that the scalar
-  similarity path iterates — per window, ``(cell, idf)`` tuples;
-* the **array view** (:meth:`HistoryCorpus.arrays` +
-  :meth:`HistoryCorpus.window_index`, backed by
-  :meth:`HistoryCorpus.cell_table`) that the vectorized batch kernel
-  (:mod:`repro.core.kernels`) consumes — one corpus-wide flat layout of
-  cell ids, geometry-table slots and IDFs with per-entity window
-  directories.  Cells within a window are sorted by cell id, which *is*
-  Morton (Z-order) order in this grid (see :mod:`repro.geo.cell`), so
-  consecutive slots reference spatially nearby centroids and the kernel's
-  gathers stay cache-friendly.
+A history's stored ``(window, cell, count)`` columns
+(:mod:`repro.core.history`) are the record of what an entity did.  The
+corpus derives *its* shape of the same bins from them — re-parented to
+the similarity level, de-duplicated, annotated — and keeps exactly one
+copy: the **flat columns** (:meth:`HistoryCorpus.arrays` +
+:meth:`HistoryCorpus.window_index`, backed by
+:meth:`HistoryCorpus.cell_table`) that the vectorized batch kernel
+(:mod:`repro.core.kernels`) consumes — one corpus-wide layout of cell
+ids, geometry-table slots, document-frequency slots and IDFs, each
+entity owning one contiguous slice with a per-window directory.  Cells
+within a window are sorted by cell id, which *is* Morton (Z-order) order
+in this grid (see :mod:`repro.geo.cell`), so consecutive slots reference
+spatially nearby centroids and the kernel's gathers stay cache-friendly.
+
+Everything else is derived from that store and nothing else holds bins:
+``|H_u|`` is the length of an entity's slice, the document frequencies
+are a count over the ``keys`` column (one slot per distinct bin, found by
+binary search on ``window << 32 | cell-table row``), and the per-window
+``(cell, idf)`` tuples the scalar similarity path iterates
+(:meth:`HistoryCorpus.bins_with_idf`) are computed per entity on demand
+from the history's own scalar re-binning — the oracle never reads the
+flats it is compared against.
 
 Streaming support — *delta maintenance instead of rebuilds*
 -----------------------------------------------------------
@@ -33,15 +45,16 @@ A corpus is **live**: it keeps references to the history objects it was
 built from, remembers each history's
 :attr:`~repro.core.history.MobilityHistory.version`, and
 :meth:`HistoryCorpus.refresh` folds any growth into the statistics and
-array views *in place*:
+flat columns *in place* — one array pass over the changed entities,
+which is also how the corpus is built (a refresh from empty):
 
-* document frequencies are updated by retracting the dirty entities' old
-  bin snapshots and ingesting their new ones (O(changed bins), not
-  O(corpus));
-* the flat arrays are **extended**, not re-materialised: a dirty entity's
-  new layout is appended and its :class:`WindowIndex` repointed, leaving
-  the old slice as garbage that a compaction pass reclaims once it
-  outweighs the live data; new cells append rows to the
+* document frequencies are updated by retracting the df slots named by
+  the dirty entities' superseded flat slices and counting their new bins
+  (O(changed bins), not O(corpus));
+* the flat columns are **extended**, not re-materialised: a dirty
+  entity's new layout is appended and its :class:`WindowIndex` repointed,
+  leaving the old slice as garbage that a compaction pass reclaims once
+  it outweighs the live data; new cells append rows to the
   :class:`CellTable`;
 * the IDF column is re-derived in one vectorized pass from the updated
   document-frequency table (every flat entry remembers its df slot), so
@@ -50,14 +63,14 @@ array views *in place*:
 
 **Removal is a first-class delta too** (the retention path of
 :mod:`repro.core.retention`): deleting an entity from the backing
-histories mapping and calling :meth:`refresh` retracts its bin snapshot
-from the document frequencies, drops its window directory (the flat slice
-becomes garbage, reclaimed eagerly through the compaction pass so
-steady-state memory tracks the *live* entities), reclaims df slots no
-surviving entity references, and reports the eviction on
-:attr:`CorpusDelta.evicted`.  Remaining entities see the same IDF-drift
-accounting as growth deltas — a retired holder moves a shared bin's
-document frequency exactly like a new one does.
+histories mapping and calling :meth:`refresh` retracts its slice from the
+document frequencies, drops its window directory (the flat slice becomes
+garbage, reclaimed eagerly through the compaction pass so steady-state
+memory tracks the *live* entities), reclaims df slots no surviving entity
+references, and reports the eviction on :attr:`CorpusDelta.evicted`.
+Remaining entities see the same IDF-drift accounting as growth deltas — a
+retired holder moves a shared bin's document frequency exactly like a new
+one does.
 
 :meth:`refresh` reports what changed as a :class:`CorpusDelta` — the dirty
 entity set plus the per-bin IDF drift — which is exactly what
@@ -103,16 +116,17 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..geo.batch import parent_ids
 from ..geo.cell import CellId
 from ..store.columns import DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
-from .history import STALE_VERSION, MobilityHistory
+from .history import STALE_VERSION, MobilityHistory, leaf_columns, run_starts
 
 __all__ = [
     "HistoryCorpus",
@@ -156,10 +170,6 @@ def content_fingerprint(
 #: bins_with_idf value type: per window, a tuple of (cell id, idf) pairs.
 BinsWithIdf = Dict[int, Tuple[Tuple[int, float], ...]]
 
-#: One entity's bins snapshot: ``{window: (cells...)}`` as returned by
-#: :meth:`repro.core.history.MobilityHistory.bins`.
-BinsSnapshot = Dict[int, Tuple[int, ...]]
-
 #: Source of default per-corpus cache tokens (see
 #: :attr:`HistoryCorpus.cache_token`).  A plain guarded counter rather
 #: than ``itertools.count()`` so a restored snapshot can *reserve* its
@@ -194,6 +204,12 @@ def reserve_cache_token(token: Hashable) -> None:
 #: Compact the flat arrays once live entries drop below this fraction of
 #: the total (garbage from superseded entity slices dominates).
 _COMPACT_LIVE_FRACTION = 0.5
+
+#: A bin's identity inside one corpus is the single integer ``window <<
+#: 32 | cell-table row`` (rows are append-only, so it never changes):
+#: what makes the document-frequency table searchable by bisection.
+#: Good for 2**31 leaf windows and 2**32 distinct cells per corpus.
+_ROW_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -264,6 +280,26 @@ class WindowIndex:
 
 
 @dataclass(frozen=True)
+class _Resident(WindowIndex):
+    """An entity as the corpus holds it: its directory, the history
+    ``version`` it was read at, and the one contiguous flat slice
+    ``[start, start + size)`` the directory points into — ``size`` is
+    ``|H_u|``."""
+
+    version: int
+    start: int
+    size: int
+
+
+def _resident(
+    windows: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
+    version: int, start: int, size: int,
+) -> _Resident:
+    slices = dict(zip(windows.tolist(), zip(offsets.tolist(), counts.tolist())))
+    return _Resident(windows, offsets, counts, slices, version, start, size)
+
+
+@dataclass(frozen=True)
 class CorpusDelta:
     """What one :meth:`HistoryCorpus.refresh` changed.
 
@@ -323,82 +359,34 @@ class HistoryCorpus:
         self.cache_token: Hashable = (
             ("corpus", _fresh_token()) if cache_token is None else cache_token
         )
-
-        # Document frequencies: key -> slot into the parallel count list
-        # (slots are never recycled, so flat arrays can reference them
-        # across refreshes and re-derive IDFs vectorized).
-        self._df_slot: Dict[Tuple[int, int], int] = {}
-        self._df_counts: List[float] = []
+        self._size = 0
         self._total_bins = 0
-        self._entity_bins: Dict[str, BinsSnapshot] = {}
-        self._entity_versions: Dict[str, int] = {}
-        # |H_u| per entity, kept where its bins enter and leave
-        # _total_bins (derived from _entity_bins: restore() recounts it).
-        self._bin_counts: Dict[str, int] = {}
-        for entity_id, history in histories.items():
-            self._ingest_entity(entity_id, history, touched=None)
-        self._size = len(histories)
-        self._avg_bins = self._total_bins / self._size if self._size else 0.0
-        self._log_size = math.log(self._size) if self._size else 0.0
-
-        self._bins_with_idf: Dict[str, BinsWithIdf] = {}
-        self._cell_table: Optional[CellTable] = None
-        self._window_index: Dict[str, WindowIndex] = {}
-        # The flat columns of the array view (built lazily): a
-        # :mod:`repro.store.columns` backend — on the heap until
-        # :meth:`spill` hands them to the disk one.  The corpus decides
-        # what changes; the backend decides where it lives.
-        self._flats: Optional[FlatColumns] = None
+        # Who is resident: per entity, its window directory, the version
+        # it was read at and its flat slice.
+        self._window_index: Dict[str, _Resident] = {}
+        # Document frequencies, by slot: the bin a slot counts
+        # (``window << 32 | cell-table row``) and how many histories hold
+        # it, plus the slots in ascending bin order for the bisection.
+        # Slots are recycled only by :meth:`_compact_df_slots`, so flat
+        # entries reference them across refreshes and IDFs re-derive
+        # vectorized.  Like the cell table and the flat columns, these
+        # arrays are replaced, never written, so a capture holds them by
+        # reference.
+        self._df_bins = np.empty(0, dtype=np.int64)
+        self._df_counts = np.empty(0, dtype=np.float64)
+        self._df_order = np.empty(0, dtype=np.int64)
+        no_geometry = np.empty(0, dtype=np.float64)
+        self._cell_table = CellTable(
+            {}, np.empty(0, dtype=np.uint64),
+            no_geometry, no_geometry, no_geometry, no_geometry,
+        )
+        # The flat columns: a :mod:`repro.store.columns` backend — on the
+        # heap until :meth:`spill` hands them to the disk one.  The corpus
+        # decides what changes; the backend decides where it lives.
+        self._flats: FlatColumns = MemoryColumns()
         self._flat_live = 0
-
-    # ------------------------------------------------------------------
-    # df bookkeeping
-    # ------------------------------------------------------------------
-    def _ingest_entity(
-        self,
-        entity_id: str,
-        history: MobilityHistory,
-        touched: Optional[Dict[Tuple[int, int], float]],
-    ) -> BinsSnapshot:
-        """Add one history's bins to the document frequencies and snapshot
-        them (``touched`` collects pre-change counts during refreshes)."""
-        bins = history.bins(self._level)
-        df_slot = self._df_slot
-        counts = self._df_counts
-        before = self._total_bins
-        for window, cells in bins.items():
-            self._total_bins += len(cells)
-            for cell in cells:
-                key = (window, cell)
-                slot = df_slot.get(key)
-                if slot is None:
-                    df_slot[key] = len(counts)
-                    if touched is not None:
-                        touched.setdefault(key, 0.0)
-                    counts.append(1.0)
-                else:
-                    if touched is not None:
-                        touched.setdefault(key, counts[slot])
-                    counts[slot] += 1.0
-        self._entity_bins[entity_id] = bins
-        self._entity_versions[entity_id] = history.version
-        self._bin_counts[entity_id] = self._total_bins - before
-        return bins
-
-    def _retract_bins(
-        self, bins: BinsSnapshot, touched: Dict[Tuple[int, int], float]
-    ) -> None:
-        """Remove one superseded bins snapshot from the document
-        frequencies."""
-        df_slot = self._df_slot
-        counts = self._df_counts
-        for window, cells in bins.items():
-            self._total_bins -= len(cells)
-            for cell in cells:
-                key = (window, cell)
-                slot = df_slot[key]
-                touched.setdefault(key, counts[slot])
-                counts[slot] -= 1.0
+        self._bins_with_idf: Dict[str, BinsWithIdf] = {}
+        self.refresh()
 
     # ------------------------------------------------------------------
     # delta maintenance
@@ -408,71 +396,212 @@ class HistoryCorpus:
         in place.
 
         Scans the backing histories for version changes (and new
-        entities), re-ingests exactly those, updates size / average /
-        document frequencies, extends the array views, and invalidates the
-        per-entity caches the delta made stale.  Cost is proportional to
-        the changed histories (plus one vectorized IDF pass over the
-        flats), not to the corpus.
+        entities), re-derives exactly those in one array pass, updates
+        size / average / document frequencies, extends the flat columns,
+        and invalidates the per-entity caches the delta made stale.  Cost
+        is proportional to the changed histories (plus vectorized passes
+        over the document-frequency table and the flats), not to the
+        corpus.  Building a corpus is this, from empty.
 
         Entities *deleted* from the backing mapping since the last refresh
-        are retired symmetrically: their bin snapshots are retracted, their
-        flat slices become garbage reclaimed eagerly by compaction, and df
-        slots no surviving entity references are recycled — so a corpus on
-        a retention-bounded stream stays bounded-memory.  They are reported
-        on :attr:`CorpusDelta.evicted`.
+        are retired symmetrically: their slices are retracted, the garbage
+        reclaimed eagerly by compaction, and df slots no surviving entity
+        references are recycled — so a corpus on a retention-bounded
+        stream stays bounded-memory.  They are reported on
+        :attr:`CorpusDelta.evicted`.
         """
         if not self._histories:
             # Check eligibility before touching any state: raising midway
             # through retraction would leave the statistics inconsistent.
             raise ValueError("refresh would leave the corpus empty")
-        evicted: List[str] = [
-            entity_id
-            for entity_id in self._entity_versions
-            if entity_id not in self._histories
+        resident = self._window_index
+        evicted = [
+            entity_id for entity_id in resident if entity_id not in self._histories
         ]
         dirty: List[str] = []
-        touched: Dict[Tuple[int, int], float] = {}
-        old_log_size = self._log_size
-        for entity_id in evicted:
-            self._retract_bins(self._entity_bins.pop(entity_id), touched)
-            del self._entity_versions[entity_id]
-            del self._bin_counts[entity_id]
         for entity_id, history in self._histories.items():
-            if self._entity_versions.get(entity_id) == history.version:
+            held = resident.get(entity_id)
+            if held is not None and held.version == history.version:
                 continue
+            if self._level > history.storage_level:
+                raise ValueError(
+                    f"level {self._level} is finer than storage level "
+                    f"{history.storage_level}"
+                )
             dirty.append(entity_id)
-            old_bins = self._entity_bins.get(entity_id)
-            if old_bins is not None:
-                self._retract_bins(old_bins, touched)
-            self._ingest_entity(entity_id, history, touched)
         if not dirty and not evicted:
             return CorpusDelta(())
 
-        self._size = len(self._histories)
-        self._avg_bins = self._total_bins / self._size if self._size else 0.0
-        self._log_size = math.log(self._size) if self._size else 0.0
+        # Out: a superseded slice names the df slots of its own bins.
+        stale = [
+            resident[entity_id]
+            for entity_id in (*evicted, *dirty)
+            if entity_id in resident
+        ]
+        flat_keys = self._flats.column("keys")
+        retracted = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [flat_keys[held.start : held.start + held.size] for held in stale]
+        )
+        for entity_id in evicted:
+            del resident[entity_id]
 
-        # The dict-view cache embeds IDFs; it is lazily rebuilt, so
+        # In: the dirty histories' stored bins, re-parented.  Ancestors of
+        # ascending cells ascend, so the joined rows stay sorted by
+        # (entity, window, cell) and a level's distinct bins are its runs.
+        histories = [self._histories[entity_id] for entity_id in dirty]
+        rows, windows, cells, _ = leaf_columns(histories)
+        cells = parent_ids(cells, self._level)
+        distinct = run_starts(rows, windows, cells)
+        rows, windows, cells = rows[distinct], windows[distinct], cells[distinct]
+        slots = self._cell_slots(cells)
+        bins = (windows << _ROW_BITS) | slots
+        keys = self._bin_slots(bins)
+        fresh = np.unique(bins[keys < 0])
+        if len(fresh):
+            order = self._df_order
+            self._df_order = np.insert(
+                order,
+                np.searchsorted(self._df_bins, fresh, sorter=order),
+                np.arange(len(order), len(order) + len(fresh)),
+            )
+            self._df_bins = np.concatenate([self._df_bins, fresh])
+            keys = self._bin_slots(bins)
+        before = np.concatenate([self._df_counts, np.zeros(len(fresh))])
+        self._df_counts = (
+            before
+            + np.bincount(keys, minlength=len(before))
+            - np.bincount(retracted, minlength=len(before))
+        )
+
+        # Each dirty entity's slice of the appended rows, and inside it
+        # one directory entry per (entity, window) run.
+        base = len(flat_keys)
+        heads = np.flatnonzero(run_starts(rows, windows))
+        spans = np.diff(np.append(heads, len(rows)))
+        starts = np.searchsorted(rows, np.arange(len(dirty) + 1))
+        entries = np.searchsorted(heads, starts).tolist()
+        starts = starts.tolist()
+        for k, (entity_id, history) in enumerate(zip(dirty, histories)):
+            lo, hi = entries[k], entries[k + 1]
+            resident[entity_id] = _resident(
+                windows[heads[lo:hi]], base + heads[lo:hi], spans[lo:hi],
+                history.version, base + starts[k], starts[k + 1] - starts[k],
+            )
+        self._flats.append({"cells": cells, "slots": slots, "keys": keys})
+
+        grown = len(rows) - len(retracted)
+        self._total_bins += grown
+        self._flat_live += grown
+        old_log_size = math.log(self._size) if self._size else 0.0
+        self._size = len(self._histories)
+        log_size = math.log(self._size)
+        # The oracle cache embeds IDFs; it is lazily rebuilt, so
         # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
-
-        global_drift = abs(self._log_size - old_log_size)
-        drift: Dict[Tuple[int, int], float] = {}
+        # Re-derive the flat IDF column from the current document
+        # frequencies (garbage entries may reference retired bins;
+        # clamping keeps them finite — they are never gathered).
         counts = self._df_counts
-        df_slot = self._df_slot
-        for key, before in touched.items():
-            after = counts[df_slot[key]]
-            if before <= 0.0 or after <= 0.0 or after == before:
-                continue  # new/vanished bins belong to dirty entities only
-            drift[key] = abs(
-                (self._log_size - math.log(after))
-                - (old_log_size - math.log(before))
-            )
+        self._flats.derive(
+            "idf",
+            "keys",
+            lambda keys: log_size - np.log(np.maximum(counts[keys], 1.0)),
+        )
 
-        self._extend_views(dirty, evicted)
+        touched = np.unique(np.concatenate([retracted, keys]))
+        was, now = before[touched], self._df_counts[touched]
+        # New / vanished bins belong to dirty entities only.
+        shared = (was > 0.0) & (now > 0.0) & (was != now)
+        moved = self._df_bins[touched[shared]]
+        drift = {
+            (window, cell): abs(
+                (log_size - math.log(after)) - (old_log_size - math.log(prior))
+            )
+            for window, cell, prior, after in zip(
+                (moved >> _ROW_BITS).tolist(),
+                self._cell_table.cell_ids[moved & ((1 << _ROW_BITS) - 1)].tolist(),
+                was[shared].tolist(),
+                now[shared].tolist(),
+            )
+        }
+
+        # Eviction exists to bound memory: reclaim the retired slices now
+        # rather than waiting for garbage to outweigh live data, so
+        # steady-state flats track the live entities exactly.
+        allocated = base + len(rows)
+        if self._flat_live < (
+            allocated if evicted else _COMPACT_LIVE_FRACTION * allocated
+        ):
+            self._compact()
         if evicted:
             self._compact_df_slots()
-        return CorpusDelta(tuple(dirty), drift, global_drift, tuple(evicted))
+        return CorpusDelta(
+            tuple(dirty), drift, abs(log_size - old_log_size), tuple(evicted)
+        )
+
+    def _cell_slots(self, cells: np.ndarray) -> np.ndarray:
+        """The :class:`CellTable` row of each cell, appending a geometry
+        row (in ascending id order) for every cell the table lacks.
+
+        Values are taken from the scalar :class:`~repro.geo.cell.CellId`
+        geometry (centre, circumradius), so the batch kernel and the
+        scalar oracle operate on the *same* per-cell constants.
+        """
+        table = self._cell_table
+        distinct, inverse = np.unique(cells, return_inverse=True)
+        distinct = distinct.tolist()
+        fresh = [cell for cell in distinct if cell not in table.slot_of]
+        if fresh:
+            # Copy the directory: the superseded CellTable is frozen, and
+            # callers may still hold it — its slot_of must keep describing
+            # exactly the rows its arrays have.
+            slot_of = dict(table.slot_of)
+            slot_of.update(zip(fresh, range(len(slot_of), len(slot_of) + len(fresh))))
+            geometry = [CellId(cell) for cell in fresh]
+            centers = [cell.center() for cell in geometry]
+            lat = np.array([center.lat_radians for center in centers])
+            table = self._cell_table = CellTable(
+                slot_of=slot_of,
+                cell_ids=np.concatenate(
+                    [table.cell_ids, np.array(fresh, dtype=np.uint64)]
+                ),
+                lat=np.concatenate([table.lat, lat]),
+                lng=np.concatenate(
+                    [table.lng, [center.lng_radians for center in centers]]
+                ),
+                cos_lat=np.concatenate([table.cos_lat, np.cos(lat)]),
+                radius=np.concatenate(
+                    [table.radius, [cell.circumradius_meters() for cell in geometry]]
+                ),
+            )
+        slot_of = table.slot_of
+        return np.fromiter(
+            (slot_of[cell] for cell in distinct), np.int64, len(distinct)
+        )[inverse]
+
+    def _bin_slots(self, bins: np.ndarray) -> np.ndarray:
+        """The document-frequency slot counting each bin (``window << 32
+        | cell-table row``), -1 where the table has none."""
+        order = self._df_order
+        if not len(order):
+            return np.full(len(bins), -1, dtype=np.int64)
+        at = np.searchsorted(self._df_bins, bins, sorter=order)
+        slots = order[np.minimum(at, len(order) - 1)]
+        return np.where(self._df_bins[slots] == bins, slots, -1)
+
+    def _slots_of(
+        self, windows: Sequence[int], cells: Sequence[int]
+    ) -> np.ndarray:
+        """:meth:`_bin_slots` for bins spelled ``(window, cell id)``."""
+        slot_of = self._cell_table.slot_of
+        # A cell without a row yields bin -1, which no slot counts.
+        rows = np.fromiter(
+            (slot_of.get(cell, -1) for cell in cells), np.int64, len(cells)
+        )
+        return self._bin_slots(
+            (np.asarray(windows, dtype=np.int64) << _ROW_BITS) | rows
+        )
 
     def mark_stale(self, entity_ids: Iterable[str]) -> None:
         """Have the next :meth:`refresh` re-read these entities whatever
@@ -481,29 +610,41 @@ class HistoryCorpus:
         newcomer restarts at version 0, which the version comparison alone
         cannot tell from the history it replaced.  Ids the corpus does not
         hold are ignored."""
-        versions = self._entity_versions
+        resident = self._window_index
         for entity_id in entity_ids:
-            if entity_id in versions:
-                versions[entity_id] = STALE_VERSION
+            if entity_id in resident:
+                resident[entity_id] = replace(
+                    resident[entity_id], version=STALE_VERSION
+                )
 
     def entities_with_bins(
         self, keys: Iterable[Tuple[int, int]]
     ) -> Set[str]:
-        """Entities whose snapshot holds any of the given (window, cell)
+        """Entities whose slice holds any of the given (window, cell)
         bins — the holders a document-frequency change couples to."""
-        by_window: Dict[int, Set[int]] = {}
-        for window, cell in keys:
-            by_window.setdefault(window, set()).add(cell)
-        if not by_window:
+        keys = list(keys)
+        slots = self._slots_of(
+            [window for window, _ in keys], [cell for _, cell in keys]
+        )
+        hits = np.flatnonzero(np.isin(self._flats.column("keys"), slots[slots >= 0]))
+        if not len(hits):
             return set()
-        holders: Set[str] = set()
-        for entity_id, bins in self._entity_bins.items():
-            for window, cells in by_window.items():
-                present = bins.get(window)
-                if present is not None and not cells.isdisjoint(present):
-                    holders.add(entity_id)
-                    break
-        return holders
+        # A hit counts when it falls inside a resident slice (the rest
+        # is garbage): bisect the slices' starts.
+        starts, sizes = self._slices()
+        order = np.lexsort((sizes, starts))  # an empty slice shares its start
+        nearest = order[np.searchsorted(starts[order], hits, side="right") - 1]
+        inside = (hits >= starts[nearest]) & (hits < starts[nearest] + sizes[nearest])
+        entity_ids = list(self._window_index)
+        return {entity_ids[k] for k in np.unique(nearest[inside]).tolist()}
+
+    def _slices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every resident's flat slice as ``(starts, sizes)``, in
+        directory order."""
+        held = self._window_index.values()
+        starts = np.fromiter((one.start for one in held), np.int64, len(held))
+        sizes = np.fromiter((one.size for one in held), np.int64, len(held))
+        return starts, sizes
 
     # ------------------------------------------------------------------
     # accessors
@@ -517,7 +658,7 @@ class HistoryCorpus:
     def storage(self) -> str:
         """``"memory"`` (flat views on the heap) or ``"disk"`` (flat
         views memmapped over a chunked column store — see :meth:`spill`)."""
-        return "memory" if self._flats is None else self._flats.storage
+        return self._flats.storage
 
     @property
     def size(self) -> int:
@@ -527,7 +668,7 @@ class HistoryCorpus:
     @property
     def avg_bins(self) -> float:
         """Average ``|H_u|`` across the corpus."""
-        return self._avg_bins
+        return self._total_bins / self._size
 
     def avg_cells_per_window(self) -> float:
         """Mean distinct cells per populated (entity, window) pair — the
@@ -536,7 +677,7 @@ class HistoryCorpus:
         whose padded power-of-two buckets cost memory in proportion to
         the block; see :func:`~repro.core.kernels.workload_block_size`).
         """
-        populated = sum(len(bins) for bins in self._entity_bins.values())
+        populated = sum(len(held) for held in self._window_index.values())
         return self._total_bins / populated if populated else 0.0
 
     @property
@@ -557,8 +698,8 @@ class HistoryCorpus:
     # ------------------------------------------------------------------
     def document_frequency(self, window: int, cell: int) -> int:
         """Number of histories containing time-location bin (window, cell)."""
-        slot = self._df_slot.get((window, cell))
-        return 0 if slot is None else int(self._df_counts[slot])
+        slot = self._slots_of([window], [cell])[0]
+        return 0 if slot < 0 else int(self._df_counts[slot])
 
     def idf(self, window: int, cell: int) -> float:
         """``idf(e, E)`` of Eq. 3 (natural log).
@@ -567,18 +708,17 @@ class HistoryCorpus:
         arise for bins taken from corpus histories, so we raise rather than
         return infinity.
         """
-        slot = self._df_slot.get((window, cell))
-        df = 0.0 if slot is None else self._df_counts[slot]
+        df = self.document_frequency(window, cell)
         if df <= 0:
             raise KeyError(f"bin (window={window}, cell={cell}) not in corpus")
-        return self._log_size - math.log(df)
+        return math.log(self._size) - math.log(df)
 
     def relative_size(self, entity_id: str) -> float:
         """``|H_u| / avg(|H_u'|)`` — the BM25-style relative history size
-        (``|H_u|`` is maintained per entity, never recounted here)."""
-        if self._avg_bins <= 0:
+        (``|H_u|`` is the length of the entity's flat slice)."""
+        if self._total_bins <= 0:
             return 1.0
-        return self._bin_counts[entity_id] / self._avg_bins
+        return self._window_index[entity_id].size / self.avg_bins
 
     def length_norm(self, entity_id: str, b: float) -> float:
         """``L(u, E) = (1 - b) + b * relative_size`` from Eq. 2."""
@@ -587,11 +727,11 @@ class HistoryCorpus:
         return (1.0 - b) + b * self.relative_size(entity_id)
 
     def history_sizes(self, entity_ids: Iterable[str]) -> np.ndarray:
-        """``|H_u|`` of each entity as one float64 array (the maintained
-        bin counts — no history is recounted)."""
-        counts = self._bin_counts
+        """``|H_u|`` of each entity as one float64 array (the lengths of
+        their flat slices — no history is recounted)."""
+        resident = self._window_index
         return np.fromiter(
-            (counts[entity_id] for entity_id in entity_ids), np.float64
+            (resident[entity_id].size for entity_id in entity_ids), np.float64
         )
 
     def size_norms(self, sizes: np.ndarray, b: float) -> np.ndarray:
@@ -600,9 +740,9 @@ class HistoryCorpus:
         bit-identical to the scalar form."""
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {b}")
-        if self._avg_bins <= 0:
+        if self._total_bins <= 0:
             return np.ones(len(sizes))
-        return (1.0 - b) + b * (sizes / self._avg_bins)
+        return (1.0 - b) + b * (sizes / self.avg_bins)
 
     def history_versions(self, entity_ids: Iterable[str]) -> np.ndarray:
         """The backing histories' current version counters as one int64
@@ -620,15 +760,22 @@ class HistoryCorpus:
         cached = self._bins_with_idf.get(entity_id)
         if cached is not None:
             return cached
-        log_size = self._log_size
-        df_slot = self._df_slot
-        counts = self._df_counts
-        annotated: BinsWithIdf = {}
-        for window, cells in self._histories[entity_id].bins(self._level).items():
-            annotated[window] = tuple(
-                (cell, log_size - math.log(counts[df_slot[(window, cell)]]))
-                for cell in cells
+        log_size = math.log(self._size)
+        bins = self._histories[entity_id].bins(self._level)
+        slots = self._slots_of(
+            [window for window, cells in bins.items() for _ in cells],
+            [cell for cells in bins.values() for cell in cells],
+        )
+        if (slots < 0).any():
+            raise KeyError(f"{entity_id!r} changed since the last refresh")
+        # Consumed in the order the bins were just listed.
+        frequency = iter(self._df_counts[slots].tolist())
+        annotated: BinsWithIdf = {
+            window: tuple(
+                (cell, log_size - math.log(next(frequency))) for cell in cells
             )
+            for window, cells in bins.items()
+        }
         self._bins_with_idf[entity_id] = annotated
         return annotated
 
@@ -636,133 +783,26 @@ class HistoryCorpus:
     # array views (batch-kernel support)
     # ------------------------------------------------------------------
     def cell_table(self) -> CellTable:
-        """Geometry arrays over every distinct cell of this corpus (cached).
-
-        Built lazily on first use so purely-scalar runs never pay for it;
-        extended in place (new rows appended) when a refresh discovers new
-        cells.  Values are taken from the scalar
-        :class:`~repro.geo.cell.CellId` geometry (centre, circumradius), so
-        the batch kernel and the scalar oracle operate on the *same*
-        per-cell constants.
-        """
-        if self._cell_table is not None:
-            return self._cell_table
-        distinct = sorted({cell for _, cell in self._df_slot})
-        count = len(distinct)
-        lat = np.empty(count, dtype=np.float64)
-        lng = np.empty(count, dtype=np.float64)
-        radius = np.empty(count, dtype=np.float64)
-        slot_of: Dict[int, int] = {}
-        for slot, cell in enumerate(distinct):
-            cell_id = CellId(cell)
-            center = cell_id.center()
-            lat[slot] = center.lat_radians
-            lng[slot] = center.lng_radians
-            radius[slot] = cell_id.circumradius_meters()
-            slot_of[cell] = slot
-        self._cell_table = CellTable(
-            slot_of=slot_of,
-            cell_ids=np.asarray(distinct, dtype=np.uint64),
-            lat=lat,
-            lng=lng,
-            cos_lat=np.cos(lat),
-            radius=radius,
-        )
+        """Geometry arrays over every distinct cell of this corpus:
+        ascending cell-id order at first build, cells discovered by later
+        refreshes appended (see :meth:`_cell_slots`)."""
         return self._cell_table
-
-    def _extend_cell_table(self, cells: Iterable[int]) -> None:
-        """Append geometry rows for cells the table does not know yet."""
-        table = self._cell_table
-        if table is None:
-            return  # never built; the lazy build will see everything
-        fresh = sorted({cell for cell in cells if cell not in table.slot_of})
-        if not fresh:
-            return
-        count = len(fresh)
-        lat = np.empty(count, dtype=np.float64)
-        lng = np.empty(count, dtype=np.float64)
-        radius = np.empty(count, dtype=np.float64)
-        # Copy the directory: the superseded CellTable is frozen, and
-        # callers may still hold it — its slot_of must keep describing
-        # exactly the rows its arrays have.
-        slot_of = dict(table.slot_of)
-        base = len(table.cell_ids)
-        for offset, cell in enumerate(fresh):
-            cell_id = CellId(cell)
-            center = cell_id.center()
-            lat[offset] = center.lat_radians
-            lng[offset] = center.lng_radians
-            radius[offset] = cell_id.circumradius_meters()
-            slot_of[cell] = base + offset
-        self._cell_table = CellTable(
-            slot_of=slot_of,
-            cell_ids=np.concatenate(
-                [table.cell_ids, np.asarray(fresh, dtype=np.uint64)]
-            ),
-            lat=np.concatenate([table.lat, lat]),
-            lng=np.concatenate([table.lng, lng]),
-            cos_lat=np.concatenate([table.cos_lat, np.cos(lat)]),
-            radius=np.concatenate([table.radius, radius]),
-        )
 
     def arrays(self) -> CorpusArrays:
         """The corpus-wide flat bin arrays (see :meth:`window_index`)."""
-        if self._flats is None:
-            self._build_arrays()
         column = self._flats.column
         return CorpusArrays(
             cells=column("cells"), slots=column("slots"), idf=column("idf")
         )
 
     def window_index(self, entity_id: str) -> WindowIndex:
-        """One entity's window directory into :meth:`arrays` (cached).
+        """One entity's window directory into :meth:`arrays`.
 
         Mirrors :meth:`bins_with_idf` exactly — same windows, same cell
         order (ascending id = Morton order), same IDF values — but laid
         out for the batch kernel's vectorized gathers.
         """
-        if self._flats is None:
-            self._build_arrays()
         return self._window_index[entity_id]
-
-    def _entity_layout(
-        self, entity_id: str, base: int,
-        cells_out: List[int], slots_out: List[int], keys_out: List[int],
-    ) -> WindowIndex:
-        """Append one entity's flat layout (starting at absolute offset
-        ``base + len(cells_out)``) and return its directory."""
-        slot_of = self.cell_table().slot_of
-        df_slot = self._df_slot
-        bins = self._entity_bins[entity_id]
-        windows = np.fromiter(sorted(bins), dtype=np.int64, count=len(bins))
-        offsets = np.empty(len(bins), dtype=np.int64)
-        counts = np.empty(len(bins), dtype=np.int64)
-        slices: Dict[int, Tuple[int, int]] = {}
-        for k, window in enumerate(windows.tolist()):
-            cells = bins[window]
-            offset = base + len(cells_out)
-            offsets[k] = offset
-            counts[k] = len(cells)
-            slices[window] = (offset, len(cells))
-            for cell in cells:
-                cells_out.append(cell)
-                slots_out.append(slot_of[cell])
-                keys_out.append(df_slot[(window, cell)])
-        return WindowIndex(
-            windows=windows, offsets=offsets, counts=counts, slices=slices
-        )
-
-    def _refresh_idf_flat(self) -> None:
-        """Re-derive the flat IDF column from the current document
-        frequencies (garbage entries may reference retired bins; clamping
-        keeps them finite — they are never gathered)."""
-        counts = np.asarray(self._df_counts, dtype=np.float64)
-        log_size = self._log_size
-        self._flats.derive(
-            "idf",
-            "keys",
-            lambda keys: log_size - np.log(np.maximum(counts[keys], 1.0)),
-        )
 
     # ------------------------------------------------------------------
     # out-of-core flats
@@ -792,17 +832,15 @@ class HistoryCorpus:
         """
         if self.storage == "disk":
             raise RuntimeError("corpus flats are already disk-backed")
-        if self._flats is None:
-            self._build_arrays()
         # Directories point at live rows, garbage or not: order first,
         # then one compaction both drops the garbage and re-packs.
         cells = self._flats.column("cells")
 
-        def _entity_key(item: Tuple[str, WindowIndex]) -> Tuple[int, str]:
-            entity_id, index = item
-            if not len(index.offsets):
+        def _entity_key(item: Tuple[str, _Resident]) -> Tuple[int, str]:
+            entity_id, held = item
+            if not held.size:
                 return (-1, entity_id)
-            return (int(hilbert_key(int(cells[index.offsets[0]]))), entity_id)
+            return (int(hilbert_key(int(cells[held.start]))), entity_id)
 
         self._window_index = dict(
             sorted(self._window_index.items(), key=_entity_key)
@@ -815,99 +853,18 @@ class HistoryCorpus:
             cache_chunks=cache_chunks,
         )
 
-    def _build_arrays(self) -> None:
-        """Materialise the flat layout for every entity in one pass."""
-        self._flats = MemoryColumns()
-        self._append_layouts(self._histories)
-
-    def _append_layouts(self, entity_ids: Iterable[str]) -> None:
-        """Append the entities' current layouts to the flats and repoint
-        their window directories (superseded slices become garbage), then
-        re-derive the IDF column."""
-        base = len(self._flats.column("cells"))
-        cells_new: List[int] = []
-        slots_new: List[int] = []
-        keys_new: List[int] = []
-        for entity_id in entity_ids:
-            old_index = self._window_index.get(entity_id)
-            if old_index is not None:
-                self._flat_live -= int(old_index.counts.sum())
-            index = self._entity_layout(
-                entity_id, base, cells_new, slots_new, keys_new
-            )
-            self._window_index[entity_id] = index
-            self._flat_live += int(index.counts.sum())
-        if cells_new:
-            self._flats.append(
-                {"cells": cells_new, "slots": slots_new, "keys": keys_new}
-            )
-        self._refresh_idf_flat()
-
-    def _extend_views(
-        self, dirty: List[str], evicted: Sequence[str] = ()
-    ) -> None:
-        """Fold a delta into the array views: append dirty entities' new
-        layouts, drop evicted entities' directories outright, compact
-        when garbage warrants it."""
-        self._extend_cell_table(
-            cell
-            for entity_id in dirty
-            for cells in self._entity_bins[entity_id].values()
-            for cell in cells
-        )
-        if self._flats is None:
-            return  # array views never built; nothing to extend
-        for entity_id in evicted:
-            old_index = self._window_index.pop(entity_id, None)
-            if old_index is not None:
-                self._flat_live -= int(old_index.counts.sum())
-        self._append_layouts(dirty)
-        entries = len(self._flats.column("cells"))
-        if evicted:
-            # Eviction exists to bound memory: reclaim the retired slices
-            # now rather than waiting for garbage to outweigh live data,
-            # so steady-state flats track the live entities exactly.
-            if self._flat_live < entries:
-                self._compact()
-        elif self._flat_live < _COMPACT_LIVE_FRACTION * entries:
-            self._compact()
-
     def _compact(self) -> None:
         """Drop garbage slices: gather every entity's live flat entries
         into fresh contiguous arrays and rebase the window directories."""
-        gathers: List[np.ndarray] = []
-        cursor = 0
-        for entity_id, index in self._window_index.items():
-            total = int(index.counts.sum())
-            if not total:
-                continue
-            within = np.concatenate(
-                ([0], np.cumsum(index.counts)[:-1])
+        resident = self._window_index
+        starts, sizes = self._slices()
+        packed = np.cumsum(sizes) - sizes
+        order = np.repeat(starts - packed, sizes) + np.arange(int(sizes.sum()))
+        for (entity_id, held), start in zip(list(resident.items()), packed.tolist()):
+            resident[entity_id] = _resident(
+                held.windows, held.offsets + (start - held.start), held.counts,
+                held.version, start, held.size,
             )
-            gathers.append(
-                np.repeat(index.offsets - within, index.counts)
-                + np.arange(total)
-            )
-            offsets = cursor + within
-            self._window_index[entity_id] = WindowIndex(
-                windows=index.windows,
-                offsets=offsets,
-                counts=index.counts,
-                slices={
-                    int(w): (int(o), int(c))
-                    for w, o, c in zip(
-                        index.windows.tolist(),
-                        offsets.tolist(),
-                        index.counts.tolist(),
-                    )
-                },
-            )
-            cursor += total
-        order = (
-            np.concatenate(gathers)
-            if gathers
-            else np.empty(0, dtype=np.int64)
-        )
         self._flats.gather(order)
         self._flat_live = len(order)
 
@@ -916,65 +873,54 @@ class HistoryCorpus:
 
         Slots are normally never recycled — flat entries reference them by
         index across refreshes — but after an eviction the only zero-count
-        keys are bins *no surviving entity holds*, and (once the flats are
-        compacted) no live flat entry references them.  Rebuilding the
-        slot directory keeps the document-frequency table proportional to
-        the live bins rather than to every bin ever seen — without it, a
-        sliding-window stream would leak one slot per (window, cell) key
-        forever.  Call only after :meth:`_compact` has purged garbage flat
-        entries (they may reference dead slots).
+        slots are bins *no surviving entity holds*, and (once the flats are
+        compacted) no live flat entry references them.  Dropping them
+        keeps the document-frequency table proportional to the live bins
+        rather than to every bin ever seen — without it, a sliding-window
+        stream would leak one slot per (window, cell) bin forever.  Call
+        only after :meth:`_compact` has purged garbage flat entries (they
+        may reference dead slots).
         """
-        counts = self._df_counts
-        live = [
-            (key, slot) for key, slot in self._df_slot.items()
-            if counts[slot] > 0.0
-        ]
-        if len(live) == len(counts):
+        live = self._df_counts > 0.0
+        if live.all():
             return
-        remap = np.full(len(counts), -1, dtype=np.int64)
-        new_slot: Dict[Tuple[int, int], int] = {}
-        new_counts: List[float] = []
-        for key, slot in live:
-            remap[slot] = len(new_counts)
-            new_slot[key] = len(new_counts)
-            new_counts.append(counts[slot])
-        self._df_slot = new_slot
-        self._df_counts = new_counts
-        if self._flats is not None:
-            self._flats.derive("keys", "keys", lambda keys: remap[keys])
+        remap = np.where(live, np.cumsum(live) - 1, -1)
+        order = self._df_order
+        self._df_order = remap[order[live[order]]]
+        self._df_bins = self._df_bins[live]
+        self._df_counts = self._df_counts[live]
+        self._flats.derive("keys", "keys", lambda keys: remap[keys])
 
     # ------------------------------------------------------------------
     # state: one capture for rollback and snapshots
     # ------------------------------------------------------------------
     #: The state of a corpus, by attribute (minus the underscore): the one
     #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
-    #: Containers :meth:`refresh` mutates in place are shallow-copied out
-    #: *and* in; the rest — scalars and the frozen ``CellTable`` — is
-    #: replaced, never mutated, so travels by reference.  The flat columns
-    #: are the backend's to capture; ``_histories`` is the caller's
-    #: mapping, not state.
-    _COPIED_STATE = (
-        "df_slot", "df_counts", "entity_bins", "entity_versions",
-        "bins_with_idf", "window_index",
-    )
+    #: The two per-entity dicts :meth:`refresh` mutates in place are
+    #: shallow-copied out *and* in; the rest — scalars, the frozen
+    #: ``CellTable``, the document-frequency arrays — is replaced, never
+    #: mutated, so travels by reference: nothing that grows with the bins
+    #: is copied.  The flat columns are the backend's to capture;
+    #: ``_histories`` is the caller's mapping, not state.
+    _COPIED_STATE = ("bins_with_idf", "window_index")
     _SHARED_STATE = (
-        "level", "total_bins", "size", "avg_bins", "log_size", "cell_table",
-        "flat_live",
+        "level", "total_bins", "size", "cell_table", "flat_live",
+        "df_bins", "df_counts", "df_order",
     )
 
     def checkpoint(self) -> Dict[str, object]:
         """The corpus' whole state as a plain dict, for :meth:`restore`.
 
-        A relink rollback keeps it in memory (cheap — references plus
-        shallow container copies); a durable snapshot pickles the very
-        same dict.  The flat columns ride along as their backend's own
-        capture (``None`` while the array views are unbuilt).
+        A relink rollback keeps it in memory (cheap — references plus two
+        shallow per-entity dict copies); a durable snapshot pickles the
+        very same dict.  The flat columns ride along as their backend's
+        own capture.
         """
         state = {name: getattr(self, "_" + name) for name in self._SHARED_STATE}
         for name in self._COPIED_STATE:
             state[name] = getattr(self, "_" + name).copy()
         state["cache_token"] = self.cache_token
-        state["flats"] = None if self._flats is None else self._flats.checkpoint()
+        state["flats"] = self._flats.checkpoint()
         return state
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -984,27 +930,18 @@ class HistoryCorpus:
         caller restores the histories mapping itself).  The capture is
         only read, so it supports any number of restores.
 
-        The flats backend rewinds itself; a corpus whose array views are
-        unbuilt adopts the captured columns on the heap (and may
-        :meth:`spill` afterwards — storage is not state).  The captured
-        cache token is adopted, and reserved if it is a default one.
+        The flats backend rewinds itself; a fresh (heap) corpus adopts
+        the captured columns and may :meth:`spill` afterwards — storage
+        is not state.  The captured cache token is adopted, and reserved
+        if it is a default one.
         """
         for name in self._SHARED_STATE:
             setattr(self, "_" + name, state[name])
         for name in self._COPIED_STATE:
             setattr(self, "_" + name, state[name].copy())
-        self._bin_counts = {
-            entity_id: sum(map(len, bins.values()))
-            for entity_id, bins in self._entity_bins.items()
-        }
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)
-        if state["flats"] is None:
-            self._flats = None
-        else:
-            if self._flats is None:
-                self._flats = MemoryColumns()
-            self._flats.restore(state["flats"])
+        self._flats.restore(state["flats"])
 
     # ------------------------------------------------------------------
     # introspection
@@ -1024,15 +961,12 @@ class HistoryCorpus:
         page cache, not the heap) — the ledger
         ``benchmarks/bench_out_of_core.py`` compares across backends.
         """
-        flats = self._flats
         return {
-            "flat_resident_bytes": 0 if flats is None else int(flats.resident_bytes),
+            "flat_resident_bytes": int(self._flats.resident_bytes),
             "entities": self._size,
-            "total_bins": int(self._total_bins),
+            "total_bins": self._total_bins,
             "df_slots": len(self._df_counts),
-            "flat_entries": 0 if flats is None else len(flats.column("cells")),
+            "flat_entries": len(self._flats.column("cells")),
             "flat_live": self._flat_live,
-            "cell_rows": (
-                0 if self._cell_table is None else len(self._cell_table.cell_ids)
-            ),
+            "cell_rows": len(self._cell_table.cell_ids),
         }

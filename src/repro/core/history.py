@@ -1,16 +1,31 @@
 """Mobility histories (Sec. 2.3, Fig. 1).
 
 A mobility history aggregates one entity's records into *time-location
-bins*: per leaf window, the grid cells visited (with counts).  The paper
-organises those leaves under a temporal tree whose internal nodes
-aggregate the counts, so that range queries — notably the dominating-cell
-queries of the LSH layer — are logarithmic (:meth:`MobilityHistory.tree`,
-:class:`~repro.temporal.TemporalCountTree`).  A linkage run does not build
-that tree: the signature queries of one run partition the window axis, so
-:func:`repro.lsh.signature.signature_matrix` answers all of them for a
-whole dataset in one array pass over the leaves
-(:func:`leaf_columns`).  The tree stays as the reference structure of
-Fig. 1 and the oracle the array pass is tested against.
+bins*: per leaf window, the grid cells visited (with counts).
+
+One store, derived views
+------------------------
+
+A history *is* three parallel read-only arrays ``(window, cell, count)``
+sorted by ``(window, cell)`` at its ``storage_level`` — one row per
+distinct bin, ``count`` the summed weight of the records that fell in it.
+They are the store of record: ingest replaces them (never writes into
+them), a snapshot pickles them, and the whole-dataset array passes — LSH
+signatures (:func:`repro.lsh.signature.signature_matrix`), corpus
+statistics and kernel layout (:class:`~repro.core.corpus.HistoryCorpus`)
+— read them joined across histories (:func:`leaf_columns`).
+
+Everything else is a view computed from them on demand and cached until
+the next ingest: :meth:`MobilityHistory.bins`,
+:meth:`~MobilityHistory.counts_in_window`, and the paper's temporal tree
+whose internal nodes aggregate the counts so that range queries — notably
+the dominating-cell queries of the LSH layer — are logarithmic
+(:meth:`MobilityHistory.tree`, :class:`~repro.temporal.TemporalCountTree`).
+The views re-bin with the scalar :func:`~repro.geo.cell.parent_id`, so the
+``"python"`` scoring oracle and the signature oracle stay independent of
+the vectorised passes they are tested against.  A linkage run builds no
+tree: the signature queries of one run partition the window axis, so one
+sort-and-reduce answers all of them.
 
 The temporal hierarchy is deliberate: the paper partitions hierarchically in
 *time*, not space, because alibi detection needs fast retrieval of all cells
@@ -21,10 +36,11 @@ any coarser level via integer parent mapping, so one history build serves
 both the similarity computation (e.g. level 12) and LSH signatures at an
 independently chosen level (Sec. 5.3 varies them separately).
 
-Ingest is one array pass too: :func:`ingest_columns` converts the
-concatenated records of any number of entities to cells and window
-indices with a single numpy dispatch chain and only then splits them per
-entity; :func:`build_histories`, :meth:`MobilityHistory.from_columns`,
+Ingest is one array pass: :func:`ingest_columns` validates the
+concatenated records of any number of entities, converts them to cells
+and window indices, merges them with what the touched entities already
+hold in one sort-and-sum, and hands each entity its slice;
+:func:`build_histories`, :meth:`MobilityHistory.from_columns`,
 :meth:`MobilityHistory.extend` and
 :meth:`~repro.core.streaming.StreamingLinker.observe` are spellings of it.
 """
@@ -50,48 +66,27 @@ __all__ = ["MobilityHistory", "build_histories"]
 STALE_VERSION = -1
 
 
-def _accumulate(
-    leaves: Dict[int, Counter],
-    indices: List[int],
-    cells: List[int],
-    region: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    storage_level: int,
-) -> None:
-    """Distribute records over (window, cell) leaf counters.
+#: A history's stored columns and their dtypes — one row per distinct
+#: bin, sorted by ``(window, cell)``.
+_COLUMNS = {"_windows": np.int64, "_cells": np.uint64, "_counts": np.float64}
 
-    Point records add weight 1 to their cell; region records (``region``:
-    the same rows' ``(lats, lngs, radii)``) spread weight ``1/n`` over the
-    ``n`` cells of their cap cover — the Sec. 2.1 region extension.
-    """
-    if region is not None:
-        lats, lngs, radii = region
-    for row, (index, cell) in enumerate(zip(indices, cells)):
-        counter = leaves.get(index)
-        if counter is None:
-            counter = Counter()
-            leaves[index] = counter
-        if region is None:
-            counter[cell] += 1
-            continue
-        radius = float(radii[row])
-        if radius <= CellId(cell).circumradius_meters() * 0.5:
-            counter[cell] += 1
-            continue
-        from ..geo.coverage import cover_cap  # deferred: optional path
 
-        cover = cover_cap(
-            LatLng.from_degrees(float(lats[row]), float(lngs[row])),
-            radius,
-            storage_level,
-        )
-        weight = 1.0 / len(cover)
-        for covered in cover:
-            counter[covered.id] += weight
+def run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows at which any of the parallel columns changes
+    value — the first row of each run, once they are sorted together."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    return first
 
 
 class MobilityHistory:
     """One entity's hierarchical spatio-temporal summary.
 
+    ``windows`` / ``cells`` / ``counts`` are the bins as parallel columns,
+    sorted by ``(window, cell)`` with no bin repeated (what
+    :func:`ingest_columns` produces); they are copied and kept read-only.
     Bins are exposed as ``{window index: (cell ids...)}`` dictionaries per
     spatial level; cell ids are bare integers (see :mod:`repro.geo.cell`)
     for speed.
@@ -103,10 +98,10 @@ class MobilityHistory:
         "storage_level",
         "num_records",
         "version",
-        "_leaves",
-        "_tree",
-        "_bins_cache",
-        "_level_trees",
+        "_windows",
+        "_cells",
+        "_counts",
+        "_views",
     )
 
     def __init__(
@@ -114,22 +109,46 @@ class MobilityHistory:
         entity_id: str,
         windowing: Windowing,
         storage_level: int,
-        leaves: Dict[int, Counter],
-        num_records: int,
+        windows: Sequence[int] = (),
+        cells: Sequence[int] = (),
+        counts: Sequence[float] = (),
+        num_records: int = 0,
     ) -> None:
         self.entity_id = entity_id
         self.windowing = windowing
         self.storage_level = storage_level
         self.num_records = num_records
-        #: Monotone change counter: bumped by every :meth:`extend` call.
-        #: Downstream caches (:class:`~repro.core.corpus.HistoryCorpus`
-        #: snapshots, :class:`~repro.core.score_cache.ScoreCache` entries,
-        #: LSH signature placements) key their validity on it.
+        #: Monotone change counter: bumped by every ingest that adds
+        #: records.  Downstream caches
+        #: (:class:`~repro.core.corpus.HistoryCorpus` residency,
+        #: :class:`~repro.core.score_cache.ScoreCache` entries, LSH
+        #: signature placements) key their validity on it.
         self.version = 0
-        self._leaves = leaves
-        self._tree: Optional[TemporalCountTree] = None
-        self._level_trees: Dict[int, TemporalCountTree] = {}
-        self._bins_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        self._store(windows, cells, counts)
+
+    def _store(self, *columns: Sequence) -> None:
+        """Adopt ``(windows, cells, counts)`` — as read-only copies:
+        stored columns are replaced, never written, so whoever holds one
+        (a capture, a joined pass) may alias it — and drop every view of
+        the old ones."""
+        for (name, dtype), values in zip(_COLUMNS.items(), columns):
+            column = np.array(values, dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._views: Dict[object, object] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The columns and the scalars — no view is pickled."""
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_views"
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        for name in _COLUMNS:  # unpickled arrays come back writable
+            getattr(self, name).flags.writeable = False
+        self._views = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -170,8 +189,9 @@ class MobilityHistory:
     ) -> None:
         """Append new records in place (streaming ingestion).
 
-        Invalidates all cached bins and trees; the next query rebuilds them.
-        Used by :class:`~repro.core.streaming.StreamingLinker` for the
+        Replaces the columns and drops every cached view; the next query
+        recomputes it.  Used by
+        :class:`~repro.core.streaming.StreamingLinker` for the
         dynamic-datasets case the paper's introduction motivates.
         """
         ingest_columns(
@@ -182,15 +202,25 @@ class MobilityHistory:
     # ------------------------------------------------------------------
     # bins
     # ------------------------------------------------------------------
+    def _spans(self) -> Dict[int, Tuple[int, int]]:
+        """``{window: (first row, end row)}`` of the columns, ascending."""
+        spans = self._views.get("spans")
+        if spans is None:
+            windows, first = np.unique(self._windows, return_index=True)
+            ends = first[1:].tolist() + [len(self._windows)]
+            spans = dict(zip(windows.tolist(), zip(first.tolist(), ends)))
+            self._views["spans"] = spans
+        return spans
+
     def windows(self) -> List[int]:
         """Populated leaf-window indices, ascending."""
-        return sorted(self._leaves)
+        return list(self._spans())
 
     def latest_window(self) -> int:
         """The most recent populated leaf-window index (-1 when the
         history holds no records) — the activity recency the retention
         policies of :mod:`repro.core.retention` rank entities by."""
-        return max(self._leaves, default=-1)
+        return int(self._windows[-1]) if len(self._windows) else -1
 
     def bins(self, level: int) -> Dict[int, Tuple[int, ...]]:
         """``{window: (distinct cells at level, sorted)}`` (cached).
@@ -198,23 +228,20 @@ class MobilityHistory:
         This is ``H_u``, the set of time-location bins of Sec. 3.1.2,
         re-binned at the requested spatial level.
         """
-        cached = self._bins_cache.get(level)
+        cached = self._views.get(("bins", level))
         if cached is not None:
             return cached
         if level > self.storage_level:
             raise ValueError(
                 f"level {level} is finer than storage level {self.storage_level}"
             )
+        cells = self._cells.tolist()
         result: Dict[int, Tuple[int, ...]] = {}
-        if level == self.storage_level:
-            for window, counter in self._leaves.items():
-                result[window] = tuple(sorted(counter))
-        else:
-            for window, counter in self._leaves.items():
-                result[window] = tuple(
-                    sorted({parent_id(cell, level) for cell in counter})
-                )
-        self._bins_cache[level] = result
+        for window, (lo, hi) in self._spans().items():
+            result[window] = tuple(
+                sorted({parent_id(cell, level) for cell in cells[lo:hi]})
+            )
+        self._views[("bins", level)] = result
         return result
 
     def num_bins(self, level: int) -> int:
@@ -222,19 +249,18 @@ class MobilityHistory:
         return sum(len(cells) for cells in self.bins(level).values())
 
     def records_in_window(self, window: int) -> int:
-        """Number of raw records falling in one leaf window."""
-        counter = self._leaves.get(window)
-        return sum(counter.values()) if counter else 0
+        """Number of raw records falling in one leaf window (a region
+        record's weights add up to the one record it is)."""
+        lo, hi = self._spans().get(window, (0, 0))
+        return int(round(float(self._counts[lo:hi].sum())))
 
     def counts_in_window(self, window: int, level: int) -> Counter:
         """Cell-id counts within one leaf window at ``level``."""
-        counter = self._leaves.get(window)
-        if not counter:
-            return Counter()
-        if level == self.storage_level:
-            return Counter(counter)
+        lo, hi = self._spans().get(window, (0, 0))
         rebinned: Counter = Counter()
-        for cell, count in counter.items():
+        for cell, count in zip(
+            self._cells[lo:hi].tolist(), self._counts[lo:hi].tolist()
+        ):
             rebinned[parent_id(cell, level)] += count
         return rebinned
 
@@ -250,18 +276,16 @@ class MobilityHistory:
         structure for user code and for the signature oracle
         :func:`repro.lsh.signature.build_signature`.
         """
-        if level is None or level == self.storage_level:
-            if self._tree is None:
-                self._tree = TemporalCountTree(self._leaves)
-            return self._tree
-        cached = self._level_trees.get(level)
+        level = self.storage_level if level is None else level
+        cached = self._views.get(("tree", level))
         if cached is None:
-            rebinned = {
-                window: self.counts_in_window(window, level)
-                for window in self._leaves
-            }
-            cached = TemporalCountTree(rebinned)
-            self._level_trees[level] = cached
+            cached = TemporalCountTree(
+                {
+                    window: self.counts_in_window(window, level)
+                    for window in self._spans()
+                }
+            )
+            self._views[("tree", level)] = cached
         return cached
 
     def dominating_cell(
@@ -279,8 +303,38 @@ class MobilityHistory:
     def __repr__(self) -> str:
         return (
             f"MobilityHistory({self.entity_id!r}, records={self.num_records}, "
-            f"windows={len(self._leaves)}, storage_level={self.storage_level})"
+            f"windows={len(self._spans())}, storage_level={self.storage_level})"
         )
+
+
+def _spread_regions(
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    lats: np.ndarray,
+    lngs: np.ndarray,
+    radii: np.ndarray,
+    storage_level: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, window, cell)`` record columns with every region record —
+    a radius beyond half its cell's circumradius — replaced by one row per
+    cell of its cap cover, plus the weight column: ``1/n`` over the ``n``
+    cells of a cover, 1 for a point (the Sec. 2.1 region extension)."""
+    from ..geo.coverage import cover_cap  # deferred: optional path
+
+    cells = columns[2]
+    covers: Dict[int, List[int]] = {}
+    for row in np.flatnonzero(radii > 0.0).tolist():
+        if radii[row] > CellId(int(cells[row])).circumradius_meters() * 0.5:
+            center = LatLng.from_degrees(float(lats[row]), float(lngs[row]))
+            covers[row] = [
+                cell.id for cell in cover_cap(center, float(radii[row]), storage_level)
+            ]
+    repeats = np.ones(len(cells), dtype=np.int64)
+    repeats[list(covers)] = [len(cover) for cover in covers.values()]
+    rows, windows, cells = (np.repeat(column, repeats) for column in columns)
+    starts = np.cumsum(repeats) - repeats
+    for row, cover in covers.items():
+        cells[starts[row] : starts[row] + len(cover)] = cover
+    return rows, windows, cells, np.repeat(1.0 / repeats, repeats)
 
 
 def ingest_columns(
@@ -297,19 +351,30 @@ def ingest_columns(
     """Fold the concatenated records of several entities into
     ``histories``: entity ``k`` owns the next ``lengths[k]`` rows of the
     columns; an id the mapping lacks gets a new history (version 0), a
-    known one grows in place (version bumped, cached bins and trees
-    dropped).
+    known one that gains records gets new columns (version bumped, views
+    dropped), and one given no rows is left exactly as it was.
 
-    Cells and window indices are computed for all rows at once — one
-    :func:`~repro.geo.cell_ids_from_degrees` call however many entities
-    there are — and checked before anything is touched: a non-finite
-    timestamp or coordinate, or a record before the windowing origin,
-    raises naming the first entity that has one.
+    All-or-nothing: cells and window indices are computed for all rows at
+    once — one :func:`~repro.geo.cell_ids_from_degrees` call however many
+    entities there are — and everything is checked, every region cover
+    expanded, before any history is touched.  A non-finite timestamp or
+    coordinate, a record before the windowing origin, or a non-finite or
+    negative radius raises naming the first entity that has one.
     ``radii`` as in :meth:`MobilityHistory.from_columns`.
+
+    The new rows are merged with the touched entities' stored bins in one
+    stable sort by ``(entity, window, cell)`` and summed per bin left to
+    right — a stored sum first, then the records in arrival order — so
+    the columns are bit for bit those of a one-shot build of the same
+    records, whatever the batching.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     if timestamps.size != sum(lengths):
         raise ValueError("lengths must add up to one entry per record")
+    if radii is not None:
+        radii = np.asarray(radii, dtype=np.float64)
+        if radii.shape != timestamps.shape:
+            raise ValueError("radii must have one entry per record")
 
     def owner(rows: np.ndarray) -> str:
         position = np.searchsorted(np.cumsum(lengths), rows[0], side="right")
@@ -332,59 +397,78 @@ def ingest_columns(
             "use common_windowing over all datasets in the run"
         )
     if radii is not None:
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape != indices.shape:
-            raise ValueError("radii must have one entry per record")
-    windows = indices.tolist()
-    cells = cell_ids_from_degrees(lats, lngs, storage_level).tolist()
-    lo = 0
-    for entity_id, length in zip(entity_ids, lengths):
-        hi = lo + length
+        bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"non-finite or negative radius for entity {owner(bad)!r}"
+            )
+
+    ids = list(dict.fromkeys(entity_ids))
+    position = {entity_id: k for k, entity_id in enumerate(ids)}
+    rows = np.repeat(
+        np.asarray([position[entity_id] for entity_id in entity_ids], dtype=np.int64),
+        lengths,
+    )
+    added = np.bincount(rows, minlength=len(ids)).tolist()
+    cells = cell_ids_from_degrees(lats, lngs, storage_level)
+    if radii is None:
+        weights = np.ones(len(rows))
+    else:
+        rows, indices, cells, weights = _spread_regions(
+            (rows, indices, cells), lats, lngs, radii, storage_level
+        )
+    grown = [
+        k for k, entity_id in enumerate(ids) if added[k] and entity_id in histories
+    ]
+    stored = leaf_columns(histories[ids[k]] for k in grown)
+    rows = np.concatenate([np.asarray(grown, dtype=np.int64)[stored[0]], rows])
+    windows = np.concatenate([stored[1], indices])
+    cells = np.concatenate([stored[2], cells])
+    weights = np.concatenate([stored[3], weights])
+
+    order = np.lexsort((cells, windows, rows))
+    rows, windows, cells = rows[order], windows[order], cells[order]
+    first = run_starts(rows, windows, cells)
+    # bincount adds strictly in input order (reduceat sums long runs
+    # pairwise), which is what keeps fractional region weights
+    # batching-independent.
+    counts = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    rows, windows, cells = rows[first], windows[first], cells[first]
+    bounds = np.searchsorted(rows, np.arange(len(ids) + 1)).tolist()
+    for k, entity_id in enumerate(ids):
+        columns = (
+            windows[bounds[k] : bounds[k + 1]],
+            cells[bounds[k] : bounds[k + 1]],
+            counts[bounds[k] : bounds[k + 1]],
+        )
         history = histories.get(entity_id)
         if history is None:
-            history = MobilityHistory(entity_id, windowing, storage_level, {}, 0)
-            histories[entity_id] = history
-        else:
+            histories[entity_id] = MobilityHistory(
+                entity_id, windowing, storage_level, *columns, added[k]
+            )
+        elif added[k]:
+            history._store(*columns)
+            history.num_records += added[k]
             history.version += 1
-            history._tree = None
-            history._level_trees.clear()
-            history._bins_cache.clear()
-        _accumulate(
-            history._leaves,
-            windows[lo:hi],
-            cells[lo:hi],
-            None if radii is None else (lats[lo:hi], lngs[lo:hi], radii[lo:hi]),
-            storage_level,
-        )
-        history.num_records += length
-        lo = hi
 
 
 def leaf_columns(
     histories: Iterable[MobilityHistory],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The leaf counters of ``histories`` flattened to four parallel
-    columns ``(row, window, cell, count)`` — ``row`` is the history's
-    position in the iterable, cells are at each history's storage level.
-    What whole-dataset array passes read instead of walking histories."""
-    sizes: List[int] = []
-    rows: List[int] = []
-    windows: List[int] = []
-    cells: List[int] = []
-    counts: List[float] = []
-    for row, history in enumerate(histories):
-        for window, counter in history._leaves.items():
-            rows.append(row)
-            windows.append(window)
-            sizes.append(len(counter))
-            cells.extend(counter)
-            counts.extend(counter.values())
-    return (
-        np.repeat(np.asarray(rows, dtype=np.int64), sizes),
-        np.repeat(np.asarray(windows, dtype=np.int64), sizes),
-        np.asarray(cells, dtype=np.uint64),
-        np.asarray(counts, dtype=np.float64),
-    )
+    """The stored bins of ``histories`` joined into four parallel columns
+    ``(row, window, cell, count)`` — ``row`` is the history's position in
+    the iterable, cells are at each history's storage level, rows sorted
+    by ``(row, window, cell)``.  What whole-dataset array passes read
+    instead of walking histories; read-only like the columns they join."""
+    histories = list(histories)
+    sizes = [len(history._windows) for history in histories]
+    joined = [np.repeat(np.arange(len(histories)), sizes)]
+    for name, dtype in _COLUMNS.items():
+        columns = [getattr(history, name) for history in histories]
+        joined.append(np.concatenate([np.empty(0, dtype), *columns]))
+    for column in joined:
+        column.flags.writeable = False
+    return tuple(joined)
 
 
 def build_histories(

@@ -423,11 +423,6 @@ class SimilarityEngine:
         """Every kernel dispatch of the numpy route: ``pairs`` cut into
         score blocks, each block one ``map_blocks`` task."""
         block = block_size or workload_block_size(self.left, self.right)
-        # Materialise the array views up front: thread workers must not
-        # race the lazy build, and process workers should inherit the
-        # arrays through fork rather than each rebuilding them.
-        self.left.arrays()
-        self.right.arrays()
         resolved, owned = as_executor(executor)
         try:
             outcomes = resolved.map_blocks(

@@ -15,8 +15,8 @@ when hashing.
 Two implementations, one answer.  :func:`signature_matrix` is what a run
 uses: the query windows of a :class:`SignatureSpec` *partition* the window
 axis, so every leaf feeds exactly one slot and all signatures of a dataset
-fall out of one sort-and-reduce over its flattened leaves — no per-entity
-structure is built.  :func:`build_signature` is the paper's formulation
+fall out of one sort-and-reduce over its histories' joined columns — no
+per-entity structure is built.  :func:`build_signature` is the paper's formulation
 (one range query per slot against the history's hierarchical count tree,
 Fig. 1) and the scalar oracle the matrix is tested against, row for row.
 """
@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.history import MobilityHistory, leaf_columns
+from ..core.history import MobilityHistory, leaf_columns, run_starts
 from ..geo.batch import parent_ids
 
 __all__ = [
@@ -107,19 +107,23 @@ def signature_matrix(
     :func:`~repro.lsh.banding.band_bucket_ids` consumes, and row for row
     ``signatures_to_array([build_signature(h, spec)])``.
 
-    One array pass: the leaf counters are flattened to ``(entity, window,
-    cell, count)`` columns, windows outside the spec's span dropped, cells
-    re-parented to ``spec.spatial_level``, counts summed per ``(entity,
-    slot, cell)`` and each ``(entity, slot)`` keeps its largest sum, ties
-    to the smallest cell id (the rule
+    One array pass: the histories' stored ``(window, cell, count)``
+    columns are joined (:func:`~repro.core.history.leaf_columns`),
+    windows outside the spec's span dropped, cells re-parented to
+    ``spec.spatial_level``, counts summed per ``(entity, slot, cell)`` and
+    each ``(entity, slot)`` keeps its largest sum, ties to the smallest
+    cell id (the rule
     :meth:`~repro.temporal.TemporalCountTree.dominating` documents).
 
-    Counts are summed in sorted-cell order, the tree's in merge order.
-    Record counts — all that :func:`~repro.core.history.build_histories`
-    and ``observe()`` produce — are integers and sum exactly either way;
-    the fractional weights of region records (``radii=``) do too when
-    dyadic, but for other fractions a near-tie within the last ulp may
-    resolve differently from the tree.
+    Both this pass and the tree start from the same stored per-bin sums;
+    they differ only in the order those are added across a slot's
+    windows and re-parented cells (sorted-cell order here, merge order
+    in the tree).  Record counts — all that
+    :func:`~repro.core.history.build_histories` and ``observe()`` produce
+    — are integers and sum exactly either way; the fractional weights of
+    region records (``radii=``) do too when dyadic, but for other
+    fractions a near-tie within the last ulp may resolve differently from
+    the tree.
 
     Raises :class:`ValueError` when ``spec.spatial_level`` is finer than
     a history's storage level (its cells cannot be re-parented *down*).
@@ -133,7 +137,7 @@ def signature_matrix(
             )
     matrix = np.zeros((len(histories), spec.length), dtype=np.uint64)
     rows, windows, cells, counts = leaf_columns(histories.values())
-    windows -= spec.start_window
+    windows = windows - spec.start_window
     inside = (windows >= 0) & (windows < spec.total_windows)
     if not inside.any():
         return matrix
@@ -143,15 +147,13 @@ def signature_matrix(
     cells = parent_ids(cells[inside], spec.spatial_level)
     order = np.lexsort((cells, groups))
     groups, cells, counts = groups[order], cells[order], counts[inside][order]
-    first = np.flatnonzero(
-        np.r_[True, (groups[1:] != groups[:-1]) | (cells[1:] != cells[:-1])]
-    )
+    first = np.flatnonzero(run_starts(groups, cells))
     sums = np.add.reduceat(counts, first)
     groups, cells = groups[first], cells[first]
     # Per (entity, slot): the largest sum first, ties by ascending cell id.
     rank = np.lexsort((cells, -sums, groups))
     groups, cells = groups[rank], cells[rank]
-    winners = np.r_[True, groups[1:] != groups[:-1]]
+    winners = run_starts(groups)
     matrix.reshape(-1)[groups[winners]] = cells[winners]
     return matrix
 

@@ -73,7 +73,11 @@ __all__ = [
 #: carried a hand-framed ``score_cache.bin`` and another ``state.pkl``).
 #: Format 3: a corpus capture carries its flat columns as the backend's
 #: capture (``"flats"``) instead of five ``flat_*`` entries.
-SNAPSHOT_FORMAT = 3
+#: Format 4: a history pickles its three bin columns and no derived
+#: view; a corpus capture carries document frequencies as arrays and
+#: per-entity residency in ``"window_index"`` (format 3 carried
+#: ``entity_bins`` / ``df_slot`` dicts).
+SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")

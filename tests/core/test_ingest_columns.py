@@ -2,9 +2,9 @@
 
 ``build_histories`` and ``StreamingLinker.observe`` bin the concatenated
 records of all their entities in one pass; ``MobilityHistory.from_columns``
-/ ``extend`` are the single-entity spelling.  Same leaves (contents *and*
-insertion order), same counters, same errors — and one cell-id conversion
-per call, however many entities it carries.
+/ ``extend`` are the single-entity spelling.  Same windows, same counters,
+same errors — and one cell-id conversion per call, however many entities
+it carries.
 """
 
 import pytest
@@ -17,9 +17,12 @@ from repro.temporal import Windowing, common_windowing
 
 
 def _assert_same_history(actual, expected):
-    assert list(actual._leaves) == list(expected._leaves)
-    for window, counter in expected._leaves.items():
-        assert list(actual._leaves[window].items()) == list(counter.items())
+    level = expected.storage_level
+    assert actual.windows() == expected.windows()
+    for window in expected.windows():
+        assert list(actual.counts_in_window(window, level).items()) == list(
+            expected.counts_in_window(window, level).items()
+        )
     for field in ("entity_id", "windowing", "storage_level", "num_records", "version"):
         assert getattr(actual, field) == getattr(expected, field), field
 

@@ -149,7 +149,8 @@ class TestCorpusEviction:
         del histories["c"]  # its bin is held by nobody else
         corpus.refresh()
         assert corpus.memory_stats()["df_slots"] < slots_before
-        assert corpus.document_frequency(*next(iter(corpus._df_slot))) > 0
+        window, cells = next(iter(histories["a"].bins(12).items()))
+        assert corpus.document_frequency(window, cells[0]) > 0
 
     def test_eviction_with_shared_bin_reports_idf_drift(self):
         histories = {

@@ -155,7 +155,8 @@ class TestIncrementalColdParity:
         linker.observe("right", [Record("v", 37.77, -122.42, 30.0)])
         linker.relink()
         corpus = linker._corpora["left"]
-        shared_bin = next(iter(corpus._df_slot))
+        window, cells = next(iter(corpus.history("a").bins(corpus.level).items()))
+        shared_bin = (window, cells[0])
         drip = CorpusDelta(("ghost",), {shared_bin: 0.3}, 0.0)
         assert linker._idf_affected("left", drip) == set()  # 0.3 <= 0.5
         affected = linker._idf_affected("left", drip)  # accumulated 0.6

@@ -37,6 +37,18 @@ PLACES = [
 ]
 
 
+def _history(name, storage_level, leaves, num_records):
+    """A history holding exactly ``leaves`` (``{window: {cell: count}}``)."""
+    bins = sorted(
+        (window, cell, count)
+        for window, counter in leaves.items()
+        for cell, count in counter.items()
+    )
+    return MobilityHistory(
+        name, WINDOWING, storage_level, *zip(*bins), num_records=num_records
+    )
+
+
 def _oracle(histories, spec):
     return signatures_to_array(
         [build_signature(history, spec) for history in histories.values()]
@@ -106,7 +118,7 @@ def test_exact_ties_go_to_the_smallest_cell_id():
     # The larger id is seen first and in the earlier window: neither
     # arrival order nor window order may decide a tie.
     leaves = {0: Counter({high: 2}), 1: Counter({low: 1}), 2: Counter({low: 1})}
-    history = MobilityHistory("tied", WINDOWING, 14, leaves, 4)
+    history = _history("tied", 14, leaves, 4)
     spec = SignatureSpec(0, 4, 4, 14)
     assert signature_matrix({"tied": history}, spec).tolist() == [[low]]
     assert build_signature(history, spec) == (low,)
@@ -149,9 +161,8 @@ def test_region_weighted_histories_with_dyadic_weights(leaves, step):
     cells = cell_ids_from_degrees(
         np.array([lat for lat, _ in PLACES]), np.array([lng for _, lng in PLACES]), 16
     ).tolist()
-    history = MobilityHistory(
+    history = _history(
         "region",
-        WINDOWING,
         16,
         {
             window: Counter({cells[place]: weight for place, weight in counter.items()})

@@ -212,13 +212,24 @@ def test_swapped_payload_is_refused_before_it_is_unpickled(kind, snapshot_root):
     kind.assert_refused(snapshot_root, SnapshotDigestMismatch)
 
 
-def test_version_skew_warns_by_name_and_cold_starts(kind, snapshot_root):
+def _rewrite_format(snapshot_root, value):
     manifest_path = _snap_dir(snapshot_root) / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format"] = 999
+    manifest["format"] = value
     manifest_path.write_text(json.dumps(manifest))
+
+
+def test_version_skew_warns_by_name_and_cold_starts(kind, snapshot_root):
+    _rewrite_format(snapshot_root, 999)
     with pytest.raises(SnapshotVersionSkew):
         read_snapshot(snapshot_root)
+    kind.assert_refused(snapshot_root, SnapshotVersionSkew)
+
+
+def test_the_previous_format_is_refused_not_converted(kind, snapshot_root):
+    """Format 3 (histories pickled their views, corpora their bin dicts)
+    takes the same named path: warn and cold-start, or raise when strict."""
+    _rewrite_format(snapshot_root, 3)
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
 
