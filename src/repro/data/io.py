@@ -21,8 +21,13 @@ import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .records import LocationDataset, Record
 
@@ -92,9 +97,9 @@ def _check_on_error(on_error: str) -> None:
 def _coord_problem(lat: float, lng: float) -> Optional[str]:
     """The out-of-range reason for a coordinate pair, or None when valid.
 
-    Mirrors :meth:`LocationDataset._validate_coords` (which guards the
-    ``on_error="raise"`` path inside ``from_records``); NaN fails both
-    comparisons and is reported as out of range.
+    Mirrors :meth:`LocationDataset._validate_coords` (which guards
+    ``from_columns``); NaN fails both comparisons and is reported as out of
+    range.
     """
     if not (-90.0 <= lat <= 90.0):
         return f"latitude out of range: {lat}"
@@ -123,6 +128,133 @@ def _parse_timestamp(raw: str) -> float:
     return parsed.timestamp()
 
 
+# The ``(entity, time, lat, lng)`` cell texts of a row; ``None`` where a
+# short row has no such cell.
+Cells = Tuple[Optional[str], Optional[str], Optional[str], Optional[str]]
+
+# One tokenised row: its file, its line, a token, and its four cells.  The
+# format's ``Scalar`` turns the token back into the row's raw text and its
+# cells — no cells when the row is too short to be cut into them.
+Row = Tuple[str, int, Any, Optional[str], Optional[str], Optional[str], Optional[str]]
+Scalar = Callable[[Any], Tuple[str, Optional[Cells]]]
+
+# The scalar parse of the time, lat and lng cells.
+_PARSERS = (_parse_timestamp, float, float)
+
+# Rows tokenised at a time.  A row's tokens weigh ~20x the three floats kept
+# of it, so this bounds what a load holds beyond its columns.
+_SLICE_ROWS = 1 << 12
+
+
+def _explain(
+    source: str,
+    line: int,
+    raw: str,
+    cells: Optional[Cells],
+    on_error: str,
+    report: QuarantineReport,
+) -> Optional[Record]:
+    """The scalar row parser, run on the rows the column pass flagged.
+
+    Says what is wrong with the row — raising under ``on_error="raise"``,
+    quarantining under ``"skip"`` — or returns its record when nothing is.
+    A row too short to cut was always skipped, and is reported only when
+    quarantining.
+    """
+    if cells is None:
+        if raw.strip() and on_error == "skip":
+            report.quarantine(source, line, "truncated row", raw)
+        return None
+    entity, time, lat, lng = cells
+    cause = None
+    try:
+        record = Record(entity, float(lat), float(lng), _parse_timestamp(time))
+        reason = detail = _coord_problem(record.lat, record.lng)
+    except (TypeError, ValueError) as error:
+        cause, reason, detail = error, f"malformed: {error}", f"malformed row: {error}"
+    if reason is None:
+        return record
+    if on_error == "raise":
+        raise ValueError(f"{source}:{line}: {detail}") from cause
+    report.quarantine(source, line, reason, raw)
+    return None
+
+
+def _float_column(
+    cells: Sequence[Optional[str]], parse: Callable[[str], float]
+) -> np.ndarray:
+    """``parse(cell)`` of every cell as float64, NaN where it raises.
+
+    ``np.array`` converts each ``str`` with ``float()`` itself (``1_0``,
+    padding, ``1e400``, ``nan`` and full-width digits included) and reads
+    ``None`` as NaN, so a column of plain numbers never reaches ``parse``.
+    """
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        column = np.full(len(cells), np.nan)
+    for index, cell in enumerate(cells):
+        if cell is not None:
+            try:
+                column[index] = parse(cell)
+            except ValueError:
+                pass
+    return column
+
+
+def _clean_rows(
+    piece: List[Row], scalar: Scalar, on_error: str, report: QuarantineReport
+) -> Tuple[List[Optional[str]], np.ndarray]:
+    """Columns -> mask -> explain: the entities and the ``(timestamps,
+    lats, lngs)`` block of the rows of ``piece`` that load.
+
+    The cells are parsed a column at a time; one mask flags the rows with
+    a cell that did not parse, a timestamp that is not finite or a
+    coordinate out of range (NaN fails every comparison), and only those
+    go, in input order, through :func:`_explain`.
+    """
+    sources, lines, tokens, ids, *texts = map(list, zip(*piece))
+    timestamp, lat, lng = block = np.stack(list(map(_float_column, texts, _PARSERS)))
+    flagged = ~(np.isfinite(timestamp) & (np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0))
+    for row in np.flatnonzero(flagged).tolist():
+        raw, cells = scalar(tokens[row])
+        record = _explain(sources[row], lines[row], raw, cells, on_error, report)
+        if record is not None:
+            ids[row], lat[row], lng[row], timestamp[row] = record
+            flagged[row] = False
+    if flagged.any():
+        ids, block = list(compress(ids, ~flagged)), block[:, ~flagged]
+    report.loaded += len(ids)
+    return ids, block
+
+
+def _load(
+    rows: Iterator[Row],
+    scalar: Scalar,
+    name: str,
+    on_error: str,
+    max_records: Optional[int] = None,
+    nothing: Optional[str] = None,
+) -> Union[LocationDataset, Tuple[LocationDataset, QuarantineReport]]:
+    """The one way tokenised rows become a dataset, whatever cut them.
+
+    ``rows`` is drawn in slices of at most as many rows as records are
+    still wanted, so a load stops on the line of the ``max_records``-th
+    record it keeps, and no slice's tokens outlive its pass.  ``nothing``
+    is what to raise with when no row loads and none is quarantined.
+    """
+    report = QuarantineReport()
+    cap = math.inf if max_records is None else max_records
+    pieces = iter(lambda: list(islice(rows, min(_SLICE_ROWS, cap - report.loaded))), [])
+    kept = [_clean_rows(piece, scalar, on_error, report) for piece in pieces]
+    if nothing and not report.loaded and not report.rows:
+        raise ValueError(nothing)
+    entities = list(chain.from_iterable(ids for ids, _ in kept))
+    columns = np.concatenate([np.empty((3, 0)), *(block for _, block in kept)], axis=1)
+    dataset = LocationDataset.from_columns(entities, columns, name)
+    return (dataset, report) if on_error == "skip" else dataset
+
+
 def load_csv(
     path: PathLike,
     name: Optional[str] = None,
@@ -144,110 +276,72 @@ def load_csv(
     """
     _check_on_error(on_error)
     path = Path(path)
-    report = QuarantineReport()
-    records: List[Record] = []
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        required = {entity_column, lat_column, lng_column, time_column}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    columns = (entity_column, time_column, lat_column, lng_column)
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None or not set(columns) <= set(header):
             raise ValueError(
-                f"{path}: header must contain {sorted(required)}, "
-                f"got {reader.fieldnames}"
+                f"{path}: header must contain {sorted(set(columns))}, got {header}"
             )
-        for row in reader:
-            raw = delimiter.join(
-                "" if value is None else str(value) for value in row.values()
-            )
-            try:
-                record = Record(
-                    entity_id=row[entity_column],
-                    lat=float(row[lat_column]),
-                    lng=float(row[lng_column]),
-                    timestamp=_parse_timestamp(row[time_column]),
-                )
-            except (TypeError, ValueError) as error:
-                if on_error == "raise":
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: malformed row: {error}"
-                    ) from error
-                report.quarantine(
-                    str(path), reader.line_num, f"malformed: {error}", raw
-                )
-                continue
-            problem = _coord_problem(record.lat, record.lng)
-            if problem is not None:
-                if on_error == "raise":
-                    raise ValueError(f"{path}:{reader.line_num}: {problem}")
-                report.quarantine(str(path), reader.line_num, problem, raw)
-                continue
-            records.append(record)
-    dataset = LocationDataset.from_records(records, name or path.stem)
-    if on_error == "skip":
-        report.loaded = len(records)
-        return dataset, report
-    return dataset
+        # Keyed as the ``csv`` module's dict reader keys a row: a repeated
+        # header name means its last column, a short row reads ``None`` in
+        # the columns it lacks, a long row's surplus is one list.
+        width, pad = len(header), [None] * len(header)
+        position = dict(zip(header, range(width)))
+        pick = itemgetter(*(position[column] for column in columns))
+
+        def scalar(row: List[str]) -> Tuple[str, Cells]:
+            view: Dict[Optional[str], Any] = dict(zip(header, row + pad[len(row) :]))
+            if len(row) > width:
+                view[None] = row[width:]
+            values = ("" if value is None else str(value) for value in view.values())
+            return delimiter.join(values), pick(row + pad)
+
+        source = str(path)
+        rows = (
+            (source, reader.line_num, row) + pick(row + pad) for row in reader if row
+        )
+        return _load(rows, scalar, name or path.stem, on_error)
 
 
 def save_csv(dataset: LocationDataset, path: PathLike, delimiter: str = ",") -> None:
     """Write a dataset as ``entity,lat,lng,timestamp`` with a header row."""
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(["entity", "lat", "lng", "timestamp"])
-        for record in dataset.records():
-            writer.writerow(
-                [
-                    record.entity_id,
-                    f"{record.lat:.7f}",
-                    f"{record.lng:.7f}",
-                    f"{record.timestamp:.3f}",
-                ]
+        for entity in dataset.entities:
+            timestamps, lats, lngs = (c.tolist() for c in dataset.columns(entity))
+            writer.writerows(
+                [entity, f"{lat:.7f}", f"{lng:.7f}", f"{timestamp:.3f}"]
+                for timestamp, lat, lng in zip(timestamps, lats, lngs)
             )
 
 
-def _iter_plt_records(
-    entity_id: str,
-    plt_path: Path,
-    on_error: str,
-    report: QuarantineReport,
-) -> Iterator[Record]:
-    """Parse one GeoLife ``.plt`` trajectory file.
+def _text_row(source: str, line: int, text: str, cells: Optional[Cells]) -> Row:
+    """A row of a headerless format.  Its token is ``(text, cells)`` as it
+    stands, so the ``Scalar`` of these formats is ``tuple``."""
+    return (source, line, (text, cells), *(cells or [None] * 4))
+
+
+def _plt_rows(user_dirs: Iterable[Path]) -> Iterator[Row]:
+    """The rows of every GeoLife ``.plt`` trajectory file, in path order.
 
     Format: 6 header lines, then ``lat,lng,0,altitude,days,date,time``
-    rows.  Truncated rows (including the blank trailing line many files
-    end with) are skipped as they always were; rows whose fields fail to
-    parse or whose coordinates are out of range follow ``on_error``.
+    rows.  Rows with fewer fields (including the blank trailing line many
+    files end with) have no cells.
     """
-    with plt_path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if line_number <= 6:
-                continue
-            parts = line.strip().split(",")
-            if len(parts) < 7:
-                if line.strip() and on_error == "skip":
-                    report.quarantine(
-                        str(plt_path), line_number, "truncated row", line
-                    )
-                continue
-            try:
-                lat, lng = float(parts[0]), float(parts[1])
-                timestamp = _parse_timestamp(f"{parts[5]}T{parts[6]}")
-            except ValueError as error:
-                if on_error == "raise":
-                    raise ValueError(
-                        f"{plt_path}:{line_number}: malformed row: {error}"
-                    ) from error
-                report.quarantine(
-                    str(plt_path), line_number, f"malformed: {error}", line
-                )
-                continue
-            problem = _coord_problem(lat, lng)
-            if problem is not None:
-                if on_error == "raise":
-                    raise ValueError(f"{plt_path}:{line_number}: {problem}")
-                report.quarantine(str(plt_path), line_number, problem, line)
-                continue
-            yield Record(entity_id, lat, lng, timestamp)
+    for user_dir in user_dirs:
+        for plt_path in sorted((user_dir / "Trajectory").glob("*.plt")):
+            with plt_path.open(encoding="utf-8-sig") as handle:
+                for number, text in islice(enumerate(handle, start=1), 6, None):
+                    parts = text.strip().split(",")
+                    cells = None
+                    if len(parts) >= 7:
+                        when = f"{parts[5]}T{parts[6]}"
+                        cells = (user_dir.name, when, parts[0], parts[1])
+                    yield _text_row(str(plt_path), number, text, cells)
 
 
 def load_geolife(
@@ -259,33 +353,26 @@ def load_geolife(
     """Load the GeoLife GPS trajectory corpus.
 
     Expects the published layout ``<root>/Data/<user>/Trajectory/*.plt``;
-    a layout without the ``Data`` level is also accepted.  With
-    ``on_error="skip"``, malformed and out-of-range rows are quarantined
-    and the return value is ``(dataset, QuarantineReport)``.
+    a layout without the ``Data`` level is also accepted.  Truncated rows
+    are skipped as they always were.  With ``on_error="skip"``, truncated,
+    malformed and out-of-range rows are quarantined and the return value
+    is ``(dataset, QuarantineReport)``.
     """
     _check_on_error(on_error)
     root = Path(root)
     data_dir = root / "Data" if (root / "Data").is_dir() else root
-    user_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
-    if max_users is not None:
-        user_dirs = user_dirs[:max_users]
-    report = QuarantineReport()
-    records: List[Record] = []
-    for user_dir in user_dirs:
-        trajectory_dir = user_dir / "Trajectory"
-        if not trajectory_dir.is_dir():
-            continue
-        for plt_path in sorted(trajectory_dir.glob("*.plt")):
-            records.extend(
-                _iter_plt_records(user_dir.name, plt_path, on_error, report)
-            )
-    if not records and not report.rows:
-        raise ValueError(f"no GeoLife trajectories found under {root}")
-    dataset = LocationDataset.from_records(records, name)
-    if on_error == "skip":
-        report.loaded = len(records)
-        return dataset, report
-    return dataset
+    user_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())[:max_users]
+    nothing = f"no GeoLife trajectories found under {root}"
+    return _load(_plt_rows(user_dirs), tuple, name, on_error, nothing=nothing)
+
+
+def _checkin_rows(path: Path, handle: Iterable[str]) -> Iterator[Row]:
+    """The lines of a check-in TSV as rows: user, time, lat and lng are the
+    first four tab-separated fields, and a line with fewer has no cells."""
+    for number, text in enumerate(handle, start=1):
+        parts = text.rstrip("\n").split("\t")
+        cells = tuple(parts[:4]) if len(parts) >= 4 else None
+        yield _text_row(str(path), number, text, cells)
 
 
 def load_gowalla(
@@ -304,46 +391,7 @@ def load_gowalla(
     """
     _check_on_error(on_error)
     path = Path(path)
-    report = QuarantineReport()
-    records: List[Record] = []
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 4:
-                if line.strip() and on_error == "skip":
-                    report.quarantine(
-                        str(path), line_number, "truncated row", line
-                    )
-                continue
-            try:
-                record = Record(
-                    entity_id=parts[0],
-                    lat=float(parts[2]),
-                    lng=float(parts[3]),
-                    timestamp=_parse_timestamp(parts[1]),
-                )
-            except ValueError as error:
-                if on_error == "raise":
-                    raise ValueError(
-                        f"{path}:{line_number}: malformed row: {error}"
-                    ) from error
-                report.quarantine(
-                    str(path), line_number, f"malformed: {error}", line
-                )
-                continue
-            problem = _coord_problem(record.lat, record.lng)
-            if problem is not None:
-                if on_error == "raise":
-                    raise ValueError(f"{path}:{line_number}: {problem}")
-                report.quarantine(str(path), line_number, problem, line)
-                continue
-            records.append(record)
-            if max_records is not None and len(records) >= max_records:
-                break
-    if not records and not report.rows:
-        raise ValueError(f"no check-ins found in {path}")
-    dataset = LocationDataset.from_records(records, name)
-    if on_error == "skip":
-        report.loaded = len(records)
-        return dataset, report
-    return dataset
+    nothing = f"no check-ins found in {path}"
+    with path.open(encoding="utf-8-sig") as handle:
+        rows = _checkin_rows(path, handle)
+        return _load(rows, tuple, name, on_error, max_records, nothing)

@@ -14,11 +14,11 @@ samplers operate vectorised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = ["Record", "LocationDataset", "DatasetStats"]
 
@@ -68,13 +68,18 @@ class _Trace:
     def __init__(
         self, timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray
     ) -> None:
-        order = np.argsort(timestamps, kind="stable")
-        self.timestamps = np.ascontiguousarray(timestamps[order], dtype=np.float64)
-        self.lats = np.ascontiguousarray(lats[order], dtype=np.float64)
-        self.lngs = np.ascontiguousarray(lngs[order], dtype=np.float64)
+        self.timestamps = timestamps
+        self.lats = lats
+        self.lngs = lngs
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
+
+
+def _sorted_trace(timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> _Trace:
+    """The trace of float64 columns in any order; equal timestamps keep theirs."""
+    order = np.argsort(timestamps, kind="stable")
+    return _Trace(timestamps[order], lats[order], lngs[order])
 
 
 class LocationDataset:
@@ -97,20 +102,42 @@ class LocationDataset:
         cls, records: Iterable[Record], name: str = "dataset"
     ) -> "LocationDataset":
         """Build a dataset from an iterable of :class:`Record`."""
-        grouped: Dict[str, List[Tuple[float, float, float]]] = {}
-        for record in records:
-            cls._validate_coords(record.lat, record.lng)
-            if not math.isfinite(record.timestamp):
-                raise ValueError(
-                    f"timestamp not finite for entity {record.entity_id!r}"
-                )
-            grouped.setdefault(record.entity_id, []).append(
-                (record.timestamp, record.lat, record.lng)
-            )
-        traces = {}
-        for entity_id, rows in grouped.items():
-            array = np.asarray(rows, dtype=np.float64)
-            traces[entity_id] = _Trace(array[:, 0], array[:, 1], array[:, 2])
+        entities, lats, lngs, timestamps = tuple(zip(*records)) or ((),) * 4
+        return cls.from_columns(entities, (timestamps, lats, lngs), name)
+
+    @classmethod
+    def from_columns(
+        cls, entities: Sequence[str], columns: ArrayLike, name: str = "dataset"
+    ) -> "LocationDataset":
+        """Build from parallel columns with one row per record:
+        ``entities`` and, as :meth:`columns` returns them, ``(timestamps,
+        lats, lngs)``.
+
+        Rows may come in any order: entities are ordered by first
+        appearance, and one stable sort by ``(entity, timestamp)`` leaves
+        each entity's columns as slices of the three sorted arrays, rows
+        of equal timestamp in the order given.
+        """
+        columns = np.asarray(columns, dtype=np.float64)
+        if columns.shape != (3, len(entities)):
+            raise ValueError("column lengths differ")
+        timestamps, lats, lngs = columns
+        bad = ~(
+            np.isfinite(timestamps) & (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0)
+        )
+        if bad.any():
+            row = int(bad.argmax())
+            cls._validate_coords(float(lats[row]), float(lngs[row]))
+            raise ValueError(f"timestamp not finite for entity {entities[row]!r}")
+        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
+        codes = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
+        order = np.lexsort((timestamps, codes))
+        timestamps, lats, lngs = columns[:, order]
+        bounds = np.searchsorted(codes[order], np.arange(len(code_of) + 1)).tolist()
+        traces = {
+            entity: _Trace(timestamps[start:stop], lats[start:stop], lngs[start:stop])
+            for entity, start, stop in zip(code_of, bounds, bounds[1:])
+        }
         return cls(name, traces)
 
     @classmethod
@@ -138,7 +165,7 @@ class LocationDataset:
             if lats.size:
                 cls._validate_coords(float(lats.min()), float(lngs.min()))
                 cls._validate_coords(float(lats.max()), float(lngs.max()))
-            traces[entity_id] = _Trace(timestamps, lats, lngs)
+            traces[entity_id] = _sorted_trace(timestamps, lats, lngs)
         return cls(name, traces)
 
     @staticmethod
@@ -205,10 +232,11 @@ class LocationDataset:
 
     def time_range(self) -> Tuple[float, float]:
         """``(earliest, latest)`` record timestamp across the dataset."""
-        if not self._traces:
+        traces = [trace for trace in self._traces.values() if len(trace)]
+        if not traces:
             raise ValueError(f"dataset {self._name!r} is empty")
-        starts = [float(t.timestamps[0]) for t in self._traces.values() if len(t)]
-        ends = [float(t.timestamps[-1]) for t in self._traces.values() if len(t)]
+        starts = [float(trace.timestamps[0]) for trace in traces]
+        ends = [float(trace.timestamps[-1]) for trace in traces]
         return min(starts), max(ends)
 
     def stats(self) -> DatasetStats:
@@ -289,7 +317,7 @@ class LocationDataset:
         traces = {}
         for entity_id, trace in self._traces.items():
             noisy = trace.timestamps + rng.normal(0.0, sigma_seconds, len(trace))
-            traces[entity_id] = _Trace(noisy, trace.lats, trace.lngs)
+            traces[entity_id] = _sorted_trace(noisy, trace.lats, trace.lngs)
         return LocationDataset(self._name, traces)
 
     def rename_entities(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "LocationDataset":

@@ -73,6 +73,17 @@ class TestAccessors:
         with pytest.raises(ValueError):
             LocationDataset("empty", {}).time_range()
 
+    def test_time_range_of_recordless_entities_is_the_named_error(self):
+        """Entities that all hold zero records are an empty dataset too,
+        not a bare ``min() arg is an empty sequence``."""
+        none = (np.array([]), np.array([]), np.array([]))
+        columns = {"e1": none, "e2": none}
+        hollow = LocationDataset.from_arrays(["e1", "e2"], columns, "hollow")
+        assert hollow.num_entities == 2 and hollow.num_records == 0
+        for summary in (hollow.time_range, hollow.stats):
+            with pytest.raises(ValueError, match="dataset 'hollow' is empty"):
+                summary()
+
     def test_stats(self, dataset):
         stats = dataset.stats()
         assert stats.num_entities == 2
