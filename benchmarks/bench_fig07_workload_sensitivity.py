@@ -10,11 +10,11 @@ Paper shape (Sec. 5.2.2):
   independent of the intersection ratio.
 """
 
-from bench_util import average_records
+from bench_util import average_records, write_series
 
 from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, run_pipeline, write_report
+from repro.eval import run_pipeline
 
 INCLUSIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 RATIOS = (0.3, 0.5, 0.7, 0.9)
@@ -53,18 +53,18 @@ def test_fig07ab_cab(benchmark, cab_world, results_dir):
     rows = benchmark.pedantic(
         lambda: _sweep(world, rng_base=7), rounds=1, iterations=1
     )
-    report = format_table(
+    write_series(
         rows,
-        precision=3,
+        results_dir / "fig07ab_cab.txt",
         title="Figure 7a/7b: Cab - F1 and runtime vs inclusion probability",
     )
-    write_report(report, results_dir / "fig07ab_cab.txt")
 
     # 7a: dense traces keep F1 high across the sweep.  Scale-down caveat
-    # (see EXPERIMENTS.md): the paper's inclusion-0.1 point still carries
-    # 2,100 records/entity; our 40-taxi world drops to ~77 there, *below*
-    # the evidence knee the paper never enters, so the paper-shape
-    # assertion applies from the >=0.3 points (>=230 records/entity) up.
+    # (docs/ARCHITECTURE.md, "Paper figures"): the paper's inclusion-0.1
+    # point still carries 2,100 records/entity; our 40-taxi world drops
+    # to ~77 there, *below* the evidence knee the paper never enters, so
+    # the paper-shape assertion applies from the >=0.3 points (>=230
+    # records/entity) up.
     f1_dense = [r["f1"] for r in rows if r["inclusion"] >= 0.5]
     assert min(f1_dense) > 0.85
     f1_mid = [r["f1"] for r in rows if r["inclusion"] == 0.3]
@@ -73,7 +73,7 @@ def test_fig07ab_cab(benchmark, cab_world, results_dir):
     # record count — aggregation collapses same-bin records.  Comparisons
     # must at least stay far below the naive quadratic record-pair growth.
     # (Full bin saturation, where comparisons flatten entirely, needs the
-    # paper's 2,100-18,900 records/entity densities; see EXPERIMENTS.md.)
+    # paper's 2,100-18,900 records/entity densities; same section.)
     # Wall-clock is reported in the table but not asserted (too noisy under
     # a loaded machine); the deterministic comparison counter carries the
     # sub-quadratic claim.
@@ -93,12 +93,11 @@ def test_fig07cd_sm(benchmark, sm_world, results_dir):
         rounds=1,
         iterations=1,
     )
-    report = format_table(
+    write_series(
         rows,
-        precision=3,
+        results_dir / "fig07cd_sm.txt",
         title="Figure 7c/7d: SM - F1 and runtime vs inclusion probability",
     )
-    write_report(report, results_dir / "fig07cd_sm.txt")
 
     # 7c: sparse data — F1 rises steeply with inclusion...
     for ratio in (0.5, 0.7):

@@ -85,7 +85,7 @@ def test_fig08ab_cab(benchmark, cab_world, results_dir):
     # Somewhere on the grid, LSH prunes substantially while preserving most
     # of the F1 (the paper's level-16/step-48 sweet spot; at our 1.5-day
     # scale-down the equivalent point sits at smaller steps because the
-    # signature has ~10x fewer slots — see EXPERIMENTS.md).
+    # signature has ~10x fewer slots — docs/ARCHITECTURE.md, "Paper figures").
     good = [r for r in rows if r["relative_f1"] >= 0.85 and r["speedup"] >= 4.0]
     assert good, "expected a high-F1 / high-speed-up grid point"
 

@@ -10,17 +10,17 @@ run on the sparser points only, as the paper restricted GM to a one-week
 subset for the same reason).
 """
 
+from bench_util import write_series
+
 from repro.baselines import GmLinker, StLinkLinker
 from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
 from repro.data.synth import default_cab_world
 from repro.eval import (
-    format_table,
     hit_precision_at_k,
     precision_recall_f1,
     run_pipeline,
     score_all_pairs,
-    write_report,
 )
 from repro.lsh import LshConfig
 
@@ -85,13 +85,10 @@ def test_fig11ab_sparse_comparison(benchmark, results_dir):
     world = _sparse_world()
     rows = benchmark.pedantic(lambda: _sweep(world), rounds=1, iterations=1)
 
-    write_report(
-        format_table(
-            rows,
-            precision=3,
-            title="Figure 11a/11b: hit precision@40, F1 and runtime vs avg records",
-        ),
+    write_series(
+        rows,
         results_dir / "fig11ab_comparison_sparse.txt",
+        title="Figure 11a/11b: hit precision@40, F1 and runtime vs avg records",
     )
 
     first, last = rows[0], rows[-1]
@@ -104,7 +101,7 @@ def test_fig11ab_sparse_comparison(benchmark, results_dir):
     # the dense end (paper: 0.92 vs 0.87 ST-Link / 0.73 GM), with LSH-SLIM
     # close behind (paper: 0.89).
     #
-    # Scale-down divergence (documented in EXPERIMENTS.md): at the 20-record
+    # Scale-down divergence (docs/ARCHITECTURE.md, "Paper figures"): at the 20-record
     # sparse end the paper reports SLIM ~0.3 vs ~0.05 for both baselines; in
     # our synthetic city exact-cell co-occurrence stays discriminative at 20
     # records, so ST-Link and especially GM hold up better than on the real

@@ -9,13 +9,15 @@ than the sliding-window join the original ST-Link executes (Fig. 11d).
 Comparison-count honesty: our ST-Link implementation is itself blocked
 behind an inverted index, so the table reports both its actual comparisons
 and the sliding-window join cost of the original algorithm (the paper's
-cost model) — see EXPERIMENTS.md.
+cost model) — see docs/ARCHITECTURE.md, "Paper figures".
 """
+
+from bench_util import write_series
 
 from repro.baselines import StLinkLinker
 from repro.pipeline import LinkageConfig
 from repro.data import sample_linkage_pair
-from repro.eval import format_table, precision_recall_f1, run_pipeline, write_report
+from repro.eval import precision_recall_f1, run_pipeline
 from repro.lsh import LshConfig
 
 INCLUSIONS = (0.25, 0.5, 0.8)
@@ -57,18 +59,15 @@ def _sweep(world):
 def test_fig11cd_dense_comparison(benchmark, cab_world, results_dir):
     rows = benchmark.pedantic(lambda: _sweep(cab_world), rounds=1, iterations=1)
 
-    write_report(
-        format_table(
-            rows,
-            precision=3,
-            title="Figure 11c/11d: SLIM+LSH vs ST-Link across densities and ratios",
-        ),
+    write_series(
+        rows,
         results_dir / "fig11cd_comparison_dense.txt",
+        title="Figure 11c/11d: SLIM+LSH vs ST-Link across densities and ratios",
     )
 
     # 11c: SLIM wins or ties F1 everywhere at paper-comparable densities
     # (>= ~350 records/entity); at the sparsest scale-down points the LSH
-    # filter can cost SLIM recall ST-Link does not pay (EXPERIMENTS.md).
+    # filter can cost SLIM recall ST-Link does not pay (same section).
     dense_rows = [r for r in rows if r["avg_records"] >= 350]
     assert dense_rows
     losses_dense = sum(

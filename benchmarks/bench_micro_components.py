@@ -4,7 +4,8 @@ Times each pipeline stage in isolation — history construction, the
 similarity kernel (both scoring backends), LSH signature construction and
 bucketing, the two bipartite matchers, and the GMM threshold fit — so
 performance regressions can be localised, and the greedy-vs-exact matcher
-ablation (a design choice DESIGN.md calls out) has numbers attached.
+ablation (the ``matching`` stage's two registry entries, docs/ARCHITECTURE.md
+"The pipeline") has numbers attached.
 
 The pairwise-scoring comparison additionally writes
 ``BENCH_pairwise_scoring.json`` (see :func:`bench_util.write_bench_json`)

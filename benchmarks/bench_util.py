@@ -21,12 +21,13 @@ import numpy as np
 from repro.core.similarity import SimilarityConfig
 from repro.pipeline import LinkageConfig
 from repro.data.sampling import LinkagePair
-from repro.eval import run_pipeline
+from repro.eval import format_table, run_pipeline, write_report
 
 __all__ = [
     "spatiotemporal_grid",
     "average_records",
     "write_bench_json",
+    "write_series",
     "time_callable",
 ]
 
@@ -66,6 +67,25 @@ def write_bench_json(name: str, payload: Dict, results_dir: Path) -> Path:
     }
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def write_series(rows: List[Dict], path: Path, title: str) -> None:
+    """Write a figure's series whose rows carry wall-clock columns.
+
+    ``path`` gets every column but the ``*runtime_s`` ones — it is
+    committed, and CI fails when a regenerated series differs from it, so
+    it must be byte-identical run to run.  The full table, clocks
+    included, goes to the git-ignored sibling ``<stem>_runtime.txt``.
+    """
+    columns = [c for c in rows[0] if not c.endswith("runtime_s")]
+    write_report(
+        format_table(rows, columns=columns, precision=3, title=title), path
+    )
+    write_report(
+        format_table(rows, precision=3, title=title),
+        path.with_name(f"{path.stem}_runtime.txt"),
+        echo=False,
+    )
 
 
 def average_records(pair: LinkagePair) -> float:

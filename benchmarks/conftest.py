@@ -1,7 +1,7 @@
 """Shared workloads for the figure benchmarks.
 
-Two synthetic worlds stand in for the paper's corpora (see DESIGN.md,
-"Substitutions"):
+Two synthetic worlds stand in for the paper's corpora (see
+docs/ARCHITECTURE.md, "Paper figures" — Substitutions):
 
 * ``cab`` — dense single-city taxi fleet (40 taxis, 1.5 days, ~860
   records/taxi at full inclusion) standing in for the 536-taxi SF trace;

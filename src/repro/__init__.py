@@ -16,7 +16,7 @@ Quickstart::
     report = LinkagePipeline(LinkageConfig()).run(pair.left, pair.right)
     print(len(report.links), "links at threshold", report.threshold.threshold)
 
-Package map — see DESIGN.md for the full inventory:
+Package map — see docs/ARCHITECTURE.md for how the pieces fit:
 
 * :mod:`repro.geo` — S2-like hierarchical spatial grid;
 * :mod:`repro.temporal` — windowing + hierarchical count trees;

@@ -423,8 +423,7 @@ class SimilarityEngine:
         """Every kernel dispatch of the numpy route: ``pairs`` cut into
         score blocks, each block one ``map_blocks`` task."""
         block = block_size or workload_block_size(self.left, self.right)
-        resolved, owned = as_executor(executor)
-        try:
+        with as_executor(executor) as resolved:
             outcomes = resolved.map_blocks(
                 score_pair_block,
                 [
@@ -433,9 +432,6 @@ class SimilarityEngine:
                 ],
                 payload=(self.left, self.right, self.config),
             )
-        finally:
-            if owned:
-                resolved.shutdown()
         # The dispatch itself always completes (pools released, good
         # blocks kept); only a block that failed past its retry budget
         # *and* the inline fallback aborts the scoring — as a clean,

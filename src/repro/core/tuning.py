@@ -103,19 +103,19 @@ def _as_rng(rng: RngLike) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _level_ratio(
-    histories: Dict[str, MobilityHistory],
-    level: int,
-    base: SimilarityConfig,
-    probes: Sequence[str],
-    partners: Dict[str, List[str]],
-    score_cache: Optional[ScoreCache] = None,
-    cache_token=None,
-) -> float:
-    """Average pair/self similarity ratio at one candidate level (the
-    loop body of :func:`self_similarity_curve`, shared by the serial path
-    and the executor tasks)."""
-    corpus = HistoryCorpus(histories, level, cache_token=cache_token)
+def _curve_level_task(payload, level: int) -> float:
+    """Executor task for one candidate level: the average pair/self
+    similarity ratio at it (module-level so the ``"process"`` backend can
+    pickle it by reference).  The payload's last slot is the sweep's
+    :class:`ScoreCache` — ``None`` unless the sweep selected the serial
+    executor for it."""
+    histories, base, probes, partners, score_cache = payload
+    token = (
+        ("tuning", _HistoriesToken(histories), level)
+        if score_cache is not None
+        else None
+    )
+    corpus = HistoryCorpus(histories, level, cache_token=token)
     # The probe workload scores a handful of pairs per level; the
     # scalar backend avoids paying the batch kernel's corpus-wide
     # array-view build for <1% of the entities.
@@ -133,13 +133,6 @@ def _level_ratio(
         for partner in partners[probe]:
             values.append(max(0.0, engine.score(probe, partner)) / self_score)
     return float(np.mean(values)) if values else 1.0
-
-
-def _curve_level_task(payload, level: int) -> float:
-    """Executor task for one candidate level (module-level so the
-    ``"process"`` backend can pickle it by reference)."""
-    histories, base, probes, partners = payload
-    return _level_ratio(histories, level, base, probes, partners)
 
 
 def self_similarity_curve(
@@ -176,11 +169,11 @@ def self_similarity_curve(
     ``executor`` fans the candidate levels out through an execution
     backend (:mod:`repro.exec`) — an :class:`~repro.exec.Executor`
     instance (borrowed) or a backend name (``"thread"``, ``"process"``;
-    created and shut down internally).  Levels are independent, so
-    results are identical to the serial sweep.  Level fan-out and score
-    *caching* are mutually exclusive (the cache is not shared across
-    workers); when both are requested the cache wins and the sweep runs
-    serially.
+    created and shut down internally; ``None`` is ``"serial"``).  Levels
+    are independent, so results are identical under every backend.  Level
+    fan-out and score *caching* are mutually exclusive (the cache is not
+    shared across workers); when both are requested the cache wins and
+    the sweep's tasks run on the serial executor.
     """
     rng = _as_rng(rng)
     base = _similarity_config(config) or SimilarityConfig(
@@ -206,49 +199,24 @@ def self_similarity_curve(
         chosen = rng.choice(len(others), size=take, replace=False)
         partners[probe] = [others[int(k)] for k in chosen]
 
-    storage_level = max(levels)
-    caller_owns_histories = histories is not None
-    if histories is None:
-        histories = build_histories(dataset, windowing, storage_level)
     # Cross-call reuse is only sound for a caller-owned histories mapping:
     # internally built histories die with this call, so attaching the
     # cache would only deposit never-hittable entries.
-    use_cache = score_cache is not None and caller_owns_histories
-
-    resolved, owned = as_executor(executor)
-    try:
-        if resolved is not None and resolved.name != "serial" and not use_cache:
-            outcomes = resolved.map_blocks(
-                _curve_level_task,
-                list(levels),
-                payload=(histories, base, probes, partners),
-            )
-            # A level that failed past its retry budget must not surface
-            # as a silent None ratio — fail after the sweep completed.
-            raise_on_task_errors(outcomes, "self-similarity level")
-            return [outcome.value for outcome in outcomes]
-        ratios: List[float] = []
-        for level in levels:
-            token = (
-                ("tuning", _HistoriesToken(histories), level)
-                if use_cache
-                else None
-            )
-            ratios.append(
-                _level_ratio(
-                    histories,
-                    level,
-                    base,
-                    probes,
-                    partners,
-                    score_cache=score_cache if use_cache else None,
-                    cache_token=token,
-                )
-            )
-        return ratios
-    finally:
-        if owned:
-            resolved.shutdown()
+    cache = score_cache if histories is not None else None
+    if histories is None:
+        histories = build_histories(dataset, windowing, max(levels))
+    # The cache is one in-parent structure no worker shares: a sweep that
+    # uses it selects the serial executor (not another code path).
+    with as_executor("serial" if cache is not None else executor) as resolved:
+        outcomes = resolved.map_blocks(
+            _curve_level_task,
+            list(levels),
+            payload=(histories, base, probes, partners, cache),
+        )
+    # A level that failed past its retry budget must not surface as a
+    # silent None ratio — fail after the sweep completed.
+    raise_on_task_errors(outcomes, "self-similarity level")
+    return [outcome.value for outcome in outcomes]
 
 
 def auto_spatial_level(
@@ -315,7 +283,6 @@ def auto_spatial_level_for_pair(
     both sides.
     """
     rng = _as_rng(rng)
-    executor, owned_executor = as_executor(executor)
     config = _similarity_config(config)
     width_seconds = (
         config.window_width_seconds
@@ -325,7 +292,7 @@ def auto_spatial_level_for_pair(
     windowing = common_windowing(
         (left.time_range(), right.time_range()), width_seconds
     )
-    try:
+    with as_executor(executor) as resolved:
         choice_left = auto_spatial_level(
             left,
             window_width_minutes,
@@ -337,7 +304,7 @@ def auto_spatial_level_for_pair(
             windowing,
             score_cache=score_cache,
             histories=left_histories,
-            executor=executor,
+            executor=resolved,
         )
         choice_right = auto_spatial_level(
             right,
@@ -350,9 +317,6 @@ def auto_spatial_level_for_pair(
             windowing,
             score_cache=score_cache,
             histories=right_histories,
-            executor=executor,
+            executor=resolved,
         )
-    finally:
-        if owned_executor:
-            executor.shutdown()
     return max(choice_left.level, choice_right.level)

@@ -1,6 +1,7 @@
 """Synthetic mobility worlds standing in for the paper's proprietary data.
 
-See DESIGN.md ("Substitutions") for the full rationale.  In short:
+See docs/ARCHITECTURE.md ("Paper figures" — Substitutions) for the
+rationale.  In short:
 
 * :func:`~repro.data.synth.taxi.default_cab_world` — dense single-city taxi
   fleet (Cab-dataset stand-in);

@@ -110,32 +110,27 @@ def run_grid(
     grid cell, and cells are independent — so they fan out through the
     same execution API (:mod:`repro.exec`) the scoring stage shards
     through.  ``executor`` is an :class:`~repro.exec.Executor` instance
-    (borrowed) or a backend name (``"thread"`` / ``"process"``; created
-    and shut down internally); ``None`` runs the cells serially.  Results
-    come back in config order either way, and each cell's measures are
-    identical to a serial run's.
+    (borrowed) or a backend name (created and shut down internally);
+    ``None`` is the ``"serial"`` *executor* — the same ``map_blocks``
+    route, retries and fault plan included, with no workers.  Results
+    come back in config order under every backend, each cell's measures
+    are identical to a serial run's, and a cell that fails past its retry
+    budget is a :class:`~repro.exec.TaskError` naming it.
 
     Under the ``"process"`` backend the sampled pair ships to the workers
     once and each cell's pipeline runs its scoring stage serially (nested
     process fan-out degrades to serial by design) — the parallelism is
     across cells, which is where a sweep's wall-clock goes.
     """
-    configs = list(configs)
-    resolved, owned = as_executor(executor)
-    try:
-        if resolved is not None and resolved.name != "serial":
-            outcomes = resolved.map_blocks(
-                _grid_cell_task, configs, payload=pair
-            )
-            # Every surviving cell already ran to completion; a cell that
-            # failed past its retry budget fails the sweep cleanly here
-            # instead of leaking a None into the measures.
-            raise_on_task_errors(outcomes, "grid cell")
-            return [outcome.value for outcome in outcomes]
-        return [run_pipeline(pair, config) for config in configs]
-    finally:
-        if owned:
-            resolved.shutdown()
+    with as_executor(executor) as resolved:
+        outcomes = resolved.map_blocks(
+            _grid_cell_task, list(configs), payload=pair
+        )
+    # Every surviving cell already ran to completion; a cell that failed
+    # past its retry budget fails the sweep cleanly here instead of
+    # leaking a None into the measures.
+    raise_on_task_errors(outcomes, "grid cell")
+    return [outcome.value for outcome in outcomes]
 
 
 @dataclass(frozen=True)
@@ -210,23 +205,16 @@ def run_scenarios(
         for name in names
         for label, config in configs.items()
     ]
-    payload = (seed, float(scale))
-    resolved, owned = as_executor(executor)
-    try:
-        if resolved is not None and resolved.name != "serial":
-            outcomes = resolved.map_blocks(
-                _scenario_cell_task, items, payload=payload
-            )
-            raise_on_task_errors(outcomes, "scenario cell")
-            measures = [outcome.value for outcome in outcomes]
-        else:
-            measures = [_scenario_cell_task(payload, item) for item in items]
-    finally:
-        if owned:
-            resolved.shutdown()
+    with as_executor(executor) as resolved:
+        outcomes = resolved.map_blocks(
+            _scenario_cell_task, items, payload=(seed, float(scale))
+        )
+    raise_on_task_errors(outcomes, "scenario cell")
     return [
-        ScenarioCell(scenario=name, config_label=label, measures=cell)
-        for (name, label, _), cell in zip(items, measures)
+        ScenarioCell(
+            scenario=name, config_label=label, measures=outcome.value
+        )
+        for (name, label, _), outcome in zip(items, outcomes)
     ]
 
 

@@ -125,8 +125,9 @@ def speedup(comparisons_without: int, comparisons_with: int) -> float:
     """Ratio of pairwise comparisons without/with the optimisation.
 
     This is the paper's speed-up metric (Sec. 5.3): hardware-independent,
-    unlike wall-clock, and therefore the number EXPERIMENTS.md compares
-    against the published factors.
+    unlike wall-clock, and therefore the number the figure benches
+    (docs/ARCHITECTURE.md, "Paper figures") compare against the published
+    factors.
     """
     if comparisons_with <= 0:
         return float("inf") if comparisons_without > 0 else 1.0

@@ -1,15 +1,26 @@
 """Pluggable execution backends for the pipeline's parallel fan-outs.
 
-See :mod:`repro.exec.backends` for the :class:`Executor` protocol, the
-``"serial"`` / ``"thread"`` / ``"process"`` backends, their fault
-tolerance (per-block ``timeout``, bounded ``retries``, degradation to the
-serial oracle) and the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment
-overrides; :mod:`repro.exec.faults` for the deterministic fault-injection
-harness behind ``REPRO_FAULTS``.  The scoring stage
-(:class:`~repro.pipeline.stages.ScoringStage`), the auto-tuning
-sweep (:mod:`repro.core.tuning`) and the evaluation harness
-(:func:`~repro.eval.harness.run_grid`) all fan out through this one API,
-configured by :class:`~repro.pipeline.config.LinkageConfig`'s
+:mod:`repro.exec.backends` holds the :class:`Executor` protocol and the
+``"serial"`` / ``"thread"`` / ``"process"`` backends.  Their
+``map_blocks`` is **one loop**, written once: ordinals, rounds of pending
+blocks, failure classification, retry and backoff (per-block ``timeout``,
+bounded ``retries``), the last inline attempt, degradation to the serial
+oracle and the stats.  A backend adds three hooks — how a block is
+submitted (``_open``; ``None`` = no workers, every block inline, which
+*is* ``"serial"``), what a dispatch leaves behind (``_close``) and
+whether a timed-out block condemns its pool.  So the same fault plan
+(:mod:`repro.exec.faults`, ``REPRO_FAULTS``) tells the same story under
+every backend name, and the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``
+environment overrides only choose which hooks run.
+
+Every fan-out goes through it — the scoring stage
+(:class:`~repro.pipeline.stages.ScoringStage`), the auto-tuning sweep
+(:mod:`repro.core.tuning`) and the evaluation harness
+(:func:`~repro.eval.harness.run_grid`,
+:func:`~repro.eval.harness.run_scenarios`) — taking its ``executor``
+argument with ``with as_executor(executor) as resolved:`` (an instance is
+borrowed, a name is created and shut down, ``None`` is ``"serial"``).
+The pipeline's choice is :class:`~repro.pipeline.config.LinkageConfig`'s
 ``executor`` / ``workers`` / ``timeout`` / ``retries`` fields::
 
     from repro.pipeline import LinkageConfig, LinkagePipeline
@@ -21,9 +32,6 @@ configured by :class:`~repro.pipeline.config.LinkageConfig`'s
 
 from .backends import (
     AUTO_EXECUTOR,
-    DEFAULT_BACKOFF,
-    DEFAULT_MAX_FAILURES,
-    DEFAULT_RETRIES,
     ENV_EXECUTOR,
     ENV_WORKERS,
     Executor,
@@ -56,9 +64,6 @@ from .faults import (
 
 __all__ = [
     "AUTO_EXECUTOR",
-    "DEFAULT_BACKOFF",
-    "DEFAULT_MAX_FAILURES",
-    "DEFAULT_RETRIES",
     "ENV_EXECUTOR",
     "ENV_FAULTS",
     "ENV_WORKERS",

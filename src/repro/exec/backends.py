@@ -15,8 +15,8 @@ function of some shared read-only state.  This module separates that
   recovery;
 * the :data:`executors` registry with three built-in backends:
 
-  - ``"serial"`` — an in-process loop.  The parity oracle: every other
-    backend must reproduce its results bit for bit;
+  - ``"serial"`` — no workers, every block inline.  The parity oracle:
+    every other backend must reproduce its results bit for bit;
   - ``"thread"`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
     Cheap to start; wins exactly as much as the mapped function releases
     the GIL (the numpy batch kernel does, partially);
@@ -26,24 +26,38 @@ function of some shared read-only state.  This module separates that
     every worker **once**, by page-sharing inheritance, not per task;
     only the per-task items and results cross the pipe.
 
-Fault tolerance
----------------
-Every backend runs each block with a bounded retry budget (``retries``,
-deterministic exponential backoff) and an optional per-block ``timeout``
-(parallel backends only — the serial oracle cannot preempt its own
-frame).  The process backend detects a crashed worker
-(:class:`~concurrent.futures.process.BrokenProcessPool`) or a hung block,
-kills and respawns its pool, and re-dispatches the unfinished blocks.
-When one dispatch accumulates more than ``max_failures`` failed attempts,
-the backend *degrades*: everything still pending runs inline on the
-serial oracle so the run completes (``stats.degraded``).  A task whose
-retries are exhausted gets one final inline attempt; only if that also
-fails does its :class:`TaskResult` carry an ``error`` — the dispatch
-itself never raises, so one poisoned block cannot kill a fan-out.
-Because retried blocks recompute the same pure function over the same
-inputs, recovered dispatches stay **bit-identical** to fault-free ones —
-pinned by ``tests/chaos/``.  Deterministic fault *injection* for all of
-this lives in :mod:`repro.exec.faults` (``REPRO_FAULTS``).
+One dispatch loop, three hooks
+-----------------------------
+``map_blocks`` is written once, on the built-in backends' shared base:
+it numbers the blocks (executor-lifetime ordinals, the key of a
+:class:`~repro.exec.faults.FaultPlan`), submits the pending ones, collects
+them in submission order, classifies each failure, retries within the
+budget (``retries``, deterministic exponential backoff), gives a block
+whose budget was spent in a worker one last inline attempt, and accounts
+the dispatch in :attr:`Executor.stats`.  A backend states only how a
+block is *submitted* (``_open``: ``None`` means no workers, every block
+inline — that is ``"serial"``), what a dispatch leaves behind
+(``_close``: the process backend kills its pool) and whether a block that
+exceeds the optional per-block ``timeout`` condemns the pool (process
+only: its worker may be hung, so the pool is killed and respawned, as it
+is after a crashed worker —
+:class:`~concurrent.futures.process.BrokenProcessPool` — and the
+interrupted innocent blocks are re-dispatched without consuming their
+budget).  ``timeout`` cannot apply to ``"serial"``: a frame cannot
+preempt itself.
+
+When one dispatch accumulates more than ``max_failures`` failed attempts
+the loop *degrades*: it stops submitting and everything still pending
+runs inline so the run completes (``stats.degraded``).  A task that fails
+past its budget carries an ``error`` in its :class:`TaskResult` — the
+dispatch itself never raises, so one poisoned block cannot kill a
+fan-out; callers that cannot tolerate a missing value end with
+:func:`raise_on_task_errors`.  Because retried blocks recompute the same
+pure function over the same inputs, recovered dispatches stay
+**bit-identical** to fault-free ones — pinned by ``tests/chaos/``; that
+one plan tells the same story under every backend name, for every sweep,
+by ``tests/exec/test_one_fanout_route.py``.  Deterministic fault
+*injection* lives in :mod:`repro.exec.faults` (``REPRO_FAULTS``).
 
 Results are deterministic by construction: items are mapped one-to-one and
 returned in submission order, so a caller that shards deterministically
@@ -70,18 +84,21 @@ import os
 # repro-lint: timing-module -- backends measure task busy-seconds and retry backoff
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     runtime_checkable,
 )
@@ -97,9 +114,6 @@ from .faults import (
 
 __all__ = [
     "AUTO_EXECUTOR",
-    "DEFAULT_BACKOFF",
-    "DEFAULT_MAX_FAILURES",
-    "DEFAULT_RETRIES",
     "ENV_EXECUTOR",
     "ENV_WORKERS",
     "Executor",
@@ -356,22 +370,25 @@ def create_executor(
     return executor
 
 
-def as_executor(
-    executor: "Optional[Executor | str]",
-) -> Tuple[Optional[Executor], bool]:
-    """Normalise an ``executor`` argument: ``None`` stays ``None``, a
-    backend name becomes a freshly created executor the *caller* must
-    shut down (``owned=True``), an :class:`Executor` instance is borrowed
-    (``owned=False``)."""
-    if executor is None:
-        return None, False
-    if isinstance(executor, str):
-        return create_executor(executor), True
-    return executor, False
+@contextmanager
+def as_executor(executor: "Optional[Executor | str]") -> Iterator[Executor]:
+    """``with as_executor(executor) as resolved:`` — the one way a
+    fan-out takes its ``executor`` argument.  An :class:`Executor`
+    instance is borrowed and left running; a backend name is created
+    here and shut down on exit, whatever the body raised; ``None`` is
+    ``"serial"``."""
+    if not (executor is None or isinstance(executor, str)):
+        yield executor
+        return
+    created = create_executor(executor or "serial")
+    try:
+        yield created
+    finally:
+        created.shutdown()
 
 
 # ---------------------------------------------------------------------------
-# shared resilience machinery
+# the one dispatch loop
 # ---------------------------------------------------------------------------
 def _describe(error: BaseException) -> str:
     """A compact, picklable rendering of a task failure."""
@@ -403,9 +420,18 @@ def _execute_task(
     return TaskResult(value, time.perf_counter() - start, attempts=attempt + 1)
 
 
-class _ResilientBase:
-    """Shared retry/backoff/fallback plumbing of the built-in backends."""
+#: What a backend's ``_open`` hands the dispatch loop:
+#: ``submit(item, ordinal, attempt)`` starts one attempt in a worker.
+Submit = Callable[[Any, int, int], Future[TaskResult]]
 
+
+class _ResilientBase:
+    """The built-in backends: :meth:`map_blocks` is written here, once
+    (module docstring, "One dispatch loop, three hooks").  A backend
+    overrides :meth:`_open`, :meth:`_close` and
+    :attr:`timeout_condemns_pool`, nothing else of the dispatch."""
+
+    name: str
     #: Per-block timeout in seconds (parallel backends; ``None``/0 = off).
     timeout: Optional[float] = None
     #: Retry budget per task beyond the first attempt.
@@ -414,102 +440,174 @@ class _ResilientBase:
     max_failures: int = DEFAULT_MAX_FAILURES
     #: Base seconds of the deterministic exponential retry backoff.
     backoff: float = DEFAULT_BACKOFF
+    #: Whether a block that exceeds ``timeout`` makes the whole pool
+    #: suspect (its worker may be hung and cannot be reclaimed): the rest
+    #: of the round is then only polled and the pool is re-opened.
+    timeout_condemns_pool = False
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"{self.name} executor needs at least one worker")
+        self.workers = workers
+        self.stats = ExecutorStats()
+        self._ordinal = 0
 
     def __enter__(self) -> "Executor":
-        return self  # type: ignore[return-value]
+        return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()  # type: ignore[attr-defined]
+        self.shutdown()
 
-    def _backoff_sleep(self, attempt: int) -> None:
-        if self.backoff > 0:
-            time.sleep(self.backoff * (2**attempt))
+    def _open(
+        self, fn: TaskFn, payload: Any, plan: Optional[FaultPlan], count: int
+    ) -> Optional[Submit]:
+        """Ready the workers for a dispatch of ``count`` blocks and return
+        how one attempt is submitted to them — or ``None``: no workers,
+        every block runs inline (the serial oracle).  Called again
+        mid-dispatch when the pool was condemned."""
+        return None
 
-    def _resolve_knobs(
-        self, timeout: Optional[float], retries: Optional[int]
-    ) -> Tuple[Optional[float], int]:
-        timeout = self.timeout if timeout is None else timeout
-        if timeout is not None and timeout <= 0:
-            timeout = None
-        return timeout, self.retries if retries is None else retries
+    def _close(self) -> None:
+        """Release what a dispatch must not leave behind."""
 
-    def _run_inline(
-        self,
-        fn: TaskFn,
-        payload: Any,
-        item: Any,
-        plan: Optional[FaultPlan],
-        ordinal: int,
-        first_attempt: int,
-        retries: int,
-    ) -> TaskResult:
-        """The serial-oracle attempt loop: run the task in this process,
-        retrying with backoff until it succeeds, the budget is spent, or
-        — past the budget — it fails permanently (``error`` slot)."""
-        attempt = first_attempt
-        while True:
-            try:
-                result = _execute_task(fn, payload, item, plan, ordinal, attempt)
-                if isinstance(result.value, CorruptResult):
-                    raise InjectedFault("corrupt", ordinal, attempt)
-                return result
-            except Exception as error:
-                self.stats.faults += 1  # type: ignore[attr-defined]
-                if attempt >= retries:
-                    return TaskResult(
-                        None, 0.0, error=_describe(error), attempts=attempt + 1
-                    )
-                self.stats.retries += 1  # type: ignore[attr-defined]
-                self._backoff_sleep(attempt)
-                attempt += 1
+    def shutdown(self) -> None:
+        """Release every worker resource (idempotent)."""
+        self._close()
+
+    def map_blocks(
+        self, fn: TaskFn, items: Sequence[Any], payload: Any = None
+    ) -> List[TaskResult]:
+        """``fn(payload, item)`` for every item, per-item results in item
+        order; failures are retried, and past every recovery path carried
+        in the ``error`` slot — the dispatch itself does not raise."""
+        items = list(items)
+        count = len(items)
+        plan = active_fault_plan()
+        base = self._ordinal
+        self._ordinal += count
+        timeout = self.timeout if self.timeout and self.timeout > 0 else None
+        results: Dict[int, TaskResult] = {}
+        attempts = [0] * count
+        pending = list(range(count))
+        # Blocks whose retry budget was spent in a worker: one last
+        # attempt, inline, decides between a late value and a permanent
+        # error.
+        last: Set[int] = set()
+        failures = 0
+        submit = self._open(fn, payload, plan, count) if count else None
+        try:
+            while pending:
+                futures = (
+                    {}
+                    if submit is None
+                    else {
+                        k: submit(items[k], base + k, attempts[k])
+                        for k in pending
+                        if k not in last
+                    }
+                )
+                again: List[int] = []
+                guilty: List[Tuple[int, Exception]] = []
+                condemned = False
+                for k in pending:
+                    ordinal, attempt = base + k, attempts[k]
+                    future = futures.get(k)
+                    try:
+                        if future is None:
+                            result = _execute_task(
+                                fn, payload, items[k], plan, ordinal, attempt
+                            )
+                        else:
+                            result = future.result(
+                                timeout=0.0 if condemned else timeout
+                            )
+                        if isinstance(result.value, CorruptResult):
+                            raise InjectedFault("corrupt", ordinal, attempt)
+                        results[k] = result
+                        continue
+                    except Exception as error:
+                        failure = error
+                    if future is None:
+                        pass  # an inline attempt's exception is the task's own
+                    elif isinstance(failure, FuturesTimeout):
+                        # Threads cannot be killed: the stray attempt
+                        # finishes harmlessly in the pool.
+                        future.cancel()
+                        self.stats.timeouts += 1
+                        condemned = condemned or self.timeout_condemns_pool
+                    elif isinstance(failure, BrokenProcessPool):
+                        # The pool died; *which* block killed it is
+                        # unknowable from here.  With a fault plan the
+                        # scheduled crash identifies the culprit
+                        # deterministically; without one, charge every
+                        # interrupted block (real-world crashes).
+                        if not condemned:
+                            self.stats.worker_crashes += 1
+                        condemned = True
+                        spec = (
+                            plan.fault_for(ordinal, attempt)
+                            if plan is not None
+                            else None
+                        )
+                        if plan is not None and (
+                            spec is None or spec.kind != "crash"
+                        ):
+                            # Innocent: re-dispatched at the *same*
+                            # attempt (budget and fault schedule
+                            # untouched).
+                            again.append(k)
+                            continue
+                    self.stats.faults += 1
+                    failures += 1
+                    guilty.append((k, failure))
+                for k, failure in guilty:
+                    if attempts[k] < self.retries:
+                        self.stats.retries += 1
+                        if self.backoff > 0:
+                            time.sleep(self.backoff * 2 ** attempts[k])
+                        attempts[k] += 1
+                        again.append(k)
+                    elif k in futures:
+                        last.add(k)
+                        again.append(k)
+                    else:
+                        results[k] = TaskResult(
+                            None,
+                            0.0,
+                            error=_describe(failure),
+                            attempts=attempts[k] + 1,
+                        )
+                pending = sorted(again)
+                if submit is not None and failures > self.max_failures:
+                    # Degrade: finish everything still pending on the
+                    # serial oracle so the dispatch completes.
+                    self.stats.degraded = True
+                    submit = None
+                elif condemned:
+                    submit = self._open(fn, payload, plan, count)
+        finally:
+            self._close()
+        final = [results[k] for k in range(count)]
+        self.stats.account(final)
+        return final
 
 
-# ---------------------------------------------------------------------------
-# serial
-# ---------------------------------------------------------------------------
 @executors.register("serial")
 class SerialExecutor(_ResilientBase):
-    """The in-process loop — current behaviour, and the parity oracle.
+    """No workers: every block runs inline, in item order — the loop
+    above with nothing submitted, and the parity oracle.
 
     Retries and fault injection apply; ``timeout`` does not (an
     in-process frame cannot preempt itself — a hung block hangs, which is
-    why the parallel backends exist)."""
+    why the parallel backends exist), and there is nothing to degrade
+    to."""
 
     name = "serial"
 
     def __init__(self, workers: int = 1) -> None:
-        self.workers = 1
-        self.stats = ExecutorStats()
-        self._ordinal = 0
-
-    def map_blocks(
-        self,
-        fn: TaskFn,
-        items: Sequence[Any],
-        payload: Any = None,
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-    ) -> List[TaskResult]:
-        items = list(items)
-        _, retries = self._resolve_knobs(timeout, retries)
-        plan = active_fault_plan()
-        base = self._ordinal
-        self._ordinal += len(items)
-        results = [
-            self._run_inline(fn, payload, item, plan, base + k, 0, retries)
-            for k, item in enumerate(items)
-        ]
-        self.stats.account(results)
-        return results
-
-    def shutdown(self) -> None:
-        """Nothing to release (safe to call any number of times)."""
+        super().__init__(1)
 
 
-# ---------------------------------------------------------------------------
-# thread
-# ---------------------------------------------------------------------------
 @executors.register("thread")
 class ThreadExecutor(_ResilientBase):
     """A shared thread pool (created lazily, reused across dispatches).
@@ -520,107 +618,29 @@ class ThreadExecutor(_ResilientBase):
     ``benchmarks/bench_parallel_scoring.py``.
 
     A block that exceeds ``timeout`` is abandoned (threads cannot be
-    killed; the stray attempt finishes harmlessly in the pool) and
-    retried as a fresh submission.
+    killed) and retried as a fresh submission.
     """
 
     name = "thread"
+    _pool: Optional[ThreadPoolExecutor] = None
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("thread executor needs at least one worker")
-        self.workers = workers
-        self.stats = ExecutorStats()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._ordinal = 0
-
-    def map_blocks(
-        self,
-        fn: TaskFn,
-        items: Sequence[Any],
-        payload: Any = None,
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-    ) -> List[TaskResult]:
-        items = list(items)
-        timeout, retries = self._resolve_knobs(timeout, retries)
-        plan = active_fault_plan()
-        base = self._ordinal
-        self._ordinal += len(items)
-        count = len(items)
-        results: List[Optional[TaskResult]] = [None] * count
-        if count:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-exec",
-                )
-            attempts = [0] * count
-            pending = list(range(count))
-            failures = 0
-            while pending:
-                if failures > self.max_failures:
-                    # Degrade: finish everything still pending on the
-                    # serial oracle so the dispatch completes.
-                    self.stats.degraded = True
-                    for k in pending:
-                        results[k] = self._run_inline(
-                            fn, payload, items[k], plan,
-                            base + k, attempts[k], retries,
-                        )
-                    break
-                futures = {
-                    k: self._pool.submit(
-                        _execute_task, fn, payload, items[k],
-                        plan, base + k, attempts[k],
-                    )
-                    for k in pending
-                }
-                failed: List[int] = []
-                for k in pending:
-                    try:
-                        result = futures[k].result(timeout=timeout)
-                        if isinstance(result.value, CorruptResult):
-                            raise InjectedFault("corrupt", base + k, attempts[k])
-                        results[k] = result
-                    except FuturesTimeout:
-                        futures[k].cancel()
-                        self.stats.faults += 1
-                        self.stats.timeouts += 1
-                        failures += 1
-                        failed.append(k)
-                    except Exception:
-                        self.stats.faults += 1
-                        failures += 1
-                        failed.append(k)
-                pending = []
-                for k in failed:
-                    if attempts[k] >= retries:
-                        # Budget spent: one last inline attempt decides
-                        # between a late value and a permanent error.
-                        results[k] = self._run_inline(
-                            fn, payload, items[k], plan,
-                            base + k, attempts[k], attempts[k],
-                        )
-                    else:
-                        self.stats.retries += 1
-                        self._backoff_sleep(attempts[k])
-                        attempts[k] += 1
-                        pending.append(k)
-        final = [result for result in results if result is not None]
-        self.stats.account(final)
-        return final
+    def _open(
+        self, fn: TaskFn, payload: Any, plan: Optional[FaultPlan], count: int
+    ) -> Submit:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-exec"
+            )
+        pool = self._pool
+        return lambda item, ordinal, attempt: pool.submit(
+            _execute_task, fn, payload, item, plan, ordinal, attempt
+        )
 
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-
-# ---------------------------------------------------------------------------
-# process
-# ---------------------------------------------------------------------------
 
 # Worker-side state of one process dispatch.  Under the fork start method
 # the initializer arguments reach every child through copy-on-write
@@ -655,13 +675,13 @@ def _run_task(task: Tuple[Any, int, int]) -> TaskResult:
 class ProcessExecutor(_ResilientBase):
     """A process pool sharing read-only state by fork inheritance.
 
-    Each :meth:`map_blocks` call forks a fresh pool: the payload must be
-    baked into the workers' memory image at fork time (that is what makes
-    shipping two full corpora essentially free on Linux), so pool
-    lifetime is one dispatch.  Fork startup is a few milliseconds per
-    worker; callers dispatch *blocks* of work, not single pairs, so the
-    cost amortises.  On platforms without ``fork`` the pool falls back to
-    the default start method and pickles the payload once per worker.
+    Each dispatch forks a fresh pool: the payload must be baked into the
+    workers' memory image at fork time (that is what makes shipping two
+    full corpora essentially free on Linux), so pool lifetime is one
+    dispatch.  Fork startup is a few milliseconds per worker; callers
+    dispatch *blocks* of work, not single pairs, so the cost amortises.
+    On platforms without ``fork`` the pool falls back to the default
+    start method and pickles the payload once per worker.
 
     This is the one backend whose workers can genuinely die or hang.  A
     crashed worker surfaces as
@@ -673,34 +693,34 @@ class ProcessExecutor(_ResilientBase):
     """
 
     name = "process"
+    timeout_condemns_pool = True
+    _pool: Optional[ProcessPoolExecutor] = None
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("process executor needs at least one worker")
-        self.workers = workers
-        self.stats = ExecutorStats()
-        self._ordinal = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # -- pool lifecycle -------------------------------------------------
-    def _make_pool(
-        self, fn: TaskFn, payload: Any, plan: Optional[FaultPlan], processes: int
-    ) -> ProcessPoolExecutor:
+    def _open(
+        self, fn: TaskFn, payload: Any, plan: Optional[FaultPlan], count: int
+    ) -> Submit:
+        self._close()
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
         else:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
-        return ProcessPoolExecutor(
-            max_workers=processes,
+        pool = self._pool = ProcessPoolExecutor(
+            max_workers=max(1, min(self.workers, count)),
             mp_context=context,
             initializer=_init_worker,
             initargs=(fn, payload, plan),
         )
+        return lambda item, ordinal, attempt: pool.submit(
+            _run_task, (item, ordinal, attempt)
+        )
 
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down *now*: cancel queued work, kill workers (they
-        may be hung — a graceful join could block forever)."""
+    def _close(self) -> None:
+        """Tear the live pool down *now*: cancel queued work, kill
+        workers (they may be hung — a graceful join could block
+        forever)."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
@@ -711,123 +731,3 @@ class ProcessExecutor(_ResilientBase):
                 process.join(timeout=1.0)
             except Exception:  # pragma: no cover - defensive
                 pass
-
-    # -- dispatch -------------------------------------------------------
-    def map_blocks(
-        self,
-        fn: TaskFn,
-        items: Sequence[Any],
-        payload: Any = None,
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-    ) -> List[TaskResult]:
-        items = list(items)
-        timeout, retries = self._resolve_knobs(timeout, retries)
-        plan = active_fault_plan()
-        base = self._ordinal
-        self._ordinal += len(items)
-        count = len(items)
-        results: List[Optional[TaskResult]] = [None] * count
-        if count:
-            processes = max(1, min(self.workers, count))
-            attempts = [0] * count
-            pending = list(range(count))
-            failures = 0
-            pool = self._pool = self._make_pool(fn, payload, plan, processes)
-            try:
-                while pending:
-                    if failures > self.max_failures:
-                        self.stats.degraded = True
-                        for k in pending:
-                            results[k] = self._run_inline(
-                                fn, payload, items[k], plan,
-                                base + k, attempts[k], retries,
-                            )
-                        break
-                    futures = {
-                        k: pool.submit(
-                            _run_task, (items[k], base + k, attempts[k])
-                        )
-                        for k in pending
-                    }
-                    guilty: List[int] = []
-                    collateral: List[int] = []
-                    broken = False
-                    for position, k in enumerate(pending):
-                        try:
-                            effective = 0.0 if broken else timeout
-                            result = futures[k].result(timeout=effective)
-                            if isinstance(result.value, CorruptResult):
-                                raise InjectedFault(
-                                    "corrupt", base + k, attempts[k]
-                                )
-                            results[k] = result
-                        except FuturesTimeout:
-                            self.stats.faults += 1
-                            self.stats.timeouts += 1
-                            failures += 1
-                            guilty.append(k)
-                            broken = True  # the worker may be hung
-                        except BrokenProcessPool:
-                            # The pool died; *which* block killed it is
-                            # unknowable from here.  With a fault plan the
-                            # scheduled crash identifies the culprit
-                            # deterministically; without one, charge every
-                            # interrupted block (real-world crashes).
-                            if not broken:
-                                self.stats.worker_crashes += 1
-                            broken = True
-                            spec = (
-                                plan.fault_for(base + k, attempts[k])
-                                if plan is not None
-                                else None
-                            )
-                            if plan is None or (
-                                spec is not None and spec.kind == "crash"
-                            ):
-                                self.stats.faults += 1
-                                failures += 1
-                                guilty.append(k)
-                            else:
-                                collateral.append(k)
-                        except Exception:
-                            self.stats.faults += 1
-                            failures += 1
-                            guilty.append(k)
-                    if broken:
-                        self._kill_pool(pool)
-                        pool = self._pool = self._make_pool(
-                            fn, payload, plan, processes
-                        )
-                    pending = []
-                    # Innocent blocks interrupted by a neighbour's crash
-                    # re-dispatch at the *same* attempt (their budget and
-                    # their fault schedule are untouched).
-                    pending.extend(collateral)
-                    for k in guilty:
-                        if attempts[k] >= retries:
-                            results[k] = self._run_inline(
-                                fn, payload, items[k], plan,
-                                base + k, attempts[k], attempts[k],
-                            )
-                        else:
-                            self.stats.retries += 1
-                            self._backoff_sleep(attempts[k])
-                            attempts[k] += 1
-                            pending.append(k)
-                    pending.sort()
-            finally:
-                self._kill_pool(pool)
-                self._pool = None
-        final = [result for result in results if result is not None]
-        self.stats.account(final)
-        return final
-
-    def shutdown(self) -> None:
-        """Kill any live dispatch pool (idempotent; pools are normally
-        per-dispatch and already released by ``map_blocks``)."""
-        pool = self._pool
-        if pool is not None:
-            self._kill_pool(pool)
-            self._pool = None

@@ -11,7 +11,8 @@ and containment tests are pure bit arithmetic — the property the mobility
 history and LSH layers rely on to re-bin records at coarser spatial detail
 without touching raw coordinates.
 
-Divergence from Google S2 (documented in DESIGN.md): children are ordered by
+Divergence from Google S2 (listed with the other substitutions in
+docs/ARCHITECTURE.md, "Paper figures"): children are ordered by
 Morton (Z-order) rather than a Hilbert curve.  SLIM never depends on sibling
 ordering — only on containment, centres and distances — so linkage behaviour
 is unaffected, but tokens are not interchangeable with S2 tokens.

@@ -39,6 +39,7 @@ from ..exec import (
     resolve_executor_name,
     resolve_worker_count,
 )
+from ..exec.backends import DEFAULT_RETRIES
 from ..knobs import from_dict, knob, validate
 from ..lsh.index import LshConfig
 from .stages import candidate_stages, matchers, threshold_methods
@@ -205,7 +206,7 @@ class LinkageConfig:
         ge=0,
     )
     retries: int = knob(
-        2,
+        DEFAULT_RETRIES,
         "retry budget per scoring block before a failure is final; failed "
         "workers are respawned between attempts",
         flag="--retries",

@@ -338,8 +338,8 @@ class _ShardClock:
         self.executor = executor
         self.seconds: List[float] = []
 
-    def map_blocks(self, fn, items, payload=None, **knobs):
-        outcomes = self.executor.map_blocks(fn, items, payload, **knobs)
+    def map_blocks(self, fn, items, payload=None):
+        outcomes = self.executor.map_blocks(fn, items, payload)
         self.seconds.extend(outcome.seconds for outcome in outcomes)
         return outcomes
 

@@ -162,18 +162,31 @@ class TestRegistryAndCreation:
         assert results[0].value == "serial"
 
     def test_as_executor_none(self):
-        assert as_executor(None) == (None, False)
+        with as_executor(None) as resolved:
+            assert isinstance(resolved, SerialExecutor)
+            assert resolved.map_blocks(_square_plus, [3], payload=1)[0].value == 10
 
     def test_as_executor_name_is_owned(self):
-        executor, owned = as_executor("thread")
-        try:
-            assert owned and executor.name == "thread"
-        finally:
-            executor.shutdown()
+        with pytest.raises(RuntimeError, match="body failed"):
+            with as_executor("thread") as resolved:
+                assert resolved.name == "thread"
+                resolved.map_blocks(_square_plus, [1], payload=0)
+                assert resolved._pool is not None
+                raise RuntimeError("body failed")
+        # Shut down on exit even though the body raised.
+        assert resolved._pool is None
 
     def test_as_executor_instance_is_borrowed(self):
-        instance = SerialExecutor()
-        assert as_executor(instance) == (instance, False)
+        instance = ThreadExecutor(workers=2)
+        try:
+            with as_executor(instance) as resolved:
+                assert resolved is instance
+                resolved.map_blocks(_square_plus, [1], payload=0)
+            # Left running: the pool survives and still dispatches.
+            assert instance._pool is not None
+            assert instance.map_blocks(_square_plus, [2], payload=0)[0].value == 4
+        finally:
+            instance.shutdown()
 
 
 class TestResolution:
