@@ -262,18 +262,16 @@ class WindowIndex:
     """One entity's directory into the corpus' :class:`CorpusArrays`.
 
     ``windows`` is sorted ascending; window ``windows[k]`` owns the flat
-    slice ``[offsets[k], offsets[k] + counts[k])``.  ``slices`` is the
-    same directory as a dict (window -> ``(offset, count)``, insertion
-    order ascending): the batch kernel intersects *small* window sets
-    through it (dict lookups beat sorted-array intersection there, and
-    ``slices.keys().isdisjoint`` rejects non-overlapping pairs in O(min))
-    while large histories use the sorted arrays.
+    slice ``[offsets[k], offsets[k] + counts[k])``.  Three arrays and
+    nothing else: the batch kernel lays a block's directories end to end
+    and finds every pair's common windows in one array join (see
+    :mod:`repro.core.kernels`), so no per-entity lookup structure is
+    kept beside them.
     """
 
     windows: np.ndarray  # (W,) int64 populated leaf-window indices
     offsets: np.ndarray  # (W,) int64 starts into the corpus flats
     counts: np.ndarray  # (W,) int64 distinct cells per window
-    slices: Dict[int, Tuple[int, int]]  # window -> (offset, count)
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -289,14 +287,6 @@ class _Resident(WindowIndex):
     version: int
     start: int
     size: int
-
-
-def _resident(
-    windows: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
-    version: int, start: int, size: int,
-) -> _Resident:
-    slices = dict(zip(windows.tolist(), zip(offsets.tolist(), counts.tolist())))
-    return _Resident(windows, offsets, counts, slices, version, start, size)
 
 
 @dataclass(frozen=True)
@@ -484,7 +474,7 @@ class HistoryCorpus:
         starts = starts.tolist()
         for k, (entity_id, history) in enumerate(zip(dirty, histories)):
             lo, hi = entries[k], entries[k + 1]
-            resident[entity_id] = _resident(
+            resident[entity_id] = _Resident(
                 windows[heads[lo:hi]], base + heads[lo:hi], spans[lo:hi],
                 history.version, base + starts[k], starts[k + 1] - starts[k],
             )
@@ -861,7 +851,7 @@ class HistoryCorpus:
         packed = np.cumsum(sizes) - sizes
         order = np.repeat(starts - packed, sizes) + np.arange(int(sizes.sum()))
         for (entity_id, held), start in zip(list(resident.items()), packed.tolist()):
-            resident[entity_id] = _resident(
+            resident[entity_id] = _Resident(
                 held.windows, held.offsets + (start - held.start), held.counts,
                 held.version, start, held.size,
             )

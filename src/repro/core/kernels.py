@@ -6,13 +6,18 @@ to Eq. 2 / Alg. 1 and easy to audit, but every one of the paper's figures
 spends most of its runtime there.  This module re-implements the same
 arithmetic over blocks of candidate pairs:
 
-1.  **Gather** — for every candidate pair, the temporal windows both
-    entities are active in are found with one sorted-array intersection
-    over the per-entity window directories
-    (:meth:`repro.core.corpus.HistoryCorpus.window_index`); each
-    ``(pair, window)`` *interaction* is then a slice of the corpus-wide
-    flat arrays (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell
-    ids, geometry-table slots, IDFs; Morton-sorted for locality).
+1.  **Gather** — the temporal windows both entities of each candidate
+    pair are active in are found for the whole block by one array join
+    (:func:`_window_join`) over the per-entity window directories
+    (:meth:`repro.core.corpus.HistoryCorpus.window_index`): each side's
+    distinct entities are coded once and their directories laid end to
+    end, the right rows keyed ``code << 32 | window`` (sorted by
+    construction), and every pair's left windows, expanded ragged,
+    probe them with one ``searchsorted``.  The join emits the
+    ``(pair, window)`` *interactions* pair-major with windows ascending;
+    each is a slice of the corpus-wide flat arrays
+    (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell ids,
+    geometry-table slots, IDFs; Morton-sorted for locality).
 2.  **Distance and proximity** — both are functions of the two cells
     alone: haversine centre angle from the precomputed lat/lng/cos(lat) of
     the corpora's :class:`~repro.core.corpus.CellTable` rows minus both
@@ -94,12 +99,12 @@ array([[False,  True],
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..geo.point import EARTH_RADIUS_METERS
-from .corpus import HistoryCorpus
+from .corpus import _ROW_BITS, HistoryCorpus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .similarity import SimilarityConfig
@@ -122,10 +127,6 @@ __all__ = [
 #: rather than a mix of old and new totals.
 ARITHMETIC_REVISION = 2
 
-#: Histories at or below this many populated windows intersect through
-#: their window dicts; larger ones use one sorted numpy intersection.
-_DICT_INTERSECT_MAX_WINDOWS = 64
-
 #: Candidate pairs scored per batch-kernel dispatch.  Bounds the peak size
 #: of the kernel's per-shape tensors while still amortising the vectorized
 #: work over thousands of (pair, window) interactions.  This is the
@@ -135,9 +136,9 @@ SCORE_BLOCK_SIZE = 4096
 #: Block size for *dense* corpora (multiple cells per active window on
 #: both sides), whose matrix-shaped interactions become padded
 #: ``(B, rows, cols)`` tensors.  It bounds memory only: on the cab
-#: workload (70 taxis, 1,225 brute pairs, PR 21) scoring takes 0.24 /
-#: 0.26 / 0.22 s at 128 / 512 / 2048 pairs per block — flat — while the
-#: run's peak RSS is 72 / 79 / 110 MB.
+#: workload (70 taxis, 1,225 brute pairs; median of 7 runs on a 2-vCPU
+#: box) scoring takes 0.124 / 0.130 / 0.139 s at 128 / 512 / 2048 pairs
+#: per block — near flat — while the run's peak RSS is 72 / 86 / 113 MB.
 DENSE_SCORE_BLOCK_SIZE = 512
 
 #: A pair of corpora counts as dense when the product of their mean
@@ -448,6 +449,60 @@ def _score_matrix_bucket(
     return totals, alibi
 
 
+def _directories(
+    corpus: HistoryCorpus, entities: Iterable[str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The window directories of ``entities`` laid end to end, as columns
+    ``(windows, offsets, counts)``, and each entity's number of rows."""
+    held = [corpus.window_index(entity) for entity in entities]
+    none = np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([none, *(one.windows for one in held)]),
+        np.concatenate([none, *(one.offsets for one in held)]),
+        np.concatenate([none, *(one.counts for one in held)]),
+        np.fromiter(map(len, held), np.int64, len(held)),
+    )
+
+
+def _window_join(
+    left: HistoryCorpus, right: HistoryCorpus, pairs: Sequence[Tuple[str, str]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(pair, off_u, count_u, off_v, count_v)``: one row per window both
+    entities of a pair are active in, pair-major, windows ascending.
+
+    Each side's distinct entities are coded once, in first-appearance
+    order, and their directories laid end to end.  A right row is keyed
+    ``code << 32 | window`` — sorted, since codes ascend and so does each
+    directory, and windows fit 32 bits — and every pair's left windows,
+    expanded ragged, probe those keys with one ``searchsorted``.
+    """
+    codes_u: Dict[str, int] = {}
+    codes_v: Dict[str, int] = {}
+    code_u = np.fromiter(
+        (codes_u.setdefault(u, len(codes_u)) for u, _ in pairs), np.int64, len(pairs)
+    )
+    code_v = np.fromiter(
+        (codes_v.setdefault(v, len(codes_v)) for _, v in pairs), np.int64, len(pairs)
+    )
+    windows_u, offsets_u, counts_u, sizes_u = _directories(left, codes_u)
+    windows_v, offsets_v, counts_v, sizes_v = _directories(right, codes_v)
+    owner_v = np.repeat(np.arange(len(sizes_v)), sizes_v)
+    # A sentinel above every probe makes each insertion point a real row.
+    keys_v = np.append((owner_v << _ROW_BITS) | windows_v, np.iinfo(np.int64).max)
+
+    # Pair p's left windows, expanded: the k-th is left directory row
+    # ``first row of code_u[p] + k``.
+    spans = sizes_u[code_u]
+    pair_of = np.repeat(np.arange(len(pairs)), spans)
+    shift = (np.cumsum(sizes_u) - sizes_u)[code_u] - (np.cumsum(spans) - spans)
+    row_u = np.arange(len(pair_of)) + np.repeat(shift, spans)
+    probe = (code_v[pair_of] << _ROW_BITS) | windows_u[row_u]
+    row_v = np.searchsorted(keys_v, probe)
+    hit = keys_v[row_v] == probe
+    pair_of, row_u, row_v = pair_of[hit], row_u[hit], row_v[hit]
+    return pair_of, offsets_u[row_u], counts_u[row_u], offsets_v[row_v], counts_v[row_v]
+
+
 def score_pairs_batch(
     left: HistoryCorpus,
     right: HistoryCorpus,
@@ -464,89 +519,9 @@ def score_pairs_batch(
     instrumented figures (bin comparisons, alibi pairs) are backend
     independent.
     """
-    num_pairs = len(pairs)
     flats_u = left.arrays()
     flats_v = right.arrays()
-
-    # Per pair, the temporal windows both entities are active in become
-    # interaction records (pair, u offset, u count, v offset, v count).
-    # Small histories (the common case) intersect through the window dicts
-    # — with an O(min) disjointness pre-reject, crucial for sparse worlds
-    # where most candidate pairs share nothing; large ones use one sorted
-    # numpy intersection.
-    pair_records: List[int] = []
-    off_u_records: List[int] = []
-    count_u_records: List[int] = []
-    off_v_records: List[int] = []
-    count_v_records: List[int] = []
-    pair_chunks: List[np.ndarray] = []
-    field_chunks: List[np.ndarray] = []
-    for index, (left_entity, right_entity) in enumerate(pairs):
-        index_u = left.window_index(left_entity)
-        index_v = right.window_index(right_entity)
-        if min(len(index_u), len(index_v)) <= _DICT_INTERSECT_MAX_WINDOWS:
-            slices_u = index_u.slices
-            slices_v = index_v.slices
-            if len(slices_u) <= len(slices_v):
-                if slices_u.keys().isdisjoint(slices_v):
-                    continue
-                for window, (offset_u, cells_u) in slices_u.items():
-                    hit = slices_v.get(window)
-                    if hit is None:
-                        continue
-                    pair_records.append(index)
-                    off_u_records.append(offset_u)
-                    count_u_records.append(cells_u)
-                    off_v_records.append(hit[0])
-                    count_v_records.append(hit[1])
-            else:
-                if slices_v.keys().isdisjoint(slices_u):
-                    continue
-                for window, (offset_v, cells_v) in slices_v.items():
-                    hit = slices_u.get(window)
-                    if hit is None:
-                        continue
-                    pair_records.append(index)
-                    off_u_records.append(hit[0])
-                    count_u_records.append(hit[1])
-                    off_v_records.append(offset_v)
-                    count_v_records.append(cells_v)
-            continue
-        _, in_u, in_v = np.intersect1d(
-            index_u.windows,
-            index_v.windows,
-            assume_unique=True,
-            return_indices=True,
-        )
-        if not in_u.size:
-            continue
-        fields = np.empty((4, in_u.size), dtype=np.int64)
-        fields[0] = index_u.offsets[in_u]
-        fields[1] = index_u.counts[in_u]
-        fields[2] = index_v.offsets[in_v]
-        fields[3] = index_v.counts[in_v]
-        pair_chunks.append(np.full(in_u.size, index, dtype=np.int64))
-        field_chunks.append(fields)
-
-    if pair_records:
-        pair_chunks.append(np.asarray(pair_records, dtype=np.int64))
-        field_chunks.append(
-            np.asarray(
-                [off_u_records, count_u_records, off_v_records, count_v_records],
-                dtype=np.int64,
-            )
-        )
-    if not pair_chunks:
-        zeros = np.zeros(num_pairs, dtype=np.int64)
-        return BatchScoreResult(
-            scores=zeros.astype(np.float64),
-            bin_comparisons=zeros,
-            common_windows=zeros.copy(),
-            alibi_bin_pairs=zeros.copy(),
-        )
-
-    pair_of = np.concatenate(pair_chunks)
-    off_u, count_u, off_v, count_v = np.hstack(field_chunks)
+    pair_of, off_u, count_u, off_v, count_v = _window_join(left, right, pairs)
     comparisons = count_u * count_v
     lookup = _proximity_lookup(left, right, config, int(comparisons.sum()))
     # Every interaction's total and alibi count, in interaction order —
@@ -608,7 +583,7 @@ def score_pairs_batch(
     # sequentially), so a pair's total never depends on which other
     # pairs, paths or buckets shared the dispatch.
     def per_pair(values: "np.ndarray | None" = None) -> np.ndarray:
-        return np.bincount(pair_of, weights=values, minlength=num_pairs)
+        return np.bincount(pair_of, weights=values, minlength=len(pairs))
 
     return BatchScoreResult(
         scores=per_pair(totals),

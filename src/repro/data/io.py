@@ -108,10 +108,13 @@ def _coord_problem(lat: float, lng: float) -> Optional[str]:
     return None
 
 
-def _parse_timestamp(raw: str) -> float:
+def _parse_timestamp(raw: Optional[str]) -> float:
     """Parse a timestamp that is either POSIX seconds or ISO 8601.  A
     value that parses but is not finite (``nan``, ``inf``, ``1e400``) is
-    as malformed as one that does not parse."""
+    as malformed as one that does not parse, and so is a row too short to
+    have the cell (``None``)."""
+    if raw is None:
+        raise ValueError("missing timestamp")
     raw = raw.strip()
     try:
         value = float(raw)

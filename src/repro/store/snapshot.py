@@ -76,7 +76,10 @@ __all__ = [
 #: Format 4: a history pickles its three bin columns and no derived
 #: view; a corpus capture carries document frequencies as arrays and
 #: per-entity residency in ``"window_index"`` (format 3 carried
-#: ``entity_bins`` / ``df_slot`` dicts).
+#: ``entity_bins`` / ``df_slot`` dicts).  Format-4 residents written
+#: while ``WindowIndex`` still had a ``slices`` dict carry it as a dead
+#: attribute; an entity drops it when a refresh re-reads it or a
+#: compaction rebases it.
 SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"

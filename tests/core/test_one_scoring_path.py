@@ -7,8 +7,11 @@ block a ``map_blocks`` task under every executor — is
 """
 
 import ast
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
+
+from repro.core.corpus import WindowIndex
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -92,6 +95,28 @@ def test_one_function_cuts_pairs_into_score_blocks():
     assert _functions(_names("score_pairs_batch")) == {
         "core/kernels.py::score_pair_block"
     }
+
+
+def test_one_window_join_finds_the_common_windows():
+    """A block's common windows come from one array join: no per-pair
+    loop, no second intersection path, no per-entity dict beside the
+    three directory arrays."""
+    assert [field.name for field in fields(WindowIndex)] == [
+        "windows", "offsets", "counts"
+    ]
+    source = (SRC / "core" / "kernels.py").read_text()
+    tree = ast.parse(source)
+    for gone in ("intersect1d", "isdisjoint", "_DICT_INTERSECT_MAX_WINDOWS", "slices"):
+        assert not any(_names(gone)(node) for node in ast.walk(tree)), gone
+    loops_over_pairs = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and any(_names("pairs")(part) for part in ast.walk(node.iter))
+    ]
+    assert loops_over_pairs == []
+    # repro-lint's tree-clean test mutates the block task at this line.
+    assert "\n    left, right, config = payload\n" in source
 
 
 def test_the_block_size_has_no_environment_override():

@@ -7,7 +7,9 @@ helpers it called and the grouping ``LocationDataset.from_records`` then
 did (a tuple list per entity, one ``np.asarray`` + stable argsort each), so
 nothing it computes passes through the code it is compared against.
 Selected by nothing under ``src/``; ``test_columnar_reader.py`` holds the
-columnar reader to it row for row.
+columnar reader to it row for row.  One fix since, made in both readers:
+a row lacking only its timestamp cell is a malformed row (see
+``_parse_timestamp``).
 """
 
 from __future__ import annotations
@@ -62,10 +64,14 @@ def _coord_problem(lat: float, lng: float) -> Optional[str]:
     return None
 
 
-def _parse_timestamp(raw: str) -> float:
+def _parse_timestamp(raw: Optional[str]) -> float:
     """Parse a timestamp that is either POSIX seconds or ISO 8601.  A
     value that parses but is not finite (``nan``, ``inf``, ``1e400``) is
-    as malformed as one that does not parse."""
+    as malformed as one that does not parse, and so is a row too short to
+    have the cell (``None``: the one departure from the verbatim reader,
+    which raised ``AttributeError`` there)."""
+    if raw is None:
+        raise ValueError("missing timestamp")
     raw = raw.strip()
     try:
         value = float(raw)
