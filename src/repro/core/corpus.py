@@ -663,9 +663,9 @@ class HistoryCorpus:
     def avg_cells_per_window(self) -> float:
         """Mean distinct cells per populated (entity, window) pair — the
         *density* signal the scoring stage's workload-aware block-size
-        heuristic reads (dense corpora produce matrix-shaped interactions
-        whose padded power-of-two buckets cost memory in proportion to
-        the block; see :func:`~repro.core.kernels.workload_block_size`).
+        heuristic reads (dense corpora produce matrix-shaped interactions,
+        whose ``(B, m, n)`` tensors cost memory in proportion to the
+        block; see :func:`~repro.core.kernels.workload_block_size`).
         """
         populated = sum(len(held) for held in self._window_index.values())
         return self._total_bins / populated if populated else 0.0

@@ -37,25 +37,24 @@ arithmetic over blocks of candidate pairs:
     ``thread`` executor's workers share modules and corpora, so anything
     kept on either would be a cross-dispatch cache to invalidate and to
     synchronise.
-3.  **Shape grouping** — interactions whose distance matrix is a *vector*
-    (one cell on either side, the overwhelming majority in real
-    workloads) are processed ragged in a single flat dispatch with
-    segment reductions (``np.minimum.reduceat`` et al.); true matrices
-    (``m, n >= 2``) are padded into *rectangular* power-of-two buckets
-    ``(pow2ceil(m), pow2ceil(n))`` — under 2x padding per side, ``2 x 2``
-    always unpadded — so a whole block needs only a handful of dense
-    ``(B, rows, cols)`` tensor dispatches.
+3.  **Shape grouping** — an interaction of ``m`` left and ``n`` right
+    cells is an ``m x n`` distance matrix.  The block's interactions are
+    grouped by their exact ``(m, n)`` and each group is gathered as one
+    unpadded ``(B, m, n)`` tensor: every entry is a live comparison, and
+    every shape — vectors (``1 x n``, ``m x 1``; the overwhelming
+    majority in sparse worlds) included — takes the same path.  A dense
+    city block has a few dozen groups, a sparse one a handful.
 4.  **Pairing** — greedy mutually-nearest (MNN) and mutually-furthest
-    (MFN) selections run for all matrices of a bucket at once, as the
-    sequential greedy itself: ``min(rows, cols)`` rounds, each one
-    first-occurrence ``argmin`` over the flattened matrices (padding and
-    used rows / columns hold ``inf``) followed by overwriting the picked
-    row and column.  First occurrence is the scalar
-    ``greedy_index_pairs`` tie-break (row-major on equal distances).
+    (MFN) selections run for all matrices of a group at once, as the
+    sequential greedy itself: exactly ``min(m, n)`` rounds, each one
+    first-occurrence ``argmin`` over the flattened matrices followed by
+    overwriting the picked row and column with ``inf``.  First occurrence
+    is the scalar ``greedy_index_pairs`` tie-break (row-major on equal
+    distances).
 5.  **Aggregation** — proximity times min-IDF weight over the selected
     entries, plus the MFN negative-only alibi contributions, gives one
     total and one alibi count per *interaction*, written into two
-    interaction-length arrays whichever path or bucket produced them; one
+    interaction-length arrays whichever shape group produced them; one
     ``np.bincount`` per counter then folds them per pair, in interaction
     order.  The result is the **raw** Eq. 2 total: the BM25-style length
     normalisation is the engine's epilogue
@@ -71,14 +70,15 @@ Two properties of this kernel matter to the streaming layer
 (:mod:`repro.core.streaming`):
 
 * **dispatch determinism** — an interaction's total depends on its own
-  cells only (its bucket shape is a function of its own ``(m, n)``), and
-  a pair's interactions are folded in their own order, windows
-  ascending, regardless of which other pairs, paths or buckets share the
-  batch, so scoring a pair alone reproduces its in-block result bit for
-  bit.  That is what lets a delta relink re-score only cache misses and
-  still match a cold run exactly.  A change that can move a raw total in
-  any bit bumps :data:`ARITHMETIC_REVISION`, so totals cached before it
-  miss instead of mixing;
+  cells only (it is reduced over its own ``m x n`` entries, whichever
+  other interactions share its shape group), and a pair's interactions
+  are folded in their own order, windows ascending, regardless of which
+  other pairs share the batch, so scoring a pair alone reproduces its
+  in-block result bit for bit.  That is what lets a delta relink
+  re-score only cache misses and still match a cold run exactly.  A
+  change that can move a raw total in any bit bumps
+  :data:`ARITHMETIC_REVISION`, so totals cached before it miss instead
+  of mixing;
 * **normalisation is a separable epilogue** — the kernel always returns
   the raw Eq. 2 totals the :class:`~repro.core.score_cache.ScoreCache`
   memoises; the engine divides by the *live* length norms afterwards, so
@@ -122,10 +122,10 @@ __all__ = [
 
 #: Revision of the kernel's arithmetic, one term of
 #: :func:`~repro.core.similarity.score_cache_space`.  Bump when a raw
-#: total can change in any bit (summation order, bucketing, formula), so
+#: total can change in any bit (summation order, grouping, formula), so
 #: a score cache or snapshot written before the change is a clean miss
 #: rather than a mix of old and new totals.
-ARITHMETIC_REVISION = 2
+ARITHMETIC_REVISION = 3
 
 #: Candidate pairs scored per batch-kernel dispatch.  Bounds the peak size
 #: of the kernel's per-shape tensors while still amortising the vectorized
@@ -134,11 +134,13 @@ ARITHMETIC_REVISION = 2
 SCORE_BLOCK_SIZE = 4096
 
 #: Block size for *dense* corpora (multiple cells per active window on
-#: both sides), whose matrix-shaped interactions become padded
-#: ``(B, rows, cols)`` tensors.  It bounds memory only: on the cab
-#: workload (70 taxis, 1,225 brute pairs; median of 7 runs on a 2-vCPU
-#: box) scoring takes 0.124 / 0.130 / 0.139 s at 128 / 512 / 2048 pairs
-#: per block — near flat — while the run's peak RSS is 72 / 86 / 113 MB.
+#: both sides), whose interactions are matrices: a block's ``(B, m, n)``
+#: tensors hold hundreds of comparisons per pair.  It bounds memory, and
+#: costs no time: on the ``batch_dense_brute`` inputs (70 taxis, 1,225
+#: brute pairs, 1.25 M comparisons; median of 7 fresh processes on a
+#: 2-vCPU box) scoring takes 0.122 / 0.138 / 0.147 s at 128 / 512 / 4096
+#: pairs per block, while the run's peak RSS is 65 / 67 / 75 MB and the
+#: traced allocation peak 15 / 15 / 28 MB.
 DENSE_SCORE_BLOCK_SIZE = 512
 
 #: A pair of corpora counts as dense when the product of their mean
@@ -172,66 +174,36 @@ def concat_results(results: Sequence[BatchScoreResult]) -> BatchScoreResult:
     return BatchScoreResult(*(np.concatenate(column) for column in zip(*results)))
 
 
-def greedy_select_batch(
-    distances: np.ndarray, reverse: bool, valid: "np.ndarray | None" = None
-) -> np.ndarray:
+def greedy_select_batch(distances: np.ndarray, reverse: bool) -> np.ndarray:
     """Batched greedy mutual pairing over ``(B, m, n)`` distance tensors.
 
     The vector twin of :func:`repro.core.pairing.greedy_index_pairs`: for
     every matrix of the batch, repeatedly take the smallest (``reverse`` =
     False) or largest (True) remaining entry whose row and column are both
-    unused, until ``min(m, n)`` entries are selected.  ``valid`` (optional
-    boolean mask, same shape) excludes padded entries from selection; a
-    matrix with no valid entry selects nothing, whatever its shape.
-    Returns a boolean selection mask of the same shape.
+    unused, until ``min(m, n)`` entries are selected.  Returns a boolean
+    selection mask of the same shape; ``distances`` is not modified.
 
-    Sequential greedy, all matrices at once, in ``min(m, n)`` rounds: one
-    ``argmin`` over the flattened matrices (of ``-distances`` when
-    ``reverse``, ``inf`` where ``valid`` is false) picks every matrix's
-    next entry, whose row and column are then overwritten with ``inf``.
-    A matrix whose winner is ``inf`` has nothing left and sits the round
-    out.  ``argmin`` returns the first occurrence, which is the scalar
+    Sequential greedy, all matrices at once, in exactly ``min(m, n)``
+    rounds: one ``argmin`` over the flattened matrices (of ``-distances``
+    when ``reverse``) picks every matrix's next entry, whose row and
+    column are then overwritten with ``inf`` for the rounds still to
+    come.  ``argmin`` returns the first occurrence, which is the scalar
     tie-break: equal distances resolve row-major.
     """
     batch, rows, cols = distances.shape
     keys = distances.astype(np.float64)  # a copy: the rounds consume it
     if reverse:
         np.negative(keys, out=keys)
-    if valid is not None:
-        np.putmask(keys, ~valid, np.inf)
     flat = keys.reshape(batch, rows * cols)
     selected = np.zeros((batch, rows * cols), dtype=bool)
     every = np.arange(batch)
-    if rows == 2 and cols == 2 and valid is None:
-        # Closed form: greedy takes the extreme entry, which forces the
-        # diagonally opposite entry as the only remaining pair.
+    for remaining in range(min(rows, cols) - 1, -1, -1):
         best = flat.argmin(axis=1)
         selected[every, best] = True
-        selected[every, 3 - best] = True
-        return selected.reshape(batch, rows, cols)
-    for _ in range(min(rows, cols)):
-        best = flat.argmin(axis=1)
-        live = flat[every, best] < np.inf
-        if not live.any():
-            break
-        index, best = every[live], best[live]
-        selected[index, best] = True
-        keys[index, best // cols, :] = np.inf
-        keys[index, :, best % cols] = np.inf
+        if remaining:
+            keys[every, best // cols, :] = np.inf
+            keys[every, :, best % cols] = np.inf
     return selected.reshape(batch, rows, cols)
-
-
-def _pow2ceil(values: np.ndarray) -> np.ndarray:
-    """Elementwise smallest power of two >= ``values`` (ints >= 1).
-
-    Uses ``frexp`` (exact for integers below 2**53) instead of ``log2``
-    rounding, so exact powers of two map to themselves.
-
-    >>> _pow2ceil(np.array([1, 2, 3, 4, 9])).tolist()
-    [1, 2, 4, 4, 16]
-    """
-    frac, exponent = np.frexp(values.astype(np.float64))
-    return np.where(frac == 0.5, values, np.left_shift(1, exponent))
 
 
 def _cell_distances(
@@ -316,96 +288,16 @@ def _proximity_lookup(
     return gather
 
 
-def _segment_first_extreme(
-    values: np.ndarray,
-    seg_start: np.ndarray,
-    lengths: np.ndarray,
-    largest: bool,
-) -> np.ndarray:
-    """Index of the first per-segment minimum (or maximum) of a ragged
-    flat array — the segment twin of first-occurrence ``argmin``/``argmax``,
-    which is exactly the scalar greedy tie-break for vector matrices."""
-    reducer = np.maximum if largest else np.minimum
-    extreme = reducer.reduceat(values, seg_start)
-    is_extreme = values == np.repeat(extreme, lengths)
-    hits = np.cumsum(is_extreme)
-    before = np.empty(len(seg_start), dtype=np.int64)
-    before[0] = 0
-    if len(seg_start) > 1:
-        before[1:] = hits[seg_start[1:] - 1]
-    first = is_extreme & ((hits - np.repeat(before, lengths)) == 1)
-    return np.nonzero(first)[0]
-
-
-def _score_vector_interactions(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
-    config: "SimilarityConfig",
-    lookup: _Lookup,
-    off_u: np.ndarray,
-    count_u: np.ndarray,
-    off_v: np.ndarray,
-    count_v: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Totals and alibi counts of every interaction whose distance matrix
-    is a vector (``min(m, n) == 1``), in one ragged flat dispatch.
-
-    MNN degenerates to the first per-segment minimum, MFN to the first
-    per-segment maximum (skipped when it coincides with the MNN pick —
-    the scalar "avoid double counting" rule), and the all-pairs ablation
-    to a plain segment sum, so no greedy loop is needed at all.
-    """
-    lengths = count_u * count_v
-    total = int(lengths.sum())
-    seg_start = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_start[1:])
-    position = np.arange(total) - np.repeat(seg_start, lengths)
-    u_advances = np.repeat(count_v == 1, lengths)
-    u_idx = np.repeat(off_u, lengths) + np.where(u_advances, position, 0)
-    v_idx = np.repeat(off_v, lengths) + np.where(u_advances, 0, position)
-
-    flats_u = left.arrays()
-    flats_v = right.arrays()
-    distances, prox = lookup(flats_u.slots[u_idx], flats_v.slots[v_idx])
-    if config.use_idf:
-        contribution = prox * np.minimum(flats_u.idf[u_idx], flats_v.idf[v_idx])
-    else:
-        contribution = prox
-
-    if config.pairing != "mnn":
-        return (
-            np.add.reduceat(contribution, seg_start),
-            np.add.reduceat((prox < 0.0).astype(np.int64), seg_start),
-        )
-    nearest = _segment_first_extreme(distances, seg_start, lengths, largest=False)
-    seg_totals = contribution[nearest]
-    seg_alibi = (prox[nearest] < 0.0).astype(np.int64)
-    if config.use_mfn and bool((distances > config.runaway_meters).any()):
-        furthest = _segment_first_extreme(distances, seg_start, lengths, largest=True)
-        delta = contribution[furthest]
-        negative = (furthest != nearest) & (delta < 0.0)
-        seg_totals = seg_totals + np.where(negative, delta, 0.0)
-        seg_alibi += negative
-    return seg_totals, seg_alibi
-
-
-def _score_matrix_bucket(
+def _score_shape(
     config: "SimilarityConfig",
     lookup: _Lookup,
     u_slots: np.ndarray,
     v_slots: np.ndarray,
     u_idf: np.ndarray,
     v_idf: np.ndarray,
-    valid: "np.ndarray | None",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Totals and alibi counts of every interaction of one padded
-    ``(B, rows, cols)`` shape bucket.
-
-    ``valid`` masks real (non-padded) matrix entries; ``None`` means the
-    whole bucket is unpadded.  Padded rows/columns duplicate the last real
-    cell of their side, so the distance math never sees garbage — they are
-    simply excluded from selection and aggregation.
-    """
+    """Totals and alibi counts of every interaction of one exact
+    ``(B, m, n)`` shape group (``u_*`` are ``(B, m)``, ``v_*`` ``(B, n)``)."""
     batch = len(u_slots)
     mnn = config.pairing == "mnn"
     distances, prox = lookup(u_slots[:, :, None], v_slots[:, None, :])
@@ -415,11 +307,9 @@ def _score_matrix_bucket(
         contribution = prox
 
     if mnn:
-        selected = greedy_select_batch(distances, reverse=False, valid=valid)
-    elif valid is None:
-        selected = np.ones_like(contribution, dtype=bool)
+        selected = greedy_select_batch(distances, reverse=False)
     else:
-        selected = valid
+        selected = np.ones(distances.shape, dtype=bool)
     totals = np.where(selected, contribution, 0.0).reshape(batch, -1).sum(axis=1)
     alibi = np.zeros(batch, dtype=np.int64)
 
@@ -428,19 +318,13 @@ def _score_matrix_bucket(
     # terms) — matrices without one skip both, which on friendly workloads
     # prunes the entire furthest-pairing cost.
     beyond = distances > config.runaway_meters
-    if valid is not None:
-        beyond &= valid
     far = np.nonzero(beyond.reshape(batch, -1).any(axis=1))[0]
     if far.size:
         selected = selected[far]
         contribution = contribution[far]
         alibi[far] = (selected & (prox[far] < 0.0)).reshape(far.size, -1).sum(axis=1)
         if mnn and config.use_mfn:
-            furthest = greedy_select_batch(
-                distances[far],
-                reverse=True,
-                valid=None if valid is None else valid[far],
-            )
+            furthest = greedy_select_batch(distances[far], reverse=True)
             negative = furthest & ~selected & (contribution < 0.0)
             totals[far] += (
                 np.where(negative, contribution, 0.0).reshape(far.size, -1).sum(axis=1)
@@ -525,63 +409,32 @@ def score_pairs_batch(
     comparisons = count_u * count_v
     lookup = _proximity_lookup(left, right, config, int(comparisons.sum()))
     # Every interaction's total and alibi count, in interaction order —
-    # a pair's windows ascending, whichever path or bucket scored them.
+    # a pair's windows ascending, whichever shape group scored them.
     totals = np.zeros(len(pair_of), dtype=np.float64)
     alibi = np.zeros(len(pair_of), dtype=np.int64)
 
-    # Vector-shaped interactions (one cell on either side) take the flat
-    # ragged path: one dispatch, no padding, no greedy loop.
-    vector = (count_u == 1) | (count_v == 1)
-    members = np.nonzero(vector)[0]
-    if members.size:
-        totals[members], alibi[members] = _score_vector_interactions(
-            left,
-            right,
+    # One group per exact (m, n): its interactions gathered as an
+    # unpadded (B, m, n) tensor, rows from the left flats and columns
+    # from the right.
+    stride = int(count_v.max(initial=0)) + 1
+    shape_of = count_u * stride + count_v
+    for shape in np.unique(shape_of).tolist():
+        rows, cols = divmod(shape, stride)
+        members = np.nonzero(shape_of == shape)[0]
+        idx_u = off_u[members, None] + np.arange(rows)
+        idx_v = off_v[members, None] + np.arange(cols)
+        totals[members], alibi[members] = _score_shape(
             config,
             lookup,
-            off_u[members],
-            count_u[members],
-            off_v[members],
-            count_v[members],
+            flats_u.slots[idx_u],
+            flats_v.slots[idx_v],
+            flats_u.idf[idx_u],
+            flats_v.idf[idx_v],
         )
-
-    # True matrices go into rectangular power-of-two buckets: a (m, n)
-    # matrix lands in bucket (pow2ceil(m), pow2ceil(n)), padded by
-    # repeating each side's last cell (masked out of selection and
-    # aggregation).  Less than 2x padding per side buys an O(log^2)
-    # bucket count instead of one dispatch per distinct shape.
-    matrix = np.nonzero(~vector)[0]
-    if matrix.size:
-        bucket_rows = _pow2ceil(count_u[matrix])
-        bucket_cols = _pow2ceil(count_v[matrix])
-        stride = int(bucket_cols.max()) + 1
-        bucket_of = bucket_rows * stride + bucket_cols
-        for bucket in np.unique(bucket_of).tolist():
-            rows, cols = divmod(bucket, stride)
-            members = matrix[bucket_of == bucket]
-            m_real = count_u[members, None]
-            n_real = count_v[members, None]
-            span_u = np.arange(rows)
-            span_v = np.arange(cols)
-            idx_u = off_u[members, None] + np.minimum(span_u, m_real - 1)
-            idx_v = off_v[members, None] + np.minimum(span_v, n_real - 1)
-            if (m_real < rows).any() or (n_real < cols).any():
-                valid = (span_u < m_real)[:, :, None] & (span_v < n_real)[:, None, :]
-            else:
-                valid = None
-            totals[members], alibi[members] = _score_matrix_bucket(
-                config,
-                lookup,
-                flats_u.slots[idx_u],
-                flats_v.slots[idx_v],
-                flats_u.idf[idx_u],
-                flats_v.idf[idx_v],
-                valid,
-            )
 
     # One fold per pair, in interaction order (``bincount`` accumulates
     # sequentially), so a pair's total never depends on which other
-    # pairs, paths or buckets shared the dispatch.
+    # pairs or shape groups shared the dispatch.
     def per_pair(values: "np.ndarray | None" = None) -> np.ndarray:
         return np.bincount(pair_of, weights=values, minlength=len(pairs))
 

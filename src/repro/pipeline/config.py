@@ -105,8 +105,8 @@ class LinkageConfig:
     score_block_size:
         Candidate pairs per batch-kernel dispatch in the scoring stage.
         ``0`` (default) picks a workload-aware size — dense corpora get
-        smaller blocks to bound the memory of the kernel's padded matrix
-        buckets; scoring time is flat in it (see
+        smaller blocks to bound the memory of the kernel's matrix
+        tensors; scoring time is flat in it (see
         :func:`~repro.pipeline.stages.resolve_score_block_size`).
         Results are bit-identical at every block size (kernel dispatch
         determinism).

@@ -249,39 +249,6 @@ class TestGreedyTieBreaking:
             }
             assert vector == scalar
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_vector_shapes_honour_valid_mask(self, reverse):
-        """The 1-row/1-column fast path must not select masked entries."""
-        distances = np.array([[[5.0, 1.0, 3.0]]])
-        valid = np.array([[[True, False, True]]])
-        mask = greedy_select_batch(distances, reverse, valid)
-        picked = int(np.nonzero(mask.reshape(-1))[0][0])
-        assert picked == (0 if reverse else 2)  # entry 1 is masked out
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_padded_buckets_match_unpadded(self, reverse):
-        """Validity-masked padding (repeating the last real cell) must not
-        change the selection."""
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            rows = int(rng.integers(2, 6))
-            cols = int(rng.integers(2, 6))
-            side = 8
-            matrix = rng.random((rows, cols)) * 100
-            padded = np.empty((side, side))
-            padded[:rows, :cols] = matrix
-            padded[rows:, :cols] = matrix[rows - 1, :]
-            padded[:, cols:] = padded[:, cols - 1 : cols]
-            valid = np.zeros((side, side), dtype=bool)
-            valid[:rows, :cols] = True
-            mask = greedy_select_batch(padded[None], reverse, valid[None])[0]
-            vector = {(i, j) for i, j in zip(*np.nonzero(mask))}
-            scalar = {
-                (iu, iv)
-                for iu, iv, _ in greedy_index_pairs(matrix.tolist(), reverse)
-            }
-            assert vector == scalar
-
 
 class TestLinkageParity:
     def _dataset(self, name, histories_rng, entities, sparse=False):
@@ -352,68 +319,54 @@ class TestKernelDirect:
 
 
 # ---------------------------------------------------------------------------
-# PR 21: distance table, rectangular buckets, pairing by rounds, one fold
+# Distance table, exact-shape groups, pairing by rounds, one fold
 # ---------------------------------------------------------------------------
 @st.composite
-def _padded_buckets(draw):
-    """A ``(B, rows, cols)`` bucket the way the kernel pads one: every
-    matrix has its own live ``m x n`` corner (``0 x 0`` = fully masked),
-    the padding repeats the last live row / column, values tie heavily."""
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5).filter(lambda c: c != rows))
-    batch = draw(st.integers(1, 6))
-    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
-    distances = np.zeros((batch, rows, cols))
-    valid = np.zeros((batch, rows, cols), dtype=bool)
-    live = []
-    for index in range(batch):
-        m = draw(st.integers(0, rows))
-        n = draw(st.integers(1, cols)) if m else 0
-        live.append((m, n))
-        if not m:
-            continue
-        corner = np.array(
-            draw(st.lists(st.lists(values, min_size=n, max_size=n),
-                          min_size=m, max_size=m))
+def _exact_shape_groups(draw):
+    """A ``(B, m, n)`` group the way the kernel gathers one: every matrix
+    has the same exact shape (``1 x 1``, ``1 x n``, ``m x 1`` and
+    ``2 x 2`` among them), values tie heavily, and rows may repeat."""
+    rows, cols = draw(
+        st.one_of(
+            st.just((1, 1)),
+            st.tuples(st.just(1), st.integers(2, 5)),
+            st.tuples(st.integers(2, 5), st.just(1)),
+            st.just((2, 2)),
+            st.tuples(st.integers(2, 5), st.integers(2, 5)),
         )
-        padded = np.pad(corner, ((0, rows - m), (0, cols - n)), mode="edge")
-        distances[index] = padded
-        valid[index, :m, :n] = True
-    return distances, valid, live
+    )
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    row = st.lists(values, min_size=cols, max_size=cols)
+    matrices = []
+    for _ in range(draw(st.integers(1, 6))):
+        matrix = draw(st.lists(row, min_size=rows, max_size=rows))
+        if rows > 1 and draw(st.booleans()):
+            matrix[draw(st.integers(1, rows - 1))] = list(matrix[0])  # equal rows
+        matrices.append(matrix)
+    return np.array(matrices)
 
 
 class TestPairingByRounds:
-    @given(bucket=_padded_buckets(), reverse=st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_rectangular_padded_buckets_match_the_scalar_greedy(
-        self, bucket, reverse
-    ):
-        distances, valid, live = bucket
-        before = distances.copy()
-        masks = greedy_select_batch(distances, reverse, valid)
-        assert (distances == before).all()  # the caller's tensor is not consumed
-        for mask, matrix, (m, n) in zip(masks, distances, live):
-            scalar = {
-                (iu, iv)
-                for iu, iv, _ in greedy_index_pairs(
-                    matrix[:m, :n].tolist(), reverse
-                )
-            }
-            assert {(i, j) for i, j in zip(*np.nonzero(mask))} == scalar
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize(
-        "shape", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 4)], ids=str
-    )
-    def test_a_matrix_with_no_valid_entry_selects_nothing(self, shape, reverse):
-        """At the parent a masked ``1 x 1`` selected its entry and a
-        fully-masked vector selected entry 0."""
-        distances = np.arange(2.0 * shape[0] * shape[1]).reshape(2, *shape)
-        valid = np.zeros(distances.shape, dtype=bool)
-        valid[1] = True
-        masks = greedy_select_batch(distances, reverse, valid)
-        assert not masks[0].any()
-        assert masks[1].sum() == min(shape)
+    @given(group=_exact_shape_groups())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_shape_groups_match_the_scalar_greedy(self, group):
+        _, rows, cols = group.shape
+        before = group.copy()
+        for reverse in (False, True):
+            masks = greedy_select_batch(group, reverse)
+            assert (group == before).all()  # the caller's tensor is not consumed
+            for mask, matrix in zip(masks, group):
+                scalar = {
+                    (iu, iv)
+                    for iu, iv, _ in greedy_index_pairs(matrix.tolist(), reverse)
+                }
+                assert {(i, j) for i, j in zip(*np.nonzero(mask))} == scalar
+                # min(m, n) picks, at most one per row and per column.
+                assert mask.sum() == min(rows, cols)
+                assert mask.sum(axis=1).max() == 1 == mask.sum(axis=0).max()
+                # A matrix selects the same alone as in its group.
+                alone = greedy_select_batch(matrix[None], reverse)[0]
+                assert (alone == mask).all()
 
 
 def _cab_corpora(cab_pair):
@@ -462,7 +415,7 @@ class TestDistanceTable:
             [score_pairs_batch(left, right, [pair], config) for pair in pairs]
         )
         assert shapes and table_shape not in shapes
-        assert {len(shape) for shape in shapes} == {1, 3}  # vector path, buckets
+        assert {len(shape) for shape in shapes} == {3}  # (B, m, n) groups only
         assert int(block.bin_comparisons.max()) < table_shape[0] * table_shape[1]
         _assert_results_equal(alone, block)
 

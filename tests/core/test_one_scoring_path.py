@@ -7,6 +7,7 @@ block a ``map_blocks`` task under every executor — is
 """
 
 import ast
+import re
 from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
@@ -117,6 +118,31 @@ def test_one_window_join_finds_the_common_windows():
     assert loops_over_pairs == []
     # repro-lint's tree-clean test mutates the block task at this line.
     assert "\n    left, right, config = payload\n" in source
+
+
+def test_one_pairing_path_scores_every_shape():
+    """Every interaction is an unpadded tensor of its exact shape: no
+    vector path, no power-of-two buckets, no padding mask, and the only
+    loop of ``score_pairs_batch`` is the one over shape groups."""
+    source = (SRC / "core" / "kernels.py").read_text()
+    for gone in (
+        "_pow2ceil",
+        "_segment_first_extreme",
+        "_score_vector_interactions",
+    ):
+        assert gone not in source, gone
+    for word in ("valid", "reduceat"):
+        assert not re.search(rf"\b{word}\b", source), word
+    [kernel] = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "score_pairs_batch"
+    ]
+    loops = [
+        node for node in ast.walk(kernel) if isinstance(node, (ast.For, ast.While))
+    ]
+    assert len(loops) == 1
+    assert ast.unparse(loops[0].iter) == "np.unique(shape_of).tolist()"
 
 
 def test_the_block_size_has_no_environment_override():

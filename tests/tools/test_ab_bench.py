@@ -127,7 +127,8 @@ def test_run_once_leaves_the_run_length_to_the_benchmark(tmp_path, monkeypatch):
 
 def stub_runs(tmp_path, monkeypatch, traced):
     """Two checkouts whose runs ``ab_bench.main`` reads from fixed numbers
-    (a traced run reports no end-to-end metric); returns the run order."""
+    (as with the real harness, a traced run reports per-layer metrics only
+    and an untraced one end-to-end metrics only); returns the run order."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
@@ -147,9 +148,10 @@ def stub_runs(tmp_path, monkeypatch, traced):
         assert (workload, seed, trace) == ("batch_dense_brute", 11, traced)
         order.append(checkout.name)
         latency, kernel = next(runs[checkout.name])
-        metrics = {"kernels.score_pairs_batch_s": kernel}
-        if not trace:
-            metrics.update(latency_p50_s=latency, f1=1.0)
+        if trace:
+            metrics = {"kernels.score_pairs_batch_s": kernel}
+        else:
+            metrics = {"latency_p50_s": latency, "f1": 1.0}
         return {"correct": True, "attempted": 12, "failed": 0,
                 "metrics": {k: {"value": v} for k, v in metrics.items()}}
 
@@ -164,8 +166,7 @@ def table(out):
 def run_main(tmp_path, *extra):
     return ab_bench.main([
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-        "--workload", "batch_dense_brute", "--pairs", "10",
-        "--layer", "kernels.score_pairs_batch_s", *extra,
+        "--workload", "batch_dense_brute", "--pairs", "10", *extra,
     ])
 
 
@@ -176,14 +177,36 @@ def test_main_alternates_and_tabulates(tmp_path, monkeypatch, capsys):
     assert order[:4] == ["parent", "change", "change", "parent"]
     assert out.count("pair ") == 20
     rows = table(out)
+    assert list(rows) == ["latency_p50_s", "f1"]
     assert rows["latency_p50_s"].endswith("wins 10/10  better")
     assert rows["f1"].endswith("wins 0/10  within bound")
-    assert rows["kernels.score_pairs_batch_s"].endswith("wins 10/10  -")
 
 
 def test_a_traced_comparison_tabulates_the_layers_only(
     tmp_path, monkeypatch, capsys
 ):
     stub_runs(tmp_path, monkeypatch, traced=True)
-    assert run_main(tmp_path, "--trace") == 0
-    assert list(table(capsys.readouterr().out)) == ["kernels.score_pairs_batch_s"]
+    assert run_main(tmp_path, "--trace", "--layer", "kernels.score_pairs_batch_s") == 0
+    rows = table(capsys.readouterr().out)
+    assert list(rows) == ["kernels.score_pairs_batch_s"]
+    assert rows["kernels.score_pairs_batch_s"].endswith("wins 10/10  -")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--layer", "kernels.score_pairs_batch_s"], "--layer needs --trace"),
+        (["--trace", "--layer", "kernels.score_pair_batch_s"], "no such per_layer"),
+        (["--trace", "--layer", "latency_p50_s"], "no such per_layer"),
+    ],
+    ids=["layer-without-trace", "misspelt-layer", "end-to-end-as-layer"],
+)
+def test_a_layer_no_run_can_report_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, extra, message
+):
+    order = stub_runs(tmp_path, monkeypatch, traced="--trace" in extra)
+    with pytest.raises(SystemExit) as stopped:
+        run_main(tmp_path, *extra)
+    assert stopped.value.code == 2
+    assert message in capsys.readouterr().err
+    assert order == []  # refused before the first run

@@ -31,9 +31,12 @@ pairs the change won (ties count for neither side), and a verdict:
   metric's better direction: the rule a claimed gain must pass;
 * ``within bound`` — none of the above.
 
-``--layer NAME`` (repeatable) adds per-layer metrics to the table, and
-``--trace`` runs traced — a traced run reports per-layer metrics only, so
-the table is then the ``--layer`` rows.  Exit status is 1 when a run
+``--trace`` runs traced and tabulates the ``--layer NAME`` rows
+(repeatable, each a ``per_layer`` metric of ``BENCHMARK.json``) instead:
+a traced run reports per-layer metrics only and an untraced one
+end-to-end metrics only, so ``--layer`` without ``--trace``, or naming no
+declared ``per_layer`` metric, is a usage error before any run starts.
+Exit status is 1 when a run
 fails its checks, a run's operations fail, or a verdict is ``worse
 beyond bound``; else 0.
 """
@@ -151,8 +154,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     declared = spec["end_to_end"] + spec["per_layer"]
     bounds: Dict[str, float] = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     lower = {m["name"]: m["better"] == "lower" for m in declared}
-    # A traced run reports per-layer metrics only.
-    names = ([] if args.trace else list(bounds)) + args.layer
+    if args.layer and not args.trace:
+        parser.error("--layer needs --trace: an untraced run reports no layer")
+    layers = {m["name"] for m in spec["per_layer"]}
+    for name in args.layer:
+        if name not in layers:
+            parser.error(f"--layer {name}: no such per_layer metric in BENCHMARK.json")
+    names = args.layer if args.trace else list(bounds)
 
     sides = [("parent", args.parent), ("change", args.change)]
     values: Dict[str, Dict[str, List[float]]] = {
