@@ -249,6 +249,35 @@ class TestGreedyTieBreaking:
             }
             assert vector == scalar
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_vector_shapes_pick_the_first_extreme_entry(self, reverse):
+        """A ``1 x n`` or ``m x 1`` matrix selects one entry: the first
+        smallest (MNN) or the first largest (MFN)."""
+        values = np.array([3.0, 1.0, 1.0, 5.0, 5.0, 2.0])
+        expected = 3 if reverse else 1
+        for matrix in (values[None, :], values[:, None]):
+            mask = greedy_select_batch(matrix[None], reverse)[0]
+            assert np.flatnonzero(mask.reshape(-1)).tolist() == [expected]
+            [(iu, iv, _)] = greedy_index_pairs(matrix.tolist(), reverse)
+            assert mask[iu, iv]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_random_exact_shape_groups_match_the_scalar_greedy(self, reverse):
+        """Untied distances, several matrices of one exact shape at once."""
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            rows = int(rng.integers(1, 6))
+            cols = int(rng.integers(1, 6))
+            group = rng.random((int(rng.integers(1, 5)), rows, cols)) * 100
+            masks = greedy_select_batch(group, reverse)
+            for mask, matrix in zip(masks, group):
+                vector = {(i, j) for i, j in zip(*np.nonzero(mask))}
+                scalar = {
+                    (iu, iv)
+                    for iu, iv, _ in greedy_index_pairs(matrix.tolist(), reverse)
+                }
+                assert vector == scalar
+
 
 class TestLinkageParity:
     def _dataset(self, name, histories_rng, entities, sparse=False):
@@ -367,6 +396,28 @@ class TestPairingByRounds:
                 # A matrix selects the same alone as in its group.
                 alone = greedy_select_batch(matrix[None], reverse)[0]
                 assert (alone == mask).all()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 4), (4, 3)], ids=str
+    )
+    def test_every_matrix_of_a_group_selects_min_m_n_entries(self, shape, reverse):
+        """Two matrices of one shape, ordered oppositely, open at opposite
+        corners in the same round and each select ``min(m, n)`` entries,
+        one per row and column."""
+        ascending = np.arange(float(shape[0] * shape[1])).reshape(shape)
+        group = np.stack([ascending, ascending[::-1, ::-1]])
+        masks = greedy_select_batch(group, reverse)
+        for mask, matrix in zip(masks, group):
+            assert mask.sum() == min(shape)
+            assert mask.sum(axis=1).max() == 1 == mask.sum(axis=0).max()
+            scalar = {
+                (iu, iv)
+                for iu, iv, _ in greedy_index_pairs(matrix.tolist(), reverse)
+            }
+            assert {(i, j) for i, j in zip(*np.nonzero(mask))} == scalar
+        first, last = ((-1, -1), (0, 0)) if reverse else ((0, 0), (-1, -1))
+        assert masks[0][first] and masks[1][last]
 
 
 def _cab_corpora(cab_pair):
