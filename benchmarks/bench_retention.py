@@ -13,8 +13,8 @@ real feed where users come and go — into two :class:`StreamingLinker`\\ s:
   stream's lifetime instead of its window.
 
 Both use ``candidates="temporal"`` (cohorts never share windows across
-rounds, so the candidate set is the honest per-window one) and exact
-relinks (``idf_tolerance=0.0``).  Eviction parity is asserted before
+rounds, so the candidate set is the honest per-window one); every relink
+is exact.  Eviction parity is asserted before
 anything is timed: the final retention relink must be bit-identical to a
 cold run over the surviving entities.
 

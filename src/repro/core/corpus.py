@@ -73,7 +73,7 @@ retired holder moves a shared bin's document frequency exactly like a new
 one does.
 
 :meth:`refresh` reports what changed as a :class:`CorpusDelta` — the dirty
-entity set plus the per-bin IDF drift — which is exactly what
+entity set plus the shared bins whose IDF drifted — which is exactly what
 :class:`~repro.core.streaming.StreamingLinker` needs to decide which cached
 pair scores survive a delta.
 
@@ -116,7 +116,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -303,8 +303,9 @@ class CorpusDelta:
         :mod:`repro.core.retention`); their bins were retracted from the
         statistics and their flat slices reclaimed.
     idf_drift:
-        ``{(window, cell): |Δidf|}`` for bins whose document frequency
-        changed while remaining shared (old df > 0 and new df > 0).  Bins
+        The ``(window, cell)`` bins whose document frequency changed
+        while remaining shared (old df > 0 and new df > 0) — their idf
+        moved, so every holder's cached pair totals are stale.  Bins
         appearing for the first time, or vanishing entirely, are held
         only by dirty entities and need no entry.
     global_drift:
@@ -313,7 +314,7 @@ class CorpusDelta:
     """
 
     dirty_entities: Tuple[str, ...]
-    idf_drift: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    idf_drift: Tuple[Tuple[int, int], ...] = ()
     global_drift: float = 0.0
     evicted: Tuple[str, ...] = ()
 
@@ -504,17 +505,12 @@ class HistoryCorpus:
         # New / vanished bins belong to dirty entities only.
         shared = (was > 0.0) & (now > 0.0) & (was != now)
         moved = self._df_bins[touched[shared]]
-        drift = {
-            (window, cell): abs(
-                (log_size - math.log(after)) - (old_log_size - math.log(prior))
-            )
-            for window, cell, prior, after in zip(
+        drift = tuple(
+            zip(
                 (moved >> _ROW_BITS).tolist(),
                 self._cell_table.cell_ids[moved & ((1 << _ROW_BITS) - 1)].tolist(),
-                was[shared].tolist(),
-                now[shared].tolist(),
             )
-        }
+        )
 
         # Eviction exists to bound memory: reclaim the retired slices now
         # rather than waiting for garbage to outweigh live data, so

@@ -35,10 +35,8 @@ entities) instead of a directory scan.  And a **write journal**
 streaming relink its rollback at O(writes): inside a transaction no row
 is overwritten or recycled — a dropped row is quarantined, a re-stored
 key moves to a fresh row — so the journal only has to remember which row
-each touched key held, and a per-row sequence stamp lets the rollback
-rebuild the exact LRU order it cannot splice back.  The O(cache)
-:meth:`ScoreCache.checkpoint` remains the one *full* capture, for
-snapshots and the cache file.
+each touched key held.  The O(cache) :meth:`ScoreCache.checkpoint`
+remains the one *full* capture, for snapshots and the cache file.
 
 What version keys cannot see is *IDF drift*: a bin's document frequency —
 and hence the idf weight inside some *other*, unchanged pair — can move
@@ -88,7 +86,6 @@ Batch lookups vectorize the same semantics over version *arrays*:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -142,45 +139,38 @@ class _CacheJournal:
     ``prior`` maps every key the transaction inserted or dropped to the
     row it held before (``None`` = absent), recorded on first touch.
     Dropped rows are quarantined in ``dropped`` instead of being
-    recycled, so their values and LRU stamps survive untouched until the
-    transaction ends; ``stamps`` holds the overwritten stamps of rows
-    re-ranked in place, ``from_free`` the recycled rows handed out."""
+    recycled, so their values survive untouched until the transaction
+    ends; ``from_free`` holds the recycled rows handed out."""
 
-    __slots__ = (
-        "prior", "dropped", "from_free", "stamps",
-        "high", "clock", "hits", "misses", "mutations",
-    )
+    __slots__ = ("prior", "dropped", "from_free", "high", "hits", "misses", "mutations")
 
     def __init__(self, cache: "ScoreCache") -> None:
         self.prior: Dict[Key, Optional[int]] = {}
         self.dropped: List[int] = []
         self.from_free: List[int] = []
-        self.stamps: List[Tuple[object, object]] = []
         self.high = cache._high
-        self.clock = cache._clock
         self.hits = cache.hits
         self.misses = cache.misses
         self.mutations = cache._mutations
 
 
 class ScoreCache:
-    """Bounded LRU of cached pair scores over a columnar store.
+    """Every cached pair score, over a columnar store.
 
-    ``cap=None`` (the default) keeps every entry — right for a
-    :class:`~repro.core.streaming.StreamingLinker`, whose working set is
-    the candidate-pair set; pass a cap when sharing a cache across large
-    auto-tuning sweeps.
+    Nothing is evicted for space: a
+    :class:`~repro.core.streaming.StreamingLinker`'s working set is its
+    candidate-pair set, and bounded memory is its retention policy's job
+    (:mod:`repro.core.retention` sweeps retired entities' rows from every
+    scoring space).
 
     A *resident reader* — one that remembers the rows it has seen instead
     of looking them up again, like the streaming linker's pair table —
     watches ``_mutations``: it counts the changes such a reader cannot
     predict from its own calls.  Rows dropped by :meth:`invalidate_pairs`
-    (one per row, so the caller can mirror its own), by the cap or by
-    :meth:`clear`; a wholesale :meth:`restore`; and, under a cap, every
-    LRU re-rank — hits and stores move positions there, so a skipped
-    lookup would leave a different cache behind.  Stale-version drops and
-    plain stores do not count: a reader knows its own, and anyone else's
-    can only replace a row by what the reader would have computed.
+    (one per row, so the caller can mirror its own) or by :meth:`clear`,
+    and a wholesale :meth:`restore`.  Stale-version drops and plain
+    stores do not count: a reader knows its own, and anyone else's can
+    only replace a row by what the reader would have computed.
     """
 
     #: The value columns, by attribute: what :meth:`checkpoint` gathers.
@@ -189,15 +179,9 @@ class ScoreCache:
         "_bin_comparisons", "_common_windows", "_alibi_bin_pairs",
     )
 
-    def __init__(self, cap: Optional[int] = None) -> None:
-        if cap is not None and cap < 1:
-            raise ValueError("cache cap must be positive")
-        self._cap = cap
-        # pair -> row in the columnar arrays; OrderedDict order is the
-        # LRU order (oldest first).
-        self._rows: "OrderedDict[Key, int]" = (
-            OrderedDict()
-        )
+    def __init__(self) -> None:
+        # pair -> row in the columnar arrays.
+        self._rows: Dict[Key, int] = {}
         # Keys by left / right entity: invalidate_pairs sweeps the rows
         # of the named entities, not the directory.
         self._by_left: Dict[str, Set[Key]] = {}
@@ -210,10 +194,6 @@ class ScoreCache:
         self._bin_comparisons = np.empty(0, dtype=np.int64)
         self._common_windows = np.empty(0, dtype=np.int64)
         self._alibi_bin_pairs = np.empty(0, dtype=np.int64)
-        # Per-row sequence stamp: directory order is ascending stamp, so
-        # a rollback can rebuild the LRU order it cannot splice.
-        self._stamp = np.empty(0, dtype=np.int64)
-        self._clock = 0
         self._mutations = 0
         self._journal: Optional[_CacheJournal] = None
         #: Number of lookups answered from the cache / recomputed.  A
@@ -231,7 +211,7 @@ class ScoreCache:
         return tuple(getattr(self, name) for name in self._VALUE_COLUMNS)
 
     def _grow(self, capacity: int) -> None:
-        for name in self._VALUE_COLUMNS + ("_stamp",):
+        for name in self._VALUE_COLUMNS:
             array = getattr(self, name)
             grown = np.empty(capacity, dtype=array.dtype)
             grown[: len(array)] = array
@@ -263,14 +243,13 @@ class ScoreCache:
             journal.dropped.append(row)
 
     def _place(self, key: Key) -> int:
-        """The row to write ``key``'s values into, ranked most recent
-        (the caller stamps and fills it).  Inside a transaction an
-        existing row is never overwritten: the key moves to a fresh one."""
+        """The row to write ``key``'s values into (the caller fills it).
+        Inside a transaction an existing row is never overwritten: the
+        key moves to a fresh one."""
         row = self._rows.get(key)
         journal = self._journal
         if row is not None:
             if journal is None:
-                self._rows.move_to_end(key)
                 return row
             self._drop(key)
         if self._free:
@@ -287,20 +266,6 @@ class ScoreCache:
         self._link(key, row)
         return row
 
-    def _rerank(
-        self, rows: np.ndarray, keys: Iterable[Key]
-    ) -> None:
-        """Batch hits move their keys to the LRU tail, in order (``rows``
-        are the rows of ``keys``)."""
-        if self._journal is not None:
-            self._journal.stamps.append((rows, self._stamp[rows]))
-        move = self._rows.move_to_end
-        for key in keys:
-            move(key)
-        self._stamp[rows] = np.arange(self._clock, self._clock + len(rows))
-        self._clock += len(rows)
-        self._mutations += len(rows)
-
     def _entry(self, row: int) -> PairScore:
         return PairScore(
             u_version=int(self._u_version[row]),
@@ -310,14 +275,6 @@ class ScoreCache:
             common_windows=int(self._common_windows[row]),
             alibi_bin_pairs=int(self._alibi_bin_pairs[row]),
         )
-
-    def _evict_lru(self) -> None:
-        if self._cap is None:
-            return
-        self._mutations += 1  # the store that got us here re-ranked a key
-        while len(self._rows) > self._cap:
-            self._drop(next(iter(self._rows)))
-            self._mutations += 1
 
     # ------------------------------------------------------------------
     # lookup / store (per pair)
@@ -348,13 +305,6 @@ class ScoreCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self._journal is not None:
-            self._journal.stamps.append((row, self._stamp[row]))
-        self._rows.move_to_end(key)
-        self._stamp[row] = self._clock
-        self._clock += 1
-        if self._cap is not None:
-            self._mutations += 1
         return self._entry(row)
 
     def store(
@@ -369,17 +319,14 @@ class ScoreCache:
         common_windows: int,
         alibi_bin_pairs: int,
     ) -> PairScore:
-        """Memoise one freshly scored pair (evicting LRU beyond the cap)."""
+        """Memoise one freshly scored pair."""
         row = self._place((space, left_entity, right_entity))
-        self._stamp[row] = self._clock
-        self._clock += 1
         self._u_version[row] = u_version
         self._v_version[row] = v_version
         self._raw[row] = raw
         self._bin_comparisons[row] = bin_comparisons
         self._common_windows[row] = common_windows
         self._alibi_bin_pairs[row] = alibi_bin_pairs
-        self._evict_lru()
         return self._entry(row)
 
     # ------------------------------------------------------------------
@@ -437,16 +384,6 @@ class ScoreCache:
         self.hits += hit_count
         self.misses += n - hit_count
         fresh_rows = rows[fresh]
-        if self._cap is not None and hit_count:
-            # LRU order only matters under a cap; the uncapped streaming
-            # default skips the per-hit reorder entirely.
-            self._rerank(
-                fresh_rows,
-                (
-                    (space, *pairs[position])
-                    for position in np.nonzero(fresh)[0]
-                ),
-            )
         hit[:] = fresh
         raw[fresh] = self._raw[fresh_rows]
         bin_comparisons[fresh] = self._bin_comparisons[fresh_rows]
@@ -481,15 +418,12 @@ class ScoreCache:
             np.int64,
             count=n,
         )
-        self._stamp[rows] = np.arange(self._clock, self._clock + n)
-        self._clock += n
         self._u_version[rows] = u_versions
         self._v_version[rows] = v_versions
         self._raw[rows] = raw
         self._bin_comparisons[rows] = bin_comparisons
         self._common_windows[rows] = common_windows
         self._alibi_bin_pairs[rows] = alibi_bin_pairs
-        self._evict_lru()
         return n
 
     # ------------------------------------------------------------------
@@ -555,14 +489,14 @@ class ScoreCache:
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """The cache's whole state as a plain dict, for :meth:`restore`:
-        the live pairs in exact LRU order, their column values gathered
-        in that order (row numbering is allocation detail, not state),
-        the cap and the hit/miss counters — the same dict pickled is the
-        persisted cache and the cache payload of a linker snapshot.
+        the live pairs, their column values gathered in the same order,
+        and the hit/miss counters — the same dict pickled is the
+        persisted cache and the cache payload of a linker snapshot.  Key
+        order and row numbering are allocation detail, not state: two
+        caches holding the same pairs and values are the same cache.
         O(cache); a relink transaction uses :meth:`_begin` instead."""
         rows = np.fromiter(self._rows.values(), np.int64, count=len(self._rows))
         return {
-            "cap": self._cap,
             "keys": list(self._rows),
             "columns": tuple(column[rows] for column in self._columns()),
             "hits": self.hits,
@@ -571,10 +505,10 @@ class ScoreCache:
 
     def _begin(self) -> _CacheJournal:
         """Open a transaction: from here until :meth:`_commit`, every
-        key inserted, dropped or re-ranked is journaled on first touch
-        and no row is overwritten or recycled — O(writes), where
-        :meth:`checkpoint` is O(cache).  :meth:`restore` on the returned
-        journal undoes them."""
+        key inserted or dropped is journaled on first touch and no row
+        is overwritten or recycled — O(writes), where :meth:`checkpoint`
+        is O(cache).  :meth:`restore` on the returned journal undoes
+        them."""
         self._journal = _CacheJournal(self)
         return self._journal
 
@@ -587,10 +521,14 @@ class ScoreCache:
 
     def restore(self, state: Union[Dict[str, object], _CacheJournal]) -> None:
         """Become the cache a :meth:`checkpoint` captured — this one
-        rewound (rows stored since gone, rows evicted since back) or a
+        rewound (rows stored since gone, rows dropped since back) or a
         fresh one after a restart; the capture is only read, so it
         supports any number of restores.  Handed the journal of the open
-        transaction instead, undo exactly that transaction's writes."""
+        transaction instead, undo exactly that transaction's writes.
+
+        Captures written while the cache had an LRU cap also carry a
+        ``"cap"`` entry and list their keys in LRU order; both are
+        ignored."""
         self._journal = None
         if isinstance(state, _CacheJournal):
             self._rollback(state)
@@ -601,43 +539,27 @@ class ScoreCache:
             self._grow(max(_MIN_CAPACITY, count))
         for column, values in zip(self._columns(), state["columns"]):
             column[:count] = values
-        self._stamp[:count] = np.arange(count)
-        self._clock = count
-        self._rows = OrderedDict()
+        self._rows = {}
         self._by_left, self._by_right = {}, {}
         for row, key in enumerate(keys):
             self._link(key, row)
         self._free = []
         self._high = count
-        self._cap = state["cap"]
         self.hits = state["hits"]
         self.misses = state["misses"]
         self._mutations += 1
 
     def _rollback(self, journal: _CacheJournal) -> None:
         """Undo a transaction.  Quarantine kept every pre-transaction
-        row's values and stamp in place, so re-pointing the journaled
-        keys restores content; a key put back lands at the directory's
-        tail, so the LRU order is rebuilt from the stamps (O(cache log
-        cache) — paid by the failure, never by the capture)."""
-        reorder = bool(journal.stamps)
+        row's values in place, so re-pointing the journaled keys
+        restores the content."""
         for key, row in journal.prior.items():
             if key in self._rows:
                 self._unlink(key)
             if row is not None:
                 self._link(key, row)
-                reorder = True
-        for rows, stamps in reversed(journal.stamps):
-            self._stamp[rows] = stamps
-        if reorder:
-            keys = list(self._rows)
-            rows = np.fromiter(self._rows.values(), np.int64, count=len(keys))
-            order = np.argsort(self._stamp[rows])
-            self._rows = OrderedDict(
-                zip(map(keys.__getitem__, order.tolist()), rows[order].tolist())
-            )
         self._free.extend(reversed(journal.from_free))
-        self._high, self._clock = journal.high, journal.clock
+        self._high = journal.high
         self.hits, self.misses = journal.hits, journal.misses
         self._mutations = journal.mutations
 

@@ -33,12 +33,11 @@ The reuse machinery, stage by stage:
   candidate set ∪ a changed history at either end ∪ invalidated by IDF
   drift — a third entity's new bins can move the document frequency,
   hence the idf weight, inside an otherwise untouched pair.  Every other
-  pair is the cache hit it would have been, and is counted as one.  With
-  the default ``idf_tolerance=0.0`` any drift on a shared bin invalidates
-  its holders, which makes an incremental relink produce **exactly** the
-  links and scores of a cold full relink; a positive tolerance trades
-  small controlled staleness for more reuse.  The table is derived state:
-  when the cache changed behind its back (a cap evicting, ``clear()``,
+  pair is the cache hit it would have been, and is counted as one.  Any
+  drift on a shared bin invalidates its holders (and a corpus-size change
+  the whole side), which makes an incremental relink produce **exactly**
+  the links and scores of a cold full relink.  The table is derived
+  state: when the cache changed behind its back (``clear()``,
   :meth:`StreamingLinker.retire`, a restore) it is started over, and the
   "full pass" is nothing but that — every candidate new again.
 * **Matching / threshold** — recomputed in full each relink (they are
@@ -320,7 +319,7 @@ class RelinkStats:
         Histories that grew (or appeared) since the previous relink.
     idf_invalidated:
         Cached pair totals dropped because a shared bin's IDF drifted
-        beyond the linker's ``idf_tolerance``.
+        (or the corpus size, hence every IDF on that side, moved).
     lsh_rebuilt:
         True when the LSH index had to be rebuilt from scratch (first
         relink, or the signature layout changed); False for delta
@@ -345,23 +344,12 @@ class RelinkStats:
 class StreamingLinker:
     """Maintains two growing datasets and relinks on demand.
 
-    ``idf_tolerance`` bounds the IDF staleness an incremental relink may
-    keep: a cached pair score is reused only while every shared bin's idf
-    moved by at most this much since the pair was scored (drift is
-    accumulated across relinks — many small deltas count as their sum,
-    never less).  The default
-    ``0.0`` keeps incremental relinks *exactly* equal to cold ones (the
-    parity pinned by ``tests/core/test_streaming_incremental.py``);
-    larger values reuse more of the cache on churny corpora.
+    An incremental relink is *exactly* equal to a cold one (the parity
+    pinned by ``tests/core/test_streaming_incremental.py``): a cached
+    pair score is reused only while neither history grew and no shared
+    bin's idf moved since the pair was scored.
 
-    ``score_cache_cap`` optionally bounds the score cache (entries, LRU
-    eviction); the default keeps every candidate pair, which is the
-    working set of a relink — note that without a cap, pairs that leave
-    the candidate set (LSH churn) keep their entries, so a very
-    long-lived linker on a churny stream should set a cap (a cap at
-    least the candidate-set size preserves the zero-delta no-op).
-
-    ``retention`` bounds *everything else*: a
+    ``retention`` bounds memory: a
     :class:`~repro.core.retention.RetentionPolicy` (or the one named by
     the config's ``retention`` / ``retention_window`` fields) retires
     entities that left the live working set ahead of every relink.
@@ -376,16 +364,13 @@ class StreamingLinker:
     ``score_cache`` attaches an external score cache — typically one
     persisted by :meth:`~repro.core.score_cache.ScoreCache.save` and
     reloaded with :meth:`~repro.core.score_cache.ScoreCache.load` —
-    instead of creating a private one (``score_cache_cap`` is ignored
-    then; cap the cache you pass).
+    instead of creating a private one.
     """
 
     def __init__(
         self,
         origin: float,
         config: Optional[LinkageConfig] = None,
-        idf_tolerance: float = 0.0,
-        score_cache_cap: Optional[int] = None,
         retention: Optional[RetentionPolicy] = None,
         score_cache: Optional[ScoreCache] = None,
         storage: str = "memory",
@@ -393,8 +378,6 @@ class StreamingLinker:
         store_chunk_rows: Optional[int] = None,
         store_cache_chunks: int = 8,
     ) -> None:
-        if idf_tolerance < 0.0:
-            raise ValueError("idf tolerance must be non-negative")
         if storage not in ("memory", "disk"):
             raise ValueError(
                 f"storage must be 'memory' or 'disk', got {storage!r}"
@@ -417,7 +400,6 @@ class StreamingLinker:
         self._store_chunk_rows = store_chunk_rows
         self._store_cache_chunks = store_cache_chunks
         self.config = config if config is not None else LinkageConfig()
-        self.idf_tolerance = idf_tolerance
         self.windowing = Windowing(origin, self.config.similarity.window_width_seconds)
         self._storage_level = self.config.resolved_storage_level()
         self._sides: Dict[str, Dict[str, MobilityHistory]] = {
@@ -426,9 +408,7 @@ class StreamingLinker:
         }
         self._latest = origin
         self._score_cache = (
-            score_cache
-            if score_cache is not None
-            else ScoreCache(cap=score_cache_cap)
+            score_cache if score_cache is not None else ScoreCache()
         )
         self._retention = (
             retention
@@ -446,17 +426,6 @@ class StreamingLinker:
         self._lsh_members: Dict[str, Dict[str, int]] = {"left": {}, "right": {}}
         self._pair_table = _PairTable(self._score_cache)
         self._last_relink: Optional[RelinkStats] = None
-        # Accumulated IDF drift per bin (and per side globally) since the
-        # affected cache entries were last invalidated.  Tolerance is
-        # checked against the *accumulated* value, so repeated
-        # under-tolerance refreshes cannot compound into unbounded
-        # staleness; invalidating a bin's holders resets its accumulator
-        # (those pairs get re-scored with current IDFs).
-        self._pending_drift: Dict[str, Dict[Tuple[int, int], float]] = {
-            "left": {},
-            "right": {},
-        }
-        self._pending_global: Dict[str, float] = {"left": 0.0, "right": 0.0}
 
     # ------------------------------------------------------------------
     # ingestion
@@ -633,7 +602,6 @@ class StreamingLinker:
         state = {
             "origin": self.windowing.origin,
             "config": self.config,
-            "idf_tolerance": self.idf_tolerance,
             "retention": self._retention,
             "latest": self._latest,
             "sides": _copy_sides(self._sides),
@@ -649,8 +617,6 @@ class StreamingLinker:
                 else index._begin() if journal else index.checkpoint()
             ),
             "lsh_members": _copy_sides(self._lsh_members),
-            "pending_drift": _copy_sides(self._pending_drift),
-            "pending_global": dict(self._pending_global),
             "last_relink": self._last_relink,
         }
         if journal:
@@ -668,7 +634,10 @@ class StreamingLinker:
         """Become the linker a capture holds — this one rewound after a
         failed relink (the transaction's journals replayed), or an empty
         one after a restart (:meth:`restore` constructs it from a full
-        capture's origin, config, tolerance and retention).
+        capture's origin, config and retention).  Keys a capture carries
+        beyond the ones read here are ignored: snapshots written while a
+        relink could tolerate IDF drift also hold that tolerance and its
+        per-bin drift accumulators.
 
         The sides dicts are refilled *in place* (corpora reference them
         as their histories mapping).  A component absent from the
@@ -713,8 +682,6 @@ class StreamingLinker:
             self._pair_table = saved.table
             saved.table.restore(saved)
         self._lsh_members = _copy_sides(state["lsh_members"])
-        self._pending_drift = _copy_sides(state["pending_drift"])
-        self._pending_global = dict(state["pending_global"])
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -783,7 +750,6 @@ class StreamingLinker:
         linker = cls(
             state["origin"],
             config=state["config"],
-            idf_tolerance=state["idf_tolerance"],
             retention=state["retention"],
             storage=storage,
             store_dir=store_dir,
@@ -871,40 +837,22 @@ class StreamingLinker:
     def _idf_affected(
         self, side: str, delta: Optional[CorpusDelta]
     ) -> Set[str]:
-        """Entities whose cached pair totals the delta's IDF movement may
-        have silently changed (beyond the configured tolerance).
-
-        Drift is accumulated across refreshes and compared to the
-        tolerance cumulatively, so a sequence of small deltas cannot
-        sneak unbounded staleness past the bound; once a bin's holders
-        are invalidated (forcing a re-score at current IDFs), its
-        accumulator restarts.  History versions already invalidate pairs
-        of *dirty* entities, so those are excluded; what remains are
-        clean holders of drifted bins — and every entity when the corpus
-        size itself changed.
+        """Entities whose cached pair totals the delta's IDF movement has
+        silently changed: every entity when the corpus size moved (every
+        idf on the side shifted), else the holders of the shared bins
+        whose document frequency moved.  History versions already
+        invalidate pairs of *dirty* entities, so those are excluded.
         """
         if delta is None or delta.empty:
             return set()
         corpus = self._corpora[side]
         assert corpus is not None
-        tolerance = self.idf_tolerance
         dirty = set(delta.dirty_entities)
-        pending = self._pending_drift[side]
-        self._pending_global[side] += delta.global_drift
-        for key, drift in delta.idf_drift.items():
-            pending[key] = pending.get(key, 0.0) + drift
-        if self._pending_global[side] > tolerance:
-            # Every idf on this side moved too far: the whole side's
-            # cached pairs go, and all accumulators restart with them.
-            self._pending_global[side] = 0.0
-            pending.clear()
+        if delta.global_drift > 0.0:
             return set(corpus.entities) - dirty
-        drifted = [key for key, drift in pending.items() if drift > tolerance]
-        if not drifted:
+        if not delta.idf_drift:
             return set()
-        for key in drifted:
-            del pending[key]
-        return corpus.entities_with_bins(drifted) - dirty
+        return corpus.entities_with_bins(delta.idf_drift) - dirty
 
     def _lsh_update(self) -> Tuple[LshIndex, bool]:
         """Bring the persistent LSH index up to date with the histories.
@@ -979,7 +927,7 @@ class StreamingLinker:
 
         The result is exactly what a cold relink over the same data would
         produce (see the module docstring for the invalidation rules that
-        guarantee it at ``idf_tolerance=0.0``).
+        guarantee it).
 
         The relink is **all-or-nothing**: retirement evictions, corpus
         refreshes, LSH placements, score-cache and pair-table writes are
@@ -1021,8 +969,8 @@ class StreamingLinker:
 
         clock = time.perf_counter()
         if not self._pair_table.resident:
-            # Rows left the cache behind the table's back (a cap, a
-            # clear(), another owner, an explicit retire()): what it
+            # Rows left the cache behind the table's back (a clear(),
+            # another owner, an explicit retire(), a restore): what it
             # remembers proves nothing, so every candidate is new again.
             self._pair_table = _PairTable(self._score_cache)
         retired = {side: self._retire(side) for side in ("left", "right")}

@@ -17,7 +17,6 @@ from .metrics import (
     speedup,
 )
 from .reporting import (
-    fault_table,
     format_table,
     parallel_efficiency_table,
     retention_table,
@@ -43,7 +42,6 @@ __all__ = [
     "format_table",
     "parallel_efficiency_table",
     "retention_table",
-    "fault_table",
     "serving_table",
     "write_report",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "stage_timings_table",
     "parallel_efficiency_table",
     "retention_table",
-    "fault_table",
     "scenario_table",
     "serving_table",
 ]
@@ -180,61 +179,6 @@ def retention_table(
         for snapshot in snapshots
     ]
     return format_table(rows, columns=columns, precision=precision, title=title)
-
-
-#: Column order of :func:`fault_table`.
-_FAULT_COLUMNS = (
-    "linker",
-    "executor",
-    "faults",
-    "retries",
-    "timeouts",
-    "worker_crashes",
-    "task_errors",
-    "degraded",
-)
-
-
-def fault_table(
-    reports: Mapping[str, object],
-    precision: int = 4,
-    title: Optional[str] = None,
-) -> str:
-    """Fault-recovery activity of each run's scoring fan-out.
-
-    ``reports`` maps a label to any object with the
-    :class:`~repro.pipeline.report.LinkageReport` surface.  Per row: the
-    executor backend, the recovery counters the scoring stage deposited
-    in ``extras["faults"]`` (failed attempts, retries they triggered, the
-    timeout / worker-crash subsets, tasks that stayed failed) and whether
-    the dispatch degraded to the serial oracle mid-run.  A run without
-    fault activity renders as zeros — the row you *want* to see.
-    """
-    rows = []
-    for label, report in reports.items():
-        extras = getattr(report, "extras", {}) or {}
-        if not isinstance(extras, dict):
-            extras = {}
-        info = extras.get("executor", {})
-        faults = extras.get("faults", {})
-        row: Dict[str, object] = {
-            "linker": label,
-            "executor": (
-                info.get("name", "serial") if isinstance(info, dict) else "serial"
-            ),
-        }
-        for column in _FAULT_COLUMNS[2:]:
-            default: object = False if column == "degraded" else 0
-            value = (
-                faults.get(column, default)
-                if isinstance(faults, dict)
-                else default
-            )
-            row[column] = value
-        rows.append(row)
-    return format_table(
-        rows, columns=list(_FAULT_COLUMNS), precision=precision, title=title
-    )
 
 
 #: Column order of :func:`scenario_table`.

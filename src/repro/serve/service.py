@@ -25,7 +25,7 @@ Architecture (one writer, many readers, bounded everything):
   the snapshot version and event-time watermark.
 
 Because a delta relink is bit-identical to a cold relink over the same
-state (``idf_tolerance=0``), the final published snapshot equals an
+state, the final published snapshot equals an
 offline :class:`~repro.core.streaming.StreamingLinker` replay of the same
 events regardless of how the scheduler batched them — the parity anchor
 ``tests/serve/`` pins per executor backend.

@@ -79,7 +79,10 @@ __all__ = [
 #: ``entity_bins`` / ``df_slot`` dicts).  Format-4 residents written
 #: while ``WindowIndex`` still had a ``slices`` dict carry it as a dead
 #: attribute; an entity drops it when a refresh re-reads it or a
-#: compaction rebases it.
+#: compaction rebases it.  Format-4 states written while a relink could
+#: tolerate IDF drift carry that tolerance and the drift accumulators,
+#: and their cache payloads a ``cap`` and LRU-ordered keys; all of it
+#: is ignored on restore.
 SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"

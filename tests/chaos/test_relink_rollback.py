@@ -172,15 +172,20 @@ class TestRelinkRollback:
 def _layers(linker):
     """Everything a relink transaction writes, by value: the index's
     buckets / placements / stats and maintained pair set, the cache's
-    rows in LRU order and its counters, the pair table, the report."""
+    pair -> values mapping and its counters, the pair table, the report."""
     index, cache = linker._lsh_index, linker.score_cache.checkpoint()
-    cache["columns"] = [column.tolist() for column in cache["columns"]]
-    # By pair: the scoring space embeds each linker's own corpus tokens.
-    cache["keys"] = [key[1:] for key in cache["keys"]]
+    # By pair (the scoring space embeds each linker's own corpus tokens),
+    # as a mapping: key order is not cache state.
+    entries = dict(
+        zip(
+            (key[1:] for key in cache["keys"]),
+            zip(*(column.tolist() for column in cache["columns"])),
+        )
+    )
     return (
         index.checkpoint(),
         set(index._pairs),
-        cache,
+        (entries, cache["hits"], cache["misses"]),
         linker._pair_table.resident,
         linker._pair_table.content(),
         linker.memory_stats(),
@@ -188,27 +193,25 @@ def _layers(linker):
     )
 
 
-@pytest.mark.parametrize("cap", [None, 4000])
-def test_failure_at_any_point_rolls_back_every_layer(sm_pair, relink_failures, cap):
+def test_failure_at_any_point_rolls_back_every_layer(sm_pair, relink_failures):
     """A *delta* round (persistent index, resident pair table, journal
     instead of a full capture) failing after retention, with the index
     half-updated, with the re-scored rows already stored, in matching or
     in threshold: every layer reads as before — so the next failure
     starts from the same state — and the final retry equals a control
-    linker that never failed.  Uncapped (the delta path) and under a cap
-    (LRU order is state; every round rebuilds the table)."""
+    linker that never failed."""
     config = LinkageConfig(
         lsh=LshConfig(threshold=0.3, step_windows=48, spatial_level=14)
     )
     late = _midpoint(sm_pair, 0.95)
-    linker = StreamingLinker(_origin(sm_pair), config, score_cache_cap=cap)
-    control = StreamingLinker(_origin(sm_pair), config, score_cache_cap=cap)
+    linker = StreamingLinker(_origin(sm_pair), config)
+    control = StreamingLinker(_origin(sm_pair), config)
     for target in (linker, control):
         _feed(target, sm_pair, hi=late)
         target.relink()
         _feed(target, sm_pair, lo=late)
     before = _layers(linker)
-    assert before[3] == (cap is None)
+    assert before[3]  # the pair table is resident: the delta path
 
     for point in relink_failures.points:
         with relink_failures(point), pytest.raises(relink_failures.Boom):

@@ -188,7 +188,7 @@ class TestEdgeCases:
 
     def test_many_cells_one_window(self):
         """A single window with many distinct cells on both sides drives
-        the padded matrix buckets (and the MFN pass) hard."""
+        one large exact-shape pairing tensor (and the MFN pass) hard."""
         rng = np.random.default_rng(404)
         left_rows = [
             (float(rng.uniform(0, 890)), 37.7 + 0.02 * k, -122.4 - 0.015 * k)
@@ -483,8 +483,8 @@ class TestDistanceTable:
 class TestAccumulationOrder:
     @pytest.mark.parametrize("world", ["random", "cab"])
     def test_a_pairs_total_ignores_its_companions(self, world, cab_pair):
-        """Whether a pair's interactions share paths and buckets with
-        other pairs' or not — whole block, reversed block, every other
+        """Whether a pair's interactions share shape groups with other
+        pairs' or not — whole block, reversed block, every other
         pair, alone — its total and counters are the same bits."""
         if world == "cab":
             left, right = _cab_corpora(cab_pair)

@@ -117,7 +117,7 @@ def _generate(seed, steps, points, *, clearable):
 class _Trio:
     """Subject, twin and the record log the cold linker is built from."""
 
-    def __init__(self, config, tmp_path, failures, *, cap, attached):
+    def __init__(self, config, tmp_path, failures, *, attached):
         self.config = config
         self.tmp_path = tmp_path
         self.failures = failures
@@ -125,8 +125,8 @@ class _Trio:
 
         def linker():
             if attached:
-                return StreamingLinker(0.0, config, score_cache=ScoreCache(cap=cap))
-            return StreamingLinker(0.0, config, score_cache_cap=cap)
+                return StreamingLinker(0.0, config, score_cache=ScoreCache())
+            return StreamingLinker(0.0, config)
 
         self.subject, self.twin = linker(), linker()
         self.log = {side: {} for side in SIDES}
@@ -210,16 +210,13 @@ class _Trio:
 
 SCENARIOS = {
     "lsh": dict(lsh=LSH),
-    "lsh-capped": dict(lsh=LSH, cap=40),
     "lsh-sliding-window": dict(
         lsh=LSH, retention="sliding_window", retention_window=40
     ),
     "lsh-attached-cleared": dict(lsh=LSH, attached=True),
     "lsh-sharded": dict(lsh=LSH, score_block_size=8),
     "brute": dict(),
-    "brute-max-entities": dict(
-        retention="max_entities", retention_window=8, cap=60
-    ),
+    "brute-max-entities": dict(retention="max_entities", retention_window=8),
     "python-oracle": dict(lsh=LSH, backend="python"),
 }
 
@@ -229,7 +226,6 @@ SCENARIOS = {
     [
         ("lsh", 3),
         ("lsh", 17),
-        ("lsh-capped", 3),
         ("lsh-sliding-window", 17),
         ("lsh-attached-cleared", 3),
         ("lsh-sharded", 17),
@@ -243,7 +239,6 @@ def test_any_update_sequence_equals_from_scratch(
     scenario, seed, tmp_path, relink_failures
 ):
     options = dict(SCENARIOS[scenario])
-    cap = options.pop("cap", None)
     attached = options.pop("attached", False)
     backend = options.pop("backend", "numpy")
     config = LinkageConfig(threshold="none", **options)
@@ -252,7 +247,7 @@ def test_any_update_sequence_equals_from_scratch(
             similarity=config.similarity.without(backend=backend)
         )
     ops = _generate(seed, 40, relink_failures.points, clearable=attached)
-    trio = _Trio(config, tmp_path, relink_failures, cap=cap, attached=attached)
+    trio = _Trio(config, tmp_path, relink_failures, attached=attached)
     for done, op in enumerate(ops, start=1):
         try:
             trio.apply(op)
@@ -265,7 +260,7 @@ def test_any_update_sequence_equals_from_scratch(
 
 def test_the_subject_really_takes_the_delta_path():
     """The gate above would pass vacuously if the subject rebuilt every
-    round too: on an uncapped LSH run most relinks must leave most pairs
+    round too: on an LSH run most relinks must leave most pairs
     untouched."""
     config = LinkageConfig(threshold="none", lsh=LSH)
     linker = StreamingLinker(0.0, config)

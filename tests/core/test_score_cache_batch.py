@@ -94,38 +94,6 @@ class TestLookupBatch:
         assert cache.lookup("s", "a", "x", 1, 0).raw == 7.0
 
 
-class TestCapWithBatches:
-    def test_store_batch_respects_cap(self):
-        cache = ScoreCache(cap=2)
-        pairs = [("a", "x"), ("b", "y"), ("c", "z")]
-        _store_batch(cache, "s", pairs, [0, 0, 0], [0, 0, 0], [1.0, 2.0, 3.0])
-        assert len(cache) == 2
-        assert cache.lookup("s", "a", "x", 0, 0) is None  # oldest evicted
-        assert cache.lookup("s", "c", "z", 0, 0).raw == 3.0
-
-    def test_batch_hits_refresh_lru_order_under_cap(self):
-        cache = ScoreCache(cap=2)
-        _store_batch(cache, "s", [("a", "x"), ("b", "y")], [0, 0], [0, 0], [1.0, 2.0])
-        # Touch "a" via the batch path, then insert a third entry: "b"
-        # (now least recent) should be the one evicted.
-        batch = cache.lookup_batch(
-            "s", [("a", "x")], np.array([0]), np.array([0])
-        )
-        assert batch.hit[0]
-        _store_batch(cache, "s", [("c", "z")], [0], [0], [3.0])
-        assert cache.lookup("s", "b", "y", 0, 0) is None
-        assert cache.lookup("s", "a", "x", 0, 0) is not None
-
-    def test_row_recycling_bounds_storage(self):
-        cache = ScoreCache(cap=4)
-        for round_number in range(10):
-            pairs = [(f"u{round_number}", f"v{k}") for k in range(4)]
-            _store_batch(cache, "s", pairs, [0] * 4, [0] * 4, [1.0] * 4)
-        assert len(cache) == 4
-        # High-water mark stays at the working-set size: rows recycle.
-        assert cache._high <= 8
-
-
 class TestInvalidation:
     def test_invalidate_pairs_frees_rows_for_reuse(self):
         cache = ScoreCache()

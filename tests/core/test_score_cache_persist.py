@@ -16,8 +16,8 @@ from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.temporal import Windowing
 
 
-def _populated_cache(cap=None):
-    cache = ScoreCache(cap=cap)
+def _populated_cache():
+    cache = ScoreCache()
     cache.store("space-a", "u", "v", 1, 2, raw=1.5,
                 bin_comparisons=4, common_windows=2, alibi_bin_pairs=1)
     cache.store("space-a", "w", "x", 0, 0, raw=-0.25,
@@ -45,12 +45,12 @@ class TestRoundTrip:
         loaded = ScoreCache.load(path)
         assert loaded.lookup("space-a", "u", "v", 9, 2) is None
 
-    def test_cap_and_counters_survive(self, tmp_path):
-        cache = _populated_cache(cap=16)
-        hits, misses = cache.hits, cache.misses
+    def test_counters_survive(self, tmp_path):
+        cache = _populated_cache()
+        cache.lookup("space-a", "u", "v", 1, 2)  # hit
+        cache.lookup("space-a", "n", "o", 0, 0)  # miss
         loaded = ScoreCache.load(cache.save(tmp_path / "scores"))
-        assert loaded._cap == 16
-        assert (loaded.hits, loaded.misses) == (hits, misses)
+        assert (loaded.hits, loaded.misses) == (1, 1)
 
     def test_batch_lookup_after_load(self, tmp_path):
         loaded = ScoreCache.load(

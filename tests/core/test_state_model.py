@@ -11,9 +11,9 @@ LSH index, chunk store, the whole linker — the same two properties:
   plain containers, arrays and scalars, picklable as-is.
 
 "Continues" means a scripted tail of further operations whose every
-observable (links, scores, ``RelinkStats``, cache hit/miss counters, LRU
-order, per-entity array slices, bucket tables, column bytes) is compared
-with ``==``, never ``approx``.
+observable (links, scores, ``RelinkStats``, cache hit/miss counters, the
+cache's pair -> values mapping, per-entity array slices, bucket tables,
+column bytes) is compared with ``==``, never ``approx``.
 
 Plus a completeness check on the linker: every attribute
 ``_relink_once`` mutates is inside the capture.
@@ -156,6 +156,17 @@ class _DiskCorpusCase(_CorpusCase):
     storage = "disk"
 
 
+def _entries(capture, by=lambda key: key):
+    """A score-cache capture as ``{by(key): column values}``: key order
+    is not cache state."""
+    return dict(
+        zip(
+            map(by, capture["keys"]),
+            zip(*(column.tolist() for column in capture["columns"])),
+        )
+    )
+
+
 class _ScoreCacheCase:
     @staticmethod
     def _store(cache, space, k, version=0):
@@ -163,10 +174,10 @@ class _ScoreCacheCase:
                     bin_comparisons=k, common_windows=k % 3, alibi_bin_pairs=k % 2)
 
     def build(self, tmp):
-        cache = ScoreCache(cap=8)
-        for k in range(12):  # four LRU evictions
+        cache = ScoreCache()
+        for k in range(12):
             self._store(cache, "a" if k % 2 else ("b", 1), k)
-        cache.lookup("a", "u7", "v3", 0, 0)  # hit: reorders the LRU
+        cache.lookup("a", "u7", "v3", 0, 0)  # hit
         cache.lookup("a", "u9", "v1", 5, 0)  # stale: evicted, a free row
         cache.invalidate_pairs({"u10"}, set(), space=("b", 1))
         cache.invalidate_pairs(set(), {"v3"}, space=None)
@@ -185,13 +196,13 @@ class _ScoreCacheCase:
         pass
 
     def disturb(self, cache):
-        cache.lookup(("b", 1), "u6", "v2", 0, 0)  # hit: re-ranked in place
+        cache.lookup(("b", 1), "u6", "v2", 0, 0)  # hit
         for k in range(20, 31):
             self._store(cache, "c", k)
         cache.invalidate_pairs({"u5", "u8"}, set())
         cache.lookup("a", "u5", "v1", 0, 0)
         self._store(cache, "c", 30, version=1)  # over an existing key
-        cache.lookup_batch(  # a hit re-ranked, a stale row dropped
+        cache.lookup_batch(  # a hit, a stale row dropped
             "c", [("u29", "v1"), ("u28", "v0")], np.array([0, 3]), np.array([0, 0])
         )
 
@@ -204,16 +215,11 @@ class _ScoreCacheCase:
             np.array([0, 0, 0, 0]),
             np.array([0, 0, 0, 0]),
         )
-        for k in range(40, 44):  # push past the cap again
-            self._store(cache, "a", k)
-        lru = cache.checkpoint()
         return (
             len(cache),
             cache.hits,
             cache.misses,
-            lru["cap"],
-            lru["keys"],  # exact LRU order, oldest first
-            [column.tolist() for column in lru["columns"]],
+            _entries(cache.checkpoint()),
             [column.tolist() for column in dataclasses.astuple(batch)],
             cache.lookup(("b", 1), "u4", "v0", 2, 0),
         )
@@ -350,10 +356,10 @@ def _report_view(linker, report, garbage_kept):
         report.threshold.threshold,
         report.candidate_pairs,
         linker.last_relink,
-        # LRU order by pair: the scoring space embeds the twin's own
+        # Entries by pair: the scoring space embeds the twin's own
         # process-local corpus tokens (their carry-over is what the
         # hit/miss counters prove).
-        (cache["hits"], cache["misses"], [key[1:] for key in cache["keys"]]),
+        (cache["hits"], cache["misses"], _entries(cache, by=lambda key: key[1:])),
         linker.watermark,
         {
             key: value
@@ -366,13 +372,12 @@ def _report_view(linker, report, garbage_kept):
 class _LinkerCase:
     """The whole linker — a persistent LSH index (one 12-hour signature
     slot, so rounds re-signature in place instead of rebuilding),
-    retention, a capped cache and a generous IDF tolerance (so pending
-    drift accumulates across relinks) — so every captured field is live.
-    ``checkpoint`` is taken with a round of observed-but-unlinked data
-    pending, exactly where ``relink()`` takes it."""
+    retention and a resident pair table (so relinks take the delta
+    path) — so every captured field is live.  ``checkpoint`` is taken
+    with a round of observed-but-unlinked data pending, exactly where
+    ``relink()`` takes it."""
 
     storage = "memory"
-    cap = 150
     config = LinkageConfig(
         lsh=LshConfig(threshold=0.3, step_windows=48, spatial_level=14),
         threshold="none",
@@ -391,13 +396,7 @@ class _LinkerCase:
         }
 
     def build(self, tmp):
-        linker = StreamingLinker(
-            0.0,
-            self.config,
-            idf_tolerance=1.0,
-            score_cache_cap=self.cap,
-            **self._options(tmp / "store"),
-        )
+        linker = StreamingLinker(0.0, self.config, **self._options(tmp / "store"))
         for round_index in range(3):
             _observe(linker, round_index)
             linker.relink()
@@ -412,10 +411,7 @@ class _LinkerCase:
 
     def fresh(self, state, tmp):
         return StreamingLinker(
-            state["origin"],
-            state["config"],
-            idf_tolerance=state["idf_tolerance"],
-            retention=state["retention"],
+            state["origin"], state["config"], retention=state["retention"]
         )  # in memory either way; disk readers: the save→restore test below
 
     def after_restart(self, linker):
@@ -436,13 +432,6 @@ class _DiskLinkerCase(_LinkerCase):
     storage = "disk"
 
 
-class _UncappedLinkerCase(_LinkerCase):
-    """No cap: hits have no side effect on the cache, so the pair table
-    stays resident and relinks take the delta path."""
-
-    cap = None
-
-
 CASES = {
     "corpus-memory": _CorpusCase,
     "corpus-disk": _DiskCorpusCase,
@@ -451,7 +440,6 @@ CASES = {
     "chunk-store": _ChunkStoreCase,
     "linker-memory": _LinkerCase,
     "linker-disk": _DiskLinkerCase,
-    "linker-uncapped": _UncappedLinkerCase,
 }
 
 
@@ -497,8 +485,8 @@ def test_restart_from_the_pickled_capture_continues_bit_identically(
 
 def _cache_invariants(cache):
     """What the capture drops must still be sound: every allocated row
-    is live or free exactly once, the per-entity key index matches the
-    directory, and the directory is in stamp (LRU) order."""
+    is live or free exactly once, and the per-entity key index matches
+    the directory."""
     rows = list(cache._rows.values())
     assert sorted(rows + cache._free) == list(range(cache._high))
     for by_entity, position in ((cache._by_left, 1), (cache._by_right, 2)):
@@ -506,8 +494,6 @@ def _cache_invariants(cache):
         for key in cache._rows:
             expected.setdefault(key[position], set()).add(key)
         assert by_entity == expected
-    stamps = cache._stamp[rows].tolist()
-    assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
 
 
 @pytest.mark.parametrize("name", ["score-cache", "lsh-index"])
@@ -650,9 +636,9 @@ def _fingerprint(value):
     """Deep, order-insensitive-for-dicts structural fingerprint of
     ``vars()``, by value.  Histories, the score cache, the LSH index and
     the pair table are read through their logical content: histories
-    memoise derived bins/trees on demand, the cache's row numbering (and
-    its per-entity key index) is allocation detail its capture
-    deliberately drops, the index's maintained pair set is re-derived
+    memoise derived bins/trees on demand, the cache's key order and row
+    numbering (and its per-entity key index) are allocation detail its
+    capture deliberately drops, the index's maintained pair set is re-derived
     from its buckets, and a pair table says something only while it is
     resident — one the cache has moved past is as good as empty, which
     is exactly what a restored linker starts with."""
@@ -666,8 +652,10 @@ def _fingerprint(value):
         )
     if isinstance(value, ScoreCache):
         state = value.checkpoint()
-        state["columns"] = [column.tolist() for column in state["columns"]]
-        return ("score-cache", _fingerprint(state))
+        return (
+            "score-cache",
+            _fingerprint((_entries(state), state["hits"], state["misses"])),
+        )
     if isinstance(value, LshIndex):
         return ("lsh-index", _fingerprint(value.checkpoint()))
     if isinstance(value, _PairTable):
@@ -691,14 +679,10 @@ def _fingerprint(value):
     return value
 
 
-@pytest.mark.parametrize("case_type", [_LinkerCase, _UncappedLinkerCase])
-def test_every_attribute_a_relink_mutates_is_captured(
-    case_type, tmp_path, relink_failures
-):
-    case = case_type()
-    linker = case.build(tmp_path)
+def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures):
+    linker = _LinkerCase().build(tmp_path)
     before = _fingerprint(vars(linker))
-    assert linker._pair_table.resident == (case.cap is None)
+    assert linker._pair_table.resident
 
     # After a failed relink + rollback: nothing moved — wherever the
     # failure lands: with retention applied, with the LSH index
@@ -714,13 +698,10 @@ def test_every_attribute_a_relink_mutates_is_captured(
 
     # After save + restore: a different process's linker, same state —
     # but for the derived pair table, which a restored linker starts
-    # empty (the fingerprint of one the cache has moved past, which is
-    # what the capped linker's always is).
-    derived = set() if case.cap is not None else {"_pair_table"}
-
+    # empty.
     def captured(subject):
         return _fingerprint(
-            {k: v for k, v in vars(subject).items() if k not in derived}
+            {k: v for k, v in vars(subject).items() if k != "_pair_table"}
         )
 
     before_captured = captured(linker)
@@ -737,7 +718,8 @@ def test_every_attribute_a_relink_mutates_is_captured(
         for name, value in vars(linker).items()
         if _fingerprint(value) != dict(before[1])[repr(name)]
     }
-    assert moved >= {"_corpora", "_score_cache", "_lsh_index", "_last_relink"}
-    assert ("_pair_table" in moved) == (case.cap is None)
+    assert moved >= {
+        "_corpora", "_score_cache", "_lsh_index", "_last_relink", "_pair_table"
+    }
     linker._restore(after_commit)
     assert captured(linker) == before_captured

@@ -39,8 +39,8 @@ def _split_records(pair, fraction=0.75, moved_entities=()):
     return start, initial, delta
 
 
-def _warm_linker(origin, initial, config, **kwargs):
-    linker = StreamingLinker(origin=origin, config=config, **kwargs)
+def _warm_linker(origin, initial, config):
+    linker = StreamingLinker(origin=origin, config=config)
     linker.observe("left", initial["left"])
     linker.observe("right", initial["right"])
     return linker
@@ -140,57 +140,6 @@ class TestIncrementalColdParity:
         assert linker.last_relink.pairs_rescored == linker.last_relink.candidate_pairs
 
         _assert_results_match(incremental, _cold_result(origin, initial, delta, config))
-
-    def test_idf_tolerance_accumulates_across_relinks(self):
-        """Repeated under-tolerance drifts must count as their sum: once
-        the accumulated drift on a bin crosses the tolerance, its holders
-        are invalidated (and the accumulator restarts)."""
-        from repro.core.corpus import CorpusDelta
-
-        linker = StreamingLinker(origin=0.0, idf_tolerance=0.5)
-        linker.observe(
-            "left",
-            [Record("a", 37.77, -122.42, 10.0), Record("b", 37.77, -122.42, 20.0)],
-        )
-        linker.observe("right", [Record("v", 37.77, -122.42, 30.0)])
-        linker.relink()
-        corpus = linker._corpora["left"]
-        window, cells = next(iter(corpus.history("a").bins(corpus.level).items()))
-        shared_bin = (window, cells[0])
-        drip = CorpusDelta(("ghost",), {shared_bin: 0.3}, 0.0)
-        assert linker._idf_affected("left", drip) == set()  # 0.3 <= 0.5
-        affected = linker._idf_affected("left", drip)  # accumulated 0.6
-        assert {"a", "b"} <= affected
-        # Invalidation reset the accumulator; the next drip is small again.
-        assert linker._idf_affected("left", drip) == set()
-
-    def test_global_drift_accumulates_across_relinks(self):
-        from repro.core.corpus import CorpusDelta
-
-        linker = StreamingLinker(origin=0.0, idf_tolerance=0.5)
-        linker.observe("left", [Record("a", 37.77, -122.42, 10.0)])
-        linker.observe("right", [Record("v", 37.77, -122.42, 30.0)])
-        linker.relink()
-        drip = CorpusDelta(("ghost",), {}, 0.3)
-        assert linker._idf_affected("left", drip) == set()
-        assert "a" in linker._idf_affected("left", drip)  # 0.6 > 0.5
-        assert linker._idf_affected("left", drip) == set()  # restarted
-
-    def test_idf_tolerance_trades_exactness_for_reuse(self, cab_pair):
-        """A generous tolerance must reuse strictly more of the cache than
-        tolerance zero on the same delta (and still link sensibly)."""
-        moved = set(cab_pair.left.entities[:3])
-        origin, initial, delta = _split_records(cab_pair, moved_entities=moved)
-        rescored = {}
-        for tolerance in (0.0, 10.0):
-            linker = _warm_linker(
-                origin, initial, LinkageConfig(), idf_tolerance=tolerance
-            )
-            linker.relink()
-            linker.observe("left", delta["left"])
-            linker.relink()
-            rescored[tolerance] = linker.last_relink.pairs_rescored
-        assert rescored[10.0] <= rescored[0.0]
 
 
 class TestStreamingEdgeCases:
@@ -382,14 +331,6 @@ class TestCorpusRefresh:
 
 
 class TestScoreCacheUnits:
-    def test_lru_eviction_beyond_cap(self):
-        cache = ScoreCache(cap=2)
-        for name in ("a", "b", "c"):
-            cache.store("s", name, "x", 0, 0, 1.0, 1, 1, 0)
-        assert len(cache) == 2
-        assert cache.lookup("s", "a", "x", 0, 0) is None  # evicted
-        assert cache.lookup("s", "c", "x", 0, 0) is not None
-
     def test_spaces_are_disjoint(self):
         cache = ScoreCache()
         cache.store("space1", "u", "v", 0, 0, 1.0, 1, 1, 0)
