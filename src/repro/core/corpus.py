@@ -126,7 +126,7 @@ from ..geo.batch import parent_ids
 from ..geo.cell import CellId
 from ..store.columns import DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
-from .history import STALE_VERSION, MobilityHistory, leaf_columns, run_starts
+from .history import MobilityHistory, leaf_columns, run_starts
 
 __all__ = [
     "HistoryCorpus",
@@ -211,6 +211,12 @@ _COMPACT_LIVE_FRACTION = 0.5
 #: Good for 2**31 leaf windows and 2**32 distinct cells per corpus.
 _ROW_BITS = 32
 
+#: A version no history ever has (they count up from 0): what
+#: :meth:`HistoryCorpus.mark_stale` writes over a resident's version so
+#: the next refresh reads the entity as changed.  Its value, -1, is
+#: what corpus captures in existing snapshots hold for such an entity.
+_STALE = -1
+
 
 @dataclass(frozen=True)
 class CellTable:
@@ -291,12 +297,17 @@ class _Resident(WindowIndex):
 
 @dataclass(frozen=True)
 class CorpusDelta:
-    """What one :meth:`HistoryCorpus.refresh` changed.
+    """What one :meth:`HistoryCorpus.refresh` changed — for
+    :class:`~repro.core.streaming.StreamingLinker`, the one record of what
+    a relink changed: its LSH upkeep, IDF invalidation and pair table
+    all read it.
 
     Attributes
     ----------
     dirty_entities:
-        Entities whose history grew (or appeared) since the last refresh.
+        Entities whose history grew (or appeared) since the last refresh,
+        in the backing mapping's order; on the cold build (the refresh
+        from empty), every entity.
     evicted:
         Entities removed from the backing histories mapping since the
         last refresh (entity retirement — see
@@ -600,7 +611,7 @@ class HistoryCorpus:
         for entity_id in entity_ids:
             if entity_id in resident:
                 resident[entity_id] = replace(
-                    resident[entity_id], version=STALE_VERSION
+                    resident[entity_id], version=_STALE
                 )
 
     def entities_with_bins(

@@ -59,13 +59,6 @@ from ..temporal import TemporalCountTree, Windowing
 
 __all__ = ["MobilityHistory", "build_histories"]
 
-#: A version no history ever has (they count up from 0).  Whoever
-#: remembers the version it last read an entity at writes this over it to
-#: make the next comparison say "changed" — needed when an id's history is
-#: dropped and re-created, because the newcomer restarts at 0.
-STALE_VERSION = -1
-
-
 #: A history's stored columns and their dtypes — one row per distinct
 #: bin, sorted by ``(window, cell)``.
 _COLUMNS = {"_windows": np.int64, "_cells": np.uint64, "_counts": np.float64}
@@ -119,10 +112,9 @@ class MobilityHistory:
         self.storage_level = storage_level
         self.num_records = num_records
         #: Monotone change counter: bumped by every ingest that adds
-        #: records.  Downstream caches
-        #: (:class:`~repro.core.corpus.HistoryCorpus` residency,
-        #: :class:`~repro.core.score_cache.ScoreCache` entries, LSH
-        #: signature placements) key their validity on it.
+        #: records.  :class:`~repro.core.corpus.HistoryCorpus` residency
+        #: and :class:`~repro.core.score_cache.ScoreCache` entries key
+        #: their validity on it.
         self.version = 0
         self._store(windows, cells, counts)
 

@@ -17,8 +17,10 @@ The reuse machinery, stage by stage:
   :meth:`~repro.core.corpus.HistoryCorpus.refresh` folds history growth
   into the document frequencies and extends the batch kernel's array
   views in place (O(changed bins), not O(corpus)).
-* **Candidates** — under LSH, the bucket index is persistent: only
-  new/changed histories are re-signatured (``remove`` + ``add``), the
+* **Candidates** — under LSH, the bucket index is persistent and
+  follows the corpus refresh's :class:`~repro.core.corpus.CorpusDelta`
+  (the one record of what a relink changed): evicted entities are
+  withdrawn, dirty ones re-signatured (``remove`` + ``add``), the
   index keeps its candidate-pair set current while it does so and
   reports which pairs *appeared and disappeared*
   (:meth:`~repro.lsh.index.LshIndex.candidate_delta`); it is rebuilt
@@ -112,7 +114,7 @@ from ..store.snapshot import (
 )
 from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus
-from .history import STALE_VERSION, MobilityHistory, ingest_columns
+from .history import MobilityHistory, ingest_columns
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache
 from .similarity import SimilarityEngine, score_cache_space
@@ -423,7 +425,6 @@ class StreamingLinker:
             "right": None,
         }
         self._lsh_index: Optional[LshIndex] = None
-        self._lsh_members: Dict[str, Dict[str, int]] = {"left": {}, "right": {}}
         self._pair_table = _PairTable(self._score_cache)
         self._last_relink: Optional[RelinkStats] = None
 
@@ -475,10 +476,10 @@ class StreamingLinker:
         like a policy-driven retirement).  Corpus statistics and LSH band
         placements are retracted by the next :meth:`relink`, which is
         bit-identical to a cold run over the survivors — including an id
-        observed again *before* that relink: the versions the corpus and
-        the LSH member scan remember for a retired id are marked stale
-        here, so its new history is read as changed, never as the one it
-        replaced.
+        observed again *before* that relink: the version the corpus
+        remembers for a retired id is marked stale here, so its refresh
+        reports the new history as dirty, never as the one it replaced,
+        and the LSH index re-signatures it from that report.
 
         Unknown ids raise :class:`KeyError` naming them — a retire event
         for an entity that was never observed (or already retired) is an
@@ -494,11 +495,8 @@ class StreamingLinker:
             raise KeyError(
                 f"cannot retire unknown {side} entities: {unknown}"
             )
-        members = self._lsh_members[side]
         for entity_id in doomed:
             del histories[entity_id]
-            if entity_id in members:
-                members[entity_id] = STALE_VERSION
         corpus = self._corpora[side]
         if corpus is not None:
             corpus.mark_stale(doomed)
@@ -550,11 +548,10 @@ class StreamingLinker:
         benchmark samples per relink and
         :func:`~repro.eval.reporting.retention_table` renders.
         """
+        index = self._lsh_index
         stats: Dict[str, int] = {
             "score_cache_rows": len(self._score_cache),
-            "lsh_entities": sum(
-                len(members) for members in self._lsh_members.values()
-            ),
+            "lsh_entities": 0 if index is None else index.num_entities,
         }
         for side, corpus in self._corpora.items():
             corpus_stats = {} if corpus is None else corpus.memory_stats()
@@ -616,7 +613,6 @@ class StreamingLinker:
                 if index is None
                 else index._begin() if journal else index.checkpoint()
             ),
-            "lsh_members": _copy_sides(self._lsh_members),
             "last_relink": self._last_relink,
         }
         if journal:
@@ -637,7 +633,8 @@ class StreamingLinker:
         capture's origin, config and retention).  Keys a capture carries
         beyond the ones read here are ignored: snapshots written while a
         relink could tolerate IDF drift also hold that tolerance and its
-        per-bin drift accumulators.
+        per-bin drift accumulators, and snapshots written while the
+        linker kept its own LSH member versions hold ``lsh_members``.
 
         The sides dicts are refilled *in place* (corpora reference them
         as their histories mapping).  A component absent from the
@@ -681,7 +678,6 @@ class StreamingLinker:
         else:
             self._pair_table = saved.table
             saved.table.restore(saved)
-        self._lsh_members = _copy_sides(state["lsh_members"])
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -802,17 +798,17 @@ class StreamingLinker:
             del histories[entity_id]
         return tuple(sorted(doomed))
 
-    def _refresh_corpus(self, side: str) -> Optional[CorpusDelta]:
+    def _refresh_corpus(self, side: str) -> CorpusDelta:
         """Create the side's corpus on first use; fold deltas afterwards.
 
-        Returns ``None`` on the cold build (everything is new — the score
-        cache is empty, no invalidation needed) and a
-        :class:`~repro.core.corpus.CorpusDelta` thereafter.
+        Either way returns what changed as a
+        :class:`~repro.core.corpus.CorpusDelta` — the cold build is the
+        refresh from empty, every entity dirty.
         """
         corpus = self._corpora[side]
         if corpus is None:
             self._corpora[side] = self._new_corpus(side)
-            return None
+            return CorpusDelta(tuple(self._sides[side]))
         return corpus.refresh()
 
     def _new_corpus(
@@ -834,16 +830,14 @@ class StreamingLinker:
             )
         return corpus
 
-    def _idf_affected(
-        self, side: str, delta: Optional[CorpusDelta]
-    ) -> Set[str]:
+    def _idf_affected(self, side: str, delta: CorpusDelta) -> Set[str]:
         """Entities whose cached pair totals the delta's IDF movement has
         silently changed: every entity when the corpus size moved (every
         idf on the side shifted), else the holders of the shared bins
         whose document frequency moved.  History versions already
         invalidate pairs of *dirty* entities, so those are excluded.
         """
-        if delta is None or delta.empty:
+        if delta.empty:
             return set()
         corpus = self._corpora[side]
         assert corpus is not None
@@ -854,14 +848,17 @@ class StreamingLinker:
             return set()
         return corpus.entities_with_bins(delta.idf_drift) - dirty
 
-    def _lsh_update(self) -> Tuple[LshIndex, bool]:
+    def _lsh_update(
+        self, deltas: Dict[str, CorpusDelta]
+    ) -> Tuple[LshIndex, bool]:
         """Bring the persistent LSH index up to date with the histories.
 
-        The index survives across relinks; each relink re-signatures only
-        changed histories (and withdraws retired ones), which is also all
-        the index's maintained candidate-pair set has to follow.  Only
-        when the growing window span changes the signature *length* (and
-        with it the banding) is the index rebuilt wholesale.  Returns
+        The index survives across relinks and follows this relink's
+        corpus ``deltas`` per side: it withdraws the evicted entities and
+        re-signatures the dirty ones, which is also all the index's
+        maintained candidate-pair set has to follow.  Only when the
+        growing window span changes the signature *length* (and with it
+        the banding) is the index rebuilt wholesale.  Returns
         ``(index, rebuilt)``.
         """
         lsh = self.config.lsh
@@ -877,37 +874,23 @@ class StreamingLinker:
             index = LshIndex(lsh, spec)
             index.add_histories(self._sides["left"], self._sides["right"])
             self._lsh_index = index
-            self._lsh_members = {
-                side: {
-                    entity_id: history.version
-                    for entity_id, history in self._sides[side].items()
-                }
-                for side in ("left", "right")
-            }
             return index, True
         if index.spec != spec:
             index.update_spec(spec)
         for side in ("left", "right"):
-            members = self._lsh_members[side]
-            histories = self._sides[side]
+            delta = deltas[side]
             # Retired entities first: withdraw their band placements so
             # no bucket can pair a survivor with a ghost.
-            for entity_id in [eid for eid in members if eid not in histories]:
+            for entity_id in delta.evicted:
                 index.remove(entity_id, side)
-                del members[entity_id]
-            dirty = {
-                entity_id: history
-                for entity_id, history in histories.items()
-                if members.get(entity_id) != history.version
-            }
-            if dirty:
+            if delta.dirty_entities:
                 # One signature matrix and one band-hashing pass for the
                 # side's changed histories; each is re-placed in turn.
+                histories = self._sides[side]
+                dirty = {eid: histories[eid] for eid in delta.dirty_entities}
                 index.add_signatures(
-                    list(dirty), signature_matrix(dirty, spec), side
+                    delta.dirty_entities, signature_matrix(dirty, spec), side
                 )
-                for entity_id, history in dirty.items():
-                    members[entity_id] = history.version
         return index, False
 
     # ------------------------------------------------------------------
@@ -1012,19 +995,14 @@ class StreamingLinker:
         context.timings[STAGE_PREPARE] = time.perf_counter() - clock
         context.stage_names.append(STAGE_PREPARE)
 
-        def _dirty(delta: Optional[CorpusDelta], side: str) -> Tuple[str, ...]:
-            if delta is None:
-                return tuple(self._sides[side])
-            return delta.dirty_entities
-
-        dirty_left = _dirty(deltas["left"], "left")
-        dirty_right = _dirty(deltas["right"], "right")
+        dirty_left = deltas["left"].dirty_entities
+        dirty_right = deltas["right"].dirty_entities
         hits_before = self._score_cache.hits
         misses_before = self._score_cache.misses
         pipeline = LinkagePipeline(
             self.config,
             stages=[
-                _StreamingCandidates(self),
+                _StreamingCandidates(self, deltas),
                 _StreamingScoring(
                     self,
                     affected_left.union(dirty_left),
@@ -1055,9 +1033,10 @@ class _StreamingCandidates:
     """Streaming-aware candidate stage: brings the linker's pair table
     in line with this round's candidate set.
 
-    ``"lsh"`` resolves to the linker's *persistent* index (dirty entities
-    re-signatured in place, full rebuild only when the growing span
-    changes the signature layout), which reports the pairs that appeared
+    ``"lsh"`` resolves to the linker's *persistent* index (the corpus
+    deltas' dirty entities re-signatured in place and evicted ones
+    withdrawn, full rebuild only when the growing span changes the
+    signature layout), which reports the pairs that appeared
     and disappeared since the table last asked — O(delta).  Every other
     name — ``"brute"``, ``"temporal"``, custom registrations — dispatches
     through the :data:`~repro.pipeline.stages.candidate_stages` registry
@@ -1069,8 +1048,11 @@ class _StreamingCandidates:
 
     name = STAGE_CANDIDATES
 
-    def __init__(self, linker: StreamingLinker) -> None:
+    def __init__(
+        self, linker: StreamingLinker, deltas: Dict[str, CorpusDelta]
+    ) -> None:
         self.linker = linker
+        self.deltas = deltas
 
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
@@ -1078,7 +1060,7 @@ class _StreamingCandidates:
         resolved = linker.config.resolved_candidates()
         rebuilt, source, full = False, None, None
         if resolved == "lsh":
-            source, rebuilt = linker._lsh_update()
+            source, rebuilt = linker._lsh_update(self.deltas)
             if table.source is source:
                 table.apply(*source.candidate_delta())
             else:

@@ -3,7 +3,6 @@
 from .harness import (
     RunMeasures,
     ScenarioCell,
-    grid,
     run_grid,
     run_pipeline,
     run_scenarios,
@@ -37,7 +36,6 @@ __all__ = [
     "run_grid",
     "run_scenarios",
     "score_all_pairs",
-    "grid",
     "scenario_table",
     "format_table",
     "parallel_efficiency_table",

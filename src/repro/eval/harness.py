@@ -9,17 +9,8 @@ from __future__ import annotations
 
 # repro-lint: timing-module -- the harness reports wall-clock speedups per cell
 import time
-from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.corpus import HistoryCorpus
 from ..core.history import build_histories
@@ -37,7 +28,6 @@ __all__ = [
     "run_grid",
     "run_scenarios",
     "score_all_pairs",
-    "grid",
 ]
 
 
@@ -245,32 +235,3 @@ def score_all_pairs(
         for right_entity in right_histories
     ]
     return dict(zip(pairs, engine.score_batch(pairs))), engine
-
-
-@dataclass
-class GridResult:
-    """Accumulated rows of a parameter sweep."""
-
-    axes: Tuple[str, ...]
-    rows: List[Dict[str, float]] = field(default_factory=list)
-
-    def add(self, point: Dict[str, float], measures: Dict[str, float]) -> None:
-        """Append one grid point's measures."""
-        row = dict(point)
-        row.update(measures)
-        self.rows.append(row)
-
-    def series(self, key: str) -> List[float]:
-        """Extract one measure across the sweep, in insertion order."""
-        return [row[key] for row in self.rows]
-
-
-def grid(axes: Dict[str, Iterable]) -> Tuple[Tuple[str, ...], List[Dict[str, float]]]:
-    """Cartesian product of sweep axes as a list of point dicts."""
-    names = tuple(axes)
-    points: List[Dict[str, float]] = [{}]
-    for name in names:
-        points = [
-            {**point, name: value} for point in points for value in axes[name]
-        ]
-    return names, points

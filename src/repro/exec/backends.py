@@ -710,9 +710,19 @@ class ProcessExecutor(_ResilientBase):
             initializer=_init_worker,
             initargs=(fn, payload, plan),
         )
-        return lambda item, ordinal, attempt: pool.submit(
-            _run_task, (item, ordinal, attempt)
-        )
+
+        def submit(item: Any, ordinal: int, attempt: int) -> Future[TaskResult]:
+            try:
+                return pool.submit(_run_task, (item, ordinal, attempt))
+            except BrokenProcessPool as error:
+                # A block submitted earlier killed the pool mid-round:
+                # this one fails like the blocks in flight did, and the
+                # loop charges or re-dispatches it by the same rule.
+                failed: Future[TaskResult] = Future()
+                failed.set_exception(error)
+                return failed
+
+        return submit
 
     def _close(self) -> None:
         """Tear the live pool down *now*: cancel queued work, kill

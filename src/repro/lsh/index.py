@@ -157,6 +157,11 @@ class LshIndex:
         self._disappeared: Set[Tuple[str, str]] = set()
         self._journal: Optional[_IndexJournal] = None
 
+    @property
+    def num_entities(self) -> int:
+        """Entities placed in the index, both sides together."""
+        return len(self._placements)
+
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------

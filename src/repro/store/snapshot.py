@@ -82,7 +82,9 @@ __all__ = [
 #: compaction rebases it.  Format-4 states written while a relink could
 #: tolerate IDF drift carry that tolerance and the drift accumulators,
 #: and their cache payloads a ``cap`` and LRU-ordered keys; all of it
-#: is ignored on restore.
+#: is ignored on restore.  So are the ``lsh_members`` version dicts of
+#: states written while the linker kept them (the LSH index follows the
+#: corpus delta, and a retired id's stale mark is in the corpus capture).
 SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"

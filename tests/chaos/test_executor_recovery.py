@@ -8,6 +8,8 @@ Fault schedules are deterministic (:mod:`repro.exec.faults`), so these
 tests assert exact values, not probabilities.
 """
 
+from concurrent.futures import ProcessPoolExecutor, wait
+
 import pytest
 
 from repro.exec import (
@@ -81,6 +83,41 @@ class TestMapBlocksRecovery:
                 results = executor.map_blocks(_affine, list(range(16)), payload=1)
         assert [r.value for r in results] == [item + 1 for item in range(16)]
         assert executor.stats.worker_crashes >= 1
+
+    def test_pool_broken_before_every_block_is_submitted(self, monkeypatch):
+        """A scheduled crash that kills the pool while blocks are still
+        being submitted: the later submits meet a broken pool, and the
+        dispatch still returns every value, with the counters of a run
+        whose submits all came first."""
+        plan = FaultPlan.from_spec("crash@7;crash@8;crash@9")
+
+        def run():
+            with inject(plan):
+                with create_executor(
+                    "process", workers=2, backoff=0.0
+                ) as executor:
+                    results = executor.map_blocks(
+                        _affine, list(range(24)), payload=5
+                    )
+            return [r.value for r in results], executor.stats.fault_summary()
+
+        undisturbed = run()
+        assert undisturbed[0] == [5 * item + 1 for item in range(24)]
+        assert undisturbed[1]["worker_crashes"] == 1
+        submit = ProcessPoolExecutor.submit
+
+        def submit_then_await_the_crash(pool, fn, task):
+            future = submit(pool, fn, task)
+            if task[1:] == (7, 0):
+                # Block 7's worker dies; the pool is marked broken before
+                # its futures fail, so every later submit raises.
+                wait([future])
+            return future
+
+        monkeypatch.setattr(
+            ProcessPoolExecutor, "submit", submit_then_await_the_crash
+        )
+        assert run() == undisturbed
 
     @pytest.mark.parametrize("name", ("thread", "process"))
     def test_timeout_counted_on_parallel_backends(self, name):

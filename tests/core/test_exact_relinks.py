@@ -5,9 +5,12 @@ accumulators; LRU order, per-row stamps, eviction).
 
 What remains is stateless: which cached pair totals a corpus delta
 invalidates depends on that delta alone, and a cache hit writes
-nothing.  State written while the knobs existed still restores: a linker
-snapshot carrying a tolerance and drift accumulators, and a cache
-payload carrying ``cap`` with its keys in LRU order, both load and then
+nothing.  The same delta is the one record of what a relink changed:
+the LSH upkeep reads it too, so the linker keeps no LSH member versions
+of its own.  State written while the knobs or those versions existed
+still restores: a linker snapshot carrying a tolerance and drift
+accumulators, or ``lsh_members`` with a retired id's ``-1``, and a cache
+payload carrying ``cap`` with its keys in LRU order, all load and then
 relink exactly like a linker that never went through them.
 """
 
@@ -23,6 +26,7 @@ from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
+from repro.lsh import LshConfig
 from repro.pipeline import LinkageConfig, LinkagePipeline
 from repro.store import SNAPSHOT_FORMAT
 from repro.store.snapshot import write_snapshot
@@ -31,10 +35,14 @@ from repro.temporal import Windowing
 CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
 
 
+def _tree(module):
+    return ast.parse((CORE / module).read_text())
+
+
 def _identifiers(module):
     """Every name ``core/<module>`` defines, imports or reads."""
     found = set()
-    for node in ast.walk(ast.parse((CORE / module).read_text())):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -92,6 +100,33 @@ class TestNoToleranceNoCap:
         assert not {"idf_tolerance", "pending_drift", "pending_global"} & set(
             linker.checkpoint()
         )
+
+
+class TestNoSecondChangeDetector:
+    def test_the_linker_keeps_no_member_versions(self):
+        assert not {"_lsh_members", "STALE_VERSION"} & _identifiers("streaming.py")
+        assert "lsh_members" not in {
+            node.value
+            for node in ast.walk(_tree("streaming.py"))
+            if isinstance(node, ast.Constant)
+        }
+
+    def test_history_defines_no_stale_version(self):
+        assert "STALE_VERSION" not in _identifiers("history.py")
+
+    def test_lsh_upkeep_walks_no_mapping(self):
+        """``_lsh_update`` reads the deltas it is handed; it does not
+        scan a sides or histories mapping for what changed."""
+        (update,) = [
+            node
+            for node in ast.walk(_tree("streaming.py"))
+            if isinstance(node, ast.FunctionDef) and node.name == "_lsh_update"
+        ]
+        assert "items" not in {
+            node.func.attr
+            for node in ast.walk(update)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
 
 
 class TestStatelessInvalidation:
@@ -174,6 +209,25 @@ def _storage(storage, directory):
     return {"storage": "disk", "store_dir": directory, "store_chunk_rows": 8}
 
 
+LSH_CONFIG = LinkageConfig(
+    lsh=LshConfig(threshold=0.3, step_windows=8, spatial_level=14)
+)
+
+
+def _retire_and_return(linker):
+    """``e0`` leaves the left side and, before the next relink, comes
+    back on ``e6``'s trail: other bins under the version it left at (one
+    observe per round either way), which only the stale mark tells
+    apart."""
+    version = linker._sides["left"]["e0"].version
+    linker.retire("left", ["e0"])
+    for round_index in range(3):
+        linker.observe(
+            "left", [Record("e0", 37.62, -122.39, round_index * 3600.0 + 52.0)]
+        )
+    assert linker._sides["left"]["e0"].version == version
+
+
 class TestParentShapedState:
     @pytest.mark.parametrize("tolerance", [0.0, 10.0])
     @pytest.mark.parametrize("storage", ["memory", "disk"])
@@ -252,3 +306,59 @@ class TestParentShapedState:
             assert report.edges == cold.edges
             runs.append((len(cache), cache.hits, cache.misses))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    def test_snapshot_with_a_stale_lsh_member_relinks_exactly(
+        self, tmp_path, storage
+    ):
+        writer = StreamingLinker(
+            0.0, LSH_CONFIG, **_storage(storage, tmp_path / "writer")
+        )
+        _observe(writer, range(3))
+        writer.relink()
+        # What a linker with its own member scan held after that relink,
+        # and the mark its retire() left for the id.
+        members = {
+            side: {
+                entity: history.version
+                for entity, history in writer._sides[side].items()
+            }
+            for side in ("left", "right")
+        }
+        _retire_and_return(writer)
+        members["left"]["e0"] = -1
+        state = writer.checkpoint()
+        cache = state.pop("score_cache")
+        state["lsh_members"] = members
+        write_snapshot(
+            tmp_path / "snaps",
+            {"state": state, "score_cache": cache},
+            watermark=writer.watermark,
+        )
+
+        restored = StreamingLinker.restore(
+            tmp_path / "snaps",
+            strict=True,
+            **_storage(storage, tmp_path / "reader"),
+        )
+        expected, resumed = writer.relink(), restored.relink()
+        assert not writer.last_relink.lsh_rebuilt
+        assert writer.last_relink.dirty_left == 1
+        assert restored.last_relink == writer.last_relink
+        assert (restored.score_cache.hits, restored.score_cache.misses) == (
+            writer.score_cache.hits,
+            writer.score_cache.misses,
+        )
+        assert restored.memory_stats() == writer.memory_stats()
+
+        cold = StreamingLinker(0.0, LSH_CONFIG)
+        _observe(cold, range(3))
+        _retire_and_return(cold)
+        reference = cold.relink()
+        candidates = set(cold._pair_table.row_of)
+        assert ("e0", "e6") in candidates
+        for linker in (writer, restored):
+            assert set(linker._pair_table.row_of) == candidates
+        for report in (expected, resumed):
+            assert dict(report.links) == dict(reference.links)
+            assert report.link_scores == reference.link_scores

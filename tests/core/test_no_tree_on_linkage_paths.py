@@ -80,7 +80,7 @@ def test_no_linkage_path_builds_a_tree(sm_pair, tmp_path, no_trees):
 
 
 def test_the_dirty_path_places_like_a_cold_build(sm_pair):
-    """The streaming member scan (one matrix per side's dirty histories)
+    """The streaming delta path (one matrix per side's dirty histories)
     leaves the index bucket-for-bucket, and in ``stats``, what a cold
     ``add_histories`` over the same histories builds."""
     # Step 192 = two days of 15-minute windows: the second half of day 5

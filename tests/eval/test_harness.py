@@ -2,7 +2,7 @@
 
 from repro.core.similarity import SimilarityConfig
 from repro.pipeline import LinkageConfig
-from repro.eval import grid, hit_precision_at_k, run_pipeline, score_all_pairs
+from repro.eval import hit_precision_at_k, run_pipeline, score_all_pairs
 
 
 class TestRunPipeline:
@@ -40,19 +40,3 @@ class TestScoreAllPairs:
         assert engine.config.spatial_level == 10
         assert scores
 
-
-class TestGrid:
-    def test_cartesian_product(self):
-        names, points = grid({"a": [1, 2], "b": [10, 20, 30]})
-        assert names == ("a", "b")
-        assert len(points) == 6
-        assert {"a": 1, "b": 10} in points
-
-    def test_single_axis(self):
-        _, points = grid({"x": [5]})
-        assert points == [{"x": 5}]
-
-    def test_empty_axes(self):
-        names, points = grid({})
-        assert names == ()
-        assert points == [{}]
