@@ -23,8 +23,11 @@ copy: the **flat columns** (:meth:`HistoryCorpus.arrays` +
 :meth:`HistoryCorpus.window_index`, backed by
 :meth:`HistoryCorpus.cell_table`) that the vectorized batch kernel
 (:mod:`repro.core.kernels`) consumes — one corpus-wide layout of cell
-ids, geometry-table slots, document-frequency slots and IDFs, each
-entity owning one contiguous slice with a per-window directory.  Cells
+ids, geometry-table slots and document-frequency slots, each entity
+owning one contiguous slice with a per-window directory.  A bin's IDF
+depends only on its df slot and the corpus size, so it is not a flat
+column: the corpus keeps one value per df slot, and the kernel gathers
+it through the ``keys`` column.  Cells
 within a window are sorted by cell id, which *is* Morton (Z-order) order
 in this grid (see :mod:`repro.geo.cell`), so consecutive slots reference
 spatially nearby centroids and the kernel's gathers stay cache-friendly.
@@ -56,10 +59,10 @@ which is also how the corpus is built (a refresh from empty):
   leaving the old slice as garbage that a compaction pass reclaims once
   it outweighs the live data; new cells append rows to the
   :class:`CellTable`;
-* the IDF column is re-derived in one vectorized pass from the updated
-  document-frequency table (every flat entry remembers its df slot), so
-  clean entities' rows pick up global IDF movement without any per-entity
-  Python work.
+* the per-slot IDF vector is re-derived in one vectorized pass over the
+  updated document-frequency table (every flat entry remembers its df
+  slot), so clean entities' rows pick up global IDF movement without any
+  per-entity Python work and without rewriting a flat column.
 
 **Removal is a first-class delta too** (the retention path of
 :mod:`repro.core.retention`): deleting an entity from the backing
@@ -124,7 +127,7 @@ import numpy as np
 
 from ..geo.batch import parent_ids
 from ..geo.cell import CellId
-from ..store.columns import DiskColumns, FlatColumns, MemoryColumns
+from ..store.columns import COLUMNS, DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
 from .history import MobilityHistory, leaf_columns, run_starts
 
@@ -245,11 +248,13 @@ class CellTable:
 class CorpusArrays:
     """Every entity's time-location bins as one flat contiguous layout.
 
-    ``cells`` / ``slots`` / ``idf`` are parallel arrays over all (entity,
+    ``cells`` / ``slots`` / ``keys`` are parallel arrays over all (entity,
     window, cell) bins of the corpus, window-major per entity with cells
-    Morton-sorted inside each window.  Per entity, :class:`WindowIndex`
-    records which slice of the flats each populated window occupies, so
-    the batch kernel's gather is pure fancy indexing.
+    Morton-sorted inside each window; ``keys`` names each bin's
+    document-frequency slot, and ``idf_by_slot`` holds Eq. 3 per slot, so
+    a bin's IDF is ``idf_by_slot[keys[i]]``.  Per entity,
+    :class:`WindowIndex` records which slice of the flats each populated
+    window occupies, so the batch kernel's gather is pure fancy indexing.
 
     After a :meth:`HistoryCorpus.refresh` the flats may contain *garbage*
     slices (superseded entity layouts); they are unreachable through any
@@ -260,7 +265,15 @@ class CorpusArrays:
 
     cells: np.ndarray  # (T,) uint64 cell ids
     slots: np.ndarray  # (T,) int64 rows of the corpus CellTable
-    idf: np.ndarray  # (T,) float64 Eq. 3 values
+    keys: np.ndarray  # (T,) int64 document-frequency slots
+    idf_by_slot: np.ndarray  # (S,) float64 Eq. 3 value of each df slot
+
+    @property
+    def idf(self) -> np.ndarray:
+        """Eq. 3 per flat entry, derived from ``keys`` and
+        ``idf_by_slot`` on every read: a fresh array, never stored (the
+        kernel gathers through the slots instead)."""
+        return self.idf_by_slot[self.keys]
 
 
 @dataclass(frozen=True)
@@ -377,6 +390,11 @@ class HistoryCorpus:
         self._df_bins = np.empty(0, dtype=np.int64)
         self._df_counts = np.empty(0, dtype=np.float64)
         self._df_order = np.empty(0, dtype=np.int64)
+        # Derived from the state above, never captured: Eq. 3 per df slot
+        # (see :meth:`_derive_idf`) and the populated (entity, window)
+        # pairs :meth:`avg_cells_per_window` divides by.
+        self._idf_by_slot = np.empty(0, dtype=np.float64)
+        self._populated = 0
         no_geometry = np.empty(0, dtype=np.float64)
         self._cell_table = CellTable(
             {}, np.empty(0, dtype=np.uint64),
@@ -447,6 +465,7 @@ class HistoryCorpus:
         )
         for entity_id in evicted:
             del resident[entity_id]
+        self._populated -= sum(len(held) for held in stale)
 
         # In: the dirty histories' stored bins, re-parented.  Ancestors of
         # ascending cells ascend, so the joined rows stay sorted by
@@ -490,7 +509,8 @@ class HistoryCorpus:
                 windows[heads[lo:hi]], base + heads[lo:hi], spans[lo:hi],
                 history.version, base + starts[k], starts[k + 1] - starts[k],
             )
-        self._flats.append({"cells": cells, "slots": slots, "keys": keys})
+        self._populated += len(heads)
+        self._flats.append(dict(zip(COLUMNS, (cells, slots, keys))))
 
         grown = len(rows) - len(retracted)
         self._total_bins += grown
@@ -501,15 +521,6 @@ class HistoryCorpus:
         # The oracle cache embeds IDFs; it is lazily rebuilt, so
         # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
-        # Re-derive the flat IDF column from the current document
-        # frequencies (garbage entries may reference retired bins;
-        # clamping keeps them finite — they are never gathered).
-        counts = self._df_counts
-        self._flats.derive(
-            "idf",
-            "keys",
-            lambda keys: log_size - np.log(np.maximum(counts[keys], 1.0)),
-        )
 
         touched = np.unique(np.concatenate([retracted, keys]))
         was, now = before[touched], self._df_counts[touched]
@@ -533,6 +544,7 @@ class HistoryCorpus:
             self._compact()
         if evicted:
             self._compact_df_slots()
+        self._derive_idf()
         return CorpusDelta(
             tuple(dirty), drift, abs(log_size - old_log_size), tuple(evicted)
         )
@@ -673,8 +685,9 @@ class HistoryCorpus:
         heuristic reads (dense corpora produce matrix-shaped interactions,
         whose ``(B, m, n)`` tensors cost memory in proportion to the
         block; see :func:`~repro.core.kernels.workload_block_size`).
+        O(1): :meth:`refresh` keeps the count of populated pairs.
         """
-        populated = sum(len(held) for held in self._window_index.values())
+        populated = self._populated
         return self._total_bins / populated if populated else 0.0
 
     @property
@@ -789,7 +802,7 @@ class HistoryCorpus:
         """The corpus-wide flat bin arrays (see :meth:`window_index`)."""
         column = self._flats.column
         return CorpusArrays(
-            cells=column("cells"), slots=column("slots"), idf=column("idf")
+            column("cells"), column("slots"), column("keys"), self._idf_by_slot
         )
 
     def window_index(self, entity_id: str) -> WindowIndex:
@@ -888,6 +901,13 @@ class HistoryCorpus:
         self._df_counts = self._df_counts[live]
         self._flats.derive("keys", "keys", lambda keys: remap[keys])
 
+    def _derive_idf(self) -> None:
+        """Eq. 3 per df slot, ``ln(size) - ln(max(df, 1))``, from the
+        current document frequencies and size (the clamp keeps a slot no
+        history holds any more finite — no live flat entry names it)."""
+        counts = np.maximum(self._df_counts, 1.0)
+        self._idf_by_slot = math.log(self._size) - np.log(counts)
+
     # ------------------------------------------------------------------
     # state: one capture for rollback and snapshots
     # ------------------------------------------------------------------
@@ -939,6 +959,8 @@ class HistoryCorpus:
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)
         self._flats.restore(state["flats"])
+        self._derive_idf()
+        self._populated = sum(len(held) for held in self._window_index.values())
 
     # ------------------------------------------------------------------
     # introspection
@@ -952,11 +974,15 @@ class HistoryCorpus:
         equal after every eviction (eager compaction), which is the
         bounded-memory evidence ``benchmarks/bench_retention.py`` records.
 
-        ``flat_resident_bytes`` is the RAM the flat views actually
-        occupy: the arrays' own bytes in memory mode, the chunk LRU's
-        resident copies in disk mode (the memmapped columns live in the
-        page cache, not the heap) — the ledger
-        ``benchmarks/bench_out_of_core.py`` compares across backends.
+        ``flat_resident_bytes`` is the RAM the three flat columns
+        actually occupy: the arrays' own bytes in memory mode, the chunk
+        LRU's resident copies in disk mode (the memmapped columns live in
+        the page cache, not the heap) — the ledger
+        ``benchmarks/bench_out_of_core.py`` compares across backends.  A
+        disk corpus whose relinks never evict streams nothing through
+        the LRU (only the df-slot remap does), so it may read 0.  The
+        per-slot IDF vector is in RAM on both backends and is not part of
+        it: ``df_slots`` float64 values, like the document frequencies.
         """
         return {
             "flat_resident_bytes": int(self._flats.resident_bytes),

@@ -17,7 +17,8 @@ arithmetic over blocks of candidate pairs:
     ``(pair, window)`` *interactions* pair-major with windows ascending;
     each is a slice of the corpus-wide flat arrays
     (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell ids,
-    geometry-table slots, IDFs; Morton-sorted for locality).
+    geometry-table slots, df slots; Morton-sorted for locality), and a
+    bin's IDF is the corpus' per-df-slot value gathered through its slot.
 2.  **Distance and proximity** — both are functions of the two cells
     alone: haversine centre angle from the precomputed lat/lng/cos(lat) of
     the corpora's :class:`~repro.core.corpus.CellTable` rows minus both
@@ -428,8 +429,8 @@ def score_pairs_batch(
             lookup,
             flats_u.slots[idx_u],
             flats_v.slots[idx_v],
-            flats_u.idf[idx_u],
-            flats_v.idf[idx_v],
+            flats_u.idf_by_slot[flats_u.keys[idx_u]],
+            flats_v.idf_by_slot[flats_v.keys[idx_v]],
         )
 
     # One fold per pair, in interaction order (``bincount`` accumulates

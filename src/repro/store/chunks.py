@@ -1,7 +1,7 @@
 """Chunked on-disk column store for the corpus flat array views.
 
-The batch kernel (:mod:`repro.core.kernels`) gathers from four parallel
-flat columns — cell ids, geometry slots, df-slot keys and IDFs — via
+The batch kernel (:mod:`repro.core.kernels`) gathers from three parallel
+flat columns — cell ids, geometry slots and df-slot keys — via
 absolute-offset fancy indexing, so each column must stay *one*
 contiguous array.  :class:`ChunkedColumnStore` therefore keeps one
 binary file per column and treats chunks as a **logical** unit: fixed
@@ -11,8 +11,8 @@ read-only :func:`numpy.memmap` views, so the OS page cache — not the
 Python heap — holds whatever the kernel touches and a corpus can exceed
 the RAM budget.
 
-Maintenance passes (IDF re-derivation, compaction, df-slot remaps) never
-materialise a whole column: they stream it chunk by chunk through a
+Maintenance passes (compaction, df-slot remaps) never materialise a
+whole column: they stream it chunk by chunk through a
 :class:`ChunkLRU`, a small in-RAM cache of chunk copies with an
 accountable ``resident_bytes`` bound — the ledger
 ``benchmarks/bench_out_of_core.py`` reports against the in-core
@@ -21,16 +21,26 @@ footprint.
 Durability protocol (shared with :mod:`repro.store.snapshot`):
 
 * column data lands in ``<name>.g<generation>.col`` files; a rewrite
-  bumps the generation and leaves the old file on disk;
+  bumps the generation and leaves the old file on disk; every write is
+  fsynced before anything names it;
 * the manifest (``store.json``) naming each column's dtype, row count
   and generation is replaced atomically
   (:func:`~repro.store.durable.replace_file`), so a crash mid-write
   leaves the previous manifest — and the files it points at — intact;
+* :meth:`ChunkedColumnStore.operation` makes the manifest replace *one
+  per operation*: the writes inside it (a corpus append touches every
+  column, a compaction rewrites every column) land their files, then
+  one manifest names them all.  An error anywhere inside leaves both
+  the manifest file and the in-memory column table as they were.  A
+  write outside any operation commits itself;
 * :meth:`ChunkedColumnStore.checkpoint` / ``restore`` give the
   transactional-relink machinery the same rewind guarantee the in-RAM
-  corpus has: restore repoints the manifest and truncates appended rows,
-  and stale generation files are pruned only at the *next* checkpoint,
-  after no rollback can need them.
+  corpus has: restore repoints the manifest and truncates appended rows.
+  The store records each generation file a rewrite supersedes or a
+  rewind (or failed operation) abandons, and unlinks exactly those at
+  the *next* checkpoint, after no rollback can need them — no directory
+  listing per checkpoint.  :meth:`ChunkedColumnStore.create` sweeps
+  whatever ``*.col`` files an earlier process left.
 """
 
 from __future__ import annotations
@@ -38,8 +48,9 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,7 +66,8 @@ class _ColumnRewriter:
     """Streaming whole-column rewrite into the next generation file.
 
     ``append`` chunks in order, then ``commit`` — the new generation
-    becomes visible only through the atomic manifest replace, so a crash
+    becomes visible only through the atomic manifest replace (the
+    enclosing :meth:`ChunkedColumnStore.operation`'s, if any), so a crash
     mid-rewrite leaves the previous generation current.
     """
 
@@ -109,6 +121,10 @@ class ChunkedColumnStore:
         #: name -> {"dtype": str, "rows": int, "generation": int}
         self._columns: Dict[str, Dict[str, object]] = columns or {}
         self._maps: Dict[str, Tuple[Tuple[int, int], np.ndarray]] = {}
+        #: Generation files no current column names, for the next prune.
+        self._stale: Set[Path] = set()
+        #: Inside an :meth:`operation`: the manifest replace waits for it.
+        self._deferred = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -142,6 +158,8 @@ class ChunkedColumnStore:
         return self.directory / f"{name}.g{generation}.col"
 
     def _write_manifest(self) -> None:
+        if self._deferred:  # an operation replaces it once, at its end
+            return
         payload = json.dumps(
             {
                 "format": self.FORMAT,
@@ -152,6 +170,34 @@ class ChunkedColumnStore:
             sort_keys=True,
         )
         replace_file(self.directory / self.MANIFEST, payload.encode())
+
+    @contextmanager
+    def operation(self) -> Iterator[None]:
+        """Group writes into one all-or-nothing commit: every column file
+        is written and fsynced as it goes, the manifest is replaced once
+        at the end, and an error anywhere (the final manifest replace
+        included) restores the column table the operation started from.
+        Operations do not nest."""
+        saved = {name: dict(meta) for name, meta in self._columns.items()}
+        self._deferred = True
+        try:
+            yield
+            self._deferred = False
+            self._write_manifest()
+        except BaseException:
+            self._rewind_to(saved)
+            raise
+
+    def _rewind_to(self, kept: Dict[str, Dict[str, object]]) -> None:
+        """Adopt ``kept`` as the column table, outside any operation:
+        every current generation file it does not name is recorded for
+        pruning, and every live map is dropped."""
+        for name, meta in self._columns.items():
+            if kept.get(name, {}).get("generation") != meta["generation"]:
+                self._stale.add(self.column_path(name, int(meta["generation"])))
+        self._columns = kept
+        self._maps.clear()
+        self._deferred = False
 
     # ------------------------------------------------------------------
     # writes
@@ -188,6 +234,8 @@ class ChunkedColumnStore:
     def _install_column(
         self, name: str, dtype: np.dtype, rows: int, generation: int
     ) -> None:
+        if name in self._columns:
+            self._stale.add(self.column_path(name, self.generation(name)))
         self._columns[name] = {
             "dtype": np.dtype(dtype).str,
             "rows": int(rows),
@@ -311,22 +359,18 @@ class ChunkedColumnStore:
                 meta["epoch"] = (
                     max(int(meta.get("epoch", 0)), int(current.get("epoch", 0))) + 1
                 )
-        self._columns = restored
-        self._maps.clear()
+        self._rewind_to(restored)
         self._write_manifest()
 
     def prune_stale(self) -> int:
-        """Delete generation files the current manifest does not reference."""
-        live = {
-            self.column_path(name, int(meta["generation"])).name
-            for name, meta in self._columns.items()
-        }
-        pruned = 0
-        for path in self.directory.glob("*.col"):
-            if path.name not in live:
-                path.unlink()
-                pruned += 1
-        return pruned
+        """Delete the generation files this store superseded or abandoned
+        that the current manifest does not reference (a later rewrite may
+        have re-created one under the same name)."""
+        live = {self.column_path(name, self.generation(name)) for name in self._columns}
+        stale, self._stale = self._stale - live, set()
+        for path in stale:
+            path.unlink(missing_ok=True)
+        return len(stale)
 
 
 class ChunkLRU:

@@ -13,7 +13,10 @@ one of two backends does it:
   read back through read-only memmaps; maintenance passes stream chunk
   by chunk through a :class:`~repro.store.chunks.ChunkLRU` into a fresh
   generation of exactly the columns they change, so resident memory stays
-  at the cache bound whatever the column length.
+  at the cache bound whatever the column length.  Each operation is one
+  store commit (:meth:`~repro.store.chunks.ChunkedColumnStore.operation`):
+  however many columns it writes, one manifest replace names them all,
+  and an operation that fails changes none of them.
 
 Both owe the same contract (``tests/store/test_column_backends.py``): the
 same sequence of operations yields bitwise-equal :meth:`column` contents,
@@ -22,12 +25,12 @@ and ``restore(checkpoint())`` rewinds any number of times.
 
 >>> flats = MemoryColumns()
 >>> flats.append({"cells": [7, 9, 8], "slots": [0, 2, 1], "keys": [0, 1, 0]})
->>> flats.derive("idf", "keys", lambda keys: np.log(2.0) * keys)
+>>> flats.derive("keys", "keys", lambda keys: 1 - keys)
 >>> flats.gather(np.array([2, 0]))
->>> flats.column("cells").tolist(), flats.column("idf").tolist()
-([8, 7], [0.0, 0.0])
+>>> flats.column("cells").tolist(), flats.column("keys").tolist()
+([8, 7], [1, 1])
 >>> flats.storage, flats.resident_bytes
-('memory', 64)
+('memory', 48)
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ import numpy as np
 from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore, ChunkLRU
 
 #: Every flat column and its dtype — the one place they are listed.  All
-#: are parallel over the (entity, window, cell) bins of a corpus.
+#: are parallel over the (entity, window, cell) bins of a corpus.  IDF is
+#: not among them: it depends only on a bin's df slot and the corpus
+#: size, so the corpus keeps one value per slot in RAM instead.
 COLUMNS: Dict[str, np.dtype] = {
     "cells": np.dtype(np.uint64),  # cell ids
     "slots": np.dtype(np.int64),  # rows of the corpus CellTable
     "keys": np.dtype(np.int64),  # document-frequency slots
-    "idf": np.dtype(np.float64),  # Eq. 3 values, derived from ``keys``
 }
 
 
@@ -91,8 +95,10 @@ class MemoryColumns:
 
     def restore(self, state: Dict[str, object]) -> None:
         """Adopt a capture's columns — either backend's: a disk capture
-        carries its (memmapped, pickled-by-value) columns too."""
-        self._columns = dict(state["columns"])
+        carries its (memmapped, pickled-by-value) columns too.  Columns
+        :data:`COLUMNS` does not declare (the ``idf`` of older captures)
+        are dropped."""
+        self._columns = {name: state["columns"][name] for name in COLUMNS}
 
     @property
     def resident_bytes(self) -> int:
@@ -119,8 +125,9 @@ class DiskColumns:
             chunk_rows=DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows,
         )
         self._cache = ChunkLRU(self._store, cache_chunks)
-        for name in COLUMNS:
-            self._store.put(name, source.column(name))
+        with self._store.operation():
+            for name in COLUMNS:
+                self._store.put(name, source.column(name))
 
     def column(self, name: str) -> np.ndarray:
         """One whole column as a read-only memmap (the store re-maps a
@@ -128,31 +135,34 @@ class DiskColumns:
         return self._store.column(name)
 
     def append(self, rows_by_name: Mapping[str, Sequence]) -> None:
-        """Append rows to the named columns' files (chunks are written
-        once; after a rewind the rows land where the rolled-back ones
-        did)."""
-        for name, rows in rows_by_name.items():
-            self._store.extend(
-                name,
-                np.asarray(rows, dtype=COLUMNS[name]),
-                self._store.rows(name),
-            )
+        """Append rows to the named columns' files, one commit for all
+        of them (chunks are written once; after a rewind the rows land
+        where the rolled-back ones did)."""
+        with self._store.operation():
+            for name, rows in rows_by_name.items():
+                self._store.extend(
+                    name,
+                    np.asarray(rows, dtype=COLUMNS[name]),
+                    self._store.rows(name),
+                )
 
     def gather(self, order: np.ndarray) -> None:
         """Stream ``column[order]`` into a fresh generation of every
-        column — each output chunk fancy-indexes the source memmap,
-        touching only the pages it needs."""
+        column, one commit for all of them — each output chunk
+        fancy-indexes the source memmap, touching only the pages it
+        needs."""
         step = self._store.chunk_rows
-        for name, dtype in COLUMNS.items():
-            source = self._store.column(name)
-            self._store.rewrite(
-                name,
-                dtype,
-                (
-                    source[order[start : start + step]]
-                    for start in range(0, len(order), step)
-                ),
-            )
+        with self._store.operation():
+            for name, dtype in COLUMNS.items():
+                source = self._store.column(name)
+                self._store.rewrite(
+                    name,
+                    dtype,
+                    (
+                        source[order[start : start + step]]
+                        for start in range(0, len(order), step)
+                    ),
+                )
 
     def derive(
         self, target: str, source: str, fn: Callable[[np.ndarray], np.ndarray]

@@ -85,6 +85,11 @@ __all__ = [
 #: is ignored on restore.  So are the ``lsh_members`` version dicts of
 #: states written while the linker kept them (the LSH index follows the
 #: corpus delta, and a retired id's stale mark is in the corpus capture).
+#: Format-4 corpus captures written while IDF was a fourth flat column
+#: carry an ``idf`` column (in ``flats["columns"]`` and, from a disk
+#: backend, in its store manifest); restore drops it and re-derives IDF
+#: per df slot from the captured document frequencies and size — the
+#: same values, so the format number stays.
 SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"

@@ -621,7 +621,7 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
         columns = captured["flats"]["columns"]
         assert columns["cells"] is arrays.cells
         assert columns["slots"] is arrays.slots
-        assert columns["idf"] is arrays.idf
+        assert columns["keys"] is arrays.keys
         assert captured["cell_table"] is corpus.cell_table()
         for entity, history in linker._sides[side].items():
             assert state["sides"][side][entity] is history

@@ -62,8 +62,9 @@ def _rows(start, count):
     }
 
 
-def _idf(keys):
-    return 1.5 - np.log(np.maximum(COUNTS[keys], 1.0))
+def _remap(keys):
+    """A df-slot remap, the one ``derive`` a corpus asks for."""
+    return np.array([3, 0, 4, 1, 2])[keys]
 
 
 def _observe(flats):
@@ -75,7 +76,7 @@ def _observe(flats):
 def _mutate(flats):
     """Every operation once more, so a rewind has all of them to undo."""
     flats.append(_rows(100, 9))
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     flats.derive("keys", "keys", lambda keys: (keys + 1) % len(COUNTS))
     flats.gather(np.arange(len(flats.column("cells")))[::-2])
 
@@ -85,11 +86,11 @@ def _script(flats):
     from the same capture) -> carry on; returns every observation."""
     seen = []
     flats.append(_rows(0, 21))  # 3 chunks on disk, the last one partial
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     seen.append(_observe(flats))
     flats.gather(np.concatenate([np.arange(20, 10, -1), np.arange(0, 5)]))
     flats.append(_rows(40, 6))
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     seen.append(_observe(flats))
     state = flats.checkpoint()
     for _ in range(2):
@@ -98,7 +99,7 @@ def _script(flats):
         flats.restore(state)
         seen.append(_observe(flats))
     flats.append(_rows(200, 11))  # lands where the rolled-back rows did
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     flats.derive("keys", "keys", lambda keys: keys * 0 + 3)
     seen.append(_observe(flats))
     return seen
@@ -112,7 +113,7 @@ def test_the_same_script_yields_the_same_bytes_on_both_backends(tmp_path):
     # declared dtypes, and both restores landed on the captured bytes.
     first = memory[0]
     assert first["cells"] == ("<u8", (np.arange(21) * 3).astype(np.uint64).tobytes())
-    assert first["idf"] == ("<f8", _idf(np.arange(21) % len(COUNTS)).tobytes())
+    assert first["keys"] == ("<i8", _remap(np.arange(21) % len(COUNTS)).tobytes())
     assert {name: dtype for name, (dtype, _) in first.items()} == {
         name: dtype.str for name, dtype in COLUMNS.items()
     }
@@ -122,7 +123,7 @@ def test_the_same_script_yields_the_same_bytes_on_both_backends(tmp_path):
 
 def test_failed_derive_leaves_the_previous_contents_current(flats, tmp_path):
     flats.append(_rows(0, 21))
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     before = _observe(flats)
     poisoned = 3 * (CHUNK_ROWS + 1)  # a cell id in the second chunk
 
@@ -133,7 +134,7 @@ def test_failed_derive_leaves_the_previous_contents_current(flats, tmp_path):
             raise RuntimeError("boom")
         return cells % 2
 
-    for target in ("keys", "idf"):
+    for target in ("keys", "slots"):
         with pytest.raises(RuntimeError, match="boom"):
             flats.derive(target, "cells", explode)
         assert _observe(flats) == before
@@ -144,7 +145,7 @@ def test_failed_derive_leaves_the_previous_contents_current(flats, tmp_path):
     # ...and the backend still works.
     flats.derive("keys", "keys", lambda keys: keys + 1)
     assert np.array_equal(
-        np.asarray(flats.column("keys")), np.arange(21) % len(COUNTS) + 1
+        np.asarray(flats.column("keys")), _remap(np.arange(21) % len(COUNTS)) + 1
     )
 
 
@@ -152,7 +153,7 @@ def test_disk_residency_is_bounded_by_the_chunk_cache(tmp_path):
     flats = _disk(tmp_path)
     assert flats.resident_bytes == 0
     flats.append(_rows(0, 50 * CHUNK_ROWS))
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     widest = max(dtype.itemsize for dtype in COLUMNS.values())
     bound = CACHE_CHUNKS * CHUNK_ROWS * widest
     assert 0 < flats.resident_bytes <= bound
@@ -161,7 +162,7 @@ def test_disk_residency_is_bounded_by_the_chunk_cache(tmp_path):
     # The heap twin holds everything.
     memory = _memory(tmp_path)
     memory.append(_rows(0, 50 * CHUNK_ROWS))
-    memory.derive("idf", "keys", _idf)
+    memory.derive("keys", "keys", _remap)
     assert memory.resident_bytes == sum(
         50 * CHUNK_ROWS * dtype.itemsize for dtype in COLUMNS.values()
     )
@@ -172,7 +173,7 @@ def test_a_disk_capture_restores_into_a_memory_backend(tmp_path):
     adopts (the restart path — restore, then maybe spill again)."""
     disk = _disk(tmp_path)
     disk.append(_rows(0, 21))
-    disk.derive("idf", "keys", _idf)
+    disk.derive("keys", "keys", _remap)
     memory = MemoryColumns()
     memory.restore(disk.checkpoint())
     assert _observe(memory) == _observe(disk)
@@ -195,15 +196,15 @@ def test_rewriting_one_column_does_not_remap_the_others(tmp_path):
     assert store.column("idf") is store.column("idf")
 
 
-def test_deriving_idf_keeps_the_other_disk_views(tmp_path):
+def test_deriving_keys_keeps_the_other_disk_views(tmp_path):
     flats = _disk(tmp_path)
     flats.append(_rows(0, 21))
-    flats.derive("idf", "keys", _idf)
+    flats.derive("keys", "keys", _remap)
     views = {name: flats.column(name) for name in COLUMNS}
-    flats.derive("idf", "keys", lambda keys: _idf(keys) * 2.0)
-    for name in ("cells", "slots", "keys"):
+    flats.derive("keys", "keys", lambda keys: _remap(keys) * 2)
+    for name in ("cells", "slots"):
         assert flats.column(name) is views[name]
-    assert flats.column("idf") is not views["idf"]
+    assert flats.column("keys") is not views["keys"]
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +352,7 @@ def _lists_every_column(source):
 
 
 def test_the_column_list_is_declared_once():
-    """The four names appear together, as a list, only in
+    """The column names appear together, as a list, only in
     ``store/columns.py``; everything else asks that module."""
     listing = [
         path.relative_to(SRC).as_posix()

@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.retention import SlidingWindowRetention
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh.index import LshConfig
 from repro.pipeline import LinkageConfig
+from repro.store.chunks import DEFAULT_CHUNK_ROWS
 
 
 def _round_records(side, round_index, per_side=14):
@@ -60,6 +62,10 @@ def test_disk_linker_bit_identical_to_in_core(tmp_path, config):
     assert in_core.last_relink == on_disk.last_relink
 
 
+#: The linker's default chunk cache, as a byte bound (8-byte columns).
+DEFAULT_CACHE_BYTES = 8 * DEFAULT_CHUNK_ROWS * 8
+
+
 def test_disk_linker_resident_bytes_are_bounded(tmp_path):
     in_core = StreamingLinker(0.0)
     on_disk = StreamingLinker(
@@ -71,11 +77,40 @@ def test_disk_linker_resident_bytes_are_bounded(tmp_path):
     disk_stats = on_disk.memory_stats()
     for side in ("left", "right"):
         key = f"{side}_flat_resident_bytes"
-        assert 0 < disk_stats[key] < memory_stats[key]
+        assert disk_stats[key] <= DEFAULT_CACHE_BYTES
+        assert disk_stats[key] < memory_stats[key]
     # Everything except flat residency matches exactly.
     for key, value in memory_stats.items():
         if not key.endswith("flat_resident_bytes"):
             assert disk_stats[key] == value, key
+
+
+def test_an_evicting_disk_linker_streams_within_the_chunk_cache(tmp_path):
+    """Eviction recycles df slots — a ``keys`` remap streamed through the
+    chunk LRU — so residency is real, and still within the cache."""
+    chunk_rows, cache_chunks = 8, 2
+    linker = StreamingLinker(
+        0.0,
+        retention=SlidingWindowRetention(2),
+        storage="disk",
+        store_dir=tmp_path / "store",
+        store_chunk_rows=chunk_rows,
+        store_cache_chunks=cache_chunks,
+    )
+    evicted = 0
+    for round_index in range(5):
+        for side in ("left", "right"):
+            records = _round_records(side, round_index)
+            linker.observe(
+                side,
+                [r._replace(entity_id=f"r{round_index}{r.entity_id}") for r in records],
+            )
+        linker.relink()
+        evicted += linker.last_relink.evicted_left
+    assert evicted > 0
+    stats = linker.memory_stats()
+    for side in ("left", "right"):
+        assert 0 < stats[f"{side}_flat_resident_bytes"] <= cache_chunks * chunk_rows * 8
 
 
 def test_disk_corpus_accessors_match_in_core(tmp_path):

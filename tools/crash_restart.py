@@ -19,10 +19,15 @@ blunt way:
 
 The scoring executor comes from ``REPRO_EXECUTOR`` (the CI matrix runs
 ``serial`` and ``process``), exercising restore under every backend.
+``--storage disk`` runs every linker — the reference and each attempt —
+with its corpus flats spilled under ``<workdir>/store``: every restore
+spills into that same directory again, so an attempt also starts over a
+store the killed one left with stale generations and tmp files.
 
 Usage::
 
     REPRO_EXECUTOR=serial python tools/crash_restart.py --workdir /tmp/drill
+    python tools/crash_restart.py --workdir /tmp/drill-disk --storage disk
 """
 
 from __future__ import annotations
@@ -101,12 +106,19 @@ def resume_round(linker: StreamingLinker) -> int:
     return int(linker.watermark // ROUND_SECONDS) + 1
 
 
-def child_main(snapshot_dir: Path, links_path: Path) -> int:
+def storage_options(storage: str, store_dir: Path) -> dict:
+    """The linker keywords of one ``--storage`` choice."""
+    if storage == "memory":
+        return {}
+    return {"storage": "disk", "store_dir": store_dir}
+
+
+def child_main(snapshot_dir: Path, links_path: Path, storage: dict) -> int:
     """One checkpointing replay attempt (possibly armed to SIGKILL itself)."""
-    linker = StreamingLinker.restore(snapshot_dir)
+    linker = StreamingLinker.restore(snapshot_dir, **storage)
     if linker is None:
         start = 0
-        linker = StreamingLinker(0.0, config=drill_config())
+        linker = StreamingLinker(0.0, config=drill_config(), **storage)
     else:
         start = resume_round(linker)
     report = replay(linker, range(start, ROUNDS), snapshot_dir)
@@ -116,14 +128,24 @@ def child_main(snapshot_dir: Path, links_path: Path) -> int:
     return 0
 
 
-def driver_main(workdir: Path) -> int:
+def driver_main(workdir: Path, storage: str) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     links_path = workdir / "links.json"
     executor = os.environ.get("REPRO_EXECUTOR", "serial")
-    print(f"crash-restart drill: executor={executor} workdir={workdir}")
+    print(
+        f"crash-restart drill: executor={executor} storage={storage} "
+        f"workdir={workdir}"
+    )
 
     reference = links_payload(
-        replay(StreamingLinker(0.0, config=drill_config()), range(ROUNDS))
+        replay(
+            StreamingLinker(
+                0.0,
+                config=drill_config(),
+                **storage_options(storage, workdir / "reference-store"),
+            ),
+            range(ROUNDS),
+        )
     )
 
     child_cmd = [
@@ -132,6 +154,8 @@ def driver_main(workdir: Path) -> int:
         "--child",
         "--workdir",
         str(workdir),
+        "--storage",
+        storage,
     ]
     env = dict(os.environ)
     for attempt, kill_spec in enumerate(KILL_PLAN, start=1):
@@ -179,6 +203,12 @@ def main() -> int:
         help="scratch directory for snapshots and links JSON",
     )
     parser.add_argument(
+        "--storage",
+        choices=("memory", "disk"),
+        default="memory",
+        help="where every linker keeps its corpus flats (default: memory)",
+    )
+    parser.add_argument(
         "--child",
         action="store_true",
         help="internal: run one checkpointing replay attempt",
@@ -186,8 +216,12 @@ def main() -> int:
     args = parser.parse_args()
     workdir = Path(args.workdir)
     if args.child:
-        return child_main(workdir / "snaps", workdir / "links.json")
-    return driver_main(workdir)
+        return child_main(
+            workdir / "snaps",
+            workdir / "links.json",
+            storage_options(args.storage, workdir / "store"),
+        )
+    return driver_main(workdir, args.storage)
 
 
 if __name__ == "__main__":
