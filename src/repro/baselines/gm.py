@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.matching import Edge
+from ..core.matching import Edge, EdgeSet
 from ..core.similarity import SimilarityStats
 from ..core.threshold import ThresholdDecision
 from ..data.records import LocationDataset
@@ -422,7 +422,7 @@ class _GmScoring:
             scores[(left_entity, right_entity)] = value
             if value > 0:
                 edges.append(Edge(left_entity, right_entity, value))
-        context.edges = edges
+        context.edges = EdgeSet.from_edges(edges)
         context.stats = SimilarityStats(
             pairs_scored=len(context.candidates),
             bin_comparisons=linker.record_comparisons,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.history import build_histories
-from ..core.matching import Edge
+from ..core.matching import Edge, EdgeSet
 from ..core.similarity import SimilarityStats
 from ..data.records import LocationDataset
 from ..pipeline import (
@@ -201,11 +201,11 @@ class _PoisScoring:
 
     def run(self, context: LinkageContext) -> None:
         scores: Dict[Tuple[str, str], float] = context.extras["scores"]
-        context.edges = [
+        context.edges = EdgeSet.from_edges(
             Edge(left_entity, right_entity, value)
             for (left_entity, right_entity), value in scores.items()
             if value > self.config.min_score
-        ]
+        )
         context.stats = SimilarityStats(
             pairs_scored=len(scores),
             bin_comparisons=context.extras["record_comparisons"],

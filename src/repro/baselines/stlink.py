@@ -29,13 +29,13 @@ broken by diversity).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.elbow import kneedle_index
 from ..core.history import MobilityHistory, build_histories
-from ..core.matching import Edge
+from ..core.matching import Edge, EdgeSet
 from ..core.proximity import DEFAULT_MAX_SPEED_MPS, runaway_distance
 from ..core.similarity import SimilarityStats
 from ..data.records import LocationDataset
@@ -67,20 +67,20 @@ def ambiguous_entities(qualified: Sequence[Edge]) -> Set[str]:
     """Entities appearing in more than one qualified pair — the single
     source of truth for ST-Link's ambiguity rule, shared by the
     ``"stlink"`` matcher and the :class:`StLinkResult` diagnostics."""
-    left_degree: Dict[str, int] = defaultdict(int)
-    right_degree: Dict[str, int] = defaultdict(int)
-    for edge in qualified:
-        left_degree[edge.left] += 1
-        right_degree[edge.right] += 1
+    qualified = EdgeSet.from_edges(qualified)
     return {
-        entity for entity, degree in left_degree.items() if degree > 1
-    } | {entity for entity, degree in right_degree.items() if degree > 1}
+        entity
+        for column in (qualified.left, qualified.right)
+        for entity, degree in Counter(column).items()
+        if degree > 1
+    }
 
 
 def stlink_ambiguity_matching(edges: Sequence[Edge]) -> List[Edge]:
     """ST-Link's "matcher": keep a qualified pair only when *neither*
     endpoint appears in any other qualified pair (no scoring-based
     disambiguation — ambiguous entities drop out entirely)."""
+    edges = EdgeSet.from_edges(edges)
     ambiguous = ambiguous_entities(edges)
     return [
         edge
@@ -417,7 +417,7 @@ class _StLinkScoring:
             for window, count in left_per_window.items()
         )
 
-        context.edges = edges
+        context.edges = EdgeSet.from_edges(edges)
         context.stats = SimilarityStats(
             pairs_scored=len(counts), bin_comparisons=comparisons
         )
@@ -429,5 +429,5 @@ class _StLinkScoring:
             diversity={pair: len(cells) for pair, cells in locations.items()},
             window_join_comparisons=window_join,
             scores=scores,
-            ambiguous_entities=ambiguous_entities(edges),
+            ambiguous_entities=ambiguous_entities(context.edges),
         )

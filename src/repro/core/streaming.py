@@ -105,7 +105,7 @@ from ..pipeline.stages import (
     ThresholdStage,
     candidate_stages,
 )
-from .matching import Edge
+from .matching import EdgeSet
 from ..store.snapshot import (
     SnapshotError,
     SnapshotMissing,
@@ -1089,8 +1089,8 @@ class _StreamingScoring(ScoringStage):
     counted as one and keeps its columns.  Then the same
     :meth:`~repro.core.similarity.SimilarityEngine.normalize` and
     :meth:`~repro.core.similarity.SimilarityEngine.fold` the batch route
-    ends in, over the whole table; ``Edge`` objects are built (and
-    sorted, for the matcher's determinism) for the positive rows only.
+    ends in, over the whole table; the positive rows become one
+    :class:`~repro.core.matching.EdgeSet` — columns, no ``Edge`` per row.
     """
 
     def __init__(
@@ -1139,11 +1139,9 @@ class _StreamingScoring(ScoringStage):
         scores = engine.normalize(
             columns[_RAW], columns[_LEFT_SIZE], columns[_RIGHT_SIZE]
         )
-        positive = np.nonzero(scores > 0.0)[0]
-        context.edges = sorted(
-            Edge(*pair_at[row], score)
-            for row, score in zip(positive.tolist(), scores[positive].tolist())
-        )
+        # Rows are in allocation order: the edge set sorts its Edge rows
+        # only if they are read (the matcher reads the columns).
+        context.edges = EdgeSet.from_scores(pair_at, scores, sort_rows=True)
         engine.fold(
             len(table),
             columns[_BIN_COMPARISONS],

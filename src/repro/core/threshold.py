@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .gmm import GaussianMixture1D
 
@@ -42,14 +43,15 @@ class ThresholdDecision:
 
     ``expected_*`` are the model-implied metrics at the chosen threshold —
     what the linker believes *without ground truth*; the evaluation harness
-    compares them against measured values.
+    compares them against measured values.  NaN for a method without a
+    model.
     """
 
     threshold: float
     method: str
-    expected_precision: float
-    expected_recall: float
-    expected_f1: float
+    expected_precision: float = math.nan
+    expected_recall: float = math.nan
+    expected_f1: float = math.nan
     model: Optional[GaussianMixture1D] = None
 
     def accepts(self, weight: float) -> bool:
@@ -57,18 +59,12 @@ class ThresholdDecision:
         return weight >= self.threshold
 
 
-def _degenerate_decision(weights: np.ndarray, method: str) -> ThresholdDecision:
-    """Fallback when the weight distribution cannot support a 2-GMM
-    (too few edges, or zero spread): keep every matched edge."""
-    threshold = float(weights.min()) if weights.size else 0.0
-    return ThresholdDecision(
-        threshold=threshold,
-        method=f"{method}-degenerate",
-        expected_precision=float("nan"),
-        expected_recall=float("nan"),
-        expected_f1=float("nan"),
-        model=None,
-    )
+def _keep_every_edge(weights: np.ndarray, method: str) -> ThresholdDecision:
+    """Keep every matched edge: the threshold is the lowest weight (0.0
+    without edges).  The ``"none"`` method, and the fallback when the
+    weight distribution cannot support a 2-GMM (too few edges, or zero
+    spread)."""
+    return ThresholdDecision(float(weights.min()) if weights.size else 0.0, method)
 
 
 def expected_prf(model: GaussianMixture1D, thresholds: np.ndarray) -> tuple:
@@ -92,12 +88,12 @@ def expected_prf(model: GaussianMixture1D, thresholds: np.ndarray) -> tuple:
 
 
 def gmm_stop_threshold(
-    weights: Sequence[float], grid_size: int = 1024
+    weights: ArrayLike, grid_size: int = 1024
 ) -> ThresholdDecision:
     """The paper's automated stop threshold over matched edge weights."""
-    array = np.asarray(list(weights), dtype=np.float64)
+    array = np.asarray(weights, dtype=np.float64)
     if array.size < 4 or float(array.std()) == 0.0:
-        return _degenerate_decision(array, "gmm")
+        return _keep_every_edge(array, "gmm-degenerate")
 
     model = GaussianMixture1D(n_components=2).fit(array)
     low, high = float(array.min()), float(array.max())
@@ -114,12 +110,12 @@ def gmm_stop_threshold(
     )
 
 
-def otsu_threshold(weights: Sequence[float], bins: int = 256) -> ThresholdDecision:
+def otsu_threshold(weights: ArrayLike, bins: int = 256) -> ThresholdDecision:
     """Otsu's histogram threshold (the paper reports it behaves like the
     GMM approach on these score distributions)."""
-    array = np.asarray(list(weights), dtype=np.float64)
+    array = np.asarray(weights, dtype=np.float64)
     if array.size < 4 or float(array.std()) == 0.0:
-        return _degenerate_decision(array, "otsu")
+        return _keep_every_edge(array, "otsu-degenerate")
 
     histogram, edges = np.histogram(array, bins=bins)
     probabilities = histogram.astype(np.float64) / array.size
@@ -135,25 +131,17 @@ def otsu_threshold(weights: Sequence[float], bins: int = 256) -> ThresholdDecisi
         between = omega0 * omega1 * (mu0 - mu1) ** 2
     between[~np.isfinite(between)] = -1.0
     best = int(np.argmax(between))
-    threshold = float(edges[best + 1])
-    return ThresholdDecision(
-        threshold=threshold,
-        method="otsu",
-        expected_precision=float("nan"),
-        expected_recall=float("nan"),
-        expected_f1=float("nan"),
-        model=None,
-    )
+    return ThresholdDecision(float(edges[best + 1]), "otsu")
 
 
 def two_means_threshold(
-    weights: Sequence[float], max_iter: int = 100
+    weights: ArrayLike, max_iter: int = 100
 ) -> ThresholdDecision:
     """1-D 2-means clustering threshold (Lloyd's algorithm); the cut falls
     midway between the two final centroids."""
-    array = np.asarray(list(weights), dtype=np.float64)
+    array = np.asarray(weights, dtype=np.float64)
     if array.size < 4 or float(array.std()) == 0.0:
-        return _degenerate_decision(array, "two_means")
+        return _keep_every_edge(array, "two_means-degenerate")
 
     low_center = float(array.min())
     high_center = float(array.max())
@@ -168,11 +156,4 @@ def two_means_threshold(
             low_center, high_center = new_low, new_high
             break
         low_center, high_center = new_low, new_high
-    return ThresholdDecision(
-        threshold=(low_center + high_center) / 2.0,
-        method="two_means",
-        expected_precision=float("nan"),
-        expected_recall=float("nan"),
-        expected_f1=float("nan"),
-        model=None,
-    )
+    return ThresholdDecision((low_center + high_center) / 2.0, "two_means")

@@ -13,10 +13,13 @@ stage      reads                                      writes
 prepare    ``left``/``right`` datasets, ``config``    windowing, histories,
                                                       corpora
 candidates histories, ``total_windows``               ``candidates``
-scoring    corpora, ``candidates``, ``score_cache``   ``engine``, ``edges``,
-                                                      ``stats``
-matching   ``edges``                                  ``matched_edges``
-threshold  ``matched_edges``                          ``threshold``, ``links``
+scoring    corpora, ``candidates``, ``score_cache``   ``engine``, ``edges``
+                                                      (an ``EdgeSet``:
+                                                      columns, no ``Edge``
+                                                      per row), ``stats``
+matching   ``edges`` (greedy: the columns)            ``matched_edges``
+                                                      (``Edge`` rows)
+threshold  ``matched_edges`` (weights as one array)   ``threshold``, ``links``
 ========== ========================================== =====================
 
 A producer with pre-existing state (the streaming linker's live corpora,
@@ -28,7 +31,7 @@ explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.corpus import HistoryCorpus
 from ..core.history import MobilityHistory
@@ -81,7 +84,9 @@ class LinkageContext:
     #: is idempotent, so stages may also release their own eagerly).
     owned_executors: List["Executor"] = field(default_factory=list)
     engine: Optional[SimilarityEngine] = None
-    edges: List[Edge] = field(default_factory=list)
+    #: The positive-score edges: an :class:`~repro.core.matching.EdgeSet`
+    #: from the scoring stages (any ``Sequence[Edge]`` is accepted).
+    edges: Sequence[Edge] = field(default_factory=list)
     stats: Optional[SimilarityStats] = None
 
     # matching + threshold

@@ -12,7 +12,7 @@ for every producer, so timing tables line up across linkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.matching import Edge
 from ..core.similarity import SimilarityStats
@@ -35,7 +35,12 @@ class LinkageReport:
         The full matching before thresholding (Fig. 2's histogram is drawn
         over these weights).
     edges:
-        All positive-score candidate edges (the bipartite graph).
+        All positive-score candidate edges (the bipartite graph), as the
+        scoring stage's :class:`~repro.core.matching.EdgeSet`: a
+        ``Sequence[Edge]`` (sorted by ``(left, right)`` for the built-in
+        stages) whose ``Edge`` rows are built once, on the first read —
+        a run that never reads them builds an ``Edge`` only per matched
+        edge.  Compares equal to the list of the same rows.
     threshold:
         The stop-threshold decision and its GMM diagnostics.
     candidate_pairs:
@@ -64,7 +69,7 @@ class LinkageReport:
 
     links: Dict[str, str]
     matched_edges: List[Edge]
-    edges: List[Edge]
+    edges: Sequence[Edge]
     threshold: ThresholdDecision
     candidate_pairs: int
     stats: SimilarityStats

@@ -38,9 +38,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple, runtime_checkable
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from ..core.corpus import HistoryCorpus, content_fingerprint
 from ..core.history import build_histories
-from ..core.matching import Edge
+from ..core.matching import Edge, EdgeSet
 from ..core.matching import MATCHERS as _CORE_MATCHERS
 from ..core.kernels import (
     DENSE_SCORE_BLOCK_SIZE,
@@ -50,6 +53,7 @@ from ..core.kernels import (
 from ..core.similarity import SimilarityEngine
 from ..core.threshold import (
     ThresholdDecision,
+    _keep_every_edge,
     gmm_stop_threshold,
     otsu_threshold,
     two_means_threshold,
@@ -151,7 +155,7 @@ matchers: Registry[Callable[[Sequence[Edge]], List[Edge]]] = Registry("matcher")
 
 #: Stop-threshold methods: ``fn(weights) -> ThresholdDecision``.
 threshold_methods: Registry[
-    Callable[[Sequence[float]], ThresholdDecision]
+    Callable[[ArrayLike], ThresholdDecision]
 ] = Registry("threshold method")
 
 
@@ -163,18 +167,11 @@ threshold_methods.register("otsu")(otsu_threshold)
 threshold_methods.register("two_means")(two_means_threshold)
 
 
-def no_threshold(weights: Sequence[float]) -> ThresholdDecision:
+def no_threshold(weights: ArrayLike) -> ThresholdDecision:
     """The ``"none"`` method: keep every matched edge (what prior work
     implicitly does; the ablation baseline for the stop-threshold
     mechanism)."""
-    floor = min(weights, default=0.0)
-    return ThresholdDecision(
-        threshold=floor,
-        method="none",
-        expected_precision=float("nan"),
-        expected_recall=float("nan"),
-        expected_f1=float("nan"),
-    )
+    return _keep_every_edge(np.asarray(weights, dtype=np.float64), "none")
 
 
 threshold_methods.register("none")(no_threshold)
@@ -408,11 +405,9 @@ class ScoringStage:
             else sorted(candidates)
         )
         scores = self._dispatch(context, engine.score_batch, ordered)
-        context.edges = [
-            Edge(left_entity, right_entity, score)
-            for (left_entity, right_entity), score in zip(ordered, scores)
-            if score > 0.0
-        ]
+        context.edges = EdgeSet.from_scores(
+            ordered, np.asarray(scores, dtype=np.float64)
+        )
         context.stats = engine.stats
 
     def _dispatch(
@@ -527,11 +522,10 @@ class ThresholdStage:
 
     def run(self, context: LinkageContext) -> None:
         matched = context.matched_edges
-        if not matched:
-            # No matched edges: every method degenerates to the floor.
-            decision = no_threshold([])
-        else:
-            decision = self.method([edge.weight for edge in matched])
+        weights = np.array([edge.weight for edge in matched], dtype=np.float64)
+        # No matched edges: every method degenerates to the floor.
+        method = self.method if weights.size else no_threshold
+        decision = method(weights)
         context.threshold = decision
         context.links = {
             edge.left: edge.right
