@@ -275,6 +275,8 @@ _CACHE_METHODS = frozenset(
         "lookup_batch",
         "invalidate_pairs",
         "drop_entities",
+        "clear",
+        "restore",
     }
 )
 

@@ -28,14 +28,17 @@ as :meth:`lookup_batch`: one directory pass builds the row vector, and
 every version comparison, freshness mask and value gather is a single
 vectorized operation instead of a per-pair Python loop.
 
-Two more structures ride on the directory.  A **per-entity key index**
-makes :meth:`ScoreCache.invalidate_pairs` cost O(rows of the named
-entities) instead of a directory scan.  And a **write journal**
-(:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives the
-streaming relink its rollback at O(writes): inside a transaction no row
-is overwritten or recycled — a dropped row is quarantined, a re-stored
-key moves to a fresh row — so the journal only has to remember which row
-each touched key held.  The O(cache) :meth:`ScoreCache.checkpoint`
+The store under the directory is :class:`_Rows`, the keyed-rows
+primitive the streaming linker's pair table is built on as well: value
+columns behind a ``key -> row`` dict, a ``row -> key`` list, one
+**per-entity row index** per side (so :meth:`ScoreCache.invalidate_pairs`
+costs O(rows of the named entities), not a directory scan), a free list,
+and one **undo journal** (:meth:`ScoreCache._begin` /
+:meth:`ScoreCache._commit`) that gives the streaming relink its rollback
+at O(writes): rows are overwritten in place, the journal keeps the prior
+values of every block written, every link and unlink, and the rows taken
+from the free list, and a row freed inside a transaction is recycled
+only when it commits.  The O(cache) :meth:`ScoreCache.checkpoint`
 remains the one *full* capture, for snapshots and the cache file.
 
 What version keys cannot see is *IDF drift*: a bin's document frequency —
@@ -133,28 +136,169 @@ class CacheBatch:
     alibi_bin_pairs: np.ndarray  # (N,) int64
 
 
-class _CacheJournal:
-    """What one transaction overwrote in a :class:`ScoreCache`.
+class _Journal:
+    """What one transaction changed in a :class:`_Rows` store, in order:
+    ``events`` — ``(linked, row, key)``, True = linked, False = unlinked;
+    ``written`` — ``(rows, prior values)`` per block of rows written;
+    ``from_free`` — the rows taken from the free list; and, as of
+    :meth:`_Rows._begin`, the high-water mark and the owner's
+    ``_SCALARS``."""
 
-    ``prior`` maps every key the transaction inserted or dropped to the
-    row it held before (``None`` = absent), recorded on first touch.
-    Dropped rows are quarantined in ``dropped`` instead of being
-    recycled, so their values survive untouched until the transaction
-    ends; ``from_free`` holds the recycled rows handed out."""
+    __slots__ = ("events", "written", "from_free", "high", "scalars")
 
-    __slots__ = ("prior", "dropped", "from_free", "high", "hits", "misses", "mutations")
-
-    def __init__(self, cache: "ScoreCache") -> None:
-        self.prior: Dict[Key, Optional[int]] = {}
-        self.dropped: List[int] = []
+    def __init__(self, high: int, scalars: Dict[str, object]) -> None:
+        self.events: List[Tuple[bool, int, Hashable]] = []
+        self.written: List[Tuple[np.ndarray, List[np.ndarray]]] = []
         self.from_free: List[int] = []
-        self.high = cache._high
-        self.hits = cache.hits
-        self.misses = cache.misses
-        self.mutations = cache._mutations
+        self.high = high
+        self.scalars = scalars
 
 
-class ScoreCache:
+class _Rows:
+    """Keyed rows: value columns (one per ``_DTYPES`` entry) behind a
+    ``key -> row`` directory, with a ``row -> key`` list (``None`` = free;
+    its length is the high-water mark), one entity -> rows index per side
+    (keyed by the key's last two items), a free list, and columns that
+    grow by doubling into zeros.
+
+    One undo journal makes a transaction cost O(writes): between
+    :meth:`_begin` and :meth:`_commit`, rows are still overwritten in
+    place — :meth:`_write` journals their prior values — but a row freed
+    is recycled only at :meth:`_commit`, so :meth:`_rollback` can replay
+    the journal backwards onto exactly the content :meth:`_begin` saw.
+    Outside a transaction a freed row is recycled at once."""
+
+    #: One dtype per value column.
+    _DTYPES: Tuple[type, ...] = ()
+    #: The owner's attributes a rollback puts back.
+    _SCALARS: Tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _reset(self, capacity: int = 0) -> None:
+        """Become empty, with zeroed columns of ``capacity`` rows."""
+        self._rows: Dict[Hashable, int] = {}
+        self._keys: List[Optional[Hashable]] = []
+        self._by_entity: Tuple[Dict[str, Set[int]], Dict[str, Set[int]]] = ({}, {})
+        self._free: List[int] = []
+        self._journal: Optional[_Journal] = None
+        self._columns = [np.zeros(capacity, dtype) for dtype in self._DTYPES]
+
+    def _load(self, keys: Sequence[Hashable], columns: Sequence[np.ndarray]) -> None:
+        """Become exactly these keys, numbered in order, with these values."""
+        self._reset(len(keys))
+        for column, values in zip(self._columns, columns):
+            column[:] = values
+        self._keys = [None] * len(keys)
+        for row, key in enumerate(keys):
+            self._attach(key, row)
+
+    def _attach(self, key: Hashable, row: int) -> None:
+        self._rows[key] = row
+        self._keys[row] = key
+        left, right = self._by_entity
+        left.setdefault(key[-2], set()).add(row)
+        right.setdefault(key[-1], set()).add(row)
+
+    def _detach(self, key: Hashable) -> int:
+        row = self._rows.pop(key)
+        self._keys[row] = None
+        left, right = self._by_entity
+        for by_entity, entity in ((left, key[-2]), (right, key[-1])):
+            rows = by_entity[entity]
+            rows.discard(row)
+            if not rows:
+                del by_entity[entity]
+        return row
+
+    def _add(self, key: Hashable) -> int:
+        """Link ``key`` to a free row, or to a new one; returns the row
+        (the caller writes its values)."""
+        journal = self._journal
+        if self._free:
+            row = self._free.pop()
+            if journal is not None:
+                journal.from_free.append(row)
+        else:
+            row = len(self._keys)
+            if row == len(self._columns[0]):
+                for position, column in enumerate(self._columns):
+                    grown = np.zeros(max(_MIN_CAPACITY, 2 * row), column.dtype)
+                    grown[:row] = column
+                    self._columns[position] = grown
+            self._keys.append(None)
+        self._attach(key, row)
+        if journal is not None:
+            journal.events.append((True, row, key))
+        return row
+
+    def _remove(self, key: Hashable) -> int:
+        """Unlink ``key``; returns its row, now free (at commit, inside
+        a transaction)."""
+        row = self._detach(key)
+        if self._journal is None:
+            self._free.append(row)
+        else:
+            self._journal.events.append((False, row, key))
+        return row
+
+    def _write(self, rows: np.ndarray, values: Sequence) -> None:
+        """Overwrite a block of rows, one value (array or scalar) per
+        column."""
+        if self._journal is not None:
+            prior = [column[rows] for column in self._columns]
+            self._journal.written.append((rows, prior))
+        for column, value in zip(self._columns, values):
+            column[rows] = value
+
+    def _rows_of(self, lefts: Iterable[str], rights: Iterable[str]) -> Set[int]:
+        """The rows whose left entity is in ``lefts`` or whose right
+        entity is in ``rights``: O(those rows)."""
+        found: Set[int] = set()
+        for by_entity, entities in zip(self._by_entity, (lefts, rights)):
+            for entity in entities:
+                found.update(by_entity.get(entity, ()))
+        return found
+
+    def _begin(self) -> _Journal:
+        """Open a transaction; rolling back the returned journal undoes
+        everything written until :meth:`_commit`."""
+        self._journal = _Journal(
+            len(self._keys), {name: getattr(self, name) for name in self._SCALARS}
+        )
+        return self._journal
+
+    def _commit(self) -> None:
+        """Close the transaction, keeping its writes: the rows it freed
+        become recyclable."""
+        if self._journal is not None:
+            self._free.extend(
+                row for linked, row, _ in self._journal.events if not linked
+            )
+            self._journal = None
+
+    def _rollback(self, journal: _Journal) -> None:
+        """Undo the transaction: replay its journal backwards."""
+        self._journal = None
+        for linked, row, key in reversed(journal.events):
+            if linked:
+                self._detach(key)
+            else:
+                self._attach(key, row)
+        for rows, prior in reversed(journal.written):
+            for column, values in zip(self._columns, prior):
+                column[rows] = values
+        self._free.extend(reversed(journal.from_free))
+        del self._keys[journal.high:]
+        for name, value in journal.scalars.items():
+            setattr(self, name, value)
+
+
+class ScoreCache(_Rows):
     """Every cached pair score, over a columnar store.
 
     Nothing is evicted for space: a
@@ -173,108 +317,28 @@ class ScoreCache:
     only replace a row by what the reader would have computed.
     """
 
-    #: The value columns, by attribute: what :meth:`checkpoint` gathers.
-    _VALUE_COLUMNS = (
-        "_u_version", "_v_version", "_raw",
-        "_bin_comparisons", "_common_windows", "_alibi_bin_pairs",
-    )
+    #: The value columns, in :class:`PairScore` field order: what
+    #: :meth:`checkpoint` gathers.
+    _DTYPES = (np.int64, np.int64, np.float64, np.int64, np.int64, np.int64)
+    _SCALARS = ("hits", "misses", "_mutations")
 
     def __init__(self) -> None:
-        # pair -> row in the columnar arrays.
-        self._rows: Dict[Key, int] = {}
-        # Keys by left / right entity: invalidate_pairs sweeps the rows
-        # of the named entities, not the directory.
-        self._by_left: Dict[str, Set[Key]] = {}
-        self._by_right: Dict[str, Set[Key]] = {}
-        self._free: List[int] = []
-        self._high = 0  # rows ever allocated (high-water mark)
-        self._u_version = np.empty(0, dtype=np.int64)
-        self._v_version = np.empty(0, dtype=np.int64)
-        self._raw = np.empty(0, dtype=np.float64)
-        self._bin_comparisons = np.empty(0, dtype=np.int64)
-        self._common_windows = np.empty(0, dtype=np.int64)
-        self._alibi_bin_pairs = np.empty(0, dtype=np.int64)
+        super().__init__()
         self._mutations = 0
-        self._journal: Optional[_CacheJournal] = None
         #: Number of lookups answered from the cache / recomputed.  A
         #: zero-delta relink shows up as misses staying flat.
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    # ------------------------------------------------------------------
-    # columnar plumbing
-    # ------------------------------------------------------------------
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self._VALUE_COLUMNS)
-
-    def _grow(self, capacity: int) -> None:
-        for name in self._VALUE_COLUMNS:
-            array = getattr(self, name)
-            grown = np.empty(capacity, dtype=array.dtype)
-            grown[: len(array)] = array
-            setattr(self, name, grown)
-
-    def _link(self, key: Key, row: int) -> None:
-        self._rows[key] = row
-        self._by_left.setdefault(key[1], set()).add(key)
-        self._by_right.setdefault(key[2], set()).add(key)
-
-    def _unlink(self, key: Key) -> int:
-        row = self._rows.pop(key)
-        for by_entity, entity in ((self._by_left, key[1]), (self._by_right, key[2])):
-            keys = by_entity[entity]
-            keys.discard(key)
-            if not keys:
-                del by_entity[entity]
-        return row
-
-    def _drop(self, key: Key) -> None:
-        """Remove a key; its row is recycled — after the transaction, if
-        one is open, so the journal can still point at it."""
-        row = self._unlink(key)
-        journal = self._journal
-        if journal is None:
-            self._free.append(row)
-        else:
-            journal.prior.setdefault(key, row)
-            journal.dropped.append(row)
+    def _entry(self, key: Key) -> PairScore:
+        row = self._rows[key]
+        return PairScore(*(column[row].item() for column in self._columns))
 
     def _place(self, key: Key) -> int:
-        """The row to write ``key``'s values into (the caller fills it).
-        Inside a transaction an existing row is never overwritten: the
-        key moves to a fresh one."""
+        """The row to write ``key``'s values into: the one it holds,
+        overwritten in place, or a new one."""
         row = self._rows.get(key)
-        journal = self._journal
-        if row is not None:
-            if journal is None:
-                return row
-            self._drop(key)
-        if self._free:
-            row = self._free.pop()
-            if journal is not None:
-                journal.from_free.append(row)
-        else:
-            row = self._high
-            if row >= len(self._raw):
-                self._grow(max(_MIN_CAPACITY, 2 * len(self._raw)))
-            self._high += 1
-        if journal is not None:
-            journal.prior.setdefault(key, None)
-        self._link(key, row)
-        return row
-
-    def _entry(self, row: int) -> PairScore:
-        return PairScore(
-            u_version=int(self._u_version[row]),
-            v_version=int(self._v_version[row]),
-            raw=float(self._raw[row]),
-            bin_comparisons=int(self._bin_comparisons[row]),
-            common_windows=int(self._common_windows[row]),
-            alibi_bin_pairs=int(self._alibi_bin_pairs[row]),
-        )
+        return self._add(key) if row is None else row
 
     # ------------------------------------------------------------------
     # lookup / store (per pair)
@@ -292,20 +356,10 @@ class ScoreCache:
         An entry computed from older history versions is dropped and
         reported as a miss (the caller will re-score and re-store).
         """
-        key = (space, left_entity, right_entity)
-        row = self._rows.get(key)
-        if row is None:
-            self.misses += 1
+        pair = (left_entity, right_entity)
+        if not self.lookup_batch(space, [pair], u_version, v_version).hit[0]:
             return None
-        if (
-            self._u_version[row] != u_version
-            or self._v_version[row] != v_version
-        ):
-            self._drop(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._entry(row)
+        return self._entry((space, *pair))
 
     def store(
         self,
@@ -319,15 +373,14 @@ class ScoreCache:
         common_windows: int,
         alibi_bin_pairs: int,
     ) -> PairScore:
-        """Memoise one freshly scored pair."""
-        row = self._place((space, left_entity, right_entity))
-        self._u_version[row] = u_version
-        self._v_version[row] = v_version
-        self._raw[row] = raw
-        self._bin_comparisons[row] = bin_comparisons
-        self._common_windows[row] = common_windows
-        self._alibi_bin_pairs[row] = alibi_bin_pairs
-        return self._entry(row)
+        """Memoise one freshly scored pair: :meth:`store_batch`'s row
+        assignment and column write for one row."""
+        key = (space, left_entity, right_entity)
+        self._write(np.array([self._place(key)]), (
+            u_version, v_version, raw,
+            bin_comparisons, common_windows, alibi_bin_pairs,
+        ))
+        return self._entry(key)
 
     # ------------------------------------------------------------------
     # lookup / store (vectorized over version arrays)
@@ -349,18 +402,11 @@ class ScoreCache:
         interpreter (the ROADMAP's ~3x brute-force-delta ceiling).
         """
         n = len(pairs)
-        hit = np.zeros(n, dtype=bool)
-        raw = np.zeros(n, dtype=np.float64)
-        bin_comparisons = np.zeros(n, dtype=np.int64)
-        common_windows = np.zeros(n, dtype=np.int64)
-        alibi_bin_pairs = np.zeros(n, dtype=np.int64)
+        values = [np.zeros(n, dtype) for dtype in self._DTYPES[2:]]
         if n == 0 or not self._rows:
-            # Nothing asked, or nothing cached (the columnar arrays may
-            # not exist yet).
+            # Nothing asked, or nothing cached.
             self.misses += n
-            return CacheBatch(
-                hit, raw, bin_comparisons, common_windows, alibi_bin_pairs
-            )
+            return CacheBatch(np.zeros(n, dtype=bool), *values)
         get = self._rows.get
         rows = np.fromiter(
             (get((space, left, right), -1) for left, right in pairs),
@@ -369,29 +415,25 @@ class ScoreCache:
         )
         found = rows >= 0
         safe = np.where(found, rows, 0)
+        u_version, v_version = self._columns[:2]
         fresh = (
             found
-            & (self._u_version[safe] == u_versions)
-            & (self._v_version[safe] == v_versions)
+            & (u_version[safe] == u_versions)
+            & (v_version[safe] == v_versions)
         )
         for position in np.nonzero(found & ~fresh)[0]:
-            left, right = pairs[position]
+            key = (space, *pairs[position])
             # A pair duplicated within the batch is evicted by its first
             # stale occurrence.
-            if (space, left, right) in self._rows:
-                self._drop((space, left, right))
+            if key in self._rows:
+                self._remove(key)
         hit_count = int(np.count_nonzero(fresh))
         self.hits += hit_count
         self.misses += n - hit_count
         fresh_rows = rows[fresh]
-        hit[:] = fresh
-        raw[fresh] = self._raw[fresh_rows]
-        bin_comparisons[fresh] = self._bin_comparisons[fresh_rows]
-        common_windows[fresh] = self._common_windows[fresh_rows]
-        alibi_bin_pairs[fresh] = self._alibi_bin_pairs[fresh_rows]
-        return CacheBatch(
-            hit, raw, bin_comparisons, common_windows, alibi_bin_pairs
-        )
+        for value, column in zip(values, self._columns[2:]):
+            value[fresh] = column[fresh_rows]
+        return CacheBatch(fresh, *values)
 
     def store_batch(
         self,
@@ -418,12 +460,10 @@ class ScoreCache:
             np.int64,
             count=n,
         )
-        self._u_version[rows] = u_versions
-        self._v_version[rows] = v_versions
-        self._raw[rows] = raw
-        self._bin_comparisons[rows] = bin_comparisons
-        self._common_windows[rows] = common_windows
-        self._alibi_bin_pairs[rows] = alibi_bin_pairs
+        self._write(rows, (
+            u_versions, v_versions, raw,
+            bin_comparisons, common_windows, alibi_bin_pairs,
+        ))
         return n
 
     # ------------------------------------------------------------------
@@ -454,34 +494,26 @@ class ScoreCache:
         :meth:`save`/:meth:`load` — would be served as a hit.
 
         Costs O(rows of the named entities): the sweep reads the
-        per-entity key index, never the whole directory.
+        per-entity row index, never the whole directory.
         """
-        doomed: Set[Key] = set()
-        for by_entity, entities in (
-            (self._by_left, left_entities),
-            (self._by_right, right_entities),
-        ):
-            for entity in entities:
-                doomed.update(by_entity.get(entity, ()))
+        doomed = [
+            self._keys[row] for row in self._rows_of(left_entities, right_entities)
+        ]
         if space is not None:
-            doomed = {key for key in doomed if key[0] == space}
+            doomed = [key for key in doomed if key[0] == space]
         for key in doomed:
-            self._drop(key)
+            self._remove(key)
         self._mutations += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._mutations += 1
-        if self._journal is not None:
+        if self._journal is None:
+            self._reset()
+        else:
             for key in list(self._rows):
-                self._drop(key)
-            return
-        self._rows.clear()
-        self._by_left.clear()
-        self._by_right.clear()
-        self._free.clear()
-        self._high = 0
+                self._remove(key)
 
     # ------------------------------------------------------------------
     # state: a full capture for snapshots and the cache file, a journal
@@ -498,28 +530,12 @@ class ScoreCache:
         rows = np.fromiter(self._rows.values(), np.int64, count=len(self._rows))
         return {
             "keys": list(self._rows),
-            "columns": tuple(column[rows] for column in self._columns()),
+            "columns": tuple(column[rows] for column in self._columns),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def _begin(self) -> _CacheJournal:
-        """Open a transaction: from here until :meth:`_commit`, every
-        key inserted or dropped is journaled on first touch and no row
-        is overwritten or recycled — O(writes), where :meth:`checkpoint`
-        is O(cache).  :meth:`restore` on the returned journal undoes
-        them."""
-        self._journal = _CacheJournal(self)
-        return self._journal
-
-    def _commit(self) -> None:
-        """Close the transaction, keeping its writes: the rows it
-        dropped become recyclable."""
-        if self._journal is not None:
-            self._free.extend(self._journal.dropped)
-            self._journal = None
-
-    def restore(self, state: Union[Dict[str, object], _CacheJournal]) -> None:
+    def restore(self, state: Union[Dict[str, object], _Journal]) -> None:
         """Become the cache a :meth:`checkpoint` captured — this one
         rewound (rows stored since gone, rows dropped since back) or a
         fresh one after a restart; the capture is only read, so it
@@ -529,39 +545,13 @@ class ScoreCache:
         Captures written while the cache had an LRU cap also carry a
         ``"cap"`` entry and list their keys in LRU order; both are
         ignored."""
-        self._journal = None
-        if isinstance(state, _CacheJournal):
+        if isinstance(state, _Journal):
             self._rollback(state)
             return
-        keys = state["keys"]
-        count = len(keys)
-        if count > len(self._raw):
-            self._grow(max(_MIN_CAPACITY, count))
-        for column, values in zip(self._columns(), state["columns"]):
-            column[:count] = values
-        self._rows = {}
-        self._by_left, self._by_right = {}, {}
-        for row, key in enumerate(keys):
-            self._link(key, row)
-        self._free = []
-        self._high = count
+        self._load(state["keys"], state["columns"])
         self.hits = state["hits"]
         self.misses = state["misses"]
         self._mutations += 1
-
-    def _rollback(self, journal: _CacheJournal) -> None:
-        """Undo a transaction.  Quarantine kept every pre-transaction
-        row's values in place, so re-pointing the journaled keys
-        restores the content."""
-        for key, row in journal.prior.items():
-            if key in self._rows:
-                self._unlink(key)
-            if row is not None:
-                self._link(key, row)
-        self._free.extend(reversed(journal.from_free))
-        self._high = journal.high
-        self.hits, self.misses = journal.hits, journal.misses
-        self._mutations = journal.mutations
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the cache under ``path``: a snapshot root

@@ -30,7 +30,10 @@ The reuse machinery, stage by stage:
 * **Scores** — a :class:`~repro.core.score_cache.ScoreCache` memoises
   every pair's raw Eq. 2 total keyed on the pair's history versions, and
   a resident **pair table** (:class:`_PairTable`) keeps those totals as
-  columns aligned to the candidate set.  A relink re-asks the cache (and,
+  columns aligned to the candidate set.  Both are the same keyed-rows
+  store (:class:`~repro.core.score_cache._Rows`: a directory, a
+  per-entity row index, a free list, one undo journal) with different
+  columns.  A relink re-asks the cache (and,
   on a miss, the kernel) only about the *touched* pairs: new in the
   candidate set ∪ a changed history at either end ∪ invalidated by IDF
   drift — a third entity's new bins can move the document frequency,
@@ -52,7 +55,8 @@ The reuse machinery, stage by stage:
   saw.  A relink after retirement equals a cold run over the survivors.
 * **Transaction** — a relink is all-or-nothing, and what that costs is
   O(writes) too: the components that mutate in place (score cache, LSH
-  index, pair table) journal the prior value of what they overwrite, and
+  index, pair table) journal the prior value of what they overwrite —
+  the cache and the table through their store's one undo journal — and
   a failure replays the journals.  The O(state) ``checkpoint()`` capture
   is for snapshots only.
 
@@ -116,7 +120,7 @@ from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus
 from .history import MobilityHistory, ingest_columns
 from .retention import RetentionPolicy, build_retention
-from .score_cache import ScoreCache
+from .score_cache import ScoreCache, _Journal, _Rows
 from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
@@ -129,38 +133,16 @@ def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
 
 Pair = Tuple[str, str]
 
-#: Rows of :attr:`_PairTable.columns`: what the score cache memoises per
-#: pair, plus both endpoints' history sizes (for the normalisation).
-_RAW, _BIN_COMPARISONS, _COMMON_WINDOWS, _ALIBI_BIN_PAIRS, _LEFT_SIZE, _RIGHT_SIZE = range(6)
 
-
-class _TableJournal:
-    """What one transaction changed in a :class:`_PairTable`: rows
-    linked and unlinked, the prior values of every block of rows it
-    overwrote, and the scalars."""
-
-    __slots__ = (
-        "table", "events", "written", "from_free", "high", "epoch", "source",
-    )
-
-    def __init__(self, table: "_PairTable") -> None:
-        self.table = table
-        #: ``(linked, row, pair)`` in order: True = linked, False = unlinked.
-        self.events: List[Tuple[bool, int, Pair]] = []
-        self.written: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.from_free: List[int] = []
-        self.high = table.high
-        self.epoch = table.epoch
-        self.source = table.source
-
-
-class _PairTable:
+class _PairTable(_Rows):
     """The candidate set as resident columns: one row per candidate
     pair holding what the score cache holds for it (raw total, the three
     counters) and both endpoints' history sizes — kept aligned to the
     candidate set across relinks, so a relink re-asks the cache (and the
     kernel) only about the rows a delta *touched* and finishes with
-    whole-column numpy passes.
+    whole-column numpy passes.  The rows, their per-entity index and
+    their journal are the score cache's own store
+    (:class:`~repro.core.score_cache._Rows`).
 
     **Derived state**: a function of the score cache and the candidate
     generator, never captured — a full :meth:`StreamingLinker._restore`
@@ -177,24 +159,17 @@ class _PairTable:
     column sums and ``score > 0`` need no mask.
     """
 
+    #: Raw total, the three counters, left and right history sizes.
+    _DTYPES = (np.float64,) * 6
+    _SCALARS = ("epoch", "source")
+
     def __init__(self, cache: ScoreCache) -> None:
+        super().__init__()
         self.cache = cache
         self.epoch = cache._mutations
         self.source: object = None
-        self.row_of: Dict[Pair, int] = {}
-        self.pair_at: List[Optional[Pair]] = []
-        #: Per side, entity -> its rows: how dirty / IDF-affected
-        #: entities find the rows they touch.
-        self.rows_by: Tuple[Dict[str, Set[int]], Dict[str, Set[int]]] = ({}, {})
-        self.free: List[int] = []
-        self.high = 0
-        self.columns = np.zeros((6, 0))
         #: Rows linked since the last scoring pass (new pairs).
         self.fresh: List[int] = []
-        self._journal: Optional[_TableJournal] = None
-
-    def __len__(self) -> int:
-        return len(self.row_of)
 
     @property
     def resident(self) -> bool:
@@ -204,103 +179,29 @@ class _PairTable:
     def content(self) -> Dict[Pair, Tuple[float, ...]]:
         """The table by value (row numbering is allocation detail)."""
         return {
-            pair: tuple(self.columns[:, row].tolist())
-            for pair, row in self.row_of.items()
+            pair: tuple(column[row].item() for column in self._columns)
+            for pair, row in self._rows.items()
         }
-
-    # -- rows -----------------------------------------------------------
-    def _link(self, pair: Pair, row: int) -> None:
-        self.row_of[pair] = row
-        self.pair_at[row] = pair
-        for rows_by, entity in zip(self.rows_by, pair):
-            rows_by.setdefault(entity, set()).add(row)
-
-    def _unlink(self, pair: Pair) -> int:
-        row = self.row_of.pop(pair)
-        self.pair_at[row] = None
-        for rows_by, entity in zip(self.rows_by, pair):
-            rows = rows_by[entity]
-            rows.discard(row)
-            if not rows:
-                del rows_by[entity]
-        return row
 
     def apply(self, appeared: Iterable[Pair], disappeared: Iterable[Pair]) -> None:
         """Follow the candidate set: unlink (and zero) the rows of the
         pairs that left, link a fresh row for each that arrived."""
-        journal = self._journal
-        gone = []
-        for pair in disappeared:
-            row = self._unlink(pair)
-            gone.append(row)
-            if journal is not None:
-                journal.events.append((False, row, pair))
+        gone = [self._remove(pair) for pair in disappeared]
         if gone:
-            self.write(np.asarray(gone, dtype=np.intp), 0.0)
-            # Recycled only after the transaction: a row linked anew
-            # must not overwrite one the journal may have to put back.
-            if journal is None:
-                self.free.extend(gone)
-        for pair in appeared:
-            if self.free:
-                row = self.free.pop()
-                if journal is not None:
-                    journal.from_free.append(row)
-            else:
-                row = self.high
-                if row >= self.columns.shape[1]:
-                    grown = np.zeros((6, max(256, 2 * row)))
-                    grown[:, :row] = self.columns
-                    self.columns = grown
-                self.pair_at.append(None)
-                self.high += 1
-            self._link(pair, row)
-            self.fresh.append(row)
-            if journal is not None:
-                journal.events.append((True, row, pair))
-
-    def write(self, rows: np.ndarray, values) -> None:
-        """Overwrite a block of rows (all six columns)."""
-        if self._journal is not None:
-            self._journal.written.append((rows, self.columns[:, rows]))
-        self.columns[:, rows] = values
+            self._write(np.asarray(gone, dtype=np.intp), (0.0,) * 6)
+        self.fresh.extend(self._add(pair) for pair in appeared)
 
     def touched(self, lefts: Iterable[str], rights: Iterable[str]) -> List[int]:
         """The rows a delta touched: the new ones plus every row of the
         named (dirty or IDF-affected) entities — consumed once."""
-        rows = set(self.fresh)
+        rows = self._rows_of(lefts, rights)
+        rows.update(self.fresh)
         self.fresh = []
-        for rows_by, entities in zip(self.rows_by, (lefts, rights)):
-            for entity in entities:
-                rows.update(rows_by.get(entity, ()))
         return list(rows)
 
-    # -- transaction ----------------------------------------------------
-    def _begin(self) -> _TableJournal:
-        self._journal = _TableJournal(self)
-        return self._journal
-
-    def _commit(self) -> None:
-        if self._journal is not None:
-            self.free.extend(
-                row for linked, row, _ in self._journal.events if not linked
-            )
-            self._journal = None
-
-    def restore(self, journal: _TableJournal) -> None:
+    def restore(self, journal: _Journal) -> None:
         """Undo the open transaction's writes."""
-        self._journal = None
-        for linked, row, pair in reversed(journal.events):
-            if linked:
-                self._unlink(pair)
-            else:
-                self._link(pair, row)
-        for rows, prior in reversed(journal.written):
-            self.columns[:, rows] = prior
-        self.free.extend(reversed(journal.from_free))
-        del self.pair_at[journal.high:]
-        self.high = journal.high
-        self.epoch, self.source = journal.epoch, journal.source
+        self._rollback(journal)
         self.fresh = []
 
 
@@ -483,9 +384,12 @@ class StreamingLinker:
 
         Unknown ids raise :class:`KeyError` naming them — a retire event
         for an entity that was never observed (or already retired) is an
-        upstream bug worth surfacing, not silently ignoring.  Returns the
-        number of entities retired.
+        upstream bug worth surfacing, not silently ignoring.  A bare
+        string raises :class:`TypeError` (it would retire its characters).
+        Returns the number of entities retired.
         """
+        if isinstance(entity_ids, str):
+            raise TypeError(f"entity_ids must be ids, not the string {entity_ids!r}")
         if side not in self._sides:
             raise ValueError(f"side must be left or right, got {side!r}")
         histories = self._sides[side]
@@ -587,8 +491,8 @@ class StreamingLinker:
         the relink transaction instead: the in-place-mutating components
         — score cache, LSH index, pair table — start journaling what
         they overwrite (their entry is that journal, O(1) to take and
-        O(writes) to fill) and everything else is captured by reference
-        exactly as above; :meth:`_restore` replays the journals,
+        O(writes) to fill; the pair table's comes paired with the table)
+        and everything else is captured by reference exactly as above; :meth:`_restore` replays the journals,
         :meth:`_commit` drops them.
         """
         corpora = {
@@ -616,7 +520,7 @@ class StreamingLinker:
             "last_relink": self._last_relink,
         }
         if journal:
-            state["pair_table"] = self._pair_table._begin()
+            state["pair_table"] = (self._pair_table, self._pair_table._begin())
         return state
 
     def _commit(self) -> None:
@@ -676,8 +580,8 @@ class StreamingLinker:
         if saved is None:
             self._pair_table = _PairTable(self._score_cache)
         else:
-            self._pair_table = saved.table
-            saved.table.restore(saved)
+            self._pair_table, journal = saved
+            self._pair_table.restore(journal)
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -1069,10 +973,10 @@ class _StreamingCandidates:
             stage = candidate_stages.get(resolved)(linker.config)
             full = set(stage.generate(context))
         if full is not None:
-            known = table.row_of.keys()
+            known = table._rows.keys()
             table.apply(full - known, known - full)
             table.source = source
-        context.candidates = table.row_of.keys()
+        context.candidates = table._rows.keys()
         context.extras["lsh_rebuilt"] = rebuilt
 
 
@@ -1110,42 +1014,30 @@ class _StreamingScoring(ScoringStage):
         )
         context.engine = engine
 
-        pair_at = table.pair_at
+        keys = table._keys
         rows = table.touched(*self.touched)
-        rows.sort(key=pair_at.__getitem__)
-        pairs = [pair_at[row] for row in rows]
+        rows.sort(key=keys.__getitem__)
+        pairs = [keys[row] for row in rows]
         batch = self._dispatch(context, engine.raw_batch, pairs)
         if pairs:
-            values = np.empty((6, len(pairs)))
-            values[:_LEFT_SIZE] = (
+            table._write(np.asarray(rows, dtype=np.intp), (
                 batch.raw,
                 batch.bin_comparisons,
                 batch.common_windows,
                 batch.alibi_bin_pairs,
-            )
-            values[_LEFT_SIZE] = left_corpus.history_sizes(
-                left for left, _ in pairs
-            )
-            values[_RIGHT_SIZE] = right_corpus.history_sizes(
-                right for _, right in pairs
-            )
-            table.write(np.asarray(rows, dtype=np.intp), values)
+                left_corpus.history_sizes(left for left, _ in pairs),
+                right_corpus.history_sizes(right for _, right in pairs),
+            ))
         # An untouched row is in the cache under its current versions
         # (nothing dropped it behind the table's back, nothing grew):
         # the lookup it is spared would have been a hit.
         cache.hits += len(table) - len(pairs)
 
-        columns = table.columns[:, : table.high]
-        scores = engine.normalize(
-            columns[_RAW], columns[_LEFT_SIZE], columns[_RIGHT_SIZE]
-        )
+        (raw, bin_comparisons, common_windows, alibi_bin_pairs,
+         left_size, right_size) = (column[: len(keys)] for column in table._columns)
+        scores = engine.normalize(raw, left_size, right_size)
         # Rows are in allocation order: the edge set sorts its Edge rows
         # only if they are read (the matcher reads the columns).
-        context.edges = EdgeSet.from_scores(pair_at, scores, sort_rows=True)
-        engine.fold(
-            len(table),
-            columns[_BIN_COMPARISONS],
-            columns[_COMMON_WINDOWS],
-            columns[_ALIBI_BIN_PAIRS],
-        )
+        context.edges = EdgeSet.from_scores(keys, scores, sort_rows=True)
+        engine.fold(len(table), bin_comparisons, common_windows, alibi_bin_pairs)
         context.stats = engine.stats

@@ -297,7 +297,11 @@ class LinkageService:
         entity_ids: Iterable[str],
         source: Optional[str] = None,
     ) -> int:
-        """Enqueue a retire-entities event; returns the entity count."""
+        """Enqueue a retire-entities event; returns the entity count.  A
+        bare string raises :class:`TypeError` (it would retire its
+        characters)."""
+        if isinstance(entity_ids, str):
+            raise TypeError(f"entity_ids must be ids, not the string {entity_ids!r}")
         ids = tuple(str(entity_id) for entity_id in entity_ids)
         if side not in ("left", "right"):
             raise ValueError(f"side must be left or right, got {side!r}")

@@ -95,10 +95,12 @@ def _delta_round(linker, held_back):
         index = linker._lsh_index._journal
         table = linker._pair_table._journal
         work.journal += (
-            len(cache.prior)
-            + len(index.buckets) + len(index.placements) + len(index.pairs)
-            + len(table.events)
-            + sum(len(rows) for rows, _ in table.written)
+            len(index.buckets) + len(index.placements) + len(index.pairs)
+            + sum(
+                len(journal.events)
+                + sum(len(rows) for rows, _ in journal.written)
+                for journal in (cache, table)
+            )
         )
         return commit(linker)
 

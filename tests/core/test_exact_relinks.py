@@ -355,10 +355,10 @@ class TestParentShapedState:
         _observe(cold, range(3))
         _retire_and_return(cold)
         reference = cold.relink()
-        candidates = set(cold._pair_table.row_of)
+        candidates = set(cold._pair_table._rows)
         assert ("e0", "e6") in candidates
         for linker in (writer, restored):
-            assert set(linker._pair_table.row_of) == candidates
+            assert set(linker._pair_table._rows) == candidates
         for report in (expected, resumed):
             assert dict(report.links) == dict(reference.links)
             assert report.link_scores == reference.link_scores

@@ -100,9 +100,9 @@ class TestInvalidation:
         _store_batch(cache, "s", [("a", "x"), ("b", "y")], [0, 0], [0, 0], [1.0, 2.0])
         assert cache.invalidate_pairs({"a"}, set()) == 1
         assert len(cache) == 1
-        high_before = cache._high
+        high_before = len(cache._keys)
         _store_batch(cache, "s", [("c", "z")], [0], [0], [3.0])
-        assert cache._high == high_before  # reused the freed row
+        assert len(cache._keys) == high_before  # reused the freed row
 
     def test_clear_resets_rows(self):
         cache = ScoreCache()

@@ -27,10 +27,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
-from repro.core.score_cache import ScoreCache
+from repro.core.score_cache import ScoreCache, _Rows
 from repro.core.streaming import StreamingLinker, _PairTable
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
@@ -483,16 +485,23 @@ def test_restart_from_the_pickled_capture_continues_bit_identically(
     assert case.proceed(restarted) == expected
 
 
-def _cache_invariants(cache):
-    """What the capture drops must still be sound: every allocated row
-    is live or free exactly once, and the per-entity key index matches
-    the directory."""
-    rows = list(cache._rows.values())
-    assert sorted(rows + cache._free) == list(range(cache._high))
-    for by_entity, position in ((cache._by_left, 1), (cache._by_right, 2)):
+def _rows_invariants(store):
+    """What the capture drops must still be sound: every row below the
+    high-water mark is live, free, or freed by the open transaction,
+    exactly once; and the directory, the ``row -> key`` list and both
+    per-entity row indexes agree."""
+    rows = list(store._rows.values())
+    journal = store._journal
+    freed = [] if journal is None else [
+        row for linked, row, _ in journal.events if not linked
+    ]
+    assert sorted(rows + store._free + freed) == list(range(len(store._keys)))
+    assert [store._keys[row] for row in rows] == list(store._rows)
+    assert sum(key is not None for key in store._keys) == len(rows)
+    for by_entity, position in zip(store._by_entity, (-2, -1)):
         expected = {}
-        for key in cache._rows:
-            expected.setdefault(key[position], set()).add(key)
+        for key, row in store._rows.items():
+            expected.setdefault(key[position], set()).add(row)
         assert by_entity == expected
 
 
@@ -518,10 +527,10 @@ def test_a_transaction_is_all_or_nothing(name, outcome, tmp_path):
         subject.restore(journal)
     assert subject._journal is None
     if name == "score-cache":
-        _cache_invariants(subject)
+        _rows_invariants(subject)
     assert case.proceed(subject) == expected
     if name == "score-cache":
-        _cache_invariants(subject)
+        _rows_invariants(subject)
 
 
 @pytest.mark.parametrize("writer", ["memory", "disk"])
@@ -695,6 +704,8 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
         assert linker._score_cache._journal is None
         assert linker._lsh_index._journal is None
         assert linker._pair_table._journal is None
+        _rows_invariants(linker._score_cache)
+        _rows_invariants(linker._pair_table)
 
     # After save + restore: a different process's linker, same state —
     # but for the derived pair table, which a restored linker starts
@@ -723,3 +734,92 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
     }
     linker._restore(after_commit)
     assert captured(linker) == before_captured
+
+
+# ----------------------------------------------------------------------
+# the keyed-rows store under the cache and the pair table, against a dict
+# ----------------------------------------------------------------------
+class _Store(_Rows):
+    _DTYPES = (np.float64, np.int64)
+    _SCALARS = ("tag",)
+
+    def __init__(self):
+        super().__init__()
+        self.tag = 0
+
+
+_KEYS = st.tuples(st.sampled_from("st"), st.sampled_from("abc"), st.sampled_from("xyz"))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS, st.floats(-9, 9), st.integers(-9, 9)),
+        st.tuples(st.just("remove"), st.integers(0, 99)),
+        st.tuples(st.just("sweep"), st.sampled_from("abc"), st.sampled_from("xyz")),
+        st.tuples(st.just("tag"), st.integers(1, 9)),
+    ),
+    max_size=60,
+)
+
+
+def _apply(store, model, op):
+    """One op on the store and on the model dict."""
+    kind = op[0]
+    if kind == "put":  # a store: overwrite in place, or a new row
+        _, key, value, count = op
+        row = store._rows.get(key)
+        if row is None:
+            row = store._add(key)
+        store._write(np.array([row]), (value, count))
+        model[key] = (value, count)
+    elif kind == "remove" and model:
+        key = sorted(model)[op[1] % len(model)]
+        store._remove(key)
+        del model[key]
+    elif kind == "sweep":  # an invalidate_pairs
+        for row in store._rows_of({op[1]}, {op[2]}):
+            key = store._keys[row]
+            store._remove(key)
+            del model[key]
+    elif kind == "tag":
+        store.tag += op[1]
+
+
+def _raw_state(store):
+    return (
+        dict(store._rows), list(store._keys), list(store._free),
+        copy.deepcopy(store._by_entity), store.tag,
+        [column.copy() for column in store._columns],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS, st.integers(0, 60), st.integers(0, 60), st.booleans())
+def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commit):
+    """Random puts / removes / per-entity sweeps, with one transaction
+    opened at a random point and committed or rolled back: after every
+    step the store holds what a plain dict holds and its structures
+    agree; a rollback puts back, bit for bit, what ``_begin`` saw."""
+    begin, end = sorted((min(begin, len(ops)), min(end, len(ops))))
+    store, model = _Store(), {}
+    for position, op in enumerate(ops + [None]):
+        if position == begin:
+            before, saved = _raw_state(store), dict(model)
+            journal = store._begin()
+        if position == end:
+            if commit:
+                store._commit()
+            else:
+                store._rollback(journal)
+                model = saved
+                rows, keys, free, by_entity, tag, columns = _raw_state(store)
+                assert (rows, keys, free, by_entity, tag) == before[:5]
+                for old, new in zip(before[5], columns):
+                    assert old.tobytes() == new[: len(old)].tobytes()
+                    assert not new[len(old):].any()
+            assert store._journal is None
+        if op is not None:
+            _apply(store, model, op)
+        _rows_invariants(store)
+        assert {
+            key: (store._columns[0][row].item(), store._columns[1][row].item())
+            for key, row in store._rows.items()
+        } == model

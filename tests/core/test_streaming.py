@@ -129,6 +129,17 @@ class TestStreamingLinker:
         with pytest.raises(ValueError):
             StreamingLinker(origin=0.0).observe("middle", [])
 
+    def test_retire_rejects_a_bare_string(self):
+        """``"u1"`` is one id, not the ids ``u`` and ``1``: nothing is
+        retired and ``u1`` stays."""
+        linker = StreamingLinker(origin=0.0)
+        for entity in ("u", "1", "u1"):
+            linker.observe("left", self._records(entity, 10.0, 37.77, -122.42))
+        with pytest.raises(TypeError, match="u1"):
+            linker.retire("left", "u1")
+        assert linker.num_left_entities == 3
+        assert linker.retire("left", ["u1"]) == 1
+
     def test_relink_requires_both_sides(self):
         linker = StreamingLinker(origin=0.0)
         linker.observe("left", self._records("a", 10.0, 37.77, -122.42))

@@ -332,6 +332,15 @@ class TestRetire:
         assert second.version == first.version + 1
         assert service.counters.records_retired == 1
 
+    def test_retire_rejects_a_bare_string(self):
+        async def run():
+            async with LinkageService(origin=0.0) as service:
+                with pytest.raises(TypeError, match="u1"):
+                    await service.retire("left", "u1")
+                return service
+
+        assert asyncio.run(run()).counters.records_retired == 0
+
     def test_retire_unknown_entity_surfaces_named_error(self):
         async def run():
             async with LinkageService(origin=0.0) as service:
