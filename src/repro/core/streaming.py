@@ -17,16 +17,18 @@ The reuse machinery, stage by stage:
   :meth:`~repro.core.corpus.HistoryCorpus.refresh` folds history growth
   into the document frequencies and extends the batch kernel's array
   views in place (O(changed bins), not O(corpus)).
-* **Candidates** — under LSH, the bucket index is persistent and
-  follows the corpus refresh's :class:`~repro.core.corpus.CorpusDelta`
-  (the one record of what a relink changed): evicted entities are
-  withdrawn, dirty ones re-signatured (``remove`` + ``add``), the
-  index keeps its candidate-pair set current while it does so and
-  reports which pairs *appeared and disappeared*
-  (:meth:`~repro.lsh.index.LshIndex.candidate_delta`); it is rebuilt
-  from scratch only when the growing window span changes the signature
-  layout itself.  Other generators hand over their full set, which is
-  diffed against the previous round's.
+* **Candidates** — the pair table below is the one maintained
+  candidate set.  Under LSH, the bucket index is persistent and follows
+  the corpus refresh's :class:`~repro.core.corpus.CorpusDelta` (the one
+  record of what a relink changed): evicted entities are withdrawn,
+  dirty ones re-signatured (``remove`` + ``add``), and the table drops
+  the pairs of those entities and takes the dirty ones' pairs back from
+  :meth:`~repro.lsh.index.LshIndex.pairs_of` — a pair's shared-bucket
+  status changes only when an endpoint is re-placed or withdrawn.  The
+  index is rebuilt from scratch only when the growing window span
+  changes the signature layout itself.  A rebuilt index, and every other
+  generator, hands over its full set, which is diffed against the
+  table's.
 * **Scores** — a :class:`~repro.core.score_cache.ScoreCache` memoises
   every pair's raw Eq. 2 total keyed on the pair's history versions, and
   a resident **pair table** (:class:`_PairTable`) keeps those totals as
@@ -151,9 +153,9 @@ class _PairTable(_Rows):
     mirrors ``cache`` up to ``epoch`` — the cache's ``_mutations`` count
     it has accounted for; when the two differ, rows left the cache
     behind its back and the linker starts a new table.  ``source`` is
-    the candidate-delta source it is aligned to (the LSH index whose
-    ``candidate_delta()`` it has consumed; ``None`` = feed it by set
-    difference).
+    the LSH index whose candidate set it holds — so it can follow that
+    index's updates entity by entity; ``None`` = feed it by set
+    difference.
 
     Rows outside the table (never used, or freed) are all-zero, so
     column sums and ``score > 0`` need no mask.
@@ -759,10 +761,10 @@ class StreamingLinker:
 
         The index survives across relinks and follows this relink's
         corpus ``deltas`` per side: it withdraws the evicted entities and
-        re-signatures the dirty ones, which is also all the index's
-        maintained candidate-pair set has to follow.  Only when the
-        growing window span changes the signature *length* (and with it
-        the banding) is the index rebuilt wholesale.  Returns
+        re-signatures the dirty ones, which is also all the pair table's
+        candidate set has to follow.  Only when the growing window span
+        changes the signature *length* (and with it the banding) is the
+        index rebuilt wholesale.  Returns
         ``(index, rebuilt)``.
         """
         lsh = self.config.lsh
@@ -934,21 +936,23 @@ class StreamingLinker:
 
 
 class _StreamingCandidates:
-    """Streaming-aware candidate stage: brings the linker's pair table
-    in line with this round's candidate set.
+    """Streaming-aware candidate stage: brings the linker's pair table —
+    the one maintained candidate set — in line with this round's.
 
     ``"lsh"`` resolves to the linker's *persistent* index (the corpus
     deltas' dirty entities re-signatured in place and evicted ones
     withdrawn, full rebuild only when the growing span changes the
-    signature layout), which reports the pairs that appeared
-    and disappeared since the table last asked — O(delta).  Every other
-    name — ``"brute"``, ``"temporal"``, custom registrations — dispatches
-    through the :data:`~repro.pipeline.stages.candidate_stages` registry
-    exactly as the batch pipeline would, so streaming runs honour the
-    config's ``candidates`` choice; its full candidate set (like a
-    rebuilt index's, or any source the table is not yet aligned to)
-    feeds the table through a set difference against the previous
-    round's."""
+    signature layout).  While the table holds that index's candidate set,
+    only the pairs of the evicted and dirty entities can have changed:
+    their rows are the before, the dirty entities'
+    :meth:`~repro.lsh.index.LshIndex.pairs_of` the after — O(delta).
+    Every other name — ``"brute"``, ``"temporal"``, custom registrations
+    — dispatches through the :data:`~repro.pipeline.stages.candidate_stages`
+    registry exactly as the batch pipeline would, so streaming runs
+    honour the config's ``candidates`` choice; its full candidate set
+    (like a rebuilt index's, or one the table is not yet aligned to) is
+    the after, the whole table the before.  Either way the table follows
+    with one :meth:`_PairTable.apply` of the difference."""
 
     name = STAGE_CANDIDATES
 
@@ -962,20 +966,27 @@ class _StreamingCandidates:
         linker = self.linker
         table = linker._pair_table
         resolved = linker.config.resolved_candidates()
-        rebuilt, source, full = False, None, None
-        if resolved == "lsh":
-            source, rebuilt = linker._lsh_update(self.deltas)
-            if table.source is source:
-                table.apply(*source.candidate_delta())
-            else:
-                full = source.candidate_pairs()
-        else:
+        rebuilt, source = False, None
+        before = table._rows.keys()
+        if resolved != "lsh":
             stage = candidate_stages.get(resolved)(linker.config)
-            full = set(stage.generate(context))
-        if full is not None:
-            known = table._rows.keys()
-            table.apply(full - known, known - full)
-            table.source = source
+            after = set(stage.generate(context))
+        else:
+            source, rebuilt = linker._lsh_update(self.deltas)
+            if table.source is not source:
+                after = source.candidate_pairs()
+            else:
+                left, right = self.deltas["left"], self.deltas["right"]
+                rows = table._rows_of(
+                    left.evicted + left.dirty_entities,
+                    right.evicted + right.dirty_entities,
+                )
+                before = {table._keys[row] for row in rows}
+                after = source.pairs_of(left.dirty_entities, right.dirty_entities)
+        table.apply(after - before, before - after)
+        table.source = source
+        if source is not None:
+            source.stats.candidate_pairs = len(table)
         context.candidates = table._rows.keys()
         context.extras["lsh_rebuilt"] = rebuilt
 

@@ -99,6 +99,8 @@ def collision_probability(
     """``1 - (1 - t^r)^b`` — probability of sharing at least one band."""
     if not 0.0 <= similarity <= 1.0:
         raise ValueError("similarity must be in [0, 1]")
+    if num_bands < 1 or signature_length < num_bands:
+        raise ValueError("need 1 <= bands <= signature length")
     rows = signature_length / num_bands
     return 1.0 - (1.0 - similarity**rows) ** num_bands
 

@@ -19,20 +19,34 @@ the streaming linker's re-signaturing of dirty histories — goes through
 :meth:`LshIndex.add_signatures`, so incremental and batch population
 place entities in identical buckets.
 
-Candidate pairs are **delta-maintained**: the first
-:meth:`LshIndex.candidate_pairs` call enumerates every bucket (a batch
-run pays exactly that and nothing else); from then on ``add`` /
-``remove`` keep the cross-side pair set and the ``buckets_used`` /
-``candidate_pairs`` stats current by visiting only the buckets of the
-entity being placed or withdrawn, and :meth:`LshIndex.candidate_delta`
-reports which pairs appeared and disappeared since it was last asked —
-what lets a streaming relink cost O(delta) instead of O(candidate set).
+Candidate pairs are **queried, never maintained**:
+:meth:`LshIndex.candidate_pairs` enumerates every bucket (a batch run pays
+exactly that and nothing else), and :meth:`LshIndex.pairs_of` answers for
+the named entities only, visiting just their buckets.  A pair's
+shared-bucket status changes only when one of its endpoints is re-placed
+or withdrawn, so a caller that keeps its own candidate set — the streaming
+linker's pair table — follows an update by dropping the pairs of the
+entities it changed and adding their ``pairs_of``: O(delta), not
+O(candidate set).
+
+>>> config = LshConfig(threshold=0.5, step_windows=4, spatial_level=14)
+>>> index = LshIndex(config, config.signature_spec(16))
+>>> index.add("a", (11, 12, 13, 14), "left")
+>>> index.add("b", (21, 22, 23, 24), "left")
+>>> index.add("x", (11, 12, 13, 14), "right")
+>>> index.add("y", (21, 22, 23, 25), "right")
+>>> sorted(index.candidate_pairs())
+[('a', 'x'), ('b', 'y')]
+>>> index.remove("x", "right")       # its band placements withdrawn
+3
+>>> sorted(index.pairs_of(["a", "b"], []))
+[('b', 'y')]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -111,14 +125,11 @@ def _copy_buckets(buckets: Dict[int, tuple]) -> Dict[int, tuple]:
 
 class _IndexJournal:
     """What one transaction overwrote in an :class:`LshIndex`: the prior
-    value of every bucket, placement and pair it touched (recorded on
-    first touch; ``None`` / ``False`` = was absent) plus the scalars,
-    so :meth:`LshIndex.restore` can put exactly those back."""
+    value of every bucket and placement it touched (recorded on first
+    touch; ``None`` = was absent) plus the scalars, so
+    :meth:`LshIndex.restore` can put exactly those back."""
 
-    __slots__ = (
-        "index", "spec", "num_bands", "stats", "buckets", "placements",
-        "pairs", "tracking", "appeared", "disappeared",
-    )
+    __slots__ = ("index", "spec", "num_bands", "stats", "buckets", "placements")
 
     def __init__(self, index: "LshIndex") -> None:
         self.index = index
@@ -127,10 +138,6 @@ class _IndexJournal:
         self.stats = replace(index.stats)
         self.buckets: Dict[int, Optional[Tuple[List[str], List[str]]]] = {}
         self.placements: Dict[Tuple[str, str], Optional[List[int]]] = {}
-        self.pairs: Dict[Tuple[str, str], bool] = {}
-        self.tracking = index._pairs is not None
-        self.appeared = set(index._appeared)
-        self.disappeared = set(index._disappeared)
 
 
 class LshIndex:
@@ -149,12 +156,6 @@ class LshIndex:
         self.stats = LshStats(
             signature_length=spec.length, num_bands=self.num_bands
         )
-        # Derived, never captured: the maintained cross-side pair set
-        # (None until candidate_pairs() first enumerates the buckets) and
-        # its net change since the caller last asked.
-        self._pairs: Optional[Set[Tuple[str, str]]] = None
-        self._appeared: Set[Tuple[str, str]] = set()
-        self._disappeared: Set[Tuple[str, str]] = set()
         self._journal: Optional[_IndexJournal] = None
 
     @property
@@ -181,37 +182,6 @@ class LshIndex:
         for bucket_id in placed:
             partners.update(buckets[bucket_id][1 - column])
         return partners
-
-    def _shift_pairs(
-        self, entity_id: str, column: int, partners: Set[str], present: bool
-    ) -> None:
-        """The entity's cross pairs with ``partners`` enter (``present``)
-        or leave the maintained pair set; the pending delta nets out a
-        pair that left and came back."""
-        pairs = self._pairs
-        assert pairs is not None
-        journal = self._journal
-        gained, lost = (
-            (self._appeared, self._disappeared)
-            if present
-            else (self._disappeared, self._appeared)
-        )
-        for partner in partners:
-            pair = (entity_id, partner) if column == 0 else (partner, entity_id)
-            if (pair in pairs) == present:
-                continue
-            if journal is not None:
-                journal.pairs.setdefault(pair, not present)
-            if present:
-                pairs.add(pair)
-            else:
-                pairs.discard(pair)
-            if pair in lost:
-                lost.discard(pair)
-            else:
-                gained.add(pair)
-        self.stats.buckets_used = len(self._buckets)
-        self.stats.candidate_pairs = len(pairs)
 
     def add_signatures(
         self, entity_ids: Sequence[str], signatures: np.ndarray, side: str
@@ -262,10 +232,7 @@ class LshIndex:
                     buckets[bucket_id] = bucket
                 bucket[column].append(entity_id)
                 placed.append(bucket_id)
-            if self._pairs is not None:
-                self._shift_pairs(
-                    entity_id, column, self._partners(placed, column), True
-                )
+        self.stats.buckets_used = len(buckets)
         if side == "left":
             self.stats.hashed_bands_left += hashed
         else:
@@ -298,9 +265,6 @@ class LshIndex:
             # By reference: a popped list is never mutated again.
             journal.placements.setdefault(key, placed)
         column = 0 if side == "left" else 1
-        partners = (
-            self._partners(placed, column) if self._pairs is not None else None
-        )
         buckets = self._buckets
         for bucket_id in placed:
             if journal is not None:
@@ -309,12 +273,11 @@ class LshIndex:
             bucket[column].remove(entity_id)
             if not bucket[0] and not bucket[1]:
                 del buckets[bucket_id]
+        self.stats.buckets_used = len(buckets)
         if side == "left":
             self.stats.hashed_bands_left -= len(placed)
         else:
             self.stats.hashed_bands_right -= len(placed)
-        if partners is not None:
-            self._shift_pairs(entity_id, column, partners, False)
         return len(placed)
 
     def update_spec(self, spec: SignatureSpec) -> None:
@@ -344,8 +307,7 @@ class LshIndex:
         (the capture linker snapshots pickle).  ``add`` / ``remove``
         mutate the membership and placement lists *in place*, so both
         levels are copied — here and again on restore, so one capture
-        supports any number of them.  The maintained pair set is derived
-        (re-enumerated on demand), never captured."""
+        supports any number of them."""
         return {
             "spec": self.spec,
             "buckets": _copy_buckets(self._buckets),
@@ -355,7 +317,7 @@ class LshIndex:
 
     def _begin(self) -> _IndexJournal:
         """Open a transaction: from here until :meth:`_commit`, every
-        bucket list, placement, pair and counter is journaled on first
+        bucket list, placement and counter is journaled on first
         touch — O(writes), where :meth:`checkpoint` is O(index).
         :meth:`restore` on the returned journal undoes them."""
         self._journal = _IndexJournal(self)
@@ -381,8 +343,6 @@ class LshIndex:
         self._buckets = _copy_buckets(state["buckets"])
         self._placements = {k: list(v) for k, v in state["placements"].items()}
         self.stats = replace(state["stats"])
-        self._pairs = None
-        self._appeared, self._disappeared = set(), set()
 
     def _rollback(self, journal: _IndexJournal) -> None:
         for bucket_id, prior in journal.buckets.items():
@@ -395,17 +355,6 @@ class LshIndex:
                 self._placements.pop(key, None)
             else:
                 self._placements[key] = placed
-        if not journal.tracking:
-            self._pairs = None  # first enumerated inside the transaction
-        else:
-            pairs = self._pairs
-            assert pairs is not None
-            for pair, present in journal.pairs.items():
-                if present:
-                    pairs.add(pair)
-                else:
-                    pairs.discard(pair)
-        self._appeared, self._disappeared = journal.appeared, journal.disappeared
         self.spec, self.num_bands = journal.spec, journal.num_bands
         self.stats = journal.stats
 
@@ -427,37 +376,33 @@ class LshIndex:
     # candidates
     # ------------------------------------------------------------------
     def candidate_pairs(self) -> Set[Tuple[str, str]]:
-        """All cross-dataset pairs sharing at least one bucket.
+        """All cross-dataset pairs sharing at least one bucket: one pass
+        over every bucket, which also refreshes the ``buckets_used`` and
+        ``candidate_pairs`` stats.  Returns a new set."""
+        candidates: Set[Tuple[str, str]] = set()
+        for lefts, rights in self._buckets.values():
+            if lefts and rights:
+                for left_entity in set(lefts):
+                    for right_entity in set(rights):
+                        candidates.add((left_entity, right_entity))
+        self.stats.buckets_used = len(self._buckets)
+        self.stats.candidate_pairs = len(candidates)
+        return candidates
 
-        The first call enumerates every bucket; from then on the set is
-        maintained by ``add`` / ``remove`` and a call costs one copy.
-        Either way the pending :meth:`candidate_delta` starts over.
-        """
-        if self._pairs is None:
-            candidates: Set[Tuple[str, str]] = set()
-            for lefts, rights in self._buckets.values():
-                if lefts and rights:
-                    for left_entity in set(lefts):
-                        for right_entity in set(rights):
-                            candidates.add((left_entity, right_entity))
-            self._pairs = candidates
-            self.stats.buckets_used = len(self._buckets)
-            self.stats.candidate_pairs = len(candidates)
-        self._appeared, self._disappeared = set(), set()
-        return set(self._pairs)
-
-    def candidate_delta(
-        self,
-    ) -> Tuple[Set[Tuple[str, str]], Set[Tuple[str, str]]]:
-        """``(appeared, disappeared)``: how the candidate-pair set
-        changed since this or :meth:`candidate_pairs` was last called —
-        net of pairs that left and came back (a re-signatured entity
-        whose buckets did not move reports nothing)."""
-        if self._pairs is None:
-            raise RuntimeError(
-                "candidate_delta() needs candidate_pairs() to have "
-                "enumerated the buckets first"
-            )
-        delta = (self._appeared, self._disappeared)
-        self._appeared, self._disappeared = set(), set()
-        return delta
+    def pairs_of(
+        self, lefts: Iterable[str], rights: Iterable[str]
+    ) -> Set[Tuple[str, str]]:
+        """The candidate pairs with their left entity in ``lefts`` or
+        their right entity in ``rights`` — O(those entities' buckets).
+        Entities not placed in the index have no pairs."""
+        pairs: Set[Tuple[str, str]] = set()
+        for side, column, entities in (("left", 0, lefts), ("right", 1, rights)):
+            for entity_id in entities:
+                placed = self._placements.get((side, entity_id))
+                if not placed:
+                    continue
+                for partner in self._partners(placed, column):
+                    pairs.add(
+                        (entity_id, partner) if column == 0 else (partner, entity_id)
+                    )
+        return pairs

@@ -171,7 +171,7 @@ class TestRelinkRollback:
 
 def _layers(linker):
     """Everything a relink transaction writes, by value: the index's
-    buckets / placements / stats and maintained pair set, the cache's
+    buckets / placements / stats and candidate pairs, the cache's
     pair -> values mapping and its counters, the pair table, the report."""
     index, cache = linker._lsh_index, linker.score_cache.checkpoint()
     # By pair (the scoring space embeds each linker's own corpus tokens),
@@ -184,7 +184,7 @@ def _layers(linker):
     )
     return (
         index.checkpoint(),
-        set(index._pairs),
+        index.candidate_pairs(),
         (entries, cache["hits"], cache["misses"]),
         linker._pair_table.resident,
         linker._pair_table.content(),

@@ -95,7 +95,7 @@ def _delta_round(linker, held_back):
         index = linker._lsh_index._journal
         table = linker._pair_table._journal
         work.journal += (
-            len(index.buckets) + len(index.placements) + len(index.pairs)
+            len(index.buckets) + len(index.placements)
             + sum(
                 len(journal.events)
                 + sum(len(rows) for rows, _ in journal.written)

@@ -83,6 +83,14 @@ class TestCollisionProbability:
         with pytest.raises(ValueError):
             collision_probability(1.5, 10, 2)
 
+    def test_zero_bands_rejected(self):
+        with pytest.raises(ValueError, match="1 <= bands <= signature length"):
+            collision_probability(0.5, 8, 0)
+
+    def test_more_bands_than_slots_rejected(self):
+        with pytest.raises(ValueError, match="1 <= bands <= signature length"):
+            collision_probability(0.5, 8, 9)
+
 
 class TestSplitBands:
     def test_band_count_and_coverage(self):

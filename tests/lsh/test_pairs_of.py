@@ -1,9 +1,12 @@
-"""The LSH index's delta-maintained candidate pairs.
+"""The LSH index answers candidate-pair queries; it maintains no pair set.
 
-After any ``add`` / ``remove`` sequence the maintained pair set, the
-appeared/disappeared report and ``stats`` must equal what a fresh index
-over the same final membership enumerates — and a transaction's journal
-must put back exactly what the transaction overwrote.
+A caller that keeps its own candidate set — the streaming linker's pair
+table — follows any ``add`` / ``remove`` sequence by dropping the pairs
+of the entities it changed and adding their :meth:`LshIndex.pairs_of`.
+That mirror, and ``stats`` once the caller records the mirror's size,
+must equal what a fresh index over the same final membership
+enumerates — and a transaction's journal must put back exactly what the
+transaction overwrote.
 """
 
 import dataclasses
@@ -42,11 +45,22 @@ def _fresh(config, spec, members):
     return index, index.candidate_pairs()
 
 
+def _follow(index, mirror, changed):
+    """The streaming linker's rule: drop every pair touching a changed
+    entity, add back the pairs of those the index still places, and
+    record the result's size in the index's stats."""
+    lefts, rights = changed["left"], changed["right"]
+    kept = {pair for pair in mirror if pair[0] not in lefts and pair[1] not in rights}
+    mirror = kept | index.pairs_of(lefts, rights)
+    index.stats.candidate_pairs = len(mirror)
+    return mirror
+
+
 # num_buckets=1: every band of every entity lands in the one bucket, so
 # each entity sits in it several times — the duplicate-placement case.
 @pytest.mark.parametrize("num_buckets", [1, 3, 4096])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_updates_equal_a_fresh_enumeration(num_buckets, seed):
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_following_changed_entities_equals_a_fresh_enumeration(num_buckets, seed):
     rng = random.Random(seed)
     config = _config(num_buckets)
     spec = config.signature_spec(64)
@@ -59,6 +73,7 @@ def test_random_updates_equal_a_fresh_enumeration(num_buckets, seed):
     mirror = index.candidate_pairs()  # the enumerating call
     assert mirror == _fresh(config, spec, members)[1]
 
+    changed = {"left": set(), "right": set()}
     for step in range(60):
         side = rng.choice(("left", "right"))
         entity = f"{side[0]}{rng.randrange(9)}"
@@ -72,61 +87,64 @@ def test_random_updates_equal_a_fresh_enumeration(num_buckets, seed):
         elif roll < 0.55:
             removed = index.remove(entity, side)
             assert (removed > 0) == bool(members.pop((side, entity), None))
+            changed[side].add(entity)
         else:
             # Re-signature in place, as the streaming linker does.
-            index.remove(entity, side)
             members[(side, entity)] = _signature(rng, spec.length)
             index.add(entity, members[(side, entity)], side)
+            changed[side].add(entity)
         if step % 3 == 0:
-            appeared, disappeared = index.candidate_delta()
-            assert not appeared & disappeared
-            assert appeared.isdisjoint(mirror) and disappeared <= mirror
-            mirror = (mirror - disappeared) | appeared
+            mirror = _follow(index, mirror, changed)
+            changed = {"left": set(), "right": set()}
             fresh, expected = _fresh(config, spec, members)
-            assert mirror == expected == index._pairs
             assert dataclasses.asdict(index.stats) == dataclasses.asdict(fresh.stats)
-    assert index.candidate_pairs() == _fresh(config, spec, members)[1]
-    assert index.candidate_delta() == (set(), set())  # the full answer resets it
+            assert mirror == expected
+            # pairs_of is exactly the enumeration restricted to the named
+            # entities, placed or not.
+            lefts = {f"l{k}" for k in range(10) if rng.random() < 0.3}
+            rights = {f"r{k}" for k in range(10) if rng.random() < 0.3}
+            assert index.pairs_of(lefts, rights) == {
+                pair for pair in expected if pair[0] in lefts or pair[1] in rights
+            }
+    mirror = _follow(index, mirror, changed)
+    fresh, expected = _fresh(config, spec, members)
+    assert index.candidate_pairs() == mirror == expected
+    assert index.stats == fresh.stats
 
 
-def test_unmoved_resignature_reports_nothing():
+def test_unmoved_resignature_changes_nothing():
     config = _config(4096)
     spec = config.signature_spec(64)
     index = LshIndex(config, spec)
     signature = tuple(range(100, 100 + spec.length))
     index.add("l", signature, "left")
     index.add("r", signature, "right")
-    assert index.candidate_pairs() == {("l", "r")}
-    index.remove("l", "left")
-    index.add("l", signature, "left")
-    assert index.candidate_delta() == (set(), set())
+    mirror = index.candidate_pairs()
+    assert mirror == {("l", "r")}
+    before = index.checkpoint()
+    index.add("l", signature, "left")  # withdrawn, then placed as before
+    assert index.checkpoint() == before
+    assert _follow(index, mirror, {"left": {"l"}, "right": set()}) == mirror
+    assert index.stats == before["stats"]
     index.remove("r", "right")
-    assert index.candidate_delta() == (set(), {("l", "r")})
+    assert index.pairs_of({"l"}, {"r"}) == set()
+    assert _follow(index, mirror, {"left": set(), "right": {"r"}}) == set()
 
 
-def test_delta_needs_an_enumeration_first():
-    config = _config(4096)
-    index = LshIndex(config, config.signature_spec(64))
-    with pytest.raises(RuntimeError, match="candidate_pairs"):
-        index.candidate_delta()
-
-
-def test_batch_population_never_maintains_pairs(sm_pair, monkeypatch):
+def test_batch_population_enumerates_once_and_queries_nothing(sm_pair, monkeypatch):
     """A batch ``LshCandidates`` run pays for one enumeration and nothing
-    else: no maintained structure exists before its single
-    ``candidate_pairs()`` call, and no delta bookkeeping ever runs."""
+    else: a single ``candidate_pairs()`` call, never a ``pairs_of``."""
     from repro.core.history import build_histories
     from repro.temporal import common_windowing
 
     def never(*args, **kwargs):
-        raise AssertionError("delta maintenance ran during batch population")
+        raise AssertionError("pairs_of ran during batch population")
 
-    monkeypatch.setattr(LshIndex, "_shift_pairs", never)
+    monkeypatch.setattr(LshIndex, "pairs_of", never)
     calls = []
     original = LshIndex.candidate_pairs
 
     def counted(self):
-        assert self._pairs is None and not self._appeared and not self._disappeared
         calls.append(self)
         return original(self)
 
@@ -151,12 +169,10 @@ def test_batch_population_never_maintains_pairs(sm_pair, monkeypatch):
     assert len(calls) == 1 and context.candidates
 
 
-@pytest.mark.parametrize("tracking", [True, False])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_journal_puts_back_exactly_what_was_overwritten(seed, tracking):
-    """Bucket list order, placements, stats, the maintained set and the
-    pending delta all read as before the transaction — whether or not the
-    buckets had been enumerated when it began."""
+def test_journal_puts_back_exactly_what_was_overwritten(seed):
+    """Bucket list order, placements, spec, ``num_bands`` and stats all
+    read as before the transaction."""
     rng = random.Random(seed)
     config = _config(3)
     spec = config.signature_spec(64)
@@ -164,12 +180,9 @@ def test_journal_puts_back_exactly_what_was_overwritten(seed, tracking):
     for k in range(6):
         index.add(f"l{k}", _signature(rng, spec.length), "left")
         index.add(f"r{k}", _signature(rng, spec.length), "right")
-    if tracking:
-        index.candidate_pairs()
-        index.remove("l0", "left")  # a pending, unconsumed delta
+    index.candidate_pairs()
     before = index.checkpoint()
-    before_pairs = None if index._pairs is None else set(index._pairs)
-    before_pending = (set(index._appeared), set(index._disappeared))
+    num_bands = index.num_bands
 
     journal = index._begin()
     index.update_spec(config.signature_spec(63))
@@ -177,14 +190,12 @@ def test_journal_puts_back_exactly_what_was_overwritten(seed, tracking):
         index.remove(f"l{k}", "left")
         index.add(f"l{k}", _signature(rng, spec.length), "left")
     index.remove("r3", "right")
-    index.candidate_pairs()
     index.add("r9", _signature(rng, spec.length), "right")
-    index.candidate_delta()
+    index.candidate_pairs()
     index.restore(journal)
 
     after = index.checkpoint()
-    assert after == before  # dicts: bucket ids, list *order* inside each
-    assert index._pairs == before_pairs
-    assert (index._appeared, index._disappeared) == before_pending
-    assert index.num_bands == LshIndex(config, spec).num_bands
+    # dicts: bucket ids, list *order* inside each, placements, spec, stats
+    assert after == before
+    assert index.num_bands == num_bands
     assert index._journal is None
