@@ -33,14 +33,13 @@ run is additionally scored against the scenario's held-out ground truth
 ``slim-link serve`` runs the *online* serving loop instead of one batch
 run: the same inputs (two CSVs or a scenario) are replayed as a
 time-ordered event stream through :class:`repro.serve.LinkageService` —
-bounded ingest queue, debounced relinks, versioned snapshots — and the
+bounded ingest queue, continuous relinks, versioned snapshots — and the
 per-round serving counters are printed as a table.  The ``--serve-*``
-knobs (queue depth, debounce batch / staleness, backpressure policy) ride
-on the same serialized :class:`~repro.pipeline.config.LinkageConfig` as
-every other flag::
+knobs (queue depth, backpressure policy) ride on the same serialized
+:class:`~repro.pipeline.config.LinkageConfig` as every other flag::
 
     slim-link serve --scenario bursty_arrival --rounds 6 \\
-        --serve-batch 128 --serve-backpressure reject
+        --serve-queue-depth 128 --serve-backpressure reject
 """
 
 from __future__ import annotations
@@ -224,7 +223,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.prog = "slim-link serve"
     parser.description = (
         "Replay two mobility datasets as a time-ordered event stream "
-        "through the online serving loop (bounded ingest queue, debounced "
+        "through the online serving loop (bounded ingest queue, continuous "
         "relinks, versioned snapshots) and report the serving counters."
     )
     parser.add_argument(

@@ -14,7 +14,7 @@ True
 >>> LinkageConfig.from_dict({"matchign": "greedy"})
 Traceback (most recent call last):
     ...
-ValueError: unknown LinkageConfig field 'matchign'; known fields: ['candidates', 'executor', 'lsh', 'matching', 'retention', 'retention_window', 'retries', 'score_block_size', 'serve_backpressure', 'serve_batch', 'serve_queue_depth', 'serve_staleness', 'similarity', 'storage_level', 'threshold', 'timeout', 'workers']
+ValueError: unknown LinkageConfig field 'matchign'; known fields: ['candidates', 'executor', 'lsh', 'matching', 'retention', 'retention_window', 'retries', 'score_block_size', 'serve_backpressure', 'serve_queue_depth', 'similarity', 'storage_level', 'threshold', 'timeout', 'workers']
 
 Stage choices are validated against the pipeline registries at
 construction time, so a custom strategy must be registered (see
@@ -126,14 +126,6 @@ class LinkageConfig:
         Bound of the serving layer's ingest queue
         (:class:`repro.serve.LinkageService`): at most this many pending
         event batches before backpressure engages.
-    serve_batch:
-        Debounce batch threshold: the relink scheduler coalesces queued
-        deltas and triggers a relink once at least this many records are
-        pending (or the staleness bound below is hit, whichever first).
-    serve_staleness:
-        Debounce staleness bound in seconds: pending deltas are relinked
-        at most this long after the oldest one arrived, even when the
-        batch threshold was not reached.
     serve_backpressure:
         What a full ingest queue does to a submit: ``"block"`` (await
         capacity) or ``"reject"`` (raise
@@ -217,19 +209,6 @@ class LinkageConfig:
         "serving: bound of the ingest event queue before backpressure engages",
         flag="--serve-queue-depth",
         ge=1,
-    )
-    serve_batch: int = knob(
-        256,
-        "serving: relink once this many records are pending",
-        flag="--serve-batch",
-        ge=1,
-    )
-    serve_staleness: float = knob(
-        2.0,
-        "serving: relink pending deltas at most this many seconds after the "
-        "oldest arrived",
-        flag="--serve-staleness",
-        gt=0,
     )
     serve_backpressure: str = knob(
         "block",

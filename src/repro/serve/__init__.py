@@ -6,9 +6,10 @@ arriving, and answer queries *now*".  Three pieces:
 
 * :class:`LinkageService` — event ingestion (add / retire) on a bounded
   queue with explicit backpressure (``block`` or ``reject``, per-source
-  caps), a debounced relink scheduler (batch-size + max-staleness
-  triggers) that runs :meth:`~repro.core.streaming.StreamingLinker.relink`
-  off the event loop, and snapshot-serving queries.
+  caps), a single writer that, whenever it is free, relinks every
+  queued event as one batch with
+  :meth:`~repro.core.streaming.StreamingLinker.relink` off the event
+  loop, and snapshot-serving queries.
 * :class:`LinkSnapshot` — the immutable, versioned, watermarked read
   state every query answers from; publishing is one reference swap, so
   readers never block writers.

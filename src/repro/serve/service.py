@@ -9,15 +9,16 @@ Architecture (one writer, many readers, bounded everything):
   :class:`BackpressureError` immediately (and counts the rejection).  An
   optional per-source in-flight cap bounds any single producer
   independently of the global queue depth.
-* **Debounced relink scheduler** — a single pump coroutine drains the
-  queue, coalescing deltas until either ``serve_batch`` records are
-  pending or the oldest pending event is ``serve_staleness`` seconds old,
-  then applies the whole batch to the
-  :class:`~repro.core.streaming.StreamingLinker` and relinks.  The linker
-  is single-writer by design, so the batch runs in a dedicated worker
-  thread — off the event loop, which keeps ingesting — and the relink's
-  sharded scoring fans out through the config's :mod:`repro.exec`
-  backend (``executor`` / ``workers``) inside that thread.
+* **Continuous batching** — a single pump coroutine owns the
+  :class:`~repro.core.streaming.StreamingLinker`.  Whenever that writer is
+  free and the queue holds events, it drains all of them, applies them as
+  one batch, relinks, publishes and checkpoints, then loops; events that
+  arrive meanwhile ride the next batch.  An event waits only for the
+  writer, never for a batch to fill.  The batch runs in a dedicated
+  worker thread — off the event loop, which keeps ingesting — and the
+  relink's sharded scoring fans out through the config's
+  :mod:`repro.exec` backend (``executor`` / ``workers``) inside that
+  thread.
 * **Versioned reads** — every completed relink publishes an immutable
   :class:`~repro.serve.snapshot.LinkSnapshot` by swapping one reference;
   :meth:`links_for` / :meth:`match` / :meth:`stats` answer from the
@@ -27,7 +28,7 @@ Architecture (one writer, many readers, bounded everything):
 Because a delta relink is bit-identical to a cold relink over the same
 state, the final published snapshot equals an
 offline :class:`~repro.core.streaming.StreamingLinker` replay of the same
-events regardless of how the scheduler batched them — the parity anchor
+events regardless of how the pump batched them — the parity anchor
 ``tests/serve/`` pins per executor backend.
 
 >>> import asyncio
@@ -40,10 +41,11 @@ events regardless of how the scheduler batched them — the parity anchor
 ...         await service.submit("right", [Record("v", 37.77, -122.42, 130.0),
 ...                                        Record("x", 37.90, -122.40, 130.0)])
 ...         snapshot = await service.flush()
+...         again = await service.flush()  # nothing new: no relink
 ...         answer = await service.links_for("u")
-...         return snapshot.version, answer.linked
+...         return snapshot.version, again.version, answer.linked
 >>> asyncio.run(demo())
-(1, 'v')
+(1, 1, 'v')
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class _Event:
     source: Optional[str] = None
     future: Optional[asyncio.Future] = None
 
-    @property
-    def record_count(self) -> int:
-        return len(self.records) + len(self.entity_ids)
-
 
 @dataclass
 class _Counters:
@@ -121,7 +119,7 @@ class _Counters:
 
 
 class LinkageService:
-    """Online linkage: event ingestion, debounced relinks, snapshot reads.
+    """Online linkage: event ingestion, continuous relinks, snapshot reads.
 
     Parameters
     ----------
@@ -131,11 +129,11 @@ class LinkageService:
         before the stream's earliest timestamp.
     config:
         The :class:`~repro.pipeline.config.LinkageConfig` (its
-        ``serve_*`` fields configure the queue and scheduler; its
+        ``serve_*`` fields configure the ingest queue; its
         ``executor`` / ``workers`` drive the relink's scoring fan-out).
-    queue_depth, batch_records, max_staleness, backpressure:
+    queue_depth, backpressure:
         Keyword overrides of the config's ``serve_queue_depth`` /
-        ``serve_batch`` / ``serve_staleness`` / ``serve_backpressure``.
+        ``serve_backpressure``.
     max_pending_per_source:
         At most this many queued-but-unapplied events per ``source``
         label (0 = unbounded).  A producer at its cap blocks or rejects
@@ -167,8 +165,6 @@ class LinkageService:
         config: Optional[LinkageConfig] = None,
         *,
         queue_depth: Optional[int] = None,
-        batch_records: Optional[int] = None,
-        max_staleness: Optional[float] = None,
         backpressure: Optional[str] = None,
         max_pending_per_source: int = 0,
         linker: Optional[StreamingLinker] = None,
@@ -179,16 +175,12 @@ class LinkageService:
         # field), whichever way a value arrived.
         overrides = {
             "serve_queue_depth": queue_depth,
-            "serve_batch": batch_records,
-            "serve_staleness": max_staleness,
             "serve_backpressure": backpressure,
         }
         self.config = (config if config is not None else LinkageConfig()).without(
             **{name: value for name, value in overrides.items() if value is not None}
         )
         self.queue_depth = self.config.serve_queue_depth
-        self.batch_records = self.config.serve_batch
-        self.max_staleness = self.config.serve_staleness
         self.backpressure = self.config.serve_backpressure
         if max_pending_per_source < 0:
             raise ValueError(
@@ -217,6 +209,10 @@ class LinkageService:
             restored.watermark if restored is not None else float("-inf")
         )
         self._started_at: Optional[float] = None
+        # Whether the linker holds events no published snapshot shows (a
+        # flush with nothing queued relinks only then): version 0 shows
+        # nothing, not even a restored linker's state.
+        self._unpublished = True
         self._snapshot = LinkSnapshot(
             version=0, watermark=float("-inf"), published_at=time.time()
         )
@@ -314,9 +310,10 @@ class LinkageService:
         return len(ids)
 
     async def flush(self) -> LinkSnapshot:
-        """Force a relink over everything accepted so far and await the
-        resulting published snapshot (the current one when nothing was
-        pending)."""
+        """Await a published snapshot that covers everything accepted so
+        far: a relink's when events were pending or applied since the last
+        publish, else the current one (two flushes in a row return the
+        same version and relink once)."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         await self._enqueue(_Event("flush", future=future), force=True)
@@ -387,79 +384,54 @@ class LinkageService:
                 self._source_waiters.notify_all()
 
     # ------------------------------------------------------------------
-    # debounced relink scheduler
+    # the single writer
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
-        """Single writer: coalesce events, apply batches, publish."""
+        """Single writer: whenever it is free, drain every queued event and
+        apply them as one batch; events arriving meanwhile ride the next.
+        After a stop it keeps draining until the queue is empty."""
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        pending: List[_Event] = []
-        pending_records = 0
-        deadline: Optional[float] = None
-        flush_futures: List[asyncio.Future] = []
         stopping = False
-        while True:
-            event: Optional[_Event] = None
-            if not stopping:
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
-                )
-                try:
-                    if timeout is None:
-                        event = await self._queue.get()
-                    else:
-                        event = await asyncio.wait_for(
-                            self._queue.get(), timeout
-                        )
-                except (asyncio.TimeoutError, TimeoutError):
-                    event = None
-            # Coalesce: drain whatever else is already queued.
-            events = [] if event is None else [event]
-            while True:
-                try:
-                    events.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            force_relink = False
-            for item in events:
-                self._release_source_slot(item)
-                if item.kind == "stop":
+        while not (stopping and self._queue.empty()):
+            events = [] if stopping else [await self._queue.get()]
+            while not self._queue.empty():
+                events.append(self._queue.get_nowait())
+            # The queue is empty now, so the front end's tallies cover
+            # exactly the events applied so far.
+            covered = (self._watermark, self.counters.records_in)
+            batch: List[_Event] = []
+            flush_futures: List[asyncio.Future] = []
+            for event in events:
+                self._release_source_slot(event)
+                if event.kind == "stop":
                     stopping = True
-                elif item.kind == "flush":
-                    flush_futures.append(item.future)
-                    force_relink = True
+                elif event.kind == "flush":
+                    flush_futures.append(event.future)
                 else:
-                    pending.append(item)
-                    pending_records += item.record_count
-                    if deadline is None:
-                        deadline = loop.time() + self.max_staleness
-            if events:
-                await self._notify_source_waiters()
-            timed_out = deadline is not None and loop.time() >= deadline
-            due = (
-                force_relink
-                or stopping
-                or pending_records >= self.batch_records
-                or (pending and timed_out)
-            )
-            if due and (pending or flush_futures):
-                await self._apply(pending, flush_futures)
-                pending = []
-                pending_records = 0
-                deadline = None
-                flush_futures = []
-            if stopping and self._queue.empty():
-                return
+                    batch.append(event)
+            await self._notify_source_waiters()
+            if batch or (flush_futures and self._unpublished):
+                await self._apply(batch, flush_futures, covered)
+            for future in flush_futures:
+                if not future.done():
+                    future.set_result(self._snapshot)
 
     async def _apply(
-        self, batch: List[_Event], flush_futures: List[asyncio.Future]
+        self,
+        batch: List[_Event],
+        flush_futures: List[asyncio.Future],
+        covered: Tuple[float, int],
     ) -> None:
-        """Apply one coalesced batch in the worker thread and publish."""
+        """Fold one batch in and relink in the worker thread, then publish
+        and checkpoint.  ``covered`` is the (watermark, records ingested)
+        of every event applied so far — what the published snapshot
+        shows."""
         assert self._pool is not None
         loop = asyncio.get_running_loop()
+        self._unpublished = True
         try:
             report, relink_seconds = await loop.run_in_executor(
-                self._pool, self._apply_batch, list(batch)
+                self._pool, self._apply_batch, batch
             )
         except asyncio.CancelledError:
             raise
@@ -476,7 +448,7 @@ class LinkageService:
                     future.set_exception(error)
             return
         if report is not None:
-            self._publish(report, relink_seconds)
+            self._publish(report, relink_seconds, *covered)
             if self._state_dir is not None:
                 # Same single worker thread as the batch apply, so the
                 # checkpoint serializes with the next batch and reads a
@@ -490,9 +462,6 @@ class LinkageService:
                 except Exception as error:
                     self.counters.checkpoint_failures += 1
                     self.last_error = error
-        for future in flush_futures:
-            if not future.done():
-                future.set_result(self._snapshot)
 
     def _apply_batch(
         self, batch: List[_Event]
@@ -518,10 +487,16 @@ class LinkageService:
         report = self.linker.relink()
         return report, time.perf_counter() - clock
 
-    def _publish(self, report: LinkageReport, relink_seconds: float) -> None:
+    def _publish(
+        self,
+        report: LinkageReport,
+        relink_seconds: float,
+        watermark: float,
+        records_ingested: int,
+    ) -> None:
         snapshot = LinkSnapshot(
             version=self._snapshot.version + 1,
-            watermark=self._watermark,
+            watermark=watermark,
             published_at=time.time(),
             links=report.links,
             link_scores=report.link_scores,
@@ -529,10 +504,11 @@ class LinkageService:
             threshold_method=report.threshold.method,
             relink=report.extras.get("relink"),
             relink_seconds=relink_seconds,
-            records_ingested=self.counters.records_in,
+            records_ingested=records_ingested,
         )
         self.counters.relinks += 1
         self.counters.relink_seconds.append(relink_seconds)
+        self._unpublished = False
         self._snapshot = snapshot  # atomic reference swap: the publish
 
     # ------------------------------------------------------------------

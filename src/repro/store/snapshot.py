@@ -89,7 +89,10 @@ __all__ = [
 #: carry an ``idf`` column (in ``flats["columns"]`` and, from a disk
 #: backend, in its store manifest); restore drops it and re-derives IDF
 #: per df slot from the captured document frequencies and size — the
-#: same values, so the format number stays.
+#: same values, so the format number stays.  A pickled config written
+#: while ``LinkageConfig`` had ``serve_batch`` / ``serve_staleness``
+#: fields carries them as inert attributes: no field reads them, and
+#: equality, ``to_dict()`` and ``without()`` see declared fields only.
 SNAPSHOT_FORMAT = 4
 
 CURRENT = "CURRENT"

@@ -11,9 +11,9 @@ cache ``clear()``-ed mid-sequence — run against three linkers:
 
 * the **subject**, which takes the delta path whenever it may;
 * a **twin** fed the same ops that does ``_restore(checkpoint())`` before
-  every relink — a full capture carries no pair table and resets the
-  index's maintained pair set, so by construction the twin always takes
-  the rebuild path;
+  every relink — a full capture carries no pair table, so by
+  construction the twin always takes the rebuild path (the index keeps
+  no pair set of its own: it answers from its buckets);
 * a **cold** linker over the records of the entities that survive.
 
 Subject and twin must agree with ``==`` on links, scores,

@@ -647,10 +647,10 @@ def _fingerprint(value):
     the pair table are read through their logical content: histories
     memoise derived bins/trees on demand, the cache's key order and row
     numbering (and its per-entity key index) are allocation detail its
-    capture deliberately drops, the index's maintained pair set is re-derived
-    from its buckets, and a pair table says something only while it is
-    resident — one the cache has moved past is as good as empty, which
-    is exactly what a restored linker starts with."""
+    capture deliberately drops, the index is read through its capture
+    (its buckets; it keeps no pair set), and a pair table says something
+    only while it is resident — one the cache has moved past is as good
+    as empty, which is exactly what a restored linker starts with."""
     if isinstance(value, MobilityHistory):
         return (
             "history",

@@ -1,12 +1,17 @@
-"""LinkageService behaviour: lifecycle, versioned snapshot reads, the
-debounced relink scheduler's triggers, backpressure under both policies,
-per-source caps, retire flow, relink-failure isolation and metrics."""
+"""LinkageService behaviour: lifecycle, versioned snapshot reads,
+continuous batching (the writer relinks whenever it is free), idle
+flushes, backpressure under both policies, per-source caps, retire flow,
+relink-failure isolation and metrics."""
 
 import asyncio
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.eval.reporting import serving_table
 from repro.pipeline import LinkageConfig
@@ -25,17 +30,51 @@ _RIGHT = (_rec("v", 40.0), _rec("x", 50.0, lat=37.90, lng=-122.40))
 _LINKS = {"u": "v", "w": "x"}
 
 
-def _gate_relink(service, gate):
-    """Make the service's relink wait on ``gate`` (a threading.Event) so a
-    test can hold the single-writer pump inside an apply while it probes
-    the ingestion front end."""
-    real = service.linker.relink
+# The property test's world: the n-th submit of entity k visits place k,
+# then place k + 1, in time slot 4n + k — on either side, so left and right
+# entity k are co-located whenever both have been submitted n times.
+_PLACES = [(37.60 + 0.03 * k, -122.50 + 0.02 * k) for k in range(4)]
+_PROPERTY_CONFIG = LinkageConfig(threshold="none")
+_OP = st.tuples(
+    st.sampled_from(["submit", "retire", "flush"]),
+    st.sampled_from(["left", "right"]),
+    st.integers(0, 3),
+    st.booleans(),
+)
 
-    def gated():
+
+def _visits(side, entity, n):
+    start = 3600.0 * (4 * n + entity) + (0.0 if side == "left" else 30.0)
+    places = (_PLACES[entity], _PLACES[(entity + 1) % 4])
+    return [
+        Record(f"{side[0]}{entity}", *place, start + 1800.0 * hop)
+        for hop, place in enumerate(places)
+    ]
+
+
+def _gate(service, method, gate, entered=None):
+    """Make the linker's ``method`` wait on ``gate`` (a threading.Event)
+    so a test can hold the single-writer pump inside an apply while it
+    probes the ingestion front end; ``entered`` (another Event) is set
+    once the writer is inside."""
+    real = getattr(service.linker, method)
+
+    def gated(*args):
+        if entered is not None:
+            entered.set()
         assert gate.wait(timeout=30.0), "test gate never released"
-        return real()
+        return real(*args)
 
-    service.linker.relink = gated
+    setattr(service.linker, method, gated)
+
+
+async def _until(condition, seconds=10.0):
+    """Yield to the event loop until ``condition()`` holds."""
+    for _ in range(int(seconds / 0.005)):
+        if condition():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("condition never held")
 
 
 class TestLifecycle:
@@ -71,21 +110,49 @@ class TestLifecycle:
 
     def test_stop_folds_pending_events_into_final_relink(self):
         """No accepted event is ever dropped: events still pending at
-        stop() ride a final relink before the pump exits."""
+        stop() ride a final relink before the pump exits.  The writer is
+        held inside the left side's observe, so the right side really is
+        pending when stop() is called."""
 
         async def run():
-            service = LinkageService(
-                origin=0.0, batch_records=10_000, max_staleness=60.0
-            )
+            service = LinkageService(origin=0.0)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "observe", gate, entered)
             await service.start()
             await service.submit("left", _LEFT)
+            await _until(entered.is_set)
             await service.submit("right", _RIGHT)
-            await service.stop()
+            stopping = asyncio.create_task(service.stop())
+            await asyncio.sleep(0)  # the stop event is queued behind right
+            gate.set()
+            await stopping
             return service.snapshot()
 
         snapshot = asyncio.run(run())
         assert snapshot.version == 1
         assert dict(snapshot.links) == _LINKS
+
+    def test_stop_folds_events_enqueued_after_the_stop_event(self):
+        async def run():
+            service = LinkageService(origin=0.0)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
+            await service.start()
+            await service.submit("left", _LEFT)
+            await service.submit("right", _RIGHT)
+            await _until(entered.is_set)
+            stopping = asyncio.create_task(service.stop())
+            await asyncio.sleep(0)  # the stop event is queued
+            await service.submit("left", [_rec("p", 70.0, lat=37.60)])
+            await service.submit("right", [_rec("q", 90.0, lat=37.60)])
+            gate.set()
+            await stopping
+            return service.snapshot()
+
+        snapshot = asyncio.run(run())
+        assert snapshot.version == 2
+        assert snapshot.records_ingested == 6
+        assert snapshot.links.get("p") == "q"
 
     def test_submit_validates_side(self):
         async def run():
@@ -160,40 +227,130 @@ class TestVersionedReads:
             snapshot.version = 99
 
 
-class TestScheduler:
-    def test_batch_threshold_triggers_relink_without_flush(self):
+class TestContinuousBatching:
+    def test_idle_writer_relinks_without_flush(self):
         async def run():
-            async with LinkageService(
-                origin=0.0, batch_records=4, max_staleness=60.0
-            ) as service:
+            async with LinkageService(origin=0.0) as service:
                 await service.submit("left", _LEFT)
                 await service.submit("right", _RIGHT)
-                for _ in range(200):
-                    if service.snapshot().version:
-                        break
-                    await asyncio.sleep(0.02)
+                await _until(lambda: service.snapshot().version)
                 return service.snapshot()
 
         snapshot = asyncio.run(run())
         assert snapshot.version == 1
         assert dict(snapshot.links) == _LINKS
 
-    def test_staleness_deadline_triggers_relink_without_flush(self):
+    def test_events_during_a_relink_ride_exactly_one_more(self):
         async def run():
-            async with LinkageService(
-                origin=0.0, batch_records=10_000, max_staleness=0.1
-            ) as service:
+            service = LinkageService(origin=0.0)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
+            async with service:
                 await service.submit("left", _LEFT)
                 await service.submit("right", _RIGHT)
-                for _ in range(200):
-                    if service.snapshot().version:
-                        break
-                    await asyncio.sleep(0.02)
-                return service.snapshot()
+                await _until(entered.is_set)  # writer holds the first relink
+                for k in range(3):
+                    place = {"lat": 37.60 + 0.05 * k, "lng": -122.50}
+                    await service.submit("left", [_rec(f"p{k}", 70.0, **place)])
+                    await asyncio.sleep(0)
+                    await service.submit("right", [_rec(f"q{k}", 90.0, **place)])
+                    await asyncio.sleep(0)
+                gate.set()
+                return await service.flush(), service
+
+        snapshot, service = asyncio.run(run())
+        assert service.counters.relinks == 2
+        assert snapshot.version == 2
+        assert snapshot.records_ingested == service.counters.records_in == 10
+        assert {k: snapshot.links[k] for k in _LINKS} == _LINKS
+        assert all(snapshot.links.get(f"p{k}") == f"q{k}" for k in range(3))
+
+    def test_nothing_queued_means_no_relink(self):
+        async def run():
+            async with LinkageService(origin=0.0) as service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await service.flush()
+                before = service.counters.relinks
+                await asyncio.sleep(0.2)
+                return before, service.counters.relinks, service.snapshot()
+
+        before, after, snapshot = asyncio.run(run())
+        assert before == after == 1
+        assert snapshot.version == 1
+
+    def test_published_snapshot_covers_only_applied_events(self):
+        """An event accepted while a relink runs is not in that relink's
+        snapshot, so neither its records nor its event time are either."""
+
+        async def run():
+            service = LinkageService(origin=0.0)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
+            published = []
+            publish = service._publish
+
+            def recording_publish(*args):
+                publish(*args)
+                published.append(service.snapshot())
+
+            service._publish = recording_publish
+            async with service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await _until(entered.is_set)
+                await service.submit("left", [_rec("p", 70.0, lat=37.60)])
+                gate.set()
+                await service.flush()
+            return published
+
+        first, second = asyncio.run(run())
+        assert (first.version, first.watermark, first.records_ingested) == (
+            1, 50.0, 4
+        )
+        assert (second.version, second.watermark, second.records_ingested) == (
+            2, 70.0, 5
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_OP, min_size=1, max_size=14))
+    def test_any_schedule_ends_at_the_offline_relink(self, ops):
+        """Random submit / retire / flush sequences, with random yields so
+        relink boundaries vary: the final flushed snapshot equals one
+        offline relink over the same events, in links and scores."""
+        applied = []
+
+        async def run():
+            service = LinkageService(origin=0.0, config=_PROPERTY_CONFIG)
+            async with service:
+                known = {"left": set(), "right": set()}
+                submits = Counter()
+                seed = [("submit", side, k, False) for side in known for k in (0, 1)]
+                for kind, side, entity, yields in seed + ops:
+                    name = f"{side[0]}{entity}"
+                    if kind == "submit":
+                        records = _visits(side, entity, submits[name])
+                        submits[name] += 1
+                        await service.submit(side, records)
+                        applied.append(("observe", side, records))
+                        known[side].add(name)
+                    elif kind == "retire" and known[side] > {name}:  # never empty
+                        await service.retire(side, [name])
+                        applied.append(("retire", side, [name]))
+                        known[side].discard(name)
+                    elif kind == "flush":
+                        await service.flush()
+                    if yields:
+                        await asyncio.sleep(0)
+                return await service.flush()
 
         snapshot = asyncio.run(run())
-        assert snapshot.version == 1
-        assert dict(snapshot.links) == _LINKS
+        offline = StreamingLinker(0.0, _PROPERTY_CONFIG)
+        for kind, side, payload in applied:
+            getattr(offline, kind)(side, payload)
+        report = offline.relink()
+        assert dict(snapshot.links) == report.links
+        assert dict(snapshot.link_scores) == report.link_scores
 
     def test_one_sided_stream_publishes_nothing_until_other_side(self):
         async def run():
@@ -210,30 +367,104 @@ class TestScheduler:
         assert dict(both.links) == _LINKS
 
 
+class TestIdleFlush:
+    def test_two_flushes_give_one_version_and_one_relink(self):
+        async def run():
+            async with LinkageService(origin=0.0) as service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                first = await service.flush()
+                second = await service.flush()
+                return first, second, service.counters.relinks
+
+        first, second, relinks = asyncio.run(run())
+        assert second is first
+        assert (first.version, relinks) == (1, 1)
+
+    def test_idle_flush_writes_no_checkpoint(self, tmp_path):
+        async def run():
+            service = LinkageService(origin=0.0, state_dir=tmp_path / "state")
+            saves = []
+            save = service.linker.save
+            service.linker.save = lambda directory: saves.append(save(directory))
+            async with service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await service.flush()
+                await service.flush()
+            return saves
+
+        assert len(asyncio.run(run())) == 1
+
+    def test_flush_after_a_failed_background_relink_relinks(self):
+        """The failed batch is folded in but unpublished, so a flush with
+        nothing queued still relinks and publishes it."""
+
+        async def run():
+            service = LinkageService(origin=0.0)
+            relink = service.linker.relink
+            calls = []
+
+            def fails_once():
+                calls.append(None)
+                if len(calls) == 1:
+                    raise RuntimeError("injected relink failure")
+                return relink()
+
+            service.linker.relink = fails_once
+            async with service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await _until(lambda: service.counters.relink_failures)
+                assert service.snapshot().version == 0
+                return await service.flush(), service
+
+        snapshot, service = asyncio.run(run())
+        assert snapshot.version == 1
+        assert dict(snapshot.links) == _LINKS
+        assert (service.counters.relinks, service.counters.relink_failures) == (1, 1)
+
+    def test_first_flush_of_a_restored_service_publishes_its_state(self, tmp_path):
+        state_dir = tmp_path / "state"
+
+        async def first_life():
+            async with LinkageService(0.0, state_dir=state_dir) as service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                return await service.flush()
+
+        async def second_life():
+            async with LinkageService(0.0, state_dir=state_dir) as service:
+                return await service.flush()
+
+        before = asyncio.run(first_life())
+        after = asyncio.run(second_life())
+        assert after.version == 1
+        assert dict(after.links) == dict(before.links) == _LINKS
+        assert dict(after.link_scores) == dict(before.link_scores)
+
+
 class TestBackpressure:
     def test_reject_raises_when_queue_full(self):
         async def run():
             service = LinkageService(
                 origin=0.0,
                 queue_depth=2,
-                batch_records=10_000,
-                max_staleness=60.0,
                 backpressure="reject",
             )
-            gate = threading.Event()
-            _gate_relink(service, gate)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
             async with service:
                 await service.submit("left", [_rec("u", 10.0)])
                 await service.submit("right", [_rec("v", 40.0)])
-                flush_task = asyncio.create_task(service.flush())
-                await asyncio.sleep(0.05)  # pump is now held inside relink
+                await _until(entered.is_set)  # pump held inside relink
                 await service.submit("left", [_rec("w", 70.0)])
                 await service.submit("left", [_rec("x", 80.0)])
                 with pytest.raises(BackpressureError, match="queue full"):
                     await service.submit("left", [_rec("y", 90.0)])
                 rejected = service.counters.rejected
                 gate.set()
-                await flush_task
+                await service.flush()
             return service, rejected
 
         service, rejected = asyncio.run(run())
@@ -247,17 +478,14 @@ class TestBackpressure:
             service = LinkageService(
                 origin=0.0,
                 queue_depth=1,
-                batch_records=10_000,
-                max_staleness=60.0,
                 backpressure="block",
             )
-            gate = threading.Event()
-            _gate_relink(service, gate)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
             async with service:
                 await service.submit("left", [_rec("u", 10.0)])
                 await service.submit("right", [_rec("v", 40.0)])
-                flush_task = asyncio.create_task(service.flush())
-                await asyncio.sleep(0.05)  # pump held; queue drained
+                await _until(entered.is_set)  # pump held; queue drained
                 await service.submit("left", [_rec("w", 70.0)])  # fills depth 1
                 held = asyncio.create_task(
                     service.submit("left", [_rec("x", 80.0)])
@@ -266,8 +494,8 @@ class TestBackpressure:
                     await asyncio.wait_for(asyncio.shield(held), timeout=0.1)
                 blocked = service.counters.blocked
                 gate.set()
-                await flush_task
                 assert await held == 1  # completed once capacity freed
+                await service.flush()
             return blocked, service
 
         blocked, service = asyncio.run(run())
@@ -275,18 +503,47 @@ class TestBackpressure:
         assert service.counters.rejected == 0
         assert service.counters.records_in == 4
 
+    def test_pending_events_never_exceed_the_queue_depth(self):
+        """The writer drains only when it is free, so a held writer leaves
+        at most ``queue_depth`` events pending; a blocked producer resumes
+        as the writer drains, and every event is published."""
+
+        async def run():
+            service = LinkageService(origin=0.0, queue_depth=3, backpressure="block")
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
+            async with service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await _until(entered.is_set)
+
+                async def producer():
+                    for k in range(10):
+                        place = {"lat": 37.50 - 0.02 * k, "lng": -122.30}
+                        await service.submit("left", [_rec(f"p{k}", 70.0, **place)])
+
+                producing = asyncio.create_task(producer())
+                await _until(lambda: service.counters.blocked)
+                depth = service.metrics()["queue_depth"]
+                gate.set()
+                await producing
+                return depth, await service.flush(), service.metrics()
+
+        depth, snapshot, metrics = asyncio.run(run())
+        assert depth == 3
+        assert metrics["queue_peak"] == 3
+        assert snapshot.records_ingested == metrics["records_in"] == 14
+
     def test_per_source_cap_rejects_chatty_source_only(self):
         async def run():
             service = LinkageService(
                 origin=0.0,
                 queue_depth=100,
-                batch_records=10_000,
-                max_staleness=60.0,
                 backpressure="reject",
                 max_pending_per_source=1,
             )
             gate = threading.Event()
-            _gate_relink(service, gate)
+            _gate(service, "relink", gate)
             async with service:
                 await service.submit("left", [_rec("u", 10.0)])
                 await service.submit("right", [_rec("v", 40.0)])
@@ -447,14 +704,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="serve_queue_depth"):
             LinkageService(origin=0.0, queue_depth=0)
 
-    def test_bad_batch_named(self):
-        with pytest.raises(ValueError, match="serve_batch"):
-            LinkageService(origin=0.0, batch_records=-1)
-
-    def test_bad_staleness_named(self):
-        with pytest.raises(ValueError, match="serve_staleness"):
-            LinkageService(origin=0.0, max_staleness=0.0)
-
     def test_bad_source_cap_named(self):
         with pytest.raises(ValueError, match="max_pending_per_source"):
             LinkageService(origin=0.0, max_pending_per_source=-1)
@@ -462,15 +711,21 @@ class TestValidation:
     def test_config_serve_fields_flow_through(self):
         config = LinkageConfig(
             serve_queue_depth=7,
-            serve_batch=3,
-            serve_staleness=1.5,
             serve_backpressure="reject",
         )
         service = LinkageService(origin=0.0, config=config)
         assert service.queue_depth == 7
-        assert service.batch_records == 3
-        assert service.max_staleness == 1.5
         assert service.backpressure == "reject"
+
+    @pytest.mark.parametrize("keyword", ["batch_records", "max_staleness"])
+    def test_debounce_keywords_are_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            LinkageService(origin=0.0, **{keyword: 1})
+
+    @pytest.mark.parametrize("name", ["serve_batch", "serve_staleness"])
+    def test_debounce_fields_are_gone(self, name):
+        with pytest.raises(ValueError, match=f"unknown LinkageConfig field '{name}'"):
+            LinkageConfig.from_dict({name: 1})
 
     def test_keyword_overrides_beat_config(self):
         config = LinkageConfig(serve_queue_depth=7, serve_backpressure="reject")

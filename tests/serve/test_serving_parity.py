@@ -10,7 +10,7 @@ import pytest
 from repro.core.streaming import StreamingLinker
 from repro.pipeline import LinkageConfig
 from repro.scenarios import stream_rounds
-from repro.serve import replay_pair
+from repro.serve import LinkageService, replay_pair
 from repro.serve.replay import replay_origin
 
 BACKENDS = ("serial", "thread", "process")
@@ -76,23 +76,26 @@ def test_retention_parity_with_flush_per_round(cab_pair):
     assert dict(result.snapshot.link_scores) == offline.link_scores
 
 
+async def _submit_with_yields(left, right, config, rounds):
+    """A schedule unlike flush-per-round: yield to the writer after every
+    submit, so it relinks whatever arrived so far, and flush only once."""
+    cells = stream_rounds(left, right, rounds)
+    async with LinkageService(replay_origin(cells), config=config) as service:
+        for cell in cells:
+            await service.submit("left", cell.left)
+            await asyncio.sleep(0)
+            await service.submit("right", cell.right)
+            await asyncio.sleep(0)
+        return await service.flush()
+
+
 def test_parity_independent_of_batch_boundaries(cab_pair):
-    """Same stream pushed through two services with very different
-    coalescing knobs publishes the same final links."""
+    """Same stream pushed through two schedules that batch it differently
+    by construction publishes the same final links."""
     config = LinkageConfig()
-    fine = asyncio.run(
-        replay_pair(
-            cab_pair.left, cab_pair.right, config, rounds=5, batch_records=1
-        )
-    )
+    fine = asyncio.run(_submit_with_yields(cab_pair.left, cab_pair.right, config, 5))
     coarse = asyncio.run(
-        replay_pair(
-            cab_pair.left,
-            cab_pair.right,
-            config,
-            rounds=2,
-            batch_records=100_000,
-        )
+        replay_pair(cab_pair.left, cab_pair.right, config, rounds=2)
     )
-    assert dict(fine.snapshot.links) == dict(coarse.snapshot.links)
-    assert dict(fine.snapshot.link_scores) == dict(coarse.snapshot.link_scores)
+    assert dict(fine.links) == dict(coarse.snapshot.links)
+    assert dict(fine.link_scores) == dict(coarse.snapshot.link_scores)

@@ -57,8 +57,6 @@ TABLE = [
     ("--timeout", "timeout", "1.5", 1.5, []),
     ("--retries", "retries", "4", 4, []),
     ("--serve-queue-depth", "serve_queue_depth", "32", 32, []),
-    ("--serve-batch", "serve_batch", "64", 64, []),
-    ("--serve-staleness", "serve_staleness", "0.5", 0.5, []),
     ("--serve-backpressure", "serve_backpressure", "reject", "reject", []),
 ]
 ROWS = [pytest.param(*row, id=row[0]) for row in TABLE]
@@ -82,8 +80,6 @@ FILE_CONFIG = LinkageConfig(
     timeout=9.0,
     retries=5,
     serve_queue_depth=7,
-    serve_batch=9,
-    serve_staleness=4.0,
     serve_backpressure="block",
 )
 
@@ -188,8 +184,7 @@ PARENT_DEFAULT_JSON = (
     '"threshold": "gmm", "storage_level": null, "executor": "auto", '
     '"workers": 0, "retention": "none", "retention_window": 0, '
     '"score_block_size": 0, "timeout": 0.0, "retries": 2, '
-    '"serve_queue_depth": 1024, "serve_batch": 256, "serve_staleness": 2.0, '
-    '"serve_backpressure": "block"}'
+    '"serve_queue_depth": 1024, "serve_backpressure": "block"}'
 )
 PARENT_LSH_JSON = (
     '{"threshold": 0.6, "step_windows": 16, "spatial_level": 16, '
@@ -247,20 +242,19 @@ PARENT_CASES = [
      {"executor": "process", "workers": 4}),
     (["--executor", "serial"], {"executor": "thread"}, {"executor": "serial"}),
     ([], {"executor": "thread"}, {"executor": "thread"}),
-    (["--serve-batch", "64", "--serve-queue-depth", "32",
-      "--serve-backpressure", "reject"], None,
-     {"serve_queue_depth": 32, "serve_batch": 64, "serve_backpressure": "reject"}),
-    ([], {"serve_batch": 64, "serve_queue_depth": 16,
-          "serve_backpressure": "block", "serve_staleness": 5.0},
-     {"serve_queue_depth": 16, "serve_batch": 64, "serve_staleness": 5.0}),
-    (["--serve-batch", "32"], {"serve_batch": 64, "serve_backpressure": "reject"},
-     {"serve_batch": 32, "serve_backpressure": "reject"}),
+    (["--serve-queue-depth", "32", "--serve-backpressure", "reject"], None,
+     {"serve_queue_depth": 32, "serve_backpressure": "reject"}),
+    ([], {"serve_queue_depth": 16, "serve_backpressure": "block"},
+     {"serve_queue_depth": 16}),
+    (["--serve-queue-depth", "32"],
+     {"serve_queue_depth": 64, "serve_backpressure": "reject"},
+     {"serve_queue_depth": 32, "serve_backpressure": "reject"}),
     (["--backend", "python"], None, {"similarity.backend": "python"}),
     ([], EXAMPLE, {"candidates": "temporal"}),
-    (["--lsh", "--lsh-spatial-level", "14", "--serve-staleness", "0.5"], EXAMPLE,
+    (["--lsh", "--lsh-spatial-level", "14", "--serve-queue-depth", "8"], EXAMPLE,
      {"lsh": {"threshold": 0.6, "step_windows": 16, "spatial_level": 14,
               "num_buckets": 4096},
-      "candidates": "temporal", "serve_staleness": 0.5}),
+      "candidates": "temporal", "serve_queue_depth": 8}),
 ]
 
 
@@ -337,8 +331,6 @@ LINKAGE = st.builds(
     timeout=_finite(min_value=0, max_value=1e6),
     retries=st.integers(0, 20),
     serve_queue_depth=st.integers(1, 1 << 16),
-    serve_batch=st.integers(1, 1 << 16),
-    serve_staleness=_finite(min_value=1e-3, max_value=1e4),
     serve_backpressure=st.sampled_from(SERVE_BACKPRESSURE_POLICIES),
 )
 
@@ -486,7 +478,7 @@ class TestLshFlagsNeedTheSection:
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "field, value",
-        [("timeout", math.nan), ("timeout", math.inf), ("serve_staleness", math.nan)],
+        [("timeout", math.nan), ("timeout", math.inf)],
     )
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=f"'{field}' must be a finite number"):

@@ -70,8 +70,6 @@ class TestServeHappyPath:
                 str(right_path),
                 "--rounds",
                 "2",
-                "--serve-batch",
-                "64",
                 "--serve-queue-depth",
                 "32",
                 "--serve-backpressure",
@@ -149,21 +147,6 @@ class TestServeValidation:
         assert code == 2
         assert "serve_queue_depth" in captured.err
 
-    def test_bad_staleness_names_the_field(self, csv_pair, capsys):
-        left_path, right_path, _ = csv_pair
-        code = main(
-            [
-                "serve",
-                str(left_path),
-                str(right_path),
-                "--serve-staleness",
-                "-1",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "serve_staleness" in captured.err
-
 
 class TestServeConfigFile:
     def test_serve_keys_load_from_config_file(self, csv_pair, tmp_path, capsys):
@@ -172,10 +155,8 @@ class TestServeConfigFile:
         config_path.write_text(
             json.dumps(
                 {
-                    "serve_batch": 64,
                     "serve_queue_depth": 16,
                     "serve_backpressure": "block",
-                    "serve_staleness": 5.0,
                 }
             )
         )
@@ -194,10 +175,13 @@ class TestServeConfigFile:
         assert code == 0
         assert "serving counters" in captured.err
 
-    def test_unknown_config_key_named(self, csv_pair, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["serve_batchs", "serve_batch"])
+    def test_unknown_config_key_named(self, key, csv_pair, tmp_path, capsys):
+        """A typo, and a key this service no longer has (the relink
+        debounce is gone), are both unknown fields."""
         left_path, right_path, _ = csv_pair
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"serve_batchs": 64}))
+        config_path.write_text(json.dumps({key: 64}))
         code = main(
             [
                 "serve",
@@ -209,4 +193,4 @@ class TestServeConfigFile:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "serve_batchs" in captured.err
+        assert f"unknown LinkageConfig field '{key}'" in captured.err
