@@ -129,6 +129,7 @@ from ..geo.batch import parent_ids
 from ..geo.cell import CellId
 from ..store.columns import COLUMNS, DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
+from ..store.snapshot import pack_rows, unpack_rows
 from .history import MobilityHistory, leaf_columns, run_starts
 
 __all__ = [
@@ -216,8 +217,7 @@ _ROW_BITS = 32
 
 #: A version no history ever has (they count up from 0): what
 #: :meth:`HistoryCorpus.mark_stale` writes over a resident's version so
-#: the next refresh reads the entity as changed.  Its value, -1, is
-#: what corpus captures in existing snapshots hold for such an entity.
+#: the next refresh reads the entity as changed.
 _STALE = -1
 
 
@@ -306,6 +306,30 @@ class _Resident(WindowIndex):
     version: int
     start: int
     size: int
+
+
+#: A resident's directory and scalars, as the columns of :func:`_pack_corpus`.
+_DIRECTORY = {"windows": np.int64, "offsets": np.int64, "counts": np.int64}
+_SCALARS = ("version", "start", "size")
+
+
+def _pack_corpus(state: Dict[str, object]) -> Dict[str, object]:
+    """A :meth:`HistoryCorpus.checkpoint` as a durable snapshot holds it:
+    the residents as flat arrays (:func:`~repro.store.snapshot.pack_rows`)
+    and without the scalar oracle's ``bins_with_idf`` memo, which is
+    re-derived on demand."""
+    residents = pack_rows(state["window_index"], _DIRECTORY, _SCALARS)
+    return dict(state, window_index=residents, bins_with_idf={})
+
+
+def _unpack_corpus(state: Dict[str, object]) -> Dict[str, object]:
+    """The capture :func:`_pack_corpus` packed, each directory a copy."""
+    residents = unpack_rows(state["window_index"], _DIRECTORY, _SCALARS)
+    window_index = {
+        entity_id: _Resident(*(column.copy() for column in columns), *values)
+        for entity_id, columns, values in residents
+    }
+    return dict(state, window_index=window_index)
 
 
 @dataclass(frozen=True)
@@ -930,8 +954,9 @@ class HistoryCorpus:
 
         A relink rollback keeps it in memory (cheap — references plus two
         shallow per-entity dict copies); a durable snapshot pickles the
-        very same dict.  The flat columns ride along as their backend's
-        own capture.
+        very same dict with its residents packed into columns
+        (:func:`_pack_corpus`).  The flat columns ride along as their
+        backend's own capture.
         """
         state = {name: getattr(self, "_" + name) for name in self._SHARED_STATE}
         for name in self._COPIED_STATE:
@@ -961,6 +986,20 @@ class HistoryCorpus:
         self._flats.restore(state["flats"])
         self._derive_idf()
         self._populated = sum(len(held) for held in self._window_index.values())
+
+    @classmethod
+    def _restored(
+        cls, histories: Dict[str, MobilityHistory], state: Dict[str, object]
+    ) -> "HistoryCorpus":
+        """A heap corpus over ``histories`` that *is* the ``state``
+        capture: :meth:`restore` without the cold build ``__init__``
+        would do only to throw it away.  :meth:`restore` sets every
+        field ``__init__`` does but these two."""
+        corpus = cls.__new__(cls)
+        corpus._histories = histories
+        corpus._flats = MemoryColumns()
+        corpus.restore(state)
+        return corpus
 
     # ------------------------------------------------------------------
     # introspection

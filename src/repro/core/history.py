@@ -10,7 +10,8 @@ A history *is* three parallel read-only arrays ``(window, cell, count)``
 sorted by ``(window, cell)`` at its ``storage_level`` — one row per
 distinct bin, ``count`` the summed weight of the records that fell in it.
 They are the store of record: ingest replaces them (never writes into
-them), a snapshot pickles them, and the whole-dataset array passes — LSH
+them), a snapshot writes a side's columns concatenated
+(:func:`_pack_histories`), and the whole-dataset array passes — LSH
 signatures (:func:`repro.lsh.signature.signature_matrix`), corpus
 statistics and kernel layout (:class:`~repro.core.corpus.HistoryCorpus`)
 — read them joined across histories (:func:`leaf_columns`).
@@ -48,13 +49,14 @@ hold in one sort-and-sum, and hands each entity its slice;
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.records import LocationDataset
 from ..geo import LatLng, cell_ids_from_degrees
 from ..geo.cell import CellId, parent_id
+from ..store.snapshot import pack_rows, unpack_rows
 from ..temporal import TemporalCountTree, Windowing
 
 __all__ = ["MobilityHistory", "build_histories"]
@@ -461,6 +463,31 @@ def leaf_columns(
     for column in joined:
         column.flags.writeable = False
     return tuple(joined)
+
+
+#: A history's scalars, as the integer columns of :func:`_pack_histories`.
+_SCALARS = ("num_records", "version", "storage_level")
+
+
+def _pack_histories(histories: Mapping[str, MobilityHistory]) -> Dict[str, object]:
+    """One side's histories as the flat arrays a durable snapshot holds
+    (:func:`~repro.store.snapshot.pack_rows` over the stored columns and
+    the scalars) plus the one :class:`~repro.temporal.Windowing` a linker
+    side is binned under (``None`` for an empty side)."""
+    windowing = next((history.windowing for history in histories.values()), None)
+    return dict(pack_rows(histories, _COLUMNS, _SCALARS), windowing=windowing)
+
+
+def _unpack_histories(packed: Mapping[str, object]) -> Dict[str, MobilityHistory]:
+    """The histories :func:`_pack_histories` packed (each stores copies
+    of its rows)."""
+    histories: Dict[str, MobilityHistory] = {}
+    windowing, rows = packed["windowing"], unpack_rows(packed, _COLUMNS, _SCALARS)
+    for entity_id, columns, (records, version, level) in rows:
+        history = MobilityHistory(entity_id, windowing, level, *columns, records)
+        history.version = version
+        histories[entity_id] = history
+    return histories
 
 
 def build_histories(

@@ -540,11 +540,7 @@ class ScoreCache(_Rows):
         rewound (rows stored since gone, rows dropped since back) or a
         fresh one after a restart; the capture is only read, so it
         supports any number of restores.  Handed the journal of the open
-        transaction instead, undo exactly that transaction's writes.
-
-        Captures written while the cache had an LRU cap also carry a
-        ``"cap"`` entry and list their keys in LRU order; both are
-        ignored."""
+        transaction instead, undo exactly that transaction's writes."""
         if isinstance(state, _Journal):
             self._rollback(state)
             return

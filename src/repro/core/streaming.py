@@ -119,8 +119,8 @@ from ..store.snapshot import (
     write_snapshot,
 )
 from ..temporal import Windowing
-from .corpus import CorpusDelta, HistoryCorpus
-from .history import MobilityHistory, ingest_columns
+from .corpus import CorpusDelta, HistoryCorpus, _pack_corpus, _unpack_corpus
+from .history import MobilityHistory, _pack_histories, _unpack_histories, ingest_columns
 from .retention import RetentionPolicy, build_retention
 from .score_cache import ScoreCache, _Journal, _Rows
 from .similarity import SimilarityEngine, score_cache_space
@@ -472,12 +472,12 @@ class StreamingLinker:
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """Everything this linker is, as one plain dict of containers,
-        arrays and scalars — the full capture :meth:`save` pickles and
-        :meth:`_restore` loads.
+        arrays and scalars — the full capture :meth:`save` packs into
+        flat arrays and :meth:`_restore` loads.
 
         Cheap by reference where it can be: histories and corpus arrays
         are shared, not copied.  The score cache (live rows) and the LSH
-        index (membership lists) mutate in place, so their captures
+        index (placement lists) mutate in place, so their captures
         copy — O(cache) and O(index), which is why :meth:`relink` does
         not take this capture but a journal (:meth:`_capture`).  A
         component that does not exist yet is captured as ``None``; the
@@ -536,11 +536,9 @@ class StreamingLinker:
         """Become the linker a capture holds — this one rewound after a
         failed relink (the transaction's journals replayed), or an empty
         one after a restart (:meth:`restore` constructs it from a full
-        capture's origin, config and retention).  Keys a capture carries
-        beyond the ones read here are ignored: snapshots written while a
-        relink could tolerate IDF drift also hold that tolerance and its
-        per-bin drift accumulators, and snapshots written while the
-        linker kept its own LSH member versions hold ``lsh_members``.
+        capture's origin, config and retention, and unpacks the
+        snapshot's flat arrays into the histories and corpus captures
+        read here).
 
         The sides dicts are refilled *in place* (corpora reference them
         as their histories mapping).  A component absent from the
@@ -591,13 +589,22 @@ class StreamingLinker:
 
         The snapshot *is* :meth:`checkpoint` — histories, corpus
         statistics and flat views, LSH placements, score cache,
-        retention policy, watermark — pickled as two payloads (linker
-        state, score cache) under the tmp-dir + ``os.replace`` protocol
-        of :mod:`repro.store.snapshot`: a crash mid-save leaves the
-        previous snapshot intact.  Returns the promoted directory.
+        retention policy, watermark — with the per-entity objects packed
+        into flat arrays at this durable boundary: each side's histories
+        as one set of concatenated columns, each corpus' residents
+        likewise.  So the payload is a few dozen arrays whatever the
+        entity count, and the relink transaction, which captures by
+        reference, never pays for packing.  It is written as two
+        payloads (linker state, score cache) under the tmp-dir +
+        ``os.replace`` protocol of :mod:`repro.store.snapshot`: a crash
+        mid-save leaves the previous snapshot intact.  Returns the
+        promoted directory.
         """
         state = self.checkpoint()
         cache = state.pop("score_cache")
+        sides, corpora = state["sides"], state["corpora"]
+        state["sides"] = {s: _pack_histories(h) for s, h in sides.items()}
+        state["corpora"] = {s: c and _pack_corpus(c) for s, c in corpora.items()}
         return write_snapshot(
             Path(directory),
             {"state": state, "score_cache": cache},
@@ -621,7 +628,10 @@ class StreamingLinker:
         that wrote the snapshot — same links, scores, and
         :class:`RelinkStats` counters, under every executor backend
         (pinned by ``tests/store/test_snapshot_restore.py``): it is an
-        empty linker put through the :meth:`_restore` a rollback uses.
+        empty linker put through the :meth:`_restore` a rollback uses,
+        after the packed histories and corpus residents are unpacked —
+        each history and window directory a copy of its rows, and each
+        corpus adopted as captured, without a cold build.
 
         Returns ``None`` — a cold start — when no snapshot exists (no
         warning) or when the newest snapshot cannot be trusted: a
@@ -658,7 +668,9 @@ class StreamingLinker:
             store_chunk_rows=store_chunk_rows,
             store_cache_chunks=store_cache_chunks,
         )
-        linker._restore({**state, "score_cache": cache})
+        sides = {s: _unpack_histories(p) for s, p in state["sides"].items()}
+        corpora = {s: p and _unpack_corpus(p) for s, p in state["corpora"].items()}
+        linker._restore(dict(state, sides=sides, corpora=corpora, score_cache=cache))
         return linker
 
     # ------------------------------------------------------------------
@@ -723,11 +735,11 @@ class StreamingLinker:
         """The one place a side's corpus is made: over the side's
         histories — cold, or as the ``saved`` capture — and, on a
         ``storage="disk"`` linker, spilled under ``store_dir``."""
-        corpus = HistoryCorpus(
-            self._sides[side], self.config.similarity.spatial_level
-        )
-        if saved is not None:
-            corpus.restore(saved)
+        histories = self._sides[side]
+        if saved is None:
+            corpus = HistoryCorpus(histories, self.config.similarity.spatial_level)
+        else:
+            corpus = HistoryCorpus._restored(histories, saved)
         if self.storage == "disk":
             corpus.spill(
                 Path(self._store_dir) / side,

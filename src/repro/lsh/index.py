@@ -116,13 +116,6 @@ class LshStats:
     candidate_pairs: int = 0
 
 
-def _copy_buckets(buckets: Dict[int, tuple]) -> Dict[int, tuple]:
-    return {
-        bucket: (list(lefts), list(rights))
-        for bucket, (lefts, rights) in buckets.items()
-    }
-
-
 class _IndexJournal:
     """What one transaction overwrote in an :class:`LshIndex`: the prior
     value of every bucket and placement it touched (recorded on first
@@ -304,13 +297,15 @@ class LshIndex:
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """The index's whole state as a plain dict, for :meth:`restore`
-        (the capture linker snapshots pickle).  ``add`` / ``remove``
-        mutate the membership and placement lists *in place*, so both
-        levels are copied — here and again on restore, so one capture
-        supports any number of them."""
+        (the capture linker snapshots write): spec, stats and the
+        placements.  Bucket membership is not in it — it is the
+        placements read bucket by bucket, and :meth:`restore` rebuilds it
+        in one pass (the order of a bucket's members is arrival detail,
+        not state).  The placement lists are copied — here and again on
+        restore — so a capture shares no list with a live index and one
+        capture supports any number of restores."""
         return {
             "spec": self.spec,
-            "buckets": _copy_buckets(self._buckets),
             "placements": {k: list(v) for k, v in self._placements.items()},
             "stats": replace(self.stats),
         }
@@ -340,8 +335,12 @@ class LshIndex:
         self.num_bands = bands_for_threshold(
             self.spec.length, self.config.threshold
         )
-        self._buckets = _copy_buckets(state["buckets"])
         self._placements = {k: list(v) for k, v in state["placements"].items()}
+        self._buckets = {}
+        for (side, entity_id), placed in self._placements.items():
+            for bucket_id in placed:
+                bucket = self._buckets.setdefault(bucket_id, ([], []))
+                bucket[0 if side == "left" else 1].append(entity_id)
         self.stats = replace(state["stats"])
 
     def _rollback(self, journal: _IndexJournal) -> None:

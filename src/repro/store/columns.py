@@ -95,10 +95,8 @@ class MemoryColumns:
 
     def restore(self, state: Dict[str, object]) -> None:
         """Adopt a capture's columns — either backend's: a disk capture
-        carries its (memmapped, pickled-by-value) columns too.  Columns
-        :data:`COLUMNS` does not declare (the ``idf`` of older captures)
-        are dropped."""
-        self._columns = {name: state["columns"][name] for name in COLUMNS}
+        carries its (memmapped, pickled-by-value) columns too."""
+        self._columns = dict(state["columns"])
 
     @property
     def resident_bytes(self) -> int:

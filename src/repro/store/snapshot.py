@@ -6,12 +6,16 @@ Layout under a snapshot root::
       CURRENT               # "snap-000042" — pointer to the live snapshot
       snap-000042/
         manifest.json       # format, snapshot ordinal, watermark, digests
-        state.pkl           # pickled StreamingLinker.checkpoint()
+        state.pkl           # pickled StreamingLinker.checkpoint(), packed
         score_cache.pkl     # pickled ScoreCache.checkpoint() (a bare
                             # ScoreCache.save root holds only this one)
 
-Payloads are ``checkpoint()`` captures pickled as-is — the dicts a
-rollback ``restore()``-s in memory; all framing lives here.
+Payloads are ``checkpoint()`` captures, pickled — the dicts a rollback
+``restore()``-s in memory, with a linker's per-entity histories and
+corpus residents packed into flat arrays by
+:meth:`~repro.core.streaming.StreamingLinker.save` (see
+:data:`SNAPSHOT_FORMAT`), so pickling them costs a few dozen array
+copies, not one object per entity.  All framing lives here.
 
 Write protocol — a crash at *any* point leaves the previous snapshot
 fully readable:
@@ -50,7 +54,9 @@ import re
 import shutil
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exec.faults import kill_switch
 from .durable import TMP_GLOB, fsync_path, replace_file, write_file
@@ -68,32 +74,17 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the state layout; readers refuse
-#: snapshots from other formats (version skew) instead of guessing.
-#: Format 2: every payload is a ``checkpoint()`` capture (format 1
-#: carried a hand-framed ``score_cache.bin`` and another ``state.pkl``).
-#: Format 3: a corpus capture carries its flat columns as the backend's
-#: capture (``"flats"``) instead of five ``flat_*`` entries.
-#: Format 4: a history pickles its three bin columns and no derived
-#: view; a corpus capture carries document frequencies as arrays and
-#: per-entity residency in ``"window_index"`` (format 3 carried
-#: ``entity_bins`` / ``df_slot`` dicts).  Format-4 residents written
-#: while ``WindowIndex`` still had a ``slices`` dict carry it as a dead
-#: attribute; an entity drops it when a refresh re-reads it or a
-#: compaction rebases it.  Format-4 states written while a relink could
-#: tolerate IDF drift carry that tolerance and the drift accumulators,
-#: and their cache payloads a ``cap`` and LRU-ordered keys; all of it
-#: is ignored on restore.  So are the ``lsh_members`` version dicts of
-#: states written while the linker kept them (the LSH index follows the
-#: corpus delta, and a retired id's stale mark is in the corpus capture).
-#: Format-4 corpus captures written while IDF was a fourth flat column
-#: carry an ``idf`` column (in ``flats["columns"]`` and, from a disk
-#: backend, in its store manifest); restore drops it and re-derives IDF
-#: per df slot from the captured document frequencies and size — the
-#: same values, so the format number stays.  A pickled config written
-#: while ``LinkageConfig`` had ``serve_batch`` / ``serve_staleness``
-#: fields carries them as inert attributes: no field reads them, and
-#: equality, ``to_dict()`` and ``without()`` see declared fields only.
-SNAPSHOT_FORMAT = 4
+#: snapshots from other formats (version skew) instead of guessing or
+#: converting.  Format 5: the per-entity objects of the linker state are
+#: flat arrays — per side, the histories' ids, scalar columns, row
+#: counts and concatenated ``(window, cell, count)`` columns; per corpus,
+#: the residents' ids, directory lengths, concatenated directories and
+#: ``version`` / ``start`` / ``size`` columns; the LSH index as its
+#: placements only (bucket membership is rebuilt from them).  So a
+#: payload is a few dozen arrays, not one pickled object per entity.
+#: Formats 1–4 (format 4 pickled every ``MobilityHistory`` and corpus
+#: resident, and the LSH bucket lists) are refused by name.
+SNAPSHOT_FORMAT = 5
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")
@@ -120,6 +111,38 @@ class SnapshotDigestMismatch(SnapshotError):
 
 class SnapshotVersionSkew(SnapshotError):
     """Snapshot written by a different (older/newer) format version."""
+
+
+def pack_rows(
+    objects: Mapping[str, object], arrays: Mapping[str, type], scalars: Sequence[str]
+) -> Dict[str, object]:
+    """Keyed objects as the flat arrays a payload holds: the keys in
+    order, each object's row count and its ``arrays`` attributes
+    concatenated (one column per name, of the given dtype), and its
+    integer ``scalars`` as one column each — as many arrays for a
+    thousand objects as for one.  :func:`unpack_rows` inverts it."""
+    held = list(objects.values())
+    packed: Dict[str, object] = {"ids": list(objects)}
+    for name, dtype in arrays.items():
+        parts = [getattr(one, name) for one in held]
+        packed[name] = np.concatenate([np.empty(0, dtype), *parts])
+    packed["rows"] = np.array([len(part) for part in parts], np.int64)
+    for name in scalars:
+        packed[name] = np.array([getattr(one, name) for one in held], np.int64)
+    return packed
+
+
+def unpack_rows(
+    packed: Mapping[str, object], arrays: Mapping[str, type], scalars: Sequence[str]
+) -> Iterator[Tuple[str, List[np.ndarray], Tuple[int, ...]]]:
+    """``(key, arrays, scalars)`` per object :func:`pack_rows` packed, in
+    order.  The arrays are views into the packed columns: a caller that
+    keeps one copies it, so no object pins the loaded buffer."""
+    bounds = np.cumsum(np.append(0, packed["rows"])).tolist()
+    columns = [packed[name] for name in arrays]
+    values = zip(*(packed[name].tolist() for name in scalars))
+    for k, (key, scalar) in enumerate(zip(packed["ids"], values)):
+        yield key, [column[bounds[k] : bounds[k + 1]] for column in columns], scalar
 
 
 def _sha256(path: Path) -> str:

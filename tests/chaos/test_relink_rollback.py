@@ -149,6 +149,7 @@ class TestRelinkRollback:
             _feed(target, cab_pair, lo=mid)
 
         before_index = linker._lsh_index.checkpoint()
+        before_buckets = _membership(linker._lsh_index)
         before_memory = linker.memory_stats()
 
         monkeypatch.setattr(LshIndex, "candidate_pairs", _boom)
@@ -157,7 +158,7 @@ class TestRelinkRollback:
         monkeypatch.undo()
 
         after_index = linker._lsh_index.checkpoint()
-        assert after_index["buckets"] == before_index["buckets"]
+        assert _membership(linker._lsh_index) == before_buckets
         assert after_index["placements"] == before_index["placements"]
         assert after_index["stats"] == before_index["stats"]
         assert linker.memory_stats() == before_memory
@@ -167,6 +168,13 @@ class TestRelinkRollback:
         assert retry.links == expected.links
         assert retry.candidate_pairs == expected.candidate_pairs
         assert linker.memory_stats() == control.memory_stats()
+
+
+def _membership(index):
+    """Each bucket's members per side, as sorted lists (the order inside
+    a bucket is arrival detail: the capture does not carry buckets, and
+    a restore rebuilds them from the placements)."""
+    return {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()}
 
 
 def _layers(linker):
@@ -183,7 +191,7 @@ def _layers(linker):
         )
     )
     return (
-        index.checkpoint(),
+        (index.checkpoint(), _membership(index)),
         index.candidate_pairs(),
         (entries, cache["hits"], cache["misses"]),
         linker._pair_table.resident,

@@ -7,11 +7,7 @@ What remains is stateless: which cached pair totals a corpus delta
 invalidates depends on that delta alone, and a cache hit writes
 nothing.  The same delta is the one record of what a relink changed:
 the LSH upkeep reads it too, so the linker keeps no LSH member versions
-of its own.  State written while the knobs or those versions existed
-still restores: a linker snapshot carrying a tolerance and drift
-accumulators, or ``lsh_members`` with a retired id's ``-1``, and a cache
-payload carrying ``cap`` with its keys in LRU order, all load and then
-relink exactly like a linker that never went through them.
+of its own.
 """
 
 import ast
@@ -26,10 +22,6 @@ from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
-from repro.lsh import LshConfig
-from repro.pipeline import LinkageConfig, LinkagePipeline
-from repro.store import SNAPSHOT_FORMAT
-from repro.store.snapshot import write_snapshot
 from repro.temporal import Windowing
 
 CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
@@ -175,190 +167,3 @@ class TestStatelessInvalidation:
         cache.lookup_batch("s", [("a", "x")], np.array([0]), np.array([0]))
         assert list(cache._rows.items()) == directory
         assert (cache.hits, cache._mutations) == (2, mutations)
-
-
-def _observe(linker, rounds, entities=range(12)):
-    for round_index in rounds:
-        for side, jitter in (("left", 0.0), ("right", 1.1e-4)):
-            linker.observe(side, [
-                Record(
-                    f"e{i}",
-                    37.6 + (i % 4) * 0.01 + jitter,
-                    -122.4 + (i // 4) * 0.01 + jitter,
-                    round_index * 3600.0 + (i * 7) % 3500 + 10.0,
-                )
-                for i in entities
-            ])
-
-
-def _parent_shaped_cache(capture):
-    """A cache capture as a capped cache wrote it: a ``cap`` entry and
-    the keys in LRU order (here: reversed), columns gathered alike."""
-    return {
-        "cap": None,
-        "keys": capture["keys"][::-1],
-        "columns": tuple(column[::-1] for column in capture["columns"]),
-        "hits": capture["hits"],
-        "misses": capture["misses"],
-    }
-
-
-def _storage(storage, directory):
-    if storage == "memory":
-        return {}
-    return {"storage": "disk", "store_dir": directory, "store_chunk_rows": 8}
-
-
-LSH_CONFIG = LinkageConfig(
-    lsh=LshConfig(threshold=0.3, step_windows=8, spatial_level=14)
-)
-
-
-def _retire_and_return(linker):
-    """``e0`` leaves the left side and, before the next relink, comes
-    back on ``e6``'s trail: other bins under the version it left at (one
-    observe per round either way), which only the stale mark tells
-    apart."""
-    version = linker._sides["left"]["e0"].version
-    linker.retire("left", ["e0"])
-    for round_index in range(3):
-        linker.observe(
-            "left", [Record("e0", 37.62, -122.39, round_index * 3600.0 + 52.0)]
-        )
-    assert linker._sides["left"]["e0"].version == version
-
-
-class TestParentShapedState:
-    @pytest.mark.parametrize("tolerance", [0.0, 10.0])
-    @pytest.mark.parametrize("storage", ["memory", "disk"])
-    def test_linker_snapshot_with_tolerance_and_drift_relinks_exactly(
-        self, tmp_path, storage, tolerance
-    ):
-        """Whatever tolerance the snapshot recorded, and whatever drift
-        it had left pending, the restored linker relinks exactly."""
-        assert SNAPSHOT_FORMAT == 4
-        writer = StreamingLinker(0.0, **_storage(storage, tmp_path / "writer"))
-        _observe(writer, range(3))
-        writer.relink()
-        state = writer.checkpoint()
-        cache = _parent_shaped_cache(state.pop("score_cache"))
-        state["idf_tolerance"] = tolerance
-        state["pending_drift"] = {
-            "left": {_first_bin(writer, "left", "e0"): tolerance / 2},
-            "right": {},
-        }
-        state["pending_global"] = {"left": tolerance / 2, "right": 0.0}
-        write_snapshot(
-            tmp_path / "snaps",
-            {"state": state, "score_cache": cache},
-            watermark=writer.watermark,
-        )
-
-        restored = StreamingLinker.restore(
-            tmp_path / "snaps",
-            strict=True,
-            **_storage(storage, tmp_path / "reader"),
-        )
-        assert len(restored.score_cache) == len(writer.score_cache)
-        hits = restored.score_cache.hits
-        for subject in (writer, restored):
-            # Three entities move on, one of them into e3's and e7's bin: shared
-            # document frequencies drift.
-            _observe(subject, [3], entities=range(3))
-            subject.observe("left", [Record("e2", 37.63, -122.4, 10.0)])
-        expected, resumed = writer.relink(), restored.relink()
-        assert restored.score_cache.hits > hits  # the old rows were served
-        assert writer.last_relink.idf_invalidated > 0
-        assert restored.last_relink == writer.last_relink
-        assert (restored.score_cache.hits, restored.score_cache.misses) == (
-            writer.score_cache.hits,
-            writer.score_cache.misses,
-        )
-
-        cold = StreamingLinker(0.0)
-        _observe(cold, range(3))
-        _observe(cold, [3], entities=range(3))
-        cold.observe("left", [Record("e2", 37.63, -122.4, 10.0)])
-        reference = cold.relink()
-        for report in (expected, resumed):
-            assert dict(report.links) == dict(reference.links)
-            assert report.link_scores == reference.link_scores
-
-    def test_capped_cache_file_loads_and_serves_like_a_current_one(
-        self, cab_pair, tmp_path
-    ):
-        pipeline = LinkagePipeline(LinkageConfig())
-        filled = ScoreCache()
-        cold = pipeline.run(cab_pair.left, cab_pair.right, score_cache=filled)
-        write_snapshot(
-            tmp_path / "parent",
-            {"score_cache": _parent_shaped_cache(filled.checkpoint())},
-        )
-        runs = []
-        for cache in (
-            ScoreCache.load(tmp_path / "parent"),
-            ScoreCache.load(filled.save(tmp_path / "current")),
-        ):
-            misses = cache.misses
-            report = pipeline.run(cab_pair.left, cab_pair.right, score_cache=cache)
-            assert cache.misses == misses  # nothing re-scored
-            assert report.links == cold.links
-            assert report.edges == cold.edges
-            runs.append((len(cache), cache.hits, cache.misses))
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("storage", ["memory", "disk"])
-    def test_snapshot_with_a_stale_lsh_member_relinks_exactly(
-        self, tmp_path, storage
-    ):
-        writer = StreamingLinker(
-            0.0, LSH_CONFIG, **_storage(storage, tmp_path / "writer")
-        )
-        _observe(writer, range(3))
-        writer.relink()
-        # What a linker with its own member scan held after that relink,
-        # and the mark its retire() left for the id.
-        members = {
-            side: {
-                entity: history.version
-                for entity, history in writer._sides[side].items()
-            }
-            for side in ("left", "right")
-        }
-        _retire_and_return(writer)
-        members["left"]["e0"] = -1
-        state = writer.checkpoint()
-        cache = state.pop("score_cache")
-        state["lsh_members"] = members
-        write_snapshot(
-            tmp_path / "snaps",
-            {"state": state, "score_cache": cache},
-            watermark=writer.watermark,
-        )
-
-        restored = StreamingLinker.restore(
-            tmp_path / "snaps",
-            strict=True,
-            **_storage(storage, tmp_path / "reader"),
-        )
-        expected, resumed = writer.relink(), restored.relink()
-        assert not writer.last_relink.lsh_rebuilt
-        assert writer.last_relink.dirty_left == 1
-        assert restored.last_relink == writer.last_relink
-        assert (restored.score_cache.hits, restored.score_cache.misses) == (
-            writer.score_cache.hits,
-            writer.score_cache.misses,
-        )
-        assert restored.memory_stats() == writer.memory_stats()
-
-        cold = StreamingLinker(0.0, LSH_CONFIG)
-        _observe(cold, range(3))
-        _retire_and_return(cold)
-        reference = cold.relink()
-        candidates = set(cold._pair_table._rows)
-        assert ("e0", "e6") in candidates
-        for linker in (writer, restored):
-            assert set(linker._pair_table._rows) == candidates
-        for report in (expected, resumed):
-            assert dict(report.links) == dict(reference.links)
-            assert report.link_scores == reference.link_scores

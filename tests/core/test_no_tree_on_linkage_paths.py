@@ -37,7 +37,7 @@ def _normalised(index):
     re-placed entity legitimately changes), placements and stats."""
     state = index.checkpoint()
     return (
-        {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in state["buckets"].items()},
+        {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()},
         state["placements"],
         state["stats"],
     )

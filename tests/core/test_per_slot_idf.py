@@ -3,16 +3,13 @@ storing.
 
 A bin's IDF depends only on its document-frequency slot and the corpus
 size, so the corpus keeps one value per slot in RAM and the flat columns
-are ``cells`` / ``slots`` / ``keys``.  Snapshots written while IDF was a
-fourth flat column still restore: the column is dropped and the values
-re-derived, so the restored linker relinks exactly like its writer.
-The populated-window count behind the block-size density check is kept
-by ``refresh()`` rather than walked per dispatch, and never captured.
+are ``cells`` / ``slots`` / ``keys``.  The populated-window count
+behind the block-size density check is kept by ``refresh()`` rather than
+walked per dispatch, and never captured.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -20,9 +17,7 @@ import pytest
 
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
-from repro.store import SNAPSHOT_FORMAT
 from repro.store.columns import COLUMNS
-from repro.store.snapshot import write_snapshot
 
 
 def _observe(linker, rounds, entities=range(12)):
@@ -57,81 +52,6 @@ def test_the_flats_are_three_columns_and_idf_a_slot_lookup():
     assert np.array_equal(arrays.idf, arrays.idf_by_slot[arrays.keys])
     assert len(arrays.idf_by_slot) == corpus.memory_stats()["df_slots"]
     assert "idf_by_slot" not in corpus.checkpoint()
-
-
-def _four_column(capture):
-    """A corpus capture as it was written while IDF was a flat column."""
-    arrays = capture["flats"]["columns"]
-    counts = capture["df_counts"][np.asarray(arrays["keys"])]
-    idf = math.log(capture["size"]) - np.log(np.maximum(counts, 1.0))
-    flats = dict(capture["flats"], columns={**arrays, "idf": idf})
-    if "store" in flats:
-        store = flats["store"]
-        meta = {"dtype": "<f8", "rows": len(idf), "generation": 1, "epoch": 0}
-        flats["store"] = dict(store, columns={**store["columns"], "idf": meta})
-    return dict(capture, flats=flats)
-
-
-@pytest.mark.parametrize("reader", ["memory", "disk"])
-@pytest.mark.parametrize("writer_storage", ["memory", "disk"])
-def test_a_four_column_snapshot_relinks_exactly(tmp_path, writer_storage, reader):
-    assert SNAPSHOT_FORMAT == 4
-    writer = StreamingLinker(0.0, **_storage(writer_storage, tmp_path / "writer"))
-    _observe(writer, range(3))
-    writer.relink()
-    state = writer.checkpoint()
-    cache = state.pop("score_cache")
-    state["corpora"] = {
-        side: _four_column(capture) for side, capture in state["corpora"].items()
-    }
-    if writer_storage == "disk":
-        assert "idf" in state["corpora"]["left"]["flats"]["store"]["columns"]
-    write_snapshot(
-        tmp_path / "snaps",
-        {"state": state, "score_cache": cache},
-        watermark=writer.watermark,
-    )
-
-    restored = StreamingLinker.restore(
-        tmp_path / "snaps", strict=True, **_storage(reader, tmp_path / "reader")
-    )
-    for side in ("left", "right"):
-        corpus = restored._corpora[side]
-        assert corpus.storage == reader
-        assert set(corpus.checkpoint()["flats"]["columns"]) == set(COLUMNS)
-    for subject in (writer, restored):
-        # Three entities move on, one of them into another's bin: shared
-        # document frequencies drift.
-        _observe(subject, [3], entities=range(3))
-        subject.observe("left", [Record("e2", 37.63, -122.4, 10.0)])
-    expected, resumed = writer.relink(), restored.relink()
-    assert writer.last_relink.idf_invalidated > 0
-    assert dict(resumed.links) == dict(expected.links)
-    assert resumed.link_scores == expected.link_scores
-    assert restored.last_relink == writer.last_relink
-    assert (restored.score_cache.hits, restored.score_cache.misses) == (
-        writer.score_cache.hits,
-        writer.score_cache.misses,
-    )
-    residency = "flat_resident_bytes"
-    assert {
-        key: value
-        for key, value in restored.memory_stats().items()
-        if writer_storage == reader or not key.endswith(residency)
-    } == {
-        key: value
-        for key, value in writer.memory_stats().items()
-        if writer_storage == reader or not key.endswith(residency)
-    }
-
-    cold = StreamingLinker(0.0)
-    _observe(cold, range(3))
-    _observe(cold, [3], entities=range(3))
-    cold.observe("left", [Record("e2", 37.63, -122.4, 10.0)])
-    reference = cold.relink()
-    for report in (expected, resumed):
-        assert dict(report.links) == dict(reference.links)
-        assert report.link_scores == reference.link_scores
 
 
 # ----------------------------------------------------------------------

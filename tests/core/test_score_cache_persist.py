@@ -159,7 +159,7 @@ class TestArithmeticRevision:
         from repro.data import Record
         from repro.store import SNAPSHOT_FORMAT
 
-        assert SNAPSHOT_FORMAT == 4
+        assert SNAPSHOT_FORMAT == 5
 
         def observe(linker, rounds, entities=range(12)):
             for round_index in rounds:

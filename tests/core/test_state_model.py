@@ -268,7 +268,12 @@ class _LshIndexCase:
         index.remove("e4", "right")
         index.add("e3", build_signature(self._histories_["e3"], index.spec), "left")
         pairs = index.candidate_pairs()
-        return (sorted(pairs), index.num_bands, index.checkpoint())
+        # The capture holds no buckets: a restore rebuilds them from the
+        # placements, so membership is compared per bucket as sorted lists.
+        membership = {
+            b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()
+        }
+        return (sorted(pairs), index.num_bands, index.checkpoint(), membership)
 
 
 class _ChunkStoreCase:
@@ -648,7 +653,8 @@ def _fingerprint(value):
     memoise derived bins/trees on demand, the cache's key order and row
     numbering (and its per-entity key index) are allocation detail its
     capture deliberately drops, the index is read through its capture
-    (its buckets; it keeps no pair set), and a pair table says something
+    (its placements, which determine its buckets; it keeps no pair
+    set), and a pair table says something
     only while it is resident — one the cache has moved past is as good
     as empty, which is exactly what a restored linker starts with."""
     if isinstance(value, MobilityHistory):

@@ -6,10 +6,7 @@ entities of a pair are active in, found for a whole block at once.
   pairs, repeated pairs, one-pair and empty blocks, windows up to
   ``2**31 - 1``;
 * dispatch determinism: a pair's ``BatchScoreResult`` row is the same
-  bits alone, in its block and in a shuffled block;
-* a snapshot written while ``WindowIndex`` still carried a ``slices``
-  dict (same ``SNAPSHOT_FORMAT``) restores and relinks like a cold
-  linker.
+  bits alone, in its block and in a shuffled block.
 """
 
 from functools import lru_cache
@@ -181,55 +178,3 @@ class TestDispatchDeterminism:
         result = score_pairs_batch(left, right, pairs, SimilarityConfig())
         assert (result.bin_comparisons > result.common_windows).any()
         assert len(left.window_index("u5")) == len(right.window_index("v5")) == 0
-
-
-class TestParentShapedSnapshot:
-    def test_residents_carrying_slices_restore_and_relink_like_cold(self, tmp_path):
-        """Format-4 snapshots written while ``WindowIndex`` had a
-        ``slices`` dict pickle it in every resident's state.  They still
-        restore (the dead attribute rides along until the entity is
-        re-read or compacted), and the restored linker relinks like a
-        cold one."""
-        from repro.core.streaming import StreamingLinker
-        from repro.data import Record
-        from repro.store import SNAPSHOT_FORMAT
-
-        assert SNAPSHOT_FORMAT == 4
-
-        def observe(linker, rounds, entities=range(12)):
-            for round_index in rounds:
-                for side, jitter in (("left", 0.0), ("right", 1.1e-4)):
-                    linker.observe(side, [
-                        Record(
-                            f"e{i}",
-                            37.6 + (i % 4) * 0.01 + jitter,
-                            -122.4 + (i // 4) * 0.01 + jitter,
-                            round_index * 3600.0 + (i * 7) % 3500 + 10.0,
-                        )
-                        for i in entities
-                    ])
-
-        linker = StreamingLinker(0.0)
-        observe(linker, range(3))
-        linker.relink()
-        for corpus in linker._corpora.values():
-            for held in corpus._window_index.values():
-                object.__setattr__(held, "slices", dict(zip(
-                    held.windows.tolist(),
-                    zip(held.offsets.tolist(), held.counts.tolist()),
-                )))
-        linker.save(tmp_path / "snaps")
-
-        restored = StreamingLinker.restore(tmp_path / "snaps", strict=True)
-        residents = restored._corpora["left"]._window_index
-        assert all("slices" in vars(held) for held in residents.values())
-        observe(restored, [3], entities=range(3))
-        resumed = restored.relink()
-        assert "slices" not in vars(restored._corpora["left"].window_index("e0"))
-
-        cold = StreamingLinker(0.0)
-        observe(cold, range(3))
-        observe(cold, [3], entities=range(3))
-        expected = cold.relink()
-        assert dict(resumed.links) == dict(expected.links)
-        assert resumed.link_scores == expected.link_scores

@@ -10,6 +10,7 @@ transaction overwrote.
 """
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -20,6 +21,11 @@ from repro.pipeline.context import LinkageContext
 from repro.pipeline.stages import LshCandidates
 
 LEVEL = 14
+
+
+def _membership(index):
+    """Each bucket's members per side, as sorted lists."""
+    return {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()}
 
 
 def _config(num_buckets):
@@ -121,9 +127,10 @@ def test_unmoved_resignature_changes_nothing():
     index.add("r", signature, "right")
     mirror = index.candidate_pairs()
     assert mirror == {("l", "r")}
-    before = index.checkpoint()
+    before, buckets = index.checkpoint(), _membership(index)
     index.add("l", signature, "left")  # withdrawn, then placed as before
     assert index.checkpoint() == before
+    assert _membership(index) == buckets
     assert _follow(index, mirror, {"left": {"l"}, "right": set()}) == mirror
     assert index.stats == before["stats"]
     index.remove("r", "right")
@@ -182,6 +189,7 @@ def test_journal_puts_back_exactly_what_was_overwritten(seed):
         index.add(f"r{k}", _signature(rng, spec.length), "right")
     index.candidate_pairs()
     before = index.checkpoint()
+    buckets = {b: (list(ls), list(rs)) for b, (ls, rs) in index._buckets.items()}
     num_bands = index.num_bands
 
     journal = index._begin()
@@ -195,7 +203,48 @@ def test_journal_puts_back_exactly_what_was_overwritten(seed):
     index.restore(journal)
 
     after = index.checkpoint()
-    # dicts: bucket ids, list *order* inside each, placements, spec, stats
+    # dicts: placements, spec, stats — and the buckets, list *order*
+    # inside each included
     assert after == before
+    assert index._buckets == buckets
     assert index.num_bands == num_bands
     assert index._journal is None
+
+
+@pytest.mark.parametrize("num_buckets", [1, 3, 4096])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_index_restored_from_its_placements_answers_like_the_live_one(
+    num_buckets, seed
+):
+    """The capture holds no buckets: a restore rebuilds them from the
+    placements — also after a rolled-back transaction put withdrawn
+    placements back — and the rebuilt index has the live one's bucket
+    membership, candidate pairs, ``pairs_of`` answers and stats."""
+    rng = random.Random(seed)
+    config = _config(num_buckets)
+    spec = config.signature_spec(64)
+    live = LshIndex(config, spec)
+    for k in range(6):
+        live.add(f"l{k}", _signature(rng, spec.length), "left")
+        live.add(f"r{k}", _signature(rng, spec.length), "right")
+    journal = live._begin()
+    for k in (1, 2):
+        live.remove(f"l{k}", "left")
+        live.add(f"l{k}", _signature(rng, spec.length), "left")
+    live.remove("r3", "right")
+    live.restore(journal)  # l1, l2 and r3 re-enter the placements last
+    live.add("l4", _signature(rng, spec.length), "left")
+    live.candidate_pairs()
+
+    restored = LshIndex(config, config.signature_spec(8))
+    restored.restore(pickle.loads(pickle.dumps(live.checkpoint())))
+    assert _membership(restored) == _membership(live)
+    assert restored.candidate_pairs() == live.candidate_pairs()
+    lefts, rights = [f"l{k}" for k in range(7)], [f"r{k}" for k in range(7)]
+    for entity in lefts:
+        assert restored.pairs_of([entity], []) == live.pairs_of([entity], [])
+    for entity in rights:
+        assert restored.pairs_of([], [entity]) == live.pairs_of([], [entity])
+    assert restored.pairs_of(lefts, rights) == live.pairs_of(lefts, rights)
+    assert restored.stats == live.stats
+    assert (restored.spec, restored.num_bands) == (live.spec, live.num_bands)

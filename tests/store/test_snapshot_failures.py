@@ -226,10 +226,12 @@ def test_version_skew_warns_by_name_and_cold_starts(kind, snapshot_root):
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
 
-def test_the_previous_format_is_refused_not_converted(kind, snapshot_root):
+@pytest.mark.parametrize("previous", [3, 4])
+def test_the_previous_format_is_refused_not_converted(kind, snapshot_root, previous):
     """Format 3 (histories pickled their views, corpora their bin dicts)
-    takes the same named path: warn and cold-start, or raise when strict."""
-    _rewrite_format(snapshot_root, 3)
+    and format 4 (one pickled object per history and corpus resident)
+    take the same named path: warn and cold-start, or raise when strict."""
+    _rewrite_format(snapshot_root, previous)
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
 

@@ -115,13 +115,14 @@ class TestCleanFallback:
         captured = _run(left, right, cache_path, capsys)
         self._assert_cold_and_replaced(captured, cache_path, "SnapshotTruncated")
 
-    def test_other_format_falls_back_to_cold(self, csv_pair, capsys):
+    @pytest.mark.parametrize("written", [1, 4])
+    def test_other_format_falls_back_to_cold(self, csv_pair, capsys, written):
         left, right, tmp = csv_pair
-        cache_path = tmp / "skewed"
+        cache_path = tmp / f"skewed-{written}"
         _run(left, right, cache_path, capsys)
         manifest_path = _payload(cache_path).parent / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 1
+        manifest["format"] = written
         manifest_path.write_text(json.dumps(manifest))
 
         captured = _run(left, right, cache_path, capsys)
