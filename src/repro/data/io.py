@@ -21,7 +21,7 @@ import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple
@@ -141,11 +141,16 @@ Cells = Tuple[Optional[str], Optional[str], Optional[str], Optional[str]]
 Row = Tuple[str, int, Any, Optional[str], Optional[str], Optional[str], Optional[str]]
 Scalar = Callable[[Any], Tuple[str, Optional[Cells]]]
 
+# The seven columns of ``Row`` for at most ``size`` rows, ``[]`` once none
+# are left: how a loader hands its rows to :func:`_load`.
+Cut = Callable[[int], List[List[Any]]]
+
 # The scalar parse of the time, lat and lng cells.
 _PARSERS = (_parse_timestamp, float, float)
 
 # Rows tokenised at a time.  A row's tokens weigh ~20x the three floats kept
-# of it, so this bounds what a load holds beyond its columns.
+# of it, so this bounds what a load holds beyond its columns (and, when
+# ``load_csv`` cuts in bulk, the file's lines).
 _SLICE_ROWS = 1 << 12
 
 
@@ -206,17 +211,17 @@ def _float_column(
 
 
 def _clean_rows(
-    piece: List[Row], scalar: Scalar, on_error: str, report: QuarantineReport
+    piece: List[List[Any]], scalar: Scalar, on_error: str, report: QuarantineReport
 ) -> Tuple[List[Optional[str]], np.ndarray]:
     """Columns -> mask -> explain: the entities and the ``(timestamps,
-    lats, lngs)`` block of the rows of ``piece`` that load.
+    lats, lngs)`` block of the rows whose ``Row`` columns are ``piece``.
 
     The cells are parsed a column at a time; one mask flags the rows with
     a cell that did not parse, a timestamp that is not finite or a
     coordinate out of range (NaN fails every comparison), and only those
     go, in input order, through :func:`_explain`.
     """
-    sources, lines, tokens, ids, *texts = map(list, zip(*piece))
+    sources, lines, tokens, ids, *texts = piece
     timestamp, lat, lng = block = np.stack(list(map(_float_column, texts, _PARSERS)))
     flagged = ~(np.isfinite(timestamp) & (np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0))
     for row in np.flatnonzero(flagged).tolist():
@@ -231,8 +236,13 @@ def _clean_rows(
     return ids, block
 
 
+def _by_row(rows: Iterator[Row]) -> Cut:
+    """The ``Cut`` of a tokeniser that yields one row at a time."""
+    return lambda size: [list(column) for column in zip(*islice(rows, size))]
+
+
 def _load(
-    rows: Iterator[Row],
+    cut: Cut,
     scalar: Scalar,
     name: str,
     on_error: str,
@@ -241,14 +251,14 @@ def _load(
 ) -> Union[LocationDataset, Tuple[LocationDataset, QuarantineReport]]:
     """The one way tokenised rows become a dataset, whatever cut them.
 
-    ``rows`` is drawn in slices of at most as many rows as records are
+    ``cut`` is drawn in slices of at most as many rows as records are
     still wanted, so a load stops on the line of the ``max_records``-th
     record it keeps, and no slice's tokens outlive its pass.  ``nothing``
     is what to raise with when no row loads and none is quarantined.
     """
     report = QuarantineReport()
     cap = math.inf if max_records is None else max_records
-    pieces = iter(lambda: list(islice(rows, min(_SLICE_ROWS, cap - report.loaded))), [])
+    pieces = iter(lambda: cut(min(_SLICE_ROWS, cap - report.loaded)), [])
     kept = [_clean_rows(piece, scalar, on_error, report) for piece in pieces]
     if nothing and not report.loaded and not report.rows:
         raise ValueError(nothing)
@@ -256,6 +266,34 @@ def _load(
     columns = np.concatenate([np.empty((3, 0)), *(block for _, block in kept)], axis=1)
     dataset = LocationDataset.from_columns(entities, columns, name)
     return (dataset, report) if on_error == "skip" else dataset
+
+
+def _bulk_lines(path: Path, delimiter: str) -> Optional[List[str]]:
+    r"""The ``"\n"``-split lines of ``path`` when :func:`load_csv` may cut it
+    in bulk, else None.
+
+    Read with universal newlines, so ``"\r\n"`` and a lone ``"\r"`` are
+    ``"\n"`` and, in quote-free text, the lines are the ones ``csv.reader``
+    reads (``splitlines`` would also break on ``"\x0b"``, ``"\x85"`` and
+    more).  Bulk needs: a one-character delimiter that is not a quote or a
+    line end, no ``'"'`` in the text, a non-blank first line of unique
+    names, the header's delimiter count on every non-blank line, and no line
+    over ``csv.field_size_limit()`` — else the cells ``csv.reader`` reads are
+    not the delimiter splits of the lines.
+    """
+    with path.open(encoding="utf-8-sig") as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if not lines[0] or len(delimiter) != 1 or delimiter in '\r\n"' or '"' in text:
+        return None
+    names = lines[0].split(delimiter)
+    if len(set(names)) < len(names) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # Each line as wide as the header or blank: counted per line, as a short
+    # row and a long row can add up to the right total.
+    counts = list(map(str.count, lines, repeat(delimiter)))
+    uniform = counts.count(len(names) - 1) + lines.count("") == len(lines)
+    return lines if uniform else None
 
 
 def load_csv(
@@ -268,7 +306,7 @@ def load_csv(
     time_column: str = "timestamp",
     on_error: str = "raise",
 ) -> Union[LocationDataset, Tuple[LocationDataset, QuarantineReport]]:
-    """Load records from a delimited text file with a header row.
+    r"""Load records from a delimited text file with a header row.
 
     The timestamp column may hold POSIX seconds or ISO 8601 strings.  With
     ``on_error="raise"`` (default), rows with unparsable or out-of-range
@@ -276,12 +314,27 @@ def load_csv(
     ``on_error="skip"``, bad rows are quarantined and the return value is
     ``(dataset, QuarantineReport)``.  A missing or incomplete header always
     raises — that is a structural problem, not a bad row.
+
+    >>> import tempfile
+    >>> from repro.data import LocationDataset, Record
+    >>> with tempfile.TemporaryDirectory() as directory:
+    ...     path = Path(directory) / "side.csv"
+    ...     records = [Record("a", 37.5, -122.2, 20.0), Record("a", 37.0, -122.0, 10)]
+    ...     save_csv(LocationDataset.from_records(records), path)
+    ...     with path.open("a", newline="") as handle:
+    ...         _ = handle.write("b,95.0,-122.0,30\r\n")
+    ...     dataset, report = load_csv(path, on_error="skip")
+    >>> dataset.entities, dataset.columns("a")[1].tolist()
+    (['a'], [37.0, 37.5])
+    >>> report.loaded, report.rows[0][1:]
+    (2, (4, 'latitude out of range: 95.0', 'b,95.0,-122.0,30'))
     """
     _check_on_error(on_error)
     path = Path(path)
     columns = (entity_column, time_column, lat_column, lng_column)
+    lines = _bulk_lines(path, delimiter)
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(lines[:1] if lines else handle, delimiter=delimiter)
         header = next(reader, None)
         if header is None or not set(columns) <= set(header):
             raise ValueError(
@@ -292,7 +345,25 @@ def load_csv(
         # the columns it lacks, a long row's surplus is one list.
         width, pad = len(header), [None] * len(header)
         position = dict(zip(header, range(width)))
-        pick = itemgetter(*(position[column] for column in columns))
+        at = [position[column] for column in columns]
+        pick = itemgetter(*at)
+        source, name = str(path), name or path.stem
+
+        if lines:
+            # A line is its row's raw text and token; its number is its index + 1.
+            texts, numbers = filter(None, lines), compress(count(1), lines)
+            next(texts), next(numbers)
+
+            def cut(size: int) -> List[Any]:
+                piece = list(islice(texts, size))
+                cells = delimiter.join(piece).split(delimiter)
+                where = [[source] * len(piece), list(islice(numbers, size)), piece]
+                return piece and where + [cells[k::width] for k in at]
+
+            def split(line: str) -> Tuple[str, Cells]:
+                return line, pick(line.split(delimiter))
+
+            return _load(cut, split, name, on_error)
 
         def scalar(row: List[str]) -> Tuple[str, Cells]:
             view: Dict[Optional[str], Any] = dict(zip(header, row + pad[len(row) :]))
@@ -301,11 +372,10 @@ def load_csv(
             values = ("" if value is None else str(value) for value in view.values())
             return delimiter.join(values), pick(row + pad)
 
-        source = str(path)
         rows = (
             (source, reader.line_num, row) + pick(row + pad) for row in reader if row
         )
-        return _load(rows, scalar, name or path.stem, on_error)
+        return _load(_by_row(rows), scalar, name, on_error)
 
 
 def save_csv(dataset: LocationDataset, path: PathLike, delimiter: str = ",") -> None:
@@ -366,7 +436,7 @@ def load_geolife(
     data_dir = root / "Data" if (root / "Data").is_dir() else root
     user_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())[:max_users]
     nothing = f"no GeoLife trajectories found under {root}"
-    return _load(_plt_rows(user_dirs), tuple, name, on_error, nothing=nothing)
+    return _load(_by_row(_plt_rows(user_dirs)), tuple, name, on_error, nothing=nothing)
 
 
 def _checkin_rows(path: Path, handle: Iterable[str]) -> Iterator[Row]:
@@ -397,4 +467,4 @@ def load_gowalla(
     nothing = f"no check-ins found in {path}"
     with path.open(encoding="utf-8-sig") as handle:
         rows = _checkin_rows(path, handle)
-        return _load(rows, tuple, name, on_error, max_records, nothing)
+        return _load(_by_row(rows), tuple, name, on_error, max_records, nothing)

@@ -131,7 +131,11 @@ class LocationDataset:
             raise ValueError(f"timestamp not finite for entity {entities[row]!r}")
         code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
         codes = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
-        order = np.lexsort((timestamps, codes))
+        # Rows already in (entity, timestamp) order — as ``save_csv`` writes
+        # them — skip the sort; the stable sort would leave them in place.
+        step = np.diff(codes)
+        ordered = ((step > 0) | ((step == 0) & (np.diff(timestamps) >= 0))).all()
+        order = np.arange(len(codes)) if ordered else np.lexsort((timestamps, codes))
         timestamps, lats, lngs = columns[:, order]
         bounds = np.searchsorted(codes[order], np.arange(len(code_of) + 1)).tolist()
         traces = {
