@@ -243,9 +243,9 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--serve-state-dir",
         help="serving: restore the linker from the newest snapshot in this "
-        "directory on start (cold start if none) and checkpoint it back "
-        "after every published relink, so a killed service resumes from "
-        "its last published state",
+        "directory plus its event log on start (cold start if none) and "
+        "persist every applied batch (a log append, or a snapshot when one "
+        "is due), so a killed service resumes from its last persisted batch",
     )
     return parser
 

@@ -112,10 +112,12 @@ from ..pipeline.stages import (
     candidate_stages,
 )
 from .matching import EdgeSet
+from ..store.eventlog import read_log
 from ..store.snapshot import (
     SnapshotError,
     SnapshotMissing,
     load_state,
+    newest_ordinal,
     write_snapshot,
 )
 from ..temporal import Windowing
@@ -622,7 +624,8 @@ class StreamingLinker:
         store_chunk_rows: Optional[int] = None,
         store_cache_chunks: int = 8,
     ) -> Optional["StreamingLinker"]:
-        """Rebuild a linker from the newest snapshot under ``directory``.
+        """Rebuild a linker from the newest snapshot under ``directory``
+        plus a replay of that snapshot's event log.
 
         The restored linker relinks **bit-identically** to the linker
         that wrote the snapshot — same links, scores, and
@@ -631,7 +634,12 @@ class StreamingLinker:
         empty linker put through the :meth:`_restore` a rollback uses,
         after the packed histories and corpus residents are unpacked —
         each history and window directory a copy of its rows, and each
-        corpus adopted as captured, without a cold build.
+        corpus adopted as captured, without a cold build.  Then every
+        batch a long-lived writer appended to the snapshot's log
+        (:mod:`repro.store.eventlog`) is replayed in order: its observes
+        and retires, and a :meth:`relink` where the writer relinked — so
+        the result is the writer's linker after its last durable batch,
+        retention evictions and :attr:`last_relink` included.
 
         Returns ``None`` — a cold start — when no snapshot exists (no
         warning) or when the newest snapshot cannot be trusted: a
@@ -639,13 +647,20 @@ class StreamingLinker:
         skew, or nothing but tmp-dir litter from a crashed writer.  Each
         untrustworthy case warns naming the
         :class:`~repro.store.snapshot.SnapshotError` subclass; pass
-        ``strict=True`` to raise it instead.
+        ``strict=True`` to raise it instead.  A damaged log costs only
+        its untrusted tail: a torn last frame is dropped with a warning,
+        and a corrupt or skewed log
+        (:class:`~repro.store.eventlog.EventLogCorrupt` /
+        :class:`~repro.store.eventlog.EventLogSkew`) warns by name and
+        replays its intact prefix — or raises under ``strict=True``.
 
         ``storage="disk"`` (with ``store_dir``) re-spills the restored
         corpora out of core; snapshots themselves are storage-agnostic.
         """
         try:
-            state, cache = load_state(Path(directory), ("state", "score_cache"))
+            root = Path(directory)
+            state, cache = load_state(root, ("state", "score_cache"))
+            entries = read_log(root, newest_ordinal(root), strict)
         except SnapshotMissing:
             return None
         except SnapshotError as exc:
@@ -671,7 +686,22 @@ class StreamingLinker:
         sides = {s: _unpack_histories(p) for s, p in state["sides"].items()}
         corpora = {s: p and _unpack_corpus(p) for s, p in state["corpora"].items()}
         linker._restore(dict(state, sides=sides, corpora=corpora, score_cache=cache))
+        for entry in entries:
+            linker._replay(entry)
         return linker
+
+    def _replay(self, entry: Dict[str, object]) -> None:
+        """Apply one event-log entry (:func:`repro.store.eventlog.batch_entry`)
+        as its writer applied it."""
+        for kind, side, ids, columns in entry["events"]:
+            if kind == "observe":
+                self.observe(
+                    side, [Record(e, *row) for e, row in zip(ids, columns.T.tolist())]
+                )
+            else:
+                self.retire(side, ids)
+        if entry["relinked"]:
+            self.relink()
 
     # ------------------------------------------------------------------
     # incremental helpers

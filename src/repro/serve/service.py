@@ -12,7 +12,7 @@ Architecture (one writer, many readers, bounded everything):
 * **Continuous batching** — a single pump coroutine owns the
   :class:`~repro.core.streaming.StreamingLinker`.  Whenever that writer is
   free and the queue holds events, it drains all of them, applies them as
-  one batch, relinks, publishes and checkpoints, then loops; events that
+  one batch, relinks, publishes and persists, then loops; events that
   arrive meanwhile ride the next batch.  An event waits only for the
   writer, never for a batch to fill.  The batch runs in a dedicated
   worker thread — off the event loop, which keeps ingesting — and the
@@ -24,6 +24,16 @@ Architecture (one writer, many readers, bounded everything):
   :meth:`links_for` / :meth:`match` / :meth:`stats` answer from the
   published snapshot and never block on the writer.  Every answer carries
   the snapshot version and event-time watermark.
+* **Durability** (with ``state_dir``) — every applied batch is persisted
+  after its publish: appended to the event log of the newest snapshot
+  (:mod:`repro.store.eventlog`; one ``write`` and one fsync), or, when a
+  snapshot is due, written as a full
+  :meth:`~repro.core.streaming.StreamingLinker.save`.  A snapshot is due
+  on the first persist of each service life (never appending to a log
+  it inherited), every ``_SNAPSHOT_EVERY`` persists, after a failed
+  persist (the log has no gap), and at :meth:`~LinkageService.stop`
+  unless the life's last persist was a snapshot.  A restart restores the
+  snapshot and replays its log.
 
 Because a delta relink is bit-identical to a cold relink over the same
 state, the final published snapshot equals an
@@ -63,12 +73,16 @@ from ..core.streaming import StreamingLinker
 from ..data.records import Record
 from ..pipeline.config import SERVE_BACKPRESSURE_POLICIES, LinkageConfig
 from ..pipeline.report import LinkageReport
+from ..store.eventlog import Checkpointer, batch_entry
 from .snapshot import LinkAnswer, LinkSnapshot, MatchAnswer
 
 __all__ = ["LinkageService", "BackpressureError", "SERVE_BACKPRESSURE_POLICIES"]
 
 #: How many recent query latencies the service retains for percentiles.
 _QUERY_LATENCY_WINDOW = 8192
+#: Persists per full snapshot: a restore replays at most this many minus
+#: one logged batches.
+_SNAPSHOT_EVERY = 32
 
 
 class BackpressureError(RuntimeError):
@@ -146,11 +160,13 @@ class LinkageService:
         Optional snapshot directory (see
         :meth:`~repro.core.streaming.StreamingLinker.save`).  On
         construction the service restores the linker from the newest
-        snapshot there (cold start if none is readable — corrupt
-        snapshots warn by name); after every published relink it
-        checkpoints the linker back, so a killed service resumes from
-        its last published state (a failed checkpoint is counted and
-        retried after the next publish, never fatal).  Ignored when an
+        snapshot there plus a replay of its event log (cold start if no
+        snapshot is readable — corrupt snapshots and logs warn by name).
+        Every applied batch is then persisted after its publish — one
+        log append, or a full snapshot when one is due — so a killed
+        service resumes from its last persisted batch.  A failed persist
+        is counted in ``checkpoint_failures`` and never fatal; the next
+        persist is a full snapshot.  The restore is skipped when an
         explicit ``linker`` is passed.
 
     The service must be started before use — ``async with service:`` or
@@ -201,6 +217,7 @@ class LinkageService:
         self._queue: Optional[asyncio.Queue] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._checkpointer: Optional[Checkpointer] = None
         self._pending_by_source: Dict[str, int] = {}
         self._source_waiters: Optional[asyncio.Condition] = None
         # Event time accepted so far; a restored linker already holds
@@ -230,10 +247,15 @@ class LinkageService:
             max_workers=1, thread_name_prefix="slim-link-serve"
         )
         self._started_at = time.monotonic()
+        if self._state_dir is not None:
+            # A new life: its first persist is a snapshot, so it never
+            # appends to a log it inherited.
+            self._checkpointer = Checkpointer(self._state_dir, _SNAPSHOT_EVERY)
         self._pump_task = asyncio.create_task(self._pump())
 
     async def stop(self) -> None:
-        """Drain the queue, fold pending events into a final relink, stop."""
+        """Drain the queue, fold pending events into a final relink,
+        snapshot unless the last persist was one, stop."""
         if self._pump_task is None:
             return
         assert self._queue is not None
@@ -415,6 +437,9 @@ class LinkageService:
             for future in flush_futures:
                 if not future.done():
                     future.set_result(self._snapshot)
+        checkpointer = self._checkpointer
+        if checkpointer is not None and checkpointer.dirty:
+            await self._checkpoint(checkpointer.snapshot, self.linker)
 
     async def _apply(
         self,
@@ -423,15 +448,19 @@ class LinkageService:
         covered: Tuple[float, int],
     ) -> None:
         """Fold one batch in and relink in the worker thread, then publish
-        and checkpoint.  ``covered`` is the (watermark, records ingested)
+        and persist.  ``covered`` is the (watermark, records ingested)
         of every event applied so far — what the published snapshot
         shows."""
         assert self._pool is not None
         loop = asyncio.get_running_loop()
         self._unpublished = True
+        applied: List[_Event] = []
+        report: Optional[LinkageReport] = None
+        relink_seconds = 0.0
+        failure: Optional[BaseException] = None
         try:
             report, relink_seconds = await loop.run_in_executor(
-                self._pool, self._apply_batch, batch
+                self._pool, self._apply_batch, batch, applied
             )
         except asyncio.CancelledError:
             raise
@@ -442,36 +471,44 @@ class LinkageService:
             # error; background batches surface it via ``last_error`` and
             # the ``relink_failures`` counter — the pump itself survives.
             self.counters.relink_failures += 1
-            self.last_error = error
-            for future in flush_futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
+            self.last_error = failure = error
         if report is not None:
             self._publish(report, relink_seconds, *covered)
-            if self._state_dir is not None:
-                # Same single worker thread as the batch apply, so the
-                # checkpoint serializes with the next batch and reads a
-                # quiescent linker; the event loop keeps ingesting.  A
-                # failed save (disk full) is not fatal: the published
-                # snapshot keeps serving, the next publish retries.
-                try:
-                    await loop.run_in_executor(
-                        self._pool, self.linker.save, self._state_dir
-                    )
-                except Exception as error:
-                    self.counters.checkpoint_failures += 1
-                    self.last_error = error
+        if self._checkpointer is not None and (applied or report is not None):
+            # Every applied batch is persisted — a one-sided or rolled-back
+            # one too, its events stay folded in — so the log has no gap.
+            # Same single worker thread as the batch apply, so the persist
+            # reads a quiescent linker; the event loop keeps ingesting.
+            entry = batch_entry(
+                ((e.kind, e.side, e.records or e.entity_ids) for e in applied),
+                relinked=report is not None,
+            )
+            await self._checkpoint(self._checkpointer.persist, self.linker, entry)
+        if failure is not None:
+            for future in flush_futures:
+                if not future.done():
+                    future.set_exception(failure)
+
+    async def _checkpoint(self, write, *args) -> None:
+        """Run one durable write in the worker thread.  A failure (disk
+        full) is not fatal: it is counted, the published snapshot keeps
+        serving, and the checkpointer takes a snapshot next."""
+        try:
+            await asyncio.get_running_loop().run_in_executor(self._pool, write, *args)
+        except Exception as error:
+            self.counters.checkpoint_failures += 1
+            self.last_error = error
 
     def _apply_batch(
-        self, batch: List[_Event]
+        self, batch: List[_Event], applied: List[_Event]
     ) -> Tuple[Optional[LinkageReport], float]:
         """Worker-thread body: observe/retire the batch, then relink.
 
-        The linker is only ever touched here (the pump awaits this call
-        before dispatching the next batch), so the single-writer contract
-        holds without locks.  A relink that raises rolls the linker back
-        to its pre-relink state (PR 6 transaction) — the observed events
+        The linker is only ever mutated here (the pump awaits this call
+        before dispatching the next batch; persists run on the same
+        worker thread), so the single-writer contract holds without
+        locks.  Each event joins ``applied`` once the linker holds it.  A relink that raises rolls the linker back to
+        its pre-relink state (PR 6 transaction) — the observed events
         stay folded in and ride along with the next attempt.
         """
         for event in batch:
@@ -479,6 +516,7 @@ class LinkageService:
                 self.linker.observe(event.side, list(event.records))
             elif event.kind == "retire":
                 self.linker.retire(event.side, event.entity_ids)
+            applied.append(event)
         if not self.linker.num_left_entities or not self.linker.num_right_entities:
             # One-sided state cannot relink yet; the events are folded in
             # and the current snapshot keeps serving.

@@ -16,7 +16,12 @@ The building blocks behind the streaming linker's persistence story:
   ``ScoreCache.save`` / ``load``): tmp-dir + ``os.replace`` promotion,
   a manifest with per-file SHA-256 digests, named failure classes for
   every way a snapshot can be untrustworthy;
-* :mod:`repro.store.durable` — the one atomic file write both use.
+* :mod:`repro.store.eventlog` — the append-only log of the batches a
+  long-lived writer applied since its newest snapshot, and the
+  snapshot-or-append cadence that writes it (internal; its failure
+  classes :class:`EventLogCorrupt` / :class:`EventLogSkew` are exported
+  here);
+* :mod:`repro.store.durable` — the one durable file write all of them use.
 
 This package owns *every* write into store and snapshot directories —
 the ``snapshot-io`` repro-lint rule rejects direct ``open()``/
@@ -27,6 +32,7 @@ snapshots.
 """
 
 from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore, ChunkLRU
+from .eventlog import EventLogCorrupt, EventLogSkew
 from .hilbert import hilbert_index, hilbert_key
 from .snapshot import (
     SNAPSHOT_FORMAT,
@@ -51,6 +57,8 @@ __all__ = [
     "SnapshotTruncated",
     "SnapshotDigestMismatch",
     "SnapshotVersionSkew",
+    "EventLogCorrupt",
+    "EventLogSkew",
     "write_snapshot",
     "read_snapshot",
 ]

@@ -12,6 +12,9 @@ import contextlib
 import os
 import tempfile
 from pathlib import Path
+from typing import Optional
+
+from ..exec.faults import kill_switch
 
 #: Matches every temporary name a ``repro.store`` writer creates.
 TMP_GLOB = "*.tmp-*"
@@ -26,10 +29,14 @@ def fsync_path(path: Path) -> None:
         os.close(fd)
 
 
-def write_file(handle, data: bytes) -> None:
-    """Write ``data`` to an open binary handle and fsync it."""
+def write_file(handle, data: bytes, event: Optional[str] = None) -> None:
+    """Write ``data`` to an open binary handle and fsync it; ``event``
+    names a :func:`~repro.exec.faults.kill_switch` hook fired between
+    the write and the fsync."""
     handle.write(data)
     handle.flush()
+    if event is not None:
+        kill_switch(event)
     os.fsync(handle.fileno())
 
 

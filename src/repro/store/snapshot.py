@@ -9,6 +9,13 @@ Layout under a snapshot root::
         state.pkl           # pickled StreamingLinker.checkpoint(), packed
         score_cache.pkl     # pickled ScoreCache.checkpoint() (a bare
                             # ScoreCache.save root holds only this one)
+      log-000042            # optional: the batches a long-lived writer
+                            # applied after snap-000042, one framed entry
+                            # each (see repro.store.eventlog)
+
+A snapshot is the whole state; a log only extends the snapshot whose
+ordinal it names, and
+:meth:`~repro.core.streaming.StreamingLinker.restore` replays it on top.
 
 Payloads are ``checkpoint()`` captures, pickled — the dicts a rollback
 ``restore()``-s in memory, with a linker's per-entity histories and
@@ -27,7 +34,8 @@ fully readable:
    watermark and a SHA-256 digest per payload file — is written last;
 4. the tmp dir is promoted with one ``os.replace`` to ``snap-<n>``;
 5. ``CURRENT`` is swapped (:func:`~repro.store.durable.replace_file`)
-   and older snapshots are pruned.
+   and older snapshots are pruned, with every log (each extends an
+   older snapshot, which the new one supersedes).
 
 Readers ignore ``CURRENT`` except as a hint: they pick the
 highest-numbered ``snap-*`` directory (a crash between steps 4 and 5
@@ -88,6 +96,7 @@ SNAPSHOT_FORMAT = 5
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")
+_LOG_GLOB = "log-*"
 #: Chaos-hook event names (see :func:`repro.exec.faults.kill_switch`).
 EVENT_FILE = "snapshot-file"
 EVENT_PROMOTE = "snapshot-promote"
@@ -162,6 +171,19 @@ def _snap_dirs(root: Path) -> Dict[int, Path]:
     return found
 
 
+def log_name(ordinal: int) -> str:
+    """The file name of the event log that extends snapshot ``ordinal``."""
+    return f"log-{ordinal:06d}"
+
+
+def newest_ordinal(root: Path) -> int:
+    """The ordinal of the newest promoted snapshot under ``root``."""
+    snaps = _snap_dirs(root)
+    if not snaps:
+        raise SnapshotMissing(f"no snap-* directory under {root}")
+    return max(snaps)
+
+
 def _clean_litter(root: Path) -> None:
     for litter in root.glob(TMP_GLOB):
         if litter.is_dir():
@@ -220,6 +242,8 @@ def write_snapshot(
     replace_file(root / CURRENT, final.name.encode())
     for old_dir in existing.values():
         shutil.rmtree(old_dir, ignore_errors=True)
+    for old_log in root.glob(_LOG_GLOB):
+        old_log.unlink(missing_ok=True)
     return final
 
 

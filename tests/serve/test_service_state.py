@@ -1,7 +1,8 @@
-"""``LinkageService(state_dir=...)``: restart from the checkpoint the
-service wrote, and a checkpoint that fails is not fatal."""
+"""``LinkageService(state_dir=...)``: restart from the snapshot and
+event log the service wrote, and a persist that fails is not fatal."""
 
 import asyncio
+import contextlib
 import errno
 
 from repro.core.streaming import StreamingLinker
@@ -9,6 +10,7 @@ from repro.data import Record
 from repro.eval.reporting import serving_table
 from repro.pipeline import LinkageConfig
 from repro.serve import LinkageService
+from repro.store import eventlog
 
 _CONFIG = LinkageConfig(threshold="none")
 
@@ -77,10 +79,13 @@ class TestRestart:
         assert after.link_scores == offline.link_scores
         assert after.relink == offline_linker.last_relink
         assert after.watermark == offline_linker.watermark
-        # One checkpoint per publish, numbering continued across lives.
+        # Numbering continued across lives: the first life snapshots its
+        # first publish (1), logs the next two and snapshots its stop (2);
+        # the second snapshots its first publish (3), and its stop has no
+        # logged batch to fold in.  The newer snapshot pruned every log.
         assert sorted(p.name for p in state_dir.iterdir()) == [
             "CURRENT",
-            "snap-000004",
+            "snap-000003",
         ]
         assert service.metrics()["checkpoint_failures"] == 0
 
@@ -136,3 +141,75 @@ class TestCheckpointFailure:
         assert dict(third.links) == dict(offline.links)
         restored = StreamingLinker.restore(state_dir, strict=True)
         assert restored.watermark == third.watermark
+
+
+async def _abandon(service):
+    """Kill a running service without ``stop()``: no drain, no final
+    snapshot — what a crash leaves is what the persists made durable."""
+    service._pump_task.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await service._pump_task
+    service._pool.shutdown(wait=True)
+
+
+class TestLogAppendFailure:
+    def test_a_failed_append_is_counted_and_the_next_persist_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        """The log append raises ``ENOSPC`` once: the pump survives, the
+        failure is counted, the next persist is a full snapshot (the log
+        must not have a gap), and a restart after a crash equals the
+        offline replay."""
+        state_dir = tmp_path / "state"
+        real_write = eventlog.write_file
+        appends = []
+
+        def write_file(handle, data, event=None):
+            appends.append(len(data))
+            if len(appends) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(handle, data, event)
+
+        monkeypatch.setattr(eventlog, "write_file", write_file)
+        real_save = StreamingLinker.save
+        saves = []
+
+        def save(self, directory):
+            saves.append(len(appends))
+            return real_save(self, directory)
+
+        monkeypatch.setattr(StreamingLinker, "save", save)
+
+        async def crashed_life():
+            service = LinkageService(0.0, _CONFIG, state_dir=state_dir)
+            await service.start()
+            await _serve_rounds(service, range(4))
+            failures = service.metrics()["checkpoint_failures"]
+            error = service.last_error
+            await _abandon(service)
+            return failures, error
+
+        async def next_life():
+            service = LinkageService(0.0, _CONFIG, state_dir=state_dir)
+            restored = service.linker.last_relink
+            async with service:
+                return restored, await service.flush()
+
+        failures, error = asyncio.run(crashed_life())
+        # Round 0 snapshots, round 1's append fails, round 2 snapshots
+        # again, round 3 is appended.
+        assert saves == [0, 1]
+        assert len(appends) == 2
+        assert failures == 1
+        assert isinstance(error, OSError) and error.errno == errno.ENOSPC
+        assert sorted(p.name for p in state_dir.iterdir()) == [
+            "CURRENT", "log-000002", "snap-000002",
+        ]
+
+        restored, snapshot = asyncio.run(next_life())
+        offline_linker, _ = _offline(range(4))
+        assert restored == offline_linker.last_relink
+        offline = offline_linker.relink()  # the restored life's first flush
+        assert dict(snapshot.links) == dict(offline.links)
+        assert snapshot.link_scores == offline.link_scores
+        assert snapshot.relink == offline_linker.last_relink

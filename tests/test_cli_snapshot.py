@@ -106,13 +106,15 @@ class TestServeStateDir:
         state_dir = tmp / "serve-state"
         argv = ["serve", paths["left", "all"], paths["right", "all"],
                 "--rounds", "3", "--serve-state-dir", str(state_dir)]
+        # Each run snapshots its first publish, logs the other two rounds
+        # and snapshots its stop, which prunes the log.
         first = _run(argv, capsys)
-        assert read_snapshot(state_dir)[1].name == "snap-000003"
+        assert read_snapshot(state_dir)[1].name == "snap-000002"
         second = _run(argv, capsys)
-        assert read_snapshot(state_dir)[1].name == "snap-000006"
+        assert read_snapshot(state_dir)[1].name == "snap-000004"
         assert sorted(p.name for p in state_dir.iterdir()) == [
             "CURRENT",
-            "snap-000006",
+            "snap-000004",
         ]
         # Re-observing the same records changes no bin, so the links stand.
         assert second.out == first.out

@@ -1,19 +1,24 @@
 #!/usr/bin/env python
 """Crash-restart drill: SIGKILL a checkpointing linker, restore, compare.
 
-The durability claim behind ``StreamingLinker.save``/``restore`` is that
-a process killed at *any* instant — mid-payload-write, mid-promote —
-resumes from its last complete snapshot and converges to links
-bit-identical to a run that never crashed.  This drill proves it the
-blunt way:
+The durability claim behind ``StreamingLinker.save``/``restore`` and the
+event log (``repro.store.eventlog``) is that a process killed at *any*
+instant — mid-payload-write, mid-promote, mid-append — resumes from its
+last snapshot plus the intact batches of that snapshot's log and
+converges to links bit-identical to a run that never crashed.  This
+drill proves it the blunt way:
 
 1. an **uninterrupted reference** replays ``ROUNDS`` deterministic
    synthetic rounds in-process and records the final links;
 2. a sequence of **child attempts** (``--child``) replays the same
-   stream, restoring from the snapshot directory and checkpointing after
-   every round — each armed via ``REPRO_KILL_SWITCH`` to SIGKILL itself
-   at a different point inside the snapshot writer (after the N-th
-   payload write, or right after the promote);
+   stream, restoring from the snapshot directory (snapshot + log
+   replay) and persisting every round through the same
+   ``Checkpointer`` the serving layer uses: a snapshot at the child's
+   first round and every ``SNAPSHOT_EVERY`` rounds, a log append in
+   between.  Each child is armed via ``REPRO_KILL_SWITCH`` to SIGKILL
+   itself at a different point: after the N-th snapshot payload write,
+   right after a promote, between an append's write and its fsync, or
+   right after that fsync;
 3. a final unarmed child runs to completion, and the driver asserts its
    links JSON is **byte-identical** to the reference.
 
@@ -45,18 +50,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.streaming import StreamingLinker  # noqa: E402
 from repro.data import Record  # noqa: E402
 from repro.pipeline import LinkageConfig  # noqa: E402
+from repro.store.eventlog import Checkpointer, batch_entry  # noqa: E402
 
-ROUNDS = 6
+ROUNDS = 12
 PER_SIDE = 10
 ROUND_SECONDS = 3600.0
-#: Kill points the driver arms, in order: mid first snapshot (before any
-#: checkpoint exists), mid later snapshots, and right after a promote
-#: (between the ``os.replace`` and the ``CURRENT`` pointer swap).
+SIDES = ("left", "right")
+#: Persists per snapshot in a child (the service's cadence, made short
+#: so that every child life takes later snapshots too).
+SNAPSHOT_EVERY = 3
+#: Kill points the driver arms, in order (each child resumes where the
+#: previous one died, so every point is reached and must fire):
+#: mid first snapshot, twice (before any checkpoint exists); right after
+#: the second append's fsync (rounds 1-2 live only in the log); mid a
+#: child's second snapshot (its log holds two rounds); right after the
+#: promote of a child's second snapshot (between the ``os.replace`` and
+#: the ``CURRENT`` swap, before the older snapshot and log are pruned);
+#: and between an append's write and its fsync.
 KILL_PLAN = [
     "snapshot-file:1",
     "snapshot-file:2",
+    "eventlog-sync:2",
     "snapshot-file:5",
     "snapshot-promote:2",
+    "eventlog-write:1",
 ]
 
 
@@ -90,14 +107,18 @@ def links_payload(report) -> str:
     return json.dumps({"links": sorted(dict(report.links).items()), "scores": rows})
 
 
-def replay(linker: StreamingLinker, rounds, snapshot_dir=None):
+def replay(linker: StreamingLinker, rounds, checkpointer=None):
+    """Observe and relink each round; persist it when checkpointing."""
     report = None
     for round_index in rounds:
-        linker.observe("left", round_records("left", round_index))
-        linker.observe("right", round_records("right", round_index))
+        events = [
+            ("observe", side, round_records(side, round_index)) for side in SIDES
+        ]
+        for _, side, records in events:
+            linker.observe(side, records)
         report = linker.relink()
-        if snapshot_dir is not None:
-            linker.save(snapshot_dir)
+        if checkpointer is not None:
+            checkpointer.persist(linker, batch_entry(events, relinked=True))
     return report
 
 
@@ -121,7 +142,8 @@ def child_main(snapshot_dir: Path, links_path: Path, storage: dict) -> int:
         linker = StreamingLinker(0.0, config=drill_config(), **storage)
     else:
         start = resume_round(linker)
-    report = replay(linker, range(start, ROUNDS), snapshot_dir)
+    checkpointer = Checkpointer(snapshot_dir, SNAPSHOT_EVERY)
+    report = replay(linker, range(start, ROUNDS), checkpointer)
     if report is None:  # restored a snapshot that already saw every round
         report = linker.relink()
     links_path.write_text(links_payload(report))
@@ -169,7 +191,7 @@ def driver_main(workdir: Path, storage: str) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(f"  attempt {attempt}: killed mid-snapshot at {kill_spec} (as armed)")
+        print(f"  attempt {attempt}: killed at {kill_spec} (as armed)")
 
     env.pop("REPRO_KILL_SWITCH", None)
     result = subprocess.run(child_cmd, env=env)
@@ -188,7 +210,7 @@ def driver_main(workdir: Path, storage: str) -> int:
         )
         return 1
     print(
-        f"OK: {len(KILL_PLAN)} mid-snapshot SIGKILLs, restored replay "
+        f"OK: {len(KILL_PLAN)} mid-write SIGKILLs, restored replay "
         "bit-identical to the uninterrupted reference "
         f"({len(json.loads(final)['links'])} links)"
     )
