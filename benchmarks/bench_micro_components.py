@@ -25,7 +25,7 @@ from repro.core.matching import Edge, greedy_max_matching, hungarian_matching
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
 from repro.core.threshold import gmm_stop_threshold
 from repro.eval import format_table, write_report
-from repro.lsh import LshConfig, LshIndex, SignatureSpec, build_signature
+from repro.lsh import LshConfig, LshIndex, SignatureSpec, signature_matrix
 from repro.temporal import common_windowing
 
 
@@ -119,8 +119,7 @@ def test_micro_signature_build(benchmark, cab_pair):
     windowing, left, _ = _setup(cab_pair, level=14)
     latest = max(cab_pair.left.time_range()[1], cab_pair.right.time_range()[1])
     spec = SignatureSpec(0, windowing.index_of(latest) + 1, 8, 14)
-    histories = list(left.values())
-    benchmark(lambda: [build_signature(h, spec) for h in histories])
+    benchmark(lambda: signature_matrix(left, spec))
 
 
 def test_micro_lsh_index(benchmark, cab_pair):

@@ -144,15 +144,6 @@ class GaussianMixture1D:
 
         return 0.5 * (1.0 + erf((x - mean) / (std * math.sqrt(2.0))))
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        """Mixture density at ``x``."""
-        self._require_fit()
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros_like(x, dtype=np.float64)
-        for component in range(self.n_components):
-            total = total + self.weights_[component] * self.component_pdf(component, x)
-        return total
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most responsible component per sample."""
         self._require_fit()

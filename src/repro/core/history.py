@@ -1,4 +1,4 @@
-"""Mobility histories (Sec. 2.3, Fig. 1).
+"""Mobility histories (Sec. 2.3).
 
 A mobility history aggregates one entity's records into *time-location
 bins*: per leaf window, the grid cells visited (with counts).
@@ -17,18 +17,17 @@ statistics and kernel layout (:class:`~repro.core.corpus.HistoryCorpus`)
 — read them joined across histories (:func:`leaf_columns`).
 
 Everything else is a view computed from them on demand and cached until
-the next ingest: :meth:`MobilityHistory.bins`,
-:meth:`~MobilityHistory.counts_in_window`, and the paper's temporal tree
-whose internal nodes aggregate the counts so that range queries — notably
-the dominating-cell queries of the LSH layer — are logarithmic
-(:meth:`MobilityHistory.tree`, :class:`~repro.temporal.TemporalCountTree`).
-The views re-bin with the scalar :func:`~repro.geo.cell.parent_id`, so the
-``"python"`` scoring oracle and the signature oracle stay independent of
-the vectorised passes they are tested against.  A linkage run builds no
-tree: the signature queries of one run partition the window axis, so one
-sort-and-reduce answers all of them.
+the next ingest: :meth:`MobilityHistory.bins` and
+:meth:`~MobilityHistory.counts_in_window`.  The views re-bin with the
+scalar :func:`~repro.geo.cell.parent_id`, so the ``"python"`` scoring
+oracle stays independent of the vectorised passes it is tested against.
+The paper's Fig. 1 count tree is not built: the signature queries of one
+run partition the window axis, so one sort-and-reduce over the columns
+answers all of them (:func:`repro.lsh.signature.signature_matrix`); the
+tree itself is kept only as the test-side oracle that pass is checked
+against.
 
-The temporal hierarchy is deliberate: the paper partitions hierarchically in
+The temporal grouping is deliberate: the paper partitions hierarchically in
 *time*, not space, because alibi detection needs fast retrieval of all cells
 an entity touched in a given window (Sec. 2.3).
 
@@ -57,7 +56,7 @@ from ..data.records import LocationDataset
 from ..geo import LatLng, cell_ids_from_degrees
 from ..geo.cell import CellId, parent_id
 from ..store.snapshot import pack_rows, unpack_rows
-from ..temporal import TemporalCountTree, Windowing
+from ..temporal import Windowing
 
 __all__ = ["MobilityHistory", "build_histories"]
 
@@ -257,42 +256,6 @@ class MobilityHistory:
         ):
             rebinned[parent_id(cell, level)] += count
         return rebinned
-
-    # ------------------------------------------------------------------
-    # tree queries (the paper's formulation; the LSH oracle)
-    # ------------------------------------------------------------------
-    def tree(self, level: Optional[int] = None) -> TemporalCountTree:
-        """The hierarchical count tree at ``level`` (default storage level).
-
-        Trees are built lazily and cached per level.  Nothing on a
-        linkage path asks for one (signatures come from
-        :func:`repro.lsh.signature.signature_matrix`); this is the Fig. 1
-        structure for user code and for the signature oracle
-        :func:`repro.lsh.signature.build_signature`.
-        """
-        level = self.storage_level if level is None else level
-        cached = self._views.get(("tree", level))
-        if cached is None:
-            cached = TemporalCountTree(
-                {
-                    window: self.counts_in_window(window, level)
-                    for window in self._spans()
-                }
-            )
-            self._views[("tree", level)] = cached
-        return cached
-
-    def dominating_cell(
-        self, start_window: int, end_window: int, level: Optional[int] = None
-    ) -> Optional[int]:
-        """The dominating grid cell over leaf windows ``[start, end)``.
-
-        Returns the cell id holding the most records (ties to the smallest
-        id), or ``None`` when the entity has no records there — the LSH
-        signature placeholder case (Sec. 4).
-        """
-        result = self.tree(level).dominating(start_window, end_window)
-        return None if result is None else int(result)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return (

@@ -593,12 +593,3 @@ class SimilarityEngine:
         if local.alibi_bin_pairs:
             local.alibi_entity_pairs = 1
         return total, local
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def reset_stats(self) -> SimilarityStats:
-        """Return the accumulated stats and start fresh counters."""
-        finished = self.stats
-        self.stats = SimilarityStats()
-        return finished

@@ -338,15 +338,6 @@ class LocationDataset:
         """Same data under a new dataset name."""
         return LocationDataset(name, dict(self._traces))
 
-    def merged_with(self, other: "LocationDataset", name: Optional[str] = None) -> "LocationDataset":
-        """Union of two datasets with disjoint entity ids."""
-        overlap = set(self._traces) & set(other._traces)
-        if overlap:
-            raise ValueError(f"entity ids overlap: {sorted(overlap)[:5]}")
-        traces = dict(self._traces)
-        traces.update(other._traces)
-        return LocationDataset(name or self._name, traces)
-
     def __repr__(self) -> str:
         return (
             f"LocationDataset({self._name!r}, entities={self.num_entities}, "

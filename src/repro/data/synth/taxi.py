@@ -151,11 +151,6 @@ class TaxiWorld:
         sanity-check generated densities)."""
         return self.duration_seconds / self.sample_period_seconds
 
-    def runaway_speed_mps(self) -> float:
-        """An upper bound on entity speed in this world — the generator
-        analogue of the paper's 2 km/min US-highway constant."""
-        return self.max_speed_mps
-
 
 def default_cab_world(
     num_taxis: int = 60,

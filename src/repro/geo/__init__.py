@@ -12,7 +12,7 @@ a self-contained implementation covering everything SLIM needs:
 """
 
 from .batch import cell_ids_from_degrees
-from .cell import CellId, cell_union_normalize
+from .cell import CellId
 from .coverage import all_neighbors, cover_cap, edge_neighbors, point_to_cell_distance
 from .point import EARTH_RADIUS_METERS, LatLng
 from .projection import MAX_LEVEL
@@ -23,7 +23,6 @@ __all__ = [
     "EARTH_RADIUS_METERS",
     "MAX_LEVEL",
     "cell_ids_from_degrees",
-    "cell_union_normalize",
     "edge_neighbors",
     "all_neighbors",
     "cover_cap",

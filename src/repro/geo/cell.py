@@ -20,10 +20,9 @@ is unaffected, but tokens are not interchangeable with S2 tokens.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, List, Tuple
 
-from .point import EARTH_RADIUS_METERS, LatLng
+from .point import LatLng
 from .projection import (
     IJ_SIZE,
     MAX_LEVEL,
@@ -34,7 +33,7 @@ from .projection import (
     xyz_to_face_uv,
 )
 
-__all__ = ["CellId", "MAX_LEVEL", "cell_union_normalize", "parent_id", "id_level"]
+__all__ = ["CellId", "MAX_LEVEL", "parent_id"]
 
 # ----------------------------------------------------------------------
 # Morton interleave tables: spread 8 bits of a coordinate across 16 bits.
@@ -139,13 +138,6 @@ class CellId:
         """Convenience: build the cell containing (lat, lng) in degrees."""
         return cls.from_lat_lng(LatLng.from_degrees(lat, lng), level)
 
-    @classmethod
-    def from_token(cls, token: str) -> "CellId":
-        """Parse a hex token produced by :meth:`to_token`."""
-        if not token or len(token) > 16:
-            raise ValueError(f"invalid cell token: {token!r}")
-        return cls(int(token.ljust(16, "0"), 16))
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -189,10 +181,6 @@ class CellId:
             return self
         lsb = 1 << (2 * (MAX_LEVEL - level))
         return CellId((self._id & ~((lsb << 1) - 1)) | lsb)
-
-    def immediate_parent(self) -> "CellId":
-        """The parent one level up."""
-        return self.parent(self.level() - 1)
 
     def child(self, position: int) -> "CellId":
         """The child at Morton position 0..3 (cell must not be a leaf)."""
@@ -289,17 +277,6 @@ class CellId:
         )
         return max(0.0, separation)
 
-    @staticmethod
-    def average_edge_meters(level: int) -> float:
-        """Rough average edge length of a cell at ``level``.
-
-        A quarter great-circle spans a cube face edge, so the average edge is
-        ``(pi/2) * R / 2**level``.  Used only for documentation/heuristics
-        (e.g. picking sensible default levels); actual geometry always goes
-        through cell vertices.
-        """
-        return (math.pi / 2.0) * EARTH_RADIUS_METERS / (1 << level)
-
     # ------------------------------------------------------------------
     # encoding / dunder methods
     # ------------------------------------------------------------------
@@ -336,23 +313,3 @@ def parent_id(cell_id: int, level: int) -> int:
     lsb = 1 << (2 * (MAX_LEVEL - level))
     return (cell_id & ~((lsb << 1) - 1)) | lsb
 
-
-def id_level(cell_id: int) -> int:
-    """Raw-integer fast path for :meth:`CellId.level`."""
-    lsb = cell_id & -cell_id
-    return MAX_LEVEL - (lsb.bit_length() - 1) // 2
-
-
-def cell_union_normalize(cells: List[CellId]) -> List[CellId]:
-    """Normalise a collection of cells: drop duplicates and cells contained
-    in another cell of the collection, and return them sorted by id.
-
-    Useful for building compact spatial covers in examples and tests.
-    """
-    ordered = sorted(set(cells), key=lambda c: (c.range_min(), -c.lsb()))
-    result: List[CellId] = []
-    for cell in ordered:
-        if result and result[-1].contains(cell):
-            continue
-        result.append(cell)
-    return result

@@ -47,11 +47,6 @@ class LatLng:
         return cls(lat * _DEG_TO_RAD, lng * _DEG_TO_RAD)
 
     @classmethod
-    def from_radians(cls, lat: float, lng: float) -> "LatLng":
-        """Build a point from latitude/longitude in radians."""
-        return cls(lat, lng)
-
-    @classmethod
     def from_xyz(cls, x: float, y: float, z: float) -> "LatLng":
         """Build a point from a (not necessarily unit) 3-vector."""
         lat = math.atan2(z, math.hypot(x, y))
@@ -155,13 +150,6 @@ class LatLng:
         x1, y1, z1 = self.to_xyz()
         x2, y2, z2 = other.to_xyz()
         return LatLng.from_xyz(a * x1 + b * x2, a * y1 + b * y2, a * z1 + b * z2)
-
-    def approx_equals(self, other: "LatLng", tolerance_radians: float = 1e-9) -> bool:
-        """True when both coordinates are within ``tolerance_radians``."""
-        return (
-            abs(self._lat - other._lat) <= tolerance_radians
-            and abs(self._lng - other._lng) <= tolerance_radians
-        )
 
     # ------------------------------------------------------------------
     # dunder methods

@@ -48,11 +48,6 @@ def st_to_ij(s: float) -> int:
     return max(0, min(IJ_SIZE - 1, int(math.floor(s * IJ_SIZE))))
 
 
-def ij_to_st(i: int) -> float:
-    """Centre ``s`` value of integer coordinate ``i`` (leaf granularity)."""
-    return (i + 0.5) / IJ_SIZE
-
-
 def xyz_to_face_uv(x: float, y: float, z: float) -> Tuple[int, float, float]:
     """Project a 3-vector to ``(face, u, v)``.
 

@@ -17,7 +17,6 @@ from .banding import (
 from .index import LshConfig, LshIndex, LshStats
 from .signature import (
     SignatureSpec,
-    build_signature,
     signature_matrix,
     signature_similarity,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "LshIndex",
     "LshStats",
     "SignatureSpec",
-    "build_signature",
     "signature_matrix",
     "signature_similarity",
     "bands_for_threshold",

@@ -12,13 +12,14 @@ the k-th slot of every signature answers the same query.  Empty query
 windows produce a ``None`` placeholder that keeps alignment but is skipped
 when hashing.
 
-Two implementations, one answer.  :func:`signature_matrix` is what a run
-uses: the query windows of a :class:`SignatureSpec` *partition* the window
-axis, so every leaf feeds exactly one slot and all signatures of a dataset
-fall out of one sort-and-reduce over its histories' joined columns — no
-per-entity structure is built.  :func:`build_signature` is the paper's formulation
-(one range query per slot against the history's hierarchical count tree,
-Fig. 1) and the scalar oracle the matrix is tested against, row for row.
+:func:`signature_matrix` is the array equivalent of the paper's
+formulation (one range query per slot against each history's
+hierarchical count tree, Fig. 1): the query windows of a
+:class:`SignatureSpec` *partition* the window axis, so every leaf feeds
+exactly one slot and all signatures of a dataset fall out of one
+sort-and-reduce over its histories' joined columns — no per-entity
+structure is built.  The tree formulation is kept test-side as the
+scalar oracle the matrix is checked against, row for row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..geo.batch import parent_ids
 
 __all__ = [
     "SignatureSpec",
-    "build_signature",
     "signature_matrix",
     "signature_similarity",
     "signatures_to_array",
@@ -78,47 +78,27 @@ class SignatureSpec:
         return math.ceil(self.total_windows / self.step_windows)
 
 
-def build_signature(
-    history: MobilityHistory, spec: SignatureSpec
-) -> Tuple[Optional[int], ...]:
-    """The dominating-cell signature of one history.
-
-    Slot ``k`` holds the dominating cell over leaf windows
-    ``[start + k*step, start + (k+1)*step)`` at ``spec.spatial_level``, or
-    ``None`` when the entity has no records there.  Queries run against the
-    history's hierarchical count tree, so each costs ``O(log windows)``
-    node visits (the "appropriate level of the mobility history tree" remark
-    in Sec. 4).  The paper-faithful reference: linkage runs take
-    :func:`signature_matrix`, which must equal this row for row.
-    """
-    slots = []
-    for k in range(spec.length):
-        lo = spec.start_window + k * spec.step_windows
-        hi = min(lo + spec.step_windows, spec.start_window + spec.total_windows)
-        slots.append(history.dominating_cell(lo, hi, spec.spatial_level))
-    return tuple(slots)
-
-
 def signature_matrix(
     histories: Mapping[str, MobilityHistory], spec: SignatureSpec
 ) -> np.ndarray:
     """The signatures of all ``histories`` as one ``(N, spec.length)``
     uint64 matrix (0 = placeholder), rows in the mapping's order — what
-    :func:`~repro.lsh.banding.band_bucket_ids` consumes, and row for row
-    ``signatures_to_array([build_signature(h, spec)])``.
+    :func:`~repro.lsh.banding.band_bucket_ids` consumes.  Slot ``k`` of a
+    row is the dominating cell over leaf windows
+    ``[start + k*step, start + (k+1)*step)`` at ``spec.spatial_level``:
+    the cell holding the most of the entity's records there (Sec. 4).
 
     One array pass: the histories' stored ``(window, cell, count)``
     columns are joined (:func:`~repro.core.history.leaf_columns`),
     windows outside the spec's span dropped, cells re-parented to
     ``spec.spatial_level``, counts summed per ``(entity, slot, cell)`` and
     each ``(entity, slot)`` keeps its largest sum, ties to the smallest
-    cell id (the rule
-    :meth:`~repro.temporal.TemporalCountTree.dominating` documents).
+    cell id, so signatures are deterministic across runs.
 
-    Both this pass and the tree start from the same stored per-bin sums;
-    they differ only in the order those are added across a slot's
-    windows and re-parented cells (sorted-cell order here, merge order
-    in the tree).  Record counts — all that
+    Both this pass and the paper's count tree start from the same stored
+    per-bin sums; they differ only in the order those are added across a
+    slot's windows and re-parented cells (sorted-cell order here, merge
+    order in the tree).  Record counts — all that
     :func:`~repro.core.history.build_histories` and ``observe()`` produce
     — are integers and sum exactly either way; the fractional weights of
     region records (``radii=``) do too when dyadic, but for other

@@ -67,7 +67,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.streaming import StreamingLinker
 from ..data.records import Record
@@ -78,8 +78,9 @@ from .snapshot import LinkAnswer, LinkSnapshot, MatchAnswer
 
 __all__ = ["LinkageService", "BackpressureError", "SERVE_BACKPRESSURE_POLICIES"]
 
-#: How many recent query latencies the service retains for percentiles.
-_QUERY_LATENCY_WINDOW = 8192
+#: How many recent query and relink latencies the service retains for
+#: percentiles.
+_LATENCY_WINDOW = 8192
 #: Persists per full snapshot: a restore replays at most this many minus
 #: one logged batches.
 _SNAPSHOT_EVERY = 32
@@ -91,7 +92,7 @@ class BackpressureError(RuntimeError):
     The caller owns the retry decision (back off, shed load, ...)."""
 
 
-def _percentile(values: List[float], q: float) -> float:
+def _percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile; NaN on empty input (renders as ``nan``)."""
     if not values:
         return float("nan")
@@ -126,9 +127,11 @@ class _Counters:
     relink_failures: int = 0
     checkpoint_failures: int = 0
     queries: int = 0
-    relink_seconds: List[float] = field(default_factory=list)
+    relink_seconds: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW)
+    )
     query_seconds: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=_QUERY_LATENCY_WINDOW)
+        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW)
     )
 
 
@@ -450,28 +453,44 @@ class LinkageService:
         """Fold one batch in and relink in the worker thread, then publish
         and persist.  ``covered`` is the (watermark, records ingested)
         of every event applied so far — what the published snapshot
-        shows."""
+        shows.
+
+        An event the linker refuses (a retire of an unknown id, records
+        before the origin) is rejected alone: it leaves the ingest tallies
+        and the published snapshot, the rest of the batch is applied,
+        relinked, published and persisted, and then the flush callers get
+        the first such error.  Every failure — each rejected event and a
+        failed relink — counts in ``relink_failures``, and the last one is
+        ``last_error``; the pump itself survives."""
         assert self._pool is not None
         loop = asyncio.get_running_loop()
-        self._unpublished = True
         applied: List[_Event] = []
+        failures: List[BaseException] = []
+        stale = self._unpublished
         report: Optional[LinkageReport] = None
         relink_seconds = 0.0
-        failure: Optional[BaseException] = None
         try:
             report, relink_seconds = await loop.run_in_executor(
-                self._pool, self._apply_batch, batch, applied
+                self._pool, self._apply_batch, batch, applied, failures, stale
             )
         except asyncio.CancelledError:
             raise
         except BaseException as error:
             # The linker rolled itself back (PR 6 transaction): the batch
             # stays folded in and rides along with the next relink, the
-            # previous snapshot keeps serving.  Flush callers get the
-            # error; background batches surface it via ``last_error`` and
-            # the ``relink_failures`` counter — the pump itself survives.
-            self.counters.relink_failures += 1
-            self.last_error = failure = error
+            # previous snapshot keeps serving.
+            failures.append(error)
+        if failures:
+            self.counters.relink_failures += len(failures)
+            self.last_error = failures[-1]
+        held = {id(event) for event in applied}
+        for event in batch:
+            if id(event) not in held:  # never folded in
+                self.counters.records_in -= len(event.records)
+                self.counters.records_retired -= len(event.entity_ids)
+                covered = (covered[0], covered[1] - len(event.records))
+        if applied:
+            self._unpublished = True
         if report is not None:
             self._publish(report, relink_seconds, *covered)
         if self._checkpointer is not None and (applied or report is not None):
@@ -484,10 +503,10 @@ class LinkageService:
                 relinked=report is not None,
             )
             await self._checkpoint(self._checkpointer.persist, self.linker, entry)
-        if failure is not None:
+        if failures:
             for future in flush_futures:
                 if not future.done():
-                    future.set_exception(failure)
+                    future.set_exception(failures[0])
 
     async def _checkpoint(self, write, *args) -> None:
         """Run one durable write in the worker thread.  A failure (disk
@@ -500,23 +519,37 @@ class LinkageService:
             self.last_error = error
 
     def _apply_batch(
-        self, batch: List[_Event], applied: List[_Event]
+        self, batch: List[_Event], applied: List[_Event],
+        rejected: List[BaseException], unpublished: bool,
     ) -> Tuple[Optional[LinkageReport], float]:
         """Worker-thread body: observe/retire the batch, then relink.
 
         The linker is only ever mutated here (the pump awaits this call
         before dispatching the next batch; persists run on the same
         worker thread), so the single-writer contract holds without
-        locks.  Each event joins ``applied`` once the linker holds it.  A relink that raises rolls the linker back to
-        its pre-relink state (PR 6 transaction) — the observed events
-        stay folded in and ride along with the next attempt.
+        locks.  Each event joins ``applied`` once the linker holds it,
+        or its validation error (:class:`KeyError`, :class:`ValueError`)
+        joins ``rejected``: observe and retire validate before they
+        mutate, so a refused event leaves the linker as it was and the
+        rest of the batch still applies.  Nothing is relinked when every
+        event was refused and the published snapshot already shows the
+        linker (``unpublished`` false).  A relink that raises rolls the
+        linker back to its pre-relink state (PR 6 transaction) — the
+        observed events stay folded in and ride along with the next
+        attempt.
         """
         for event in batch:
-            if event.kind == "observe":
-                self.linker.observe(event.side, list(event.records))
-            elif event.kind == "retire":
-                self.linker.retire(event.side, event.entity_ids)
-            applied.append(event)
+            try:
+                if event.kind == "observe":
+                    self.linker.observe(event.side, list(event.records))
+                else:
+                    self.linker.retire(event.side, event.entity_ids)
+            except (KeyError, ValueError) as error:
+                rejected.append(error)
+            else:
+                applied.append(event)
+        if not (applied or unpublished):
+            return None, 0.0
         if not self.linker.num_left_entities or not self.linker.num_right_entities:
             # One-sided state cannot relink yet; the events are folded in
             # and the current snapshot keeps serving.

@@ -1,14 +1,10 @@
-"""Temporal substrate: uniform windowing and hierarchical count trees.
+"""Temporal substrate: uniform windowing.
 
 Implements the temporal half of the paper's mobility-history representation
-(Sec. 2.3, Fig. 1): :class:`~repro.temporal.window.Windowing` assigns
-records to half-open leaf windows, and
-:class:`~repro.temporal.tree.TemporalCountTree` aggregates per-window cell
-counts up a segment tree so dominating-cell queries (Sec. 4) are
-logarithmic.
+(Sec. 2.3): :class:`~repro.temporal.window.Windowing` assigns records to
+half-open leaf windows, shared by every history of a linkage run.
 """
 
-from .tree import TemporalCountTree
-from .window import TimeSpan, Windowing, common_windowing
+from .window import Windowing, common_windowing
 
-__all__ = ["TimeSpan", "Windowing", "TemporalCountTree", "common_windowing"]
+__all__ = ["Windowing", "common_windowing"]

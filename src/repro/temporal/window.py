@@ -2,7 +2,7 @@
 
 SLIM splits the time domain into fixed-width, half-open windows
 ``[t0 + k*w, t0 + (k+1)*w)`` (Sec. 2.3).  A :class:`Windowing` maps record
-timestamps to window indices and back; the *leaf* windows of every mobility
+timestamps to window indices; the *leaf* windows of every mobility
 history in a linkage run share one ``Windowing`` so that "same temporal
 window" (the ``T`` predicate of Eq. 1) is a simple index comparison.
 """
@@ -10,34 +10,9 @@ window" (the ``T`` predicate of Eq. 1) is a simple index comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
-__all__ = ["TimeSpan", "Windowing"]
-
-
-@dataclass(frozen=True, slots=True)
-class TimeSpan:
-    """A half-open time interval ``[start, end)`` in POSIX seconds."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"end ({self.end}) before start ({self.start})")
-
-    @property
-    def width(self) -> float:
-        """Interval width in seconds (``|w|`` in the paper)."""
-        return self.end - self.start
-
-    def contains(self, timestamp: float) -> bool:
-        """True when ``timestamp`` falls inside the interval."""
-        return self.start <= timestamp < self.end
-
-    def overlaps(self, other: "TimeSpan") -> bool:
-        """True when the two intervals share any instant."""
-        return self.start < other.end and other.start < self.end
+__all__ = ["Windowing"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,36 +48,9 @@ class Windowing:
         """
         return int((timestamp - self.origin) // self.width_seconds)
 
-    def span_of(self, index: int) -> TimeSpan:
-        """The time interval of window ``index``."""
-        start = self.origin + index * self.width_seconds
-        return TimeSpan(start, start + self.width_seconds)
-
-    def count_for(self, start: float, end: float) -> int:
-        """Number of windows needed to cover ``[start, end]``."""
-        if end < start:
-            raise ValueError("end before start")
-        return self.index_of(end) - self.index_of(start) + 1
-
-    def indices_between(self, start: float, end: float) -> Iterator[int]:
-        """Iterate over window indices covering ``[start, end]``."""
-        first = self.index_of(start)
-        last = self.index_of(end)
-        return iter(range(first, last + 1))
-
     def aligned(self, other: "Windowing") -> bool:
         """True when the two windowings produce identical partitions."""
         return self.origin == other.origin and self.width_seconds == other.width_seconds
-
-    def coarsen(self, factor: int) -> "Windowing":
-        """A windowing whose leaves are ``factor`` of these leaves.
-
-        Used by the LSH layer, whose *query windows* are a multiple of the
-        similarity leaf window (Sec. 4).
-        """
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        return Windowing(self.origin, self.width_seconds * factor)
 
 
 def common_windowing(

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import JSON_SCHEMA_VERSION, lint_rules
+from lint import JSON_SCHEMA_VERSION, lint_rules
 
 REPO = Path(__file__).resolve().parents[2]
 LINT = REPO / "tools" / "repro_lint.py"

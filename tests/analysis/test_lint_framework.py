@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis import (
+from lint import (
     JSON_SCHEMA_VERSION,
     collect_python_files,
     lint_rules,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_rules, run_lint
+from lint import lint_rules, run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT_RE = re.compile(r"#\s*lint-expect:\s*([a-z\-]+)")

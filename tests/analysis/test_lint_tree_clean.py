@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import run_lint
+from lint import run_lint
 
 REPO = Path(__file__).resolve().parents[2]
 LINT = REPO / "tools" / "repro_lint.py"

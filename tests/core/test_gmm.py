@@ -74,11 +74,25 @@ class TestFit:
 
 
 class TestDensities:
-    def test_pdf_integrates_to_one(self, rng):
+    def test_weighted_component_pdfs_integrate_to_one(self, rng):
         model = GaussianMixture1D(2).fit(_bimodal(rng))
         xs = np.linspace(-10, 25, 20_000)
-        integral = np.trapezoid(model.pdf(xs), xs)
-        assert integral == pytest.approx(1.0, abs=1e-3)
+        density = sum(
+            model.weights_[component] * model.component_pdf(component, xs)
+            for component in range(2)
+        )
+        assert np.trapezoid(density, xs) == pytest.approx(1.0, abs=1e-3)
+
+    def test_component_pdf_is_derivative_of_cdf(self, rng):
+        model = GaussianMixture1D(2).fit(_bimodal(rng))
+        xs = np.linspace(-3, 14, 50)
+        h = 1e-5
+        for component in range(2):
+            slope = (
+                model.component_cdf(component, xs + h)
+                - model.component_cdf(component, xs - h)
+            ) / (2 * h)
+            assert np.allclose(slope, model.component_pdf(component, xs), atol=1e-6)
 
     def test_component_cdf_monotone(self, rng):
         model = GaussianMixture1D(2).fit(_bimodal(rng))
@@ -103,4 +117,4 @@ class TestDensities:
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            GaussianMixture1D(2).pdf(np.array([0.0]))
+            GaussianMixture1D(2).predict(np.array([0.0]))

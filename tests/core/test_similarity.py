@@ -7,7 +7,7 @@ from repro.core import kernels
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
-from repro.core.similarity import SimilarityConfig, SimilarityEngine
+from repro.core.similarity import SimilarityConfig, SimilarityEngine, SimilarityStats
 from repro.exec import TaskError, create_executor
 from repro.geo.cell import CellId
 from repro.temporal import Windowing
@@ -219,18 +219,20 @@ class TestStats:
         assert stats.alibi_bin_pairs == 1
         assert stats.alibi_entity_pairs == 1
 
+    def test_stats_start_at_zero(self):
+        engine = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
+        assert engine.stats == SimilarityStats()
+
+    def test_stats_merge_adds_every_counter(self):
+        total = SimilarityStats(1, 2, 3, 4, 5)
+        total.merge(SimilarityStats(10, 20, 30, 40, 50))
+        assert total == SimilarityStats(11, 22, 33, 44, 55)
+
     def test_stats_accumulate(self):
         engine = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
         engine.score("u", "v")
         engine.score("u", "v")
         assert engine.stats.pairs_scored == 2
-
-    def test_reset_stats(self):
-        engine = _engine([(0.0, *SF_A)], [(10.0, *SF_A)])
-        engine.score("u", "v")
-        old = engine.reset_stats()
-        assert old.pairs_scored == 1
-        assert engine.stats.pairs_scored == 0
 
     def test_oracle_distance_memo_is_symmetric(self):
         engine = _engine(

@@ -27,6 +27,7 @@ import pickle
 
 import numpy as np
 import pytest
+from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,6 @@ from repro.core.score_cache import ScoreCache, _Rows
 from repro.core.streaming import StreamingLinker, _PairTable
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
-from repro.lsh.signature import build_signature
 from repro.pipeline import LinkageConfig
 from repro.store import ChunkedColumnStore, hilbert_key
 from repro.temporal import Windowing

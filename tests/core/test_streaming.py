@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fig1_oracle import dominating_cell
 
 from repro.core.history import MobilityHistory
 from repro.core.streaming import StreamingLinker
@@ -26,7 +27,7 @@ class TestHistoryExtend:
         assert incremental.num_records == bulk.num_records
         assert incremental.windows() == bulk.windows()
         assert incremental.bins(12) == bulk.bins(12)
-        assert incremental.dominating_cell(0, 4, 12) == bulk.dominating_cell(0, 4, 12)
+        assert dominating_cell(incremental, 0, 4, 12) == dominating_cell(bulk, 0, 4, 12)
 
     def test_extend_invalidates_caches(self):
         windowing = Windowing(0.0, 900.0)
@@ -36,7 +37,7 @@ class TestHistoryExtend:
         assert history.num_bins(12) == 1
         history.extend(np.array([950.0]), np.array([37.90]), np.array([-122.10]))
         assert history.num_bins(12) == 2
-        assert history.dominating_cell(0, 2, 12) is not None
+        assert dominating_cell(history, 0, 2, 12) is not None
 
     def test_extend_before_origin_raises(self):
         windowing = Windowing(1000.0, 900.0)
@@ -103,7 +104,7 @@ class TestRegionRecords:
         )
         from repro.geo import CellId
 
-        assert history.dominating_cell(0, 1, 13) == CellId.from_degrees(
+        assert dominating_cell(history, 0, 1, 13) == CellId.from_degrees(
             37.77, -122.42, 13
         ).id
 

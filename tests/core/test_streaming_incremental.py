@@ -359,7 +359,8 @@ class TestScoreCacheUnits:
 class TestLshIncremental:
     def test_remove_and_readd_matches_cold_rebuild(self, cab_pair):
         from repro.core.history import build_histories
-        from repro.lsh import LshIndex, SignatureSpec, build_signature
+        from fig1_oracle import build_signature
+        from repro.lsh import LshIndex, SignatureSpec
         from repro.temporal import common_windowing
 
         lsh = LshConfig(threshold=0.4, step_windows=8, spatial_level=14)

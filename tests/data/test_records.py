@@ -101,6 +101,12 @@ class TestTransformations:
         assert sub.entities == ["u2"]
         assert sub.num_records == 2
 
+    def test_subset_keeps_each_entity_columns(self, dataset):
+        sub = dataset.subset(["u1"], name="only-u1")
+        assert sub.name == "only-u1"
+        for original, kept in zip(dataset.columns("u1"), sub.columns("u1")):
+            assert np.array_equal(original, kept)
+
     def test_subset_unknown_entity(self, dataset):
         with pytest.raises(KeyError):
             dataset.subset(["ghost"])
@@ -138,16 +144,6 @@ class TestTransformations:
     def test_rename_requires_injective(self, dataset):
         with pytest.raises(ValueError):
             dataset.rename_entities({"u1": "same", "u2": "same"})
-
-    def test_merged_with(self, dataset):
-        other = LocationDataset.from_records([Record("u3", 1.0, 1.0, 1.0)])
-        merged = dataset.merged_with(other)
-        assert merged.num_entities == 3
-
-    def test_merged_with_overlap_raises(self, dataset):
-        other = LocationDataset.from_records([Record("u1", 1.0, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            dataset.merged_with(other)
 
     def test_renamed(self, dataset):
         assert dataset.renamed("other").name == "other"

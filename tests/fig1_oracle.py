@@ -1,4 +1,4 @@
-"""Hierarchical temporal count tree (the mobility-history backbone).
+"""The paper's Fig. 1 structures, kept as a scalar test oracle.
 
 The paper organises each entity's records as a tree over temporal windows
 (Fig. 1): leaves hold the set of spatial cells visited in one window, and
@@ -7,15 +7,26 @@ that aggregate queries — most importantly the *dominating grid cell* of an
 arbitrary window range (Sec. 4) — can be answered without rescanning
 records.
 
-:class:`TemporalCountTree` implements that structure as a sparse, implicit
-binary segment tree:
+No linkage path uses this formulation: the query windows of one run
+partition the window axis, so :func:`repro.lsh.signature_matrix` answers
+every signature query of a dataset in one sort-and-reduce over the
+histories' stored columns.  This module is what that pass is tested
+against, row for row (``tests/lsh/test_signature_matrix.py``):
 
-* node ``(0, k)`` is leaf window ``k``;
-* node ``(h, k)`` covers leaf range ``[k * 2**h, (k+1) * 2**h)``;
-* only nodes whose range contains data are materialised.
+* :class:`TemporalCountTree` — a sparse, implicit binary segment tree:
+  node ``(0, k)`` is leaf window ``k``, node ``(h, k)`` covers leaf range
+  ``[k * 2**h, (k+1) * 2**h)``, only nodes whose range contains data are
+  materialised.  Space is ``O(records * log windows)`` as in the paper's
+  segment-tree analysis, and a range query touches ``O(log windows)``
+  nodes;
+* :func:`history_tree` — a history's tree at one spatial level, built
+  from the scalar :meth:`~repro.core.history.MobilityHistory.counts_in_window`
+  view;
+* :func:`dominating_cell` and :func:`build_signature` — the Sec. 4
+  queries: one range query per signature slot.
 
-Space is ``O(records * log windows)`` as in the paper's segment-tree
-analysis, and a range query touches ``O(log windows)`` nodes.
+Test modules import it by bare name, like ``tests/data/scalar_reader.py``
+(``tests/`` is on the import path through its ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +34,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["TemporalCountTree"]
+from repro.core.history import MobilityHistory
+from repro.lsh import SignatureSpec
 
 
 class TemporalCountTree:
@@ -180,3 +192,52 @@ class TemporalCountTree:
         for index, key in events:
             leaves.setdefault(index, Counter())[key] += 1
         return cls(leaves)
+
+
+def history_tree(
+    history: MobilityHistory, level: Optional[int] = None
+) -> TemporalCountTree:
+    """The hierarchical count tree of ``history`` at ``level`` (default:
+    its storage level)."""
+    level = history.storage_level if level is None else level
+    windows = history.windows()
+    return TemporalCountTree(
+        {window: history.counts_in_window(window, level) for window in windows}
+    )
+
+
+def dominating_cell(
+    history: MobilityHistory,
+    start_window: int,
+    end_window: int,
+    level: Optional[int] = None,
+) -> Optional[int]:
+    """The dominating grid cell of ``history`` over leaf windows
+    ``[start, end)``: the cell id holding the most records (ties to the
+    smallest id), or ``None`` when the entity has no records there — the
+    LSH signature placeholder case (Sec. 4)."""
+    result = history_tree(history, level).dominating(start_window, end_window)
+    return None if result is None else int(result)
+
+
+def build_signature(
+    history: MobilityHistory, spec: SignatureSpec
+) -> Tuple[Optional[int], ...]:
+    """The dominating-cell signature of one history.
+
+    Slot ``k`` holds the dominating cell over leaf windows
+    ``[start + k*step, start + (k+1)*step)`` at ``spec.spatial_level``, or
+    ``None`` when the entity has no records there; each slot is one range
+    query against the history's tree (the "appropriate level of the
+    mobility history tree" remark in Sec. 4).
+    ``signature_matrix`` must equal
+    ``signatures_to_array([build_signature(h, spec)])`` row for row.
+    """
+    tree = history_tree(history, spec.spatial_level)
+    slots = []
+    for k in range(spec.length):
+        lo = spec.start_window + k * spec.step_windows
+        hi = min(lo + spec.step_windows, spec.start_window + spec.total_windows)
+        result = tree.dominating(lo, hi)
+        slots.append(None if result is None else int(result))
+    return tuple(slots)

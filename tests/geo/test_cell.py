@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.geo import CellId, LatLng, cell_union_normalize
-from repro.geo.cell import id_level, parent_id
+from repro.geo import CellId, LatLng
+from repro.geo.cell import parent_id
 
 
 @pytest.fixture()
@@ -63,7 +63,7 @@ class TestHierarchy:
         for child in children:
             assert child.level() == 13
             assert sf_cell.contains(child)
-            assert child.immediate_parent() == sf_cell
+            assert child.parent(12) == sf_cell
 
     def test_leaf_has_no_children(self):
         leaf = CellId.from_degrees(0.0, 0.0, 30)
@@ -90,6 +90,14 @@ class TestHierarchy:
         assert sf_cell.intersects(sf_cell.parent(8))
         assert sf_cell.parent(8).intersects(sf_cell)
 
+    def test_children_ranges_tile_parent(self, sf_cell):
+        children = list(sf_cell.children())
+        assert children[0].range_min() == sf_cell.range_min()
+        assert children[-1].range_max() == sf_cell.range_max()
+        # Leaf ids are odd, so adjacent ranges leave no leaf id between them.
+        for left, right in zip(children, children[1:]):
+            assert left.range_max() + 2 == right.range_min()
+
     def test_point_stays_in_cell_across_levels(self):
         point = LatLng.from_degrees(48.8566, 2.3522)
         leaf = CellId.from_lat_lng(point, 30)
@@ -101,9 +109,12 @@ class TestRawIdHelpers:
     def test_parent_id_matches_object_api(self, sf_cell):
         assert parent_id(sf_cell.id, 8) == sf_cell.parent(8).id
 
-    def test_id_level_matches_object_api(self, sf_cell):
-        assert id_level(sf_cell.id) == 12
-        assert id_level(sf_cell.parent(3).id) == 3
+    def test_parent_id_at_every_level(self, sf_cell):
+        for level in range(sf_cell.level() + 1):
+            assert parent_id(sf_cell.id, level) == sf_cell.parent(level).id
+
+    def test_parent_id_at_own_level_is_identity(self, sf_cell):
+        assert parent_id(sf_cell.id, 12) == sf_cell.id
 
 
 class TestGeometry:
@@ -138,6 +149,10 @@ class TestGeometry:
         b = CellId.from_degrees(37.80, -122.25, 14)
         assert a.distance_meters(b) == pytest.approx(b.distance_meters(a))
 
+    def test_circumradius_roughly_halves_per_level(self, sf_cell):
+        ratio = sf_cell.parent(11).circumradius_meters() / sf_cell.circumradius_meters()
+        assert 1.5 < ratio < 2.5
+
     def test_distance_is_lower_bound_of_point_distance(self):
         p1 = LatLng.from_degrees(37.77, -122.42)
         p2 = LatLng.from_degrees(37.90, -122.10)
@@ -145,25 +160,19 @@ class TestGeometry:
         c2 = CellId.from_lat_lng(p2, 13)
         assert c1.distance_meters(c2) <= p1.distance_meters(p2)
 
-    def test_average_edge_meters_halves_per_level(self):
-        assert CellId.average_edge_meters(11) == pytest.approx(
-            2 * CellId.average_edge_meters(12)
-        )
-
 
 class TestTokens:
-    def test_token_roundtrip(self, sf_cell):
-        assert CellId.from_token(sf_cell.to_token()) == sf_cell
+    def test_token_encodes_id(self, sf_cell):
+        assert int(sf_cell.to_token().ljust(16, "0"), 16) == sf_cell.id
+
+    def test_children_have_distinct_tokens(self, sf_cell):
+        tokens = {child.to_token() for child in sf_cell.children()}
+        assert len(tokens) == 4
+        assert sf_cell.to_token() not in tokens
 
     def test_token_strips_zeros(self):
         cell = CellId.from_degrees(0.0, 0.0, 4)
         assert not cell.to_token().endswith("0")
-
-    def test_invalid_token_raises(self):
-        with pytest.raises(ValueError):
-            CellId.from_token("")
-        with pytest.raises(ValueError):
-            CellId.from_token("0" * 17)
 
     def test_ordering(self):
         a = CellId.from_degrees(10.0, 10.0, 10)
@@ -171,19 +180,3 @@ class TestTokens:
         assert a <= b
         assert not (a < b)
 
-
-class TestCellUnionNormalize:
-    def test_removes_duplicates(self, sf_cell):
-        assert cell_union_normalize([sf_cell, sf_cell]) == [sf_cell]
-
-    def test_removes_contained(self, sf_cell):
-        parent = sf_cell.parent(10)
-        assert cell_union_normalize([sf_cell, parent]) == [parent]
-
-    def test_keeps_disjoint(self):
-        a = CellId.from_degrees(37.77, -122.42, 12)
-        b = CellId.from_degrees(40.71, -74.0, 12)
-        assert set(cell_union_normalize([a, b])) == {a, b}
-
-    def test_empty(self):
-        assert cell_union_normalize([]) == []

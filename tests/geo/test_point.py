@@ -7,21 +7,36 @@ import pytest
 from repro.geo import EARTH_RADIUS_METERS, LatLng
 
 
+def _close(a, b, tolerance_radians):
+    """Both coordinates within ``tolerance_radians``."""
+    return (
+        abs(a.lat_radians - b.lat_radians) <= tolerance_radians
+        and abs(a.lng_radians - b.lng_radians) <= tolerance_radians
+    )
+
+
 class TestConstruction:
     def test_from_degrees_roundtrip(self):
         point = LatLng.from_degrees(37.7749, -122.4194)
         assert point.lat_degrees == pytest.approx(37.7749)
         assert point.lng_degrees == pytest.approx(-122.4194)
 
-    def test_from_radians(self):
-        point = LatLng.from_radians(math.pi / 4, -math.pi / 2)
+    def test_constructor_takes_radians(self):
+        point = LatLng(math.pi / 4, -math.pi / 2)
         assert point.lat_degrees == pytest.approx(45.0)
         assert point.lng_degrees == pytest.approx(-90.0)
+
+    @pytest.mark.parametrize(
+        "lat, lng", [(0.0, 0.0), (37.77, -122.42), (-89.9, 10.0), (12.0, 179.0)]
+    )
+    def test_to_xyz_is_unit_vector(self, lat, lng):
+        x, y, z = LatLng.from_degrees(lat, lng).to_xyz()
+        assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
 
     def test_xyz_roundtrip(self):
         point = LatLng.from_degrees(51.5, -0.12)
         recovered = LatLng.from_xyz(*point.to_xyz())
-        assert recovered.approx_equals(point, 1e-12)
+        assert _close(recovered, point, 1e-12)
 
     def test_xyz_accepts_unnormalised_vector(self):
         point = LatLng.from_xyz(2.0, 0.0, 0.0)
@@ -50,6 +65,11 @@ class TestDistance:
         pole = LatLng.from_degrees(90.0, 0.0)
         expected = math.pi / 2 * EARTH_RADIUS_METERS
         assert equator.distance_meters(pole) == pytest.approx(expected, rel=1e-9)
+
+    def test_antipodal_angle_is_pi(self):
+        a = LatLng.from_degrees(20.0, 30.0)
+        b = LatLng.from_degrees(-20.0, -150.0)
+        assert a.angle_to(b) == pytest.approx(math.pi, abs=1e-9)
 
     def test_symmetry(self):
         a = LatLng.from_degrees(48.85, 2.35)
@@ -86,8 +106,8 @@ class TestInterpolate:
     def test_endpoints(self):
         a = LatLng.from_degrees(10.0, 10.0)
         b = LatLng.from_degrees(20.0, 20.0)
-        assert a.interpolate(b, 0.0).approx_equals(a, 1e-9)
-        assert a.interpolate(b, 1.0).approx_equals(b, 1e-9)
+        assert _close(a.interpolate(b, 0.0), a, 1e-9)
+        assert _close(a.interpolate(b, 1.0), b, 1e-9)
 
     def test_midpoint_equidistant(self):
         a = LatLng.from_degrees(0.0, 0.0)
@@ -97,7 +117,7 @@ class TestInterpolate:
 
     def test_interpolate_identical_points(self):
         a = LatLng.from_degrees(5.0, 5.0)
-        assert a.interpolate(a, 0.7).approx_equals(a, 1e-9)
+        assert _close(a.interpolate(a, 0.7), a, 1e-9)
 
     def test_fraction_scales_distance(self):
         a = LatLng.from_degrees(37.0, -122.0)

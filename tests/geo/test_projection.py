@@ -8,7 +8,6 @@ from repro.geo.projection import (
     IJ_SIZE,
     MAX_LEVEL,
     face_uv_to_xyz,
-    ij_to_st,
     st_to_ij,
     st_to_uv,
     uv_to_st,
@@ -31,6 +30,10 @@ class TestStUv:
     def test_roundtrip(self, s):
         assert uv_to_st(st_to_uv(s)) == pytest.approx(s, abs=1e-12)
 
+    @pytest.mark.parametrize("u", [-1.0, -0.6, -0.2, 0.0, 0.4, 1.0])
+    def test_uv_roundtrip(self, u):
+        assert st_to_uv(uv_to_st(u)) == pytest.approx(u, abs=1e-12)
+
     def test_monotonic(self):
         values = [st_to_uv(s / 100) for s in range(101)]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -42,12 +45,16 @@ class TestIj:
         assert st_to_ij(1.0) == IJ_SIZE - 1  # clamped
         assert st_to_ij(0.5) == IJ_SIZE // 2
 
-    def test_ij_to_st_is_cell_center(self):
-        assert ij_to_st(0) == pytest.approx(0.5 / IJ_SIZE)
+    def test_st_to_ij_clamps_below_zero(self):
+        assert st_to_ij(-0.25) == 0
 
-    def test_roundtrip_center(self):
+    def test_cell_centres_land_in_their_own_step(self):
         for i in (0, 1, 12345, IJ_SIZE - 1):
-            assert st_to_ij(ij_to_st(i)) == i
+            assert st_to_ij((i + 0.5) / IJ_SIZE) == i
+
+    def test_st_to_ij_is_monotone(self):
+        steps = [st_to_ij(s / 1000) for s in range(1001)]
+        assert all(a <= b for a, b in zip(steps, steps[1:]))
 
     def test_max_level_constant(self):
         assert MAX_LEVEL == 30

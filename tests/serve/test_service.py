@@ -4,6 +4,7 @@ flushes, backpressure under both policies, per-source caps, retire flow,
 relink-failure isolation and metrics."""
 
 import asyncio
+import math
 import threading
 from collections import Counter
 
@@ -16,6 +17,7 @@ from repro.data import Record
 from repro.eval.reporting import serving_table
 from repro.pipeline import LinkageConfig
 from repro.serve import BackpressureError, LinkageService
+from repro.serve import service as service_module
 
 
 def _rec(entity, t, lat=37.77, lng=-122.42):
@@ -616,6 +618,65 @@ class TestRetire:
         assert snapshot.version >= 1
         assert service.counters.relink_failures == 1
 
+    def test_a_rejected_event_drops_nothing_else_from_its_batch(self, tmp_path):
+        """An unknown-id retire and a record before the origin drained in
+        one batch with good events are rejected alone: the good events
+        are in the next snapshot, the refused ones in no tally, the
+        batch's flush caller gets the first error after that publish, and
+        a restart from ``state_dir`` equals the offline replay of the good
+        events.  The writer is held inside the first relink so the
+        refused events, both submits and the flush drain as one batch."""
+        state_dir = tmp_path / "state"
+
+        async def first_life():
+            service = LinkageService(origin=0.0, state_dir=state_dir)
+            gate, entered = threading.Event(), threading.Event()
+            _gate(service, "relink", gate, entered)
+            async with service:
+                await service.submit("left", [_LEFT[0]])
+                await service.submit("right", [_RIGHT[0]])
+                await _until(entered.is_set)
+                await service.retire("left", ["nobody"])
+                await service.submit("left", [_LEFT[1]])
+                await service.submit("right", [_rec("early", -5.0)])
+                await service.submit("right", [_RIGHT[1]])
+                flush_task = asyncio.create_task(service.flush())
+                await _until(lambda: service._queue.qsize() == 5)
+                gate.set()
+                with pytest.raises(KeyError, match="nobody"):
+                    await flush_task
+                snapshot = service.snapshot()
+                # A batch of refused events alone changes nothing: no relink.
+                await service.retire("left", ["nobody"])
+                with pytest.raises(KeyError, match="nobody"):
+                    await service.flush()
+                assert service.snapshot() is snapshot
+                return snapshot, service
+
+        async def second_life():
+            async with LinkageService(origin=0.0, state_dir=state_dir) as service:
+                return await service.flush()
+
+        snapshot, service = asyncio.run(first_life())
+        assert dict(snapshot.links) == _LINKS
+        assert snapshot.records_ingested == service.counters.records_in == 4
+        assert service.counters.records_retired == 0
+        assert service.linker.num_left_entities == 2
+        assert service.linker.num_right_entities == 2
+        assert service.counters.relink_failures == 3
+        assert isinstance(service.last_error, KeyError)
+
+        offline = StreamingLinker(0.0)
+        offline.observe("left", [_LEFT[0]])
+        offline.observe("right", [_RIGHT[0]])
+        offline.relink()
+        offline.observe("left", [_LEFT[1]])
+        offline.observe("right", [_RIGHT[1]])
+        report = offline.relink()
+        restarted = asyncio.run(second_life())
+        assert dict(restarted.links) == dict(report.links) == _LINKS
+        assert restarted.link_scores == report.link_scores
+
 
 class TestRelinkFailure:
     def test_failed_relink_keeps_pump_alive_and_snapshot_serving(self):
@@ -693,6 +754,24 @@ class TestMetricsAndReporting:
         assert "serving" in table
         for column in ("ingest_rate", "snapshot_version", "query_p99_ms"):
             assert column in table
+
+    def test_relink_latency_history_is_bounded(self, monkeypatch):
+        """One relink latency per publish, kept in the same bounded window
+        as the query latencies — a long-running service does not grow it."""
+        monkeypatch.setattr(service_module, "_LATENCY_WINDOW", 3)
+
+        async def run():
+            async with LinkageService(origin=0.0) as service:
+                for hour in range(6):
+                    await service.submit("left", [_rec("u", 3600.0 * hour + 10.0)])
+                    await service.submit("right", [_rec("v", 3600.0 * hour + 40.0)])
+                    await service.flush()
+                return service
+
+        service = asyncio.run(run())
+        assert service.counters.relinks == 6
+        assert len(service.counters.relink_seconds) == 3
+        assert math.isfinite(service.metrics()["relink_p50_s"])
 
 
 class TestValidation:

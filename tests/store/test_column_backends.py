@@ -314,26 +314,30 @@ def test_core_never_names_the_disk_machinery():
 
 
 def test_linkage_paths_never_name_the_signature_oracle():
-    """One production signature path: the pipeline, the streaming linker
-    and the LSH index go through ``signature_matrix``; the per-history
-    ``build_signature`` / ``MobilityHistory.tree()`` / ``dominating_cell()``
-    (a ``TemporalCountTree`` per entity) are the oracle tests compare
-    against, reachable from user code and selected by nothing."""
-    oracle = {"build_signature", "tree", "dominating_cell", "TemporalCountTree"}
-    modules = sorted((SRC / "pipeline").glob("*.py")) + [
-        SRC / "core" / "streaming.py",
-        SRC / "lsh" / "index.py",
-    ]
+    """One signature path: the pipeline, the streaming linker and the LSH
+    index go through ``signature_matrix``.  The per-history Fig. 1
+    formulation — ``build_signature`` / ``history_tree`` /
+    ``dominating_cell`` over a ``TemporalCountTree`` per entity — lives
+    test-side (``tests/fig1_oracle.py``), and no module of the package
+    names any of it."""
+    oracle = {
+        "build_signature",
+        "history_tree",
+        "dominating_cell",
+        "TemporalCountTree",
+        "fig1_oracle",
+    }
     offenders = {
         path.relative_to(SRC).as_posix(): sorted(_names(path.read_text()) & oracle)
-        for path in modules
+        for path in sorted(SRC.rglob("*.py"))
     }
     assert {name: found for name, found in offenders.items() if found} == {}
     assert "signature_matrix" in _names((SRC / "lsh" / "index.py").read_text())
-    # The check has teeth: the oracle's own module, and each spelling.
-    assert "dominating_cell" in _names((SRC / "lsh" / "signature.py").read_text())
-    assert {"build_signature", "tree"} <= _names(
-        "from repro.lsh import build_signature\nhistory.tree(14)\n"
+    # The check has teeth: each spelling of a use is caught.
+    assert oracle <= _names(
+        "from fig1_oracle import build_signature, dominating_cell\n"
+        "history_tree(history).dominating(0, 1)\n"
+        "fig1_oracle.TemporalCountTree({})\n"
     )
 
 

@@ -3,8 +3,7 @@
 from collections import Counter
 
 import pytest
-
-from repro.temporal import TemporalCountTree
+from fig1_oracle import TemporalCountTree
 
 
 @pytest.fixture()

@@ -2,10 +2,9 @@
 
 from collections import Counter
 
+from fig1_oracle import TemporalCountTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.temporal import TemporalCountTree
 
 events_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=9)),

@@ -71,7 +71,7 @@ class TestCompare:
 class TestStrictTier:
     def test_analysis_errors_are_never_tolerated(self):
         errors = [
-            "src/repro/analysis/core.py: untyped def  [no-untyped-def]",
+            "tools/lint/core.py: untyped def  [no-untyped-def]",
             "src/repro/core/matching.py: boom  [misc]",
         ]
         assert ratchet.strict_violations(errors) == [errors[0]]
@@ -108,7 +108,7 @@ class TestEndToEnd:
             ratchet,
             "run_mypy",
             lambda targets: (
-                "src/repro/analysis/core.py:1: error: boom  [misc]\n"
+                "tools/lint/core.py:1: error: boom  [misc]\n"
             ),
         )
         assert ratchet.main([]) == 1

@@ -3,8 +3,8 @@
 
 The policy (mirrors ``check_bench_regression.py`` for types):
 
-* ``src/repro/analysis/`` is typed **strict** — any error there fails,
-  always, baseline or not.
+* ``tools/lint/`` (the repro-lint rule pack) is typed **strict** — any
+  error there fails, always, baseline or not.
 * The rest of ``src/repro`` is typed *basic*: existing errors live in
   ``tools/mypy_baseline.txt`` and are tolerated, new ones fail, and when
   errors are fixed the run says so and ``--update`` shrinks the file —
@@ -35,7 +35,9 @@ from typing import Iterable, List, Optional, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "tools" / "mypy_baseline.txt"
 BOOTSTRAP_MARKER = "# bootstrap"
-STRICT_PREFIX = "src/repro/analysis/"
+STRICT_PREFIX = "tools/lint/"
+#: What mypy checks by default: the package (basic) and the linter (strict).
+DEFAULT_TARGETS = ["src/repro", "tools/lint"]
 
 #: ``path:line: error: message  [code]`` (column optional).
 _ERROR_RE = re.compile(
@@ -131,12 +133,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "targets",
         nargs="*",
-        default=["src/repro"],
-        help="paths passed to mypy (default: src/repro)",
+        default=DEFAULT_TARGETS,
+        help="paths passed to mypy (default: src/repro tools/lint)",
     )
     options = parser.parse_args(argv)
 
-    output = run_mypy(options.targets or ["src/repro"])
+    output = run_mypy(options.targets or DEFAULT_TARGETS)
     if output is None:
         print(
             "check_type_baseline: mypy is not installed in this "

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..registry import Registry
+from repro.registry import Registry
 
 __all__ = [
     "Finding",

@@ -1,7 +1,7 @@
 """The built-in repro-lint rule pack.
 
 Importing this package registers every rule in
-:data:`repro.analysis.lint_rules`; each module groups the rules guarding
+:data:`lint.lint_rules`; each module groups the rules guarding
 one family of invariants (see ``docs/ARCHITECTURE.md`` § Static
 analysis).
 """

@@ -33,7 +33,9 @@ _CONFIG_CLASS = "LinkageConfig"
 
 #: Where ``LinkageConfig`` is declared — parsed (never imported) when the
 #: lint pass does not itself cover it, e.g. over ``tools`` alone.
-_CONFIG_SOURCE = Path(__file__).resolve().parents[2] / "pipeline" / "config.py"
+_CONFIG_SOURCE = (
+    Path(__file__).resolve().parents[3] / "src" / "repro" / "pipeline" / "config.py"
+)
 
 
 @dataclass

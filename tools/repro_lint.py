@@ -25,7 +25,7 @@ _SRC = _REPO_ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.analysis import lint_rules, run_lint  # noqa: E402
+from lint import lint_rules, run_lint  # noqa: E402
 
 
 def _split_rule_list(raw: Optional[str]) -> Optional[List[str]]:
