@@ -55,8 +55,7 @@ def _sweep(world):
         )
 
         stlink = StLinkLinker().link(pair.left, pair.right)
-        stlink_quality = precision_recall_f1(stlink.links, pair.ground_truth)
-        stlink_hit = hit_precision_at_k(stlink.scores, pair.ground_truth, 40)
+        stlink_hit = hit_precision_at_k(stlink.extras["scores"], pair.ground_truth, 40)
 
         row = {
             "avg_records": round(
@@ -67,15 +66,16 @@ def _sweep(world):
             "stlink_hit40": stlink_hit,
             "slim_f1": slim.f1,
             "slim_lsh_f1": lsh.f1,
-            "stlink_f1": stlink_quality.f1,
+            "stlink_f1": precision_recall_f1(stlink.links, pair.ground_truth).f1,
             "slim_runtime_s": slim.runtime_seconds,
             "stlink_runtime_s": stlink.runtime_seconds,
         }
         if target <= GM_MAX_RECORDS:
             gm = GmLinker().link(pair.left, pair.right)
-            gm_quality = precision_recall_f1(gm.links, pair.ground_truth)
-            row["gm_hit40"] = hit_precision_at_k(gm.scores, pair.ground_truth, 40)
-            row["gm_f1"] = gm_quality.f1
+            row["gm_hit40"] = hit_precision_at_k(
+                gm.extras["scores"], pair.ground_truth, 40
+            )
+            row["gm_f1"] = precision_recall_f1(gm.links, pair.ground_truth).f1
             row["gm_runtime_s"] = gm.runtime_seconds
         rows.append(row)
     return rows

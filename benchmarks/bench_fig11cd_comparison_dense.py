@@ -47,8 +47,8 @@ def _sweep(world):
                     "slim_f1": slim.f1,
                     "stlink_f1": stlink_quality.f1,
                     "slim_comparisons": slim.bin_comparisons,
-                    "stlink_comparisons": stlink.record_comparisons,
-                    "stlink_window_join": stlink.window_join_comparisons,
+                    "stlink_comparisons": stlink.stats.bin_comparisons,
+                    "stlink_window_join": stlink.extras["window_join_comparisons"],
                     "slim_runtime_s": slim.runtime_seconds,
                     "stlink_runtime_s": stlink.runtime_seconds,
                 }

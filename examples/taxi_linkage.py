@@ -80,7 +80,7 @@ def main() -> None:
             "precision": stlink_quality.precision,
             "recall": stlink_quality.recall,
             "f1": stlink_quality.f1,
-            "comparisons": stlink.record_comparisons,
+            "comparisons": stlink.stats.bin_comparisons,
             "runtime_s": stlink.runtime_seconds,
         }
     )
@@ -98,7 +98,7 @@ def main() -> None:
             "precision": gm_quality.precision,
             "recall": gm_quality.recall,
             "f1": gm_quality.f1,
-            "comparisons": gm.record_comparisons,
+            "comparisons": gm.stats.bin_comparisons,
             "runtime_s": gm.runtime_seconds,
         }
     )
@@ -111,7 +111,7 @@ def main() -> None:
         f"-> speed-up {speedup(brute.stats.bin_comparisons, lsh.stats.bin_comparisons):.1f}x, "
         f"relative F1 {relative_f1(lsh_quality.f1, brute_quality.f1):.3f}"
     )
-    print(f"ST-Link auto-detected k={stlink.k}, l={stlink.l}")
+    print(f"ST-Link auto-detected k={stlink.extras['k']}, l={stlink.extras['l']}")
 
 
 if __name__ == "__main__":

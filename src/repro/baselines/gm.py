@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.matching import Edge, EdgeSet
 from ..core.similarity import SimilarityStats
-from ..core.threshold import ThresholdDecision
 from ..data.records import LocationDataset
 from ..geo import cell_ids_from_degrees
 from ..pipeline import (
@@ -47,9 +46,9 @@ from ..pipeline import (
     MatchingStage,
     ThresholdStage,
 )
-from ..temporal import Windowing, common_windowing
+from ..temporal import Windowing
 
-__all__ = ["GmConfig", "EntityMobilityModel", "GmResult", "GmLinker"]
+__all__ = ["GmConfig", "EntityMobilityModel", "GmLinker"]
 
 _METERS_PER_DEGREE_LAT = 111_320.0
 
@@ -230,24 +229,12 @@ class EntityMobilityModel:
         return lat, lng
 
 
-@dataclass
-class GmResult:
-    """GM linkage output and cost diagnostics."""
-
-    links: Dict[str, str]
-    scores: Dict[Tuple[str, str], float]
-    threshold: ThresholdDecision
-    record_comparisons: int
-    runtime_seconds: float
-
-
 class GmLinker:
     """Scores pairs with GM's record-pair kernel and links via SLIM's
     matching + stop threshold (as the paper's comparison does)."""
 
     def __init__(self, config: Optional[GmConfig] = None) -> None:
         self.config = config or GmConfig()
-        self.record_comparisons = 0
 
     # ------------------------------------------------------------------
     # scoring
@@ -265,9 +252,10 @@ class GmLinker:
 
     def score(
         self, model_u: EntityMobilityModel, model_v: EntityMobilityModel
-    ) -> float:
-        """GM pair score: decayed kernel sum over close record pairs plus
-        discounted model-estimated evidence for missing windows."""
+    ) -> Tuple[float, int]:
+        """GM pair score — a decayed kernel sum over close record pairs
+        plus discounted model-estimated evidence for missing windows — and
+        the record comparisons it took."""
         config = self.config
         decay = config.temporal_decay
         gap = config.max_window_gap
@@ -304,11 +292,10 @@ class GmLinker:
                             lat_u, lng_u, model_v.lats[v_row], model_v.lngs[v_row]
                         )
 
-        self.record_comparisons += comparisons
         # Normalise by geometric mean record count so heavy loggers do not
         # dominate (GM's per-user models are likelihood-normalised).
         norm = math.sqrt(model_u.num_records * model_v.num_records)
-        return total / norm if norm > 0 else 0.0
+        return (total / norm if norm > 0 else 0.0), comparisons
 
     # ------------------------------------------------------------------
     # linkage
@@ -334,7 +321,7 @@ class GmLinker:
         return LinkageConfig(matching="greedy", threshold="gmm")
 
     def stages(self) -> List[object]:
-        """The stage composition :meth:`link_report` runs."""
+        """The stage composition :meth:`link` runs."""
         config = self.pipeline_config()
         return [
             _GmPrepare(self),
@@ -344,25 +331,12 @@ class GmLinker:
             ThresholdStage(config),
         ]
 
-    def link_report(
-        self, left: LocationDataset, right: LocationDataset
-    ) -> LinkageReport:
-        """Run GM through the shared stage pipeline (extras carry the
-        full score matrix and the record-comparison count)."""
+    def link(self, left: LocationDataset, right: LocationDataset) -> LinkageReport:
+        """Score all pairs (GM has no blocking) and link with SLIM's
+        matching and stop threshold.  ``extras["scores"]`` holds every
+        pair's score; ``stats.bin_comparisons`` the record comparisons."""
         pipeline = LinkagePipeline(self.pipeline_config(), stages=self.stages())
         return pipeline.run(left, right)
-
-    def link(self, left: LocationDataset, right: LocationDataset) -> GmResult:
-        """Score all pairs (GM has no blocking) and link with SLIM's
-        matching and stop threshold."""
-        report = self.link_report(left, right)
-        return GmResult(
-            links=report.links,
-            scores=report.extras["scores"],
-            threshold=report.threshold,
-            record_comparisons=report.extras["record_comparisons"],
-            runtime_seconds=report.runtime_seconds,
-        )
 
 
 class _GmPrepare:
@@ -374,16 +348,10 @@ class _GmPrepare:
         self.linker = linker
 
     def run(self, context: LinkageContext) -> None:
-        left, right = context.left, context.right
-        windowing = common_windowing(
-            (left.time_range(), right.time_range()),
-            self.linker.config.window_width_seconds,
-        )
-        latest = max(left.time_range()[1], right.time_range()[1])
-        context.windowing = windowing
-        context.total_windows = windowing.index_of(latest) + 1
-        context.extras["left_models"] = self.linker.build_models(left, windowing)
-        context.extras["right_models"] = self.linker.build_models(right, windowing)
+        windowing = context.window(self.linker.config.window_width_seconds)
+        build = self.linker.build_models
+        context.extras["left_models"] = build(context.left, windowing)
+        context.extras["right_models"] = build(context.right, windowing)
 
 
 class _GmCandidates:
@@ -409,23 +377,21 @@ class _GmScoring:
         self.linker = linker
 
     def run(self, context: LinkageContext) -> None:
-        linker = self.linker
-        linker.record_comparisons = 0
         left_models = context.extras["left_models"]
         right_models = context.extras["right_models"]
         scores: Dict[Tuple[str, str], float] = {}
         edges: List[Edge] = []
+        comparisons = 0
         for left_entity, right_entity in context.candidates:
-            value = linker.score(
+            value, spent = self.linker.score(
                 left_models[left_entity], right_models[right_entity]
             )
+            comparisons += spent
             scores[(left_entity, right_entity)] = value
             if value > 0:
                 edges.append(Edge(left_entity, right_entity, value))
         context.edges = EdgeSet.from_edges(edges)
         context.stats = SimilarityStats(
-            pairs_scored=len(context.candidates),
-            bin_comparisons=linker.record_comparisons,
+            pairs_scored=len(context.candidates), bin_comparisons=comparisons
         )
         context.extras["scores"] = scores
-        context.extras["record_comparisons"] = linker.record_comparisons

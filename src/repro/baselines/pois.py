@@ -28,13 +28,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.history import build_histories
 from ..core.matching import Edge, EdgeSet
 from ..core.similarity import SimilarityStats
 from ..data.records import LocationDataset
 from ..pipeline import (
     STAGE_CANDIDATES,
-    STAGE_PREPARE,
     STAGE_SCORING,
     LinkageConfig,
     LinkageContext,
@@ -43,9 +41,9 @@ from ..pipeline import (
     MatchingStage,
     ThresholdStage,
 )
-from ..temporal import common_windowing
+from ..pipeline.stages import _HistoryPrepare
 
-__all__ = ["PoisConfig", "PoisResult", "PoisLinker"]
+__all__ = ["PoisConfig", "PoisLinker"]
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,6 @@ class PoisConfig:
         return self.window_width_minutes * 60.0
 
 
-@dataclass
-class PoisResult:
-    """POIS linkage output."""
-
-    links: Dict[str, str]
-    scores: Dict[Tuple[str, str], float]
-    record_comparisons: int
-    runtime_seconds: float
-
-
 class PoisLinker:
     """Links two datasets with the POIS rarity-weighted co-occurrence score."""
 
@@ -93,55 +81,24 @@ class PoisLinker:
         return LinkageConfig(matching="hungarian", threshold="none")
 
     def stages(self) -> List[object]:
-        """The stage composition :meth:`link_report` runs."""
+        """The stage composition :meth:`link` runs."""
         config = self.pipeline_config()
+        width, level = self.config.window_width_seconds, self.config.spatial_level
         return [
-            _PoisPrepare(self.config),
+            _HistoryPrepare(width, level),
             _PoisCandidates(self.config),
             _PoisScoring(self.config),
             MatchingStage(config),
             ThresholdStage(config),
         ]
 
-    def link_report(
-        self, left: LocationDataset, right: LocationDataset
-    ) -> LinkageReport:
-        """Run POIS through the shared stage pipeline (extras carry the
-        full score dict and the comparison count)."""
+    def link(self, left: LocationDataset, right: LocationDataset) -> LinkageReport:
+        """Score all co-occurring pairs and link via exact matching, through
+        the shared stage pipeline.  ``extras["scores"]`` holds every
+        co-occurring pair's score; ``stats.bin_comparisons`` the
+        comparisons of the bin join."""
         pipeline = LinkagePipeline(self.pipeline_config(), stages=self.stages())
         return pipeline.run(left, right)
-
-    def link(self, left: LocationDataset, right: LocationDataset) -> PoisResult:
-        """Score all co-occurring pairs and link via exact matching."""
-        report = self.link_report(left, right)
-        return PoisResult(
-            links=report.links,
-            scores=report.extras["scores"],
-            record_comparisons=report.extras["record_comparisons"],
-            runtime_seconds=report.runtime_seconds,
-        )
-
-
-class _PoisPrepare:
-    """Windowing + histories at the POIS bin grid."""
-
-    name = STAGE_PREPARE
-
-    def __init__(self, config: PoisConfig) -> None:
-        self.config = config
-
-    def run(self, context: LinkageContext) -> None:
-        left, right = context.left, context.right
-        windowing = common_windowing(
-            (left.time_range(), right.time_range()),
-            self.config.window_width_seconds,
-        )
-        latest = max(left.time_range()[1], right.time_range()[1])
-        context.windowing = windowing
-        context.total_windows = windowing.index_of(latest) + 1
-        level = self.config.spatial_level
-        context.left_histories = build_histories(left, windowing, level)
-        context.right_histories = build_histories(right, windowing, level)
 
 
 class _PoisCandidates:
@@ -187,8 +144,10 @@ class _PoisCandidates:
                         left_count * right_count * rarity
                     )
         context.candidates = sorted(scores)
+        context.stats = SimilarityStats(
+            pairs_scored=len(scores), bin_comparisons=comparisons
+        )
         context.extras["scores"] = dict(scores)
-        context.extras["record_comparisons"] = comparisons
 
 
 class _PoisScoring:
@@ -205,8 +164,4 @@ class _PoisScoring:
             Edge(left_entity, right_entity, value)
             for (left_entity, right_entity), value in scores.items()
             if value > self.config.min_score
-        )
-        context.stats = SimilarityStats(
-            pairs_scored=len(scores),
-            bin_comparisons=context.extras["record_comparisons"],
         )

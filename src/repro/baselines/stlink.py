@@ -20,8 +20,8 @@ from the other dataset, all of its candidate pairs are considered ambiguous
 and dropped — ST-Link has no scoring-based disambiguation, which is exactly
 the weakness Fig. 11b exposes at low record counts.  That ambiguity rule is
 registered as the ``"stlink"`` strategy in the pipeline's matcher registry
-(:data:`repro.pipeline.matchers`), so :meth:`StLinkLinker.link_report`
-runs through the *same* stage pipeline as every other linker.
+(:data:`repro.pipeline.matchers`), so :meth:`StLinkLinker.link` runs
+through the *same* stage pipeline as every other linker.
 
 For hit-precision ranking, pairs are ordered by co-occurrence count (ties
 broken by diversity).
@@ -30,11 +30,11 @@ broken by diversity).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.elbow import kneedle_index
-from ..core.history import MobilityHistory, build_histories
+from ..core.history import MobilityHistory
 from ..core.matching import Edge, EdgeSet
 from ..core.proximity import DEFAULT_MAX_SPEED_MPS, runaway_distance
 from ..core.similarity import SimilarityStats
@@ -42,7 +42,6 @@ from ..data.records import LocationDataset
 from ..geo.cell import CellId
 from ..pipeline import (
     STAGE_CANDIDATES,
-    STAGE_PREPARE,
     STAGE_SCORING,
     LinkageConfig,
     LinkageContext,
@@ -52,11 +51,10 @@ from ..pipeline import (
     ThresholdStage,
     matchers,
 )
-from ..temporal import common_windowing
+from ..pipeline.stages import _HistoryPrepare
 
 __all__ = [
     "StLinkConfig",
-    "StLinkResult",
     "StLinkLinker",
     "stlink_ambiguity_matching",
     "ambiguous_entities",
@@ -66,7 +64,7 @@ __all__ = [
 def ambiguous_entities(qualified: Sequence[Edge]) -> Set[str]:
     """Entities appearing in more than one qualified pair — the single
     source of truth for ST-Link's ambiguity rule, shared by the
-    ``"stlink"`` matcher and the :class:`StLinkResult` diagnostics."""
+    ``"stlink"`` matcher and the report's ``ambiguous_entities``."""
     qualified = EdgeSet.from_edges(qualified)
     return {
         entity
@@ -119,31 +117,6 @@ class StLinkConfig:
     def window_width_seconds(self) -> float:
         """Window width in seconds."""
         return self.window_width_minutes * 60.0
-
-
-@dataclass
-class StLinkResult:
-    """Linkage output plus the diagnostics the comparison benches report.
-
-    ``record_comparisons`` counts the work *this* implementation performs
-    (it blocks co-occurrence counting behind an inverted index, a
-    substantial optimisation over the original).
-    ``window_join_comparisons`` is the record-pair count the original
-    ST-Link's sliding-window comparison performs — every cross-dataset
-    record pair sharing a temporal window — and is the cost model behind
-    the paper's "three orders of magnitude" comparison (Fig. 11d).
-    """
-
-    links: Dict[str, str]
-    scores: Dict[Tuple[str, str], float]
-    k: int
-    l: int
-    ambiguous_entities: Set[str]
-    record_comparisons: int
-    runtime_seconds: float
-    candidates_considered: int = 0
-    diversity: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    window_join_comparisons: int = 0
 
 
 class StLinkLinker:
@@ -264,10 +237,11 @@ class StLinkLinker:
         return LinkageConfig(matching="stlink", threshold="none")
 
     def stages(self) -> List[object]:
-        """The stage composition :meth:`link_report` runs."""
+        """The stage composition :meth:`link` runs."""
         config = self.pipeline_config()
+        width, level = self.config.window_width_seconds, self.config.spatial_level
         return [
-            _StLinkPrepare(self.config),
+            _HistoryPrepare(width, level),
             _StLinkCandidates(self),
             _StLinkScoring(self),
             MatchingStage(config),
@@ -277,60 +251,22 @@ class StLinkLinker:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def link_report(
-        self, left: LocationDataset, right: LocationDataset
-    ) -> LinkageReport:
+    def link(self, left: LocationDataset, right: LocationDataset) -> LinkageReport:
         """Run ST-Link through the shared stage pipeline.
 
-        The report's ``extras`` carry the ST-Link-specific diagnostics
-        (``k``, ``l``, the full score dict, ambiguity set, comparison
-        counters); :meth:`link` repackages them as the legacy
-        :class:`StLinkResult`.
+        ``stats.bin_comparisons`` counts the work *this* implementation
+        performs (it blocks co-occurrence counting behind an inverted
+        index, a substantial optimisation over the original).  The
+        report's ``extras`` carry the ST-Link diagnostics: ``k``, ``l``,
+        every co-occurring pair's ``scores`` and ``diversity``, the
+        ``ambiguous_entities``, ``candidates_considered``, and
+        ``window_join_comparisons`` — the record-pair count of the
+        original's sliding-window comparison (every cross-dataset record
+        pair sharing a temporal window), the cost model behind the paper's
+        "three orders of magnitude" comparison (Fig. 11d).
         """
         pipeline = LinkagePipeline(self.pipeline_config(), stages=self.stages())
         return pipeline.run(left, right)
-
-    def link(self, left: LocationDataset, right: LocationDataset) -> StLinkResult:
-        """Run ST-Link and return links plus diagnostics."""
-        report = self.link_report(left, right)
-        extras = report.extras
-        return StLinkResult(
-            links=report.links,
-            scores=extras["scores"],
-            k=extras["k"],
-            l=extras["l"],
-            ambiguous_entities=extras["ambiguous_entities"],
-            record_comparisons=extras["record_comparisons"],
-            runtime_seconds=report.runtime_seconds,
-            candidates_considered=extras["candidates_considered"],
-            diversity=extras["diversity"],
-            window_join_comparisons=extras["window_join_comparisons"],
-        )
-
-
-class _StLinkPrepare:
-    """Windowing + histories at the ST-Link spatial level."""
-
-    name = STAGE_PREPARE
-
-    def __init__(self, config: StLinkConfig) -> None:
-        self.config = config
-
-    def run(self, context: LinkageContext) -> None:
-        left, right = context.left, context.right
-        windowing = common_windowing(
-            (left.time_range(), right.time_range()),
-            self.config.window_width_seconds,
-        )
-        latest = max(left.time_range()[1], right.time_range()[1])
-        context.windowing = windowing
-        context.total_windows = windowing.index_of(latest) + 1
-        context.left_histories = build_histories(
-            left, windowing, self.config.spatial_level
-        )
-        context.right_histories = build_histories(
-            right, windowing, self.config.spatial_level
-        )
 
 
 class _StLinkCandidates:
@@ -347,9 +283,11 @@ class _StLinkCandidates:
             context.left_histories, context.right_histories
         )
         context.candidates = sorted(counts)
+        context.stats = SimilarityStats(
+            pairs_scored=len(counts), bin_comparisons=comparisons
+        )
         context.extras["counts"] = counts
         context.extras["locations"] = locations
-        context.extras["record_comparisons"] = comparisons
 
 
 class _StLinkScoring:
@@ -366,7 +304,7 @@ class _StLinkScoring:
         config = linker.config
         counts: Dict[Tuple[str, str], int] = context.extras["counts"]
         locations: Dict[Tuple[str, str], Set[int]] = context.extras["locations"]
-        comparisons: int = context.extras["record_comparisons"]
+        stats = context.stats
 
         k = config.k if config.k is not None else linker._knee_threshold(
             list(counts.values())
@@ -398,7 +336,7 @@ class _StLinkScoring:
                 runaway,
                 distance_cache,
             )
-            comparisons += spent
+            stats.bin_comparisons += spent
             if alibis <= config.alibi_tolerance:
                 edges.append(Edge(pair[0], pair[1], scores[pair]))
 
@@ -418,13 +356,9 @@ class _StLinkScoring:
         )
 
         context.edges = EdgeSet.from_edges(edges)
-        context.stats = SimilarityStats(
-            pairs_scored=len(counts), bin_comparisons=comparisons
-        )
         context.extras.update(
             k=k,
             l=l,
-            record_comparisons=comparisons,
             candidates_considered=candidates_considered,
             diversity={pair: len(cells) for pair, cells in locations.items()},
             window_join_comparisons=window_join,

@@ -34,7 +34,7 @@ Quickstart::
     report = LinkagePipeline(LinkageConfig(threshold="otsu")).run(left, right)
     print(report.links, report.timings)
 
-The baselines' ``link_report`` runs on this package too.
+The baselines' ``link`` runs on this package too.
 """
 
 from ..registry import Registry

@@ -40,7 +40,7 @@ from ..core.score_cache import ScoreCache
 from ..core.similarity import SimilarityEngine, SimilarityStats
 from ..core.threshold import ThresholdDecision
 from ..data.records import LocationDataset
-from ..temporal import Windowing
+from ..temporal import Windowing, common_windowing
 from .report import LinkageReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,6 +102,20 @@ class LinkageContext:
     shard_timings: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     stage_names: List[str] = field(default_factory=list)
     extras: Dict[str, object] = field(default_factory=dict)
+
+    def window(self, width_seconds: float) -> Windowing:
+        """Set (and return) the common windowing of ``left`` and ``right``
+        at ``width_seconds`` plus ``total_windows`` — the prelude of every
+        prepare stage."""
+        left, right = self.left, self.right
+        if left is None or right is None:
+            raise ValueError("prepare stage needs both datasets on the context")
+        self.windowing = common_windowing(
+            (left.time_range(), right.time_range()), width_seconds
+        )
+        latest = max(left.time_range()[1], right.time_range()[1])
+        self.total_windows = self.windowing.index_of(latest) + 1
+        return self.windowing
 
     def release_executors(self) -> None:
         """Shut down every stage-owned executor (idempotent; borrowed

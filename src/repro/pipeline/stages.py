@@ -61,7 +61,6 @@ from ..core.threshold import (
 from ..exec import Executor, create_executor, raise_on_task_errors
 from ..lsh.index import LshIndex
 from ..registry import Registry
-from ..temporal import common_windowing
 from .context import LinkageContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,6 +179,24 @@ threshold_methods.register("none")(no_threshold)
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
+class _HistoryPrepare:
+    """Common windowing plus both sides' histories at one spatial level —
+    the whole prepare stage of the ST-Link and POIS baselines, and the
+    first half of :class:`PrepareStage`."""
+
+    name = STAGE_PREPARE
+
+    def __init__(self, width_seconds: float, level: int) -> None:
+        self.width_seconds = width_seconds
+        self.level = level
+
+    def run(self, context: LinkageContext) -> None:
+        windowing = context.window(self.width_seconds)
+        level = self.level
+        context.left_histories = build_histories(context.left, windowing, level)
+        context.right_histories = build_histories(context.right, windowing, level)
+
+
 class PrepareStage:
     """Common windowing, mobility histories and corpus statistics.
 
@@ -193,21 +210,11 @@ class PrepareStage:
         self.config = config
 
     def run(self, context: LinkageContext) -> None:
-        left, right = context.left, context.right
-        if left is None or right is None:
-            raise ValueError("prepare stage needs both datasets on the context")
         config = self.config
-        windowing = common_windowing(
-            (left.time_range(), right.time_range()),
+        _HistoryPrepare(
             config.similarity.window_width_seconds,
-        )
-        latest = max(left.time_range()[1], right.time_range()[1])
-        context.windowing = windowing
-        context.total_windows = windowing.index_of(latest) + 1
-
-        storage = config.resolved_storage_level()
-        context.left_histories = build_histories(left, windowing, storage)
-        context.right_histories = build_histories(right, windowing, storage)
+            config.resolved_storage_level(),
+        ).run(context)
         level = config.similarity.spatial_level
         if context.score_cache is None:
             context.left_corpus = HistoryCorpus(context.left_histories, level)

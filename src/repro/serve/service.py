@@ -148,9 +148,6 @@ class LinkageService:
         The :class:`~repro.pipeline.config.LinkageConfig` (its
         ``serve_*`` fields configure the ingest queue; its
         ``executor`` / ``workers`` drive the relink's scoring fan-out).
-    queue_depth, backpressure:
-        Keyword overrides of the config's ``serve_queue_depth`` /
-        ``serve_backpressure``.
     max_pending_per_source:
         At most this many queued-but-unapplied events per ``source``
         label (0 = unbounded).  A producer at its cap blocks or rejects
@@ -183,24 +180,11 @@ class LinkageService:
         origin: float,
         config: Optional[LinkageConfig] = None,
         *,
-        queue_depth: Optional[int] = None,
-        backpressure: Optional[str] = None,
         max_pending_per_source: int = 0,
         linker: Optional[StreamingLinker] = None,
         state_dir: Optional[object] = None,
     ) -> None:
-        # The overrides are config fields: folding them into the config
-        # validates them by the fields' own declarations (errors name the
-        # field), whichever way a value arrived.
-        overrides = {
-            "serve_queue_depth": queue_depth,
-            "serve_backpressure": backpressure,
-        }
-        self.config = (config if config is not None else LinkageConfig()).without(
-            **{name: value for name, value in overrides.items() if value is not None}
-        )
-        self.queue_depth = self.config.serve_queue_depth
-        self.backpressure = self.config.serve_backpressure
+        self.config = config if config is not None else LinkageConfig()
         if max_pending_per_source < 0:
             raise ValueError(
                 "max_pending_per_source must be >= 0 (0 = unbounded), "
@@ -228,6 +212,8 @@ class LinkageService:
         self._watermark = (
             restored.watermark if restored is not None else float("-inf")
         )
+        # Event time accepted since the writer last drained the queue.
+        self._pending_watermark = float("-inf")
         self._started_at: Optional[float] = None
         # Whether the linker holds events no published snapshot shows (a
         # flush with nothing queued relinks only then): version 0 shows
@@ -244,7 +230,7 @@ class LinkageService:
         """Start the pump; idempotent start is an error (stop first)."""
         if self._pump_task is not None:
             raise RuntimeError("service already started")
-        self._queue = asyncio.Queue(maxsize=self.queue_depth)
+        self._queue = asyncio.Queue(maxsize=self.config.serve_queue_depth)
         self._source_waiters = asyncio.Condition()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="slim-link-serve"
@@ -307,9 +293,9 @@ class LinkageService:
             _Event("observe", side=side, records=batch, source=source)
         )
         self.counters.records_in += len(batch)
-        self._watermark = max(
-            self._watermark, max(record.timestamp for record in batch)
-        )
+        latest = max(record.timestamp for record in batch)
+        self._watermark = max(self._watermark, latest)
+        self._pending_watermark = max(self._pending_watermark, latest)
         return len(batch)
 
     async def retire(
@@ -349,7 +335,7 @@ class LinkageService:
             raise RuntimeError("service is not running (call start())")
         await self._acquire_source_slot(event)
         try:
-            if force or self.backpressure == "block":
+            if force or self.config.serve_backpressure == "block":
                 if self._queue.full():
                     self.counters.blocked += 1
                 await self._queue.put(event)
@@ -359,8 +345,8 @@ class LinkageService:
                 except asyncio.QueueFull:
                     self.counters.rejected += 1
                     raise BackpressureError(
-                        f"ingest queue full ({self.queue_depth} events) and "
-                        "serve_backpressure='reject'"
+                        f"ingest queue full ({self.config.serve_queue_depth} "
+                        "events) and serve_backpressure='reject'"
                     ) from None
         except BaseException:
             self._release_source_slot(event)
@@ -376,7 +362,7 @@ class LinkageService:
             return
         assert self._source_waiters is not None
         pending = self._pending_by_source
-        if self.backpressure == "reject":
+        if self.config.serve_backpressure == "reject":
             if pending.get(event.source, 0) >= self.max_pending_per_source:
                 self.counters.rejected += 1
                 raise BackpressureError(
@@ -421,9 +407,10 @@ class LinkageService:
             events = [] if stopping else [await self._queue.get()]
             while not self._queue.empty():
                 events.append(self._queue.get_nowait())
-            # The queue is empty now, so the front end's tallies cover
-            # exactly the events applied so far.
-            covered = (self._watermark, self.counters.records_in)
+            # The queue is empty now, so the record tally covers exactly
+            # the events drained so far.
+            records_ingested = self.counters.records_in
+            self._pending_watermark = float("-inf")
             batch: List[_Event] = []
             flush_futures: List[asyncio.Future] = []
             for event in events:
@@ -436,7 +423,7 @@ class LinkageService:
                     batch.append(event)
             await self._notify_source_waiters()
             if batch or (flush_futures and self._unpublished):
-                await self._apply(batch, flush_futures, covered)
+                await self._apply(batch, flush_futures, records_ingested)
             for future in flush_futures:
                 if not future.done():
                     future.set_result(self._snapshot)
@@ -448,38 +435,31 @@ class LinkageService:
         self,
         batch: List[_Event],
         flush_futures: List[asyncio.Future],
-        covered: Tuple[float, int],
+        records_ingested: int,
     ) -> None:
         """Fold one batch in and relink in the worker thread, then publish
-        and persist.  ``covered`` is the (watermark, records ingested)
-        of every event applied so far — what the published snapshot
-        shows.
+        and persist.  ``records_ingested`` counts the records of every
+        event drained so far; the published snapshot shows it, less the
+        refused ones, and the linker's own watermark after the apply.
 
         An event the linker refuses (a retire of an unknown id, records
-        before the origin) is rejected alone: it leaves the ingest tallies
-        and the published snapshot, the rest of the batch is applied,
-        relinked, published and persisted, and then the flush callers get
-        the first such error.  Every failure — each rejected event and a
-        failed relink — counts in ``relink_failures``, and the last one is
-        ``last_error``; the pump itself survives."""
+        before the origin) is rejected alone: it leaves the ingest tallies,
+        the front end's watermark and the published snapshot, the rest of
+        the batch is applied, relinked, published and persisted, and then
+        the flush callers get the first such error.  Every failure — each
+        rejected event and a failed relink — counts in
+        ``relink_failures``, and the last one is ``last_error``; the pump
+        itself survives."""
         assert self._pool is not None
         loop = asyncio.get_running_loop()
         applied: List[_Event] = []
-        failures: List[BaseException] = []
-        stale = self._unpublished
-        report: Optional[LinkageReport] = None
-        relink_seconds = 0.0
-        try:
-            report, relink_seconds = await loop.run_in_executor(
-                self._pool, self._apply_batch, batch, applied, failures, stale
-            )
-        except asyncio.CancelledError:
-            raise
-        except BaseException as error:
-            # The linker rolled itself back (PR 6 transaction): the batch
-            # stays folded in and rides along with the next relink, the
-            # previous snapshot keeps serving.
-            failures.append(error)
+        failures: List[Exception] = []
+        report, relink_seconds, watermark = await loop.run_in_executor(
+            self._pool, self._apply_batch, batch, applied, failures, self._unpublished
+        )
+        # What the linker holds plus what was accepted since the drain: a
+        # refused event's time is in neither.
+        self._watermark = max(watermark, self._pending_watermark)
         if failures:
             self.counters.relink_failures += len(failures)
             self.last_error = failures[-1]
@@ -488,11 +468,11 @@ class LinkageService:
             if id(event) not in held:  # never folded in
                 self.counters.records_in -= len(event.records)
                 self.counters.records_retired -= len(event.entity_ids)
-                covered = (covered[0], covered[1] - len(event.records))
+                records_ingested -= len(event.records)
         if applied:
             self._unpublished = True
         if report is not None:
-            self._publish(report, relink_seconds, *covered)
+            self._publish(report, relink_seconds, watermark, records_ingested)
         if self._checkpointer is not None and (applied or report is not None):
             # Every applied batch is persisted — a one-sided or rolled-back
             # one too, its events stay folded in — so the log has no gap.
@@ -520,43 +500,49 @@ class LinkageService:
 
     def _apply_batch(
         self, batch: List[_Event], applied: List[_Event],
-        rejected: List[BaseException], unpublished: bool,
-    ) -> Tuple[Optional[LinkageReport], float]:
+        failures: List[Exception], unpublished: bool,
+    ) -> Tuple[Optional[LinkageReport], float, float]:
         """Worker-thread body: observe/retire the batch, then relink.
+        Returns the relink's report (``None`` when nothing was relinked),
+        its seconds, and the linker's watermark after the apply.
 
         The linker is only ever mutated here (the pump awaits this call
         before dispatching the next batch; persists run on the same
         worker thread), so the single-writer contract holds without
         locks.  Each event joins ``applied`` once the linker holds it,
         or its validation error (:class:`KeyError`, :class:`ValueError`)
-        joins ``rejected``: observe and retire validate before they
+        joins ``failures``: observe and retire validate before they
         mutate, so a refused event leaves the linker as it was and the
         rest of the batch still applies.  Nothing is relinked when every
         event was refused and the published snapshot already shows the
-        linker (``unpublished`` false).  A relink that raises rolls the
-        linker back to its pre-relink state (PR 6 transaction) — the
+        linker (``unpublished`` false), nor while one side is empty (the
+        events are folded in and the current snapshot keeps serving).
+        Any other error joins ``failures`` too; a relink that raises rolls
+        the linker back to its pre-relink state (its own transaction) — the
         observed events stay folded in and ride along with the next
-        attempt.
+        attempt, and the previous snapshot keeps serving.
         """
-        for event in batch:
-            try:
-                if event.kind == "observe":
-                    self.linker.observe(event.side, list(event.records))
+        linker = self.linker
+        try:
+            for event in batch:
+                try:
+                    if event.kind == "observe":
+                        linker.observe(event.side, list(event.records))
+                    else:
+                        linker.retire(event.side, event.entity_ids)
+                except (KeyError, ValueError) as error:
+                    failures.append(error)
                 else:
-                    self.linker.retire(event.side, event.entity_ids)
-            except (KeyError, ValueError) as error:
-                rejected.append(error)
-            else:
-                applied.append(event)
-        if not (applied or unpublished):
-            return None, 0.0
-        if not self.linker.num_left_entities or not self.linker.num_right_entities:
-            # One-sided state cannot relink yet; the events are folded in
-            # and the current snapshot keeps serving.
-            return None, 0.0
-        clock = time.perf_counter()
-        report = self.linker.relink()
-        return report, time.perf_counter() - clock
+                    applied.append(event)
+            if (applied or unpublished) and (
+                linker.num_left_entities and linker.num_right_entities
+            ):
+                clock = time.perf_counter()
+                report = linker.relink()
+                return report, time.perf_counter() - clock, linker.watermark
+        except Exception as error:
+            failures.append(error)
+        return None, 0.0, linker.watermark
 
     def _publish(
         self,

@@ -94,13 +94,13 @@ class TestLinkage:
     def test_scores_cover_all_pairs(self, gm_pair):
         """GM has no blocking: every cross pair receives a score."""
         result = GmLinker().link(gm_pair.left, gm_pair.right)
-        assert len(result.scores) == (
+        assert len(result.extras["scores"]) == (
             gm_pair.left.num_entities * gm_pair.right.num_entities
         )
 
     def test_record_comparisons_scale_with_records(self, gm_pair):
         result = GmLinker().link(gm_pair.left, gm_pair.right)
-        assert result.record_comparisons > gm_pair.left.num_records
+        assert result.stats.bin_comparisons > gm_pair.left.num_records
 
     def test_cross_window_pairs_award(self):
         """GM awards record pairs from different windows (decayed), unlike
@@ -117,7 +117,7 @@ class TestLinkage:
         )
         linker = GmLinker(GmConfig(max_window_gap=4))
         result = linker.link(left, right)
-        assert result.scores[("u", "v")] > 0.0
+        assert result.extras["scores"][("u", "v")] > 0.0
 
     def test_gap_zero_ignores_cross_window(self):
         base = 1_000_000.0
@@ -131,4 +131,4 @@ class TestLinkage:
         )
         linker = GmLinker(GmConfig(max_window_gap=0, missing_weight=0.0))
         result = linker.link(left, right)
-        assert result.scores[("u", "v")] == 0.0
+        assert result.extras["scores"][("u", "v")] == 0.0

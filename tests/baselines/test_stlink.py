@@ -32,16 +32,16 @@ class TestLinkage:
 
     def test_auto_k_l_detected(self, cab_pair):
         result = StLinkLinker().link(cab_pair.left, cab_pair.right)
-        assert result.k >= 1
-        assert result.l >= 1
+        assert result.extras["k"] >= 1
+        assert result.extras["l"] >= 1
 
     def test_explicit_k_l_respected(self, cab_pair):
         result = StLinkLinker(StLinkConfig(k=5, l=2)).link(
             cab_pair.left, cab_pair.right
         )
-        assert result.k == 5 and result.l == 2
+        assert result.extras["k"] == 5 and result.extras["l"] == 2
         for pair in result.links.items():
-            assert result.scores[pair] >= 5
+            assert result.extras["scores"][pair] >= 5
 
     def test_huge_k_yields_no_links(self, cab_pair):
         result = StLinkLinker(StLinkConfig(k=10**9, l=1)).link(
@@ -56,14 +56,14 @@ class TestLinkage:
         strict = StLinkLinker(StLinkConfig(alibi_tolerance=0)).link(
             cab_pair.left, cab_pair.right
         )
-        assert len(strict.links) <= len(lax.links) + len(strict.ambiguous_entities)
+        ambiguous = strict.extras["ambiguous_entities"]
+        assert len(strict.links) <= len(lax.links) + len(ambiguous)
 
     def test_scores_rank_true_pairs_high(self, cab_pair):
         result = StLinkLinker().link(cab_pair.left, cab_pair.right)
-        truth_scores = [
-            result.scores.get(pair, 0.0) for pair in cab_pair.ground_truth.items()
-        ]
-        all_scores = list(result.scores.values())
+        scores = result.extras["scores"]
+        truth_scores = [scores.get(pair, 0.0) for pair in cab_pair.ground_truth.items()]
+        all_scores = list(scores.values())
         if truth_scores and all_scores:
             import numpy as np
 
@@ -71,7 +71,7 @@ class TestLinkage:
 
     def test_record_comparisons_counted(self, cab_pair):
         result = StLinkLinker().link(cab_pair.left, cab_pair.right)
-        assert result.record_comparisons > 0
+        assert result.stats.bin_comparisons > 0
         assert result.runtime_seconds > 0
 
     def test_low_evidence_no_better_than_slim(self, sm_world):

@@ -449,11 +449,8 @@ class TestIdleFlush:
 class TestBackpressure:
     def test_reject_raises_when_queue_full(self):
         async def run():
-            service = LinkageService(
-                origin=0.0,
-                queue_depth=2,
-                backpressure="reject",
-            )
+            config = LinkageConfig(serve_queue_depth=2, serve_backpressure="reject")
+            service = LinkageService(origin=0.0, config=config)
             gate, entered = threading.Event(), threading.Event()
             _gate(service, "relink", gate, entered)
             async with service:
@@ -477,11 +474,8 @@ class TestBackpressure:
 
     def test_block_waits_for_capacity_then_completes(self):
         async def run():
-            service = LinkageService(
-                origin=0.0,
-                queue_depth=1,
-                backpressure="block",
-            )
+            config = LinkageConfig(serve_queue_depth=1, serve_backpressure="block")
+            service = LinkageService(origin=0.0, config=config)
             gate, entered = threading.Event(), threading.Event()
             _gate(service, "relink", gate, entered)
             async with service:
@@ -511,7 +505,8 @@ class TestBackpressure:
         as the writer drains, and every event is published."""
 
         async def run():
-            service = LinkageService(origin=0.0, queue_depth=3, backpressure="block")
+            config = LinkageConfig(serve_queue_depth=3, serve_backpressure="block")
+            service = LinkageService(origin=0.0, config=config)
             gate, entered = threading.Event(), threading.Event()
             _gate(service, "relink", gate, entered)
             async with service:
@@ -538,11 +533,9 @@ class TestBackpressure:
 
     def test_per_source_cap_rejects_chatty_source_only(self):
         async def run():
+            config = LinkageConfig(serve_queue_depth=100, serve_backpressure="reject")
             service = LinkageService(
-                origin=0.0,
-                queue_depth=100,
-                backpressure="reject",
-                max_pending_per_source=1,
+                origin=0.0, config=config, max_pending_per_source=1
             )
             gate = threading.Event()
             _gate(service, "relink", gate)
@@ -677,6 +670,31 @@ class TestRetire:
         assert dict(restarted.links) == dict(report.links) == _LINKS
         assert restarted.link_scores == report.link_scores
 
+    def test_a_refused_record_moves_no_watermark(self):
+        """A record the linker refuses (NaN latitude) drained in one batch
+        with good ones: the snapshot publishes the linker's watermark, not
+        the refused record's time, and the front end's watermark drops it
+        too (zero staleness).  The next good record moves both."""
+
+        async def run():
+            async with LinkageService(origin=1000.0) as service:
+                await service.submit("left", [_rec("u", 2000.0)])
+                await service.submit("right", [_rec("v", 2100.0)])
+                await service.submit("left", [_rec("bad", 99999.0, lat=math.nan)])
+                with pytest.raises(ValueError):
+                    await service.flush()
+                refused = (service.snapshot(), service.metrics()["staleness_s"])
+                await service.submit("left", [_rec("u", 2200.0)])
+                return refused, await service.flush(), service
+
+        (snapshot, staleness), after, service = asyncio.run(run())
+        assert snapshot.version == 1  # the three records drained as one batch
+        assert snapshot.watermark == 2100.0
+        assert staleness == 0.0
+        assert snapshot.records_ingested == 2
+        assert after.watermark == 2200.0 == service.linker.watermark
+        assert service.metrics()["staleness_s"] == 0.0
+
 
 class TestRelinkFailure:
     def test_failed_relink_keeps_pump_alive_and_snapshot_serving(self):
@@ -777,27 +795,31 @@ class TestMetricsAndReporting:
 class TestValidation:
     def test_unknown_backpressure_policy_named(self):
         with pytest.raises(ValueError, match="serve_backpressure"):
-            LinkageService(origin=0.0, backpressure="bogus")
+            LinkageService(origin=0.0, config=LinkageConfig(serve_backpressure="bogus"))
 
     def test_bad_queue_depth_named(self):
         with pytest.raises(ValueError, match="serve_queue_depth"):
-            LinkageService(origin=0.0, queue_depth=0)
+            LinkageService(origin=0.0, config=LinkageConfig(serve_queue_depth=0))
 
     def test_bad_source_cap_named(self):
         with pytest.raises(ValueError, match="max_pending_per_source"):
             LinkageService(origin=0.0, max_pending_per_source=-1)
 
     def test_config_serve_fields_flow_through(self):
-        config = LinkageConfig(
-            serve_queue_depth=7,
-            serve_backpressure="reject",
-        )
-        service = LinkageService(origin=0.0, config=config)
-        assert service.queue_depth == 7
-        assert service.backpressure == "reject"
+        config = LinkageConfig(serve_queue_depth=7, serve_backpressure="reject")
 
-    @pytest.mark.parametrize("keyword", ["batch_records", "max_staleness"])
-    def test_debounce_keywords_are_gone(self, keyword):
+        async def run():
+            async with LinkageService(origin=0.0, config=config) as service:
+                return service, service._queue.maxsize
+
+        service, maxsize = asyncio.run(run())
+        assert service.config is config
+        assert maxsize == 7
+
+    @pytest.mark.parametrize(
+        "keyword", ["batch_records", "max_staleness", "queue_depth", "backpressure"]
+    )
+    def test_retired_keywords_are_gone(self, keyword):
         with pytest.raises(TypeError, match=keyword):
             LinkageService(origin=0.0, **{keyword: 1})
 
@@ -805,11 +827,3 @@ class TestValidation:
     def test_debounce_fields_are_gone(self, name):
         with pytest.raises(ValueError, match=f"unknown LinkageConfig field '{name}'"):
             LinkageConfig.from_dict({name: 1})
-
-    def test_keyword_overrides_beat_config(self):
-        config = LinkageConfig(serve_queue_depth=7, serve_backpressure="reject")
-        service = LinkageService(
-            origin=0.0, config=config, queue_depth=9, backpressure="block"
-        )
-        assert service.queue_depth == 9
-        assert service.backpressure == "block"

@@ -142,6 +142,7 @@ SERVICE_STATE_TABLE: Dict[str, Dict[str, Set[str]]] = {
             "_pending_by_source",
             "_source_waiters",
             "_watermark",
+            "_pending_watermark",
             "_started_at",
             "_snapshot",
             "last_error",
