@@ -442,10 +442,13 @@ class HistoryCorpus:
         Scans the backing histories for version changes (and new
         entities), re-derives exactly those in one array pass, updates
         size / average / document frequencies, extends the flat columns,
-        and invalidates the per-entity caches the delta made stale.  Cost
-        is proportional to the changed histories (plus vectorized passes
-        over the document-frequency table and the flats), not to the
-        corpus.  Building a corpus is this, from empty.
+        and invalidates the per-entity caches the delta made stale.
+        Finding the delta is an O(corpus) scan: every backing history's
+        version is compared with the one its residency recorded, and
+        every resident is checked for deletion.  Folding it in costs in
+        proportion to the changed histories (plus vectorized passes over
+        the document-frequency table and the flats).  Building a corpus
+        is this, from empty.
 
         Entities *deleted* from the backing mapping since the last refresh
         are retired symmetrically: their slices are retracted, the garbage

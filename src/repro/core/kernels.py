@@ -349,28 +349,66 @@ def _directories(
     )
 
 
+class PairBlock:
+    """A block of pairs with each side's distinct entities coded once:
+    ``left_ids[left[i]]`` and ``right_ids[right[i]]`` are pair ``i``'s
+    ids.  What the numpy route hands the kernel (it codes each block's
+    pair codes with one ``np.unique`` per side); ``len`` is the pair
+    count."""
+
+    __slots__ = ("left_ids", "left", "right_ids", "right")
+
+    def __init__(
+        self,
+        left_ids: Sequence[str],
+        left: np.ndarray,
+        right_ids: Sequence[str],
+        right: np.ndarray,
+    ) -> None:
+        self.left_ids = left_ids
+        self.left = left
+        self.right_ids = right_ids
+        self.right = right
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    @classmethod
+    def of(cls, pairs: "PairBlock | Sequence[Tuple[str, str]]") -> "PairBlock":
+        """``(left id, right id)`` pairs coded in first-appearance order
+        (a ``PairBlock`` is returned as is)."""
+        if isinstance(pairs, PairBlock):
+            return pairs
+        codes_u: Dict[str, int] = {}
+        codes_v: Dict[str, int] = {}
+        count = len(pairs)
+        left = np.fromiter(
+            (codes_u.setdefault(u, len(codes_u)) for u, _ in pairs), np.int64, count
+        )
+        right = np.fromiter(
+            (codes_v.setdefault(v, len(codes_v)) for _, v in pairs), np.int64, count
+        )
+        return cls(list(codes_u), left, list(codes_v), right)
+
+
 def _window_join(
-    left: HistoryCorpus, right: HistoryCorpus, pairs: Sequence[Tuple[str, str]]
+    left: HistoryCorpus,
+    right: HistoryCorpus,
+    pairs: "PairBlock | Sequence[Tuple[str, str]]",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(pair, off_u, count_u, off_v, count_v)``: one row per window both
     entities of a pair are active in, pair-major, windows ascending.
 
-    Each side's distinct entities are coded once, in first-appearance
-    order, and their directories laid end to end.  A right row is keyed
+    Each side's distinct entities (a :class:`PairBlock`'s, coded once)
+    have their directories laid end to end.  A right row is keyed
     ``code << 32 | window`` — sorted, since codes ascend and so does each
     directory, and windows fit 32 bits — and every pair's left windows,
     expanded ragged, probe those keys with one ``searchsorted``.
     """
-    codes_u: Dict[str, int] = {}
-    codes_v: Dict[str, int] = {}
-    code_u = np.fromiter(
-        (codes_u.setdefault(u, len(codes_u)) for u, _ in pairs), np.int64, len(pairs)
-    )
-    code_v = np.fromiter(
-        (codes_v.setdefault(v, len(codes_v)) for _, v in pairs), np.int64, len(pairs)
-    )
-    windows_u, offsets_u, counts_u, sizes_u = _directories(left, codes_u)
-    windows_v, offsets_v, counts_v, sizes_v = _directories(right, codes_v)
+    block = PairBlock.of(pairs)
+    code_u, code_v = block.left, block.right
+    windows_u, offsets_u, counts_u, sizes_u = _directories(left, block.left_ids)
+    windows_v, offsets_v, counts_v, sizes_v = _directories(right, block.right_ids)
     owner_v = np.repeat(np.arange(len(sizes_v)), sizes_v)
     # A sentinel above every probe makes each insertion point a real row.
     keys_v = np.append((owner_v << _ROW_BITS) | windows_v, np.iinfo(np.int64).max)
@@ -378,7 +416,7 @@ def _window_join(
     # Pair p's left windows, expanded: the k-th is left directory row
     # ``first row of code_u[p] + k``.
     spans = sizes_u[code_u]
-    pair_of = np.repeat(np.arange(len(pairs)), spans)
+    pair_of = np.repeat(np.arange(len(code_u)), spans)
     shift = (np.cumsum(sizes_u) - sizes_u)[code_u] - (np.cumsum(spans) - spans)
     row_u = np.arange(len(pair_of)) + np.repeat(shift, spans)
     probe = (code_v[pair_of] << _ROW_BITS) | windows_u[row_u]
@@ -391,7 +429,7 @@ def _window_join(
 def score_pairs_batch(
     left: HistoryCorpus,
     right: HistoryCorpus,
-    pairs: Sequence[Tuple[str, str]],
+    pairs: "PairBlock | Sequence[Tuple[str, str]]",
     config: "SimilarityConfig",
 ) -> BatchScoreResult:
     """Raw Eq. 2 totals of a block of candidate pairs through the

@@ -20,26 +20,43 @@ counters, keyed on ``(scoring space, pair, history versions)``:
 * the *history versions* (:attr:`~repro.core.history.MobilityHistory.version`)
   invalidate an entry automatically the moment either side's history grows.
 
+**Integer keys.**  The cache owns one append-only *entity table* per side
+(:class:`EntityTables`): an id gets an ``int32`` code the first time it
+is seen, and the codes map back through one id array per side.  Every
+scoring space and the streaming linker's pair table share these tables.
+A pair is the ``int64`` *pair code* ``left << 32 | right``; the batch
+calls (:meth:`ScoreCache.lookup_batch`, :meth:`ScoreCache.store_batch`,
+:meth:`ScoreCache.invalidate_pairs`) take code arrays, and strings stay
+at the edges: records in, edge rows out, and the :meth:`ScoreCache.checkpoint`
+capture, which holds ``(space, left id, right id)`` keys so a snapshot or
+cache file never depends on the codes of the process that wrote it.
+Codes are never reused, so a table grows with the distinct ids ever seen
+on its side, not with the live ones: on the 10k-entity retention bench
+(``benchmarks/bench_retention.py``: 50 rounds of 100 fresh entities per
+side, 213 per side resident at the end) both tables end at 5,000 ids,
+about 1.1 MB with the id strings they keep alive (~110 bytes per id).
+
 Storage is **columnar**: entries live in parallel numpy arrays (versions,
-raw totals, counters) behind one ``pair -> row`` directory, so the hot
-path of a streaming relink — thousands of lookups per
-:meth:`~repro.core.similarity.SimilarityEngine.score_batch` block — runs
-as :meth:`lookup_batch`: one directory pass builds the row vector, and
+raw totals, counters) behind one ``pair code -> row`` directory per
+space, so the hot path of a streaming relink — thousands of lookups per
+:meth:`~repro.core.similarity.SimilarityEngine.raw_batch` — runs as
+:meth:`lookup_batch`: one directory pass builds the row vector, and
 every version comparison, freshness mask and value gather is a single
 vectorized operation instead of a per-pair Python loop.
 
 The store under the directory is :class:`_Rows`, the keyed-rows
 primitive the streaming linker's pair table is built on as well: value
-columns behind a ``key -> row`` dict, a ``row -> key`` list, one
-**per-entity row index** per side (so :meth:`ScoreCache.invalidate_pairs`
-costs O(rows of the named entities), not a directory scan), a free list,
-and one **undo journal** (:meth:`ScoreCache._begin` /
-:meth:`ScoreCache._commit`) that gives the streaming relink its rollback
-at O(writes): rows are overwritten in place, the journal keeps the prior
-values of every block written, every link and unlink, and the rows taken
-from the free list, and a row freed inside a transaction is recycled
-only when it commits.  The O(cache) :meth:`ScoreCache.checkpoint`
-remains the one *full* capture, for snapshots and the cache file.
+columns behind the directories, and three *owner* columns per row (space,
+left code, right code; ``-1`` = free).  The rows of some entities are one
+vectorized pass over the two code columns (so
+:meth:`ScoreCache.invalidate_pairs` reads no directory), and one **undo
+journal** (:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives
+the streaming relink its rollback at O(writes): rows are overwritten in
+place, the journal keeps, as blocks of arrays, the prior values of every
+block written, every block of rows linked or unlinked, and the rows taken
+from the free list, and a row freed inside a transaction is recycled only
+when it commits.  The O(cache) :meth:`ScoreCache.checkpoint` remains the
+one *full* capture, for snapshots and the cache file.
 
 What version keys cannot see is *IDF drift*: a bin's document frequency —
 and hence the idf weight inside some *other*, unchanged pair — can move
@@ -65,33 +82,38 @@ the entry above, so re-store first):
 
 >>> entry = cache.store("space", "u", "v", 1, 0, raw=1.4,
 ...                     bin_comparisons=4, common_windows=2, alibi_bin_pairs=0)
->>> cache.invalidate_pairs({"u"}, set())
+>>> cache.invalidate_pairs(*cache.entities.codes({"u"}, ()))
 1
 >>> len(cache)
 0
 
-Batch lookups vectorize the same semantics over version *arrays*:
+Batch lookups vectorize the same semantics over code and version
+*arrays*:
 
 >>> import numpy as np
+>>> pairs = cache.entities.pair_codes([("u", "v"), ("w", "x")])
 >>> _ = cache.store_batch(
-...     "space", [("u", "v"), ("w", "x")],
+...     "space", pairs,
 ...     np.array([1, 0]), np.array([0, 0]),
 ...     raw=np.array([1.4, 2.0]),
 ...     bin_comparisons=np.array([4, 2]),
 ...     common_windows=np.array([2, 1]),
 ...     alibi_bin_pairs=np.array([0, 0]))
 >>> batch = cache.lookup_batch(
-...     "space", [("u", "v"), ("w", "x")],
-...     np.array([1, 9]), np.array([0, 0]))
+...     "space", pairs, np.array([1, 9]), np.array([0, 0]))
 >>> batch.hit.tolist(), batch.raw.tolist()
 ([True, False], [1.4, 0.0])
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import astuple, dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -102,8 +124,76 @@ __all__ = ["PairScore", "ScoreCache", "CacheBatch"]
 #: Initial row capacity of the columnar store.
 _MIN_CAPACITY = 256
 
-#: A directory key: ``(scoring space, left entity, right entity)``.
-Key = Tuple[Hashable, str, str]
+#: The right code's bits in a pair code ``left << 32 | right``.
+_RIGHT = (1 << 32) - 1
+
+
+def pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left << 32 | right``, as int64."""
+    return (np.asarray(left, np.int64) << 32) | np.asarray(right, np.int64)
+
+
+def split_codes(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The left and right entity codes of each pair code."""
+    return pairs >> 32, pairs & _RIGHT
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort (``np.unique`` hashes,
+    which is many times slower on wide-ranged codes)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def within(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """``values[i] in ascending``, for an ascending array: one bisection."""
+    if not len(ascending):
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(ascending, values), len(ascending) - 1)
+    return ascending[at] == values
+
+
+class EntityTables:
+    """Both sides' append-only entity tables (side 0 = left, 1 = right):
+    an id gets the next ``int32`` code the first time it is encoded, and
+    :meth:`ids` maps codes back through one id array per side.  Codes
+    are never reused or renumbered."""
+
+    def __init__(self) -> None:
+        self._codes: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
+        self._ids = [np.empty(0, dtype=object), np.empty(0, dtype=object)]
+
+    def encode(self, side: int, ids: Iterable[str]) -> np.ndarray:
+        """The codes of ``ids`` (int64, in order), coding unseen ids (in
+        sorted order)."""
+        codes, ids = self._codes[side], list(ids)
+        new = sorted(set(ids).difference(codes))
+        if new:
+            codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+            self._ids[side] = np.append(self._ids[side], np.array(new, dtype=object))
+        return np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
+
+    def codes(
+        self, lefts: Iterable[str], rights: Iterable[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The codes of some left ids and of some right ids."""
+        return self.encode(0, lefts), self.encode(1, rights)
+
+    def pair_codes(self, pairs: Sequence[Tuple[str, str]]) -> np.ndarray:
+        """The pair codes of ``(left id, right id)`` pairs."""
+        return pair_codes(*self.codes(*(zip(*pairs) if len(pairs) else ((), ()))))
+
+    def ids(self, side: int, codes: np.ndarray) -> np.ndarray:
+        """The ids of ``codes``, as an object array."""
+        return self._ids[side][codes]
+
+    def spread(self, side: int, read: Callable, codes: np.ndarray) -> np.ndarray:
+        """``read`` over the ids of each distinct entity of ``codes``
+        once, spread back to one value per code."""
+        unique, inverse = np.unique(codes, return_inverse=True)
+        return read(self._ids[side][unique])[inverse]
 
 
 @dataclass(frozen=True)
@@ -138,28 +228,46 @@ class CacheBatch:
 
 class _Journal:
     """What one transaction changed in a :class:`_Rows` store, in order:
-    ``events`` — ``(linked, row, key)``, True = linked, False = unlinked;
-    ``written`` — ``(rows, prior values)`` per block of rows written;
-    ``from_free`` — the rows taken from the free list; and, as of
-    :meth:`_Rows._begin`, the high-water mark and the owner's
+    ``events`` — ``(linked, rows, owners)`` per block of rows, True =
+    linked, False = unlinked (``owners`` being the ``(3, k)`` owner
+    columns they held); ``written`` — ``(rows, prior values)`` per block
+    of rows written; ``from_free`` — the rows taken from the free list;
+    and, as of :meth:`_Rows._begin`, the high-water mark and the owner's
     ``_SCALARS``."""
 
     __slots__ = ("events", "written", "from_free", "high", "scalars")
 
     def __init__(self, high: int, scalars: Dict[str, object]) -> None:
-        self.events: List[Tuple[bool, int, Hashable]] = []
+        self.events: List[Tuple[bool, np.ndarray, Optional[np.ndarray]]] = []
         self.written: List[Tuple[np.ndarray, List[np.ndarray]]] = []
         self.from_free: List[int] = []
         self.high = high
         self.scalars = scalars
 
 
+def _member(column: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
+    """``column[i] in codes`` for a code column whose free rows hold -1
+    (``codes`` below ``size``): one mark array, one gather."""
+    mark = np.zeros(size + 1, dtype=bool)
+    mark[codes] = True
+    return mark[column]
+
+
+def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``array`` with its last axis grown to ``size``, filled with ``fill``."""
+    grown = np.full(array.shape[:-1] + (size,), fill, array.dtype)
+    grown[..., : array.shape[-1]] = array
+    return grown
+
+
 class _Rows:
-    """Keyed rows: value columns (one per ``_DTYPES`` entry) behind a
-    ``key -> row`` directory, with a ``row -> key`` list (``None`` = free;
-    its length is the high-water mark), one entity -> rows index per side
-    (keyed by the key's last two items), a free list, and columns that
-    grow by doubling into zeros.
+    """Keyed rows: value columns (one per ``_DTYPES`` entry) behind one
+    ``pair code -> row`` directory per integer space, the ``(3, rows)``
+    owner columns ``_owner`` (space, left code, right code; ``-1`` = a
+    free row; ``int64``, so a gather through them indexes without a
+    conversion copy) up to the high-water mark ``_high``, a free list, and
+    columns that grow by doubling into zeros.  Codes come from
+    ``entities``, which the store shares and never changes.
 
     One undo journal makes a transaction cost O(writes): between
     :meth:`_begin` and :meth:`_commit`, rows are still overwritten in
@@ -173,78 +281,102 @@ class _Rows:
     #: The owner's attributes a rollback puts back.
     _SCALARS: Tuple[str, ...] = ()
 
-    def __init__(self) -> None:
+    def __init__(self, entities: Optional[EntityTables] = None) -> None:
+        self.entities = EntityTables() if entities is None else entities
         self._reset()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self._rows.values()))
 
     def _reset(self, capacity: int = 0) -> None:
         """Become empty, with zeroed columns of ``capacity`` rows."""
-        self._rows: Dict[Hashable, int] = {}
-        self._keys: List[Optional[Hashable]] = []
-        self._by_entity: Tuple[Dict[str, Set[int]], Dict[str, Set[int]]] = ({}, {})
+        self._rows: Dict[int, Dict[int, int]] = {}
+        self._high = 0
+        self._owner = np.full((3, capacity), -1, dtype=np.int64)
         self._free: List[int] = []
         self._journal: Optional[_Journal] = None
         self._columns = [np.zeros(capacity, dtype) for dtype in self._DTYPES]
 
-    def _load(self, keys: Sequence[Hashable], columns: Sequence[np.ndarray]) -> None:
-        """Become exactly these keys, numbered in order, with these values."""
-        self._reset(len(keys))
+    def _load(self, owners: np.ndarray, columns: Sequence[np.ndarray]) -> None:
+        """Become exactly these ``(3, k)`` owners, numbered in order,
+        with these values."""
+        self._reset(owners.shape[1])
         for column, values in zip(self._columns, columns):
             column[:] = values
-        self._keys = [None] * len(keys)
-        for row, key in enumerate(keys):
-            self._attach(key, row)
+        self._high = owners.shape[1]
+        self._attach(np.arange(self._high), owners)
 
-    def _attach(self, key: Hashable, row: int) -> None:
-        self._rows[key] = row
-        self._keys[row] = key
-        left, right = self._by_entity
-        left.setdefault(key[-2], set()).add(row)
-        right.setdefault(key[-1], set()).add(row)
+    def _live(self) -> np.ndarray:
+        """Every linked row, ascending."""
+        return np.flatnonzero(self._owner[1, : self._high] >= 0)
 
-    def _detach(self, key: Hashable) -> int:
-        row = self._rows.pop(key)
-        self._keys[row] = None
-        left, right = self._by_entity
-        for by_entity, entity in ((left, key[-2]), (right, key[-1])):
-            rows = by_entity[entity]
-            rows.discard(row)
-            if not rows:
-                del by_entity[entity]
-        return row
+    def _pairs(self, rows: np.ndarray) -> np.ndarray:
+        """The pair codes the rows hold."""
+        return pair_codes(self._owner[1, rows], self._owner[2, rows])
 
-    def _add(self, key: Hashable) -> int:
-        """Link ``key`` to a free row, or to a new one; returns the row
-        (the caller writes its values)."""
-        journal = self._journal
-        if self._free:
-            row = self._free.pop()
-            if journal is not None:
-                journal.from_free.append(row)
-        else:
-            row = len(self._keys)
-            if row == len(self._columns[0]):
-                for position, column in enumerate(self._columns):
-                    grown = np.zeros(max(_MIN_CAPACITY, 2 * row), column.dtype)
-                    grown[:row] = column
-                    self._columns[position] = grown
-            self._keys.append(None)
-        self._attach(key, row)
-        if journal is not None:
-            journal.events.append((True, row, key))
-        return row
+    def _ids(self, rows: np.ndarray) -> Tuple[List[str], List[str]]:
+        """The left ids and the right ids of the rows."""
+        left, right = self._owner[1:, rows]
+        return self.entities.ids(0, left).tolist(), self.entities.ids(1, right).tolist()
 
-    def _remove(self, key: Hashable) -> int:
-        """Unlink ``key``; returns its row, now free (at commit, inside
-        a transaction)."""
-        row = self._detach(key)
+    def _attach(self, rows: np.ndarray, owners: np.ndarray) -> None:
+        self._owner[:, rows] = owners
+        pairs = pair_codes(owners[1], owners[2])
+        for space in set(owners[0].tolist()):
+            at = owners[0] == space
+            self._rows.setdefault(space, {}).update(
+                zip(pairs[at].tolist(), rows[at].tolist())
+            )
+
+    def _detach(self, rows: np.ndarray) -> np.ndarray:
+        """Unlink the rows' keys; returns the owners they held."""
+        owners = self._owner[:, rows]
+        pairs = pair_codes(owners[1], owners[2])
+        for space in set(owners[0].tolist()):
+            directory = self._rows[space]
+            deque(map(directory.pop, pairs[owners[0] == space].tolist()), 0)
+            if not directory:
+                del self._rows[space]
+        self._owner[:, rows] = -1
+        return owners
+
+    def _find(self, space: int, pairs: np.ndarray) -> np.ndarray:
+        """The row of each pair code in ``space``, -1 where absent."""
+        get = self._rows.get(space, {}).get
+        return np.fromiter(map(get, pairs.tolist(), repeat(-1)), np.int64, len(pairs))
+
+    def _link(self, space: int, pairs: np.ndarray) -> np.ndarray:
+        """Link each of these distinct, absent pair codes to a free row,
+        or to a new one; returns the rows (the caller writes their
+        values)."""
+        free, count = self._free, len(pairs)
+        take = min(count, len(free))
+        reused = free[len(free) - take :][::-1]
+        del free[len(free) - take :]
+        start, self._high = self._high, self._high + count - take
+        rows = np.concatenate([
+            np.asarray(reused, dtype=np.int64), np.arange(start, self._high)
+        ])
+        if self._high > self._owner.shape[1]:
+            size = max(_MIN_CAPACITY, 2 * self._high)
+            self._owner = _grown(self._owner, size, -1)
+            self._columns = [_grown(column, size, 0) for column in self._columns]
+        self._owner[0, rows] = space
+        self._owner[1, rows], self._owner[2, rows] = split_codes(pairs)
+        self._rows.setdefault(space, {}).update(zip(pairs.tolist(), rows.tolist()))
+        if self._journal is not None:
+            self._journal.from_free.extend(reused)
+            self._journal.events.append((True, rows, None))
+        return rows
+
+    def _unlink(self, rows: np.ndarray) -> None:
+        """Unlink these distinct linked rows; they are free now (at
+        commit, inside a transaction)."""
+        owners = self._detach(rows)
         if self._journal is None:
-            self._free.append(row)
+            self._free.extend(rows.tolist())
         else:
-            self._journal.events.append((False, row, key))
-        return row
+            self._journal.events.append((False, rows, owners))
 
     def _write(self, rows: np.ndarray, values: Sequence) -> None:
         """Overwrite a block of rows, one value (array or scalar) per
@@ -255,20 +387,24 @@ class _Rows:
         for column, value in zip(self._columns, values):
             column[rows] = value
 
-    def _rows_of(self, lefts: Iterable[str], rights: Iterable[str]) -> Set[int]:
-        """The rows whose left entity is in ``lefts`` or whose right
-        entity is in ``rights``: O(those rows)."""
-        found: Set[int] = set()
-        for by_entity, entities in zip(self._by_entity, (lefts, rights)):
-            for entity in entities:
-                found.update(by_entity.get(entity, ()))
-        return found
+    def _rows_of(
+        self, lefts: np.ndarray, rights: np.ndarray, space: Optional[int] = None
+    ) -> np.ndarray:
+        """The rows (ascending) whose left code is in ``lefts`` or whose
+        right code is in ``rights`` — within ``space`` unless ``None``:
+        one pass over the code columns."""
+        owner, ids = self._owner[:, : self._high], self.entities._ids
+        hit = _member(owner[1], lefts, len(ids[0]))
+        hit |= _member(owner[2], rights, len(ids[1]))
+        if space is not None:
+            hit &= owner[0] == space
+        return np.flatnonzero(hit)
 
     def _begin(self) -> _Journal:
         """Open a transaction; rolling back the returned journal undoes
         everything written until :meth:`_commit`."""
         self._journal = _Journal(
-            len(self._keys), {name: getattr(self, name) for name in self._SCALARS}
+            self._high, {name: getattr(self, name) for name in self._SCALARS}
         )
         return self._journal
 
@@ -276,24 +412,23 @@ class _Rows:
         """Close the transaction, keeping its writes: the rows it freed
         become recyclable."""
         if self._journal is not None:
-            self._free.extend(
-                row for linked, row, _ in self._journal.events if not linked
-            )
+            for linked, rows, _ in self._journal.events:
+                self._free.extend([] if linked else rows.tolist())
             self._journal = None
 
     def _rollback(self, journal: _Journal) -> None:
         """Undo the transaction: replay its journal backwards."""
         self._journal = None
-        for linked, row, key in reversed(journal.events):
+        for linked, rows, owners in reversed(journal.events):
             if linked:
-                self._detach(key)
+                self._detach(rows)
             else:
-                self._attach(key, row)
+                self._attach(rows, owners)
         for rows, prior in reversed(journal.written):
             for column, values in zip(self._columns, prior):
                 column[rows] = values
         self._free.extend(reversed(journal.from_free))
-        del self._keys[journal.high:]
+        self._high = journal.high
         for name, value in journal.scalars.items():
             setattr(self, name, value)
 
@@ -324,21 +459,22 @@ class ScoreCache(_Rows):
 
     def __init__(self) -> None:
         super().__init__()
+        # Scoring spaces by integer code, append-only like the entities.
+        self._space_codes: Dict[Hashable, int] = {}
+        self._spaces: List[Hashable] = []
         self._mutations = 0
         #: Number of lookups answered from the cache / recomputed.  A
         #: zero-delta relink shows up as misses staying flat.
         self.hits = 0
         self.misses = 0
 
-    def _entry(self, key: Key) -> PairScore:
-        row = self._rows[key]
-        return PairScore(*(column[row].item() for column in self._columns))
-
-    def _place(self, key: Key) -> int:
-        """The row to write ``key``'s values into: the one it holds,
-        overwritten in place, or a new one."""
-        row = self._rows.get(key)
-        return self._add(key) if row is None else row
+    def _space(self, space: Hashable) -> int:
+        """The code of ``space``, coding it if unseen."""
+        code = self._space_codes.get(space)
+        if code is None:
+            code = self._space_codes[space] = len(self._spaces)
+            self._spaces.append(space)
+        return code
 
     # ------------------------------------------------------------------
     # lookup / store (per pair)
@@ -356,10 +492,12 @@ class ScoreCache(_Rows):
         An entry computed from older history versions is dropped and
         reported as a miss (the caller will re-score and re-store).
         """
-        pair = (left_entity, right_entity)
-        if not self.lookup_batch(space, [pair], u_version, v_version).hit[0]:
+        pairs = self.entities.pair_codes([(left_entity, right_entity)])
+        batch = self.lookup_batch(space, pairs, u_version, v_version)
+        if not batch.hit[0]:
             return None
-        return self._entry((space, *pair))
+        _, *values = (column[0].item() for column in astuple(batch))
+        return PairScore(u_version, v_version, *values)
 
     def store(
         self,
@@ -375,24 +513,36 @@ class ScoreCache(_Rows):
     ) -> PairScore:
         """Memoise one freshly scored pair: :meth:`store_batch`'s row
         assignment and column write for one row."""
-        key = (space, left_entity, right_entity)
-        self._write(np.array([self._place(key)]), (
+        pairs = self.entities.pair_codes([(left_entity, right_entity)])
+        rows = self._place(self._space(space), pairs)
+        self._write(rows, (
             u_version, v_version, raw,
             bin_comparisons, common_windows, alibi_bin_pairs,
         ))
-        return self._entry(key)
+        return PairScore(*(column[rows[0]].item() for column in self._columns))
+
+    def _place(self, space: int, pairs: np.ndarray) -> np.ndarray:
+        """The rows to write the pairs' values into: the ones they hold,
+        overwritten in place, or new ones (one per distinct pair)."""
+        rows = self._find(space, pairs)
+        missing = rows < 0
+        if missing.any():
+            new, inverse = np.unique(pairs[missing], return_inverse=True)
+            rows[missing] = self._link(space, new)[inverse]
+        return rows
 
     # ------------------------------------------------------------------
-    # lookup / store (vectorized over version arrays)
+    # lookup / store (vectorized over code and version arrays)
     # ------------------------------------------------------------------
     def lookup_batch(
         self,
         space: Hashable,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: np.ndarray,
         u_versions: np.ndarray,
         v_versions: np.ndarray,
     ) -> CacheBatch:
-        """Batch lookup: one directory pass, vectorized version checks.
+        """Batch lookup of pair codes: one directory pass, vectorized
+        version checks.
 
         Semantically ``[lookup(space, l, r, u, v) for ...]`` — identical
         hit/miss accounting, identical stale-entry eviction — but the
@@ -403,16 +553,12 @@ class ScoreCache(_Rows):
         """
         n = len(pairs)
         values = [np.zeros(n, dtype) for dtype in self._DTYPES[2:]]
-        if n == 0 or not self._rows:
-            # Nothing asked, or nothing cached.
+        code = self._space_codes.get(space)
+        if n == 0 or code not in self._rows:
+            # Nothing asked, or nothing cached in this space.
             self.misses += n
             return CacheBatch(np.zeros(n, dtype=bool), *values)
-        get = self._rows.get
-        rows = np.fromiter(
-            (get((space, left, right), -1) for left, right in pairs),
-            np.int64,
-            count=n,
-        )
+        rows = self._find(code, pairs)
         found = rows >= 0
         safe = np.where(found, rows, 0)
         u_version, v_version = self._columns[:2]
@@ -421,12 +567,10 @@ class ScoreCache(_Rows):
             & (u_version[safe] == u_versions)
             & (v_version[safe] == v_versions)
         )
-        for position in np.nonzero(found & ~fresh)[0]:
-            key = (space, *pairs[position])
-            # A pair duplicated within the batch is evicted by its first
-            # stale occurrence.
-            if key in self._rows:
-                self._remove(key)
+        stale = rows[found & ~fresh]
+        if stale.size:
+            # A pair duplicated within the batch is evicted once.
+            self._unlink(distinct(stale))
         hit_count = int(np.count_nonzero(fresh))
         self.hits += hit_count
         self.misses += n - hit_count
@@ -438,7 +582,7 @@ class ScoreCache(_Rows):
     def store_batch(
         self,
         space: Hashable,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: np.ndarray,
         u_versions: np.ndarray,
         v_versions: np.ndarray,
         raw: np.ndarray,
@@ -446,37 +590,30 @@ class ScoreCache(_Rows):
         common_windows: np.ndarray,
         alibi_bin_pairs: np.ndarray,
     ) -> int:
-        """Memoise a batch of freshly scored pairs; returns the count.
+        """Memoise a batch of freshly scored pair codes; returns the
+        count.
 
         Row assignment walks the directory once; all column writes are
         vectorized scatters.
         """
-        n = len(pairs)
-        if n == 0:
-            return 0
-        place = self._place
-        rows = np.fromiter(
-            (place((space, left, right)) for left, right in pairs),
-            np.int64,
-            count=n,
-        )
-        self._write(rows, (
+        self._write(self._place(self._space(space), pairs), (
             u_versions, v_versions, raw,
             bin_comparisons, common_windows, alibi_bin_pairs,
         ))
-        return n
+        return len(pairs)
 
     # ------------------------------------------------------------------
     # owner-driven invalidation
     # ------------------------------------------------------------------
     def invalidate_pairs(
         self,
-        left_entities: Iterable[str],
-        right_entities: Iterable[str],
+        left_codes: np.ndarray,
+        right_codes: np.ndarray,
         space: Optional[Hashable] = None,
     ) -> int:
-        """Drop every entry whose left entity is in ``left_entities`` or
-        whose right entity is in ``right_entities``; returns the count.
+        """Drop every entry whose left entity code is in ``left_codes``
+        or whose right entity code is in ``right_codes`` (codes of
+        :attr:`entities`); returns the count.
 
         This is the IDF-drift hook: history versions catch a pair's *own*
         changes, but a pair must also be re-scored when a shared bin's
@@ -493,18 +630,15 @@ class ScoreCache(_Rows):
         versions anywhere — including entries reloaded via
         :meth:`save`/:meth:`load` — would be served as a hit.
 
-        Costs O(rows of the named entities): the sweep reads the
-        per-entity row index, never the whole directory.
+        One vectorized pass over the two code columns; no directory is
+        read.
         """
-        doomed = [
-            self._keys[row] for row in self._rows_of(left_entities, right_entities)
-        ]
-        if space is not None:
-            doomed = [key for key in doomed if key[0] == space]
-        for key in doomed:
-            self._remove(key)
-        self._mutations += len(doomed)
-        return len(doomed)
+        # An unknown space is -1, which only free rows hold.
+        code = None if space is None else self._space_codes.get(space, -1)
+        rows = self._rows_of(left_codes, right_codes, code)
+        self._unlink(rows)
+        self._mutations += rows.size
+        return int(rows.size)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -512,8 +646,7 @@ class ScoreCache(_Rows):
         if self._journal is None:
             self._reset()
         else:
-            for key in list(self._rows):
-                self._remove(key)
+            self._unlink(self._live())
 
     # ------------------------------------------------------------------
     # state: a full capture for snapshots and the cache file, a journal
@@ -521,15 +654,17 @@ class ScoreCache(_Rows):
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """The cache's whole state as a plain dict, for :meth:`restore`:
-        the live pairs, their column values gathered in the same order,
-        and the hit/miss counters — the same dict pickled is the
-        persisted cache and the cache payload of a linker snapshot.  Key
-        order and row numbering are allocation detail, not state: two
-        caches holding the same pairs and values are the same cache.
-        O(cache); a relink transaction uses :meth:`_begin` instead."""
-        rows = np.fromiter(self._rows.values(), np.int64, count=len(self._rows))
+        the live pairs as ``(space, left id, right id)`` keys, their
+        column values gathered in the same order, and the hit/miss
+        counters — the same dict pickled is the persisted cache and the
+        cache payload of a linker snapshot.  Key order, row numbering and
+        entity codes are allocation detail, not state: two caches holding
+        the same pairs and values are the same cache.  O(cache); a relink
+        transaction uses :meth:`_begin` instead."""
+        rows = self._live()
+        spaces = map(self._spaces.__getitem__, self._owner[0, rows].tolist())
         return {
-            "keys": list(self._rows),
+            "keys": list(zip(spaces, *self._ids(rows))),
             "columns": tuple(column[rows] for column in self._columns),
             "hits": self.hits,
             "misses": self.misses,
@@ -539,12 +674,16 @@ class ScoreCache(_Rows):
         """Become the cache a :meth:`checkpoint` captured — this one
         rewound (rows stored since gone, rows dropped since back) or a
         fresh one after a restart; the capture is only read, so it
-        supports any number of restores.  Handed the journal of the open
-        transaction instead, undo exactly that transaction's writes."""
+        supports any number of restores.  Its ids are coded into this
+        cache's entity tables, which only grow.  Handed the journal of
+        the open transaction instead, undo exactly that transaction's
+        writes."""
         if isinstance(state, _Journal):
             self._rollback(state)
             return
-        self._load(state["keys"], state["columns"])
+        spaces, *ids = zip(*state["keys"]) if state["keys"] else ((), (), ())
+        codes = np.fromiter(map(self._space, spaces), np.int64, len(spaces))
+        self._load(np.stack([codes, *self.entities.codes(*ids)]), state["columns"])
         self.hits = state["hits"]
         self.misses = state["misses"]
         self._mutations += 1

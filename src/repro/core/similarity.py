@@ -49,6 +49,7 @@ from .corpus import HistoryCorpus
 from .kernels import (
     ARITHMETIC_REVISION,
     BatchScoreResult,
+    PairBlock,
     concat_results,
     score_pair_block,
     workload_block_size,
@@ -60,7 +61,7 @@ from .proximity import (
     proximity,
     runaway_distance,
 )
-from .score_cache import CacheBatch, ScoreCache
+from .score_cache import CacheBatch, EntityTables, ScoreCache, split_codes
 
 __all__ = [
     "SimilarityConfig",
@@ -245,6 +246,11 @@ class SimilarityEngine:
         # repro.core.score_cache and score_cache_space above).
         self._score_cache = score_cache
         self._cache_space = score_cache_space(left, right, config)
+        #: The entity tables :meth:`raw_batch`'s pair codes index: the
+        #: cache's, or the engine's own without one.
+        self.entities = (
+            EntityTables() if score_cache is None else score_cache.entities
+        )
 
     def distance(self, cell_a: int, cell_b: int) -> float:
         """Minimum distance between two cells in metres (the oracle's;
@@ -309,11 +315,13 @@ class SimilarityEngine:
     ) -> Tuple[np.ndarray, SimilarityStats]:
         """The numpy route end to end: the pairs' normalised scores and
         their counters (merged into :attr:`stats`)."""
-        batch = self.raw_batch(pairs, executor, block_size)
+        codes = self.entities.pair_codes(pairs)
+        batch = self.raw_batch(codes, executor, block_size)
+        lefts, rights = split_codes(codes)
         scores = self.normalize(
             batch.raw,
-            self.left.history_sizes(left for left, _ in pairs),
-            self.right.history_sizes(right for _, right in pairs),
+            self.entities.spread(0, self.left.history_sizes, lefts),
+            self.entities.spread(1, self.right.history_sizes, rights),
         )
         return scores, self.fold(
             len(pairs),
@@ -324,15 +332,15 @@ class SimilarityEngine:
 
     def raw_batch(
         self,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: np.ndarray,
         executor: Union[Executor, str] = "serial",
         block_size: int = 0,
     ) -> CacheBatch:
-        """The pairs' **raw** (un-normalised) Eq. 2 totals and per-pair
-        counters — what a :class:`~repro.core.score_cache.ScoreCache`
-        memoises.  With a cache attached they are served from it where
-        still valid (one vectorized
-        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
+        """The **raw** (un-normalised) Eq. 2 totals and per-pair
+        counters of ``pairs`` (pair codes over :attr:`entities`) — what a
+        :class:`~repro.core.score_cache.ScoreCache` memoises.  With a
+        cache attached they are served from it where still valid (one
+        vectorized :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
         the pairs' history versions) and computed, then stored back,
         where not; ``hit`` says which.  Without one every pair is a miss.
 
@@ -345,10 +353,11 @@ class SimilarityEngine:
         same under every backend and the kernel is dispatch-deterministic,
         so the result is bit-identical whatever runs it.
 
-        An unknown entity id is a ``KeyError`` before anything is
-        dispatched.  An exception raised *inside* a block task is the
-        executor's to handle, under ``"serial"`` as under any backend: the
-        block is retried within the retry budget and, past it, the call
+        Each distinct entity's history version is read once; an unknown
+        entity id is a ``KeyError`` before anything is dispatched.  An
+        exception raised *inside* a block task is the executor's to
+        handle, under ``"serial"`` as under any backend: the block is
+        retried within the retry budget and, past it, the call
         fails with a :class:`~repro.exec.TaskError` whose message names
         the block and the original exception's type and text.
 
@@ -357,13 +366,16 @@ class SimilarityEngine:
         these columns resident across relinks, asks only about the pairs
         a delta touched, and normalises and folds the whole table).
         """
-        pairs = list(pairs)
         count = len(pairs)
+        lefts, rights = split_codes(pairs)
+        entities = self.entities
         if self.config.backend != "numpy":
             hit = np.zeros(count, dtype=bool)
             raw = np.zeros(count, dtype=np.float64)
             counters = np.zeros((3, count), dtype=np.int64)
-            for position, (left_entity, right_entity) in enumerate(pairs):
+            for position, (left_entity, right_entity) in enumerate(zip(
+                entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist()
+            )):
                 hit[position], raw[position], local = self._raw_with_stats(
                     left_entity, right_entity
                 )
@@ -376,8 +388,8 @@ class SimilarityEngine:
 
         # Read with or without a cache to key: an unknown entity id
         # fails here, as a KeyError, rather than inside a block task.
-        u_versions = self.left.history_versions(left for left, _ in pairs)
-        v_versions = self.right.history_versions(right for _, right in pairs)
+        u_versions = entities.spread(0, self.left.history_versions, lefts)
+        v_versions = entities.spread(1, self.right.history_versions, rights)
         cache = self._score_cache
         if cache is None:
             batch = CacheBatch(
@@ -391,11 +403,7 @@ class SimilarityEngine:
             )
         missed = np.flatnonzero(~batch.hit)
         if missed.size:
-            misses = (
-                pairs
-                if missed.size == count
-                else [pairs[position] for position in missed.tolist()]
-            )
+            misses = pairs if missed.size == count else pairs[missed]
             result = self._score_blocks(misses, executor, block_size)
             batch.raw[missed] = result.scores
             batch.bin_comparisons[missed] = result.bin_comparisons
@@ -416,18 +424,20 @@ class SimilarityEngine:
 
     def _score_blocks(
         self,
-        pairs: List[Tuple[str, str]],
+        pairs: np.ndarray,
         executor: Union[Executor, str],
         block_size: int,
     ) -> BatchScoreResult:
-        """Every kernel dispatch of the numpy route: ``pairs`` cut into
-        score blocks, each block one ``map_blocks`` task."""
+        """Every kernel dispatch of the numpy route: the pair codes cut
+        into score blocks, each block one ``map_blocks`` task over a
+        :class:`~repro.core.kernels.PairBlock` (each side's distinct
+        entities coded once)."""
         block = block_size or workload_block_size(self.left, self.right)
         with as_executor(executor) as resolved:
             outcomes = resolved.map_blocks(
                 score_pair_block,
                 [
-                    pairs[start : start + block]
+                    self._block(pairs[start : start + block])
                     for start in range(0, len(pairs), block)
                 ],
                 payload=(self.left, self.right, self.config),
@@ -438,6 +448,16 @@ class SimilarityEngine:
         # descriptive error instead of a poisoned result.
         raise_on_task_errors(outcomes, "scoring")
         return concat_results([outcome.value for outcome in outcomes])
+
+    def _block(self, pairs: np.ndarray) -> PairBlock:
+        """One score block of pair codes, as the kernel takes it."""
+        (left_codes, left), (right_codes, right) = (
+            np.unique(codes, return_inverse=True) for codes in split_codes(pairs)
+        )
+        return PairBlock(
+            self.entities.ids(0, left_codes).tolist(), left,
+            self.entities.ids(1, right_codes).tolist(), right,
+        )
 
     def normalize(
         self, raw: np.ndarray, left_sizes: np.ndarray, right_sizes: np.ndarray

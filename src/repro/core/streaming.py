@@ -33,10 +33,11 @@ The reuse machinery, stage by stage:
   every pair's raw Eq. 2 total keyed on the pair's history versions, and
   a resident **pair table** (:class:`_PairTable`) keeps those totals as
   columns aligned to the candidate set.  Both are the same keyed-rows
-  store (:class:`~repro.core.score_cache._Rows`: a directory, a
-  per-entity row index, a free list, one undo journal) with different
-  columns.  A relink re-asks the cache (and,
-  on a miss, the kernel) only about the *touched* pairs: new in the
+  store (:class:`~repro.core.score_cache._Rows`: rows keyed by integer
+  pair codes over the cache's entity tables, two entity-code columns, a
+  free list, one undo journal) with different columns.  A relink
+  re-asks the cache (and, on a miss, the kernel) only about the
+  *touched* pairs: new in the
   candidate set ∪ a changed history at either end ∪ invalidated by IDF
   drift — a third entity's new bins can move the document frequency,
   hence the idf weight, inside an otherwise untouched pair.  Every other
@@ -124,7 +125,7 @@ from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus, _pack_corpus, _unpack_corpus
 from .history import MobilityHistory, _pack_histories, _unpack_histories, ingest_columns
 from .retention import RetentionPolicy, build_retention
-from .score_cache import ScoreCache, _Journal, _Rows
+from .score_cache import ScoreCache, _Rows, distinct, split_codes, within
 from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
@@ -135,18 +136,16 @@ def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
     return {side: dict(inner) for side, inner in by_side.items()}
 
 
-Pair = Tuple[str, str]
-
-
 class _PairTable(_Rows):
     """The candidate set as resident columns: one row per candidate
     pair holding what the score cache holds for it (raw total, the three
     counters) and both endpoints' history sizes — kept aligned to the
     candidate set across relinks, so a relink re-asks the cache (and the
     kernel) only about the rows a delta *touched* and finishes with
-    whole-column numpy passes.  The rows, their per-entity index and
-    their journal are the score cache's own store
-    (:class:`~repro.core.score_cache._Rows`).
+    whole-column numpy passes.  The rows, their code columns and their
+    journal are the score cache's own store
+    (:class:`~repro.core.score_cache._Rows`), keyed by pair codes over
+    the cache's entity tables.
 
     **Derived state**: a function of the score cache and the candidate
     generator, never captured — a full :meth:`StreamingLinker._restore`
@@ -165,48 +164,45 @@ class _PairTable(_Rows):
 
     #: Raw total, the three counters, left and right history sizes.
     _DTYPES = (np.float64,) * 6
-    _SCALARS = ("epoch", "source")
+    _SCALARS = ("epoch", "source", "fresh")
 
     def __init__(self, cache: ScoreCache) -> None:
-        super().__init__()
+        super().__init__(cache.entities)
         self.cache = cache
         self.epoch = cache._mutations
         self.source: object = None
         #: Rows linked since the last scoring pass (new pairs).
-        self.fresh: List[int] = []
+        self.fresh = np.empty(0, dtype=np.int64)
 
     @property
     def resident(self) -> bool:
         """True while the cache has not changed behind the table."""
         return self.epoch == self.cache._mutations
 
-    def content(self) -> Dict[Pair, Tuple[float, ...]]:
-        """The table by value (row numbering is allocation detail)."""
-        return {
-            pair: tuple(column[row].item() for column in self._columns)
-            for pair, row in self._rows.items()
-        }
+    def content(self) -> Dict[Tuple[str, str], Tuple[float, ...]]:
+        """The table by value, keyed by ``(left id, right id)`` (row
+        numbering and codes are allocation detail)."""
+        rows = self._live()
+        values = zip(*(column[rows].tolist() for column in self._columns))
+        return dict(zip(zip(*self._ids(rows)), values))
 
-    def apply(self, appeared: Iterable[Pair], disappeared: Iterable[Pair]) -> None:
-        """Follow the candidate set: unlink (and zero) the rows of the
-        pairs that left, link a fresh row for each that arrived."""
-        gone = [self._remove(pair) for pair in disappeared]
-        if gone:
-            self._write(np.asarray(gone, dtype=np.intp), (0.0,) * 6)
-        self.fresh.extend(self._add(pair) for pair in appeared)
+    def apply(self, appeared: np.ndarray, disappeared: np.ndarray) -> None:
+        """Follow the candidate set (distinct pair codes): unlink (and
+        zero) the rows of the pairs that left, link a fresh row for each
+        that arrived."""
+        if len(disappeared):
+            gone = self._find(0, disappeared)
+            self._unlink(gone)
+            self._write(gone, (0.0,) * 6)
+        if len(appeared):
+            self.fresh = np.concatenate([self.fresh, self._link(0, appeared)])
 
-    def touched(self, lefts: Iterable[str], rights: Iterable[str]) -> List[int]:
+    def touched(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """The rows a delta touched: the new ones plus every row of the
-        named (dirty or IDF-affected) entities — consumed once."""
-        rows = self._rows_of(lefts, rights)
-        rows.update(self.fresh)
-        self.fresh = []
-        return list(rows)
-
-    def restore(self, journal: _Journal) -> None:
-        """Undo the open transaction's writes."""
-        self._rollback(journal)
-        self.fresh = []
+        named (dirty or IDF-affected) entity codes — consumed once."""
+        rows = distinct(np.concatenate([self._rows_of(lefts, rights), self.fresh]))
+        self.fresh = np.empty(0, dtype=np.int64)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -408,12 +404,8 @@ class StreamingLinker:
         corpus = self._corpora[side]
         if corpus is not None:
             corpus.mark_stale(doomed)
-        if doomed:
-            self._score_cache.invalidate_pairs(
-                doomed if side == "left" else set(),
-                doomed if side == "right" else set(),
-                space=None,
-            )
+        named = (doomed, ()) if side == "left" else ((), doomed)
+        self._score_cache.invalidate_pairs(*self._score_cache.entities.codes(*named))
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -583,7 +575,7 @@ class StreamingLinker:
             self._pair_table = _PairTable(self._score_cache)
         else:
             self._pair_table, journal = saved
-            self._pair_table.restore(journal)
+            self._pair_table._rollback(journal)
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -888,7 +880,9 @@ class StreamingLinker:
         swept rows' pairs are re-asked because their endpoints are
         retired or IDF-affected), so its epoch moves with the cache's
         count instead of falling behind it."""
-        dropped = self._score_cache.invalidate_pairs(lefts, rights, space=space)
+        dropped = self._score_cache.invalidate_pairs(
+            *self._score_cache.entities.codes(lefts, rights), space=space
+        )
         self._pair_table.epoch += dropped
         return dropped
 
@@ -1007,29 +1001,30 @@ class _StreamingCandidates:
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
         table = linker._pair_table
+        entities = table.entities
         resolved = linker.config.resolved_candidates()
-        rebuilt, source = False, None
-        before = table._rows.keys()
+        rebuilt, source, after = False, None, None
         if resolved != "lsh":
-            stage = candidate_stages.get(resolved)(linker.config)
-            after = set(stage.generate(context))
+            after = candidate_stages.get(resolved)(linker.config).generate(context)
         else:
             source, rebuilt = linker._lsh_update(self.deltas)
             if table.source is not source:
                 after = source.candidate_pairs()
-            else:
-                left, right = self.deltas["left"], self.deltas["right"]
-                rows = table._rows_of(
-                    left.evicted + left.dirty_entities,
-                    right.evicted + right.dirty_entities,
-                )
-                before = {table._keys[row] for row in rows}
-                after = source.pairs_of(left.dirty_entities, right.dirty_entities)
-        table.apply(after - before, before - after)
+        if after is None:
+            left, right = self.deltas["left"], self.deltas["right"]
+            before = table._pairs(table._rows_of(*entities.codes(
+                left.evicted + left.dirty_entities,
+                right.evicted + right.dirty_entities,
+            )))
+            after = source.pairs_of(left.dirty_entities, right.dirty_entities)
+        else:
+            before = table._pairs(table._live())
+        after, before = distinct(entities.pair_codes(list(after))), np.sort(before)
+        table.apply(after[~within(after, before)], before[~within(before, after)])
         table.source = source
         if source is not None:
             source.stats.candidate_pairs = len(table)
-        context.candidates = table._rows.keys()
+        context.candidates = table  # sized: the report reads its length
         context.extras["lsh_rebuilt"] = rebuilt
 
 
@@ -1067,30 +1062,33 @@ class _StreamingScoring(ScoringStage):
         )
         context.engine = engine
 
-        keys = table._keys
-        rows = table.touched(*self.touched)
-        rows.sort(key=keys.__getitem__)
-        pairs = [keys[row] for row in rows]
+        rows = table.touched(*table.entities.codes(*self.touched))
+        pairs = table._pairs(rows)
         batch = self._dispatch(context, engine.raw_batch, pairs)
-        if pairs:
-            table._write(np.asarray(rows, dtype=np.intp), (
-                batch.raw,
-                batch.bin_comparisons,
-                batch.common_windows,
-                batch.alibi_bin_pairs,
-                left_corpus.history_sizes(left for left, _ in pairs),
-                right_corpus.history_sizes(right for _, right in pairs),
-            ))
+        lefts, rights = split_codes(pairs)
+        table._write(rows, (
+            batch.raw,
+            batch.bin_comparisons,
+            batch.common_windows,
+            batch.alibi_bin_pairs,
+            table.entities.spread(0, left_corpus.history_sizes, lefts),
+            table.entities.spread(1, right_corpus.history_sizes, rights),
+        ))
         # An untouched row is in the cache under its current versions
         # (nothing dropped it behind the table's back, nothing grew):
         # the lookup it is spared would have been a hit.
         cache.hits += len(table) - len(pairs)
 
+        high = table._high
         (raw, bin_comparisons, common_windows, alibi_bin_pairs,
-         left_size, right_size) = (column[: len(keys)] for column in table._columns)
+         left_size, right_size) = (column[:high] for column in table._columns)
         scores = engine.normalize(raw, left_size, right_size)
+        # Alg. 1's ``if S > 0``; ids are gathered for those rows only.
         # Rows are in allocation order: the edge set sorts its Edge rows
         # only if they are read (the matcher reads the columns).
-        context.edges = EdgeSet.from_scores(keys, scores, sort_rows=True)
+        positive = np.flatnonzero(scores > 0.0)
+        context.edges = EdgeSet(
+            *table._ids(positive), scores[positive], sort_rows=True
+        )
         engine.fold(len(table), bin_comparisons, common_windows, alibi_bin_pairs)
         context.stats = engine.stats

@@ -97,7 +97,7 @@ def _delta_round(linker, held_back):
         work.journal += (
             len(index.buckets) + len(index.placements)
             + sum(
-                len(journal.events)
+                sum(len(rows) for _, rows, _ in journal.events)
                 + sum(len(rows) for rows, _ in journal.written)
                 for journal in (cache, table)
             )

@@ -162,8 +162,12 @@ class TestStatelessInvalidation:
         cache = ScoreCache()
         for left in ("a", "b"):
             cache.store("s", left, "x", 0, 0, 1.0, 1, 1, 0)
-        directory, mutations = list(cache._rows.items()), cache._mutations
+        directory, mutations = cache.checkpoint(), cache._mutations
         cache.lookup("s", "a", "x", 0, 0)
-        cache.lookup_batch("s", [("a", "x")], np.array([0]), np.array([0]))
-        assert list(cache._rows.items()) == directory
+        pairs = cache.entities.pair_codes([("a", "x")])
+        cache.lookup_batch("s", pairs, np.array([0]), np.array([0]))
+        after = cache.checkpoint()
+        assert after["keys"] == directory["keys"]
+        for old, new in zip(directory["columns"], after["columns"]):
+            assert old.tobytes() == new.tobytes()
         assert (cache.hits, cache._mutations) == (2, mutations)

@@ -359,7 +359,7 @@ class TestStreamingRetirement:
         linker, _ = _stream(config)
         linker.relink()
         live = set(linker._sides["left"]) | set(linker._sides["right"])
-        for (_, left_entity, right_entity) in linker.score_cache._rows:
+        for (_, left_entity, right_entity) in linker.score_cache.checkpoint()["keys"]:
             assert left_entity in live and right_entity in live
 
     def test_retired_id_reobserved_restarts_cleanly(self):

@@ -5,10 +5,14 @@ import numpy as np
 from repro.core.score_cache import ScoreCache
 
 
+def _codes(cache, pairs):
+    return cache.entities.pair_codes(pairs)
+
+
 def _store_batch(cache, space, pairs, u, v, raws):
     cache.store_batch(
         space,
-        pairs,
+        _codes(cache, pairs),
         np.asarray(u, dtype=np.int64),
         np.asarray(v, dtype=np.int64),
         raw=np.asarray(raws, dtype=np.float64),
@@ -22,7 +26,7 @@ class TestLookupBatch:
     def test_empty_cache_all_miss(self):
         cache = ScoreCache()
         batch = cache.lookup_batch(
-            "s", [("a", "b"), ("c", "d")], np.zeros(2, np.int64),
+            "s", _codes(cache, [("a", "b"), ("c", "d")]), np.zeros(2, np.int64),
             np.zeros(2, np.int64),
         )
         assert batch.hit.tolist() == [False, False]
@@ -33,7 +37,7 @@ class TestLookupBatch:
         pairs = [("a", "x"), ("b", "y"), ("c", "z")]
         _store_batch(cache, "s", pairs, [0, 1, 2], [5, 6, 7], [1.0, 2.0, 3.0])
         batch = cache.lookup_batch(
-            "s", pairs, np.array([0, 1, 2]), np.array([5, 6, 7])
+            "s", _codes(cache, pairs), np.array([0, 1, 2]), np.array([5, 6, 7])
         )
         assert batch.hit.all()
         assert batch.raw.tolist() == [1.0, 2.0, 3.0]
@@ -45,7 +49,7 @@ class TestLookupBatch:
         cache = ScoreCache()
         _store_batch(cache, "s", [("a", "x")], [0], [0], [1.0])
         batch = cache.lookup_batch(
-            "s", [("a", "x")], np.array([1]), np.array([0])
+            "s", _codes(cache, [("a", "x")]), np.array([1]), np.array([0])
         )
         assert not batch.hit[0]
         assert len(cache) == 0  # stale entry evicted, as in lookup()
@@ -55,7 +59,7 @@ class TestLookupBatch:
         _store_batch(cache, "s", [("a", "x"), ("b", "y")], [0, 0], [0, 0], [1.0, 2.0])
         batch = cache.lookup_batch(
             "s",
-            [("a", "x"), ("b", "y"), ("c", "z")],
+            _codes(cache, [("a", "x"), ("b", "y"), ("c", "z")]),
             np.array([0, 9, 0]),
             np.array([0, 0, 0]),
         )
@@ -70,7 +74,7 @@ class TestLookupBatch:
         _store_batch(cache, "s", [("u", "v")], [1], [1], [1.0])
         batch = cache.lookup_batch(
             "s",
-            [("u", "v"), ("u", "v")],
+            _codes(cache, [("u", "v"), ("u", "v")]),
             np.array([2, 2]),
             np.array([2, 2]),
         )
@@ -82,7 +86,7 @@ class TestLookupBatch:
         cache = ScoreCache()
         _store_batch(cache, "mine", [("a", "x")], [0], [0], [1.0])
         batch = cache.lookup_batch(
-            "theirs", [("a", "x")], np.array([0]), np.array([0])
+            "theirs", _codes(cache, [("a", "x")]), np.array([0]), np.array([0])
         )
         assert not batch.hit[0]
 
@@ -98,11 +102,11 @@ class TestInvalidation:
     def test_invalidate_pairs_frees_rows_for_reuse(self):
         cache = ScoreCache()
         _store_batch(cache, "s", [("a", "x"), ("b", "y")], [0, 0], [0, 0], [1.0, 2.0])
-        assert cache.invalidate_pairs({"a"}, set()) == 1
+        assert cache.invalidate_pairs(*cache.entities.codes({"a"}, set())) == 1
         assert len(cache) == 1
-        high_before = len(cache._keys)
+        high_before = cache._high
         _store_batch(cache, "s", [("c", "z")], [0], [0], [3.0])
-        assert len(cache._keys) == high_before  # reused the freed row
+        assert cache._high == high_before  # reused the freed row
 
     def test_clear_resets_rows(self):
         cache = ScoreCache()
@@ -110,6 +114,6 @@ class TestInvalidation:
         cache.clear()
         assert len(cache) == 0
         batch = cache.lookup_batch(
-            "s", [("a", "x")], np.array([0]), np.array([0])
+            "s", _codes(cache, [("a", "x")]), np.array([0]), np.array([0])
         )
         assert not batch.hit[0]

@@ -58,7 +58,7 @@ class TestRoundTrip:
         )
         batch = loaded.lookup_batch(
             "space-a",
-            [("u", "v"), ("w", "x"), ("n", "o")],
+            loaded.entities.pair_codes([("u", "v"), ("w", "x"), ("n", "o")]),
             np.array([1, 0, 0]),
             np.array([2, 0, 0]),
         )

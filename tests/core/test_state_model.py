@@ -181,8 +181,8 @@ class _ScoreCacheCase:
             self._store(cache, "a" if k % 2 else ("b", 1), k)
         cache.lookup("a", "u7", "v3", 0, 0)  # hit
         cache.lookup("a", "u9", "v1", 5, 0)  # stale: evicted, a free row
-        cache.invalidate_pairs({"u10"}, set(), space=("b", 1))
-        cache.invalidate_pairs(set(), {"v3"}, space=None)
+        cache.invalidate_pairs(*cache.entities.codes({"u10"}, set()), space=("b", 1))
+        cache.invalidate_pairs(*cache.entities.codes(set(), {"v3"}), space=None)
         return cache
 
     def checkpoint(self, cache):
@@ -201,11 +201,14 @@ class _ScoreCacheCase:
         cache.lookup(("b", 1), "u6", "v2", 0, 0)  # hit
         for k in range(20, 31):
             self._store(cache, "c", k)
-        cache.invalidate_pairs({"u5", "u8"}, set())
+        cache.invalidate_pairs(*cache.entities.codes({"u5", "u8"}, set()))
         cache.lookup("a", "u5", "v1", 0, 0)
         self._store(cache, "c", 30, version=1)  # over an existing key
         cache.lookup_batch(  # a hit, a stale row dropped
-            "c", [("u29", "v1"), ("u28", "v0")], np.array([0, 3]), np.array([0, 0])
+            "c",
+            cache.entities.pair_codes([("u29", "v1"), ("u28", "v0")]),
+            np.array([0, 3]),
+            np.array([0, 0]),
         )
 
     def proceed(self, cache):
@@ -213,7 +216,9 @@ class _ScoreCacheCase:
         self._store(cache, ("b", 1), 4, version=2)
         batch = cache.lookup_batch(
             "a",
-            [("u5", "v1"), ("u13", "v1"), ("u1", "v1"), ("nobody", "v0")],
+            cache.entities.pair_codes(
+                [("u5", "v1"), ("u13", "v1"), ("u1", "v1"), ("nobody", "v0")]
+            ),
             np.array([0, 0, 0, 0]),
             np.array([0, 0, 0, 0]),
         )
@@ -493,21 +498,25 @@ def test_restart_from_the_pickled_capture_continues_bit_identically(
 def _rows_invariants(store):
     """What the capture drops must still be sound: every row below the
     high-water mark is live, free, or freed by the open transaction,
-    exactly once; and the directory, the ``row -> key`` list and both
-    per-entity row indexes agree."""
-    rows = list(store._rows.values())
+    exactly once; no row above it is linked; and the per-space
+    directories list exactly the live rows' owner columns."""
+    live = store._live().tolist()
     journal = store._journal
     freed = [] if journal is None else [
-        row for linked, row, _ in journal.events if not linked
+        row
+        for linked, rows, _ in journal.events
+        if not linked
+        for row in rows.tolist()
     ]
-    assert sorted(rows + store._free + freed) == list(range(len(store._keys)))
-    assert [store._keys[row] for row in rows] == list(store._rows)
-    assert sum(key is not None for key in store._keys) == len(rows)
-    for by_entity, position in zip(store._by_entity, (-2, -1)):
-        expected = {}
-        for key, row in store._rows.items():
-            expected.setdefault(key[position], set()).add(row)
-        assert by_entity == expected
+    assert sorted(live + store._free + freed) == list(range(store._high))
+    assert (store._owner[:, store._high:] == -1).all()
+    space, left, right = store._owner[:, live].astype(np.int64)
+    assert {
+        (code, pair): row
+        for code, directory in store._rows.items()
+        for pair, row in directory.items()
+    } == dict(zip(zip(space.tolist(), ((left << 32) | right).tolist()), live))
+    assert all(store._rows.values())  # no empty directory lingers
 
 
 @pytest.mark.parametrize("name", ["score-cache", "lsh-index"])
@@ -766,33 +775,53 @@ _OPS = st.lists(
 )
 
 
+def _coded(store, key):
+    """A ``(space, left, right)`` key as the store's ``(space, pair codes)``."""
+    return "st".index(key[0]), store.entities.pair_codes([key[1:]])
+
+
+def _content(store):
+    """The store by value: ``{(space, left, right): (value, count)}``."""
+    rows = store._live()
+    space, left, right = store._owner[:, rows]
+    keys = zip(
+        ["st"[code] for code in space.tolist()],
+        store.entities.ids(0, left).tolist(),
+        store.entities.ids(1, right).tolist(),
+    )
+    return dict(zip(keys, zip(*(column[rows].tolist() for column in store._columns))))
+
+
 def _apply(store, model, op):
     """One op on the store and on the model dict."""
     kind = op[0]
     if kind == "put":  # a store: overwrite in place, or a new row
         _, key, value, count = op
-        row = store._rows.get(key)
-        if row is None:
-            row = store._add(key)
-        store._write(np.array([row]), (value, count))
+        space, pair = _coded(store, key)
+        rows = store._find(space, pair)
+        if rows[0] < 0:
+            rows = store._link(space, pair)
+        store._write(rows, (value, count))
         model[key] = (value, count)
     elif kind == "remove" and model:
         key = sorted(model)[op[1] % len(model)]
-        store._remove(key)
+        store._unlink(store._find(*_coded(store, key)))
         del model[key]
     elif kind == "sweep":  # an invalidate_pairs
-        for row in store._rows_of({op[1]}, {op[2]}):
-            key = store._keys[row]
-            store._remove(key)
+        rows = store._rows_of(*store.entities.codes({op[1]}, {op[2]}))
+        if rows.size:
+            store._unlink(rows)
+        for key in [key for key in model if key[1] == op[1] or key[2] == op[2]]:
             del model[key]
     elif kind == "tag":
         store.tag += op[1]
 
 
 def _raw_state(store):
+    high = store._high
     return (
-        dict(store._rows), list(store._keys), list(store._free),
-        copy.deepcopy(store._by_entity), store.tag,
+        copy.deepcopy(store._rows), high, list(store._free),
+        store._owner[:, :high].tolist(), store.tag,
         [column.copy() for column in store._columns],
     )
 
@@ -816,8 +845,8 @@ def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commi
             else:
                 store._rollback(journal)
                 model = saved
-                rows, keys, free, by_entity, tag, columns = _raw_state(store)
-                assert (rows, keys, free, by_entity, tag) == before[:5]
+                rows, high, free, owner, tag, columns = _raw_state(store)
+                assert (rows, high, free, owner, tag) == before[:5]
                 for old, new in zip(before[5], columns):
                     assert old.tobytes() == new[: len(old)].tobytes()
                     assert not new[len(old):].any()
@@ -825,7 +854,4 @@ def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commi
         if op is not None:
             _apply(store, model, op)
         _rows_invariants(store)
-        assert {
-            key: (store._columns[0][row].item(), store._columns[1][row].item())
-            for key, row in store._rows.items()
-        } == model
+        assert _content(store) == model

@@ -341,7 +341,7 @@ class TestScoreCacheUnits:
         cache = ScoreCache()
         cache.store("s", "u1", "v1", 0, 0, 1.0, 1, 1, 0)
         cache.store("s", "u2", "v2", 0, 0, 2.0, 1, 1, 0)
-        assert cache.invalidate_pairs(set(), {"v2"}) == 1
+        assert cache.invalidate_pairs(*cache.entities.codes(set(), {"v2"})) == 1
         assert cache.lookup("s", "u1", "v1", 0, 0) is not None
         assert cache.lookup("s", "u2", "v2", 0, 0) is None
 
@@ -351,7 +351,7 @@ class TestScoreCacheUnits:
         cache = ScoreCache()
         cache.store("mine", "u", "v", 0, 0, 1.0, 1, 1, 0)
         cache.store("theirs", "u", "v", 0, 0, 2.0, 1, 1, 0)
-        assert cache.invalidate_pairs({"u"}, set(), space="mine") == 1
+        assert cache.invalidate_pairs(*cache.entities.codes({"u"}, set()), space="mine") == 1
         assert cache.lookup("mine", "u", "v", 0, 0) is None
         assert cache.lookup("theirs", "u", "v", 0, 0).raw == 2.0
 

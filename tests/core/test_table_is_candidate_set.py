@@ -48,7 +48,7 @@ def _assert_table_is_the_candidate_set(linker):
     expected = cold.candidate_pairs()
     # Stats first: candidate_pairs() below refreshes them.
     assert index.stats == cold.stats
-    assert set(linker._pair_table._rows) == index.candidate_pairs() == expected
+    assert set(linker._pair_table.content()) == index.candidate_pairs() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
