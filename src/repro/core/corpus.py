@@ -130,7 +130,7 @@ from ..geo.cell import CellId
 from ..store.columns import COLUMNS, DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
 from ..store.snapshot import pack_rows, unpack_rows
-from .history import MobilityHistory, leaf_columns, run_starts
+from .history import MobilityHistory, distinct, leaf_columns, run_starts
 
 __all__ = [
     "HistoryCorpus",
@@ -500,12 +500,12 @@ class HistoryCorpus:
         histories = [self._histories[entity_id] for entity_id in dirty]
         rows, windows, cells, _ = leaf_columns(histories)
         cells = parent_ids(cells, self._level)
-        distinct = run_starts(rows, windows, cells)
-        rows, windows, cells = rows[distinct], windows[distinct], cells[distinct]
+        first = run_starts(rows, windows, cells)
+        rows, windows, cells = rows[first], windows[first], cells[first]
         slots = self._cell_slots(cells)
         bins = (windows << _ROW_BITS) | slots
         keys = self._bin_slots(bins)
-        fresh = np.unique(bins[keys < 0])
+        fresh = distinct(bins[keys < 0])
         if len(fresh):
             order = self._df_order
             self._df_order = np.insert(
@@ -549,7 +549,7 @@ class HistoryCorpus:
         # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
 
-        touched = np.unique(np.concatenate([retracted, keys]))
+        touched = distinct(np.concatenate([retracted, keys]))
         was, now = before[touched], self._df_counts[touched]
         # New / vanished bins belong to dirty entities only.
         shared = (was > 0.0) & (now > 0.0) & (was != now)
@@ -585,9 +585,9 @@ class HistoryCorpus:
         scalar oracle operate on the *same* per-cell constants.
         """
         table = self._cell_table
-        distinct, inverse = np.unique(cells, return_inverse=True)
-        distinct = distinct.tolist()
-        fresh = [cell for cell in distinct if cell not in table.slot_of]
+        unique_cells, inverse = np.unique(cells, return_inverse=True)
+        unique_cells = unique_cells.tolist()
+        fresh = [cell for cell in unique_cells if cell not in table.slot_of]
         if fresh:
             # Copy the directory: the superseded CellTable is frozen, and
             # callers may still hold it — its slot_of must keep describing
@@ -613,7 +613,7 @@ class HistoryCorpus:
             )
         slot_of = table.slot_of
         return np.fromiter(
-            (slot_of[cell] for cell in distinct), np.int64, len(distinct)
+            (slot_of[cell] for cell in unique_cells), np.int64, len(unique_cells)
         )[inverse]
 
     def _bin_slots(self, bins: np.ndarray) -> np.ndarray:

@@ -75,6 +75,13 @@ def run_starts(*columns: np.ndarray) -> np.ndarray:
     return first
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort (``np.unique`` hashes,
+    which is many times slower on wide-ranged keys)."""
+    values = np.sort(values)
+    return values[run_starts(values)]
+
+
 class MobilityHistory:
     """One entity's hierarchical spatio-temporal summary.
 

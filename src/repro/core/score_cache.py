@@ -118,6 +118,7 @@ from typing import (
 import numpy as np
 
 from ..store.snapshot import load_state, write_snapshot
+from .history import distinct
 
 __all__ = ["PairScore", "ScoreCache", "CacheBatch"]
 
@@ -136,15 +137,6 @@ def pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def split_codes(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The left and right entity codes of each pair code."""
     return pairs >> 32, pairs & _RIGHT
-
-
-def distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending: one sort (``np.unique`` hashes,
-    which is many times slower on wide-ranged codes)."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def within(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:

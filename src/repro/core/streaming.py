@@ -123,9 +123,15 @@ from ..store.snapshot import (
 )
 from ..temporal import Windowing
 from .corpus import CorpusDelta, HistoryCorpus, _pack_corpus, _unpack_corpus
-from .history import MobilityHistory, _pack_histories, _unpack_histories, ingest_columns
+from .history import (
+    MobilityHistory,
+    _pack_histories,
+    _unpack_histories,
+    distinct,
+    ingest_columns,
+)
 from .retention import RetentionPolicy, build_retention
-from .score_cache import ScoreCache, _Rows, distinct, split_codes, within
+from .score_cache import ScoreCache, _Rows, split_codes, within
 from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]

@@ -6,8 +6,10 @@ The building blocks behind the streaming linker's persistence story:
   (:mod:`repro.store.hilbert`) on-disk column store the corpus flat
   array views spill into
   (:meth:`~repro.core.corpus.HistoryCorpus.spill`), read back through
-  ``np.memmap`` with a small in-RAM chunk LRU, so a corpus can exceed
-  the RAM budget;
+  memory maps with a small in-RAM chunk LRU, so a corpus can exceed
+  the RAM budget.  It is scratch: it rewinds in-process and has no crash
+  protocol (no fsync, no manifest) — durability is the snapshot and the
+  event log below, and a restart re-spills from them;
 * :mod:`repro.store.columns` — the corpus flat columns, declared once,
   and the two backends a :class:`~repro.core.corpus.HistoryCorpus`
   holds them in: heap arrays, or the column store above (internal);
@@ -21,9 +23,10 @@ The building blocks behind the streaming linker's persistence story:
   snapshot-or-append cadence that writes it (internal; its failure
   classes :class:`EventLogCorrupt` / :class:`EventLogSkew` are exported
   here);
-* :mod:`repro.store.durable` — the one durable file write all of them use.
+* :mod:`repro.store.durable` — the one durable file write the snapshot
+  and the event log use.
 
-This package owns *every* write into store and snapshot directories —
+This package owns *every* write into spill and snapshot directories —
 the ``snapshot-io`` repro-lint rule rejects direct ``open()``/
 ``np.save`` writes to snapshot paths (and any ``os.replace`` /
 ``os.fsync`` / ``mkstemp`` call) anywhere else in the tree, the same

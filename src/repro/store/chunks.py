@@ -6,8 +6,8 @@ absolute-offset fancy indexing, so each column must stay *one*
 contiguous array.  :class:`ChunkedColumnStore` therefore keeps one
 binary file per column and treats chunks as a **logical** unit: fixed
 ``chunk_rows`` spans that are written once (append or whole-column
-generation rewrite, never patched in place) and read back through
-read-only :func:`numpy.memmap` views, so the OS page cache — not the
+generation rewrite, never patched in place) and read back as
+read-only arrays over memory maps, so the OS page cache — not the
 Python heap — holds whatever the kernel touches and a corpus can exceed
 the RAM budget.
 
@@ -18,43 +18,42 @@ accountable ``resident_bytes`` bound — the ledger
 ``benchmarks/bench_out_of_core.py`` reports against the in-core
 footprint.
 
-Durability protocol (shared with :mod:`repro.store.snapshot`):
+The store is **scratch**, private to the process that created it: the
+column table (each column's dtype, row count and generation) lives in
+memory only, nothing is fsynced, and no later process reads the
+directory back — a restart rebuilds the corpus from the linker's
+snapshot + event log (:mod:`repro.store.snapshot`,
+:mod:`repro.store.eventlog`) and re-spills into a store
+:meth:`~ChunkedColumnStore.create` starts afresh.  What the running
+process does need is kept:
 
 * column data lands in ``<name>.g<generation>.col`` files; a rewrite
-  bumps the generation and leaves the old file on disk; every write is
-  fsynced before anything names it;
-* the manifest (``store.json``) naming each column's dtype, row count
-  and generation is replaced atomically
-  (:func:`~repro.store.durable.replace_file`), so a crash mid-write
-  leaves the previous manifest — and the files it points at — intact;
-* :meth:`ChunkedColumnStore.operation` makes the manifest replace *one
-  per operation*: the writes inside it (a corpus append touches every
-  column, a compaction rewrites every column) land their files, then
-  one manifest names them all.  An error anywhere inside leaves both
-  the manifest file and the in-memory column table as they were.  A
-  write outside any operation commits itself;
+  bumps the generation and leaves the old file on disk, so a capture
+  holding the old mapping by reference stays valid;
+* :meth:`ChunkedColumnStore.operation` makes a group of writes (a corpus
+  append touches every column, a compaction rewrites every column)
+  all-or-nothing: an error anywhere inside restores the column table it
+  started from;
 * :meth:`ChunkedColumnStore.checkpoint` / ``restore`` give the
   transactional-relink machinery the same rewind guarantee the in-RAM
-  corpus has: restore repoints the manifest and truncates appended rows.
+  corpus has: restore repoints generations and truncates appended rows.
   The store records each generation file a rewrite supersedes or a
   rewind (or failed operation) abandons, and unlinks exactly those at
   the *next* checkpoint, after no rollback can need them — no directory
   listing per checkpoint.  :meth:`ChunkedColumnStore.create` sweeps
-  whatever ``*.col`` files an earlier process left.
+  whatever an earlier process left.
 """
 
 from __future__ import annotations
 
-import json
+import mmap
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 import numpy as np
-
-from .durable import replace_file, write_file
 
 __all__ = ["ChunkedColumnStore", "ChunkLRU", "DEFAULT_CHUNK_ROWS"]
 
@@ -66,9 +65,7 @@ class _ColumnRewriter:
     """Streaming whole-column rewrite into the next generation file.
 
     ``append`` chunks in order, then ``commit`` — the new generation
-    becomes visible only through the atomic manifest replace (the
-    enclosing :meth:`ChunkedColumnStore.operation`'s, if any), so a crash
-    mid-rewrite leaves the previous generation current.
+    becomes visible only when the column table names it.
     """
 
     def __init__(
@@ -88,8 +85,6 @@ class _ColumnRewriter:
         self._rows += len(data)
 
     def commit(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
         self._file.close()
         self._store._install_column(
             self._name, self._dtype, self._rows, self._generation
@@ -105,26 +100,20 @@ class _ColumnRewriter:
 class ChunkedColumnStore:
     """One-file-per-column binary store with logical fixed-size chunks."""
 
-    MANIFEST = "store.json"
-    FORMAT = 1
+    #: What :meth:`create` sweeps from a reused directory: column files,
+    #: and the manifest older versions of this store wrote.
+    _LITTER = ("*.col", "store.json")
 
-    def __init__(
-        self,
-        directory: Path,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        columns: Optional[Dict[str, Dict[str, object]]] = None,
-    ) -> None:
+    def __init__(self, directory: Path, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         if chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
         self.directory = Path(directory)
         self.chunk_rows = int(chunk_rows)
-        #: name -> {"dtype": str, "rows": int, "generation": int}
-        self._columns: Dict[str, Dict[str, object]] = columns or {}
+        #: name -> {"dtype": str, "rows": int, "generation": int, "epoch": int}
+        self._columns: Dict[str, Dict[str, object]] = {}
         self._maps: Dict[str, Tuple[Tuple[int, int], np.ndarray]] = {}
         #: Generation files no current column names, for the next prune.
         self._stale: Set[Path] = set()
-        #: Inside an :meth:`operation`: the manifest replace waits for it.
-        self._deferred = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -136,68 +125,34 @@ class ChunkedColumnStore:
         """Start an empty store, clearing any previous store files."""
         store = cls(directory, chunk_rows)  # validates before touching disk
         store.directory.mkdir(parents=True, exist_ok=True)
-        for stale in store.directory.glob("*.col"):
-            stale.unlink()
-        store._write_manifest()
+        for pattern in cls._LITTER:
+            for stale in store.directory.glob(pattern):
+                stale.unlink()
         return store
-
-    @classmethod
-    def open(cls, directory: Path) -> "ChunkedColumnStore":
-        """Open an existing store from its manifest."""
-        directory = Path(directory)
-        manifest_path = directory / cls.MANIFEST
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != cls.FORMAT:
-            raise ValueError(
-                f"unsupported store format {manifest.get('format')!r} "
-                f"in {manifest_path} (expected {cls.FORMAT})"
-            )
-        return cls(directory, manifest["chunk_rows"], manifest["columns"])
 
     def column_path(self, name: str, generation: int) -> Path:
         return self.directory / f"{name}.g{generation}.col"
 
-    def _write_manifest(self) -> None:
-        if self._deferred:  # an operation replaces it once, at its end
-            return
-        payload = json.dumps(
-            {
-                "format": self.FORMAT,
-                "chunk_rows": self.chunk_rows,
-                "columns": self._columns,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        replace_file(self.directory / self.MANIFEST, payload.encode())
-
     @contextmanager
     def operation(self) -> Iterator[None]:
-        """Group writes into one all-or-nothing commit: every column file
-        is written and fsynced as it goes, the manifest is replaced once
-        at the end, and an error anywhere (the final manifest replace
-        included) restores the column table the operation started from.
-        Operations do not nest."""
+        """Group writes into one all-or-nothing step: an error anywhere
+        inside restores the column table the operation started from."""
         saved = {name: dict(meta) for name, meta in self._columns.items()}
-        self._deferred = True
         try:
             yield
-            self._deferred = False
-            self._write_manifest()
         except BaseException:
             self._rewind_to(saved)
             raise
 
     def _rewind_to(self, kept: Dict[str, Dict[str, object]]) -> None:
-        """Adopt ``kept`` as the column table, outside any operation:
-        every current generation file it does not name is recorded for
-        pruning, and every live map is dropped."""
+        """Adopt ``kept`` as the column table: every current generation
+        file it does not name is recorded for pruning, and every live map
+        is dropped."""
         for name, meta in self._columns.items():
             if kept.get(name, {}).get("generation") != meta["generation"]:
                 self._stale.add(self.column_path(name, int(meta["generation"])))
         self._columns = kept
         self._maps.clear()
-        self._deferred = False
 
     # ------------------------------------------------------------------
     # writes
@@ -241,7 +196,6 @@ class ChunkedColumnStore:
             "rows": int(rows),
             "generation": int(generation),
         }
-        self._write_manifest()
 
     def extend(self, name: str, rows: np.ndarray, start: int) -> None:
         """Append ``rows`` at absolute row offset ``start``.
@@ -258,17 +212,15 @@ class ChunkedColumnStore:
             )
         dtype = np.dtype(meta["dtype"])
         data = np.ascontiguousarray(rows, dtype=dtype)
-        path = self.column_path(name, int(meta["generation"]))
-        with open(path, "r+b") as handle:
+        with open(self.column_path(name, int(meta["generation"])), "r+b") as handle:
             handle.truncate(start * dtype.itemsize)
             handle.seek(start * dtype.itemsize)
-            write_file(handle, data.tobytes())
+            handle.write(data.tobytes())
         meta["rows"] = start + len(data)
         # Same-generation mutation: bump the epoch so chunk copies taken
         # before this extend (the partial tail chunk in particular) are
         # recognisably stale.
         meta["epoch"] = int(meta.get("epoch", 0)) + 1
-        self._write_manifest()
 
     # ------------------------------------------------------------------
     # reads
@@ -295,8 +247,9 @@ class ChunkedColumnStore:
         return -(-self.rows(name) // self.chunk_rows)
 
     def column(self, name: str) -> np.ndarray:
-        """The whole column as one read-only memmap (empty columns get a
-        plain empty array — memmaps cannot be zero-length)."""
+        """The whole column as one read-only array over a memory map of
+        its file (empty columns get a plain empty array — maps cannot be
+        zero-length)."""
         meta = self._columns[name]
         rows = int(meta["rows"])
         generation = int(meta["generation"])
@@ -308,17 +261,20 @@ class ChunkedColumnStore:
         version = (generation, rows)
         cached = self._maps.get(name)
         if cached is None or cached[0] != version:
-            view = np.memmap(
-                self.column_path(name, generation), dtype=dtype, mode="r", shape=(rows,)
-            )
-            cached = self._maps[name] = (version, view)
+            # A plain ndarray, not an ``np.memmap``: slicing that subclass
+            # costs ~10x a plain view's, and the corpus slices per entity.
+            with open(self.column_path(name, generation), "rb") as handle:
+                mapped = mmap.mmap(
+                    handle.fileno(), rows * dtype.itemsize, access=mmap.ACCESS_READ
+                )
+            cached = self._maps[name] = (version, np.frombuffer(mapped, dtype=dtype))
         return cached[1]
 
     # ------------------------------------------------------------------
     # transactional rewind
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
-        """Snapshot the manifest for :meth:`restore`.
+        """Copy the column table for :meth:`restore`.
 
         Also the point where stale generation files are pruned: anything
         a previous (committed or rolled-back) transaction left behind is
@@ -342,10 +298,7 @@ class ChunkedColumnStore:
                     f"cannot rewind column {name!r}: {path} is gone"
                 )
             if path.stat().st_size > want:
-                with open(path, "r+b") as handle:
-                    handle.truncate(want)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                os.truncate(path, want)
             elif path.stat().st_size < want:
                 raise ValueError(
                     f"cannot rewind column {name!r}: {path} holds fewer "
@@ -360,12 +313,11 @@ class ChunkedColumnStore:
                     max(int(meta.get("epoch", 0)), int(current.get("epoch", 0))) + 1
                 )
         self._rewind_to(restored)
-        self._write_manifest()
 
     def prune_stale(self) -> int:
         """Delete the generation files this store superseded or abandoned
-        that the current manifest does not reference (a later rewrite may
-        have re-created one under the same name)."""
+        that the current column table does not reference (a later rewrite
+        may have re-created one under the same name)."""
         live = {self.column_path(name, self.generation(name)) for name in self._columns}
         stale, self._stale = self._stale - live, set()
         for path in stale:

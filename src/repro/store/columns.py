@@ -10,13 +10,16 @@ one of two backends does it:
 * :class:`MemoryColumns` — plain arrays on the heap; every operation is a
   single whole-column numpy pass;
 * :class:`DiskColumns` — a :class:`~repro.store.chunks.ChunkedColumnStore`
-  read back through read-only memmaps; maintenance passes stream chunk
+  read back as read-only memory maps; maintenance passes stream chunk
   by chunk through a :class:`~repro.store.chunks.ChunkLRU` into a fresh
   generation of exactly the columns they change, so resident memory stays
-  at the cache bound whatever the column length.  Each operation is one
-  store commit (:meth:`~repro.store.chunks.ChunkedColumnStore.operation`):
-  however many columns it writes, one manifest replace names them all,
-  and an operation that fails changes none of them.
+  at the cache bound whatever the column length.  The store is the
+  process's scratch space, not a durable copy: it rewinds in-process and
+  has no crash protocol (no fsync, no manifest) — a restart re-spills
+  from the linker's snapshot + event log.  Each operation is one
+  all-or-nothing step
+  (:meth:`~repro.store.chunks.ChunkedColumnStore.operation`): however
+  many columns it writes, an operation that fails changes none of them.
 
 Both owe the same contract (``tests/store/test_column_backends.py``): the
 same sequence of operations yields bitwise-equal :meth:`column` contents,
@@ -123,19 +126,18 @@ class DiskColumns:
             chunk_rows=DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows,
         )
         self._cache = ChunkLRU(self._store, cache_chunks)
-        with self._store.operation():
-            for name in COLUMNS:
-                self._store.put(name, source.column(name))
+        for name in COLUMNS:
+            self._store.put(name, source.column(name))
 
     def column(self, name: str) -> np.ndarray:
-        """One whole column as a read-only memmap (the store re-maps a
-        column only after its bytes changed)."""
+        """One whole column, read-only and memory-mapped (the store
+        re-maps a column only after its bytes changed)."""
         return self._store.column(name)
 
     def append(self, rows_by_name: Mapping[str, Sequence]) -> None:
-        """Append rows to the named columns' files, one commit for all
-        of them (chunks are written once; after a rewind the rows land
-        where the rolled-back ones did)."""
+        """Append rows to the named columns' files, all or none of them
+        (chunks are written once; after a rewind the rows land where the
+        rolled-back ones did)."""
         with self._store.operation():
             for name, rows in rows_by_name.items():
                 self._store.extend(
@@ -146,9 +148,8 @@ class DiskColumns:
 
     def gather(self, order: np.ndarray) -> None:
         """Stream ``column[order]`` into a fresh generation of every
-        column, one commit for all of them — each output chunk
-        fancy-indexes the source memmap, touching only the pages it
-        needs."""
+        column, all or none of them — each output chunk fancy-indexes the
+        source memmap, touching only the pages it needs."""
         step = self._store.chunk_rows
         with self._store.operation():
             for name, dtype in COLUMNS.items():
@@ -175,8 +176,8 @@ class DiskColumns:
         )
 
     def checkpoint(self) -> Dict[str, object]:
-        """The store manifest (cutting it prunes generation files no
-        rewind can reach any more) plus the live views, so the capture
+        """The store's column table (cutting it prunes generation files
+        no rewind can reach any more) plus the live views, so the capture
         restores into a memory backend as well."""
         return {
             "store": self._store.checkpoint(),

@@ -108,14 +108,18 @@ def test_checkpoint_restore_rewinds_appends(store):
     )
 
 
-def test_reopen_from_manifest(tmp_path):
-    store = ChunkedColumnStore.create(tmp_path / "store", chunk_rows=8)
-    store.put("idf", np.linspace(0, 1, 19))
-    again = ChunkedColumnStore.open(tmp_path / "store")
-    assert again.chunk_rows == 8
-    np.testing.assert_array_equal(
-        np.asarray(again.column("idf")), np.linspace(0, 1, 19)
+def test_create_sweeps_what_an_earlier_store_left(tmp_path):
+    """The store is scratch: a reused directory's column files, and the
+    manifest older versions wrote, are litter — never read back."""
+    directory = tmp_path / "store"
+    ChunkedColumnStore.create(directory, chunk_rows=8).put(
+        "cells", np.arange(19, dtype=np.uint64)
     )
+    (directory / "store.json").write_text("{not json")
+    (directory / "notes.txt").write_text("kept")
+    store = ChunkedColumnStore.create(directory, chunk_rows=8)
+    assert store.names() == ()
+    assert sorted(path.name for path in directory.iterdir()) == ["notes.txt"]
 
 
 class TestChunkLRU:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.retention import SlidingWindowRetention
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.pipeline import LinkageConfig
@@ -109,6 +110,51 @@ def test_restore_into_disk_storage(tmp_path):
     resumed = _replay(on_disk, range(3, 5))
     assert dict(continued.links) == dict(resumed.links)
     assert continued.link_scores == resumed.link_scores
+
+
+def _churn(linker, rounds):
+    """Per round: one replay round plus a newcomer per side that the
+    sliding window later retires — links, scores and relink stats."""
+    views = []
+    for round_index in rounds:
+        for side in ("left", "right"):
+            records = _round_records(side, round_index)
+            records += [
+                Record(f"n{round_index}", rec.lat + 0.02, rec.lng, rec.timestamp + 60.0)
+                for rec in records[:1]
+            ]
+            linker.observe(side, records)
+        report = linker.relink()
+        views.append((dict(report.links), report.link_scores, linker.last_relink))
+    return views
+
+
+def test_a_disk_restart_never_reads_the_spill_directory(tmp_path):
+    """The spill store is scratch: a restart rebuilds from the snapshot
+    and re-spills, so whatever the directory holds — the dead process's
+    column files, anything else, a garbage ``store.json`` — is never read."""
+    store_dir = tmp_path / "store"
+    options = {"storage": "disk", "store_dir": store_dir, "store_chunk_rows": 8}
+    continuous = StreamingLinker(0.0, retention=SlidingWindowRetention(2), **options)
+    _churn(continuous, range(3))
+    continuous.save(tmp_path / "snaps")
+    expected = _churn(continuous, range(3, 6))
+    assert any(stats.evicted_left for _, _, stats in expected)
+    del continuous
+
+    files = [path for path in store_dir.rglob("*") if path.is_file()]
+    assert files
+    for index, path in enumerate(files):
+        if index % 2:
+            path.unlink()
+        else:
+            path.write_bytes(b"\xff" * 3)
+    for side in ("left", "right"):
+        (store_dir / side / "store.json").write_text("{garbage")
+    (store_dir / "store.json").write_text("{garbage")
+
+    restored = StreamingLinker.restore(tmp_path / "snaps", strict=True, **options)
+    assert _churn(restored, range(3, 6)) == expected
 
 
 def test_save_then_save_again_prunes_previous(tmp_path):
