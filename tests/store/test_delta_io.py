@@ -86,6 +86,29 @@ def test_a_failed_operation_commits_no_column(tmp_path, monkeypatch, operation):
     assert _contents(flats) == _contents(twin)
 
 
+def test_a_direct_store_write_still_commits_itself(tmp_path, monkeypatch):
+    """Outside ``operation()`` each write is its own step: it lands in the
+    column table at once, and a later failed operation rewinds only to
+    where that operation started, keeping it."""
+    store = ChunkedColumnStore.create(tmp_path / "store", chunk_rows=CHUNK_ROWS)
+    store.put("cells", np.arange(5, dtype=np.uint64))
+    store.extend("cells", np.arange(3, dtype=np.uint64), 5)
+    assert _table(store) == {"cells": (8, 0)}
+    monkeypatch.setattr(
+        ChunkedColumnStore, "extend", _fail_second_call(ChunkedColumnStore.extend)
+    )
+    with pytest.raises(_Injected):
+        with store.operation():
+            store.put("slots", np.arange(4, dtype=np.int64))
+            store.extend("cells", np.arange(2, dtype=np.uint64), 8)
+            store.extend("cells", np.arange(2, dtype=np.uint64), 10)
+    monkeypatch.undo()
+    assert _table(store) == {"cells": (8, 0)}
+    np.testing.assert_array_equal(
+        store.column("cells"), np.r_[np.arange(5), np.arange(3)].astype(np.uint64)
+    )
+
+
 def _round(linker, round_index):
     """A fresh set of ids every round: the sliding window retires the
     ids of two rounds ago, and with them bins no survivor holds."""
