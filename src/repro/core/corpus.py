@@ -71,14 +71,14 @@ document frequencies, drops its window directory (the flat slice becomes
 garbage, reclaimed eagerly through the compaction pass so steady-state
 memory tracks the *live* entities), reclaims df slots no surviving entity
 references, and reports the eviction on :attr:`CorpusDelta.evicted`.
-Remaining entities see the same IDF-drift accounting as growth deltas — a
+Remaining entities see the same IDF accounting as growth deltas — a
 retired holder moves a shared bin's document frequency exactly like a new
 one does.
 
 :meth:`refresh` reports what changed as a :class:`CorpusDelta` — the dirty
-entity set plus the shared bins whose IDF drifted — which is exactly what
-:class:`~repro.core.streaming.StreamingLinker` needs to decide which cached
-pair scores survive a delta.
+and evicted entities plus the clean residents an IDF movement touched —
+which is exactly what :class:`~repro.core.streaming.StreamingLinker` needs
+to decide which cached pair scores survive a delta.
 
 Doctest — a two-entity corpus, grown incrementally:
 
@@ -121,7 +121,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,11 +315,9 @@ _SCALARS = ("version", "start", "size")
 
 def _pack_corpus(state: Dict[str, object]) -> Dict[str, object]:
     """A :meth:`HistoryCorpus.checkpoint` as a durable snapshot holds it:
-    the residents as flat arrays (:func:`~repro.store.snapshot.pack_rows`)
-    and without the scalar oracle's ``bins_with_idf`` memo, which is
-    re-derived on demand."""
+    the residents as flat arrays (:func:`~repro.store.snapshot.pack_rows`)."""
     residents = pack_rows(state["window_index"], _DIRECTORY, _SCALARS)
-    return dict(state, window_index=residents, bins_with_idf={})
+    return dict(state, window_index=residents)
 
 
 def _unpack_corpus(state: Dict[str, object]) -> Dict[str, object]:
@@ -350,26 +348,20 @@ class CorpusDelta:
         last refresh (entity retirement — see
         :mod:`repro.core.retention`); their bins were retracted from the
         statistics and their flat slices reclaimed.
-    idf_drift:
-        The ``(window, cell)`` bins whose document frequency changed
-        while remaining shared (old df > 0 and new df > 0) — their idf
-        moved, so every holder's cached pair totals are stale.  Bins
-        appearing for the first time, or vanishing entirely, are held
-        only by dirty entities and need no entry.
-    global_drift:
-        ``|Δ ln |U_E||`` — the IDF shift every *untouched* bin experienced
-        because the corpus size changed (zero when no entity was added).
+    idf_affected:
+        The clean residents (neither dirty nor evicted), in residency
+        order, holding a bin whose Eq. 3 idf the refresh moved — so
+        their cached pair totals are stale although their histories are
+        not.  When ``|U_E|`` changed, every idf moved: every clean
+        resident.  Otherwise, the clean holders of the bins whose
+        document frequency changed while staying shared (old df > 0 and
+        new df > 0); a bin appearing or vanishing is held only by dirty
+        entities.
     """
 
     dirty_entities: Tuple[str, ...]
-    idf_drift: Tuple[Tuple[int, int], ...] = ()
-    global_drift: float = 0.0
     evicted: Tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        """True when the refresh found nothing to do."""
-        return not self.dirty_entities and not self.evicted
+    idf_affected: Tuple[str, ...] = ()
 
 
 class HistoryCorpus:
@@ -542,24 +534,10 @@ class HistoryCorpus:
         grown = len(rows) - len(retracted)
         self._total_bins += grown
         self._flat_live += grown
-        old_log_size = math.log(self._size) if self._size else 0.0
-        self._size = len(self._histories)
-        log_size = math.log(self._size)
+        old_size, self._size = self._size, len(self._histories)
         # The oracle cache embeds IDFs; it is lazily rebuilt, so
         # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
-
-        touched = distinct(np.concatenate([retracted, keys]))
-        was, now = before[touched], self._df_counts[touched]
-        # New / vanished bins belong to dirty entities only.
-        shared = (was > 0.0) & (now > 0.0) & (was != now)
-        moved = self._df_bins[touched[shared]]
-        drift = tuple(
-            zip(
-                (moved >> _ROW_BITS).tolist(),
-                self._cell_table.cell_ids[moved & ((1 << _ROW_BITS) - 1)].tolist(),
-            )
-        )
 
         # Eviction exists to bound memory: reclaim the retired slices now
         # rather than waiting for garbage to outweigh live data, so
@@ -569,12 +547,23 @@ class HistoryCorpus:
             allocated if evicted else _COMPACT_LIVE_FRACTION * allocated
         ):
             self._compact()
+
+        # Whose idf moved: every resident's when |U_E| did (on the cold
+        # build all are dirty), else the holders of the df slots whose
+        # count changed while staying shared — read before
+        # _compact_df_slots renumbers them.
+        if self._size != old_size:
+            holders = list(resident)
+        else:
+            touched = distinct(np.concatenate([retracted, keys]))
+            was, now = before[touched], self._df_counts[touched]
+            holders = self._holders(touched[(was > 0.0) & (now > 0.0) & (was != now)])
+        changed = set(dirty)
+        affected = tuple(eid for eid in holders if eid not in changed)
         if evicted:
             self._compact_df_slots()
         self._derive_idf()
-        return CorpusDelta(
-            tuple(dirty), drift, abs(log_size - old_log_size), tuple(evicted)
-        )
+        return CorpusDelta(tuple(dirty), tuple(evicted), affected)
 
     def _cell_slots(self, cells: np.ndarray) -> np.ndarray:
         """The :class:`CellTable` row of each cell, appending a geometry
@@ -653,18 +642,12 @@ class HistoryCorpus:
                     resident[entity_id], version=_STALE
                 )
 
-    def entities_with_bins(
-        self, keys: Iterable[Tuple[int, int]]
-    ) -> Set[str]:
-        """Entities whose slice holds any of the given (window, cell)
-        bins — the holders a document-frequency change couples to."""
-        keys = list(keys)
-        slots = self._slots_of(
-            [window for window, _ in keys], [cell for _, cell in keys]
-        )
-        hits = np.flatnonzero(np.isin(self._flats.column("keys"), slots[slots >= 0]))
-        if not len(hits):
-            return set()
+    def _holders(self, slots: np.ndarray) -> List[str]:
+        """Residents whose slice holds any of the df ``slots``, in
+        residency order (no scan when there are none)."""
+        if not len(slots):
+            return []
+        hits = np.flatnonzero(np.isin(self._flats.column("keys"), slots))
         # A hit counts when it falls inside a resident slice (the rest
         # is garbage): bisect the slices' starts.
         starts, sizes = self._slices()
@@ -672,7 +655,7 @@ class HistoryCorpus:
         nearest = order[np.searchsorted(starts[order], hits, side="right") - 1]
         inside = (hits >= starts[nearest]) & (hits < starts[nearest] + sizes[nearest])
         entity_ids = list(self._window_index)
-        return {entity_ids[k] for k in np.unique(nearest[inside]).tolist()}
+        return [entity_ids[k] for k in np.unique(nearest[inside]).tolist()]
 
     def _slices(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every resident's flat slice as ``(starts, sizes)``, in
@@ -940,13 +923,14 @@ class HistoryCorpus:
     # ------------------------------------------------------------------
     #: The state of a corpus, by attribute (minus the underscore): the one
     #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
-    #: The two per-entity dicts :meth:`refresh` mutates in place are
+    #: The residency dict :meth:`refresh` mutates in place is
     #: shallow-copied out *and* in; the rest — scalars, the frozen
     #: ``CellTable``, the document-frequency arrays — is replaced, never
     #: mutated, so travels by reference: nothing that grows with the bins
     #: is copied.  The flat columns are the backend's to capture;
-    #: ``_histories`` is the caller's mapping, not state.
-    _COPIED_STATE = ("bins_with_idf", "window_index")
+    #: ``_histories`` is the caller's mapping, and the scalar oracle's
+    #: ``bins_with_idf`` memo a lazily re-derived cache — neither is state.
+    _COPIED_STATE = ("window_index",)
     _SHARED_STATE = (
         "level", "total_bins", "size", "cell_table", "flat_live",
         "df_bins", "df_counts", "df_order",
@@ -955,8 +939,8 @@ class HistoryCorpus:
     def checkpoint(self) -> Dict[str, object]:
         """The corpus' whole state as a plain dict, for :meth:`restore`.
 
-        A relink rollback keeps it in memory (cheap — references plus two
-        shallow per-entity dict copies); a durable snapshot pickles the
+        A relink rollback keeps it in memory (cheap — references plus one
+        shallow per-entity dict copy); a durable snapshot pickles the
         very same dict with its residents packed into columns
         (:func:`_pack_corpus`).  The flat columns ride along as their
         backend's own capture.
@@ -978,12 +962,14 @@ class HistoryCorpus:
         The flats backend rewinds itself; a fresh (heap) corpus adopts
         the captured columns and may :meth:`spill` afterwards — storage
         is not state.  The captured cache token is adopted, and reserved
-        if it is a default one.
+        if it is a default one.  The oracle's memo starts empty (a
+        ``bins_with_idf`` key in an older snapshot is ignored).
         """
         for name in self._SHARED_STATE:
             setattr(self, "_" + name, state[name])
         for name in self._COPIED_STATE:
             setattr(self, "_" + name, state[name].copy())
+        self._bins_with_idf = {}
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)
         self._flats.restore(state["flats"])

@@ -37,14 +37,15 @@ The reuse machinery, stage by stage:
   pair codes over the cache's entity tables, two entity-code columns, a
   free list, one undo journal) with different columns.  A relink
   re-asks the cache (and, on a miss, the kernel) only about the
-  *touched* pairs: new in the
-  candidate set ∪ a changed history at either end ∪ invalidated by IDF
-  drift — a third entity's new bins can move the document frequency,
-  hence the idf weight, inside an otherwise untouched pair.  Every other
-  pair is the cache hit it would have been, and is counted as one.  Any
-  drift on a shared bin invalidates its holders (and a corpus-size change
-  the whole side), which makes an incremental relink produce **exactly**
-  the links and scores of a cold full relink.  The table is derived
+  *touched* pairs: new in the candidate set ∪ an endpoint among the
+  refresh's ``dirty_entities`` ∪ an endpoint among its ``idf_affected``
+  — a third entity's new bins can move the document frequency, hence
+  the idf weight, inside an otherwise untouched pair, and the corpus
+  names those clean holders (every clean resident when ``|U_E|``
+  moved); their cached rows are invalidated first.  Every other pair is
+  the cache hit it would have been, and is counted as one, which makes
+  an incremental relink produce **exactly** the links and scores of a
+  cold full relink.  The table is derived
   state: when the cache changed behind its back (``clear()``,
   :meth:`StreamingLinker.retire`, a restore) it is started over, and the
   "full pass" is nothing but that — every candidate new again.
@@ -93,7 +94,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -776,24 +777,6 @@ class StreamingLinker:
             )
         return corpus
 
-    def _idf_affected(self, side: str, delta: CorpusDelta) -> Set[str]:
-        """Entities whose cached pair totals the delta's IDF movement has
-        silently changed: every entity when the corpus size moved (every
-        idf on the side shifted), else the holders of the shared bins
-        whose document frequency moved.  History versions already
-        invalidate pairs of *dirty* entities, so those are excluded.
-        """
-        if delta.empty:
-            return set()
-        corpus = self._corpora[side]
-        assert corpus is not None
-        dirty = set(delta.dirty_entities)
-        if delta.global_drift > 0.0:
-            return set(corpus.entities) - dirty
-        if not delta.idf_drift:
-            return set()
-        return corpus.entities_with_bins(delta.idf_drift) - dirty
-
     def _lsh_update(
         self, deltas: Dict[str, CorpusDelta]
     ) -> Tuple[LshIndex, bool]:
@@ -919,14 +902,12 @@ class StreamingLinker:
         assert left_corpus is not None and right_corpus is not None
 
         invalidated = 0
-        affected_left = self._idf_affected("left", deltas["left"])
-        affected_right = self._idf_affected("right", deltas["right"])
-        if affected_left or affected_right:
+        affected = (deltas["left"].idf_affected, deltas["right"].idf_affected)
+        if any(affected):
             # Scoped to this linker's space: in a shared cache, other
-            # owners' corpora are untouched by our IDF drift.
+            # owners' corpora are untouched by our IDF movement.
             invalidated = self._invalidate(
-                affected_left,
-                affected_right,
+                *affected,
                 score_cache_space(
                     left_corpus, right_corpus, self.config.similarity
                 ),
@@ -951,11 +932,7 @@ class StreamingLinker:
             self.config,
             stages=[
                 _StreamingCandidates(self, deltas),
-                _StreamingScoring(
-                    self,
-                    affected_left.union(dirty_left),
-                    affected_right.union(dirty_right),
-                ),
+                _StreamingScoring(self, deltas),
                 MatchingStage(self.config),
                 ThresholdStage(self.config),
             ],
@@ -1052,11 +1029,11 @@ class _StreamingScoring(ScoringStage):
     """
 
     def __init__(
-        self, linker: StreamingLinker, lefts: Set[str], rights: Set[str]
+        self, linker: StreamingLinker, deltas: Dict[str, CorpusDelta]
     ) -> None:
         super().__init__(linker.config)
         self.linker = linker
-        self.touched = (lefts, rights)
+        self.deltas = deltas
 
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
@@ -1068,7 +1045,11 @@ class _StreamingScoring(ScoringStage):
         )
         context.engine = engine
 
-        rows = table.touched(*table.entities.codes(*self.touched))
+        left, right = self.deltas["left"], self.deltas["right"]
+        rows = table.touched(*table.entities.codes(
+            left.dirty_entities + left.idf_affected,
+            right.dirty_entities + right.idf_affected,
+        ))
         pairs = table._pairs(rows)
         batch = self._dispatch(context, engine.raw_batch, pairs)
         lefts, rights = split_codes(pairs)

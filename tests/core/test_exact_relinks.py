@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.corpus import CorpusDelta, HistoryCorpus
+from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
@@ -60,10 +60,11 @@ def linker():
     return linker
 
 
-def _first_bin(linker, side, entity):
-    corpus = linker._corpora[side]
-    window, cells = next(iter(corpus.history(entity).bins(corpus.level).items()))
-    return (window, cells[0])
+def _refresh_after(linker, side, entity, lat, lng, t):
+    """Grow ``entity`` by one record on ``side`` and refresh that side's
+    corpus: the delta the next relink would read."""
+    linker.observe(side, [Record(entity, lat, lng, t)])
+    return linker._corpora[side].refresh()
 
 
 class TestNoToleranceNoCap:
@@ -137,26 +138,37 @@ class TestStatelessInvalidation:
             "c": history("c", 2000.0, 37.90, -122.10),
         }
         corpus = HistoryCorpus(histories, 12)
-        # "c" joins the bin "a" and "b" share: its df moves 2 -> 3.
+        # "c" joins the bin "a" and "b" share: its df moves 2 -> 3 at the
+        # same |U_E|, so exactly its two clean holders are affected.
         histories["c"].extend(np.array([30.0]), np.array([37.77]), np.array([-122.42]))
         delta = corpus.refresh()
-        window, cells = next(iter(histories["a"].bins(12).items()))
-        assert delta.idf_drift == ((window, cells[0]),)
-        assert delta.global_drift == 0.0
+        assert delta.dirty_entities == ("c",)
+        assert delta.idf_affected == ("a", "b")
 
     @pytest.mark.parametrize("side, holders", [("left", "ab"), ("right", "vw")])
     def test_bin_drift_affects_the_clean_holders_every_time(
         self, linker, side, holders
     ):
-        dirty, clean = holders
-        drifted = CorpusDelta((dirty,), (_first_bin(linker, side, clean),))
-        for _ in range(2):  # nothing accumulates between calls
-            assert linker._idf_affected(side, drifted) == {clean}
-        assert linker._idf_affected(side, CorpusDelta((dirty,))) == set()
+        first, second = holders
+        (third,) = set(linker._corpora[side].entities) - set(holders)
+        # The third entity joins the holders' bin: both clean holders.
+        delta = _refresh_after(linker, side, third, 37.77, -122.42, 40.0)
+        assert delta.idf_affected == (first, second)
+        # A holder joins the third's bin: only its clean holder — nothing
+        # is carried over from the refresh before.
+        delta = _refresh_after(linker, side, first, 40.71, -74.00, 50.0)
+        assert delta.idf_affected == (third,)
+        # A bin of its own moves no shared df: nobody.
+        delta = _refresh_after(linker, side, first, 10.0, 10.0, 60.0)
+        assert delta.dirty_entities == (first,)
+        assert delta.idf_affected == ()
 
     def test_a_corpus_size_change_affects_every_clean_entity(self, linker):
-        resized = CorpusDelta(("a",), (), global_drift=0.1)
-        assert linker._idf_affected("left", resized) == {"b", "c"}
+        linker.observe("left", [Record("a", 37.77, -122.42, 40.0),
+                                Record("d", 10.0, 10.0, 50.0)])
+        delta = linker._corpora["left"].refresh()
+        assert delta.dirty_entities == ("a", "d")
+        assert delta.idf_affected == ("b", "c")
 
     def test_a_hit_writes_nothing(self):
         cache = ScoreCache()

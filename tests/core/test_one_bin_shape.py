@@ -83,9 +83,9 @@ def test_a_corpus_checkpoint_copies_nothing_that_grows_with_the_bins():
             if isinstance(value, (dict, list, set, np.ndarray))
             and value is not getattr(corpus, "_" + name)
         }
-        assert set(copied) == {"window_index", "bins_with_idf"}
+        assert set(copied) == {"window_index"}
         sizes.append(copied)
-    assert sizes[0] == sizes[1] == {"window_index": 6, "bins_with_idf": 6}
+    assert sizes[0] == sizes[1] == {"window_index": 6}
     assert all(
         column is corpus._flats.column(name)
         for name, column in corpus._flats.checkpoint()["columns"].items()

@@ -9,7 +9,7 @@ slots, LSH placements, score-cache rows) is actually reclaimed.
 import numpy as np
 import pytest
 
-from repro.core.corpus import HistoryCorpus
+from repro.core.corpus import CorpusDelta, HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.retention import (
     MaxEntitiesRetention,
@@ -117,8 +117,9 @@ class TestCorpusEviction:
         delta = corpus.refresh()
         assert delta.evicted == ("b",)
         assert delta.dirty_entities == ()
-        assert not delta.empty
-        assert delta.global_drift > 0.0  # |U_E| moved: every idf shifted
+        assert delta != CorpusDelta(())
+        # |U_E| moved: every idf shifted, so every clean resident.
+        assert delta.idf_affected == ("a", "c")
 
         fresh = HistoryCorpus(dict(histories), 12)
         assert corpus.size == fresh.size == 2
@@ -162,9 +163,8 @@ class TestCorpusEviction:
         del histories["b"]
         delta = corpus.refresh()
         # The (window 0, shared cell) bin's df fell 2 -> 1 while staying
-        # shared with the surviving "a": that is IDF drift.
-        assert delta.idf_drift
-        assert "a" in corpus.entities_with_bins(list(delta.idf_drift))
+        # shared with the surviving "a" (and |U_E| moved with it).
+        assert "a" in delta.idf_affected
 
     def test_eviction_then_regrowth_round_trips(self):
         histories = self._histories()
@@ -190,7 +190,7 @@ class TestCorpusEviction:
         assert corpus.size == 1
         assert corpus.memory_stats()["total_bins"] == 1
         histories["a"] = _history("a", [10.0])
-        assert corpus.refresh().empty  # same version: nothing to do
+        assert corpus.refresh() == CorpusDelta(())  # same version: nothing to do
         assert corpus.bins_with_idf("a")
 
     def test_eviction_before_arrays_built_is_fine(self):

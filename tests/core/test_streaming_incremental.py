@@ -263,7 +263,7 @@ class TestCorpusRefresh:
         )
         delta = corpus.refresh()
         assert delta.dirty_entities == ("a",)
-        assert delta.global_drift == 0.0
+        assert delta.idf_affected == ()  # only fresh bins: no df moved
 
         self._assert_corpus_equivalent(corpus, HistoryCorpus(histories, 12))
 
@@ -275,10 +275,8 @@ class TestCorpusRefresh:
         histories["c"].extend(np.array([30.0]), np.array([37.77]), np.array([-122.42]))
         delta = corpus.refresh()
         assert delta.dirty_entities == ("c",)
-        assert delta.idf_drift  # df of the shared (window 0) bin moved
-        drifted_keys = list(delta.idf_drift)
-        holders = corpus.entities_with_bins(drifted_keys)
-        assert {"a", "b", "c"} <= holders
+        # df of the shared (window 0) bin moved: its clean holders.
+        assert delta.idf_affected == ("a", "b")
 
     def test_refresh_with_new_entity_reports_global_drift(self):
         windowing = Windowing(0.0, 900.0)
@@ -290,7 +288,7 @@ class TestCorpusRefresh:
         )
         delta = corpus.refresh()
         assert "d" in delta.dirty_entities
-        assert delta.global_drift > 0.0
+        assert delta.idf_affected == ("a", "b", "c")  # |U_E| moved
         self._assert_corpus_equivalent(corpus, HistoryCorpus(histories, 12))
 
     def test_repeated_refresh_compacts_garbage(self):
