@@ -33,7 +33,7 @@ class EdgeSet(Sequence[Edge]):
     reads the columns and builds an :class:`Edge` only for the edges it
     keeps.  Read as a sequence it is the ``Edge`` rows, built once (and
     cached) on the first read — in column order, or sorted when
-    ``sort_rows`` (the streaming table's rows are in allocation order).
+    ``sort_rows`` (the streaming table's pairs are in code order).
     """
 
     def __init__(self, left, right, weight: np.ndarray, sort_rows: bool = False):

@@ -44,14 +44,16 @@ space, so the hot path of a streaming relink — thousands of lookups per
 every version comparison, freshness mask and value gather is a single
 vectorized operation instead of a per-pair Python loop.
 
-The store under the directory is :class:`_Rows`, the keyed-rows
-primitive the streaming linker's pair table is built on as well: value
-columns behind the directories, and three *owner* columns per row (space,
-left code, right code; ``-1`` = free).  The rows of some entities are one
+Under the directories, three *owner* columns per row (space, left
+code, right code; ``-1`` = free) make the rows of some entities one
 vectorized pass over the two code columns (so
-:meth:`ScoreCache.invalidate_pairs` reads no directory), and one **undo
-journal** (:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives
-the streaming relink its rollback at O(writes): rows are overwritten in
+:meth:`ScoreCache.invalidate_pairs` reads no directory), and make "does
+row ``r`` still hold pair ``p`` under these versions?" one gather of the
+owner and version columns (:meth:`ScoreCache._holds`, which the
+streaming linker's pair table — a view of this cache — asks instead of
+being told what changed).  One **undo journal**
+(:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives the
+streaming relink its rollback at O(writes): rows are overwritten in
 place, the journal keeps, as blocks of arrays, the prior values of every
 block written, every block of rows linked or unlinked, and the rows taken
 from the free list, and a row freed inside a transaction is recycled only
@@ -61,9 +63,11 @@ one *full* capture, for snapshots and the cache file.
 What version keys cannot see is *IDF drift*: a bin's document frequency —
 and hence the idf weight inside some *other*, unchanged pair — can move
 because a third entity changed.  The cache owner is responsible for that
-coupling; :class:`~repro.core.streaming.StreamingLinker` computes the set
-of drift-affected entities from :class:`~repro.core.corpus.CorpusDelta`
-and calls :meth:`invalidate_pairs`.
+coupling: :class:`~repro.core.streaming.StreamingLinker` hands
+:meth:`invalidate_pairs` the entities its
+:class:`~repro.core.corpus.CorpusDelta` names as ``idf_affected``, and a
+row so dropped no longer holds its pair, which is all its pair table
+needs to see to ask about that pair again.
 
 Doctest — version-keyed hit/miss behaviour:
 
@@ -181,11 +185,25 @@ class EntityTables:
         """The ids of ``codes``, as an object array."""
         return self._ids[side][codes]
 
+    def touching(
+        self, left: np.ndarray, right: np.ndarray, lefts: np.ndarray, rights: np.ndarray
+    ) -> np.ndarray:
+        """``left[i] in lefts or right[i] in rights``, for code columns
+        (``-1`` = none): one mark array a side, one gather each."""
+        return (
+            _member(left, lefts, len(self._ids[0]))
+            | _member(right, rights, len(self._ids[1]))
+        )
+
     def spread(self, side: int, read: Callable, codes: np.ndarray) -> np.ndarray:
         """``read`` over the ids of each distinct entity of ``codes``
-        once, spread back to one value per code."""
-        unique, inverse = np.unique(codes, return_inverse=True)
-        return read(self._ids[side][unique])[inverse]
+        once (ascending), spread back to one value per code: a count per
+        code of the side instead of a sort."""
+        unique = np.flatnonzero(np.bincount(codes))
+        values = read(self._ids[side][unique])
+        by_code = np.empty(len(self._ids[side]), values.dtype)
+        by_code[unique] = values
+        return by_code[codes]
 
 
 @dataclass(frozen=True)
@@ -219,22 +237,23 @@ class CacheBatch:
 
 
 class _Journal:
-    """What one transaction changed in a :class:`_Rows` store, in order:
+    """What one transaction changed in a :class:`ScoreCache`'s rows, in order:
     ``events`` — ``(linked, rows, owners)`` per block of rows, True =
     linked, False = unlinked (``owners`` being the ``(3, k)`` owner
     columns they held); ``written`` — ``(rows, prior values)`` per block
     of rows written; ``from_free`` — the rows taken from the free list;
-    and, as of :meth:`_Rows._begin`, the high-water mark and the owner's
-    ``_SCALARS``."""
+    and, as of :meth:`ScoreCache._begin`, the high-water mark and the
+    hit/miss counters."""
 
-    __slots__ = ("events", "written", "from_free", "high", "scalars")
+    __slots__ = ("events", "written", "from_free", "high", "hits", "misses")
 
-    def __init__(self, high: int, scalars: Dict[str, object]) -> None:
+    def __init__(self, high: int, hits: int, misses: int) -> None:
         self.events: List[Tuple[bool, np.ndarray, Optional[np.ndarray]]] = []
         self.written: List[Tuple[np.ndarray, List[np.ndarray]]] = []
         self.from_free: List[int] = []
         self.high = high
-        self.scalars = scalars
+        self.hits = hits
+        self.misses = misses
 
 
 def _member(column: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
@@ -252,30 +271,45 @@ def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
     return grown
 
 
-class _Rows:
-    """Keyed rows: value columns (one per ``_DTYPES`` entry) behind one
-    ``pair code -> row`` directory per integer space, the ``(3, rows)``
-    owner columns ``_owner`` (space, left code, right code; ``-1`` = a
-    free row; ``int64``, so a gather through them indexes without a
-    conversion copy) up to the high-water mark ``_high``, a free list, and
-    columns that grow by doubling into zeros.  Codes come from
-    ``entities``, which the store shares and never changes.
+class ScoreCache:
+    """Every cached pair score, over a columnar store: value columns (one
+    per ``_DTYPES`` entry) behind one ``pair code -> row`` directory per
+    integer space, the ``(3, rows)`` owner columns ``_owner`` (space, left
+    code, right code; ``-1`` = a free row; ``int64``, so a gather through
+    them indexes without a conversion copy) up to the high-water mark
+    ``_high``, a free list, and columns that grow by doubling into zeros.
+    Codes come from :attr:`entities`, which only grow.
 
     One undo journal makes a transaction cost O(writes): between
     :meth:`_begin` and :meth:`_commit`, rows are still overwritten in
     place — :meth:`_write` journals their prior values — but a row freed
     is recycled only at :meth:`_commit`, so :meth:`_rollback` can replay
     the journal backwards onto exactly the content :meth:`_begin` saw.
-    Outside a transaction a freed row is recycled at once."""
+    Outside a transaction a freed row is recycled at once.
 
-    #: One dtype per value column.
-    _DTYPES: Tuple[type, ...] = ()
-    #: The owner's attributes a rollback puts back.
-    _SCALARS: Tuple[str, ...] = ()
+    Nothing is evicted for space: a
+    :class:`~repro.core.streaming.StreamingLinker`'s working set is its
+    candidate-pair set, and bounded memory is its retention policy's job
+    (:mod:`repro.core.retention` sweeps retired entities' rows from every
+    scoring space).
+    """
 
-    def __init__(self, entities: Optional[EntityTables] = None) -> None:
-        self.entities = EntityTables() if entities is None else entities
+    #: The value columns, in :class:`PairScore` field order: what
+    #: :meth:`checkpoint` gathers.
+    _DTYPES: Tuple[type, ...] = (
+        np.int64, np.int64, np.float64, np.int64, np.int64, np.int64
+    )
+
+    def __init__(self) -> None:
+        self.entities = EntityTables()
         self._reset()
+        # Scoring spaces by integer code, append-only like the entities.
+        self._space_codes: Dict[Hashable, int] = {}
+        self._spaces: List[Hashable] = []
+        #: Number of lookups answered from the cache / recomputed.  A
+        #: zero-delta relink shows up as misses staying flat.
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -301,10 +335,6 @@ class _Rows:
     def _live(self) -> np.ndarray:
         """Every linked row, ascending."""
         return np.flatnonzero(self._owner[1, : self._high] >= 0)
-
-    def _pairs(self, rows: np.ndarray) -> np.ndarray:
-        """The pair codes the rows hold."""
-        return pair_codes(self._owner[1, rows], self._owner[2, rows])
 
     def _ids(self, rows: np.ndarray) -> Tuple[List[str], List[str]]:
         """The left ids and the right ids of the rows."""
@@ -336,6 +366,28 @@ class _Rows:
         """The row of each pair code in ``space``, -1 where absent."""
         get = self._rows.get(space, {}).get
         return np.fromiter(map(get, pairs.tolist(), repeat(-1)), np.int64, len(pairs))
+
+    def _holds(
+        self, space: Hashable, rows: np.ndarray, pairs: np.ndarray,
+        u_versions: np.ndarray, v_versions: np.ndarray,
+    ) -> np.ndarray:
+        """``rows[i]`` still holds ``pairs[i]`` in ``space`` under these
+        history versions, for rows read earlier (``-1`` = none): what
+        :meth:`lookup_batch` would serve as a hit, read as one gather of
+        the owner and version columns.  A row freed since, recycled for
+        another key, past a :meth:`restore`'s or :meth:`clear`'s new
+        high-water mark, or storing other versions does not."""
+        if not self._high:
+            return np.zeros(len(rows), dtype=bool)
+        owner = self._owner.take(rows, axis=1, mode="clip")
+        u_version, v_version = self._columns[:2]
+        return (
+            (rows >= 0) & (rows < self._high)
+            & (owner[0] == self._space_codes.get(space, -1))
+            & (pair_codes(owner[1], owner[2]) == pairs)
+            & (u_version.take(rows, mode="clip") == u_versions)
+            & (v_version.take(rows, mode="clip") == v_versions)
+        )
 
     def _link(self, space: int, pairs: np.ndarray) -> np.ndarray:
         """Link each of these distinct, absent pair codes to a free row,
@@ -385,9 +437,8 @@ class _Rows:
         """The rows (ascending) whose left code is in ``lefts`` or whose
         right code is in ``rights`` — within ``space`` unless ``None``:
         one pass over the code columns."""
-        owner, ids = self._owner[:, : self._high], self.entities._ids
-        hit = _member(owner[1], lefts, len(ids[0]))
-        hit |= _member(owner[2], rights, len(ids[1]))
+        owner = self._owner[:, : self._high]
+        hit = self.entities.touching(owner[1], owner[2], lefts, rights)
         if space is not None:
             hit &= owner[0] == space
         return np.flatnonzero(hit)
@@ -395,9 +446,7 @@ class _Rows:
     def _begin(self) -> _Journal:
         """Open a transaction; rolling back the returned journal undoes
         everything written until :meth:`_commit`."""
-        self._journal = _Journal(
-            self._high, {name: getattr(self, name) for name in self._SCALARS}
-        )
+        self._journal = _Journal(self._high, self.hits, self.misses)
         return self._journal
 
     def _commit(self) -> None:
@@ -421,44 +470,8 @@ class _Rows:
                 column[rows] = values
         self._free.extend(reversed(journal.from_free))
         self._high = journal.high
-        for name, value in journal.scalars.items():
-            setattr(self, name, value)
+        self.hits, self.misses = journal.hits, journal.misses
 
-
-class ScoreCache(_Rows):
-    """Every cached pair score, over a columnar store.
-
-    Nothing is evicted for space: a
-    :class:`~repro.core.streaming.StreamingLinker`'s working set is its
-    candidate-pair set, and bounded memory is its retention policy's job
-    (:mod:`repro.core.retention` sweeps retired entities' rows from every
-    scoring space).
-
-    A *resident reader* — one that remembers the rows it has seen instead
-    of looking them up again, like the streaming linker's pair table —
-    watches ``_mutations``: it counts the changes such a reader cannot
-    predict from its own calls.  Rows dropped by :meth:`invalidate_pairs`
-    (one per row, so the caller can mirror its own) or by :meth:`clear`,
-    and a wholesale :meth:`restore`.  Stale-version drops and plain
-    stores do not count: a reader knows its own, and anyone else's can
-    only replace a row by what the reader would have computed.
-    """
-
-    #: The value columns, in :class:`PairScore` field order: what
-    #: :meth:`checkpoint` gathers.
-    _DTYPES = (np.int64, np.int64, np.float64, np.int64, np.int64, np.int64)
-    _SCALARS = ("hits", "misses", "_mutations")
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Scoring spaces by integer code, append-only like the entities.
-        self._space_codes: Dict[Hashable, int] = {}
-        self._spaces: List[Hashable] = []
-        self._mutations = 0
-        #: Number of lookups answered from the cache / recomputed.  A
-        #: zero-delta relink shows up as misses staying flat.
-        self.hits = 0
-        self.misses = 0
 
     def _space(self, space: Hashable) -> int:
         """The code of ``space``, coding it if unseen."""
@@ -541,7 +554,7 @@ class ScoreCache(_Rows):
         version comparison and the value gathers run as numpy array
         operations keyed on the callers' version arrays, which is what
         keeps the streaming relink's cache-hit path off the Python
-        interpreter (the ROADMAP's ~3x brute-force-delta ceiling).
+        interpreter.
         """
         n = len(pairs)
         values = [np.zeros(n, dtype) for dtype in self._DTYPES[2:]]
@@ -629,12 +642,10 @@ class ScoreCache(_Rows):
         code = None if space is None else self._space_codes.get(space, -1)
         rows = self._rows_of(left_codes, right_codes, code)
         self._unlink(rows)
-        self._mutations += rows.size
         return int(rows.size)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        self._mutations += 1
         if self._journal is None:
             self._reset()
         else:
@@ -678,7 +689,6 @@ class ScoreCache(_Rows):
         self._load(np.stack([codes, *self.entities.codes(*ids)]), state["columns"])
         self.hits = state["hits"]
         self.misses = state["misses"]
-        self._mutations += 1
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the cache under ``path``: a snapshot root

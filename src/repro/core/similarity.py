@@ -362,9 +362,9 @@ class SimilarityEngine:
         the block and the original exception's type and text.
 
         Neither normalised nor merged into :attr:`stats`: see
-        :meth:`normalize` and :meth:`fold` (the streaming linker keeps
-        these columns resident across relinks, asks only about the pairs
-        a delta touched, and normalises and folds the whole table).
+        :meth:`normalize` and :meth:`fold` (the streaming linker asks
+        only about the pairs it cannot trust, and normalises and folds
+        the cache values its whole pair table points at).
         """
         count = len(pairs)
         lefts, rights = split_codes(pairs)

@@ -31,24 +31,21 @@ The reuse machinery, stage by stage:
   table's.
 * **Scores** — a :class:`~repro.core.score_cache.ScoreCache` memoises
   every pair's raw Eq. 2 total keyed on the pair's history versions, and
-  a resident **pair table** (:class:`_PairTable`) keeps those totals as
-  columns aligned to the candidate set.  Both are the same keyed-rows
-  store (:class:`~repro.core.score_cache._Rows`: rows keyed by integer
-  pair codes over the cache's entity tables, two entity-code columns, a
-  free list, one undo journal) with different columns.  A relink
-  re-asks the cache (and, on a miss, the kernel) only about the
-  *touched* pairs: new in the candidate set ∪ an endpoint among the
-  refresh's ``dirty_entities`` ∪ an endpoint among its ``idf_affected``
-  — a third entity's new bins can move the document frequency, hence
-  the idf weight, inside an otherwise untouched pair, and the corpus
-  names those clean holders (every clean resident when ``|U_E|``
-  moved); their cached rows are invalidated first.  Every other pair is
-  the cache hit it would have been, and is counted as one, which makes
-  an incremental relink produce **exactly** the links and scores of a
-  cold full relink.  The table is derived
-  state: when the cache changed behind its back (``clear()``,
-  :meth:`StreamingLinker.retire`, a restore) it is started over, and the
-  "full pass" is nothing but that — every candidate new again.
+  the **pair table** (:class:`_PairTable`) is a view of it: the
+  candidate pairs sorted by pair code, the cache row each was last read
+  from, and both endpoints' history sizes.  A relink re-asks the cache
+  (and, on a miss, the kernel) only about the pairs whose row no longer
+  holds them under both endpoints' current history versions — new in
+  the candidate set, grown since, or dropped or rewound in the cache
+  since the row was read.  The linker drops the rows of the corpus'
+  ``idf_affected`` entities first (a third entity's new bins can move
+  the document frequency, hence the idf weight, inside an otherwise
+  untouched pair), so IDF drift needs nothing else; nor does a
+  retirement, another owner's sweep or a ``clear()``.  Every other pair
+  is the cache hit it would have been, and is counted as one, which
+  makes an incremental relink produce **exactly** the links and scores
+  of a cold full relink.  The cold relink, and the first one after a
+  full restore, start from an empty table: every candidate new.
 * **Matching / threshold** — recomputed in full each relink (they are
   global decisions over the edge set, and cheap next to scoring).
 * **Retention** — a :class:`~repro.core.retention.RetentionPolicy`
@@ -59,10 +56,10 @@ The reuse machinery, stage by stage:
   saw.  A relink after retirement equals a cold run over the survivors.
 * **Transaction** — a relink is all-or-nothing, and what that costs is
   O(writes) too: the components that mutate in place (score cache, LSH
-  index, pair table) journal the prior value of what they overwrite —
-  the cache and the table through their store's one undo journal — and
-  a failure replays the journals.  The O(state) ``checkpoint()`` capture
-  is for snapshots only.
+  index) journal the prior value of what they overwrite, and a failure
+  replays the journals; the pair table is replaced, never written, so
+  the transaction holds the old one by reference.  The O(state)
+  ``checkpoint()`` capture is for snapshots only.
 
 :attr:`StreamingLinker.last_relink` reports what the delta machinery did
 (pairs re-scored vs served from cache, dirty entities, IDF invalidations,
@@ -92,7 +89,7 @@ from __future__ import annotations
 # repro-lint: timing-module -- relink reports include wall-clock stage timings
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -132,7 +129,7 @@ from .history import (
     ingest_columns,
 )
 from .retention import RetentionPolicy, build_retention
-from .score_cache import ScoreCache, _Rows, split_codes, within
+from .score_cache import ScoreCache, split_codes, within
 from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
@@ -143,73 +140,58 @@ def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
     return {side: dict(inner) for side, inner in by_side.items()}
 
 
-class _PairTable(_Rows):
-    """The candidate set as resident columns: one row per candidate
-    pair holding what the score cache holds for it (raw total, the three
-    counters) and both endpoints' history sizes — kept aligned to the
-    candidate set across relinks, so a relink re-asks the cache (and the
-    kernel) only about the rows a delta *touched* and finishes with
-    whole-column numpy passes.  The rows, their code columns and their
-    journal are the score cache's own store
-    (:class:`~repro.core.score_cache._Rows`), keyed by pair codes over
-    the cache's entity tables.
+@dataclass(frozen=True)
+class _PairTable:
+    """The candidate set as a view of the score cache: four aligned
+    arrays sorted by pair code — ``pairs``, ``rows`` (the cache row each
+    pair was last read from, ``-1`` for none yet), and both endpoints'
+    history sizes — plus ``source``, the LSH index whose candidate set it
+    holds, so it can follow that index's updates entity by entity
+    (``None`` = feed it by set difference).
 
-    **Derived state**: a function of the score cache and the candidate
-    generator, never captured — a full :meth:`StreamingLinker._restore`
-    starts an empty table, and an empty table is simply one whose every
-    candidate is new (the "full pass" is this table being rebuilt).  It
-    mirrors ``cache`` up to ``epoch`` — the cache's ``_mutations`` count
-    it has accounted for; when the two differ, rows left the cache
-    behind its back and the linker starts a new table.  ``source`` is
-    the LSH index whose candidate set it holds — so it can follow that
-    index's updates entity by entity; ``None`` = feed it by set
-    difference.
-
-    Rows outside the table (never used, or freed) are all-zero, so
-    column sums and ``score > 0`` need no mask.
+    **Derived state**, never captured: a relink makes a new record rather
+    than writing this one, so its transaction holds the old record by
+    reference, and a full :meth:`StreamingLinker._restore` starts an
+    empty one — a table whose every candidate is new.  A row is trusted
+    only while the cache still holds the pair there under both
+    endpoints' current history versions
+    (:meth:`~repro.core.score_cache.ScoreCache._holds`), so the table
+    needs no word of what changed in the cache behind it.
     """
 
-    #: Raw total, the three counters, left and right history sizes.
-    _DTYPES = (np.float64,) * 6
-    _SCALARS = ("epoch", "source", "fresh")
+    pairs: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    left_size: np.ndarray = field(default_factory=lambda: np.empty(0))
+    right_size: np.ndarray = field(default_factory=lambda: np.empty(0))
+    source: object = None
 
-    def __init__(self, cache: ScoreCache) -> None:
-        super().__init__(cache.entities)
-        self.cache = cache
-        self.epoch = cache._mutations
-        self.source: object = None
-        #: Rows linked since the last scoring pass (new pairs).
-        self.fresh = np.empty(0, dtype=np.int64)
+    def __len__(self) -> int:
+        return len(self.pairs)
 
-    @property
-    def resident(self) -> bool:
-        """True while the cache has not changed behind the table."""
-        return self.epoch == self.cache._mutations
-
-    def content(self) -> Dict[Tuple[str, str], Tuple[float, ...]]:
-        """The table by value, keyed by ``(left id, right id)`` (row
-        numbering and codes are allocation detail)."""
-        rows = self._live()
-        values = zip(*(column[rows].tolist() for column in self._columns))
-        return dict(zip(zip(*self._ids(rows)), values))
-
-    def apply(self, appeared: np.ndarray, disappeared: np.ndarray) -> None:
-        """Follow the candidate set (distinct pair codes): unlink (and
-        zero) the rows of the pairs that left, link a fresh row for each
-        that arrived."""
-        if len(disappeared):
-            gone = self._find(0, disappeared)
-            self._unlink(gone)
-            self._write(gone, (0.0,) * 6)
-        if len(appeared):
-            self.fresh = np.concatenate([self.fresh, self._link(0, appeared)])
-
-    def touched(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """The rows a delta touched: the new ones plus every row of the
-        named (dirty or IDF-affected) entity codes — consumed once."""
-        rows = distinct(np.concatenate([self._rows_of(lefts, rights), self.fresh]))
-        self.fresh = np.empty(0, dtype=np.int64)
-        return rows
+    def follow(
+        self, appeared: np.ndarray, disappeared: np.ndarray, source: object
+    ) -> "_PairTable":
+        """The table of the next candidate set (both arguments distinct
+        and ascending, ``disappeared`` within the table): the pairs that
+        left dropped, the new ones inserted with no row."""
+        if not len(appeared) and not len(disappeared):
+            return replace(self, source=source)
+        keep = np.ones(len(self), dtype=bool)
+        keep[np.searchsorted(self.pairs, disappeared)] = False
+        kept = np.flatnonzero(keep)
+        at = np.searchsorted(self.pairs[kept], appeared)
+        # One gather per column; the new pairs' slots gather a padding
+        # value past the last row, then take their own.
+        order, new = np.insert(kept, at, len(self)), at + np.arange(len(appeared))
+        columns = []
+        for column, fill in (
+            (self.pairs, appeared), (self.rows, -1),
+            (self.left_size, 0.0), (self.right_size, 0.0),
+        ):
+            column = np.append(column, 0).take(order)
+            column[new] = fill
+            columns.append(column)
+        return _PairTable(*columns, source)
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,7 @@ class StreamingLinker:
             "right": None,
         }
         self._lsh_index: Optional[LshIndex] = None
-        self._pair_table = _PairTable(self._score_cache)
+        self._pair_table = _PairTable()
         self._last_relink: Optional[RelinkStats] = None
 
     # ------------------------------------------------------------------
@@ -492,18 +474,19 @@ class StreamingLinker:
 
         ``journal=False`` is :meth:`checkpoint`.  ``journal=True`` opens
         the relink transaction instead: the in-place-mutating components
-        — score cache, LSH index, pair table — start journaling what
-        they overwrite (their entry is that journal, O(1) to take and
-        O(writes) to fill; the pair table's comes paired with the table)
-        and everything else is captured by reference exactly as above; :meth:`_restore` replays the journals,
-        :meth:`_commit` drops them.
+        — score cache, LSH index — start journaling what they overwrite
+        (their entry is that journal, O(1) to take and O(writes) to fill)
+        and everything else is captured by reference exactly as above;
+        :meth:`_restore` replays the journals, :meth:`_commit` drops
+        them.  The pair table, derived and replaced rather than written,
+        is held by :meth:`relink` itself.
         """
         corpora = {
             side: None if corpus is None else corpus.checkpoint()
             for side, corpus in self._corpora.items()
         }
         index = self._lsh_index
-        state = {
+        return {
             "origin": self.windowing.origin,
             "config": self.config,
             "retention": self._retention,
@@ -522,16 +505,12 @@ class StreamingLinker:
             ),
             "last_relink": self._last_relink,
         }
-        if journal:
-            state["pair_table"] = (self._pair_table, self._pair_table._begin())
-        return state
 
     def _commit(self) -> None:
         """End the relink transaction, keeping its writes."""
         self._score_cache._commit()
         if self._lsh_index is not None:
             self._lsh_index._commit()
-        self._pair_table._commit()
 
     def _restore(self, state: Dict[str, object]) -> None:
         """Become the linker a capture holds — this one rewound after a
@@ -548,9 +527,9 @@ class StreamingLinker:
         being created over the refilled histories (and spilled, on a
         ``storage="disk"`` linker) if need be.  A journal rewinds the
         object it was opened on, which the failed relink may have
-        replaced (an LSH layout rebuild, a new pair table); a full
-        capture carries no pair table, so the linker starts an empty one
-        and the next relink rebuilds it.
+        replaced (an LSH layout rebuild).  No capture carries the pair
+        table: the linker starts an empty one, which the next relink
+        fills (a failed relink puts back the one it held).
         """
         self._latest = state["latest"]
         for side, saved in state["sides"].items():
@@ -577,12 +556,7 @@ class StreamingLinker:
                 index = LshIndex(self.config.lsh, saved["spec"])
             index.restore(saved)
         self._lsh_index = index
-        saved = state.get("pair_table")
-        if saved is None:
-            self._pair_table = _PairTable(self._score_cache)
-        else:
-            self._pair_table, journal = saved
-            self._pair_table._rollback(journal)
+        self._pair_table = _PairTable()
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -832,8 +806,8 @@ class StreamingLinker:
 
         The tail of the run is the *same stage pipeline* every linker
         uses (:mod:`repro.pipeline`): streaming-aware candidate and
-        scoring stages (persistent LSH index, resident pair table — only
-        what the delta touched is re-asked) followed by the shared
+        scoring stages (persistent LSH index, the pair table — only the
+        pairs it cannot trust are re-asked) followed by the shared
         matching and threshold stages, with the delta refresh recorded
         under the canonical ``prepare`` timing key.
 
@@ -842,9 +816,9 @@ class StreamingLinker:
         guarantee it).
 
         The relink is **all-or-nothing**: retirement evictions, corpus
-        refreshes, LSH placements, score-cache and pair-table writes are
-        rolled back (:meth:`_capture` — by reference and by journal, never
-        by copying the cache or the index) if anything raises mid-relink
+        refreshes, LSH placements, score-cache writes and the pair table
+        are rolled back (:meth:`_capture` — by reference and by journal,
+        never by copying the cache or the index) if anything raises mid-relink
         (a worker fault past its retry budget, an injected chaos fault, a
         bug), leaving the linker
         answering from the previous consistent snapshot — bit-identical
@@ -853,27 +827,15 @@ class StreamingLinker:
         """
         if not self._sides["left"] or not self._sides["right"]:
             raise ValueError("both sides need at least one entity before relinking")
-        state = self._capture(journal=True)
+        state, table = self._capture(journal=True), self._pair_table
         try:
             report = self._relink_once()
         except BaseException:
             self._restore(state)
+            self._pair_table = table
             raise
         self._commit()
         return report
-
-    def _invalidate(
-        self, lefts: Iterable[str], rights: Iterable[str], space: object
-    ) -> int:
-        """This linker's own cache sweep: the pair table follows it (the
-        swept rows' pairs are re-asked because their endpoints are
-        retired or IDF-affected), so its epoch moves with the cache's
-        count instead of falling behind it."""
-        dropped = self._score_cache.invalidate_pairs(
-            *self._score_cache.entities.codes(lefts, rights), space=space
-        )
-        self._pair_table.epoch += dropped
-        return dropped
 
     def _relink_once(self) -> LinkageReport:
         """One relink attempt over live state (see :meth:`relink`, which
@@ -882,11 +844,7 @@ class StreamingLinker:
         right_histories = self._sides["right"]
 
         clock = time.perf_counter()
-        if not self._pair_table.resident:
-            # Rows left the cache behind the table's back (a clear(),
-            # another owner, an explicit retire(), a restore): what it
-            # remembers proves nothing, so every candidate is new again.
-            self._pair_table = _PairTable(self._score_cache)
+        cache = self._score_cache
         retired = {side: self._retire(side) for side in ("left", "right")}
         if retired["left"] or retired["right"]:
             # Drop retired entities' rows in *every* cache space, not just
@@ -895,7 +853,9 @@ class StreamingLinker:
             # would otherwise be served as a hit.  Sweeping foreign spaces
             # (e.g. entries loaded from a persisted cache) can only cost
             # misses, never correctness.
-            self._invalidate(retired["left"], retired["right"], None)
+            cache.invalidate_pairs(
+                *cache.entities.codes(retired["left"], retired["right"])
+            )
         deltas = {side: self._refresh_corpus(side) for side in ("left", "right")}
         left_corpus = self._corpora["left"]
         right_corpus = self._corpora["right"]
@@ -906,9 +866,9 @@ class StreamingLinker:
         if any(affected):
             # Scoped to this linker's space: in a shared cache, other
             # owners' corpora are untouched by our IDF movement.
-            invalidated = self._invalidate(
-                *affected,
-                score_cache_space(
+            invalidated = cache.invalidate_pairs(
+                *cache.entities.codes(*affected),
+                space=score_cache_space(
                     left_corpus, right_corpus, self.config.similarity
                 ),
             )
@@ -920,19 +880,18 @@ class StreamingLinker:
         context.right_histories = right_histories
         context.left_corpus = left_corpus
         context.right_corpus = right_corpus
-        context.score_cache = self._score_cache
+        context.score_cache = cache
         context.timings[STAGE_PREPARE] = time.perf_counter() - clock
         context.stage_names.append(STAGE_PREPARE)
 
         dirty_left = deltas["left"].dirty_entities
         dirty_right = deltas["right"].dirty_entities
-        hits_before = self._score_cache.hits
-        misses_before = self._score_cache.misses
+        hits_before, misses_before = cache.hits, cache.misses
         pipeline = LinkagePipeline(
             self.config,
             stages=[
                 _StreamingCandidates(self, deltas),
-                _StreamingScoring(self, deltas),
+                _StreamingScoring(self),
                 MatchingStage(self.config),
                 ThresholdStage(self.config),
             ],
@@ -941,8 +900,8 @@ class StreamingLinker:
 
         self._last_relink = RelinkStats(
             candidate_pairs=len(self._pair_table),
-            pairs_rescored=self._score_cache.misses - misses_before,
-            cache_hits=self._score_cache.hits - hits_before,
+            pairs_rescored=cache.misses - misses_before,
+            cache_hits=cache.hits - hits_before,
             dirty_left=len(dirty_left),
             dirty_right=len(dirty_right),
             idf_invalidated=invalidated,
@@ -963,7 +922,7 @@ class _StreamingCandidates:
     withdrawn, full rebuild only when the growing span changes the
     signature layout).  While the table holds that index's candidate set,
     only the pairs of the evicted and dirty entities can have changed:
-    their rows are the before, the dirty entities'
+    their pairs in the table are the before, the dirty entities'
     :meth:`~repro.lsh.index.LshIndex.pairs_of` the after — O(delta).
     Every other name — ``"brute"``, ``"temporal"``, custom registrations
     — dispatches through the :data:`~repro.pipeline.stages.candidate_stages`
@@ -971,7 +930,7 @@ class _StreamingCandidates:
     honour the config's ``candidates`` choice; its full candidate set
     (like a rebuilt index's, or one the table is not yet aligned to) is
     the after, the whole table the before.  Either way the table follows
-    with one :meth:`_PairTable.apply` of the difference."""
+    with one :meth:`_PairTable.follow` of the difference."""
 
     name = STAGE_CANDIDATES
 
@@ -984,7 +943,7 @@ class _StreamingCandidates:
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
         table = linker._pair_table
-        entities = table.entities
+        entities = linker._score_cache.entities
         resolved = linker.config.resolved_candidates()
         rebuilt, source, after = False, None, None
         if resolved != "lsh":
@@ -993,18 +952,18 @@ class _StreamingCandidates:
             source, rebuilt = linker._lsh_update(self.deltas)
             if table.source is not source:
                 after = source.candidate_pairs()
+        before = table.pairs
         if after is None:
             left, right = self.deltas["left"], self.deltas["right"]
-            before = table._pairs(table._rows_of(*entities.codes(
+            before = before[entities.touching(*split_codes(before), *entities.codes(
                 left.evicted + left.dirty_entities,
                 right.evicted + right.dirty_entities,
-            )))
+            ))]
             after = source.pairs_of(left.dirty_entities, right.dirty_entities)
-        else:
-            before = table._pairs(table._live())
-        after, before = distinct(entities.pair_codes(list(after))), np.sort(before)
-        table.apply(after[~within(after, before)], before[~within(before, after)])
-        table.source = source
+        after = distinct(entities.pair_codes(list(after)))
+        table = linker._pair_table = table.follow(
+            after[~within(after, before)], before[~within(before, after)], source
+        )
         if source is not None:
             source.stats.candidate_pairs = len(table)
         context.candidates = table  # sized: the report reads its length
@@ -1012,70 +971,77 @@ class _StreamingCandidates:
 
 
 class _StreamingScoring(ScoringStage):
-    """The streaming scoring stage: scores through the linker's resident
-    pair table instead of asking about every candidate.
+    """The streaming scoring stage: scores through the linker's pair
+    table instead of asking about every candidate.
 
-    Only the *touched* rows — new pairs, pairs with a dirty endpoint,
-    pairs whose endpoint was IDF-invalidated — go to
+    Only the pairs whose cache row cannot be trusted go to
     :meth:`~repro.core.similarity.SimilarityEngine.raw_batch` (cache
     lookup, kernel for the misses, store back), sorted and run through
     the executor exactly as :class:`ScoringStage` runs a whole candidate
-    set.  Every other row is the cache hit it would have been: it is
-    counted as one and keeps its columns.  Then the same
+    set: a pair whose row no longer holds it under both endpoints'
+    current history versions — new, grown since, or dropped or rewound
+    in the cache since it was read (IDF drift, a retirement, anyone's
+    sweep, ``clear()`` or ``restore()``).  Every other pair is the cache
+    hit it would have been: it is counted as one and keeps its row.
+    Then the same
     :meth:`~repro.core.similarity.SimilarityEngine.normalize` and
     :meth:`~repro.core.similarity.SimilarityEngine.fold` the batch route
-    ends in, over the whole table; the positive rows become one
-    :class:`~repro.core.matching.EdgeSet` — columns, no ``Edge`` per row.
+    ends in, over the cache values the table's rows point at; the
+    positive pairs become one :class:`~repro.core.matching.EdgeSet` —
+    columns, no ``Edge`` per row.
     """
 
-    def __init__(
-        self, linker: StreamingLinker, deltas: Dict[str, CorpusDelta]
-    ) -> None:
+    def __init__(self, linker: StreamingLinker) -> None:
         super().__init__(linker.config)
         self.linker = linker
-        self.deltas = deltas
 
     def run(self, context: LinkageContext) -> None:
         linker = self.linker
         table = linker._pair_table
         cache = linker._score_cache
+        entities = cache.entities
         left_corpus, right_corpus = context.left_corpus, context.right_corpus
+        space = score_cache_space(left_corpus, right_corpus, self.config.similarity)
         engine = SimilarityEngine(
             left_corpus, right_corpus, self.config.similarity, score_cache=cache
         )
         context.engine = engine
 
-        left, right = self.deltas["left"], self.deltas["right"]
-        rows = table.touched(*table.entities.codes(
-            left.dirty_entities + left.idf_affected,
-            right.dirty_entities + right.idf_affected,
+        # Read the owners before raw_batch: its stores may recycle a row
+        # freed before this relink.
+        lefts, rights = split_codes(table.pairs)
+        asked = np.flatnonzero(~cache._holds(
+            space, table.rows, table.pairs,
+            entities.spread(0, left_corpus.history_versions, lefts),
+            entities.spread(1, right_corpus.history_versions, rights),
         ))
-        pairs = table._pairs(rows)
-        batch = self._dispatch(context, engine.raw_batch, pairs)
-        lefts, rights = split_codes(pairs)
-        table._write(rows, (
-            batch.raw,
-            batch.bin_comparisons,
-            batch.common_windows,
-            batch.alibi_bin_pairs,
-            table.entities.spread(0, left_corpus.history_sizes, lefts),
-            table.entities.spread(1, right_corpus.history_sizes, rights),
-        ))
-        # An untouched row is in the cache under its current versions
-        # (nothing dropped it behind the table's back, nothing grew):
-        # the lookup it is spared would have been a hit.
+        pairs, lefts, rights = table.pairs[asked], lefts[asked], rights[asked]
+        self._dispatch(context, engine.raw_batch, pairs)
+        rows, left_size, right_size = (
+            table.rows.copy(), table.left_size.copy(), table.right_size.copy()
+        )
+        rows[asked] = cache._find(cache._space(space), pairs)
+        left_size[asked] = entities.spread(0, left_corpus.history_sizes, lefts)
+        right_size[asked] = entities.spread(1, right_corpus.history_sizes, rights)
+        table = linker._pair_table = replace(
+            table, rows=rows, left_size=left_size, right_size=right_size
+        )
+        # A pair not asked is one lookup_batch would have served: its row
+        # holds it under both endpoints' current versions.
         cache.hits += len(table) - len(pairs)
 
-        high = table._high
-        (raw, bin_comparisons, common_windows, alibi_bin_pairs,
-         left_size, right_size) = (column[:high] for column in table._columns)
+        raw, bin_comparisons, common_windows, alibi_bin_pairs = (
+            column.take(rows) for column in cache._columns[2:]
+        )
         scores = engine.normalize(raw, left_size, right_size)
-        # Alg. 1's ``if S > 0``; ids are gathered for those rows only.
-        # Rows are in allocation order: the edge set sorts its Edge rows
-        # only if they are read (the matcher reads the columns).
+        # Alg. 1's ``if S > 0``; ids are gathered for those pairs only.
+        # Pairs are in code order: the edge set sorts its Edge rows only
+        # if they are read (the matcher reads the columns).
         positive = np.flatnonzero(scores > 0.0)
+        lefts, rights = split_codes(table.pairs[positive])
         context.edges = EdgeSet(
-            *table._ids(positive), scores[positive], sort_rows=True
+            entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist(),
+            scores[positive], sort_rows=True,
         )
         engine.fold(len(table), bin_comparisons, common_windows, alibi_bin_pairs)
         context.stats = engine.stats

@@ -4,7 +4,7 @@ bit-identical to never having attempted the relink at all."""
 
 import pytest
 
-from repro.core.score_cache import ScoreCache
+from repro.core.score_cache import ScoreCache, split_codes
 from repro.core.streaming import StreamingLinker
 from repro.lsh import LshConfig
 from repro.lsh.index import LshIndex
@@ -177,6 +177,21 @@ def _membership(index):
     return {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()}
 
 
+def _table(linker):
+    """The pair table by value: its pairs as ids, each with its cache
+    values and history sizes (row numbering is allocation detail)."""
+    table, cache = linker._pair_table, linker.score_cache
+    lefts, rights = split_codes(table.pairs)
+    values = zip(
+        *(column[table.rows].tolist() for column in cache._columns),
+        table.left_size.tolist(), table.right_size.tolist(),
+    )
+    ids = zip(
+        cache.entities.ids(0, lefts).tolist(), cache.entities.ids(1, rights).tolist()
+    )
+    return dict(zip(ids, values))
+
+
 def _layers(linker):
     """Everything a relink transaction writes, by value: the index's
     buckets / placements / stats and candidate pairs, the cache's
@@ -194,8 +209,7 @@ def _layers(linker):
         (index.checkpoint(), _membership(index)),
         index.candidate_pairs(),
         (entries, cache["hits"], cache["misses"]),
-        linker._pair_table.resident,
-        linker._pair_table.content(),
+        _table(linker),
         linker.memory_stats(),
         linker.last_relink,
     )
@@ -219,7 +233,7 @@ def test_failure_at_any_point_rolls_back_every_layer(sm_pair, relink_failures):
         target.relink()
         _feed(target, sm_pair, lo=late)
     before = _layers(linker)
-    assert before[3]  # the pair table is resident: the delta path
+    assert linker._pair_table.source is linker._lsh_index  # the delta path
 
     for point in relink_failures.points:
         with relink_failures(point), pytest.raises(relink_failures.Boom):

@@ -93,14 +93,10 @@ def _delta_round(linker, held_back):
     def measured_commit(linker):
         cache = linker._score_cache._journal
         index = linker._lsh_index._journal
-        table = linker._pair_table._journal
         work.journal += (
             len(index.buckets) + len(index.placements)
-            + sum(
-                sum(len(rows) for _, rows, _ in journal.events)
-                + sum(len(rows) for rows, _ in journal.written)
-                for journal in (cache, table)
-            )
+            + sum(len(rows) for _, rows, _ in cache.events)
+            + sum(len(rows) for rows, _ in cache.written)
         )
         return commit(linker)
 

@@ -33,8 +33,9 @@ from hypothesis import strategies as st
 
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
-from repro.core.score_cache import ScoreCache, _Rows
-from repro.core.streaming import StreamingLinker, _PairTable
+from repro.core.score_cache import ScoreCache, split_codes
+from repro.core.similarity import score_cache_space
+from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
 from repro.pipeline import LinkageConfig
@@ -656,15 +657,13 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 def _fingerprint(value):
     """Deep, order-insensitive-for-dicts structural fingerprint of
-    ``vars()``, by value.  Histories, the score cache, the LSH index and
-    the pair table are read through their logical content: histories
-    memoise derived bins/trees on demand, the cache's key order and row
-    numbering (and its per-entity key index) are allocation detail its
-    capture deliberately drops, the index is read through its capture
-    (its placements, which determine its buckets; it keeps no pair
-    set), and a pair table says something
-    only while it is resident — one the cache has moved past is as good
-    as empty, which is exactly what a restored linker starts with."""
+    ``vars()``, by value.  Histories, the score cache and the LSH index
+    are read through their logical content: histories memoise derived
+    bins/trees on demand, the cache's key order and row numbering (and
+    its per-entity key index) are allocation detail its capture
+    deliberately drops, and the index is read through its capture (its
+    placements, which determine its buckets; it keeps no pair set).  The
+    pair table, a record of arrays, is read field by field."""
     if isinstance(value, MobilityHistory):
         return (
             "history",
@@ -681,11 +680,6 @@ def _fingerprint(value):
         )
     if isinstance(value, LshIndex):
         return ("lsh-index", _fingerprint(value.checkpoint()))
-    if isinstance(value, _PairTable):
-        return (
-            "pair-table",
-            _fingerprint(value.content() if value.resident else {}),
-        )
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, dict):
@@ -702,10 +696,30 @@ def _fingerprint(value):
     return value
 
 
+def _table_invariants(linker):
+    """After a committed relink the pair table is a view of the cache:
+    its pairs strictly ascending, its four arrays aligned, and every row
+    holding its pair in the linker's space under both endpoints' current
+    versions."""
+    table = linker._pair_table
+    assert (np.diff(table.pairs) > 0).all()
+    lengths = {len(table.rows), len(table.left_size), len(table.right_size)}
+    assert lengths == {len(table)}
+    left, right = linker._corpora["left"], linker._corpora["right"]
+    space = score_cache_space(left, right, linker.config.similarity)
+    cache = linker._score_cache
+    lefts, rights = split_codes(table.pairs)
+    assert cache._holds(
+        space, table.rows, table.pairs,
+        cache.entities.spread(0, left.history_versions, lefts),
+        cache.entities.spread(1, right.history_versions, rights),
+    ).all()
+
+
 def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures):
     linker = _LinkerCase().build(tmp_path)
     before = _fingerprint(vars(linker))
-    assert linker._pair_table.resident
+    table = linker._pair_table
 
     # After a failed relink + rollback: nothing moved — wherever the
     # failure lands: with retention applied, with the LSH index
@@ -717,9 +731,8 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
         assert _fingerprint(vars(linker)) == before, point
         assert linker._score_cache._journal is None
         assert linker._lsh_index._journal is None
-        assert linker._pair_table._journal is None
+        assert linker._pair_table is table
         _rows_invariants(linker._score_cache)
-        _rows_invariants(linker._pair_table)
 
     # After save + restore: a different process's linker, same state —
     # but for the derived pair table, which a restored linker starts
@@ -738,6 +751,7 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
     # and everything it moved is a captured field (or the derived table).
     after_commit = linker.checkpoint()
     linker.relink()
+    _table_invariants(linker)
     moved = {
         name
         for name, value in vars(linker).items()
@@ -751,15 +765,10 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
 
 
 # ----------------------------------------------------------------------
-# the keyed-rows store under the cache and the pair table, against a dict
+# the cache's keyed rows, against a dict
 # ----------------------------------------------------------------------
-class _Store(_Rows):
+class _Store(ScoreCache):
     _DTYPES = (np.float64, np.int64)
-    _SCALARS = ("tag",)
-
-    def __init__(self):
-        super().__init__()
-        self.tag = 0
 
 
 _KEYS = st.tuples(st.sampled_from("st"), st.sampled_from("abc"), st.sampled_from("xyz"))
@@ -768,7 +777,7 @@ _OPS = st.lists(
         st.tuples(st.just("put"), _KEYS, st.floats(-9, 9), st.integers(-9, 9)),
         st.tuples(st.just("remove"), st.integers(0, 99)),
         st.tuples(st.just("sweep"), st.sampled_from("abc"), st.sampled_from("xyz")),
-        st.tuples(st.just("tag"), st.integers(1, 9)),
+        st.tuples(st.just("hits"), st.integers(1, 9)),
     ),
     max_size=60,
 )
@@ -812,15 +821,15 @@ def _apply(store, model, op):
             store._unlink(rows)
         for key in [key for key in model if key[1] == op[1] or key[2] == op[2]]:
             del model[key]
-    elif kind == "tag":
-        store.tag += op[1]
+    elif kind == "hits":
+        store.hits += op[1]
 
 
 def _raw_state(store):
     high = store._high
     return (
         copy.deepcopy(store._rows), high, list(store._free),
-        store._owner[:, :high].tolist(), store.tag,
+        store._owner[:, :high].tolist(), store.hits,
         [column.copy() for column in store._columns],
     )
 
@@ -844,8 +853,8 @@ def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commi
             else:
                 store._rollback(journal)
                 model = saved
-                rows, high, free, owner, tag, columns = _raw_state(store)
-                assert (rows, high, free, owner, tag) == before[:5]
+                rows, high, free, owner, hits, columns = _raw_state(store)
+                assert (rows, high, free, owner, hits) == before[:5]
                 for old, new in zip(before[5], columns):
                     assert old.tobytes() == new[: len(old)].tobytes()
                     assert not new[len(old):].any()

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.score_cache import split_codes
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
@@ -48,7 +49,10 @@ def _assert_table_is_the_candidate_set(linker):
     expected = cold.candidate_pairs()
     # Stats first: candidate_pairs() below refreshes them.
     assert index.stats == cold.stats
-    assert set(linker._pair_table.content()) == index.candidate_pairs() == expected
+    entities = linker.score_cache.entities
+    lefts, rights = split_codes(linker._pair_table.pairs)
+    table = set(zip(entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist()))
+    assert table == index.candidate_pairs() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -100,7 +104,7 @@ def test_table_keys_are_the_index_candidate_pairs(seed):
                 entity = rng.choice(sorted(held[target]))
                 linker.observe(target, _records(entity, target, int(entity[1:]), clock, 1))
         table = linker._pair_table
-        aligned = table.resident and table.source is linker._lsh_index
+        aligned = table.source is linker._lsh_index
         linker.relink()
         stats = linker.last_relink
         held = {target: set(linker._sides[target]) for target in SIDES}
