@@ -16,7 +16,7 @@ from .retention import (
     build_retention,
     retention_policies,
 )
-from .score_cache import PairScore, ScoreCache
+from .score_cache import ScoreCache
 from .similarity import SimilarityConfig, SimilarityEngine, SimilarityStats
 from .streaming import RelinkStats, StreamingLinker
 from .threshold import (
@@ -33,7 +33,6 @@ __all__ = [
     "HistoryCorpus",
     "CorpusDelta",
     "ScoreCache",
-    "PairScore",
     "RelinkStats",
     "SimilarityConfig",
     "SimilarityEngine",

@@ -152,7 +152,11 @@ _DENSE_CELLS_PRODUCT = 4.0
 
 
 class BatchScoreResult(NamedTuple):
-    """Per-pair outputs of one batch kernel dispatch (parallel arrays)."""
+    """Per-pair raw Eq. 2 totals and counters, as parallel arrays: what a
+    kernel dispatch returns, what
+    :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` serves (zeros
+    where it missed) and what
+    :meth:`~repro.core.similarity.SimilarityEngine.raw_batch` returns."""
 
     scores: np.ndarray
     bin_comparisons: np.ndarray
@@ -161,17 +165,19 @@ class BatchScoreResult(NamedTuple):
 
 
 def concat_results(results: Sequence[BatchScoreResult]) -> BatchScoreResult:
-    """Concatenate the per-block kernel results of one dispatch (at
-    least one) back into pair order.
+    """Concatenate the per-block kernel results of one dispatch back
+    into pair order.
 
     The scoring route cuts a candidate set into blocks, runs each as an
     executor task and stitches the per-block :class:`BatchScoreResult`\\ s
     back together with this; dispatch determinism (see the module
     docstring) is what makes the stitched result bit-identical to one
-    unsharded dispatch.
+    unsharded dispatch.  No blocks are no pairs.
     """
     if len(results) == 1:
         return results[0]
+    if not results:
+        return BatchScoreResult(np.zeros(0), *np.zeros((3, 0), dtype=np.int64))
     return BatchScoreResult(*(np.concatenate(column) for column in zip(*results)))
 
 
@@ -478,7 +484,8 @@ def score_pairs_batch(
         return np.bincount(pair_of, weights=values, minlength=len(pairs))
 
     return BatchScoreResult(
-        scores=per_pair(totals),
+        # Weighted over no interactions at all, bincount answers int64.
+        scores=per_pair(totals).astype(np.float64, copy=False),
         bin_comparisons=per_pair(comparisons).astype(np.int64),
         common_windows=per_pair().astype(np.int64),
         alibi_bin_pairs=per_pair(alibi).astype(np.int64),

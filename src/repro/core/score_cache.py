@@ -24,12 +24,14 @@ counters, keyed on ``(scoring space, pair, history versions)``:
 (:class:`EntityTables`): an id gets an ``int32`` code the first time it
 is seen, and the codes map back through one id array per side.  Every
 scoring space and the streaming linker's pair table share these tables.
-A pair is the ``int64`` *pair code* ``left << 32 | right``; the batch
-calls (:meth:`ScoreCache.lookup_batch`, :meth:`ScoreCache.store_batch`,
-:meth:`ScoreCache.invalidate_pairs`) take code arrays, and strings stay
+A pair is the ``int64`` *pair code* ``left << 32 | right``; every call
+(:meth:`ScoreCache.lookup_batch`, :meth:`ScoreCache.store_batch`,
+:meth:`ScoreCache.invalidate_pairs`) takes code arrays, and strings stay
 at the edges: records in, edge rows out, and the :meth:`ScoreCache.checkpoint`
-capture, which holds ``(space, left id, right id)`` keys so a snapshot or
-cache file never depends on the codes of the process that wrote it.
+capture, which renumbers its owner codes into the spaces and the
+distinct left and right ids its rows reference, so a snapshot or cache
+file never depends on the codes of the process that wrote it and holds
+no per-pair Python object.
 Codes are never reused, so a table grows with the distinct ids ever seen
 on its side, not with the live ones: on the 10k-entity retention bench
 (``benchmarks/bench_retention.py``: 50 rounds of 100 fresh entities per
@@ -38,11 +40,13 @@ about 1.1 MB with the id strings they keep alive (~110 bytes per id).
 
 Storage is **columnar**: entries live in parallel numpy arrays (versions,
 raw totals, counters) behind one ``pair code -> row`` directory per
-space, so the hot path of a streaming relink — thousands of lookups per
-:meth:`~repro.core.similarity.SimilarityEngine.raw_batch` — runs as
-:meth:`lookup_batch`: one directory pass builds the row vector, and
-every version comparison, freshness mask and value gather is a single
-vectorized operation instead of a per-pair Python loop.
+space.  The cache has one door for scores:
+:meth:`~repro.core.similarity.SimilarityEngine.raw_batch`, under either
+scoring backend, makes one :meth:`lookup_batch` — one directory pass
+builds the row vector, and every version comparison, freshness mask and
+value gather is a single vectorized operation — and one
+:meth:`store_batch` of what missed.  The arithmetic behind a total is
+the kernel's or the scalar oracle's, never the cache's.
 
 Under the directories, three *owner* columns per row (space, left
 code, right code; ``-1`` = free) make the rows of some entities one
@@ -69,50 +73,35 @@ coupling: :class:`~repro.core.streaming.StreamingLinker` hands
 row so dropped no longer holds its pair, which is all its pair table
 needs to see to ask about that pair again.
 
-Doctest — version-keyed hit/miss behaviour:
+Doctest — version-keyed hit/miss behaviour over code and version
+arrays:
 
+>>> import numpy as np
 >>> cache = ScoreCache()
->>> entry = cache.store("space", "u", "v", 0, 0, raw=1.5,
-...                     bin_comparisons=4, common_windows=2, alibi_bin_pairs=0)
->>> cache.lookup("space", "u", "v", 0, 0).raw
-1.5
->>> cache.lookup("space", "u", "v", 1, 0) is None  # left history grew
-True
->>> cache.hits, cache.misses
-(1, 1)
+>>> pairs = cache.entities.pair_codes([("u", "v"), ("w", "x")])
+>>> cache.store_batch(
+...     "space", pairs, np.array([0, 0]), np.array([0, 0]),
+...     raw=np.array([1.5, 2.0]), bin_comparisons=np.array([4, 2]),
+...     common_windows=np.array([2, 1]), alibi_bin_pairs=np.array([0, 0]))
+2
+>>> hit, batch = cache.lookup_batch(
+...     "space", pairs, np.array([1, 0]), np.array([0, 0]))
+>>> hit.tolist(), batch.scores.tolist()  # u's history grew: a miss
+([False, True], [0.0, 2.0])
+>>> cache.hits, cache.misses, len(cache)  # the stale row is dropped
+(1, 1, 1)
 
-IDF-drift invalidation is the owner's job (stale versions already evicted
-the entry above, so re-store first):
+IDF-drift invalidation is the owner's job:
 
->>> entry = cache.store("space", "u", "v", 1, 0, raw=1.4,
-...                     bin_comparisons=4, common_windows=2, alibi_bin_pairs=0)
->>> cache.invalidate_pairs(*cache.entities.codes({"u"}, ()))
+>>> cache.invalidate_pairs(*cache.entities.codes({"w"}, ()))
 1
 >>> len(cache)
 0
-
-Batch lookups vectorize the same semantics over code and version
-*arrays*:
-
->>> import numpy as np
->>> pairs = cache.entities.pair_codes([("u", "v"), ("w", "x")])
->>> _ = cache.store_batch(
-...     "space", pairs,
-...     np.array([1, 0]), np.array([0, 0]),
-...     raw=np.array([1.4, 2.0]),
-...     bin_comparisons=np.array([4, 2]),
-...     common_windows=np.array([2, 1]),
-...     alibi_bin_pairs=np.array([0, 0]))
->>> batch = cache.lookup_batch(
-...     "space", pairs, np.array([1, 9]), np.array([0, 0]))
->>> batch.hit.tolist(), batch.raw.tolist()
-([True, False], [1.4, 0.0])
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import (
@@ -123,8 +112,9 @@ import numpy as np
 
 from ..store.snapshot import load_state, write_snapshot
 from .history import distinct
+from .kernels import BatchScoreResult
 
-__all__ = ["PairScore", "ScoreCache", "CacheBatch"]
+__all__ = ["ScoreCache"]
 
 #: Initial row capacity of the columnar store.
 _MIN_CAPACITY = 256
@@ -206,36 +196,6 @@ class EntityTables:
         return by_code[codes]
 
 
-@dataclass(frozen=True)
-class PairScore:
-    """One memoised pair: the raw (un-normalised) Eq. 2 total plus the
-    per-pair counters :class:`~repro.core.similarity.SimilarityStats`
-    tracks, pinned to the history versions it was computed from."""
-
-    u_version: int
-    v_version: int
-    raw: float
-    bin_comparisons: int
-    common_windows: int
-    alibi_bin_pairs: int
-
-
-@dataclass(frozen=True)
-class CacheBatch:
-    """Vectorized result of :meth:`ScoreCache.lookup_batch`.
-
-    ``hit[i]`` is True when pair ``i`` was served from the cache; rows
-    with ``hit[i] == False`` carry zeros and the caller fills them (and
-    :meth:`ScoreCache.store_batch`-s them back) after re-scoring.
-    """
-
-    hit: np.ndarray  # (N,) bool
-    raw: np.ndarray  # (N,) float64
-    bin_comparisons: np.ndarray  # (N,) int64
-    common_windows: np.ndarray  # (N,) int64
-    alibi_bin_pairs: np.ndarray  # (N,) int64
-
-
 class _Journal:
     """What one transaction changed in a :class:`ScoreCache`'s rows, in order:
     ``events`` — ``(linked, rows, owners)`` per block of rows, True =
@@ -264,6 +224,14 @@ def _member(column: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
     return mark[column]
 
 
+def _renumber(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``codes`` (ascending, all below ``size``)
+    and each code's position among them: one mark array, no sort."""
+    mark = np.zeros(size, dtype=bool)
+    mark[codes] = True
+    return np.flatnonzero(mark), np.cumsum(mark)[codes] - 1
+
+
 def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
     """``array`` with its last axis grown to ``size``, filled with ``fill``."""
     grown = np.full(array.shape[:-1] + (size,), fill, array.dtype)
@@ -273,7 +241,7 @@ def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
 
 class ScoreCache:
     """Every cached pair score, over a columnar store: value columns (one
-    per ``_DTYPES`` entry) behind one ``pair code -> row`` directory per
+    per ``_COLUMNS`` entry) behind one ``pair code -> row`` directory per
     integer space, the ``(3, rows)`` owner columns ``_owner`` (space, left
     code, right code; ``-1`` = a free row; ``int64``, so a gather through
     them indexes without a conversion copy) up to the high-water mark
@@ -294,11 +262,17 @@ class ScoreCache:
     scoring space).
     """
 
-    #: The value columns, in :class:`PairScore` field order: what
-    #: :meth:`checkpoint` gathers.
-    _DTYPES: Tuple[type, ...] = (
-        np.int64, np.int64, np.float64, np.int64, np.int64, np.int64
-    )
+    #: The value columns by name, in order: both endpoints' history
+    #: versions (the hit test), then one column per
+    #: :class:`~repro.core.kernels.BatchScoreResult` field.
+    _COLUMNS: Dict[str, type] = {
+        "u_version": np.int64,
+        "v_version": np.int64,
+        "raw": np.float64,
+        "bin_comparisons": np.int64,
+        "common_windows": np.int64,
+        "alibi_bin_pairs": np.int64,
+    }
 
     def __init__(self) -> None:
         self.entities = EntityTables()
@@ -310,6 +284,10 @@ class ScoreCache:
         #: zero-delta relink shows up as misses staying flat.
         self.hits = 0
         self.misses = 0
+        #: Number of full captures :meth:`restore` has adopted: an owner
+        #: that sees it move knows rows may be back that its corpora's
+        #: IDF has moved past since they were captured.
+        self.adopted = 0
 
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -321,7 +299,9 @@ class ScoreCache:
         self._owner = np.full((3, capacity), -1, dtype=np.int64)
         self._free: List[int] = []
         self._journal: Optional[_Journal] = None
-        self._columns = [np.zeros(capacity, dtype) for dtype in self._DTYPES]
+        self._columns = [
+            np.zeros(capacity, dtype) for dtype in self._COLUMNS.values()
+        ]
 
     def _load(self, owners: np.ndarray, columns: Sequence[np.ndarray]) -> None:
         """Become exactly these ``(3, k)`` owners, numbered in order,
@@ -335,11 +315,6 @@ class ScoreCache:
     def _live(self) -> np.ndarray:
         """Every linked row, ascending."""
         return np.flatnonzero(self._owner[1, : self._high] >= 0)
-
-    def _ids(self, rows: np.ndarray) -> Tuple[List[str], List[str]]:
-        """The left ids and the right ids of the rows."""
-        left, right = self._owner[1:, rows]
-        return self.entities.ids(0, left).tolist(), self.entities.ids(1, right).tolist()
 
     def _attach(self, rows: np.ndarray, owners: np.ndarray) -> None:
         self._owner[:, rows] = owners
@@ -482,50 +457,8 @@ class ScoreCache:
         return code
 
     # ------------------------------------------------------------------
-    # lookup / store (per pair)
+    # lookup / store (vectorized over code and version arrays)
     # ------------------------------------------------------------------
-    def lookup(
-        self,
-        space: Hashable,
-        left_entity: str,
-        right_entity: str,
-        u_version: int,
-        v_version: int,
-    ) -> Optional[PairScore]:
-        """The cached entry for a pair, or ``None`` on miss.
-
-        An entry computed from older history versions is dropped and
-        reported as a miss (the caller will re-score and re-store).
-        """
-        pairs = self.entities.pair_codes([(left_entity, right_entity)])
-        batch = self.lookup_batch(space, pairs, u_version, v_version)
-        if not batch.hit[0]:
-            return None
-        _, *values = (column[0].item() for column in astuple(batch))
-        return PairScore(u_version, v_version, *values)
-
-    def store(
-        self,
-        space: Hashable,
-        left_entity: str,
-        right_entity: str,
-        u_version: int,
-        v_version: int,
-        raw: float,
-        bin_comparisons: int,
-        common_windows: int,
-        alibi_bin_pairs: int,
-    ) -> PairScore:
-        """Memoise one freshly scored pair: :meth:`store_batch`'s row
-        assignment and column write for one row."""
-        pairs = self.entities.pair_codes([(left_entity, right_entity)])
-        rows = self._place(self._space(space), pairs)
-        self._write(rows, (
-            u_version, v_version, raw,
-            bin_comparisons, common_windows, alibi_bin_pairs,
-        ))
-        return PairScore(*(column[rows[0]].item() for column in self._columns))
-
     def _place(self, space: int, pairs: np.ndarray) -> np.ndarray:
         """The rows to write the pairs' values into: the ones they hold,
         overwritten in place, or new ones (one per distinct pair)."""
@@ -536,33 +469,29 @@ class ScoreCache:
             rows[missing] = self._link(space, new)[inverse]
         return rows
 
-    # ------------------------------------------------------------------
-    # lookup / store (vectorized over code and version arrays)
-    # ------------------------------------------------------------------
     def lookup_batch(
         self,
         space: Hashable,
         pairs: np.ndarray,
         u_versions: np.ndarray,
         v_versions: np.ndarray,
-    ) -> CacheBatch:
-        """Batch lookup of pair codes: one directory pass, vectorized
-        version checks.
+    ) -> Tuple[np.ndarray, BatchScoreResult]:
+        """Look pair codes up under the callers' history versions: the
+        hit mask, and the cached totals and counters (zeros where
+        missed, for the caller to fill and :meth:`store_batch` back).
 
-        Semantically ``[lookup(space, l, r, u, v) for ...]`` — identical
-        hit/miss accounting, identical stale-entry eviction — but the
-        version comparison and the value gathers run as numpy array
-        operations keyed on the callers' version arrays, which is what
-        keeps the streaming relink's cache-hit path off the Python
-        interpreter.
+        One directory pass; the version comparison and the value gathers
+        are array operations.  A pair cached under other versions is a
+        miss, and its row is dropped (once, however often the batch
+        names it); every pair asked counts one hit or one miss.
         """
         n = len(pairs)
-        values = [np.zeros(n, dtype) for dtype in self._DTYPES[2:]]
+        values = BatchScoreResult(np.zeros(n), *np.zeros((3, n), dtype=np.int64))
         code = self._space_codes.get(space)
         if n == 0 or code not in self._rows:
             # Nothing asked, or nothing cached in this space.
             self.misses += n
-            return CacheBatch(np.zeros(n, dtype=bool), *values)
+            return np.zeros(n, dtype=bool), values
         rows = self._find(code, pairs)
         found = rows >= 0
         safe = np.where(found, rows, 0)
@@ -582,7 +511,7 @@ class ScoreCache:
         fresh_rows = rows[fresh]
         for value, column in zip(values, self._columns[2:]):
             value[fresh] = column[fresh_rows]
-        return CacheBatch(fresh, *values)
+        return fresh, values
 
     def store_batch(
         self,
@@ -656,19 +585,33 @@ class ScoreCache:
     # for transactions
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
-        """The cache's whole state as a plain dict, for :meth:`restore`:
-        the live pairs as ``(space, left id, right id)`` keys, their
-        column values gathered in the same order, and the hit/miss
-        counters — the same dict pickled is the persisted cache and the
-        cache payload of a linker snapshot.  Key order, row numbering and
-        entity codes are allocation detail, not state: two caches holding
-        the same pairs and values are the same cache.  O(cache); a relink
-        transaction uses :meth:`_begin` instead."""
+        """The cache's whole state as a dict of columns, for
+        :meth:`restore`: ``owners``, the live rows' ``(space, left,
+        right)`` codes renumbered into ``spaces`` (the scoring spaces
+        they reference, a list) and ``left_ids`` / ``right_ids`` (the
+        distinct ids they reference, arrays); one array per ``_COLUMNS``
+        entry, gathered in the same row order; and the hit/miss
+        counters.  No per-pair Python object: pickled, this dict is the
+        persisted cache and the cache payload of a linker snapshot.  Row
+        order, row numbering and entity codes are allocation detail, not
+        state: two caches holding the same pairs and values are the same
+        cache.  O(cache); a relink transaction uses :meth:`_begin`
+        instead."""
         rows = self._live()
-        spaces = map(self._spaces.__getitem__, self._owner[0, rows].tolist())
+        owner = self._owner[:, rows]
+        sizes = (len(self._spaces), *map(len, self.entities._ids))
+        (spaces, space_at), (lefts, left_at), (rights, right_at) = map(
+            _renumber, owner, sizes
+        )
         return {
-            "keys": list(zip(spaces, *self._ids(rows))),
-            "columns": tuple(column[rows] for column in self._columns),
+            "spaces": [self._spaces[code] for code in spaces.tolist()],
+            "left_ids": self.entities.ids(0, lefts),
+            "right_ids": self.entities.ids(1, rights),
+            "owners": np.stack([space_at, left_at, right_at]),
+            **{
+                name: column[rows]
+                for name, column in zip(self._COLUMNS, self._columns)
+            },
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -677,18 +620,25 @@ class ScoreCache:
         """Become the cache a :meth:`checkpoint` captured — this one
         rewound (rows stored since gone, rows dropped since back) or a
         fresh one after a restart; the capture is only read, so it
-        supports any number of restores.  Its ids are coded into this
-        cache's entity tables, which only grow.  Handed the journal of
-        the open transaction instead, undo exactly that transaction's
-        writes."""
+        supports any number of restores, and each counts in
+        :attr:`adopted`.  Its spaces and ids are coded into this cache's
+        tables, which only grow.  Handed the journal of the open
+        transaction instead, undo exactly that transaction's writes."""
         if isinstance(state, _Journal):
             self._rollback(state)
             return
-        spaces, *ids = zip(*state["keys"]) if state["keys"] else ((), (), ())
-        codes = np.fromiter(map(self._space, spaces), np.int64, len(spaces))
-        self._load(np.stack([codes, *self.entities.codes(*ids)]), state["columns"])
+        space, left, right = state["owners"]
+        spaces = np.fromiter(
+            map(self._space, state["spaces"]), np.int64, len(state["spaces"])
+        )
+        lefts, rights = self.entities.codes(state["left_ids"], state["right_ids"])
+        self._load(
+            np.stack([spaces[space], lefts[left], rights[right]]),
+            [state[name] for name in self._COLUMNS],
+        )
         self.hits = state["hits"]
         self.misses = state["misses"]
+        self.adopted += 1
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the cache under ``path``: a snapshot root

@@ -15,24 +15,33 @@ for alibi pairs MNN pairing hides (Alg. 1's inner loop).
 and instruments the counters the paper's evaluation reports: pairwise bin
 comparisons (Fig. 4d/5d), alibi pairs (Fig. 4c/5c).
 
-Two scoring backends implement identical semantics:
+Two scoring backends implement identical semantics over one cache
+route: :meth:`SimilarityEngine.raw_batch` reads the pairs' history
+versions once, makes one
+:meth:`~repro.core.score_cache.ScoreCache.lookup_batch` on the optional
+:class:`~repro.core.score_cache.ScoreCache`, sends only the misses to
+the backend's scorer and makes one
+:meth:`~repro.core.score_cache.ScoreCache.store_batch` of what it
+returns, so both count cache work alike.  The backends differ in that
+scorer and in the normalisation applied after it:
 
 * ``backend="python"`` — the readable per-pair scalar loop below
-  (``_raw_python``, scalar cache lookup / store, scalar ``_normalize``),
-  kept as the verification oracle and sharing no code with the other;
+  (``_raw_python``, then the scalar ``_normalize``), kept as the
+  verification oracle and sharing no arithmetic with the other;
 * ``backend="numpy"`` (default) — **one route**, whoever calls it::
 
       pairs -> cache? -> blocks -> Executor -> kernel (raw) -> normalize -> S > 0
 
-  :meth:`SimilarityEngine.raw_batch` asks the optional
-  :class:`~repro.core.score_cache.ScoreCache`, cuts the misses into blocks
-  and runs every block as one :meth:`~repro.exec.Executor.map_blocks` task
-  through the batch kernel of :mod:`repro.core.kernels` (which returns raw
-  totals); :meth:`SimilarityEngine.normalize` is Eq. 2's length
-  normalisation, written once; :meth:`SimilarityEngine.fold` is the
-  counter columns -> :class:`SimilarityStats` reduction, written once.
-  The batch scoring stage, the streaming linker, :meth:`score_batch` and
-  a single :meth:`score` (a batch of one) are all callers of these three.
+  :meth:`SimilarityEngine.raw_batch` cuts the misses into blocks and
+  runs every block as one :meth:`~repro.exec.Executor.map_blocks` task
+  through the batch kernel of :mod:`repro.core.kernels` (which returns
+  raw totals); :meth:`SimilarityEngine.normalize` is Eq. 2's length
+  normalisation, written once.
+
+:meth:`SimilarityEngine.fold` is the counter columns ->
+:class:`SimilarityStats` reduction, written once.  The batch scoring
+stage, the streaming linker, :meth:`score_batch` and a single
+:meth:`score` (a batch of one) are all callers of these.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from .proximity import (
     proximity,
     runaway_distance,
 )
-from .score_cache import CacheBatch, EntityTables, ScoreCache, split_codes
+from .score_cache import EntityTables, ScoreCache, split_codes
 
 __all__ = [
     "SimilarityConfig",
@@ -216,12 +225,12 @@ class SimilarityStats:
 class SimilarityEngine:
     """Scores entity pairs across two history corpora.
 
-    The engine is cheap to construct.  Under ``backend="python"`` every
-    call is the scalar oracle, one pair at a time, with a per-engine memo
-    of cell distances.  Under ``backend="numpy"`` every call — a whole
-    candidate set (:meth:`score_batch`, :meth:`raw_batch`) or one pair
-    (:meth:`score`, a batch of one) — takes the one route of the module
-    docstring.
+    The engine is cheap to construct.  Every call — a whole candidate
+    set (:meth:`score_batch`, :meth:`raw_batch`) or one pair
+    (:meth:`score`, a batch of one) — takes the one cache route of the
+    module docstring.  Under ``backend="python"`` its misses are scored
+    by the scalar oracle, one pair at a time, with a per-engine memo of
+    cell distances.
     """
 
     def __init__(
@@ -276,17 +285,13 @@ class SimilarityEngine:
         self, left_entity: str, right_entity: str
     ) -> Tuple[float, SimilarityStats]:
         """Score a pair and return per-pair counters (also accumulated
-        on :attr:`stats`).  Raw totals are served from / stored into the
-        attached :class:`~repro.core.score_cache.ScoreCache`, if any.
-        Under ``backend="numpy"`` this is a batch of one."""
-        if self.config.backend == "numpy":
-            scores, local = self._scored(
-                [(left_entity, right_entity)], "serial", block_size=1
-            )
-            return float(scores[0]), local
-        _, raw, local = self._raw_with_stats(left_entity, right_entity)
-        self.stats.merge(local)
-        return self._normalize(left_entity, right_entity, raw), local
+        on :attr:`stats`): a batch of one.  Raw totals are served from /
+        stored into the attached
+        :class:`~repro.core.score_cache.ScoreCache`, if any."""
+        scores, local = self._scored(
+            [(left_entity, right_entity)], "serial", block_size=1
+        )
+        return float(scores[0]), local
 
     def score_batch(
         self,
@@ -294,17 +299,13 @@ class SimilarityEngine:
         executor: Union[Executor, str] = "serial",
         block_size: int = 0,
     ) -> List[float]:
-        """Score a set of pairs, accumulating :attr:`stats` as usual.
-
-        Under ``backend="numpy"``: :meth:`raw_batch` (``executor`` and
-        ``block_size`` as there), :meth:`normalize`, :meth:`fold`.  Every
-        pair's normalisation is applied from the corpora's *current*
+        """Score a set of pairs, accumulating :attr:`stats` as usual:
+        :meth:`raw_batch` (``executor`` and ``block_size`` as there),
+        the backend's normalisation, :meth:`fold`.  Every pair's
+        normalisation is applied from the corpora's *current*
         statistics, so cached and freshly computed scores are
-        indistinguishable.  Under ``backend="python"`` this is a plain
-        loop over :meth:`score` — the oracle never shards.
+        indistinguishable.
         """
-        if self.config.backend != "numpy":
-            return [self.score(left, right) for left, right in pairs]
         return self._scored(pairs, executor, block_size)[0].tolist()
 
     def _scored(
@@ -313,48 +314,55 @@ class SimilarityEngine:
         executor: Union[Executor, str],
         block_size: int,
     ) -> Tuple[np.ndarray, SimilarityStats]:
-        """The numpy route end to end: the pairs' normalised scores and
-        their counters (merged into :attr:`stats`)."""
+        """The pairs' normalised scores and their counters (merged into
+        :attr:`stats`): :meth:`raw_batch`, then :meth:`normalize` or,
+        under ``backend="python"``, the oracle's scalar ``_normalize``."""
         codes = self.entities.pair_codes(pairs)
         batch = self.raw_batch(codes, executor, block_size)
-        lefts, rights = split_codes(codes)
-        scores = self.normalize(
-            batch.raw,
-            self.entities.spread(0, self.left.history_sizes, lefts),
-            self.entities.spread(1, self.right.history_sizes, rights),
-        )
-        return scores, self.fold(
-            len(pairs),
-            batch.bin_comparisons,
-            batch.common_windows,
-            batch.alibi_bin_pairs,
-        )
+        if self.config.backend == "numpy":
+            lefts, rights = split_codes(codes)
+            scores = self.normalize(
+                batch.scores,
+                self.entities.spread(0, self.left.history_sizes, lefts),
+                self.entities.spread(1, self.right.history_sizes, rights),
+            )
+        else:
+            scores = np.array([
+                self._normalize(left, right, raw)
+                for (left, right), raw in zip(pairs, batch.scores.tolist())
+            ], dtype=np.float64)
+        return scores, self.fold(len(pairs), *batch[1:])
 
     def raw_batch(
         self,
         pairs: np.ndarray,
         executor: Union[Executor, str] = "serial",
         block_size: int = 0,
-    ) -> CacheBatch:
+    ) -> BatchScoreResult:
         """The **raw** (un-normalised) Eq. 2 totals and per-pair
         counters of ``pairs`` (pair codes over :attr:`entities`) — what a
         :class:`~repro.core.score_cache.ScoreCache` memoises.  With a
-        cache attached they are served from it where still valid (one
-        vectorized :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
-        the pairs' history versions) and computed, then stored back,
-        where not; ``hit`` says which.  Without one every pair is a miss.
+        cache attached, one
+        :meth:`~repro.core.score_cache.ScoreCache.lookup_batch` keyed on
+        the pairs' history versions serves what is still valid, only the
+        misses are scored, and one
+        :meth:`~repro.core.score_cache.ScoreCache.store_batch` keeps
+        them.  Without one every pair is scored.
 
-        The misses are cut into blocks of ``block_size`` pairs (``0`` =
-        :func:`~repro.core.kernels.workload_block_size`) and every block
-        is one ``map_blocks`` task of ``executor`` — an
-        :class:`~repro.exec.Executor` (borrowed) or a backend name
+        The misses are scored as ``map_blocks`` tasks of ``executor`` —
+        an :class:`~repro.exec.Executor` (borrowed) or a backend name
         (created and shut down here; ``"serial"`` is the registry's
-        :class:`~repro.exec.SerialExecutor`).  Block boundaries are the
-        same under every backend and the kernel is dispatch-deterministic,
-        so the result is bit-identical whatever runs it.
+        :class:`~repro.exec.SerialExecutor`); the cache is read and
+        written here, never in a task.  Under ``backend="numpy"`` every
+        block of ``block_size`` pairs (``0`` =
+        :func:`~repro.core.kernels.workload_block_size`) is one task;
+        block boundaries are the same under every backend and the kernel
+        is dispatch-deterministic, so the result is bit-identical
+        whatever runs it.  Under ``backend="python"`` the scalar oracle's
+        loop over all of them is one task.
 
         Each distinct entity's history version is read once; an unknown
-        entity id is a ``KeyError`` before anything is dispatched.  An
+        entity id is a ``KeyError`` before anything is scored.  An
         exception raised *inside* a block task is the executor's to
         handle, under ``"serial"`` as under any backend: the block is
         retried within the retry budget and, past it, the call
@@ -366,60 +374,24 @@ class SimilarityEngine:
         only about the pairs it cannot trust, and normalises and folds
         the cache values its whole pair table points at).
         """
-        count = len(pairs)
         lefts, rights = split_codes(pairs)
-        entities = self.entities
-        if self.config.backend != "numpy":
-            hit = np.zeros(count, dtype=bool)
-            raw = np.zeros(count, dtype=np.float64)
-            counters = np.zeros((3, count), dtype=np.int64)
-            for position, (left_entity, right_entity) in enumerate(zip(
-                entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist()
-            )):
-                hit[position], raw[position], local = self._raw_with_stats(
-                    left_entity, right_entity
-                )
-                counters[:, position] = (
-                    local.bin_comparisons,
-                    local.common_windows,
-                    local.alibi_bin_pairs,
-                )
-            return CacheBatch(hit, raw, *counters)
-
         # Read with or without a cache to key: an unknown entity id
         # fails here, as a KeyError, rather than inside a block task.
-        u_versions = entities.spread(0, self.left.history_versions, lefts)
-        v_versions = entities.spread(1, self.right.history_versions, rights)
-        cache = self._score_cache
+        u_versions = self.entities.spread(0, self.left.history_versions, lefts)
+        v_versions = self.entities.spread(1, self.right.history_versions, rights)
+        cache, space = self._score_cache, self._cache_space
         if cache is None:
-            batch = CacheBatch(
-                np.zeros(count, dtype=bool),
-                np.zeros(count, dtype=np.float64),
-                *np.zeros((3, count), dtype=np.int64),
-            )
-        else:
-            batch = cache.lookup_batch(
-                self._cache_space, pairs, u_versions, v_versions
-            )
-        missed = np.flatnonzero(~batch.hit)
+            return self._score_blocks(pairs, executor, block_size)
+        hit, batch = cache.lookup_batch(space, pairs, u_versions, v_versions)
+        missed = np.flatnonzero(~hit)
         if missed.size:
-            misses = pairs if missed.size == count else pairs[missed]
+            misses = pairs if missed.size == len(pairs) else pairs[missed]
             result = self._score_blocks(misses, executor, block_size)
-            batch.raw[missed] = result.scores
-            batch.bin_comparisons[missed] = result.bin_comparisons
-            batch.common_windows[missed] = result.common_windows
-            batch.alibi_bin_pairs[missed] = result.alibi_bin_pairs
-            if cache is not None:
-                cache.store_batch(
-                    self._cache_space,
-                    misses,
-                    u_versions[missed],
-                    v_versions[missed],
-                    raw=result.scores,
-                    bin_comparisons=result.bin_comparisons,
-                    common_windows=result.common_windows,
-                    alibi_bin_pairs=result.alibi_bin_pairs,
-                )
+            for column, values in zip(batch, result):
+                column[missed] = values
+            cache.store_batch(
+                space, misses, u_versions[missed], v_versions[missed], *result
+            )
         return batch
 
     def _score_blocks(
@@ -428,20 +400,25 @@ class SimilarityEngine:
         executor: Union[Executor, str],
         block_size: int,
     ) -> BatchScoreResult:
-        """Every kernel dispatch of the numpy route: the pair codes cut
-        into score blocks, each block one ``map_blocks`` task over a
+        """The backend's scorer over pair codes no cache answered, as
+        ``map_blocks`` tasks of ``executor``: under ``backend="numpy"``
+        the pairs cut into score blocks, each a
         :class:`~repro.core.kernels.PairBlock` (each side's distinct
-        entities coded once)."""
-        block = block_size or workload_block_size(self.left, self.right)
+        entities coded once) through the kernel; under
+        ``backend="python"`` one task of the scalar oracle over them
+        all, which writes this engine's distance memo (the scoring stage
+        runs it on a serial executor)."""
+        if self.config.backend == "numpy":
+            block = block_size or workload_block_size(self.left, self.right)
+            task, payload = score_pair_block, (self.left, self.right, self.config)
+            items = [
+                self._block(pairs[start : start + block])
+                for start in range(0, len(pairs), block)
+            ]
+        else:
+            task, payload, items = _oracle_block, self, [pairs]
         with as_executor(executor) as resolved:
-            outcomes = resolved.map_blocks(
-                score_pair_block,
-                [
-                    self._block(pairs[start : start + block])
-                    for start in range(0, len(pairs), block)
-                ],
-                payload=(self.left, self.right, self.config),
-            )
+            outcomes = resolved.map_blocks(task, items, payload=payload)
         # The dispatch itself always completes (pools released, good
         # blocks kept); only a block that failed past its retry budget
         # *and* the inline fallback aborts the scoring — as a clean,
@@ -497,43 +474,6 @@ class SimilarityEngine:
     # ------------------------------------------------------------------
     # the scalar oracle
     # ------------------------------------------------------------------
-    def _raw_with_stats(
-        self, left_entity: str, right_entity: str
-    ) -> Tuple[bool, float, SimilarityStats]:
-        """One pair's raw total and counters — from the cache (first
-        item True) or computed and stored back."""
-        cache = self._score_cache
-        if cache is not None:
-            entry = cache.lookup(
-                self._cache_space,
-                left_entity,
-                right_entity,
-                self.left.history(left_entity).version,
-                self.right.history(right_entity).version,
-            )
-            if entry is not None:
-                return True, entry.raw, SimilarityStats(
-                    pairs_scored=1,
-                    bin_comparisons=entry.bin_comparisons,
-                    common_windows=entry.common_windows,
-                    alibi_bin_pairs=entry.alibi_bin_pairs,
-                    alibi_entity_pairs=1 if entry.alibi_bin_pairs else 0,
-                )
-        raw, local = self._raw_python(left_entity, right_entity)
-        if cache is not None:
-            cache.store(
-                self._cache_space,
-                left_entity,
-                right_entity,
-                self.left.history(left_entity).version,
-                self.right.history(right_entity).version,
-                raw=raw,
-                bin_comparisons=local.bin_comparisons,
-                common_windows=local.common_windows,
-                alibi_bin_pairs=local.alibi_bin_pairs,
-            )
-        return False, raw, local
-
     def _normalize(self, left_entity: str, right_entity: str, raw: float) -> float:
         """Apply the Eq. 2 length normalisation ``L(u,E) * L(v,I)`` to a
         raw pair total (identity when disabled or degenerate)."""
@@ -613,3 +553,23 @@ class SimilarityEngine:
         if local.alibi_bin_pairs:
             local.alibi_entity_pairs = 1
         return total, local
+
+
+def _oracle_block(engine: SimilarityEngine, pairs: np.ndarray) -> BatchScoreResult:
+    """Executor task: the scalar oracle's raw totals and counters over
+    pair codes, one ``_raw_python`` call per pair."""
+    lefts, rights = split_codes(pairs)
+    scored = [
+        engine._raw_python(left, right)
+        for left, right in zip(
+            engine.entities.ids(0, lefts).tolist(),
+            engine.entities.ids(1, rights).tolist(),
+        )
+    ]
+    counters = np.array([
+        (local.bin_comparisons, local.common_windows, local.alibi_bin_pairs)
+        for _, local in scored
+    ], dtype=np.int64).reshape(-1, 3)
+    return BatchScoreResult(
+        np.array([raw for raw, _ in scored], dtype=np.float64), *counters.T
+    )

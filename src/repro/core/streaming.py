@@ -41,7 +41,11 @@ The reuse machinery, stage by stage:
   ``idf_affected`` entities first (a third entity's new bins can move
   the document frequency, hence the idf weight, inside an otherwise
   untouched pair), so IDF drift needs nothing else; nor does a
-  retirement, another owner's sweep or a ``clear()``.  Every other pair
+  retirement, another owner's sweep or a ``clear()``.  A full
+  ``restore()`` of the cache from outside the linker (counted in
+  :attr:`~repro.core.score_cache.ScoreCache.adopted`) can put back
+  totals from before some IDF drift, which version keys cannot see: the
+  next relink drops every row of its space first.  Every other pair
   is the cache hit it would have been, and is counted as one, which
   makes an incremental relink produce **exactly** the links and scores
   of a cold full relink.  The cold relink, and the first one after a
@@ -147,7 +151,10 @@ class _PairTable:
     pair was last read from, ``-1`` for none yet), and both endpoints'
     history sizes — plus ``source``, the LSH index whose candidate set it
     holds, so it can follow that index's updates entity by entity
-    (``None`` = feed it by set difference).
+    (``None`` = feed it by set difference), and ``adopted``, the cache's
+    :attr:`~repro.core.score_cache.ScoreCache.adopted` count as of the
+    last relink that checked it (a relink that finds the count moved
+    drops its own space's rows first).
 
     **Derived state**, never captured: a relink makes a new record rather
     than writing this one, so its transaction holds the old record by
@@ -164,6 +171,7 @@ class _PairTable:
     left_size: np.ndarray = field(default_factory=lambda: np.empty(0))
     right_size: np.ndarray = field(default_factory=lambda: np.empty(0))
     source: object = None
+    adopted: int = 0
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -191,7 +199,7 @@ class _PairTable:
             column = np.append(column, 0).take(order)
             column[new] = fill
             columns.append(column)
-        return _PairTable(*columns, source)
+        return _PairTable(*columns, source, self.adopted)
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,11 @@ class RelinkStats:
         Histories that grew (or appeared) since the previous relink.
     idf_invalidated:
         Cached pair totals dropped because a shared bin's IDF drifted
-        (or the corpus size, hence every IDF on that side, moved).
+        (or the corpus size, hence every IDF on that side, moved).  It
+        counts too the rows of this linker's scoring space dropped
+        because the cache adopted a full capture from outside since the
+        last relink (see :attr:`~repro.core.score_cache.ScoreCache.adopted`):
+        such a capture may hold totals from before IDF drift.
     lsh_rebuilt:
         True when the LSH index had to be rebuilt from scratch (first
         relink, or the signature layout changed); False for delta
@@ -315,7 +327,7 @@ class StreamingLinker:
             "right": None,
         }
         self._lsh_index: Optional[LshIndex] = None
-        self._pair_table = _PairTable()
+        self._pair_table = _PairTable(adopted=self._score_cache.adopted)
         self._last_relink: Optional[RelinkStats] = None
 
     # ------------------------------------------------------------------
@@ -504,6 +516,8 @@ class StreamingLinker:
                 else index._begin() if journal else index.checkpoint()
             ),
             "last_relink": self._last_relink,
+            # Captures the cache adopted that no relink has checked.
+            "adopted": self._score_cache.adopted - self._pair_table.adopted,
         }
 
     def _commit(self) -> None:
@@ -529,7 +543,11 @@ class StreamingLinker:
         object it was opened on, which the failed relink may have
         replaced (an LSH layout rebuild).  No capture carries the pair
         table: the linker starts an empty one, which the next relink
-        fills (a failed relink puts back the one it held).
+        fills (a failed relink puts back the one it held).  The new
+        table is as far behind the cache's
+        :attr:`~repro.core.score_cache.ScoreCache.adopted` count as the
+        capture was: the cache restore made here adds nothing to check,
+        an outside one no relink had checked yet is still to check.
         """
         self._latest = state["latest"]
         for side, saved in state["sides"].items():
@@ -556,7 +574,9 @@ class StreamingLinker:
                 index = LshIndex(self.config.lsh, saved["spec"])
             index.restore(saved)
         self._lsh_index = index
-        self._pair_table = _PairTable()
+        self._pair_table = _PairTable(
+            adopted=self._score_cache.adopted - state["adopted"]
+        )
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -861,16 +881,21 @@ class StreamingLinker:
         right_corpus = self._corpora["right"]
         assert left_corpus is not None and right_corpus is not None
 
+        # Scoped to this linker's space: in a shared cache, other
+        # owners' corpora are untouched by our IDF movement.
+        space = score_cache_space(left_corpus, right_corpus, self.config.similarity)
         invalidated = 0
+        if cache.adopted != self._pair_table.adopted:
+            # A capture restored from outside may hold totals from before
+            # IDF drift these corpora have seen: trust none of its rows.
+            invalidated = cache.invalidate_pairs(
+                *(np.arange(len(ids)) for ids in cache.entities._ids), space=space
+            )
+            self._pair_table = replace(self._pair_table, adopted=cache.adopted)
         affected = (deltas["left"].idf_affected, deltas["right"].idf_affected)
         if any(affected):
-            # Scoped to this linker's space: in a shared cache, other
-            # owners' corpora are untouched by our IDF movement.
-            invalidated = cache.invalidate_pairs(
-                *cache.entities.codes(*affected),
-                space=score_cache_space(
-                    left_corpus, right_corpus, self.config.similarity
-                ),
+            invalidated += cache.invalidate_pairs(
+                *cache.entities.codes(*affected), space=space
             )
 
         context = LinkageContext(config=self.config)

@@ -58,7 +58,7 @@ from ..core.threshold import (
     otsu_threshold,
     two_means_threshold,
 )
-from ..exec import Executor, create_executor, raise_on_task_errors
+from ..exec import Executor, create_executor
 from ..lsh.index import LshIndex
 from ..registry import Registry
 from .context import LinkageContext
@@ -348,20 +348,15 @@ class _ShardClock:
         return outcomes
 
 
-def _score_whole(score: Callable[..., object], pairs) -> object:
-    """Executor task: the scalar oracle's whole call (serial, in-process)."""
-    return score(pairs)
-
-
 class ScoringStage:
     """Eq. 2 (with the MFN alibi pass) over the candidate set; keeps the
     positive-score edges (Alg. 1's ``if S > 0``).
 
     Candidates are sorted (determinism) and scored by
-    :meth:`~repro.core.similarity.SimilarityEngine.score_batch`, which —
-    on the numpy backend — asks the context's
-    :class:`~repro.core.score_cache.ScoreCache` first (the streaming
-    linker attaches its own), cuts what missed into blocks of the
+    :meth:`~repro.core.similarity.SimilarityEngine.score_batch`, which
+    asks the context's :class:`~repro.core.score_cache.ScoreCache` first
+    (the streaming linker attaches its own) and — on the numpy backend —
+    cuts what missed into blocks of the
     resolved size (:func:`resolve_score_block_size`) and runs **every
     block as one** :meth:`~repro.exec.Executor.map_blocks` **task**.
 
@@ -377,9 +372,9 @@ class ScoringStage:
     ``tests/pipeline/test_executors.py``.
 
     The scalar ``backend="python"`` oracle has no blocks: it is a plain
-    loop over the pairs that mutates the engine as it goes, so it can
-    only run in this process.  The stage runs that whole loop as *one*
-    task of the serial executor, whatever executor was named.
+    loop over the missed pairs that mutates the engine as it goes, so it
+    can only run in this process.  It is *one* task of the serial
+    executor, whatever executor was named.
 
     Either way the tasks' worker-side seconds land in
     ``context.shard_timings["scoring"]`` and an ``executor`` summary in
@@ -442,14 +437,7 @@ class ScoringStage:
         before = executor.stats.fault_summary()
         clock = _ShardClock(executor)
         try:
-            if numpy:
-                result = score(pairs, clock, block)
-            else:
-                (outcome,) = raise_on_task_errors(
-                    clock.map_blocks(_score_whole, [pairs], payload=score),
-                    "scoring",
-                )
-                result = outcome.value
+            result = score(pairs, clock, block)
         finally:
             if owned:
                 executor.shutdown()

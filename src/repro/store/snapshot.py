@@ -88,11 +88,14 @@ __all__ = [
 #: counts and concatenated ``(window, cell, count)`` columns; per corpus,
 #: the residents' ids, directory lengths, concatenated directories and
 #: ``version`` / ``start`` / ``size`` columns; the LSH index as its
-#: placements only (bucket membership is rebuilt from them).  So a
-#: payload is a few dozen arrays, not one pickled object per entity.
-#: Formats 1–4 (format 4 pickled every ``MobilityHistory`` and corpus
-#: resident, and the LSH bucket lists) are refused by name.
-SNAPSHOT_FORMAT = 5
+#: placements only (bucket membership is rebuilt from them).  Format 6:
+#: the score cache as columns too — its rows' owner codes renumbered
+#: into the spaces and distinct ids they reference, beside the value
+#: columns.  So a payload is a few dozen arrays, not one pickled object
+#: per entity or per cached pair.  Formats 1–5 (format 5 pickled one
+#: ``(space, left id, right id)`` tuple per cached pair, format 4 every
+#: ``MobilityHistory`` and corpus resident) are refused by name.
+SNAPSHOT_FORMAT = 6
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")

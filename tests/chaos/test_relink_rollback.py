@@ -4,6 +4,7 @@ bit-identical to never having attempted the relink at all."""
 
 import pytest
 
+from cache_calls import capture_rows
 from repro.core.score_cache import ScoreCache, split_codes
 from repro.core.streaming import StreamingLinker
 from repro.lsh import LshConfig
@@ -199,12 +200,7 @@ def _layers(linker):
     index, cache = linker._lsh_index, linker.score_cache.checkpoint()
     # By pair (the scoring space embeds each linker's own corpus tokens),
     # as a mapping: key order is not cache state.
-    entries = dict(
-        zip(
-            (key[1:] for key in cache["keys"]),
-            zip(*(column.tolist() for column in cache["columns"])),
-        )
-    )
+    entries = {key[1:]: values for key, values in capture_rows(cache).items()}
     return (
         (index.checkpoint(), _membership(index)),
         index.candidate_pairs(),

@@ -12,6 +12,7 @@ versions is asked about again; either way the relink equals a cold one.
 
 from unittest import mock
 
+from cache_calls import store
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
@@ -90,7 +91,7 @@ def _counted_relink(linker):
 def test_another_space_sweep_re_asks_nothing():
     linker = _relinked(_world())
     cache = linker.score_cache
-    cache.store("elsewhere", "e0", "e1", 0, 0, 1.0, 1, 1, 0)
+    store(cache, "elsewhere", "e0", "e1", 0, 0, 1.0)
     swept = cache.invalidate_pairs(*cache.entities.codes({"e0"}, ()), space="elsewhere")
     assert swept == 1
 
@@ -155,6 +156,8 @@ def test_a_row_rewound_by_an_outside_restore_is_asked_again():
     cache.restore(capture)
 
     report, asked, _ = _counted_relink(linker)
-    assert asked == 1
-    assert linker.last_relink.pairs_rescored == 1
+    # The adopted capture may predate IDF drift: every row of the space
+    # is dropped and asked again, the rewound one among them.
+    assert asked == 25
+    assert linker.last_relink.pairs_rescored == 25
     assert _outcome(report) == _outcome(_relinked(world).relink())

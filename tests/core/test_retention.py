@@ -9,6 +9,7 @@ slots, LSH placements, score-cache rows) is actually reclaimed.
 import numpy as np
 import pytest
 
+from cache_calls import capture_rows
 from repro.core.corpus import CorpusDelta, HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.retention import (
@@ -359,7 +360,7 @@ class TestStreamingRetirement:
         linker, _ = _stream(config)
         linker.relink()
         live = set(linker._sides["left"]) | set(linker._sides["right"])
-        for (_, left_entity, right_entity) in linker.score_cache.checkpoint()["keys"]:
+        for (_, left_entity, right_entity) in capture_rows(linker.score_cache.checkpoint()):
             assert left_entity in live and right_entity in live
 
     def test_retired_id_reobserved_restarts_cleanly(self):

@@ -9,6 +9,7 @@ the whole-linker one alike, by ``tests/store/test_snapshot_failures.py``.
 
 import numpy as np
 
+from cache_calls import lookup, store
 from repro.core.corpus import content_fingerprint
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
@@ -18,12 +19,12 @@ from repro.temporal import Windowing
 
 def _populated_cache():
     cache = ScoreCache()
-    cache.store("space-a", "u", "v", 1, 2, raw=1.5,
-                bin_comparisons=4, common_windows=2, alibi_bin_pairs=1)
-    cache.store("space-a", "w", "x", 0, 0, raw=-0.25,
-                bin_comparisons=9, common_windows=3, alibi_bin_pairs=0)
-    cache.store(("content", "abc"), "u", "x", 3, 1, raw=0.75,
-                bin_comparisons=1, common_windows=1, alibi_bin_pairs=0)
+    store(cache, "space-a", "u", "v", 1, 2, raw=1.5,
+          bin_comparisons=4, common_windows=2, alibi_bin_pairs=1)
+    store(cache, "space-a", "w", "x", 0, 0, raw=-0.25,
+          bin_comparisons=9, common_windows=3, alibi_bin_pairs=0)
+    store(cache, ("content", "abc"), "u", "x", 3, 1, raw=0.75,
+          bin_comparisons=1, common_windows=1, alibi_bin_pairs=0)
     return cache
 
 
@@ -33,22 +34,22 @@ class TestRoundTrip:
         path = cache.save(tmp_path / "scores")
         loaded = ScoreCache.load(path)
         assert len(loaded) == len(cache)
-        entry = loaded.lookup("space-a", "u", "v", 1, 2)
-        assert entry.raw == 1.5
+        entry = lookup(loaded, "space-a", "u", "v", 1, 2)
+        assert entry.scores == 1.5
         assert entry.bin_comparisons == 4
         assert entry.common_windows == 2
         assert entry.alibi_bin_pairs == 1
-        assert loaded.lookup(("content", "abc"), "u", "x", 3, 1).raw == 0.75
+        assert lookup(loaded, ("content", "abc"), "u", "x", 3, 1).scores == 0.75
 
     def test_version_keys_still_enforced(self, tmp_path):
         path = _populated_cache().save(tmp_path / "scores")
         loaded = ScoreCache.load(path)
-        assert loaded.lookup("space-a", "u", "v", 9, 2) is None
+        assert lookup(loaded, "space-a", "u", "v", 9, 2) is None
 
     def test_counters_survive(self, tmp_path):
         cache = _populated_cache()
-        cache.lookup("space-a", "u", "v", 1, 2)  # hit
-        cache.lookup("space-a", "n", "o", 0, 0)  # miss
+        lookup(cache, "space-a", "u", "v", 1, 2)  # hit
+        lookup(cache, "space-a", "n", "o", 0, 0)  # miss
         loaded = ScoreCache.load(cache.save(tmp_path / "scores"))
         assert (loaded.hits, loaded.misses) == (1, 1)
 
@@ -56,14 +57,14 @@ class TestRoundTrip:
         loaded = ScoreCache.load(
             _populated_cache().save(tmp_path / "scores")
         )
-        batch = loaded.lookup_batch(
+        hit, batch = loaded.lookup_batch(
             "space-a",
             loaded.entities.pair_codes([("u", "v"), ("w", "x"), ("n", "o")]),
             np.array([1, 0, 0]),
             np.array([2, 0, 0]),
         )
-        assert batch.hit.tolist() == [True, True, False]
-        assert batch.raw[:2].tolist() == [1.5, -0.25]
+        assert hit.tolist() == [True, True, False]
+        assert batch.scores[:2].tolist() == [1.5, -0.25]
 
 
 class TestContentFingerprint:
@@ -159,7 +160,7 @@ class TestArithmeticRevision:
         from repro.data import Record
         from repro.store import SNAPSHOT_FORMAT
 
-        assert SNAPSHOT_FORMAT == 5
+        assert SNAPSHOT_FORMAT == 6
 
         def observe(linker, rounds, entities=range(12)):
             for round_index in rounds:

@@ -17,6 +17,7 @@ codes for them) say nothing about any other owner's.  Pinned here:
 import numpy as np
 import pytest
 
+from cache_calls import capture_rows, lookup
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import LocationDataset, Record
@@ -123,7 +124,8 @@ def test_a_retired_id_observed_again_beside_a_batch_run_relinks_cold():
     right = _dataset(observed["right"], "right")
     batch_report = LinkagePipeline(config).run(left, right, score_cache=cache)
     # Rows under e1_0 in two spaces: the linker's and the batch run's.
-    assert len({key[0] for key in cache.checkpoint()["keys"] if key[1] == "e1_0"}) == 2
+    rows = capture_rows(cache.checkpoint())
+    assert len({key[0] for key in rows if key[1] == "e1_0"}) == 2
 
     linker.retire("left", ["e1_0"])
     again = [
@@ -152,41 +154,50 @@ def test_a_retired_id_observed_again_beside_a_batch_run_relinks_cold():
 
 
 def test_a_capture_with_string_keys_restores_and_serves_hits():
-    """The capture's shape is ``{"keys": [(space, left id, right id)],
-    "columns": six arrays in PairScore field order, "hits", "misses"}`` —
-    what every committed snapshot and cache file holds.  Built by hand,
-    it restores, every row is a hit under its versions, and the capture
+    """The capture's shape is ``{"spaces": [space], "left_ids" /
+    "right_ids": id arrays, "owners": (3, k) indices into those three,
+    one array per value column, "hits", "misses"}`` — what every
+    committed snapshot and cache file holds.  Built by hand, it
+    restores, every row is a hit under its versions, and the capture
     taken back holds the same mapping."""
     keys = [
         ("space", "u1", "v1"),
         ("space", "u2", "v1"),
         (("tuple", "space", 3), "u1", "v2"),
     ]
-    columns = (
-        np.array([0, 1, 2], dtype=np.int64),  # u_version
-        np.array([3, 4, 5], dtype=np.int64),  # v_version
-        np.array([0.5, -1.25, 2.0]),  # raw
-        np.array([4, 6, 8], dtype=np.int64),  # bin_comparisons
-        np.array([1, 2, 3], dtype=np.int64),  # common_windows
-        np.array([0, 1, 0], dtype=np.int64),  # alibi_bin_pairs
+    columns = {
+        "u_version": np.array([0, 1, 2], dtype=np.int64),
+        "v_version": np.array([3, 4, 5], dtype=np.int64),
+        "raw": np.array([0.5, -1.25, 2.0]),
+        "bin_comparisons": np.array([4, 6, 8], dtype=np.int64),
+        "common_windows": np.array([1, 2, 3], dtype=np.int64),
+        "alibi_bin_pairs": np.array([0, 1, 0], dtype=np.int64),
+    }
+    state = {
+        "spaces": ["space", ("tuple", "space", 3)],
+        "left_ids": np.array(["u1", "u2"], dtype=object),
+        "right_ids": np.array(["v1", "v2"], dtype=object),
+        "owners": np.array([[0, 0, 1], [0, 1, 0], [0, 0, 1]]),
+        **columns,
+        "hits": 7,
+        "misses": 9,
+    }
+    assert capture_rows(state) == dict(
+        zip(keys, zip(*(column.tolist() for column in columns.values())))
     )
-    state = {"keys": keys, "columns": columns, "hits": 7, "misses": 9}
     cache = ScoreCache()
     cache.restore(state)
     assert len(cache) == 3
     for position, (space, left, right) in enumerate(keys):
-        entry = cache.lookup(
-            space, left, right,
-            int(columns[0][position]), int(columns[1][position]),
+        entry = lookup(
+            cache, space, left, right,
+            int(columns["u_version"][position]), int(columns["v_version"][position]),
         )
         assert entry is not None
-        assert (
-            entry.raw, entry.bin_comparisons, entry.common_windows,
-            entry.alibi_bin_pairs,
-        ) == tuple(column[position].item() for column in columns[2:])
+        assert tuple(entry) == tuple(
+            column[position].item() for column in list(columns.values())[2:]
+        )
     assert (cache.hits, cache.misses) == (7 + 3, 9)
     back = cache.checkpoint()
-    assert sorted(back) == ["columns", "hits", "keys", "misses"]
-    assert dict(zip(back["keys"], zip(*(c.tolist() for c in back["columns"])))) == (
-        dict(zip(keys, zip(*(c.tolist() for c in columns))))
-    )
+    assert sorted(back) == sorted(state)
+    assert capture_rows(back) == capture_rows(state)

@@ -22,11 +22,11 @@ Plus a completeness check on the linker: every attribute
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 
 import numpy as np
 import pytest
+from cache_calls import capture_rows, lookup, store
 from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,28 +160,23 @@ class _DiskCorpusCase(_CorpusCase):
 
 
 def _entries(capture, by=lambda key: key):
-    """A score-cache capture as ``{by(key): column values}``: key order
+    """A score-cache capture as ``{by(key): column values}``: row order
     is not cache state."""
-    return dict(
-        zip(
-            map(by, capture["keys"]),
-            zip(*(column.tolist() for column in capture["columns"])),
-        )
-    )
+    return {by(key): values for key, values in capture_rows(capture).items()}
 
 
 class _ScoreCacheCase:
     @staticmethod
     def _store(cache, space, k, version=0):
-        cache.store(space, f"u{k}", f"v{k % 4}", version, 0, raw=k / 7.0,
-                    bin_comparisons=k, common_windows=k % 3, alibi_bin_pairs=k % 2)
+        store(cache, space, f"u{k}", f"v{k % 4}", version, 0, raw=k / 7.0,
+              bin_comparisons=k, common_windows=k % 3, alibi_bin_pairs=k % 2)
 
     def build(self, tmp):
         cache = ScoreCache()
         for k in range(12):
             self._store(cache, "a" if k % 2 else ("b", 1), k)
-        cache.lookup("a", "u7", "v3", 0, 0)  # hit
-        cache.lookup("a", "u9", "v1", 5, 0)  # stale: evicted, a free row
+        lookup(cache, "a", "u7", "v3", 0, 0)  # hit
+        lookup(cache, "a", "u9", "v1", 5, 0)  # stale: evicted, a free row
         cache.invalidate_pairs(*cache.entities.codes({"u10"}, set()), space=("b", 1))
         cache.invalidate_pairs(*cache.entities.codes(set(), {"v3"}), space=None)
         return cache
@@ -199,11 +194,11 @@ class _ScoreCacheCase:
         pass
 
     def disturb(self, cache):
-        cache.lookup(("b", 1), "u6", "v2", 0, 0)  # hit
+        lookup(cache, ("b", 1), "u6", "v2", 0, 0)  # hit
         for k in range(20, 31):
             self._store(cache, "c", k)
         cache.invalidate_pairs(*cache.entities.codes({"u5", "u8"}, set()))
-        cache.lookup("a", "u5", "v1", 0, 0)
+        lookup(cache, "a", "u5", "v1", 0, 0)
         self._store(cache, "c", 30, version=1)  # over an existing key
         cache.lookup_batch(  # a hit, a stale row dropped
             "c",
@@ -215,7 +210,7 @@ class _ScoreCacheCase:
     def proceed(self, cache):
         self._store(cache, "a", 13)
         self._store(cache, ("b", 1), 4, version=2)
-        batch = cache.lookup_batch(
+        hit, batch = cache.lookup_batch(
             "a",
             cache.entities.pair_codes(
                 [("u5", "v1"), ("u13", "v1"), ("u1", "v1"), ("nobody", "v0")]
@@ -228,8 +223,8 @@ class _ScoreCacheCase:
             cache.hits,
             cache.misses,
             _entries(cache.checkpoint()),
-            [column.tolist() for column in dataclasses.astuple(batch)],
-            cache.lookup(("b", 1), "u4", "v0", 2, 0),
+            [hit.tolist(), *(column.tolist() for column in batch)],
+            lookup(cache, ("b", 1), "u4", "v0", 2, 0),
         )
 
 
@@ -768,7 +763,7 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
 # the cache's keyed rows, against a dict
 # ----------------------------------------------------------------------
 class _Store(ScoreCache):
-    _DTYPES = (np.float64, np.int64)
+    _COLUMNS = {"value": np.float64, "count": np.int64}
 
 
 _KEYS = st.tuples(st.sampled_from("st"), st.sampled_from("abc"), st.sampled_from("xyz"))
@@ -785,7 +780,7 @@ _OPS = st.lists(
 
 def _coded(store, key):
     """A ``(space, left, right)`` key as the store's ``(space, pair codes)``."""
-    return "st".index(key[0]), store.entities.pair_codes([key[1:]])
+    return store._space(key[0]), store.entities.pair_codes([key[1:]])
 
 
 def _content(store):
@@ -793,7 +788,7 @@ def _content(store):
     rows = store._live()
     space, left, right = store._owner[:, rows]
     keys = zip(
-        ["st"[code] for code in space.tolist()],
+        [store._spaces[code] for code in space.tolist()],
         store.entities.ids(0, left).tolist(),
         store.entities.ids(1, right).tolist(),
     )
@@ -825,6 +820,21 @@ def _apply(store, model, op):
         store.hits += op[1]
 
 
+def _capture_holds(store, model):
+    """The store's capture is columns — every value an array, the space
+    list or a scalar — and, pickled and restored into a fresh store,
+    holds what the dict holds."""
+    capture = store.checkpoint()
+    assert type(capture.pop("spaces")) is list
+    for name, value in capture.items():
+        assert isinstance(value, (np.ndarray, int)), name
+    fresh = _Store()
+    fresh.restore(pickle.loads(pickle.dumps(store.checkpoint())))
+    _rows_invariants(fresh)
+    assert _content(fresh) == model
+    assert (fresh.hits, fresh.misses) == (store.hits, store.misses)
+
+
 def _raw_state(store):
     high = store._high
     return (
@@ -840,7 +850,8 @@ def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commi
     """Random puts / removes / per-entity sweeps, with one transaction
     opened at a random point and committed or rolled back: after every
     step the store holds what a plain dict holds and its structures
-    agree; a rollback puts back, bit for bit, what ``_begin`` saw."""
+    agree, and so does a fresh store restored from its pickled capture;
+    a rollback puts back, bit for bit, what ``_begin`` saw."""
     begin, end = sorted((min(begin, len(ops)), min(end, len(ops))))
     store, model = _Store(), {}
     for position, op in enumerate(ops + [None]):
@@ -863,3 +874,4 @@ def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commi
             _apply(store, model, op)
         _rows_invariants(store)
         assert _content(store) == model
+        _capture_holds(store, model)

@@ -9,6 +9,7 @@ re-scoring only the pairs the delta could have touched.
 import numpy as np
 import pytest
 
+from cache_calls import lookup, store
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
@@ -331,27 +332,27 @@ class TestCorpusRefresh:
 class TestScoreCacheUnits:
     def test_spaces_are_disjoint(self):
         cache = ScoreCache()
-        cache.store("space1", "u", "v", 0, 0, 1.0, 1, 1, 0)
-        assert cache.lookup("space2", "u", "v", 0, 0) is None
-        assert cache.lookup("space1", "u", "v", 0, 0).raw == 1.0
+        store(cache, "space1", "u", "v", 0, 0, 1.0)
+        assert lookup(cache, "space2", "u", "v", 0, 0) is None
+        assert lookup(cache, "space1", "u", "v", 0, 0).scores == 1.0
 
     def test_invalidate_by_side(self):
         cache = ScoreCache()
-        cache.store("s", "u1", "v1", 0, 0, 1.0, 1, 1, 0)
-        cache.store("s", "u2", "v2", 0, 0, 2.0, 1, 1, 0)
+        store(cache, "s", "u1", "v1", 0, 0, 1.0)
+        store(cache, "s", "u2", "v2", 0, 0, 2.0)
         assert cache.invalidate_pairs(*cache.entities.codes(set(), {"v2"})) == 1
-        assert cache.lookup("s", "u1", "v1", 0, 0) is not None
-        assert cache.lookup("s", "u2", "v2", 0, 0) is None
+        assert lookup(cache, "s", "u1", "v1", 0, 0) is not None
+        assert lookup(cache, "s", "u2", "v2", 0, 0) is None
 
     def test_invalidation_scoped_to_space(self):
         """Shared caches: one owner's IDF drift must not clobber another
         space's entries for the same entity ids."""
         cache = ScoreCache()
-        cache.store("mine", "u", "v", 0, 0, 1.0, 1, 1, 0)
-        cache.store("theirs", "u", "v", 0, 0, 2.0, 1, 1, 0)
+        store(cache, "mine", "u", "v", 0, 0, 1.0)
+        store(cache, "theirs", "u", "v", 0, 0, 2.0)
         assert cache.invalidate_pairs(*cache.entities.codes({"u"}, set()), space="mine") == 1
-        assert cache.lookup("mine", "u", "v", 0, 0) is None
-        assert cache.lookup("theirs", "u", "v", 0, 0).raw == 2.0
+        assert lookup(cache, "mine", "u", "v", 0, 0) is None
+        assert lookup(cache, "theirs", "u", "v", 0, 0).scores == 2.0
 
 
 class TestLshIncremental:

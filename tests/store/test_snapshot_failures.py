@@ -20,6 +20,7 @@ import pickle
 
 import pytest
 
+from cache_calls import store
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
@@ -50,13 +51,13 @@ def _linker():
 
 def _cache(extra=False):
     cache = ScoreCache()
-    cache.store("space-a", "u", "v", 1, 2, raw=1.5,
-                bin_comparisons=4, common_windows=2, alibi_bin_pairs=1)
-    cache.store(("content", "abc"), "u", "x", 3, 1, raw=0.75,
-                bin_comparisons=1, common_windows=1, alibi_bin_pairs=0)
+    store(cache, "space-a", "u", "v", 1, 2, raw=1.5,
+          bin_comparisons=4, common_windows=2, alibi_bin_pairs=1)
+    store(cache, ("content", "abc"), "u", "x", 3, 1, raw=0.75,
+          bin_comparisons=1, common_windows=1, alibi_bin_pairs=0)
     if extra:
-        cache.store("space-b", "y", "z", 0, 0, raw=0.5,
-                    bin_comparisons=2, common_windows=1, alibi_bin_pairs=0)
+        store(cache, "space-b", "y", "z", 0, 0, raw=0.5,
+              bin_comparisons=2, common_windows=1, alibi_bin_pairs=0)
     return cache
 
 
@@ -226,11 +227,12 @@ def test_version_skew_warns_by_name_and_cold_starts(kind, snapshot_root):
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
 
-@pytest.mark.parametrize("previous", [3, 4])
+@pytest.mark.parametrize("previous", [3, 4, 5])
 def test_the_previous_format_is_refused_not_converted(kind, snapshot_root, previous):
-    """Format 3 (histories pickled their views, corpora their bin dicts)
-    and format 4 (one pickled object per history and corpus resident)
-    take the same named path: warn and cold-start, or raise when strict."""
+    """Format 3 (histories pickled their views, corpora their bin dicts),
+    format 4 (one pickled object per history and corpus resident) and
+    format 5 (one pickled key tuple per cached pair) take the same named
+    path: warn and cold-start, or raise when strict."""
     _rewrite_format(snapshot_root, previous)
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
