@@ -3,12 +3,13 @@
 Two claims from the persistence layer, measured on one synthetic world:
 
 * **Bounded residency** — a ``storage="disk"`` linker holds corpus flat
-  columns in read-only memmaps plus a small chunk LRU; its accountable
-  in-RAM footprint (the LRU ledger behind
-  ``memory_stats()["*_flat_resident_bytes"]``) must stay a small
-  fraction of the in-core flats.  The workload is sized so the flats
-  exceed the chunk-cache budget by at least ``WORKLOAD_FACTOR`` (>= 10x
-  — a corpus that genuinely cannot fit its RAM budget), and the emitted
+  columns in read-only memmaps only; its heap footprint
+  (``memory_stats()["*_flat_resident_bytes"]``, 0 by construction on
+  disk) must stay a small fraction of the in-core flats, so a change
+  that brings heap copies of the columns back fails here.  The workload
+  is sized so the flats exceed a RAM budget of ``CACHE_CHUNKS`` chunks
+  by at least ``WORKLOAD_FACTOR`` (>= 10x — a corpus that genuinely
+  cannot fit its RAM budget), and the emitted
   ``resident_ratio`` carries a self-contained ``resident_ratio_ceiling``
   the regression gate enforces at any scale.
 * **Restart speedup** — rebuilding full linker state (histories,
@@ -56,9 +57,9 @@ ROUNDS = 10
 PER_SIDE = 120
 RECORDS_PER_ENTITY = 8
 
-#: Chunk LRU capacity (chunks) for the disk arm.
+#: RAM budget of the disk arm, in chunks.
 CACHE_CHUNKS = 8
-#: The flats must exceed the chunk-cache RAM budget by at least this
+#: The flats must exceed that RAM budget by at least this
 #: factor — the "cannot fit in RAM" premise, kept true at any scale by
 #: deriving ``chunk_rows`` from the measured in-core footprint.
 WORKLOAD_FACTOR = 10
@@ -137,7 +138,7 @@ def run_out_of_core_bench(
     in_core_bytes = _resident_bytes(in_core)
     rows = _flat_rows(in_core)
 
-    # Size chunks so the flats are >= WORKLOAD_FACTOR x the cache budget.
+    # Size chunks so the flats are >= WORKLOAD_FACTOR x the RAM budget.
     chunk_rows = max(16, rows // (CACHE_CHUNKS * WORKLOAD_FACTOR))
     workload_ratio = rows / (CACHE_CHUNKS * chunk_rows)
 
@@ -149,7 +150,6 @@ def run_out_of_core_bench(
             storage="disk",
             store_dir=scratch_dir / "store",
             store_chunk_rows=chunk_rows,
-            store_cache_chunks=CACHE_CHUNKS,
         )
         disk_report = _replay(on_disk, rounds, per_side)
         disk_resident = _resident_bytes(on_disk)
@@ -264,7 +264,7 @@ def main(argv: List[str]) -> int:
     workload = payload["workload"]
     print(
         f"out-of-core: {workload['flat_rows']} flat rows at "
-        f"{workload['flats_over_cache_budget']:.1f}x the chunk-cache "
+        f"{workload['flats_over_cache_budget']:.1f}x the RAM "
         f"budget; resident {payload['disk_resident_bytes']} B vs "
         f"{payload['in_core_flat_bytes']} B in-core "
         f"(ratio {payload['resident_ratio']:.3f}, "

@@ -19,18 +19,29 @@ A history's stored ``(window, cell, count)`` columns
 (:mod:`repro.core.history`) are the record of what an entity did.  The
 corpus derives *its* shape of the same bins from them — re-parented to
 the similarity level, de-duplicated, annotated — and keeps exactly one
-copy: the **flat columns** (:meth:`HistoryCorpus.arrays` +
-:meth:`HistoryCorpus.window_index`, backed by
+copy: the **flat columns** (:meth:`HistoryCorpus.arrays`, backed by
 :meth:`HistoryCorpus.cell_table`) that the vectorized batch kernel
 (:mod:`repro.core.kernels`) consumes — one corpus-wide layout of cell
 ids, geometry-table slots and document-frequency slots, each entity
-owning one contiguous slice with a per-window directory.  A bin's IDF
+owning one contiguous slice.  A bin's IDF
 depends only on its df slot and the corpus size, so it is not a flat
 column: the corpus keeps one value per df slot, and the kernel gathers
 it through the ``keys`` column.  Cells
 within a window are sorted by cell id, which *is* Morton (Z-order) order
 in this grid (see :mod:`repro.geo.cell`), so consecutive slots reference
 spatially nearby centroids and the kernel's gathers stay cache-friendly.
+
+Who is resident is held the same way, as **residency columns**: one
+``entity id -> row`` dict and, per row, the history ``version`` it was
+read at, its flat slice ``[start, start + size)`` and its run of the
+**directory table** — one ``(3, D)`` array whose rows are ``windows``,
+``offsets`` and ``counts``, one entry per populated window, laid end to
+end like the flats (window ``windows[k]`` owns the flat slice
+``[offsets[k], offsets[k] + counts[k])``).  Rows keep residency order
+(first arrival, evictions dropped), which is the order a compaction
+packs the flats in.  Every array is replaced, never written, so a
+capture holds them by reference; no object is kept per entity, and
+:meth:`HistoryCorpus.window_index` is cut from the table on demand.
 
 Everything else is derived from that store and nothing else holds bins:
 ``|H_u|`` is the length of an entity's slice, the document frequencies
@@ -55,10 +66,11 @@ which is also how the corpus is built (a refresh from empty):
   the dirty entities' superseded flat slices and counting their new bins
   (O(changed bins), not O(corpus));
 * the flat columns are **extended**, not re-materialised: a dirty
-  entity's new layout is appended and its :class:`WindowIndex` repointed,
-  leaving the old slice as garbage that a compaction pass reclaims once
-  it outweighs the live data; new cells append rows to the
-  :class:`CellTable`;
+  entity's new layout is appended, its directory entries appended to
+  the directory table and its row repointed at both, leaving the old
+  slice and entries as garbage that a compaction pass reclaims (in
+  array passes, no per-entity loop) once it outweighs the live data;
+  new cells append rows to the :class:`CellTable`;
 * the per-slot IDF vector is re-derived in one vectorized pass over the
   updated document-frequency table (every flat entry remembers its df
   slot), so clean entities' rows pick up global IDF movement without any
@@ -119,8 +131,10 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from itertools import compress, filterfalse, repeat
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,7 +143,6 @@ from ..geo.batch import parent_ids
 from ..geo.cell import CellId
 from ..store.columns import COLUMNS, DiskColumns, FlatColumns, MemoryColumns
 from ..store.hilbert import hilbert_key
-from ..store.snapshot import pack_rows, unpack_rows
 from .history import MobilityHistory, distinct, leaf_columns, run_starts
 
 __all__ = [
@@ -220,6 +233,24 @@ _ROW_BITS = 32
 #: the next refresh reads the entity as changed.
 _STALE = -1
 
+#: The residency columns, one value per resident row: the history
+#: version it was read at, its flat slice ``[starts, starts + sizes)``
+#: (``sizes`` is ``|H_u|``) and its run ``[dir_starts, dir_starts +
+#: dir_sizes)`` of the directory table.
+_ROW_COLUMNS = ("versions", "starts", "sizes", "dir_starts", "dir_sizes")
+
+
+def _ragged(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[k], starts[k] + sizes[k])`` laid end to end,
+    as one index array.
+
+    >>> _ragged(np.array([5, 0, 9]), np.array([2, 0, 3])).tolist()
+    [5, 6, 9, 10, 11]
+    """
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - sizes), sizes)
+
 
 @dataclass(frozen=True)
 class CellTable:
@@ -257,10 +288,10 @@ class CorpusArrays:
     window occupies, so the batch kernel's gather is pure fancy indexing.
 
     After a :meth:`HistoryCorpus.refresh` the flats may contain *garbage*
-    slices (superseded entity layouts); they are unreachable through any
-    current :class:`WindowIndex` and are reclaimed by compaction.  A
-    ``CorpusArrays`` instance obtained before a refresh must not be mixed
-    with window indices obtained after one.
+    slices (superseded entity layouts); no live row of the corpus'
+    directory table points into them, and they are reclaimed by
+    compaction.  A ``CorpusArrays`` instance obtained before a refresh
+    must not be mixed with window indices obtained after one.
     """
 
     cells: np.ndarray  # (T,) uint64 cell ids
@@ -282,10 +313,10 @@ class WindowIndex:
 
     ``windows`` is sorted ascending; window ``windows[k]`` owns the flat
     slice ``[offsets[k], offsets[k] + counts[k])``.  Three arrays and
-    nothing else: the batch kernel lays a block's directories end to end
-    and finds every pair's common windows in one array join (see
-    :mod:`repro.core.kernels`), so no per-entity lookup structure is
-    kept beside them.
+    nothing else, cut on demand from the corpus' directory table (see
+    :meth:`HistoryCorpus.window_index`): the batch kernel gathers a
+    block's directories from that table directly
+    (:meth:`HistoryCorpus.directories`).
     """
 
     windows: np.ndarray  # (W,) int64 populated leaf-window indices
@@ -296,38 +327,17 @@ class WindowIndex:
         return len(self.windows)
 
 
-@dataclass(frozen=True)
-class _Resident(WindowIndex):
-    """An entity as the corpus holds it: its directory, the history
-    ``version`` it was read at, and the one contiguous flat slice
-    ``[start, start + size)`` the directory points into — ``size`` is
-    ``|H_u|``."""
-
-    version: int
-    start: int
-    size: int
-
-
-#: A resident's directory and scalars, as the columns of :func:`_pack_corpus`.
-_DIRECTORY = {"windows": np.int64, "offsets": np.int64, "counts": np.int64}
-_SCALARS = ("version", "start", "size")
-
-
 def _pack_corpus(state: Dict[str, object]) -> Dict[str, object]:
     """A :meth:`HistoryCorpus.checkpoint` as a durable snapshot holds it:
-    the residents as flat arrays (:func:`~repro.store.snapshot.pack_rows`)."""
-    residents = pack_rows(state["window_index"], _DIRECTORY, _SCALARS)
-    return dict(state, window_index=residents)
+    the residency columns as they are, the id dict as its keys (row
+    ``k`` is the ``k``-th)."""
+    return dict(state, row_of=list(state["row_of"]))
 
 
 def _unpack_corpus(state: Dict[str, object]) -> Dict[str, object]:
-    """The capture :func:`_pack_corpus` packed, each directory a copy."""
-    residents = unpack_rows(state["window_index"], _DIRECTORY, _SCALARS)
-    window_index = {
-        entity_id: _Resident(*(column.copy() for column in columns), *values)
-        for entity_id, columns, values in residents
-    }
-    return dict(state, window_index=window_index)
+    """The capture :func:`_pack_corpus` packed."""
+    ids = state["row_of"]
+    return dict(state, row_of=dict(zip(ids, range(len(ids)))))
 
 
 @dataclass(frozen=True)
@@ -392,13 +402,21 @@ class HistoryCorpus:
         )
         self._size = 0
         self._total_bins = 0
-        # Who is resident: per entity, its window directory, the version
-        # it was read at and its flat slice.
-        self._window_index: Dict[str, _Resident] = {}
+        # Who is resident: each id's row of the residency columns (rows
+        # in residency order, which is the dict's), the columns
+        # themselves (see _ROW_COLUMNS) and the directory table their
+        # ``dir_*`` columns cut runs from: one (3, D) array whose rows
+        # are ``windows``, ``offsets`` and ``counts``.  The dict is
+        # mutated in place (a capture copies it); the arrays are
+        # replaced, never written.
+        self._row_of: Dict[str, int] = {}
+        for name in _ROW_COLUMNS:
+            setattr(self, "_" + name, np.empty(0, dtype=np.int64))
+        self._directory = np.empty((3, 0), dtype=np.int64)
         # Document frequencies, by slot: the bin a slot counts
         # (``window << 32 | cell-table row``) and how many histories hold
         # it, plus the slots in ascending bin order for the bisection.
-        # Slots are recycled only by :meth:`_compact_df_slots`, so flat
+        # Slots are recycled only by :meth:`_drop_dead_df_slots`, so flat
         # entries reference them across refreshes and IDFs re-derive
         # vectorized.  Like the cell table and the flat columns, these
         # arrays are replaced, never written, so a capture holds them by
@@ -453,43 +471,42 @@ class HistoryCorpus:
             # Check eligibility before touching any state: raising midway
             # through retraction would leave the statistics inconsistent.
             raise ValueError("refresh would leave the corpus empty")
-        resident = self._window_index
-        evicted = [
-            entity_id for entity_id in resident if entity_id not in self._histories
-        ]
-        dirty: List[str] = []
-        for entity_id, history in self._histories.items():
-            held = resident.get(entity_id)
-            if held is not None and held.version == history.version:
-                continue
+        row_of = self._row_of
+        ids = list(self._histories)
+        held = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
+        versions = np.fromiter(
+            map(attrgetter("version"), self._histories.values()), np.int64, len(ids)
+        )
+        clean = held >= 0
+        # Every resident still backed unless fewer of them were found.
+        evicted = (
+            list(filterfalse(self._histories.__contains__, row_of))
+            if np.count_nonzero(clean) < len(row_of)
+            else []
+        )
+        clean[clean] = self._versions[held[clean]] == versions[clean]
+        changed = np.flatnonzero(~clean)
+        if not len(changed) and not evicted:
+            return CorpusDelta(())
+        dirty = [ids[k] for k in changed.tolist()]
+        histories = [self._histories[entity_id] for entity_id in dirty]
+        for history in histories:
             if self._level > history.storage_level:
                 raise ValueError(
                     f"level {self._level} is finer than storage level "
                     f"{history.storage_level}"
                 )
-            dirty.append(entity_id)
-        if not dirty and not evicted:
-            return CorpusDelta(())
+        held, versions = held[changed], versions[changed]
 
         # Out: a superseded slice names the df slots of its own bins.
-        stale = [
-            resident[entity_id]
-            for entity_id in (*evicted, *dirty)
-            if entity_id in resident
-        ]
+        gone = np.fromiter(map(row_of.__getitem__, evicted), np.int64, len(evicted))
+        stale = np.concatenate([gone, held[held >= 0]])
         flat_keys = self._flats.column("keys")
-        retracted = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [flat_keys[held.start : held.start + held.size] for held in stale]
-        )
-        for entity_id in evicted:
-            del resident[entity_id]
-        self._populated -= sum(len(held) for held in stale)
+        retracted = flat_keys[_ragged(self._starts[stale], self._sizes[stale])]
 
         # In: the dirty histories' stored bins, re-parented.  Ancestors of
         # ascending cells ascend, so the joined rows stay sorted by
         # (entity, window, cell) and a level's distinct bins are its runs.
-        histories = [self._histories[entity_id] for entity_id in dirty]
         rows, windows, cells, _ = leaf_columns(histories)
         cells = parent_ids(cells, self._level)
         first = run_starts(rows, windows, cells)
@@ -515,20 +532,28 @@ class HistoryCorpus:
         )
 
         # Each dirty entity's slice of the appended rows, and inside it
-        # one directory entry per (entity, window) run.
+        # one directory entry per (entity, window) run: the entries go
+        # to the end of the directory table, the rows are repointed (a
+        # newcomer's appended), and the evicted rows dropped.
         base = len(flat_keys)
         heads = np.flatnonzero(run_starts(rows, windows))
-        spans = np.diff(np.append(heads, len(rows)))
         starts = np.searchsorted(rows, np.arange(len(dirty) + 1))
-        entries = np.searchsorted(heads, starts).tolist()
-        starts = starts.tolist()
-        for k, (entity_id, history) in enumerate(zip(dirty, histories)):
-            lo, hi = entries[k], entries[k + 1]
-            resident[entity_id] = _Resident(
-                windows[heads[lo:hi]], base + heads[lo:hi], spans[lo:hi],
-                history.version, base + starts[k], starts[k + 1] - starts[k],
-            )
-        self._populated += len(heads)
+        entries = np.searchsorted(heads, starts)
+        self._populated += len(heads) - int(self._dir_sizes[stale].sum())
+        self._readmit(
+            dirty,
+            held,
+            gone,
+            versions=versions,
+            starts=base + starts[:-1],
+            sizes=np.diff(starts),
+            dir_starts=self._directory.shape[1] + entries[:-1],
+            dir_sizes=np.diff(entries),
+        )
+        spans = np.diff(np.append(heads, len(rows)))
+        self._directory = np.concatenate(
+            [self._directory, np.stack([windows[heads], base + heads, spans])], axis=1
+        )
         self._flats.append(dict(zip(COLUMNS, (cells, slots, keys))))
 
         grown = len(rows) - len(retracted)
@@ -539,31 +564,56 @@ class HistoryCorpus:
         # wholesale invalidation is cheap and safe.
         self._bins_with_idf.clear()
 
-        # Eviction exists to bound memory: reclaim the retired slices now
-        # rather than waiting for garbage to outweigh live data, so
-        # steady-state flats track the live entities exactly.
-        allocated = base + len(rows)
-        if self._flat_live < (
-            allocated if evicted else _COMPACT_LIVE_FRACTION * allocated
-        ):
-            self._compact()
-
         # Whose idf moved: every resident's when |U_E| did (on the cold
         # build all are dirty), else the holders of the df slots whose
-        # count changed while staying shared — read before
-        # _compact_df_slots renumbers them.
+        # count changed while staying shared — read before a compaction
+        # renumbers them.
         if self._size != old_size:
-            holders = list(resident)
+            holders = list(self._row_of)
         else:
             touched = distinct(np.concatenate([retracted, keys]))
             was, now = before[touched], self._df_counts[touched]
             holders = self._holders(touched[(was > 0.0) & (now > 0.0) & (was != now)])
-        changed = set(dirty)
-        affected = tuple(eid for eid in holders if eid not in changed)
-        if evicted:
-            self._compact_df_slots()
+        dirtied = set(dirty)
+        affected = tuple(eid for eid in holders if eid not in dirtied)
+
+        # Eviction exists to bound memory: reclaim the retired slices now
+        # rather than waiting for garbage to outweigh live data, so
+        # steady-state flats track the live entities exactly — and with
+        # them the df slots no survivor holds, renumbered by the same
+        # gather.
+        keys_remap = self._drop_dead_df_slots() if evicted else None
+        allocated = base + len(rows)
+        if keys_remap is not None or self._flat_live < (
+            allocated if evicted else _COMPACT_LIVE_FRACTION * allocated
+        ):
+            self._compact(keys_remap)
         self._derive_idf()
         return CorpusDelta(tuple(dirty), tuple(evicted), affected)
+
+    def _readmit(
+        self, dirty: List[str], held: np.ndarray, gone: np.ndarray, **values: np.ndarray
+    ) -> None:
+        """The residency columns with each ``dirty`` entity's row (its
+        ``held`` row, -1 for a newcomer, which is appended) set to
+        ``values`` and the ``gone`` rows dropped, the rest renumbered in
+        order."""
+        rows = len(self._row_of)
+        newcomer = held < 0
+        target = held.copy()
+        target[newcomer] = np.arange(rows, rows + int(newcomer.sum()))
+        keep = np.ones(rows + int(newcomer.sum()), dtype=bool)
+        keep[gone] = False
+        for name in _ROW_COLUMNS:
+            column = np.concatenate(
+                [getattr(self, "_" + name), np.empty(len(keep) - rows, np.int64)]
+            )
+            column[target] = values[name]
+            setattr(self, "_" + name, column[keep] if len(gone) else column)
+        self._row_of.update(zip(compress(dirty, newcomer), target[newcomer].tolist()))
+        if len(gone):
+            kept = compress(self._row_of, keep.tolist())
+            self._row_of = dict(zip(kept, range(len(keep) - len(gone))))
 
     def _cell_slots(self, cells: np.ndarray) -> np.ndarray:
         """The :class:`CellTable` row of each cell, appending a geometry
@@ -635,35 +685,30 @@ class HistoryCorpus:
         newcomer restarts at version 0, which the version comparison alone
         cannot tell from the history it replaced.  Ids the corpus does not
         hold are ignored."""
-        resident = self._window_index
-        for entity_id in entity_ids:
-            if entity_id in resident:
-                resident[entity_id] = replace(
-                    resident[entity_id], version=_STALE
-                )
+        row_of = self._row_of
+        rows = [row_of[entity_id] for entity_id in entity_ids if entity_id in row_of]
+        if rows:
+            versions = self._versions.copy()
+            versions[rows] = _STALE
+            self._versions = versions
 
     def _holders(self, slots: np.ndarray) -> List[str]:
         """Residents whose slice holds any of the df ``slots``, in
         residency order (no scan when there are none)."""
         if not len(slots):
             return []
-        hits = np.flatnonzero(np.isin(self._flats.column("keys"), slots))
+        wanted = np.zeros(len(self._df_counts), dtype=bool)
+        wanted[slots] = True
+        hits = np.flatnonzero(wanted[self._flats.column("keys")])
         # A hit counts when it falls inside a resident slice (the rest
         # is garbage): bisect the slices' starts.
-        starts, sizes = self._slices()
+        starts, sizes = self._starts, self._sizes
         order = np.lexsort((sizes, starts))  # an empty slice shares its start
         nearest = order[np.searchsorted(starts[order], hits, side="right") - 1]
         inside = (hits >= starts[nearest]) & (hits < starts[nearest] + sizes[nearest])
-        entity_ids = list(self._window_index)
-        return [entity_ids[k] for k in np.unique(nearest[inside]).tolist()]
-
-    def _slices(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every resident's flat slice as ``(starts, sizes)``, in
-        directory order."""
-        held = self._window_index.values()
-        starts = np.fromiter((one.start for one in held), np.int64, len(held))
-        sizes = np.fromiter((one.size for one in held), np.int64, len(held))
-        return starts, sizes
+        holds = np.zeros(len(starts), dtype=bool)
+        holds[nearest[inside]] = True
+        return list(compress(self._row_of, holds))
 
     # ------------------------------------------------------------------
     # accessors
@@ -738,7 +783,7 @@ class HistoryCorpus:
         (``|H_u|`` is the length of the entity's flat slice)."""
         if self._total_bins <= 0:
             return 1.0
-        return self._window_index[entity_id].size / self.avg_bins
+        return int(self._sizes[self._row_of[entity_id]]) / self.avg_bins
 
     def length_norm(self, entity_id: str, b: float) -> float:
         """``L(u, E) = (1 - b) + b * relative_size`` from Eq. 2."""
@@ -749,10 +794,8 @@ class HistoryCorpus:
     def history_sizes(self, entity_ids: Iterable[str]) -> np.ndarray:
         """``|H_u|`` of each entity as one float64 array (the lengths of
         their flat slices — no history is recounted)."""
-        resident = self._window_index
-        return np.fromiter(
-            (resident[entity_id].size for entity_id in entity_ids), np.float64
-        )
+        rows = np.fromiter(map(self._row_of.__getitem__, entity_ids), np.int64)
+        return self._sizes[rows].astype(np.float64)
 
     def size_norms(self, sizes: np.ndarray, b: float) -> np.ndarray:
         """``L(u, E)`` for an array of history sizes: the same two IEEE
@@ -816,13 +859,28 @@ class HistoryCorpus:
         )
 
     def window_index(self, entity_id: str) -> WindowIndex:
-        """One entity's window directory into :meth:`arrays`.
+        """One entity's window directory into :meth:`arrays`: its run of
+        the directory table, offsets absolute.
 
         Mirrors :meth:`bins_with_idf` exactly — same windows, same cell
         order (ascending id = Morton order), same IDF values — but laid
         out for the batch kernel's vectorized gathers.
         """
-        return self._window_index[entity_id]
+        return WindowIndex(*self.directories([entity_id])[:3])
+
+    def directories(
+        self, entity_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The window directories of ``entity_ids`` laid end to end, as
+        columns ``(windows, offsets, counts)``, and each entity's number
+        of entries: one ragged gather from the directory table."""
+        rows = np.fromiter(
+            map(self._row_of.__getitem__, entity_ids), np.int64, len(entity_ids)
+        )
+        sizes = self._dir_sizes[rows]
+        at = _ragged(self._dir_starts[rows], sizes)
+        windows, offsets, counts = self._directory[:, at]
+        return windows, offsets, counts, sizes
 
     # ------------------------------------------------------------------
     # out-of-core flats
@@ -832,7 +890,6 @@ class HistoryCorpus:
         directory: Path,
         *,
         chunk_rows: Optional[int] = None,
-        cache_chunks: int = 8,
     ) -> None:
         """Move the flat array views out of core into a chunked column
         store under ``directory`` (``storage`` becomes ``"disk"``).
@@ -843,9 +900,8 @@ class HistoryCorpus:
         every score and link is bit-identical to memory mode.  After the
         spill, ``arrays()`` / ``window_index()`` / ``cell_table()`` serve
         the same objects over read-only memmaps: kernels and the scalar
-        oracle are unchanged, and maintenance passes stream through a
-        ``cache_chunks``-bounded chunk LRU instead of materialising
-        columns.
+        oracle are unchanged, and a compaction streams its gather chunk
+        by chunk instead of materialising columns.
 
         The disk backend is built in full before it replaces the heap
         one, so a spill that fails leaves a working in-memory corpus.
@@ -855,41 +911,42 @@ class HistoryCorpus:
         # Directories point at live rows, garbage or not: order first,
         # then one compaction both drops the garbage and re-packs.
         cells = self._flats.column("cells")
-
-        def _entity_key(item: Tuple[str, _Resident]) -> Tuple[int, str]:
-            entity_id, held = item
-            if not held.size:
-                return (-1, entity_id)
-            return (int(hilbert_key(int(cells[held.start]))), entity_id)
-
-        self._window_index = dict(
-            sorted(self._window_index.items(), key=_entity_key)
-        )
-        self._compact()
-        self._flats = DiskColumns(
-            directory,
-            self._flats,
-            chunk_rows=chunk_rows,
-            cache_chunks=cache_chunks,
-        )
-
-    def _compact(self) -> None:
-        """Drop garbage slices: gather every entity's live flat entries
-        into fresh contiguous arrays and rebase the window directories."""
-        resident = self._window_index
-        starts, sizes = self._slices()
-        packed = np.cumsum(sizes) - sizes
-        order = np.repeat(starts - packed, sizes) + np.arange(int(sizes.sum()))
-        for (entity_id, held), start in zip(list(resident.items()), packed.tolist()):
-            resident[entity_id] = _Resident(
-                held.windows, held.offsets + (start - held.start), held.counts,
-                held.version, start, held.size,
+        ids = list(self._row_of)
+        keys = [
+            (int(hilbert_key(int(cells[start]))) if size else -1, entity_id)
+            for entity_id, start, size in zip(
+                ids, self._starts.tolist(), self._sizes.tolist()
             )
-        self._flats.gather(order)
+        ]
+        order = sorted(range(len(ids)), key=keys.__getitem__)
+        for name in _ROW_COLUMNS:
+            setattr(self, "_" + name, getattr(self, "_" + name)[order])
+        self._row_of = {ids[row]: k for k, row in enumerate(order)}
+        self._compact()
+        self._flats = DiskColumns(directory, self._flats, chunk_rows=chunk_rows)
+
+    def _compact(self, keys_remap: Optional[np.ndarray] = None) -> None:
+        """Drop garbage: gather every resident's live flat entries, in
+        residency order, into fresh contiguous columns (``keys`` passed
+        through ``keys_remap`` on the way when given), and pack the
+        directory table the same way, its offsets rebased — array passes
+        over the residency columns."""
+        starts, sizes, dir_sizes = self._starts, self._sizes, self._dir_sizes
+        packed = np.cumsum(sizes) - sizes
+        order = _ragged(starts, sizes)
+        self._flats.gather(order, keys_remap)
+        directory = self._directory[:, _ragged(self._dir_starts, dir_sizes)]
+        directory[1] += np.repeat(packed - starts, dir_sizes)  # the offsets
+        self._directory = directory
+        self._dir_starts = np.cumsum(dir_sizes) - dir_sizes
+        self._starts = packed
         self._flat_live = len(order)
 
-    def _compact_df_slots(self) -> None:
-        """Recycle df slots whose count fell to zero (no holder left).
+    def _drop_dead_df_slots(self) -> Optional[np.ndarray]:
+        """Recycle df slots whose count fell to zero (no holder left);
+        returns the old-slot -> new-slot map the ``keys`` column must be
+        renumbered through (by the :meth:`_compact` that follows), or
+        ``None`` when every slot is live.
 
         Slots are normally never recycled — flat entries reference them by
         index across refreshes — but after an eviction the only zero-count
@@ -897,19 +954,19 @@ class HistoryCorpus:
         compacted) no live flat entry references them.  Dropping them
         keeps the document-frequency table proportional to the live bins
         rather than to every bin ever seen — without it, a sliding-window
-        stream would leak one slot per (window, cell) bin forever.  Call
-        only after :meth:`_compact` has purged garbage flat entries (they
-        may reference dead slots).
+        stream would leak one slot per (window, cell) bin forever.  A
+        garbage entry may name a dead slot (it maps to -1), which is why
+        the renumbering rides on the compaction that drops the garbage.
         """
         live = self._df_counts > 0.0
         if live.all():
-            return
+            return None
         remap = np.where(live, np.cumsum(live) - 1, -1)
         order = self._df_order
         self._df_order = remap[order[live[order]]]
         self._df_bins = self._df_bins[live]
         self._df_counts = self._df_counts[live]
-        self._flats.derive("keys", "keys", lambda keys: remap[keys])
+        return remap
 
     def _derive_idf(self) -> None:
         """Eq. 3 per df slot, ``ln(size) - ln(max(df, 1))``, from the
@@ -923,16 +980,18 @@ class HistoryCorpus:
     # ------------------------------------------------------------------
     #: The state of a corpus, by attribute (minus the underscore): the one
     #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
-    #: The residency dict :meth:`refresh` mutates in place is
+    #: The id -> row dict :meth:`refresh` mutates in place is
     #: shallow-copied out *and* in; the rest — scalars, the frozen
-    #: ``CellTable``, the document-frequency arrays — is replaced, never
-    #: mutated, so travels by reference: nothing that grows with the bins
-    #: is copied.  The flat columns are the backend's to capture;
-    #: ``_histories`` is the caller's mapping, and the scalar oracle's
-    #: ``bins_with_idf`` memo a lazily re-derived cache — neither is state.
-    _COPIED_STATE = ("window_index",)
+    #: ``CellTable``, the residency columns, the directory table, the
+    #: document-frequency arrays — is replaced, never mutated, so travels
+    #: by reference: nothing that grows with the bins is copied.  The
+    #: flat columns are the backend's to capture; ``_histories`` is the
+    #: caller's mapping, and the scalar oracle's ``bins_with_idf`` memo a
+    #: lazily re-derived cache — neither is state.
+    _COPIED_STATE = ("row_of",)
     _SHARED_STATE = (
         "level", "total_bins", "size", "cell_table", "flat_live",
+        *_ROW_COLUMNS, "directory",
         "df_bins", "df_counts", "df_order",
     )
 
@@ -940,8 +999,8 @@ class HistoryCorpus:
         """The corpus' whole state as a plain dict, for :meth:`restore`.
 
         A relink rollback keeps it in memory (cheap — references plus one
-        shallow per-entity dict copy); a durable snapshot pickles the
-        very same dict with its residents packed into columns
+        copy of the id -> row dict); a durable snapshot pickles the very
+        same dict, the id dict as a list of its keys
         (:func:`_pack_corpus`).  The flat columns ride along as their
         backend's own capture.
         """
@@ -974,7 +1033,7 @@ class HistoryCorpus:
         reserve_cache_token(self.cache_token)
         self._flats.restore(state["flats"])
         self._derive_idf()
-        self._populated = sum(len(held) for held in self._window_index.values())
+        self._populated = int(self._dir_sizes.sum())
 
     @classmethod
     def _restored(
@@ -1002,15 +1061,14 @@ class HistoryCorpus:
         equal after every eviction (eager compaction), which is the
         bounded-memory evidence ``benchmarks/bench_retention.py`` records.
 
-        ``flat_resident_bytes`` is the RAM the three flat columns
-        actually occupy: the arrays' own bytes in memory mode, the chunk
-        LRU's resident copies in disk mode (the memmapped columns live in
-        the page cache, not the heap) — the ledger
-        ``benchmarks/bench_out_of_core.py`` compares across backends.  A
-        disk corpus whose relinks never evict streams nothing through
-        the LRU (only the df-slot remap does), so it may read 0.  The
-        per-slot IDF vector is in RAM on both backends and is not part of
-        it: ``df_slots`` float64 values, like the document frequencies.
+        ``flat_resident_bytes`` is the heap the three flat columns
+        occupy: the arrays' own bytes in memory mode, 0 in disk mode
+        (the memmapped columns live in the page cache, appends go to the
+        files' tails, and a compaction streams its gather chunk by
+        chunk) — the ledger ``benchmarks/bench_out_of_core.py`` compares
+        across backends.  The per-slot IDF vector is in RAM on both
+        backends and is not part of it: ``df_slots`` float64 values, like
+        the document frequencies.
         """
         return {
             "flat_resident_bytes": int(self._flats.resident_bytes),

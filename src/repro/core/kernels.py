@@ -8,12 +8,13 @@ arithmetic over blocks of candidate pairs:
 
 1.  **Gather** — the temporal windows both entities of each candidate
     pair are active in are found for the whole block by one array join
-    (:func:`_window_join`) over the per-entity window directories
-    (:meth:`repro.core.corpus.HistoryCorpus.window_index`): each side's
-    distinct entities are coded once and their directories laid end to
-    end, the right rows keyed ``code << 32 | window`` (sorted by
-    construction), and every pair's left windows, expanded ragged,
-    probe them with one ``searchsorted``.  The join emits the
+    (:func:`_window_join`) over the corpora's directory tables: each
+    side's distinct entities are coded once and their directory runs
+    gathered end to end by one ragged gather over their resident rows
+    (:meth:`repro.core.corpus.HistoryCorpus.directories`), the right
+    rows keyed ``code << 32 | window`` (sorted by construction), and
+    every pair's left windows, expanded ragged, probe them with one
+    ``searchsorted``.  The join emits the
     ``(pair, window)`` *interactions* pair-major with windows ascending;
     each is a slice of the corpus-wide flat arrays
     (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell ids,
@@ -100,7 +101,7 @@ array([[False,  True],
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -340,21 +341,6 @@ def _score_shape(
     return totals, alibi
 
 
-def _directories(
-    corpus: HistoryCorpus, entities: Iterable[str]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The window directories of ``entities`` laid end to end, as columns
-    ``(windows, offsets, counts)``, and each entity's number of rows."""
-    held = [corpus.window_index(entity) for entity in entities]
-    none = np.empty(0, dtype=np.int64)
-    return (
-        np.concatenate([none, *(one.windows for one in held)]),
-        np.concatenate([none, *(one.offsets for one in held)]),
-        np.concatenate([none, *(one.counts for one in held)]),
-        np.fromiter(map(len, held), np.int64, len(held)),
-    )
-
-
 class PairBlock:
     """A block of pairs with each side's distinct entities coded once:
     ``left_ids[left[i]]`` and ``right_ids[right[i]]`` are pair ``i``'s
@@ -413,8 +399,8 @@ def _window_join(
     """
     block = PairBlock.of(pairs)
     code_u, code_v = block.left, block.right
-    windows_u, offsets_u, counts_u, sizes_u = _directories(left, block.left_ids)
-    windows_v, offsets_v, counts_v, sizes_v = _directories(right, block.right_ids)
+    windows_u, offsets_u, counts_u, sizes_u = left.directories(block.left_ids)
+    windows_v, offsets_v, counts_v, sizes_v = right.directories(block.right_ids)
     owner_v = np.repeat(np.arange(len(sizes_v)), sizes_v)
     # A sentinel above every probe makes each insertion point a real row.
     keys_v = np.append((owner_v << _ROW_BITS) | windows_v, np.iinfo(np.int64).max)

@@ -280,20 +280,22 @@ class StreamingLinker:
         storage: str = "memory",
         store_dir: Optional[object] = None,
         store_chunk_rows: Optional[int] = None,
-        store_cache_chunks: int = 8,
+        store_cache_chunks: object = None,
     ) -> None:
+        # ``store_cache_chunks`` is accepted and ignored: the disk flats
+        # keep no chunk cache any more, and the end-to-end benchmark spec
+        # still passes it.
+        del store_cache_chunks
         if storage not in ("memory", "disk"):
             raise ValueError(
                 f"storage must be 'memory' or 'disk', got {storage!r}"
             )
         if storage == "disk" and store_dir is None:
             raise ValueError("storage='disk' needs a store_dir")
-        for name, value in (
-            ("store_chunk_rows", store_chunk_rows),
-            ("store_cache_chunks", store_cache_chunks),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if store_chunk_rows is not None and store_chunk_rows <= 0:
+            raise ValueError(
+                f"store_chunk_rows must be positive, got {store_chunk_rows}"
+            )
         #: ``"memory"`` keeps corpus flat views on the heap; ``"disk"``
         #: spills them into a chunked column store under ``store_dir``
         #: (one subdirectory per side) the first time each side's corpus
@@ -302,7 +304,6 @@ class StreamingLinker:
         self.storage = storage
         self._store_dir = store_dir
         self._store_chunk_rows = store_chunk_rows
-        self._store_cache_chunks = store_cache_chunks
         self.config = config if config is not None else LinkageConfig()
         self.windowing = Windowing(origin, self.config.similarity.window_width_seconds)
         self._storage_level = self.config.resolved_storage_level()
@@ -615,7 +616,7 @@ class StreamingLinker:
         storage: str = "memory",
         store_dir: Optional[object] = None,
         store_chunk_rows: Optional[int] = None,
-        store_cache_chunks: int = 8,
+        store_cache_chunks: object = None,
     ) -> Optional["StreamingLinker"]:
         """Rebuild a linker from the newest snapshot under ``directory``
         plus a replay of that snapshot's event log.
@@ -649,7 +650,9 @@ class StreamingLinker:
 
         ``storage="disk"`` (with ``store_dir``) re-spills the restored
         corpora out of core; snapshots themselves are storage-agnostic.
+        ``store_cache_chunks`` is ignored, as by the constructor.
         """
+        del store_cache_chunks
         try:
             root = Path(directory)
             state, cache = load_state(root, ("state", "score_cache"))
@@ -674,7 +677,6 @@ class StreamingLinker:
             storage=storage,
             store_dir=store_dir,
             store_chunk_rows=store_chunk_rows,
-            store_cache_chunks=store_cache_chunks,
         )
         sides = {s: _unpack_histories(p) for s, p in state["sides"].items()}
         corpora = {s: p and _unpack_corpus(p) for s, p in state["corpora"].items()}
@@ -767,7 +769,6 @@ class StreamingLinker:
             corpus.spill(
                 Path(self._store_dir) / side,
                 chunk_rows=self._store_chunk_rows,
-                cache_chunks=self._store_cache_chunks,
             )
         return corpus
 

@@ -6,8 +6,7 @@ The building blocks behind the streaming linker's persistence story:
   (:mod:`repro.store.hilbert`) on-disk column store the corpus flat
   array views spill into
   (:meth:`~repro.core.corpus.HistoryCorpus.spill`), read back through
-  memory maps with a small in-RAM chunk LRU, so a corpus can exceed
-  the RAM budget.  It is scratch: it rewinds in-process and has no crash
+  memory maps, so a corpus can exceed the RAM budget.  It is scratch: it rewinds in-process and has no crash
   protocol (no fsync, no manifest) — durability is the snapshot and the
   event log below, and a restart re-spills from them;
 * :mod:`repro.store.columns` — the corpus flat columns, declared once,

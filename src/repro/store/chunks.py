@@ -11,12 +11,12 @@ read-only arrays over memory maps, so the OS page cache — not the
 Python heap — holds whatever the kernel touches and a corpus can exceed
 the RAM budget.
 
-Maintenance passes (compaction, df-slot remaps) never materialise a
-whole column: they stream it chunk by chunk through a
+A compaction (with its df-slot remap) never materialises a whole
+column either: it streams each output chunk, gathered from the maps,
+into a fresh generation (:meth:`ChunkedColumnStore.rewrite`).
 :class:`ChunkLRU`, a small in-RAM cache of chunk copies with an
-accountable ``resident_bytes`` bound — the ledger
-``benchmarks/bench_out_of_core.py`` reports against the in-core
-footprint.
+accountable ``resident_bytes`` bound, is kept for readers that want
+bounded heap copies of chunks; no corpus pass goes through it.
 
 The store is **scratch**, private to the process that created it: the
 column table (each column's dtype, row count and generation) lives in

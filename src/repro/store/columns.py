@@ -4,17 +4,16 @@ Internal (no ``__all__``, like :mod:`repro.store.durable`).  The batch
 kernel reads a corpus as parallel flat columns; *where* they live is not
 part of the algorithm.  :class:`~repro.core.corpus.HistoryCorpus` decides
 only **what** changes — the rows a delta appends, the gather order of a
-compaction, the function that re-derives one column from another — and
-one of two backends does it:
+compaction and the lookup that gather renumbers a column through (the
+df-slot recycling of an eviction) — and one of two backends does it:
 
 * :class:`MemoryColumns` — plain arrays on the heap; every operation is a
   single whole-column numpy pass;
 * :class:`DiskColumns` — a :class:`~repro.store.chunks.ChunkedColumnStore`
-  read back as read-only memory maps; maintenance passes stream chunk
-  by chunk through a :class:`~repro.store.chunks.ChunkLRU` into a fresh
-  generation of exactly the columns they change, so resident memory stays
-  at the cache bound whatever the column length.  The store is the
-  process's scratch space, not a durable copy: it rewinds in-process and
+  read back as read-only memory maps; a gather streams chunk by chunk
+  straight from the maps into a fresh generation of every column, so
+  the heap holds no column copy whatever the column length.  The store
+  is the process's scratch space, not a durable copy: it rewinds in-process and
   has no crash protocol (no fsync, no manifest) — a restart re-spills
   from the linker's snapshot + event log.  Each operation is one
   all-or-nothing step
@@ -23,15 +22,15 @@ one of two backends does it:
 
 Both owe the same contract (``tests/store/test_column_backends.py``): the
 same sequence of operations yields bitwise-equal :meth:`column` contents,
-a ``derive`` whose function raises leaves the previous contents current,
-and ``restore(checkpoint())`` rewinds any number of times.
+a ``gather`` whose ``keys_remap`` cannot renumber leaves the previous
+contents current, and ``restore(checkpoint())`` rewinds any number of
+times.
 
 >>> flats = MemoryColumns()
 >>> flats.append({"cells": [7, 9, 8], "slots": [0, 2, 1], "keys": [0, 1, 0]})
->>> flats.derive("keys", "keys", lambda keys: 1 - keys)
->>> flats.gather(np.array([2, 0]))
+>>> flats.gather(np.array([1, 0]), keys_remap=np.array([6, 5]))
 >>> flats.column("cells").tolist(), flats.column("keys").tolist()
-([8, 7], [1, 1])
+([9, 7], [5, 6])
 >>> flats.storage, flats.resident_bytes
 ('memory', 48)
 """
@@ -39,11 +38,11 @@ and ``restore(checkpoint())`` rewinds any number of times.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore, ChunkLRU
+from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
 
 #: Every flat column and its dtype — the one place they are listed.  All
 #: are parallel over the (entity, window, cell) bins of a corpus.  IDF is
@@ -78,19 +77,18 @@ class MemoryColumns:
                 [self._columns[name], np.asarray(rows, dtype=COLUMNS[name])]
             )
 
-    def gather(self, order: np.ndarray) -> None:
-        """Every column becomes ``column[order]`` (compaction)."""
-        self._columns = {
-            name: column[order] for name, column in self._columns.items()
-        }
-
-    def derive(
-        self, target: str, source: str, fn: Callable[[np.ndarray], np.ndarray]
+    def gather(
+        self, order: np.ndarray, keys_remap: Optional[np.ndarray] = None
     ) -> None:
-        """``target`` becomes ``fn(source)`` (``target`` may be ``source``)."""
-        self._columns[target] = np.asarray(
-            fn(self._columns[source]), dtype=COLUMNS[target]
-        )
+        """Every column becomes ``column[order]`` (compaction), and
+        ``keys`` becomes ``keys_remap[keys[order]]`` when a remap is
+        given (the df-slot renumbering of an eviction)."""
+        gathered = {name: column[order] for name, column in self._columns.items()}
+        if keys_remap is not None:
+            gathered["keys"] = np.asarray(
+                keys_remap[gathered["keys"]], dtype=COLUMNS["keys"]
+            )
+        self._columns = gathered
 
     def checkpoint(self) -> Dict[str, object]:
         """The columns, for :meth:`restore`; pickles as-is."""
@@ -119,13 +117,11 @@ class DiskColumns:
         source: MemoryColumns,
         *,
         chunk_rows: Optional[int] = None,
-        cache_chunks: int = 8,
     ) -> None:
         self._store = ChunkedColumnStore.create(
             directory,
             chunk_rows=DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows,
         )
-        self._cache = ChunkLRU(self._store, cache_chunks)
         for name in COLUMNS:
             self._store.put(name, source.column(name))
 
@@ -146,34 +142,24 @@ class DiskColumns:
                     self._store.rows(name),
                 )
 
-    def gather(self, order: np.ndarray) -> None:
+    def gather(
+        self, order: np.ndarray, keys_remap: Optional[np.ndarray] = None
+    ) -> None:
         """Stream ``column[order]`` into a fresh generation of every
         column, all or none of them — each output chunk fancy-indexes the
-        source memmap, touching only the pages it needs."""
+        source memmap, touching only the pages it needs, and ``keys``
+        chunks pass through ``keys_remap`` when one is given."""
         step = self._store.chunk_rows
         with self._store.operation():
             for name, dtype in COLUMNS.items():
                 source = self._store.column(name)
-                self._store.rewrite(
-                    name,
-                    dtype,
-                    (
-                        source[order[start : start + step]]
-                        for start in range(0, len(order), step)
-                    ),
+                chunks = (
+                    source[order[start : start + step]]
+                    for start in range(0, len(order), step)
                 )
-
-    def derive(
-        self, target: str, source: str, fn: Callable[[np.ndarray], np.ndarray]
-    ) -> None:
-        """Stream ``source`` chunk by chunk through ``fn`` into a fresh
-        generation of ``target``; if ``fn`` raises, the previous one
-        stays current."""
-        self._store.rewrite(
-            target,
-            COLUMNS[target],
-            (fn(chunk) for _start, chunk in self._cache.iter_chunks(source)),
-        )
+                if name == "keys" and keys_remap is not None:
+                    chunks = (keys_remap[chunk] for chunk in chunks)
+                self._store.rewrite(name, dtype, chunks)
 
     def checkpoint(self) -> Dict[str, object]:
         """The store's column table (cutting it prunes generation files
@@ -190,9 +176,10 @@ class DiskColumns:
 
     @property
     def resident_bytes(self) -> int:
-        """RAM the columns occupy: the chunk cache's copies (the
-        memmapped columns live in the page cache, not the heap)."""
-        return self._cache.resident_bytes
+        """Heap bytes the columns occupy: none — the memmapped columns
+        live in the page cache, and a gather holds one output chunk at a
+        time inside the store's write."""
+        return 0
 
 
 #: Either home of the flat columns — what a corpus holds.

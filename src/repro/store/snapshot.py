@@ -18,8 +18,8 @@ ordinal it names, and
 :meth:`~repro.core.streaming.StreamingLinker.restore` replays it on top.
 
 Payloads are ``checkpoint()`` captures, pickled — the dicts a rollback
-``restore()``-s in memory, with a linker's per-entity histories and
-corpus residents packed into flat arrays by
+``restore()``-s in memory, with a linker's per-entity histories
+packed into flat arrays by
 :meth:`~repro.core.streaming.StreamingLinker.save` (see
 :data:`SNAPSHOT_FORMAT`), so pickling them costs a few dozen array
 copies, not one object per entity.  All framing lives here.
@@ -85,17 +85,20 @@ __all__ = [
 #: snapshots from other formats (version skew) instead of guessing or
 #: converting.  Format 5: the per-entity objects of the linker state are
 #: flat arrays — per side, the histories' ids, scalar columns, row
-#: counts and concatenated ``(window, cell, count)`` columns; per corpus,
-#: the residents' ids, directory lengths, concatenated directories and
-#: ``version`` / ``start`` / ``size`` columns; the LSH index as its
-#: placements only (bucket membership is rebuilt from them).  Format 6:
-#: the score cache as columns too — its rows' owner codes renumbered
-#: into the spaces and distinct ids they reference, beside the value
-#: columns.  So a payload is a few dozen arrays, not one pickled object
-#: per entity or per cached pair.  Formats 1–5 (format 5 pickled one
+#: counts and concatenated ``(window, cell, count)`` columns; the LSH
+#: index as its placements only (bucket membership is rebuilt from
+#: them).  Format 6: the score cache as columns too — its rows' owner
+#: codes renumbered into the spaces and distinct ids they reference,
+#: beside the value columns.  Format 7: each corpus as the residency
+#: columns it holds — the resident ids in row order, the per-row
+#: ``versions`` / ``starts`` / ``sizes`` / ``dir_starts`` / ``dir_sizes``
+#: and the ``(3, D)`` ``directory`` table (windows, offsets, counts), as
+#: they are (format 6 packed one directory per resident).  So a payload
+#: is a few dozen arrays, not one pickled object per entity or per
+#: cached pair.  Formats 1–6 are refused by name (format 5 pickled one
 #: ``(space, left id, right id)`` tuple per cached pair, format 4 every
-#: ``MobilityHistory`` and corpus resident) are refused by name.
-SNAPSHOT_FORMAT = 6
+#: ``MobilityHistory`` and corpus resident).
+SNAPSHOT_FORMAT = 7
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")

@@ -30,6 +30,36 @@ def test_no_retired_bin_container_is_named_anywhere_under_src():
     assert not named
 
 
+#: Names of a per-entity residency object: the corpus holds residency as
+#: columns (an id -> row dict, row arrays, one directory table) instead.
+PER_ENTITY = {"_Resident", "_window_index", "_slices", "_directories"}
+
+
+def _named(source):
+    """Every class, function, attribute and variable name in ``source``."""
+    return {
+        getattr(node, "attr", None) or getattr(node, "id", None)
+        or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(source))
+    }
+
+
+def test_no_per_entity_residency_object_is_named_under_src():
+    named = {
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _named(path.read_text()) & PER_ENTITY
+    }
+    assert not named
+    # The check has teeth: a class, a function, an attribute and a call.
+    assert _named(
+        "class _Resident: pass\n"
+        "def _directories(): pass\n"
+        "self._window_index = {}\n"
+        "self._slices()\n"
+    ) >= PER_ENTITY
+
+
 def test_leaf_columns_walks_no_window_or_cell():
     """Joining histories is array concatenation: its only loops run over
     the histories, the three column names and the four joined columns."""
@@ -83,9 +113,9 @@ def test_a_corpus_checkpoint_copies_nothing_that_grows_with_the_bins():
             if isinstance(value, (dict, list, set, np.ndarray))
             and value is not getattr(corpus, "_" + name)
         }
-        assert set(copied) == {"window_index"}
+        assert set(copied) == {"row_of"}
         sizes.append(copied)
-    assert sizes[0] == sizes[1] == {"window_index": 6}
+    assert sizes[0] == sizes[1] == {"row_of": 6}
     assert all(
         column is corpus._flats.column(name)
         for name, column in corpus._flats.checkpoint()["columns"].items()

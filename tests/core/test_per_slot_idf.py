@@ -61,7 +61,7 @@ def _check_populated(linker):
     for corpus in linker._corpora.values():
         if corpus is None:
             continue
-        walk = sum(len(held) for held in corpus._window_index.values())
+        walk = sum(len(corpus.window_index(e)) for e in corpus._row_of)
         assert corpus._populated == walk
         expected = corpus._total_bins / walk if walk else 0.0
         assert corpus.avg_cells_per_window() == expected

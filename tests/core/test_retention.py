@@ -200,7 +200,7 @@ class TestCorpusEviction:
         del histories["b"]
         corpus.refresh()
         assert corpus.window_index("a") is not None
-        assert "b" not in corpus._window_index
+        assert "b" not in corpus._row_of
 
 
 # ---------------------------------------------------------------------------

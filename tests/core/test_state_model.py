@@ -31,7 +31,7 @@ from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.corpus import HistoryCorpus
+from repro.core.corpus import _ROW_COLUMNS, HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache, split_codes
 from repro.core.similarity import score_cache_space
@@ -76,7 +76,7 @@ class _CorpusCase:
         corpus = HistoryCorpus(histories, LEVEL, cache_token=("case", "corpus"))
         corpus.arrays()
         if self.storage == "disk":
-            corpus.spill(tmp / "store", chunk_rows=8, cache_chunks=2)
+            corpus.spill(tmp / "store", chunk_rows=8)
         # One refresh with growth, an arrival and a retirement, so the
         # capture holds garbage slices, recycled df slots and warm caches.
         histories["e1"].extend(*_history("e1", [5]))
@@ -107,7 +107,7 @@ class _CorpusCase:
 
     def after_restart(self, corpus):
         if self.storage == "disk":
-            corpus.spill(self._respill, chunk_rows=8, cache_chunks=2)
+            corpus.spill(self._respill, chunk_rows=8)
 
     def disturb(self, corpus):
         histories = corpus.histories()
@@ -396,7 +396,6 @@ class _LinkerCase:
             "storage": "disk",
             "store_dir": tmp,
             "store_chunk_rows": 8,
-            "store_cache_chunks": 2,
         }
 
     def build(self, tmp):
@@ -561,7 +560,6 @@ def test_save_restore_across_storage_continues_bit_identically(
             "storage": "disk",
             "store_dir": tmp_path / "restored",
             "store_chunk_rows": 8,
-            "store_cache_chunks": 2,
         }
     )
     restored = StreamingLinker.restore(tmp_path / "snaps", strict=True, **options)
@@ -601,7 +599,7 @@ def test_spill_orders_then_compacts_once(tmp_path):
         name: getattr(arrays, name)[order].tobytes()
         for name in ("cells", "slots", "idf")
     }
-    corpus.spill(tmp_path / "spilled", chunk_rows=8, cache_chunks=2)
+    corpus.spill(tmp_path / "spilled", chunk_rows=8)
     spilled = corpus.arrays()
     assert {
         name: np.asarray(getattr(spilled, name)).tobytes() for name in expected
@@ -643,8 +641,8 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
         assert captured["cell_table"] is corpus.cell_table()
         for entity, history in linker._sides[side].items():
             assert state["sides"][side][entity] is history
-        for entity, index in captured["window_index"].items():
-            assert index is corpus.window_index(entity)
+        for name in (*_ROW_COLUMNS, "directory"):
+            assert captured[name] is getattr(corpus, "_" + name)
 
 
 # ----------------------------------------------------------------------

@@ -29,13 +29,25 @@ WINDOWS = st.one_of(
 
 
 class Directories:
-    """The one corpus method the join reads, over drawn directories."""
+    """The one corpus method the join reads (``directories``: the named
+    entities' directories end to end, and each one's length), over drawn
+    directories; ``window_index`` is the per-entity reading the
+    reference uses."""
 
     def __init__(self, indexes):
         self.indexes = indexes
 
     def window_index(self, entity):
         return self.indexes[entity]
+
+    def directories(self, entities):
+        held = [self.indexes[entity] for entity in entities]
+        none = np.empty(0, dtype=np.int64)
+        return (
+            *(np.concatenate([none, *(getattr(one, name) for one in held)])
+              for name in ("windows", "offsets", "counts")),
+            np.array([len(one) for one in held], dtype=np.int64),
+        )
 
 
 @st.composite

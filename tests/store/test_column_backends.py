@@ -1,7 +1,7 @@
 """The flat-columns backend contract, over both implementations.
 
 ``repro.store.columns`` declares the corpus flat columns once and offers
-a memory and a disk backend of the same five operations.  Whatever the
+a memory and a disk backend of the same four operations.  Whatever the
 corpus asks of one it may ask of the other, with bitwise-equal results:
 that is the "maintained answer == from-scratch answer" guarantee written
 once instead of once per storage branch.
@@ -28,7 +28,6 @@ from repro.store.columns import COLUMNS, DiskColumns, MemoryColumns
 from repro.temporal import Windowing
 
 CHUNK_ROWS = 8
-CACHE_CHUNKS = 2
 COUNTS = np.array([4.0, 1.0, 0.0, 2.0, 7.0])
 
 
@@ -37,12 +36,7 @@ def _memory(tmp):
 
 
 def _disk(tmp):
-    return DiskColumns(
-        tmp / "store",
-        MemoryColumns(),
-        chunk_rows=CHUNK_ROWS,
-        cache_chunks=CACHE_CHUNKS,
-    )
+    return DiskColumns(tmp / "store", MemoryColumns(), chunk_rows=CHUNK_ROWS)
 
 
 BACKENDS = {"memory": _memory, "disk": _disk}
@@ -62,9 +56,14 @@ def _rows(start, count):
     }
 
 
-def _remap(keys):
-    """A df-slot remap, the one ``derive`` a corpus asks for."""
-    return np.array([3, 0, 4, 1, 2])[keys]
+#: A df-slot remap, as the lookup a compaction's ``gather`` renumbers
+#: ``keys`` through.
+REMAP = np.array([3, 0, 4, 1, 2])
+
+
+def _renumber(flats, lookup=REMAP):
+    """Renumber ``keys`` in place: a gather in the identity order."""
+    flats.gather(np.arange(len(flats.column("cells"))), keys_remap=lookup)
 
 
 def _observe(flats):
@@ -76,21 +75,25 @@ def _observe(flats):
 def _mutate(flats):
     """Every operation once more, so a rewind has all of them to undo."""
     flats.append(_rows(100, 9))
-    flats.derive("keys", "keys", _remap)
-    flats.derive("keys", "keys", lambda keys: (keys + 1) % len(COUNTS))
+    _renumber(flats)
+    _renumber(flats, (np.arange(len(COUNTS)) + 1) % len(COUNTS))
     flats.gather(np.arange(len(flats.column("cells")))[::-2])
+    _renumber(flats)
 
 
 def _script(flats):
-    """append / gather / derive / checkpoint -> mutate -> restore (twice
-    from the same capture) -> carry on; returns every observation."""
+    """append / gather (plain and renumbering) / checkpoint -> mutate ->
+    restore (twice from the same capture) -> carry on; returns every
+    observation."""
     seen = []
     flats.append(_rows(0, 21))  # 3 chunks on disk, the last one partial
-    flats.derive("keys", "keys", _remap)
+    _renumber(flats)
     seen.append(_observe(flats))
     flats.gather(np.concatenate([np.arange(20, 10, -1), np.arange(0, 5)]))
     flats.append(_rows(40, 6))
-    flats.derive("keys", "keys", _remap)
+    flats.gather(np.arange(20, -1, -3), keys_remap=REMAP)
+    seen.append(_observe(flats))
+    _renumber(flats)
     seen.append(_observe(flats))
     state = flats.checkpoint()
     for _ in range(2):
@@ -99,8 +102,8 @@ def _script(flats):
         flats.restore(state)
         seen.append(_observe(flats))
     flats.append(_rows(200, 11))  # lands where the rolled-back rows did
-    flats.derive("keys", "keys", _remap)
-    flats.derive("keys", "keys", lambda keys: keys * 0 + 3)
+    _renumber(flats)
+    _renumber(flats, np.full(len(COUNTS), 3))
     seen.append(_observe(flats))
     return seen
 
@@ -113,56 +116,60 @@ def test_the_same_script_yields_the_same_bytes_on_both_backends(tmp_path):
     # declared dtypes, and both restores landed on the captured bytes.
     first = memory[0]
     assert first["cells"] == ("<u8", (np.arange(21) * 3).astype(np.uint64).tobytes())
-    assert first["keys"] == ("<i8", _remap(np.arange(21) % len(COUNTS)).tobytes())
+    assert first["keys"] == ("<i8", REMAP[np.arange(21) % len(COUNTS)].tobytes())
     assert {name: dtype for name, (dtype, _) in first.items()} == {
         name: dtype.str for name, dtype in COLUMNS.items()
     }
-    assert memory[3] == memory[1] and memory[5] == memory[1]
-    assert memory[2] == memory[4] != memory[1]
+    # The renumbering gather: rows picked by the order, keys through the
+    # lookup, the other columns as they were.
+    gathered = np.concatenate([np.arange(20, 10, -1), np.arange(0, 5)])
+    order = np.arange(20, -1, -3)
+    cells = np.concatenate([(gathered * 3), np.arange(40, 46) * 3])[order]
+    keys = np.concatenate(
+        [REMAP[gathered % len(COUNTS)], np.arange(40, 46) % len(COUNTS)]
+    )[order]
+    assert memory[1]["cells"] == ("<u8", cells.astype(np.uint64).tobytes())
+    assert memory[1]["keys"] == ("<i8", REMAP[keys].tobytes())
+    assert memory[4] == memory[2] and memory[6] == memory[2]
+    assert memory[3] == memory[5] != memory[2]
 
 
-def test_failed_derive_leaves_the_previous_contents_current(flats, tmp_path):
+def test_a_failed_renumbering_gather_changes_no_column(flats, tmp_path):
+    """A lookup that cannot renumber every gathered key (here one past its
+    end, in the second chunk) fails the whole gather: no column moves,
+    although on disk ``cells`` and ``slots`` were already rewritten, and
+    the next checkpoint leaves no stray generation behind."""
     flats.append(_rows(0, 21))
-    flats.derive("keys", "keys", _remap)
     before = _observe(flats)
-    poisoned = 3 * (CHUNK_ROWS + 1)  # a cell id in the second chunk
-
-    def explode(cells):
-        # Memory sees the column whole, disk chunk by chunk (the first
-        # chunk is already written out when the second one blows up).
-        if (cells == poisoned).any():
-            raise RuntimeError("boom")
-        return cells % 2
-
-    for target in ("keys", "slots"):
-        with pytest.raises(RuntimeError, match="boom"):
-            flats.derive(target, "cells", explode)
-        assert _observe(flats) == before
+    short = np.arange(len(COUNTS) - 1)  # key 4 has no new number
+    order = np.arange(21)
+    with pytest.raises(IndexError):
+        flats.gather(order, keys_remap=short)
+    assert _observe(flats) == before
     flats.checkpoint()
     if flats.storage == "disk":
         # No stray generation: one file per column.
         assert len(list((tmp_path / "store").glob("*.col"))) == len(COLUMNS)
     # ...and the backend still works.
-    flats.derive("keys", "keys", lambda keys: keys + 1)
+    flats.gather(order[::-1], keys_remap=REMAP)
     assert np.array_equal(
-        np.asarray(flats.column("keys")), _remap(np.arange(21) % len(COUNTS)) + 1
+        np.asarray(flats.column("keys")), REMAP[(order % len(COUNTS))[::-1]]
     )
 
 
-def test_disk_residency_is_bounded_by_the_chunk_cache(tmp_path):
+def test_disk_columns_hold_no_heap_copy_of_the_flats(tmp_path):
+    """The disk backend's heap ledger reads 0 through appends and
+    renumbering gathers; the heap twin holds every byte."""
     flats = _disk(tmp_path)
     assert flats.resident_bytes == 0
     flats.append(_rows(0, 50 * CHUNK_ROWS))
-    flats.derive("keys", "keys", _remap)
-    widest = max(dtype.itemsize for dtype in COLUMNS.values())
-    bound = CACHE_CHUNKS * CHUNK_ROWS * widest
-    assert 0 < flats.resident_bytes <= bound
+    _renumber(flats)
+    assert flats.resident_bytes == 0
     _mutate(flats)
-    assert 0 < flats.resident_bytes <= bound
-    # The heap twin holds everything.
+    assert flats.resident_bytes == 0
     memory = _memory(tmp_path)
     memory.append(_rows(0, 50 * CHUNK_ROWS))
-    memory.derive("keys", "keys", _remap)
+    _renumber(memory)
     assert memory.resident_bytes == sum(
         50 * CHUNK_ROWS * dtype.itemsize for dtype in COLUMNS.values()
     )
@@ -173,7 +180,7 @@ def test_a_disk_capture_restores_into_a_memory_backend(tmp_path):
     adopts (the restart path — restore, then maybe spill again)."""
     disk = _disk(tmp_path)
     disk.append(_rows(0, 21))
-    disk.derive("keys", "keys", _remap)
+    _renumber(disk)
     memory = MemoryColumns()
     memory.restore(disk.checkpoint())
     assert _observe(memory) == _observe(disk)
@@ -194,17 +201,6 @@ def test_rewriting_one_column_does_not_remap_the_others(tmp_path):
     store.extend("cells", np.arange(3, dtype=np.uint64), 20)
     assert len(store.column("cells")) == 23
     assert store.column("idf") is store.column("idf")
-
-
-def test_deriving_keys_keeps_the_other_disk_views(tmp_path):
-    flats = _disk(tmp_path)
-    flats.append(_rows(0, 21))
-    flats.derive("keys", "keys", _remap)
-    views = {name: flats.column(name) for name in COLUMNS}
-    flats.derive("keys", "keys", lambda keys: _remap(keys) * 2)
-    for name in ("cells", "slots"):
-        assert flats.column(name) is views[name]
-    assert flats.column("keys") is not views["keys"]
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +240,7 @@ def _views(corpus):
 
 
 @pytest.mark.parametrize(
-    "options", [{"cache_chunks": 0}, {"chunk_rows": -5}, {"chunk_rows": 0}]
+    "options", [{"chunk_rows": -5}, {"chunk_rows": 0}]
 )
 def test_a_failed_spill_leaves_a_working_memory_corpus(tmp_path, options):
     histories = _histories()
@@ -259,7 +255,7 @@ def test_a_failed_spill_leaves_a_working_memory_corpus(tmp_path, options):
     corpus.refresh()
     assert _views(corpus) == _views(HistoryCorpus(histories, 12))
     # ...and a well-formed spill still goes through.
-    corpus.spill(tmp_path / "store", chunk_rows=CHUNK_ROWS, cache_chunks=CACHE_CHUNKS)
+    corpus.spill(tmp_path / "store", chunk_rows=CHUNK_ROWS)
     assert corpus.storage == "disk"
     assert _views(corpus) == _views(HistoryCorpus(histories, 12))
 
@@ -267,7 +263,6 @@ def test_a_failed_spill_leaves_a_working_memory_corpus(tmp_path, options):
 @pytest.mark.parametrize(
     "options, named",
     [
-        ({"store_cache_chunks": 0}, "store_cache_chunks"),
         ({"store_chunk_rows": -5}, "store_chunk_rows"),
         ({"store_chunk_rows": 0, "store_cache_chunks": 0}, "store_chunk_rows"),
     ],
@@ -306,10 +301,7 @@ def test_core_never_names_the_disk_machinery():
     }
     assert {name: found for name, found in offenders.items() if found} == {}
     # The check has teeth: the one module that owns that machinery trips it.
-    assert _names((SRC / "store" / "columns.py").read_text()) >= {
-        "ChunkedColumnStore",
-        "ChunkLRU",
-    }
+    assert "ChunkedColumnStore" in _names((SRC / "store" / "columns.py").read_text())
     assert "memmap" in _names("import numpy as np\nx = np.memmap('f')\n")
 
 

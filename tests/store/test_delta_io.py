@@ -143,7 +143,6 @@ def test_an_evicting_disk_relink_syncs_and_replaces_nothing(tmp_path, monkeypatc
         storage="disk",
         store_dir=tmp_path / "store",
         store_chunk_rows=CHUNK_ROWS,
-        store_cache_chunks=2,
     )
     for round_index in range(4):
         _round(linker, round_index)

@@ -18,7 +18,6 @@ from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh.index import LshConfig
 from repro.pipeline import LinkageConfig
-from repro.store.chunks import DEFAULT_CHUNK_ROWS
 
 
 def _round_records(side, round_index, per_side=14):
@@ -62,10 +61,6 @@ def test_disk_linker_bit_identical_to_in_core(tmp_path, config):
     assert in_core.last_relink == on_disk.last_relink
 
 
-#: The linker's default chunk cache, as a byte bound (8-byte columns).
-DEFAULT_CACHE_BYTES = 8 * DEFAULT_CHUNK_ROWS * 8
-
-
 def test_disk_linker_resident_bytes_are_bounded(tmp_path):
     in_core = StreamingLinker(0.0)
     on_disk = StreamingLinker(
@@ -77,8 +72,7 @@ def test_disk_linker_resident_bytes_are_bounded(tmp_path):
     disk_stats = on_disk.memory_stats()
     for side in ("left", "right"):
         key = f"{side}_flat_resident_bytes"
-        assert disk_stats[key] <= DEFAULT_CACHE_BYTES
-        assert disk_stats[key] < memory_stats[key]
+        assert disk_stats[key] == 0 < memory_stats[key]
     # Everything except flat residency matches exactly.
     for key, value in memory_stats.items():
         if not key.endswith("flat_resident_bytes"):
@@ -86,16 +80,16 @@ def test_disk_linker_resident_bytes_are_bounded(tmp_path):
 
 
 def test_an_evicting_disk_linker_streams_within_the_chunk_cache(tmp_path):
-    """Eviction recycles df slots — a ``keys`` remap streamed through the
-    chunk LRU — so residency is real, and still within the cache."""
-    chunk_rows, cache_chunks = 8, 2
+    """Eviction recycles df slots — a ``keys`` renumbering that the
+    compaction's gather writes as it streams the memmapped columns into
+    their next generation — so every slot left is held, the flats hold no
+    garbage, and no chunk of them was copied to the heap."""
     linker = StreamingLinker(
         0.0,
         retention=SlidingWindowRetention(2),
         storage="disk",
         store_dir=tmp_path / "store",
-        store_chunk_rows=chunk_rows,
-        store_cache_chunks=cache_chunks,
+        store_chunk_rows=8,
     )
     evicted = 0
     for round_index in range(5):
@@ -110,7 +104,10 @@ def test_an_evicting_disk_linker_streams_within_the_chunk_cache(tmp_path):
     assert evicted > 0
     stats = linker.memory_stats()
     for side in ("left", "right"):
-        assert 0 < stats[f"{side}_flat_resident_bytes"] <= cache_chunks * chunk_rows * 8
+        assert stats[f"{side}_flat_resident_bytes"] == 0
+        assert stats[f"{side}_flat_live"] == stats[f"{side}_flat_entries"]
+        keys = np.asarray(linker._corpora[side].arrays().keys)
+        assert np.unique(keys).tolist() == list(range(stats[f"{side}_df_slots"]))
 
 
 def test_disk_corpus_accessors_match_in_core(tmp_path):

@@ -252,4 +252,4 @@ def test_a_service_over_a_format_4_state_dir_warns_and_serves_cold(tmp_path):
 
     snapshot = asyncio.run(serve())
     assert dict(snapshot.links) == {"u": "u", "w": "w"}
-    assert read_snapshot(tmp_path / "state")[0]["format"] == 6
+    assert read_snapshot(tmp_path / "state")[0]["format"] == 7
