@@ -12,8 +12,9 @@ have left the live working set.  Retirement is a *first-class removal
 delta*, not a rebuild: the linker drops the retired histories,
 :meth:`~repro.core.corpus.HistoryCorpus.refresh` retracts their bins
 (document frequencies, flat array views, df slots) through the existing
-compaction path, the persistent LSH index withdraws their band placements
-(:meth:`~repro.lsh.index.LshIndex.remove`), and the
+compaction path, the persistent LSH index clears their rows of its
+bucket matrices (:meth:`~repro.lsh.index.LshIndex.remove`, one call per
+side over the retired entities' codes), and the
 :class:`~repro.core.score_cache.ScoreCache` drops their rows.  The parity
 contract mirrors the delta-relink one: a relink after retirement is
 bit-identical to a cold run over the *surviving* entities

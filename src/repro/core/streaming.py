@@ -18,11 +18,12 @@ The reuse machinery, stage by stage:
   into the document frequencies and extends the batch kernel's array
   views in place (O(changed bins), not O(corpus)).
 * **Candidates** — the pair table below is the one maintained
-  candidate set.  Under LSH, the bucket index is persistent and follows
+  candidate set.  Under LSH, the bucket index is persistent, keyed by
+  the score cache's entity codes (the pair table's too), and follows
   the corpus refresh's :class:`~repro.core.corpus.CorpusDelta` (the one
-  record of what a relink changed): evicted entities are withdrawn,
-  dirty ones re-signatured (``remove`` + ``add``), and the table drops
-  the pairs of those entities and takes the dirty ones' pairs back from
+  record of what a relink changed): evicted entities' rows are
+  withdrawn, dirty ones' re-signatured, and the table drops the pairs of
+  those entities and takes the dirty ones' pair codes back from
   :meth:`~repro.lsh.index.LshIndex.pairs_of` — a pair's shared-bucket
   status changes only when an endpoint is re-placed or withdrawn.  The
   index is rebuilt from scratch only when the growing window span
@@ -59,10 +60,11 @@ The reuse machinery, stage by stage:
   linker is *bounded-memory* instead of growing with everything it ever
   saw.  A relink after retirement equals a cold run over the survivors.
 * **Transaction** — a relink is all-or-nothing, and what that costs is
-  O(writes) too: the components that mutate in place (score cache, LSH
-  index) journal the prior value of what they overwrite, and a failure
-  replays the journals; the pair table is replaced, never written, so
-  the transaction holds the old one by reference.  The O(state)
+  O(writes) too: the score cache, which mutates in place, journals the
+  prior value of what it overwrites, and a failure replays the journal;
+  everything else — histories, corpora, the LSH index's bucket
+  matrices, the pair table — is replaced, never written, so the
+  transaction holds the old values by reference.  The O(state)
   ``checkpoint()`` capture is for snapshots only.
 
 :attr:`StreamingLinker.last_relink` reports what the delta machinery did
@@ -100,7 +102,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..data.records import Record
-from ..lsh.index import LshIndex
+from ..lsh.index import LshIndex, _pack_index, _unpack_index
 from ..lsh.signature import signature_matrix
 from ..pipeline.config import LinkageConfig
 from ..pipeline.context import LinkageContext
@@ -471,13 +473,14 @@ class StreamingLinker:
         arrays and scalars — the full capture :meth:`save` packs into
         flat arrays and :meth:`_restore` loads.
 
-        Cheap by reference where it can be: histories and corpus arrays
-        are shared, not copied.  The score cache (live rows) and the LSH
-        index (placement lists) mutate in place, so their captures
-        copy — O(cache) and O(index), which is why :meth:`relink` does
-        not take this capture but a journal (:meth:`_capture`).  A
-        component that does not exist yet is captured as ``None``; the
-        pair table is derived state and is not captured at all.
+        Cheap by reference where it can be: histories, corpus arrays and
+        the LSH index's bucket matrices (with the entity tables that name
+        their rows' codes) are shared, not copied.  The score cache
+        mutates in place, so its capture copies — O(cache), which is why
+        :meth:`relink` does not take this capture but a journal
+        (:meth:`_capture`).  A component that does not exist yet is
+        captured as ``None``; the pair table is derived state and is not
+        captured at all.
         """
         return self._capture(journal=False)
 
@@ -486,19 +489,19 @@ class StreamingLinker:
         for capture (:meth:`_restore`: the only place they are loaded).
 
         ``journal=False`` is :meth:`checkpoint`.  ``journal=True`` opens
-        the relink transaction instead: the in-place-mutating components
-        — score cache, LSH index — start journaling what they overwrite
-        (their entry is that journal, O(1) to take and O(writes) to fill)
-        and everything else is captured by reference exactly as above;
-        :meth:`_restore` replays the journals, :meth:`_commit` drops
-        them.  The pair table, derived and replaced rather than written,
-        is held by :meth:`relink` itself.
+        the relink transaction instead: the score cache, which mutates in
+        place, starts journaling what it overwrites (its entry is that
+        journal, O(1) to take and O(writes) to fill) and everything else
+        is captured by reference exactly as above; :meth:`_restore`
+        replays the journal, :meth:`_commit` drops it.  The pair table,
+        derived and replaced rather than written, is held by
+        :meth:`relink` itself.
         """
         corpora = {
             side: None if corpus is None else corpus.checkpoint()
             for side, corpus in self._corpora.items()
         }
-        index = self._lsh_index
+        index, entities = self._lsh_index, self._score_cache.entities
         return {
             "origin": self.windowing.origin,
             "config": self.config,
@@ -511,11 +514,8 @@ class StreamingLinker:
                 if journal
                 else self._score_cache.checkpoint()
             ),
-            "lsh_index": (
-                None
-                if index is None
-                else index._begin() if journal else index.checkpoint()
-            ),
+            # The bucket matrices by reference, and which id each row is.
+            "lsh_index": index and dict(index.checkpoint(), ids=tuple(entities._ids)),
             "last_relink": self._last_relink,
             # Captures the cache adopted that no relink has checked.
             "adopted": self._score_cache.adopted - self._pair_table.adopted,
@@ -524,8 +524,6 @@ class StreamingLinker:
     def _commit(self) -> None:
         """End the relink transaction, keeping its writes."""
         self._score_cache._commit()
-        if self._lsh_index is not None:
-            self._lsh_index._commit()
 
     def _restore(self, state: Dict[str, object]) -> None:
         """Become the linker a capture holds — this one rewound after a
@@ -540,11 +538,11 @@ class StreamingLinker:
         capture becomes ``None`` (one first built during the failed
         relink rolls back to nothing); a present one is rewound, after
         being created over the refilled histories (and spilled, on a
-        ``storage="disk"`` linker) if need be.  A journal rewinds the
-        object it was opened on, which the failed relink may have
-        replaced (an LSH layout rebuild).  No capture carries the pair
-        table: the linker starts an empty one, which the next relink
-        fills (a failed relink puts back the one it held).  The new
+        ``storage="disk"`` linker) if need be.  The LSH index's matrices
+        are re-indexed by this linker's entity codes of their rows' ids
+        (:func:`~repro.lsh.index._unpack_index`).  No capture carries
+        the pair table: the linker starts an empty one, which the next
+        relink fills (a failed relink puts back the one it held).  The new
         table is as far behind the cache's
         :attr:`~repro.core.score_cache.ScoreCache.adopted` count as the
         capture was: the cache restore made here adds nothing to check,
@@ -566,15 +564,10 @@ class StreamingLinker:
             self._corpora[side] = corpus
         self._score_cache.restore(state["score_cache"])
         saved, index = state["lsh_index"], self._lsh_index
-        if saved is None:
-            index = None
-        else:
-            if not isinstance(saved, dict):
-                index = saved.index
-            elif index is None:
-                index = LshIndex(self.config.lsh, saved["spec"])
-            index.restore(saved)
-        self._lsh_index = index
+        if saved is not None:
+            index = index or LshIndex(self.config.lsh, saved["spec"])
+            index.restore(_unpack_index(saved, self._score_cache.entities.encode))
+        self._lsh_index = saved and index
         self._pair_table = _PairTable(
             adopted=self._score_cache.adopted - state["adopted"]
         )
@@ -584,13 +577,15 @@ class StreamingLinker:
         """Write one atomic whole-linker snapshot under ``directory``.
 
         The snapshot *is* :meth:`checkpoint` — histories, corpus
-        statistics and flat views, LSH placements, score cache,
+        statistics and flat views, LSH bucket matrices, score cache,
         retention policy, watermark — with the per-entity objects packed
         into flat arrays at this durable boundary: each side's histories
         as one set of concatenated columns, each corpus' residents
-        likewise.  So the payload is a few dozen arrays whatever the
-        entity count, and the relink transaction, which captures by
-        reference, never pays for packing.  It is written as two
+        likewise, and the LSH matrices cut to their placed rows beside
+        those rows' ids (:func:`~repro.lsh.index._pack_index`).  So the
+        payload is a few dozen arrays whatever the entity count, and the
+        relink transaction, which captures by reference, never pays for
+        packing.  It is written as two
         payloads (linker state, score cache) under the tmp-dir +
         ``os.replace`` protocol of :mod:`repro.store.snapshot`: a crash
         mid-save leaves the previous snapshot intact.  Returns the
@@ -601,6 +596,7 @@ class StreamingLinker:
         sides, corpora = state["sides"], state["corpora"]
         state["sides"] = {s: _pack_histories(h) for s, h in sides.items()}
         state["corpora"] = {s: c and _pack_corpus(c) for s, c in corpora.items()}
+        state["lsh_index"] = state["lsh_index"] and _pack_index(state["lsh_index"])
         return write_snapshot(
             Path(directory),
             {"state": state, "score_cache": cache},
@@ -778,12 +774,12 @@ class StreamingLinker:
         """Bring the persistent LSH index up to date with the histories.
 
         The index survives across relinks and follows this relink's
-        corpus ``deltas`` per side: it withdraws the evicted entities and
-        re-signatures the dirty ones, which is also all the pair table's
-        candidate set has to follow.  Only when the growing window span
-        changes the signature *length* (and with it the banding) is the
-        index rebuilt wholesale.  Returns
-        ``(index, rebuilt)``.
+        corpus ``deltas`` per side, under the score cache's entity codes:
+        it withdraws the evicted entities and re-signatures the dirty
+        ones, which is also all the pair table's candidate set has to
+        follow.  Only when the growing window span changes the signature
+        *length* (and with it the banding) is the index rebuilt wholesale
+        over every history.  Returns ``(index, rebuilt)``.
         """
         lsh = self.config.lsh
         if lsh is None:
@@ -794,28 +790,26 @@ class StreamingLinker:
             )
         spec = lsh.signature_spec(self.total_windows())
         index = self._lsh_index
-        if index is None or index.spec.length != spec.length:
-            index = LshIndex(lsh, spec)
-            index.add_histories(self._sides["left"], self._sides["right"])
-            self._lsh_index = index
-            return index, True
-        if index.spec != spec:
+        rebuilt = index is None or index.spec.length != spec.length
+        if rebuilt:
+            index = self._lsh_index = LshIndex(lsh, spec)
+        else:
             index.update_spec(spec)
-        for side in ("left", "right"):
-            delta = deltas[side]
-            # Retired entities first: withdraw their band placements so
-            # no bucket can pair a survivor with a ghost.
-            for entity_id in delta.evicted:
-                index.remove(entity_id, side)
-            if delta.dirty_entities:
-                # One signature matrix and one band-hashing pass for the
-                # side's changed histories; each is re-placed in turn.
-                histories = self._sides[side]
-                dirty = {eid: histories[eid] for eid in delta.dirty_entities}
+        encode = self._score_cache.entities.encode
+        for column, side in enumerate(("left", "right")):
+            histories, delta = self._sides[side], deltas[side]
+            # Retired entities first, so no bucket pairs a survivor with
+            # a ghost; then one signature matrix for the changed histories.
+            if delta.evicted and not rebuilt:
+                index.remove(encode(column, delta.evicted), side)
+            placed = tuple(histories) if rebuilt else delta.dirty_entities
+            if placed:
                 index.add_signatures(
-                    delta.dirty_entities, signature_matrix(dirty, spec), side
+                    encode(column, placed),
+                    signature_matrix({e: histories[e] for e in placed}, spec),
+                    side,
                 )
-        return index, False
+        return index, rebuilt
 
     # ------------------------------------------------------------------
     # relink
@@ -944,12 +938,12 @@ class _StreamingCandidates:
     the one maintained candidate set — in line with this round's.
 
     ``"lsh"`` resolves to the linker's *persistent* index (the corpus
-    deltas' dirty entities re-signatured in place and evicted ones
-    withdrawn, full rebuild only when the growing span changes the
-    signature layout).  While the table holds that index's candidate set,
-    only the pairs of the evicted and dirty entities can have changed:
-    their pairs in the table are the before, the dirty entities'
-    :meth:`~repro.lsh.index.LshIndex.pairs_of` the after — O(delta).
+    deltas' dirty entities re-signatured and evicted ones withdrawn, full
+    rebuild only when the growing span changes the signature layout),
+    whose pair codes are the table's.  While the table holds that index's
+    candidate set, only the pairs of the evicted and dirty entities can
+    have changed: their pairs in the table are the before, the dirty
+    entities' :meth:`~repro.lsh.index.LshIndex.pairs_of` the after.
     Every other name — ``"brute"``, ``"temporal"``, custom registrations
     — dispatches through the :data:`~repro.pipeline.stages.candidate_stages`
     registry exactly as the batch pipeline would, so streaming runs
@@ -974,6 +968,7 @@ class _StreamingCandidates:
         rebuilt, source, after = False, None, None
         if resolved != "lsh":
             after = candidate_stages.get(resolved)(linker.config).generate(context)
+            after = distinct(entities.pair_codes(list(after)))
         else:
             source, rebuilt = linker._lsh_update(self.deltas)
             if table.source is not source:
@@ -985,8 +980,9 @@ class _StreamingCandidates:
                 left.evicted + left.dirty_entities,
                 right.evicted + right.dirty_entities,
             ))]
-            after = source.pairs_of(left.dirty_entities, right.dirty_entities)
-        after = distinct(entities.pair_codes(list(after)))
+            after = source.pairs_of(
+                *entities.codes(left.dirty_entities, right.dirty_entities)
+            )
         table = linker._pair_table = table.follow(
             after[~within(after, before)], before[~within(before, after)], source
         )

@@ -7,55 +7,65 @@ similarity engine ever scores.  The bucket count is a real parameter (the
 paper sweeps 2^8..2^20 in Fig. 9): fewer buckets mean more accidental
 collisions, more candidates, less speed-up — the index therefore hashes
 ``(band index, band content)`` *modulo* ``num_buckets`` rather than using
-Python dict semantics directly.
+Python dict semantics directly.  Bucket ids are global across bands: two
+bands of different index that hash to the same id collide too.
+
+The index is two columns of codes: per side, one ``(codes, bands)`` int64
+**bucket matrix** whose row ``c`` holds the buckets entity code ``c`` was
+hashed into, one per band, ``-1`` for a band with nothing to hash and for
+a code never placed (or withdrawn).  Entity codes are the caller's: the
+streaming linker passes its score cache's
+(:class:`~repro.core.score_cache.EntityTables`), so index, cache and pair
+table share one numbering; :meth:`LshIndex.add_histories` codes each side
+by sorted-id position.  A write makes a new matrix rather than changing
+the old one, so a capture (:meth:`LshIndex.checkpoint`) holds both by
+reference and a rollback puts them back.
 
 Population is array-shaped end to end: one side's signatures are one
-uint64 matrix (:func:`repro.lsh.signature.signature_matrix` — a single
-pass over the side's histories, no per-entity structure built) and every
+uint64 matrix (:func:`repro.lsh.signature.signature_matrix`) and every
 band of every row is FNV-1a-hashed in a single numpy pass
-(:func:`repro.lsh.banding.band_bucket_ids`).  Everything that places an
-entity — :meth:`LshIndex.add_histories`, a single :meth:`LshIndex.add`,
-the streaming linker's re-signaturing of dirty histories — goes through
-:meth:`LshIndex.add_signatures`, so incremental and batch population
-place entities in identical buckets.
+(:func:`repro.lsh.banding.band_bucket_ids`), so incremental and batch
+population place entities in identical buckets.
 
-Candidate pairs are **queried, never maintained**:
-:meth:`LshIndex.candidate_pairs` enumerates every bucket (a batch run pays
-exactly that and nothing else), and :meth:`LshIndex.pairs_of` answers for
-the named entities only, visiting just their buckets.  A pair's
-shared-bucket status changes only when one of its endpoints is re-placed
-or withdrawn, so a caller that keeps its own candidate set — the streaming
-linker's pair table — follows an update by dropping the pairs of the
-entities it changed and adding their ``pairs_of``: O(delta), not
-O(candidate set).
+Candidate pairs are **queried, never maintained**, as int64 pair codes
+``left << 32 | right``: :meth:`LshIndex.candidate_pairs` joins the two
+sides' ``(bucket, code)`` entries with one sort and one bisection (a
+batch run pays exactly that), and :meth:`LshIndex.pairs_of` answers for
+named entities only — their buckets marked, the other side's matrix
+gathered through the marks.  A pair's shared-bucket status changes only
+when one of its endpoints is re-placed or withdrawn, so a caller that
+keeps its own candidate set — the streaming linker's pair table —
+follows an update by dropping the pairs of the entities it changed and
+adding their ``pairs_of``: O(delta) joining, not O(candidate set).
 
 >>> config = LshConfig(threshold=0.5, step_windows=4, spatial_level=14)
 >>> index = LshIndex(config, config.signature_spec(16))
->>> index.add("a", (11, 12, 13, 14), "left")
->>> index.add("b", (21, 22, 23, 24), "left")
->>> index.add("x", (11, 12, 13, 14), "right")
->>> index.add("y", (21, 22, 23, 25), "right")
->>> sorted(index.candidate_pairs())
-[('a', 'x'), ('b', 'y')]
->>> index.remove("x", "right")       # its band placements withdrawn
-3
->>> sorted(index.pairs_of(["a", "b"], []))
-[('b', 'y')]
+>>> index.add_signatures(
+...     [0, 1], np.array([[11, 12, 13, 14], [21, 22, 23, 24]], np.uint64), "left")
+>>> index.add_signatures(
+...     [0, 1], np.array([[11, 12, 13, 14], [21, 22, 23, 25]], np.uint64), "right")
+>>> [divmod(code, 1 << 32) for code in index.candidate_pairs().tolist()]
+[(0, 0), (1, 1)]
+>>> index.remove([0], "right")       # its band placements withdrawn
+>>> [divmod(code, 1 << 32) for code in index.pairs_of([0, 1], []).tolist()]
+[(1, 1)]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..core.history import MobilityHistory
+from ..core.history import MobilityHistory, distinct
 from ..knobs import knob, validate
 from .banding import band_bucket_ids, bands_for_threshold
-from .signature import SignatureSpec, signature_matrix, signatures_to_array
+from .signature import SignatureSpec, signature_matrix
 
 __all__ = ["LshConfig", "LshIndex", "LshStats"]
+
+_COLUMN = {"left": 0, "right": 1}
 
 
 @dataclass(frozen=True)
@@ -116,25 +126,59 @@ class LshStats:
     candidate_pairs: int = 0
 
 
-class _IndexJournal:
-    """What one transaction overwrote in an :class:`LshIndex`: the prior
-    value of every bucket and placement it touched (recorded on first
-    touch; ``None`` = was absent) plus the scalars, so
-    :meth:`LshIndex.restore` can put exactly those back."""
+def _entries(matrix: np.ndarray, keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(bucket, code)`` entries of a bucket matrix at the cells
+    ``keep`` marks (one flag per cell, row after row), as two columns."""
+    at = np.flatnonzero(keep)
+    return matrix.ravel()[at], at // matrix.shape[1]
 
-    __slots__ = ("index", "spec", "num_bands", "stats", "buckets", "placements")
 
-    def __init__(self, index: "LshIndex") -> None:
-        self.index = index
-        self.spec = index.spec
-        self.num_bands = index.num_bands
-        self.stats = replace(index.stats)
-        self.buckets: Dict[int, Optional[Tuple[List[str], List[str]]]] = {}
-        self.placements: Dict[Tuple[str, str], Optional[List[int]]] = {}
+def _join(
+    left: Tuple[np.ndarray, np.ndarray], right: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The pair code of every left and right ``(bucket, code)`` entry
+    sharing a bucket, once per shared bucket: the left entries sorted
+    once, each right entry's run of them found by bisection and
+    expanded."""
+    order = np.argsort(left[0])
+    buckets, codes = left[0][order], left[1][order]
+    lo = np.searchsorted(buckets, right[0], "left")
+    counts = np.searchsorted(buckets, right[0], "right") - lo
+    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return (codes[at] << 32) | np.repeat(right[1], counts)
+
+
+def _pack_index(state: Dict[str, object]) -> Dict[str, object]:
+    """A linker's LSH capture — :meth:`LshIndex.checkpoint` plus ``ids``,
+    per side the id of each code — cut to its placed rows, row ``i`` of a
+    side's matrix staying the row of that side's ``ids[i]``: what a
+    snapshot writes, two arrays a side."""
+    ids, matrices = [], []
+    for side_ids, matrix in zip(state["ids"], state["matrices"]):
+        rows = np.flatnonzero((matrix >= 0).any(axis=1))
+        ids.append(side_ids[rows])
+        matrices.append(matrix[rows])
+    return dict(state, ids=tuple(ids), matrices=tuple(matrices))
+
+
+def _unpack_index(
+    state: Dict[str, object], encode: Callable[[int, np.ndarray], np.ndarray]
+) -> Dict[str, object]:
+    """A linker's LSH capture, packed or not, with its matrices
+    re-indexed by ``encode(side, ids)``: the codes the rows had in the
+    process that captured them, a fresh numbering after a restart."""
+    state, matrices = _pack_index(state), []
+    for side, (ids, rows) in enumerate(zip(state["ids"], state["matrices"])):
+        codes = encode(side, ids)
+        matrix = np.full((codes.max(initial=-1) + 1, rows.shape[1]), -1, np.int64)
+        matrix[codes] = rows
+        matrices.append(matrix)
+    return dict(state, matrices=tuple(matrices))
 
 
 class LshIndex:
-    """Banded bucket index over dominating-cell signatures."""
+    """Banded bucket index over dominating-cell signatures: one bucket
+    matrix per side, indexed by entity code (see the module docstring)."""
 
     def __init__(self, config: LshConfig, spec: SignatureSpec) -> None:
         if spec.spatial_level != config.spatial_level:
@@ -142,59 +186,35 @@ class LshIndex:
         self.config = config
         self.spec = spec
         self.num_bands = bands_for_threshold(spec.length, config.threshold)
-        self._buckets: Dict[int, Tuple[List[str], List[str]]] = {}
-        # Which buckets each (side, entity) was hashed into — the undo log
-        # that makes incremental re-signaturing (remove + add) possible.
-        self._placements: Dict[Tuple[str, str], List[int]] = {}
+        empty = np.empty((0, self.num_bands), dtype=np.int64)
+        self._matrices: Tuple[np.ndarray, np.ndarray] = (empty, empty)
         self.stats = LshStats(
             signature_length=spec.length, num_bands=self.num_bands
         )
-        self._journal: Optional[_IndexJournal] = None
 
     @property
     def num_entities(self) -> int:
         """Entities placed in the index, both sides together."""
-        return len(self._placements)
+        return sum(int((m >= 0).any(axis=1).sum()) for m in self._matrices)
 
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
-    def _touch_bucket(self, journal: _IndexJournal, bucket_id: int) -> None:
-        """Journal a bucket's membership lists before their first
-        in-place change inside a transaction."""
-        if bucket_id not in journal.buckets:
-            bucket = self._buckets.get(bucket_id)
-            journal.buckets[bucket_id] = (
-                None if bucket is None else (list(bucket[0]), list(bucket[1]))
-            )
-
-    def _partners(self, placed: List[int], column: int) -> Set[str]:
-        """Opposite-side entities sharing any of the ``placed`` buckets."""
-        partners: Set[str] = set()
-        buckets = self._buckets
-        for bucket_id in placed:
-            partners.update(buckets[bucket_id][1 - column])
-        return partners
-
     def add_signatures(
-        self, entity_ids: Sequence[str], signatures: np.ndarray, side: str
+        self, codes: Sequence[int], signatures: np.ndarray, side: str
     ) -> None:
-        """Place ``entity_ids`` on ``side`` (``"left"`` or ``"right"``)
-        under the rows of ``signatures`` — an ``(N, spec.length)`` uint64
-        matrix, 0 = placeholder, as :func:`~repro.lsh.signature.signature_matrix`
-        returns it.  The one way into the buckets.
+        """Place the entities ``codes`` on ``side`` (``"left"`` or
+        ``"right"``) under the rows of ``signatures`` — an
+        ``(N, spec.length)`` uint64 matrix, 0 = placeholder, as
+        :func:`~repro.lsh.signature.signature_matrix` returns it.
 
         All bands of all rows are hashed in one
-        :func:`~repro.lsh.banding.band_bucket_ids` call; entities are
-        then placed one after the other, each first withdrawn from
-        wherever an earlier signature had put it (:meth:`remove`) — so
-        re-signaturing a changed history is the same call as inserting a
-        new one, and leaves every bucket with the members inserting the
-        final signatures into an empty index would give it.
+        :func:`~repro.lsh.banding.band_bucket_ids` call and written over
+        the codes' rows, so re-signaturing a changed history is the same
+        call as inserting a new one and leaves the index exactly as
+        inserting the final signatures into an empty one would.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be left or right, got {side!r}")
-        if signatures.ndim != 2 or signatures.shape[0] != len(entity_ids):
+        if signatures.ndim != 2 or signatures.shape[0] != len(codes):
             raise ValueError("need one signature row per entity")
         if signatures.shape[1] != self.spec.length:
             raise ValueError(
@@ -202,76 +222,41 @@ class LshIndex:
                 f"index's spec length {self.spec.length}"
             )
         rows = band_bucket_ids(signatures, self.num_bands, self.config.num_buckets)
-        column = 0 if side == "left" else 1
-        buckets = self._buckets
-        placements = self._placements
-        journal = self._journal
-        hashed = 0
-        for entity_id, row in zip(entity_ids, rows.tolist()):
-            self.remove(entity_id, side)
-            key = (side, entity_id)
-            if journal is not None:
-                journal.placements.setdefault(key, None)
-            placed = placements[key] = []
-            for bucket_id in row:
-                if bucket_id < 0:
-                    continue
-                hashed += 1
-                if journal is not None:
-                    self._touch_bucket(journal, bucket_id)
-                bucket = buckets.get(bucket_id)
-                if bucket is None:
-                    bucket = ([], [])
-                    buckets[bucket_id] = bucket
-                bucket[column].append(entity_id)
-                placed.append(bucket_id)
-        self.stats.buckets_used = len(buckets)
-        if side == "left":
-            self.stats.hashed_bands_left += hashed
-        else:
-            self.stats.hashed_bands_right += hashed
+        self._write(side, codes, rows)
 
-    def add(self, entity_id: str, signature: Tuple[Optional[int], ...], side: str) -> None:
-        """Insert one signature on ``side`` (``"left"`` or ``"right"``):
-        :meth:`add_signatures` on a one-row matrix, so incremental
-        inserts land in identical buckets.
-        """
-        self.add_signatures([entity_id], signatures_to_array([signature]), side)
+    def remove(self, codes: Sequence[int], side: str) -> None:
+        """Withdraw the band placements of the entities ``codes`` on
+        ``side`` (a code never placed is a no-op).  With
+        :meth:`add_signatures` this gives the index *delta semantics*:
+        the matrices are what a cold build over the current histories
+        would produce."""
+        self._write(
+            side, codes, np.full((len(codes), self.num_bands), -1, dtype=np.int64)
+        )
 
-    def remove(self, entity_id: str, side: str) -> int:
-        """Withdraw one entity's band placements (streaming update).
-
-        Together with :meth:`add`, this gives the index *delta
-        semantics*: after ``remove`` + ``add`` with a fresh signature, the
-        bucket table is element-for-element what a cold rebuild over the
-        current histories would produce.  Returns the number of band
-        placements removed (0 when the entity was never inserted).
-        """
-        if side not in ("left", "right"):
+    def _write(self, side: str, codes: Sequence[int], rows: np.ndarray) -> None:
+        """The one write: ``side``'s matrix replaced by a copy (grown to
+        hold every code) with ``rows`` over the rows of ``codes``, and
+        the stats recounted."""
+        if side not in _COLUMN:
             raise ValueError(f"side must be left or right, got {side!r}")
-        key = (side, entity_id)
-        if key not in self._placements:
-            return 0
-        placed = self._placements.pop(key)
-        journal = self._journal
-        if journal is not None:
-            # By reference: a popped list is never mutated again.
-            journal.placements.setdefault(key, placed)
-        column = 0 if side == "left" else 1
-        buckets = self._buckets
-        for bucket_id in placed:
-            if journal is not None:
-                self._touch_bucket(journal, bucket_id)
-            bucket = buckets[bucket_id]
-            bucket[column].remove(entity_id)
-            if not bucket[0] and not bucket[1]:
-                del buckets[bucket_id]
-        self.stats.buckets_used = len(buckets)
-        if side == "left":
-            self.stats.hashed_bands_left -= len(placed)
-        else:
-            self.stats.hashed_bands_right -= len(placed)
-        return len(placed)
+        codes = np.asarray(codes, dtype=np.int64)
+        matrices = list(self._matrices)
+        old = matrices[_COLUMN[side]]
+        size = max(len(old), int(codes.max()) + 1 if len(codes) else 0)
+        new = np.full((size, self.num_bands), -1, dtype=np.int64)
+        new[: len(old)] = old
+        new[codes] = rows
+        matrices[_COLUMN[side]] = new
+        self._matrices = tuple(matrices)
+        # Entries per bucket and side, "no bucket" (-1) counted in slot 0.
+        left, right = (
+            np.bincount(m.ravel() + 1, minlength=self.config.num_buckets + 1)
+            for m in self._matrices
+        )
+        self.stats.buckets_used = int(np.count_nonzero(left[1:] + right[1:]))
+        self.stats.hashed_bands_left = self._matrices[0].size - int(left[0])
+        self.stats.hashed_bands_right = self._matrices[1].size - int(right[0])
 
     def update_spec(self, spec: SignatureSpec) -> None:
         """Adopt a spec whose window span grew without changing the
@@ -280,8 +265,8 @@ class LshIndex:
         Under a fixed windowing origin, growing ``total_windows`` inside
         the same last signature slot cannot change any *unchanged*
         history's dominating cells, so existing placements stay valid;
-        only changed histories need ``remove`` + ``add``.  A span change
-        that alters the slot count requires a fresh index.
+        only changed histories need re-placing.  A span change that
+        alters the slot count requires a fresh index.
         """
         if spec.spatial_level != self.config.spatial_level:
             raise ValueError("signature spec level must match LSH config level")
@@ -292,116 +277,80 @@ class LshIndex:
             )
         self.spec = spec
 
-    # ------------------------------------------------------------------
-    # state: a full capture for snapshots, a journal for transactions
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict[str, object]:
-        """The index's whole state as a plain dict, for :meth:`restore`
-        (the capture linker snapshots write): spec, stats and the
-        placements.  Bucket membership is not in it — it is the
-        placements read bucket by bucket, and :meth:`restore` rebuilds it
-        in one pass (the order of a bucket's members is arrival detail,
-        not state).  The placement lists are copied — here and again on
-        restore — so a capture shares no list with a live index and one
-        capture supports any number of restores."""
-        return {
-            "spec": self.spec,
-            "placements": {k: list(v) for k, v in self._placements.items()},
-            "stats": replace(self.stats),
-        }
-
-    def _begin(self) -> _IndexJournal:
-        """Open a transaction: from here until :meth:`_commit`, every
-        bucket list, placement and counter is journaled on first
-        touch — O(writes), where :meth:`checkpoint` is O(index).
-        :meth:`restore` on the returned journal undoes them."""
-        self._journal = _IndexJournal(self)
-        return self._journal
-
-    def _commit(self) -> None:
-        """Close the transaction, keeping its writes."""
-        self._journal = None
-
-    def restore(self, state: object) -> None:
-        """Become the index a :meth:`checkpoint` captured, discarding
-        every placement (and layout) change since — this index rewound,
-        or a fresh one of the same config after a restart; or, handed the
-        journal of the open transaction, undo exactly its writes."""
-        self._journal = None
-        if isinstance(state, _IndexJournal):
-            self._rollback(state)
-            return
-        self.spec = state["spec"]
-        self.num_bands = bands_for_threshold(
-            self.spec.length, self.config.threshold
-        )
-        self._placements = {k: list(v) for k, v in state["placements"].items()}
-        self._buckets = {}
-        for (side, entity_id), placed in self._placements.items():
-            for bucket_id in placed:
-                bucket = self._buckets.setdefault(bucket_id, ([], []))
-                bucket[0 if side == "left" else 1].append(entity_id)
-        self.stats = replace(state["stats"])
-
-    def _rollback(self, journal: _IndexJournal) -> None:
-        for bucket_id, prior in journal.buckets.items():
-            if prior is None:
-                self._buckets.pop(bucket_id, None)
-            else:
-                self._buckets[bucket_id] = prior
-        for key, placed in journal.placements.items():
-            if placed is None:
-                self._placements.pop(key, None)
-            else:
-                self._placements[key] = placed
-        self.spec, self.num_bands = journal.spec, journal.num_bands
-        self.stats = journal.stats
-
     def add_histories(
         self,
         left: Mapping[str, MobilityHistory],
         right: Mapping[str, MobilityHistory],
     ) -> None:
-        """Signature and insert every history of both datasets: one
-        :func:`~repro.lsh.signature.signature_matrix` and one
+        """Signature and insert every history of both datasets, each side
+        coded by sorted-id position (code ``k`` is the ``k``-th smallest
+        id), so ascending pair codes read back as id pairs in sorted
+        order: one :func:`~repro.lsh.signature.signature_matrix` and one
         :meth:`add_signatures` per side.
         """
         for histories, side in ((left, "left"), (right, "right")):
+            ordered = {entity: histories[entity] for entity in sorted(histories)}
             self.add_signatures(
-                list(histories), signature_matrix(histories, self.spec), side
+                np.arange(len(ordered)), signature_matrix(ordered, self.spec), side
             )
+
+    # ------------------------------------------------------------------
+    # state: captured by reference
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Dict[str, object]:
+        """The index's whole state for :meth:`restore`: spec, both bucket
+        matrices and the stats.  O(1): the matrices are replaced, never
+        written, so the capture holds them by reference."""
+        return {
+            "spec": self.spec,
+            "matrices": self._matrices,
+            "stats": replace(self.stats),
+        }
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Become the index a :meth:`checkpoint` captured — this index
+        rewound, or one made with a different layout (the captured spec
+        is adopted)."""
+        self.spec = state["spec"]
+        self.num_bands = bands_for_threshold(self.spec.length, self.config.threshold)
+        self._matrices = tuple(state["matrices"])
+        self.stats = replace(state["stats"])
 
     # ------------------------------------------------------------------
     # candidates
     # ------------------------------------------------------------------
-    def candidate_pairs(self) -> Set[Tuple[str, str]]:
-        """All cross-dataset pairs sharing at least one bucket: one pass
-        over every bucket, which also refreshes the ``buckets_used`` and
-        ``candidate_pairs`` stats.  Returns a new set."""
-        candidates: Set[Tuple[str, str]] = set()
-        for lefts, rights in self._buckets.values():
-            if lefts and rights:
-                for left_entity in set(lefts):
-                    for right_entity in set(rights):
-                        candidates.add((left_entity, right_entity))
-        self.stats.buckets_used = len(self._buckets)
-        self.stats.candidate_pairs = len(candidates)
-        return candidates
+    def candidate_pairs(self) -> np.ndarray:
+        """All cross-dataset pairs sharing at least one bucket, as
+        ascending int64 pair codes ``left << 32 | right``: one join of
+        every placed entry of both sides, which also refreshes the
+        ``candidate_pairs`` stat."""
+        pairs = distinct(
+            _join(*(_entries(m, m.ravel() >= 0) for m in self._matrices))
+        )
+        self.stats.candidate_pairs = len(pairs)
+        return pairs
 
     def pairs_of(
-        self, lefts: Iterable[str], rights: Iterable[str]
-    ) -> Set[Tuple[str, str]]:
-        """The candidate pairs with their left entity in ``lefts`` or
-        their right entity in ``rights`` — O(those entities' buckets).
-        Entities not placed in the index have no pairs."""
-        pairs: Set[Tuple[str, str]] = set()
-        for side, column, entities in (("left", 0, lefts), ("right", 1, rights)):
-            for entity_id in entities:
-                placed = self._placements.get((side, entity_id))
-                if not placed:
-                    continue
-                for partner in self._partners(placed, column):
-                    pairs.add(
-                        (entity_id, partner) if column == 0 else (partner, entity_id)
-                    )
-        return pairs
+        self, left_codes: Sequence[int], right_codes: Sequence[int]
+    ) -> np.ndarray:
+        """The candidate pairs with their left entity in ``left_codes``
+        or their right entity in ``right_codes``, as ascending pair
+        codes.  Per side: the named rows' buckets are marked, the other
+        side's matrix is gathered through the marks, and only the entries
+        that hit are joined with the named ones.  Entities not placed have
+        no pairs."""
+        left, right = self._matrices
+        found = []
+        for named, own, other, flipped in (
+            (left_codes, left, right, False), (right_codes, right, left, True)
+        ):
+            named = np.asarray(named, dtype=np.int64)
+            named = named[named < len(own)]
+            rows = own[named]
+            buckets, at = _entries(rows, rows.ravel() >= 0)
+            marked = np.zeros(self.config.num_buckets + 1, dtype=bool)
+            marked[buckets] = True  # -1 gathers the spare last slot
+            probed = buckets, named[at]
+            hit = _entries(other, marked[other.ravel()])
+            found.append(_join(hit, probed) if flipped else _join(probed, hit))
+        return distinct(np.concatenate(found))

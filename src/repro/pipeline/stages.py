@@ -50,6 +50,7 @@ from ..core.kernels import (
     SCORE_BLOCK_SIZE,
     workload_block_size,
 )
+from ..core.score_cache import split_codes
 from ..core.similarity import SimilarityEngine
 from ..core.threshold import (
     ThresholdDecision,
@@ -287,9 +288,12 @@ class BruteForceCandidates(CandidateStage):
 @candidate_stages.register("lsh")
 class LshCandidates(CandidateStage):
     """The paper's LSH filtering (Sec. 4): dominating-cell signatures,
-    banded bucketing; a pair sharing any bucket becomes a candidate."""
+    banded bucketing; a pair sharing any bucket becomes a candidate.
 
-    def generate(self, context: LinkageContext) -> Set[Tuple[str, str]]:
+    The index codes each side by sorted-id position, so its ascending
+    pair codes read back as an already-sorted list of id pairs."""
+
+    def generate(self, context: LinkageContext) -> List[Tuple[str, str]]:
         lsh = self.config.lsh
         if lsh is None:
             raise ValueError(
@@ -298,7 +302,10 @@ class LshCandidates(CandidateStage):
         index = LshIndex(lsh, lsh.signature_spec(context.total_windows))
         index.add_histories(context.left_histories, context.right_histories)
         context.extras["lsh_stats"] = index.stats
-        return index.candidate_pairs()
+        lefts, rights = split_codes(index.candidate_pairs())
+        left_ids = np.array(sorted(context.left_histories), dtype=object)
+        right_ids = np.array(sorted(context.right_histories), dtype=object)
+        return list(zip(left_ids[lefts].tolist(), right_ids[rights].tolist()))
 
 
 @candidate_stages.register("temporal")

@@ -33,7 +33,7 @@ single-writer discipline the serve layer applies to published
 snapshots.
 """
 
-from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore, ChunkLRU
+from .chunks import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
 from .eventlog import EventLogCorrupt, EventLogSkew
 from .hilbert import hilbert_index, hilbert_key
 from .snapshot import (
@@ -49,7 +49,6 @@ from .snapshot import (
 
 __all__ = [
     "ChunkedColumnStore",
-    "ChunkLRU",
     "DEFAULT_CHUNK_ROWS",
     "hilbert_index",
     "hilbert_key",

@@ -14,9 +14,6 @@ the RAM budget.
 A compaction (with its df-slot remap) never materialises a whole
 column either: it streams each output chunk, gathered from the maps,
 into a fresh generation (:meth:`ChunkedColumnStore.rewrite`).
-:class:`ChunkLRU`, a small in-RAM cache of chunk copies with an
-accountable ``resident_bytes`` bound, is kept for readers that want
-bounded heap copies of chunks; no corpus pass goes through it.
 
 The store is **scratch**, private to the process that created it: the
 column table (each column's dtype, row count and generation) lives in
@@ -48,16 +45,15 @@ from __future__ import annotations
 
 import mmap
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Set, Tuple
 
 import numpy as np
 
-__all__ = ["ChunkedColumnStore", "ChunkLRU", "DEFAULT_CHUNK_ROWS"]
+__all__ = ["ChunkedColumnStore", "DEFAULT_CHUNK_ROWS"]
 
-#: Rows per logical chunk — the I/O and cache-accounting granule.
+#: Rows per logical chunk — the I/O granule.
 DEFAULT_CHUNK_ROWS = 16384
 
 
@@ -109,7 +105,7 @@ class ChunkedColumnStore:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
         self.directory = Path(directory)
         self.chunk_rows = int(chunk_rows)
-        #: name -> {"dtype": str, "rows": int, "generation": int, "epoch": int}
+        #: name -> {"dtype": str, "rows": int, "generation": int}
         self._columns: Dict[str, Dict[str, object]] = {}
         self._maps: Dict[str, Tuple[Tuple[int, int], np.ndarray]] = {}
         #: Generation files no current column names, for the next prune.
@@ -217,10 +213,6 @@ class ChunkedColumnStore:
             handle.seek(start * dtype.itemsize)
             handle.write(data.tobytes())
         meta["rows"] = start + len(data)
-        # Same-generation mutation: bump the epoch so chunk copies taken
-        # before this extend (the partial tail chunk in particular) are
-        # recognisably stale.
-        meta["epoch"] = int(meta.get("epoch", 0)) + 1
 
     # ------------------------------------------------------------------
     # reads
@@ -234,14 +226,6 @@ class ChunkedColumnStore:
     def generation(self, name: str) -> int:
         meta = self._columns.get(name)
         return -1 if meta is None else int(meta["generation"])
-
-    def version(self, name: str) -> Tuple[int, int]:
-        """``(generation, epoch)`` — changes whenever column bytes may
-        have changed (rewrite, extend, or transactional rewind)."""
-        meta = self._columns.get(name)
-        if meta is None:
-            return (-1, -1)
-        return (int(meta["generation"]), int(meta.get("epoch", 0)))
 
     def num_chunks(self, name: str) -> int:
         return -(-self.rows(name) // self.chunk_rows)
@@ -304,14 +288,6 @@ class ChunkedColumnStore:
                     f"cannot rewind column {name!r}: {path} holds fewer "
                     f"bytes than the checkpoint recorded"
                 )
-        for name, meta in restored.items():
-            current = self._columns.get(name)
-            if current is not None:
-                # The rewind itself may change visible bytes (truncation);
-                # never fall behind the live epoch counter.
-                meta["epoch"] = (
-                    max(int(meta.get("epoch", 0)), int(current.get("epoch", 0))) + 1
-                )
         self._rewind_to(restored)
 
     def prune_stale(self) -> int:
@@ -324,64 +300,3 @@ class ChunkedColumnStore:
             path.unlink(missing_ok=True)
         return len(stale)
 
-
-class ChunkLRU:
-    """Small in-RAM cache of chunk copies over a :class:`ChunkedColumnStore`.
-
-    Maintenance passes stream columns through it; ``resident_bytes`` is
-    the accountable RAM those passes may hold at once (``capacity_chunks``
-    chunk copies), independent of the column length.
-    """
-
-    def __init__(self, store: ChunkedColumnStore, capacity_chunks: int = 8) -> None:
-        if capacity_chunks <= 0:
-            raise ValueError(
-                f"capacity_chunks must be positive, got {capacity_chunks}"
-            )
-        self.store = store
-        self.capacity_chunks = int(capacity_chunks)
-        self._chunks: "OrderedDict[Tuple[str, int, int], np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def chunk(self, name: str, index: int) -> np.ndarray:
-        """Chunk ``index`` of ``name`` as an in-RAM copy (LRU-cached)."""
-        version = self.store.version(name)
-        key = (name, version, index)
-        cached = self._chunks.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._chunks.move_to_end(key)
-            return cached
-        self.misses += 1
-        # A rewrite/extend/rewind changed the column version: copies of
-        # the dead one are unreachable, drop them before they crowd out
-        # live chunks.
-        for stale in [k for k in self._chunks if k[0] == name and k[1] != version]:
-            del self._chunks[stale]
-        column = self.store.column(name)
-        start = index * self.store.chunk_rows
-        copy = np.array(column[start : start + self.store.chunk_rows])
-        self._chunks[key] = copy
-        while len(self._chunks) > self.capacity_chunks:
-            self._chunks.popitem(last=False)
-        return copy
-
-    def iter_chunks(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
-        """``(start_row, chunk)`` over one column, in order."""
-        for index in range(self.store.num_chunks(name)):
-            yield index * self.store.chunk_rows, self.chunk(name, index)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of column data currently held in RAM."""
-        return sum(chunk.nbytes for chunk in self._chunks.values())
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "chunks": len(self._chunks),
-            "resident_bytes": self.resident_bytes,
-            "capacity_chunks": self.capacity_chunks,
-        }

@@ -93,12 +93,15 @@ __all__ = [
 #: columns it holds — the resident ids in row order, the per-row
 #: ``versions`` / ``starts`` / ``sizes`` / ``dir_starts`` / ``dir_sizes``
 #: and the ``(3, D)`` ``directory`` table (windows, offsets, counts), as
-#: they are (format 6 packed one directory per resident).  So a payload
-#: is a few dozen arrays, not one pickled object per entity or per
-#: cached pair.  Formats 1–6 are refused by name (format 5 pickled one
-#: ``(space, left id, right id)`` tuple per cached pair, format 4 every
-#: ``MobilityHistory`` and corpus resident).
-SNAPSHOT_FORMAT = 7
+#: they are (format 6 packed one directory per resident).  Format 8: the
+#: LSH index as columns — per side the placed entities' ids and their
+#: rows of the ``(codes, bands)`` bucket matrix, beside the spec and the
+#: stats (format 7 pickled a ``(side, id) -> bucket list`` dict).  So a
+#: payload is a few dozen arrays, not one pickled object per entity or
+#: per cached pair.  Formats 1–7 are refused by name (format 5 pickled
+#: one ``(space, left id, right id)`` tuple per cached pair, format 4
+#: every ``MobilityHistory`` and corpus resident).
+SNAPSHOT_FORMAT = 8
 
 CURRENT = "CURRENT"
 _SNAP_RE = re.compile(r"^snap-(\d{6})$")

@@ -5,6 +5,7 @@ bit-identical to never having attempted the relink at all."""
 import pytest
 
 from cache_calls import capture_rows
+from lsh_calls import pair_ids, state
 from repro.core.score_cache import ScoreCache, split_codes
 from repro.core.streaming import StreamingLinker
 from repro.lsh import LshConfig
@@ -149,8 +150,8 @@ class TestRelinkRollback:
             target.relink()
             _feed(target, cab_pair, lo=mid)
 
-        before_index = linker._lsh_index.checkpoint()
-        before_buckets = _membership(linker._lsh_index)
+        entities = linker.score_cache.entities
+        before_index = state(linker._lsh_index, entities)
         before_memory = linker.memory_stats()
 
         monkeypatch.setattr(LshIndex, "candidate_pairs", _boom)
@@ -158,10 +159,7 @@ class TestRelinkRollback:
             linker.relink()
         monkeypatch.undo()
 
-        after_index = linker._lsh_index.checkpoint()
-        assert _membership(linker._lsh_index) == before_buckets
-        assert after_index["placements"] == before_index["placements"]
-        assert after_index["stats"] == before_index["stats"]
+        assert state(linker._lsh_index, entities) == before_index
         assert linker.memory_stats() == before_memory
 
         retry = linker.relink()
@@ -169,13 +167,6 @@ class TestRelinkRollback:
         assert retry.links == expected.links
         assert retry.candidate_pairs == expected.candidate_pairs
         assert linker.memory_stats() == control.memory_stats()
-
-
-def _membership(index):
-    """Each bucket's members per side, as sorted lists (the order inside
-    a bucket is arrival detail: the capture does not carry buckets, and
-    a restore rebuilds them from the placements)."""
-    return {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()}
 
 
 def _table(linker):
@@ -195,15 +186,16 @@ def _table(linker):
 
 def _layers(linker):
     """Everything a relink transaction writes, by value: the index's
-    buckets / placements / stats and candidate pairs, the cache's
+    placements / stats and candidate pairs, by id, the cache's
     pair -> values mapping and its counters, the pair table, the report."""
-    index, cache = linker._lsh_index, linker.score_cache.checkpoint()
+    index, entities = linker._lsh_index, linker.score_cache.entities
+    cache = linker.score_cache.checkpoint()
     # By pair (the scoring space embeds each linker's own corpus tokens),
     # as a mapping: key order is not cache state.
     entries = {key[1:]: values for key, values in capture_rows(cache).items()}
     return (
-        (index.checkpoint(), _membership(index)),
-        index.candidate_pairs(),
+        state(index, entities),
+        pair_ids(index.candidate_pairs(), entities),
         (entries, cache["hits"], cache["misses"]),
         _table(linker),
         linker.memory_stats(),

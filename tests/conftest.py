@@ -73,7 +73,7 @@ class RelinkFailures:
     raise :attr:`Boom`, in pipeline order — shared by the rollback, chaos
     and model-based suites.  ``failures(point)`` is a context manager;
     not every relink reaches every point (no misses: nothing is stored;
-    fewer than two histories to (re-)place: no second withdrawal)."""
+    no right history to (re-)place: no right-side update)."""
 
     class Boom(RuntimeError):
         """The injected mid-relink failure."""
@@ -98,22 +98,21 @@ class RelinkFailures:
 
             return wrapper
 
-        def second_call(original):
-            # Between one entity's withdrawal + placement and the next
-            # one's: the index is half-updated.
-            calls = []
-
-            def wrapper(*args, **kwargs):
-                calls.append(None)
-                if len(calls) == 2:
+        def before_right(original):
+            # After the left side's bucket matrix is placed, before the
+            # right one's: the index is half-updated.
+            def wrapper(index, codes, signatures, side):
+                if side == "right":
                     boom()
-                return original(*args, **kwargs)
+                return original(index, codes, signatures, side)
 
             return wrapper
 
         target, name, replacement = {
             "after-retention": (HistoryCorpus, "refresh", boom),
-            "mid-lsh": (LshIndex, "remove", second_call(LshIndex.remove)),
+            "mid-lsh": (
+                LshIndex, "add_signatures", before_right(LshIndex.add_signatures)
+            ),
             "after-store": (
                 ScoreCache, "store_batch", after(ScoreCache.store_batch)
             ),

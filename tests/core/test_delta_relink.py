@@ -4,7 +4,7 @@ The resident corpus grows 4x (spatially disjoint copies of one world, so
 the dirty entities keep exactly the neighbours they had) while the delta
 stays at four entities: the candidate set must grow with the corpus, and
 the work a relink does *per round* — pairs it asks the score cache about,
-buckets the LSH delta visits, journal entries it records — must not.
+entity codes the LSH delta probes, journal entries it records — must not.
 """
 
 from unittest import mock
@@ -72,30 +72,28 @@ class _Work:
     """Work counters of one relink, read where the work happens."""
 
     asked = 0  # pairs handed to raw_batch -> lookup_batch
-    buckets = 0  # buckets the LSH delta visited
-    journal = 0  # entries the transaction's journals recorded
+    probed = 0  # entity codes the LSH delta handed to pairs_of
+    journal = 0  # entries the transaction's journal recorded
 
 
 def _delta_round(linker, held_back):
     """Observe the held-back records, relink, return the work done."""
     work = _Work()
-    lookup, partners = ScoreCache.lookup_batch, LshIndex._partners
+    lookup, pairs_of = ScoreCache.lookup_batch, LshIndex.pairs_of
     commit = StreamingLinker._commit
 
     def counted_lookup(cache, space, pairs, *args):
         work.asked += len(pairs)
         return lookup(cache, space, pairs, *args)
 
-    def counted_partners(index, placed, column):
-        work.buckets += len(placed)
-        return partners(index, placed, column)
+    def counted_pairs_of(index, left_codes, right_codes):
+        work.probed += len(left_codes) + len(right_codes)
+        return pairs_of(index, left_codes, right_codes)
 
     def measured_commit(linker):
         cache = linker._score_cache._journal
-        index = linker._lsh_index._journal
         work.journal += (
-            len(index.buckets) + len(index.placements)
-            + sum(len(rows) for _, rows, _ in cache.events)
+            sum(len(rows) for _, rows, _ in cache.events)
             + sum(len(rows) for rows, _ in cache.written)
         )
         return commit(linker)
@@ -103,7 +101,7 @@ def _delta_round(linker, held_back):
     for side in SIDES:
         linker.observe(side, held_back[side])
     with mock.patch.object(ScoreCache, "lookup_batch", counted_lookup), \
-            mock.patch.object(LshIndex, "_partners", counted_partners), \
+            mock.patch.object(LshIndex, "pairs_of", counted_pairs_of), \
             mock.patch.object(StreamingLinker, "_commit", measured_commit):
         linker.relink()
     return work
@@ -123,7 +121,7 @@ def test_relink_work_follows_the_delta_not_the_corpus(base_pair):
 
     small, large = rungs[1], rungs[4]
     assert large[0] >= 3 * small[0]  # the candidate set grew with the corpus
-    for counter in ("asked", "buckets", "journal"):
+    for counter in ("asked", "probed", "journal"):
         before, after = getattr(small[1], counter), getattr(large[1], counter)
         assert before > 0
         # ... and the work did not: the dirty entities' partners are the
@@ -139,9 +137,10 @@ def test_delta_round_takes_no_full_capture_and_enumerates_nothing(
     def never(*args, **kwargs):
         raise AssertionError("an O(corpus) pass ran on a delta round")
 
+    # LshIndex.checkpoint is not on the list: it holds the bucket
+    # matrices by reference, O(1), and the transaction takes it.
     for owner, name in (
         (ScoreCache, "checkpoint"),
-        (LshIndex, "checkpoint"),
         (LshIndex, "candidate_pairs"),
         (StreamingLinker, "checkpoint"),
     ):

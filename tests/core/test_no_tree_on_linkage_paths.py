@@ -11,6 +11,8 @@ snapshots carry no tree.
 
 import pickle
 
+from lsh_calls import state
+
 from repro.core.streaming import StreamingLinker
 from repro.lsh import LshConfig
 from repro.pipeline import LinkageConfig, LinkagePipeline
@@ -29,17 +31,6 @@ def _span(pair):
     start = min(pair.left.time_range()[0], pair.right.time_range()[0])
     end = max(pair.left.time_range()[1], pair.right.time_range()[1])
     return start, end
-
-
-def _normalised(index):
-    """Bucket membership (order inside a bucket is arrival order, which a
-    re-placed entity legitimately changes), placements and stats."""
-    state = index.checkpoint()
-    return (
-        {b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()},
-        state["placements"],
-        state["stats"],
-    )
 
 
 def test_no_linkage_path_builds_a_tree(sm_pair, tmp_path):
@@ -88,7 +79,10 @@ def test_the_dirty_path_places_like_a_cold_build(sm_pair):
     assert linker.last_relink.dirty_left > 10
     _feed(cold, sm_pair, start - 1.0, start + 5.9 * day)
     cold.relink()
-    assert _normalised(linker._lsh_index) == _normalised(cold._lsh_index)
+    # By id: the two linkers coded their entities in different orders.
+    assert state(linker._lsh_index, linker.score_cache.entities) == state(
+        cold._lsh_index, cold.score_cache.entities
+    )
 
 
 def test_snapshots_carry_no_trees(sm_pair, tmp_path):

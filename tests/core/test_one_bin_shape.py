@@ -30,9 +30,14 @@ def test_no_retired_bin_container_is_named_anywhere_under_src():
     assert not named
 
 
-#: Names of a per-entity residency object: the corpus holds residency as
-#: columns (an id -> row dict, row arrays, one directory table) instead.
-PER_ENTITY = {"_Resident", "_window_index", "_slices", "_directories"}
+#: Names of per-entity structures: the corpus holds residency as columns
+#: (an id -> row dict, row arrays, one directory table) instead, and the
+#: LSH index one bucket matrix per side, indexed by entity code, replaced
+#: rather than written (no bucket dict, no placement lists, no journal).
+PER_ENTITY = {
+    "_Resident", "_window_index", "_slices", "_directories",
+    "_placements", "_buckets", "_IndexJournal", "_touch_bucket", "_partners",
+}
 
 
 def _named(source):
@@ -44,19 +49,24 @@ def _named(source):
     }
 
 
-def test_no_per_entity_residency_object_is_named_under_src():
+def test_no_per_entity_structure_is_named_under_src():
     named = {
         f"{path.relative_to(SRC)}: {name}"
         for path in sorted(SRC.rglob("*.py"))
         for name in _named(path.read_text()) & PER_ENTITY
     }
     assert not named
-    # The check has teeth: a class, a function, an attribute and a call.
+    # The check has teeth: classes, functions, attributes and calls.
     assert _named(
         "class _Resident: pass\n"
+        "class _IndexJournal: pass\n"
         "def _directories(): pass\n"
+        "def _touch_bucket(): pass\n"
         "self._window_index = {}\n"
+        "self._placements = {}\n"
+        "self._buckets.get(0)\n"
         "self._slices()\n"
+        "index._partners(placed, 0)\n"
     ) >= PER_ENTITY
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cache_calls import capture_rows
+from lsh_calls import placements
 from repro.core.corpus import CorpusDelta, HistoryCorpus
 from repro.core.history import MobilityHistory
 from repro.core.retention import (
@@ -345,10 +346,9 @@ class TestStreamingRetirement:
         )
         linker, _ = _stream(config)
         linker.relink()
-        index = linker._lsh_index
         live = set(linker._sides["left"]) | set(linker._sides["right"])
-        placed = {entity for (_, entity) in index._placements}
-        assert placed <= live
+        placed = placements(linker._lsh_index, linker.score_cache.entities)
+        assert {entity for (_, entity) in placed} <= live
         assert linker.memory_stats()["lsh_entities"] == (
             linker.num_left_entities + linker.num_right_entities
         )

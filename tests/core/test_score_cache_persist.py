@@ -160,7 +160,7 @@ class TestArithmeticRevision:
         from repro.data import Record
         from repro.store import SNAPSHOT_FORMAT
 
-        assert SNAPSHOT_FORMAT == 7
+        assert SNAPSHOT_FORMAT == 8
 
         def observe(linker, rounds, entities=range(12)):
             for round_index in rounds:

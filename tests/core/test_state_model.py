@@ -12,7 +12,7 @@ LSH index, chunk store, the whole linker — the same two properties:
 
 "Continues" means a scripted tail of further operations whose every
 observable (links, scores, ``RelinkStats``, cache hit/miss counters, the
-cache's pair -> values mapping, per-entity array slices, bucket tables,
+cache's pair -> values mapping, per-entity array slices, bucket matrices,
 column bytes) is compared with ``==``, never ``approx``.
 
 Plus a completeness check on the linker: every attribute
@@ -30,6 +30,8 @@ from cache_calls import capture_rows, lookup, store
 from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lsh_calls import Named
+from lsh_calls import state as lsh_state
 
 from repro.core.corpus import _ROW_COLUMNS, HistoryCorpus
 from repro.core.history import MobilityHistory
@@ -229,52 +231,58 @@ class _ScoreCacheCase:
 
 
 class _LshIndexCase:
+    """The index driven by name (:class:`lsh_calls.Named`).  Its entity
+    codes are the caller's; every instance here codes the same ids in the
+    same order first, so a fresh index shares the subject's numbering, as
+    a linker's index shares its score cache's."""
+
     config = LshConfig(threshold=0.3, step_windows=4, spatial_level=LEVEL)
 
     def _spec(self, windows=24):
         return self.config.signature_spec(windows)
 
-    def build(self, tmp):
-        histories = _histories(12, range(6))
-        index = LshIndex(self.config, self._spec())
+    def _named(self, spec):
+        histories = self._histories_ = _histories(12, range(6))
         left = {k: v for k, v in histories.items() if int(k[1:]) % 2}
         right = {k: v for k, v in histories.items() if not int(k[1:]) % 2}
-        index.add_histories(left, right)
-        index.remove("e3", "left")
-        index.candidate_pairs()
-        self._histories_ = histories
-        return index
+        named = Named(LshIndex(self.config, spec))
+        named.entities.codes(sorted(left), sorted(right))
+        return named, left, right
 
-    def checkpoint(self, index):
-        return index.checkpoint()
+    def build(self, tmp):
+        named, left, right = self._named(self._spec())
+        named.index.add_histories(left, right)  # sorted-position codes
+        named.remove("e3", "left")
+        named.index.candidate_pairs()
+        return named
 
-    def restore(self, index, state):
-        index.restore(state)
+    def checkpoint(self, named):
+        return named.index.checkpoint()
+
+    def restore(self, named, state):
+        named.index.restore(state)
 
     def fresh(self, state, tmp):
         # Deliberately a different layout: restore adopts the captured spec.
-        return LshIndex(self.config, self._spec(windows=8))
+        return self._named(self._spec(windows=8))[0]
 
-    def after_restart(self, index):
+    def after_restart(self, named):
         pass
 
-    def disturb(self, index):
+    def disturb(self, named):
         for entity in ("e1", "e5"):
-            index.remove(entity, "left")
-        index.add("ghost", build_signature(self._histories_["e2"], index.spec), "left")
-        index.candidate_pairs()
+            named.remove(entity, "left")
+        signature = build_signature(self._histories_["e2"], named.index.spec)
+        named.add("ghost", signature, "left")
+        named.index.candidate_pairs()
 
-    def proceed(self, index):
+    def proceed(self, named):
+        index = named.index
         index.update_spec(self._spec(windows=23))
-        index.remove("e4", "right")
-        index.add("e3", build_signature(self._histories_["e3"], index.spec), "left")
-        pairs = index.candidate_pairs()
-        # The capture holds no buckets: a restore rebuilds them from the
-        # placements, so membership is compared per bucket as sorted lists.
-        membership = {
-            b: (sorted(ls), sorted(rs)) for b, (ls, rs) in index._buckets.items()
-        }
-        return (sorted(pairs), index.num_bands, index.checkpoint(), membership)
+        named.remove("e4", "right")
+        named.add("e3", build_signature(self._histories_["e3"], index.spec), "left")
+        pairs = named.candidate_pairs()
+        return (sorted(pairs), index.num_bands, index.spec, index.stats, named.placements())
 
 
 class _ChunkStoreCase:
@@ -489,6 +497,33 @@ def test_restart_from_the_pickled_capture_continues_bit_identically(
     assert case.proceed(restarted) == expected
 
 
+def test_a_restart_under_another_numbering_re_indexes_the_lsh_matrices(tmp_path):
+    """The index's rows are the score cache's entity codes.  A capture
+    restored into a linker whose cache coded other ids first re-indexes
+    each row by its id: the same placements by id under other codes, and
+    the same next relink."""
+    linker = _LinkerCase().build(tmp_path)
+    saved = pickle.loads(pickle.dumps(linker.checkpoint()))
+    cache = ScoreCache()
+    cache.entities.codes([f"x{k}" for k in range(5)], ["y"])
+    restarted = StreamingLinker(
+        saved["origin"], saved["config"], retention=saved["retention"],
+        score_cache=cache,
+    )
+    restarted._restore(saved)
+    placed = lsh_state(linker._lsh_index, linker.score_cache.entities)
+    assert lsh_state(restarted._lsh_index, cache.entities) == placed
+    assert any(
+        mine.shape != theirs.shape or (mine != theirs).any()
+        for mine, theirs in zip(
+            restarted._lsh_index._matrices, linker._lsh_index._matrices
+        )
+    )
+    assert _report_view(restarted, restarted.relink(), True)[:5] == _report_view(
+        linker, linker.relink(), True
+    )[:5]
+
+
 def _rows_invariants(store):
     """What the capture drops must still be sound: every row below the
     high-water mark is live, free, or freed by the open transaction,
@@ -513,14 +548,14 @@ def _rows_invariants(store):
     assert all(store._rows.values())  # no empty directory lingers
 
 
-@pytest.mark.parametrize("name", ["score-cache", "lsh-index"])
 @pytest.mark.parametrize("outcome", ["rolled-back", "committed"])
-def test_a_transaction_is_all_or_nothing(name, outcome, tmp_path):
+def test_a_transaction_is_all_or_nothing(outcome, tmp_path):
     """The journal flavour of the same protocol (what ``relink()`` opens
-    instead of a full capture): undone, the component continues like a
-    twin that was never disturbed; committed, like a twin disturbed
-    outside any transaction — the journal itself leaves no trace."""
-    case = CASES[name]()
+    on the score cache instead of a full capture — the one component
+    that writes in place): undone, the cache continues like a twin that
+    was never disturbed; committed, like a twin disturbed outside any
+    transaction — the journal itself leaves no trace."""
+    case = CASES["score-cache"]()
     twin = case.build(tmp_path / "twin")
     if outcome == "committed":
         case.disturb(twin)
@@ -534,11 +569,9 @@ def test_a_transaction_is_all_or_nothing(name, outcome, tmp_path):
     else:
         subject.restore(journal)
     assert subject._journal is None
-    if name == "score-cache":
-        _rows_invariants(subject)
+    _rows_invariants(subject)
     assert case.proceed(subject) == expected
-    if name == "score-cache":
-        _rows_invariants(subject)
+    _rows_invariants(subject)
 
 
 @pytest.mark.parametrize("writer", ["memory", "disk"])
@@ -648,15 +681,25 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # completeness: everything _relink_once mutates is inside the capture
 # ----------------------------------------------------------------------
+def _fields(linker):
+    """``vars(linker)`` with the LSH index read by id
+    (:func:`lsh_calls.state`): its rows are indexed by the score cache's
+    entity codes, which a restored linker numbers afresh."""
+    fields = dict(vars(linker))
+    if linker._lsh_index is not None:
+        fields["_lsh_index"] = lsh_state(
+            linker._lsh_index, linker.score_cache.entities
+        )
+    return fields
+
+
 def _fingerprint(value):
     """Deep, order-insensitive-for-dicts structural fingerprint of
-    ``vars()``, by value.  Histories, the score cache and the LSH index
-    are read through their logical content: histories memoise derived
-    bins/trees on demand, the cache's key order and row numbering (and
-    its per-entity key index) are allocation detail its capture
-    deliberately drops, and the index is read through its capture (its
-    placements, which determine its buckets; it keeps no pair set).  The
-    pair table, a record of arrays, is read field by field."""
+    ``vars()``, by value.  Histories and the score cache are read through
+    their logical content: histories memoise derived bins/trees on
+    demand, and the cache's key order and row numbering (and its
+    per-entity key index) are allocation detail its capture deliberately
+    drops.  The pair table, a record of arrays, is read field by field."""
     if isinstance(value, MobilityHistory):
         return (
             "history",
@@ -671,8 +714,6 @@ def _fingerprint(value):
             "score-cache",
             _fingerprint((_entries(state), state["hits"], state["misses"])),
         )
-    if isinstance(value, LshIndex):
-        return ("lsh-index", _fingerprint(value.checkpoint()))
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, dict):
@@ -711,7 +752,7 @@ def _table_invariants(linker):
 
 def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures):
     linker = _LinkerCase().build(tmp_path)
-    before = _fingerprint(vars(linker))
+    before = _fingerprint(_fields(linker))
     table = linker._pair_table
 
     # After a failed relink + rollback: nothing moved — wherever the
@@ -721,9 +762,8 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
     for point in relink_failures.points:
         with relink_failures(point), pytest.raises(relink_failures.Boom):
             linker.relink()
-        assert _fingerprint(vars(linker)) == before, point
+        assert _fingerprint(_fields(linker)) == before, point
         assert linker._score_cache._journal is None
-        assert linker._lsh_index._journal is None
         assert linker._pair_table is table
         _rows_invariants(linker._score_cache)
 
@@ -732,7 +772,7 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
     # empty.
     def captured(subject):
         return _fingerprint(
-            {k: v for k, v in vars(subject).items() if k != "_pair_table"}
+            {k: v for k, v in _fields(subject).items() if k != "_pair_table"}
         )
 
     before_captured = captured(linker)
@@ -747,7 +787,7 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
     _table_invariants(linker)
     moved = {
         name
-        for name, value in vars(linker).items()
+        for name, value in _fields(linker).items()
         if _fingerprint(value) != dict(before[1])[repr(name)]
     }
     assert moved >= {

@@ -360,6 +360,7 @@ class TestLshIncremental:
         from repro.core.history import build_histories
         from fig1_oracle import build_signature
         from repro.lsh import LshIndex, SignatureSpec
+        from repro.lsh.signature import signatures_to_array
         from repro.temporal import common_windowing
 
         lsh = LshConfig(threshold=0.4, step_windows=8, spatial_level=14)
@@ -373,21 +374,26 @@ class TestLshIncremental:
 
         incremental = LshIndex(lsh, spec)
         incremental.add_histories(left, right)
-        target = next(iter(left))
+        # add_histories codes by sorted-id position: code 0 is the first.
+        target = sorted(left)[0]
         # Churn one entity: remove, then re-add the same signature.
-        assert incremental.remove(target, "left") > 0
-        incremental.add(target, build_signature(left[target], spec), "left")
+        incremental.remove([0], "left")
+        assert not len(incremental.pairs_of([0], []))
+        incremental.add_signatures(
+            [0], signatures_to_array([build_signature(left[target], spec)]), "left"
+        )
 
         cold = LshIndex(lsh, spec)
         cold.add_histories(left, right)
-        assert incremental.candidate_pairs() == cold.candidate_pairs()
+        assert np.array_equal(incremental.candidate_pairs(), cold.candidate_pairs())
         assert incremental.stats.hashed_bands_left == cold.stats.hashed_bands_left
 
     def test_remove_unknown_entity_is_noop(self):
         from repro.lsh import LshIndex, SignatureSpec
 
         index = LshIndex(LshConfig(), SignatureSpec(0, 64, 16, 16))
-        assert index.remove("ghost", "left") == 0
+        index.remove([7], "left")
+        assert index.num_entities == 0 and index.stats.buckets_used == 0
 
 
 class TestTuningCacheReuse:

@@ -12,8 +12,8 @@ parity cannot see a missing or ghost pair whose score is <= 0; this can.
 import random
 
 import pytest
+from lsh_calls import history_pairs, pair_ids
 
-from repro.core.score_cache import split_codes
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
 from repro.lsh.index import LshConfig, LshIndex
@@ -46,13 +46,12 @@ def _assert_table_is_the_candidate_set(linker):
     assert index.spec == CONFIG.lsh.signature_spec(linker.total_windows())
     cold = LshIndex(CONFIG.lsh, index.spec)
     cold.add_histories(linker._sides["left"], linker._sides["right"])
-    expected = cold.candidate_pairs()
+    expected = history_pairs(cold, linker._sides["left"], linker._sides["right"])
     # Stats first: candidate_pairs() below refreshes them.
     assert index.stats == cold.stats
     entities = linker.score_cache.entities
-    lefts, rights = split_codes(linker._pair_table.pairs)
-    table = set(zip(entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist()))
-    assert table == index.candidate_pairs() == expected
+    table = pair_ids(linker._pair_table.pairs, entities)
+    assert table == pair_ids(index.candidate_pairs(), entities) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

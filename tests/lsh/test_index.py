@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from fig1_oracle import build_signature
+from lsh_calls import Named, history_pairs, placements
 
 from repro.core.history import build_histories
 from repro.lsh.index import LshConfig, LshIndex
@@ -47,7 +48,7 @@ class TestIndexBasics:
     def test_identical_signatures_always_collide(self):
         config = LshConfig(threshold=0.6, step_windows=4, spatial_level=14)
         spec = _spec(config)
-        index = LshIndex(config, spec)
+        index = Named(LshIndex(config, spec))
         signature = tuple(
             100 + slot if slot % 2 == 0 else None for slot in range(spec.length)
         )
@@ -58,7 +59,7 @@ class TestIndexBasics:
     def test_disjoint_signatures_never_collide(self):
         config = LshConfig(threshold=0.6, step_windows=4, spatial_level=14, num_buckets=1 << 20)
         spec = _spec(config)
-        index = LshIndex(config, spec)
+        index = Named(LshIndex(config, spec))
         index.add("l1", tuple(range(100, 100 + spec.length)), "left")
         index.add("r1", tuple(range(500, 500 + spec.length)), "right")
         assert index.candidate_pairs() == set()
@@ -67,19 +68,21 @@ class TestIndexBasics:
         config = LshConfig(step_windows=4, spatial_level=14)
         index = LshIndex(config, _spec(config))
         with pytest.raises(ValueError):
-            index.add("x", (1,) * index.spec.length, "middle")
+            index.add_signatures(
+                [0], np.ones((1, index.spec.length), dtype=np.uint64), "middle"
+            )
 
     def test_all_placeholder_signature_hashes_nothing(self):
         config = LshConfig(step_windows=4, spatial_level=14)
-        index = LshIndex(config, _spec(config))
-        index.add("ghost", (None,) * index.spec.length, "left")
-        assert index.stats.hashed_bands_left == 0
+        index = Named(LshIndex(config, _spec(config)))
+        index.add("ghost", (None,) * index.index.spec.length, "left")
+        assert index.index.stats.hashed_bands_left == 0
         assert index.candidate_pairs() == set()
 
     def test_same_side_pairs_not_candidates(self):
         config = LshConfig(step_windows=4, spatial_level=14)
-        index = LshIndex(config, _spec(config))
-        signature = tuple(range(200, 200 + index.spec.length))
+        index = Named(LshIndex(config, _spec(config)))
+        signature = tuple(range(200, 200 + index.index.spec.length))
         index.add("l1", signature, "left")
         index.add("l2", signature, "left")
         assert index.candidate_pairs() == set()
@@ -90,22 +93,24 @@ class TestIndexBasics:
         rng = np.random.default_rng(3)
         config_small = LshConfig(threshold=0.6, step_windows=4, spatial_level=14, num_buckets=8)
         config_large = LshConfig(threshold=0.6, step_windows=4, spatial_level=14, num_buckets=1 << 20)
-        small = LshIndex(config_small, _spec(config_small))
-        large = LshIndex(config_large, _spec(config_large))
+        small = Named(LshIndex(config_small, _spec(config_small)))
+        large = Named(LshIndex(config_large, _spec(config_large)))
         for index in (small, large):
+            length = index.index.spec.length
             for k in range(40):
-                signature = tuple(int(rng.integers(0, 50)) for _ in range(index.spec.length))
+                signature = tuple(int(rng.integers(0, 50)) for _ in range(length))
                 index.add(f"l{k}", signature, "left")
-                signature = tuple(int(rng.integers(0, 50)) for _ in range(index.spec.length))
+                signature = tuple(int(rng.integers(0, 50)) for _ in range(length))
                 index.add(f"r{k}", signature, "right")
         assert len(small.candidate_pairs()) >= len(large.candidate_pairs())
 
     def test_stats_populated(self):
         config = LshConfig(step_windows=4, spatial_level=14)
-        index = LshIndex(config, _spec(config))
+        named = Named(LshIndex(config, _spec(config)))
+        index = named.index
         signature = tuple(range(300, 300 + index.spec.length))
-        index.add("l1", signature, "left")
-        index.add("r1", signature, "right")
+        named.add("l1", signature, "left")
+        named.add("r1", signature, "right")
         index.candidate_pairs()
         assert index.stats.signature_length == index.spec.length
         assert index.stats.num_bands >= 1
@@ -127,7 +132,7 @@ class TestIndexOnHistories:
         spec = SignatureSpec(0, total, config.step_windows, config.spatial_level)
         index = LshIndex(config, spec)
         index.add_histories(left, right)
-        candidates = index.candidate_pairs()
+        candidates = history_pairs(index, left, right)
         kept = sum(
             1 for pair in cab_pair.ground_truth.items() if pair in candidates
         )
@@ -147,7 +152,7 @@ class TestIndexOnHistories:
         spec = SignatureSpec(0, total, config.step_windows, config.spatial_level)
         signatures_left = {e: build_signature(h, spec) for e, h in left.items()}
         signatures_right = {e: build_signature(h, spec) for e, h in right.items()}
-        index = LshIndex(config, spec)
+        index = Named(LshIndex(config, spec))
         for entity, signature in signatures_left.items():
             index.add(entity, signature, "left")
         for entity, signature in signatures_right.items():
@@ -187,31 +192,30 @@ class TestVectorizedHashing:
         config, spec, left, right = self._worlds(cab_pair)
         batched = LshIndex(config, spec)
         batched.add_histories(left, right)
-        incremental = LshIndex(config, spec)
+        # add_histories codes each side by sorted-id position.
+        by_position = Named(batched)
+        by_position.entities.codes(sorted(left), sorted(right))
+        incremental = Named(LshIndex(config, spec))
         for entity, history in left.items():
             incremental.add(entity, build_signature(history, spec), "left")
         for entity, history in right.items():
             incremental.add(entity, build_signature(history, spec), "right")
-        assert batched.candidate_pairs() == incremental.candidate_pairs()
-        assert batched.stats.hashed_bands_left == incremental.stats.hashed_bands_left
-        assert (
-            batched.stats.hashed_bands_right
-            == incremental.stats.hashed_bands_right
-        )
+        assert history_pairs(batched, left, right) == incremental.candidate_pairs()
         # The streaming dirty path: every entity first placed under some
         # other signature, then all of them re-placed from one matrix.
-        replaced = LshIndex(config, spec)
+        replaced = Named(LshIndex(config, spec))
         for histories, side in ((left, "left"), (right, "right")):
             for entity in histories:
                 replaced.add(entity, (7,) * spec.length, side)
-            replaced.add_signatures(
-                list(histories), signature_matrix(histories, spec), side
+            replaced.index.add_signatures(
+                replaced._codes(list(histories), side),
+                signature_matrix(histories, spec),
+                side,
             )
         replaced.candidate_pairs()
-        for index in (incremental, replaced):
-            assert index._buckets == batched._buckets
-            assert index._placements == batched._placements
-            assert index.stats == batched.stats
+        for named in (incremental, replaced):
+            assert named.placements() == by_position.placements()
+            assert named.index.stats == batched.stats
 
     def test_bucket_ids_cover_small_tables(self, cab_pair):
         """Power-of-two bucket tables must see high-bit entropy (cell ids

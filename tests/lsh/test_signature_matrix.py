@@ -139,7 +139,7 @@ def test_a_silent_entity_is_hashed_into_nothing():
     index = LshIndex(config, spec)
     index.add_histories({"ghost": silent}, {})
     assert index.stats.hashed_bands_left == 0
-    assert index.candidate_pairs() == set()
+    assert not len(index.candidate_pairs())
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,9 +198,7 @@ def test_a_signature_of_the_wrong_length_is_refused():
     assert index.spec.length == 8
     # Long enough to band without complaint, and still wrong.
     with pytest.raises(ValueError, match=r"length 12 .* length 8"):
-        index.add("e", tuple(range(100, 112)), "left")
-    with pytest.raises(ValueError, match=r"length 12 .* length 8"):
-        index.add_signatures(["e"], np.ones((1, 12), dtype=np.uint64), "left")
+        index.add_signatures([0], np.ones((1, 12), dtype=np.uint64), "left")
     with pytest.raises(ValueError, match="one signature row per entity"):
-        index.add_signatures(["e", "f"], np.ones((1, 8), dtype=np.uint64), "left")
-    assert index.candidate_pairs() == set() and not index._placements
+        index.add_signatures([0, 1], np.ones((1, 8), dtype=np.uint64), "left")
+    assert not len(index.candidate_pairs()) and not index.num_entities

@@ -1,11 +1,11 @@
-"""Unit tests for the chunked on-disk column store and its chunk LRU."""
+"""Unit tests for the chunked on-disk column store and the Hilbert key."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.store import ChunkedColumnStore, ChunkLRU, hilbert_index, hilbert_key
+from repro.store import ChunkedColumnStore, hilbert_index, hilbert_key
 from repro.geo.cell import MAX_LEVEL, CellId
 
 
@@ -120,59 +120,6 @@ def test_create_sweeps_what_an_earlier_store_left(tmp_path):
     store = ChunkedColumnStore.create(directory, chunk_rows=8)
     assert store.names() == ()
     assert sorted(path.name for path in directory.iterdir()) == ["notes.txt"]
-
-
-class TestChunkLRU:
-    def test_bounded_residency_and_counters(self, store):
-        store.put("cells", np.arange(64, dtype=np.uint64))  # 8 chunks
-        lru = ChunkLRU(store, capacity_chunks=3)
-        for index in range(8):
-            np.testing.assert_array_equal(
-                lru.chunk("cells", index),
-                np.arange(index * 8, index * 8 + 8, dtype=np.uint64),
-            )
-        stats = lru.stats()
-        assert stats["misses"] == 8
-        assert stats["chunks"] == 3
-        assert stats["resident_bytes"] == 3 * 8 * 8
-        # The newest chunks are resident; the oldest were evicted.
-        lru.chunk("cells", 7)
-        assert lru.stats()["hits"] == 1
-        lru.chunk("cells", 0)
-        assert lru.stats()["misses"] == 9
-
-    def test_iter_chunks_streams_whole_column(self, store):
-        store.put("keys", np.arange(21, dtype=np.int64))
-        lru = ChunkLRU(store, capacity_chunks=2)
-        streamed = np.concatenate(
-            [chunk for _, chunk in lru.iter_chunks("keys")]
-        )
-        np.testing.assert_array_equal(streamed, np.arange(21, dtype=np.int64))
-
-    def test_extend_invalidates_cached_tail_chunk(self, store):
-        """Regression: an extend within the same generation must not be
-        served a stale (short) copy of the partial tail chunk."""
-        store.put("keys", np.arange(6, dtype=np.int64))
-        lru = ChunkLRU(store, capacity_chunks=4)
-        assert len(lru.chunk("keys", 0)) == 6  # cache the partial tail
-        store.extend("keys", np.arange(100, 104, dtype=np.int64), start=6)
-        np.testing.assert_array_equal(
-            lru.chunk("keys", 0),
-            np.concatenate([np.arange(6), [100, 101]]).astype(np.int64),
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([chunk for _, chunk in lru.iter_chunks("keys")]),
-            np.asarray(store.column("keys")),
-        )
-
-    def test_generation_rewrite_invalidates_cache(self, store):
-        store.put("keys", np.arange(8, dtype=np.int64))
-        lru = ChunkLRU(store, capacity_chunks=4)
-        lru.chunk("keys", 0)
-        store.put("keys", np.arange(50, 58, dtype=np.int64))
-        np.testing.assert_array_equal(
-            lru.chunk("keys", 0), np.arange(50, 58, dtype=np.int64)
-        )
 
 
 class TestHilbert:

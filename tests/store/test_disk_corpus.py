@@ -79,6 +79,39 @@ def test_disk_linker_resident_bytes_are_bounded(tmp_path):
             assert disk_stats[key] == value, key
 
 
+def test_the_retired_chunk_cache_option_is_accepted_and_changes_nothing(tmp_path):
+    """The disk flats keep no chunk cache, but callers still pass
+    ``store_cache_chunks`` (the end-to-end benchmark spec does): the
+    constructor and :meth:`StreamingLinker.restore` accept it, and the
+    linker relinks exactly as one built without it."""
+    config = LinkageConfig(lsh=LshConfig(threshold=0.3))
+    plain = StreamingLinker(
+        0.0, config=config, storage="disk", store_dir=tmp_path / "plain"
+    )
+    cached = StreamingLinker(
+        0.0,
+        config=config,
+        storage="disk",
+        store_dir=tmp_path / "cached",
+        store_chunk_rows=8,
+        store_cache_chunks=8,
+    )
+    _replay(plain, range(3))
+    _replay(cached, range(3))
+    assert plain.last_relink == cached.last_relink
+    cached.save(tmp_path / "snaps")
+    restored = StreamingLinker.restore(
+        tmp_path / "snaps",
+        storage="disk",
+        store_dir=tmp_path / "restored",
+        store_cache_chunks=8,
+    )
+    continued = _replay(plain, [3])
+    resumed = _replay(restored, [3])
+    assert plain.last_relink == restored.last_relink
+    assert continued.link_scores == resumed.link_scores
+
+
 def test_an_evicting_disk_linker_streams_within_the_chunk_cache(tmp_path):
     """Eviction recycles df slots — a ``keys`` renumbering that the
     compaction's gather writes as it streams the memmapped columns into

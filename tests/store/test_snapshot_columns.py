@@ -30,7 +30,7 @@ from repro.core.corpus import HistoryCorpus, WindowIndex
 from repro.core.history import MobilityHistory
 from repro.core.streaming import StreamingLinker
 from repro.data import Record
-from repro.lsh import LshConfig
+from repro.lsh import LshConfig, LshStats, SignatureSpec
 from repro.pipeline import LinkageConfig
 from repro.serve import LinkageService
 from repro.store import read_snapshot
@@ -117,6 +117,25 @@ def test_the_payload_is_as_many_arrays_for_100_entities_as_for_10(
         assert [len(state["sides"][side]["ids"]) for side in SIDES] == [entities] * 2
         counts.append(len(_walk(payloads, [])))
     assert counts[0] == counts[1]
+
+
+def test_the_packed_lsh_entry_is_arrays_the_spec_and_the_stats(tmp_path):
+    """Per side, the placed entities' ids and their bucket-matrix rows —
+    two arrays — beside the spec and the stats: no per-entity container
+    (format 7 pickled a ``(side, id) -> bucket list`` dict)."""
+    linker = _populated(CONFIGS["lsh"], 10)
+    linker.save(tmp_path / "snaps")
+    (state,) = load_state(tmp_path / "snaps", ("state",))
+    entry = state["lsh_index"]
+    assert set(entry) == {"spec", "stats", "ids", "matrices"}
+    assert isinstance(entry["spec"], SignatureSpec)
+    assert isinstance(entry["stats"], LshStats)
+    bands = linker._lsh_index.num_bands
+    for ids, matrix in zip(entry["ids"], entry["matrices"]):
+        assert isinstance(ids, np.ndarray) and isinstance(matrix, np.ndarray)
+        assert sorted(ids.tolist()) == sorted(f"e{k}" for k in range(10))
+        assert matrix.shape == (10, bands) and (matrix >= 0).any(axis=1).all()
+    assert len(entry["ids"]) == len(entry["matrices"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -252,4 +271,4 @@ def test_a_service_over_a_format_4_state_dir_warns_and_serves_cold(tmp_path):
 
     snapshot = asyncio.run(serve())
     assert dict(snapshot.links) == {"u": "u", "w": "w"}
-    assert read_snapshot(tmp_path / "state")[0]["format"] == 7
+    assert read_snapshot(tmp_path / "state")[0]["format"] == 8

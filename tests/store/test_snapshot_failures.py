@@ -227,12 +227,13 @@ def test_version_skew_warns_by_name_and_cold_starts(kind, snapshot_root):
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
 
 
-@pytest.mark.parametrize("previous", [3, 4, 5, 6])
+@pytest.mark.parametrize("previous", [3, 4, 5, 6, 7])
 def test_the_previous_format_is_refused_not_converted(kind, snapshot_root, previous):
     """Format 3 (histories pickled their views, corpora their bin dicts),
     format 4 (one pickled object per history and corpus resident),
-    format 5 (one pickled key tuple per cached pair) and format 6 (one
-    packed directory per corpus resident) take the same named path: warn
+    format 5 (one pickled key tuple per cached pair), format 6 (one
+    packed directory per corpus resident) and format 7 (one pickled
+    bucket list per LSH-placed entity) take the same named path: warn
     and cold-start, or raise when strict."""
     _rewrite_format(snapshot_root, previous)
     kind.assert_refused(snapshot_root, SnapshotVersionSkew)
