@@ -133,7 +133,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -597,7 +597,8 @@ class HistoryCorpus:
         """The residency columns with each ``dirty`` entity's row (its
         ``held`` row, -1 for a newcomer, which is appended) set to
         ``values`` and the ``gone`` rows dropped, the rest renumbered in
-        order."""
+        order.  The id -> row dict is replaced, not written, and only
+        when entities come or go."""
         rows = len(self._row_of)
         newcomer = held < 0
         target = held.copy()
@@ -610,9 +611,9 @@ class HistoryCorpus:
             )
             column[target] = values[name]
             setattr(self, "_" + name, column[keep] if len(gone) else column)
-        self._row_of.update(zip(compress(dirty, newcomer), target[newcomer].tolist()))
-        if len(gone):
-            kept = compress(self._row_of, keep.tolist())
+        if len(gone) or newcomer.any():
+            ids = chain(self._row_of, compress(dirty, newcomer))
+            kept = compress(ids, keep.tolist())
             self._row_of = dict(zip(kept, range(len(keep) - len(gone))))
 
     def _cell_slots(self, cells: np.ndarray) -> np.ndarray:
@@ -980,17 +981,15 @@ class HistoryCorpus:
     # ------------------------------------------------------------------
     #: The state of a corpus, by attribute (minus the underscore): the one
     #: enumeration :meth:`checkpoint` and :meth:`restore` both walk.
-    #: The id -> row dict :meth:`refresh` mutates in place is
-    #: shallow-copied out *and* in; the rest — scalars, the frozen
-    #: ``CellTable``, the residency columns, the directory table, the
-    #: document-frequency arrays — is replaced, never mutated, so travels
-    #: by reference: nothing that grows with the bins is copied.  The
-    #: flat columns are the backend's to capture; ``_histories`` is the
-    #: caller's mapping, and the scalar oracle's ``bins_with_idf`` memo a
-    #: lazily re-derived cache — neither is state.
-    _COPIED_STATE = ("row_of",)
-    _SHARED_STATE = (
-        "level", "total_bins", "size", "cell_table", "flat_live",
+    #: All of it — scalars, the frozen ``CellTable``, the id -> row dict,
+    #: the residency columns, the directory table, the document-frequency
+    #: arrays — is replaced, never mutated, so travels by reference:
+    #: nothing is copied.  The flat columns are the backend's to capture;
+    #: ``_histories`` is the caller's mapping, and the scalar oracle's
+    #: ``bins_with_idf`` memo a lazily re-derived cache — neither is
+    #: state.
+    _STATE = (
+        "level", "total_bins", "size", "cell_table", "flat_live", "row_of",
         *_ROW_COLUMNS, "directory",
         "df_bins", "df_counts", "df_order",
     )
@@ -998,15 +997,12 @@ class HistoryCorpus:
     def checkpoint(self) -> Dict[str, object]:
         """The corpus' whole state as a plain dict, for :meth:`restore`.
 
-        A relink rollback keeps it in memory (cheap — references plus one
-        copy of the id -> row dict); a durable snapshot pickles the very
-        same dict, the id dict as a list of its keys
-        (:func:`_pack_corpus`).  The flat columns ride along as their
-        backend's own capture.
+        A relink rollback keeps it in memory (cheap — references only); a
+        durable snapshot pickles the very same dict, the id dict as a
+        list of its keys (:func:`_pack_corpus`).  The flat columns ride
+        along as their backend's own capture.
         """
-        state = {name: getattr(self, "_" + name) for name in self._SHARED_STATE}
-        for name in self._COPIED_STATE:
-            state[name] = getattr(self, "_" + name).copy()
+        state = {name: getattr(self, "_" + name) for name in self._STATE}
         state["cache_token"] = self.cache_token
         state["flats"] = self._flats.checkpoint()
         return state
@@ -1024,10 +1020,8 @@ class HistoryCorpus:
         if it is a default one.  The oracle's memo starts empty (a
         ``bins_with_idf`` key in an older snapshot is ignored).
         """
-        for name in self._SHARED_STATE:
+        for name in self._STATE:
             setattr(self, "_" + name, state[name])
-        for name in self._COPIED_STATE:
-            setattr(self, "_" + name, state[name].copy())
         self._bins_with_idf = {}
         self.cache_token = state["cache_token"]
         reserve_cache_token(self.cache_token)

@@ -27,8 +27,8 @@ scoring space and the streaming linker's pair table share these tables.
 A pair is the ``int64`` *pair code* ``left << 32 | right``; every call
 (:meth:`ScoreCache.lookup_batch`, :meth:`ScoreCache.store_batch`,
 :meth:`ScoreCache.invalidate_pairs`) takes code arrays, and strings stay
-at the edges: records in, edge rows out, and the :meth:`ScoreCache.checkpoint`
-capture, which renumbers its owner codes into the spaces and the
+at the edges: records in, edge rows out, and the durable layout
+(:func:`_pack_cache`), which renumbers its pairs into the spaces and the
 distinct left and right ids its rows reference, so a snapshot or cache
 file never depends on the codes of the process that wrote it and holds
 no per-pair Python object.
@@ -38,31 +38,22 @@ on its side, not with the live ones: on the 10k-entity retention bench
 side, 213 per side resident at the end) both tables end at 5,000 ids,
 about 1.1 MB with the id strings they keep alive (~110 bytes per id).
 
-Storage is **columnar**: entries live in parallel numpy arrays (versions,
-raw totals, counters) behind one ``pair code -> row`` directory per
-space.  The cache has one door for scores:
-:meth:`~repro.core.similarity.SimilarityEngine.raw_batch`, under either
-scoring backend, makes one :meth:`lookup_batch` — one directory pass
-builds the row vector, and every version comparison, freshness mask and
-value gather is a single vectorized operation — and one
-:meth:`store_batch` of what missed.  The arithmetic behind a total is
-the kernel's or the scalar oracle's, never the cache's.
-
-Under the directories, three *owner* columns per row (space, left
-code, right code; ``-1`` = free) make the rows of some entities one
-vectorized pass over the two code columns (so
-:meth:`ScoreCache.invalidate_pairs` reads no directory), and make "does
-row ``r`` still hold pair ``p`` under these versions?" one gather of the
-owner and version columns (:meth:`ScoreCache._holds`, which the
-streaming linker's pair table — a view of this cache — asks instead of
-being told what changed).  One **undo journal**
-(:meth:`ScoreCache._begin` / :meth:`ScoreCache._commit`) gives the
-streaming relink its rollback at O(writes): rows are overwritten in
-place, the journal keeps, as blocks of arrays, the prior values of every
-block written, every block of rows linked or unlinked, and the rows taken
-from the free list, and a row freed inside a transaction is recycled only
-when it commits.  The O(cache) :meth:`ScoreCache.checkpoint` remains the
-one *full* capture, for snapshots and the cache file.
+Storage is **one read-only record per scoring space**: the space's pair
+codes, strictly ascending, and one value column per ``_COLUMNS`` entry
+(versions, raw total, counters) aligned with them.  A write — a store,
+the stale rows a lookup drops, an invalidation, a clear — replaces a
+record and never writes into one, so it copies its space's columns, and
+a :meth:`ScoreCache.checkpoint` holds the records by reference: O(spaces)
+to take, and the whole of a relink's rollback.  The cache has one door
+for scores: :meth:`~repro.core.similarity.SimilarityEngine.raw_batch`,
+under either scoring backend, makes one :meth:`lookup_batch` — one
+bisection into the space's pair codes, and every version comparison,
+freshness mask and value gather is a single vectorized operation — and
+one :meth:`store_batch` of what missed.  The arithmetic behind a total
+is the kernel's or the scalar oracle's, never the cache's.  The
+streaming linker's pair table, a view of this cache, asks the same
+bisection whether its pairs are still held (:meth:`ScoreCache._holds`)
+instead of being told what changed.
 
 What version keys cannot see is *IDF drift*: a bin's document frequency —
 and hence the idf weight inside some *other*, unchanged pair — can move
@@ -91,36 +82,49 @@ arrays:
 >>> cache.hits, cache.misses, len(cache)  # the stale row is dropped
 (1, 1, 1)
 
-IDF-drift invalidation is the owner's job:
+IDF-drift invalidation is the owner's job; a capture taken before it
+still holds what it held:
 
+>>> capture = cache.checkpoint()
 >>> cache.invalidate_pairs(*cache.entities.codes({"w"}, ()))
 1
 >>> len(cache)
 0
+>>> cache.restore(capture)
+>>> len(cache)
+1
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
+from collections.abc import Mapping
 from pathlib import Path
 from typing import (
-    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Hashable, Iterable, Iterator, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
 import numpy as np
 
 from ..store.snapshot import load_state, write_snapshot
-from .history import distinct
 from .kernels import BatchScoreResult
 
 __all__ = ["ScoreCache"]
 
-#: Initial row capacity of the columnar store.
-_MIN_CAPACITY = 256
-
 #: The right code's bits in a pair code ``left << 32 | right``.
 _RIGHT = (1 << 32) - 1
+
+#: The value columns by name, in order: both endpoints' history versions
+#: (the hit test), then one column per
+#: :class:`~repro.core.kernels.BatchScoreResult` field.
+_COLUMNS: Dict[str, type] = {
+    "u_version": np.int64,
+    "v_version": np.int64,
+    "raw": np.float64,
+    "bin_comparisons": np.int64,
+    "common_windows": np.int64,
+    "alibi_bin_pairs": np.int64,
+}
 
 
 def pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -133,19 +137,26 @@ def split_codes(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return pairs >> 32, pairs & _RIGHT
 
 
+def locate(ascending: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each value is in an ascending array, or would be inserted,
+    and whether it is there: one bisection."""
+    at = np.searchsorted(ascending, values)
+    if not len(ascending):
+        return at, np.zeros(len(values), dtype=bool)
+    return at, ascending[np.minimum(at, len(ascending) - 1)] == values
+
+
 def within(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
     """``values[i] in ascending``, for an ascending array: one bisection."""
-    if not len(ascending):
-        return np.zeros(len(values), dtype=bool)
-    at = np.minimum(np.searchsorted(ascending, values), len(ascending) - 1)
-    return ascending[at] == values
+    return locate(ascending, values)[1]
 
 
 class EntityTables:
     """Both sides' append-only entity tables (side 0 = left, 1 = right):
     an id gets the next ``int32`` code the first time it is encoded, and
     :meth:`ids` maps codes back through one id array per side.  Codes
-    are never reused or renumbered."""
+    are never reused or renumbered, and a side's id array is replaced,
+    never written, as it grows."""
 
     def __init__(self) -> None:
         self._codes: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
@@ -175,11 +186,20 @@ class EntityTables:
         """The ids of ``codes``, as an object array."""
         return self._ids[side][codes]
 
+    def extends(self, ids: Sequence[np.ndarray]) -> bool:
+        """Each side's table begins with that side's array of ``ids`` (a
+        capture of these tables, or of ones they grew from): a code
+        means here what it meant there."""
+        return all(
+            len(theirs) <= len(mine) and bool((mine[: len(theirs)] == theirs).all())
+            for mine, theirs in zip(self._ids, ids)
+        )
+
     def touching(
         self, left: np.ndarray, right: np.ndarray, lefts: np.ndarray, rights: np.ndarray
     ) -> np.ndarray:
-        """``left[i] in lefts or right[i] in rights``, for code columns
-        (``-1`` = none): one mark array a side, one gather each."""
+        """``left[i] in lefts or right[i] in rights``, for code columns:
+        one mark array a side, one gather each."""
         return (
             _member(left, lefts, len(self._ids[0]))
             | _member(right, rights, len(self._ids[1]))
@@ -196,30 +216,10 @@ class EntityTables:
         return by_code[codes]
 
 
-class _Journal:
-    """What one transaction changed in a :class:`ScoreCache`'s rows, in order:
-    ``events`` — ``(linked, rows, owners)`` per block of rows, True =
-    linked, False = unlinked (``owners`` being the ``(3, k)`` owner
-    columns they held); ``written`` — ``(rows, prior values)`` per block
-    of rows written; ``from_free`` — the rows taken from the free list;
-    and, as of :meth:`ScoreCache._begin`, the high-water mark and the
-    hit/miss counters."""
-
-    __slots__ = ("events", "written", "from_free", "high", "hits", "misses")
-
-    def __init__(self, high: int, hits: int, misses: int) -> None:
-        self.events: List[Tuple[bool, np.ndarray, Optional[np.ndarray]]] = []
-        self.written: List[Tuple[np.ndarray, List[np.ndarray]]] = []
-        self.from_free: List[int] = []
-        self.high = high
-        self.hits = hits
-        self.misses = misses
-
-
 def _member(column: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
-    """``column[i] in codes`` for a code column whose free rows hold -1
-    (``codes`` below ``size``): one mark array, one gather."""
-    mark = np.zeros(size + 1, dtype=bool)
+    """``column[i] in codes`` for a code column (``codes`` below
+    ``size``): one mark array, one gather."""
+    mark = np.zeros(size, dtype=bool)
     mark[codes] = True
     return mark[column]
 
@@ -232,28 +232,122 @@ def _renumber(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(mark), np.cumsum(mark)[codes] - 1
 
 
-def _grown(array: np.ndarray, size: int, fill: int) -> np.ndarray:
-    """``array`` with its last axis grown to ``size``, filled with ``fill``."""
-    grown = np.full(array.shape[:-1] + (size,), fill, array.dtype)
-    grown[..., : array.shape[-1]] = array
-    return grown
+class _Record(NamedTuple):
+    """One scoring space's rows, read-only: its pair codes, strictly
+    ascending, and one value column per ``_COLUMNS`` entry aligned with
+    them.  A write makes a new record."""
+
+    pairs: np.ndarray
+    columns: Tuple[np.ndarray, ...]
+
+
+_EMPTY = _Record(
+    np.empty(0, dtype=np.int64),
+    tuple(np.empty(0, dtype) for dtype in _COLUMNS.values()),
+)
+
+
+def _record(pairs: np.ndarray, columns: Sequence[np.ndarray]) -> _Record:
+    """A record of these fresh arrays, made read-only."""
+    for array in (pairs, *columns):
+        array.flags.writeable = False
+    return _Record(pairs, tuple(columns))
+
+
+def _joined(arrays: Sequence[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *arrays])
+
+
+def _pack_cache(capture: _Capture) -> Dict[str, object]:
+    """A :meth:`ScoreCache.checkpoint` as a snapshot or cache file holds
+    it: ``spaces`` (a list), ``left_ids`` / ``right_ids`` (the distinct
+    ids the rows reference, arrays), ``owners`` (each row's ``(space,
+    left, right)`` as indices into those three, a ``(3, rows)`` array),
+    one array per ``_COLUMNS`` entry in the same row order, and the
+    hit/miss counters.  A few arrays whatever the row count, and no code
+    of the process that wrote it: row order and entity codes are
+    allocation detail, not state."""
+    records = list(capture.records.values())
+    pairs = _joined([record.pairs for record in records], np.int64)
+    (lefts, left_at), (rights, right_at) = (
+        _renumber(codes, len(ids))
+        for codes, ids in zip(split_codes(pairs), capture.ids)
+    )
+    spaces = np.repeat(np.arange(len(records)), [len(r.pairs) for r in records])
+    return {
+        "spaces": list(capture.records),
+        "left_ids": capture.ids[0][lefts],
+        "right_ids": capture.ids[1][rights],
+        "owners": np.stack([spaces, left_at, right_at]),
+        **{
+            name: _joined([record.columns[k] for record in records], dtype)
+            for k, (name, dtype) in enumerate(_COLUMNS.items())
+        },
+        "hits": capture["hits"],
+        "misses": capture["misses"],
+    }
+
+
+def _unpack_cache(
+    state: Mapping, encode: Callable[[int, np.ndarray], np.ndarray]
+) -> Dict[Hashable, _Record]:
+    """The records of a cache capture — packed or not — with their pairs
+    re-coded by ``encode(side, ids)``: a fresh numbering after a
+    restart, or another cache's."""
+    space, left, right = state["owners"]
+    lefts, rights = encode(0, state["left_ids"]), encode(1, state["right_ids"])
+    pairs = pair_codes(lefts[left], rights[right])
+    records = {}
+    for code, name in enumerate(state["spaces"]):
+        rows = np.flatnonzero(space == code)
+        if len(rows):
+            rows = rows[np.argsort(pairs[rows])]
+            records[name] = _record(pairs[rows], [
+                np.asarray(state[column], dtype)[rows]
+                for column, dtype in _COLUMNS.items()
+            ])
+    return records
+
+
+class _Capture(Mapping):
+    """What :meth:`ScoreCache.checkpoint` returns: ``records`` (space ->
+    record) and ``ids`` (both entity tables' id arrays), by reference,
+    and the hit/miss counters.  Read as a mapping it is the durable
+    layout of :func:`_pack_cache`, cut on the first read of any other
+    key; pickled, it is that plain dict."""
+
+    def __init__(
+        self, records: Dict[Hashable, _Record], ids: Tuple[np.ndarray, ...],
+        hits: int, misses: int,
+    ) -> None:
+        self.records, self.ids = records, ids
+        self._counters = {"hits": hits, "misses": misses}
+        self._layout: Dict[str, object] = {}
+
+    def _packed(self) -> Dict[str, object]:
+        if not self._layout:
+            self._layout = _pack_cache(self)
+        return self._layout
+
+    def __getitem__(self, key: str) -> object:
+        if key in self._counters:
+            return self._counters[key]
+        return self._packed()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._packed())
+
+    def __len__(self) -> int:
+        return len(self._packed())
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[str, object]]]:
+        return dict, (self._packed(),)
 
 
 class ScoreCache:
-    """Every cached pair score, over a columnar store: value columns (one
-    per ``_COLUMNS`` entry) behind one ``pair code -> row`` directory per
-    integer space, the ``(3, rows)`` owner columns ``_owner`` (space, left
-    code, right code; ``-1`` = a free row; ``int64``, so a gather through
-    them indexes without a conversion copy) up to the high-water mark
-    ``_high``, a free list, and columns that grow by doubling into zeros.
+    """Every cached pair score: one read-only record per scoring space
+    (``_records``; see the module docstring), replaced by every write.
     Codes come from :attr:`entities`, which only grow.
-
-    One undo journal makes a transaction cost O(writes): between
-    :meth:`_begin` and :meth:`_commit`, rows are still overwritten in
-    place — :meth:`_write` journals their prior values — but a row freed
-    is recycled only at :meth:`_commit`, so :meth:`_rollback` can replay
-    the journal backwards onto exactly the content :meth:`_begin` saw.
-    Outside a transaction a freed row is recycled at once.
 
     Nothing is evicted for space: a
     :class:`~repro.core.streaming.StreamingLinker`'s working set is its
@@ -262,213 +356,65 @@ class ScoreCache:
     scoring space).
     """
 
-    #: The value columns by name, in order: both endpoints' history
-    #: versions (the hit test), then one column per
-    #: :class:`~repro.core.kernels.BatchScoreResult` field.
-    _COLUMNS: Dict[str, type] = {
-        "u_version": np.int64,
-        "v_version": np.int64,
-        "raw": np.float64,
-        "bin_comparisons": np.int64,
-        "common_windows": np.int64,
-        "alibi_bin_pairs": np.int64,
-    }
+    _COLUMNS = _COLUMNS
 
     def __init__(self) -> None:
         self.entities = EntityTables()
-        self._reset()
-        # Scoring spaces by integer code, append-only like the entities.
-        self._space_codes: Dict[Hashable, int] = {}
-        self._spaces: List[Hashable] = []
+        #: The record of each scoring space that holds rows.
+        self._records: Dict[Hashable, _Record] = {}
         #: Number of lookups answered from the cache / recomputed.  A
         #: zero-delta relink shows up as misses staying flat.
         self.hits = 0
         self.misses = 0
-        #: Number of full captures :meth:`restore` has adopted: an owner
-        #: that sees it move knows rows may be back that its corpora's
-        #: IDF has moved past since they were captured.
+        #: Number of captures :meth:`restore` has adopted: an owner that
+        #: sees it move knows rows may be back that its corpora's IDF has
+        #: moved past since they were captured.
         self.adopted = 0
 
     def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
+        return sum(len(record.pairs) for record in self._records.values())
 
-    def _reset(self, capacity: int = 0) -> None:
-        """Become empty, with zeroed columns of ``capacity`` rows."""
-        self._rows: Dict[int, Dict[int, int]] = {}
-        self._high = 0
-        self._owner = np.full((3, capacity), -1, dtype=np.int64)
-        self._free: List[int] = []
-        self._journal: Optional[_Journal] = None
-        self._columns = [
-            np.zeros(capacity, dtype) for dtype in self._COLUMNS.values()
-        ]
+    def _replace(
+        self, space: Hashable, pairs: np.ndarray, columns: Sequence[np.ndarray]
+    ) -> None:
+        """The one write: ``space``'s record becomes these fresh arrays
+        (no record, when there are no pairs)."""
+        if len(pairs):
+            self._records[space] = _record(pairs, columns)
+        else:
+            self._records.pop(space, None)
 
-    def _load(self, owners: np.ndarray, columns: Sequence[np.ndarray]) -> None:
-        """Become exactly these ``(3, k)`` owners, numbered in order,
-        with these values."""
-        self._reset(owners.shape[1])
-        for column, values in zip(self._columns, columns):
-            column[:] = values
-        self._high = owners.shape[1]
-        self._attach(np.arange(self._high), owners)
-
-    def _live(self) -> np.ndarray:
-        """Every linked row, ascending."""
-        return np.flatnonzero(self._owner[1, : self._high] >= 0)
-
-    def _attach(self, rows: np.ndarray, owners: np.ndarray) -> None:
-        self._owner[:, rows] = owners
-        pairs = pair_codes(owners[1], owners[2])
-        for space in set(owners[0].tolist()):
-            at = owners[0] == space
-            self._rows.setdefault(space, {}).update(
-                zip(pairs[at].tolist(), rows[at].tolist())
-            )
-
-    def _detach(self, rows: np.ndarray) -> np.ndarray:
-        """Unlink the rows' keys; returns the owners they held."""
-        owners = self._owner[:, rows]
-        pairs = pair_codes(owners[1], owners[2])
-        for space in set(owners[0].tolist()):
-            directory = self._rows[space]
-            deque(map(directory.pop, pairs[owners[0] == space].tolist()), 0)
-            if not directory:
-                del self._rows[space]
-        self._owner[:, rows] = -1
-        return owners
-
-    def _find(self, space: int, pairs: np.ndarray) -> np.ndarray:
-        """The row of each pair code in ``space``, -1 where absent."""
-        get = self._rows.get(space, {}).get
-        return np.fromiter(map(get, pairs.tolist(), repeat(-1)), np.int64, len(pairs))
+    def _drop(self, space: Hashable, record: _Record, gone: np.ndarray) -> None:
+        """Replace ``space``'s ``record`` by one without the rows ``gone``
+        marks."""
+        keep = ~gone
+        self._replace(space, record.pairs[keep], [c[keep] for c in record.columns])
 
     def _holds(
-        self, space: Hashable, rows: np.ndarray, pairs: np.ndarray,
+        self, space: Hashable, pairs: np.ndarray,
         u_versions: np.ndarray, v_versions: np.ndarray,
-    ) -> np.ndarray:
-        """``rows[i]`` still holds ``pairs[i]`` in ``space`` under these
-        history versions, for rows read earlier (``-1`` = none): what
-        :meth:`lookup_batch` would serve as a hit, read as one gather of
-        the owner and version columns.  A row freed since, recycled for
-        another key, past a :meth:`restore`'s or :meth:`clear`'s new
-        high-water mark, or storing other versions does not."""
-        if not self._high:
-            return np.zeros(len(rows), dtype=bool)
-        owner = self._owner.take(rows, axis=1, mode="clip")
-        u_version, v_version = self._columns[:2]
-        return (
-            (rows >= 0) & (rows < self._high)
-            & (owner[0] == self._space_codes.get(space, -1))
-            & (pair_codes(owner[1], owner[2]) == pairs)
-            & (u_version.take(rows, mode="clip") == u_versions)
-            & (v_version.take(rows, mode="clip") == v_versions)
-        )
-
-    def _link(self, space: int, pairs: np.ndarray) -> np.ndarray:
-        """Link each of these distinct, absent pair codes to a free row,
-        or to a new one; returns the rows (the caller writes their
-        values)."""
-        free, count = self._free, len(pairs)
-        take = min(count, len(free))
-        reused = free[len(free) - take :][::-1]
-        del free[len(free) - take :]
-        start, self._high = self._high, self._high + count - take
-        rows = np.concatenate([
-            np.asarray(reused, dtype=np.int64), np.arange(start, self._high)
-        ])
-        if self._high > self._owner.shape[1]:
-            size = max(_MIN_CAPACITY, 2 * self._high)
-            self._owner = _grown(self._owner, size, -1)
-            self._columns = [_grown(column, size, 0) for column in self._columns]
-        self._owner[0, rows] = space
-        self._owner[1, rows], self._owner[2, rows] = split_codes(pairs)
-        self._rows.setdefault(space, {}).update(zip(pairs.tolist(), rows.tolist()))
-        if self._journal is not None:
-            self._journal.from_free.extend(reused)
-            self._journal.events.append((True, rows, None))
-        return rows
-
-    def _unlink(self, rows: np.ndarray) -> None:
-        """Unlink these distinct linked rows; they are free now (at
-        commit, inside a transaction)."""
-        owners = self._detach(rows)
-        if self._journal is None:
-            self._free.extend(rows.tolist())
-        else:
-            self._journal.events.append((False, rows, owners))
-
-    def _write(self, rows: np.ndarray, values: Sequence) -> None:
-        """Overwrite a block of rows, one value (array or scalar) per
-        column."""
-        if self._journal is not None:
-            prior = [column[rows] for column in self._columns]
-            self._journal.written.append((rows, prior))
-        for column, value in zip(self._columns, values):
-            column[rows] = value
-
-    def _rows_of(
-        self, lefts: np.ndarray, rights: np.ndarray, space: Optional[int] = None
-    ) -> np.ndarray:
-        """The rows (ascending) whose left code is in ``lefts`` or whose
-        right code is in ``rights`` — within ``space`` unless ``None``:
-        one pass over the code columns."""
-        owner = self._owner[:, : self._high]
-        hit = self.entities.touching(owner[1], owner[2], lefts, rights)
-        if space is not None:
-            hit &= owner[0] == space
-        return np.flatnonzero(hit)
-
-    def _begin(self) -> _Journal:
-        """Open a transaction; rolling back the returned journal undoes
-        everything written until :meth:`_commit`."""
-        self._journal = _Journal(self._high, self.hits, self.misses)
-        return self._journal
-
-    def _commit(self) -> None:
-        """Close the transaction, keeping its writes: the rows it freed
-        become recyclable."""
-        if self._journal is not None:
-            for linked, rows, _ in self._journal.events:
-                self._free.extend([] if linked else rows.tolist())
-            self._journal = None
-
-    def _rollback(self, journal: _Journal) -> None:
-        """Undo the transaction: replay its journal backwards."""
-        self._journal = None
-        for linked, rows, owners in reversed(journal.events):
-            if linked:
-                self._detach(rows)
-            else:
-                self._attach(rows, owners)
-        for rows, prior in reversed(journal.written):
-            for column, values in zip(self._columns, prior):
-                column[rows] = values
-        self._free.extend(reversed(journal.from_free))
-        self._high = journal.high
-        self.hits, self.misses = journal.hits, journal.misses
-
-
-    def _space(self, space: Hashable) -> int:
-        """The code of ``space``, coding it if unseen."""
-        code = self._space_codes.get(space)
-        if code is None:
-            code = self._space_codes[space] = len(self._spaces)
-            self._spaces.append(space)
-        return code
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, _Record]:
+        """Which pair codes ``space`` holds under these history versions
+        — what :meth:`lookup_batch` would serve as hits — and which it
+        holds under other versions (stale), with each pair's position in
+        the space's record and that record: one bisection and two
+        version gathers, nothing written.  The record is never written,
+        so its values at those positions stay readable whatever later
+        writes replace it with."""
+        record = self._records.get(space, _EMPTY)
+        if not len(record.pairs):
+            missed = np.zeros(len(pairs), dtype=bool)
+            return missed, missed, np.zeros(len(pairs), dtype=np.int64), record
+        # Clipped: a pair past the last one is not found, whatever it reads.
+        at = np.minimum(np.searchsorted(record.pairs, pairs), len(record.pairs) - 1)
+        found = record.pairs[at] == pairs
+        u_version, v_version = record.columns[:2]
+        held = found & (u_version[at] == u_versions) & (v_version[at] == v_versions)
+        return held, found & ~held, at, record
 
     # ------------------------------------------------------------------
     # lookup / store (vectorized over code and version arrays)
     # ------------------------------------------------------------------
-    def _place(self, space: int, pairs: np.ndarray) -> np.ndarray:
-        """The rows to write the pairs' values into: the ones they hold,
-        overwritten in place, or new ones (one per distinct pair)."""
-        rows = self._find(space, pairs)
-        missing = rows < 0
-        if missing.any():
-            new, inverse = np.unique(pairs[missing], return_inverse=True)
-            rows[missing] = self._link(space, new)[inverse]
-        return rows
-
     def lookup_batch(
         self,
         space: Hashable,
@@ -480,38 +426,25 @@ class ScoreCache:
         hit mask, and the cached totals and counters (zeros where
         missed, for the caller to fill and :meth:`store_batch` back).
 
-        One directory pass; the version comparison and the value gathers
-        are array operations.  A pair cached under other versions is a
-        miss, and its row is dropped (once, however often the batch
-        names it); every pair asked counts one hit or one miss.
+        One bisection (:meth:`_holds`); the value gathers are array
+        operations.  A pair cached under other versions is a miss, and
+        its row is dropped (once, however often the batch names it);
+        every pair asked counts one hit or one miss.
         """
         n = len(pairs)
         values = BatchScoreResult(np.zeros(n), *np.zeros((3, n), dtype=np.int64))
-        code = self._space_codes.get(space)
-        if n == 0 or code not in self._rows:
-            # Nothing asked, or nothing cached in this space.
-            self.misses += n
-            return np.zeros(n, dtype=bool), values
-        rows = self._find(code, pairs)
-        found = rows >= 0
-        safe = np.where(found, rows, 0)
-        u_version, v_version = self._columns[:2]
-        fresh = (
-            found
-            & (u_version[safe] == u_versions)
-            & (v_version[safe] == v_versions)
-        )
-        stale = rows[found & ~fresh]
-        if stale.size:
-            # A pair duplicated within the batch is evicted once.
-            self._unlink(distinct(stale))
-        hit_count = int(np.count_nonzero(fresh))
+        held, stale, at, record = self._holds(space, pairs, u_versions, v_versions)
+        if stale.any():
+            gone = np.zeros(len(record.pairs), dtype=bool)
+            gone[at[stale]] = True
+            self._drop(space, record, gone)
+        hit_count = int(np.count_nonzero(held))
         self.hits += hit_count
         self.misses += n - hit_count
-        fresh_rows = rows[fresh]
-        for value, column in zip(values, self._columns[2:]):
-            value[fresh] = column[fresh_rows]
-        return fresh, values
+        held_at = at[held]
+        for value, column in zip(values, record.columns[2:]):
+            value[held] = column[held_at]
+        return held, values
 
     def store_batch(
         self,
@@ -524,17 +457,42 @@ class ScoreCache:
         common_windows: np.ndarray,
         alibi_bin_pairs: np.ndarray,
     ) -> int:
-        """Memoise a batch of freshly scored pair codes; returns the
-        count.
+        """Memoise a batch of freshly scored pair codes (a pair named
+        twice keeps its last values); returns the count.
 
-        Row assignment walks the directory once; all column writes are
-        vectorized scatters.
+        One bisection into the space's record and one copy of each of
+        its columns, with the pairs it held overwritten and the new ones
+        inserted in order.
         """
-        self._write(self._place(self._space(space), pairs), (
-            u_versions, v_versions, raw,
-            bin_comparisons, common_windows, alibi_bin_pairs,
-        ))
-        return len(pairs)
+        count = len(pairs)
+        if not count:
+            return 0
+        order = np.argsort(pairs, kind="stable")
+        ordered = pairs[order]
+        last = np.append(ordered[1:] != ordered[:-1], True)
+        order = order[last]
+        incoming = [ordered[last]] + [
+            np.asarray(values, dtype)[order]
+            for values, dtype in zip(
+                (u_versions, v_versions, raw,
+                 bin_comparisons, common_windows, alibi_bin_pairs),
+                _COLUMNS.values(),
+            )
+        ]
+        old = self._records.get(space, _EMPTY)
+        at, found = locate(old.pairs, incoming[0])
+        new = ~found
+        at += np.cumsum(new) - new  # each pair's place in the new record
+        kept = np.ones(len(old.pairs) + int(np.count_nonzero(new)), dtype=bool)
+        kept[at[new]] = False
+        merged = []
+        for column, values in zip((old.pairs, *old.columns), incoming):
+            out = np.empty(len(kept), column.dtype)
+            out[kept] = column
+            out[at] = values
+            merged.append(out)
+        self._replace(space, merged[0], merged[1:])
+        return count
 
     # ------------------------------------------------------------------
     # owner-driven invalidation
@@ -564,78 +522,51 @@ class ScoreCache:
         versions anywhere — including entries reloaded via
         :meth:`save`/:meth:`load` — would be served as a hit.
 
-        One vectorized pass over the two code columns; no directory is
-        read.
+        One vectorized pass over each swept record's pair codes.
         """
-        # An unknown space is -1, which only free rows hold.
-        code = None if space is None else self._space_codes.get(space, -1)
-        rows = self._rows_of(left_codes, right_codes, code)
-        self._unlink(rows)
-        return int(rows.size)
+        count = 0
+        for name in list(self._records) if space is None else [space]:
+            record = self._records.get(name, _EMPTY)
+            gone = self.entities.touching(
+                *split_codes(record.pairs), left_codes, right_codes
+            )
+            if gone.any():
+                self._drop(name, record, gone)
+                count += int(np.count_nonzero(gone))
+        return count
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        if self._journal is None:
-            self._reset()
-        else:
-            self._unlink(self._live())
+        self._records = {}
 
     # ------------------------------------------------------------------
-    # state: a full capture for snapshots and the cache file, a journal
-    # for transactions
+    # state: captured by reference, packed at the durable boundary
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict[str, object]:
-        """The cache's whole state as a dict of columns, for
-        :meth:`restore`: ``owners``, the live rows' ``(space, left,
-        right)`` codes renumbered into ``spaces`` (the scoring spaces
-        they reference, a list) and ``left_ids`` / ``right_ids`` (the
-        distinct ids they reference, arrays); one array per ``_COLUMNS``
-        entry, gathered in the same row order; and the hit/miss
-        counters.  No per-pair Python object: pickled, this dict is the
-        persisted cache and the cache payload of a linker snapshot.  Row
-        order, row numbering and entity codes are allocation detail, not
-        state: two caches holding the same pairs and values are the same
-        cache.  O(cache); a relink transaction uses :meth:`_begin`
-        instead."""
-        rows = self._live()
-        owner = self._owner[:, rows]
-        sizes = (len(self._spaces), *map(len, self.entities._ids))
-        (spaces, space_at), (lefts, left_at), (rights, right_at) = map(
-            _renumber, owner, sizes
+    def checkpoint(self) -> Mapping:
+        """The cache's whole state, for :meth:`restore`: the records and
+        both entity tables' id arrays, by reference — records are
+        replaced, never written, and an id array only grows by
+        replacement — and the hit/miss counters.  O(spaces): this is the
+        capture a relink's rollback holds.  Read as a mapping (or
+        pickled) it is the durable layout a snapshot and the cache file
+        hold (:func:`_pack_cache`)."""
+        return _Capture(
+            dict(self._records), tuple(self.entities._ids), self.hits, self.misses
         )
-        return {
-            "spaces": [self._spaces[code] for code in spaces.tolist()],
-            "left_ids": self.entities.ids(0, lefts),
-            "right_ids": self.entities.ids(1, rights),
-            "owners": np.stack([space_at, left_at, right_at]),
-            **{
-                name: column[rows]
-                for name, column in zip(self._COLUMNS, self._columns)
-            },
-            "hits": self.hits,
-            "misses": self.misses,
-        }
 
-    def restore(self, state: Union[Dict[str, object], _Journal]) -> None:
+    def restore(self, state: Mapping) -> None:
         """Become the cache a :meth:`checkpoint` captured — this one
-        rewound (rows stored since gone, rows dropped since back) or a
-        fresh one after a restart; the capture is only read, so it
-        supports any number of restores, and each counts in
-        :attr:`adopted`.  Its spaces and ids are coded into this cache's
-        tables, which only grow.  Handed the journal of the open
-        transaction instead, undo exactly that transaction's writes."""
-        if isinstance(state, _Journal):
-            self._rollback(state)
-            return
-        space, left, right = state["owners"]
-        spaces = np.fromiter(
-            map(self._space, state["spaces"]), np.int64, len(state["spaces"])
-        )
-        lefts, rights = self.entities.codes(state["left_ids"], state["right_ids"])
-        self._load(
-            np.stack([spaces[space], lefts[left], rights[right]]),
-            [state[name] for name in self._COLUMNS],
-        )
+        rewound (rows stored since gone, rows dropped since back), or
+        another cache or a fresh one after a restart, from the capture or
+        its durable layout.  A capture of these very tables (or of ones
+        they grew from) is adopted by reference; any other is re-coded
+        into this cache's tables, which only grow.  The capture is only
+        read, so it supports any number of restores, and each counts in
+        :attr:`adopted`."""
+        if isinstance(state, _Capture) and self.entities.extends(state.ids):
+            self._records = dict(state.records)
+        else:
+            self._records = _unpack_cache(state, self.entities.encode)
         self.hits = state["hits"]
         self.misses = state["misses"]
         self.adopted += 1
@@ -643,7 +574,8 @@ class ScoreCache:
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the cache under ``path``: a snapshot root
         (:mod:`repro.store.snapshot`) whose one payload is
-        :meth:`checkpoint`.  Returns ``path``.
+        :meth:`checkpoint`, packed (:func:`_pack_cache`).  Returns
+        ``path``.
 
         The snapshot layer makes it durable and checkable — a truncated,
         foreign or incompatible cache fails :meth:`load` by name, before
@@ -663,7 +595,7 @@ class ScoreCache:
         root = Path(path)
         if root.is_file():
             root.unlink()
-        write_snapshot(root, {"score_cache": self.checkpoint()})
+        write_snapshot(root, {"score_cache": _pack_cache(self.checkpoint())})
         return root
 
     @classmethod

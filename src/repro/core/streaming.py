@@ -33,17 +33,17 @@ The reuse machinery, stage by stage:
 * **Scores** — a :class:`~repro.core.score_cache.ScoreCache` memoises
   every pair's raw Eq. 2 total keyed on the pair's history versions, and
   the **pair table** (:class:`_PairTable`) is a view of it: the
-  candidate pairs sorted by pair code, the cache row each was last read
-  from, and both endpoints' history sizes.  A relink re-asks the cache
-  (and, on a miss, the kernel) only about the pairs whose row no longer
-  holds them under both endpoints' current history versions — new in
-  the candidate set, grown since, or dropped or rewound in the cache
-  since the row was read.  The linker drops the rows of the corpus'
-  ``idf_affected`` entities first (a third entity's new bins can move
-  the document frequency, hence the idf weight, inside an otherwise
-  untouched pair), so IDF drift needs nothing else; nor does a
-  retirement, another owner's sweep or a ``clear()``.  A full
-  ``restore()`` of the cache from outside the linker (counted in
+  candidate pairs sorted by pair code and both endpoints' history
+  sizes.  A relink re-asks the cache (and, on a miss, the kernel) only
+  about the pairs new in the candidate set and those the cache no
+  longer holds under both endpoints' current history versions — grown
+  since, or dropped or rewound in the cache since the last relink.  The
+  linker drops the rows of the corpus' ``idf_affected`` entities first
+  (a third entity's new bins can move the document frequency, hence the
+  idf weight, inside an otherwise untouched pair), so IDF drift needs
+  nothing else; nor does a retirement, another owner's sweep or a
+  ``clear()``.  A full ``restore()`` of the cache from outside the
+  linker (counted in
   :attr:`~repro.core.score_cache.ScoreCache.adopted`) can put back
   totals from before some IDF drift, which version keys cannot see: the
   next relink drops every row of its space first.  Every other pair
@@ -59,13 +59,12 @@ The reuse machinery, stage by stage:
   cascading the removal through every layer above — so a long-running
   linker is *bounded-memory* instead of growing with everything it ever
   saw.  A relink after retirement equals a cold run over the survivors.
-* **Transaction** — a relink is all-or-nothing, and what that costs is
-  O(writes) too: the score cache, which mutates in place, journals the
-  prior value of what it overwrites, and a failure replays the journal;
-  everything else — histories, corpora, the LSH index's bucket
-  matrices, the pair table — is replaced, never written, so the
-  transaction holds the old values by reference.  The O(state)
-  ``checkpoint()`` capture is for snapshots only.
+* **Transaction** — a relink is all-or-nothing, and its capture is the
+  one :meth:`StreamingLinker.checkpoint`: every layer — histories,
+  corpora, the LSH index's bucket matrices, the score cache's records,
+  the pair table — is replaced, never written, so the capture holds the
+  old values by reference and a failure restores it.  Only a snapshot
+  packs it into flat arrays.
 
 :attr:`StreamingLinker.last_relink` reports what the delta machinery did
 (pairs re-scored vs served from cache, dirty entities, IDF invalidations,
@@ -135,7 +134,7 @@ from .history import (
     ingest_columns,
 )
 from .retention import RetentionPolicy, build_retention
-from .score_cache import ScoreCache, split_codes, within
+from .score_cache import ScoreCache, _pack_cache, split_codes, within
 from .similarity import SimilarityEngine, score_cache_space
 
 __all__ = ["StreamingLinker", "RelinkStats"]
@@ -148,11 +147,11 @@ def _copy_sides(by_side: Dict[str, dict]) -> Dict[str, dict]:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """The candidate set as a view of the score cache: four aligned
-    arrays sorted by pair code — ``pairs``, ``rows`` (the cache row each
-    pair was last read from, ``-1`` for none yet), and both endpoints'
-    history sizes — plus ``source``, the LSH index whose candidate set it
-    holds, so it can follow that index's updates entity by entity
+    """The candidate set as a view of the score cache: three aligned
+    arrays sorted by pair code — ``pairs`` and both endpoints' history
+    sizes as last read (``-1`` for a pair not scored yet) — plus
+    ``source``, the LSH index whose candidate set it holds, so it can
+    follow that index's updates entity by entity
     (``None`` = feed it by set difference), and ``adopted``, the cache's
     :attr:`~repro.core.score_cache.ScoreCache.adopted` count as of the
     last relink that checked it (a relink that finds the count moved
@@ -161,15 +160,14 @@ class _PairTable:
     **Derived state**, never captured: a relink makes a new record rather
     than writing this one, so its transaction holds the old record by
     reference, and a full :meth:`StreamingLinker._restore` starts an
-    empty one — a table whose every candidate is new.  A row is trusted
-    only while the cache still holds the pair there under both
-    endpoints' current history versions
+    empty one — a table whose every candidate is new.  A scored pair is
+    trusted only while the cache still holds it under both endpoints'
+    current history versions
     (:meth:`~repro.core.score_cache.ScoreCache._holds`), so the table
     needs no word of what changed in the cache behind it.
     """
 
     pairs: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     left_size: np.ndarray = field(default_factory=lambda: np.empty(0))
     right_size: np.ndarray = field(default_factory=lambda: np.empty(0))
     source: object = None
@@ -183,7 +181,7 @@ class _PairTable:
     ) -> "_PairTable":
         """The table of the next candidate set (both arguments distinct
         and ascending, ``disappeared`` within the table): the pairs that
-        left dropped, the new ones inserted with no row."""
+        left dropped, the new ones inserted not scored yet."""
         if not len(appeared) and not len(disappeared):
             return replace(self, source=source)
         keep = np.ones(len(self), dtype=bool)
@@ -195,8 +193,7 @@ class _PairTable:
         order, new = np.insert(kept, at, len(self)), at + np.arange(len(appeared))
         columns = []
         for column, fill in (
-            (self.pairs, appeared), (self.rows, -1),
-            (self.left_size, 0.0), (self.right_size, 0.0),
+            (self.pairs, appeared), (self.left_size, -1.0), (self.right_size, -1.0),
         ):
             column = np.append(column, 0).take(order)
             column[new] = fill
@@ -470,32 +467,18 @@ class StreamingLinker:
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """Everything this linker is, as one plain dict of containers,
-        arrays and scalars — the full capture :meth:`save` packs into
-        flat arrays and :meth:`_restore` loads.
+        arrays and scalars — the one capture :meth:`relink` holds for its
+        rollback, :meth:`save` packs into flat arrays and :meth:`_restore`
+        loads; the only place this linker's mutable fields are
+        enumerated for capture.
 
-        Cheap by reference where it can be: histories, corpus arrays and
-        the LSH index's bucket matrices (with the entity tables that name
-        their rows' codes) are shared, not copied.  The score cache
-        mutates in place, so its capture copies — O(cache), which is why
-        :meth:`relink` does not take this capture but a journal
-        (:meth:`_capture`).  A component that does not exist yet is
-        captured as ``None``; the pair table is derived state and is not
-        captured at all.
-        """
-        return self._capture(journal=False)
-
-    def _capture(self, journal: bool) -> Dict[str, object]:
-        """The only place this linker's mutable fields are enumerated
-        for capture (:meth:`_restore`: the only place they are loaded).
-
-        ``journal=False`` is :meth:`checkpoint`.  ``journal=True`` opens
-        the relink transaction instead: the score cache, which mutates in
-        place, starts journaling what it overwrites (its entry is that
-        journal, O(1) to take and O(writes) to fill) and everything else
-        is captured by reference exactly as above; :meth:`_restore`
-        replays the journal, :meth:`_commit` drops it.  The pair table,
-        derived and replaced rather than written, is held by
-        :meth:`relink` itself.
+        By reference throughout: histories, corpus arrays, the LSH
+        index's bucket matrices and the score cache's records (with the
+        entity tables that name their codes) are replaced, never
+        written, so they are shared, not copied.  A component that does
+        not exist yet is captured as ``None``; the pair table is derived
+        state and is not captured at all (:meth:`relink` holds it
+        itself).
         """
         corpora = {
             side: None if corpus is None else corpus.checkpoint()
@@ -509,11 +492,7 @@ class StreamingLinker:
             "latest": self._latest,
             "sides": _copy_sides(self._sides),
             "corpora": corpora,
-            "score_cache": (
-                self._score_cache._begin()
-                if journal
-                else self._score_cache.checkpoint()
-            ),
+            "score_cache": self._score_cache.checkpoint(),
             # The bucket matrices by reference, and which id each row is.
             "lsh_index": index and dict(index.checkpoint(), ids=tuple(entities._ids)),
             "last_relink": self._last_relink,
@@ -521,17 +500,12 @@ class StreamingLinker:
             "adopted": self._score_cache.adopted - self._pair_table.adopted,
         }
 
-    def _commit(self) -> None:
-        """End the relink transaction, keeping its writes."""
-        self._score_cache._commit()
-
     def _restore(self, state: Dict[str, object]) -> None:
         """Become the linker a capture holds — this one rewound after a
-        failed relink (the transaction's journals replayed), or an empty
-        one after a restart (:meth:`restore` constructs it from a full
-        capture's origin, config and retention, and unpacks the
-        snapshot's flat arrays into the histories and corpus captures
-        read here).
+        failed relink, or an empty one after a restart (:meth:`restore`
+        constructs it from a full capture's origin, config and
+        retention, and unpacks the snapshot's flat arrays into the
+        histories and corpus captures read here).
 
         The sides dicts are refilled *in place* (corpora reference them
         as their histories mapping).  A component absent from the
@@ -539,14 +513,17 @@ class StreamingLinker:
         relink rolls back to nothing); a present one is rewound, after
         being created over the refilled histories (and spilled, on a
         ``storage="disk"`` linker) if need be.  The LSH index's matrices
-        are re-indexed by this linker's entity codes of their rows' ids
-        (:func:`~repro.lsh.index._unpack_index`).  No capture carries
-        the pair table: the linker starts an empty one, which the next
-        relink fills (a failed relink puts back the one it held).  The new
-        table is as far behind the cache's
+        and the score cache's records are re-coded by this linker's
+        entity codes of their ids where those differ
+        (:func:`~repro.lsh.index._unpack_index`,
+        :meth:`~repro.core.score_cache.ScoreCache.restore`).  No capture
+        carries the pair table: the linker starts an empty one, which
+        the next relink fills (a failed relink puts back the one it
+        held).  The cache restore made here brings back rows that match
+        the corpora restored beside them, so it does not count as an
+        adoption: the new table is as far behind the cache's
         :attr:`~repro.core.score_cache.ScoreCache.adopted` count as the
-        capture was: the cache restore made here adds nothing to check,
-        an outside one no relink had checked yet is still to check.
+        capture was.
         """
         self._latest = state["latest"]
         for side, saved in state["sides"].items():
@@ -562,15 +539,16 @@ class StreamingLinker:
             else:
                 corpus = self._new_corpus(side, saved)
             self._corpora[side] = corpus
-        self._score_cache.restore(state["score_cache"])
+        cache = self._score_cache
+        adopted = cache.adopted
+        cache.restore(state["score_cache"])
+        cache.adopted = adopted
         saved, index = state["lsh_index"], self._lsh_index
         if saved is not None:
             index = index or LshIndex(self.config.lsh, saved["spec"])
-            index.restore(_unpack_index(saved, self._score_cache.entities.encode))
+            index.restore(_unpack_index(saved, cache.entities.encode))
         self._lsh_index = saved and index
-        self._pair_table = _PairTable(
-            adopted=self._score_cache.adopted - state["adopted"]
-        )
+        self._pair_table = _PairTable(adopted=adopted - state["adopted"])
         self._last_relink = state["last_relink"]
 
     def save(self, directory: object) -> object:
@@ -581,8 +559,10 @@ class StreamingLinker:
         retention policy, watermark — with the per-entity objects packed
         into flat arrays at this durable boundary: each side's histories
         as one set of concatenated columns, each corpus' residents
-        likewise, and the LSH matrices cut to their placed rows beside
-        those rows' ids (:func:`~repro.lsh.index._pack_index`).  So the
+        likewise, the LSH matrices cut to their placed rows beside
+        those rows' ids (:func:`~repro.lsh.index._pack_index`), and the
+        score cache's records as one set of columns beside the ids they
+        reference (:func:`~repro.core.score_cache._pack_cache`).  So the
         payload is a few dozen arrays whatever the entity count, and the
         relink transaction, which captures by reference, never pays for
         packing.  It is written as two
@@ -592,7 +572,7 @@ class StreamingLinker:
         promoted directory.
         """
         state = self.checkpoint()
-        cache = state.pop("score_cache")
+        cache = _pack_cache(state.pop("score_cache"))
         sides, corpora = state["sides"], state["corpora"]
         state["sides"] = {s: _pack_histories(h) for s, h in sides.items()}
         state["corpora"] = {s: c and _pack_corpus(c) for s, c in corpora.items()}
@@ -832,29 +812,27 @@ class StreamingLinker:
 
         The relink is **all-or-nothing**: retirement evictions, corpus
         refreshes, LSH placements, score-cache writes and the pair table
-        are rolled back (:meth:`_capture` — by reference and by journal,
-        never by copying the cache or the index) if anything raises mid-relink
+        are rolled back (:meth:`checkpoint` — by reference, never by
+        copying the cache or the index) if anything raises mid-relink
         (a worker fault past its retry budget, an injected chaos fault, a
-        bug), leaving the linker
-        answering from the previous consistent snapshot — bit-identical
-        to never having called :meth:`relink` — and the failed call can
-        simply be retried.  Pinned by ``tests/chaos/test_relink_rollback``.
+        bug), leaving the linker answering from the previous consistent
+        snapshot — bit-identical to never having called :meth:`relink` —
+        and the failed call can simply be retried.  Pinned by the chaos
+        suite (``tests/chaos/``), failing a relink at every stage.
         """
         if not self._sides["left"] or not self._sides["right"]:
             raise ValueError("both sides need at least one entity before relinking")
-        state, table = self._capture(journal=True), self._pair_table
+        state, table = self.checkpoint(), self._pair_table
         try:
-            report = self._relink_once()
+            return self._relink_once()
         except BaseException:
             self._restore(state)
             self._pair_table = table
             raise
-        self._commit()
-        return report
 
     def _relink_once(self) -> LinkageReport:
         """One relink attempt over live state (see :meth:`relink`, which
-        wraps this in the journal/rollback transaction)."""
+        wraps this in the checkpoint/rollback transaction)."""
         left_histories = self._sides["left"]
         right_histories = self._sides["right"]
 
@@ -996,21 +974,22 @@ class _StreamingScoring(ScoringStage):
     """The streaming scoring stage: scores through the linker's pair
     table instead of asking about every candidate.
 
-    Only the pairs whose cache row cannot be trusted go to
+    Only the pairs the cache cannot be trusted to hold go to
     :meth:`~repro.core.similarity.SimilarityEngine.raw_batch` (cache
     lookup, kernel for the misses, store back), sorted and run through
     the executor exactly as :class:`ScoringStage` runs a whole candidate
-    set: a pair whose row no longer holds it under both endpoints'
-    current history versions — new, grown since, or dropped or rewound
-    in the cache since it was read (IDF drift, a retirement, anyone's
-    sweep, ``clear()`` or ``restore()``).  Every other pair is the cache
-    hit it would have been: it is counted as one and keeps its row.
-    Then the same
+    set: a pair new in the table, or one the cache no longer holds under
+    both endpoints' current history versions — grown since, or dropped
+    or rewound in the cache since the last relink (IDF drift, a
+    retirement, anyone's sweep, ``clear()`` or ``restore()``).  Every
+    other pair is the cache hit it would have been: it is counted as
+    one, and its values are read from the record the trust check
+    bisected.  Then the same
     :meth:`~repro.core.similarity.SimilarityEngine.normalize` and
     :meth:`~repro.core.similarity.SimilarityEngine.fold` the batch route
-    ends in, over the cache values the table's rows point at; the
-    positive pairs become one :class:`~repro.core.matching.EdgeSet` —
-    columns, no ``Edge`` per row.
+    ends in, over every pair's values; the positive pairs become one
+    :class:`~repro.core.matching.EdgeSet` — columns, no ``Edge`` per
+    row.
     """
 
     def __init__(self, linker: StreamingLinker) -> None:
@@ -1029,32 +1008,35 @@ class _StreamingScoring(ScoringStage):
         )
         context.engine = engine
 
-        # Read the owners before raw_batch: its stores may recycle a row
-        # freed before this relink.
         lefts, rights = split_codes(table.pairs)
-        asked = np.flatnonzero(~cache._holds(
-            space, table.rows, table.pairs,
+        held, _, at, record = cache._holds(
+            space, table.pairs,
             entities.spread(0, left_corpus.history_versions, lefts),
             entities.spread(1, right_corpus.history_versions, rights),
-        ))
-        pairs, lefts, rights = table.pairs[asked], lefts[asked], rights[asked]
-        self._dispatch(context, engine.raw_batch, pairs)
-        rows, left_size, right_size = (
-            table.rows.copy(), table.left_size.copy(), table.right_size.copy()
         )
-        rows[asked] = cache._find(cache._space(space), pairs)
+        held = held & (table.left_size >= 0)
+        kept, asked = np.flatnonzero(held), np.flatnonzero(~held)
+        pairs, lefts, rights = table.pairs[asked], lefts[asked], rights[asked]
+        fresh = self._dispatch(context, engine.raw_batch, pairs)
+        left_size, right_size = table.left_size.copy(), table.right_size.copy()
         left_size[asked] = entities.spread(0, left_corpus.history_sizes, lefts)
         right_size[asked] = entities.spread(1, right_corpus.history_sizes, rights)
         table = linker._pair_table = replace(
-            table, rows=rows, left_size=left_size, right_size=right_size
+            table, left_size=left_size, right_size=right_size
         )
-        # A pair not asked is one lookup_batch would have served: its row
-        # holds it under both endpoints' current versions.
-        cache.hits += len(table) - len(pairs)
+        # A pair not asked is one lookup_batch would have served: the
+        # cache holds it under both endpoints' current versions.
+        cache.hits += len(kept)
 
-        raw, bin_comparisons, common_windows, alibi_bin_pairs = (
-            column.take(rows) for column in cache._columns[2:]
-        )
+        # Held pairs read the record the check bisected (raw_batch may
+        # have replaced it since), asked ones what raw_batch returned.
+        raw, bin_comparisons, common_windows, alibi_bin_pairs = values = [
+            np.empty(len(table), column.dtype) for column in fresh
+        ]
+        held_at = at[kept]
+        for value, column, asked_values in zip(values, record.columns[2:], fresh):
+            value[kept] = column[held_at]
+            value[asked] = asked_values
         scores = engine.normalize(raw, left_size, right_size)
         # Alg. 1's ``if S > 0``; ids are gathered for those pairs only.
         # Pairs are in code order: the edge set sorts its Edge rows only

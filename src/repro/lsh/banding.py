@@ -134,8 +134,9 @@ def band_bucket_ids(
 ) -> np.ndarray:
     """Bucket ids of every band of every signature, in one numpy pass.
 
-    ``signatures`` is the ``(N, length)`` uint64 packing of
-    :func:`repro.lsh.signature.signatures_to_array` (0 = placeholder).
+    ``signatures`` is an ``(N, length)`` uint64 signature matrix, as
+    :func:`repro.lsh.signature.signature_matrix` returns it (0 =
+    placeholder).
     Returns an ``(N, num_bands)`` int64 array of bucket ids in
     ``[0, num_buckets)``, with -1 marking bands whose slots are all
     placeholders (never hashed — otherwise every silent entity would

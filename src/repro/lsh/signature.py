@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "SignatureSpec",
     "signature_matrix",
     "signature_similarity",
-    "signatures_to_array",
 ]
 
 
@@ -136,24 +135,6 @@ def signature_matrix(
     winners = run_starts(groups)
     matrix.reshape(-1)[groups[winners]] = cells[winners]
     return matrix
-
-
-def signatures_to_array(
-    signatures: Iterable[Tuple[Optional[int], ...]],
-) -> np.ndarray:
-    """Pack signatures into a ``(N, length)`` uint64 array for the
-    vectorized band-hashing pass.
-
-    Placeholder (``None``) slots become 0, which no valid cell id can be
-    (every cell id has its level-sentinel bit set, so ids are >= 1).
-    """
-    rows = [
-        tuple(0 if slot is None else slot for slot in signature)
-        for signature in signatures
-    ]
-    if not rows:
-        return np.empty((0, 0), dtype=np.uint64)
-    return np.asarray(rows, dtype=np.uint64)
 
 
 def signature_similarity(

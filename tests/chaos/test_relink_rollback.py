@@ -171,11 +171,13 @@ class TestRelinkRollback:
 
 def _table(linker):
     """The pair table by value: its pairs as ids, each with its cache
-    values and history sizes (row numbering is allocation detail)."""
+    values and history sizes (record positions are allocation detail)."""
     table, cache = linker._pair_table, linker.score_cache
     lefts, rights = split_codes(table.pairs)
+    (record,) = cache._records.values()  # the linker's one space
+    at = record.pairs.searchsorted(table.pairs)
     values = zip(
-        *(column[table.rows].tolist() for column in cache._columns),
+        *(column[at].tolist() for column in record.columns),
         table.left_size.tolist(), table.right_size.tolist(),
     )
     ids = zip(

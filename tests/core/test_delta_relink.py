@@ -4,13 +4,14 @@ The resident corpus grows 4x (spatially disjoint copies of one world, so
 the dirty entities keep exactly the neighbours they had) while the delta
 stays at four entities: the candidate set must grow with the corpus, and
 the work a relink does *per round* — pairs it asks the score cache about,
-entity codes the LSH delta probes, journal entries it records — must not.
+entity codes the LSH delta probes, cache rows it writes — must not.
 """
 
 from unittest import mock
 
 import pytest
 
+from repro.core import score_cache, streaming
 from repro.core.score_cache import ScoreCache
 from repro.core.streaming import StreamingLinker
 from repro.data import Record, sample_linkage_pair
@@ -73,14 +74,14 @@ class _Work:
 
     asked = 0  # pairs handed to raw_batch -> lookup_batch
     probed = 0  # entity codes the LSH delta handed to pairs_of
-    journal = 0  # entries the transaction's journal recorded
+    written = 0  # cache rows written: pairs stored plus rows dropped
 
 
 def _delta_round(linker, held_back):
     """Observe the held-back records, relink, return the work done."""
     work = _Work()
     lookup, pairs_of = ScoreCache.lookup_batch, LshIndex.pairs_of
-    commit = StreamingLinker._commit
+    store, drop = ScoreCache.store_batch, ScoreCache._drop
 
     def counted_lookup(cache, space, pairs, *args):
         work.asked += len(pairs)
@@ -90,19 +91,20 @@ def _delta_round(linker, held_back):
         work.probed += len(left_codes) + len(right_codes)
         return pairs_of(index, left_codes, right_codes)
 
-    def measured_commit(linker):
-        cache = linker._score_cache._journal
-        work.journal += (
-            sum(len(rows) for _, rows, _ in cache.events)
-            + sum(len(rows) for rows, _ in cache.written)
-        )
-        return commit(linker)
+    def counted_store(cache, space, pairs, *args):
+        work.written += len(pairs)
+        return store(cache, space, pairs, *args)
+
+    def counted_drop(cache, space, record, gone):
+        work.written += int(gone.sum())
+        return drop(cache, space, record, gone)
 
     for side in SIDES:
         linker.observe(side, held_back[side])
     with mock.patch.object(ScoreCache, "lookup_batch", counted_lookup), \
             mock.patch.object(LshIndex, "pairs_of", counted_pairs_of), \
-            mock.patch.object(StreamingLinker, "_commit", measured_commit):
+            mock.patch.object(ScoreCache, "store_batch", counted_store), \
+            mock.patch.object(ScoreCache, "_drop", counted_drop):
         linker.relink()
     return work
 
@@ -121,7 +123,7 @@ def test_relink_work_follows_the_delta_not_the_corpus(base_pair):
 
     small, large = rungs[1], rungs[4]
     assert large[0] >= 3 * small[0]  # the candidate set grew with the corpus
-    for counter in ("asked", "probed", "journal"):
+    for counter in ("asked", "probed", "written"):
         before, after = getattr(small[1], counter), getattr(large[1], counter)
         assert before > 0
         # ... and the work did not: the dirty entities' partners are the
@@ -137,12 +139,16 @@ def test_delta_round_takes_no_full_capture_and_enumerates_nothing(
     def never(*args, **kwargs):
         raise AssertionError("an O(corpus) pass ran on a delta round")
 
-    # LshIndex.checkpoint is not on the list: it holds the bucket
-    # matrices by reference, O(1), and the transaction takes it.
+    # The checkpoints are not on the list: they hold every layer by
+    # reference, O(1) per layer, and the transaction takes them.  What
+    # must not run is the packing a durable snapshot does.
     for owner, name in (
-        (ScoreCache, "checkpoint"),
+        (score_cache, "_pack_cache"),
+        (streaming, "_pack_cache"),
+        (streaming, "_pack_corpus"),
+        (streaming, "_pack_histories"),
+        (streaming, "_pack_index"),
         (LshIndex, "candidate_pairs"),
-        (StreamingLinker, "checkpoint"),
     ):
         monkeypatch.setattr(owner, name, never)
     for side in SIDES:

@@ -177,10 +177,10 @@ class TestStatelessInvalidation:
         cache = ScoreCache()
         for left in ("a", "b"):
             store(cache, "s", left, "x", 0, 0, 1.0)
-        directory = cache.checkpoint()
+        directory = dict(cache.checkpoint())
         lookup(cache, "s", "a", "x", 0, 0)
         pairs = cache.entities.pair_codes([("a", "x")])
         cache.lookup_batch("s", pairs, np.array([0]), np.array([0]))
-        after = cache.checkpoint()
+        after = dict(cache.checkpoint())
         assert after.pop("hits") == 2 and directory.pop("hits") == 0
         assert pickle.dumps(after) == pickle.dumps(directory)

@@ -1,9 +1,9 @@
 """The streaming linker's pair table is a view of the score cache.
 
-A pair is asked about again when its cache row no longer holds it under
-both endpoints' current history versions — checked against the cache's
-owner and version columns, not told by a count of the cache's changes
-or by the corpus' list of grown entities.  So what leaves this linker's
+A pair is asked about again when the cache no longer holds it under
+both endpoints' current history versions — checked against the space's
+record (its pair codes and version columns), not told by a count of the
+cache's changes or by the corpus' list of grown entities.  So what leaves this linker's
 rows alone (another space's sweep) re-asks nothing, an explicit
 ``retire()`` keeps the LSH delta path instead of re-enumerating every
 candidate, and a row that an outside ``restore()`` rewound to older

@@ -100,15 +100,6 @@ class TestLookupBatch:
 
 
 class TestInvalidation:
-    def test_invalidate_pairs_frees_rows_for_reuse(self):
-        cache = ScoreCache()
-        _store_batch(cache, "s", [("a", "x"), ("b", "y")], [0, 0], [0, 0], [1.0, 2.0])
-        assert cache.invalidate_pairs(*cache.entities.codes({"a"}, set())) == 1
-        assert len(cache) == 1
-        high_before = cache._high
-        _store_batch(cache, "s", [("c", "z")], [0], [0], [3.0])
-        assert cache._high == high_before  # reused the freed row
-
     def test_clear_resets_rows(self):
         cache = ScoreCache()
         _store_batch(cache, "s", [("a", "x")], [0], [0], [1.0])

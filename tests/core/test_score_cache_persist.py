@@ -9,11 +9,12 @@ the whole-linker one alike, by ``tests/store/test_snapshot_failures.py``.
 
 import numpy as np
 
-from cache_calls import lookup, store
+from cache_calls import capture_rows, lookup, store
 from repro.core.corpus import content_fingerprint
 from repro.core.history import MobilityHistory
 from repro.core.score_cache import ScoreCache
 from repro.pipeline import LinkageConfig, LinkagePipeline
+from repro.store.snapshot import SNAPSHOT_FORMAT, write_snapshot
 from repro.temporal import Windowing
 
 
@@ -65,6 +66,38 @@ class TestRoundTrip:
         )
         assert hit.tolist() == [True, True, False]
         assert batch.scores[:2].tolist() == [1.5, -0.25]
+
+    def test_a_hand_written_format_8_file_loads_and_serves_its_hits(
+        self, tmp_path
+    ):
+        """The cache file's payload is the packed layout, written here
+        key by key as format 8 defines it: spaces, the ids the rows
+        reference, ``(3, rows)`` owner indices into those three, one
+        array per value column, and the counters."""
+        assert SNAPSHOT_FORMAT == 8
+        layout = {
+            "spaces": [("content", "abc"), "space-a"],
+            "left_ids": np.array(["u", "w"], dtype=object),
+            "right_ids": np.array(["v", "x"], dtype=object),
+            "owners": np.array([[1, 1, 0], [1, 0, 0], [1, 0, 1]]),
+            "u_version": np.array([0, 3, 1]),
+            "v_version": np.array([0, 2, 1]),
+            "raw": np.array([-0.25, 1.5, 0.75]),
+            "bin_comparisons": np.array([9, 4, 1]),
+            "common_windows": np.array([3, 2, 1]),
+            "alibi_bin_pairs": np.array([0, 1, 0]),
+            "hits": 5,
+            "misses": 6,
+        }
+        root = tmp_path / "scores"
+        write_snapshot(root, {"score_cache": layout})
+        loaded = ScoreCache.load(root)
+        assert (len(loaded), loaded.hits, loaded.misses) == (3, 5, 6)
+        assert lookup(loaded, "space-a", "w", "x", 0, 0).scores == -0.25
+        assert tuple(lookup(loaded, "space-a", "u", "v", 3, 2)) == (1.5, 4, 2, 1)
+        assert lookup(loaded, ("content", "abc"), "u", "x", 1, 1).scores == 0.75
+        assert loaded.hits == 8
+        assert capture_rows(loaded.checkpoint()) == capture_rows(layout)
 
 
 class TestContentFingerprint:

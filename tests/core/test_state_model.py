@@ -525,53 +525,63 @@ def test_a_restart_under_another_numbering_re_indexes_the_lsh_matrices(tmp_path)
 
 
 def _rows_invariants(store):
-    """What the capture drops must still be sound: every row below the
-    high-water mark is live, free, or freed by the open transaction,
-    exactly once; no row above it is linked; and the per-space
-    directories list exactly the live rows' owner columns."""
-    live = store._live().tolist()
-    journal = store._journal
-    freed = [] if journal is None else [
-        row
-        for linked, rows, _ in journal.events
-        if not linked
-        for row in rows.tolist()
-    ]
-    assert sorted(live + store._free + freed) == list(range(store._high))
-    assert (store._owner[:, store._high:] == -1).all()
-    space, left, right = store._owner[:, live].astype(np.int64)
-    assert {
-        (code, pair): row
-        for code, directory in store._rows.items()
-        for pair, row in directory.items()
-    } == dict(zip(zip(space.tolist(), ((left << 32) | right).tolist()), live))
-    assert all(store._rows.values())  # no empty directory lingers
+    """What every write keeps: each space's record holds its pairs
+    strictly ascending, every column as long as its pairs, all of it
+    read-only; and no space lingers without rows."""
+    for record in store._records.values():
+        assert len(record.pairs) and (np.diff(record.pairs) > 0).all()
+        assert [len(column) for column in record.columns] == [
+            len(record.pairs)
+        ] * len(ScoreCache._COLUMNS)
+        assert not any(a.flags.writeable for a in (record.pairs, *record.columns))
 
 
-@pytest.mark.parametrize("outcome", ["rolled-back", "committed"])
-def test_a_transaction_is_all_or_nothing(outcome, tmp_path):
-    """The journal flavour of the same protocol (what ``relink()`` opens
-    on the score cache instead of a full capture — the one component
-    that writes in place): undone, the cache continues like a twin that
-    was never disturbed; committed, like a twin disturbed outside any
-    transaction — the journal itself leaves no trace."""
-    case = CASES["score-cache"]()
-    twin = case.build(tmp_path / "twin")
-    if outcome == "committed":
-        case.disturb(twin)
-    expected = case.proceed(twin)
+def _bits(store):
+    """The store bit for bit: each space's record as bytes, and the
+    counters."""
+    return (
+        {
+            space: [a.tobytes() for a in (record.pairs, *record.columns)]
+            for space, record in store._records.items()
+        },
+        store.hits,
+        store.misses,
+    )
 
-    subject = case.build(tmp_path / "subject")
-    journal = subject._begin()
-    case.disturb(subject)
-    if outcome == "committed":
-        subject._commit()
-    else:
-        subject.restore(journal)
-    assert subject._journal is None
-    _rows_invariants(subject)
-    assert case.proceed(subject) == expected
-    _rows_invariants(subject)
+
+def test_a_capture_outlives_every_later_write_and_restores_bit_for_bit():
+    """The capture holds the records by reference: the stores, stale
+    drops, sweeps and clears made after it replace records and write
+    none, so restoring it puts back exactly what it saw."""
+    cache = _ScoreCacheCase().build(None)
+    capture, before = cache.checkpoint(), _bits(cache)
+    _ScoreCacheCase().disturb(cache)
+    cache.invalidate_pairs(*cache.entities.codes({"u1"}, {"v0"}), space="a")
+    assert _bits(cache) != before
+    cache.clear()
+    assert len(cache) == 0
+    cache.restore(capture)
+    assert _bits(cache) == before
+    _rows_invariants(cache)
+
+
+def test_a_capture_restored_under_another_numbering_serves_the_same_hits():
+    """Restored into a cache whose tables coded other ids first, a
+    capture is re-coded by id: every pair it held is a hit under its
+    versions, with its values, though no pair code is the same."""
+    source = _ScoreCacheCase().build(None)
+    expected = capture_rows(source.checkpoint())
+    other = ScoreCache()
+    other.entities.codes(["x0", "x1", "u7"], ["y"])
+    other.restore(source.checkpoint())
+    assert capture_rows(other.checkpoint()) == expected
+    assert not set(other._records["a"].pairs.tolist()) & set(
+        source._records["a"].pairs.tolist()
+    )
+    for (space, left, right), values in expected.items():
+        entry = lookup(other, space, left, right, *values[:2])
+        assert entry is not None and tuple(entry) == values[2:]
+    _rows_invariants(other)
 
 
 @pytest.mark.parametrize("writer", ["memory", "disk"])
@@ -658,8 +668,9 @@ def _boom(*args, **kwargs):
 @pytest.mark.parametrize("case_type", [_LinkerCase, _DiskLinkerCase])
 def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
     """What ``relink()`` pays per call: no pickling, no deep copy — the
-    histories and the corpus arrays in the capture *are* the live ones
-    (disk-mode flats: the live memmaps)."""
+    histories, the corpus arrays and id dict and the score cache's
+    records in the capture *are* the live ones (disk-mode flats: the live
+    memmaps)."""
     linker = case_type().build(tmp_path)
     monkeypatch.setattr(pickle, "dumps", _boom)
     monkeypatch.setattr(copy, "deepcopy", _boom)
@@ -674,8 +685,12 @@ def test_the_rollback_capture_is_by_reference(case_type, tmp_path, monkeypatch):
         assert captured["cell_table"] is corpus.cell_table()
         for entity, history in linker._sides[side].items():
             assert state["sides"][side][entity] is history
-        for name in (*_ROW_COLUMNS, "directory"):
+        for name in (*_ROW_COLUMNS, "directory", "row_of"):
             assert captured[name] is getattr(corpus, "_" + name)
+    records = linker.score_cache._records
+    assert records and set(state["score_cache"].records) == set(records)
+    for space, record in records.items():
+        assert state["score_cache"].records[space] is record
 
 
 # ----------------------------------------------------------------------
@@ -732,22 +747,23 @@ def _fingerprint(value):
 
 def _table_invariants(linker):
     """After a committed relink the pair table is a view of the cache:
-    its pairs strictly ascending, its four arrays aligned, and every row
-    holding its pair in the linker's space under both endpoints' current
-    versions."""
+    its pairs strictly ascending, its three arrays aligned, every pair
+    scored, and the cache holding every pair in the linker's space under
+    both endpoints' current versions."""
     table = linker._pair_table
     assert (np.diff(table.pairs) > 0).all()
-    lengths = {len(table.rows), len(table.left_size), len(table.right_size)}
-    assert lengths == {len(table)}
+    assert {len(table.left_size), len(table.right_size)} == {len(table)}
+    assert (table.left_size >= 0).all() and (table.right_size >= 0).all()
     left, right = linker._corpora["left"], linker._corpora["right"]
     space = score_cache_space(left, right, linker.config.similarity)
     cache = linker._score_cache
     lefts, rights = split_codes(table.pairs)
-    assert cache._holds(
-        space, table.rows, table.pairs,
+    held, stale, _, _ = cache._holds(
+        space, table.pairs,
         cache.entities.spread(0, left.history_versions, lefts),
         cache.entities.spread(1, right.history_versions, rights),
-    ).all()
+    )
+    assert held.all() and not stale.any()
 
 
 def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures):
@@ -763,7 +779,6 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
         with relink_failures(point), pytest.raises(relink_failures.Boom):
             linker.relink()
         assert _fingerprint(_fields(linker)) == before, point
-        assert linker._score_cache._journal is None
         assert linker._pair_table is table
         _rows_invariants(linker._score_cache)
 
@@ -800,116 +815,103 @@ def test_every_attribute_a_relink_mutates_is_captured(tmp_path, relink_failures)
 # ----------------------------------------------------------------------
 # the cache's keyed rows, against a dict
 # ----------------------------------------------------------------------
-class _Store(ScoreCache):
-    _COLUMNS = {"value": np.float64, "count": np.int64}
-
-
 _KEYS = st.tuples(st.sampled_from("st"), st.sampled_from("abc"), st.sampled_from("xyz"))
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), _KEYS, st.floats(-9, 9), st.integers(-9, 9)),
+        st.tuples(
+            st.just("put"), _KEYS, st.integers(0, 2), st.floats(-9, 9),
+            st.integers(-9, 9),
+        ),
         st.tuples(st.just("remove"), st.integers(0, 99)),
-        st.tuples(st.just("sweep"), st.sampled_from("abc"), st.sampled_from("xyz")),
-        st.tuples(st.just("hits"), st.integers(1, 9)),
+        st.tuples(
+            st.just("sweep"), st.sampled_from("abc"), st.sampled_from("xyz"),
+            st.sampled_from([None, "s", "t"]),
+        ),
+        st.tuples(st.just("hit"), st.integers(0, 99)),
+        st.tuples(st.just("clear")),
     ),
     max_size=60,
 )
 
 
-def _coded(store, key):
-    """A ``(space, left, right)`` key as the store's ``(space, pair codes)``."""
-    return store._space(key[0]), store.entities.pair_codes([key[1:]])
-
-
-def _content(store):
-    """The store by value: ``{(space, left, right): (value, count)}``."""
-    rows = store._live()
-    space, left, right = store._owner[:, rows]
-    keys = zip(
-        [store._spaces[code] for code in space.tolist()],
-        store.entities.ids(0, left).tolist(),
-        store.entities.ids(1, right).tolist(),
+def _asked(store, key, version):
+    """One key looked up with ``version`` as its left history version."""
+    hit, batch = store.lookup_batch(
+        key[0], store.entities.pair_codes([key[1:]]), np.array([version]),
+        np.array([0]),
     )
-    return dict(zip(keys, zip(*(column[rows].tolist() for column in store._columns))))
+    return hit[0], tuple(column[0].item() for column in batch)
 
 
 def _apply(store, model, op):
-    """One op on the store and on the model dict."""
+    """One op on the store and on the model dict ``{(space, left,
+    right): values per column}``."""
     kind = op[0]
-    if kind == "put":  # a store: overwrite in place, or a new row
-        _, key, value, count = op
-        space, pair = _coded(store, key)
-        rows = store._find(space, pair)
-        if rows[0] < 0:
-            rows = store._link(space, pair)
-        store._write(rows, (value, count))
-        model[key] = (value, count)
-    elif kind == "remove" and model:
+    if kind == "put":  # a store: over the key's old values, or a new row
+        _, key, version, value, count = op
+        store.store_batch(
+            key[0], store.entities.pair_codes([key[1:]]), np.array([version]),
+            np.array([0]), np.array([value]), np.array([count]), np.array([0]),
+            np.array([0]),
+        )
+        model[key] = (version, 0, value, count, 0, 0)
+    elif kind == "remove" and model:  # a lookup under other versions
         key = sorted(model)[op[1] % len(model)]
-        store._unlink(store._find(*_coded(store, key)))
+        assert not _asked(store, key, model[key][0] + 1)[0]
         del model[key]
-    elif kind == "sweep":  # an invalidate_pairs
-        rows = store._rows_of(*store.entities.codes({op[1]}, {op[2]}))
-        if rows.size:
-            store._unlink(rows)
-        for key in [key for key in model if key[1] == op[1] or key[2] == op[2]]:
+    elif kind == "sweep":  # an invalidate_pairs, scoped or not
+        _, left, right, space = op
+        swept = [
+            key for key in model
+            if (key[1] == left or key[2] == right) and space in (None, key[0])
+        ]
+        codes = store.entities.codes({left}, {right})
+        assert store.invalidate_pairs(*codes, space=space) == len(swept)
+        for key in swept:
             del model[key]
-    elif kind == "hits":
-        store.hits += op[1]
+    elif kind == "hit" and model:  # a lookup that writes nothing
+        key = sorted(model)[op[1] % len(model)]
+        assert _asked(store, key, model[key][0]) == (True, model[key][2:])
+    elif kind == "clear":
+        store.clear()
+        model.clear()
 
 
 def _capture_holds(store, model):
-    """The store's capture is columns — every value an array, the space
-    list or a scalar — and, pickled and restored into a fresh store,
-    holds what the dict holds."""
-    capture = store.checkpoint()
+    """The store's capture, read as a mapping, is columns — every value
+    an array, the space list or a scalar — and, pickled and restored into
+    a fresh store, holds what the dict holds."""
+    capture = dict(store.checkpoint())
     assert type(capture.pop("spaces")) is list
     for name, value in capture.items():
         assert isinstance(value, (np.ndarray, int)), name
-    fresh = _Store()
+    fresh = ScoreCache()
     fresh.restore(pickle.loads(pickle.dumps(store.checkpoint())))
     _rows_invariants(fresh)
-    assert _content(fresh) == model
+    assert capture_rows(fresh.checkpoint()) == model
     assert (fresh.hits, fresh.misses) == (store.hits, store.misses)
-
-
-def _raw_state(store):
-    high = store._high
-    return (
-        copy.deepcopy(store._rows), high, list(store._free),
-        store._owner[:, :high].tolist(), store.hits,
-        [column.copy() for column in store._columns],
-    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(_OPS, st.integers(0, 60), st.integers(0, 60), st.booleans())
-def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, commit):
-    """Random puts / removes / per-entity sweeps, with one transaction
-    opened at a random point and committed or rolled back: after every
-    step the store holds what a plain dict holds and its structures
-    agree, and so does a fresh store restored from its pickled capture;
-    a rollback puts back, bit for bit, what ``_begin`` saw."""
+def test_keyed_rows_follow_a_dict_through_any_transaction(ops, begin, end, restore):
+    """Random stores / stale drops / scoped and unscoped sweeps / hits /
+    clears, with one ``checkpoint()`` taken at a random step and restored
+    (or not) at a later one: after every step the store holds what a
+    plain dict holds and its records are sound, and so does a fresh
+    store restored from its pickled capture; a restore puts back, bit
+    for bit, what the checkpoint saw."""
     begin, end = sorted((min(begin, len(ops)), min(end, len(ops))))
-    store, model = _Store(), {}
+    store, model = ScoreCache(), {}
     for position, op in enumerate(ops + [None]):
         if position == begin:
-            before, saved = _raw_state(store), dict(model)
-            journal = store._begin()
-        if position == end:
-            if commit:
-                store._commit()
-            else:
-                store._rollback(journal)
-                model = saved
-                rows, high, free, owner, hits, columns = _raw_state(store)
-                assert (rows, high, free, owner, hits) == before[:5]
-                for old, new in zip(before[5], columns):
-                    assert old.tobytes() == new[: len(old)].tobytes()
-                    assert not new[len(old):].any()
-            assert store._journal is None
+            capture, before, saved = store.checkpoint(), _bits(store), dict(model)
+        if position == end and restore:
+            store.restore(capture)
+            model = saved
+            assert _bits(store) == before
         if op is not None:
             _apply(store, model, op)
         _rows_invariants(store)
-        assert _content(store) == model
+        assert capture_rows(store.checkpoint()) == model
         _capture_holds(store, model)

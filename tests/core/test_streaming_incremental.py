@@ -360,7 +360,7 @@ class TestLshIncremental:
         from repro.core.history import build_histories
         from fig1_oracle import build_signature
         from repro.lsh import LshIndex, SignatureSpec
-        from repro.lsh.signature import signatures_to_array
+        from lsh_calls import signatures_to_array
         from repro.temporal import common_windowing
 
         lsh = LshConfig(threshold=0.4, step_windows=8, spatial_level=14)

@@ -231,7 +231,8 @@ def build_signature(
     query against the history's tree (the "appropriate level of the
     mobility history tree" remark in Sec. 4).
     ``signature_matrix`` must equal
-    ``signatures_to_array([build_signature(h, spec)])`` row for row.
+    ``signatures_to_array([build_signature(h, spec)])`` row for row
+    (:func:`lsh_calls.signatures_to_array`).
     """
     tree = history_tree(history, spec.spatial_level)
     slots = []

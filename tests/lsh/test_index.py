@@ -222,7 +222,7 @@ class TestVectorizedHashing:
         at coarse levels have constant low bits); a healthy hash spreads
         distinct signatures over many buckets."""
         from repro.lsh.banding import band_bucket_ids
-        from repro.lsh.signature import signatures_to_array
+        from lsh_calls import signatures_to_array
 
         _, spec, left, _ = self._worlds(cab_pair)
         packed = signatures_to_array(

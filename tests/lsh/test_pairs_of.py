@@ -17,12 +17,12 @@ import random
 
 import numpy as np
 import pytest
-from lsh_calls import SIDES, Named, history_pairs
+from lsh_calls import SIDES, Named, history_pairs, signatures_to_array
 
 from repro.core.history import build_histories
 from repro.lsh.banding import band_bucket_ids, bands_for_threshold
 from repro.lsh.index import LshConfig, LshIndex
-from repro.lsh.signature import signature_matrix, signatures_to_array
+from repro.lsh.signature import signature_matrix
 from repro.pipeline import LinkageConfig
 from repro.pipeline.context import LinkageContext
 from repro.pipeline.stages import LshCandidates

@@ -14,15 +14,12 @@ import pytest
 from fig1_oracle import build_signature
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lsh_calls import signatures_to_array
 
 from repro.core.history import MobilityHistory
 from repro.geo import cell_ids_from_degrees
 from repro.lsh.index import LshConfig, LshIndex
-from repro.lsh.signature import (
-    SignatureSpec,
-    signature_matrix,
-    signatures_to_array,
-)
+from repro.lsh.signature import SignatureSpec, signature_matrix
 from repro.temporal import Windowing
 
 WINDOWING = Windowing(0.0, 900.0)

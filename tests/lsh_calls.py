@@ -7,7 +7,8 @@ state when their placed ids hold the same bucket rows, whatever the
 codes.  :class:`Named` drives an index by name, coding ids through its own
 :class:`~repro.core.score_cache.EntityTables` (the one-row spellings of
 ``add_signatures`` / ``remove`` / ``pairs_of``), and the functions read
-codes back as ids.
+codes back as ids.  :func:`signatures_to_array` packs tuple signatures
+(the Fig. 1 oracle's) into the matrix the index takes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.score_cache import EntityTables, split_codes
-from repro.lsh.signature import signatures_to_array
 
 SIDES = ("left", "right")
+
+
+def signatures_to_array(signatures):
+    """Pack tuple signatures into the ``(N, length)`` uint64 matrix
+    :func:`~repro.lsh.signature.signature_matrix` returns.  Placeholder
+    (``None``) slots become 0, which no valid cell id can be (every cell
+    id has its level-sentinel bit set, so ids are >= 1)."""
+    rows = [
+        tuple(0 if slot is None else slot for slot in signature)
+        for signature in signatures
+    ]
+    if not rows:
+        return np.empty((0, 0), dtype=np.uint64)
+    return np.asarray(rows, dtype=np.uint64)
 
 
 class Named:

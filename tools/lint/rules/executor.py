@@ -266,13 +266,15 @@ class WorkerSharedMutationRule(LintRule):
         return None
 
 
-#: ScoreCache mutation/lookup entry points.
+#: ScoreCache mutation/lookup entry points, and the pair table's trust
+#: check (a read of the same records a lookup reads).
 _CACHE_METHODS = frozenset(
     {
         "store",
         "store_batch",
         "lookup",
         "lookup_batch",
+        "_holds",
         "invalidate_pairs",
         "drop_entities",
         "clear",
