@@ -739,7 +739,7 @@ class HistoryCorpus:
         """Mean distinct cells per populated (entity, window) pair — the
         *density* signal the scoring stage's workload-aware block-size
         heuristic reads (dense corpora produce matrix-shaped interactions,
-        whose ``(B, m, n)`` tensors cost memory in proportion to the
+        whose ``(m, n, B)`` tensors cost memory in proportion to the
         block; see :func:`~repro.core.kernels.workload_block_size`).
         O(1): :meth:`refresh` keeps the count of populated pairs.
         """

@@ -41,25 +41,33 @@ arithmetic over blocks of candidate pairs:
     synchronise.
 3.  **Shape grouping** — an interaction of ``m`` left and ``n`` right
     cells is an ``m x n`` distance matrix.  The block's interactions are
-    grouped by their exact ``(m, n)`` and each group is gathered as one
-    unpadded ``(B, m, n)`` tensor: every entry is a live comparison, and
-    every shape — vectors (``1 x n``, ``m x 1``; the overwhelming
-    majority in sparse worlds) included — takes the same path.  A dense
+    grouped by their exact ``(m, n)``, cut from one stable sort of their
+    shape codes (a radix sort: the codes are narrowed to the smallest
+    unsigned type that holds them), and each group is gathered
+    *batch-last*, as one unpadded ``(m, n, B)`` tensor: every entry is a
+    live comparison, every shape — vectors (``1 x n``, ``m x 1``; the
+    overwhelming majority in sparse worlds) included — takes the same
+    path, and every elementwise op and reduction runs along the long
+    contiguous batch axis rather than a matrix's few entries.  A dense
     city block has a few dozen groups, a sparse one a handful.
 4.  **Pairing** — greedy mutually-nearest (MNN) and mutually-furthest
     (MFN) selections run for all matrices of a group at once, as the
-    sequential greedy itself: exactly ``min(m, n)`` rounds, each one
-    first-occurrence ``argmin`` over the flattened matrices followed by
-    overwriting the picked row and column with ``inf``.  First occurrence
-    is the scalar ``greedy_index_pairs`` tie-break (row-major on equal
-    distances).
+    sequential greedy itself: exactly ``min(m, n)`` rounds, each a few
+    passes down the columns — every matrix's minimum, its first
+    row-major occurrence (the scalar ``greedy_index_pairs`` tie-break on
+    equal distances), then an elementwise maximum that raises the picked
+    row and column to ``inf`` — so a ``1 x n`` or ``m x 1`` group takes
+    a single round.  Matrices with no distance beyond the runaway skip the
+    MFN pass, and a dispatch whose distance table has none skips even
+    that check.
 5.  **Aggregation** — proximity times min-IDF weight over the selected
     entries, plus the MFN negative-only alibi contributions, gives one
-    total and one alibi count per *interaction*, written into two
-    interaction-length arrays whichever shape group produced them; one
-    ``np.bincount`` per counter then folds them per pair, in interaction
-    order.  The result is the **raw** Eq. 2 total: the BM25-style length
-    normalisation is the engine's epilogue
+    total and one alibi count per *interaction* (summed in the bits of a
+    row sum over its row-major entries; see :func:`_column_sums`),
+    written into two interaction-length arrays whichever shape group
+    produced them; one ``np.bincount`` per counter then folds them per
+    pair, in interaction order.  The result is the **raw** Eq. 2 total:
+    the BM25-style length normalisation is the engine's epilogue
     (:meth:`repro.core.similarity.SimilarityEngine.normalize`), not the
     kernel's.
 
@@ -136,13 +144,16 @@ ARITHMETIC_REVISION = 3
 SCORE_BLOCK_SIZE = 4096
 
 #: Block size for *dense* corpora (multiple cells per active window on
-#: both sides), whose interactions are matrices: a block's ``(B, m, n)``
+#: both sides), whose interactions are matrices: a block's ``(m, n, B)``
 #: tensors hold hundreds of comparisons per pair.  It bounds memory, and
-#: costs no time: on the ``batch_dense_brute`` inputs (70 taxis, 1,225
-#: brute pairs, 1.25 M comparisons; median of 7 fresh processes on a
-#: 2-vCPU box) scoring takes 0.122 / 0.138 / 0.147 s at 128 / 512 / 4096
-#: pairs per block, while the run's peak RSS is 65 / 67 / 75 MB and the
-#: traced allocation peak 15 / 15 / 28 MB.
+#: time barely moves with it: on the ``batch_dense_brute`` inputs (70
+#: taxis, 1,225 brute pairs, 1.25 M comparisons; scoring-stage medians of
+#: 7-12 fresh processes per size on a 2-vCPU box) scoring takes 0.091 /
+#: 0.066-0.084 / 0.076 / 0.077-0.083 / 0.083 s at 128 / 256 / 384 / 512 /
+#: 1,225 pairs per block, the spread between repeated sets as wide as the
+#: gaps between sizes, while peak RSS is 68 / 70 / 72 / 75 / 90 MB and the
+#: traced allocation peak 5.4 / 7.9 / - / 13 / 28 MB.  No size won on time
+#: in every set, so it stays at 512.
 DENSE_SCORE_BLOCK_SIZE = 512
 
 #: A pair of corpora counts as dense when the product of their mean
@@ -189,29 +200,50 @@ def greedy_select_batch(distances: np.ndarray, reverse: bool) -> np.ndarray:
     every matrix of the batch, repeatedly take the smallest (``reverse`` =
     False) or largest (True) remaining entry whose row and column are both
     unused, until ``min(m, n)`` entries are selected.  Returns a boolean
-    selection mask of the same shape; ``distances`` is not modified.
-
-    Sequential greedy, all matrices at once, in exactly ``min(m, n)``
-    rounds: one ``argmin`` over the flattened matrices (of ``-distances``
-    when ``reverse``) picks every matrix's next entry, whose row and
-    column are then overwritten with ``inf`` for the rounds still to
-    come.  ``argmin`` returns the first occurrence, which is the scalar
-    tie-break: equal distances resolve row-major.
+    selection mask of the same shape; ``distances`` is not modified.  The
+    kernel's own ``(m, n, B)`` layout runs :func:`_greedy_rounds`; this is
+    a transpose around it.
     """
     batch, rows, cols = distances.shape
+    selected = _greedy_rounds(np.moveaxis(distances, 0, -1), reverse)
+    return np.moveaxis(selected.reshape(rows, cols, batch), -1, 0)
+
+
+def _greedy_rounds(distances: np.ndarray, reverse: bool) -> np.ndarray:
+    """The greedy selection of batch-last ``(m, n, B)`` distances, as an
+    ``(m·n, B)`` mask.
+
+    Sequential greedy, all matrices at once, in exactly ``min(m, n)``
+    rounds, each a few passes down the columns: every matrix's minimum
+    (of ``-distances`` when ``reverse``), then its first row-major
+    occurrence — the scalar tie-break: equal distances resolve row-major
+    — and, for the rounds still to come, the picked row and column
+    raised to ``inf`` by an elementwise maximum.
+    """
+    rows, cols, batch = distances.shape
+    size = rows * cols
     keys = distances.astype(np.float64)  # a copy: the rounds consume it
     if reverse:
         np.negative(keys, out=keys)
-    flat = keys.reshape(batch, rows * cols)
-    selected = np.zeros((batch, rows * cols), dtype=bool)
-    every = np.arange(batch)
+    flat = keys.reshape(size, batch)
+    # Descending ranks: the largest one on a column's minimum is its first.
+    rank = np.arange(size, 0, -1, dtype=np.min_scalar_type(size))[:, None]
+    ranked = np.empty((size, batch), dtype=rank.dtype)
+    first = np.empty((size, batch), dtype=bool)
+    picked = first.reshape(rows, cols, batch)
+    selected = np.zeros((size, batch), dtype=bool)
+    # Taken at a picked flag: the term a maximum leaves an entry alone
+    # with, or raises it out of reach with.
+    barrier = np.array([-np.inf, np.inf])
     for remaining in range(min(rows, cols) - 1, -1, -1):
-        best = flat.argmin(axis=1)
-        selected[every, best] = True
+        np.equal(flat, flat.min(axis=0), out=first)
+        np.multiply(first, rank, out=ranked)
+        np.equal(ranked, ranked.max(axis=0), out=first)
+        selected |= first
         if remaining:
-            keys[every, best // cols, :] = np.inf
-            keys[every, :, best % cols] = np.inf
-    return selected.reshape(batch, rows, cols)
+            np.maximum(keys, barrier.take(picked.any(axis=1))[:, None], out=keys)
+            np.maximum(keys, barrier.take(picked.any(axis=0)), out=keys)
+    return selected
 
 
 def _cell_distances(
@@ -247,9 +279,10 @@ _Lookup = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 def _proximity_lookup(
     left: HistoryCorpus, right: HistoryCorpus, config: "SimilarityConfig", live: int
-) -> _Lookup:
+) -> Tuple[_Lookup, bool]:
     """How one dispatch of ``live`` bin comparisons turns cell-table rows
-    into distances and Eq. 1 proximities.
+    into distances and Eq. 1 proximities, and whether every distance it
+    can return is known to lie within the runaway.
 
     Both are functions of the two cells alone, so when the whole
     ``(left cells, right cells)`` table has no more entries than the
@@ -260,7 +293,8 @@ def _proximity_lookup(
     same elementwise formula on the same per-cell constants, so which arm
     a dispatch takes cannot change a bit.  The table lives in the returned
     closure and dies with the dispatch: it is derived state, and executor
-    threads share modules and corpora.
+    threads share modules and corpora.  Only a table is known to be all
+    near, when none of its entries lies beyond the runaway.
     """
     geo_u = left.cell_table()
     geo_v = right.cell_table()
@@ -285,7 +319,7 @@ def _proximity_lookup(
     cells_u = len(geo_u.lat)
     cells_v = len(geo_v.lat)
     if cells_u * cells_v > live:
-        return compute
+        return compute, False
     distances, prox = compute(np.arange(cells_u)[:, None], np.arange(cells_v)[None, :])
     distances, prox = distances.ravel(), prox.ravel()
 
@@ -293,60 +327,75 @@ def _proximity_lookup(
         entry = slots_u * cells_v + slots_v
         return distances.take(entry), prox.take(entry)
 
-    return gather
+    return gather, not (distances > runaway).any()
+
+
+def _column_sums(values: np.ndarray, where: "np.ndarray | None" = None) -> np.ndarray:
+    """Per-column sums of ``(k, B)`` values (zero outside ``where``), in
+    the same bits as the row sums of their ``(B, k)`` transpose: numpy
+    adds fewer than 8 values in sequence, which a pass down the columns
+    repeats; 8 or more it adds pairwise, so those sum as rows of a
+    transposed copy."""
+    if where is not None:
+        values = np.where(where, values, 0.0)
+    if len(values) < 8:
+        return values.sum(axis=0)
+    return np.ascontiguousarray(values.T).sum(axis=1)
 
 
 def _score_shape(
     config: "SimilarityConfig",
     lookup: _Lookup,
+    near: bool,
     u_slots: np.ndarray,
     v_slots: np.ndarray,
     u_idf: np.ndarray,
     v_idf: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Totals and alibi counts of every interaction of one exact
-    ``(B, m, n)`` shape group (``u_*`` are ``(B, m)``, ``v_*`` ``(B, n)``)."""
-    batch = len(u_slots)
+    ``(m, n)`` shape group, batch-last (``u_*`` are ``(m, B)``, ``v_*``
+    ``(n, B)``); ``near`` says no distance exceeds the runaway."""
+    rows, batch = u_slots.shape
+    size = rows * len(v_slots)
     mnn = config.pairing == "mnn"
-    distances, prox = lookup(u_slots[:, :, None], v_slots[:, None, :])
+    distances, prox = lookup(u_slots[:, None, :], v_slots[None, :, :])
+    selected = _greedy_rounds(distances, reverse=False) if mnn else None
     if config.use_idf:
-        contribution = prox * np.minimum(u_idf[:, :, None], v_idf[:, None, :])
+        weight = np.minimum(u_idf[:, None, :], v_idf[None, :, :])
+        contribution = np.multiply(prox, weight, out=weight).reshape(size, batch)
     else:
-        contribution = prox
-
-    if mnn:
-        selected = greedy_select_batch(distances, reverse=False)
-    else:
-        selected = np.ones(distances.shape, dtype=bool)
-    totals = np.where(selected, contribution, 0.0).reshape(batch, -1).sum(axis=1)
+        contribution = prox.reshape(size, batch)
+    totals = _column_sums(contribution, selected)
     alibi = np.zeros(batch, dtype=np.int64)
+    if near:
+        return totals, alibi
 
     # A negative proximity needs a distance beyond the runaway, and so
     # does anything the MFN pass can contribute (it only ever adds alibi
     # terms) — matrices without one skip both, which on friendly workloads
     # prunes the entire furthest-pairing cost.
-    beyond = distances > config.runaway_meters
-    far = np.nonzero(beyond.reshape(batch, -1).any(axis=1))[0]
+    beyond = distances.reshape(size, batch) > config.runaway_meters
+    far = np.flatnonzero(beyond.any(axis=0))
     if far.size:
-        selected = selected[far]
-        contribution = contribution[far]
-        alibi[far] = (selected & (prox[far] < 0.0)).reshape(far.size, -1).sum(axis=1)
+        counted = prox.reshape(size, batch)[:, far] < 0.0
+        if mnn:
+            selected = selected[:, far]
+            counted &= selected
+        alibi[far] = counted.sum(axis=0)
         if mnn and config.use_mfn:
-            furthest = greedy_select_batch(distances[far], reverse=True)
+            contribution = contribution[:, far]
+            furthest = _greedy_rounds(distances[..., far], reverse=True)
             negative = furthest & ~selected & (contribution < 0.0)
-            totals[far] += (
-                np.where(negative, contribution, 0.0).reshape(far.size, -1).sum(axis=1)
-            )
-            alibi[far] += negative.reshape(far.size, -1).sum(axis=1)
+            totals[far] += _column_sums(contribution, negative)
+            alibi[far] += negative.sum(axis=0)
     return totals, alibi
 
 
 class PairBlock:
     """A block of pairs with each side's distinct entities coded once:
     ``left_ids[left[i]]`` and ``right_ids[right[i]]`` are pair ``i``'s
-    ids.  What the numpy route hands the kernel (it codes each block's
-    pair codes with one ``np.unique`` per side); ``len`` is the pair
-    count."""
+    ids.  What the numpy route hands the kernel (it codes each side of a
+    block's pair codes once); ``len`` is the pair count."""
 
     __slots__ = ("left_ids", "left", "right_ids", "right")
 
@@ -438,29 +487,33 @@ def score_pairs_batch(
     flats_v = right.arrays()
     pair_of, off_u, count_u, off_v, count_v = _window_join(left, right, pairs)
     comparisons = count_u * count_v
-    lookup = _proximity_lookup(left, right, config, int(comparisons.sum()))
+    lookup, near = _proximity_lookup(left, right, config, int(comparisons.sum()))
     # Every interaction's total and alibi count, in interaction order —
     # a pair's windows ascending, whichever shape group scored them.
     totals = np.zeros(len(pair_of), dtype=np.float64)
     alibi = np.zeros(len(pair_of), dtype=np.int64)
 
-    # One group per exact (m, n): its interactions gathered as an
-    # unpadded (B, m, n) tensor, rows from the left flats and columns
-    # from the right.
+    # One group per exact (m, n), cut from one stable (radix, for codes
+    # of 16 bits or fewer) sort of the shape codes; its interactions are
+    # gathered batch-last as an unpadded (m, n, B) tensor, rows from the
+    # left flats and columns from the right.
     stride = int(count_v.max(initial=0)) + 1
     shape_of = count_u * stride + count_v
-    for shape in np.unique(shape_of).tolist():
-        rows, cols = divmod(shape, stride)
-        members = np.nonzero(shape_of == shape)[0]
-        idx_u = off_u[members, None] + np.arange(rows)
-        idx_v = off_v[members, None] + np.arange(cols)
+    shape_of = shape_of.astype(np.min_scalar_type(shape_of.max(initial=0)))
+    order = np.argsort(shape_of, kind="stable")
+    cuts = np.flatnonzero(np.diff(shape_of[order])) + 1
+    for members in np.split(order, cuts) if order.size else ():
+        rows, cols = divmod(int(shape_of[members[0]]), stride)
+        idx_u = np.arange(rows)[:, None] + off_u.take(members)
+        idx_v = np.arange(cols)[:, None] + off_v.take(members)
         totals[members], alibi[members] = _score_shape(
             config,
             lookup,
-            flats_u.slots[idx_u],
-            flats_v.slots[idx_v],
-            flats_u.idf_by_slot[flats_u.keys[idx_u]],
-            flats_v.idf_by_slot[flats_v.keys[idx_v]],
+            near,
+            flats_u.slots.take(idx_u),
+            flats_v.slots.take(idx_v),
+            flats_u.idf_by_slot.take(flats_u.keys.take(idx_u)),
+            flats_v.idf_by_slot.take(flats_v.keys.take(idx_v)),
         )
 
     # One fold per pair, in interaction order (``bincount`` accumulates

@@ -206,8 +206,8 @@ def _layers(linker):
 
 
 def test_failure_at_any_point_rolls_back_every_layer(sm_pair, relink_failures):
-    """A *delta* round (persistent index, resident pair table, journal
-    instead of a full capture) failing after retention, with the index
+    """A *delta* round (persistent index, resident pair table, a
+    by-reference ``checkpoint()``) failing after retention, with the index
     half-updated, with the re-scored rows already stored, in matching or
     in threshold: every layer reads as before — so the next failure
     starts from the same state — and the final retry equals a control

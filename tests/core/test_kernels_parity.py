@@ -470,6 +470,56 @@ class TestDistanceTable:
         assert int(block.bin_comparisons.max()) < table_shape[0] * table_shape[1]
         _assert_results_equal(alone, block)
 
+    @pytest.mark.parametrize(
+        "config", [SimilarityConfig(), SimilarityConfig(pairing="all_pairs")],
+        ids=["mnn", "all_pairs"],
+    )
+    def test_a_table_with_cells_beyond_the_runaway(self, monkeypatch, config):
+        """A dispatch that tabulates (four cells a side, over a thousand
+        comparisons) where one cell of each side lies cities away: its
+        alibi counts and MFN terms come from the table arm, and agree
+        with the scalar oracle."""
+        rng = np.random.default_rng(606)
+        city = [(37.77, -122.42), (37.80, -122.45), (37.74, -122.39)]
+        away = {"l": (38.58, -121.49), "r": (36.74, -119.79)}
+
+        def histories(prefix):
+            cells = city + [away[prefix]]
+            out = {}
+            for index in range(6):
+                rows = [
+                    (900.0 * window + 60.0 * k, *cells[cell])
+                    for window in range(10)
+                    for k, cell in enumerate(
+                        rng.choice(4, size=int(rng.integers(1, 4)), replace=False)
+                    )
+                ]
+                out[f"{prefix}{index}"] = MobilityHistory.from_columns(
+                    f"{prefix}{index}",
+                    *np.asarray(rows, dtype=np.float64).T,
+                    WINDOWING,
+                    LEVEL,
+                )
+            return out
+
+        shapes = []
+        cell_distances = kernels._cell_distances
+
+        def recording(*columns):
+            distances = cell_distances(*columns)
+            shapes.append(distances.shape)
+            return distances
+
+        monkeypatch.setattr(kernels, "_cell_distances", recording)
+        left, right = histories("l"), histories("r")
+        pairs = [(u, v) for u in left for v in right]
+        s_scores, s_stats, v_scores, v_stats = _score_both(left, right, config, pairs)
+        assert shapes == [(4, 4)]  # one dispatch, and it tabulated
+        assert v_stats.bin_comparisons > 1000
+        _assert_scores_match(s_scores, v_scores)
+        _assert_stats_match(s_stats, v_stats)
+        assert v_stats.alibi_bin_pairs > 0
+
     def test_the_table_is_not_kept(self, cab_pair):
         """Derived per dispatch, never captured: nothing distance-shaped
         survives on the module or the corpora."""
@@ -505,3 +555,24 @@ class TestAccumulationOrder:
             _assert_results_equal(
                 alone, [column[index : index + 1] for column in block]
             )
+
+    def test_column_sums_repeat_the_row_sums_bit_for_bit(self):
+        """The kernel sums a shape group's ``(k, B)`` entries down their
+        columns; each column must come out in the bits of the row sum of
+        the contiguous ``(B, k)`` layout, for every ``k`` a matrix can
+        have here — with and without a selection mask, over values mixing
+        zeros, ``-0.0``, negatives and magnitudes far apart."""
+        rng = np.random.default_rng(707)
+        for k in range(1, 65):
+            values = rng.normal(size=(k, 300)) * 10.0 ** rng.integers(-8, 9, (k, 300))
+            draw = rng.random((k, 300))
+            values[draw < 0.2] = 0.0
+            values[draw > 0.8] = -0.0
+            values[:, :10] = -0.0  # columns of negative zeros only
+            mask = rng.random((k, 300)) < 0.5
+            for got, rows in (
+                (kernels._column_sums(values), values.T),
+                (kernels._column_sums(values, mask), np.where(mask, values, 0.0).T),
+            ):
+                expected = np.ascontiguousarray(rows).sum(axis=1)
+                assert got.tobytes() == expected.tobytes(), k

@@ -123,12 +123,14 @@ def test_one_window_join_finds_the_common_windows():
 def test_one_pairing_path_scores_every_shape():
     """Every interaction is an unpadded tensor of its exact shape: no
     vector path, no power-of-two buckets, no padding mask, and the only
-    loop of ``score_pairs_batch`` is the one over shape groups."""
+    loop of ``score_pairs_batch`` is the one over the shape groups cut
+    from one sort of the shape codes."""
     source = (SRC / "core" / "kernels.py").read_text()
     for gone in (
         "_pow2ceil",
         "_segment_first_extreme",
         "_score_vector_interactions",
+        "np.unique",
     ):
         assert gone not in source, gone
     for word in ("valid", "reduceat"):
@@ -142,7 +144,9 @@ def test_one_pairing_path_scores_every_shape():
         node for node in ast.walk(kernel) if isinstance(node, (ast.For, ast.While))
     ]
     assert len(loops) == 1
-    assert ast.unparse(loops[0].iter) == "np.unique(shape_of).tolist()"
+    assert ast.unparse(loops[0].iter) == "np.split(order, cuts) if order.size else ()"
+    sorts = [node for node in ast.walk(kernel) if _names("argsort")(node)]
+    assert len(sorts) == 1
 
 
 def test_the_block_size_has_no_environment_override():
