@@ -1,8 +1,9 @@
 """Micro-benchmarks of SLIM's building blocks.
 
-Times each pipeline stage in isolation — history construction, the
-similarity kernel (both scoring backends), LSH signature construction and
-bucketing, the two bipartite matchers, and the GMM threshold fit — so
+Times each pipeline stage in isolation — the CSV loader, history
+construction, the similarity kernel (both scoring backends), LSH signature
+construction and bucketing, the two bipartite matchers, and the GMM
+threshold fit — so
 performance regressions can be localised, and the greedy-vs-exact matcher
 ablation (the ``matching`` stage's two registry entries, docs/ARCHITECTURE.md
 "The pipeline") has numbers attached.
@@ -13,6 +14,7 @@ recording the scalar-vs-numpy component timings and the speedup, the
 headline number this repo's performance PRs track.
 """
 
+import csv
 import os
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.core.history import build_histories
 from repro.core.matching import Edge, greedy_max_matching, hungarian_matching
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
 from repro.core.threshold import gmm_stop_threshold
+from repro.data import load_csv, save_csv
 from repro.eval import format_table, write_report
 from repro.lsh import LshConfig, LshIndex, SignatureSpec, signature_matrix
 from repro.temporal import common_windowing
@@ -44,6 +47,26 @@ def _engine(left, right, backend):
         HistoryCorpus(right, 12),
         SimilarityConfig(backend=backend),
     )
+
+
+def test_micro_load_csv(benchmark, cab_pair, tmp_path):
+    """``load_csv`` of a ``save_csv`` file (the bulk route), its columns
+    checked bit for bit against a ``csv.reader`` + ``float()`` read of
+    the same file."""
+    path = tmp_path / "left.csv"
+    save_csv(cab_pair.left, path)
+    expected = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        for entity, lat, lng, timestamp in list(csv.reader(handle))[1:]:
+            row = (float(timestamp), float(lat), float(lng))
+            expected.setdefault(entity, []).append(row)
+    loaded = benchmark(lambda: load_csv(path))
+    assert loaded.entities == list(expected)
+    for entity, rows in expected.items():
+        # save_csv writes an entity's rows in time order: the loaded order.
+        want = np.array(rows, dtype=np.float64).T
+        got = loaded.columns(entity)
+        assert [column.tobytes() for column in got] == [c.tobytes() for c in want]
 
 
 def test_micro_history_build(benchmark, cab_pair):

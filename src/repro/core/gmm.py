@@ -70,36 +70,30 @@ class GaussianMixture1D:
         )
         weights = np.array([block.size / x.size for block in blocks])
 
-        # Per-component 1-D arrays, no (n, k) temporaries — with the sums
-        # an (n, k) ``.sum(axis=0)`` would take: row by row (a cumulative
-        # sum's last element) for k > 1, pairwise (``.sum()``) for k == 1.
-        def total(column: np.ndarray) -> float:
-            return column.sum() if k == 1 else column.cumsum()[-1]
+        # One (k, n) array, a row per component, summed as an (n, k)
+        # ``.sum(axis=0)`` would sum it: a row at a time (a cumulative sum's
+        # last column) for k > 1, pairwise (``.sum``) for k == 1.
+        def totals(rows: np.ndarray) -> np.ndarray:
+            return rows.sum(axis=1) if k == 1 else rows.cumsum(axis=1)[:, -1]
 
         previous = -math.inf
         for iteration in range(1, max_iter + 1):
             # E step (log domain); components combined left to right.
-            log_prob = [
-                -0.5 * (offset + (x - mean) ** 2 / variance) + log_weight
-                for mean, variance, offset, log_weight in zip(
-                    means.tolist(),
-                    variances.tolist(),
-                    (_LOG_2PI + np.log(variances)).tolist(),
-                    np.log(np.maximum(weights, 1e-300)).tolist(),
-                )
-            ]
+            offsets = (_LOG_2PI + np.log(variances))[:, None]
+            log_weights = np.log(np.maximum(weights, 1e-300))[:, None]
+            deviations = (x - means[:, None]) ** 2 / variances[:, None]
+            log_prob = -0.5 * (offsets + deviations) + log_weights
             log_norm = log_prob[0]
-            for component in log_prob[1:]:
-                log_norm = np.logaddexp(log_norm, component)
+            for row in log_prob[1:]:
+                log_norm = np.logaddexp(log_norm, row)
             log_likelihood = float(log_norm.sum())
-            responsibilities = [np.exp(c - log_norm) for c in log_prob]
+            responsibilities = np.exp(log_prob - log_norm)
 
             # M step.
-            mass = np.maximum([total(r) for r in responsibilities], 1e-300)
+            mass = np.maximum(totals(responsibilities), 1e-300)
             weights = mass / x.size
-            means = np.array([total(r * x) for r in responsibilities]) / mass
-            fitted = zip(responsibilities, means.tolist())
-            variances = np.array([total(r * (x - m) ** 2) for r, m in fitted]) / mass
+            means = totals(responsibilities * x) / mass
+            variances = totals(responsibilities * (x - means[:, None]) ** 2) / mass
             variances = np.maximum(variances, var_floor)
 
             self.n_iter_ = iteration

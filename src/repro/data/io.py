@@ -17,11 +17,13 @@ the caller can audit exactly what was dropped and why.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
+from functools import reduce
+from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple
@@ -149,8 +151,7 @@ Cut = Callable[[int], List[List[Any]]]
 _PARSERS = (_parse_timestamp, float, float)
 
 # Rows tokenised at a time.  A row's tokens weigh ~20x the three floats kept
-# of it, so this bounds what a load holds beyond its columns (and, when
-# ``load_csv`` cuts in bulk, the file's lines).
+# of it, so this bounds what a load holds beyond its columns.
 _SLICE_ROWS = 1 << 12
 
 
@@ -210,30 +211,84 @@ def _float_column(
     return column
 
 
-def _clean_rows(
-    piece: List[List[Any]], scalar: Scalar, on_error: str, report: QuarantineReport
-) -> Tuple[List[Optional[str]], np.ndarray]:
-    """Columns -> mask -> explain: the entities and the ``(timestamps,
-    lats, lngs)`` block of the rows whose ``Row`` columns are ``piece``.
+def _decoded(data: bytes, starts: np.ndarray, ends: np.ndarray) -> List[str]:
+    """The text of every byte range ``data[start:end]``."""
+    return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
 
-    The cells are parsed a column at a time; one mask flags the rows with
-    a cell that did not parse, a timestamp that is not finite or a
-    coordinate out of range (NaN fails every comparison), and only those
-    go, in input order, through :func:`_explain`.
+
+def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``float()`` of every cell ``data[start:end]`` that is a plain decimal
+    ``-?d*(.d*)?`` of 1 to 15 digits, NaN for any other cell.
+
+    Such a cell is its integer mantissa over ``10 ** k``, ``k`` the digits
+    after its point.  Both are exact doubles, so the one division is
+    correctly rounded and has ``float()``'s bits (Clinger's fast path).
+    The cells of one width are taken batch-last, as ``(width, cells)``
+    bytes, and those of one layout (where the point and the sign sit)
+    have their digits dotted with powers of ten by Horner's rule: every
+    partial sum is an integer below ``10 ** 15``, so exact.
     """
-    sources, lines, tokens, ids, *texts = piece
-    timestamp, lat, lng = block = np.stack(list(map(_float_column, texts, _PARSERS)))
+    u = np.frombuffer(data, np.uint8)
+    values, widths = np.full(len(starts), np.nan), ends - starts
+    for width in np.flatnonzero(np.bincount(np.minimum(widths, 18))[1:18]) + 1:
+        at = np.flatnonzero(widths == width)
+        cells = np.lib.stride_tricks.sliding_window_view(u, width)[starts[at]].T.copy()
+        # The point's position + 1, 0 for none.  A second point puts the sum
+        # past both: past the cell, or where a point anywhere else is no digit.
+        place = np.arange(1, width + 1, dtype=np.uint8)[:, None]
+        points = ((cells == ord(".")) * place).sum(axis=0, dtype=np.uint8)
+        layouts = 2 * points.astype(np.intp) + (cells[0] == ord("-"))
+        for layout in np.flatnonzero(np.bincount(layouts)).tolist():
+            point, sign = divmod(layout, 2)
+            digit = (np.arange(width) != point - 1) & (np.arange(width) >= sign)
+            if point > width or not 1 <= digit.sum() <= 15:
+                continue
+            sub = np.flatnonzero(layouts == layout)
+            group = cells if len(sub) == len(at) else cells.take(sub, axis=1)
+            codes = group[digit] - np.uint8(ord("0"))
+            mantissa = reduce(lambda total, row: total * 10.0 + row, codes, 0.0)
+            value = mantissa / float(10 ** (width - point if point else 0))
+            plain = codes.max(axis=0) < 10
+            values[at[sub[plain]]] = -value[plain] if sign else value[plain]
+    return values
+
+
+def _entity_runs(
+    data: bytes, starts: np.ndarray, ends: np.ndarray
+) -> Tuple[List[str], np.ndarray]:
+    """The entity cells ``data[start:end]`` as runs of equal cells: each
+    run's text, decoded once, and its length."""
+    u = np.frombuffer(data, np.uint8)
+    widths = ends - starts
+    same = np.zeros(len(starts), bool)  # the cell before holds the same bytes
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        rows = np.flatnonzero(widths == width)
+        cells = np.lib.stride_tricks.sliding_window_view(u, width)[starts[rows]]
+        same[rows[1:]] = (np.diff(rows) == 1) & (cells[1:] == cells[:-1]).all(axis=1)
+    heads = np.flatnonzero(~same)
+    return _decoded(data, starts[heads], ends[heads]), np.diff(heads, append=len(same))
+
+
+def _screen(
+    block: np.ndarray, row: Callable, on_error: str, report: QuarantineReport
+) -> np.ndarray:
+    """Which rows of the ``(timestamps, lats, lngs)`` block to keep.
+
+    One mask flags the rows with a cell that did not parse, a timestamp
+    that is not finite or a coordinate out of range (NaN fails every
+    comparison), and only those go, in input order, through
+    :func:`_explain`, given the source, line, raw text and cells
+    ``row(index)`` spells out.
+    """
+    timestamp, lat, lng = block
     flagged = ~(np.isfinite(timestamp) & (np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0))
-    for row in np.flatnonzero(flagged).tolist():
-        raw, cells = scalar(tokens[row])
-        record = _explain(sources[row], lines[row], raw, cells, on_error, report)
+    for index in np.flatnonzero(flagged).tolist():
+        record = _explain(*row(index), on_error, report)
         if record is not None:
-            ids[row], lat[row], lng[row], timestamp[row] = record
-            flagged[row] = False
-    if flagged.any():
-        ids, block = list(compress(ids, ~flagged)), block[:, ~flagged]
-    report.loaded += len(ids)
-    return ids, block
+            _, lat[index], lng[index], timestamp[index] = record
+            flagged[index] = False
+    report.loaded += len(flagged) - int(flagged.sum())
+    return ~flagged
 
 
 def _by_row(rows: Iterator[Row]) -> Cut:
@@ -253,47 +308,78 @@ def _load(
 
     ``cut`` is drawn in slices of at most as many rows as records are
     still wanted, so a load stops on the line of the ``max_records``-th
-    record it keeps, and no slice's tokens outlive its pass.  ``nothing``
-    is what to raise with when no row loads and none is quarantined.
+    record it keeps, and no slice's tokens outlive its pass.  A slice's
+    cells are parsed a column at a time and screened by :func:`_screen`.
+    ``nothing`` is what to raise with when no row loads and none is
+    quarantined.
     """
     report = QuarantineReport()
     cap = math.inf if max_records is None else max_records
     pieces = iter(lambda: cut(min(_SLICE_ROWS, cap - report.loaded)), [])
-    kept = [_clean_rows(piece, scalar, on_error, report) for piece in pieces]
+    entities: List[Optional[str]] = []
+    blocks = [np.empty((3, 0))]
+    for files, lines, tokens, ids, *texts in pieces:
+        block = np.stack(list(map(_float_column, texts, _PARSERS)))
+        keep = _screen(
+            block, lambda k: (files[k], lines[k], *scalar(tokens[k])), on_error, report
+        )
+        entities += compress(ids, keep)
+        blocks.append(block[:, keep])
     if nothing and not report.loaded and not report.rows:
         raise ValueError(nothing)
-    entities = list(chain.from_iterable(ids for ids, _ in kept))
-    columns = np.concatenate([np.empty((3, 0)), *(block for _, block in kept)], axis=1)
+    columns = np.concatenate(blocks, axis=1)
     dataset = LocationDataset.from_columns(entities, columns, name)
     return (dataset, report) if on_error == "skip" else dataset
 
 
-def _bulk_lines(path: Path, delimiter: str) -> Optional[List[str]]:
-    r"""The ``"\n"``-split lines of ``path`` when :func:`load_csv` may cut it
-    in bulk, else None.
+def _byte_cut(path: Path, delimiter: str) -> Optional[Tuple[Any, ...]]:
+    r"""``(header, data, numbers, starts, ends)`` of ``path`` when
+    :func:`load_csv` may cut it in bulk, else None: its header line, its
+    bytes and, per data row, its line number and its cells' ``(start,
+    end)`` byte offsets, one row of ``starts`` and ``ends`` per column.
 
-    Read with universal newlines, so ``"\r\n"`` and a lone ``"\r"`` are
-    ``"\n"`` and, in quote-free text, the lines are the ones ``csv.reader``
-    reads (``splitlines`` would also break on ``"\x0b"``, ``"\x85"`` and
-    more).  Bulk needs: a one-character delimiter that is not a quote or a
-    line end, no ``'"'`` in the text, a non-blank first line of unique
-    names, the header's delimiter count on every non-blank line, and no line
-    over ``csv.field_size_limit()`` — else the cells ``csv.reader`` reads are
-    not the delimiter splits of the lines.
+    Bytes that are not all ASCII are decoded as reading the text with
+    ``utf-8-sig`` decodes them (the same errors, no byte-order mark) and
+    encoded again.  A ``"\n"``, a ``"\r\n"`` and a lone ``"\r"`` each end
+    a line, as universal newlines and ``csv.reader`` end them (``"\x0b"``,
+    ``"\x85"`` and the other ``str.splitlines`` breaks stay inside a
+    cell).  Bulk needs: a one-character delimiter that is not a quote or a
+    line end, no ``'"'`` in the file, a non-blank first line of unique
+    names, the header's delimiter count on every non-blank line, and no
+    line of more bytes than ``csv.field_size_limit()`` — else the cells
+    ``csv.reader`` reads are not the delimiter splits of the lines.
     """
-    with path.open(encoding="utf-8-sig") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    if not lines[0] or len(delimiter) != 1 or delimiter in '\r\n"' or '"' in text:
+    data = path.read_bytes()
+    if not data.isascii():
+        data = codecs.getincrementaldecoder("utf-8-sig")().decode(data, True).encode()
+    if len(delimiter) != 1 or delimiter in '\r\n"' or b'"' in data:
         return None
-    names = lines[0].split(delimiter)
-    if len(set(names)) < len(names) or max(map(len, lines)) > csv.field_size_limit():
+    u = np.frombuffer(data, np.uint8)
+    # Every "\r" and "\n" ends a segment; the "\n" of a "\r\n" ends an empty
+    # one and no line, so it does not count towards the line numbers.
+    breaks = np.flatnonzero((u == ord("\n")) | (u == ord("\r")))
+    begin, end = np.append(0, breaks + 1), np.append(breaks, len(u))
+    crlf = (u[breaks] == ord("\n")) & (u[breaks - 1] == ord("\r"))
+    header = data[: end[0]].decode()
+    names, limit = header.split(delimiter), csv.field_size_limit()
+    if not header or len(set(names)) < len(names) or (end - begin).max() > limit:
         return None
-    # Each line as wide as the header or blank: counted per line, as a short
-    # row and a long row can add up to the right total.
-    counts = list(map(str.count, lines, repeat(delimiter)))
-    uniform = counts.count(len(names) - 1) + lines.count("") == len(lines)
-    return lines if uniform else None
+    # The header holds len(names) - 1 delimiters.  When the file holds that
+    # many per non-blank line, and each row's share of them lies inside its
+    # line, every line holds exactly that many.
+    sep = delimiter.encode("utf-8", "surrogatepass")
+    marks = np.flatnonzero(u == sep[0])
+    for shift, byte in enumerate(sep[1:], 1):
+        marks = marks[u[marks + shift] == byte]
+    rows = np.flatnonzero(end[1:] > begin[1:]) + 1
+    if len(marks) != (len(names) - 1) * (len(rows) + 1):
+        return None
+    cuts = marks[len(names) - 1 :].reshape(len(rows), len(names) - 1)
+    starts = np.vstack([begin[rows], cuts.T + len(sep)])
+    ends = np.vstack([cuts.T, end[rows]])
+    if (starts[1:] <= starts[:1]).any() or (ends[:-1] >= ends[-1:]).any():
+        return None
+    return header, data, np.cumsum(np.append(1, ~crlf))[rows], starts, ends
 
 
 def load_csv(
@@ -315,6 +401,13 @@ def load_csv(
     ``(dataset, QuarantineReport)``.  A missing or incomplete header always
     raises — that is a structural problem, not a bad row.
 
+    A quote-free file whose non-blank lines are all as wide as its header
+    (every file :func:`save_csv` writes) is cut as bytes: a plain decimal
+    cell is read exactly, with ``float()``'s bits, any other cell through
+    the per-cell parser, and each run of rows of one entity decodes its
+    name once.  Any other file is read with ``csv.reader``.  Both give the
+    same dataset, report and errors.
+
     >>> import tempfile
     >>> from repro.data import LocationDataset, Record
     >>> with tempfile.TemporaryDirectory() as directory:
@@ -332,9 +425,9 @@ def load_csv(
     _check_on_error(on_error)
     path = Path(path)
     columns = (entity_column, time_column, lat_column, lng_column)
-    lines = _bulk_lines(path, delimiter)
+    bulk = _byte_cut(path, delimiter)
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(lines[:1] if lines else handle, delimiter=delimiter)
+        reader = csv.reader([bulk[0]] if bulk else handle, delimiter=delimiter)
         header = next(reader, None)
         if header is None or not set(columns) <= set(header):
             raise ValueError(
@@ -349,21 +442,23 @@ def load_csv(
         pick = itemgetter(*at)
         source, name = str(path), name or path.stem
 
-        if lines:
-            # A line is its row's raw text and token; its number is its index + 1.
-            texts, numbers = filter(None, lines), compress(count(1), lines)
-            next(texts), next(numbers)
+        if bulk:
+            _, data, numbers, starts, ends = bulk
+            first, last = starts[at], ends[at]
+            block = _decimals(data, first[1:].ravel(), last[1:].ravel()).reshape(3, -1)
+            for column, parse, a, b in zip(block, _PARSERS, first[1:], last[1:]):
+                rest = np.flatnonzero(np.isnan(column))
+                column[rest] = _float_column(_decoded(data, a[rest], b[rest]), parse)
 
-            def cut(size: int) -> List[Any]:
-                piece = list(islice(texts, size))
-                cells = delimiter.join(piece).split(delimiter)
-                where = [[source] * len(piece), list(islice(numbers, size)), piece]
-                return piece and where + [cells[k::width] for k in at]
+            def row(index: int) -> Tuple[str, int, str, Cells]:
+                raw = data[starts[0, index] : ends[-1, index]].decode()
+                return source, int(numbers[index]), raw, pick(raw.split(delimiter))
 
-            def split(line: str) -> Tuple[str, Cells]:
-                return line, pick(line.split(delimiter))
-
-            return _load(cut, split, name, on_error)
+            report = QuarantineReport()
+            keep = _screen(block, row, on_error, report)
+            entities, runs = _entity_runs(data, first[0][keep], last[0][keep])
+            dataset = LocationDataset._from_runs(entities, runs, block[:, keep], name)
+            return (dataset, report) if on_error == "skip" else dataset
 
         def scalar(row: List[str]) -> Tuple[str, Cells]:
             view: Dict[Optional[str], Any] = dict(zip(header, row + pad[len(row) :]))

@@ -118,8 +118,19 @@ class LocationDataset:
         each entity's columns as slices of the three sorted arrays, rows
         of equal timestamp in the order given.
         """
+        return cls._from_runs(entities, np.ones(len(entities), np.intp), columns, name)
+
+    @classmethod
+    def _from_runs(
+        cls, entities: Sequence[str], runs: ArrayLike, columns: ArrayLike, name: str
+    ) -> "LocationDataset":
+        """:meth:`from_columns` of rows whose entities come in runs:
+        ``runs[i]`` rows in a row of entity ``entities[i]``."""
+        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
+        firsts = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
+        codes, names = np.repeat(firsts, runs), list(code_of)
         columns = np.asarray(columns, dtype=np.float64)
-        if columns.shape != (3, len(entities)):
+        if columns.shape != (3, len(codes)):
             raise ValueError("column lengths differ")
         timestamps, lats, lngs = columns
         bad = ~(
@@ -128,19 +139,17 @@ class LocationDataset:
         if bad.any():
             row = int(bad.argmax())
             cls._validate_coords(float(lats[row]), float(lngs[row]))
-            raise ValueError(f"timestamp not finite for entity {entities[row]!r}")
-        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
-        codes = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
+            raise ValueError(f"timestamp not finite for entity {names[codes[row]]!r}")
         # Rows already in (entity, timestamp) order — as ``save_csv`` writes
         # them — skip the sort; the stable sort would leave them in place.
         step = np.diff(codes)
         ordered = ((step > 0) | ((step == 0) & (np.diff(timestamps) >= 0))).all()
         order = np.arange(len(codes)) if ordered else np.lexsort((timestamps, codes))
         timestamps, lats, lngs = columns[:, order]
-        bounds = np.searchsorted(codes[order], np.arange(len(code_of) + 1)).tolist()
+        bounds = np.searchsorted(codes[order], np.arange(len(names) + 1)).tolist()
         traces = {
             entity: _Trace(timestamps[start:stop], lats[start:stop], lngs[start:stop])
-            for entity, start, stop in zip(code_of, bounds, bounds[1:])
+            for entity, start, stop in zip(names, bounds, bounds[1:])
         }
         return cls(name, traces)
 

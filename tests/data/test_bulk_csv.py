@@ -5,11 +5,15 @@ delimiters is cut into columns straight from its ``"\\n"``-split text;
 ``csv.reader`` then reads its header line and nothing else.  Generated
 files of that kind — mixed ``\\n`` / ``\\r\\n`` / lone ``\\r`` line ends, a
 byte-order mark, blank lines anywhere after the header, no final newline,
-the bad cells of ``test_columnar_reader.py`` and cells holding characters
-``str.splitlines`` would break a line on — must load exactly as
+the bad cells of ``test_columnar_reader.py``, cells holding characters
+``str.splitlines`` would break a line on, plain decimals at the edges of
+the exact fast path, entity names that share a prefix or a width, and
+multibyte delimiters — must load exactly as
 ``scalar_reader.scalar_load_csv`` loads them.  Every file the bulk cut
 does not take must reach ``csv.reader`` over the open file and still
-match the oracle, exception class and text included.
+match the oracle, exception class and text included.  A ``save_csv``
+file takes the cut without a per-cell parse, a per-row entity list or
+more than one decoded entity text per run of rows.
 """
 
 import csv
@@ -17,6 +21,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,12 +40,35 @@ from test_columnar_reader import (
 )
 
 import repro.data.io as data_io
-from repro.data import load_csv
+from repro.data import LocationDataset, Record, load_csv, save_csv
 
 # Characters ``str.splitlines`` ends a line on and ``csv.reader`` does not.
 SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 ODD = st.sampled_from(SPLITLINES_ONLY)
 ODD_NUMBERS = st.sampled_from(["\x8512.5", "\u202812", "\x0b-3.5", "1\x1c", "7\x85"])
+# Plain decimals at the edges of the exact fast path (1-15 digits), and
+# cells one step past it that ``float()`` must still read.
+PLAIN_LATS = st.sampled_from(
+    [
+        "-0", "-0.0", ".5", "5.", "-.5", "007.50", "37.8384639",
+        "89.99999999999999", "0.000000000000001", "0000000000000001.5",
+    ]
+)
+PLAIN_LNGS = st.sampled_from(
+    [
+        "-122.4821242", "-0", "180.", "-.5", "179.999999999999", "-00.0",
+        "12.3456789012345",
+    ]
+)
+PLAIN_TIMES = st.sampled_from(
+    [
+        "1200000281.858", "1500000000.", "9007199254740993", "900719925474099.3",
+        "-0.0", ".5", "1500000000.000000",
+    ]
+)
+NOT_PLAIN = st.sampled_from(["-", ".", "-.", "1.2.3", "--1", "1-", "1..5"])
+# Entity names that share a prefix, a width or all but their last byte.
+RUN_NAMES = st.sampled_from(["ab", "abc", "abd", "zoë", "zoé", "ζ", "user1", "user2"])
 
 
 def _tap(source, drawn):
@@ -77,7 +105,7 @@ def cell(strategy, delimiter):
 def bulk_files(draw):
     """``(text, bom, load_csv keyword arguments)`` of one file the bulk cut
     takes: unique header names, every row as wide as the header."""
-    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", "§", "→"]))
     names = draw(st.sampled_from([NAMES, ("uid", "latitude", "longitude", "ts")]))
     unread = draw(st.lists(st.none(), max_size=2))
     layout = draw(st.permutations(list(range(4)) + unread))
@@ -86,12 +114,16 @@ def bulk_files(draw):
     ]
     odd = ODD.map(lambda c: f"a{c}b")
     good = [
-        st.one_of(ENTITIES, odd),
-        st.one_of(GOOD_LATS, ODD_NUMBERS),
-        st.one_of(GOOD_LNGS, ODD_NUMBERS),
-        GOOD_TIMES,
+        st.one_of(ENTITIES, odd, RUN_NAMES),
+        st.one_of(GOOD_LATS, ODD_NUMBERS, PLAIN_LATS),
+        st.one_of(GOOD_LNGS, ODD_NUMBERS, PLAIN_LNGS),
+        st.one_of(GOOD_TIMES, PLAIN_TIMES),
     ]
-    bad = {1: BAD_LATS, 2: BAD_LNGS, 3: BAD_TIMES}
+    bad = {
+        1: st.one_of(BAD_LATS, NOT_PLAIN),
+        2: st.one_of(BAD_LNGS, NOT_PLAIN),
+        3: st.one_of(BAD_TIMES, NOT_PLAIN),
+    }
     extras = cell(st.one_of(EXTRAS, odd, ODD), delimiter)
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     lines = [delimiter.join(header)]
@@ -242,3 +274,84 @@ class TestFallback:
     def test_a_two_character_delimiter(self, tmp_path):
         path = self.write(tmp_path, f"entity,lat,lng,timestamp\n{GOOD_ROW}\n")
         assert self.check(path, delimiter=",,")[0] is TypeError
+
+
+class TestEntityRuns:
+    """Rows of one entity in a row are one run, decoded once; these files
+    put runs side by side that a byte comparison could confuse."""
+
+    RUNS = {
+        "interleaved": ["A", "B"] * 6,
+        "shared prefix": ["ab", "abc", "abc", "abd", "ab", "a", "abc"],
+        "last byte": ["user1", "user2", "user2", "user1", "user3", "user3"],
+        "multibyte": ["zoë", "zoé", "zoé", "zoë", "ζ", "ζ", "z"],
+        "empty name": ["", "a", "", "", "a", ""],
+    }
+
+    @pytest.mark.parametrize("names", RUNS.values(), ids=list(RUNS))
+    @pytest.mark.parametrize("delimiter", [",", "§"])
+    def test_same_outcome_as_the_scalar_reader(self, tmp_path, names, delimiter):
+        path = tmp_path / "runs.csv"
+        rows = [
+            delimiter.join([name, f"{k}.5", f"-{k}.25", str(1000 - k % 3)])
+            for k, name in enumerate(names)
+        ]
+        header = delimiter.join(NAMES)
+        path.write_text("\r\n".join([header, *rows]) + "\r\n", encoding="utf-8")
+        for mode in ("skip", "raise"):
+            keywords = {"on_error": mode, "delimiter": delimiter}
+            expected = outcome(scalar_load_csv, path, **keywords)
+            with watched_reader() as calls:
+                result = outcome(load_csv, path, **keywords)
+            assert result == expected
+            assert [drawn for _, drawn in calls] == [[header]]
+        assert [entity for entity, _ in result[1]] == list(dict.fromkeys(names))
+
+
+class TestRouteGuard:
+    def test_a_save_csv_file_builds_no_object_per_cell_or_row(
+        self, tmp_path, monkeypatch
+    ):
+        """The per-cell parser runs zero times, no per-row entity list
+        reaches ``LocationDataset``, and each entity's text is decoded
+        once: ``save_csv`` writes an entity's rows as one run."""
+        rng = np.random.default_rng(5)
+        records = [
+            Record(f"taxi{k % 7}", *rng.uniform(-60, 60, 2).tolist(), 1.2e9 + 7 * k)
+            for k in range(3000)
+        ]
+        dataset = LocationDataset.from_records(records)
+        path = tmp_path / "saved.csv"
+        save_csv(dataset, path)
+
+        parsed, texts, built = [], [], []
+
+        def counted(parse):
+            def spy(cell):
+                parsed.append(cell)
+                return parse(cell)
+
+            return spy
+
+        real_decoded = data_io._decoded
+
+        def decoded(*args):
+            out = real_decoded(*args)
+            texts.extend(out)
+            return out
+
+        from_columns = LocationDataset.from_columns.__func__
+
+        def spy_columns(cls, entities, *args, **kwargs):
+            built.append(len(entities))
+            return from_columns(cls, entities, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "_PARSERS", tuple(map(counted, data_io._PARSERS)))
+        monkeypatch.setattr(data_io, "_decoded", decoded)
+        monkeypatch.setattr(LocationDataset, "from_columns", classmethod(spy_columns))
+        loaded = load_csv(path)
+        assert (parsed, built) == ([], [])
+        assert texts == dataset.entities
+        monkeypatch.undo()
+        assert outcome(load_csv, path) == outcome(scalar_load_csv, path)
+        assert loaded.entities == dataset.entities
