@@ -1,7 +1,7 @@
 """Micro-benchmarks of SLIM's building blocks.
 
 Times each pipeline stage in isolation — the CSV loader, history
-construction, the similarity kernel (both scoring backends), LSH signature
+construction (dense and sparse, checked against a per-entity build), the similarity kernel (both scoring backends), LSH signature
 construction and bucketing, the two bipartite matchers, and the GMM
 threshold fit — so
 performance regressions can be localised, and the greedy-vs-exact matcher
@@ -22,7 +22,7 @@ import pytest
 
 from bench_util import time_callable, write_bench_json
 from repro.core.corpus import HistoryCorpus
-from repro.core.history import build_histories
+from repro.core.history import MobilityHistory, build_histories
 from repro.core.matching import Edge, greedy_max_matching, hungarian_matching
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
 from repro.core.threshold import gmm_stop_threshold
@@ -69,9 +69,23 @@ def test_micro_load_csv(benchmark, cab_pair, tmp_path):
         assert [column.tobytes() for column in got] == [c.tobytes() for c in want]
 
 
-def test_micro_history_build(benchmark, cab_pair):
-    windowing, _, _ = _setup(cab_pair)
-    benchmark(lambda: build_histories(cab_pair.left, windowing, 12))
+@pytest.mark.parametrize("workload", ["cab_pair", "sm_pair"])
+def test_micro_history_build(benchmark, workload, request):
+    """``build_histories`` of a whole side — dense taxi traces and sparse
+    check-ins — its histories checked bit for bit against a per-entity
+    build of the same records."""
+    pair = request.getfixturevalue(workload)
+    windowing, _, _ = _setup(pair)
+    built = benchmark(lambda: build_histories(pair.left, windowing, 12))
+    assert list(built) == pair.left.entities
+    for entity, history in built.items():
+        alone = MobilityHistory.from_columns(
+            entity, *pair.left.columns(entity), windowing, 12
+        )
+        assert history.num_records == alone.num_records
+        for name in ("_windows", "_cells", "_counts"):
+            got, want = getattr(history, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])

@@ -514,7 +514,12 @@ class HistoryCorpus:
         slots = self._cell_slots(cells)
         bins = (windows << _ROW_BITS) | slots
         keys = self._bin_slots(bins)
-        fresh = distinct(bins[keys < 0])
+        # Bins no slot counts yet take the next slots in ascending order:
+        # one argsort finds them and, by run, each one's rank among them.
+        missing = np.flatnonzero(keys < 0)
+        ranked = missing[np.argsort(bins[missing])]
+        first = run_starts(bins[ranked])
+        fresh = bins[ranked][first]
         if len(fresh):
             order = self._df_order
             self._df_order = np.insert(
@@ -523,7 +528,7 @@ class HistoryCorpus:
                 np.arange(len(order), len(order) + len(fresh)),
             )
             self._df_bins = np.concatenate([self._df_bins, fresh])
-            keys = self._bin_slots(bins)
+            keys[ranked] = len(order) + np.cumsum(first) - 1
         before = np.concatenate([self._df_counts, np.zeros(len(fresh))])
         self._df_counts = (
             before

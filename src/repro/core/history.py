@@ -87,7 +87,9 @@ class MobilityHistory:
 
     ``windows`` / ``cells`` / ``counts`` are the bins as parallel columns,
     sorted by ``(window, cell)`` with no bin repeated (what
-    :func:`ingest_columns` produces); they are copied and kept read-only.
+    :func:`ingest_columns` produces); the constructor copies them and keeps
+    the copies read-only (an ingest's histories adopt slices of its merge
+    instead: :meth:`_adopt`).
     Bins are exposed as ``{window index: (cell ids...)}`` dictionaries per
     spatial level; cell ids are bare integers (see :mod:`repro.geo.cell`)
     for speed.
@@ -124,18 +126,36 @@ class MobilityHistory:
         #: and :class:`~repro.core.score_cache.ScoreCache` entries key
         #: their validity on it.
         self.version = 0
-        self._store(windows, cells, counts)
-
-    def _store(self, *columns: Sequence) -> None:
-        """Adopt ``(windows, cells, counts)`` — as read-only copies:
-        stored columns are replaced, never written, so whoever holds one
-        (a capture, a joined pass) may alias it — and drop every view of
-        the old ones."""
-        for (name, dtype), values in zip(_COLUMNS.items(), columns):
-            column = np.array(values, dtype=dtype)
+        copies = [
+            np.array(values, dtype=dtype)
+            for dtype, values in zip(_COLUMNS.values(), (windows, cells, counts))
+        ]
+        for column in copies:
             column.flags.writeable = False
-            setattr(self, name, column)
+        self._adopt(*copies)
+
+    def _adopt(self, windows: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
+        """Take ``(windows, cells, counts)`` as they are — read-only arrays
+        of the :data:`_COLUMNS` dtypes, typically slices of one ingest's
+        merge, whose base they keep alive — and drop every view of the old
+        ones.  Stored columns are replaced, never written, so whoever holds
+        one (a capture, a joined pass, a sibling history) may alias it."""
+        self._windows, self._cells, self._counts = windows, cells, counts
         self._views: Dict[object, object] = {}
+
+    @classmethod
+    def _adopting(
+        cls, entity_id: str, windowing: Windowing, storage_level: int,
+        columns: Sequence[np.ndarray], num_records: int, version: int = 0,
+    ) -> "MobilityHistory":
+        """A history that adopts ``columns`` (:meth:`_adopt`), where the
+        constructor would copy them."""
+        history = cls.__new__(cls)
+        history.entity_id, history.windowing = entity_id, windowing
+        history.storage_level, history.num_records = storage_level, num_records
+        history.version = version
+        history._adopt(*columns)
+        return history
 
     def __getstate__(self) -> Dict[str, object]:
         """The columns and the scalars — no view is pickled."""
@@ -330,10 +350,12 @@ def ingest_columns(
     stable sort by ``(entity, window, cell)`` and summed per bin left to
     right — a stored sum first, then the records in arrival order — so
     the columns are bit for bit those of a one-shot build of the same
-    records, whatever the batching.
+    records, whatever the batching.  The merged columns are made
+    read-only once, and every new or grown history adopts its slices of
+    them (:meth:`MobilityHistory._adopt`) rather than copies.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
-    if timestamps.size != sum(lengths):
+    if timestamps.size != np.sum(lengths):
         raise ValueError("lengths must add up to one entry per record")
     if radii is not None:
         radii = np.asarray(radii, dtype=np.float64)
@@ -398,20 +420,20 @@ def ingest_columns(
     # batching-independent.
     counts = np.bincount(np.cumsum(first) - 1, weights=weights[order])
     rows, windows, cells = rows[first], windows[first], cells[first]
+    # The merge is made read-only once; each history adopts its slices.
+    for column in (windows, cells, counts):
+        column.flags.writeable = False
     bounds = np.searchsorted(rows, np.arange(len(ids) + 1)).tolist()
     for k, entity_id in enumerate(ids):
-        columns = (
-            windows[bounds[k] : bounds[k + 1]],
-            cells[bounds[k] : bounds[k + 1]],
-            counts[bounds[k] : bounds[k + 1]],
-        )
+        start, stop = bounds[k], bounds[k + 1]
+        columns = (windows[start:stop], cells[start:stop], counts[start:stop])
         history = histories.get(entity_id)
         if history is None:
-            histories[entity_id] = MobilityHistory(
-                entity_id, windowing, storage_level, *columns, added[k]
+            histories[entity_id] = MobilityHistory._adopting(
+                entity_id, windowing, storage_level, columns, added[k]
             )
         elif added[k]:
-            history._store(*columns)
+            history._adopt(*columns)
             history.num_records += added[k]
             history.version += 1
 
@@ -449,15 +471,19 @@ def _pack_histories(histories: Mapping[str, MobilityHistory]) -> Dict[str, objec
 
 
 def _unpack_histories(packed: Mapping[str, object]) -> Dict[str, MobilityHistory]:
-    """The histories :func:`_pack_histories` packed (each stores copies
-    of its rows)."""
-    histories: Dict[str, MobilityHistory] = {}
-    windowing, rows = packed["windowing"], unpack_rows(packed, _COLUMNS, _SCALARS)
-    for entity_id, columns, (records, version, level) in rows:
-        history = MobilityHistory(entity_id, windowing, level, *columns, records)
-        history.version = version
-        histories[entity_id] = history
-    return histories
+    """The histories :func:`_pack_histories` packed.  The packed columns
+    are made read-only, and each history adopts its slices of them, as
+    after an ingest."""
+    columns = {name: np.asarray(packed[name], dtype) for name, dtype in _COLUMNS.items()}
+    for column in columns.values():
+        column.flags.writeable = False
+    rows = unpack_rows({**packed, **columns}, _COLUMNS, _SCALARS)
+    return {
+        entity_id: MobilityHistory._adopting(
+            entity_id, packed["windowing"], level, bins, records, version
+        )
+        for entity_id, bins, (records, version, level) in rows
+    }
 
 
 def build_histories(
@@ -471,18 +497,16 @@ def build_histories(
 
     This is the ``CreateHistories`` step of Alg. 1.  ``storage_level``
     should be at least as fine as both the similarity spatial level and any
-    LSH signature level the run will use.  The dataset's columns are
-    concatenated and binned in one :func:`ingest_columns` pass.
+    LSH signature level the run will use.  The dataset's columns, as it
+    holds them (a :meth:`~repro.data.records.LocationDataset.subset` for
+    ``entities``), are binned in one :func:`ingest_columns` pass.
     """
-    entity_ids = list(
-        dict.fromkeys(entities if entities is not None else dataset.entities)
-    )
+    if entities is not None:
+        dataset = dataset.subset(entities)
     histories: Dict[str, MobilityHistory] = {}
-    if entity_ids:
-        columns = [dataset.columns(entity_id) for entity_id in entity_ids]
-        timestamps, lats, lngs = (np.concatenate(column) for column in zip(*columns))
+    if dataset.num_entities:
         ingest_columns(
-            histories, entity_ids, [len(column[0]) for column in columns],
-            timestamps, lats, lngs, windowing, storage_level,
+            histories, dataset.entities, np.diff(dataset._bounds),
+            *dataset._columns, windowing, storage_level,
         )
     return histories

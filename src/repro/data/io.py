@@ -253,11 +253,16 @@ def _decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return values
 
 
-def _entity_runs(
+def _entity_codes(
     data: bytes, starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[List[str], np.ndarray]:
-    """The entity cells ``data[start:end]`` as runs of equal cells: each
-    run's text, decoded once, and its length."""
+    """The entity cells ``data[start:end]`` as codes: the text of each
+    distinct cell, decoded once, in order of first appearance, and each
+    cell's position in that list.
+
+    Runs of equal neighbouring cells are found first, so a sorted file
+    compares one cell per run; equal bytes are equal texts, as the bytes
+    are UTF-8."""
     u = np.frombuffer(data, np.uint8)
     widths = ends - starts
     same = np.zeros(len(starts), bool)  # the cell before holds the same bytes
@@ -266,7 +271,26 @@ def _entity_runs(
         cells = np.lib.stride_tricks.sliding_window_view(u, width)[starts[rows]]
         same[rows[1:]] = (np.diff(rows) == 1) & (cells[1:] == cells[:-1]).all(axis=1)
     heads = np.flatnonzero(~same)
-    return _decoded(data, starts[heads], ends[heads]), np.diff(heads, append=len(same))
+    # Each run head's group: the earliest head holding the same bytes.  A
+    # width's cells, zero-padded to big-endian 8-byte words, sort as their
+    # bytes do.
+    group = np.empty(len(heads), np.intp)
+    for width in np.flatnonzero(np.bincount(widths[heads])).tolist():
+        at = np.flatnonzero(widths[heads] == width)
+        words = np.zeros((len(at), 8 * max(1, -(-width // 8))), np.uint8)
+        words[:, :width] = np.lib.stride_tricks.sliding_window_view(u, width)[
+            starts[heads[at]]
+        ]
+        words = words.view(">u8")
+        order = np.lexsort(words.T[::-1])
+        new = np.ones(len(at), bool)
+        new[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+        cuts = np.flatnonzero(new)
+        earliest = np.minimum.reduceat(at[order], cuts)
+        group[at[order]] = np.repeat(earliest, np.diff(cuts, append=len(at)))
+    firsts, codes = np.unique(group, return_inverse=True)
+    names = _decoded(data, starts[heads[firsts]], ends[heads[firsts]])
+    return names, np.repeat(codes, np.diff(heads, append=len(same)))
 
 
 def _screen(
@@ -456,8 +480,8 @@ def load_csv(
 
             report = QuarantineReport()
             keep = _screen(block, row, on_error, report)
-            entities, runs = _entity_runs(data, first[0][keep], last[0][keep])
-            dataset = LocationDataset._from_runs(entities, runs, block[:, keep], name)
+            names, codes = _entity_codes(data, first[0][keep], last[0][keep])
+            dataset = LocationDataset._from_codes(names, codes, block[:, keep], name)
             return (dataset, report) if on_error == "skip" else dataset
 
         def scalar(row: List[str]) -> Tuple[str, Cells]:

@@ -6,16 +6,19 @@ location-based service.  Entities carry opaque ids that are unique within a
 dataset but (after anonymisation) carry no cross-dataset meaning, which is
 exactly why spatio-temporal linkage is needed.
 
-Internally a :class:`LocationDataset` stores one sorted numpy column set per
-entity (timestamps, latitudes, longitudes); that keeps the 10^5-record
-synthetic workloads compact and lets history construction and the synthetic
-samplers operate vectorised.
+Internally a :class:`LocationDataset` is three float64 columns (timestamps,
+latitudes, longitudes) sorted by ``(entity, timestamp)``, the row bounds of
+each entity and one id -> code dict.  Every constructor and transformation
+is a column operation, and history construction bins a whole dataset's
+columns as they stand (:func:`repro.core.history.build_histories`); an
+entity's own columns are read-only slices of the three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -60,39 +63,30 @@ class DatasetStats:
         return (self.time_end - self.time_start) / 86_400.0
 
 
-class _Trace:
-    """Columnar storage for one entity's records, sorted by timestamp."""
-
-    __slots__ = ("timestamps", "lats", "lngs")
-
-    def __init__(
-        self, timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray
-    ) -> None:
-        self.timestamps = timestamps
-        self.lats = lats
-        self.lngs = lngs
-
-    def __len__(self) -> int:
-        return self.timestamps.shape[0]
-
-
-def _sorted_trace(timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> _Trace:
-    """The trace of float64 columns in any order; equal timestamps keep theirs."""
-    order = np.argsort(timestamps, kind="stable")
-    return _Trace(timestamps[order], lats[order], lngs[order])
+def _invalid(timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose timestamp is not finite or whose coordinate
+    is out of range (NaN fails every comparison)."""
+    return ~(np.isfinite(timestamps) & (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0))
 
 
 class LocationDataset:
     """An immutable collection of records grouped by entity.
 
-    Construction goes through :meth:`from_records` or
-    :meth:`from_arrays`; all transformation methods (subsetting, record
+    Construction goes through :meth:`from_records`, :meth:`from_columns`
+    or :meth:`from_arrays`; all transformation methods (subsetting, record
     sampling, id remapping) return new datasets.
     """
 
-    def __init__(self, name: str, traces: Dict[str, _Trace]) -> None:
+    def __init__(
+        self, name: str, entities: Iterable[str], bounds: np.ndarray, columns: np.ndarray
+    ) -> None:
         self._name = name
-        self._traces = traces
+        self._code_of = {entity: code for code, entity in enumerate(entities)}
+        #: Entity ``code`` owns rows ``bounds[code]:bounds[code + 1]``.
+        self._bounds = bounds
+        #: ``(timestamps, lats, lngs)`` rows, sorted by (code, timestamp).
+        self._columns = columns
+        columns.flags.writeable = False
 
     # ------------------------------------------------------------------
     # constructors
@@ -118,40 +112,42 @@ class LocationDataset:
         each entity's columns as slices of the three sorted arrays, rows
         of equal timestamp in the order given.
         """
-        return cls._from_runs(entities, np.ones(len(entities), np.intp), columns, name)
+        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
+        codes = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
+        columns = np.array(columns, dtype=np.float64)
+        return cls._from_codes(list(code_of), codes, columns, name)
 
     @classmethod
-    def _from_runs(
-        cls, entities: Sequence[str], runs: ArrayLike, columns: ArrayLike, name: str
+    def _from_codes(
+        cls, names: List[str], codes: np.ndarray, columns: np.ndarray, name: str
     ) -> "LocationDataset":
-        """:meth:`from_columns` of rows whose entities come in runs:
-        ``runs[i]`` rows in a row of entity ``entities[i]``."""
-        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(entities))}
-        firsts = np.fromiter(map(code_of.__getitem__, entities), np.intp, len(entities))
-        codes, names = np.repeat(firsts, runs), list(code_of)
-        columns = np.asarray(columns, dtype=np.float64)
+        """:meth:`from_columns` of rows already coded: row ``i`` belongs to
+        entity ``names[codes[i]]``, names in order of first appearance;
+        ``columns`` is a float64 ``(3, rows)`` array the dataset may keep."""
         if columns.shape != (3, len(codes)):
             raise ValueError("column lengths differ")
-        timestamps, lats, lngs = columns
-        bad = ~(
-            np.isfinite(timestamps) & (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0)
-        )
+        bad = _invalid(*columns)
         if bad.any():
-            row = int(bad.argmax())
-            cls._validate_coords(float(lats[row]), float(lngs[row]))
-            raise ValueError(f"timestamp not finite for entity {names[codes[row]]!r}")
-        # Rows already in (entity, timestamp) order — as ``save_csv`` writes
-        # them — skip the sort; the stable sort would leave them in place.
+            _, lat, lng = columns[:, bad.argmax()].tolist()
+            cls._validate_coords(lat, lng)
+            code = codes[bad.argmax()]
+            raise ValueError(f"timestamp not finite for entity {names[code]!r}")
+        return cls._sorted(names, codes, columns, name)
+
+    @classmethod
+    def _sorted(
+        cls, names: List[str], codes: np.ndarray, columns: np.ndarray, name: str
+    ) -> "LocationDataset":
+        """The dataset of valid coded rows, sorted stably by ``(code,
+        timestamp)``.  Rows already in that order — as ``save_csv`` writes
+        them — skip the sort; the stable sort would leave them in place."""
+        timestamps = columns[0]
         step = np.diff(codes)
-        ordered = ((step > 0) | ((step == 0) & (np.diff(timestamps) >= 0))).all()
-        order = np.arange(len(codes)) if ordered else np.lexsort((timestamps, codes))
-        timestamps, lats, lngs = columns[:, order]
-        bounds = np.searchsorted(codes[order], np.arange(len(names) + 1)).tolist()
-        traces = {
-            entity: _Trace(timestamps[start:stop], lats[start:stop], lngs[start:stop])
-            for entity, start, stop in zip(names, bounds, bounds[1:])
-        }
-        return cls(name, traces)
+        if not ((step > 0) | ((step == 0) & (np.diff(timestamps) >= 0))).all():
+            order = np.lexsort((timestamps, codes))
+            codes, columns = codes[order], columns[:, order]
+        bounds = np.searchsorted(codes, np.arange(len(names) + 1))
+        return cls(name, names, bounds, columns)
 
     @classmethod
     def from_arrays(
@@ -163,23 +159,41 @@ class LocationDataset:
         """Build from ``{entity: (timestamps, lats, lngs)}`` arrays.
 
         ``entity_ids`` fixes the entity ordering (useful for reproducible
-        sampling); every id must be a key of ``per_entity``.
+        sampling); every id must be a key of ``per_entity``.  A bad
+        record raises naming the first entity, in that order, that has
+        one.
         """
-        traces = {}
-        for entity_id in entity_ids:
-            timestamps, lats, lngs = per_entity[entity_id]
-            timestamps = np.asarray(timestamps, dtype=np.float64)
-            lats = np.asarray(lats, dtype=np.float64)
-            lngs = np.asarray(lngs, dtype=np.float64)
-            if not (timestamps.shape == lats.shape == lngs.shape):
+        names = list(dict.fromkeys(entity_ids))
+        traces = []
+        for entity_id in names:
+            trace = [np.asarray(column, dtype=np.float64) for column in per_entity[entity_id]]
+            if not trace[0].shape == trace[1].shape == trace[2].shape:
+                for earlier, columns in zip(names, traces):
+                    cls._check_entity(earlier, *columns)
                 raise ValueError(f"column shapes differ for entity {entity_id!r}")
-            if not np.isfinite(timestamps).all():
-                raise ValueError(f"timestamp not finite for entity {entity_id!r}")
-            if lats.size:
-                cls._validate_coords(float(lats.min()), float(lngs.min()))
-                cls._validate_coords(float(lats.max()), float(lngs.max()))
-            traces[entity_id] = _sorted_trace(timestamps, lats, lngs)
-        return cls(name, traces)
+            traces.append(trace)
+        sizes = [len(trace[0]) for trace in traces]
+        columns = np.zeros((3, sum(sizes)))
+        for row, parts in zip(columns, zip(*traces)):
+            np.concatenate(parts, out=row)
+        codes = np.repeat(np.arange(len(names)), sizes)
+        bad = _invalid(*columns)
+        if bad.any():
+            code = codes[bad.argmax()]
+            cls._check_entity(names[code], *traces[code])
+        return cls._sorted(names, codes, columns, name)
+
+    @classmethod
+    def _check_entity(
+        cls, entity_id: str, timestamps: np.ndarray, lats: np.ndarray, lngs: np.ndarray
+    ) -> None:
+        """Raise for a non-finite timestamp, then for the range of the
+        coordinates' minima and maxima, of one entity's records."""
+        if not np.isfinite(timestamps).all():
+            raise ValueError(f"timestamp not finite for entity {entity_id!r}")
+        if lats.size:
+            cls._validate_coords(float(lats.min()), float(lngs.min()))
+            cls._validate_coords(float(lats.max()), float(lngs.max()))
 
     @staticmethod
     def _validate_coords(lat: float, lng: float) -> None:
@@ -199,58 +213,63 @@ class LocationDataset:
     @property
     def entities(self) -> List[str]:
         """Entity ids, in insertion order."""
-        return list(self._traces)
+        return list(self._code_of)
 
     @property
     def num_entities(self) -> int:
         """Number of entities (``|U|`` in the paper)."""
-        return len(self._traces)
+        return len(self._code_of)
 
     @property
     def num_records(self) -> int:
         """Total record count."""
-        return sum(len(trace) for trace in self._traces.values())
+        return self._columns.shape[1]
 
     def __len__(self) -> int:
         return self.num_records
 
     def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._traces
+        return entity_id in self._code_of
 
     def record_count(self, entity_id: str) -> int:
         """Number of records of one entity."""
-        return len(self._traces[entity_id])
+        start, stop = self._span(entity_id)
+        return stop - start
+
+    def _span(self, entity_id: str) -> Tuple[int, int]:
+        """The rows ``(start, stop)`` of one entity."""
+        code = self._code_of[entity_id]
+        start, stop = self._bounds[code : code + 2].tolist()
+        return start, stop
 
     def columns(self, entity_id: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(timestamps, lats, lngs)`` arrays for ``entity_id`` (sorted by
-        time).  The arrays are the internal buffers — do not mutate."""
-        trace = self._traces[entity_id]
-        return trace.timestamps, trace.lats, trace.lngs
+        time): read-only slices of the dataset's columns."""
+        start, stop = self._span(entity_id)
+        timestamps, lats, lngs = self._columns[:, start:stop]
+        return timestamps, lats, lngs
 
     def records_of(self, entity_id: str) -> Iterator[Record]:
         """Iterate one entity's records in time order."""
-        trace = self._traces[entity_id]
-        for k in range(len(trace)):
-            yield Record(
-                entity_id,
-                float(trace.lats[k]),
-                float(trace.lngs[k]),
-                float(trace.timestamps[k]),
-            )
+        timestamps, lats, lngs = (column.tolist() for column in self.columns(entity_id))
+        for lat, lng, timestamp in zip(lats, lngs, timestamps):
+            yield Record(entity_id, lat, lng, timestamp)
 
     def records(self) -> Iterator[Record]:
         """Iterate all records, grouped by entity."""
-        for entity_id in self._traces:
+        for entity_id in self._code_of:
             yield from self.records_of(entity_id)
 
     def time_range(self) -> Tuple[float, float]:
         """``(earliest, latest)`` record timestamp across the dataset."""
-        traces = [trace for trace in self._traces.values() if len(trace)]
-        if not traces:
+        if not self.num_records:
             raise ValueError(f"dataset {self._name!r} is empty")
-        starts = [float(trace.timestamps[0]) for trace in traces]
-        ends = [float(trace.timestamps[-1]) for trace in traces]
-        return min(starts), max(ends)
+        # Each entity's first and last record; the first extreme of each
+        # in entity order, as a signed zero's sign depends on which.
+        held = self._bounds[:-1] < self._bounds[1:]
+        firsts = self._columns[0, self._bounds[:-1][held]]
+        lasts = self._columns[0, self._bounds[1:][held] - 1]
+        return float(firsts[firsts.argmin()]), float(lasts[lasts.argmax()])
 
     def stats(self) -> DatasetStats:
         """Summary statistics (entities, records, averages, span)."""
@@ -269,14 +288,22 @@ class LocationDataset:
     # ------------------------------------------------------------------
     # transformations (all return new datasets)
     # ------------------------------------------------------------------
+    def _pick(self, names: List[str], codes: np.ndarray, name: str) -> "LocationDataset":
+        """The dataset of the entities ``codes`` (named ``names``), in
+        that order: one gather of their rows."""
+        starts = self._bounds[codes]
+        sizes = self._bounds[codes + 1] - starts
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        rows = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], sizes)
+        return LocationDataset(name, names, bounds, self._columns[:, rows])
+
     def subset(self, entity_ids: Iterable[str], name: Optional[str] = None) -> "LocationDataset":
         """Dataset restricted to the given entities (order preserved)."""
-        traces = {}
-        for entity_id in entity_ids:
-            if entity_id not in self._traces:
-                raise KeyError(f"unknown entity: {entity_id!r}")
-            traces[entity_id] = self._traces[entity_id]
-        return LocationDataset(name or self._name, traces)
+        names = list(dict.fromkeys(entity_ids))
+        codes = np.fromiter(map(self._code_of.get, names, repeat(-1)), np.intp, len(names))
+        if (codes < 0).any():
+            raise KeyError(f"unknown entity: {names[int((codes < 0).argmax())]!r}")
+        return self._pick(names, codes, name or self._name)
 
     def filter_min_records(self, min_records: int) -> "LocationDataset":
         """Drop entities with ``min_records`` or fewer records.
@@ -284,33 +311,31 @@ class LocationDataset:
         The paper ignores entities with <= 5 records after downsampling
         (Sec. 5.1); this is that filter.
         """
-        traces = {
-            entity_id: trace
-            for entity_id, trace in self._traces.items()
-            if len(trace) > min_records
-        }
-        return LocationDataset(self._name, traces)
+        codes = np.flatnonzero(np.diff(self._bounds) > min_records)
+        names = self.entities
+        return self._pick([names[code] for code in codes.tolist()], codes, self._name)
 
     def sample_records(
         self, inclusion_probability: float, rng: np.random.Generator
     ) -> "LocationDataset":
-        """Keep each record independently with ``inclusion_probability``.
+        """Keep each record independently with ``inclusion_probability``;
+        an entity left with no record goes.
 
         This implements the paper's *record inclusion probability* knob
-        (Sec. 5.1), which models asynchronous service usage.
+        (Sec. 5.1), which models asynchronous service usage.  One draw per
+        record, in row order.
         """
         if not 0.0 < inclusion_probability <= 1.0:
             raise ValueError(
                 f"inclusion probability must be in (0, 1], got {inclusion_probability}"
             )
-        traces = {}
-        for entity_id, trace in self._traces.items():
-            keep = rng.random(len(trace)) < inclusion_probability
-            if keep.any():
-                traces[entity_id] = _Trace(
-                    trace.timestamps[keep], trace.lats[keep], trace.lngs[keep]
-                )
-        return LocationDataset(self._name, traces)
+        keep = rng.random(self.num_records) < inclusion_probability
+        codes = np.repeat(np.arange(self.num_entities), np.diff(self._bounds))[keep]
+        kept = np.bincount(codes, minlength=self.num_entities)
+        held = kept > 0
+        names = list(compress(self._code_of, held.tolist()))
+        bounds = np.concatenate([[0], np.cumsum(kept[held])])
+        return LocationDataset(self._name, names, bounds, self._columns[:, keep])
 
     def jitter_timestamps(
         self, sigma_seconds: float, rng: np.random.Generator
@@ -322,30 +347,28 @@ class LocationDataset:
         SM-style experiments use this so that very narrow temporal windows
         genuinely lose co-occurrence evidence (Sec. 5.2.1's "very small
         temporal windows require services to be used synchronously").
+        One draw per record, in row order.
         """
         if sigma_seconds < 0:
             raise ValueError(f"sigma must be non-negative, got {sigma_seconds}")
         if sigma_seconds == 0:
             return self
-        traces = {}
-        for entity_id, trace in self._traces.items():
-            noisy = trace.timestamps + rng.normal(0.0, sigma_seconds, len(trace))
-            traces[entity_id] = _sorted_trace(noisy, trace.lats, trace.lngs)
-        return LocationDataset(self._name, traces)
+        columns = self._columns.copy()
+        columns[0] += rng.normal(0.0, sigma_seconds, self.num_records)
+        codes = np.repeat(np.arange(self.num_entities), np.diff(self._bounds))
+        return LocationDataset._sorted(self.entities, codes, columns, self._name)
 
     def rename_entities(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "LocationDataset":
         """Remap entity ids (anonymisation).  ``mapping`` must be injective
         and cover every entity."""
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("entity id mapping is not injective")
-        traces = {}
-        for entity_id, trace in self._traces.items():
-            traces[mapping[entity_id]] = trace
-        return LocationDataset(name or self._name, traces)
+        names = [mapping[entity_id] for entity_id in self._code_of]
+        return LocationDataset(name or self._name, names, self._bounds, self._columns)
 
     def renamed(self, name: str) -> "LocationDataset":
         """Same data under a new dataset name."""
-        return LocationDataset(name, dict(self._traces))
+        return LocationDataset(name, self._code_of, self._bounds, self._columns)
 
     def __repr__(self) -> str:
         return (

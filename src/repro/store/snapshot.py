@@ -154,8 +154,8 @@ def unpack_rows(
     packed: Mapping[str, object], arrays: Mapping[str, type], scalars: Sequence[str]
 ) -> Iterator[Tuple[str, List[np.ndarray], Tuple[int, ...]]]:
     """``(key, arrays, scalars)`` per object :func:`pack_rows` packed, in
-    order.  The arrays are views into the packed columns: a caller that
-    keeps one copies it, so no object pins the loaded buffer."""
+    order.  The arrays are views into the packed columns, so a caller
+    that keeps one keeps its whole packed column alive."""
     bounds = np.cumsum(np.append(0, packed["rows"])).tolist()
     columns = [packed[name] for name in arrays]
     values = zip(*(packed[name].tolist() for name in scalars))

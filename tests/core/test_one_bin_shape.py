@@ -13,7 +13,14 @@ import numpy as np
 
 from repro.core import history as history_module
 from repro.core.corpus import HistoryCorpus
-from repro.core.history import MobilityHistory, leaf_columns
+from repro.core.history import (
+    MobilityHistory,
+    _pack_histories,
+    _unpack_histories,
+    build_histories,
+    leaf_columns,
+)
+from repro.data import LocationDataset
 from repro.temporal import Windowing
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -31,12 +38,15 @@ def test_no_retired_bin_container_is_named_anywhere_under_src():
 
 
 #: Names of per-entity structures: the corpus holds residency as columns
-#: (an id -> row dict, row arrays, one directory table) instead, and the
+#: (an id -> row dict, row arrays, one directory table) instead, the
 #: LSH index one bucket matrix per side, indexed by entity code, replaced
-#: rather than written (no bucket dict, no placement lists, no journal).
+#: rather than written (no bucket dict, no placement lists, no journal),
+#: and a dataset three sorted columns with entity bounds (no trace object
+#: or dict of them).
 PER_ENTITY = {
     "_Resident", "_window_index", "_slices", "_directories",
     "_placements", "_buckets", "_IndexJournal", "_touch_bucket", "_partners",
+    "_Trace", "_traces", "_sorted_trace",
 }
 
 
@@ -67,6 +77,9 @@ def test_no_per_entity_structure_is_named_under_src():
         "self._buckets.get(0)\n"
         "self._slices()\n"
         "index._partners(placed, 0)\n"
+        "class _Trace: pass\n"
+        "def _sorted_trace(): pass\n"
+        "self._traces = {}\n"
     ) >= PER_ENTITY
 
 
@@ -86,6 +99,76 @@ def test_leaf_columns_walks_no_window_or_cell():
         if isinstance(node, (ast.For, ast.comprehension))
     }
     assert iterated <= {"histories", "_COLUMNS.items()", "joined"}
+
+
+def _base(column):
+    """The array a view's memory belongs to (a column that owns its
+    memory is its own base)."""
+    while column.base is not None:
+        column = column.base
+    return column
+
+
+def _side():
+    dataset = LocationDataset.from_columns(
+        ["a", "b", "a", "c", "b", "c", "c"],
+        [
+            [10.0, 20.0, 950.0, 30.0, 1900.0, 40.0, 2000.0],
+            [37.70, 37.71, 37.72, 37.70, 37.74, 37.75, 37.76],
+            [-122.40, -122.41, -122.42, -122.43, -122.44, -122.45, -122.46],
+        ],
+    )
+    return build_histories(dataset, Windowing(0.0, 900.0), 14)
+
+
+def _shared_read_only_bases(histories):
+    """Each stored column's base, per column name, after asserting that
+    the column is read-only and a view of it."""
+    bases = {name: set() for name in history_module._COLUMNS}
+    for history in histories.values():
+        for name in bases:
+            column = getattr(history, name)
+            assert not column.flags.writeable and not column.flags.owndata
+            bases[name].add(id(_base(column)))
+    return bases
+
+
+def test_a_bulk_build_adopts_read_only_slices_of_one_merge():
+    """``build_histories`` copies no history's columns: all of them are
+    read-only views of one base per column, the ingest's merge."""
+    bases = _shared_read_only_bases(_side())
+    assert [len(ids) for ids in bases.values()] == [1, 1, 1]
+
+
+def test_the_constructor_copies_what_it_is_given():
+    """``MobilityHistory(...)`` keeps copies: the caller's arrays stay
+    writable, and writing them changes nothing stored."""
+    windows = np.array([0, 1, 1], np.int64)
+    cells = np.array([5, 7, 9], np.uint64)
+    counts = np.array([1.0, 2.0, 1.0])
+    history = MobilityHistory("x", Windowing(0.0, 900.0), 14, windows, cells, counts, 4)
+    stored = [history._windows.copy(), history._cells.copy(), history._counts.copy()]
+    for column in (windows, cells, counts):
+        assert column.flags.writeable
+        column[:] = 3
+    for column, before in zip((history._windows, history._cells, history._counts), stored):
+        assert not column.flags.writeable
+        assert column.tobytes() == before.tobytes()
+
+
+def test_a_restored_side_adopts_slices_of_the_unpacked_columns():
+    """``_unpack_histories`` takes the ingest's path: every history's
+    columns are read-only views of the one unpacked column of each name,
+    and they read what was packed."""
+    histories = _side()
+    packed = _pack_histories(histories)
+    restored = _unpack_histories(packed)
+    bases = _shared_read_only_bases(restored)
+    assert bases == {name: {id(_base(packed[name]))} for name in bases}
+    for entity_id, history in histories.items():
+        for name in bases:
+            got = getattr(restored[entity_id], name)
+            assert got.tobytes() == getattr(history, name).tobytes()
 
 
 def _corpus(records_per_entity):

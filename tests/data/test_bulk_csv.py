@@ -13,7 +13,7 @@ multibyte delimiters — must load exactly as
 does not take must reach ``csv.reader`` over the open file and still
 match the oracle, exception class and text included.  A ``save_csv``
 file takes the cut without a per-cell parse, a per-row entity list or
-more than one decoded entity text per run of rows.
+more than one decoded entity text per entity, whatever the row order.
 """
 
 import csv
@@ -277,8 +277,9 @@ class TestFallback:
 
 
 class TestEntityRuns:
-    """Rows of one entity in a row are one run, decoded once; these files
-    put runs side by side that a byte comparison could confuse."""
+    """Rows of one entity in a row are one run, and equal runs one text,
+    decoded once; these files put runs side by side that a byte
+    comparison could confuse."""
 
     RUNS = {
         "interleaved": ["A", "B"] * 6,
@@ -286,6 +287,10 @@ class TestEntityRuns:
         "last byte": ["user1", "user2", "user2", "user1", "user3", "user3"],
         "multibyte": ["zoë", "zoé", "zoé", "zoë", "ζ", "ζ", "z"],
         "empty name": ["", "a", "", "", "a", ""],
+        "past one word": [
+            "entity-0000001", "entity-0000002", "entity-0000001",
+            "entity-00000010", "e", "entity-0000002", "entity-00000010",
+        ],
     }
 
     @pytest.mark.parametrize("names", RUNS.values(), ids=list(RUNS))
@@ -355,3 +360,34 @@ class TestRouteGuard:
         monkeypatch.undo()
         assert outcome(load_csv, path) == outcome(scalar_load_csv, path)
         assert loaded.entities == dataset.entities
+
+    def test_a_shuffled_file_decodes_each_entity_once(self, tmp_path, monkeypatch):
+        """Rows whose entities interleave are one run each, yet each
+        distinct entity's bytes are decoded into one text, once."""
+        rng = np.random.default_rng(8)
+        names = ["taxi1", "taxi2", "taxi10", "zoë", "zoé", "ζ", "t"]
+        records = [
+            Record(names[k % 7], *rng.uniform(-60, 60, 2).tolist(), 1.2e9 + k // 3)
+            for k in range(2000)
+        ]
+        saved = tmp_path / "saved.csv"
+        save_csv(LocationDataset.from_records(records), saved)
+        header, *rows = saved.read_text(encoding="utf-8").splitlines()
+        rng.shuffle(rows)
+        path = tmp_path / "shuffled.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+        texts = []
+        real_decoded = data_io._decoded
+
+        def decoded(*args):
+            out = real_decoded(*args)
+            texts.extend(out)
+            return out
+
+        monkeypatch.setattr(data_io, "_decoded", decoded)
+        loaded = outcome(load_csv, path)
+        first_seen = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        assert texts == first_seen
+        monkeypatch.undo()
+        assert loaded == outcome(scalar_load_csv, path)

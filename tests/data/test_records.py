@@ -71,7 +71,7 @@ class TestAccessors:
 
     def test_time_range_empty_raises(self):
         with pytest.raises(ValueError):
-            LocationDataset("empty", {}).time_range()
+            LocationDataset.from_records([], "empty").time_range()
 
     def test_time_range_of_recordless_entities_is_the_named_error(self):
         """Entities that all hold zero records are an empty dataset too,
