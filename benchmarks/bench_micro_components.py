@@ -2,7 +2,8 @@
 
 Times each pipeline stage in isolation — the CSV loader, history
 construction (dense and sparse, checked against a per-entity build), the similarity kernel (both scoring backends), LSH signature
-construction and bucketing, the two bipartite matchers, and the GMM
+construction (checked against the paper's count tree) and bucketing, the
+two bipartite matchers, and the GMM
 threshold fit — so
 performance regressions can be localised, and the greedy-vs-exact matcher
 ablation (the ``matching`` stage's two registry entries, docs/ARCHITECTURE.md
@@ -16,6 +17,8 @@ headline number this repo's performance PRs track.
 
 import csv
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,11 @@ from repro.data import load_csv, save_csv
 from repro.eval import format_table, write_report
 from repro.lsh import LshConfig, LshIndex, SignatureSpec, signature_matrix
 from repro.temporal import common_windowing
+
+# The test suite's scalar oracles (the paper's Fig. 1 count tree).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from fig1_oracle import build_signature  # noqa: E402
+from lsh_calls import signatures_to_array  # noqa: E402
 
 
 def _setup(pair, level=12, width_seconds=900.0):
@@ -152,11 +160,20 @@ def test_micro_pairwise_scoring_speedup(cab_pair, results_dir):
     assert speedup >= floor, f"batch kernel speedup regressed: {speedup:.2f}x"
 
 
-def test_micro_signature_build(benchmark, cab_pair):
-    windowing, left, _ = _setup(cab_pair, level=14)
-    latest = max(cab_pair.left.time_range()[1], cab_pair.right.time_range()[1])
+@pytest.mark.parametrize("workload", ["cab_pair", "sm_pair"])
+def test_micro_signature_build(benchmark, workload, request):
+    """``signature_matrix`` of a whole side — dense taxi traces and sparse
+    check-ins — checked row for row against the paper's count-tree
+    formulation (``tests/fig1_oracle.py``)."""
+    pair = request.getfixturevalue(workload)
+    windowing, left, _ = _setup(pair, level=14)
+    latest = max(pair.left.time_range()[1], pair.right.time_range()[1])
     spec = SignatureSpec(0, windowing.index_of(latest) + 1, 8, 14)
-    benchmark(lambda: signature_matrix(left, spec))
+    matrix = benchmark(lambda: signature_matrix(left, spec))
+    oracle = signatures_to_array(
+        [build_signature(history, spec) for history in left.values()]
+    )
+    assert np.array_equal(matrix, oracle.reshape(matrix.shape))
 
 
 def test_micro_lsh_index(benchmark, cab_pair):

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.records import LocationDataset
-from ..geo import LatLng, cell_ids_from_degrees
+from ..geo import MAX_LEVEL, LatLng, cell_ids_from_degrees
 from ..geo.cell import CellId, parent_id
 from ..store.snapshot import pack_rows, unpack_rows
 from ..temporal import Windowing
@@ -73,6 +73,22 @@ def run_starts(*columns: np.ndarray) -> np.ndarray:
     for column in columns:
         first[1:] |= column[1:] != column[:-1]
     return first
+
+
+def cell_order(runs: np.ndarray, cells: np.ndarray, level: int) -> np.ndarray:
+    """The stable order that sorts ``cells`` (ids at ``level``) inside each
+    run of the ascending int64 ``runs`` and leaves the runs where they are:
+    what ``np.lexsort((cells, runs))`` returns, as one stable argsort of a
+    joint key over input that is already in order between runs.  A cell id
+    at ``level`` is face and position bits, then a one and zeros
+    (:mod:`repro.geo.cell`), so ``cell >> tail`` keeps the cells' order in
+    ``64 - tail`` bits and the run takes the bits above; runs too many for
+    those bits take the lexsort."""
+    tail = 2 * (MAX_LEVEL - level) + 1
+    if len(runs) and runs[-1] >> (tail - 1):
+        return np.lexsort((cells, runs))
+    key = (runs << (64 - tail)) | (cells >> np.uint64(tail)).astype(np.int64)
+    return np.argsort(key, kind="stable")
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -347,8 +363,10 @@ def ingest_columns(
     ``radii`` as in :meth:`MobilityHistory.from_columns`.
 
     The new rows are merged with the touched entities' stored bins in one
-    stable sort by ``(entity, window, cell)`` and summed per bin left to
-    right — a stored sum first, then the records in arrival order — so
+    stable sort by ``(entity, window, cell)`` — only the cells inside each
+    ``(entity, window)`` run when the rows already come in that order
+    (:func:`cell_order`) — and summed per bin left to right — a stored
+    sum first, then the records in arrival order — so
     the columns are bit for bit those of a one-shot build of the same
     records, whatever the batching.  The merged columns are made
     read-only once, and every new or grown history adopts its slices of
@@ -412,7 +430,15 @@ def ingest_columns(
     cells = np.concatenate([stored[2], cells])
     weights = np.concatenate([stored[3], weights])
 
-    order = np.lexsort((cells, windows, rows))
+    # Rows in (entity, window) order (every build_histories call: a
+    # dataset is sorted by (entity, timestamp)) sort only their cells
+    # inside each run; anything else (a merge with stored bins,
+    # out-of-order records) takes the three-key sort.
+    step = rows[1:] - rows[:-1]
+    if ((step > 0) | ((step == 0) & (windows[1:] >= windows[:-1]))).all():
+        order = cell_order(np.cumsum(run_starts(rows, windows)) - 1, cells, storage_level)
+    else:
+        order = np.lexsort((cells, windows, rows))
     rows, windows, cells = rows[order], windows[order], cells[order]
     first = run_starts(rows, windows, cells)
     # bincount adds strictly in input order (reduceat sums long runs

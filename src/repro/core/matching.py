@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
+from .score_cache import split_codes
+
 __all__ = ["Edge", "greedy_max_matching", "hungarian_matching", "match"]
 
 
@@ -25,7 +27,33 @@ class Edge(NamedTuple):
     weight: float
 
 
-class EdgeSet(Sequence[Edge]):
+class _Rows(Sequence):
+    """A sequence read from columns: :meth:`rows` builds the rows on the
+    first read (a subclass's ``_build``) and caches them."""
+
+    _rows: Optional[list] = None
+
+    def rows(self) -> list:
+        """The rows (built on the first call, then cached)."""
+        if self._rows is None:
+            self._rows = self._build()
+        return self._rows
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.rows())
+
+    def __eq__(self, other: object) -> bool:
+        rows = other.rows() if isinstance(other, _Rows) else other
+        return self.rows() == rows if isinstance(rows, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows()!r})"
+
+
+class EdgeSet(_Rows):
     """The positive-score edges as three columns: left ids, right ids and
     float64 weights, row ``i`` being ``Edge(left[i], right[i], weight[i])``.
 
@@ -41,7 +69,6 @@ class EdgeSet(Sequence[Edge]):
         self.right: Sequence[str] = right
         self.weight = weight
         self._sort_rows = sort_rows
-        self._rows: Optional[List[Edge]] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "EdgeSet":
@@ -63,28 +90,22 @@ class EdgeSet(Sequence[Edge]):
         left, right = zip(*picked) if picked else ((), ())
         return cls(left, right, scores[positive], sort_rows)
 
-    def rows(self) -> List[Edge]:
-        """The ``Edge`` rows (built on the first call, then cached)."""
-        if self._rows is None:
-            rows = list(map(Edge, self.left, self.right, self.weight.tolist()))
-            self._rows = sorted(rows) if self._sort_rows else rows
-        return self._rows
+    @classmethod
+    def from_codes(cls, entities, pairs, scores: np.ndarray, sort_rows: bool = False):
+        """:meth:`from_scores` over pair codes of the
+        :class:`~repro.core.score_cache.EntityTables` ``entities``: ids are
+        gathered for the positive pairs only."""
+        positive = np.flatnonzero(scores > 0.0)
+        codes = split_codes(pairs[positive])
+        ids = (entities.ids(side, codes[side]).tolist() for side in (0, 1))
+        return cls(*ids, scores[positive], sort_rows)
+
+    def _build(self) -> List[Edge]:
+        rows = list(map(Edge, self.left, self.right, self.weight.tolist()))
+        return sorted(rows) if self._sort_rows else rows
 
     def __len__(self) -> int:
         return len(self.weight)
-
-    def __getitem__(self, index):
-        return self.rows()[index]
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.rows())
-
-    def __eq__(self, other: object) -> bool:
-        rows = other.rows() if isinstance(other, EdgeSet) else other
-        return self.rows() == rows if isinstance(rows, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({self.rows()!r})"
 
 
 def greedy_max_matching(edges: Sequence[Edge]) -> List[Edge]:

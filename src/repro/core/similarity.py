@@ -16,10 +16,10 @@ and instruments the counters the paper's evaluation reports: pairwise bin
 comparisons (Fig. 4d/5d), alibi pairs (Fig. 4c/5c).
 
 Two scoring backends implement identical semantics over one cache
-route: :meth:`SimilarityEngine.raw_batch` reads the pairs' history
-versions once, makes one
-:meth:`~repro.core.score_cache.ScoreCache.lookup_batch` on the optional
-:class:`~repro.core.score_cache.ScoreCache`, sends only the misses to
+route: with a :class:`~repro.core.score_cache.ScoreCache` attached,
+:meth:`SimilarityEngine.raw_batch` reads the pairs' history versions
+once, makes one :meth:`~repro.core.score_cache.ScoreCache.lookup_batch`,
+sends only the misses to
 the backend's scorer and makes one
 :meth:`~repro.core.score_cache.ScoreCache.store_batch` of what it
 returns, so both count cache work alike.  The backends differ in that
@@ -289,7 +289,7 @@ class SimilarityEngine:
         stored into the attached
         :class:`~repro.core.score_cache.ScoreCache`, if any."""
         scores, local = self._scored(
-            [(left_entity, right_entity)], "serial", block_size=1
+            self.entities.pair_codes([(left_entity, right_entity)]), "serial", 1
         )
         return float(scores[0]), local
 
@@ -306,30 +306,35 @@ class SimilarityEngine:
         statistics, so cached and freshly computed scores are
         indistinguishable.
         """
-        return self._scored(pairs, executor, block_size)[0].tolist()
+        codes = self.entities.pair_codes(pairs)
+        return self._scored(codes, executor, block_size)[0].tolist()
 
     def _scored(
         self,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: np.ndarray,
         executor: Union[Executor, str],
         block_size: int,
     ) -> Tuple[np.ndarray, SimilarityStats]:
-        """The pairs' normalised scores and their counters (merged into
-        :attr:`stats`): :meth:`raw_batch`, then :meth:`normalize` or,
-        under ``backend="python"``, the oracle's scalar ``_normalize``."""
-        codes = self.entities.pair_codes(pairs)
-        batch = self.raw_batch(codes, executor, block_size)
+        """The normalised scores of ``pairs`` (pair codes over
+        :attr:`entities`) and their counters (merged into :attr:`stats`):
+        the history sizes, :meth:`raw_batch`, then :meth:`normalize` or,
+        under ``backend="python"``, the oracle's scalar ``_normalize``.
+        The sizes are read first, so an unknown entity id is a
+        ``KeyError`` before any block is scored."""
+        lefts, rights = split_codes(pairs)
+        left_sizes = self.entities.spread(0, self.left.history_sizes, lefts)
+        right_sizes = self.entities.spread(1, self.right.history_sizes, rights)
+        batch = self.raw_batch(pairs, executor, block_size)
         if self.config.backend == "numpy":
-            lefts, rights = split_codes(codes)
-            scores = self.normalize(
-                batch.scores,
-                self.entities.spread(0, self.left.history_sizes, lefts),
-                self.entities.spread(1, self.right.history_sizes, rights),
-            )
+            scores = self.normalize(batch.scores, left_sizes, right_sizes)
         else:
             scores = np.array([
                 self._normalize(left, right, raw)
-                for (left, right), raw in zip(pairs, batch.scores.tolist())
+                for left, right, raw in zip(
+                    self.entities.ids(0, lefts).tolist(),
+                    self.entities.ids(1, rights).tolist(),
+                    batch.scores.tolist(),
+                )
             ], dtype=np.float64)
         return scores, self.fold(len(pairs), *batch[1:])
 
@@ -361,27 +366,27 @@ class SimilarityEngine:
         whatever runs it.  Under ``backend="python"`` the scalar oracle's
         loop over all of them is one task.
 
-        Each distinct entity's history version is read once; an unknown
-        entity id is a ``KeyError`` before anything is scored.  An
-        exception raised *inside* a block task is the executor's to
-        handle, under ``"serial"`` as under any backend: the block is
-        retried within the retry budget and, past it, the call
-        fails with a :class:`~repro.exec.TaskError` whose message names
-        the block and the original exception's type and text.
+        With a cache, each distinct entity's history version is read
+        once, and an unknown entity id is a ``KeyError`` before anything
+        is scored; without one no version is read (:meth:`_scored` reads
+        the sizes first instead).  An exception raised *inside* a block
+        task is the executor's to handle, under ``"serial"`` as under any
+        backend: the block is retried within the retry budget and, past
+        it, the call fails with a :class:`~repro.exec.TaskError` whose
+        message names the block and the original exception's type and
+        text.
 
         Neither normalised nor merged into :attr:`stats`: see
         :meth:`normalize` and :meth:`fold` (the streaming linker asks
         only about the pairs it cannot trust, and normalises and folds
         the cache values its whole pair table points at).
         """
-        lefts, rights = split_codes(pairs)
-        # Read with or without a cache to key: an unknown entity id
-        # fails here, as a KeyError, rather than inside a block task.
-        u_versions = self.entities.spread(0, self.left.history_versions, lefts)
-        v_versions = self.entities.spread(1, self.right.history_versions, rights)
         cache, space = self._score_cache, self._cache_space
         if cache is None:
             return self._score_blocks(pairs, executor, block_size)
+        lefts, rights = split_codes(pairs)
+        u_versions = self.entities.spread(0, self.left.history_versions, lefts)
+        v_versions = self.entities.spread(1, self.right.history_versions, rights)
         hit, batch = cache.lookup_batch(space, pairs, u_versions, v_versions)
         missed = np.flatnonzero(~hit)
         if missed.size:

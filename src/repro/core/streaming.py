@@ -113,6 +113,7 @@ from ..pipeline.stages import (
     MatchingStage,
     ScoringStage,
     ThresholdStage,
+    _SortedPairs,
     candidate_stages,
 )
 from .matching import EdgeSet
@@ -925,7 +926,8 @@ class _StreamingCandidates:
     Every other name — ``"brute"``, ``"temporal"``, custom registrations
     — dispatches through the :data:`~repro.pipeline.stages.candidate_stages`
     registry exactly as the batch pipeline would, so streaming runs
-    honour the config's ``candidates`` choice; its full candidate set
+    honour the config's ``candidates`` choice (a built-in stage's pair
+    codes recoded one side at a time); its full candidate set
     (like a rebuilt index's, or one the table is not yet aligned to) is
     the after, the whole table the before.  Either way the table follows
     with one :meth:`_PairTable.follow` of the difference."""
@@ -946,7 +948,10 @@ class _StreamingCandidates:
         rebuilt, source, after = False, None, None
         if resolved != "lsh":
             after = candidate_stages.get(resolved)(linker.config).generate(context)
-            after = distinct(entities.pair_codes(list(after)))
+            after = distinct(
+                after.codes(entities) if isinstance(after, _SortedPairs)
+                else entities.pair_codes(list(after))
+            )
         else:
             source, rebuilt = linker._lsh_update(self.deltas)
             if table.source is not source:
@@ -1038,14 +1043,9 @@ class _StreamingScoring(ScoringStage):
             value[kept] = column[held_at]
             value[asked] = asked_values
         scores = engine.normalize(raw, left_size, right_size)
-        # Alg. 1's ``if S > 0``; ids are gathered for those pairs only.
-        # Pairs are in code order: the edge set sorts its Edge rows only
-        # if they are read (the matcher reads the columns).
-        positive = np.flatnonzero(scores > 0.0)
-        lefts, rights = split_codes(table.pairs[positive])
-        context.edges = EdgeSet(
-            entities.ids(0, lefts).tolist(), entities.ids(1, rights).tolist(),
-            scores[positive], sort_rows=True,
-        )
+        # Alg. 1's ``if S > 0``.  Pairs are in code order: the edge set
+        # sorts its Edge rows only if they are read (the matcher reads the
+        # columns).
+        context.edges = EdgeSet.from_codes(entities, table.pairs, scores, True)
         engine.fold(len(table), bin_comparisons, common_windows, alibi_bin_pairs)
         context.stats = engine.stats

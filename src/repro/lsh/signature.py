@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.history import MobilityHistory, leaf_columns, run_starts
+from ..core.history import MobilityHistory, cell_order, leaf_columns, run_starts
 from ..geo.batch import parent_ids
 
 __all__ = [
@@ -90,9 +90,11 @@ def signature_matrix(
     One array pass: the histories' stored ``(window, cell, count)``
     columns are joined (:func:`~repro.core.history.leaf_columns`),
     windows outside the spec's span dropped, cells re-parented to
-    ``spec.spatial_level``, counts summed per ``(entity, slot, cell)`` and
-    each ``(entity, slot)`` keeps its largest sum, ties to the smallest
-    cell id, so signatures are deterministic across runs.
+    ``spec.spatial_level``, sorted only inside each ``(entity, slot)``
+    (:func:`~repro.core.history.cell_order`), counts summed per ``(entity,
+    slot, cell)`` and each ``(entity, slot)`` keeps its largest sum (a
+    segmented max), ties to the smallest cell id, so signatures are
+    deterministic across runs.
 
     Both this pass and the paper's count tree start from the same stored
     per-bin sums; they differ only in the order those are added across a
@@ -123,17 +125,20 @@ def signature_matrix(
     # One key per (entity, slot): the slot a leaf window falls into is
     # its offset from the span start divided by the step.
     groups = rows[inside] * spec.length + windows[inside] // spec.step_windows
+    # The joined rows are in (entity, window) order, so the keys ascend
+    # and only each group's cells need sorting.
     cells = parent_ids(cells[inside], spec.spatial_level)
-    order = np.lexsort((cells, groups))
+    order = cell_order(groups, cells, spec.spatial_level)
     groups, cells, counts = groups[order], cells[order], counts[inside][order]
     first = np.flatnonzero(run_starts(groups, cells))
     sums = np.add.reduceat(counts, first)
     groups, cells = groups[first], cells[first]
-    # Per (entity, slot): the largest sum first, ties by ascending cell id.
-    rank = np.lexsort((cells, -sums, groups))
-    groups, cells = groups[rank], cells[rank]
-    winners = run_starts(groups)
-    matrix.reshape(-1)[groups[winners]] = cells[winners]
+    # Per (entity, slot): the largest sum, the first (smallest) cell of it.
+    heads = np.flatnonzero(run_starts(groups))
+    best = np.maximum.reduceat(sums, heads)
+    at = np.flatnonzero(sums == np.repeat(best, np.diff(heads, append=len(sums))))
+    at = at[run_starts(groups[at])]
+    matrix.reshape(-1)[groups[at]] = cells[at]
     return matrix
 
 

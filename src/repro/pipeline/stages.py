@@ -43,14 +43,14 @@ from numpy.typing import ArrayLike
 
 from ..core.corpus import HistoryCorpus, content_fingerprint
 from ..core.history import build_histories
-from ..core.matching import Edge, EdgeSet
+from ..core.matching import Edge, EdgeSet, _Rows
 from ..core.matching import MATCHERS as _CORE_MATCHERS
 from ..core.kernels import (
     DENSE_SCORE_BLOCK_SIZE,
     SCORE_BLOCK_SIZE,
     workload_block_size,
 )
-from ..core.score_cache import split_codes
+from ..core.score_cache import EntityTables, pair_codes, split_codes
 from ..core.similarity import SimilarityEngine
 from ..core.threshold import (
     ThresholdDecision,
@@ -246,11 +246,38 @@ class PrepareStage:
 # ---------------------------------------------------------------------------
 # candidates
 # ---------------------------------------------------------------------------
+class _SortedPairs(_Rows):
+    """A built-in candidate stage's pairs: ascending pair codes over each
+    side's sorted ids (code ``k`` is the ``k``-th smallest), so the scoring
+    stage codes each side once (:meth:`codes`), not each pair.  Read as a
+    sequence it is the sorted ``(left id, right id)`` pairs, gathered on
+    the first read (as :class:`~repro.core.matching.EdgeSet` builds its
+    rows)."""
+
+    def __init__(self, pairs: np.ndarray, lefts: List[str], rights: List[str]):
+        self.pairs = pairs
+        self.ids = tuple(np.array(ids, dtype=object) for ids in (lefts, rights))
+
+    def codes(self, entities: EntityTables) -> np.ndarray:
+        """The pairs' codes in ``entities``, in the same order: each side's
+        sorted ids encoded once, then one gather a side."""
+        coded = [entities.encode(side, ids) for side, ids in enumerate(self.ids)]
+        return pair_codes(*(c[at] for c, at in zip(coded, split_codes(self.pairs))))
+
+    def _build(self) -> List[Tuple[str, str]]:
+        lefts, rights = split_codes(self.pairs)
+        return list(zip(self.ids[0][lefts].tolist(), self.ids[1][rights].tolist()))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
 class CandidateStage:
     """Base class for candidate generators (the ``LSHFilterPairs`` slot of
-    Alg. 1).  Subclasses implement :meth:`generate`, returning either a
-    set of pairs or an already-sorted list (a list is taken as sorted and
-    saves the scoring stage its determinism re-sort)."""
+    Alg. 1).  Subclasses implement :meth:`generate`, returning a set of
+    ``(left id, right id)`` pairs or an already-sorted list (a list is
+    taken as sorted and saves the scoring stage its determinism re-sort);
+    the built-in stages return pair codes (:class:`_SortedPairs`)."""
 
     name = STAGE_CANDIDATES
 
@@ -271,18 +298,15 @@ class BruteForceCandidates(CandidateStage):
     """Every cross pair — the right default for correctness-critical
     small runs.
 
-    Emits an already-sorted list (two small per-side sorts plus a
-    C-level product) so the scoring stage skips re-sorting the
-    quadratic candidate set.
+    Emits the cross product of both sides' sorted positions as one array
+    of ascending pair codes, so the scoring stage neither sorts nor codes
+    the quadratic candidate set pair by pair.
     """
 
-    def generate(self, context: LinkageContext) -> List[Tuple[str, str]]:
-        rights = sorted(context.right_histories)
-        return [
-            (left, right)
-            for left in sorted(context.left_histories)
-            for right in rights
-        ]
+    def generate(self, context: LinkageContext) -> _SortedPairs:
+        lefts, rights = sorted(context.left_histories), sorted(context.right_histories)
+        positions = np.arange(len(lefts))[:, None], np.arange(len(rights))
+        return _SortedPairs(pair_codes(*positions).ravel(), lefts, rights)
 
 
 @candidate_stages.register("lsh")
@@ -291,9 +315,9 @@ class LshCandidates(CandidateStage):
     banded bucketing; a pair sharing any bucket becomes a candidate.
 
     The index codes each side by sorted-id position, so its ascending
-    pair codes read back as an already-sorted list of id pairs."""
+    pair codes are handed on as they are (:class:`_SortedPairs`)."""
 
-    def generate(self, context: LinkageContext) -> List[Tuple[str, str]]:
+    def generate(self, context: LinkageContext) -> _SortedPairs:
         lsh = self.config.lsh
         if lsh is None:
             raise ValueError(
@@ -302,10 +326,10 @@ class LshCandidates(CandidateStage):
         index = LshIndex(lsh, lsh.signature_spec(context.total_windows))
         index.add_histories(context.left_histories, context.right_histories)
         context.extras["lsh_stats"] = index.stats
-        lefts, rights = split_codes(index.candidate_pairs())
-        left_ids = np.array(sorted(context.left_histories), dtype=object)
-        right_ids = np.array(sorted(context.right_histories), dtype=object)
-        return list(zip(left_ids[lefts].tolist(), right_ids[rights].tolist()))
+        return _SortedPairs(
+            index.candidate_pairs(),
+            sorted(context.left_histories), sorted(context.right_histories),
+        )
 
 
 @candidate_stages.register("temporal")
@@ -359,9 +383,12 @@ class ScoringStage:
     """Eq. 2 (with the MFN alibi pass) over the candidate set; keeps the
     positive-score edges (Alg. 1's ``if S > 0``).
 
-    Candidates are sorted (determinism) and scored by
-    :meth:`~repro.core.similarity.SimilarityEngine.score_batch`, which
-    asks the context's :class:`~repro.core.score_cache.ScoreCache` first
+    Candidates are coded in the engine's
+    :class:`~repro.core.score_cache.EntityTables` — a built-in stage's
+    pair codes one side at a time, a custom stage's id pairs sorted
+    (determinism) and coded once here — and scored in that order by the
+    route of :meth:`~repro.core.similarity.SimilarityEngine.score_batch`,
+    which asks the context's :class:`~repro.core.score_cache.ScoreCache` first
     (the streaming linker attaches its own) and — on the numpy backend —
     cuts what missed into blocks of the
     resolved size (:func:`resolve_score_block_size`) and runs **every
@@ -385,7 +412,8 @@ class ScoringStage:
 
     Either way the tasks' worker-side seconds land in
     ``context.shard_timings["scoring"]`` and an ``executor`` summary in
-    ``context.extras``.
+    ``context.extras``, and the positive pairs become an
+    :class:`~repro.core.matching.EdgeSet`, ids gathered for them only.
     """
 
     name = STAGE_SCORING
@@ -406,17 +434,15 @@ class ScoringStage:
             )
             context.engine = engine
         candidates = context.candidates
-        # Lists arrive pre-sorted from their candidate stage; sets (and
-        # anything else) are sorted here for determinism.
-        ordered = (
-            candidates
-            if isinstance(candidates, list)
-            else sorted(candidates)
-        )
-        scores = self._dispatch(context, engine.score_batch, ordered)
-        context.edges = EdgeSet.from_scores(
-            ordered, np.asarray(scores, dtype=np.float64)
-        )
+        if isinstance(candidates, _SortedPairs):
+            pairs = candidates.codes(engine.entities)
+        else:
+            # A custom stage's id pairs: lists arrive pre-sorted; sets (and
+            # anything else) are sorted here for determinism.
+            ordered = candidates if isinstance(candidates, list) else sorted(candidates)
+            pairs = engine.entities.pair_codes(ordered)
+        scores, _ = self._dispatch(context, engine._scored, pairs)
+        context.edges = EdgeSet.from_codes(engine.entities, pairs, scores)
         context.stats = engine.stats
 
     def _dispatch(
